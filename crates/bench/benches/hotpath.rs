@@ -233,42 +233,71 @@ fn log_append(c: &mut Criterion) {
     group.finish();
 }
 
-/// Many-range RangeSet insert/query mix: the set algebra a transaction
-/// with a large, scattered read set exercises per store.
-fn rangeset_dense_inserts(c: &mut Criterion) {
+/// The access-set traffic of one batched transaction: 8-byte loads at
+/// scattered heap addresses (chain walks over nodes the allocator handed
+/// out in no particular order), then the `overlaps` → `intersect_into` →
+/// `subtract_into` sequence one store runs against that read set. Insert
+/// cost is reported per `N` inserts at three set sizes — EXPERIMENTS.md
+/// divides by `N` — because what matters is whether the per-access cost
+/// depends on how many ranges the transaction already holds.
+fn rangeset_scattered(c: &mut Criterion) {
     use clobber_nvm::rangeset::RangeSet;
+    // Seeded splitmix64: 8-byte fields of 32-byte nodes spread over a
+    // 16 MiB heap, in a fixed pseudo-random order.
+    let addrs = |n: usize| -> Vec<u64> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                (1 << 20) + (z % (512 << 10)) * 32 + (z >> 60) % 4 * 8
+            })
+            .collect()
+    };
     let mut group = c.benchmark_group("hotpath_rangeset");
     group.sample_size(20);
-    group.bench_function("insert_512_scattered", |b| {
-        let mut set = RangeSet::new();
-        b.iter(|| {
-            set.clear();
-            // Odd 16-byte ranges first (no merges), then the even gaps
-            // (every insert merges two neighbours).
-            for i in 0..256u64 {
-                set.insert((2 * i + 1) * 16, (2 * i + 2) * 16);
-            }
-            for i in 0..256u64 {
-                set.insert(2 * i * 16, (2 * i + 1) * 16);
-            }
-            criterion::black_box(set.len())
+    for n in [32usize, 512, 4096] {
+        let addrs = addrs(n);
+        group.bench_function(format!("insert_8b_scattered_x{n}"), |b| {
+            let mut set = RangeSet::new();
+            b.iter(|| {
+                set.clear();
+                for &a in &addrs {
+                    set.insert(a, a + 8);
+                }
+                criterion::black_box(set.is_empty())
+            });
         });
-    });
-    group.bench_function("intersect_subtract_into_512", |b| {
-        let mut set = RangeSet::new();
-        for i in 0..512u64 {
-            set.insert(2 * i * 16, (2 * i + 1) * 16);
+    }
+    group.bench_function("store_sequence_over_512", |b| {
+        let addrs = addrs(512);
+        let (mut inputs, mut logged) = (RangeSet::new(), RangeSet::new());
+        for (i, &a) in addrs.iter().enumerate() {
+            inputs.insert(a, a + 8);
+            if i % 2 == 0 {
+                logged.insert(a, a + 8);
+            }
         }
         let mut isect = Vec::new();
-        let mut sub = Vec::new();
-        let mut q = 0u64;
+        let mut to_log = Vec::new();
+        let mut i = 0usize;
         b.iter(|| {
-            q = (q + 97) % (512 * 32);
+            // Alternate a store that hits a read-set entry with one to a
+            // neighbouring field that hits nothing.
+            i = (i + 1) % (2 * addrs.len());
+            let s = addrs[i / 2] + (i as u64 % 2) * 32;
             isect.clear();
-            sub.clear();
-            set.intersect_into(q, q + 256, &mut isect);
-            set.subtract_into(q, q + 256, &mut sub);
-            criterion::black_box(isect.len() + sub.len())
+            to_log.clear();
+            if inputs.overlaps(s, s + 8) {
+                inputs.intersect_into(s, s + 8, &mut isect);
+                for &(a, b) in &isect {
+                    logged.subtract_into(a, b, &mut to_log);
+                }
+            }
+            criterion::black_box(to_log.len())
         });
     });
     group.finish();
@@ -280,6 +309,6 @@ criterion_group!(
     ycsb_load,
     traced_variants,
     log_append,
-    rangeset_dense_inserts
+    rangeset_scattered
 );
 criterion_main!(benches);

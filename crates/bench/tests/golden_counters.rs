@@ -541,6 +541,58 @@ fn net_counters_pin_across_engines() {
     }
 }
 
+/// One `TX_BATCH_SET` of 16 keys over 4 096 preloaded keys — the
+/// batch-sized, scattered read set the KV service's drain produces (12
+/// updates walking their chains, 4 fresh prepends). Clobber detection is
+/// set algebra over that read set, so any change to the access-set
+/// representation that altered a single to-log range would move these
+/// counts. Values taken on the sorted-`Vec` implementation (PR 11).
+#[test]
+fn batch_set_counters_pin() {
+    for (backend, expect) in [
+        (Backend::clobber(), (15, 120, 230, 43, 393)),
+        (Backend::clobber_conservative(), (16, 128, 231, 44, 394)),
+        (Backend::Undo, (59, 1368, 280, 86, 439)),
+    ] {
+        let pool = pool(false);
+        let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).unwrap();
+        HashMap::register(&rt);
+        let map = HashMap::create(&rt).unwrap();
+        for key in 0..4096u64 {
+            map.insert(&rt, key, &[key as u8; 64]).unwrap();
+        }
+        // Two of the fresh keys share a bucket: the second prepend re-reads
+        // a head this transaction already wrote, which only the
+        // conservative variant treats as a clobber.
+        let twin = (4097..)
+            .find(|&k| map.lock_of(k) == map.lock_of(4096))
+            .unwrap();
+        let fresh = [4096, twin, 5000, 5001];
+        let pairs: Vec<(u64, Vec<u8>)> = (0..16u64)
+            .map(|i| {
+                let key = if i % 4 == 3 {
+                    fresh[i as usize / 4]
+                } else {
+                    (i * 257) % 4096
+                };
+                (key, vec![0xB0 | i as u8; 64])
+            })
+            .collect();
+        let before = pool.stats().snapshot();
+        map.insert_batch_on(&rt, 0, &pairs).unwrap();
+        let d = pool.stats().snapshot().delta(&before);
+        assert_eq!(
+            (d.log_entries, d.log_bytes, d.flushes, d.fences, d.reads),
+            expect,
+            "{}: {d:?}",
+            backend.label()
+        );
+        for (key, value) in &pairs {
+            assert_eq!(map.get(&rt, *key).unwrap().as_ref(), Some(value));
+        }
+    }
+}
+
 /// Golden per-shard pins: a fixed raw store/flush/fence pattern on a
 /// 4-shard pool must attribute exactly these counts to each shard bank, and
 /// the banks must sum to the aggregated snapshot. Shard geometry: 1 MiB /

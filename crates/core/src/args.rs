@@ -77,6 +77,13 @@ impl ArgList {
         ArgList::default()
     }
 
+    /// Creates an empty argument list with room for `n` arguments.
+    pub fn with_capacity(n: usize) -> Self {
+        ArgList {
+            items: Vec::with_capacity(n),
+        }
+    }
+
     /// Number of arguments.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -176,9 +183,20 @@ impl ArgList {
         }
     }
 
+    /// Length in bytes of [`to_bytes`](Self::to_bytes)' result.
+    pub fn encoded_len(&self) -> usize {
+        self.items
+            .iter()
+            .map(|item| match item {
+                ArgValue::U64(_) | ArgValue::I64(_) | ArgValue::F64(_) => 1 + 8,
+                ArgValue::Bytes(v) => 1 + 4 + v.len(),
+            })
+            .sum()
+    }
+
     /// Serializes to the v_log wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         for item in &self.items {
             match item {
                 ArgValue::U64(v) => {
@@ -200,6 +218,7 @@ impl ArgList {
                 }
             }
         }
+        debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
 

@@ -40,6 +40,8 @@ pub const REGISTER_SNAPSHOT_BYTES: u64 = 16 * 8;
 pub struct IdoObserver {
     region_inputs: RangeSet,
     region_written: RangeSet,
+    /// Reused output buffer of `on_read`'s set subtraction.
+    unwritten: Vec<(u64, u64)>,
     /// Live stack bytes persisted at each boundary (the transaction's
     /// arguments approximate the live locals).
     stack_live_bytes: u64,
@@ -81,6 +83,7 @@ impl IdoObserver {
         IdoObserver {
             region_inputs: RangeSet::new(),
             region_written: RangeSet::new(),
+            unwritten: Vec::new(),
             stack_live_bytes,
             boundaries: 0,
             flushed_store_bytes: 0,
@@ -91,9 +94,10 @@ impl IdoObserver {
     /// Records a transaction load of `[start, end)`.
     pub fn on_read(&mut self, start: u64, end: u64) {
         // A location first written within the region is not a region input.
-        for (s, e) in self.region_written.subtract_from(start, end) {
-            self.region_inputs.insert(s, e);
-        }
+        self.unwritten.clear();
+        self.region_written
+            .subtract_into(start, end, &mut self.unwritten);
+        self.region_inputs.extend(self.unwritten.iter().copied());
     }
 
     /// Records a transaction store of `[start, end)`. A store that

@@ -547,15 +547,12 @@ impl Runtime {
         let vlog_enabled = matches!(self.opts.backend, Backend::Clobber(cfg) if cfg.vlog);
         // The begin record is deferred until the first persistent store
         // (see Tx::ensure_begun): read-only transactions never fence.
-        let pending = crate::tx::PendingBegin {
-            name: name.to_string(),
-            args: args.clone(),
-        };
+        let pending = crate::tx::PendingBegin { name, args };
 
         let ido = self
             .opts
             .ido_shadow
-            .then(|| IdoObserver::new(args.to_bytes().len() as u64));
+            .then(|| IdoObserver::new(args.encoded_len() as u64));
         let mut tx = Tx::new(
             &self.pool,
             self.opts.backend,

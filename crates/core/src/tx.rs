@@ -105,6 +105,9 @@ pub(crate) struct ResumeState {
 /// transaction, so a warmed-up scratch makes the steady-state
 /// read + clobber-detect + log path allocation-free: every container
 /// below is `clear()`ed between transactions, which retains capacity.
+///
+/// Each access set is maintained only under the logging discipline that
+/// consults it (see [`Tracking`]); the others stay empty.
 #[derive(Default)]
 pub(crate) struct TxScratch {
     /// True inputs: bytes read before first being written.
@@ -147,13 +150,42 @@ impl TxScratch {
     }
 }
 
+/// Which access sets a transaction maintains — decided once from the
+/// backend, because every load and store pays for each set it updates and
+/// each discipline reads only some of them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tracking {
+    /// No store consults a set: NoLog, Redo (its write set is the redo
+    /// buffer itself) and clobber variants without a clobber log.
+    Off,
+    /// Refined clobber logging: `inputs`, `written`, `clobber_logged`.
+    Inputs,
+    /// Conservative clobber logging: `raw_reads` alone.
+    RawReads,
+    /// Undo and Atlas: `written` alone.
+    Written,
+}
+
+impl Tracking {
+    fn of(backend: Backend) -> Tracking {
+        match backend {
+            Backend::Clobber(cfg) if cfg.clobber_log && cfg.refined => Tracking::Inputs,
+            Backend::Clobber(cfg) if cfg.clobber_log => Tracking::RawReads,
+            Backend::Undo | Backend::Atlas => Tracking::Written,
+            Backend::Clobber(_) | Backend::NoLog | Backend::Redo => Tracking::Off,
+        }
+    }
+}
+
 /// Deferred begin record: the v_log/status write is postponed until the
 /// transaction's first persistent store, so read-only transactions pay no
 /// ordering fences at all — matching the paper's observation that search
-/// operations "do not involve logging mechanisms" (§5.6).
-pub(crate) struct PendingBegin {
-    pub name: String,
-    pub args: crate::args::ArgList,
+/// operations "do not involve logging mechanisms" (§5.6). Borrows the
+/// dispatcher's name and arguments: it is consumed at most once, before
+/// the txfunc returns.
+pub(crate) struct PendingBegin<'rt> {
+    pub name: &'rt str,
+    pub args: &'rt crate::args::ArgList,
 }
 
 /// A live failure-atomic transaction.
@@ -167,6 +199,7 @@ pub(crate) struct PendingBegin {
 pub struct Tx<'rt> {
     pool: &'rt PmemPool,
     backend: Backend,
+    tracking: Tracking,
     pub(crate) slot: VlogSlot,
     /// Volatile append cursor over the slot's clobber/undo log: caches the
     /// log position (satellite: no per-append tail re-read) and, on v2
@@ -184,7 +217,7 @@ pub struct Tx<'rt> {
     wrote: bool,
     vlog_enabled: bool,
     write_probe: Option<WriteProbe>,
-    pending_begin: Option<PendingBegin>,
+    pending_begin: Option<PendingBegin<'rt>>,
     begun: bool,
 }
 
@@ -200,13 +233,14 @@ impl<'rt> Tx<'rt> {
         vlog_enabled: bool,
         replay: Option<Vec<Vec<u8>>>,
         ido: Option<IdoObserver>,
-        pending_begin: Option<PendingBegin>,
+        pending_begin: Option<PendingBegin<'rt>>,
         scratch: TxScratch,
     ) -> Tx<'rt> {
         let begun = pending_begin.is_none();
         Tx {
             pool,
             backend,
+            tracking: Tracking::of(backend),
             slot,
             clog,
             rlog,
@@ -237,7 +271,7 @@ impl<'rt> Tx<'rt> {
             Backend::Clobber(cfg) if cfg.vlog => {
                 let n =
                     self.slot
-                        .begin_with_fence(self.pool, &pending.name, &pending.args, &|p| {
+                        .begin_with_fence(self.pool, pending.name, pending.args, &|p| {
                             gc.fence(p)
                         })?;
                 let stats = self.pool.stats();
@@ -344,19 +378,24 @@ impl<'rt> Tx<'rt> {
             obs.on_read(s, e);
         }
         let scratch = &mut self.scratch;
-        scratch.raw_reads.insert(s, e);
-        // Bytes not yet written by this transaction become inputs. The
-        // common cases — the range is entirely unwritten (fresh read) or
-        // entirely written (read-own-write) — skip the set subtraction.
-        if !scratch.written.overlaps(s, e) {
-            scratch.inputs.insert(s, e);
-        } else if !scratch.written.contains(s, e) {
-            scratch.isect.clear();
-            scratch.written.subtract_into(s, e, &mut scratch.isect);
-            for i in 0..scratch.isect.len() {
-                let (a, b) = scratch.isect[i];
-                scratch.inputs.insert(a, b);
+        match self.tracking {
+            // Bytes not yet written by this transaction become inputs. The
+            // common cases — the range is entirely unwritten (fresh read)
+            // or entirely written (read-own-write) — skip the subtraction.
+            Tracking::Inputs => {
+                if !scratch.written.overlaps(s, e) {
+                    scratch.inputs.insert(s, e);
+                } else if !scratch.written.contains(s, e) {
+                    scratch.isect.clear();
+                    scratch.written.subtract_into(s, e, &mut scratch.isect);
+                    for i in 0..scratch.isect.len() {
+                        let (a, b) = scratch.isect[i];
+                        scratch.inputs.insert(a, b);
+                    }
+                }
             }
+            Tracking::RawReads => scratch.raw_reads.insert(s, e),
+            Tracking::Written | Tracking::Off => {}
         }
         self.pool.read_into(addr, buf)?;
         if self.backend == Backend::Redo {
@@ -485,48 +524,49 @@ impl<'rt> Tx<'rt> {
             let ds = self.scratch.redo_data.len();
             self.scratch.redo_data.extend_from_slice(data);
             self.scratch.redo_writes.push((s, ds, data.len()));
-            self.scratch.written.insert(s, e);
             self.wrote = true;
             if let Some(probe) = &self.write_probe {
                 probe(self.pool);
             }
             return Ok(());
         }
-        // Clobber detection is set algebra over the scratch's range sets,
+        // Clobber detection is set algebra over the scratch's access sets,
         // written into its reusable buffers: nothing here allocates once
         // the scratch has warmed up. The `overlaps` probes are the inline
         // fast path for the dominant case of a store that touches no
         // read-set byte at all.
         let scratch = &mut self.scratch;
         scratch.to_log.clear();
-        match self.backend {
-            Backend::Clobber(cfg) if cfg.clobber_log => match policy {
-                WritePolicy::Auto => {
-                    if cfg.refined {
-                        if scratch.inputs.overlaps(s, e) {
-                            scratch.isect.clear();
-                            scratch.inputs.intersect_into(s, e, &mut scratch.isect);
-                            for &(a, b) in &scratch.isect {
-                                scratch
-                                    .clobber_logged
-                                    .subtract_into(a, b, &mut scratch.to_log);
-                            }
-                        }
-                    } else if scratch.raw_reads.overlaps(s, e) {
-                        scratch.raw_reads.intersect_into(s, e, &mut scratch.to_log);
+        match (self.tracking, policy) {
+            (Tracking::Inputs, WritePolicy::Auto) => {
+                if scratch.inputs.overlaps(s, e) {
+                    scratch.isect.clear();
+                    scratch.inputs.intersect_into(s, e, &mut scratch.isect);
+                    for &(a, b) in &scratch.isect {
+                        scratch
+                            .clobber_logged
+                            .subtract_into(a, b, &mut scratch.to_log);
                     }
                 }
-                WritePolicy::ForceLog => scratch.to_log.push((s, e)),
-                WritePolicy::NoLog => {}
-            },
-            Backend::Undo | Backend::Atlas => {
+            }
+            (Tracking::RawReads, WritePolicy::Auto) => {
+                if scratch.raw_reads.overlaps(s, e) {
+                    scratch.raw_reads.intersect_into(s, e, &mut scratch.to_log);
+                }
+            }
+            (Tracking::Inputs | Tracking::RawReads, WritePolicy::ForceLog) => {
+                scratch.to_log.push((s, e));
+            }
+            (Tracking::Inputs | Tracking::RawReads, WritePolicy::NoLog) => {}
+            // Undo logging does not depend on clobber analysis.
+            (Tracking::Written, _) => {
                 if !scratch.written.overlaps(s, e) {
                     scratch.to_log.push((s, e));
                 } else {
                     scratch.written.subtract_into(s, e, &mut scratch.to_log);
                 }
             }
-            _ => {}
+            (Tracking::Off, _) => {}
         }
         // Resume bookkeeping: this store's ordinal, and whether its durable
         // effects are already on media (checkpointed prefix of a recovery
@@ -539,7 +579,6 @@ impl<'rt> Tx<'rt> {
             }
             None => (0, false),
         };
-        let refined = matches!(self.backend, Backend::Clobber(cfg) if cfg.refined);
         let stats = self.pool.stats();
         let mut appended = false;
         for i in 0..self.scratch.to_log.len() {
@@ -571,7 +610,7 @@ impl<'rt> Tx<'rt> {
                     .fetch_add(b - a, std::sync::atomic::Ordering::Relaxed);
                 appended = true;
             }
-            if refined {
+            if self.tracking == Tracking::Inputs {
                 self.scratch.clobber_logged.insert(a, b);
             }
         }
@@ -617,7 +656,9 @@ impl<'rt> Tx<'rt> {
                 }
             }
         }
-        self.scratch.written.insert(s, e);
+        if matches!(self.tracking, Tracking::Inputs | Tracking::Written) {
+            self.scratch.written.insert(s, e);
+        }
         self.wrote = true;
         if let Some(r) = &mut self.resume {
             // Shadow every replayed store — skipped or real — so the
@@ -676,7 +717,7 @@ impl<'rt> Tx<'rt> {
         // deliberately does *not* get this: its transactions `TX_ADD` the
         // fields of freshly allocated objects too (paper Fig. 2b), so their
         // first stores are snapshot-logged like any other.
-        if matches!(self.backend, Backend::Clobber(_) | Backend::NoLog) {
+        if self.tracking == Tracking::Inputs {
             self.scratch
                 .written
                 .insert(addr.offset(), addr.offset() + size);

@@ -9,7 +9,7 @@
 
 #![allow(dead_code)] // each test binary uses a subset of the harness
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
 use clobber_pmem::{
@@ -547,12 +547,24 @@ pub fn two_parked_transfers(backend: Backend, assignments: [(u64, u64, u64); 2])
 
 /// Generalization of [`two_parked_transfers`] to any number of slots: one
 /// parked transfer per assignment, crashed while all of them are mid-flight.
+///
+/// The workers pass through a turnstile in slot order: worker *i* enters
+/// its transaction only after worker *i − 1* has issued both stores. All
+/// accounts share one cache line and fences are pool-global, so a store is
+/// durable in the `drop_all` image exactly when some fence followed it —
+/// left to race, whichever worker happened to run last kept its first
+/// store and lost its second, and the image depended on the scheduler.
+/// With the turnstile it is a function of `assignments` alone: every slot
+/// but the last has both stores durable, the last only its first.
 pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Vec<u8> {
     let (pool, rt, base) = setup(backend);
     let rendezvous = Arc::new(Barrier::new(assignments.len() + 1));
     let release = Arc::new(Barrier::new(assignments.len() + 1));
+    // Index of the slot whose worker may run, and its wake-up.
+    let turnstile = Arc::new((Mutex::new(0usize), Condvar::new()));
     {
-        let (rendezvous, release) = (rendezvous.clone(), release.clone());
+        let (rendezvous, release, turnstile) =
+            (rendezvous.clone(), release.clone(), turnstile.clone());
         rt.register("parked_transfer", move |tx, args| {
             let base = PAddr::new(args.u64(0)?);
             let from = args.u64(1)?;
@@ -562,7 +574,10 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
             tx.write_u64(base.add(from * 8), from_bal - amount)?;
             let to_bal = tx.read_u64(base.add(to * 8))?;
             tx.write_u64(base.add(to * 8), to_bal + amount)?;
-            rendezvous.wait(); // both writes logged and in flight
+            // Both writes logged and in flight: let the next slot in.
+            *turnstile.0.lock().unwrap() += 1;
+            turnstile.1.notify_all();
+            rendezvous.wait();
             release.wait(); // hold until the snapshot is taken
             Ok(None)
         });
@@ -570,8 +585,10 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
     let mut media = None;
     std::thread::scope(|s| {
         for (slot, &step) in assignments.iter().enumerate() {
-            let rt = &rt;
+            let (rt, turnstile) = (&rt, &turnstile);
             s.spawn(move || {
+                let turn = turnstile.0.lock().unwrap();
+                drop(turnstile.1.wait_while(turn, |t| *t != slot).unwrap());
                 rt.run_on(slot, "parked_transfer", &transfer_args(base, step))
                     .unwrap();
             });

@@ -40,9 +40,14 @@ fn register_plain_transfer(rt: &Runtime) {
     });
 }
 
-/// `THREADS` OS threads, each committing `ROUNDS` transfers on its own
-/// disjoint account pair, on a 4-shard pool. Returns the stats delta over
-/// the threaded phase only (setup excluded).
+/// `THREADS` committers, each committing `ROUNDS` transfers on its own
+/// v_log slot and its own disjoint account pair, on a 4-shard pool. At
+/// `batch > 1` they are racing OS threads; at `batch == 1` — the solo
+/// baseline — they take turns on the calling thread, because racing
+/// threads coalesce even at `min_batch` 1 (a follower may join an epoch
+/// whose leader is mid-fence) and the baseline must contain no coalescing
+/// at all. Both arms issue the same ordering requests on the same slots.
+/// Returns the stats delta over the commit phase only (setup excluded).
 fn run_committers(batch: usize) -> StatsSnapshot {
     let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(PoolConcurrency::Sharded {
         shards: THREADS as u32,
@@ -60,23 +65,30 @@ fn run_committers(batch: usize) -> StatsSnapshot {
     pool.persist(base, THREADS * 2 * 8).unwrap();
 
     let before = pool.stats().snapshot();
-    let start = Arc::new(Barrier::new(THREADS as usize));
-    std::thread::scope(|s| {
-        for i in 0..THREADS {
-            let (rt, start) = (&rt, start.clone());
-            s.spawn(move || {
-                start.wait();
-                for _ in 0..ROUNDS {
-                    let args = ArgList::new()
-                        .with_u64(base.offset())
-                        .with_u64(2 * i)
-                        .with_u64(2 * i + 1)
-                        .with_u64(1);
-                    rt.run("plain_transfer", &args).unwrap();
-                }
-            });
+    let commit = |i: u64| {
+        for _ in 0..ROUNDS {
+            let args = ArgList::new()
+                .with_u64(base.offset())
+                .with_u64(2 * i)
+                .with_u64(2 * i + 1)
+                .with_u64(1);
+            rt.run_on(i as usize, "plain_transfer", &args).unwrap();
         }
-    });
+    };
+    if batch == 1 {
+        (0..THREADS).for_each(commit);
+    } else {
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for i in 0..THREADS {
+                let (commit, start) = (&commit, &start);
+                s.spawn(move || {
+                    start.wait();
+                    commit(i);
+                });
+            }
+        });
+    }
     let delta = pool.stats().snapshot().delta(&before);
 
     // Conservation plus the exact per-account balances: every transfer

@@ -1,10 +1,14 @@
-//! Property-based tests of the interval set against a naive bitset model —
+//! Property-based tests of the access set against a naive bitset model —
 //! the range algebra is what clobber detection's correctness rests on.
+//!
+//! The domain spans 128 cache lines and ranges run up to 300 bytes (a few
+//! up to 3 000), so runs cross line boundaries and the large ones take the
+//! set's whole-line extent path; the model knows nothing of either.
 
 use clobber_nvm::rangeset::RangeSet;
 use proptest::prelude::*;
 
-const DOMAIN: u64 = 256;
+const DOMAIN: u64 = 8192;
 
 fn model_insert(bits: &mut [bool], s: u64, e: u64) {
     for i in s..e.min(DOMAIN) {
@@ -12,26 +16,66 @@ fn model_insert(bits: &mut [bool], s: u64, e: u64) {
     }
 }
 
+/// The model's maximal runs of set bytes, ascending.
+fn model_runs(bits: &[bool]) -> Vec<(u64, u64)> {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for (i, _) in bits.iter().enumerate().filter(|(_, b)| **b) {
+        let i = i as u64;
+        match runs.last_mut() {
+            Some(last) if last.1 == i => last.1 = i + 1,
+            _ => runs.push((i, i + 1)),
+        }
+    }
+    runs
+}
+
+/// A `[start, end)` inside the domain: mostly up to 300 bytes, one in
+/// eight up to 3 000 (more than 16 lines).
+fn range_strategy() -> impl Strategy<Value = (u64, u64)> {
+    (0u64..DOMAIN, 0u64..300, 0u64..3000, 0u8..8).prop_map(|(s, small, large, pick)| {
+        let len = if pick == 0 { large } else { small };
+        (s, (s + len).min(DOMAIN))
+    })
+}
+
 fn ranges_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec(
-        (0u64..DOMAIN, 0u64..32).prop_map(|(s, len)| (s, (s + len).min(DOMAIN))),
-        0..40,
-    )
+    proptest::collection::vec(range_strategy(), 0..40)
+}
+
+fn build(inserts: &[(u64, u64)]) -> (RangeSet, Vec<bool>) {
+    let mut set = RangeSet::new();
+    let mut bits = vec![false; DOMAIN as usize];
+    for &(s, e) in inserts {
+        set.insert(s, e);
+        model_insert(&mut bits, s, e);
+    }
+    (set, bits)
+}
+
+/// Every observer of `set` agrees with the model.
+fn check_against_model(set: &RangeSet, bits: &[bool]) -> Result<(), TestCaseError> {
+    let runs = model_runs(bits);
+    prop_assert_eq!(set.iter().collect::<Vec<_>>(), runs.clone());
+    prop_assert_eq!(set.len(), runs.len());
+    prop_assert_eq!(set.is_empty(), runs.is_empty());
+    prop_assert_eq!(
+        set.covered_bytes(),
+        bits.iter().filter(|b| **b).count() as u64
+    );
+    // Equality is by content: a set rebuilt from the runs, in reverse,
+    // compares equal although its table was filled differently.
+    let rebuilt: RangeSet = runs.iter().rev().copied().collect();
+    prop_assert_eq!(set, &rebuilt);
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
-    fn membership_matches_bitset((inserts, query) in (ranges_strategy(), (0u64..DOMAIN, 0u64..32))) {
-        let mut set = RangeSet::new();
-        let mut bits = vec![false; DOMAIN as usize];
-        for (s, e) in inserts {
-            set.insert(s, e);
-            model_insert(&mut bits, s, e);
-        }
-        let (qs, qlen) = query;
-        let qe = (qs + qlen).min(DOMAIN);
+    fn membership_matches_bitset((inserts, query) in (ranges_strategy(), range_strategy())) {
+        let (set, bits) = build(&inserts);
+        let (qs, qe) = query;
         let model_contains = (qs..qe).all(|i| bits[i as usize]);
         let model_overlaps = (qs..qe).any(|i| bits[i as usize]);
         prop_assert_eq!(set.contains(qs, qe), model_contains);
@@ -39,15 +83,9 @@ proptest! {
     }
 
     #[test]
-    fn intersect_and_subtract_partition_the_query((inserts, query) in (ranges_strategy(), (0u64..DOMAIN, 1u64..32))) {
-        let mut set = RangeSet::new();
-        let mut bits = vec![false; DOMAIN as usize];
-        for (s, e) in inserts {
-            set.insert(s, e);
-            model_insert(&mut bits, s, e);
-        }
-        let (qs, qlen) = query;
-        let qe = (qs + qlen).min(DOMAIN).max(qs);
+    fn intersect_and_subtract_partition_the_query((inserts, query) in (ranges_strategy(), range_strategy())) {
+        let (set, bits) = build(&inserts);
+        let (qs, qe) = query;
         let inside = set.intersect(qs, qe);
         let outside = set.subtract_from(qs, qe);
         // Byte-exact agreement with the model.
@@ -68,45 +106,35 @@ proptest! {
             let i = qs + off as u64;
             prop_assert_eq!(*c, Some(bits[i as usize]), "byte {} misclassified", i);
         }
+        // Both results are ascending maximal runs: no two ranges touch,
+        // even where a run crosses a line boundary.
+        for ranges in [&inside, &outside] {
+            for w in ranges.windows(2) {
+                prop_assert!(w[0].1 < w[1].0, "ranges must not touch: {:?}", ranges);
+            }
+        }
     }
 
     #[test]
-    fn covered_bytes_matches_popcount(inserts in ranges_strategy()) {
-        let mut set = RangeSet::new();
-        let mut bits = vec![false; DOMAIN as usize];
-        for (s, e) in inserts {
-            set.insert(s, e);
-            model_insert(&mut bits, s, e);
-        }
-        let pop = bits.iter().filter(|b| **b).count() as u64;
-        prop_assert_eq!(set.covered_bytes(), pop);
-        // Stored ranges are disjoint, non-adjacent and sorted.
-        let ranges: Vec<_> = set.iter().collect();
-        for w in ranges.windows(2) {
-            prop_assert!(w[0].1 < w[1].0, "ranges must not touch: {:?}", ranges);
-        }
+    fn observers_match_the_model(inserts in ranges_strategy()) {
+        let (set, bits) = build(&inserts);
+        check_against_model(&set, &bits)?;
     }
 
     #[test]
     fn into_variants_match_allocating_variants(
         (inserts, queries) in (
             ranges_strategy(),
-            proptest::collection::vec((0u64..DOMAIN, 1u64..32), 1..8),
+            proptest::collection::vec(range_strategy(), 1..8),
         )
     ) {
-        let mut set = RangeSet::new();
-        let mut bits = vec![false; DOMAIN as usize];
-        for (s, e) in inserts {
-            set.insert(s, e);
-            model_insert(&mut bits, s, e);
-        }
+        let (set, bits) = build(&inserts);
         // One pair of scratch buffers across all queries, as the Tx hot
         // path reuses them: the append-style variants must behave exactly
         // like their allocating wrappers after a plain clear().
         let mut isect = Vec::new();
         let mut sub = Vec::new();
-        for (qs, qlen) in queries {
-            let qe = (qs + qlen).min(DOMAIN).max(qs);
+        for (qs, qe) in queries {
             isect.clear();
             sub.clear();
             set.intersect_into(qs, qe, &mut isect);
@@ -121,17 +149,82 @@ proptest! {
         }
     }
 
+    /// `Tx` appends one store's `subtract_into` results for several input
+    /// ranges onto one `to_log` buffer: a result must never be merged into
+    /// what the buffer already holds, even when the two are adjacent.
+    #[test]
+    fn into_variants_never_merge_with_existing_output(
+        (inserts, query) in (ranges_strategy(), range_strategy())
+    ) {
+        let (set, _) = build(&inserts);
+        let (qs, qe) = query;
+        for (result, into) in [
+            (set.intersect(qs, qe), RangeSet::intersect_into as fn(&RangeSet, u64, u64, &mut Vec<(u64, u64)>)),
+            (set.subtract_from(qs, qe), RangeSet::subtract_into),
+        ] {
+            // The caller's last entry ends exactly where the first result
+            // begins (or at the query start when there is no result).
+            let edge = result.first().map_or(qs, |r| r.0);
+            let prior = (edge.saturating_sub(5), edge);
+            let mut out = vec![(0, 1), prior];
+            into(&set, qs, qe, &mut out);
+            prop_assert_eq!(&out[..2], &[(0, 1), prior][..]);
+            prop_assert_eq!(&out[2..], &result[..]);
+        }
+    }
+
+    /// A pooled set is cleared and refilled transaction after
+    /// transaction: each generation must see only its own inserts.
+    #[test]
+    fn cleared_sets_forget_earlier_generations(
+        generations in proptest::collection::vec(ranges_strategy(), 3..6)
+    ) {
+        let mut set = RangeSet::new();
+        for inserts in &generations {
+            set.clear();
+            prop_assert!(set.is_empty());
+            let mut bits = vec![false; DOMAIN as usize];
+            for &(s, e) in inserts {
+                set.insert(s, e);
+                model_insert(&mut bits, s, e);
+            }
+            check_against_model(&set, &bits)?;
+        }
+    }
+
     #[test]
     fn insertion_order_is_irrelevant(mut inserts in ranges_strategy()) {
-        let mut a = RangeSet::new();
-        for &(s, e) in &inserts {
-            a.insert(s, e);
-        }
+        let (a, _) = build(&inserts);
         inserts.reverse();
-        let mut b = RangeSet::new();
-        for &(s, e) in &inserts {
-            b.insert(s, e);
-        }
+        let (b, _) = build(&inserts);
         prop_assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+        prop_assert_eq!(a, b);
+    }
+}
+
+/// The generation stamp is 16 bits wide. Fill the table, then clear
+/// through one full cycle of the stamp with the stale slots left in place:
+/// whichever way the counter comes back round, they must stay dead, and
+/// the set must work as new afterwards.
+#[test]
+fn clear_is_sound_across_the_stamp_wrap() {
+    let mut set = RangeSet::new();
+    for clears in [u32::from(u16::MAX), 1 << 16, (1 << 16) + 1] {
+        let filled: Vec<(u64, u64)> = (0..50).map(|i| (i * 150, i * 150 + 70)).collect();
+        set.extend(filled.iter().copied());
+        set.insert(7600, DOMAIN);
+        let mut expect = filled;
+        expect.push((7600, DOMAIN));
+        assert_eq!(set.iter().collect::<Vec<_>>(), expect, "{clears} clears");
+        for _ in 0..clears {
+            set.clear();
+        }
+        assert!(set.is_empty(), "{clears} clears");
+        assert!(
+            !set.overlaps(0, DOMAIN),
+            "{clears} clears: a stale slot is visible"
+        );
+        assert_eq!(set.subtract_from(0, DOMAIN), vec![(0, DOMAIN)]);
+        assert_eq!(set.iter().count(), 0);
     }
 }

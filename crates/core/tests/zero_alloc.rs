@@ -6,6 +6,11 @@
 //! the second run measures the allocation count inside the transaction
 //! body, after its first store, and must observe none.
 //!
+//! The same is then asked of a batch-shaped transaction — 16 SETs, each a
+//! chain walk of scattered 8-byte loads, a fresh allocation and a clobbered
+//! head — whose ~500-line read set is what the access sets must hold
+//! without growing once warmed up (they keep their tables across `clear`).
+//!
 //! This file intentionally holds a single test: the counter is global, so
 //! a concurrently running test in the same binary would pollute the delta.
 
@@ -80,5 +85,41 @@ fn steady_state_read_clobber_path_is_allocation_free() {
     assert_eq!(
         delta, 0,
         "steady-state read+clobber-detect path allocated {delta} time(s)"
+    );
+
+    // A warmed-up 16-SET batch: the shape of one KV-service drain.
+    let heap = rt.pool().alloc(1 << 20).unwrap();
+    rt.register("batch", |tx, args| {
+        let heap = PAddr::new(args.u64(0)?);
+        // Scattered 8-byte cells of 32-byte nodes, as a chain walk sees them.
+        let cell = |set: u64, hop: u64| {
+            let node = (set * 31 + hop).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 49; // 0..32768
+            heap.add(node * 32 + (hop % 4) * 8)
+        };
+        tx.write_u64(heap, 1)?; // begin record, outside the window
+        let start = ALLOCS.load(Ordering::Relaxed);
+        let value = [0xABu8; 64];
+        for set in 0..16u64 {
+            for hop in 0..30 {
+                tx.read_u64(cell(set, hop))?;
+            }
+            // Update in place: fresh value buffer, clobber pointer and head.
+            let vbuf = tx.pmalloc(64)?;
+            tx.write_bytes(vbuf, &value)?;
+            tx.write_u64(cell(set, 29), vbuf.offset())?;
+            let head = tx.read_u64(cell(set, 0))?;
+            tx.write_u64(cell(set, 0), head + 1)?;
+            tx.pfree(vbuf)?;
+        }
+        let delta = ALLOCS.load(Ordering::Relaxed) - start;
+        Ok(Some(delta.to_le_bytes().to_vec()))
+    });
+    let args = ArgList::new().with_u64(heap.offset());
+    rt.run("batch", &args).unwrap();
+    let out = rt.run("batch", &args).unwrap().unwrap();
+    let delta = u64::from_le_bytes(out[..8].try_into().unwrap());
+    assert_eq!(
+        delta, 0,
+        "steady-state 16-SET batch transaction allocated {delta} time(s)"
     );
 }

@@ -77,10 +77,10 @@ impl KvService {
         batch: &[Envelope],
     ) -> Result<Vec<(ConnId, u64, KvResponse)>, TxError> {
         let pool = self.rt.pool().clone();
-        let sets: Vec<(u64, Vec<u8>)> = batch
+        let sets: Vec<(u64, &[u8])> = batch
             .iter()
             .filter_map(|e| match &e.req {
-                KvRequest::Set { key, value } => Some((key_id(key), value.clone())),
+                KvRequest::Set { key, value } => Some((key_id(key), value.as_slice())),
                 KvRequest::Get { .. } => None,
             })
             .collect();

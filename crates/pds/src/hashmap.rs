@@ -273,18 +273,18 @@ impl HashMap {
     ///
     /// Returns [`TxError::LockConflict`] (before the body runs — safe to
     /// retry) under wait-die refusal, or any substrate error.
-    pub fn insert_batch_on(
+    pub fn insert_batch_on<V: AsRef<[u8]>>(
         &self,
         rt: &Runtime,
         slot: usize,
-        pairs: &[(u64, Vec<u8>)],
+        pairs: &[(u64, V)],
     ) -> Result<(), TxError> {
-        let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
-        let mut args = ArgList::new()
+        let keys: Vec<u64> = pairs.iter().map(|(k, _)| *k).collect();
+        let mut args = ArgList::with_capacity(2 + 2 * pairs.len())
             .with_u64(self.root.offset())
             .with_u64(pairs.len() as u64);
         for (k, v) in pairs {
-            args = args.with_u64(*k).with_bytes(v);
+            args = args.with_u64(*k).with_bytes(v.as_ref());
         }
         rt.run_on_locked(slot, &self.batch_locks(&keys), TX_BATCH_SET, &args)?;
         Ok(())
