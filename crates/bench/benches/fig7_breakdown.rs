@@ -1,14 +1,10 @@
 //! Fig. 7 micro-benchmark: hashmap insert latency under each logging
 //! variant. Log counts/sizes are produced by `repro fig7`.
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use clobber_bench::common::{make_runtime, DsHandle, DsKind, Scale};
 use clobber_bench::fig7;
-use clobber_nvm::{Backend, Runtime, RuntimeOptions};
-use clobber_pmem::{LogFormat, PmemPool, PoolOptions};
 use clobber_workloads::ycsb::KvOp;
 use clobber_workloads::Workload;
 
@@ -36,44 +32,5 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Persist-cost ablation for the log-writer tentpole: the full clobber
-/// backend's insert under the v1 per-entry log vs the v2 line-buffered
-/// log, on the dense CrashSim engine (every transaction fence routes
-/// through the group-commit coalescer in both rows; with one committer the
-/// epoch protocol is degenerate, so the rows isolate the log format).
-/// Fence-count reductions under real concurrency are counted in
-/// `core/tests/group_commit.rs`, not here: on this single-CPU container
-/// wall clock under-reports fence savings because the simulated fence is
-/// cheap.
-fn log_writer_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7_log_writer_insert");
-    group.sample_size(10);
-    for (label, format) in [
-        ("v1_per_entry", LogFormat::V1),
-        ("v2_line_buffered", LogFormat::V2),
-    ] {
-        let pool =
-            Arc::new(PmemPool::create(PoolOptions::crash_sim(Scale::Quick.pool_bytes())).unwrap());
-        let opts = RuntimeOptions::new(Backend::clobber()).with_log_format(format);
-        let rt = Arc::new(Runtime::create(pool, opts).unwrap());
-        let handle = DsHandle::create(DsKind::Hashmap, &rt);
-        let mut key = 0u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                key = (key + 1) % 4096;
-                handle.exec(
-                    &rt,
-                    0,
-                    &KvOp::Insert {
-                        key,
-                        value: Workload::value_for(key, 256),
-                    },
-                );
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench, log_writer_ablation);
+criterion_group!(benches, bench);
 criterion_main!(benches);

@@ -163,17 +163,16 @@ fn traced_variants(c: &mut Criterion) {
     group.finish();
 }
 
-/// Log-append A/B for the cache-line-buffered writer: the v1 per-entry
-/// layout (entry flush + tail flush + fence per append) vs the v2 line
-/// buffer (one streaming flush per full 64-byte line, fence deferred to
-/// the sync point, here every 8 appends) vs v2 with the sync fence routed
+/// Log-append A/B for the cache-line-buffered writer: the line buffer
+/// (one streaming flush per full 64-byte line, fence deferred to the sync
+/// point, here every 8 appends) vs the same with the sync fence routed
 /// through the group-commit coalescer (single-threaded: identical fence
 /// count, measures the epoch-protocol overhead). Fence *counts* are pinned
 /// in `ulog.rs`/`group_commit.rs` tests; this measures the wall-clock side
 /// on the dense CrashSim engine.
 fn log_append(c: &mut Criterion) {
     use clobber_nvm::GroupCommit;
-    use clobber_pmem::{LogFormat, LogWriter, Ulog};
+    use clobber_pmem::{LogWriter, Ulog};
 
     const CAP: u64 = 1 << 20;
     const RESET_EVERY: u64 = 1024;
@@ -183,24 +182,6 @@ fn log_append(c: &mut Criterion) {
     group.sample_size(20);
     let pre = [0x5Au8; 8];
 
-    {
-        let pool = PmemPool::create(PoolOptions::crash_sim(STORE_POOL)).unwrap();
-        let base = pool.alloc(CAP).unwrap();
-        let src = pool.alloc(64).unwrap();
-        let log = Ulog::format_as(&pool, base, CAP, LogFormat::V1).unwrap();
-        let mut i = 0u64;
-        group.bench_function("v1_per_entry/append8", |b| {
-            b.iter(|| {
-                if i == RESET_EVERY {
-                    log.clear(&pool).unwrap();
-                    i = 0;
-                }
-                log.append(&pool, src, &pre).unwrap();
-                i += 1;
-            });
-        });
-    }
-
     for (label, grouped) in [
         ("v2_line_buffered/append8", false),
         ("v2_group_commit_path/append8", true),
@@ -209,7 +190,7 @@ fn log_append(c: &mut Criterion) {
         let base = pool.alloc(CAP).unwrap();
         let src = pool.alloc(64).unwrap();
         let gc = GroupCommit::new(1);
-        let mut w = LogWriter::new(Ulog::format_as(&pool, base, CAP, LogFormat::V2).unwrap());
+        let mut w = LogWriter::new(Ulog::format_v2(&pool, base, CAP).unwrap());
         let mut i = 0u64;
         group.bench_function(label, |b| {
             b.iter(|| {

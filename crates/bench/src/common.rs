@@ -387,11 +387,13 @@ impl PerTx {
     }
 
     /// Bytes persisted *to the log region* per transaction: payload plus
-    /// the per-entry metadata (address/length/checksum) every log write
-    /// carries — the apples-to-apples quantity for cross-system byte
-    /// comparisons.
+    /// the per-entry metadata every log write carries in PMDK's undo log
+    /// (the paper's substrate) — the apples-to-apples quantity for
+    /// cross-system byte comparisons.
     pub fn persisted_log_bytes(&self) -> f64 {
-        self.total_bytes() + self.log_entries * clobber_pmem::ulog::ENTRY_OVERHEAD as f64
+        /// PMDK's per-entry header: address, length and checksum words.
+        const PMDK_ENTRY_OVERHEAD: f64 = 24.0;
+        self.total_bytes() + self.log_entries * PMDK_ENTRY_OVERHEAD
     }
 }
 

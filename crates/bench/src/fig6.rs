@@ -150,7 +150,7 @@ impl MtRow {
 
 /// Lock id for the serializing `global-lock` baseline (outside any
 /// structure's `lock_of` namespace).
-const MT_GLOBAL_LOCK: u64 = 0x6_1B0_CA11;
+const MT_GLOBAL_LOCK: u64 = 0x61B0_CA11;
 
 /// Replays recorded lock sets at a fixed measured per-op cost.
 struct ReplaySource {

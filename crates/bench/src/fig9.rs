@@ -178,10 +178,11 @@ impl ScalingRow {
 /// Small per-slot log buffers so the 1 MiB scaling pools hold every slot
 /// (each chain logs `SCALING_CELLS` 8-byte entries — 8 KiB is generous).
 fn scaling_rt_opts() -> RuntimeOptions {
-    let mut opts = RuntimeOptions::default();
-    opts.clobber_log_cap = 8 << 10;
-    opts.redo_log_cap = 8 << 10;
-    opts
+    RuntimeOptions {
+        clobber_log_cap: 8 << 10,
+        redo_log_cap: 8 << 10,
+        ..RuntimeOptions::default()
+    }
 }
 
 /// Parks `slots` concurrent chain transactions (one per v_log slot, each

@@ -276,7 +276,10 @@ fn allocator_counters_pin_across_engines() {
 /// Cells mutated by the `rec_chain` txfunc in the recovery pins below.
 const REC_CELLS: u64 = 3;
 
-fn register_rec_chain(rt: &Runtime, trap: Option<(Arc<PmemPool>, Arc<Mutex<Option<Vec<u8>>>>)>) {
+/// The pool to crash and the slot its first crash image lands in.
+type CrashTrap = (Arc<PmemPool>, Arc<Mutex<Option<Vec<u8>>>>);
+
+fn register_rec_chain(rt: &Runtime, trap: Option<CrashTrap>) {
     rt.register("rec_chain", move |tx, args| {
         let base = PAddr::new(args.u64(0)?);
         for i in 0..REC_CELLS {

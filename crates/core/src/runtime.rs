@@ -7,7 +7,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use clobber_pmem::{LogFormat, LogWriter, PAddr, PmemPool};
+use clobber_pmem::{LogWriter, PAddr, PmemPool};
 use parking_lot::{Mutex, RwLock};
 
 use crate::args::ArgList;
@@ -54,10 +54,6 @@ pub struct RuntimeOptions {
     /// many concurrently committing threads to make progress (a
     /// measurement/test knob — see [`GroupCommit`]).
     pub group_commit_batch: usize,
-    /// On-media format for freshly created per-slot log buffers. Defaults
-    /// to [`LogFormat::V2`] (line-buffered); existing pools keep whatever
-    /// format their slots were created with — both open transparently.
-    pub log_format: LogFormat,
 }
 
 impl RuntimeOptions {
@@ -70,7 +66,6 @@ impl RuntimeOptions {
             redo_log_cap: 512 << 10,
             eager_begin: false,
             group_commit_batch: 1,
-            log_format: LogFormat::V2,
         }
     }
 
@@ -83,12 +78,6 @@ impl RuntimeOptions {
     /// Builder form: sets the group-commit epoch threshold.
     pub fn with_group_commit_batch(mut self, batch: usize) -> Self {
         self.group_commit_batch = batch;
-        self
-    }
-
-    /// Builder form: sets the log format for fresh slots.
-    pub fn with_log_format(mut self, format: LogFormat) -> Self {
-        self.log_format = format;
         self
     }
 
@@ -361,13 +350,12 @@ impl Runtime {
         while slots.len() <= idx {
             let id = slots.len() as u64;
             let head = PAddr::new(self.pool.read_u64(self.header.add(hdr::VLOG_HEAD))?);
-            let slot = VlogSlot::create_with_format(
+            let slot = VlogSlot::create(
                 &self.pool,
                 id,
                 head,
                 self.opts.clobber_log_cap,
                 self.opts.redo_log_cap,
-                self.opts.log_format,
             )?;
             self.pool
                 .write_u64(self.header.add(hdr::VLOG_HEAD), slot.base().offset())?;

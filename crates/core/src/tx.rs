@@ -22,7 +22,8 @@
 
 use std::sync::Arc;
 
-use clobber_pmem::{LogWriter, PAddr, PmemPool, Ulog};
+use clobber_pmem::ulog::V2_MAGIC;
+use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog};
 
 use crate::backend::Backend;
 use crate::error::TxError;
@@ -617,10 +618,9 @@ impl<'rt> Tx<'rt> {
         if appended {
             // The undo invariant: the old values must be durable before the
             // clobbering store can reach media (an unflushed store can
-            // still leak to media at a crash). On a v2 log this is the
-            // deferred ordering point — one fence covering every line flush
-            // since the last sync; on v1 the appends already fenced and
-            // this is a no-op.
+            // still leak to media at a crash). This is the log's deferred
+            // ordering point — one fence covering every line flush since
+            // the last sync.
             let gc = self.gc;
             self.clog.sync_with(self.pool, |p| gc.fence(p))?;
             // Recovery replays persist a progress checkpoint at each sync:
@@ -864,21 +864,22 @@ impl<'rt> Tx<'rt> {
                     items.iter().map(|(_, d)| d.len() as u64).sum::<u64>(),
                     std::sync::atomic::Ordering::Relaxed,
                 );
-                match self.rlog.stored_format(pool)? {
-                    clobber_pmem::LogFormat::V2 => {
-                        // Line-buffered batch: stream the entries through a
-                        // writer and route the single ordering point
-                        // through group commit.
-                        let mut rw = LogWriter::attach(pool, self.rlog)?;
-                        for (addr, data) in &items {
-                            rw.append(pool, *addr, data)?;
-                        }
-                        rw.sync_with(pool, |p| gc.fence(p))?;
-                    }
-                    clobber_pmem::LogFormat::V1 => {
-                        self.rlog.append_batch(pool, &items)?; // one fence
-                    }
+                // A header probe ahead of the writer's own. It validates
+                // nothing `attach` would not, but reads are priced by the
+                // cost model, so dropping it is a measured change of its own.
+                if pool.read_u64(self.rlog.base())? != V2_MAGIC {
+                    return Err(PmemError::CorruptPool(
+                        "redo log header does not hold the log magic".into(),
+                    )
+                    .into());
                 }
+                // Stream the batch through a line-buffered writer and route
+                // its single ordering point through group commit.
+                let mut rw = LogWriter::attach(pool, self.rlog)?;
+                for (addr, data) in &items {
+                    rw.append(pool, *addr, data)?;
+                }
+                rw.sync_with(pool, |p| gc.fence(p))?;
                 pool.publish(&self.scratch.allocs)?;
                 // Commit point.
                 self.slot

@@ -19,7 +19,7 @@
 //! bit must not become durable before the record, otherwise recovery could
 //! re-execute garbage arguments.
 
-use clobber_pmem::{LogFormat, LogKind, PAddr, PmemError, PmemPool, Ulog};
+use clobber_pmem::{LogKind, PAddr, PmemError, PmemPool, Ulog};
 
 use crate::args::ArgList;
 use crate::error::TxError;
@@ -69,7 +69,7 @@ const PRESERVE_DATA: u64 = CKPT_CHECK + 8;
 
 /// Versioned magic marking a valid re-execution checkpoint (v1). Zero means
 /// "no checkpoint"; an unrecognized value is treated the same, so the
-/// format can evolve alongside the v1/v2 log formats.
+/// format can evolve.
 const CKPT_MAGIC: u64 = 0xC10B_BC29_0000_0001;
 
 /// FNV-1a over the checkpoint payload words. A torn or corrupted payload
@@ -134,9 +134,9 @@ impl VlogSlot {
         VlogSlot { base }
     }
 
-    /// Allocates and formats a fresh slot with its log buffers in the
-    /// legacy v1 log format — see
-    /// [`create_with_format`](Self::create_with_format).
+    /// Allocates and formats a fresh slot with its log buffers, links it
+    /// after `prev_head`, and returns it. Uses the immediate (fence-paying)
+    /// allocation path — slots are created once per thread.
     pub fn create(
         pool: &PmemPool,
         id: u64,
@@ -144,28 +144,11 @@ impl VlogSlot {
         clobber_cap: u64,
         redo_cap: u64,
     ) -> Result<VlogSlot, TxError> {
-        Self::create_with_format(pool, id, prev_head, clobber_cap, redo_cap, LogFormat::V1)
-    }
-
-    /// Allocates and formats a fresh slot with its log buffers, links it
-    /// after `prev_head`, and returns it. Uses the immediate (fence-paying)
-    /// allocation path — slots are created once per thread. `log_format`
-    /// picks the on-media format of both log buffers; either format is
-    /// re-opened transparently afterwards ([`Ulog`] dispatches on the
-    /// stored image).
-    pub fn create_with_format(
-        pool: &PmemPool,
-        id: u64,
-        prev_head: PAddr,
-        clobber_cap: u64,
-        redo_cap: u64,
-        log_format: LogFormat,
-    ) -> Result<VlogSlot, TxError> {
         let base = pool.alloc(SLOT_SIZE)?;
         let clobber = pool.alloc(clobber_cap)?;
         let redo = pool.alloc(redo_cap)?;
-        Ulog::format_as(pool, clobber, clobber_cap, log_format)?;
-        Ulog::format_as(pool, redo, redo_cap, log_format)?;
+        Ulog::format_v2(pool, clobber, clobber_cap)?;
+        Ulog::format_v2(pool, redo, redo_cap)?;
         let s = VlogSlot { base };
         pool.write_u64(base.add(STATUS), 0)?;
         pool.write_u64(base.add(NEXT), prev_head.offset())?;

@@ -13,8 +13,7 @@ use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
 use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, LogFormat, PAddr, PmemPool, PoolConcurrency, PoolMode,
-    PoolOptions,
+    CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
 };
 
 /// Number of bank accounts in the sweep workload.
@@ -54,17 +53,9 @@ pub fn total(pool: &PmemPool, base: PAddr) -> u64 {
 
 /// Small log capacities keep each replayed pool cheap to create.
 fn sweep_options(backend: Backend) -> RuntimeOptions {
-    sweep_options_fmt(backend, LogFormat::V2)
-}
-
-/// [`sweep_options`] with an explicit on-media log format, so the same
-/// sweep pipeline covers both the v1 word-stream and the v2 line-buffered
-/// layout.
-fn sweep_options_fmt(backend: Backend, format: LogFormat) -> RuntimeOptions {
     let mut opts = RuntimeOptions::new(backend);
     opts.clobber_log_cap = 32 << 10;
     opts.redo_log_cap = 32 << 10;
-    opts.log_format = format;
     opts
 }
 
@@ -81,18 +72,9 @@ pub fn setup_with(
     backend: Backend,
     concurrency: PoolConcurrency,
 ) -> (Arc<PmemPool>, Runtime, PAddr) {
-    setup_fmt(backend, concurrency, LogFormat::V2)
-}
-
-/// [`setup_with`] under an explicit log format.
-pub fn setup_fmt(
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> (Arc<PmemPool>, Runtime, PAddr) {
     let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(concurrency);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
-    let rt = Runtime::create(pool.clone(), sweep_options_fmt(backend, format)).unwrap();
+    let rt = Runtime::create(pool.clone(), sweep_options(backend)).unwrap();
     register_transfer(&rt);
     let base = pool.alloc(ACCOUNTS * 8).unwrap();
     for i in 0..ACCOUNTS {
@@ -114,28 +96,17 @@ pub fn reopen_with(
     backend: Backend,
     concurrency: PoolConcurrency,
 ) -> (Arc<PmemPool>, Runtime) {
-    reopen_fmt(media, backend, concurrency, LogFormat::V2)
-}
-
-/// [`reopen_with`] under an explicit log format (for *new* slots — existing
-/// slots keep the stored format of their logs; that cross-open is the
-/// point of the format-mixing sweeps).
-pub fn reopen_fmt(
-    media: Vec<u8>,
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> (Arc<PmemPool>, Runtime) {
     let pool = Arc::new(
         PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
             .unwrap(),
     );
-    let rt = Runtime::open(pool.clone(), sweep_options_fmt(backend, format)).unwrap();
+    let rt = Runtime::open(pool.clone(), sweep_options(backend)).unwrap();
     register_transfer(&rt);
     (pool, rt)
 }
 
-fn transfer_args(base: PAddr, (f, t, a): (u64, u64, u64)) -> ArgList {
+/// Arguments of one `(from, to, amount)` transfer over the bank at `base`.
+pub fn transfer_args(base: PAddr, (f, t, a): (u64, u64, u64)) -> ArgList {
     ArgList::new()
         .with_u64(base.offset())
         .with_u64(f)
@@ -160,16 +131,7 @@ pub fn count_script_events(backend: Backend) -> u64 {
 
 /// [`count_script_events`] on a pool with the given concurrency mode.
 pub fn count_script_events_with(backend: Backend, concurrency: PoolConcurrency) -> u64 {
-    count_script_events_fmt(backend, concurrency, LogFormat::V2)
-}
-
-/// [`count_script_events_with`] under an explicit log format.
-pub fn count_script_events_fmt(
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> u64 {
-    let (pool, rt, base) = setup_fmt(backend, concurrency, format);
+    let (pool, rt, base) = setup_with(backend, concurrency);
     pool.arm_faults(FaultPlan::count_only());
     run_script(&rt, base).expect("count run must not fail");
     let n = pool.disarm_faults();
@@ -228,11 +190,10 @@ fn recover_and_check(
     media: Vec<u8>,
     backend: Backend,
     concurrency: PoolConcurrency,
-    format: LogFormat,
     ctx: &str,
     summary: &mut SweepSummary,
 ) {
-    let (pool, rt) = reopen_fmt(media, backend, concurrency, format);
+    let (pool, rt) = reopen_with(media, backend, concurrency);
     let report = rt
         .recover_with(&sweep_recover_opts())
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
@@ -265,8 +226,8 @@ fn recover_and_check(
 
 /// Runs the script to event `k`, trips, takes a `drop_all` power failure,
 /// and returns the surviving media.
-fn crash_at(backend: Backend, concurrency: PoolConcurrency, format: LogFormat, k: u64) -> Vec<u8> {
-    let (pool, rt, base) = setup_fmt(backend, concurrency, format);
+fn crash_at(backend: Backend, concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
+    let (pool, rt, base) = setup_with(backend, concurrency);
     pool.arm_faults(FaultPlan::crash_at(k));
     // A trip on a trailing fence can leave the script completing Ok; any
     // other trip surfaces as an error. Both are valid crash points.
@@ -298,28 +259,14 @@ pub fn sweep_with(
     nested: Nested,
     concurrency: PoolConcurrency,
 ) -> SweepSummary {
-    sweep_fmt(backend, stride, nested, concurrency, LogFormat::V2)
-}
-
-/// [`sweep_with`] under an explicit on-media log format: every pool in the
-/// pipeline (workload, recovery, nested recovery) formats its logs as
-/// `format`, so the full crash-point sweep covers the v1 word stream and
-/// the v2 line-buffered layout alike.
-pub fn sweep_fmt(
-    backend: Backend,
-    stride: u64,
-    nested: Nested,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> SweepSummary {
     assert!(stride > 0);
     let mut summary = SweepSummary {
-        events: count_script_events_fmt(backend, concurrency, format),
+        events: count_script_events_with(backend, concurrency),
         ..SweepSummary::default()
     };
     let mut k = 0;
     while k < summary.events {
-        let media = crash_at(backend, concurrency, format, k);
+        let media = crash_at(backend, concurrency, k);
         summary.crash_points += 1;
 
         // Plain recovery from this crash point.
@@ -327,14 +274,13 @@ pub fn sweep_fmt(
             media.clone(),
             backend,
             concurrency,
-            format,
             &format!("k={k}"),
             &mut summary,
         );
 
         if nested != Nested::Off {
             // Count recovery's own persist events from identical media.
-            let (pool_m, rt_m) = reopen_fmt(media.clone(), backend, concurrency, format);
+            let (pool_m, rt_m) = reopen_with(media.clone(), backend, concurrency);
             pool_m.arm_faults(FaultPlan::count_only());
             rt_m.recover_with(&sweep_recover_opts()).unwrap();
             let m = pool_m.disarm_faults();
@@ -346,7 +292,7 @@ pub fn sweep_fmt(
                 Nested::Exhaustive => (0..m).collect(),
             };
             for j in js {
-                let (pool_n, rt_n) = reopen_fmt(media.clone(), backend, concurrency, format);
+                let (pool_n, rt_n) = reopen_with(media.clone(), backend, concurrency);
                 pool_n.arm_faults(FaultPlan::crash_at(j));
                 // Recovery dies at event j (a trip on recovery's final
                 // fence may still let it return Ok — also a valid point).
@@ -360,7 +306,6 @@ pub fn sweep_fmt(
                     media2,
                     backend,
                     concurrency,
-                    format,
                     &format!("k={k} nested j={j}"),
                     &mut summary,
                 );

@@ -11,12 +11,12 @@
 mod common;
 
 use common::{
-    register_parked_plain, register_transfer, reopen, sweep, sweep_fmt, sweep_regrow, sweep_with,
-    total, two_parked_transfers, Nested, SweepSummary, ACCOUNTS, INITIAL,
+    register_parked_plain, register_transfer, reopen, sweep, sweep_regrow, sweep_with, total,
+    transfer_args, two_parked_transfers, Nested, SweepSummary, ACCOUNTS, INITIAL,
 };
 
 use clobber_nvm::{Backend, RecoveryOptions, SlotQuarantineKind, TxError};
-use clobber_pmem::{FaultPlan, LogFormat, PmemError, PoolConcurrency};
+use clobber_pmem::{FaultPlan, PmemError, PoolConcurrency};
 
 /// Stride between swept crash points. Release builds (and
 /// `CLOBBER_FULL_SWEEP=1`) visit every event; plain debug-mode
@@ -91,39 +91,6 @@ fn sweep_clobber_sharded_matches_global_lock() {
     }
 }
 
-/// The default runtime now formats its logs as v2 (line-buffered), so the
-/// sweeps above already crash the v2 layout at every swept persist event.
-/// This keeps the v1 word-stream covered too: the same full
-/// crash → recover → nested-recover pipeline with every log formatted v1,
-/// at the single-lock and sharded engines — v1 images must stay exactly as
-/// durable as before the format bump.
-#[test]
-fn sweep_clobber_v1_format_across_shard_counts() {
-    let stride = smoke_stride();
-    let reference = sweep_fmt(
-        Backend::clobber(),
-        stride,
-        Nested::Rotating,
-        PoolConcurrency::GlobalLock,
-        LogFormat::V1,
-    );
-    assert_covered(&reference, "clobber/v1");
-    assert!(
-        reference.reexecuted + reference.abandoned > 0,
-        "v1 sweep should recover by re-execution: {reference:?}"
-    );
-    for shards in [1u32, 4] {
-        let s = sweep_fmt(
-            Backend::clobber(),
-            stride,
-            Nested::Rotating,
-            PoolConcurrency::Sharded { shards },
-            LogFormat::V1,
-        );
-        assert_eq!(s, reference, "v1 sharded({shards}) sweep diverged");
-    }
-}
-
 /// Satellite 3 (torn line): a v2 line whose marker word is torn must be
 /// detected by the self-validating marker and dropped — together with every
 /// entry at or past it — instead of being replayed as garbage. The crash
@@ -159,6 +126,90 @@ fn torn_v2_marker_drops_the_line_and_recovery_conserves() {
     let base = rt.app_root().unwrap();
     assert_eq!(total(&pool, base), ACCOUNTS * INITIAL);
     assert!(rt.recover().unwrap().is_clean());
+}
+
+/// A log header that is not the log magic is typed corruption, never an
+/// empty log: one flipped bit in slot 0's magic word must make `entries`
+/// fail, Strict recovery return the error, and BestEffort quarantine
+/// exactly that slot while slot 1 recovers — and stay that way on a second
+/// scan. Parsing the image as empty would silently discard the durable
+/// pre-images (or, under redo, a committed transaction) behind the header.
+#[test]
+fn corrupt_log_header_is_typed_corruption_not_an_empty_log() {
+    let assignments = [(0, 1, 30), (2, 3, 45)];
+    for backend in [Backend::clobber(), Backend::Undo, Backend::Redo] {
+        let label = backend.label();
+        let media = two_parked_transfers(backend, assignments);
+        let (pool, rt) = reopen(media, backend);
+        register_parked_plain(&rt);
+        let base = rt.app_root().unwrap();
+        let slots = [rt.slot_handle(0).unwrap(), rt.slot_handle(1).unwrap()];
+
+        let log = if backend == Backend::Redo {
+            // Redo persists nothing before commit, so the parked image holds
+            // two idle slots. Stage each transfer as crashed between its
+            // commit point and the in-place apply — the one window in which
+            // recovery depends on the redo log.
+            for (slot, (from, to, amount)) in slots.iter().zip(assignments) {
+                let rlog = slot.redo_log(&pool).unwrap();
+                for (account, balance) in [(from, INITIAL - amount), (to, INITIAL + amount)] {
+                    rlog.append(&pool, base.add(account * 8), &balance.to_le_bytes())
+                        .unwrap();
+                }
+                slot.set_redo_committed(&pool, true).unwrap();
+            }
+            slots[0].redo_log(&pool).unwrap()
+        } else {
+            slots[0].clobber_log(&pool).unwrap()
+        };
+        assert_eq!(log.entries(&pool).unwrap().len(), 2, "{label}");
+        pool.inject_bit_corruption(log.base(), 8, 7, 1).unwrap();
+        assert!(
+            matches!(log.entries(&pool), Err(PmemError::CorruptPool(_))),
+            "{label}: a corrupt header must not parse"
+        );
+
+        // Strict: the scan dies on the corrupt log, touching nothing.
+        match rt.recover() {
+            Err(TxError::Pmem(PmemError::CorruptPool(_))) => {}
+            other => panic!("{label}: strict recovery should fail, got {other:?}"),
+        }
+
+        // BestEffort: slot 0 is set aside with its reason, slot 1 recovers.
+        let opts = RecoveryOptions::best_effort().no_wait();
+        let report = rt.recover_with(&opts).unwrap();
+        assert_eq!(report.quarantined.len(), 1, "{label}: {report:?}");
+        let q = &report.quarantined[0];
+        assert_eq!(
+            (q.slot, q.kind),
+            (0, SlotQuarantineKind::CorruptClobberLog),
+            "{label}"
+        );
+        assert!(q.reason.contains("log magic"), "{label}: {q:?}");
+        assert_eq!(
+            report.reexecuted.len() + report.rolled_back + report.redo_applied,
+            1,
+            "{label}: the healthy slot must still recover: {report:?}"
+        );
+        assert_eq!(total(&pool, base), ACCOUNTS * INITIAL, "{label}");
+
+        // Idempotent: a second scan repeats the quarantine and finds
+        // nothing else to do.
+        let again = rt.recover_with(&opts).unwrap();
+        assert_eq!(again.quarantined, report.quarantined, "{label}");
+        assert_eq!(
+            again.reexecuted.len() + again.rolled_back + again.redo_applied,
+            0,
+            "{label}: {again:?}"
+        );
+
+        // The corrupt log is never appended to either.
+        match rt.run_on(0, "parked_transfer", &transfer_args(base, (4, 5, 1))) {
+            Err(TxError::Pmem(PmemError::CorruptPool(_))) => {}
+            other => panic!("{label}: a tx on the corrupt slot should fail, got {other:?}"),
+        }
+        assert_eq!(total(&pool, base), ACCOUNTS * INITIAL, "{label}");
+    }
 }
 
 /// Alloc-heavy sweep: the vacation-style growing-reallocation script

@@ -14,9 +14,9 @@ use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions};
 use clobber_pmem::{
-    EventKind, LogFormat, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot, Tracer,
+    EventKind, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot, Tracer,
 };
-use common::{run_script, setup, SCRIPT};
+use common::{run_script, setup};
 
 const THREADS: u64 = 4;
 const ROUNDS: u64 = 8;
@@ -176,52 +176,22 @@ fn group_commit_epochs_appear_in_traces() {
     }
 }
 
-/// Runtime-level flush amortization: the same script under the v2
-/// line-buffered writer issues strictly fewer clobber-log flushes than
-/// under the v1 per-entry layout, at identical fence counts and identical
-/// logged bytes — the cache-line buffer only batches, it never reorders or
-/// drops.
+/// Runtime-level flush amortization, pinned: the 4-transaction script
+/// logs 8 pre-images (two 8-byte balances per transfer), and the
+/// line-buffered writer spends one clobber-log flush and one ordering fence
+/// on each — a per-entry writer needed two flushes (entry + tail) per
+/// append for the same fences. The cache-line buffer only batches; it never
+/// reorders or drops.
 #[test]
 fn line_buffer_cuts_clog_flushes_at_equal_fences() {
-    let run = |format: LogFormat| {
-        let (pool, rt, base) =
-            common::setup_fmt(Backend::clobber(), PoolConcurrency::GlobalLock, format);
-        let before = pool.stats().snapshot();
-        run_script(&rt, base).unwrap();
-        pool.stats().snapshot().delta(&before)
-    };
-    let v1 = run(LogFormat::V1);
-    let v2 = run(LogFormat::V2);
+    let (pool, rt, base) = setup(Backend::clobber());
+    let before = pool.stats().snapshot();
+    run_script(&rt, base).unwrap();
+    let d = pool.stats().snapshot().delta(&before);
 
-    assert!(v1.clog_flushes > 0 && v2.clog_flushes > 0);
-    assert!(
-        v2.clog_flushes < v1.clog_flushes,
-        "v2 must flush less: v2 {} vs v1 {}",
-        v2.clog_flushes,
-        v1.clog_flushes
-    );
-    assert_eq!(
-        v2.clog_fences, v1.clog_fences,
-        "buffering must not change ordering points"
-    );
-    assert_eq!(v2.fences, v1.fences, "total fences agree across formats");
-    // Redo machinery stays silent under the clobber backend either way.
-    assert_eq!((v2.rlog_flushes, v2.rlog_fences), (0, 0));
-    // The workload itself is format-independent: same entries, same bytes.
-    assert_eq!(v2.log_entries, v1.log_entries);
-    assert_eq!(v2.log_bytes, v1.log_bytes);
-    assert!(v2.log_entries >= SCRIPT.len() as u64);
-
-    // EXPERIMENTS.md raw numbers (visible with --nocapture).
-    println!(
-        "log-format A/B over the {}-tx script: v1 clog flushes={} fences={}, \
-         v2 clog flushes={} fences={}, total fences v1={} v2={}",
-        SCRIPT.len(),
-        v1.clog_flushes,
-        v1.clog_fences,
-        v2.clog_flushes,
-        v2.clog_fences,
-        v1.fences,
-        v2.fences
-    );
+    assert_eq!((d.log_entries, d.log_bytes), (8, 64));
+    assert_eq!((d.clog_flushes, d.clog_fences), (8, 8));
+    assert_eq!(d.fences, 34, "total ordering points of the script");
+    // Redo machinery stays silent under the clobber backend.
+    assert_eq!((d.rlog_flushes, d.rlog_fences), (0, 0));
 }

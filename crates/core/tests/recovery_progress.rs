@@ -28,10 +28,13 @@ fn final_value(i: u64) -> u64 {
     seed_value(i) + i + 1
 }
 
+/// Writes left before the trap fires, and the image it captured.
+type TrapState = (Option<u32>, Option<Vec<u8>>);
+
 /// Captures a crash image after a configured number of tx writes.
 #[derive(Clone)]
 struct CrashTrap {
-    inner: Arc<Mutex<(Option<u32>, Option<Vec<u8>>)>>,
+    inner: Arc<Mutex<TrapState>>,
 }
 
 impl CrashTrap {

@@ -405,7 +405,7 @@ mod tests {
                 .filter_map(|e| match e {
                     NetEvent::Request(env) => {
                         seen += 1;
-                        if seen % 3 == 0 {
+                        if seen.is_multiple_of(3) {
                             Some((env.conn, env.opaque, KvResponse::Overloaded))
                         } else {
                             served += 1;

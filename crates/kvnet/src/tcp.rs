@@ -63,21 +63,15 @@ impl TcpTransport {
                 let tx = tx.clone();
                 thread::spawn(move || {
                     let mut stream = stream;
-                    loop {
-                        match read_frame(&mut stream) {
-                            Ok(Some(payload)) => {
-                                let Some((opaque, req)) = crate::proto::decode_request(&payload)
-                                else {
-                                    break; // malformed frame: drop the conn
-                                };
-                                if tx
-                                    .send(TcpMsg::Request(Envelope { conn, opaque, req }))
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                            Ok(None) | Err(_) => break,
+                    while let Ok(Some(payload)) = read_frame(&mut stream) {
+                        let Some((opaque, req)) = crate::proto::decode_request(&payload) else {
+                            break; // malformed frame: drop the conn
+                        };
+                        if tx
+                            .send(TcpMsg::Request(Envelope { conn, opaque, req }))
+                            .is_err()
+                        {
+                            return;
                         }
                     }
                     let _ = tx.send(TcpMsg::Closed(conn));

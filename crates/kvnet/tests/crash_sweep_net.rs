@@ -17,7 +17,7 @@ use clobber_kvnet::{
 };
 use clobber_nvm::{Backend, Runtime, RuntimeOptions, TxError};
 use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, LogFormat, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
+    CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
 };
 use clobber_workloads::{Mix, RequestStream};
 
@@ -26,7 +26,6 @@ fn net_options() -> RuntimeOptions {
     let mut opts = RuntimeOptions::new(Backend::clobber());
     opts.clobber_log_cap = 32 << 10;
     opts.redo_log_cap = 32 << 10;
-    opts.log_format = LogFormat::V2;
     opts
 }
 

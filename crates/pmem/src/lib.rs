@@ -68,7 +68,7 @@ pub use pool::{
     CacheImpl, PmemError, PmemPool, PoolConcurrency, PoolMode, PoolOptions, DEFAULT_ARENAS,
 };
 pub use stats::{PmemStats, ShardCounters, StatsSnapshot};
-pub use ulog::{LogFormat, LogKind, LogWriter, Ulog};
+pub use ulog::{LogKind, LogWriter, Ulog};
 
 // Re-exported so pool users can attach tracers and decode traces without a
 // separate `clobber-trace` dependency.

@@ -1,30 +1,13 @@
-//! PMDK-style undo-log buffer, in two on-media formats.
+//! PMDK-style undo-log buffer: line-buffered and self-validating.
 //!
 //! Clobber-NVM's `clobber_log` is "built over PMDK's undo log API" (paper
 //! §4.2); the classical-undo baseline uses the very same primitive, which is
 //! what makes the paper's log-count/log-size comparison apples-to-apples.
 //!
-//! # v1 — per-entry tail format
-//!
-//! A v1 [`Ulog`] is a pre-allocated persistent buffer:
-//!
-//! ```text
-//! [tail: u64][entry][entry]...
-//! entry = [addr: u64][len: u64][checksum: u64][old data: len bytes]
-//! ```
-//!
-//! [`Ulog::append`] persists the entry *and* the new tail with one flush set
-//! and **one fence**, so that the store it protects can only become durable
-//! after its undo information is durable — the ordering invariant undo
-//! logging needs. Entries carry a checksum so a torn append (tail durable,
-//! entry not) is detected and treated as absent during recovery.
-//!
-//! # v2 — line-buffered, self-validating format
-//!
-//! A v2 log has no persistent tail word at all. Entries are serialized into
-//! a stream of 64-bit words packed into 64-byte cache lines, each line
-//! carrying a **marker word** that binds the log's generation number to the
-//! popcount of the line's payload words:
+//! A [`Ulog`] is a pre-allocated persistent buffer with no tail word.
+//! Entries are serialized into a stream of 64-bit words packed into 64-byte
+//! cache lines, each line carrying a **marker word** that binds the log's
+//! generation number to the popcount of the line's payload words:
 //!
 //! ```text
 //! [magic: u64][generation: u64][pad to 64-byte line boundary]
@@ -39,36 +22,26 @@
 //! Appends go through a [`LogWriter`], which stages words in a volatile
 //! line buffer and issues **one streaming flush per full line**, deferring
 //! the ordering fence to [`LogWriter::sync`] — the pmembench
-//! `LogWriterZeroCached` discipline. Steady-state cost per append drops
-//! from 2 flushes + 1 fence (v1) to amortized ~1 flush per *line* plus one
+//! `LogWriterZeroCached` discipline: amortized ~1 flush per *line* plus one
 //! fence per ordering point.
 //!
-//! Both formats are distinguished by the first word: a v1 tail is bounded
-//! by the buffer capacity (far below 2^63), while the v2 magic has its top
-//! bit set, so every [`Ulog`] method dispatches on the stored image and v1
-//! images keep opening and recovering under v2 code.
+//! The first word is [`V2_MAGIC`] in every log this crate formats. Each
+//! entry point reads it before trusting the rest of the image, and anything
+//! else is [`PmemError::CorruptPool`]: a decayed header must never parse as
+//! an empty log, because the pre-images behind it would be silently
+//! discarded.
 
 use crate::addr::PAddr;
 use crate::pool::{PmemError, PmemPool};
 
-const DATA_OFF: u64 = 8;
-const ENTRY_HDR: u64 = 24;
+/// Per-entry metadata: the header word and the address word.
+const V2_ENTRY_OVERHEAD: u64 = 16;
 
-/// Bytes of log-buffer metadata persisted per entry (address, length,
-/// checksum) on top of the payload in the v1 format — counted when comparing
-/// "bytes written to the log" across systems.
-pub const ENTRY_OVERHEAD: u64 = ENTRY_HDR;
-
-/// v2 per-entry metadata: the header word and the address word.
-pub const V2_ENTRY_OVERHEAD: u64 = 16;
-
-/// First word of every v2-formatted log. The top bit is set, which no v1
-/// tail can have (tails are bounded by the buffer capacity), so the first
-/// word alone identifies the format.
+/// First word of every formatted log.
 pub const V2_MAGIC: u64 = 0xC10B_B002_0000_0001;
 
 const LINE: u64 = crate::addr::CACHE_LINE;
-/// Payload words per v2 line (word 7 is the marker).
+/// Payload words per line (word 7 is the marker).
 const PAYLOAD_WORDS: usize = 7;
 
 /// Which log a handle feeds — used to attribute flush/fence costs to the
@@ -86,21 +59,10 @@ pub enum LogKind {
     Other,
 }
 
-/// The on-media format of a log image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LogFormat {
-    /// Per-entry persistent tail + checksum (the original format).
-    V1,
-    /// Line-buffered, marker-validated, generation-cleared.
-    #[default]
-    V2,
-}
-
 /// A persistent undo-log buffer at a fixed pool location.
 ///
 /// The handle itself is a plain descriptor (base + capacity + attribution
-/// kind) and can be freely copied; all state lives in the pool, including
-/// which format the image uses.
+/// kind) and can be freely copied; all state lives in the pool.
 ///
 /// # Example
 ///
@@ -110,7 +72,7 @@ pub enum LogFormat {
 /// # fn main() -> Result<(), clobber_pmem::PmemError> {
 /// let pool = PmemPool::create(PoolOptions::crash_sim(1 << 20))?;
 /// let buf = pool.alloc(4096)?;
-/// let log = Ulog::format(&pool, buf, 4096)?;
+/// let log = Ulog::format_v2(&pool, buf, 4096)?;
 ///
 /// let x = pool.alloc(8)?;
 /// pool.write_u64(x, 1)?;
@@ -146,21 +108,8 @@ impl Ulog {
         self
     }
 
-    /// Formats a fresh, empty **v1** log in `capacity` bytes at `base` and
-    /// persists the empty state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::OutOfBounds`] if the buffer exceeds the pool.
-    pub fn format(pool: &PmemPool, base: PAddr, capacity: u64) -> Result<Ulog, PmemError> {
-        let log = Ulog::new(base, capacity);
-        pool.write_u64(base, 0)?;
-        pool.persist(base, 8)?;
-        Ok(log)
-    }
-
-    /// Formats a fresh, empty **v2** (line-buffered) log at `base` and
-    /// persists the header (magic + generation 1).
+    /// Formats a fresh, empty log in `capacity` bytes at `base` and persists
+    /// the header (magic + generation 1).
     ///
     /// The data region starts at the first 64-byte pool line boundary past
     /// the header, so line stores never straddle cache lines regardless of
@@ -175,23 +124,6 @@ impl Ulog {
         pool.write_u64(base.add(8), 1)?;
         pool.persist(base, 16)?;
         Ok(log)
-    }
-
-    /// Formats in the requested format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::OutOfBounds`] if the buffer exceeds the pool.
-    pub fn format_as(
-        pool: &PmemPool,
-        base: PAddr,
-        capacity: u64,
-        format: LogFormat,
-    ) -> Result<Ulog, PmemError> {
-        match format {
-            LogFormat::V1 => Ulog::format(pool, base, capacity),
-            LogFormat::V2 => Ulog::format_v2(pool, base, capacity),
-        }
     }
 
     /// The log's base address in the pool.
@@ -209,34 +141,53 @@ impl Ulog {
         self.kind
     }
 
-    /// Reads the stored image's format (one pool read — the same word a v1
-    /// append would read as the tail).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::OutOfBounds`] on a corrupt descriptor.
-    pub fn stored_format(&self, pool: &PmemPool) -> Result<LogFormat, PmemError> {
-        Ok(if pool.read_u64(self.base)? == V2_MAGIC {
-            LogFormat::V2
-        } else {
-            LogFormat::V1
-        })
+    /// Reads the header word and rejects anything but [`V2_MAGIC`].
+    fn check_magic(&self, pool: &PmemPool) -> Result<(), PmemError> {
+        let w0 = pool.read_u64(self.base)?;
+        if w0 != V2_MAGIC {
+            return Err(PmemError::CorruptPool(format!(
+                "log header at {:#x} holds {w0:#018x}, not the log magic",
+                self.base.offset()
+            )));
+        }
+        Ok(())
     }
 
-    /// First pool offset of the v2 data-line region (64-byte aligned).
+    /// Validates the header word and reads the current generation.
+    fn generation(&self, pool: &PmemPool) -> Result<u64, PmemError> {
+        self.check_magic(pool)?;
+        pool.read_u64(self.base.add(8))
+    }
+
+    /// Reads data line `line_idx` as its eight words (one pool read).
+    fn read_line(&self, pool: &PmemPool, line_idx: u64) -> Result<[u64; 8], PmemError> {
+        let raw = pool.read_bytes(self.line_addr(line_idx), LINE)?;
+        let mut w = [0u64; 8];
+        for (i, c) in raw.chunks_exact(8).enumerate() {
+            w[i] = u64::from_le_bytes(c.try_into().unwrap());
+        }
+        Ok(w)
+    }
+
+    /// Pool address of data line `line_idx`.
+    fn line_addr(&self, line_idx: u64) -> PAddr {
+        PAddr::new(self.v2_data_base() + line_idx * LINE)
+    }
+
+    /// First pool offset of the data-line region (64-byte aligned).
     fn v2_data_base(&self) -> u64 {
         (self.base.offset() + 16).div_ceil(LINE) * LINE
     }
 
-    /// Pool address of v2 data line `line_idx`'s marker word (the last
+    /// Pool address of data line `line_idx`'s marker word (the last
     /// word of the 64-byte line). Exposed for corruption-injection
     /// harnesses that tear a specific line on purpose; normal code never
     /// addresses markers directly.
     pub fn v2_marker_addr(&self, line_idx: u64) -> PAddr {
-        PAddr::new(self.v2_data_base() + line_idx * LINE + LINE - 8)
+        self.line_addr(line_idx).add(LINE - 8)
     }
 
-    /// Number of whole 64-byte data lines the buffer holds in v2.
+    /// Number of whole 64-byte data lines the buffer holds.
     fn v2_line_count(&self) -> u64 {
         let end = self.base.offset() + self.capacity;
         let data = self.v2_data_base();
@@ -268,10 +219,10 @@ impl Ulog {
     }
 
     /// Appends an entry recording that `addr` held `old`, durable when the
-    /// call returns (exactly one fence in both formats). The caller may then
-    /// safely overwrite `addr`.
+    /// call returns (exactly one fence). The caller may then safely
+    /// overwrite `addr`.
     ///
-    /// This is the stateless compatibility path: it adopts the log, appends
+    /// This is the stateless path: it adopts the log, appends
     /// and syncs. Hot paths should hold a [`LogWriter`] instead, which
     /// caches the position and amortizes flushes and fences across appends.
     ///
@@ -283,69 +234,6 @@ impl Ulog {
         let mut w = LogWriter::attach(pool, *self)?;
         w.append(pool, addr, old)?;
         w.sync(pool)
-    }
-
-    /// Appends several entries with a single fence — the redo-logging
-    /// pattern: all entries are flushed together and ordered by one fence,
-    /// which is why redo systems need fewer ordering instructions per
-    /// transaction than undo systems.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::LogFull`] if the batch does not fit (a v1 log is
-    /// left unchanged; a v2 log keeps the entries appended before the
-    /// overflow, which the caller discards by clearing) and
-    /// [`PmemError::OutOfBounds`] on a corrupt descriptor.
-    pub fn append_batch(&self, pool: &PmemPool, items: &[(PAddr, &[u8])]) -> Result<(), PmemError> {
-        match self.stored_format(pool)? {
-            LogFormat::V2 => {
-                let mut w = LogWriter::attach(pool, *self)?;
-                for (addr, data) in items {
-                    w.append(pool, *addr, data)?;
-                }
-                w.sync(pool)
-            }
-            LogFormat::V1 => self.append_batch_v1(pool, items),
-        }
-    }
-
-    fn append_batch_v1(&self, pool: &PmemPool, items: &[(PAddr, &[u8])]) -> Result<(), PmemError> {
-        let tail = pool.read_u64(self.base)?;
-        let need: u64 = items.iter().map(|(_, d)| ENTRY_HDR + d.len() as u64).sum();
-        if DATA_OFF + tail + need > self.capacity {
-            return Err(PmemError::LogFull {
-                needed: need,
-                capacity: self.capacity,
-            });
-        }
-        let mut off = tail;
-        for (addr, data) in items {
-            let entry = self.base.add(DATA_OFF + off);
-            pool.write_u64(entry, addr.offset())?;
-            pool.write_u64(entry.add(8), data.len() as u64)?;
-            pool.write_u64(
-                entry.add(16),
-                checksum(addr.offset(), data.len() as u64, data),
-            )?;
-            pool.write_bytes(entry.add(24), data)?;
-            off += ENTRY_HDR + data.len() as u64;
-        }
-        pool.flush(self.base.add(DATA_OFF + tail), need)?;
-        self.bump_kind_flush(pool);
-        pool.write_u64(self.base, tail + need)?;
-        pool.flush(self.base, 8)?;
-        self.bump_kind_flush(pool);
-        pool.fence();
-        self.bump_kind_fence(pool);
-        for (addr, data) in items {
-            pool.trace_app_event(
-                clobber_trace::EventKind::UlogAppend,
-                0,
-                addr.offset(),
-                data.len() as u64,
-            );
-        }
-        Ok(())
     }
 
     /// Writes all logged values in append order (redo replay), flushing each
@@ -364,61 +252,28 @@ impl Ulog {
 
     /// Returns all valid entries in append order as `(addr, old_data)`.
     ///
-    /// v1: iteration stops at the first entry whose checksum fails (a torn
-    /// append). v2: line scanning stops at the first line whose marker does
-    /// not validate against the current generation, and a final entry that
-    /// runs past the valid region (it spanned into a torn line) is dropped —
-    /// the surviving entries are always a durable prefix of what was
-    /// appended.
+    /// Line scanning stops at the first line whose marker does not validate
+    /// against the current generation, and a final entry that runs past the
+    /// valid region (it spanned into a torn line) is dropped — the surviving
+    /// entries are always a durable prefix of what was appended.
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
+    /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn entries(&self, pool: &PmemPool) -> Result<Vec<(PAddr, Vec<u8>)>, PmemError> {
-        let w0 = pool.read_u64(self.base)?;
-        if w0 == V2_MAGIC {
-            Ok(self.v2_scan(pool)?.entries)
-        } else {
-            self.entries_v1(pool, w0)
-        }
+        Ok(self.v2_scan(pool)?.entries)
     }
 
-    fn entries_v1(&self, pool: &PmemPool, tail: u64) -> Result<Vec<(PAddr, Vec<u8>)>, PmemError> {
-        let mut out = Vec::new();
-        let mut off = 0u64;
-        while off + ENTRY_HDR <= tail {
-            let entry = self.base.add(DATA_OFF + off);
-            let addr = pool.read_u64(entry)?;
-            let len = pool.read_u64(entry.add(8))?;
-            let sum = pool.read_u64(entry.add(16))?;
-            if off + ENTRY_HDR + len > tail {
-                break; // torn: length runs past the tail
-            }
-            let data = pool.read_bytes(entry.add(24), len)?;
-            if checksum(addr, len, &data) != sum {
-                break; // torn: payload never became durable
-            }
-            out.push((PAddr::new(addr), data));
-            off += ENTRY_HDR + len;
-        }
-        Ok(out)
-    }
-
-    /// Scans the v2 line region: collects the valid word stream (stopping
-    /// at the first marker mismatch), parses entries out of it, and reports
-    /// the word position one past the last complete entry — which is where
-    /// a [`LogWriter`] resumes appending.
+    /// Validates the header and scans the line region: collects the valid
+    /// word stream (stopping at the first marker mismatch), parses entries
+    /// out of it, and reports the word position one past the last complete
+    /// entry — which is where a [`LogWriter`] resumes appending.
     fn v2_scan(&self, pool: &PmemPool) -> Result<V2Scan, PmemError> {
-        let gen = pool.read_u64(self.base.add(8))?;
-        let data = self.v2_data_base();
-        let nlines = self.v2_line_count();
+        let gen = self.generation(pool)?;
         let mut words: Vec<u64> = Vec::new();
-        for li in 0..nlines {
-            let raw = pool.read_bytes(PAddr::new(data + li * LINE), LINE)?;
-            let mut w = [0u64; 8];
-            for (i, c) in raw.chunks_exact(8).enumerate() {
-                w[i] = u64::from_le_bytes(c.try_into().unwrap());
-            }
+        for li in 0..self.v2_line_count() {
+            let w = self.read_line(pool, li)?;
             if w[7] != v2_marker(gen, &w) {
                 break;
             }
@@ -492,38 +347,32 @@ impl Ulog {
         Ok(self.entries(pool)?.len())
     }
 
-    /// Returns `true` if the log holds no entries.
-    ///
-    /// v1 reads the tail word; v2 probes the first data line (a valid first
-    /// line always starts with an entry header, which is odd and nonzero).
+    /// Returns `true` if the log holds no entries: probes the first data
+    /// line (a valid first line always starts with an entry header, which is
+    /// odd and nonzero).
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
+    /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn is_empty(&self, pool: &PmemPool) -> Result<bool, PmemError> {
-        let w0 = pool.read_u64(self.base)?;
-        if w0 != V2_MAGIC {
-            return Ok(w0 == 0);
-        }
+        self.check_magic(pool)?;
         if self.v2_line_count() == 0 {
             return Ok(true);
         }
         let gen = pool.read_u64(self.base.add(8))?;
-        let raw = pool.read_bytes(PAddr::new(self.v2_data_base()), LINE)?;
-        let mut w = [0u64; 8];
-        for (i, c) in raw.chunks_exact(8).enumerate() {
-            w[i] = u64::from_le_bytes(c.try_into().unwrap());
-        }
+        let w = self.read_line(pool, 0)?;
         Ok(w[7] != v2_marker(gen, &w) || w[0] & 1 == 0)
     }
 
-    /// Truncates the log (persistently, one fence). v1 zeroes the tail; v2
-    /// bumps the generation, invalidating every line's marker at once
-    /// without touching the data region.
+    /// Truncates the log (persistently, one fence): bumps the generation,
+    /// invalidating every line's marker at once without touching the data
+    /// region.
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
+    /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn clear(&self, pool: &PmemPool) -> Result<(), PmemError> {
         self.reset_unfenced(pool)?;
         pool.fence();
@@ -532,26 +381,22 @@ impl Ulog {
 
     /// Truncates the log without fencing — the caller's next fence orders
     /// the truncation (the runtime bundles it with the begin fence when
-    /// lazily clearing a previous transaction's stale log).
+    /// lazily clearing a previous transaction's stale log). Returns the new
+    /// generation.
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
-    pub fn reset_unfenced(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        let w0 = pool.read_u64(self.base)?;
-        if w0 == V2_MAGIC {
-            let gen = pool.read_u64(self.base.add(8))?;
-            pool.write_u64(self.base.add(8), gen + 1)?;
-            pool.flush(self.base.add(8), 8)?;
-        } else {
-            pool.write_u64(self.base, 0)?;
-            pool.flush(self.base, 8)?;
-        }
-        Ok(())
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
+    /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
+    pub fn reset_unfenced(&self, pool: &PmemPool) -> Result<u64, PmemError> {
+        let gen = self.generation(pool)? + 1;
+        pool.write_u64(self.base.add(8), gen)?;
+        pool.flush(self.base.add(8), 8)?;
+        Ok(gen)
     }
 }
 
-/// Result of a v2 region scan.
+/// Result of a line-region scan.
 struct V2Scan {
     gen: u64,
     entries: Vec<(PAddr, Vec<u8>)>,
@@ -573,15 +418,6 @@ fn v2_marker(gen: u64, words: &[u64; 8]) -> u64 {
 
 /// Volatile cursor state of a [`LogWriter`].
 #[derive(Debug, Clone)]
-enum WriterPos {
-    V1 {
-        /// Cached tail — validated once at adoption, never re-read.
-        tail: u64,
-    },
-    V2(V2Pos),
-}
-
-#[derive(Debug, Clone)]
 struct V2Pos {
     generation: u64,
     /// Data line the staged buffer maps to.
@@ -597,8 +433,20 @@ struct V2Pos {
 }
 
 impl V2Pos {
+    /// The cursor of an empty log at `generation`.
+    fn empty(generation: u64) -> V2Pos {
+        V2Pos {
+            generation,
+            line_idx: 0,
+            word_idx: 0,
+            line: [0; 8],
+            dirty: false,
+            unfenced: false,
+        }
+    }
+
     fn line_addr(&self, log: &Ulog) -> PAddr {
-        PAddr::new(log.v2_data_base() + self.line_idx * LINE)
+        log.line_addr(self.line_idx)
     }
 
     fn store_staged(&mut self, pool: &PmemPool, log: &Ulog) -> Result<(), PmemError> {
@@ -633,39 +481,35 @@ impl V2Pos {
 
 /// A volatile append cursor over a [`Ulog`] — the hot-path handle.
 ///
-/// The writer caches everything an append needs (format, v1 tail or v2
-/// generation + line position + staged line buffer), so appends never
-/// re-read persistent log state. On a v2 log, appends stage words in the
-/// 64-byte line buffer and flush once per *full* line; durability is
-/// deferred to [`sync`](Self::sync), the ordering point. On a v1 log each
-/// append keeps the classic persist-entry-then-tail, one-fence discipline
-/// (the format has no torn-tail protection without it), but the cached tail
-/// still removes the per-append tail read.
+/// The writer caches everything an append needs (generation, line position
+/// and the staged line buffer), so appends never re-read persistent log
+/// state. Appends stage words in the 64-byte line buffer and flush once per
+/// *full* line; durability is deferred to [`sync`](Self::sync), the
+/// ordering point.
 ///
 /// Dropping a writer without syncing loses no data that was already synced;
-/// unsynced v2 appends are staged in the pool but not yet guaranteed
-/// durable — exactly the window the marker discipline makes recoverable as
-/// a clean prefix.
+/// unsynced appends are staged in the pool but not yet guaranteed durable —
+/// exactly the window the marker discipline makes recoverable as a clean
+/// prefix.
 #[derive(Debug)]
 pub struct LogWriter {
     log: Ulog,
-    pos: Option<WriterPos>,
+    pos: Option<V2Pos>,
 }
 
 impl LogWriter {
-    /// Creates a lazy writer; the log image is adopted (position read and
-    /// validated) on first use.
+    /// Creates a lazy writer; the log image is adopted (header validated,
+    /// position read) on first use.
     pub fn new(log: Ulog) -> LogWriter {
         LogWriter { log, pos: None }
     }
 
-    /// Creates a writer and adopts the log image immediately: reads the
-    /// format, validates the tail (v1) or scans to the end of the valid
-    /// entry stream (v2).
+    /// Creates a writer and adopts the log image immediately: validates the
+    /// header and scans to the end of the valid entry stream.
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::CorruptPool`] if a v1 tail exceeds the buffer
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
     /// and [`PmemError::OutOfBounds`] on a corrupt descriptor.
     pub fn attach(pool: &PmemPool, log: Ulog) -> Result<LogWriter, PmemError> {
         let mut w = LogWriter::new(log);
@@ -678,44 +522,22 @@ impl LogWriter {
         self.log
     }
 
-    fn ensure_attached(&mut self, pool: &PmemPool) -> Result<&mut WriterPos, PmemError> {
+    fn ensure_attached(&mut self, pool: &PmemPool) -> Result<&mut V2Pos, PmemError> {
         if self.pos.is_none() {
-            let w0 = pool.read_u64(self.log.base)?;
-            let pos = if w0 == V2_MAGIC {
-                let scan = self.log.v2_scan(pool)?;
-                let line_idx = scan.stream_end / PAYLOAD_WORDS as u64;
-                let word_idx = (scan.stream_end % PAYLOAD_WORDS as u64) as usize;
-                let mut line = [0u64; 8];
-                if word_idx > 0 {
-                    let raw = pool
-                        .read_bytes(PAddr::new(self.log.v2_data_base() + line_idx * LINE), LINE)?;
-                    for (i, c) in raw.chunks_exact(8).enumerate() {
-                        line[i] = u64::from_le_bytes(c.try_into().unwrap());
-                    }
-                    // Words past the resume point are stale stream bytes
-                    // (e.g. a dropped trailing entry); zero them so the
-                    // terminator and marker discipline start clean.
-                    for w in line.iter_mut().skip(word_idx) {
-                        *w = 0;
-                    }
+            let scan = self.log.v2_scan(pool)?;
+            let mut pos = V2Pos::empty(scan.gen);
+            pos.line_idx = scan.stream_end / PAYLOAD_WORDS as u64;
+            pos.word_idx = (scan.stream_end % PAYLOAD_WORDS as u64) as usize;
+            if pos.word_idx > 0 {
+                pos.line = self.log.read_line(pool, pos.line_idx)?;
+                // Words past the resume point are stale stream bytes
+                // (e.g. a dropped trailing entry); zero them so the
+                // terminator and marker discipline start clean.
+                for w in pos.line.iter_mut().skip(pos.word_idx) {
+                    *w = 0;
                 }
-                WriterPos::V2(V2Pos {
-                    generation: scan.gen,
-                    line_idx,
-                    word_idx,
-                    line,
-                    dirty: word_idx > 0,
-                    unfenced: false,
-                })
-            } else {
-                if DATA_OFF + w0 > self.log.capacity {
-                    return Err(PmemError::CorruptPool(format!(
-                        "v1 log tail {} exceeds capacity {}",
-                        w0, self.log.capacity
-                    )));
-                }
-                WriterPos::V1 { tail: w0 }
-            };
+                pos.dirty = true;
+            }
             self.pos = Some(pos);
         }
         Ok(self.pos.as_mut().unwrap())
@@ -728,75 +550,45 @@ impl LogWriter {
     ///
     /// Propagates adoption errors.
     pub fn is_empty(&mut self, pool: &PmemPool) -> Result<bool, PmemError> {
-        Ok(match self.ensure_attached(pool)? {
-            WriterPos::V1 { tail } => *tail == 0,
-            WriterPos::V2(p) => p.line_idx == 0 && p.word_idx == 0,
-        })
+        let p = self.ensure_attached(pool)?;
+        Ok(p.line_idx == 0 && p.word_idx == 0)
     }
 
     /// Appends an entry recording that `addr` held `old`.
     ///
-    /// v2: words are staged in the line buffer; full lines get one
-    /// streaming flush each; **no fence is issued** — the entry is
-    /// guaranteed durable only after [`sync`](Self::sync) returns. v1:
-    /// classic one-fence append (durable on return), with the tail cached.
+    /// Words are staged in the line buffer; full lines get one streaming
+    /// flush each; **no fence is issued** — the entry is guaranteed durable
+    /// only after [`sync`](Self::sync) returns.
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::LogFull`] if the entry does not fit and
+    /// Returns [`PmemError::LogFull`] if the entry does not fit,
+    /// [`PmemError::CorruptPool`] if the header is not a log header and
     /// [`PmemError::OutOfBounds`] on a corrupt descriptor.
     pub fn append(&mut self, pool: &PmemPool, addr: PAddr, old: &[u8]) -> Result<(), PmemError> {
         let log = self.log;
-        match self.ensure_attached(pool)? {
-            WriterPos::V1 { tail } => {
-                let need = ENTRY_HDR + old.len() as u64;
-                if DATA_OFF + *tail + need > log.capacity {
-                    return Err(PmemError::LogFull {
-                        needed: need,
-                        capacity: log.capacity,
-                    });
-                }
-                let entry = log.base.add(DATA_OFF + *tail);
-                pool.write_u64(entry, addr.offset())?;
-                pool.write_u64(entry.add(8), old.len() as u64)?;
-                pool.write_u64(
-                    entry.add(16),
-                    checksum(addr.offset(), old.len() as u64, old),
-                )?;
-                pool.write_bytes(entry.add(24), old)?;
-                pool.flush(entry, need)?;
-                log.bump_kind_flush(pool);
-                pool.write_u64(log.base, *tail + need)?;
-                pool.flush(log.base, 8)?;
-                log.bump_kind_flush(pool);
-                pool.fence();
-                log.bump_kind_fence(pool);
-                *tail += need;
-            }
-            WriterPos::V2(p) => {
-                let len = old.len() as u64;
-                let need_words = 2 + len.div_ceil(8);
-                let total_words = log.v2_line_count() * PAYLOAD_WORDS as u64;
-                let used_words = p.line_idx * PAYLOAD_WORDS as u64 + p.word_idx as u64;
-                if used_words + need_words > total_words {
-                    return Err(PmemError::LogFull {
-                        needed: V2_ENTRY_OVERHEAD + len,
-                        capacity: total_words * 8,
-                    });
-                }
-                p.push_word(pool, &log, (len << 1) | 1)?;
-                p.push_word(pool, &log, addr.offset())?;
-                for chunk in old.chunks(8) {
-                    let mut b = [0u8; 8];
-                    b[..chunk.len()].copy_from_slice(chunk);
-                    p.push_word(pool, &log, u64::from_le_bytes(b))?;
-                }
-                if p.dirty {
-                    // Store the partial line so readers (and the crash
-                    // model) see the current state; its flush is deferred.
-                    p.store_staged(pool, &log)?;
-                }
-            }
+        let p = self.ensure_attached(pool)?;
+        let len = old.len() as u64;
+        let need_words = 2 + len.div_ceil(8);
+        let total_words = log.v2_line_count() * PAYLOAD_WORDS as u64;
+        let used_words = p.line_idx * PAYLOAD_WORDS as u64 + p.word_idx as u64;
+        if used_words + need_words > total_words {
+            return Err(PmemError::LogFull {
+                needed: V2_ENTRY_OVERHEAD + len,
+                capacity: total_words * 8,
+            });
+        }
+        p.push_word(pool, &log, (len << 1) | 1)?;
+        p.push_word(pool, &log, addr.offset())?;
+        for chunk in old.chunks(8) {
+            let mut b = [0u8; 8];
+            b[..chunk.len()].copy_from_slice(chunk);
+            p.push_word(pool, &log, u64::from_le_bytes(b))?;
+        }
+        if p.dirty {
+            // Store the partial line so readers (and the crash model) see
+            // the current state; its flush is deferred.
+            p.store_staged(pool, &log)?;
         }
         pool.trace_app_event(
             clobber_trace::EventKind::UlogAppend,
@@ -809,8 +601,7 @@ impl LogWriter {
 
     /// Makes every appended entry durable: flushes the staged partial line
     /// (if any) and issues one fence covering all line flushes since the
-    /// last sync. No-op if nothing is pending (v1 appends are already
-    /// durable).
+    /// last sync. No-op if nothing is pending.
     ///
     /// # Errors
     ///
@@ -833,7 +624,7 @@ impl LogWriter {
         fence: impl FnOnce(&PmemPool),
     ) -> Result<(), PmemError> {
         let log = self.log;
-        if let Some(WriterPos::V2(p)) = self.pos.as_mut() {
+        if let Some(p) = self.pos.as_mut() {
             if p.dirty {
                 pool.flush(p.line_addr(&log), LINE)?;
                 log.bump_kind_flush(pool);
@@ -854,26 +645,10 @@ impl LogWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::OutOfBounds`] on a corrupt descriptor.
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
+    /// and [`PmemError::OutOfBounds`] on a corrupt descriptor.
     pub fn reset_unfenced(&mut self, pool: &PmemPool) -> Result<(), PmemError> {
-        let w0 = pool.read_u64(self.log.base)?;
-        if w0 == V2_MAGIC {
-            let gen = pool.read_u64(self.log.base.add(8))?;
-            pool.write_u64(self.log.base.add(8), gen + 1)?;
-            pool.flush(self.log.base.add(8), 8)?;
-            self.pos = Some(WriterPos::V2(V2Pos {
-                generation: gen + 1,
-                line_idx: 0,
-                word_idx: 0,
-                line: [0; 8],
-                dirty: false,
-                unfenced: false,
-            }));
-        } else {
-            pool.write_u64(self.log.base, 0)?;
-            pool.flush(self.log.base, 8)?;
-            self.pos = Some(WriterPos::V1 { tail: 0 });
-        }
+        self.pos = Some(V2Pos::empty(self.log.reset_unfenced(pool)?));
         Ok(())
     }
 
@@ -884,49 +659,16 @@ impl LogWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::OutOfBounds`] on a corrupt descriptor.
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
+    /// and [`PmemError::OutOfBounds`] on a corrupt descriptor.
     pub fn ensure_empty_unfenced(&mut self, pool: &PmemPool) -> Result<(), PmemError> {
         if self.log.is_empty(pool)? {
-            let w0 = pool.read_u64(self.log.base)?;
-            self.pos = Some(if w0 == V2_MAGIC {
-                let gen = pool.read_u64(self.log.base.add(8))?;
-                WriterPos::V2(V2Pos {
-                    generation: gen,
-                    line_idx: 0,
-                    word_idx: 0,
-                    line: [0; 8],
-                    dirty: false,
-                    unfenced: false,
-                })
-            } else {
-                WriterPos::V1 { tail: 0 }
-            });
+            self.pos = Some(V2Pos::empty(self.log.generation(pool)?));
             Ok(())
         } else {
             self.reset_unfenced(pool)
         }
     }
-}
-
-/// FNV-1a over the address, the entry length, and the payload; cheap
-/// torn-entry detection for the v1 format.
-///
-/// Binding `len` into the hash matters for torn appends: if a stale
-/// in-bounds length field survives from an earlier (cleared) entry, it must
-/// not be able to pair with coincidentally checksum-valid payload bytes. An
-/// addr+payload-only hash leaves the length field unauthenticated.
-fn checksum(addr: u64, len: u64, data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in addr
-        .to_le_bytes()
-        .iter()
-        .chain(len.to_le_bytes().iter())
-        .chain(data.iter())
-    {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -936,13 +678,6 @@ mod tests {
     use crate::pool::PoolOptions;
 
     fn setup() -> (PmemPool, Ulog) {
-        let pool = PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap();
-        let base = pool.alloc(4096).unwrap();
-        let log = Ulog::format(&pool, base, 4096).unwrap();
-        (pool, log)
-    }
-
-    fn setup_v2() -> (PmemPool, Ulog) {
         let pool = PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap();
         let base = pool.alloc(4096).unwrap();
         let log = Ulog::format_v2(&pool, base, 4096).unwrap();
@@ -966,15 +701,6 @@ mod tests {
         assert_eq!(es.len(), 2);
         assert_eq!(es[0], (PAddr::new(1000), b"aaaa".to_vec()));
         assert_eq!(es[1], (PAddr::new(2000), b"bb".to_vec()));
-    }
-
-    #[test]
-    fn append_uses_exactly_one_fence() {
-        let (pool, log) = setup();
-        let before = pool.stats().snapshot();
-        log.append(&pool, PAddr::new(1000), &[1u8; 32]).unwrap();
-        let d = pool.stats().snapshot().delta(&before);
-        assert_eq!(d.fences, 1);
     }
 
     #[test]
@@ -1003,86 +729,8 @@ mod tests {
     }
 
     #[test]
-    fn log_full_is_reported() {
-        let pool = PmemPool::create(PoolOptions::performance(1 << 20)).unwrap();
-        let base = pool.alloc(128).unwrap();
-        let log = Ulog::format(&pool, base, 128).unwrap();
-        log.append(&pool, PAddr::new(8), &[0u8; 64]).unwrap();
-        assert!(matches!(
-            log.append(&pool, PAddr::new(8), &[0u8; 64]),
-            Err(PmemError::LogFull { .. })
-        ));
-    }
-
-    #[test]
-    fn clear_truncates_persistently() {
-        let (pool, log) = setup();
-        log.append(&pool, PAddr::new(8), b"x").unwrap();
-        log.clear(&pool).unwrap();
-        assert!(log.is_empty(&pool).unwrap());
-        let p2 = pool.crash(&CrashConfig::drop_all(2)).unwrap();
-        assert!(log.is_empty(&p2).unwrap());
-    }
-
-    #[test]
-    fn torn_entry_is_ignored() {
-        let (pool, log) = setup();
-        log.append(&pool, PAddr::new(512), b"good").unwrap();
-        // Simulate a torn append: bump the tail without writing an entry.
-        let tail = pool.read_u64(log.base()).unwrap();
-        pool.write_u64(log.base(), tail + ENTRY_HDR + 4).unwrap();
-        pool.persist(log.base(), 8).unwrap();
-        let es = log.entries(&pool).unwrap();
-        assert_eq!(es.len(), 1, "only the checksummed entry is visible");
-    }
-
-    #[test]
-    fn entries_tolerate_length_running_past_tail() {
-        let (pool, log) = setup();
-        // Hand-craft a header whose length exceeds the tail.
-        let entry = log.base().add(8);
-        pool.write_u64(entry, 640).unwrap();
-        pool.write_u64(entry.add(8), 10_000).unwrap();
-        pool.write_u64(entry.add(16), 0).unwrap();
-        pool.write_u64(log.base(), ENTRY_HDR + 8).unwrap();
-        assert!(log.entries(&pool).unwrap().is_empty());
-    }
-
-    #[test]
-    fn checksum_differs_for_different_addresses() {
-        assert_ne!(checksum(1, 1, b"x"), checksum(2, 1, b"x"));
-        assert_ne!(checksum(1, 1, b"x"), checksum(1, 1, b"y"));
-    }
-
-    #[test]
-    fn checksum_binds_the_length_field() {
-        // Regression for the torn-append hazard: a stale length paired with
-        // the same payload bytes must not validate.
-        assert_ne!(checksum(7, 4, b"abcd"), checksum(7, 8, b"abcd"));
-        assert_ne!(checksum(7, 0, b""), checksum(7, 24, b""));
-    }
-
-    #[test]
-    fn tampered_length_field_invalidates_the_entry() {
-        let (pool, log) = setup();
-        log.append(&pool, PAddr::new(512), b"abcdefgh").unwrap();
-        log.append(&pool, PAddr::new(640), b"ij").unwrap();
-        // Shrink the first entry's recorded length in place. Its first four
-        // payload bytes are intact and in bounds, but the checksum binds the
-        // length, so the entry (and everything after it) is rejected.
-        let entry = log.base().add(DATA_OFF);
-        pool.write_u64(entry.add(8), 4).unwrap();
-        pool.persist(entry.add(8), 8).unwrap();
-        assert!(log.entries(&pool).unwrap().is_empty());
-    }
-
-    // ------------------------------------------------------------------
-    // v2 format
-    // ------------------------------------------------------------------
-
-    #[test]
     fn v2_round_trips_entries_of_all_sizes() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         assert!(log.is_empty(&pool).unwrap());
         let payloads: Vec<Vec<u8>> = vec![
             b"x".to_vec(),
@@ -1104,7 +752,7 @@ mod tests {
 
     #[test]
     fn v2_synced_entries_survive_adversarial_crash() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         let mut w = LogWriter::attach(&pool, log).unwrap();
         for i in 0..10u64 {
             w.append(&pool, PAddr::new(512 + i * 8), &i.to_le_bytes())
@@ -1125,7 +773,7 @@ mod tests {
         // dropped: the durable image must parse as a (possibly empty)
         // prefix of the appended entries — never garbage.
         for seed in 0..16u64 {
-            let (pool, log) = setup_v2();
+            let (pool, log) = setup();
             let mut w = LogWriter::attach(&pool, log).unwrap();
             for i in 0..9u64 {
                 w.append(&pool, PAddr::new(4096 + i * 16), &[i as u8; 12])
@@ -1152,7 +800,7 @@ mod tests {
 
     #[test]
     fn v2_amortizes_flushes_to_one_per_line_and_defers_the_fence() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         let mut w = LogWriter::attach(&pool, log).unwrap();
         let before = pool.stats().snapshot();
         // 8-byte payloads: 3 words per entry; 21 appends = 63 words = 9
@@ -1170,7 +818,7 @@ mod tests {
         assert_eq!(d.flushes, 9, "nothing left to flush: lines were full");
         assert!(
             d.flushes * 2 <= 21,
-            "amortized flushes-per-append must be well under v1's 2"
+            "amortized flushes-per-append must be well under one per entry"
         );
         // And the appended data is all there.
         assert_eq!(log.len(&pool).unwrap(), 21);
@@ -1178,7 +826,7 @@ mod tests {
 
     #[test]
     fn v2_compat_append_uses_exactly_one_fence() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         let before = pool.stats().snapshot();
         log.append(&pool, PAddr::new(1000), &[1u8; 32]).unwrap();
         let d = pool.stats().snapshot().delta(&before);
@@ -1187,7 +835,7 @@ mod tests {
 
     #[test]
     fn v2_clear_bumps_generation_and_survives_crash() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         log.append(&pool, PAddr::new(8), b"stale").unwrap();
         assert!(!log.is_empty(&pool).unwrap());
         let before = pool.stats().snapshot();
@@ -1208,7 +856,7 @@ mod tests {
 
     #[test]
     fn v2_torn_marker_word_drops_the_line_and_its_suffix() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         // 28 single-word-payload entries = 84 words = 12 lines.
         for i in 0..28u64 {
             log.append(&pool, PAddr::new(512 + i * 8), &i.to_le_bytes())
@@ -1232,7 +880,7 @@ mod tests {
 
     #[test]
     fn v2_writer_adopts_mid_stream_and_continues() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         log.append(&pool, PAddr::new(100), b"first").unwrap();
         log.append(&pool, PAddr::new(200), b"second-entry").unwrap();
         // A fresh writer (no shared volatile state) must resume after the
@@ -1267,75 +915,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_writer_caches_the_tail_and_reads_nothing_per_append() {
+    fn corrupt_header_is_rejected_by_every_entry_point() {
+        // One flipped magic bit must never parse as an empty log: the
+        // synced pre-image behind it would be silently discarded.
         let (pool, log) = setup();
-        let mut w = LogWriter::attach(&pool, log).unwrap();
-        let before = pool.stats().snapshot();
-        for i in 0..5u64 {
-            w.append(&pool, PAddr::new(512 + i * 8), &i.to_le_bytes())
-                .unwrap();
-        }
-        let d = pool.stats().snapshot().delta(&before);
-        assert_eq!(d.reads, 0, "cached tail: no persistent reads per append");
-        assert_eq!(d.fences, 5, "v1 keeps its per-append fence discipline");
-        assert_eq!(log.len(&pool).unwrap(), 5);
-    }
-
-    #[test]
-    fn v1_writer_rejects_corrupt_tail_at_adoption() {
-        let (pool, log) = setup();
-        pool.write_u64(log.base(), log.capacity() + 64).unwrap();
-        pool.persist(log.base(), 8).unwrap();
-        assert!(matches!(
-            LogWriter::attach(&pool, log),
-            Err(PmemError::CorruptPool(_))
-        ));
-    }
-
-    #[test]
-    fn cross_open_v1_image_under_v2_code() {
-        // A v1 image written through the legacy path recovers through the
-        // format-dispatching entry points, and a LogWriter keeps appending
-        // to it in v1 discipline.
-        let (pool, log) = setup();
-        log.append(&pool, PAddr::new(700), b"v1-data").unwrap();
-        let p2 = pool.crash(&CrashConfig::drop_all(11)).unwrap();
-        assert_eq!(log.stored_format(&p2).unwrap(), LogFormat::V1);
-        assert_eq!(
-            log.entries(&p2).unwrap(),
-            vec![(PAddr::new(700), b"v1-data".to_vec())]
-        );
-        let mut w = LogWriter::attach(&p2, log).unwrap();
-        w.append(&p2, PAddr::new(800), b"more").unwrap();
-        w.sync(&p2).unwrap();
-        assert_eq!(log.len(&p2).unwrap(), 2);
-    }
-
-    #[test]
-    fn cross_open_empty_logs_agree_across_formats() {
-        // An empty v1 image and an empty v2 image both report empty through
-        // every dispatching accessor, before and after a crash.
-        let pool = PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap();
-        let b1 = pool.alloc(1024).unwrap();
-        let b2 = pool.alloc(1024).unwrap();
-        let v1 = Ulog::format(&pool, b1, 1024).unwrap();
-        let v2 = Ulog::format_v2(&pool, b2, 1024).unwrap();
-        assert_eq!(v1.stored_format(&pool).unwrap(), LogFormat::V1);
-        assert_eq!(v2.stored_format(&pool).unwrap(), LogFormat::V2);
-        let p2 = pool.crash(&CrashConfig::drop_all(5)).unwrap();
-        for log in [v1, v2] {
-            assert!(log.is_empty(&p2).unwrap());
-            assert!(log.entries(&p2).unwrap().is_empty());
-            assert_eq!(log.len(&p2).unwrap(), 0);
-            // And both clear idempotently.
-            log.clear(&p2).unwrap();
-            assert!(log.is_empty(&p2).unwrap());
-        }
+        log.append(&pool, PAddr::new(700), b"pre-image").unwrap();
+        pool.write_u64(log.base(), V2_MAGIC ^ 1).unwrap();
+        let corrupt = |r: Result<(), PmemError>| matches!(r, Err(PmemError::CorruptPool(_)));
+        assert!(corrupt(log.entries(&pool).map(drop)));
+        assert!(corrupt(log.is_empty(&pool).map(drop)));
+        assert!(corrupt(log.clear(&pool)));
+        assert!(corrupt(log.append(&pool, PAddr::new(8), b"x")));
+        assert!(corrupt(LogWriter::attach(&pool, log).map(drop)));
+        assert!(corrupt(LogWriter::new(log).ensure_empty_unfenced(&pool)));
+        assert!(corrupt(LogWriter::new(log).reset_unfenced(&pool)));
+        // Nothing above touched the image: restoring the bit restores the log.
+        pool.write_u64(log.base(), V2_MAGIC).unwrap();
+        assert_eq!(log.len(&pool).unwrap(), 1);
     }
 
     #[test]
     fn kind_counters_attribute_flushes_and_fences() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         let clog = log.with_kind(LogKind::Clobber);
         let before = pool.stats().snapshot();
         let mut w = LogWriter::attach(&pool, clog).unwrap();
@@ -1353,7 +954,7 @@ mod tests {
 
     #[test]
     fn v2_reset_unfenced_then_fence_is_clear() {
-        let (pool, log) = setup_v2();
+        let (pool, log) = setup();
         log.append(&pool, PAddr::new(8), b"stale").unwrap();
         let mut w = LogWriter::attach(&pool, log).unwrap();
         w.reset_unfenced(&pool).unwrap();
