@@ -284,8 +284,63 @@ fn rangeset_scattered(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-access primitives the transaction and log paths are built from,
+/// on the shipped single-lock engine in both pool modes: a word load, a
+/// word store with its separate flush, the fused store+flush, and a
+/// group-commit fence with nobody else requesting.
+fn pool_access(c: &mut Criterion) {
+    use clobber_nvm::GroupCommit;
+    use clobber_pmem::PAddr;
+
+    let mut group = c.benchmark_group("hotpath_pool_access");
+    group.sample_size(20);
+    for (label, opts) in [
+        ("performance", PoolOptions::performance(STORE_POOL)),
+        ("crashsim_dense", PoolOptions::crash_sim(STORE_POOL)),
+    ] {
+        let pool = PmemPool::create(opts).unwrap();
+        let raw = pool.alloc((64 << 10) + 64).unwrap();
+        let base = PAddr::new((raw.offset() + 63) & !63);
+        let gc = GroupCommit::new(1);
+        let mut i = 0u64;
+        // A fence every 64 stores keeps the cache model's pending set
+        // bounded, as in `store_flush_fence`.
+        let mut next = |pool: &PmemPool| {
+            i += 1;
+            if i.is_multiple_of(64) {
+                pool.fence();
+            }
+            (base.add((i % 1024) * 64), i)
+        };
+        group.bench_function(format!("{label}/read_u64"), |b| {
+            b.iter(|| {
+                let (addr, _) = next(&pool);
+                criterion::black_box(pool.read_u64(addr).unwrap())
+            });
+        });
+        group.bench_function(format!("{label}/write_u64_then_flush"), |b| {
+            b.iter(|| {
+                let (addr, v) = next(&pool);
+                pool.write_u64(addr, v).unwrap();
+                pool.flush(addr, 8).unwrap();
+            });
+        });
+        group.bench_function(format!("{label}/store_flush_8"), |b| {
+            b.iter(|| {
+                let (addr, v) = next(&pool);
+                pool.store_flush(addr, &v.to_le_bytes()).unwrap();
+            });
+        });
+        group.bench_function(format!("{label}/group_commit_fence_uncontended"), |b| {
+            b.iter(|| gc.fence(&pool));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    pool_access,
     store_flush_fence,
     ycsb_load,
     traced_variants,

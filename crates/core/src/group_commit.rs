@@ -59,6 +59,11 @@ struct State {
     waiters: usize,
     /// A leader is currently fencing (outside the lock).
     leading: bool,
+    /// Requesters blocked in `cond.wait`. Kept under the mutex, so it is
+    /// exact when a leader completes its epoch: zero means nobody can miss
+    /// the wake-up, and the `notify_all` — a futex syscall on std's condvar
+    /// even with no waiter — is skipped.
+    parked: usize,
 }
 
 /// An epoch-based fence coalescer shared by all transactions of a runtime.
@@ -80,6 +85,7 @@ impl GroupCommit {
                 completed: 0,
                 waiters: 0,
                 leading: false,
+                parked: 0,
             }),
             cond: Condvar::new(),
         }
@@ -114,18 +120,24 @@ impl GroupCommit {
                 pool.fence();
                 let stats = pool.stats();
                 stats.gc_epochs.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .gc_fences_saved
-                    .fetch_add(batch - 1, Ordering::Relaxed);
+                if batch > 1 {
+                    stats
+                        .gc_fences_saved
+                        .fetch_add(batch - 1, Ordering::Relaxed);
+                }
                 st = self.state.lock();
                 st.completed = my_epoch;
                 st.leading = false;
-                self.cond.notify_all();
+                if st.parked > 0 {
+                    self.cond.notify_all();
+                }
                 return;
             }
             // The vendored `parking_lot` guard is a re-exported std guard, so
             // std's `Condvar` pairs with it directly.
+            st.parked += 1;
             st = self.cond.wait(st).expect("group-commit mutex poisoned");
+            st.parked -= 1;
         }
     }
 }
@@ -168,6 +180,30 @@ mod tests {
         assert_eq!(d.fences, 1, "one shared fence for the whole epoch");
         assert_eq!(d.gc_epochs, 1);
         assert_eq!(d.gc_fences_saved, 3);
+    }
+
+    #[test]
+    fn free_running_requesters_leave_no_one_parked() {
+        // More threads than `min_batch`: requesters join the next epoch
+        // while a leader is fencing and park. When all are back, the
+        // coalescer must be idle — nobody joined, leading or parked — and
+        // every epoch it opened must be complete.
+        let pool = PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap();
+        let gc = GroupCommit::new(1);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for _ in 0..500 {
+                        gc.fence(&pool);
+                    }
+                });
+            }
+        });
+        let st = gc.state.lock();
+        assert_eq!((st.waiters, st.parked, st.leading), (0, 0, false));
+        assert_eq!(st.completed + 1, st.epoch);
+        let d = pool.stats().snapshot();
+        assert_eq!(d.gc_epochs + d.gc_fences_saved, 3 * 500);
     }
 
     #[test]

@@ -361,20 +361,9 @@ impl<'rt> Tx<'rt> {
         self.wrote
     }
 
-    /// Reads `buf.len()` bytes at `addr` within the transaction into a
-    /// caller-owned buffer — the allocation-free read primitive.
-    ///
-    /// Read-set tracking reuses the transaction's pooled scratch state, so
-    /// a steady-state call allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool bounds errors as [`TxError::Pmem`].
-    pub fn read_into(&mut self, addr: PAddr, buf: &mut [u8]) -> Result<(), TxError> {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        let (s, e) = (addr.offset(), addr.offset() + buf.len() as u64);
+    /// Read-set tracking for a load of `[s, e)`: every transactional read
+    /// passes here before it touches the pool.
+    fn track_read(&mut self, s: u64, e: u64) {
         if let Some(obs) = &mut self.ido {
             obs.on_read(s, e);
         }
@@ -398,7 +387,12 @@ impl<'rt> Tx<'rt> {
             Tracking::RawReads => scratch.raw_reads.insert(s, e),
             Tracking::Written | Tracking::Off => {}
         }
-        self.pool.read_into(addr, buf)?;
+    }
+
+    /// Overlays the transaction's own view on `buf`, just loaded from the
+    /// pool at offset `s`: the redo write set, then the resume state.
+    fn overlay_own_view(&self, s: u64, buf: &mut [u8]) {
+        let e = s + buf.len() as u64;
         if self.backend == Backend::Redo {
             // Read interposition: overlay the volatile write set, in store
             // order, so the transaction sees its own writes — the "longer
@@ -447,6 +441,25 @@ impl<'rt> Tx<'rt> {
                 }
             }
         }
+    }
+
+    /// Reads `buf.len()` bytes at `addr` within the transaction into a
+    /// caller-owned buffer — the allocation-free read primitive.
+    ///
+    /// Read-set tracking reuses the transaction's pooled scratch state, so
+    /// a steady-state call allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pool bounds errors as [`TxError::Pmem`].
+    pub fn read_into(&mut self, addr: PAddr, buf: &mut [u8]) -> Result<(), TxError> {
+        if buf.is_empty() {
+            return Ok(());
+        }
+        let s = addr.offset();
+        self.track_read(s, s + buf.len() as u64);
+        self.pool.read_into(addr, buf)?;
+        self.overlay_own_view(s, buf);
         Ok(())
     }
 
@@ -464,16 +477,17 @@ impl<'rt> Tx<'rt> {
         Ok(buf)
     }
 
-    /// Reads a little-endian `u64` at `addr` within the transaction.
-    ///
-    /// Uses a stack buffer: no heap allocation.
+    /// Reads a little-endian `u64` at `addr` within the transaction, through
+    /// the pool's fixed-width word load. No heap allocation.
     ///
     /// # Errors
     ///
     /// Propagates pool bounds errors as [`TxError::Pmem`].
     pub fn read_u64(&mut self, addr: PAddr) -> Result<u64, TxError> {
-        let mut buf = [0u8; 8];
-        self.read_into(addr, &mut buf)?;
+        let s = addr.offset();
+        self.track_read(s, s + 8);
+        let mut buf = self.pool.read_u64(addr)?.to_le_bytes();
+        self.overlay_own_view(s, &mut buf);
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -668,8 +682,7 @@ impl<'rt> Tx<'rt> {
             r.shadow_writes.push((s, ds, data.len()));
         }
         if !skip_store {
-            self.pool.write_bytes(addr, data)?;
-            self.pool.flush(addr, data.len() as u64)?;
+            self.pool.store_flush(addr, data)?;
             if let Some(probe) = &self.write_probe {
                 probe(self.pool);
             }

@@ -230,8 +230,7 @@ impl VlogSlot {
         on: bool,
         fence: &dyn Fn(&PmemPool),
     ) -> Result<(), PmemError> {
-        pool.write_u64(self.base.add(COMMITTED), on as u64)?;
-        pool.flush(self.base.add(COMMITTED), 8)?;
+        pool.store_flush(self.base.add(COMMITTED), &(on as u64).to_le_bytes())?;
         fence(pool);
         bump_vlog(pool, 1, 1);
         Ok(())
@@ -239,8 +238,7 @@ impl VlogSlot {
 
     /// Clears the redo commit marker; the caller fences.
     pub fn clear_redo_committed_unfenced(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        pool.write_u64(self.base.add(COMMITTED), 0)?;
-        pool.flush(self.base.add(COMMITTED), 8)?;
+        pool.store_flush(self.base.add(COMMITTED), &0u64.to_le_bytes())?;
         bump_vlog(pool, 1, 0);
         Ok(())
     }
@@ -302,8 +300,7 @@ impl VlogSlot {
         pool.flush(self.base.add(PRESERVE_COUNT), 24)?;
         fence(pool);
         // Fence 2: the status bit marks the transaction ongoing.
-        pool.write_u64(self.base.add(STATUS), 1)?;
-        pool.flush(self.base.add(STATUS), 8)?;
+        pool.store_flush(self.base.add(STATUS), &1u64.to_le_bytes())?;
         fence(pool);
         bump_vlog(pool, 3, 2);
         let bytes = 16 + name_bytes.len() as u64 + arg_bytes.len() as u64;
@@ -329,8 +326,7 @@ impl VlogSlot {
         pool: &PmemPool,
         fence: &dyn Fn(&PmemPool),
     ) -> Result<(), PmemError> {
-        pool.write_u64(self.base.add(STATUS), 1)?;
-        pool.flush(self.base.add(STATUS), 8)?;
+        pool.store_flush(self.base.add(STATUS), &1u64.to_le_bytes())?;
         fence(pool);
         bump_vlog(pool, 1, 1);
         Ok(())
@@ -339,8 +335,7 @@ impl VlogSlot {
     /// Clears the status bit; the caller decides when to fence (commit
     /// bundles this flush with its final fence).
     pub fn clear_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        pool.write_u64(self.base.add(STATUS), 0)?;
-        pool.flush(self.base.add(STATUS), 8)?;
+        pool.store_flush(self.base.add(STATUS), &0u64.to_le_bytes())?;
         bump_vlog(pool, 1, 0);
         Ok(())
     }

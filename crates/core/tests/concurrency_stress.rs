@@ -6,13 +6,18 @@
 //! of [`snapshot`] — the invariant that makes per-shard counters free of
 //! double counting and loss under real concurrency.
 //!
+//! The default single-lock pool keeps its hot counters with plain
+//! load+store pairs under the engine lock; a second case hammers it from
+//! racing threads and requires the totals to be exact, so a counter updated
+//! outside that lock loses increments here rather than skewing a figure.
+//!
 //! The seed comes from `CLOBBER_STRESS_SEED` (default 42) so CI can run a
 //! seed matrix without recompiling.
 //!
 //! [`shard_snapshots`]: clobber_pmem::PmemStats::shard_snapshots
 //! [`snapshot`]: clobber_pmem::PmemStats::snapshot
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Runtime, RuntimeOptions};
 use clobber_pmem::{
@@ -174,6 +179,54 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
         "conservation violated after crash + recovery"
     );
     assert_banks_aggregate(&pool2);
+}
+
+/// `THREADS` racing threads issue a fixed mix of loads, stores, flushes,
+/// fused store+flushes and fences against one `GlobalLock` pool, in both
+/// pool modes. Every hot counter must come out at exactly the issued total.
+#[test]
+fn global_lock_hot_counters_are_exact_under_racing_threads() {
+    const ROUNDS: u64 = 5_000;
+    for opts in [
+        PoolOptions::performance(1 << 20),
+        PoolOptions::crash_sim(1 << 20),
+    ] {
+        let pool = PmemPool::create(opts).unwrap();
+        assert_eq!(pool.concurrency(), PoolConcurrency::GlobalLock);
+        // One line-aligned 256-byte region per thread.
+        let raw = pool.alloc(THREADS as u64 * 256 + 64).unwrap();
+        let base = PAddr::new((raw.offset() + 63) & !63);
+        let before = pool.stats().snapshot();
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS as u64 {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    let region = base.add(t * 256);
+                    let mut buf = [0u8; 24];
+                    start.wait();
+                    for i in 0..ROUNDS {
+                        pool.write_bytes(region, &[t as u8; 24]).unwrap();
+                        pool.write_u64(region.add(64), i).unwrap();
+                        pool.flush(region, 72).unwrap(); // 2 lines
+                        pool.store_flush(region.add(120), &[7; 16]).unwrap(); // 2 lines
+                        pool.read_into(region, &mut buf).unwrap();
+                        assert_eq!(pool.read_u64(region.add(64)).unwrap(), i);
+                        pool.fence();
+                    }
+                });
+            }
+        });
+        let d = pool.stats().snapshot().delta(&before);
+        let n = THREADS as u64 * ROUNDS;
+        assert_eq!(
+            (d.writes, d.write_bytes, d.reads, d.read_bytes),
+            (3 * n, (24 + 8 + 16) * n, 2 * n, (24 + 8) * n),
+            "{:?}",
+            pool.mode()
+        );
+        assert_eq!((d.flushes, d.fences), (4 * n, n), "{:?}", pool.mode());
+    }
 }
 
 /// The same workload single-threaded in `SingleThread` mode produces the

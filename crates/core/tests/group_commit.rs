@@ -10,9 +10,10 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions};
+use clobber_nvm::{ArgList, Backend, GroupCommit, Runtime, RuntimeOptions};
 use clobber_pmem::{
     EventKind, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot, Tracer,
 };
@@ -147,6 +148,57 @@ fn group_commit_halves_fences_with_four_committers() {
         batched.gc_epochs,
         batched.gc_fences_saved
     );
+}
+
+/// No lost wake-up: three free-running threads issue 2 000 ordering
+/// requests each at `min_batch` 1, 2 and 3. With more threads than
+/// `min_batch`, requesters keep joining the next epoch while a leader is
+/// still fencing the current one and park until it completes — the leader
+/// only notifies when somebody is parked, so a miscounted follower would
+/// sleep forever and this test would hang rather than fail. Every request
+/// is accounted for as an epoch's fence or a saved one.
+#[test]
+fn followers_joining_mid_fence_are_all_released() {
+    const WORKERS: u64 = 3;
+    const REQUESTS: u64 = 2_000;
+    for min_batch in 1..=WORKERS {
+        let pool = PmemPool::create(PoolOptions::performance(1 << 20)).unwrap();
+        let gc = GroupCommit::new(min_batch as usize);
+        let finished = AtomicU64::new(0);
+        let before = pool.stats().snapshot();
+        let served = || {
+            let d = pool.stats().snapshot().delta(&before);
+            assert_eq!(d.fences, d.gc_epochs, "one pool fence per epoch");
+            d.gc_epochs + d.gc_fences_saved
+        };
+        let closing = std::thread::scope(|s| {
+            for _ in 0..WORKERS {
+                s.spawn(|| {
+                    for _ in 0..REQUESTS {
+                        gc.fence(&pool);
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            // Once fewer than `min_batch` workers are left they cannot
+            // close an epoch among themselves (the documented contract of
+            // `min_batch` > 1), so the counters stand still and say exactly
+            // how many requests the straggler still needs a partner for.
+            while finished.load(Ordering::Acquire) + min_batch <= WORKERS {
+                std::thread::yield_now();
+            }
+            let closing = WORKERS * REQUESTS - served();
+            for _ in 0..closing {
+                gc.fence(&pool);
+            }
+            closing
+        });
+        assert_eq!(
+            served(),
+            WORKERS * REQUESTS + closing,
+            "min_batch {min_batch}: every request is an epoch's fence or a saved one"
+        );
+    }
 }
 
 /// Epoch boundaries are visible as `GroupCommitEpoch` trace events: one per

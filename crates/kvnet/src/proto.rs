@@ -195,29 +195,37 @@ impl<'a> Cursor<'a> {
         Cursor { buf, at: 0 }
     }
 
-    fn bytes(&mut self, n: usize) -> Option<Vec<u8>> {
+    /// The next `n` bytes, borrowed from the payload.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.at.checked_add(n)?;
-        let out = self.buf.get(self.at..end)?.to_vec();
+        let out = self.buf.get(self.at..end)?;
         self.at = end;
         Some(out)
     }
 
+    fn bytes(&mut self, n: usize) -> Option<Vec<u8>> {
+        Some(self.take(n)?.to_vec())
+    }
+
+    /// A fixed-width field, read straight from the slice.
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
     fn u8(&mut self) -> Option<u8> {
-        let v = *self.buf.get(self.at)?;
-        self.at += 1;
-        Some(v)
+        Some(u8::from_le_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
+        Some(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
+        Some(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
+        Some(u64::from_le_bytes(self.array()?))
     }
 
     /// Rejects trailing garbage.
@@ -272,6 +280,21 @@ mod tests {
         let mut ok = encode_response(1, &KvResponse::Stored);
         ok.push(0); // trailing garbage
         assert_eq!(decode_response(&ok), None);
+    }
+
+    #[test]
+    fn a_set_frame_truncated_at_any_offset_is_rejected_without_panicking() {
+        let frame = encode_request(
+            0x0123_4567_89AB_CDEF,
+            &KvRequest::Set {
+                key: vec![5; 16],
+                value: vec![9; 40],
+            },
+        );
+        assert!(decode_request(&frame).is_some());
+        for cut in 0..frame.len() {
+            assert_eq!(decode_request(&frame[..cut]), None, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -77,13 +77,14 @@ impl KvService {
         batch: &[Envelope],
     ) -> Result<Vec<(ConnId, u64, KvResponse)>, TxError> {
         let pool = self.rt.pool().clone();
-        let sets: Vec<(u64, &[u8])> = batch
-            .iter()
-            .filter_map(|e| match &e.req {
-                KvRequest::Set { key, value } => Some((key_id(key), value.as_slice())),
-                KvRequest::Get { .. } => None,
-            })
-            .collect();
+        // Presized for an all-SET batch: `filter_map` reports no lower
+        // bound, so collecting would grow the vector step by step.
+        let mut sets: Vec<(u64, &[u8])> = Vec::with_capacity(batch.len());
+        for e in batch {
+            if let KvRequest::Set { key, value } = &e.req {
+                sets.push((key_id(key), value.as_slice()));
+            }
+        }
         if !sets.is_empty() {
             self.batch_seq += 1;
             pool.trace_app_event(

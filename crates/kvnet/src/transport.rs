@@ -92,7 +92,7 @@ pub fn serve<T: Transport>(
 ) -> Result<(), TxError> {
     let stats = svc.rt().pool().stats().clone();
     while let Some(events) = transport.recv(cfg.max_batch.max(1)) {
-        let mut batch = Vec::new();
+        let mut batch = Vec::with_capacity(events.len());
         let mut shed = Vec::new();
         for ev in events {
             match ev {

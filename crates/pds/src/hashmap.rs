@@ -256,10 +256,18 @@ impl HashMap {
     /// [`TX_BATCH_SET`] argument list; the lock manager sorts the set, so
     /// whole-batch acquisition stays deadlock-free against other batches.
     pub fn batch_locks(&self, keys: &[u64]) -> Vec<LockRequest> {
-        let mut ids: Vec<u64> = keys.iter().map(|&k| self.lock_of(k)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter().map(LockRequest::exclusive).collect()
+        self.lock_set(keys.iter().copied())
+    }
+
+    /// [`batch_locks`](HashMap::batch_locks) over any key sequence: the set
+    /// is built, sorted and deduplicated in one vector.
+    fn lock_set(&self, keys: impl Iterator<Item = u64>) -> Vec<LockRequest> {
+        let mut locks: Vec<LockRequest> = keys
+            .map(|k| LockRequest::exclusive(self.lock_of(k)))
+            .collect();
+        locks.sort_unstable_by_key(|r| r.lock);
+        locks.dedup();
+        locks
     }
 
     /// Inserts or updates every `(key, value)` pair as ONE failure-atomic
@@ -279,14 +287,14 @@ impl HashMap {
         slot: usize,
         pairs: &[(u64, V)],
     ) -> Result<(), TxError> {
-        let keys: Vec<u64> = pairs.iter().map(|(k, _)| *k).collect();
+        let locks = self.lock_set(pairs.iter().map(|(k, _)| *k));
         let mut args = ArgList::with_capacity(2 + 2 * pairs.len())
             .with_u64(self.root.offset())
             .with_u64(pairs.len() as u64);
         for (k, v) in pairs {
             args = args.with_u64(*k).with_bytes(v.as_ref());
         }
-        rt.run_on_locked(slot, &self.batch_locks(&keys), TX_BATCH_SET, &args)?;
+        rt.run_on_locked(slot, &locks, TX_BATCH_SET, &args)?;
         Ok(())
     }
 

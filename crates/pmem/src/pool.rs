@@ -16,7 +16,7 @@ use crate::cache::{line_count, Cache, LineCache, RefCache};
 use crate::crash::CrashConfig;
 use crate::fault::{FaultPlan, FaultState};
 use crate::shard::ShardedPool;
-use crate::stats::PmemStats;
+use crate::stats::{add_single_writer, PmemStats};
 
 /// Magic value of the original single-arena pool format (still opened).
 const POOL_MAGIC_V1: u64 = 0xC10B_BE12_0000_0001;
@@ -482,6 +482,18 @@ impl MediaCache {
         self.cache.overlay(offset, buf);
     }
 
+    /// [`read_raw`](Self::read_raw) of one little-endian word: a
+    /// fixed-width load, no variable-length copy.
+    pub(crate) fn read_word(&self, offset: u64) -> u64 {
+        let word = get_u64(&self.media, offset);
+        if self.cache.is_clean() {
+            return word;
+        }
+        let mut buf = word.to_le_bytes();
+        self.cache.overlay(offset, &mut buf);
+        u64::from_le_bytes(buf)
+    }
+
     /// Writes `data` at `offset` into the cache (crash-sim) or media
     /// (performance).
     pub(crate) fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
@@ -490,6 +502,15 @@ impl MediaCache {
                 self.media[offset as usize..offset as usize + data.len()].copy_from_slice(data);
             }
             PoolMode::CrashSim => self.cache.write(offset, data, &self.media),
+        }
+    }
+
+    /// [`write_raw`](Self::write_raw) of one little-endian word: a
+    /// fixed-width store in performance mode.
+    pub(crate) fn write_word(&mut self, offset: u64, value: u64, mode: PoolMode) {
+        match mode {
+            PoolMode::Performance => put_u64(&mut self.media, offset, value),
+            PoolMode::CrashSim => self.cache.write(offset, &value.to_le_bytes(), &self.media),
         }
     }
 
@@ -581,9 +602,11 @@ impl RawPmem for GlobalRaw<'_> {
         self.mc.fence_range_raw(self.span.0, self.span.1);
     }
     fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
-        self.stats.bump(&self.stats.flushes, flushes);
+        // `mc` is borrowed out of the locked engine: the single-writer rule
+        // of the hot counters holds (see `PmemStats`).
+        add_single_writer(&self.stats.flushes, flushes);
         self.stats.bump(&self.stats.fences, fences);
-        self.stats.bump(&self.stats.write_bytes, write_bytes);
+        add_single_writer(&self.stats.write_bytes, write_bytes);
     }
 }
 
@@ -1135,21 +1158,58 @@ impl PmemPool {
         Ok(())
     }
 
+    /// Bounds check plus the armed-plan read hook every load passes.
+    #[inline]
+    fn admit_read(&self, addr: PAddr, len: u64) -> Result<(), PmemError> {
+        self.check(addr, len)?;
+        if self.faults_armed.load(Ordering::Relaxed) {
+            self.fault_read_event(addr.offset())?;
+        }
+        Ok(())
+    }
+
+    /// Bounds check plus the `Store` persist event every store passes.
+    #[inline]
+    fn admit_store(&self, addr: PAddr, data: &[u8]) -> Result<(), PmemError> {
+        self.check(addr, data.len() as u64)?;
+        if self.hooks_engaged() {
+            self.fault_persist_event(
+                EventKind::Store,
+                addr.offset(),
+                data.len() as u64,
+                Some((addr.offset(), data)),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Counts one load of `len` bytes. The caller holds the single-lock
+    /// engine's mutex — that is what makes the plain add exact.
+    #[inline]
+    fn count_load(&self, len: u64) {
+        add_single_writer(&self.stats.reads, 1);
+        add_single_writer(&self.stats.read_bytes, len);
+    }
+
+    /// Counts one store of `len` bytes, under the same rule.
+    #[inline]
+    fn count_store(&self, len: u64) {
+        add_single_writer(&self.stats.writes, 1);
+        add_single_writer(&self.stats.write_bytes, len);
+    }
+
     /// Reads `buf.len()` bytes starting at `addr`.
     ///
     /// # Errors
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn read_into(&self, addr: PAddr, buf: &mut [u8]) -> Result<(), PmemError> {
-        self.check(addr, buf.len() as u64)?;
-        if self.faults_armed.load(Ordering::Relaxed) {
-            self.fault_read_event(addr.offset())?;
-        }
+        self.admit_read(addr, buf.len() as u64)?;
         match &self.engine {
             Engine::Global(m) => {
-                self.stats.bump(&self.stats.reads, 1);
-                self.stats.bump(&self.stats.read_bytes, buf.len() as u64);
-                m.lock().mc.read_raw(addr.offset(), buf);
+                let inner = m.lock();
+                self.count_load(buf.len() as u64);
+                inner.mc.read_raw(addr.offset(), buf);
             }
             Engine::Sharded(s) => s.read(addr.offset(), buf, &self.stats),
         }
@@ -1173,9 +1233,19 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn read_u64(&self, addr: PAddr) -> Result<u64, PmemError> {
-        let mut buf = [0u8; 8];
-        self.read_into(addr, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
+        self.admit_read(addr, 8)?;
+        Ok(match &self.engine {
+            Engine::Global(m) => {
+                let inner = m.lock();
+                self.count_load(8);
+                inner.mc.read_word(addr.offset())
+            }
+            Engine::Sharded(s) => {
+                let mut buf = [0u8; 8];
+                s.read(addr.offset(), &mut buf, &self.stats);
+                u64::from_le_bytes(buf)
+            }
+        })
     }
 
     /// Stores `data` at `addr`. The store is *not* durable until the covering
@@ -1185,20 +1255,12 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn write_bytes(&self, addr: PAddr, data: &[u8]) -> Result<(), PmemError> {
-        self.check(addr, data.len() as u64)?;
-        if self.hooks_engaged() {
-            self.fault_persist_event(
-                EventKind::Store,
-                addr.offset(),
-                data.len() as u64,
-                Some((addr.offset(), data)),
-            )?;
-        }
+        self.admit_store(addr, data)?;
         match &self.engine {
             Engine::Global(m) => {
-                self.stats.bump(&self.stats.writes, 1);
-                self.stats.bump(&self.stats.write_bytes, data.len() as u64);
-                m.lock().mc.write_raw(addr.offset(), data, self.mode);
+                let mut inner = m.lock();
+                self.count_store(data.len() as u64);
+                inner.mc.write_raw(addr.offset(), data, self.mode);
             }
             Engine::Sharded(s) => s.write(addr.offset(), data, self.mode, &self.stats),
         }
@@ -1211,7 +1273,17 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn write_u64(&self, addr: PAddr, value: u64) -> Result<(), PmemError> {
-        self.write_bytes(addr, &value.to_le_bytes())
+        let data = value.to_le_bytes();
+        self.admit_store(addr, &data)?;
+        match &self.engine {
+            Engine::Global(m) => {
+                let mut inner = m.lock();
+                self.count_store(8);
+                inner.mc.write_word(addr.offset(), value, self.mode);
+            }
+            Engine::Sharded(s) => s.write(addr.offset(), &data, self.mode, &self.stats),
+        }
+        Ok(())
     }
 
     /// Issues a `clwb`-style write-back for every line covering
@@ -1228,12 +1300,46 @@ impl PmemPool {
         }
         match &self.engine {
             Engine::Global(m) => {
-                let n = m.lock().mc.flush_raw(addr.offset(), len, self.mode);
-                self.stats.bump(&self.stats.flushes, n);
+                let mut inner = m.lock();
+                let n = inner.mc.flush_raw(addr.offset(), len, self.mode);
+                add_single_writer(&self.stats.flushes, n);
             }
             Engine::Sharded(s) => s.flush(addr.offset(), len, self.mode, &self.stats),
         }
         Ok(())
+    }
+
+    /// Stores `data` at `addr` and issues the write-back for the lines it
+    /// covers: exactly [`write_bytes`](Self::write_bytes) followed by
+    /// [`flush`](Self::flush) of the same range — the shape of every
+    /// transactional store and log-line write — as one operation.
+    ///
+    /// On a single-lock pool with no [`FaultPlan`] armed and no tracer
+    /// attached both halves run under one round of the engine lock. With a
+    /// hook engaged it *is* the two calls, so the `Store` and `Flush`
+    /// persist events, their indices and the trip semantics (a plan may trip
+    /// between them, leaving the store unflushed) are those of the sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
+    pub fn store_flush(&self, addr: PAddr, data: &[u8]) -> Result<(), PmemError> {
+        let len = data.len() as u64;
+        match &self.engine {
+            Engine::Global(m) if !self.hooks_engaged() => {
+                self.check(addr, len)?;
+                let mut inner = m.lock();
+                self.count_store(len);
+                inner.mc.write_raw(addr.offset(), data, self.mode);
+                let n = inner.mc.flush_raw(addr.offset(), len, self.mode);
+                add_single_writer(&self.stats.flushes, n);
+                Ok(())
+            }
+            _ => {
+                self.write_bytes(addr, data)?;
+                self.flush(addr, len)
+            }
+        }
     }
 
     /// Issues an `sfence`: all previously flushed lines become durable.

@@ -8,6 +8,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Adds `by` to a counter that has exactly one writer at a time — whoever
+/// holds the lock that owns it — with a plain load+store instead of an
+/// atomic read-modify-write. Concurrent [`PmemStats::snapshot`] readers see
+/// a slightly stale value, never a torn one.
+#[inline]
+pub(crate) fn add_single_writer(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+}
+
 /// One shard's bank of hot-path counters.
 ///
 /// Sharded pools route the six per-operation counters (stores, loads,
@@ -44,7 +53,7 @@ impl ShardCounters {
     /// docs for why that makes this exact.
     #[inline]
     pub(crate) fn add(&self, counter: &AtomicU64, by: u64) {
-        counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+        add_single_writer(counter, by);
     }
 
     /// This bank's counters as a snapshot with only the hot fields set.
@@ -67,7 +76,12 @@ impl ShardCounters {
 /// `log_bytes`, `vlog_entries`, `vlog_bytes`) are bumped by the runtime crate
 /// rather than the pool itself.
 ///
-/// Sharded pools additionally carry one [`ShardCounters`] bank per shard;
+/// The hot per-access fields (`flushes`, `writes`, `write_bytes`, `reads`,
+/// `read_bytes`) of a single-lock pool are written only while the pool's
+/// engine lock is held, with plain load+store pairs (the single-writer rule
+/// of [`ShardCounters`]); `fences` stays an atomic add, because a
+/// performance-mode fence takes no lock. Sharded pools carry one
+/// [`ShardCounters`] bank per shard instead;
 /// [`snapshot`](Self::snapshot) folds the banks into the shared atomics so a
 /// snapshot means the same thing under every [`PoolConcurrency`] mode.
 ///

@@ -161,7 +161,8 @@ impl Ulog {
 
     /// Reads data line `line_idx` as its eight words (one pool read).
     fn read_line(&self, pool: &PmemPool, line_idx: u64) -> Result<[u64; 8], PmemError> {
-        let raw = pool.read_bytes(self.line_addr(line_idx), LINE)?;
+        let mut raw = [0u8; LINE as usize];
+        pool.read_into(self.line_addr(line_idx), &mut raw)?;
         let mut w = [0u64; 8];
         for (i, c) in raw.chunks_exact(8).enumerate() {
             w[i] = u64::from_le_bytes(c.try_into().unwrap());
@@ -244,8 +245,7 @@ impl Ulog {
     /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn apply_forwards(&self, pool: &PmemPool) -> Result<(), PmemError> {
         for (addr, data) in self.entries(pool)? {
-            pool.write_bytes(addr, &data)?;
-            pool.flush(addr, data.len() as u64)?;
+            pool.store_flush(addr, &data)?;
         }
         Ok(())
     }
@@ -332,8 +332,7 @@ impl Ulog {
     pub fn apply_backwards_from(&self, pool: &PmemPool, skip: usize) -> Result<(), PmemError> {
         let entries = self.entries(pool)?;
         for (addr, data) in entries.iter().skip(skip).rev() {
-            pool.write_bytes(*addr, data)?;
-            pool.flush(*addr, data.len() as u64)?;
+            pool.store_flush(*addr, data)?;
         }
         Ok(())
     }
@@ -390,8 +389,7 @@ impl Ulog {
     /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn reset_unfenced(&self, pool: &PmemPool) -> Result<u64, PmemError> {
         let gen = self.generation(pool)? + 1;
-        pool.write_u64(self.base.add(8), gen)?;
-        pool.flush(self.base.add(8), 8)?;
+        pool.store_flush(self.base.add(8), &gen.to_le_bytes())?;
         Ok(gen)
     }
 }
@@ -449,13 +447,14 @@ impl V2Pos {
         log.line_addr(self.line_idx)
     }
 
-    fn store_staged(&mut self, pool: &PmemPool, log: &Ulog) -> Result<(), PmemError> {
+    /// Seals the staged line with its marker and serializes it.
+    fn staged_bytes(&mut self) -> [u8; LINE as usize] {
         self.line[7] = v2_marker(self.generation, &self.line);
         let mut bytes = [0u8; LINE as usize];
         for (i, w) in self.line.iter().enumerate() {
             bytes[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
         }
-        pool.write_bytes(self.line_addr(log), &bytes)
+        bytes
     }
 
     fn push_word(&mut self, pool: &PmemPool, log: &Ulog, w: u64) -> Result<(), PmemError> {
@@ -464,8 +463,8 @@ impl V2Pos {
         if self.word_idx == PAYLOAD_WORDS {
             // Line full: store it with its marker and issue the one
             // streaming flush this line will ever need.
-            self.store_staged(pool, log)?;
-            pool.flush(self.line_addr(log), LINE)?;
+            let bytes = self.staged_bytes();
+            pool.store_flush(self.line_addr(log), &bytes)?;
             log.bump_kind_flush(pool);
             self.unfenced = true;
             self.dirty = false;
@@ -588,7 +587,8 @@ impl LogWriter {
         if p.dirty {
             // Store the partial line so readers (and the crash model) see
             // the current state; its flush is deferred.
-            p.store_staged(pool, &log)?;
+            let bytes = p.staged_bytes();
+            pool.write_bytes(p.line_addr(&log), &bytes)?;
         }
         pool.trace_app_event(
             clobber_trace::EventKind::UlogAppend,

@@ -17,21 +17,45 @@
 //! error results (`OutOfMemory`, `InvalidFree`, `InjectedCrash`), identical
 //! `heap_used`, identical `check_heap` reports, and bit-identical durable
 //! allocator metadata after a seeded crash, across every engine.
+//!
+//! PR 14 adds the lean access paths — the fused `store_flush` and the
+//! fixed-width `read_u64`/`write_u64` — plus tracer attach/detach to the
+//! schedules. Besides the engines, one more candidate runs the single-lock
+//! engine with every new primitive *spelled out* as the generic calls it
+//! stands for (`write_bytes` then `flush`; 8-byte `write_bytes`/`read_into`),
+//! so the primitives are held to their definition armed and disarmed,
+//! traced and untraced: same results, same recorded events with the same
+//! persist-event indices, same trip points, counters and media.
+
+use std::sync::Arc;
 
 use clobber_pmem::{
-    CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolConcurrency, PoolOptions,
+    CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolConcurrency, PoolOptions, TraceEvent,
+    Tracer,
 };
 use proptest::prelude::*;
 
 const POOL_SIZE: u64 = 1 << 20;
 const BLOCK: u64 = 16 << 10;
 
-/// The candidate engines checked against the `GlobalLock` reference.
-const CANDIDATES: &[PoolConcurrency] = &[
-    PoolConcurrency::Sharded { shards: 2 },
-    PoolConcurrency::Sharded { shards: 4 },
-    PoolConcurrency::Sharded { shards: 16 },
-    PoolConcurrency::SingleThread,
+/// How a pool executes the lean primitives of a schedule.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Spelling {
+    /// `store_flush`, `write_u64`, `read_u64` themselves.
+    Lean,
+    /// The generic calls they are defined as.
+    Generic,
+}
+
+/// The candidates checked against the `GlobalLock` reference (which runs
+/// the lean primitives).
+const CANDIDATES: &[(PoolConcurrency, Spelling)] = &[
+    (PoolConcurrency::GlobalLock, Spelling::Generic),
+    (PoolConcurrency::Sharded { shards: 1 }, Spelling::Lean),
+    (PoolConcurrency::Sharded { shards: 2 }, Spelling::Lean),
+    (PoolConcurrency::Sharded { shards: 4 }, Spelling::Lean),
+    (PoolConcurrency::Sharded { shards: 16 }, Spelling::Lean),
+    (PoolConcurrency::SingleThread, Spelling::Lean),
 ];
 
 /// One step of the driver script. Offsets/lengths are pre-clipped to the
@@ -40,12 +64,19 @@ const CANDIDATES: &[PoolConcurrency] = &[
 #[derive(Clone, Debug)]
 enum Op {
     Write(u64, u64, u8),
+    /// Fused store + write-back of the same range.
+    StoreFlush(u64, u64, u8),
+    /// Fixed-width word store / load (the load's value is the outcome).
+    WriteWord(u64, u64),
+    ReadWord(u64),
     Flush(u64, u64),
     Fence,
     Crash(u64),
     /// Arm a plan tripping `delta` persist events from now (torn, seed).
     Arm(u64, bool, u64),
     Disarm,
+    /// Attach a fresh tracer (`true`) or detach the current one.
+    Trace(bool),
     /// Immediate allocation of `size` bytes.
     Alloc(u64),
     /// Free the `i % len`-th tracked allocation (no-op when none exist).
@@ -71,12 +102,16 @@ fn size_strategy() -> impl Strategy<Value = u64> {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u64..BLOCK, 1u64..256, 0u8..=255).prop_map(|(o, l, b)| Op::Write(o, l, b)),
+        4 => (0u64..BLOCK, 0u64..256, 0u8..=255).prop_map(|(o, l, b)| Op::StoreFlush(o, l, b)),
+        2 => (0u64..BLOCK - 8, 0u64..u64::MAX).prop_map(|(o, v)| Op::WriteWord(o, v)),
+        2 => (0u64..BLOCK - 8).prop_map(Op::ReadWord),
         2 => (0u64..BLOCK, 1u64..512).prop_map(|(o, l)| Op::Flush(o, l)),
         2 => (0u64..4u64).prop_map(|_| Op::Fence),
         1 => (0u64..u64::MAX).prop_map(Op::Crash),
         1 => (0u64..12, 0u64..2, 0u64..u64::MAX)
             .prop_map(|(e, t, s)| Op::Arm(e, t == 1, s)),
         1 => (0u64..2u64).prop_map(|_| Op::Disarm),
+        1 => (0u64..3u64).prop_map(|t| Op::Trace(t > 0)),
         3 => size_strategy().prop_map(Op::Alloc),
         2 => (0usize..64).prop_map(Op::Free),
         3 => size_strategy().prop_map(Op::Reserve),
@@ -116,8 +151,48 @@ impl Tracked {
 /// observable result. Every branch of this function must be a pure function
 /// of the pool API — no peeking at engine internals — so a divergence here
 /// is a real contract violation.
-fn apply(pool: PmemPool, base: PAddr, tracked: &Tracked, op: &Op) -> (PmemPool, Outcome) {
+fn apply(
+    pool: PmemPool,
+    base: PAddr,
+    tracked: &Tracked,
+    spelling: Spelling,
+    op: &Op,
+) -> (PmemPool, Outcome) {
     match *op {
+        Op::StoreFlush(off, len, fill) => {
+            let len = len.min(BLOCK - off);
+            let data = vec![fill; len as usize];
+            let at = base.add(off);
+            let r = match spelling {
+                Spelling::Lean => pool.store_flush(at, &data),
+                Spelling::Generic => pool
+                    .write_bytes(at, &data)
+                    .and_then(|_| pool.flush(at, len)),
+            };
+            (pool, r.map(|_| 0))
+        }
+        Op::WriteWord(off, value) => {
+            let r = match spelling {
+                Spelling::Lean => pool.write_u64(base.add(off), value),
+                Spelling::Generic => pool.write_bytes(base.add(off), &value.to_le_bytes()),
+            };
+            (pool, r.map(|_| 0))
+        }
+        Op::ReadWord(off) => {
+            let r = match spelling {
+                Spelling::Lean => pool.read_u64(base.add(off)),
+                Spelling::Generic => {
+                    let mut buf = [0u8; 8];
+                    pool.read_into(base.add(off), &mut buf)
+                        .map(|_| u64::from_le_bytes(buf))
+                }
+            };
+            (pool, r)
+        }
+        Op::Trace(on) => {
+            pool.set_tracer(on.then(|| Arc::new(Tracer::new())));
+            (pool, Ok(0))
+        }
         Op::Write(off, len, fill) => {
             let len = len.min(BLOCK - off);
             let data = vec![fill; len as usize];
@@ -210,6 +285,13 @@ fn track(tracked: &mut Tracked, op: &Op, outcome: &Outcome) {
     }
 }
 
+/// Drains the events the attached tracer (if any) recorded since the last
+/// call: each carries its persist-event index, so equality across pools is
+/// equality of the pool-wide event order.
+fn drain_trace(pool: &PmemPool) -> Option<Vec<TraceEvent>> {
+    pool.tracer().map(|t| t.take().events)
+}
+
 fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
     let pool =
         PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_concurrency(concurrency)).unwrap();
@@ -220,35 +302,42 @@ fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The headline lock-step test: one schedule, five engines, every
-    /// observable compared after every step.
+    /// The headline lock-step test: one schedule, every engine plus the
+    /// spelled-out single-lock pool, every observable compared after every
+    /// step.
     #[test]
     fn sharded_engines_match_global_lock_reference(
         (ops, final_seed) in (proptest::collection::vec(op_strategy(), 1..60), 0u64..u64::MAX)
     ) {
         let (mut reference, base_r) = create(PoolConcurrency::GlobalLock);
-        let mut candidates: Vec<(PoolConcurrency, Option<PmemPool>, PAddr)> = Vec::new();
+        let mut candidates: Vec<((PoolConcurrency, Spelling), Option<PmemPool>, PAddr)> =
+            Vec::new();
         for &c in CANDIDATES {
-            let (p, b) = create(c);
+            let (p, b) = create(c.0);
             prop_assert_eq!(b, base_r, "deterministic allocator diverged for {:?}", c);
             candidates.push((c, Some(p), b));
         }
         let mut tracked = Tracked::default();
 
         for op in &ops {
-            let (r, res_r) = apply(reference, base_r, &tracked, op);
+            let (r, res_r) = apply(reference, base_r, &tracked, Spelling::Lean, op);
             reference = r;
+            let trace_r = drain_trace(&reference);
             let vol_r = reference.read_bytes(base_r, BLOCK);
             let ev_r = reference.fault_events();
             let trip_r = reference.fault_tripped();
             let used_r = reference.heap_used();
 
             for (c, slot, base) in &mut candidates {
-                let (p, res_c) = apply(slot.take().unwrap(), *base, &tracked, op);
+                let (p, res_c) = apply(slot.take().unwrap(), *base, &tracked, c.1, op);
                 let pool = slot.insert(p);
                 prop_assert_eq!(
                     &res_c, &res_r,
                     "op result diverged for {:?} after {:?}", c, op
+                );
+                prop_assert_eq!(
+                    &drain_trace(pool), &trace_r,
+                    "recorded events diverged for {:?} after {:?}", c, op
                 );
                 // Persist-event numbering and trip points are the ordering
                 // contract: the global fault mutex must observe the same
@@ -285,7 +374,7 @@ proptest! {
         for (c, slot, base) in candidates {
             let crashed = slot.unwrap().crash(&CrashConfig::with_seed(final_seed)).unwrap();
             prop_assert_eq!(
-                crashed.concurrency(), c,
+                crashed.concurrency(), c.0,
                 "crash() must preserve the concurrency mode"
             );
             let durable = crashed.read_bytes(base, BLOCK).unwrap();
