@@ -22,15 +22,13 @@ fn bench(c: &mut Criterion) {
         let label = match engine {
             PoolConcurrency::GlobalLock => "global_lock",
             PoolConcurrency::Sharded { .. } => "sharded4",
-            PoolConcurrency::SingleThread => "single_thread",
         };
         group.bench_function(label, |b| {
             let wl = ExploreWorkload::new(engine);
             let opts = ExploreOptions::default()
                 .with_budget(64)
                 .with_crash_stride(64)
-                .with_max_crash_points(2)
-                .with_seed(0xC10B);
+                .with_max_crash_points(2);
             b.iter(|| {
                 let explorer = Explorer::new(wl.session(), wl.seed_schedule(), opts.clone());
                 let report = explorer.run().expect("exploration baseline");

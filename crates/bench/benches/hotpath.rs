@@ -5,8 +5,7 @@
 //! model, kept for A/B comparison); `crashsim_dense` runs the dense
 //! bitmap + shadow-buffer cache; `performance` skips cache simulation
 //! entirely and bounds what the CrashSim path can hope to reach.
-//! `crashsim_sharded4` runs the 4-shard engine (per-shard locks) and
-//! `crashsim_singlethread` the owner-checked lock-free mode — the PR 3
+//! `crashsim_sharded4` runs the 4-shard engine (per-shard locks) — the
 //! concurrency A/B against the single-lock `crashsim_dense` baseline.
 //! EXPERIMENTS.md records the measured numbers.
 
@@ -22,7 +21,7 @@ use clobber_workloads::Workload;
 const STORE_POOL: u64 = 16 << 20;
 const LOAD_POOL: u64 = 64 << 20;
 
-fn variants(capacity: u64) -> [(&'static str, PoolOptions); 5] {
+fn variants(capacity: u64) -> [(&'static str, PoolOptions); 4] {
     [
         ("crashsim_dense", PoolOptions::crash_sim(capacity)),
         (
@@ -32,10 +31,6 @@ fn variants(capacity: u64) -> [(&'static str, PoolOptions); 5] {
         (
             "crashsim_sharded4",
             PoolOptions::crash_sim(capacity).with_shards(4),
-        ),
-        (
-            "crashsim_singlethread",
-            PoolOptions::crash_sim(capacity).single_thread(),
         ),
         ("performance", PoolOptions::performance(capacity)),
     ]

@@ -156,7 +156,7 @@ fn bptree_load_counters_identical_across_cache_models() {
     assert_eq!(dense_dump, ref_dump, "B+Tree contents diverged");
 }
 
-/// The sharded and `SingleThread` engines must reproduce the single-lock
+/// The sharded engine must reproduce the single-lock
 /// pool's counters and recovered contents bit-for-bit on the same fixed
 /// workload — the concurrency analogue of the cache-model pins above.
 #[test]
@@ -167,7 +167,6 @@ fn hashmap_load_counters_identical_across_concurrency_modes() {
         for concurrency in [
             PoolConcurrency::Sharded { shards: 4 },
             PoolConcurrency::Sharded { shards: 16 },
-            PoolConcurrency::SingleThread,
         ] {
             let (snap, pairs) = hashmap_load_on(pool_with(concurrency), backend, false);
             assert_eq!(
@@ -197,7 +196,6 @@ fn per_kind_log_counters_attribute_by_backend() {
     for concurrency in [
         PoolConcurrency::GlobalLock,
         PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
     ] {
         let (clobber, _) = hashmap_load_on(pool_with(concurrency), Backend::clobber(), false);
         assert!(
@@ -242,7 +240,6 @@ fn allocator_counters_pin_across_engines() {
         PoolConcurrency::GlobalLock,
         PoolConcurrency::Sharded { shards: 4 },
         PoolConcurrency::Sharded { shards: 16 },
-        PoolConcurrency::SingleThread,
     ] {
         let pool = pool_with(concurrency);
         let before = pool.stats().snapshot();
@@ -343,7 +340,6 @@ fn recovery_counters_pin_across_engines() {
     for concurrency in [
         PoolConcurrency::GlobalLock,
         PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
     ] {
         let image = interrupted_chain_image(concurrency);
 
@@ -427,7 +423,6 @@ fn lock_counters_pin_across_engines() {
     for concurrency in [
         PoolConcurrency::GlobalLock,
         PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
     ] {
         let pool = pool_with(concurrency);
         let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
@@ -488,7 +483,6 @@ fn net_counters_pin_across_engines() {
     for concurrency in [
         PoolConcurrency::GlobalLock,
         PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
     ] {
         let pool = pool_with(concurrency);
         let rt = Arc::new(Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap());

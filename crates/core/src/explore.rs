@@ -8,17 +8,12 @@
 //! prunes interleavings that provably commute with an already-explored one
 //! (DPOR-style sleep sets keyed on the persist-address footprints that
 //! [`tx_footprints`] extracts from a traced baseline run), and executes
-//! every surviving candidate under the full crash-sweep invariant battery:
-//!
-//! 1. a clean run — workload invariant + [`check_heap`] must hold;
-//! 2. a [`FaultPlan::crash_at`] trip planted at every explored persist
-//!    prefix (the adversarial crash-timing model of *Delay-Free
-//!    Concurrency on Faulty Persistent Memory*), followed by an
-//!    adversarial [`CrashConfig::drop_all`] power failure, recovery,
-//!    workload invariant, heap walk, recovery idempotence (a second
-//!    recovery must be clean), and recovery *byte parity* (two
-//!    independent recoveries of the same crashed media must produce
-//!    byte-identical pools).
+//! every surviving candidate through the [`CrashBattery`]: the checked
+//! crash-free run, then a [`FaultPlan::crash_at`] trip planted at every
+//! explored persist prefix (the adversarial crash-timing model of
+//! *Delay-Free Concurrency on Faulty Persistent Memory*), each followed by
+//! a power failure, recovery, heap walk, workload invariant, recovery
+//! idempotence and recovery byte parity.
 //!
 //! Any violation funnels straight into [`minimize_schedule`], so the
 //! explorer's output for a failure is a locally minimal culprit op list,
@@ -55,12 +50,11 @@
 //! # Determinism, budget, and resume
 //!
 //! The enumeration order is a deterministic DFS (lanes in ascending slot
-//! order), every derived crash seed is a pure function of
-//! ([`ExploreOptions::seed`], candidate index, crash point), and every
-//! candidate runs on a fresh pool with slots pre-created in canonical
-//! order — so the same seed + budget yields the identical explored list,
-//! outcome hashes, and `exp_*` counters on every `PoolConcurrency`
-//! engine. A run that exhausts [`ExploreOptions::max_schedules`] (or
+//! order), the power failure drops every un-fenced line (no random draw),
+//! and every candidate runs on a fresh pool with slots pre-created in
+//! canonical order — so the same seed schedule + budget yields the
+//! identical explored list, outcome hashes, and `exp_*` counters on every
+//! `PoolConcurrency` engine. A run that exhausts [`ExploreOptions::max_schedules`] (or
 //! stops at [`ExploreOptions::max_failures`]) reports the decision-vector
 //! [`ExploreReport::frontier`] of its last executed candidate; passing it
 //! back via [`ExploreOptions::resume_after`] seeks the DFS past every
@@ -68,9 +62,7 @@
 //! seek path without re-executing or re-counting — so a split run's
 //! combined counters equal an uninterrupted run's exactly.
 //!
-//! [`check_heap`]: clobber_pmem::PmemPool::check_heap
 //! [`FaultPlan::crash_at`]: clobber_pmem::FaultPlan::crash_at
-//! [`CrashConfig::drop_all`]: clobber_pmem::CrashConfig::drop_all
 //! [`tx_footprints`]: clobber_trace::tx_footprints
 //! [`ConflictPolicy`]: clobber_trace::ConflictPolicy
 //! [`ConflictPolicy::no_pruning`]: clobber_trace::ConflictPolicy::no_pruning
@@ -78,12 +70,12 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use clobber_pmem::{CrashConfig, FaultPlan, PmemPool, PmemStats, Tracer};
+use clobber_pmem::{CacheImpl, PmemPool, PmemStats, PoolConcurrency, PoolMode, Tracer};
 use clobber_trace::{tx_footprints, ConflictPolicy};
 
-use crate::recovery::RecoveryOptions;
+use crate::battery::{CrashBattery, Nested, SweepSummary, Violation};
 use crate::replay::{minimize_schedule, Schedule};
-use crate::runtime::Runtime;
+use crate::runtime::{Runtime, RuntimeOptions};
 
 /// Budget, adversary, and pruning knobs for one exploration run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,10 +95,6 @@ pub struct ExploreOptions {
     pub preemption_bound: u32,
     /// What counts as a conflict for sleep-set pruning.
     pub policy: ConflictPolicy,
-    /// Root seed for the per-crash-point [`CrashConfig::drop_all`] draws.
-    ///
-    /// [`CrashConfig::drop_all`]: clobber_pmem::CrashConfig::drop_all
-    pub seed: u64,
     /// Stop after this many failures have been minimized (minimization
     /// replays many candidates; 1 keeps a failing exploration cheap).
     pub max_failures: usize,
@@ -124,7 +112,6 @@ impl Default for ExploreOptions {
             max_crash_points: u64::MAX,
             preemption_bound: u32::MAX,
             policy: ConflictPolicy::sound(),
-            seed: 0,
             max_failures: 1,
             resume_after: None,
         }
@@ -162,12 +149,6 @@ impl ExploreOptions {
         self
     }
 
-    /// Sets the root crash seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the failure cap.
     pub fn with_max_failures(mut self, cap: usize) -> Self {
         self.max_failures = cap;
@@ -189,13 +170,32 @@ pub type BuildFn<'a> = Box<dyn Fn() -> (Arc<PmemPool>, Runtime) + 'a>;
 /// `recover_with` (txfuncs registered, nothing else run).
 pub type ReopenFn<'a> = Box<dyn Fn(Vec<u8>) -> (Arc<PmemPool>, Runtime) + 'a>;
 
+/// The usual first half of a [`ReopenFn`]: `media` as a crash-sim pool at
+/// `concurrency` with a runtime on `opts`; the caller registers txfuncs.
+///
+/// # Panics
+///
+/// If the image does not open — it is one a pool of this workload left.
+pub fn reopen_media(
+    media: Vec<u8>,
+    concurrency: PoolConcurrency,
+    opts: RuntimeOptions,
+) -> (Arc<PmemPool>, Runtime) {
+    let pool =
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency);
+    let pool = Arc::new(pool.expect("a crashed image reopens"));
+    let rt = Runtime::open(pool.clone(), opts).expect("a runtime reopens on its own pool");
+    (pool, rt)
+}
+
 /// Workload invariant check; `Err(reason)` marks the candidate as a
 /// failure (e.g. counter conservation, committed-prefix shape).
 pub type CheckFn<'a> = Box<dyn Fn(&PmemPool, &Runtime) -> Result<(), String> + 'a>;
 
-/// How the explorer builds, reopens, and checks pools. The explorer owns
-/// no workload knowledge: callers supply the factory closures the crash
-/// sweeps already use.
+/// How the [`CrashBattery`] — and through it the explorer and every crash
+/// sweep — builds, reopens, and checks a workload's pools. Neither owns
+/// any workload knowledge. `check` must be read-only: it runs between the
+/// two recoveries whose media the battery compares.
 pub struct ExploreSession<'a> {
     /// Builds the state every candidate starts from.
     pub build: BuildFn<'a>,
@@ -272,10 +272,7 @@ pub struct Explorer<'a> {
     seed_schedule: Schedule,
     opts: ExploreOptions,
     stats: Arc<PmemStats>,
-    /// Highest slot index any seed op touches; every fresh pool
-    /// pre-creates slots `0..=max_slot` so the v_log slot chain (and
-    /// therefore durable media) is identical across interleavings that
-    /// first-touch slots in different orders.
+    /// Highest slot index any seed op touches.
     max_slot: Option<usize>,
 }
 
@@ -283,8 +280,29 @@ impl<'a> Explorer<'a> {
     /// Creates an explorer over `seed`'s per-slot op lanes.
     pub fn new(session: ExploreSession<'a>, seed: Schedule, opts: ExploreOptions) -> Explorer<'a> {
         let max_slot = seed.ops.iter().map(|op| op.slot).max();
+        // Every fresh pool pre-creates slots `0..=max_slot`, so the v_log
+        // slot chain (and therefore durable media) is identical across
+        // interleavings that first-touch slots in different orders. A
+        // build too small for them is reported, typed, by the baseline
+        // run, which asks for the slot again.
+        let ExploreSession {
+            build,
+            reopen,
+            check,
+        } = session;
+        let build: BuildFn<'a> = Box::new(move || {
+            let (pool, rt) = build();
+            if let Some(max) = max_slot {
+                let _ = rt.slot_handle(max);
+            }
+            (pool, rt)
+        });
         Explorer {
-            session,
+            session: ExploreSession {
+                build,
+                reopen,
+                check,
+            },
             seed_schedule: seed,
             opts,
             stats: Arc::new(PmemStats::new()),
@@ -352,16 +370,6 @@ impl<'a> Explorer<'a> {
         Ok(report)
     }
 
-    /// Pre-creates slots `0..=max_slot` so slot-chain media layout is
-    /// canonical regardless of which slot a candidate touches first.
-    fn prepare(&self, rt: &Runtime) -> Result<(), String> {
-        if let Some(max) = self.max_slot {
-            rt.slot_handle(max)
-                .map_err(|e| format!("slot pre-create: {e}"))?;
-        }
-        Ok(())
-    }
-
     /// Replays the seed schedule once under a tracer and turns the
     /// per-transaction persist footprints into an op × op conflict
     /// matrix.
@@ -371,7 +379,10 @@ impl<'a> Explorer<'a> {
             return Ok(Vec::new());
         }
         let (pool, rt) = (self.session.build)();
-        self.prepare(&rt).map_err(ExploreError::Baseline)?;
+        if let Some(max) = self.max_slot {
+            rt.slot_handle(max)
+                .map_err(|e| ExploreError::Baseline(format!("slot pre-create: {e}")))?;
+        }
         let tracer = Arc::new(Tracer::new());
         pool.set_tracer(Some(tracer.clone()));
         let _ = self.seed_schedule.replay(&rt);
@@ -403,113 +414,33 @@ impl<'a> Explorer<'a> {
         Ok(matrix)
     }
 
-    /// Executes one candidate under the full invariant battery: clean
-    /// run, then a crash trip at every `crash_stride`-th persist event
-    /// with recovery + heap walk + workload check + idempotence + byte
-    /// parity. Does not touch the explorer's counters (so minimization
-    /// probes stay invisible to the golden-pinned `exp_*` values).
-    fn run_candidate(&self, sched: &Schedule, candidate_index: u64) -> CandidateOutcome {
-        let mut out = CandidateOutcome::default();
-        // Clean run: count persist events, check invariants, hash media.
-        let (pool, rt) = (self.session.build)();
-        if let Err(reason) = self.prepare(&rt) {
-            out.violation = Some((None, reason));
-            return out;
-        }
-        pool.arm_faults(FaultPlan::count_only());
-        let _ = sched.replay(&rt);
-        let events = pool.disarm_faults();
-        if let Err(e) = pool.check_heap() {
-            out.violation = Some((None, format!("clean run: heap check failed: {e}")));
-        } else if let Err(reason) = (self.session.check)(&pool, &rt) {
-            out.violation = Some((None, format!("clean run: {reason}")));
-        }
-        out.outcome_hash = fnv64(&pool.media_snapshot());
-        drop(rt);
-        drop(pool);
-        if out.violation.is_some() {
-            return out;
-        }
-        // Crash sweep over every explored prefix.
-        let stride = self.opts.crash_stride.max(1);
-        let mut k = 0u64;
-        while k < events && out.planted < self.opts.max_crash_points {
-            out.planted += 1;
-            if let Some(reason) = self.crash_point(sched, candidate_index, k) {
-                out.violation = Some((Some(k), reason));
-                return out;
-            }
-            k += stride;
-        }
-        out
-    }
-
-    /// One crash point of one candidate; `Some(reason)` on violation.
-    fn crash_point(&self, sched: &Schedule, candidate_index: u64, k: u64) -> Option<String> {
-        let (pool, rt) = (self.session.build)();
-        if let Err(reason) = self.prepare(&rt) {
-            return Some(reason);
-        }
-        pool.arm_faults(FaultPlan::crash_at(k));
-        let replay = sched.replay(&rt);
-        if replay.tripped_at != Some(k) {
-            pool.disarm_faults();
-            return Some(format!(
-                "crash_at({k}) did not trip (tripped_at={:?})",
-                replay.tripped_at
-            ));
-        }
-        // Adversarial power failure: drop every un-fenced line.
-        let crash_seed = mix(self.opts.seed, candidate_index, k);
-        let media = match pool.crash(&CrashConfig::drop_all(crash_seed)) {
-            Ok(dead) => dead.media_snapshot(),
-            Err(e) => return Some(format!("crash_at({k}): crash draw failed: {e}")),
+    /// Puts one candidate through the [`CrashBattery`]: the checked clean
+    /// run, then a crash trip at every `crash_stride`-th persist event.
+    /// Does not touch the explorer's counters (so minimization probes stay
+    /// invisible to the golden-pinned `exp_*` values).
+    fn run_candidate(&self, sched: &Schedule) -> Result<SweepSummary, Box<Violation>> {
+        let drive = |rt: &Arc<Runtime>| {
+            sched.replay(rt);
         };
-        drop(rt);
-        drop(pool);
-        let ropts = RecoveryOptions::default().no_wait();
-        // Recovery #1: invariants + idempotence.
-        let (p1, r1) = (self.session.reopen)(media.clone());
-        if let Err(e) = r1.recover_with(&ropts) {
-            return Some(format!("crash_at({k}): recovery failed: {e}"));
+        let battery = CrashBattery {
+            session: &self.session,
+            drive: &drive,
+            nested: Nested::Off,
+        };
+        let stride = self.opts.crash_stride.max(1);
+        let visited = battery.sweep(stride, self.opts.max_crash_points, |_| {})?;
+        if visited.not_tripped > 0 {
+            // A replayed schedule is deterministic: every planted event
+            // below the counted total must trip.
+            return Err(Box::new(Violation {
+                crash_at: None,
+                nested_at: None,
+                reason: format!("{} planted crashes did not trip", visited.not_tripped),
+                visited,
+            }));
         }
-        if let Err(e) = p1.check_heap() {
-            return Some(format!("crash_at({k}): heap check failed: {e}"));
-        }
-        if let Err(reason) = (self.session.check)(&p1, &r1) {
-            return Some(format!("crash_at({k}): {reason}"));
-        }
-        match r1.recover_with(&ropts) {
-            Ok(second) if second.is_clean() => {}
-            Ok(_) => return Some(format!("crash_at({k}): second recovery was not clean")),
-            Err(e) => return Some(format!("crash_at({k}): second recovery failed: {e}")),
-        }
-        let recovered = p1.media_snapshot();
-        drop(r1);
-        drop(p1);
-        // Recovery #2 on the same crashed media: byte parity.
-        let (p2, r2) = (self.session.reopen)(media);
-        if let Err(e) = r2.recover_with(&ropts) {
-            return Some(format!("crash_at({k}): parity recovery failed: {e}"));
-        }
-        if p2.media_snapshot() != recovered {
-            return Some(format!(
-                "crash_at({k}): two recoveries of the same media diverged"
-            ));
-        }
-        None
+        Ok(visited)
     }
-}
-
-/// Result of running one candidate (no counters touched).
-#[derive(Debug, Default)]
-struct CandidateOutcome {
-    /// Crash trips planted.
-    planted: u64,
-    /// FNV-1a hash of the clean run's durable media.
-    outcome_hash: u64,
-    /// `(crash point, reason)`; crash point `None` = clean run failed.
-    violation: Option<(Option<u64>, String)>,
 }
 
 /// The DFS over interleavings: sleep-set pruning, preemption bounding,
@@ -661,26 +592,28 @@ impl Dfs<'_, '_> {
         self.report.schedules_run += 1;
         self.ex.stats.exp_schedules.fetch_add(1, Ordering::Relaxed);
         self.last_executed = Some(decisions.to_vec());
-        let out = self.ex.run_candidate(&sched, self.report.schedules_run);
-        self.report.crashes_planted += out.planted;
+        let outcome = self.ex.run_candidate(&sched);
+        let visited = match &outcome {
+            Ok(visited) => *visited,
+            Err(v) => v.visited,
+        };
+        self.report.crashes_planted += visited.crash_points;
         self.ex
             .stats
             .exp_crashes_planted
-            .fetch_add(out.planted, Ordering::Relaxed);
+            .fetch_add(visited.crash_points, Ordering::Relaxed);
         self.report.explored.push(sched.clone());
-        self.report.outcomes.push(out.outcome_hash);
-        if let Some((crash_at, reason)) = out.violation {
-            let minimized = minimize_schedule(&sched, |cand| {
-                self.ex.run_candidate(cand, 0).violation.is_some()
-            });
+        self.report.outcomes.push(visited.clean_outcome);
+        if let Err(v) = outcome {
+            let minimized = minimize_schedule(&sched, |cand| self.ex.run_candidate(cand).is_err());
             self.ex
                 .stats
                 .exp_failures_minimized
                 .fetch_add(1, Ordering::Relaxed);
             self.report.failures.push(ExploreFailure {
                 schedule: sched,
-                crash_at,
-                reason,
+                crash_at: v.crash_at,
+                reason: v.to_string(),
                 minimized,
             });
             if self.report.failures.len() >= self.ex.opts.max_failures {
@@ -693,43 +626,9 @@ impl Dfs<'_, '_> {
     }
 }
 
-/// FNV-1a, the same pocket hash the recovery checkpoints use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Deterministic seed derivation: splitmix-style finalizer over
-/// (root seed, candidate index, crash point).
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for v in [a.wrapping_add(1), b.wrapping_add(1)] {
-        h ^= v.wrapping_mul(0xff51_afd7_ed55_8ccd).rotate_left(31);
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53) ^ (h >> 33);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_is_deterministic_and_spread() {
-        assert_eq!(mix(1, 2, 3), mix(1, 2, 3));
-        assert_ne!(mix(1, 2, 3), mix(1, 3, 2));
-        assert_ne!(mix(1, 2, 3), mix(2, 2, 3));
-    }
-
-    #[test]
-    fn fnv_distinguishes_bytes() {
-        assert_ne!(fnv64(b"a"), fnv64(b"b"));
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-    }
 
     #[test]
     fn options_builders_compose() {
@@ -737,13 +636,11 @@ mod tests {
             .with_budget(7)
             .with_crash_stride(0)
             .with_preemption_bound(2)
-            .with_seed(9)
             .with_max_failures(3)
             .resume_after(vec![1, 0]);
         assert_eq!(o.max_schedules, 7);
         assert_eq!(o.crash_stride, 1, "stride clamps to at least 1");
         assert_eq!(o.preemption_bound, 2);
-        assert_eq!(o.seed, 9);
         assert_eq!(o.max_failures, 3);
         assert_eq!(o.resume_after.as_deref(), Some(&[1u8, 0][..]));
     }

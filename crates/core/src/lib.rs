@@ -63,6 +63,7 @@
 
 pub mod args;
 pub mod backend;
+pub mod battery;
 pub mod error;
 pub mod explore;
 pub mod group_commit;
@@ -77,10 +78,11 @@ pub mod vlog;
 
 pub use args::{ArgList, ArgValue};
 pub use backend::{Backend, ClobberCfg};
+pub use battery::{CrashBattery, Nested, Recovered, SweepSummary, Violation};
 pub use error::TxError;
 pub use explore::{
-    BuildFn, CheckFn, ExploreError, ExploreFailure, ExploreOptions, ExploreReport, ExploreSession,
-    Explorer, ReopenFn,
+    reopen_media, BuildFn, CheckFn, ExploreError, ExploreFailure, ExploreOptions, ExploreReport,
+    ExploreSession, Explorer, ReopenFn,
 };
 pub use group_commit::GroupCommit;
 pub use lock::{LockGuard, LockId, LockManager, LockMode, LockRequest};

@@ -1,20 +1,19 @@
 //! Shared crash-sweep harness.
 //!
-//! The harness runs a deterministic bank-transfer workload once with a
-//! count-only [`FaultPlan`] to learn how many persist events it issues, then
-//! replays it from scratch for each chosen event index `k`, trips an
-//! injected crash at `k`, takes an adversarial (`drop_all`) power failure,
-//! recovers, and checks the conservation invariant. Optionally a *second*
-//! crash is injected inside recovery itself, proving recovery idempotence.
+//! Deterministic bank-transfer and growing-reallocation workloads packaged
+//! as [`ExploreSession`]s, plus the drivers and "keeps serving" steps that
+//! hand them to the product's [`CrashBattery`] — the one crash → recover →
+//! verify loop (`clobber_nvm::battery`).
 
 #![allow(dead_code)] // each test binary uses a subset of the harness
 
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 
-use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
+use clobber_nvm::{
+    reopen_media, ArgList, Backend, CrashBattery, ExploreSession, Nested, Recovered, Runtime,
+    RuntimeOptions, SweepSummary, TxError,
 };
+use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolConcurrency, PoolOptions};
 
 /// Number of bank accounts in the sweep workload.
 pub const ACCOUNTS: u64 = 8;
@@ -96,11 +95,7 @@ pub fn reopen_with(
     backend: Backend,
     concurrency: PoolConcurrency,
 ) -> (Arc<PmemPool>, Runtime) {
-    let pool = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
-            .unwrap(),
-    );
-    let rt = Runtime::open(pool.clone(), sweep_options(backend)).unwrap();
+    let (pool, rt) = reopen_media(media, concurrency, sweep_options(backend));
     register_transfer(&rt);
     (pool, rt)
 }
@@ -124,197 +119,97 @@ pub fn run_script(rt: &Runtime, base: PAddr) -> Result<(), TxError> {
     Ok(())
 }
 
-/// Counts the persist events the script issues under `backend`.
-pub fn count_script_events(backend: Backend) -> u64 {
-    count_script_events_with(backend, PoolConcurrency::GlobalLock)
+/// The transfer-script bank as a battery workload: fresh bank, reopen with
+/// `transfer` registered, conservation as the invariant.
+pub fn bank_session(backend: Backend, concurrency: PoolConcurrency) -> ExploreSession<'static> {
+    ExploreSession {
+        build: Box::new(move || {
+            let (pool, rt, _) = setup_with(backend, concurrency);
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| reopen_with(media, backend, concurrency)),
+        check: Box::new(explore_check),
+    }
 }
 
-/// [`count_script_events`] on a pool with the given concurrency mode.
-pub fn count_script_events_with(backend: Backend, concurrency: PoolConcurrency) -> u64 {
-    let (pool, rt, base) = setup_with(backend, concurrency);
-    pool.arm_faults(FaultPlan::count_only());
-    run_script(&rt, base).expect("count run must not fail");
-    let n = pool.disarm_faults();
-    assert_eq!(total(&pool, base), ACCOUNTS * INITIAL);
+/// Unwraps a driver step's outcome unless the pool was crashed under it:
+/// a trip on a trailing fence can leave the step completing `Ok`, any
+/// other trip surfaces as an error, and both are valid crash points — but
+/// an un-crashed run must not fail.
+pub fn unless_crashed<T>(rt: &Runtime, outcome: Result<T, TxError>) {
+    if rt.pool().fault_tripped().is_none() {
+        outcome.expect("an un-crashed run must not fail");
+    }
+}
+
+/// The battery driver for the transfer script.
+pub fn drive_script(rt: &Arc<Runtime>) {
+    unless_crashed(rt, run_script(rt, rt.app_root().unwrap()));
+}
+
+/// Counts the persist events the script issues under `backend`.
+pub fn count_script_events(backend: Backend) -> u64 {
+    let session = bank_session(backend, PoolConcurrency::GlobalLock);
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive_script,
+        nested: Nested::Off,
+    };
+    let n = battery.count_events().unwrap_or_else(|v| panic!("{v}"));
     assert!(n > 0, "script must issue persist events");
     n
 }
 
-/// How the sweep injects a second crash inside recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Nested {
-    /// Recover without a nested crash.
-    Off,
-    /// One nested crash per outer crash point, at a recovery event that
-    /// rotates with `k` (cheap full-k coverage).
-    Rotating,
-    /// Every recovery event for every outer crash point (quadratic; for the
-    /// `--ignored` exhaustive test).
-    Exhaustive,
+/// Runs a battery sweep to completion for a deterministic driver: any
+/// violation fails the test, and every planted crash must trip.
+pub fn sweep_clean(
+    battery: &CrashBattery<'_>,
+    stride: u64,
+    served: impl FnMut(Recovered),
+) -> SweepSummary {
+    let s = battery
+        .sweep(stride, u64::MAX, served)
+        .unwrap_or_else(|v| panic!("{v}"));
+    assert_eq!(s.not_tripped, 0, "a deterministic driver trips everywhere");
+    s
 }
 
-/// Aggregate of what one sweep did, for coverage reporting.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SweepSummary {
-    /// Persist events the intact script issues (the sweep's `N`).
-    pub events: u64,
-    /// Outer crash points actually visited.
-    pub crash_points: u64,
-    /// Nested (crash-during-recovery) points exercised.
-    pub nested_points: u64,
-    /// Interrupted transactions completed by re-execution (clobber).
-    pub reexecuted: u64,
-    /// Interrupted transactions rolled back (undo/redo/atlas).
-    pub rolled_back: u64,
-    /// Committed redo logs replayed.
-    pub redo_applied: u64,
-    /// Transactions abandoned before any persistent write.
-    pub abandoned: u64,
-    /// Re-executions resumed from a persisted checkpoint (clobber nested
-    /// sweeps; zero elsewhere).
-    pub resumed: u64,
-    /// Checkpoint watermark advances persisted during recovery.
-    pub watermark_advances: u64,
-}
-
-/// Recovery options for sweep pools: deterministic no-op clock (backoff
-/// and time limits never sleep or trip) so exhaustive sweeps stay fast
-/// and schedule-free.
-pub fn sweep_recover_opts() -> clobber_nvm::RecoveryOptions {
-    clobber_nvm::RecoveryOptions::default().no_wait()
-}
-
-/// Recovers `media`, asserts the invariant and recovery idempotence, and
-/// returns the recovered pool's report folded into `summary`.
-fn recover_and_check(
-    media: Vec<u8>,
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    ctx: &str,
-    summary: &mut SweepSummary,
-) {
-    let (pool, rt) = reopen_with(media, backend, concurrency);
-    let report = rt
-        .recover_with(&sweep_recover_opts())
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    summary.reexecuted += report.reexecuted.len() as u64;
-    summary.rolled_back += report.rolled_back as u64;
-    summary.redo_applied += report.redo_applied as u64;
-    summary.abandoned += report.abandoned as u64;
-    summary.resumed += report.resumed as u64;
-    summary.watermark_advances += report.watermark_advances;
-    let base = rt.app_root().unwrap();
-    assert_eq!(
-        total(&pool, base),
-        ACCOUNTS * INITIAL,
-        "{ctx}: conservation violated after recovery"
-    );
-    // Idempotence: recovery left nothing ongoing behind.
-    let again = rt.recover_with(&sweep_recover_opts()).unwrap();
-    assert!(
-        again.is_clean(),
-        "{ctx}: second recover found leftover work: {again:?}"
-    );
-    // The recovered pool keeps serving transactions.
-    rt.run("transfer", &transfer_args(base, (0, 1, 5))).unwrap();
-    assert_eq!(
-        total(&pool, base),
-        ACCOUNTS * INITIAL,
-        "{ctx}: post-recovery tx"
-    );
-}
-
-/// Runs the script to event `k`, trips, takes a `drop_all` power failure,
-/// and returns the surviving media.
-fn crash_at(backend: Backend, concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
-    let (pool, rt, base) = setup_with(backend, concurrency);
-    pool.arm_faults(FaultPlan::crash_at(k));
-    // A trip on a trailing fence can leave the script completing Ok; any
-    // other trip surfaces as an error. Both are valid crash points.
-    let _ = run_script(&rt, base);
-    assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
-    pool.crash(&CrashConfig::drop_all(0xC0FFEE ^ k))
-        .unwrap()
-        .media_snapshot()
-}
-
-/// Full crash-point sweep for one backend.
-///
-/// For every `k` in `0, stride, 2*stride, .. < N`: replay to event `k`,
-/// crash adversarially, recover, and check the invariant. With `nested` on,
-/// recovery itself is also crashed (at rotating or all recovery events) and
-/// re-run from the re-crashed media — the idempotence proof.
+/// Full crash-point sweep for one backend: the battery at every
+/// `stride`-th persist event of the script, with `nested` deciding whether
+/// recovery itself is crashed too. Each recovered bank keeps serving.
 pub fn sweep(backend: Backend, stride: u64, nested: Nested) -> SweepSummary {
     sweep_with(backend, stride, nested, PoolConcurrency::GlobalLock)
 }
 
 /// [`sweep`] with every pool in the pipeline (workload, recovery, nested
-/// recovery) running at the given concurrency mode. Because persist-event
-/// numbering and seeded crash draws are shard-count-invariant, the returned
-/// summary must be identical across concurrency modes for the same
-/// `(backend, stride, nested)` — callers assert exactly that.
+/// recovery) running at the given concurrency mode. Persist-event
+/// numbering is shard-count-invariant, so the returned summary must be
+/// identical across concurrency modes for the same `(backend, stride,
+/// nested)` — callers assert exactly that.
 pub fn sweep_with(
     backend: Backend,
     stride: u64,
     nested: Nested,
     concurrency: PoolConcurrency,
 ) -> SweepSummary {
-    assert!(stride > 0);
-    let mut summary = SweepSummary {
-        events: count_script_events_with(backend, concurrency),
-        ..SweepSummary::default()
+    let session = bank_session(backend, concurrency);
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive_script,
+        nested,
     };
-    let mut k = 0;
-    while k < summary.events {
-        let media = crash_at(backend, concurrency, k);
-        summary.crash_points += 1;
-
-        // Plain recovery from this crash point.
-        recover_and_check(
-            media.clone(),
-            backend,
-            concurrency,
-            &format!("k={k}"),
-            &mut summary,
+    sweep_clean(&battery, stride, |r| {
+        let base = r.rt.app_root().unwrap();
+        r.rt.run("transfer", &transfer_args(base, (0, 1, 5)))
+            .unwrap();
+        assert_eq!(
+            total(&r.pool, base),
+            ACCOUNTS * INITIAL,
+            "k={} nested={:?}: post-recovery tx",
+            r.crash_at,
+            r.nested_at
         );
-
-        if nested != Nested::Off {
-            // Count recovery's own persist events from identical media.
-            let (pool_m, rt_m) = reopen_with(media.clone(), backend, concurrency);
-            pool_m.arm_faults(FaultPlan::count_only());
-            rt_m.recover_with(&sweep_recover_opts()).unwrap();
-            let m = pool_m.disarm_faults();
-
-            let js: Vec<u64> = match nested {
-                Nested::Off => unreachable!(),
-                Nested::Rotating if m == 0 => Vec::new(),
-                Nested::Rotating => vec![k % m],
-                Nested::Exhaustive => (0..m).collect(),
-            };
-            for j in js {
-                let (pool_n, rt_n) = reopen_with(media.clone(), backend, concurrency);
-                pool_n.arm_faults(FaultPlan::crash_at(j));
-                // Recovery dies at event j (a trip on recovery's final
-                // fence may still let it return Ok — also a valid point).
-                let _ = rt_n.recover_with(&sweep_recover_opts());
-                assert_eq!(pool_n.fault_tripped(), Some(j));
-                let media2 = pool_n
-                    .crash(&CrashConfig::drop_all(0xBAD ^ (k << 16) ^ j))
-                    .unwrap()
-                    .media_snapshot();
-                recover_and_check(
-                    media2,
-                    backend,
-                    concurrency,
-                    &format!("k={k} nested j={j}"),
-                    &mut summary,
-                );
-                summary.nested_points += 1;
-            }
-        }
-        k += stride;
-    }
-    summary
+    })
 }
 
 /// Cells in the regrow workload's initial customer list.
@@ -383,86 +278,54 @@ fn run_regrow_script(rt: &Runtime, base: PAddr) -> Result<(), TxError> {
 /// The regrow invariant: the root points at a list of `REGROW_INITIAL +
 /// k * REGROW_DELTA` cells for some committed prefix `k`, and cell `i`
 /// holds `i + 1`.
-fn check_regrow_list(pool: &PmemPool, base: PAddr, ctx: &str) {
+fn check_regrow_list(pool: &PmemPool, rt: &Runtime) -> Result<(), String> {
+    let base = rt.app_root().map_err(|e| format!("app root: {e}"))?;
     let ptr = PAddr::new(pool.read_u64(base).unwrap());
     let cells = pool.read_u64(base.add(8)).unwrap();
-    assert!(
-        (REGROW_INITIAL..=REGROW_INITIAL + REGROW_STEPS * REGROW_DELTA).contains(&cells)
-            && (cells - REGROW_INITIAL).is_multiple_of(REGROW_DELTA),
-        "{ctx}: list has {cells} cells — not a committed prefix"
-    );
-    for i in 0..cells {
-        assert_eq!(
-            pool.read_u64(ptr.add(i * 8)).unwrap(),
-            i + 1,
-            "{ctx}: cell {i} corrupted"
-        );
+    if !(REGROW_INITIAL..=REGROW_INITIAL + REGROW_STEPS * REGROW_DELTA).contains(&cells)
+        || !(cells - REGROW_INITIAL).is_multiple_of(REGROW_DELTA)
+    {
+        return Err(format!("list has {cells} cells — not a committed prefix"));
+    }
+    match (0..cells).find(|&i| pool.read_u64(ptr.add(i * 8)).unwrap() != i + 1) {
+        Some(i) => Err(format!("cell {i} corrupted")),
+        None => Ok(()),
     }
 }
 
-/// Alloc-heavy crash-point sweep: the growing-reallocation script crashed
-/// at every `stride`-th persist event, recovered, and checked — list
-/// invariant *and* a full [`PmemPool::check_heap`] walk after every
-/// recovery (allocator metadata must stay structurally sound at every
-/// crash point, not just on the happy path).
+/// Alloc-heavy crash-point sweep: the growing-reallocation script through
+/// the battery at every `stride`-th persist event (so allocator metadata
+/// is heap-walked at every crash point, not just on the happy path), and
+/// the recovered heap keeps serving growing reallocations.
 pub fn sweep_regrow(backend: Backend, stride: u64, concurrency: PoolConcurrency) -> SweepSummary {
-    assert!(stride > 0);
-    let mut summary = SweepSummary::default();
-    // Count the script's persist events (and verify the harness baseline).
-    {
-        let (pool, rt, base) = setup_regrow(backend, concurrency);
-        pool.arm_faults(FaultPlan::count_only());
-        run_regrow_script(&rt, base).expect("count run must not fail");
-        summary.events = pool.disarm_faults();
-        check_regrow_list(&pool, base, "baseline");
-        pool.check_heap().expect("baseline heap");
-        assert!(summary.events > 0);
-    }
-    let mut k = 0;
-    while k < summary.events {
-        let media = {
-            let (pool, rt, base) = setup_regrow(backend, concurrency);
-            pool.arm_faults(FaultPlan::crash_at(k));
-            let _ = run_regrow_script(&rt, base);
-            assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
-            pool.crash(&CrashConfig::drop_all(0xA110C ^ k))
-                .unwrap()
-                .media_snapshot()
-        };
-        summary.crash_points += 1;
-        let pool = Arc::new(
-            PmemPool::open_from_media_with(
-                media,
-                PoolMode::CrashSim,
-                CacheImpl::Dense,
-                concurrency,
-            )
-            .unwrap(),
-        );
-        let rt = Runtime::open(pool.clone(), sweep_options(backend)).unwrap();
-        register_regrow(&rt);
-        let report = rt
-            .recover_with(&sweep_recover_opts())
-            .unwrap_or_else(|e| panic!("k={k}: recovery failed: {e}"));
-        summary.reexecuted += report.reexecuted.len() as u64;
-        summary.rolled_back += report.rolled_back as u64;
-        summary.redo_applied += report.redo_applied as u64;
-        summary.abandoned += report.abandoned as u64;
-        summary.resumed += report.resumed as u64;
-        summary.watermark_advances += report.watermark_advances;
-        let base = rt.app_root().unwrap();
-        check_regrow_list(&pool, base, &format!("k={k}"));
-        // The allocator's durable structures must be sound at every point.
-        pool.check_heap()
-            .unwrap_or_else(|e| panic!("k={k}: heap check failed: {e}"));
-        // And the recovered heap keeps serving growing reallocations.
-        rt.run("regrow", &ArgList::new().with_u64(base.offset()))
+    let session = ExploreSession {
+        build: Box::new(move || {
+            let (pool, rt, _) = setup_regrow(backend, concurrency);
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let (pool, rt) = reopen_media(media, concurrency, sweep_options(backend));
+            register_regrow(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(check_regrow_list),
+    };
+    let drive = |rt: &Arc<Runtime>| {
+        unless_crashed(rt, run_regrow_script(rt, rt.app_root().unwrap()));
+    };
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive,
+        nested: Nested::Off,
+    };
+    sweep_clean(&battery, stride, |r| {
+        let base = r.rt.app_root().unwrap();
+        r.rt.run("regrow", &ArgList::new().with_u64(base.offset()))
             .unwrap();
-        pool.check_heap()
-            .unwrap_or_else(|e| panic!("k={k}: post-recovery heap check failed: {e}"));
-        k += stride;
-    }
-    summary
+        r.pool
+            .check_heap()
+            .unwrap_or_else(|e| panic!("k={}: post-recovery heap check failed: {e}", r.crash_at));
+    })
 }
 
 /// Registers a non-parking replacement for `parked_transfer`: recovery
@@ -561,25 +424,21 @@ pub fn traced_script_run(backend: Backend, concurrency: PoolConcurrency) -> clob
     tracer.take()
 }
 
-/// Like [`crash_at`], but with a tracer attached *after* arming (so trace
-/// sequence numbers match untraced trip indices). Returns the recorded
-/// trace alongside the surviving media.
+/// Runs the script with a crash armed at event `k` and a tracer attached
+/// *after* arming (so trace sequence numbers match untraced trip indices);
+/// returns the trace recorded up to the trip.
 pub fn traced_crash_at(
     backend: Backend,
     concurrency: PoolConcurrency,
     k: u64,
-) -> (clobber_pmem::Trace, Vec<u8>) {
+) -> clobber_pmem::Trace {
     let (pool, rt, base) = setup_with(backend, concurrency);
-    pool.arm_faults(FaultPlan::crash_at(k));
+    pool.arm_faults(clobber_pmem::FaultPlan::crash_at(k));
     let tracer = Arc::new(clobber_pmem::Tracer::new());
     pool.set_tracer(Some(tracer.clone()));
     let _ = run_script(&rt, base);
     assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
-    let media = pool
-        .crash(&CrashConfig::drop_all(0xC0FFEE ^ k))
-        .unwrap()
-        .media_snapshot();
-    (tracer.take(), media)
+    tracer.take()
 }
 
 // ---------------------------------------------------------------------------
@@ -650,12 +509,7 @@ pub fn explore_reopen(
     concurrency: PoolConcurrency,
     buggy: bool,
 ) -> (Arc<PmemPool>, Runtime) {
-    let pool = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
-            .unwrap(),
-    );
-    let rt = Runtime::open(pool.clone(), sweep_options(Backend::clobber())).unwrap();
-    register_transfer(&rt);
+    let (pool, rt) = reopen_with(media, Backend::clobber(), concurrency);
     if buggy {
         register_explore_extras(&rt);
     }
@@ -678,12 +532,9 @@ pub fn explore_check(pool: &PmemPool, rt: &Runtime) -> Result<(), String> {
     }
 }
 
-/// Packages the explore harness as an [`clobber_nvm::ExploreSession`].
-pub fn explore_session(
-    concurrency: PoolConcurrency,
-    buggy: bool,
-) -> clobber_nvm::ExploreSession<'static> {
-    clobber_nvm::ExploreSession {
+/// Packages the explore harness as an [`ExploreSession`].
+pub fn explore_session(concurrency: PoolConcurrency, buggy: bool) -> ExploreSession<'static> {
+    ExploreSession {
         build: Box::new(move || {
             let (pool, rt, _) = explore_setup(concurrency, buggy);
             (pool, rt)

@@ -228,52 +228,3 @@ fn global_lock_hot_counters_are_exact_under_racing_threads() {
         assert_eq!((d.flushes, d.fences), (4 * n, n), "{:?}", pool.mode());
     }
 }
-
-/// The same workload single-threaded in `SingleThread` mode produces the
-/// same final balances as `GlobalLock` — and a second thread touching the
-/// pool panics rather than racing.
-#[test]
-fn single_thread_mode_matches_and_rejects_foreign_threads() {
-    let seed = seed_from_env();
-    let mut totals = Vec::new();
-    for concurrency in [PoolConcurrency::GlobalLock, PoolConcurrency::SingleThread] {
-        let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(concurrency);
-        let pool = Arc::new(PmemPool::create(opts).unwrap());
-        let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
-        register_transfer(&rt);
-        let base = pool.alloc(ACCTS_PER_THREAD * 8).unwrap();
-        for i in 0..ACCTS_PER_THREAD {
-            pool.write_u64(base.add(i * 8), INITIAL).unwrap();
-        }
-        pool.persist(base, ACCTS_PER_THREAD * 8).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..TRANSFERS_PER_THREAD {
-            let from = rng.gen_range(0..ACCTS_PER_THREAD);
-            let to = rng.gen_range(0..ACCTS_PER_THREAD);
-            let amount = rng.gen_range(0..30u64);
-            let args = ArgList::new()
-                .with_u64(base.offset())
-                .with_u64(from)
-                .with_u64(to)
-                .with_u64(amount);
-            rt.run("stress_transfer", &args).unwrap();
-        }
-        let balances: Vec<u64> = (0..ACCTS_PER_THREAD)
-            .map(|i| pool.read_u64(base.add(i * 8)).unwrap())
-            .collect();
-        totals.push((pool, balances));
-    }
-    assert_eq!(
-        totals[0].1, totals[1].1,
-        "SingleThread diverged from GlobalLock"
-    );
-
-    // Foreign-thread access must panic, not corrupt.
-    let (st_pool, _) = &totals[1];
-    let pool = st_pool.clone();
-    let res = std::thread::spawn(move || pool.read_u64(PAddr::new(4096))).join();
-    assert!(
-        res.is_err(),
-        "a second thread must not be able to touch a SingleThread pool"
-    );
-}

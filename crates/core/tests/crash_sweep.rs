@@ -1,21 +1,22 @@
-//! Systematic crash-point sweep (see `common/mod.rs` for the harness).
+//! Systematic crash-point sweep: the product's `CrashBattery` over the
+//! workloads in `common/mod.rs`.
 //!
-//! For each backend the harness counts the persist events of a fixed
-//! transfer script, then crashes at every swept event index under the
-//! adversarial `drop_all` policy, recovers, and checks conservation — and
-//! additionally crashes *recovery itself* at a rotating recovery event to
-//! prove idempotence. The default runs are bounded for CI; set
+//! For each backend the battery counts the persist events of a fixed
+//! transfer script, then crashes at every swept event index, recovers, and
+//! runs its checks (heap walk, conservation, idempotence, byte parity) —
+//! and additionally crashes *recovery itself* at a rotating recovery
+//! event. The default runs are bounded for CI; set
 //! `CLOBBER_FULL_SWEEP=1` (or run the `--ignored` test) for stride-1 and
 //! exhaustive nested coverage.
 
 mod common;
 
 use common::{
-    register_parked_plain, register_transfer, reopen, sweep, sweep_regrow, sweep_with, total,
-    transfer_args, two_parked_transfers, Nested, SweepSummary, ACCOUNTS, INITIAL,
+    register_parked_plain, reopen, sweep, sweep_regrow, sweep_with, total, transfer_args,
+    two_parked_transfers, ACCOUNTS, INITIAL,
 };
 
-use clobber_nvm::{Backend, RecoveryOptions, SlotQuarantineKind, TxError};
+use clobber_nvm::{Backend, Nested, RecoveryOptions, SlotQuarantineKind, SweepSummary, TxError};
 use clobber_pmem::{FaultPlan, PmemError, PoolConcurrency};
 
 /// Stride between swept crash points. Release builds (and
@@ -420,26 +421,4 @@ fn recover_twice_is_idempotent() {
     assert!(second.is_clean(), "{second:?}");
     let base = rt.app_root().unwrap();
     assert_eq!(total(&pool, base), ACCOUNTS * INITIAL);
-}
-
-/// The sweep workload itself conserves when nothing is injected — guards
-/// the harness against self-inflicted nondeterminism.
-#[test]
-fn harness_baseline_runs_clean() {
-    for backend in [
-        Backend::clobber(),
-        Backend::Undo,
-        Backend::Redo,
-        Backend::Atlas,
-    ] {
-        let (pool, rt, base) = common::setup(backend);
-        common::run_script(&rt, base).unwrap();
-        assert_eq!(
-            total(&pool, base),
-            ACCOUNTS * INITIAL,
-            "{}",
-            backend.label()
-        );
-        let _ = register_transfer; // exercised via setup
-    }
 }

@@ -78,8 +78,7 @@ fn corpus_explores_cleanly_within_budget() {
         let opts = ExploreOptions::default()
             .with_budget(64)
             .with_crash_stride(7)
-            .with_max_crash_points(4)
-            .with_seed(0xC0);
+            .with_max_crash_points(4);
         let explorer = Explorer::new(explore_session(ENGINE, false), seed, opts);
         let report = explorer.run().expect("corpus baseline must replay");
         assert!(report.complete, "{name}: budget 64 must cover the space");

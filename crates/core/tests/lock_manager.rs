@@ -15,18 +15,18 @@ mod common;
 
 use std::sync::{Arc, Barrier};
 
-use clobber_nvm::{ArgList, Backend, LockRequest, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{
-    CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot,
+use clobber_nvm::{
+    ArgList, Backend, CrashBattery, LockRequest, Nested, Runtime, RuntimeOptions, SweepSummary,
+    TxError,
 };
-use common::{register_transfer, reopen_with, sweep_recover_opts, total, ACCOUNTS, INITIAL};
+use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot};
+use common::{bank_session, register_transfer, total, ACCOUNTS, INITIAL};
 use proptest::prelude::*;
 
 /// Engines the lock-step determinism pins cover.
-const ENGINES: [PoolConcurrency; 3] = [
+const ENGINES: [PoolConcurrency; 2] = [
     PoolConcurrency::GlobalLock,
     PoolConcurrency::Sharded { shards: 4 },
-    PoolConcurrency::SingleThread,
 ];
 
 fn transfer_args(base: PAddr, (f, t, a): (u64, u64, u64)) -> ArgList {
@@ -115,34 +115,42 @@ fn wait_die_retry_is_idempotent() {
 /// recoverable image, and conservation holds before and after recovery.
 #[test]
 fn racing_locked_transfers_conserve_through_crash_and_recovery() {
+    let session = bank_session(Backend::clobber(), PoolConcurrency::Sharded { shards: 4 });
     for threads in [2usize, 4] {
+        let drive = |rt: &Arc<Runtime>| racing_transfers(rt, threads);
+        let battery = CrashBattery {
+            session: &session,
+            drive: &drive,
+            nested: Nested::Off,
+        };
         for k in [5u64, 23, 67, 131] {
-            racing_crash_at(threads, k);
+            // A race that finishes before event k is a not-tripped point:
+            // the battery still checks that the race itself conserved.
+            battery
+                .crash_point(k, &mut SweepSummary::default(), &mut |r| {
+                    // The recovered pool keeps serving locked transactions.
+                    let base = r.rt.app_root().unwrap();
+                    r.rt.run_locked(
+                        &[LockRequest::exclusive(0), LockRequest::exclusive(1)],
+                        "transfer",
+                        &transfer_args(base, (0, 1, 5)),
+                    )
+                    .unwrap();
+                    assert_eq!(total(&r.pool, base), ACCOUNTS * INITIAL, "k={k}: post-tx");
+                })
+                .unwrap_or_else(|v| panic!("threads={threads}: {v}"));
         }
     }
 }
 
-fn racing_crash_at(threads: usize, k: u64) {
-    let opts =
-        PoolOptions::crash_sim(1 << 20).with_concurrency(PoolConcurrency::Sharded { shards: 4 });
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
-    let mut ropts = RuntimeOptions::new(Backend::clobber());
-    ropts.clobber_log_cap = 32 << 10;
-    ropts.redo_log_cap = 32 << 10;
-    let rt = Runtime::create(pool.clone(), ropts).unwrap();
-    register_transfer(&rt);
-    let base = pool.alloc(ACCOUNTS * 8).unwrap();
-    for i in 0..ACCOUNTS {
-        pool.write_u64(base.add(i * 8), INITIAL).unwrap();
-    }
-    pool.persist(base, ACCOUNTS * 8).unwrap();
-    rt.set_app_root(base).unwrap();
-
-    pool.arm_faults(FaultPlan::crash_at(k));
+/// `threads` workers each walk the shared bank under both account locks
+/// until they finish or the pool dies.
+fn racing_transfers(rt: &Runtime, threads: usize) {
+    let base = rt.app_root().unwrap();
     let start = Barrier::new(threads);
     std::thread::scope(|s| {
         for t in 0..threads as u64 {
-            let (rt, start) = (&rt, &start);
+            let start = &start;
             s.spawn(move || {
                 start.wait();
                 for i in 0..24u64 {
@@ -166,40 +174,6 @@ fn racing_crash_at(threads: usize, k: u64) {
             });
         }
     });
-
-    let ctx = format!("threads={threads} k={k}");
-    if pool.fault_tripped().is_none() {
-        // Workload finished before event k: no crash to take, but the
-        // race itself must have conserved the total.
-        pool.disarm_faults();
-        assert_eq!(total(&pool, base), ACCOUNTS * INITIAL, "{ctx}: no-trip");
-        return;
-    }
-    let media = pool
-        .crash(&CrashConfig::drop_all(0xC10B ^ k))
-        .unwrap()
-        .media_snapshot();
-    let (pool2, rt2) = reopen_with(
-        media,
-        Backend::clobber(),
-        PoolConcurrency::Sharded { shards: 4 },
-    );
-    rt2.recover_with(&sweep_recover_opts())
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    let base2 = rt2.app_root().unwrap();
-    assert_eq!(
-        total(&pool2, base2),
-        ACCOUNTS * INITIAL,
-        "{ctx}: conservation violated after racing crash + recovery"
-    );
-    // The recovered pool keeps serving locked transactions.
-    rt2.run_locked(
-        &[LockRequest::exclusive(0), LockRequest::exclusive(1)],
-        "transfer",
-        &transfer_args(base2, (0, 1, 5)),
-    )
-    .unwrap();
-    assert_eq!(total(&pool2, base2), ACCOUNTS * INITIAL, "{ctx}: post-tx");
 }
 
 const GC_THREADS: u64 = 4;

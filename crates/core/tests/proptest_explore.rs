@@ -35,7 +35,6 @@ proptest! {
     fn explored_schedules_replay_bit_identically(
         script in proptest::collection::vec(
             (0usize..2, 0u64..8, 0u64..8, 1u64..50), 1..5),
-        seed in 0u64..1000,
     ) {
         let base = explore_base(PoolConcurrency::GlobalLock);
         let seed_schedule = Schedule {
@@ -49,8 +48,7 @@ proptest! {
         let opts = ExploreOptions::default()
             .with_budget(8)
             .with_max_crash_points(0)
-            .with_policy(ConflictPolicy::no_pruning())
-            .with_seed(seed);
+            .with_policy(ConflictPolicy::no_pruning());
         let explorer = Explorer::new(
             explore_session(PoolConcurrency::GlobalLock, false),
             seed_schedule,

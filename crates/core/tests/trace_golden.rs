@@ -12,12 +12,11 @@ use clobber_pmem::{EventKind, PoolConcurrency, Tracer};
 use common::*;
 
 /// Every concurrency engine the golden pins cover.
-const ENGINES: [PoolConcurrency; 5] = [
+const ENGINES: [PoolConcurrency; 4] = [
     PoolConcurrency::GlobalLock,
     PoolConcurrency::Sharded { shards: 1 },
     PoolConcurrency::Sharded { shards: 4 },
     PoolConcurrency::Sharded { shards: 16 },
-    PoolConcurrency::SingleThread,
 ];
 
 /// Satellite 2: the same workload records the same trace on every engine.

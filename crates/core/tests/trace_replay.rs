@@ -27,7 +27,7 @@ fn mid_crash_point() -> u64 {
 fn replay_reproduces_crash_event_for_event() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
-    let (recorded, _media) = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
+    let recorded = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
     assert_eq!(
         recorded.events.last().map(|e| e.kind),
         Some(clobber_pmem::EventKind::FaultTrip),
@@ -69,12 +69,12 @@ fn replay_reproduces_crash_event_for_event() {
 fn replay_is_engine_portable() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
-    let (recorded, _media) = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
+    let recorded = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
     let schedule = Schedule::from_trace(&recorded).unwrap();
 
     for engine in [
+        PoolConcurrency::Sharded { shards: 1 },
         PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
     ] {
         let (pool, rt, _base) = setup_with(backend, engine);
         pool.arm_faults(FaultPlan::crash_at(k));
@@ -95,7 +95,7 @@ fn replay_is_engine_portable() {
 /// and the Chrome export of the same trace is non-trivial.
 #[test]
 fn trace_exports_round_trip() {
-    let (recorded, _media) = traced_crash_at(
+    let recorded = traced_crash_at(
         Backend::clobber(),
         PoolConcurrency::GlobalLock,
         mid_crash_point(),
@@ -253,7 +253,7 @@ fn diff_pinpoints_the_fault_trip_against_the_clean_run() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
     let clean = traced_script_run(backend, PoolConcurrency::GlobalLock);
-    let (tripped, _media) = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
+    let tripped = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
 
     let d = clean.diff(&tripped).expect("tripped run must diverge");
     assert_eq!(

@@ -1,12 +1,12 @@
 //! Crash sweep over the batched service path (satellite 1).
 //!
 //! The DES transport makes a whole multi-client batched service run a
-//! deterministic persist-event stream, so the core crash-sweep recipe
+//! deterministic persist-event stream, so the product's `CrashBattery`
 //! applies unchanged: count the events once, then for each chosen index
 //! `k` replay the identical run, trip an injected crash at `k` (often
-//! mid-batch, between a batch's open and close frames), take an
-//! adversarial `drop_all` power failure, recover, and check that the
-//! table conserves the workload invariant. Runs at shard counts {1, 4}.
+//! mid-batch, between a batch's open and close frames), take a power
+//! failure, recover, run the battery's checks with the table invariant,
+//! and keep serving. Runs at shard counts {1, 4}.
 
 use std::sync::Arc;
 
@@ -15,10 +15,10 @@ use clobber_kvnet::{
     serve, Admission, AdmissionConfig, Envelope, KvRequest, KvResponse, KvService, ServeConfig,
     SimNet, SimNetConfig,
 };
-use clobber_nvm::{Backend, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
+use clobber_nvm::{
+    reopen_media, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions, TxError,
 };
+use clobber_pmem::{PmemPool, PoolConcurrency, PoolOptions};
 use clobber_workloads::{Mix, RequestStream};
 
 /// Small log capacities keep each replayed pool cheap to create.
@@ -45,123 +45,119 @@ fn sim_cfg() -> SimNetConfig {
     }
 }
 
-/// Fresh pool + service, identical across calls so persist-event streams
-/// replay exactly.
-fn setup(concurrency: PoolConcurrency) -> (Arc<PmemPool>, KvService) {
-    let opts = PoolOptions::crash_sim(2 << 20).with_concurrency(concurrency);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
-    let rt = Arc::new(Runtime::create(pool.clone(), net_options()).unwrap());
-    let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
-    (pool, KvService::new(rt, server))
+/// The service as a battery workload: a fresh pool with the server state
+/// created, reopen with its txfuncs registered, and the table invariant.
+fn session(concurrency: PoolConcurrency) -> ExploreSession<'static> {
+    ExploreSession {
+        build: Box::new(move || {
+            let opts = PoolOptions::crash_sim(2 << 20).with_concurrency(concurrency);
+            let pool = Arc::new(PmemPool::create(opts).unwrap());
+            let rt = Runtime::create(pool.clone(), net_options()).unwrap();
+            KvServer::create(&rt, LockScheme::BucketRw).unwrap();
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let (pool, rt) = reopen_media(media, concurrency, net_options());
+            KvServer::register(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(|pool, rt| {
+            check_table(pool, &KvServer::open(rt, LockScheme::BucketRw).unwrap())
+        }),
+    }
+}
+
+fn service(rt: &Arc<Runtime>) -> KvService {
+    KvService::new(
+        rt.clone(),
+        KvServer::open(rt, LockScheme::BucketRw).unwrap(),
+    )
 }
 
 /// Drives the whole simulated population through the batched serve loop.
 /// An injected crash surfaces as the `TxError` from the mid-batch
-/// transaction (a trip on a trailing fence can still complete `Ok`).
-fn run_batched_service(svc: &mut KvService) -> Result<(), TxError> {
+/// transaction (a trip on a trailing fence can still complete `Ok`); an
+/// un-crashed run must not fail.
+fn run_batched_service(rt: &Arc<Runtime>) {
     let mut adm = Admission::new(AdmissionConfig::default());
     let mut net = SimNet::new(&sim_cfg()).with_window(1);
-    serve(
-        svc,
+    let outcome: Result<(), TxError> = serve(
+        &mut service(rt),
         &mut adm,
         &mut net,
         &ServeConfig {
             max_batch: 8,
             ..ServeConfig::default()
         },
-    )
+    );
+    if rt.pool().fault_tripped().is_none() {
+        outcome.expect("an un-crashed run must not fail");
+    }
 }
 
 /// Every key in the table must carry exactly the deterministic workload
 /// value for that key — whatever committed prefix of batches survived.
-fn check_table(pool: &PmemPool, server: &KvServer, ctx: &str) {
-    for (key, value) in server.table().dump(pool).unwrap() {
-        assert_eq!(
-            value,
-            RequestStream::value_bytes(key),
-            "{ctx}: key {key} holds a torn or foreign value"
-        );
+fn check_table(pool: &PmemPool, server: &KvServer) -> Result<(), String> {
+    let pairs = server
+        .table()
+        .dump(pool)
+        .map_err(|e| format!("dump: {e}"))?;
+    match pairs
+        .iter()
+        .find(|(key, value)| *value != RequestStream::value_bytes(*key))
+    {
+        Some((key, _)) => Err(format!("key {key} holds a torn or foreign value")),
+        None => Ok(()),
     }
-    pool.check_heap()
-        .unwrap_or_else(|e| panic!("{ctx}: heap check failed: {e}"));
+}
+
+/// Runs `f` with the battery over the batched service at `concurrency`.
+fn with_battery<R>(concurrency: PoolConcurrency, f: impl FnOnce(&CrashBattery<'_>) -> R) -> R {
+    f(&CrashBattery {
+        session: &session(concurrency),
+        drive: &run_batched_service,
+        nested: Nested::Off,
+    })
 }
 
 /// Counts the persist events one full service run issues.
 fn count_events(concurrency: PoolConcurrency) -> u64 {
-    let (pool, mut svc) = setup(concurrency);
-    pool.arm_faults(FaultPlan::count_only());
-    run_batched_service(&mut svc).expect("count run must not fail");
-    let n = pool.disarm_faults();
+    let n = with_battery(concurrency, |b| b.count_events()).unwrap_or_else(|v| panic!("{v}"));
     assert!(n > 0, "service run must issue persist events");
-    check_table(&pool, svc.server(), "baseline");
     n
 }
 
-/// Replays the run to event `k`, trips, and returns the surviving media
-/// after an adversarial power failure.
-fn crash_at(concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
-    let (pool, mut svc) = setup(concurrency);
-    pool.arm_faults(FaultPlan::crash_at(k));
-    let _ = run_batched_service(&mut svc);
-    assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
-    pool.crash(&CrashConfig::drop_all(0x17E7 ^ k))
-        .unwrap()
-        .media_snapshot()
-}
-
-/// Recovers `media`, checks the table invariant, recovery idempotence,
-/// and that the recovered service keeps serving batches.
-fn recover_and_check(media: Vec<u8>, concurrency: PoolConcurrency, ctx: &str) {
-    let pool = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
-            .unwrap(),
-    );
-    let rt = Arc::new(Runtime::open(pool.clone(), net_options()).unwrap());
-    KvServer::register(&rt);
-    rt.recover_with(&clobber_nvm::RecoveryOptions::default().no_wait())
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    let server = KvServer::open(&rt, LockScheme::BucketRw).unwrap();
-    check_table(&pool, &server, ctx);
-    // Idempotence: recovery left nothing ongoing behind.
-    let again = rt
-        .recover_with(&clobber_nvm::RecoveryOptions::default().no_wait())
-        .unwrap();
-    assert!(
-        again.is_clean(),
-        "{ctx}: second recover found leftover work: {again:?}"
-    );
-    // The recovered table keeps serving batched writes.
-    let mut svc = KvService::new(rt, server);
-    let responses = svc
-        .process_batch_on(
-            0,
-            &[Envelope {
-                conn: 0,
-                opaque: 0,
-                req: KvRequest::Set {
-                    key: RequestStream::key_bytes(999),
-                    value: RequestStream::value_bytes(999),
-                },
-            }],
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: post-recovery batch failed: {e}"));
-    assert_eq!(responses[0].2, KvResponse::Stored, "{ctx}");
-    check_table(&pool, svc.server(), ctx);
-}
-
-/// The sweep: ~24 evenly-spaced crash points over the run.
+/// The sweep: ~24 evenly-spaced crash points over the run, and every
+/// recovered table keeps serving batched writes.
 fn sweep_net(concurrency: PoolConcurrency) {
-    let events = count_events(concurrency);
-    let stride = (events / 24).max(1);
-    let mut k = 0;
-    let mut points = 0;
-    while k < events {
-        let media = crash_at(concurrency, k);
-        recover_and_check(media, concurrency, &format!("{concurrency:?} k={k}"));
-        points += 1;
-        k += stride;
-    }
-    assert!(points > 0);
+    let stride = (count_events(concurrency) / 24).max(1);
+    let summary = with_battery(concurrency, |b| {
+        b.sweep(stride, u64::MAX, |r| {
+            let ctx = format!("{concurrency:?} k={}", r.crash_at);
+            let mut svc = service(&r.rt);
+            let responses = svc
+                .process_batch_on(
+                    0,
+                    &[Envelope {
+                        conn: 0,
+                        opaque: 0,
+                        req: KvRequest::Set {
+                            key: RequestStream::key_bytes(999),
+                            value: RequestStream::value_bytes(999),
+                        },
+                    }],
+                )
+                .unwrap_or_else(|e| panic!("{ctx}: post-recovery batch failed: {e}"));
+            assert_eq!(responses[0].2, KvResponse::Stored, "{ctx}");
+            check_table(&r.pool, svc.server()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            r.pool
+                .check_heap()
+                .unwrap_or_else(|e| panic!("{ctx}: heap check failed: {e}"));
+        })
+    })
+    .unwrap_or_else(|v| panic!("{concurrency:?}: {v}"));
+    assert!(summary.crash_points > 0);
+    assert_eq!(summary.not_tripped, 0, "{concurrency:?}: every event trips");
 }
 
 #[test]
@@ -180,10 +176,8 @@ fn batched_service_crash_sweep_sharded4() {
 #[test]
 fn service_event_count_is_shard_invariant() {
     let baseline = count_events(PoolConcurrency::GlobalLock);
-    for concurrency in [
-        PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
-    ] {
+    for shards in [1, 4] {
+        let concurrency = PoolConcurrency::Sharded { shards };
         assert_eq!(baseline, count_events(concurrency), "{concurrency:?}");
     }
 }

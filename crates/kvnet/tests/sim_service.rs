@@ -81,8 +81,8 @@ fn des_service_runs_are_bit_deterministic_across_engines() {
     let golden = run_service(PoolConcurrency::GlobalLock, &cfg, 16, adm);
     assert!(golden.report.completed == 6 * 32, "{:?}", golden.report);
     for concurrency in [
+        PoolConcurrency::Sharded { shards: 1 },
         PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
     ] {
         let other = run_service(concurrency, &cfg, 16, adm);
         assert_eq!(

@@ -35,9 +35,9 @@
 use std::sync::Arc;
 
 use clobber_nvm::{
-    ArgList, Backend, ExploreSession, Runtime, RuntimeOptions, Schedule, ScheduleOp,
+    reopen_media, ArgList, Backend, ExploreSession, Runtime, RuntimeOptions, Schedule, ScheduleOp,
 };
-use clobber_pmem::{CacheImpl, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions};
+use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions};
 
 use crate::hashmap::{
     bucket_of, head_addr, HashMap, NODE_KEY, NODE_NEXT, NODE_SIZE, NODE_VLEN, NODE_VPTR, TX_INSERT,
@@ -131,17 +131,8 @@ impl ExploreWorkload {
     /// Reopens crashed media with txfuncs registered, ready for
     /// `recover_with`.
     pub fn reopen(&self, media: Vec<u8>) -> (Arc<PmemPool>, Runtime) {
-        let pool = Arc::new(
-            PmemPool::open_from_media_with(
-                media,
-                PoolMode::CrashSim,
-                CacheImpl::Dense,
-                self.concurrency,
-            )
-            .expect("reopen pool"),
-        );
-        let rt = Runtime::open(pool.clone(), RuntimeOptions::new(Backend::clobber()))
-            .expect("reopen rt");
+        let opts = RuntimeOptions::new(Backend::clobber());
+        let (pool, rt) = reopen_media(media, self.concurrency, opts);
         self.register_all(&rt);
         (pool, rt)
     }

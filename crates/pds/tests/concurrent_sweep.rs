@@ -12,9 +12,11 @@
 //! * **Deterministic 2-lane sweep** — a fixed interleaved schedule over
 //!   *both* structures through `run_on_locked`, crashed at every strided
 //!   persist event; the recovered media must be byte-identical across
-//!   `PoolConcurrency::{GlobalLock, Sharded{1,4}, SingleThread}` (the
-//!   determinism contract extended to locked transactions), and a second
-//!   recovery must change nothing (idempotence).
+//!   `PoolConcurrency::{GlobalLock, Sharded{1,4}}` (the determinism
+//!   contract extended to locked transactions).
+//!
+//!   Both tiers run the product's `CrashBattery`, so every visited crash
+//!   point also gets the heap walk, recovery idempotence and byte parity.
 //! * **Explorer over the real concurrent hash map** — a schedule
 //!   recorded from genuinely racing `insert_sync` threads feeds the
 //!   PR 8 [`Explorer`], which must enumerate its interleavings and crash
@@ -28,14 +30,12 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{
-    ArgList, Backend, ExploreOptions, Explorer, LockRequest, Runtime, RuntimeOptions, Schedule,
-    TxError,
+    reopen_media, ArgList, Backend, CrashBattery, ExploreOptions, ExploreSession, Explorer,
+    LockRequest, Nested, Runtime, RuntimeOptions, Schedule, SweepSummary, TxError,
 };
 use clobber_pds::workload::{value_of, ExploreWorkload};
 use clobber_pds::{hashmap, skiplist, HashMap, SkipList};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolConcurrency, PoolMode, PoolOptions, Tracer,
-};
+use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions, Tracer};
 
 const KEYS_PER_THREAD: u64 = 10;
 
@@ -47,20 +47,24 @@ fn rt_options() -> RuntimeOptions {
     opts
 }
 
-fn recover_opts() -> clobber_nvm::RecoveryOptions {
-    clobber_nvm::RecoveryOptions::default().no_wait()
-}
-
 enum Handle {
     H(HashMap),
     S(SkipList),
 }
 
 impl Handle {
-    fn root(&self) -> clobber_pmem::PAddr {
+    fn root(&self) -> PAddr {
         match self {
             Handle::H(x) => x.root(),
             Handle::S(x) => x.root(),
+        }
+    }
+
+    fn open(structure: &str, root: PAddr) -> Handle {
+        match structure {
+            "hashmap" => Handle::H(HashMap::open(root)),
+            "skiplist" => Handle::S(SkipList::open(root)),
+            _ => unreachable!(),
         }
     }
 }
@@ -114,94 +118,80 @@ fn run_racing(rt: &Runtime, h: &Handle, threads: usize) {
     });
 }
 
-/// Persist events a full racing run issues (approximate — racing runs are
-/// schedule-dependent — but a fine sweep upper bound).
-fn count_racing_events(structure: &str, concurrency: PoolConcurrency, threads: usize) -> u64 {
-    let (pool, rt, h) = setup(structure, concurrency);
-    pool.arm_faults(FaultPlan::count_only());
-    run_racing(&rt, &h, threads);
-    pool.disarm_faults()
-}
-
 /// The subset-robust invariant: structurally sound, no duplicate keys,
 /// every present key holding exactly `value_of(key)`.
-fn check_contents(pool: &PmemPool, h: &Handle, ctx: &str) {
+fn check_contents(pool: &PmemPool, h: &Handle) -> Result<(), String> {
     let pairs = match h {
-        Handle::H(x) => x.dump(pool).unwrap(),
-        Handle::S(x) => x.dump(pool).unwrap(),
-    };
+        Handle::H(x) => x.dump(pool),
+        Handle::S(x) => x.dump(pool),
+    }
+    .map_err(|e| format!("dump: {e}"))?;
     let mut seen = BTreeSet::new();
     for (k, v) in pairs {
-        assert!(seen.insert(k), "{ctx}: key {k} present twice");
-        assert_eq!(v, value_of(k), "{ctx}: key {k} holds torn bytes");
+        if !seen.insert(k) {
+            return Err(format!("key {k} present twice"));
+        }
+        if v != value_of(k) {
+            return Err(format!("key {k} holds torn bytes"));
+        }
     }
+    Ok(())
 }
 
-/// One racing crash point: race to event `k`, adversarial power failure,
-/// recover at the same shard count, full structural + value check, and
-/// the recovered structure keeps serving locked transactions.
-fn racing_crash_point(structure: &str, concurrency: PoolConcurrency, threads: usize, k: u64) {
-    let ctx = format!("{structure} shards={concurrency:?} threads={threads} k={k}");
-    let (pool, rt, h) = setup(structure, concurrency);
-    pool.arm_faults(FaultPlan::crash_at(k));
-    run_racing(&rt, &h, threads);
-    if pool.fault_tripped().is_none() {
-        // This particular interleaving finished before event k; the race
-        // itself must still have produced a consistent structure.
-        pool.disarm_faults();
-        check_contents(&pool, &h, &ctx);
-        return;
-    }
-    let media = pool
-        .crash(&CrashConfig::drop_all(0xD15C ^ k))
-        .unwrap()
-        .media_snapshot();
-
-    let pool2 = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
-            .unwrap(),
-    );
-    let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
-    let h2 = match structure {
-        "hashmap" => {
-            HashMap::register(&rt2);
-            Handle::H(HashMap::open(rt2.app_root().unwrap()))
-        }
-        "skiplist" => {
-            SkipList::register(&rt2);
-            Handle::S(SkipList::open(rt2.app_root().unwrap()))
-        }
-        _ => unreachable!(),
-    };
-    rt2.recover_with(&recover_opts())
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    pool2.check_heap().unwrap();
-    check_contents(&pool2, &h2, &ctx);
-    // Idempotence: nothing left ongoing.
-    let again = rt2.recover_with(&recover_opts()).unwrap();
-    assert!(
-        again.is_clean(),
-        "{ctx}: second recover did work: {again:?}"
-    );
-    // The recovered structure keeps working through the locked paths.
-    match &h2 {
-        Handle::H(x) => x.insert_sync(&rt2, 777_777, &value_of(777_777)).unwrap(),
-        Handle::S(x) => x.insert_sync(&rt2, 777_777, &value_of(777_777)).unwrap(),
-    }
-    check_contents(&pool2, &h2, &ctx);
-}
-
-fn racing_sweep(structure: &str, threads: usize, stride_div: u64) {
+/// The racing sweep: the battery at strided crash points of a run whose
+/// persist-event count is only approximate (racing runs are
+/// schedule-dependent, so a race that finishes before event `k` is a
+/// not-tripped point — the battery still checks that the race itself left
+/// a consistent structure). Each recovered structure keeps serving through
+/// the locked paths.
+fn racing_sweep(structure: &'static str, threads: usize, stride_div: u64) {
     for shards in [1u32, 4] {
         let concurrency = PoolConcurrency::Sharded { shards };
-        let events = count_racing_events(structure, concurrency, threads);
+        let session = ExploreSession {
+            build: Box::new(move || {
+                let (pool, rt, _) = setup(structure, concurrency);
+                (pool, rt)
+            }),
+            reopen: Box::new(move |media| {
+                let (pool, rt) = reopen_media(media, concurrency, rt_options());
+                match structure {
+                    "hashmap" => HashMap::register(&rt),
+                    "skiplist" => SkipList::register(&rt),
+                    _ => unreachable!(),
+                }
+                (pool, rt)
+            }),
+            check: Box::new(move |pool, rt| {
+                check_contents(pool, &Handle::open(structure, rt.app_root().unwrap()))
+            }),
+        };
+        let drive = |rt: &Arc<Runtime>| {
+            run_racing(
+                rt,
+                &Handle::open(structure, rt.app_root().unwrap()),
+                threads,
+            )
+        };
+        let battery = CrashBattery {
+            session: &session,
+            drive: &drive,
+            nested: Nested::Off,
+        };
+        let ctx = format!("{structure} shards={shards} threads={threads}");
+        let events = battery
+            .count_events()
+            .unwrap_or_else(|v| panic!("{ctx}: {v}"));
         assert!(events > 0, "{structure}: racing run issues persist events");
-        let stride = (events / stride_div).max(1);
-        let mut k = 0;
-        while k < events {
-            racing_crash_point(structure, concurrency, threads, k);
-            k += stride;
-        }
+        battery
+            .sweep((events / stride_div).max(1), u64::MAX, |r| {
+                let h = Handle::open(structure, r.rt.app_root().unwrap());
+                match &h {
+                    Handle::H(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
+                    Handle::S(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
+                }
+                check_contents(&r.pool, &h).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            })
+            .unwrap_or_else(|v| panic!("{ctx}: {v}"));
     }
 }
 
@@ -290,83 +280,73 @@ fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxErro
     Ok(())
 }
 
-/// Crash the 2-lane schedule at event `k` on `concurrency`, recover, and
-/// return the recovered pool's full media image.
-fn two_lane_recovered_media(concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
-    let (pool, rt, map, sl) = setup_two(concurrency);
-    pool.arm_faults(FaultPlan::crash_at(k));
-    let _ = run_two_lane(&rt, &map, &sl);
-    assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
-    let media = pool
-        .crash(&CrashConfig::drop_all(0x2A17 ^ k))
-        .unwrap()
-        .media_snapshot();
-    let pool2 = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
-            .unwrap(),
-    );
-    let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
-    HashMap::register(&rt2);
-    SkipList::register(&rt2);
-    rt2.recover_with(&recover_opts())
-        .unwrap_or_else(|e| panic!("{concurrency:?} k={k}: recovery failed: {e}"));
-    // Structural sanity on top of the byte comparison.
-    check_contents(
-        &pool2,
-        &Handle::H(HashMap::open(rt2.app_root().unwrap())),
-        &format!("{concurrency:?} k={k}"),
-    );
-    check_contents(&pool2, &Handle::S(sl), &format!("{concurrency:?} k={k}"));
-    // Idempotence: a second recovery must not move a single byte.
-    let snap = pool2.media_snapshot();
-    let again = rt2.recover_with(&recover_opts()).unwrap();
-    assert!(again.is_clean(), "{concurrency:?} k={k}: {again:?}");
-    assert_eq!(
-        snap,
-        pool2.media_snapshot(),
-        "{concurrency:?} k={k}: re-recovery moved bytes"
-    );
-    snap
+/// The battery over the fixed 2-lane schedule at ~12 strided crash points
+/// on `concurrency`; `served` gets each recovered pool's media, in order.
+fn two_lane_sweep(
+    concurrency: PoolConcurrency,
+    mut served: impl FnMut(usize, Vec<u8>),
+) -> SweepSummary {
+    // The build order is fixed, so the skiplist root (the map's is the app
+    // root) is the same address in every build.
+    let sl = setup_two(concurrency).3;
+    let session = ExploreSession {
+        build: Box::new(move || {
+            let (pool, rt, _, _) = setup_two(concurrency);
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let (pool, rt) = reopen_media(media, concurrency, rt_options());
+            HashMap::register(&rt);
+            SkipList::register(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(move |pool, rt| {
+            check_contents(pool, &Handle::H(HashMap::open(rt.app_root().unwrap())))?;
+            check_contents(pool, &Handle::S(sl))
+        }),
+    };
+    let drive = |rt: &Arc<Runtime>| {
+        let _ = run_two_lane(rt, &HashMap::open(rt.app_root().unwrap()), &sl);
+    };
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive,
+        nested: Nested::Off,
+    };
+    let events = battery.count_events().unwrap_or_else(|v| panic!("{v}"));
+    let mut point = 0;
+    let summary = battery
+        .sweep((events / 12).max(1), u64::MAX, |r| {
+            served(point, r.pool.media_snapshot());
+            point += 1;
+        })
+        .unwrap_or_else(|v| panic!("{concurrency:?}: {v}"));
+    assert_eq!(summary.not_tripped, 0, "{concurrency:?}: every event trips");
+    summary
 }
 
 /// The determinism contract, extended to locked transactions: crash the
 /// fixed 2-lane schedule at every strided persist event and recover —
-/// the recovered media is byte-identical on every concurrency engine.
+/// the sweep summary and the recovered media are identical on every
+/// concurrency engine.
 #[test]
 fn two_lane_sweep_recovers_byte_identically_across_engines() {
-    let engines = [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 1 },
-        PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
-    ];
-    // Count events once; the schedule is deterministic, so the count is
-    // engine-invariant (asserted by the sweep below tripping everywhere).
-    let (pool, rt, map, sl) = setup_two(PoolConcurrency::GlobalLock);
-    pool.arm_faults(FaultPlan::count_only());
-    run_two_lane(&rt, &map, &sl).unwrap();
-    let events = pool.disarm_faults();
-    assert!(events > 0);
-
-    let stride = (events / 12).max(1);
-    let mut k = 0;
-    let mut points = 0;
-    while k < events {
-        let golden = two_lane_recovered_media(engines[0], k);
-        for engine in &engines[1..] {
-            let other = two_lane_recovered_media(*engine, k);
-            assert_eq!(
-                golden, other,
-                "k={k}: recovered media diverged on {engine:?}"
-            );
-        }
-        points += 1;
-        k += stride;
-    }
+    let mut golden = Vec::new();
+    let reference = two_lane_sweep(PoolConcurrency::GlobalLock, |_, media| golden.push(media));
     assert!(
-        points >= 8,
+        reference.crash_points >= 8,
         "sweep must cover a real spread of crash points"
     );
+    for shards in [1, 4] {
+        let engine = PoolConcurrency::Sharded { shards };
+        let summary = two_lane_sweep(engine, |point, media| {
+            assert!(
+                golden[point] == media,
+                "crash point #{point}: recovered media diverged on {engine:?}"
+            );
+        });
+        assert_eq!(summary, reference, "{engine:?}: sweep summary diverged");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -419,8 +399,7 @@ fn explorer_clears_schedule_recorded_from_racing_hashmap_threads() {
     let opts = ExploreOptions::default()
         .with_budget(64)
         .with_crash_stride(5)
-        .with_max_crash_points(8)
-        .with_seed(0x5EED);
+        .with_max_crash_points(8);
     let explorer = Explorer::new(wl.session(), seed, opts);
     let report = explorer.run().expect("exploration runs");
     assert!(report.complete, "3-op schedule fits the budget");

@@ -1,22 +1,22 @@
 //! Persist-event crash-point sweep over the pds structures at multiple
 //! shard counts.
 //!
-//! Mirrors the core bank-transfer sweep harness: learn the insert stream's
-//! persist-event count with a `count_only` plan, then for strided crash
-//! points `k` replay from scratch, trip an injected crash at `k`, take an
-//! adversarial `drop_all` power failure, recover, and check the structure.
-//! Because persist-event numbering is shard-count-invariant, the sweep
-//! summary — and the recorded event trace — must be identical at every
-//! shard count.
+//! The product's `CrashBattery` over an insert stream: strided crash
+//! points, each crashed, recovered and put through the battery's checks
+//! with "the contents are an intact prefix of the inserted keys" as the
+//! workload invariant. Because persist-event numbering is
+//! shard-count-invariant, the sweep summary — and the recorded event
+//! trace — must be identical at every shard count.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use clobber_nvm::{Backend, Runtime, RuntimeOptions};
-use clobber_pds::{HashMap, RbTree};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolConcurrency, PoolMode, PoolOptions, Tracer,
+use clobber_nvm::{
+    reopen_media, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions,
+    SweepSummary,
 };
+use clobber_pds::{HashMap, RbTree};
+use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions, Tracer};
 
 const KEYS: u64 = 12;
 
@@ -73,91 +73,70 @@ fn run_inserts(rt: &Runtime, h: &Handle) {
     }
 }
 
-/// Persist events the intact insert stream issues.
-fn count_events(structure: &str, concurrency: PoolConcurrency) -> u64 {
-    let (pool, rt, h) = setup(structure, concurrency);
-    pool.arm_faults(FaultPlan::count_only());
-    run_inserts(&rt, &h);
-    pool.disarm_faults()
-}
-
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Summary {
-    events: u64,
-    crash_points: u64,
-    reexecuted: u64,
-    rolled_back: u64,
-    keys_recovered: u64,
-}
-
-/// Sweeps strided crash points at the given shard count.
-fn sweep(structure: &str, concurrency: PoolConcurrency) -> Summary {
-    let mut summary = Summary {
-        events: count_events(structure, concurrency),
-        ..Summary::default()
-    };
-    let stride = (summary.events / 12).max(1);
-    let mut k = 0;
-    while k < summary.events {
-        // Crash at event k, adversarial power failure.
-        let (pool, rt, h) = setup(structure, concurrency);
-        pool.arm_faults(FaultPlan::crash_at(k));
-        run_inserts(&rt, &h);
-        assert_eq!(pool.fault_tripped(), Some(k), "{structure}: event {k}");
-        let media = pool
-            .crash(&CrashConfig::drop_all(0xBEEF ^ k))
-            .unwrap()
-            .media_snapshot();
-
-        // Reopen at the same shard count and recover.
-        let pool2 = Arc::new(
-            PmemPool::open_from_media_with(
-                media,
-                PoolMode::CrashSim,
-                CacheImpl::Dense,
-                concurrency,
-            )
-            .unwrap(),
-        );
-        let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
-        register(structure, &rt2);
-        let report = rt2.recover().unwrap();
-        pool2.check_heap().unwrap();
-
-        // Contents are exactly the prefix 0..len with every value intact:
-        // clobber recovery completes the interrupted insert, never tears it.
-        let root = rt2.app_root().unwrap();
-        let pairs: BTreeMap<u64, Vec<u8>> = match structure {
-            "hashmap" => HashMap::open(root)
-                .dump(&pool2)
-                .unwrap()
-                .into_iter()
-                .collect(),
-            "rbtree" => RbTree::open(root)
-                .dump(&pool2)
-                .unwrap()
-                .into_iter()
-                .collect(),
-            _ => unreachable!(),
-        };
-        let len = pairs.len() as u64;
-        assert!(len <= KEYS, "{structure} crash@{k}");
-        for key in 0..len {
-            assert_eq!(
-                pairs.get(&key),
-                Some(&value_of(key)),
-                "{structure} crash@{k}: key {key}"
-            );
-        }
-        assert_eq!(report.rolled_back, 0, "{structure} crash@{k}");
-
-        summary.crash_points += 1;
-        summary.reexecuted += report.reexecuted.len() as u64;
-        summary.keys_recovered += len;
-        k += stride;
+fn open_handle(structure: &str, root: PAddr) -> Handle {
+    match structure {
+        "hashmap" => Handle::H(HashMap::open(root)),
+        "rbtree" => Handle::R(RbTree::open(root)),
+        _ => unreachable!(),
     }
+}
+
+/// Contents are exactly the prefix `0..len` with every value intact:
+/// clobber recovery completes the interrupted insert, never tears it.
+fn check_prefix(structure: &str, pool: &PmemPool, rt: &Runtime) -> Result<u64, String> {
+    let root = rt.app_root().map_err(|e| format!("app root: {e}"))?;
+    let dump = match open_handle(structure, root) {
+        Handle::H(x) => x.dump(pool),
+        Handle::R(x) => x.dump(pool),
+    };
+    let pairs: BTreeMap<u64, Vec<u8>> = dump
+        .map_err(|e| format!("dump: {e}"))?
+        .into_iter()
+        .collect();
+    let len = pairs.len() as u64;
+    if len > KEYS {
+        return Err(format!("{structure}: {len} keys, only {KEYS} inserted"));
+    }
+    match (0..len).find(|key| pairs.get(key) != Some(&value_of(*key))) {
+        Some(key) => Err(format!("{structure}: key {key} missing or torn")),
+        None => Ok(len),
+    }
+}
+
+/// Sweeps ~12 strided crash points at the given shard count; returns the
+/// battery's summary and the keys found across all recovered pools.
+fn sweep(structure: &'static str, concurrency: PoolConcurrency) -> (SweepSummary, u64) {
+    let session = ExploreSession {
+        build: Box::new(move || {
+            let (pool, rt, _) = setup(structure, concurrency);
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let opts = RuntimeOptions::new(Backend::clobber());
+            let (pool, rt) = reopen_media(media, concurrency, opts);
+            register(structure, &rt);
+            (pool, rt)
+        }),
+        check: Box::new(move |pool, rt| check_prefix(structure, pool, rt).map(drop)),
+    };
+    let drive =
+        |rt: &Arc<Runtime>| run_inserts(rt, &open_handle(structure, rt.app_root().unwrap()));
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive,
+        nested: Nested::Off,
+    };
+    let events = battery.count_events().unwrap_or_else(|v| panic!("{v}"));
+    let mut keys_recovered = 0;
+    let summary = battery
+        .sweep((events / 12).max(1), u64::MAX, |r| {
+            assert_eq!(r.report.rolled_back, 0, "{structure} crash@{}", r.crash_at);
+            keys_recovered += check_prefix(structure, &r.pool, &r.rt).unwrap();
+        })
+        .unwrap_or_else(|v| panic!("{structure}: {v}"));
     assert!(summary.crash_points > 0);
-    summary
+    assert_eq!(summary.not_tripped, 0, "{structure}: every event trips");
+    (summary, keys_recovered)
 }
 
 /// Satellite 1: the sweep passes on both structures at shards {1, 4}, and

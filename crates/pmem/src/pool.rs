@@ -18,10 +18,8 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::shard::ShardedPool;
 use crate::stats::{add_single_writer, PmemStats};
 
-/// Magic value of the original single-arena pool format (still opened).
-const POOL_MAGIC_V1: u64 = 0xC10B_BE12_0000_0001;
-/// Magic value of the multi-arena pool format.
-const POOL_MAGIC_V2: u64 = 0xC10B_BE12_0000_0002;
+/// Magic value of the pool format (the only one ever written or opened).
+const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0002;
 
 /// Monotonic id source distinguishing live pools for thread-local allocator
 /// state (arena routing and reservation magazines).
@@ -42,9 +40,9 @@ pub(crate) mod layout {
     pub const ROOT: u64 = 16;
     /// `u64` allocation frontier (relative to the arena's `meta_base`).
     pub const FRONTIER: u64 = 24;
-    /// `u64` arena count (v2 pools; a v1 pool is one arena).
+    /// `u64` arena count.
     pub const ARENAS: u64 = 32;
-    /// `u64` bytes spanned by each side arena (v2 pools, 0 if none).
+    /// `u64` bytes spanned by each side arena (0 if none).
     pub const ARENA_BYTES: u64 = 40;
     /// 64-byte allocator redo record (relative to the arena's `meta_base`).
     pub const ALLOC_REDO: u64 = 64;
@@ -87,12 +85,12 @@ impl ArenaLayout {
 
 /// The pool's arena partition, derived from (and persisted in) the header.
 ///
-/// Arena 0 keeps the exact v1 shape — metadata at offset 0, heap from
-/// `HEAP_BASE` up to `main_hi` — so single-arena pools are bit-compatible
-/// with the v1 format and huge allocations keep the largest region. Side
-/// arenas are fixed-size spans carved from the top of the pool. Geometry is
-/// a property of the pool *format*, never of the engine or shard count, so
-/// every concurrency mode computes identical block addresses.
+/// Arena 0 keeps the single-arena shape — metadata at offset 0, heap from
+/// `HEAP_BASE` up to `main_hi` — so huge allocations keep the largest
+/// region. Side arenas are fixed-size spans carved from the top of the
+/// pool. Geometry is a property of the pool *format*, never of the engine
+/// or shard count, so every concurrency mode computes identical block
+/// addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct HeapGeometry {
     arenas: Vec<ArenaLayout>,
@@ -108,7 +106,7 @@ const MIN_MAIN_HEAP: u64 = 64 * 1024;
 const SIDE_ARENA_MIN: u64 = 64 * 1024;
 
 impl HeapGeometry {
-    /// Single-arena geometry (v1 pools and tiny v2 pools).
+    /// Single-arena geometry (tiny pools, or one arena requested).
     pub(crate) fn single(capacity: u64) -> HeapGeometry {
         HeapGeometry {
             arenas: vec![ArenaLayout {
@@ -166,9 +164,6 @@ impl HeapGeometry {
     /// Reads (and validates) the geometry persisted in a pool header.
     pub(crate) fn read(media: &[u8]) -> Result<HeapGeometry, PmemError> {
         let capacity = media.len() as u64;
-        if get_u64(media, layout::MAGIC) == POOL_MAGIC_V1 {
-            return Ok(HeapGeometry::single(capacity));
-        }
         let count = get_u64(media, layout::ARENAS);
         let side_bytes = get_u64(media, layout::ARENA_BYTES);
         if count == 0 || count > 4096 {
@@ -237,7 +232,7 @@ pub enum CacheImpl {
 
 /// How the pool synchronizes its internal state.
 ///
-/// All three modes implement the identical durability contract and produce
+/// Both modes implement the identical durability contract and produce
 /// bit-identical durable media, counters (in aggregate) and seeded crash
 /// outcomes; they differ only in how the hot path locks. The lock-step
 /// property test (`tests/proptest_shard_equiv.rs`) holds them to that.
@@ -252,8 +247,8 @@ pub enum CacheImpl {
 /// the same event index regardless of shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolConcurrency {
-    /// One mutex around all pool state — the retained reference
-    /// implementation the sharded modes are tested against.
+    /// One mutex around all pool state — the shipped default, and the
+    /// reference the sharded mode is tested against.
     #[default]
     GlobalLock,
     /// State is partitioned into contiguous, line-aligned address ranges,
@@ -264,10 +259,6 @@ pub enum PoolConcurrency {
         /// Requested number of address-range shards (clamped to ≥ 1).
         shards: u32,
     },
-    /// No locking on the hot path at all. The first thread to touch the
-    /// pool claims it; any access from another thread panics. For
-    /// single-threaded benchmarks and harnesses.
-    SingleThread,
 }
 
 /// Configuration for [`PmemPool::create`].
@@ -326,7 +317,7 @@ impl PoolOptions {
     }
 
     /// Requests `arenas` allocator arenas (clamped to the capacity's room;
-    /// 1 disables side arenas for v1-identical layout).
+    /// 1 disables side arenas).
     pub fn with_arenas(mut self, arenas: u32) -> Self {
         self.arenas = arenas;
         self
@@ -342,12 +333,6 @@ impl PoolOptions {
     /// Partitions pool state into `shards` address-range shards.
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.concurrency = PoolConcurrency::Sharded { shards };
-        self
-    }
-
-    /// Selects the lock-free single-thread hot path.
-    pub fn single_thread(mut self) -> Self {
-        self.concurrency = PoolConcurrency::SingleThread;
         self
     }
 
@@ -614,8 +599,7 @@ impl RawPmem for GlobalRaw<'_> {
 enum Engine {
     /// Everything behind one mutex (the reference design).
     Global(Mutex<PoolInner>),
-    /// Address-range shards, each behind its own lock (or unsynchronized
-    /// owner-checked cells in `SingleThread` mode).
+    /// Address-range shards, each behind its own lock.
     Sharded(ShardedPool),
 }
 
@@ -636,7 +620,7 @@ pub struct PmemPool {
     pool_id: u64,
     /// Round-robin source for thread→arena assignment. The first thread to
     /// allocate always claims arena 0, which keeps single-threaded
-    /// workloads bit-identical to the v1 single-arena layout.
+    /// workloads bit-identical to the single-arena layout.
     next_arena: AtomicU32,
     stats: Arc<PmemStats>,
     /// Fast-path flag: true while a [`FaultPlan`] is armed. Lets the
@@ -678,7 +662,7 @@ impl PmemPool {
         }
         let geom = HeapGeometry::plan(opts.capacity, opts.arenas);
         let mut media = vec![0u8; opts.capacity as usize];
-        put_u64(&mut media, layout::MAGIC, POOL_MAGIC_V2);
+        put_u64(&mut media, layout::MAGIC, POOL_MAGIC);
         put_u64(&mut media, layout::CAPACITY, opts.capacity);
         put_u64(&mut media, layout::ROOT, 0);
         put_u64(&mut media, layout::ARENAS, geom.arenas().len() as u64);
@@ -724,8 +708,7 @@ impl PmemPool {
         if media.len() < (layout::HEAP_BASE + 4096) as usize {
             return Err(PmemError::CorruptPool("media shorter than metadata".into()));
         }
-        let magic = get_u64(&media, layout::MAGIC);
-        if magic != POOL_MAGIC_V1 && magic != POOL_MAGIC_V2 {
+        if get_u64(&media, layout::MAGIC) != POOL_MAGIC {
             return Err(PmemError::CorruptPool("bad magic".into()));
         }
         let capacity = get_u64(&media, layout::CAPACITY);
@@ -753,15 +736,8 @@ impl PmemPool {
             PoolConcurrency::GlobalLock => {
                 Engine::Global(Mutex::new(PoolInner::new(media, cache_impl, &geom)))
             }
-            PoolConcurrency::Sharded { shards } => Engine::Sharded(ShardedPool::new(
-                media,
-                cache_impl,
-                shards as usize,
-                false,
-                &geom,
-            )),
-            PoolConcurrency::SingleThread => {
-                Engine::Sharded(ShardedPool::new(media, cache_impl, 1, true, &geom))
+            PoolConcurrency::Sharded { shards } => {
+                Engine::Sharded(ShardedPool::new(media, cache_impl, shards as usize, &geom))
             }
         };
         let stats = Arc::new(match &engine {
@@ -821,8 +797,7 @@ impl PmemPool {
         self.concurrency
     }
 
-    /// The number of address-range shards (1 for the global-lock and
-    /// single-thread engines).
+    /// The number of address-range shards (1 for the global-lock engine).
     pub fn shard_count(&self) -> usize {
         match &self.engine {
             Engine::Global(_) => 1,
@@ -1613,11 +1588,16 @@ mod tests {
 
     #[test]
     fn open_rejects_bad_magic() {
-        let media = vec![0u8; 1 << 20];
-        assert!(matches!(
-            PmemPool::open_from_media(media, PoolMode::CrashSim),
-            Err(PmemError::CorruptPool(_))
-        ));
+        // Blank media, and an otherwise valid image restamped with the
+        // retired single-arena magic that no `create` ever wrote.
+        let mut restamped = crash_pool().media_snapshot();
+        put_u64(&mut restamped, layout::MAGIC, 0xC10B_BE12_0000_0001);
+        for media in [vec![0u8; 1 << 20], restamped] {
+            match PmemPool::open_from_media(media, PoolMode::CrashSim) {
+                Err(PmemError::CorruptPool(why)) => assert_eq!(why, "bad magic"),
+                other => panic!("expected a bad-magic error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -16,12 +16,6 @@
 //! and a trace recorded under that mutex is the same pool-wide total order
 //! at every shard count, which is what makes golden traces engine-invariant.
 //!
-//! `SingleThread` mode reuses this engine with one shard held in an
-//! owner-checked [`UnsafeCell`] instead of a mutex: the first thread to
-//! touch the pool claims it with a CAS on a thread-local token, and every
-//! later access checks the claim (and panics on a foreign thread) before
-//! the cell is dereferenced — so the unsynchronized access stays sound.
-//!
 //! Allocator state is per-arena: each arena's volatile [`ArenaMirror`] sits
 //! behind its own mutex, and an allocator operation locks that mirror plus
 //! only the shards overlapping the arena's byte span (mirror first, then
@@ -40,26 +34,12 @@
 //! [`ShardCounters`]: crate::stats::ShardCounters
 //! [`PmemStats::snapshot`]: crate::PmemStats::snapshot
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::{align_up, CACHE_LINE};
 use crate::alloc::ArenaMirror;
 use crate::pool::{CacheImpl, HeapGeometry, MediaCache, PoolMode, RawPmem};
 use crate::stats::PmemStats;
-
-thread_local! {
-    /// Address-identity token for the `SingleThread` owner check: the TLS
-    /// slot's address is unique per live thread and far cheaper to read
-    /// than `std::thread::current()`.
-    static THREAD_TOKEN: u8 = const { 0 };
-}
-
-fn thread_token() -> usize {
-    THREAD_TOKEN.with(|t| t as *const u8 as usize)
-}
 
 /// One address-range shard: a base offset plus its media/cache span.
 pub(crate) struct Shard {
@@ -101,18 +81,6 @@ impl Shard {
     }
 }
 
-/// A shard slot: locked for `Sharded`, owner-checked for `SingleThread`.
-enum ShardCell {
-    Locked(Mutex<Shard>),
-    Unsync(UnsafeCell<Shard>),
-}
-
-// SAFETY: the `Unsync` variant is only dereferenced by
-// `ShardedPool::with_shard`/`with_arena_raw` after `check_owner` has
-// established that the calling thread holds the pool's exclusive ownership
-// claim, so no two threads can alias the cell's contents.
-unsafe impl Sync for ShardCell {}
-
 /// The sharded engine: contiguous address-range shards plus one allocator
 /// mirror lock per arena.
 ///
@@ -120,7 +88,7 @@ unsafe impl Sync for ShardCell {}
 /// overlapping that arena's span, ascending. The pool-level fault mutex is
 /// never held across a shard acquisition.
 pub(crate) struct ShardedPool {
-    cells: Box<[ShardCell]>,
+    cells: Box<[Mutex<Shard>]>,
     /// Bytes per shard (multiple of [`CACHE_LINE`]); the last shard holds
     /// the remainder.
     shard_bytes: u64,
@@ -131,9 +99,6 @@ pub(crate) struct ShardedPool {
     mirrors: Box<[Mutex<ArenaMirror>]>,
     /// `[lo, hi)` byte span of each arena (metadata + heap).
     arena_spans: Vec<(u64, u64)>,
-    /// `SingleThread` ownership claim (0 = unclaimed, else the owner's
-    /// thread token). Unused when all cells are `Locked`.
-    owner: AtomicUsize,
 }
 
 impl ShardedPool {
@@ -141,7 +106,6 @@ impl ShardedPool {
         media: Vec<u8>,
         cache_impl: CacheImpl,
         shards: usize,
-        unsync: bool,
         geom: &HeapGeometry,
     ) -> ShardedPool {
         let capacity = media.len() as u64;
@@ -163,11 +127,7 @@ impl ShardedPool {
                 base,
                 mc: MediaCache::new(rest, cache_impl),
             };
-            cells.push(if unsync {
-                ShardCell::Unsync(UnsafeCell::new(shard))
-            } else {
-                ShardCell::Locked(Mutex::new(shard))
-            });
+            cells.push(Mutex::new(shard));
             base += take as u64;
             rest = tail;
         }
@@ -177,7 +137,6 @@ impl ShardedPool {
             capacity,
             mirrors: mirrors.into_boxed_slice(),
             arena_spans,
-            owner: AtomicUsize::new(0),
         }
     }
 
@@ -185,42 +144,9 @@ impl ShardedPool {
         self.cells.len()
     }
 
-    /// Verifies (or establishes) this thread's `SingleThread` ownership.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a second thread touches a `SingleThread` pool.
-    fn check_owner(&self) {
-        let me = thread_token();
-        // A relaxed load suffices for the owner re-check: only this thread
-        // can have stored `me`.
-        let cur = self.owner.load(Ordering::Relaxed);
-        if cur == me {
-            return;
-        }
-        if cur == 0
-            && self
-                .owner
-                .compare_exchange(0, me, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            return;
-        }
-        panic!("PoolConcurrency::SingleThread pool accessed from a second thread");
-    }
-
     /// Runs `f` with exclusive access to shard `idx`.
     fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
-        match &self.cells[idx] {
-            ShardCell::Locked(m) => f(&mut m.lock()),
-            ShardCell::Unsync(c) => {
-                self.check_owner();
-                // SAFETY: `check_owner` established that this thread holds
-                // the pool's exclusive claim, so no other reference to the
-                // shard exists (see `ShardCell`'s `Sync` justification).
-                f(unsafe { &mut *c.get() })
-            }
-        }
+        f(&mut self.cells[idx].lock())
     }
 
     /// Shard index containing `offset`, clamped so a zero-length access at
@@ -395,19 +321,7 @@ impl ShardedPool {
         let (lo, hi) = self.arena_spans[idx];
         let first = self.shard_index(lo);
         let last = self.shard_index(hi - 1);
-        let mut guards: Vec<ShardGuardMut<'_>> = Vec::with_capacity(last - first + 1);
-        for cell in self.cells[first..=last].iter() {
-            guards.push(match cell {
-                ShardCell::Locked(m) => ShardGuardMut::Locked(m.lock()),
-                ShardCell::Unsync(c) => {
-                    self.check_owner();
-                    // SAFETY: exclusive ownership established by
-                    // `check_owner`; each cell is visited once, so the
-                    // collected `&mut`s never alias.
-                    ShardGuardMut::Unsync(unsafe { &mut *c.get() })
-                }
-            });
-        }
+        let guards = self.cells[first..=last].iter().map(Mutex::lock).collect();
         let mut raw = ShardedRaw {
             guards,
             first_shard: first,
@@ -419,26 +333,12 @@ impl ShardedPool {
     }
 }
 
-enum ShardGuardMut<'a> {
-    Locked(parking_lot::MutexGuard<'a, Shard>),
-    Unsync(&'a mut Shard),
-}
-
-impl ShardGuardMut<'_> {
-    fn shard(&mut self) -> &mut Shard {
-        match self {
-            ShardGuardMut::Locked(g) => g,
-            ShardGuardMut::Unsync(s) => s,
-        }
-    }
-}
-
 /// [`RawPmem`] over the shards covering one arena's span (those locks
 /// held). Offsets stay pool-global; `first_shard` translates them to guard
 /// indices. Hot-path credits go to the first covered shard's bank, which
 /// the held locks make safe to write.
 struct ShardedRaw<'a> {
-    guards: Vec<ShardGuardMut<'a>>,
+    guards: Vec<MutexGuard<'a, Shard>>,
     /// Global index of `guards[0]`.
     first_shard: usize,
     /// The owning arena's `[lo, hi)` span — the fence scope.
@@ -454,7 +354,7 @@ impl ShardedRaw<'_> {
         while at < end {
             let idx = (at / self.shard_bytes) as usize;
             let stop = ((idx as u64 + 1) * self.shard_bytes).min(end);
-            let sh = self.guards[idx - self.first_shard].shard();
+            let sh = &mut *self.guards[idx - self.first_shard];
             f(sh, at, stop - at);
             at = stop;
         }
@@ -491,8 +391,7 @@ impl RawPmem for ShardedRaw<'_> {
     /// the global engine's `fence_range` over the same span.
     fn fence_raw(&mut self) {
         let (lo, hi) = self.span;
-        for g in &mut self.guards {
-            let sh = g.shard();
+        for sh in &mut self.guards {
             let clip_lo = lo.max(sh.base);
             let clip_hi = hi.min(sh.end());
             if clip_lo < clip_hi {
@@ -517,7 +416,7 @@ mod tests {
     fn shard_geometry_is_line_aligned_and_covers_capacity() {
         let media = vec![0u8; 1 << 20];
         let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 4, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 4, &geom);
         assert_eq!(s.shard_count(), 4);
         assert_eq!(s.shard_bytes % CACHE_LINE, 0);
         assert_eq!(s.media_snapshot().len(), 1 << 20);
@@ -528,7 +427,7 @@ mod tests {
         // 8 KiB across 4096 requested shards: at least one line per shard.
         let media = vec![0u8; 8192];
         let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 4096, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 4096, &geom);
         assert_eq!(s.shard_count(), 8192 / CACHE_LINE as usize);
         assert_eq!(s.shard_bytes, CACHE_LINE);
     }
@@ -537,7 +436,7 @@ mod tests {
     fn cross_shard_write_and_read_round_trip() {
         let media = vec![0u8; 8192];
         let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 2, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 2, &geom);
         let stats = PmemStats::with_banks(s.shard_count());
         let boundary = s.shard_bytes - 32;
         let data: Vec<u8> = (0..64u8).collect();
@@ -561,7 +460,7 @@ mod tests {
         let geom = crate::pool::HeapGeometry::plan(capacity, 4);
         assert!(geom.arenas().len() > 1, "1 MiB plans side arenas");
         let media = vec![0u8; capacity as usize];
-        let s = ShardedPool::new(media, CacheImpl::Dense, 8, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 8, &geom);
         let stats = PmemStats::with_banks(s.shard_count());
         let last = geom.arenas().len() - 1;
         let (lo, hi) = geom.arenas()[last].span();

@@ -22,9 +22,8 @@ pub(crate) fn add_single_writer(counter: &AtomicU64, by: u64) {
 /// Sharded pools route the six per-operation counters (stores, loads,
 /// flushes, fences and their byte counts) here instead of the shared
 /// [`PmemStats`] atomics, so the store path never touches a contended cache
-/// line. The bank's writer is whoever holds the owning shard's lock (or the
-/// claimed thread of a `SingleThread` pool), which is why the increments can
-/// be plain load+store pairs instead of atomic read-modify-writes: there is
+/// line. The bank's writer is whoever holds the owning shard's lock, which
+/// is why the increments can be plain load+store pairs instead of atomic read-modify-writes: there is
 /// exactly one writer at a time, and concurrent
 /// [`snapshot`](PmemStats::snapshot) readers only ever see a slightly stale
 /// value, never a torn one. Padded to two cache lines so neighbouring

@@ -1,15 +1,14 @@
 //! Lock-step equivalence of the sharded pool engines against the retained
 //! single-lock reference engine.
 //!
-//! PR 3's tentpole replaced the global pool mutex with address-range shards
-//! (plus an opt-in lock-free `SingleThread` mode). The contract is that the
-//! change is *unobservable* through the pool API: random schedules of
+//! PR 3's tentpole replaced the global pool mutex with address-range
+//! shards. The contract is that the change is *unobservable* through the pool API: random schedules of
 //! store/flush/fence/crash operations — including armed [`FaultPlan`]s that
 //! kill the pool mid-schedule and torn trip-point stores — must produce
 //! identical volatile reads, identical per-step error results, identical
 //! persist-event numbering and fault-trip points, bit-identical stats
 //! counters, and identical durable media after a seeded crash, at every
-//! shard count and in `SingleThread` mode.
+//! shard count.
 //!
 //! PR 4 extends the schedules with the full allocator surface —
 //! `alloc`/`free`/`reserve`/`publish`/`cancel` — so the sharded-arena
@@ -55,7 +54,6 @@ const CANDIDATES: &[(PoolConcurrency, Spelling)] = &[
     (PoolConcurrency::Sharded { shards: 2 }, Spelling::Lean),
     (PoolConcurrency::Sharded { shards: 4 }, Spelling::Lean),
     (PoolConcurrency::Sharded { shards: 16 }, Spelling::Lean),
-    (PoolConcurrency::SingleThread, Spelling::Lean),
 ];
 
 /// One step of the driver script. Offsets/lengths are pre-clipped to the

@@ -7,7 +7,7 @@
 //! mutex *before* any shard is consulted. These tests pin that contract
 //! concretely: the event count, every [`FaultPlan`] trip point, the
 //! fault-event stream, and the post-trip durable media all agree across
-//! shard counts 1, 4 and 16 (and `SingleThread`).
+//! shard counts 1, 4 and 16.
 
 use clobber_pmem::{
     CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolOptions, CACHE_LINE,
@@ -22,7 +22,6 @@ const MODES: &[PoolConcurrency] = &[
     PoolConcurrency::Sharded { shards: 1 },
     PoolConcurrency::Sharded { shards: 4 },
     PoolConcurrency::Sharded { shards: 16 },
-    PoolConcurrency::SingleThread,
 ];
 
 fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
