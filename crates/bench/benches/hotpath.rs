@@ -3,7 +3,7 @@
 //!
 //! `crashsim_reference` runs the map-based reference cache (the original
 //! model, kept for A/B comparison); `crashsim_dense` runs the dense
-//! bitmap + shadow-buffer cache; `performance` skips cache simulation
+//! paged cache; `performance` skips cache simulation
 //! entirely and bounds what the CrashSim path can hope to reach.
 //! `crashsim_sharded4` runs the 4-shard engine (per-shard locks) — the
 //! concurrency A/B against the single-lock `crashsim_dense` baseline.
@@ -333,8 +333,38 @@ fn pool_access(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a crash-sim pool instance costs before it has done anything, at
+/// three capacities: reopen an image → first `store_flush` → fence → take
+/// the image back (the battery's per-pool pattern: the buffer is recycled,
+/// so the allocator's zeroing or faulting-in of a fresh pool-sized buffer
+/// is not in the loop). The cache model is paged, so rows that stay close
+/// together are the "a crash point costs what it touches, not the pool"
+/// property; what still grows with the pool is the cache's slot table
+/// (4 bytes per 4 KiB).
+fn crash_sim_first_store(c: &mut Criterion) {
+    use clobber_pmem::{PAddr, PoolMode};
+
+    let mut group = c.benchmark_group("crash_sim_first_store");
+    group.sample_size(20);
+    for mib in [1u64, 8, 64] {
+        let fresh = PmemPool::create(PoolOptions::crash_sim(mib << 20)).unwrap();
+        let mut image = fresh.into_media();
+        group.bench_function(format!("{mib}MiB"), |b| {
+            b.iter(|| {
+                let media = std::mem::take(&mut image);
+                let pool = PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap();
+                pool.store_flush(PAddr::new(4096), &[0xA5; 64]).unwrap();
+                pool.fence();
+                image = pool.into_media();
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    crash_sim_first_store,
     pool_access,
     store_flush_fence,
     ycsb_load,

@@ -82,8 +82,7 @@ pub fn run_cell(kind: DsKind, backend: Backend, scale: Scale, seed: u64) -> Row 
         let mut c = cd.lock().unwrap();
         match *c {
             Some(0) => {
-                let crashed = pool.crash(&CrashConfig::drop_all(seed)).expect("crash");
-                *img.lock().unwrap() = Some(crashed.media_snapshot());
+                *img.lock().unwrap() = Some(pool.crash_media(&CrashConfig::drop_all(seed)));
                 *c = None; // disarm: crash capture is expensive
             }
             Some(n) => *c = Some(n - 1),
@@ -229,11 +228,7 @@ pub fn run_scaling_cell(pool_mib: u64, slots: usize, workers: usize, seed: u64) 
             });
         }
         rendezvous.wait();
-        media = Some(
-            pool.crash(&CrashConfig::drop_all(seed))
-                .expect("crash")
-                .media_snapshot(),
-        );
+        media = Some(pool.crash_media(&CrashConfig::drop_all(seed)));
         release.wait();
     });
 

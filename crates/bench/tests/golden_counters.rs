@@ -287,11 +287,7 @@ fn register_rec_chain(rt: &Runtime, trap: Option<CrashTrap>) {
                 if let Some((pool, image)) = &trap {
                     let mut img = image.lock().unwrap();
                     if img.is_none() {
-                        *img = Some(
-                            pool.crash(&CrashConfig::drop_all(9))
-                                .unwrap()
-                                .media_snapshot(),
-                        );
+                        *img = Some(pool.crash_media(&CrashConfig::drop_all(9)));
                     }
                 }
             }
@@ -367,10 +363,7 @@ fn recovery_counters_pin_across_engines() {
         pool_c.arm_faults(FaultPlan::crash_at(30));
         let _ = rt_c.recover_with(&no_wait);
         assert_eq!(pool_c.fault_tripped(), Some(30));
-        let crashed = pool_c
-            .crash(&CrashConfig::drop_all(0xEC))
-            .unwrap()
-            .media_snapshot();
+        let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xEC));
         let (pool_r, rt_r) = reopen_rec(crashed, concurrency);
         rt_r.recover_with(&no_wait).unwrap();
         let r = pool_r.stats().snapshot();

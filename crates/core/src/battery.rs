@@ -19,7 +19,7 @@
 //!    the allocator's durable structures are sound), the session's
 //!    **workload check**, **idempotence** (a second recovery finds nothing
 //!    to do), and **byte parity** (an independent recovery of the same
-//!    image ends on byte-identical media — taken after the second
+//!    image ends on byte-identical media — compared after the second
 //!    recovery, so that one moved no byte either);
 //! 4. with [`Nested`] on, crashes *recovery itself* at one rotating or at
 //!    every one of its persist events and puts the re-crashed image
@@ -27,8 +27,19 @@
 //!    recovery must be recoverable.
 //!
 //! Every recovered pool is handed to the caller's `served` closure — which
-//! owns the workload-specific "keeps serving" step — once its media is
-//! snapshotted for the parity comparison.
+//! owns the workload-specific "keeps serving" step — once it has passed
+//! the parity comparison.
+//!
+//! Images are pool-sized, so the battery handles them sparingly: the heap
+//! walk, the clean-outcome hash and the parity comparison read a pool's
+//! media in place ([`PmemPool::visit_media`]); a power failure is one copy
+//! ([`PmemPool::crash_media_into`]); and that copy, like the copy of a
+//! crashed image a second recovery runs on, is made into the buffer the
+//! last pool the battery was done with gave back
+//! ([`PmemPool::into_media`]). In a sweep's steady state an outer crash
+//! point allocates one pool-sized buffer (the pool the session builds) and
+//! a nested point two more (the crashed image kept for nesting, the
+//! re-crashed one) — `tests/battery_alloc.rs` holds it to that.
 
 use std::fmt;
 use std::sync::Arc;
@@ -171,48 +182,54 @@ impl CrashBattery<'_> {
         summary: &mut SweepSummary,
         served: &mut dyn FnMut(Recovered),
     ) -> Result<(), Box<Violation>> {
-        summary.crash_points += 1;
-        self.visit(k, summary, served).map_err(|mut v| {
-            v.visited = *summary;
+        self.counted_point(
+            k,
+            &mut Point {
+                summary,
+                served,
+                spare: &mut Vec::new(),
+            },
+        )
+    }
+
+    fn counted_point(&self, k: u64, point: &mut Point<'_>) -> Result<(), Box<Violation>> {
+        point.summary.crash_points += 1;
+        self.visit(k, point).map_err(|mut v| {
+            v.visited = *point.summary;
             v
         })
     }
 
-    fn visit(
-        &self,
-        k: u64,
-        point: &mut SweepSummary,
-        served: &mut dyn FnMut(Recovered),
-    ) -> Result<(), Box<Violation>> {
+    fn visit(&self, k: u64, point: &mut Point<'_>) -> Result<(), Box<Violation>> {
         let (pool, rt) = (self.session.build)();
         let rt = Arc::new(rt);
         pool.arm_faults(FaultPlan::crash_at(k));
         (self.drive)(&rt);
         if pool.fault_tripped() != Some(k) {
             pool.disarm_faults();
-            point.not_tripped += 1;
+            point.summary.not_tripped += 1;
             return self
                 .check_state(&pool, &rt)
                 .map_err(|e| violation(Some(k), None, format!("did not trip; {e}")));
         }
-        let media = power_failure(&pool, k, None)?;
+        let media = point.power_failure(&pool, k);
         drop(rt);
-        drop(pool);
+        point.reclaim(pool);
 
         // Nested crashes all restart from the same crashed image.
         let image = (self.nested != Nested::Off).then(|| media.clone());
-        let m = self.recover_checked(media, k, None, image.is_some(), point, served)?;
+        let m = self.recover_checked(media, k, None, image.is_some(), point)?;
         let Some(image) = image else {
             return Ok(());
         };
-        point.recovery_events += m;
+        point.summary.recovery_events += m;
         let nested_at = match self.nested {
             Nested::Rotating if m > 0 => k % m..k % m + 1,
             Nested::Exhaustive => 0..m,
             _ => 0..0,
         };
         for j in nested_at {
-            let (pool, rt) = (self.session.reopen)(image.clone());
+            let (pool, rt) = (self.session.reopen)(point.copy_of(&image));
             pool.arm_faults(FaultPlan::crash_at(j));
             // Recovery dies at event j (a trip on its final fence may still
             // let it return Ok — also a valid point).
@@ -224,11 +241,11 @@ impl CrashBattery<'_> {
                     "the nested crash did not trip".into(),
                 ));
             }
-            let media2 = power_failure(&pool, k, Some(j))?;
+            let media2 = point.power_failure(&pool, k);
             drop(rt);
-            drop(pool);
-            self.recover_checked(media2, k, Some(j), false, point, served)?;
-            point.nested_points += 1;
+            point.reclaim(pool);
+            self.recover_checked(media2, k, Some(j), false, point)?;
+            point.summary.nested_points += 1;
         }
         Ok(())
     }
@@ -236,52 +253,63 @@ impl CrashBattery<'_> {
     /// Step 3 for one crashed image; returns the persist events of its
     /// recovery when `count` is set (the parity recovery doubles as the
     /// counting run), 0 otherwise.
+    ///
+    /// The parity recovery runs first, on a copy of the image, and its pool
+    /// is taken apart for the bytes the checked pool is then compared with
+    /// in place: one live recovered pool at a time, and no snapshot of
+    /// either.
     fn recover_checked(
         &self,
         media: Vec<u8>,
         k: u64,
         nested_at: Option<u64>,
         count: bool,
-        point: &mut SweepSummary,
-        served: &mut dyn FnMut(Recovered),
+        point: &mut Point<'_>,
     ) -> Result<u64, Box<Violation>> {
         let fail = |reason: String| violation(Some(k), nested_at, reason);
         let opts = recover_opts();
-        let (pool, rt) = (self.session.reopen)(media.clone());
-        let report = rt
+        let (parity_pool, parity_rt) = (self.session.reopen)(point.copy_of(&media));
+        if count {
+            parity_pool.arm_faults(FaultPlan::count_only());
+        }
+        parity_rt
             .recover_with(&opts)
             .map_err(|e| fail(format!("recovery failed: {e}")))?;
+        let events = if count {
+            parity_pool.disarm_faults()
+        } else {
+            0
+        };
+        drop(parity_rt);
+        let parity = match Arc::try_unwrap(parity_pool) {
+            Ok(sole) => sole.into_media(),
+            Err(shared) => shared.media_snapshot(),
+        };
+
+        let (pool, rt) = (self.session.reopen)(media);
+        let report = rt
+            .recover_with(&opts)
+            .map_err(|e| fail(format!("parity recovery failed: {e}")))?;
         self.check_state(&pool, &rt).map_err(fail)?;
         match rt.recover_with(&opts) {
             Ok(second) if second.is_clean() => {}
             Ok(second) => return Err(fail(format!("second recovery was not clean: {second:?}"))),
             Err(e) => return Err(fail(format!("second recovery failed: {e}"))),
         }
-        let recovered = pool.media_snapshot();
-        point.absorb_report(&report);
-        // Handed over (and dropped by the caller) before the parity pool
-        // is built: one live recovered pool at a time keeps a sweep's
-        // multi-MiB images cycling through the same allocations.
-        served(Recovered {
+        if !media_equals(&pool, &parity) {
+            return Err(fail(
+                "two recoveries of the same media diverged".to_string(),
+            ));
+        }
+        *point.spare = parity;
+        point.summary.absorb_report(&report);
+        (point.served)(Recovered {
             crash_at: k,
             nested_at,
             pool,
             rt: Arc::new(rt),
             report,
         });
-
-        let (pool2, rt2) = (self.session.reopen)(media);
-        if count {
-            pool2.arm_faults(FaultPlan::count_only());
-        }
-        rt2.recover_with(&opts)
-            .map_err(|e| fail(format!("parity recovery failed: {e}")))?;
-        let events = if count { pool2.disarm_faults() } else { 0 };
-        if pool2.media_snapshot() != recovered {
-            return Err(fail(
-                "two recoveries of the same media diverged".to_string(),
-            ));
-        }
         Ok(events)
     }
 
@@ -302,7 +330,7 @@ impl CrashBattery<'_> {
         (self.drive)(&rt);
         let mut summary = SweepSummary {
             events: pool.disarm_faults(),
-            clean_outcome: fnv64(&pool.media_snapshot()),
+            clean_outcome: media_hash(&pool),
             ..SweepSummary::default()
         };
         if let Err(reason) = self.check_state(&pool, &rt) {
@@ -311,9 +339,14 @@ impl CrashBattery<'_> {
             return Err(v);
         }
         drop((pool, rt));
+        let mut point = Point {
+            summary: &mut summary,
+            served: &mut served,
+            spare: &mut Vec::new(),
+        };
         let mut k = 0;
-        while k < summary.events && summary.crash_points < max_points {
-            self.crash_point(k, &mut summary, &mut served)?;
+        while k < point.summary.events && point.summary.crash_points < max_points {
+            self.counted_point(k, &mut point)?;
             k += stride;
         }
         Ok(summary)
@@ -337,21 +370,64 @@ fn recover_opts() -> RecoveryOptions {
     RecoveryOptions::default().no_wait()
 }
 
-/// The adversarial power failure: the durable media of `pool` with every
-/// un-fenced line dropped.
-fn power_failure(
-    pool: &PmemPool,
-    k: u64,
-    nested_at: Option<u64>,
-) -> Result<Vec<u8>, Box<Violation>> {
-    pool.crash(&CrashConfig::drop_all(k))
-        .map(|dead| dead.media_snapshot())
-        .map_err(|e| violation(Some(k), nested_at, format!("crash draw failed: {e}")))
+/// What a sweep threads through its crash points: the running summary, the
+/// caller's `served`, and one recycled pool-sized buffer — pool-sized
+/// allocations that come and go every point are what the battery would
+/// otherwise spend its time on (page faults on fresh memory, the allocator
+/// trimming and regrowing its heap).
+struct Point<'a> {
+    summary: &'a mut SweepSummary,
+    served: &'a mut dyn FnMut(Recovered),
+    /// Empty, or the buffer the next image copy is made into.
+    spare: &'a mut Vec<u8>,
 }
 
-/// FNV-1a, the same pocket hash the recovery checkpoints use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+impl Point<'_> {
+    /// The adversarial power failure: the durable media of `pool` with
+    /// every un-fenced line dropped, written into the spare buffer.
+    fn power_failure(&mut self, pool: &PmemPool, k: u64) -> Vec<u8> {
+        pool.crash_media_into(&CrashConfig::drop_all(k), std::mem::take(self.spare))
+    }
+
+    /// A copy of `image` in the spare buffer.
+    fn copy_of(&mut self, image: &[u8]) -> Vec<u8> {
+        let mut copy = std::mem::take(self.spare);
+        image.clone_into(&mut copy);
+        copy
+    }
+
+    /// Keeps the media buffer of a crashed pool as the spare, when nothing
+    /// else still holds the pool.
+    fn reclaim(&mut self, pool: Arc<PmemPool>) {
+        if let Ok(dead) = Arc::try_unwrap(pool) {
+            *self.spare = dead.into_media();
+        }
+    }
+}
+
+/// Whether the durable media of `pool` equals `image`, compared in place.
+fn media_equals(pool: &PmemPool, image: &[u8]) -> bool {
+    let mut at = 0;
+    let mut same = true;
+    pool.visit_media(|piece| {
+        same = same && image.get(at..at + piece.len()) == Some(piece);
+        at += piece.len();
+    });
+    same && at == image.len()
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of the durable media of `pool`, hashed in place.
+fn media_hash(pool: &PmemPool) -> u64 {
+    let mut h = FNV_OFFSET;
+    pool.visit_media(|piece| h = fnv64(h, piece));
+    h
+}
+
+/// FNV-1a (the same pocket hash the recovery checkpoints use) of `bytes`,
+/// continuing from state `h`.
+fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -365,7 +441,12 @@ mod tests {
 
     #[test]
     fn fnv_distinguishes_bytes() {
-        assert_ne!(fnv64(b"a"), fnv64(b"b"));
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv64(FNV_OFFSET, b"a"), fnv64(FNV_OFFSET, b"b"));
+        assert_eq!(fnv64(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(
+            fnv64(fnv64(FNV_OFFSET, b"ab"), b"c"),
+            fnv64(FNV_OFFSET, b"abc"),
+            "hashing piecewise equals hashing the concatenation"
+        );
     }
 }

@@ -402,11 +402,7 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
             });
         }
         rendezvous.wait();
-        media = Some(
-            pool.crash(&CrashConfig::drop_all(77))
-                .unwrap()
-                .media_snapshot(),
-        );
+        media = Some(pool.crash_media(&CrashConfig::drop_all(77)));
         release.wait();
     });
     media.unwrap()

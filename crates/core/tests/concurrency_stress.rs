@@ -156,10 +156,7 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
 
     // Power failure with seeded line survival, then recovery on a pool
     // reopened at the same shard count.
-    let media = pool
-        .crash(&CrashConfig::with_seed(seed))
-        .unwrap()
-        .media_snapshot();
+    let media = pool.crash_media(&CrashConfig::with_seed(seed));
     let pool2 = Arc::new(
         PmemPool::open_from_media_with(
             media,

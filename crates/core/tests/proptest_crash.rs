@@ -65,8 +65,7 @@ proptest! {
             let mut c = cd.lock().unwrap();
             match *c {
                 Some(0) => {
-                    let crashed = pool.crash(&CrashConfig::drop_all(seed)).expect("crash");
-                    *img.lock().unwrap() = Some(crashed.media_snapshot());
+                    *img.lock().unwrap() = Some(pool.crash_media(&CrashConfig::drop_all(seed)));
                     *c = None; // disarm: crash capture is expensive
                 }
                 Some(n) => *c = Some(n - 1),

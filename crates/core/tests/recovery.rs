@@ -57,10 +57,7 @@ impl CrashTrap {
         let mut st = self.inner.lock().unwrap();
         if let Some(n) = st.countdown {
             if n == 0 {
-                let crashed = pool
-                    .crash(&CrashConfig::drop_all(st.seed))
-                    .expect("crash image");
-                st.image = Some(crashed.media_snapshot());
+                st.image = Some(pool.crash_media(&CrashConfig::drop_all(st.seed)));
                 st.countdown = None;
             } else {
                 st.countdown = Some(n - 1);

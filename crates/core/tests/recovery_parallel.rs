@@ -78,14 +78,8 @@ fn assert_parallel_parity(
     assert!(parallel.workers_used > 1, "{ctx}: {parallel:?}");
 
     assert_same_outcome(&serial, &parallel, ctx);
-    let media_s = pool_s
-        .crash(&CrashConfig::drop_all(3))
-        .unwrap()
-        .media_snapshot();
-    let media_p = pool_p
-        .crash(&CrashConfig::drop_all(3))
-        .unwrap()
-        .media_snapshot();
+    let media_s = pool_s.crash_media(&CrashConfig::drop_all(3));
+    let media_p = pool_p.crash_media(&CrashConfig::drop_all(3));
     assert_eq!(media_s, media_p, "{ctx}: durable state diverged");
 
     let base = rt_p.app_root().unwrap();
@@ -142,10 +136,7 @@ fn parallel_scan_resumes_from_checkpoints_like_serial() {
     pool_c.arm_faults(FaultPlan::crash_at(2 * m / 3));
     let _ = rt_c.recover_with(&opts());
     assert_eq!(pool_c.fault_tripped(), Some(2 * m / 3));
-    let crashed = pool_c
-        .crash(&CrashConfig::drop_all(0xD15C))
-        .unwrap()
-        .media_snapshot();
+    let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xD15C));
 
     let final_media =
         assert_parallel_parity(crashed, 4, PoolConcurrency::GlobalLock, "resumed scan");
@@ -359,10 +350,7 @@ fn parallel_recovery_crash_parity(stride: u64) {
             pool_c.arm_faults(FaultPlan::crash_at(j));
             let _ = rt_c.recover_with(&opts());
             assert_eq!(pool_c.fault_tripped(), Some(j));
-            let crashed = pool_c
-                .crash(&CrashConfig::drop_all(0xE4 ^ (j << 8)))
-                .unwrap()
-                .media_snapshot();
+            let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xE4 ^ (j << 8)));
             assert_parallel_parity(
                 crashed,
                 4,

@@ -48,8 +48,7 @@ impl CrashTrap {
         let mut st = self.inner.lock().unwrap();
         match st.0 {
             Some(0) => {
-                let crashed = pool.crash(&CrashConfig::drop_all(0xCAFE)).unwrap();
-                st.1 = Some(crashed.media_snapshot());
+                st.1 = Some(pool.crash_media(&CrashConfig::drop_all(0xCAFE)));
                 st.0 = None;
             }
             Some(n) => st.0 = Some(n - 1),
@@ -150,10 +149,7 @@ fn crashed_recovery_leaves_a_resumable_watermark() {
     pool.arm_faults(FaultPlan::crash_at(m0 / 2));
     let _ = rt.recover_with(&opts());
     assert_eq!(pool.fault_tripped(), Some(m0 / 2));
-    let media = pool
-        .crash(&CrashConfig::drop_all(0x5EED))
-        .unwrap()
-        .media_snapshot();
+    let media = pool.crash_media(&CrashConfig::drop_all(0x5EED));
 
     let w = watermark(&media).expect("mid-re-execution crash persisted a checkpoint");
     assert!(w > 0 && w <= CELLS, "watermark in range: {w}");
@@ -203,10 +199,7 @@ fn every_event_crash_schedule_makes_bounded_progress() {
         match pool.fault_tripped() {
             Some(j) => {
                 assert_eq!(j, cycles);
-                media = pool
-                    .crash(&CrashConfig::drop_all(0xBAD5EED ^ (cycles << 8)))
-                    .unwrap()
-                    .media_snapshot();
+                media = pool.crash_media(&CrashConfig::drop_all(0xBAD5EED ^ (cycles << 8)));
                 let w = watermark(&media);
                 match (last_w, w) {
                     (Some(old), Some(new)) => {
@@ -249,10 +242,7 @@ fn fixed_event_adversary_never_regresses_the_watermark() {
         pool.arm_faults(FaultPlan::crash_at(10));
         let _ = rt.recover_with(&opts());
         assert_eq!(pool.fault_tripped(), Some(10), "cycle {cycle}");
-        media = pool
-            .crash(&CrashConfig::drop_all(0xF1D0 ^ cycle))
-            .unwrap()
-            .media_snapshot();
+        media = pool.crash_media(&CrashConfig::drop_all(0xF1D0 ^ cycle));
         let w = watermark(&media);
         if let (Some(old), Some(new)) = (last_w, w) {
             assert!(
@@ -282,10 +272,7 @@ fn resumed_recovery_trace_carries_watermark_steps() {
     let (pool, rt) = reopen(image);
     pool.arm_faults(FaultPlan::crash_at(m0 / 2));
     let _ = rt.recover_with(&opts());
-    let media = pool
-        .crash(&CrashConfig::drop_all(0x7ACE))
-        .unwrap()
-        .media_snapshot();
+    let media = pool.crash_media(&CrashConfig::drop_all(0x7ACE));
     let w = watermark(&media).expect("checkpoint persisted");
 
     let (pool2, rt2) = reopen(media);

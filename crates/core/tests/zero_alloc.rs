@@ -2,7 +2,7 @@
 //! performs zero heap allocations, with a counting global allocator.
 //!
 //! The first run of the txfunc warms every pooled buffer (the recycled
-//! `TxScratch`, the dense cache's shadow, the clobber log staging buffer);
+//! `TxScratch`, the dense cache's pages, the clobber log staging buffer);
 //! the second run measures the allocation count inside the transaction
 //! body, after its first store, and must observe none.
 //!
@@ -75,7 +75,7 @@ fn steady_state_read_clobber_path_is_allocation_free() {
     });
 
     let args = ArgList::new().with_u64(base.offset());
-    // Warm-up transaction: sizes the pooled scratch, the cache shadow and
+    // Warm-up transaction: sizes the pooled scratch, the cache pages and
     // the log staging buffer. Its allocation count is irrelevant.
     rt.run("hot", &args).unwrap();
     // Steady state: the identical transaction must not allocate at all

@@ -2,8 +2,8 @@
 //!
 //! The DES transport makes a whole multi-client batched service run a
 //! deterministic persist-event stream, so the product's `CrashBattery`
-//! applies unchanged: count the events once, then for each chosen index
-//! `k` replay the identical run, trip an injected crash at `k` (often
+//! applies unchanged: count the events once, then for every index `k`
+//! replay the identical run, trip an injected crash at `k` (often
 //! mid-batch, between a batch's open and close frames), take a power
 //! failure, recover, run the battery's checks with the table invariant,
 //! and keep serving. Runs at shard counts {1, 4}.
@@ -127,12 +127,11 @@ fn count_events(concurrency: PoolConcurrency) -> u64 {
     n
 }
 
-/// The sweep: ~24 evenly-spaced crash points over the run, and every
+/// The sweep: a crash at every persist event of the run, and every
 /// recovered table keeps serving batched writes.
 fn sweep_net(concurrency: PoolConcurrency) {
-    let stride = (count_events(concurrency) / 24).max(1);
     let summary = with_battery(concurrency, |b| {
-        b.sweep(stride, u64::MAX, |r| {
+        b.sweep(1, u64::MAX, |r| {
             let ctx = format!("{concurrency:?} k={}", r.crash_at);
             let mut svc = service(&r.rt);
             let responses = svc
@@ -156,7 +155,8 @@ fn sweep_net(concurrency: PoolConcurrency) {
         })
     })
     .unwrap_or_else(|v| panic!("{concurrency:?}: {v}"));
-    assert!(summary.crash_points > 0);
+    assert!(summary.events > 0, "the run issues persist events");
+    assert_eq!(summary.crash_points, summary.events, "{concurrency:?}");
     assert_eq!(summary.not_tripped, 0, "{concurrency:?}: every event trips");
 }
 

@@ -35,8 +35,8 @@ impl Trap {
             let mut cd = t.countdown.lock().unwrap();
             if let Some(n) = *cd {
                 if n == 0 {
-                    let crashed = pool.crash(&CrashConfig::drop_all(t.seed)).expect("crash");
-                    *t.image.lock().unwrap() = Some(crashed.media_snapshot());
+                    *t.image.lock().unwrap() =
+                        Some(pool.crash_media(&CrashConfig::drop_all(t.seed)));
                     *cd = None;
                 } else {
                     *cd = Some(n - 1);

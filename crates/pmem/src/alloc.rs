@@ -58,7 +58,7 @@ use std::collections::HashMap;
 
 use crate::addr::{align_up, PAddr};
 use crate::pool::{
-    get_u64, put_u64, ArenaLayout, HeapGeometry, PmemError, PmemPool, PoolMode, RawPmem,
+    get_u64, put_u64, ArenaLayout, HeapGeometry, MediaView, PmemError, PmemPool, PoolMode, RawPmem,
 };
 
 /// Payload capacities of the small size classes.
@@ -788,25 +788,25 @@ impl PmemPool {
     /// Returns [`PmemError::CorruptPool`] describing the first structural
     /// violation found.
     pub fn check_heap(&self) -> Result<HeapReport, PmemError> {
-        // A diagnostic walk over the durable image: operating on a snapshot
-        // keeps it engine-agnostic (and off every hot lock).
-        let media = self.media_snapshot();
-        let media = &media[..];
-        let mut report = HeapReport::default();
-        for (idx, arena) in self.geom().arenas().iter().enumerate() {
-            check_arena(media, idx, arena, &mut report)?;
-        }
-        Ok(report)
+        // A diagnostic walk over the durable image, in place: the view
+        // keeps it engine-agnostic and holds the engine's lock(s) meanwhile.
+        self.with_media_view(|media| {
+            let mut report = HeapReport::default();
+            for (idx, arena) in self.geom().arenas().iter().enumerate() {
+                check_arena(media, idx, arena, &mut report)?;
+            }
+            Ok(report)
+        })
     }
 }
 
 fn check_arena(
-    media: &[u8],
+    media: &MediaView<'_>,
     idx: usize,
     arena: &ArenaLayout,
     report: &mut HeapReport,
 ) -> Result<(), PmemError> {
-    let frontier = get_u64(media, arena.frontier_off());
+    let frontier = media.get_u64(arena.frontier_off());
     if frontier < arena.heap_lo || frontier > arena.heap_hi {
         return Err(PmemError::CorruptPool(format!(
             "arena {idx} frontier {frontier:#x} outside its heap"
@@ -815,7 +815,7 @@ fn check_arena(
     // Free blocks reachable from the arena's persistent lists.
     let mut listed = std::collections::HashSet::new();
     for head_idx in 0..NUM_HEADS {
-        let mut cur = get_u64(media, arena.head_off(head_idx as u32));
+        let mut cur = media.get_u64(arena.head_off(head_idx as u32));
         let mut hops = 0u64;
         while cur != 0 {
             if cur < arena.heap_lo + HDR_LEN || cur + 8 > frontier + HDR_LEN + 4096 {
@@ -828,9 +828,9 @@ fn check_arena(
                     "free block {cur:#x} linked twice"
                 )));
             }
-            cur = get_u64(media, cur - HDR_LEN + HDR_NEXT);
+            cur = media.get_u64(cur - HDR_LEN + HDR_NEXT);
             hops += 1;
-            if hops > media.len() as u64 / 16 {
+            if hops > media.len() / 16 {
                 return Err(PmemError::CorruptPool("free-list cycle".into()));
             }
         }
@@ -839,17 +839,9 @@ fn check_arena(
     let mut at = align_up(arena.heap_lo, 16);
     while at + HDR_LEN < frontier {
         let payload = at + HDR_LEN;
-        let state = u32::from_le_bytes(
-            media[at as usize..at as usize + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let class = u32::from_le_bytes(
-            media[at as usize + 4..at as usize + 8]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let size = get_u64(media, at + 8);
+        let state = media.get_u32(at);
+        let class = media.get_u32(at + 4);
+        let size = media.get_u64(at + 8);
         match state {
             STATE_ALLOC => {
                 report.allocated_blocks += 1;

@@ -2,10 +2,14 @@
 //!
 //! Two implementations share the same observable behavior:
 //!
-//! * [`LineCache`] — the production model: a dense, line-indexed
-//!   representation (one dirty/flush-pending bit per cache line plus a
-//!   single lazily-allocated shadow buffer). The store path touches no heap
-//!   after the first write and no hashing ever happens.
+//! * [`LineCache`] — the production model: a dense table with one entry
+//!   per 64 lines (the slot of their page) over a slab of pages — 4 KiB of
+//!   line data with its 64 dirty bits and 64 flush-pending bits — that
+//!   grows by a page the first time a line of that entry is stored to. A
+//!   pool instance therefore costs what its run stores to, not its
+//!   capacity (beyond four table bytes per 4 KiB); the table and the
+//!   slab's first pages are allocated by the first store and no hashing
+//!   ever happens.
 //! * [`RefCache`] — the original `HashMap<line, CacheLine>` model, kept as
 //!   the executable specification for equivalence tests and A/B benchmarks
 //!   (select it with [`PoolOptions::with_reference_cache`]).
@@ -46,7 +50,7 @@ pub(crate) fn line_count(offset: u64, len: u64) -> u64 {
 
 /// The cache implementation selected for a pool.
 pub(crate) enum Cache {
-    /// Dense bitmap + shadow-buffer model (default).
+    /// Dense paged model (default).
     Dense(LineCache),
     /// Original hash-map model (reference/testing).
     Reference(RefCache),
@@ -57,7 +61,7 @@ impl Cache {
     #[inline]
     pub(crate) fn is_clean(&self) -> bool {
         match self {
-            Cache::Dense(c) => c.modified == 0,
+            Cache::Dense(c) => c.dirty_pages == 0,
             Cache::Reference(c) => c.lines.is_empty(),
         }
     }
@@ -119,36 +123,90 @@ impl Cache {
     }
 }
 
-/// Dense line-indexed cache: per-line state bits plus one shadow buffer.
+/// Lines per word: `WORD_LINES * LINE` bytes are one [`Page`], so a line
+/// never spans pages.
+const WORD_LINES: u64 = 64;
+/// Bytes of line data in one [`Page`]: the span of one word.
+const PAGE: usize = WORD_LINES as usize * LINE;
+/// Pages reserved by the first store, so a short run (a crash-sweep point,
+/// a benchmark cycle) never regrows the slab.
+const RESERVED_PAGES: usize = 16;
+
+/// The cached state of one word — 64 consecutive lines, 4 KiB of the span.
+struct Page {
+    /// One bit per line: modified since last write-back.
+    dirty: u64,
+    /// One bit per line: write-back initiated, not yet fenced.
+    flush_pending: u64,
+    /// The volatile contents of the dirty lines, laid out like the span;
+    /// the bytes of clean lines are meaningless and never read.
+    bytes: [u8; PAGE],
+}
+
+/// Dense paged cache: a table with one entry per 64-line word over a slab
+/// of [`Page`]s that grows by one page the first time a word is stored to,
+/// so the cache costs memory and time in proportion to the pages a run
+/// stores to, not to the pool.
 ///
 /// Invariants:
 /// * `flush_pending ⊆ dirty` (a line's flush is voided by a later store and
 ///   cleared by the fence that writes it back, so it can never outlive
 ///   dirtiness).
-/// * `modified` equals the number of set bits in `dirty`.
-/// * For every dirty line, `shadow` holds the current (volatile) contents;
-///   for clean lines `shadow` is meaningless and never read.
+/// * `dirty_pages` equals the number of pages with a dirty line.
+/// * A page stays with its word for good: one fenced clean is reused when
+///   the word is dirtied again, so the slab never exceeds the pages ever
+///   stored to.
 ///
-/// Nothing is allocated until the first store; after that, steady-state
-/// stores, flushes and fences are allocation-free (the pending-flush list
-/// retains its capacity across fences).
+/// Nothing is allocated until the first store, which allocates the table
+/// (zeroed, four bytes per 4 KiB of the span) and reserves the slab; after
+/// that stores, flushes and fences are allocation-free until a run dirties
+/// more than the reserved pages (the slab then grows geometrically, and the
+/// pending-flush list retains its capacity across fences).
 #[derive(Default)]
 pub(crate) struct LineCache {
-    /// Volatile contents of dirty lines, indexed like media. Sized lazily.
-    shadow: Vec<u8>,
-    /// One bit per line: modified since last write-back.
-    dirty: Vec<u64>,
-    /// One bit per line: write-back initiated, not yet fenced.
-    flush_pending: Vec<u64>,
+    /// Per word of the span: the slot of its page in `pages` plus one, 0
+    /// while no line of the word was ever stored to. Sized by the first
+    /// store.
+    slots: Vec<u32>,
+    /// The slab: the pages stored to, in first-touch order.
+    pages: Vec<Page>,
     /// Lines pushed by flushes, drained by the next fence.
     pending_flushes: Vec<u64>,
-    /// Number of set bits in `dirty`.
-    modified: usize,
+    /// Number of pages with a dirty line: 0 means reads need no overlay.
+    dirty_pages: usize,
 }
 
+/// Bits `[lo, hi]` (inclusive, `hi < 64`) of a word mask.
 #[inline]
-fn word_bit(line: u64) -> (usize, u64) {
-    ((line / 64) as usize, 1u64 << (line % 64))
+fn bits(lo: u64, hi: u64) -> u64 {
+    (u64::MAX >> (63 - hi)) & (u64::MAX << lo)
+}
+
+/// Visits `[offset, offset+len)` word by word, ascending, as `(word,
+/// first_byte, end_byte, line_mask)`.
+#[inline]
+fn for_each_word(offset: u64, len: u64, mut f: impl FnMut(usize, u64, u64, u64)) {
+    let end = offset + len;
+    let mut at = offset;
+    while at < end {
+        let w = at / PAGE as u64;
+        let stop = ((w + 1) * PAGE as u64).min(end);
+        let mask = bits(
+            at / CACHE_LINE % WORD_LINES,
+            (stop - 1) / CACHE_LINE % WORD_LINES,
+        );
+        f(w as usize, at, stop, mask);
+        at = stop;
+    }
+}
+
+/// Calls `f` with each set bit's index, ascending.
+#[inline]
+fn for_each_bit(mut mask: u64, mut f: impl FnMut(u64)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as u64);
+        mask &= mask - 1;
+    }
 }
 
 impl LineCache {
@@ -156,63 +214,109 @@ impl LineCache {
         LineCache::default()
     }
 
-    fn ensure(&mut self, media_len: usize) {
-        if self.shadow.len() != media_len {
-            self.shadow.resize(media_len, 0);
-            let lines = media_len.div_ceil(LINE);
-            let words = lines.div_ceil(64);
-            self.dirty.resize(words, 0);
-            self.flush_pending.resize(words, 0);
+    /// The page of word `w`, if one of its lines was ever stored to.
+    #[inline]
+    fn page(&self, w: usize) -> Option<&Page> {
+        match self.slots[w] {
+            0 => None,
+            slot => Some(&self.pages[slot as usize - 1]),
         }
+    }
+
+    /// Appends word `w`'s page to the slab and returns its table entry. Out
+    /// of line: a `Page` built on the stack would put a 4 KiB frame (and
+    /// its stack probe) on every store.
+    #[cold]
+    #[inline(never)]
+    fn add_page(&mut self, w: usize) -> u32 {
+        self.pages.push(Page {
+            dirty: 0,
+            flush_pending: 0,
+            bytes: [0; PAGE],
+        });
+        self.slots[w] = self.pages.len() as u32;
+        self.slots[w]
     }
 
     fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
-        self.ensure(media.len());
-        let len = data.len() as u64;
-        for line in lines_for_range(offset, len) {
-            let (w, b) = word_bit(line);
-            if self.dirty[w] & b == 0 {
-                self.dirty[w] |= b;
-                self.modified += 1;
-                // Seed partially covered boundary lines from media; fully
-                // covered lines are about to be overwritten below.
-                let start = line * CACHE_LINE;
-                if start < offset || start + CACHE_LINE > offset + len {
-                    let s = start as usize;
-                    self.shadow[s..s + LINE].copy_from_slice(&media[s..s + LINE]);
-                }
-            }
+        if self.slots.is_empty() {
+            self.slots = vec![0; media.len().div_ceil(PAGE)];
+            self.pages.reserve_exact(RESERVED_PAGES);
+        }
+        for_each_word(offset, data.len() as u64, |w, at, stop, mask| {
+            let slot = match self.slots[w] {
+                0 => self.add_page(w),
+                slot => slot,
+            };
+            let page = &mut self.pages[slot as usize - 1];
+            let fresh = mask & !page.dirty;
+            self.dirty_pages += usize::from(page.dirty == 0);
+            page.dirty |= mask;
             // A store after a flush re-dirties the line; the earlier flush
             // no longer guarantees this data's durability.
-            self.flush_pending[w] &= !b;
-        }
-        self.shadow[offset as usize..(offset + len) as usize].copy_from_slice(data);
+            page.flush_pending &= !mask;
+            let base = w * PAGE;
+            if fresh != 0 {
+                // Seed partially covered boundary lines from media; fully
+                // covered lines are about to be overwritten below. Only the
+                // first and the last line of a piece can be partial.
+                let mut seed = |start: u64| {
+                    if fresh & (1 << (start / CACHE_LINE % WORD_LINES)) != 0 {
+                        let s = start as usize;
+                        page.bytes[s - base..s - base + LINE].copy_from_slice(&media[s..s + LINE]);
+                    }
+                };
+                let first = at - at % CACHE_LINE;
+                let last = (stop - 1) - (stop - 1) % CACHE_LINE;
+                if first < at || first + CACHE_LINE > stop {
+                    seed(first);
+                }
+                if last != first && last + CACHE_LINE > stop {
+                    seed(last);
+                }
+            }
+            page.bytes[at as usize - base..stop as usize - base]
+                .copy_from_slice(&data[(at - offset) as usize..(stop - offset) as usize]);
+        });
     }
 
     fn flush_range(&mut self, offset: u64, len: u64) {
-        if self.modified == 0 {
+        if self.dirty_pages == 0 {
             return;
         }
-        for line in lines_for_range(offset, len) {
-            let (w, b) = word_bit(line);
-            if self.dirty[w] & b != 0 && self.flush_pending[w] & b == 0 {
-                self.flush_pending[w] |= b;
-                self.pending_flushes.push(line);
-            }
+        for_each_word(offset, len, |w, _, _, mask| {
+            let Some(index) = self.slots[w].checked_sub(1) else {
+                return;
+            };
+            let page = &mut self.pages[index as usize];
+            let newly = mask & page.dirty & !page.flush_pending;
+            page.flush_pending |= newly;
+            for_each_bit(newly, |bit| {
+                self.pending_flushes.push(w as u64 * WORD_LINES + bit);
+            });
+        });
+    }
+
+    /// Writes `line` back to `media` if its flush is still pending.
+    #[inline]
+    fn write_back(&mut self, media: &mut [u8], line: u64) {
+        let (w, bit) = ((line / WORD_LINES) as usize, line % WORD_LINES);
+        // A line is only ever pushed by a flush that found it dirty, so
+        // its word has a page.
+        let page = &mut self.pages[self.slots[w] as usize - 1];
+        if page.flush_pending & (1 << bit) != 0 {
+            let (s, d) = ((line * CACHE_LINE) as usize, bit as usize * LINE);
+            media[s..s + LINE].copy_from_slice(&page.bytes[d..d + LINE]);
+            page.flush_pending &= !(1 << bit);
+            page.dirty &= !(1 << bit);
+            self.dirty_pages -= usize::from(page.dirty == 0);
         }
     }
 
     fn fence(&mut self, media: &mut [u8]) {
         let mut pending = std::mem::take(&mut self.pending_flushes);
         for line in pending.drain(..) {
-            let (w, b) = word_bit(line);
-            if self.flush_pending[w] & b != 0 {
-                let s = (line * CACHE_LINE) as usize;
-                media[s..s + LINE].copy_from_slice(&self.shadow[s..s + LINE]);
-                self.flush_pending[w] &= !b;
-                self.dirty[w] &= !b;
-                self.modified -= 1;
-            }
+            self.write_back(media, line);
         }
         // Hand the drained (empty) vector back so its capacity is reused.
         self.pending_flushes = pending;
@@ -224,43 +328,41 @@ impl LineCache {
             if line < lo_line || line >= hi_line {
                 return true; // outside the fence's range: stays pending
             }
-            let (w, b) = word_bit(line);
-            if self.flush_pending[w] & b != 0 {
-                let s = (line * CACHE_LINE) as usize;
-                media[s..s + LINE].copy_from_slice(&self.shadow[s..s + LINE]);
-                self.flush_pending[w] &= !b;
-                self.dirty[w] &= !b;
-                self.modified -= 1;
-            }
+            self.write_back(media, line);
             false
         });
         self.pending_flushes = pending;
     }
 
     fn overlay(&self, offset: u64, buf: &mut [u8]) {
-        let len = buf.len() as u64;
-        for line in lines_for_range(offset, len) {
-            let (w, b) = word_bit(line);
-            if self.dirty[w] & b != 0 {
-                let line_start = line * CACHE_LINE;
-                let copy_start = line_start.max(offset);
-                let copy_end = (line_start + CACHE_LINE).min(offset + len);
-                buf[(copy_start - offset) as usize..(copy_end - offset) as usize]
-                    .copy_from_slice(&self.shadow[copy_start as usize..copy_end as usize]);
-            }
+        if self.dirty_pages == 0 {
+            return;
         }
+        for_each_word(offset, buf.len() as u64, |w, at, stop, mask| {
+            let Some(page) = self.page(w) else { return };
+            let base = (w * PAGE) as u64;
+            for_each_bit(mask & page.dirty, |bit| {
+                let line_start = base + bit * CACHE_LINE;
+                let copy_start = line_start.max(at);
+                let copy_end = (line_start + CACHE_LINE).min(stop);
+                buf[(copy_start - offset) as usize..(copy_end - offset) as usize].copy_from_slice(
+                    &page.bytes[(copy_start - base) as usize..(copy_end - base) as usize],
+                );
+            });
+        });
     }
 
     fn for_each_modified(&self, mut f: impl FnMut(u64, bool, &[u8])) {
-        for (w, &word) in self.dirty.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let line = w as u64 * 64 + bits.trailing_zeros() as u64;
-                bits &= bits - 1;
-                let s = (line * CACHE_LINE) as usize;
-                let fp = self.flush_pending[w] & (1u64 << (line % 64)) != 0;
-                f(line, fp, &self.shadow[s..s + LINE]);
-            }
+        for w in 0..self.slots.len() {
+            let Some(page) = self.page(w) else { continue };
+            for_each_bit(page.dirty, |bit| {
+                let d = bit as usize * LINE;
+                f(
+                    w as u64 * WORD_LINES + bit,
+                    page.flush_pending & (1 << bit) != 0,
+                    &page.bytes[d..d + LINE],
+                );
+            });
         }
     }
 }
@@ -498,6 +600,85 @@ mod tests {
             assert_eq!(&media[256..264], &[0x22; 8]);
         }
         assert_eq!(m1, m2, "models agree on range-fence semantics");
+    }
+
+    fn dense(cache: &Cache) -> &LineCache {
+        match cache {
+            Cache::Dense(c) => c,
+            Cache::Reference(_) => unreachable!("the dense half of `both`"),
+        }
+    }
+
+    #[test]
+    fn a_fresh_cache_allocates_nothing_before_its_first_store() {
+        let (mut media, mut cache, ..) = both(PAGE * 8);
+        cache.flush_range(0, 4096);
+        cache.fence(&mut media);
+        assert_eq!(read(&media, &cache, 100, 200), media[100..300]);
+        let c = dense(&cache);
+        assert_eq!(
+            (
+                c.slots.capacity(),
+                c.pages.capacity(),
+                c.pending_flushes.capacity()
+            ),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn the_slab_holds_only_the_pages_stored_to() {
+        // 1 MiB + 5 lines of media: the last word covers a partial page.
+        let (mut m1, mut cache, mut m2, mut reference) = both((1 << 20) + 5 * LINE);
+        // (offset, len): scattered, two of them straddling a page boundary,
+        // one three pages long (over four), one in the partial last page,
+        // one back on a page already stored to.
+        let script = [
+            (7 * PAGE + 100, 8),
+            (200 * PAGE - 3, 6),
+            (31 * PAGE + 4000, 200),
+            (90 * PAGE + 17, 3 * PAGE),
+            ((1 << 20) + 2 * LINE, 2 * LINE),
+            (7 * PAGE + 3000, 64),
+        ];
+        let mut touched = std::collections::BTreeSet::new();
+        for (i, &(off, len)) in script.iter().enumerate() {
+            let data = vec![i as u8 + 1; len];
+            cache.write(off as u64, &data, &m1);
+            reference.write(off as u64, &data, &m2);
+            touched.extend(off / PAGE..=(off + len - 1) / PAGE);
+        }
+        assert_eq!(touched.len(), 10);
+        assert_eq!(dense(&cache).pages.len(), touched.len());
+        assert_eq!(
+            read(&m1, &cache, 0, m1.len()),
+            read(&m2, &reference, 0, m2.len())
+        );
+        for (off, len) in script {
+            cache.flush_range(off as u64, len as u64);
+            reference.flush_range(off as u64, len as u64);
+        }
+        cache.fence(&mut m1);
+        reference.fence(&mut m2);
+        assert!(cache.is_clean());
+        assert_eq!(m1, m2);
+    }
+
+    #[test]
+    fn a_page_fenced_clean_is_reused_when_its_word_is_dirtied_again() {
+        let (mut media, mut cache, ..) = both(PAGE * 8);
+        for round in 0..3u8 {
+            // A different line of the same two words every round.
+            for off in [PAGE as u64 + 64 * round as u64, 5 * PAGE as u64 + 8] {
+                cache.write(off, &[round + 1; 8], &media);
+                cache.flush_range(off, 8);
+            }
+            cache.fence(&mut media);
+            assert!(cache.is_clean());
+            assert_eq!(dense(&cache).pages.len(), 2, "round {round}");
+        }
+        assert_eq!(&media[PAGE + 128..PAGE + 136], &[3; 8]);
+        assert_eq!(&media[5 * PAGE + 8..5 * PAGE + 16], &[3; 8]);
     }
 
     #[test]

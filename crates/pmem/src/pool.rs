@@ -223,7 +223,8 @@ pub enum PoolMode {
 /// A/B benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheImpl {
-    /// Dense line-indexed model: per-line state bits + one shadow buffer.
+    /// Dense line-indexed model: per-line state bits + a slab of the
+    /// 4 KiB pages stored to.
     #[default]
     Dense,
     /// Original `HashMap`-per-line model (slower; testing only).
@@ -520,6 +521,49 @@ impl MediaCache {
     /// byte offsets (the allocator's arena-scoped fence).
     pub(crate) fn fence_range_raw(&mut self, lo: u64, hi: u64) {
         self.cache.fence_range(&mut self.media, lo, hi);
+    }
+}
+
+/// The durable media as the engine holds it, borrowed under its lock(s):
+/// one piece for the global engine, one per shard (ascending) for the
+/// sharded one. Every in-place inspection of durable bytes — the heap
+/// walk, [`PmemPool::visit_media`] — reads through this instead of copying
+/// the pool.
+pub(crate) struct MediaView<'a> {
+    /// The pieces, ascending and contiguous; all but the last hold
+    /// `piece_bytes` bytes.
+    pub(crate) pieces: &'a [&'a [u8]],
+    pub(crate) piece_bytes: u64,
+}
+
+impl MediaView<'_> {
+    /// Total bytes of media viewed.
+    pub(crate) fn len(&self) -> u64 {
+        self.pieces.iter().map(|p| p.len() as u64).sum()
+    }
+
+    /// The `N` durable bytes at `offset` (which may straddle pieces).
+    fn read<const N: usize>(&self, offset: u64) -> [u8; N] {
+        let mut buf = [0u8; N];
+        let mut at = offset;
+        let mut done = 0;
+        while done < N {
+            let piece = self.pieces[(at / self.piece_bytes) as usize];
+            let local = (at % self.piece_bytes) as usize;
+            let n = (piece.len() - local).min(N - done);
+            buf[done..done + n].copy_from_slice(&piece[local..local + n]);
+            done += n;
+            at += n as u64;
+        }
+        buf
+    }
+
+    pub(crate) fn get_u64(&self, offset: u64) -> u64 {
+        u64::from_le_bytes(self.read(offset))
+    }
+
+    pub(crate) fn get_u32(&self, offset: u64) -> u32 {
+        u32::from_le_bytes(self.read(offset))
     }
 }
 
@@ -1386,6 +1430,23 @@ impl PmemPool {
     /// Returns [`PmemError::CorruptPool`] if the surviving media fails header
     /// validation (which would indicate a bug in this crate, not the caller).
     pub fn crash(&self, cfg: &CrashConfig) -> Result<PmemPool, PmemError> {
+        let media = self.crash_media(cfg);
+        PmemPool::open_from_media_with(media, self.mode, self.cache_impl, self.concurrency)
+    }
+
+    /// The media image the power failure of [`crash`](Self::crash) leaves
+    /// behind — durable bytes plus every modified line whose survival draw
+    /// succeeds — as one copy, not reopened: `crash` is this image opened,
+    /// and since an open replays the allocator redo record, this is the
+    /// image before that replay. For a harness that reopens it itself.
+    pub fn crash_media(&self, cfg: &CrashConfig) -> Vec<u8> {
+        self.crash_media_into(cfg, Vec::new())
+    }
+
+    /// [`crash_media`](Self::crash_media) written into `buf`'s allocation
+    /// (its contents are discarded): no allocation when `buf` already has
+    /// the pool's capacity.
+    pub fn crash_media_into(&self, cfg: &CrashConfig, mut buf: Vec<u8>) -> Vec<u8> {
         let cfg = &cfg.clamped();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // One survival draw per modified line, in ascending line order —
@@ -1399,32 +1460,64 @@ impl PmemPool {
                 rng.gen_bool(cfg.p_dirty)
             }
         };
-        let media = match &self.engine {
+        match &self.engine {
             Engine::Global(m) => {
                 let inner = m.lock();
-                let mut media = inner.mc.media.clone();
+                buf.clone_from(&inner.mc.media);
                 inner
                     .mc
                     .cache
                     .for_each_modified(|line, flush_pending, bytes| {
                         if draw(flush_pending) {
                             let s = (line * CACHE_LINE) as usize;
-                            media[s..s + CACHE_LINE as usize].copy_from_slice(bytes);
+                            buf[s..s + CACHE_LINE as usize].copy_from_slice(bytes);
                         }
                     });
-                media
+                buf
             }
-            Engine::Sharded(s) => s.crash_media(&mut draw),
-        };
-        PmemPool::open_from_media_with(media, self.mode, self.cache_impl, self.concurrency)
+            Engine::Sharded(s) => s.crash_media(buf, &mut draw),
+        }
     }
 
     /// Returns a copy of the durable media contents (what a crash with
     /// [`CrashConfig::drop_all`] would preserve, before redo replay).
     pub fn media_snapshot(&self) -> Vec<u8> {
+        let mut media = Vec::with_capacity(self.capacity as usize);
+        self.visit_media(|piece| media.extend_from_slice(piece));
+        media
+    }
+
+    /// Runs `f` on the durable media in place, holding the engine's
+    /// lock(s) (the global mutex, or every shard, ascending) meanwhile.
+    pub(crate) fn with_media_view<R>(&self, f: impl FnOnce(&MediaView<'_>) -> R) -> R {
         match &self.engine {
-            Engine::Global(m) => m.lock().mc.media.clone(),
-            Engine::Sharded(s) => s.media_snapshot(),
+            Engine::Global(m) => {
+                let inner = m.lock();
+                f(&MediaView {
+                    pieces: &[&inner.mc.media],
+                    piece_bytes: self.capacity,
+                })
+            }
+            Engine::Sharded(s) => s.with_media_view(f),
+        }
+    }
+
+    /// Calls `f` on each contiguous piece of the durable media, ascending
+    /// (the pieces concatenated are [`media_snapshot`](Self::media_snapshot)),
+    /// without copying it: for hashing or comparing an image in place. The
+    /// engine's locks are held while `f` runs, so `f` must not call back
+    /// into this pool.
+    pub fn visit_media(&self, mut f: impl FnMut(&[u8])) {
+        self.with_media_view(|view| view.pieces.iter().for_each(|piece| f(piece)));
+    }
+
+    /// Consumes the pool and returns its durable media (the volatile cache
+    /// is discarded, as by a [`CrashConfig::drop_all`] crash) — no copy on
+    /// the single-lock engine, so a harness can recycle a pool-sized buffer.
+    pub fn into_media(self) -> Vec<u8> {
+        match self.engine {
+            Engine::Global(m) => m.into_inner().mc.media,
+            Engine::Sharded(s) => s.into_media(),
         }
     }
 }
@@ -1624,6 +1717,36 @@ mod tests {
         let m1 = make().crash(&cfg).unwrap().media_snapshot();
         let m2 = make().crash(&cfg).unwrap().media_snapshot();
         assert_eq!(m1, m2);
+    }
+
+    #[test]
+    fn media_is_visited_crashed_and_taken_in_place() {
+        let opts = PoolOptions::crash_sim(1 << 20);
+        for opts in [opts, opts.with_shards(4)] {
+            let p = PmemPool::create(opts).unwrap();
+            // Durable bytes across the end of shard 0, and an unfenced store.
+            let a = PAddr::new((1 << 18) - 100);
+            p.write_bytes(a, &[7; 200]).unwrap();
+            p.persist(a, 200).unwrap();
+            p.write_u64(PAddr::new(8192), 9).unwrap();
+            let snap = p.media_snapshot();
+            assert_eq!(&snap[a.offset() as usize..][..200], &[7; 200]);
+
+            let mut visited = Vec::new();
+            p.visit_media(|piece| visited.extend_from_slice(piece));
+            assert_eq!(visited, snap, "the pieces are the media, ascending");
+
+            assert_eq!(p.crash_media(&CrashConfig::drop_all(1)), snap);
+            let kept = p.crash_media(&CrashConfig::keep_all(1));
+            assert_eq!(get_u64(&kept, 8192), 9, "the unfenced store survived");
+            let buf = Vec::with_capacity(1 << 20);
+            let at = buf.as_ptr();
+            let image = p.crash_media_into(&CrashConfig::drop_all(1), buf);
+            assert_eq!(image.as_ptr(), at, "written into the buffer handed in");
+            assert_eq!(image, snap);
+
+            assert_eq!(p.into_media(), snap);
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::{align_up, CACHE_LINE};
 use crate::alloc::ArenaMirror;
-use crate::pool::{CacheImpl, HeapGeometry, MediaCache, PoolMode, RawPmem};
+use crate::pool::{CacheImpl, HeapGeometry, MediaCache, MediaView, PoolMode, RawPmem};
 use crate::stats::PmemStats;
 
 /// One address-range shard: a base offset plus its media/cache span.
@@ -103,7 +103,7 @@ pub(crate) struct ShardedPool {
 
 impl ShardedPool {
     pub(crate) fn new(
-        media: Vec<u8>,
+        mut media: Vec<u8>,
         cache_impl: CacheImpl,
         shards: usize,
         geom: &HeapGeometry,
@@ -117,20 +117,26 @@ impl ShardedPool {
         let arena_spans = geom.arenas().iter().map(|l| l.span()).collect();
         let want = shards.clamp(1, 4096) as u64;
         let shard_bytes = align_up(capacity.div_ceil(want).max(1), CACHE_LINE);
-        let mut cells = Vec::new();
-        let mut rest = media;
+        // Shard 0 keeps the original buffer — and its capacity, which
+        // `into_media` grows back into; the other shards copy their piece.
+        let tails: Vec<Vec<u8>> = media
+            .chunks(shard_bytes as usize)
+            .skip(1)
+            .map(<[u8]>::to_vec)
+            .collect();
+        media.truncate(shard_bytes as usize);
         let mut base = 0u64;
-        while !rest.is_empty() {
-            let take = (shard_bytes as usize).min(rest.len());
-            let tail = rest.split_off(take);
-            let shard = Shard {
-                base,
-                mc: MediaCache::new(rest, cache_impl),
-            };
-            cells.push(Mutex::new(shard));
-            base += take as u64;
-            rest = tail;
-        }
+        let cells: Vec<Mutex<Shard>> = std::iter::once(media)
+            .chain(tails)
+            .map(|piece| {
+                let shard_base = base;
+                base += piece.len() as u64;
+                Mutex::new(Shard {
+                    base: shard_base,
+                    mc: MediaCache::new(piece, cache_impl),
+                })
+            })
+            .collect();
         ShardedPool {
             cells: cells.into_boxed_slice(),
             shard_bytes,
@@ -267,11 +273,26 @@ impl ShardedPool {
         });
     }
 
-    /// Concatenated durable media, ascending shard order.
-    pub(crate) fn media_snapshot(&self) -> Vec<u8> {
-        let mut media = Vec::with_capacity(self.capacity as usize);
-        for idx in 0..self.cells.len() {
-            self.with_shard(idx, |sh| media.extend_from_slice(&sh.mc.media));
+    /// Runs `f` on the durable media of every shard, all shard locks held
+    /// (ascending).
+    pub(crate) fn with_media_view<R>(&self, f: impl FnOnce(&MediaView<'_>) -> R) -> R {
+        let guards: Vec<_> = self.cells.iter().map(Mutex::lock).collect();
+        let pieces: Vec<&[u8]> = guards.iter().map(|sh| &sh.mc.media[..]).collect();
+        f(&MediaView {
+            pieces: &pieces,
+            piece_bytes: self.shard_bytes,
+        })
+    }
+
+    /// Concatenated durable media, consuming the engine. Shard 0 kept the
+    /// original buffer's capacity when [`new`](Self::new) split it, so the
+    /// other shards are appended back onto it without a pool-sized
+    /// allocation.
+    pub(crate) fn into_media(self) -> Vec<u8> {
+        let mut shards = self.cells.into_vec().into_iter().map(Mutex::into_inner);
+        let mut media = shards.next().map(|sh| sh.mc.media).unwrap_or_default();
+        for sh in shards {
+            media.extend_from_slice(&sh.mc.media);
         }
         media
     }
@@ -280,8 +301,13 @@ impl ShardedPool {
     /// `draw` lets survive. Ascending shard order × ascending local line
     /// order equals the global ascending line order, so `draw` sees the
     /// same sequence the single-lock engine produces.
-    pub(crate) fn crash_media(&self, draw: &mut dyn FnMut(bool) -> bool) -> Vec<u8> {
-        let mut media = Vec::with_capacity(self.capacity as usize);
+    pub(crate) fn crash_media(
+        &self,
+        mut media: Vec<u8>,
+        draw: &mut dyn FnMut(bool) -> bool,
+    ) -> Vec<u8> {
+        media.clear();
+        media.reserve_exact(self.capacity as usize);
         for idx in 0..self.cells.len() {
             self.with_shard(idx, |sh| {
                 let start = media.len();
@@ -419,7 +445,7 @@ mod tests {
         let s = ShardedPool::new(media, CacheImpl::Dense, 4, &geom);
         assert_eq!(s.shard_count(), 4);
         assert_eq!(s.shard_bytes % CACHE_LINE, 0);
-        assert_eq!(s.media_snapshot().len(), 1 << 20);
+        assert_eq!(s.with_media_view(|v| v.len()), 1 << 20);
     }
 
     #[test]
@@ -473,7 +499,7 @@ mod tests {
             assert_eq!(back, [0xAB; 16]);
         });
         // The write is durable on media after the arena-scoped fence.
-        let snap = s.media_snapshot();
+        let snap = s.into_media();
         assert_eq!(&snap[(lo + 8) as usize..(lo + 24) as usize], &[0xAB; 16]);
         assert!(hi <= capacity);
     }

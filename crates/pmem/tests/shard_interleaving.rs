@@ -117,10 +117,7 @@ fn trip_points_and_torn_media_are_shard_count_invariant() {
                 k + 1,
                 "{mode:?}: events stop at the trip"
             );
-            let media = pool
-                .crash(&CrashConfig::drop_all(0xFEED ^ k))
-                .unwrap()
-                .media_snapshot();
+            let media = pool.crash_media(&CrashConfig::drop_all(0xFEED ^ k));
             match &reference {
                 None => reference = Some(media),
                 Some(r) => assert_eq!(&media, r, "{mode:?}: durable media diverged at k={k}"),

@@ -266,11 +266,8 @@ impl TxMemory for Trapped<'_, '_> {
         self.inner.store(addr, value, clobber_site)?;
         self.store_count += 1;
         if self.store_count == self.crash_after {
-            let crashed = self
-                .pool
-                .crash(&CrashConfig::drop_all(42 + self.crash_after))
-                .expect("crash image");
-            *self.image.lock().unwrap() = Some(crashed.media_snapshot());
+            let crashed = CrashConfig::drop_all(42 + self.crash_after);
+            *self.image.lock().unwrap() = Some(self.pool.crash_media(&crashed));
         }
         Ok(())
     }
