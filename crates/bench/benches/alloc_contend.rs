@@ -1,18 +1,18 @@
 //! Contended-allocator microbenchmarks — the before/after instrument for
 //! sharded allocator arenas and thread-local reservation magazines.
 //!
-//! Engine configurations at 1/2/4/8 threads:
+//! Pool configurations at 1/2/4/8 threads:
 //!
-//! * `global_arenas1` — single-lock engine, one arena (the PR 2 shape).
-//! * `sharded4_arenas1` — 4-shard engine, one arena: every allocator call
+//! * `shards1_arenas1` — one shard, one arena: one lock (the PR 2 shape).
+//! * `sharded4_arenas1` — 4 shards, one arena: every allocator call
 //!   locks the one mirror plus **all** shards (the PR 3 shape — the
 //!   baseline the arena work must beat).
-//! * `sharded4_arenas4` — 4-shard engine at the new default arena count:
+//! * `sharded4_arenas4` — 4 shards at the new default arena count:
 //!   the regression check against `sharded4_arenas1`.
 //! * `sharded16_arenas1` — PR 3's all-shard locking at 16 shards: 17 lock
 //!   acquisitions per allocator call. Shows why all-shard locking cannot
 //!   scale with the shard count.
-//! * `sharded16_arenas4` — 16-shard engine, four arenas: an allocator call
+//! * `sharded16_arenas4` — 16 shards, four arenas: an allocator call
 //!   locks one arena mirror plus only the 1–4 shards covering that arena,
 //!   and reservation magazines serve repeat `reserve`s with no lock at
 //!   all.
@@ -45,7 +45,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 fn variants() -> [(&'static str, PoolOptions); 5] {
     [
         (
-            "global_arenas1",
+            "shards1_arenas1",
             PoolOptions::performance(POOL).with_arenas(1),
         ),
         (

@@ -10,21 +10,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use clobber_nvm::{ExploreOptions, Explorer};
 use clobber_pds::workload::ExploreWorkload;
-use clobber_pmem::PoolConcurrency;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore_hashmap_3op");
     group.sample_size(10);
-    for engine in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        let label = match engine {
-            PoolConcurrency::GlobalLock => "global_lock",
-            PoolConcurrency::Sharded { .. } => "sharded4",
-        };
-        group.bench_function(label, |b| {
-            let wl = ExploreWorkload::new(engine);
+    for shards in [1, 4] {
+        group.bench_function(format!("shards{shards}"), |b| {
+            let wl = ExploreWorkload::new(shards);
             let opts = ExploreOptions::default()
                 .with_budget(64)
                 .with_crash_stride(64)

@@ -5,8 +5,8 @@
 //! model, kept for A/B comparison); `crashsim_dense` runs the dense
 //! paged cache; `performance` skips cache simulation
 //! entirely and bounds what the CrashSim path can hope to reach.
-//! `crashsim_sharded4` runs the 4-shard engine (per-shard locks) — the
-//! concurrency A/B against the single-lock `crashsim_dense` baseline.
+//! `crashsim_sharded4` runs the pool at 4 shards — what routing and
+//! per-shard locks cost against the one-shard `crashsim_dense` baseline.
 //! EXPERIMENTS.md records the measured numbers.
 
 use std::sync::Arc;
@@ -280,8 +280,9 @@ fn rangeset_scattered(c: &mut Criterion) {
 }
 
 /// The per-access primitives the transaction and log paths are built from,
-/// on the shipped single-lock engine in both pool modes: a word load, a
-/// word store with its separate flush, the fused store+flush, and a
+/// on the default one-shard pool in both pool modes — and at 4 shards, so
+/// what routing costs above one shard stays a row: a word load, a word
+/// store with its separate flush, the fused store+flush, and a
 /// group-commit fence with nobody else requesting.
 fn pool_access(c: &mut Criterion) {
     use clobber_nvm::GroupCommit;
@@ -291,6 +292,10 @@ fn pool_access(c: &mut Criterion) {
     group.sample_size(20);
     for (label, opts) in [
         ("performance", PoolOptions::performance(STORE_POOL)),
+        (
+            "performance_shards4",
+            PoolOptions::performance(STORE_POOL).with_shards(4),
+        ),
         ("crashsim_dense", PoolOptions::crash_sim(STORE_POOL)),
     ] {
         let pool = PmemPool::create(opts).unwrap();

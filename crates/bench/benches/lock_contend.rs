@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use clobber_nvm::{Backend, LockManager, LockRequest, Runtime, RuntimeOptions};
 use clobber_pds::HashMap;
-use clobber_pmem::{PmemPool, PoolConcurrency, PoolOptions};
+use clobber_pmem::{PmemPool, PoolOptions};
 
 /// Acquire/release cycles per thread per batch.
 const OPS: usize = 512;
@@ -63,11 +63,7 @@ fn hashmap_inserts(c: &mut Criterion) {
     for threads in THREADS {
         for (label, per_node) in [("per_node", true), ("serialized", false)] {
             let pool = Arc::new(
-                PmemPool::create(
-                    PoolOptions::performance(256 << 20)
-                        .with_concurrency(PoolConcurrency::Sharded { shards: 4 }),
-                )
-                .unwrap(),
+                PmemPool::create(PoolOptions::performance(256 << 20).with_shards(4)).unwrap(),
             );
             let rt = Arc::new(
                 Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap(),

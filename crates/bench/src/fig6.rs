@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, LockRequest, Runtime, RuntimeOptions};
 use clobber_pds::{hashmap, skiplist, HashMap, SkipList};
-use clobber_pmem::{PmemPool, PoolConcurrency, PoolOptions};
+use clobber_pmem::{PmemPool, PoolOptions};
 use clobber_sim::{run_des, CostModel, OpSource, SimOp};
 
 use crate::common::{make_runtime, DsHandle, DsKind, DsOpSource, Scale};
@@ -198,11 +198,7 @@ pub fn run_mt_cell(
     ops_per_thread: usize,
 ) -> MtRow {
     let pool = Arc::new(
-        PmemPool::create(
-            PoolOptions::performance(64 << 20)
-                .with_concurrency(PoolConcurrency::Sharded { shards: 4 }),
-        )
-        .expect("pool"),
+        PmemPool::create(PoolOptions::performance(64 << 20).with_shards(4)).expect("pool"),
     );
     // Group commit only helps when transactions overlap: the per-node
     // hashmap series commits in `threads`-wide epochs; everything behind a

@@ -17,8 +17,8 @@ use clobber_kvnet::{
 use clobber_nvm::{ArgList, Backend, LockRequest, RecoveryOptions, Runtime, RuntimeOptions};
 use clobber_pds::{BpTree, HashMap};
 use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
-    StatsSnapshot, CACHE_LINE,
+    CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot,
+    CACHE_LINE,
 };
 use clobber_workloads::{KvOp, Mix, Workload, WorkloadKind};
 
@@ -35,8 +35,8 @@ fn pool(reference: bool) -> Arc<PmemPool> {
     Arc::new(PmemPool::create(opts).unwrap())
 }
 
-fn pool_with(concurrency: PoolConcurrency) -> Arc<PmemPool> {
-    let opts = PoolOptions::crash_sim(64 << 20).with_concurrency(concurrency);
+fn pool_with(shards: u32) -> Arc<PmemPool> {
+    let opts = PoolOptions::crash_sim(64 << 20).with_shards(shards);
     Arc::new(PmemPool::create(opts).unwrap())
 }
 
@@ -56,7 +56,7 @@ fn hashmap_load_faulted(
     hashmap_load_on(pool(reference), backend, armed)
 }
 
-/// The [`hashmap_load`] pipeline on an explicit pool — the concurrency-mode
+/// The [`hashmap_load`] pipeline on an explicit pool — the shard-count
 /// pins reuse the exact workload the cache-model pins run.
 fn hashmap_load_on(
     pool: Arc<PmemPool>,
@@ -156,29 +156,25 @@ fn bptree_load_counters_identical_across_cache_models() {
     assert_eq!(dense_dump, ref_dump, "B+Tree contents diverged");
 }
 
-/// The sharded engine must reproduce the single-lock
-/// pool's counters and recovered contents bit-for-bit on the same fixed
-/// workload — the concurrency analogue of the cache-model pins above.
+/// A pool of 4 or 16 shards must reproduce the one-shard pool's counters
+/// and recovered contents bit-for-bit on the same fixed workload — the
+/// shard-count analogue of the cache-model pins above.
 #[test]
-fn hashmap_load_counters_identical_across_concurrency_modes() {
+fn hashmap_load_counters_identical_across_shard_counts() {
     for backend in [Backend::clobber(), Backend::Undo, Backend::Redo] {
-        let (global, global_pairs) =
-            hashmap_load_on(pool_with(PoolConcurrency::GlobalLock), backend, false);
-        for concurrency in [
-            PoolConcurrency::Sharded { shards: 4 },
-            PoolConcurrency::Sharded { shards: 16 },
-        ] {
-            let (snap, pairs) = hashmap_load_on(pool_with(concurrency), backend, false);
+        let (one, one_pairs) = hashmap_load_on(pool_with(1), backend, false);
+        for shards in [4, 16] {
+            let (snap, pairs) = hashmap_load_on(pool_with(shards), backend, false);
             assert_eq!(
                 snap,
-                global,
-                "counters diverged under {} / {concurrency:?}",
+                one,
+                "counters diverged under {} / {shards} shards",
                 backend.label()
             );
             assert_eq!(
                 pairs,
-                global_pairs,
-                "recovered contents diverged under {} / {concurrency:?}",
+                one_pairs,
+                "recovered contents diverged under {} / {shards} shards",
                 backend.label()
             );
         }
@@ -187,61 +183,54 @@ fn hashmap_load_counters_identical_across_concurrency_modes() {
 
 /// Per-log-kind attribution pins: the same fixed load must attribute
 /// clobber-log, redo-log, and v_log persistence traffic to the right
-/// counters — identically on every engine (the bit-identical `StatsSnapshot`
-/// equality above already guarantees cross-engine agreement; this pins the
+/// counters — identically at every shard count (the bit-identical
+/// `StatsSnapshot` equality above already guarantees that agreement; this pins the
 /// *shape* those counters must have so a silent mis-attribution can't hide
 /// inside an equality that holds vacuously).
 #[test]
 fn per_kind_log_counters_attribute_by_backend() {
-    for concurrency in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        let (clobber, _) = hashmap_load_on(pool_with(concurrency), Backend::clobber(), false);
+    for shards in [1, 4] {
+        let (clobber, _) = hashmap_load_on(pool_with(shards), Backend::clobber(), false);
         assert!(
             clobber.clog_flushes > 0 && clobber.clog_fences > 0,
-            "{concurrency:?}: clobber load must sync the clobber log: {clobber:?}"
+            "{shards} shards: clobber load must sync the clobber log: {clobber:?}"
         );
         assert_eq!(
             (clobber.rlog_flushes, clobber.rlog_fences),
             (0, 0),
-            "{concurrency:?}: clobber backend must not touch the redo log"
+            "{shards} shards: clobber backend must not touch the redo log"
         );
         assert!(
             clobber.vlog_flushes > 0 && clobber.vlog_fences > 0,
-            "{concurrency:?}: begin records are v_log traffic"
+            "{shards} shards: begin records are v_log traffic"
         );
         // Single-threaded load: every ordering request is its own epoch.
         assert!(clobber.gc_epochs > 0);
         assert_eq!(clobber.gc_fences_saved, 0);
         assert!(clobber.gc_epochs <= clobber.fences);
 
-        let (redo, _) = hashmap_load_on(pool_with(concurrency), Backend::Redo, false);
+        let (redo, _) = hashmap_load_on(pool_with(shards), Backend::Redo, false);
         assert!(
             redo.rlog_flushes > 0 && redo.rlog_fences > 0,
-            "{concurrency:?}: redo load must sync the redo log: {redo:?}"
+            "{shards} shards: redo load must sync the redo log: {redo:?}"
         );
         assert_eq!(
             (redo.clog_flushes, redo.clog_fences),
             (0, 0),
-            "{concurrency:?}: redo backend must not touch the clobber log"
+            "{shards} shards: redo backend must not touch the clobber log"
         );
     }
 }
 
 /// Golden allocator-counter pins: a fixed alloc/free/reserve/publish/cancel
-/// sequence must attribute exactly these counts — and identically across
-/// every engine. `alloc_freelist`/`alloc_frontier` split where each block
+/// sequence must attribute exactly these counts — and identically at every
+/// shard count. `alloc_freelist`/`alloc_frontier` split where each block
 /// came from; `magazine_hits` counts reserves served lock-free from the
 /// thread's magazine (refilled by the first free-list reserve).
 #[test]
-fn allocator_counters_pin_across_engines() {
-    for concurrency in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::Sharded { shards: 16 },
-    ] {
-        let pool = pool_with(concurrency);
+fn allocator_counters_pin_across_shard_counts() {
+    for shards in [1, 4, 16] {
+        let pool = pool_with(shards);
         let before = pool.stats().snapshot();
         let a = pool.alloc(64).unwrap(); // frontier
         let b = pool.alloc(64).unwrap(); // frontier
@@ -257,14 +246,14 @@ fn allocator_counters_pin_across_engines() {
         assert_eq!(
             (d.allocs, d.frees, d.reserves, d.publishes, d.cancels),
             (5, 2, 3, 1, 1),
-            "{concurrency:?}: {d:?}"
+            "{shards} shards: {d:?}"
         );
         assert_eq!(
             (d.alloc_freelist, d.alloc_frontier, d.magazine_hits),
             (2, 3, 1),
-            "{concurrency:?}: {d:?}"
+            "{shards} shards: {d:?}"
         );
-        // The two engines must hand out identical addresses too.
+        // Every shard count must hand out identical addresses too.
         assert_eq!(r1, b, "LIFO pop order");
         assert_eq!(r2, a, "magazine preserves unbatched pop order");
     }
@@ -298,8 +287,8 @@ fn register_rec_chain(rt: &Runtime, trap: Option<CrashTrap>) {
 
 /// A `rec_chain` run interrupted after its last store (status bit still
 /// ongoing), as an adversarial crash image.
-fn interrupted_chain_image(concurrency: PoolConcurrency) -> Vec<u8> {
-    let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(concurrency);
+fn interrupted_chain_image(shards: u32) -> Vec<u8> {
+    let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
     let base = pool.alloc(8 * REC_CELLS).unwrap();
@@ -316,9 +305,9 @@ fn interrupted_chain_image(concurrency: PoolConcurrency) -> Vec<u8> {
     img
 }
 
-fn reopen_rec(image: Vec<u8>, concurrency: PoolConcurrency) -> (Arc<PmemPool>, Runtime) {
+fn reopen_rec(image: Vec<u8>, shards: u32) -> (Arc<PmemPool>, Runtime) {
     let pool = Arc::new(
-        PmemPool::open_from_media_with(image, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
+        PmemPool::open_from_media_with(image, PoolMode::CrashSim, CacheImpl::Dense, shards)
             .unwrap(),
     );
     let rt = Runtime::open(pool.clone(), RuntimeOptions::default()).unwrap();
@@ -329,18 +318,15 @@ fn reopen_rec(image: Vec<u8>, concurrency: PoolConcurrency) -> (Arc<PmemPool>, R
 /// Golden recovery-observability pins: the same fixed interrupted
 /// transaction — recovered cleanly, resumed after a crash *inside*
 /// recovery, and starved by a zero budget — must attribute exactly these
-/// `rec_*` counts, identically on every engine.
+/// `rec_*` counts, identically at every shard count.
 #[test]
-fn recovery_counters_pin_across_engines() {
+fn recovery_counters_pin_across_shard_counts() {
     let no_wait = RecoveryOptions::default().no_wait();
-    for concurrency in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        let image = interrupted_chain_image(concurrency);
+    for shards in [1, 4] {
+        let image = interrupted_chain_image(shards);
 
         // A clean scan: one slot, one re-execution, nothing resumed.
-        let (pool, rt) = reopen_rec(image.clone(), concurrency);
+        let (pool, rt) = reopen_rec(image.clone(), shards);
         rt.recover_with(&no_wait).unwrap();
         let s = pool.stats().snapshot();
         assert_eq!(
@@ -353,18 +339,18 @@ fn recovery_counters_pin_across_engines() {
                 s.rec_budget_expired,
             ),
             (1, 1, 0, REC_CELLS, 1, 0),
-            "clean scan under {concurrency:?}: {s:?}"
+            "clean scan under {shards} shards: {s:?}"
         );
 
         // Crash that scan mid-re-execution at a fixed persist event; the
         // resuming scan reports the resume and only the remaining
         // watermark advances.
-        let (pool_c, rt_c) = reopen_rec(image.clone(), concurrency);
+        let (pool_c, rt_c) = reopen_rec(image.clone(), shards);
         pool_c.arm_faults(FaultPlan::crash_at(30));
         let _ = rt_c.recover_with(&no_wait);
         assert_eq!(pool_c.fault_tripped(), Some(30));
         let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xEC));
-        let (pool_r, rt_r) = reopen_rec(crashed, concurrency);
+        let (pool_r, rt_r) = reopen_rec(crashed, shards);
         rt_r.recover_with(&no_wait).unwrap();
         let r = pool_r.stats().snapshot();
         assert_eq!(
@@ -377,11 +363,11 @@ fn recovery_counters_pin_across_engines() {
                 r.rec_budget_expired,
             ),
             (1, 1, 1, 2, 1, 0),
-            "resumed scan under {concurrency:?}: {r:?}"
+            "resumed scan under {shards} shards: {r:?}"
         );
 
         // A zero budget quarantines the slot instead of re-executing.
-        let (pool_b, rt_b) = reopen_rec(image, concurrency);
+        let (pool_b, rt_b) = reopen_rec(image, shards);
         rt_b.recover_with(
             &RecoveryOptions::best_effort()
                 .no_wait()
@@ -397,7 +383,7 @@ fn recovery_counters_pin_across_engines() {
                 b.rec_budget_expired,
             ),
             (1, 0, 0, 1),
-            "starved scan under {concurrency:?}: {b:?}"
+            "starved scan under {shards} shards: {b:?}"
         );
     }
 }
@@ -405,19 +391,16 @@ fn recovery_counters_pin_across_engines() {
 /// Golden lock-manager pins: a fixed single-threaded sequence of locked
 /// transactions, multi-lock sets, shared holds, upgrades (one denied, one
 /// granted) and a refused `try_acquire` must attribute exactly these
-/// `lock_*` counts — identically on every engine. Counter contract:
+/// `lock_*` counts — identically at every shard count. Counter contract:
 /// `lock_acquisitions` is per granted *set*, `lock_read_holds` /
 /// `lock_write_holds` per individual lock by mode (a granted upgrade adds
 /// one write hold), `lock_conflicts` per refused try/upgrade, and
 /// `lock_waits` per blocking acquire that actually queued (zero here —
 /// everything is single-threaded).
 #[test]
-fn lock_counters_pin_across_engines() {
-    for concurrency in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        let pool = pool_with(concurrency);
+fn lock_counters_pin_across_shard_counts() {
+    for shards in [1, 4] {
+        let pool = pool_with(shards);
         let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
         HashMap::register(&rt);
         let map = HashMap::create(&rt).unwrap();
@@ -456,15 +439,15 @@ fn lock_counters_pin_across_engines() {
                 d.lock_waits,
             ),
             (5, 2, 5, 2, 0),
-            "{concurrency:?}: {d:?}"
+            "{shards} shards: {d:?}"
         );
-        assert!(rt.locks().is_idle(), "{concurrency:?}: guards all released");
+        assert!(rt.locks().is_idle(), "{shards} shards: guards all released");
     }
 }
 
 /// Golden service-counter pins: a fixed simulated client population under
 /// deliberately tight admission caps must attribute exactly these `net_*`
-/// counts — identically on every engine. Counter contract: `net_accepted`
+/// counts — identically at every shard count. Counter contract: `net_accepted`
 /// is per admitted request (a shed request re-admits when its resubmission
 /// succeeds, so accepted > completed is impossible but accepted ==
 /// completed + still-inflight is), `net_shed` per typed `Overloaded`
@@ -472,12 +455,9 @@ fn lock_counters_pin_across_engines() {
 /// `net_batched` (writes, batched into ONE locked transaction per drain)
 /// or `net_snapshot_reads` (reads off the volatile cache, no transaction).
 #[test]
-fn net_counters_pin_across_engines() {
-    for concurrency in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        let pool = pool_with(concurrency);
+fn net_counters_pin_across_shard_counts() {
+    for shards in [1, 4] {
+        let pool = pool_with(shards);
         let rt = Arc::new(Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap());
         let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
         let mut svc = KvService::new(rt, server);
@@ -517,7 +497,7 @@ fn net_counters_pin_across_engines() {
                 d.net_snapshot_reads
             ),
             (16, 1, 9, 7),
-            "{concurrency:?}: {d:?}"
+            "{shards} shards: {d:?}"
         );
         // Accounting closes: accepted requests split exactly between the
         // batched-write and snapshot-read paths, and all 16 completed.
@@ -526,7 +506,7 @@ fn net_counters_pin_across_engines() {
         assert_eq!(
             (report.completed, report.shed),
             (16, 1),
-            "{concurrency:?}: {report:?}"
+            "{shards} shards: {report:?}"
         );
     }
 }

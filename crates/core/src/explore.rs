@@ -54,7 +54,7 @@
 //! and every candidate runs on a fresh pool with slots pre-created in
 //! canonical order — so the same seed schedule + budget yields the
 //! identical explored list, outcome hashes, and `exp_*` counters on every
-//! `PoolConcurrency` engine. A run that exhausts [`ExploreOptions::max_schedules`] (or
+//! shard count. A run that exhausts [`ExploreOptions::max_schedules`] (or
 //! stops at [`ExploreOptions::max_failures`]) reports the decision-vector
 //! [`ExploreReport::frontier`] of its last executed candidate; passing it
 //! back via [`ExploreOptions::resume_after`] seeks the DFS past every
@@ -70,7 +70,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use clobber_pmem::{CacheImpl, PmemPool, PmemStats, PoolConcurrency, PoolMode, Tracer};
+use clobber_pmem::{CacheImpl, PmemPool, PmemStats, PoolMode, Tracer};
 use clobber_trace::{tx_footprints, ConflictPolicy};
 
 use crate::battery::{CrashBattery, Nested, SweepSummary, Violation};
@@ -171,18 +171,13 @@ pub type BuildFn<'a> = Box<dyn Fn() -> (Arc<PmemPool>, Runtime) + 'a>;
 pub type ReopenFn<'a> = Box<dyn Fn(Vec<u8>) -> (Arc<PmemPool>, Runtime) + 'a>;
 
 /// The usual first half of a [`ReopenFn`]: `media` as a crash-sim pool at
-/// `concurrency` with a runtime on `opts`; the caller registers txfuncs.
+/// `shards` shards with a runtime on `opts`; the caller registers txfuncs.
 ///
 /// # Panics
 ///
 /// If the image does not open — it is one a pool of this workload left.
-pub fn reopen_media(
-    media: Vec<u8>,
-    concurrency: PoolConcurrency,
-    opts: RuntimeOptions,
-) -> (Arc<PmemPool>, Runtime) {
-    let pool =
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency);
+pub fn reopen_media(media: Vec<u8>, shards: u32, opts: RuntimeOptions) -> (Arc<PmemPool>, Runtime) {
+    let pool = PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards);
     let pool = Arc::new(pool.expect("a crashed image reopens"));
     let rt = Runtime::open(pool.clone(), opts).expect("a runtime reopens on its own pool");
     (pool, rt)

@@ -13,12 +13,12 @@ use clobber_nvm::{
     ArgList, CheckFn, CrashBattery, ExploreSession, Nested, Runtime, Schedule, ScheduleOp,
     SweepSummary, Violation,
 };
-use clobber_pmem::{PAddr, PoolConcurrency};
+use clobber_pmem::PAddr;
 use common::{
     explore_base, explore_check, explore_reopen, explore_setup, transfer_op, FLAG_OFFSET,
 };
 
-const ENGINE: PoolConcurrency = PoolConcurrency::GlobalLock;
+const SHARDS: u32 = 1;
 
 /// Two more injected faults beside `common`'s conservation bug. `underflow`
 /// stores 24 bytes *before* the account array, onto its allocator block
@@ -44,12 +44,12 @@ fn register_faults(rt: &Runtime) {
 fn session(check: CheckFn<'static>) -> ExploreSession<'static> {
     ExploreSession {
         build: Box::new(|| {
-            let (pool, rt, _) = explore_setup(ENGINE, true);
+            let (pool, rt, _) = explore_setup(SHARDS, true);
             register_faults(&rt);
             (pool, rt)
         }),
         reopen: Box::new(|media| {
-            let (pool, rt) = explore_reopen(media, ENGINE, true);
+            let (pool, rt) = explore_reopen(media, SHARDS, true);
             register_faults(&rt);
             (pool, rt)
         }),
@@ -62,12 +62,12 @@ fn op(name: &str) -> ScheduleOp {
     ScheduleOp {
         slot: 0,
         name: name.to_string(),
-        args: ArgList::new().with_u64(explore_base(ENGINE).offset()),
+        args: ArgList::new().with_u64(explore_base(SHARDS).offset()),
     }
 }
 
 fn transfer(slot: usize, step: (u64, u64, u64)) -> ScheduleOp {
-    transfer_op(explore_base(ENGINE), slot, step)
+    transfer_op(explore_base(SHARDS), slot, step)
 }
 
 /// Runs `f` with a battery that replays `ops` over `session`.

@@ -6,10 +6,12 @@
 //! of [`snapshot`] — the invariant that makes per-shard counters free of
 //! double counting and loss under real concurrency.
 //!
-//! The default single-lock pool keeps its hot counters with plain
-//! load+store pairs under the engine lock; a second case hammers it from
-//! racing threads and requires the totals to be exact, so a counter updated
-//! outside that lock loses increments here rather than skewing a figure.
+//! A pool keeps its hot counters with plain load+store pairs under the
+//! owning shard's lock (fences excepted: a performance-mode fence takes no
+//! lock, so they are atomic adds); a second case hammers pools of 1 and 4
+//! shards from racing threads and requires the totals to be exact, so a
+//! counter updated outside that rule loses increments here rather than
+//! skewing a figure.
 //!
 //! The seed comes from `CLOBBER_STRESS_SEED` (default 42) so CI can run a
 //! seed matrix without recompiling.
@@ -20,9 +22,7 @@
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Runtime, RuntimeOptions};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions, StatsSnapshot,
-};
+use clobber_pmem::{CacheImpl, CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -158,13 +158,8 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
     // reopened at the same shard count.
     let media = pool.crash_media(&CrashConfig::with_seed(seed));
     let pool2 = Arc::new(
-        PmemPool::open_from_media_with(
-            media,
-            PoolMode::CrashSim,
-            CacheImpl::Dense,
-            PoolConcurrency::Sharded { shards: SHARDS },
-        )
-        .unwrap(),
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, SHARDS)
+            .unwrap(),
     );
     let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
     register_transfer(&rt2);
@@ -179,17 +174,20 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
 }
 
 /// `THREADS` racing threads issue a fixed mix of loads, stores, flushes,
-/// fused store+flushes and fences against one `GlobalLock` pool, in both
-/// pool modes. Every hot counter must come out at exactly the issued total.
+/// fused store+flushes and fences against one pool, at 1 and 4 shards, in
+/// both pool modes. Every hot counter must come out at exactly the issued
+/// total.
 #[test]
 fn global_lock_hot_counters_are_exact_under_racing_threads() {
     const ROUNDS: u64 = 5_000;
     for opts in [
         PoolOptions::performance(1 << 20),
         PoolOptions::crash_sim(1 << 20),
+        PoolOptions::performance(1 << 20).with_shards(4),
+        PoolOptions::crash_sim(1 << 20).with_shards(4),
     ] {
         let pool = PmemPool::create(opts).unwrap();
-        assert_eq!(pool.concurrency(), PoolConcurrency::GlobalLock);
+        assert_eq!(pool.shard_count(), opts.shards as usize);
         // One line-aligned 256-byte region per thread.
         let raw = pool.alloc(THREADS as u64 * 256 + 64).unwrap();
         let base = PAddr::new((raw.offset() + 63) & !63);

@@ -17,7 +17,7 @@ use common::{
 };
 
 use clobber_nvm::{Backend, Nested, RecoveryOptions, SlotQuarantineKind, SweepSummary, TxError};
-use clobber_pmem::{FaultPlan, PmemError, PoolConcurrency};
+use clobber_pmem::{FaultPlan, PmemError};
 
 /// Stride between swept crash points. Release builds (and
 /// `CLOBBER_FULL_SWEEP=1`) visit every event; plain debug-mode
@@ -71,25 +71,18 @@ fn sweep_atlas() {
     assert!(s.rolled_back > 0, "atlas sweep should roll back: {s:?}");
 }
 
-/// The sweep at shard counts 1 and 4 must agree point-for-point with the
-/// single-lock sweep: same event count, same crash/nested points visited,
-/// same recovery actions — zero lock-step divergence. This is the
+/// The sweep at 4 shards must agree point-for-point with the one-shard
+/// sweep: same event count, same crash/nested points visited, same
+/// recovery actions — zero lock-step divergence. This is the
 /// shard-count-invariance contract of the persist-event order applied to
 /// the full workload → crash → recover pipeline.
 #[test]
-fn sweep_clobber_sharded_matches_global_lock() {
+fn sweep_clobber_at_4_shards_matches_one_shard() {
     let stride = smoke_stride();
     let reference = sweep(Backend::clobber(), stride, Nested::Rotating);
-    assert_covered(&reference, "clobber/global");
-    for shards in [1u32, 4] {
-        let s = sweep_with(
-            Backend::clobber(),
-            stride,
-            Nested::Rotating,
-            PoolConcurrency::Sharded { shards },
-        );
-        assert_eq!(s, reference, "sharded({shards}) sweep diverged");
-    }
+    assert_covered(&reference, "clobber/1 shard");
+    let s = sweep_with(Backend::clobber(), stride, Nested::Rotating, 4);
+    assert_eq!(s, reference, "4-shard sweep diverged");
 }
 
 /// Satellite 3 (torn line): a v2 line whose marker word is torn must be
@@ -217,34 +210,28 @@ fn corrupt_log_header_is_typed_corruption_not_an_empty_log() {
 /// (pmalloc bigger / copy / swap root / pfree old, every transaction)
 /// crashed at every swept persist event, with the list invariant *and* a
 /// full `check_heap` walk asserted after every recovery. Run at shard
-/// counts 1 and 4, which must agree point-for-point with the single-lock
-/// sweep — allocator arenas and reservation magazines sit entirely inside
-/// the shard-count-invariance contract.
+/// counts 1 and 4, which must agree point-for-point — allocator arenas
+/// and reservation magazines sit entirely inside the
+/// shard-count-invariance contract.
 #[test]
 fn sweep_regrow_alloc_heavy_across_shard_counts() {
     let stride = smoke_stride();
-    let reference = sweep_regrow(Backend::clobber(), stride, PoolConcurrency::GlobalLock);
+    let reference = sweep_regrow(Backend::clobber(), stride, 1);
     assert!(reference.events > 0, "regrow script must issue events");
     assert!(reference.crash_points > 0);
     assert!(
         reference.reexecuted + reference.abandoned > 0,
         "clobber regrow sweep should recover by re-execution: {reference:?}"
     );
-    for shards in [1u32, 4] {
-        let s = sweep_regrow(
-            Backend::clobber(),
-            stride,
-            PoolConcurrency::Sharded { shards },
-        );
-        assert_eq!(s, reference, "regrow sharded({shards}) sweep diverged");
-    }
+    let s = sweep_regrow(Backend::clobber(), stride, 4);
+    assert_eq!(s, reference, "regrow 4-shard sweep diverged");
 }
 
 /// The regrow sweep holds under undo logging too (PMDK-style transactional
 /// allocation with snapshot logging instead of re-execution).
 #[test]
 fn sweep_regrow_undo() {
-    let s = sweep_regrow(Backend::Undo, smoke_stride(), PoolConcurrency::GlobalLock);
+    let s = sweep_regrow(Backend::Undo, smoke_stride(), 1);
     assert!(s.events > 0 && s.crash_points > 0);
     assert!(
         s.rolled_back > 0,
@@ -284,22 +271,15 @@ fn full_sweep_exhaustive_nested() {
             "{}: every event visited",
             backend.label()
         );
-        // The exhaustive sweep must hold — point-for-point — at shard
-        // counts 1 and 4 too.
-        for shards in [1u32, 4] {
-            let sharded = sweep_with(
-                backend,
-                1,
-                Nested::Exhaustive,
-                PoolConcurrency::Sharded { shards },
-            );
-            assert_eq!(
-                sharded,
-                s,
-                "{}: sharded({shards}) exhaustive sweep diverged",
-                backend.label()
-            );
-        }
+        // The exhaustive sweep must hold — point-for-point — at 4 shards
+        // too.
+        let sharded = sweep_with(backend, 1, Nested::Exhaustive, 4);
+        assert_eq!(
+            sharded,
+            s,
+            "{}: 4-shard exhaustive sweep diverged",
+            backend.label()
+        );
     }
 }
 

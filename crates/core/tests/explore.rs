@@ -1,6 +1,6 @@
 //! Explorer mechanics on the bank-transfer harness: golden-pinned
 //! pruning counts, pruning soundness via outcome hashes, determinism,
-//! budget/frontier resume, preemption bounding, engine invariance, and
+//! budget/frontier resume, preemption bounding, shard-count invariance, and
 //! the injected conservation bug.
 //!
 //! The workload (see `common::explore_setup`) transfers money between
@@ -12,21 +12,21 @@
 mod common;
 
 use clobber_nvm::{ExploreOptions, ExploreReport, Explorer, Schedule};
-use clobber_pmem::{PoolConcurrency, StatsSnapshot};
+use clobber_pmem::StatsSnapshot;
 use clobber_trace::ConflictPolicy;
 use common::{
     explore_base, explore_buggy_seed, explore_seed, explore_session, transfer_op, ACCOUNTS, INITIAL,
 };
 
-const ENGINE: PoolConcurrency = PoolConcurrency::GlobalLock;
+const SHARDS: u32 = 1;
 
 fn explore(
-    concurrency: PoolConcurrency,
+    shards: u32,
     buggy: bool,
     seed: Schedule,
     opts: ExploreOptions,
 ) -> (ExploreReport, StatsSnapshot) {
-    let explorer = Explorer::new(explore_session(concurrency, buggy), seed, opts);
+    let explorer = Explorer::new(explore_session(shards, buggy), seed, opts);
     let report = explorer.run().expect("exploration baseline");
     let snap = explorer.stats().snapshot();
     (report, snap)
@@ -44,8 +44,8 @@ fn smoke_opts() -> ExploreOptions {
 /// A seed whose slot-1 op conflicts with the first slot-0 op (shares
 /// account 1) but commutes with the second (accounts 2–3 disjoint from
 /// 1 and 4): the tree has both real branches and a pruned one.
-fn mixed_seed(concurrency: PoolConcurrency) -> Schedule {
-    let base = explore_base(concurrency);
+fn mixed_seed(shards: u32) -> Schedule {
+    let base = explore_base(shards);
     Schedule {
         ops: vec![
             transfer_op(base, 0, (0, 1, 30)),
@@ -59,8 +59,8 @@ fn mixed_seed(concurrency: PoolConcurrency) -> Schedule {
 fn sleep_set_pruning_counts_are_golden() {
     // Disjoint slot-1 op: every reordering commutes, so exactly one
     // interleaving runs and the other two merge orders are pruned.
-    let seed = explore_seed(explore_base(ENGINE));
-    let (report, snap) = explore(ENGINE, false, seed, smoke_opts());
+    let seed = explore_seed(explore_base(SHARDS));
+    let (report, snap) = explore(SHARDS, false, seed, smoke_opts());
     assert!(report.complete);
     assert_eq!(report.schedules_run, 1, "one representative per class");
     assert_eq!(report.schedules_pruned, 2, "two commutative twins pruned");
@@ -74,10 +74,10 @@ fn pruning_is_sound_every_pruned_order_has_the_same_outcome() {
     // Under no_pruning all three interleavings execute; their clean-run
     // media hashes must all equal the single representative's hash that
     // the sound policy kept — the commutativity fact pruning relies on.
-    let seed = explore_seed(explore_base(ENGINE));
-    let (sound, _) = explore(ENGINE, false, seed.clone(), smoke_opts());
+    let seed = explore_seed(explore_base(SHARDS));
+    let (sound, _) = explore(SHARDS, false, seed.clone(), smoke_opts());
     let (full, _) = explore(
-        ENGINE,
+        SHARDS,
         false,
         seed,
         smoke_opts().with_policy(ConflictPolicy::no_pruning()),
@@ -95,14 +95,11 @@ fn pruning_is_sound_every_pruned_order_has_the_same_outcome() {
 }
 
 #[test]
-fn exploration_is_deterministic_across_reruns_and_engines() {
+fn exploration_is_deterministic_across_reruns_and_shard_counts() {
     let mut runs = Vec::new();
-    for engine in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::GlobalLock, // re-run: same seed + budget, same result
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        runs.push(explore(engine, false, mixed_seed(engine), smoke_opts()));
+    // The second 1 is a re-run: same seed + budget, same result.
+    for shards in [1, 1, 4] {
+        runs.push(explore(shards, false, mixed_seed(shards), smoke_opts()));
     }
     let (base_report, base_snap) = &runs[0];
     assert_eq!(base_report.schedules_run, 2, "mixed seed: two real classes");
@@ -126,7 +123,7 @@ fn exploration_is_deterministic_across_reruns_and_engines() {
 #[test]
 fn budget_frontier_resume_matches_uninterrupted_run() {
     let opts = smoke_opts().with_policy(ConflictPolicy::no_pruning());
-    let (full, _) = explore(ENGINE, false, mixed_seed(ENGINE), opts.clone());
+    let (full, _) = explore(SHARDS, false, mixed_seed(SHARDS), opts.clone());
     assert!(full.complete);
     assert_eq!(full.schedules_run, 3);
 
@@ -140,7 +137,7 @@ fn budget_frontier_resume_matches_uninterrupted_run() {
         if let Some(f) = frontier.take() {
             step_opts = step_opts.resume_after(f);
         }
-        let (step, _) = explore(ENGINE, false, mixed_seed(ENGINE), step_opts);
+        let (step, _) = explore(SHARDS, false, mixed_seed(SHARDS), step_opts);
         explored.extend(step.explored);
         outcomes.extend(step.outcomes);
         run += step.schedules_run;
@@ -162,19 +159,19 @@ fn budget_frontier_resume_matches_uninterrupted_run() {
 fn split_resume_with_pruning_counts_each_prune_once() {
     // Same as above but under the sound policy, where prune events
     // interleave with executions: 2 executed, 1 pruned in total.
-    let (full, _) = explore(ENGINE, false, mixed_seed(ENGINE), smoke_opts());
+    let (full, _) = explore(SHARDS, false, mixed_seed(SHARDS), smoke_opts());
     assert_eq!((full.schedules_run, full.schedules_pruned), (2, 1));
     let (step1, _) = explore(
-        ENGINE,
+        SHARDS,
         false,
-        mixed_seed(ENGINE),
+        mixed_seed(SHARDS),
         smoke_opts().with_budget(1),
     );
     assert!(!step1.complete);
     let (step2, _) = explore(
-        ENGINE,
+        SHARDS,
         false,
-        mixed_seed(ENGINE),
+        mixed_seed(SHARDS),
         smoke_opts().resume_after(step1.frontier.clone().expect("frontier")),
     );
     assert!(step2.complete);
@@ -201,9 +198,9 @@ fn preemption_bound_zero_keeps_run_to_completion_orders() {
     // only the two run-to-completion merges survive; the third order
     // (preempting slot 0 mid-stream) is rejected by the bound.
     let (report, _) = explore(
-        ENGINE,
+        SHARDS,
         false,
-        mixed_seed(ENGINE),
+        mixed_seed(SHARDS),
         smoke_opts()
             .with_policy(ConflictPolicy::no_pruning())
             .with_preemption_bound(0),
@@ -222,8 +219,8 @@ fn preemption_bound_zero_keeps_run_to_completion_orders() {
 
 #[test]
 fn injected_conservation_bug_is_found_and_minimized() {
-    let seed = explore_buggy_seed(explore_base(ENGINE));
-    let (report, snap) = explore(ENGINE, true, seed, smoke_opts());
+    let seed = explore_buggy_seed(explore_base(SHARDS));
+    let (report, snap) = explore(SHARDS, true, seed, smoke_opts());
     assert_eq!(report.failures.len(), 1, "the reordering bug is found");
     let failure = &report.failures[0];
     assert_eq!(failure.crash_at, None, "the clean run already leaks 60");

@@ -11,10 +11,10 @@
 mod common;
 
 use clobber_nvm::{ArgList, ExploreOptions, Explorer, Schedule};
-use clobber_pmem::{PAddr, PoolConcurrency};
+use clobber_pmem::PAddr;
 use common::{explore_base, explore_session};
 
-const ENGINE: PoolConcurrency = PoolConcurrency::GlobalLock;
+const SHARDS: u32 = 1;
 
 /// name, text, expected (schedules_run, schedules_pruned). A pruned
 /// count is per *branch*, not per leaf: one sleep-set skip removes a whole
@@ -66,7 +66,7 @@ fn load(text: &str, base: PAddr) -> Schedule {
 
 #[test]
 fn corpus_explores_cleanly_within_budget() {
-    let base = explore_base(ENGINE);
+    let base = explore_base(SHARDS);
     for &(name, text, (want_run, want_pruned)) in CORPUS {
         let seed = load(text, base);
         // The text format round-trips every corpus entry exactly.
@@ -79,7 +79,7 @@ fn corpus_explores_cleanly_within_budget() {
             .with_budget(64)
             .with_crash_stride(7)
             .with_max_crash_points(4);
-        let explorer = Explorer::new(explore_session(ENGINE, false), seed, opts);
+        let explorer = Explorer::new(explore_session(SHARDS, false), seed, opts);
         let report = explorer.run().expect("corpus baseline must replay");
         assert!(report.complete, "{name}: budget 64 must cover the space");
         assert!(

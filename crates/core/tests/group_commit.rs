@@ -14,9 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, GroupCommit, Runtime, RuntimeOptions};
-use clobber_pmem::{
-    EventKind, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot, Tracer,
-};
+use clobber_pmem::{EventKind, PAddr, PmemPool, PoolOptions, StatsSnapshot, Tracer};
 use common::{run_script, setup};
 
 const THREADS: u64 = 4;
@@ -50,9 +48,7 @@ fn register_plain_transfer(rt: &Runtime) {
 /// at all. Both arms issue the same ordering requests on the same slots.
 /// Returns the stats delta over the commit phase only (setup excluded).
 fn run_committers(batch: usize) -> StatsSnapshot {
-    let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(PoolConcurrency::Sharded {
-        shards: THREADS as u32,
-    });
+    let opts = PoolOptions::crash_sim(1 << 20).with_shards(THREADS as u32);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let mut ropts = RuntimeOptions::new(Backend::clobber()).with_group_commit_batch(batch);
     ropts.clobber_log_cap = 32 << 10;

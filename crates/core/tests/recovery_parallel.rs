@@ -4,7 +4,7 @@
 //! ([`RecoveryOptions::with_workers`]); these tests prove the parallel
 //! scan is observationally identical to the serial one — bit-identical
 //! durable state and identical reports — for disjoint and conflicting
-//! slot write sets, across pool concurrency engines, and when resuming
+//! slot write sets, across pool shard counts, and when resuming
 //! from persisted re-execution checkpoints. The bounded-time half covers
 //! the global budget and per-slot deadline degradations, and the typed
 //! multi-slot quarantine taxonomy.
@@ -20,7 +20,7 @@ use common::{
 };
 
 use clobber_nvm::{Backend, RecoveryOptions, RecoveryReport, SlotQuarantineKind, TxError};
-use clobber_pmem::{CrashConfig, EventKind, FaultPlan, PoolConcurrency, Tracer};
+use clobber_pmem::{CrashConfig, EventKind, FaultPlan, Tracer};
 
 /// Four parked transfers over pairwise-disjoint account ranges.
 const DISJOINT: [(u64, u64, u64); 4] = [(0, 1, 30), (2, 3, 45), (4, 5, 60), (6, 7, 15)];
@@ -58,21 +58,16 @@ fn assert_same_outcome(a: &RecoveryReport, b: &RecoveryReport, ctx: &str) {
 }
 
 /// Recovers `media` serially and with `workers` threads on fresh pools
-/// under `concurrency`, asserting identical reports, bit-identical durable
+/// of `shards` shards, asserting identical reports, bit-identical durable
 /// state, and conservation; returns the common media image.
-fn assert_parallel_parity(
-    media: Vec<u8>,
-    workers: usize,
-    concurrency: PoolConcurrency,
-    ctx: &str,
-) -> Vec<u8> {
+fn assert_parallel_parity(media: Vec<u8>, workers: usize, shards: u32, ctx: &str) -> Vec<u8> {
     let backend = Backend::clobber();
-    let (pool_s, rt_s) = reopen_with(media.clone(), backend, concurrency);
+    let (pool_s, rt_s) = reopen_with(media.clone(), backend, shards);
     register_parked_plain(&rt_s);
     let serial = rt_s.recover_with(&opts()).unwrap();
     assert_eq!(serial.workers_used, 1, "{ctx}");
 
-    let (pool_p, rt_p) = reopen_with(media, backend, concurrency);
+    let (pool_p, rt_p) = reopen_with(media, backend, shards);
     register_parked_plain(&rt_p);
     let parallel = rt_p.recover_with(&opts().with_workers(workers)).unwrap();
     assert!(parallel.workers_used > 1, "{ctx}: {parallel:?}");
@@ -96,7 +91,7 @@ fn disjoint_slots_recover_in_parallel_bit_identically() {
         assert_parallel_parity(
             media.clone(),
             4,
-            PoolConcurrency::Sharded { shards },
+            shards,
             &format!("disjoint, shards={shards}"),
         );
     }
@@ -111,7 +106,7 @@ fn conflicting_slots_serialize_deterministically() {
         assert_parallel_parity(
             media.clone(),
             workers,
-            PoolConcurrency::GlobalLock,
+            1,
             &format!("conflicting, workers={workers}"),
         );
     }
@@ -138,8 +133,7 @@ fn parallel_scan_resumes_from_checkpoints_like_serial() {
     assert_eq!(pool_c.fault_tripped(), Some(2 * m / 3));
     let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xD15C));
 
-    let final_media =
-        assert_parallel_parity(crashed, 4, PoolConcurrency::GlobalLock, "resumed scan");
+    let final_media = assert_parallel_parity(crashed, 4, 1, "resumed scan");
 
     // The resumed scan really did make use of a persisted watermark.
     let (pool_f, rt_f) = reopen(final_media, backend);
@@ -354,7 +348,7 @@ fn parallel_recovery_crash_parity(stride: u64) {
             assert_parallel_parity(
                 crashed,
                 4,
-                PoolConcurrency::GlobalLock,
+                1,
                 &format!("pattern {pi}, recovery crash at {j}"),
             );
             j += stride;

@@ -1,6 +1,6 @@
 //! Golden-trace pins: the recorded event sequence is a pool-wide total
 //! order defined by fault-mutex acquisition, so it must be bit-identical
-//! at every `PoolConcurrency` engine and shard count — and tracing must
+//! at every pool shard count — and tracing must
 //! be invisible (no stats drift) when disabled.
 
 mod common;
@@ -8,37 +8,33 @@ mod common;
 use std::sync::Arc;
 
 use clobber_nvm::Backend;
-use clobber_pmem::{EventKind, PoolConcurrency, Tracer};
+use clobber_pmem::{EventKind, Tracer};
 use common::*;
 
-/// Every concurrency engine the golden pins cover.
-const ENGINES: [PoolConcurrency; 4] = [
-    PoolConcurrency::GlobalLock,
-    PoolConcurrency::Sharded { shards: 1 },
-    PoolConcurrency::Sharded { shards: 4 },
-    PoolConcurrency::Sharded { shards: 16 },
-];
+/// Every shard count the golden pins cover; the first is the reference.
+const SHARDS: [u32; 3] = [1, 4, 16];
 
-/// Satellite 2: the same workload records the same trace on every engine.
+/// Satellite 2: the same workload records the same trace at every shard
+/// count.
 #[test]
-fn golden_trace_is_engine_invariant() {
+fn golden_trace_is_shard_count_invariant() {
     for backend in [
         Backend::clobber(),
         Backend::Undo,
         Backend::Redo,
         Backend::Atlas,
     ] {
-        let golden = traced_script_run(backend, PoolConcurrency::GlobalLock);
+        let golden = traced_script_run(backend, SHARDS[0]);
         assert!(
             !golden.events.is_empty(),
             "{}: golden trace must not be empty",
             backend.label()
         );
-        for engine in &ENGINES[1..] {
-            let other = traced_script_run(backend, *engine);
+        for &shards in &SHARDS[1..] {
+            let other = traced_script_run(backend, shards);
             assert!(
                 golden.diff(&other).is_none(),
-                "{}: trace diverged on {engine:?}: {}",
+                "{}: trace diverged at {shards} shards: {}",
                 backend.label(),
                 golden.diff(&other).unwrap()
             );
@@ -50,7 +46,7 @@ fn golden_trace_is_engine_invariant() {
 /// script entry, no aborts, and a persist-event stream underneath.
 #[test]
 fn golden_trace_shape_matches_script() {
-    let trace = traced_script_run(Backend::clobber(), PoolConcurrency::GlobalLock);
+    let trace = traced_script_run(Backend::clobber(), 1);
     let counts = trace.kind_counts();
     assert_eq!(counts[EventKind::TxBegin as usize], SCRIPT.len() as u64);
     assert_eq!(counts[EventKind::TxCommit as usize], SCRIPT.len() as u64);

@@ -7,7 +7,7 @@ mod common;
 use std::sync::Arc;
 
 use clobber_nvm::{minimize_schedule, ArgList, Backend, Schedule};
-use clobber_pmem::{FaultPlan, PAddr, PoolConcurrency, Tracer};
+use clobber_pmem::{FaultPlan, PAddr, Tracer};
 use clobber_trace::Trace;
 use common::*;
 
@@ -27,7 +27,7 @@ fn mid_crash_point() -> u64 {
 fn replay_reproduces_crash_event_for_event() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
-    let recorded = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
+    let recorded = traced_crash_at(backend, 1, k);
     assert_eq!(
         recorded.events.last().map(|e| e.kind),
         Some(clobber_pmem::EventKind::FaultTrip),
@@ -63,29 +63,26 @@ fn replay_reproduces_crash_event_for_event() {
     );
 }
 
-/// Replay reproduces the crash at every shard count, not just the engine
+/// Replay reproduces the crash at every shard count, not just the one
 /// that recorded it — the CI crash-sweep smoke relies on this.
 #[test]
-fn replay_is_engine_portable() {
+fn replay_is_shard_count_portable() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
-    let recorded = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
+    let recorded = traced_crash_at(backend, 1, k);
     let schedule = Schedule::from_trace(&recorded).unwrap();
 
-    for engine in [
-        PoolConcurrency::Sharded { shards: 1 },
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        let (pool, rt, _base) = setup_with(backend, engine);
+    for shards in [1, 4] {
+        let (pool, rt, _base) = setup_with(backend, shards);
         pool.arm_faults(FaultPlan::crash_at(k));
         let tracer = Arc::new(Tracer::new());
         pool.set_tracer(Some(tracer.clone()));
         let report = schedule.replay(&rt);
-        assert_eq!(report.tripped_at, Some(k), "{engine:?}");
+        assert_eq!(report.tripped_at, Some(k), "{shards} shards");
         let replayed = tracer.take();
         assert!(
             recorded.diff(&replayed).is_none(),
-            "{engine:?}: {}",
+            "{shards} shards: {}",
             recorded.diff(&replayed).unwrap()
         );
     }
@@ -95,11 +92,7 @@ fn replay_is_engine_portable() {
 /// and the Chrome export of the same trace is non-trivial.
 #[test]
 fn trace_exports_round_trip() {
-    let recorded = traced_crash_at(
-        Backend::clobber(),
-        PoolConcurrency::GlobalLock,
-        mid_crash_point(),
-    );
+    let recorded = traced_crash_at(Backend::clobber(), 1, mid_crash_point());
     let bytes = recorded.to_bytes();
     let back = Trace::from_bytes(&bytes).unwrap();
     assert_eq!(recorded, back, "binary round-trip must be exact");
@@ -115,7 +108,7 @@ fn trace_exports_round_trip() {
 #[test]
 fn schedule_replays_clean_without_faults() {
     let backend = Backend::clobber();
-    let trace = traced_script_run(backend, PoolConcurrency::GlobalLock);
+    let trace = traced_script_run(backend, 1);
     let schedule = Schedule::from_trace(&trace).unwrap();
     assert_eq!(schedule.len(), SCRIPT.len());
 
@@ -252,8 +245,8 @@ fn diff_reports_first_divergent_dispatch_exactly() {
 fn diff_pinpoints_the_fault_trip_against_the_clean_run() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
-    let clean = traced_script_run(backend, PoolConcurrency::GlobalLock);
-    let tripped = traced_crash_at(backend, PoolConcurrency::GlobalLock, k);
+    let clean = traced_script_run(backend, 1);
+    let tripped = traced_crash_at(backend, 1, k);
 
     let d = clean.diff(&tripped).expect("tripped run must diverge");
     assert_eq!(

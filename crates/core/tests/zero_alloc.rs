@@ -11,6 +11,10 @@
 //! head — whose ~500-line read set is what the access sets must hold
 //! without growing once warmed up (they keep their tables across `clear`).
 //!
+//! Last, the allocation budget of a pool instance: reopening a 4-arena
+//! 8 MiB image — what every restart pays before recovery starts — is held
+//! to a fixed count.
+//!
 //! This file intentionally holds a single test: the counter is global, so
 //! a concurrently running test in the same binary would pollute the delta.
 
@@ -19,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clobber_nvm::{ArgList, Runtime, RuntimeOptions};
-use clobber_pmem::{PAddr, PmemPool, PoolOptions};
+use clobber_pmem::{PAddr, PmemPool, PoolMode, PoolOptions};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -122,4 +126,17 @@ fn steady_state_read_clobber_path_is_allocation_free() {
         delta, 0,
         "steady-state 16-SET batch transaction allocated {delta} time(s)"
     );
+
+    // A pool instance: geometry, one mirror per arena, the shard, its
+    // counter bank, the stats handle. 12 before the engines were collapsed
+    // into one (single-lock engine, same image).
+    let image = PmemPool::create(PoolOptions::crash_sim(8 << 20))
+        .unwrap()
+        .into_media();
+    let start = ALLOCS.load(Ordering::Relaxed);
+    let reopened = PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap();
+    let delta = ALLOCS.load(Ordering::Relaxed) - start;
+    assert_eq!(reopened.arena_count(), 4);
+    assert!(delta <= 12, "open_from_media allocated {delta} time(s)");
+    println!("open_from_media: {delta} allocations");
 }

@@ -18,7 +18,7 @@ use clobber_kvnet::{
 use clobber_nvm::{
     reopen_media, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions, TxError,
 };
-use clobber_pmem::{PmemPool, PoolConcurrency, PoolOptions};
+use clobber_pmem::{PmemPool, PoolOptions};
 use clobber_workloads::{Mix, RequestStream};
 
 /// Small log capacities keep each replayed pool cheap to create.
@@ -47,17 +47,17 @@ fn sim_cfg() -> SimNetConfig {
 
 /// The service as a battery workload: a fresh pool with the server state
 /// created, reopen with its txfuncs registered, and the table invariant.
-fn session(concurrency: PoolConcurrency) -> ExploreSession<'static> {
+fn session(shards: u32) -> ExploreSession<'static> {
     ExploreSession {
         build: Box::new(move || {
-            let opts = PoolOptions::crash_sim(2 << 20).with_concurrency(concurrency);
+            let opts = PoolOptions::crash_sim(2 << 20).with_shards(shards);
             let pool = Arc::new(PmemPool::create(opts).unwrap());
             let rt = Runtime::create(pool.clone(), net_options()).unwrap();
             KvServer::create(&rt, LockScheme::BucketRw).unwrap();
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, concurrency, net_options());
+            let (pool, rt) = reopen_media(media, shards, net_options());
             KvServer::register(&rt);
             (pool, rt)
         }),
@@ -111,28 +111,28 @@ fn check_table(pool: &PmemPool, server: &KvServer) -> Result<(), String> {
     }
 }
 
-/// Runs `f` with the battery over the batched service at `concurrency`.
-fn with_battery<R>(concurrency: PoolConcurrency, f: impl FnOnce(&CrashBattery<'_>) -> R) -> R {
+/// Runs `f` with the battery over the batched service at `shards` shards.
+fn with_battery<R>(shards: u32, f: impl FnOnce(&CrashBattery<'_>) -> R) -> R {
     f(&CrashBattery {
-        session: &session(concurrency),
+        session: &session(shards),
         drive: &run_batched_service,
         nested: Nested::Off,
     })
 }
 
 /// Counts the persist events one full service run issues.
-fn count_events(concurrency: PoolConcurrency) -> u64 {
-    let n = with_battery(concurrency, |b| b.count_events()).unwrap_or_else(|v| panic!("{v}"));
+fn count_events(shards: u32) -> u64 {
+    let n = with_battery(shards, |b| b.count_events()).unwrap_or_else(|v| panic!("{v}"));
     assert!(n > 0, "service run must issue persist events");
     n
 }
 
 /// The sweep: a crash at every persist event of the run, and every
 /// recovered table keeps serving batched writes.
-fn sweep_net(concurrency: PoolConcurrency) {
-    let summary = with_battery(concurrency, |b| {
+fn sweep_net(shards: u32) {
+    let summary = with_battery(shards, |b| {
         b.sweep(1, u64::MAX, |r| {
-            let ctx = format!("{concurrency:?} k={}", r.crash_at);
+            let ctx = format!("{shards} shards k={}", r.crash_at);
             let mut svc = service(&r.rt);
             let responses = svc
                 .process_batch_on(
@@ -154,20 +154,20 @@ fn sweep_net(concurrency: PoolConcurrency) {
                 .unwrap_or_else(|e| panic!("{ctx}: heap check failed: {e}"));
         })
     })
-    .unwrap_or_else(|v| panic!("{concurrency:?}: {v}"));
+    .unwrap_or_else(|v| panic!("{shards} shards: {v}"));
     assert!(summary.events > 0, "the run issues persist events");
-    assert_eq!(summary.crash_points, summary.events, "{concurrency:?}");
-    assert_eq!(summary.not_tripped, 0, "{concurrency:?}: every event trips");
+    assert_eq!(summary.crash_points, summary.events, "{shards} shards");
+    assert_eq!(summary.not_tripped, 0, "{shards} shards: every event trips");
 }
 
 #[test]
-fn batched_service_crash_sweep_global_lock() {
-    sweep_net(PoolConcurrency::GlobalLock);
+fn batched_service_crash_sweep_one_shard() {
+    sweep_net(1);
 }
 
 #[test]
 fn batched_service_crash_sweep_sharded4() {
-    sweep_net(PoolConcurrency::Sharded { shards: 4 });
+    sweep_net(4);
 }
 
 /// The ordering contract extends through the service layer: the whole
@@ -175,9 +175,5 @@ fn batched_service_crash_sweep_sharded4() {
 /// every shard count.
 #[test]
 fn service_event_count_is_shard_invariant() {
-    let baseline = count_events(PoolConcurrency::GlobalLock);
-    for shards in [1, 4] {
-        let concurrency = PoolConcurrency::Sharded { shards };
-        assert_eq!(baseline, count_events(concurrency), "{concurrency:?}");
-    }
+    assert_eq!(count_events(1), count_events(4));
 }

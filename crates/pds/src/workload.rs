@@ -37,7 +37,7 @@ use std::sync::Arc;
 use clobber_nvm::{
     reopen_media, ArgList, Backend, ExploreSession, Runtime, RuntimeOptions, Schedule, ScheduleOp,
 };
-use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions};
+use clobber_pmem::{PAddr, PmemPool, PoolOptions};
 
 use crate::hashmap::{
     bucket_of, head_addr, HashMap, NODE_KEY, NODE_NEXT, NODE_SIZE, NODE_VLEN, NODE_VPTR, TX_INSERT,
@@ -64,7 +64,7 @@ pub fn value_of(k: u64) -> Vec<u8> {
 /// [`clobber_nvm::ExploreSession`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreWorkload {
-    concurrency: PoolConcurrency,
+    shards: u32,
     buggy: bool,
 }
 
@@ -73,19 +73,19 @@ impl ExploreWorkload {
     /// big enough for two v_log slots (256 KiB each) plus the heap.
     pub const POOL_BYTES: u64 = 4 << 20;
 
-    /// The correct workload (no injected bug).
-    pub fn new(concurrency: PoolConcurrency) -> ExploreWorkload {
+    /// The correct workload (no injected bug) on pools of `shards` shards.
+    pub fn new(shards: u32) -> ExploreWorkload {
         ExploreWorkload {
-            concurrency,
+            shards,
             buggy: false,
         }
     }
 
     /// The workload with the injected ordering bug registered
     /// (test-only: nothing outside tests should construct this).
-    pub fn with_bug(concurrency: PoolConcurrency) -> ExploreWorkload {
+    pub fn with_bug(shards: u32) -> ExploreWorkload {
         ExploreWorkload {
-            concurrency,
+            shards,
             buggy: true,
         }
     }
@@ -101,7 +101,7 @@ impl ExploreWorkload {
     /// allocation sequence is fixed, so the addresses are identical on
     /// every call — [`layout`](Self::layout) relies on that.
     fn build_inner(&self) -> (Arc<PmemPool>, Runtime, PAddr, PAddr) {
-        let opts = PoolOptions::crash_sim(Self::POOL_BYTES).with_concurrency(self.concurrency);
+        let opts = PoolOptions::crash_sim(Self::POOL_BYTES).with_shards(self.shards);
         let pool = Arc::new(PmemPool::create(opts).expect("create pool"));
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber()))
             .expect("create runtime");
@@ -132,7 +132,7 @@ impl ExploreWorkload {
     /// `recover_with`.
     pub fn reopen(&self, media: Vec<u8>) -> (Arc<PmemPool>, Runtime) {
         let opts = RuntimeOptions::new(Backend::clobber());
-        let (pool, rt) = reopen_media(media, self.concurrency, opts);
+        let (pool, rt) = reopen_media(media, self.shards, opts);
         self.register_all(&rt);
         (pool, rt)
     }
@@ -264,13 +264,13 @@ mod tests {
 
     #[test]
     fn layout_is_deterministic() {
-        let wl = ExploreWorkload::new(PoolConcurrency::GlobalLock);
+        let wl = ExploreWorkload::new(1);
         assert_eq!(wl.layout(), wl.layout());
     }
 
     #[test]
     fn seed_schedule_replays_clean() {
-        let wl = ExploreWorkload::new(PoolConcurrency::GlobalLock);
+        let wl = ExploreWorkload::new(1);
         let (pool, rt) = wl.build();
         let report = wl.seed_schedule().replay(&rt);
         assert_eq!(report.ops_run, 3);
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn buggy_seed_order_passes_but_marked_first_fails() {
-        let wl = ExploreWorkload::with_bug(PoolConcurrency::GlobalLock);
+        let wl = ExploreWorkload::with_bug(1);
         let seed = wl.buggy_schedule();
         let (pool, rt) = wl.build();
         seed.replay(&rt);

@@ -11,9 +11,8 @@
 //!   1 and 4.
 //! * **Deterministic 2-lane sweep** — a fixed interleaved schedule over
 //!   *both* structures through `run_on_locked`, crashed at every strided
-//!   persist event; the recovered media must be byte-identical across
-//!   `PoolConcurrency::{GlobalLock, Sharded{1,4}}` (the determinism
-//!   contract extended to locked transactions).
+//!   persist event; the recovered media must be byte-identical at shards
+//!   1 and 4 (the determinism contract extended to locked transactions).
 //!
 //!   Both tiers run the product's `CrashBattery`, so every visited crash
 //!   point also gets the heap walk, recovery idempotence and byte parity.
@@ -35,7 +34,7 @@ use clobber_nvm::{
 };
 use clobber_pds::workload::{value_of, ExploreWorkload};
 use clobber_pds::{hashmap, skiplist, HashMap, SkipList};
-use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions, Tracer};
+use clobber_pmem::{PAddr, PmemPool, PoolOptions, Tracer};
 
 const KEYS_PER_THREAD: u64 = 10;
 
@@ -69,8 +68,8 @@ impl Handle {
     }
 }
 
-fn setup(structure: &str, concurrency: PoolConcurrency) -> (Arc<PmemPool>, Runtime, Handle) {
-    let opts = PoolOptions::crash_sim(8 << 20).with_concurrency(concurrency);
+fn setup(structure: &str, shards: u32) -> (Arc<PmemPool>, Runtime, Handle) {
+    let opts = PoolOptions::crash_sim(8 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
     let h = match structure {
@@ -146,14 +145,13 @@ fn check_contents(pool: &PmemPool, h: &Handle) -> Result<(), String> {
 /// the locked paths.
 fn racing_sweep(structure: &'static str, threads: usize, stride_div: u64) {
     for shards in [1u32, 4] {
-        let concurrency = PoolConcurrency::Sharded { shards };
         let session = ExploreSession {
             build: Box::new(move || {
-                let (pool, rt, _) = setup(structure, concurrency);
+                let (pool, rt, _) = setup(structure, shards);
                 (pool, rt)
             }),
             reopen: Box::new(move |media| {
-                let (pool, rt) = reopen_media(media, concurrency, rt_options());
+                let (pool, rt) = reopen_media(media, shards, rt_options());
                 match structure {
                     "hashmap" => HashMap::register(&rt),
                     "skiplist" => SkipList::register(&rt),
@@ -201,7 +199,7 @@ fn racing_hashmap_sweep_recovers_at_shards_1_and_4() {
     racing_sweep("hashmap", 2, 8);
 }
 
-/// Tier-1 racing sweep over the single-lock skiplist.
+/// Tier-1 racing sweep over the skiplist (one structure lock).
 #[test]
 fn racing_skiplist_sweep_recovers_at_shards_1_and_4() {
     racing_sweep("skiplist", 2, 8);
@@ -217,12 +215,12 @@ fn racing_sweep_exhaustive() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic 2-lane sweep: byte-identical recovery across engines.
+// Deterministic 2-lane sweep: byte-identical recovery across shard counts.
 
 /// Both structures in one pool, built in a fixed order so the layout is
-/// identical on every engine.
-fn setup_two(concurrency: PoolConcurrency) -> (Arc<PmemPool>, Runtime, HashMap, SkipList) {
-    let opts = PoolOptions::crash_sim(4 << 20).with_concurrency(concurrency);
+/// identical at every shard count.
+fn setup_two(shards: u32) -> (Arc<PmemPool>, Runtime, HashMap, SkipList) {
+    let opts = PoolOptions::crash_sim(4 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
     HashMap::register(&rt);
@@ -281,21 +279,18 @@ fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxErro
 }
 
 /// The battery over the fixed 2-lane schedule at ~12 strided crash points
-/// on `concurrency`; `served` gets each recovered pool's media, in order.
-fn two_lane_sweep(
-    concurrency: PoolConcurrency,
-    mut served: impl FnMut(usize, Vec<u8>),
-) -> SweepSummary {
+/// on `shards` shards; `served` gets each recovered pool's media, in order.
+fn two_lane_sweep(shards: u32, mut served: impl FnMut(usize, Vec<u8>)) -> SweepSummary {
     // The build order is fixed, so the skiplist root (the map's is the app
     // root) is the same address in every build.
-    let sl = setup_two(concurrency).3;
+    let sl = setup_two(shards).3;
     let session = ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _, _) = setup_two(concurrency);
+            let (pool, rt, _, _) = setup_two(shards);
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, concurrency, rt_options());
+            let (pool, rt) = reopen_media(media, shards, rt_options());
             HashMap::register(&rt);
             SkipList::register(&rt);
             (pool, rt)
@@ -320,33 +315,30 @@ fn two_lane_sweep(
             served(point, r.pool.media_snapshot());
             point += 1;
         })
-        .unwrap_or_else(|v| panic!("{concurrency:?}: {v}"));
-    assert_eq!(summary.not_tripped, 0, "{concurrency:?}: every event trips");
+        .unwrap_or_else(|v| panic!("{shards} shards: {v}"));
+    assert_eq!(summary.not_tripped, 0, "{shards} shards: every event trips");
     summary
 }
 
 /// The determinism contract, extended to locked transactions: crash the
 /// fixed 2-lane schedule at every strided persist event and recover —
-/// the sweep summary and the recovered media are identical on every
-/// concurrency engine.
+/// the sweep summary and the recovered media are identical at 1 and 4
+/// shards.
 #[test]
-fn two_lane_sweep_recovers_byte_identically_across_engines() {
+fn two_lane_sweep_recovers_byte_identically_across_shard_counts() {
     let mut golden = Vec::new();
-    let reference = two_lane_sweep(PoolConcurrency::GlobalLock, |_, media| golden.push(media));
+    let reference = two_lane_sweep(1, |_, media| golden.push(media));
     assert!(
         reference.crash_points >= 8,
         "sweep must cover a real spread of crash points"
     );
-    for shards in [1, 4] {
-        let engine = PoolConcurrency::Sharded { shards };
-        let summary = two_lane_sweep(engine, |point, media| {
-            assert!(
-                golden[point] == media,
-                "crash point #{point}: recovered media diverged on {engine:?}"
-            );
-        });
-        assert_eq!(summary, reference, "{engine:?}: sweep summary diverged");
-    }
+    let summary = two_lane_sweep(4, |point, media| {
+        assert!(
+            golden[point] == media,
+            "crash point #{point}: recovered media diverged at 4 shards"
+        );
+    });
+    assert_eq!(summary, reference, "4 shards: sweep summary diverged");
 }
 
 // ---------------------------------------------------------------------------
@@ -358,7 +350,7 @@ fn two_lane_sweep_recovers_byte_identically_across_engines() {
 /// zero violations.
 #[test]
 fn explorer_clears_schedule_recorded_from_racing_hashmap_threads() {
-    let wl = ExploreWorkload::new(PoolConcurrency::GlobalLock);
+    let wl = ExploreWorkload::new(1);
     let (pool, rt) = wl.build();
     let map = HashMap::open(rt.app_root().unwrap());
 

@@ -16,7 +16,7 @@ use clobber_nvm::{
     SweepSummary,
 };
 use clobber_pds::{HashMap, RbTree};
-use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions, Tracer};
+use clobber_pmem::{PAddr, PmemPool, PoolOptions, Tracer};
 
 const KEYS: u64 = 12;
 
@@ -41,8 +41,8 @@ fn register(structure: &str, rt: &Runtime) {
 }
 
 /// Fresh pool + runtime with the structure created and set as app root.
-fn setup(structure: &str, concurrency: PoolConcurrency) -> (Arc<PmemPool>, Runtime, Handle) {
-    let opts = PoolOptions::crash_sim(8 << 20).with_concurrency(concurrency);
+fn setup(structure: &str, shards: u32) -> (Arc<PmemPool>, Runtime, Handle) {
+    let opts = PoolOptions::crash_sim(8 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
     register(structure, &rt);
@@ -105,15 +105,15 @@ fn check_prefix(structure: &str, pool: &PmemPool, rt: &Runtime) -> Result<u64, S
 
 /// Sweeps ~12 strided crash points at the given shard count; returns the
 /// battery's summary and the keys found across all recovered pools.
-fn sweep(structure: &'static str, concurrency: PoolConcurrency) -> (SweepSummary, u64) {
+fn sweep(structure: &'static str, shards: u32) -> (SweepSummary, u64) {
     let session = ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _) = setup(structure, concurrency);
+            let (pool, rt, _) = setup(structure, shards);
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
             let opts = RuntimeOptions::new(Backend::clobber());
-            let (pool, rt) = reopen_media(media, concurrency, opts);
+            let (pool, rt) = reopen_media(media, shards, opts);
             register(structure, &rt);
             (pool, rt)
         }),
@@ -145,8 +145,8 @@ fn sweep(structure: &'static str, concurrency: PoolConcurrency) -> (SweepSummary
 #[test]
 fn sharded_sweep_rbtree_and_hashmap() {
     for structure in ["rbtree", "hashmap"] {
-        let base = sweep(structure, PoolConcurrency::Sharded { shards: 1 });
-        let four = sweep(structure, PoolConcurrency::Sharded { shards: 4 });
+        let base = sweep(structure, 1);
+        let four = sweep(structure, 4);
         assert_eq!(
             base, four,
             "{structure}: sweep diverged across shard counts"
@@ -162,7 +162,7 @@ fn insert_trace_is_shard_invariant() {
     for structure in ["rbtree", "hashmap"] {
         let mut traces = Vec::new();
         for shards in [1, 4] {
-            let (pool, rt, h) = setup(structure, PoolConcurrency::Sharded { shards });
+            let (pool, rt, h) = setup(structure, shards);
             let tracer = Arc::new(Tracer::new());
             pool.set_tracer(Some(tracer.clone()));
             run_inserts(&rt, &h);

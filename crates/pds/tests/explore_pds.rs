@@ -6,9 +6,9 @@
 //!   sound conflict policy nothing is pruned: 3 merges of the (2,1)
 //!   lanes), plants a crash at every strided persist prefix of each, and
 //!   finds zero invariant violations.
-//! * The exploration is deterministic and engine-invariant: identical
-//!   `exp_*` counters, explored-schedule lists, and media outcome hashes
-//!   across `PoolConcurrency::{GlobalLock, Sharded{4}}`.
+//! * The exploration is deterministic and shard-count-invariant:
+//!   identical `exp_*` counters, explored-schedule lists, and media
+//!   outcome hashes at 1 and 4 shards.
 //! * A seeded known-bad schedule (the injected ordering bug behind the
 //!   workload's test-only flag) is found and ddmin-minimized to its two
 //!   culprit ops.
@@ -18,7 +18,7 @@
 use clobber_nvm::{ArgList, ExploreOptions, ExploreReport, Explorer, Schedule, ScheduleOp};
 use clobber_pds::hashmap::TX_INSERT;
 use clobber_pds::workload::{value_of, ExploreWorkload, TX_MARK, TX_RACY_INSERT};
-use clobber_pmem::{PoolConcurrency, StatsSnapshot};
+use clobber_pmem::StatsSnapshot;
 
 fn explore(
     wl: &ExploreWorkload,
@@ -39,7 +39,7 @@ fn smoke_opts() -> ExploreOptions {
 
 #[test]
 fn bounded_exploration_enumerates_every_interleaving_cleanly() {
-    let wl = ExploreWorkload::new(PoolConcurrency::GlobalLock);
+    let wl = ExploreWorkload::new(1);
     let (report, snap) = explore(&wl, wl.seed_schedule(), smoke_opts());
     assert!(report.complete, "budget 64 covers the whole space");
     // (2,1) lanes of all-conflicting inserts: 3 merges, nothing pruned.
@@ -67,18 +67,14 @@ fn bounded_exploration_enumerates_every_interleaving_cleanly() {
 }
 
 #[test]
-fn exploration_is_identical_across_engines() {
-    let engines = [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-    ];
-    // Engine-identity needs every candidate and *some* crash points per
+fn exploration_is_identical_across_shard_counts() {
+    // Identity needs every candidate and *some* crash points per
     // candidate, not the full sweep depth — cap points to keep the
     // debug-mode tier fast (the stride-1 tier runs behind --ignored).
     let opts = smoke_opts().with_crash_stride(7).with_max_crash_points(8);
     let mut runs = Vec::new();
-    for engine in engines {
-        let wl = ExploreWorkload::new(engine);
+    for shards in [1, 4] {
+        let wl = ExploreWorkload::new(shards);
         runs.push(explore(&wl, wl.seed_schedule(), opts.clone()));
     }
     let (base_report, base_snap) = &runs[0];
@@ -89,7 +85,7 @@ fn exploration_is_identical_across_engines() {
         assert_eq!(report.explored, base_report.explored);
         assert_eq!(
             report.outcomes, base_report.outcomes,
-            "durable media outcome of every candidate is engine-invariant"
+            "durable media outcome of every candidate is shard-count-invariant"
         );
         assert_eq!(report.complete, base_report.complete);
         assert_eq!(snap.exp_schedules, base_snap.exp_schedules);
@@ -104,7 +100,7 @@ fn exploration_is_identical_across_engines() {
 
 #[test]
 fn injected_ordering_bug_is_found_and_minimized() {
-    let wl = ExploreWorkload::with_bug(PoolConcurrency::GlobalLock);
+    let wl = ExploreWorkload::with_bug(1);
     let (report, snap) = explore(&wl, wl.buggy_schedule(), smoke_opts());
     assert_eq!(report.failures.len(), 1, "the bug is found");
     let failure = &report.failures[0];
@@ -133,7 +129,7 @@ fn injected_ordering_bug_is_found_and_minimized() {
 #[test]
 #[ignore = "exhaustive; run with --ignored (CI full_sweep)"]
 fn exhaustive_two_thread_exploration_full_stride() {
-    let wl = ExploreWorkload::new(PoolConcurrency::Sharded { shards: 4 });
+    let wl = ExploreWorkload::new(4);
     let (root, _) = wl.layout();
     let insert = |slot: usize, key: u64| ScheduleOp {
         slot,

@@ -58,8 +58,9 @@ use std::collections::HashMap;
 
 use crate::addr::{align_up, PAddr};
 use crate::pool::{
-    get_u64, put_u64, ArenaLayout, HeapGeometry, MediaView, PmemError, PmemPool, PoolMode, RawPmem,
+    get_u64, put_u64, ArenaLayout, HeapGeometry, MediaView, PmemError, PmemPool, PoolMode,
 };
+use crate::shard::RawPmem;
 
 /// Payload capacities of the small size classes.
 pub const CLASS_SIZES: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -116,7 +117,7 @@ pub(crate) struct ArenaMirror {
     huge_sizes: HashMap<u64, u64>,
     reserved: HashMap<u64, Reservation>,
     /// Heads whose media copy is stale relative to the mirror.
-    dirty_heads: Vec<bool>,
+    dirty_heads: [bool; NUM_HEADS],
     frontier_dirty: bool,
     /// Frontier spans abandoned by out-of-order cancels: block end →
     /// frontier value to roll back to once the frontier retreats to that
@@ -157,7 +158,7 @@ impl ArenaMirror {
             free,
             huge_sizes,
             reserved: HashMap::new(),
-            dirty_heads: vec![false; NUM_HEADS],
+            dirty_heads: [false; NUM_HEADS],
             frontier_dirty: false,
             pending_rollback: HashMap::new(),
         }
@@ -259,10 +260,9 @@ thread_local! {
 }
 
 /// Cache-aware persistent write helpers used while the engine's locks are
-/// held (the whole pool under the global lock, or one arena mirror + the
-/// shards covering the arena's span).
+/// held (one arena mirror + the shards covering the arena's span).
 struct Ops<'a, 'b> {
-    raw: &'a mut (dyn RawPmem + 'b),
+    raw: &'a mut RawPmem<'b>,
     mode: PoolMode,
     flushes: u64,
     fences: u64,
@@ -270,7 +270,7 @@ struct Ops<'a, 'b> {
 }
 
 impl<'a, 'b> Ops<'a, 'b> {
-    fn new(raw: &'a mut (dyn RawPmem + 'b), mode: PoolMode) -> Self {
+    fn new(raw: &'a mut RawPmem<'b>, mode: PoolMode) -> Self {
         Ops {
             raw,
             mode,

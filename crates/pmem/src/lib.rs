@@ -31,7 +31,7 @@
 //!   every store/flush/fence is recorded as a typed event stamped with its
 //!   persist-event sequence number, under the same fault-mutex acquisition
 //!   that assigns it — so the recorded stream is the pool-wide total order,
-//!   identical at every [`PoolConcurrency`] engine and shard count.
+//!   identical at every shard count.
 //!
 //! # Example
 //!
@@ -65,9 +65,7 @@ pub use addr::{PAddr, CACHE_LINE};
 pub use alloc::HeapReport;
 pub use crash::CrashConfig;
 pub use fault::FaultPlan;
-pub use pool::{
-    CacheImpl, PmemError, PmemPool, PoolConcurrency, PoolMode, PoolOptions, DEFAULT_ARENAS,
-};
+pub use pool::{CacheImpl, PmemError, PmemPool, PoolMode, PoolOptions, DEFAULT_ARENAS};
 pub use stats::{PmemStats, ShardCounters, StatsSnapshot};
 pub use ulog::{LogKind, LogWriter, Ulog};
 

@@ -15,8 +15,8 @@ use crate::alloc::ArenaMirror;
 use crate::cache::{line_count, Cache, LineCache, RefCache};
 use crate::crash::CrashConfig;
 use crate::fault::{FaultPlan, FaultState};
-use crate::shard::ShardedPool;
-use crate::stats::{add_single_writer, PmemStats};
+use crate::shard::{RawPmem, ShardedPool};
+use crate::stats::PmemStats;
 
 /// Magic value of the pool format (the only one ever written or opened).
 const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0002;
@@ -88,9 +88,8 @@ impl ArenaLayout {
 /// Arena 0 keeps the single-arena shape — metadata at offset 0, heap from
 /// `HEAP_BASE` up to `main_hi` — so huge allocations keep the largest
 /// region. Side arenas are fixed-size spans carved from the top of the
-/// pool. Geometry is a property of the pool *format*, never of the engine
-/// or shard count, so every concurrency mode computes identical block
-/// addresses.
+/// pool. Geometry is a property of the pool *format*, never of the shard
+/// count, so every pool computes identical block addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct HeapGeometry {
     arenas: Vec<ArenaLayout>,
@@ -231,37 +230,6 @@ pub enum CacheImpl {
     Reference,
 }
 
-/// How the pool synchronizes its internal state.
-///
-/// Both modes implement the identical durability contract and produce
-/// bit-identical durable media, counters (in aggregate) and seeded crash
-/// outcomes; they differ only in how the hot path locks. The lock-step
-/// property test (`tests/proptest_shard_equiv.rs`) holds them to that.
-///
-/// **Persist-event ordering across shards:** fault injection needs one
-/// coherent total order of persist events no matter how many shards exist.
-/// That order is defined by acquisition order on the pool's single fault
-/// mutex, which every armed store/flush/fence acquires *before* touching
-/// any shard. Disarmed pools skip the mutex entirely (one relaxed atomic
-/// load), so the ordering authority costs nothing unless a [`FaultPlan`]
-/// is armed — and while armed, a fixed single-threaded workload trips at
-/// the same event index regardless of shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolConcurrency {
-    /// One mutex around all pool state — the shipped default, and the
-    /// reference the sharded mode is tested against.
-    #[default]
-    GlobalLock,
-    /// State is partitioned into contiguous, line-aligned address ranges,
-    /// each behind its own lock; disjoint-range operations proceed in
-    /// parallel. Requests are clamped to at least one line per shard, so
-    /// the effective shard count may be lower for tiny pools.
-    Sharded {
-        /// Requested number of address-range shards (clamped to ≥ 1).
-        shards: u32,
-    },
-}
-
 /// Configuration for [`PmemPool::create`].
 ///
 /// # Example
@@ -281,13 +249,15 @@ pub struct PoolOptions {
     pub mode: PoolMode,
     /// Cache implementation (crash-sim mode only).
     pub cache_impl: CacheImpl,
-    /// Locking strategy for the pool's internal state.
-    pub concurrency: PoolConcurrency,
+    /// Requested number of address-range shards the pool's state is
+    /// partitioned into, each behind its own lock (see
+    /// [`with_shards`](Self::with_shards)). 1 — one lock — by default.
+    pub shards: u32,
     /// Requested allocator arena count (clamped to what the capacity can
     /// hold; tiny pools stay single-arena). Arenas partition the heap so
     /// concurrent allocator calls from different threads take disjoint
     /// locks; the partition is persisted in the pool header and independent
-    /// of the concurrency mode.
+    /// of the shard count.
     pub arenas: u32,
 }
 
@@ -301,7 +271,7 @@ impl PoolOptions {
             capacity,
             mode: PoolMode::Performance,
             cache_impl: CacheImpl::Dense,
-            concurrency: PoolConcurrency::GlobalLock,
+            shards: 1,
             arenas: DEFAULT_ARENAS,
         }
     }
@@ -312,7 +282,7 @@ impl PoolOptions {
             capacity,
             mode: PoolMode::CrashSim,
             cache_impl: CacheImpl::Dense,
-            concurrency: PoolConcurrency::GlobalLock,
+            shards: 1,
             arenas: DEFAULT_ARENAS,
         }
     }
@@ -331,15 +301,15 @@ impl PoolOptions {
         self
     }
 
-    /// Partitions pool state into `shards` address-range shards.
+    /// Partitions pool state into `shards` contiguous, line-aligned
+    /// address ranges, each behind its own lock, so operations on disjoint
+    /// ranges proceed in parallel. Clamped to at least one line per shard
+    /// (and to ≥ 1), so the effective count may be lower for tiny pools.
+    /// Durable media, counters (in aggregate), persist-event order and
+    /// seeded crash outcomes are identical at every count — the lock-step
+    /// property test (`tests/proptest_shard_equiv.rs`) holds them to that.
     pub fn with_shards(mut self, shards: u32) -> Self {
-        self.concurrency = PoolConcurrency::Sharded { shards };
-        self
-    }
-
-    /// Selects an explicit [`PoolConcurrency`] mode.
-    pub fn with_concurrency(mut self, concurrency: PoolConcurrency) -> Self {
-        self.concurrency = concurrency;
+        self.shards = shards;
         self
     }
 }
@@ -437,11 +407,10 @@ impl fmt::Display for PmemError {
 
 impl Error for PmemError {}
 
-/// One contiguous span of media plus its simulated cache — the unit both
-/// engines are built from: the global engine holds exactly one covering the
-/// whole pool, the sharded engine holds one per address-range shard.
+/// One contiguous span of media plus its simulated cache — the unit the
+/// engine is built from: one per address-range shard.
 ///
-/// All offsets are local to `media` (for the global engine, local equals
+/// All offsets are local to `media` (at one shard, local equals
 /// pool-global).
 pub(crate) struct MediaCache {
     pub(crate) media: Vec<u8>,
@@ -524,9 +493,8 @@ impl MediaCache {
     }
 }
 
-/// The durable media as the engine holds it, borrowed under its lock(s):
-/// one piece for the global engine, one per shard (ascending) for the
-/// sharded one. Every in-place inspection of durable bytes — the heap
+/// The durable media as the engine holds it, borrowed under its locks: one
+/// piece per shard, ascending. Every in-place inspection of durable bytes — the heap
 /// walk, [`PmemPool::visit_media`] — reads through this instead of copying
 /// the pool.
 pub(crate) struct MediaView<'a> {
@@ -567,95 +535,26 @@ impl MediaView<'_> {
     }
 }
 
-/// Mutable state of the single-lock (reference) engine.
-pub(crate) struct PoolInner {
-    pub(crate) mc: MediaCache,
-    /// Volatile mirrors of the allocator metadata, one per arena.
-    pub(crate) mirrors: Vec<ArenaMirror>,
-}
-
-impl PoolInner {
-    fn new(media: Vec<u8>, cache_impl: CacheImpl, geom: &HeapGeometry) -> PoolInner {
-        let mirrors = geom
-            .arenas()
-            .iter()
-            .map(|&l| ArenaMirror::rebuild(&media, l))
-            .collect();
-        PoolInner {
-            mc: MediaCache::new(media, cache_impl),
-            mirrors,
-        }
-    }
-}
-
-/// Raw persist operations over pool-global offsets, with bounds already
-/// checked by the caller. The allocator runs against this so one
-/// implementation serves both engines; for the sharded engine the
-/// implementor holds the shards overlapping the owning arena's span for the
-/// duration of the allocator operation, giving that arena's metadata
-/// updates the same atomicity they have under the global lock. Fences are
-/// arena-scoped in *both* engines (see [`Cache::fence_range`]) so the
-/// durable outcome never depends on the engine or shard count.
-pub(crate) trait RawPmem {
-    fn read_raw(&mut self, offset: u64, buf: &mut [u8]);
-    fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode);
-    fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64;
-    /// Orders previously flushed lines within the owning arena's span.
-    fn fence_raw(&mut self);
-    /// Credits hot-path counters accumulated over an allocator operation.
-    /// Must be called while the implementor still holds its locks (the
-    /// sharded engine writes a per-shard bank that requires exclusivity).
-    fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64);
-}
-
-/// [`RawPmem`] over the global engine's single `MediaCache`, scoped to one
-/// arena's byte span for fencing.
-struct GlobalRaw<'a> {
-    mc: &'a mut MediaCache,
-    stats: &'a PmemStats,
-    /// The owning arena's `[lo, hi)` span — the fence scope.
-    span: (u64, u64),
-}
-
-impl RawPmem for GlobalRaw<'_> {
-    fn read_raw(&mut self, offset: u64, buf: &mut [u8]) {
-        self.mc.read_raw(offset, buf);
-    }
-    fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
-        self.mc.write_raw(offset, data, mode);
-    }
-    fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
-        self.mc.flush_raw(offset, len, mode)
-    }
-    fn fence_raw(&mut self) {
-        self.mc.fence_range_raw(self.span.0, self.span.1);
-    }
-    fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
-        // `mc` is borrowed out of the locked engine: the single-writer rule
-        // of the hot counters holds (see `PmemStats`).
-        add_single_writer(&self.stats.flushes, flushes);
-        self.stats.bump(&self.stats.fences, fences);
-        add_single_writer(&self.stats.write_bytes, write_bytes);
-    }
-}
-
-/// The synchronization engine behind a pool.
-enum Engine {
-    /// Everything behind one mutex (the reference design).
-    Global(Mutex<PoolInner>),
-    /// Address-range shards, each behind its own lock.
-    Sharded(ShardedPool),
-}
-
 /// A simulated persistent memory pool.
 ///
-/// All methods take `&self`; internal state is protected by a mutex, so a
-/// pool can be shared across threads via [`Arc`]. See the
+/// All methods take `&self`; internal state is protected by per-shard
+/// locks, so a pool can be shared across threads via [`Arc`]. See the
 /// [crate documentation](crate) for the durability contract.
+///
+/// **Persist-event ordering across shards:** fault injection needs one
+/// coherent total order of persist events no matter how many shards exist.
+/// That order is defined by acquisition order on the pool's single fault
+/// mutex, which every armed store/flush/fence acquires *before* touching
+/// any shard. Disarmed pools skip the mutex entirely (one relaxed atomic
+/// load), so the ordering authority costs nothing unless a [`FaultPlan`]
+/// is armed — and while armed, a fixed single-threaded workload trips at
+/// the same event index regardless of shard count.
 pub struct PmemPool {
     mode: PoolMode,
     cache_impl: CacheImpl,
-    concurrency: PoolConcurrency,
+    /// Shard count as requested (the engine may have clamped it); a
+    /// [`crash`](Self::crash) reopens with it.
+    shards: u32,
     capacity: u64,
     /// Arena partition, read from the (versioned) pool header.
     geom: HeapGeometry,
@@ -675,10 +574,9 @@ pub struct PmemPool {
     trace_on: AtomicBool,
     /// The single fault injector and event tracer. While armed (or traced),
     /// acquisition order on this mutex defines the pool-wide total order of
-    /// persist events — the shard-ordering model documented on
-    /// [`PoolConcurrency`].
+    /// persist events — the shard-ordering model documented on the type.
     faults: Mutex<FaultState>,
-    engine: Engine,
+    engine: ShardedPool,
 }
 
 impl fmt::Debug for PmemPool {
@@ -719,7 +617,7 @@ impl PmemPool {
             media,
             opts.mode,
             opts.cache_impl,
-            opts.concurrency,
+            opts.shards,
             geom,
         ))
     }
@@ -733,11 +631,11 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::CorruptPool`] if the header fails validation.
     pub fn open_from_media(media: Vec<u8>, mode: PoolMode) -> Result<PmemPool, PmemError> {
-        Self::open_from_media_with(media, mode, CacheImpl::Dense, PoolConcurrency::GlobalLock)
+        Self::open_from_media_with(media, mode, CacheImpl::Dense, 1)
     }
 
     /// As [`open_from_media`](Self::open_from_media), with an explicit cache
-    /// model and concurrency mode (the crash-sweep harness reopens crashed
+    /// model and shard count (the crash-sweep harness reopens crashed
     /// media under the same configuration it ran with).
     ///
     /// # Errors
@@ -747,7 +645,7 @@ impl PmemPool {
         mut media: Vec<u8>,
         mode: PoolMode,
         cache_impl: CacheImpl,
-        concurrency: PoolConcurrency,
+        shards: u32,
     ) -> Result<PmemPool, PmemError> {
         if media.len() < (layout::HEAP_BASE + 4096) as usize {
             return Err(PmemError::CorruptPool("media shorter than metadata".into()));
@@ -764,7 +662,7 @@ impl PmemPool {
         }
         let geom = HeapGeometry::read(&media)?;
         crate::alloc::replay_redo(&mut media, &geom);
-        Ok(Self::assemble(media, mode, cache_impl, concurrency, geom))
+        Ok(Self::assemble(media, mode, cache_impl, shards, geom))
     }
 
     /// Builds the engine and stats for validated media.
@@ -772,31 +670,20 @@ impl PmemPool {
         media: Vec<u8>,
         mode: PoolMode,
         cache_impl: CacheImpl,
-        concurrency: PoolConcurrency,
+        shards: u32,
         geom: HeapGeometry,
     ) -> PmemPool {
         let capacity = media.len() as u64;
-        let engine = match concurrency {
-            PoolConcurrency::GlobalLock => {
-                Engine::Global(Mutex::new(PoolInner::new(media, cache_impl, &geom)))
-            }
-            PoolConcurrency::Sharded { shards } => {
-                Engine::Sharded(ShardedPool::new(media, cache_impl, shards as usize, &geom))
-            }
-        };
-        let stats = Arc::new(match &engine {
-            Engine::Global(_) => PmemStats::new(),
-            Engine::Sharded(s) => PmemStats::with_banks(s.shard_count()),
-        });
+        let engine = ShardedPool::new(media, cache_impl, shards, &geom);
         PmemPool {
             mode,
             cache_impl,
-            concurrency,
+            shards,
             capacity,
             geom,
             pool_id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             next_arena: AtomicU32::new(0),
-            stats,
+            stats: Arc::new(PmemStats::with_banks(engine.banks().clone())),
             faults_armed: AtomicBool::new(false),
             trace_on: AtomicBool::new(false),
             faults: Mutex::new(FaultState::default()),
@@ -825,8 +712,8 @@ impl PmemPool {
     }
 
     /// The allocator arena whose span contains `offset`. Recovery uses
-    /// this to partition slot work along the same boundaries the sharded
-    /// engine already locks independently.
+    /// this to partition slot work along the same boundaries the allocator
+    /// already locks independently.
     pub fn arena_of_offset(&self, offset: u64) -> usize {
         self.geom.arena_of(offset)
     }
@@ -836,17 +723,9 @@ impl PmemPool {
         self.mode
     }
 
-    /// The pool's concurrency mode.
-    pub fn concurrency(&self) -> PoolConcurrency {
-        self.concurrency
-    }
-
-    /// The number of address-range shards (1 for the global-lock engine).
+    /// The number of address-range shards (as clamped by the engine).
     pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            Engine::Global(_) => 1,
-            Engine::Sharded(s) => s.shard_count(),
-        }
+        self.engine.shard_count()
     }
 
     /// The pool capacity in bytes.
@@ -854,31 +733,14 @@ impl PmemPool {
         self.capacity
     }
 
-    /// Runs `f` with arena `idx`'s mirror and raw persist ops, holding
-    /// whatever locks the engine needs: the global mutex, or the arena's
-    /// mirror lock plus only the shards overlapping the arena's span, in
-    /// ascending order — the documented lock order (at most one arena
-    /// mirror per thread, then shards ascending, so disjoint arenas never
-    /// deadlock and mostly don't contend).
+    /// Runs `f` with arena `idx`'s mirror and raw persist ops, holding the
+    /// arena's mirror lock plus the shards overlapping the arena's span.
     pub(crate) fn with_arena_raw<R>(
         &self,
         idx: usize,
-        f: impl FnOnce(&mut ArenaMirror, &mut dyn RawPmem) -> R,
+        f: impl FnOnce(&mut ArenaMirror, &mut RawPmem<'_>) -> R,
     ) -> R {
-        match &self.engine {
-            Engine::Global(m) => {
-                let span = self.geom.arenas()[idx].span();
-                let mut guard = m.lock();
-                let inner = &mut *guard;
-                let mut raw = GlobalRaw {
-                    mc: &mut inner.mc,
-                    stats: &self.stats,
-                    span,
-                };
-                f(&mut inner.mirrors[idx], &mut raw)
-            }
-            Engine::Sharded(s) => s.with_arena_raw(idx, &self.stats, f),
-        }
+        self.engine.with_arena_raw(idx, f)
     }
 
     /// Runs `f` with just arena `idx`'s mirror locked.
@@ -887,10 +749,7 @@ impl PmemPool {
         idx: usize,
         f: impl FnOnce(&mut ArenaMirror) -> R,
     ) -> R {
-        match &self.engine {
-            Engine::Global(m) => f(&mut m.lock().mirrors[idx]),
-            Engine::Sharded(s) => s.with_arena_mirror(idx, f),
-        }
+        self.engine.with_arena_mirror(idx, f)
     }
 
     /// The pool's persistence-event counters.
@@ -1086,13 +945,7 @@ impl PmemPool {
         let first_line = offset / CACHE_LINE;
         let cut = ((first_line + surviving) * CACHE_LINE - offset) as usize;
         let cut = cut.min(data.len());
-        match &self.engine {
-            Engine::Global(m) => {
-                let s = offset as usize;
-                m.lock().mc.media[s..s + cut].copy_from_slice(&data[..cut]);
-            }
-            Engine::Sharded(s) => s.media_write(offset, &data[..cut]),
-        }
+        self.engine.media_write(offset, &data[..cut]);
     }
 
     /// Consults the injector before a read: dead pools refuse, and a plan
@@ -1141,25 +994,15 @@ impl PmemPool {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut chosen = std::collections::HashSet::new();
-        // Draw the bit positions first (the sequence must not depend on the
-        // engine), then apply the flips — XOR commutes, so order is moot.
+        // Draw the distinct bit positions first, then apply the flips — XOR
+        // commutes, so order is moot.
         while chosen.len() < flips as usize {
             let bit: u64 = rng.gen_range(0..bits);
             chosen.insert(bit);
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                let mut inner = m.lock();
-                for &bit in &chosen {
-                    let byte = (addr.offset() + bit / 8) as usize;
-                    inner.mc.media[byte] ^= 1 << (bit % 8);
-                }
-            }
-            Engine::Sharded(s) => {
-                for &bit in &chosen {
-                    s.media_xor(addr.offset() + bit / 8, 1 << (bit % 8));
-                }
-            }
+        for &bit in &chosen {
+            self.engine
+                .media_xor(addr.offset() + bit / 8, 1 << (bit % 8));
         }
         self.stats.bump(&self.stats.faults_tripped, 1);
         Ok(())
@@ -1202,21 +1045,6 @@ impl PmemPool {
         Ok(())
     }
 
-    /// Counts one load of `len` bytes. The caller holds the single-lock
-    /// engine's mutex — that is what makes the plain add exact.
-    #[inline]
-    fn count_load(&self, len: u64) {
-        add_single_writer(&self.stats.reads, 1);
-        add_single_writer(&self.stats.read_bytes, len);
-    }
-
-    /// Counts one store of `len` bytes, under the same rule.
-    #[inline]
-    fn count_store(&self, len: u64) {
-        add_single_writer(&self.stats.writes, 1);
-        add_single_writer(&self.stats.write_bytes, len);
-    }
-
     /// Reads `buf.len()` bytes starting at `addr`.
     ///
     /// # Errors
@@ -1224,14 +1052,7 @@ impl PmemPool {
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn read_into(&self, addr: PAddr, buf: &mut [u8]) -> Result<(), PmemError> {
         self.admit_read(addr, buf.len() as u64)?;
-        match &self.engine {
-            Engine::Global(m) => {
-                let inner = m.lock();
-                self.count_load(buf.len() as u64);
-                inner.mc.read_raw(addr.offset(), buf);
-            }
-            Engine::Sharded(s) => s.read(addr.offset(), buf, &self.stats),
-        }
+        self.engine.read(addr.offset(), buf);
         Ok(())
     }
 
@@ -1253,18 +1074,7 @@ impl PmemPool {
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn read_u64(&self, addr: PAddr) -> Result<u64, PmemError> {
         self.admit_read(addr, 8)?;
-        Ok(match &self.engine {
-            Engine::Global(m) => {
-                let inner = m.lock();
-                self.count_load(8);
-                inner.mc.read_word(addr.offset())
-            }
-            Engine::Sharded(s) => {
-                let mut buf = [0u8; 8];
-                s.read(addr.offset(), &mut buf, &self.stats);
-                u64::from_le_bytes(buf)
-            }
-        })
+        Ok(self.engine.read_word(addr.offset()))
     }
 
     /// Stores `data` at `addr`. The store is *not* durable until the covering
@@ -1275,14 +1085,7 @@ impl PmemPool {
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn write_bytes(&self, addr: PAddr, data: &[u8]) -> Result<(), PmemError> {
         self.admit_store(addr, data)?;
-        match &self.engine {
-            Engine::Global(m) => {
-                let mut inner = m.lock();
-                self.count_store(data.len() as u64);
-                inner.mc.write_raw(addr.offset(), data, self.mode);
-            }
-            Engine::Sharded(s) => s.write(addr.offset(), data, self.mode, &self.stats),
-        }
+        self.engine.write(addr.offset(), data, self.mode);
         Ok(())
     }
 
@@ -1292,16 +1095,8 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn write_u64(&self, addr: PAddr, value: u64) -> Result<(), PmemError> {
-        let data = value.to_le_bytes();
-        self.admit_store(addr, &data)?;
-        match &self.engine {
-            Engine::Global(m) => {
-                let mut inner = m.lock();
-                self.count_store(8);
-                inner.mc.write_word(addr.offset(), value, self.mode);
-            }
-            Engine::Sharded(s) => s.write(addr.offset(), &data, self.mode, &self.stats),
-        }
+        self.admit_store(addr, &value.to_le_bytes())?;
+        self.engine.write_word(addr.offset(), value, self.mode);
         Ok(())
     }
 
@@ -1317,14 +1112,7 @@ impl PmemPool {
         if self.hooks_engaged() {
             self.fault_persist_event(EventKind::Flush, addr.offset(), len, None)?;
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                let mut inner = m.lock();
-                let n = inner.mc.flush_raw(addr.offset(), len, self.mode);
-                add_single_writer(&self.stats.flushes, n);
-            }
-            Engine::Sharded(s) => s.flush(addr.offset(), len, self.mode, &self.stats),
-        }
+        self.engine.flush(addr.offset(), len, self.mode);
         Ok(())
     }
 
@@ -1333,9 +1121,9 @@ impl PmemPool {
     /// [`flush`](Self::flush) of the same range — the shape of every
     /// transactional store and log-line write — as one operation.
     ///
-    /// On a single-lock pool with no [`FaultPlan`] armed and no tracer
-    /// attached both halves run under one round of the engine lock. With a
-    /// hook engaged it *is* the two calls, so the `Store` and `Flush`
+    /// With no [`FaultPlan`] armed and no tracer attached, both halves of a
+    /// range that one shard holds run under one round of that shard's lock.
+    /// With a hook engaged it *is* the two calls, so the `Store` and `Flush`
     /// persist events, their indices and the trip semantics (a plan may trip
     /// between them, leaving the store unflushed) are those of the sequence.
     ///
@@ -1344,21 +1132,13 @@ impl PmemPool {
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn store_flush(&self, addr: PAddr, data: &[u8]) -> Result<(), PmemError> {
         let len = data.len() as u64;
-        match &self.engine {
-            Engine::Global(m) if !self.hooks_engaged() => {
-                self.check(addr, len)?;
-                let mut inner = m.lock();
-                self.count_store(len);
-                inner.mc.write_raw(addr.offset(), data, self.mode);
-                let n = inner.mc.flush_raw(addr.offset(), len, self.mode);
-                add_single_writer(&self.stats.flushes, n);
-                Ok(())
-            }
-            _ => {
-                self.write_bytes(addr, data)?;
-                self.flush(addr, len)
-            }
+        if self.hooks_engaged() {
+            self.write_bytes(addr, data)?;
+            return self.flush(addr, len);
         }
+        self.check(addr, len)?;
+        self.engine.store_flush(addr.offset(), data, self.mode);
+        Ok(())
     }
 
     /// Issues an `sfence`: all previously flushed lines become durable.
@@ -1375,15 +1155,7 @@ impl PmemPool {
         {
             return;
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                self.stats.bump(&self.stats.fences, 1);
-                if self.mode == PoolMode::CrashSim {
-                    m.lock().mc.fence_raw();
-                }
-            }
-            Engine::Sharded(s) => s.fence(self.mode, &self.stats),
-        }
+        self.engine.fence(self.mode);
     }
 
     /// Flush-and-fence convenience: makes `[addr, addr+len)` durable.
@@ -1431,7 +1203,7 @@ impl PmemPool {
     /// validation (which would indicate a bug in this crate, not the caller).
     pub fn crash(&self, cfg: &CrashConfig) -> Result<PmemPool, PmemError> {
         let media = self.crash_media(cfg);
-        PmemPool::open_from_media_with(media, self.mode, self.cache_impl, self.concurrency)
+        PmemPool::open_from_media_with(media, self.mode, self.cache_impl, self.shards)
     }
 
     /// The media image the power failure of [`crash`](Self::crash) leaves
@@ -1446,13 +1218,11 @@ impl PmemPool {
     /// [`crash_media`](Self::crash_media) written into `buf`'s allocation
     /// (its contents are discarded): no allocation when `buf` already has
     /// the pool's capacity.
-    pub fn crash_media_into(&self, cfg: &CrashConfig, mut buf: Vec<u8>) -> Vec<u8> {
+    pub fn crash_media_into(&self, cfg: &CrashConfig, buf: Vec<u8>) -> Vec<u8> {
         let cfg = &cfg.clamped();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // One survival draw per modified line, in ascending line order —
-        // both cache models and both engines visit identically (the sharded
-        // engine walks shards in ascending address order, and shard bases
-        // are line-aligned, so its draw sequence equals the global one).
+        // both cache models visit identically, at every shard count.
         let mut draw = |flush_pending: bool| {
             if flush_pending {
                 rng.gen_bool(cfg.p_flushed_unfenced)
@@ -1460,23 +1230,7 @@ impl PmemPool {
                 rng.gen_bool(cfg.p_dirty)
             }
         };
-        match &self.engine {
-            Engine::Global(m) => {
-                let inner = m.lock();
-                buf.clone_from(&inner.mc.media);
-                inner
-                    .mc
-                    .cache
-                    .for_each_modified(|line, flush_pending, bytes| {
-                        if draw(flush_pending) {
-                            let s = (line * CACHE_LINE) as usize;
-                            buf[s..s + CACHE_LINE as usize].copy_from_slice(bytes);
-                        }
-                    });
-                buf
-            }
-            Engine::Sharded(s) => s.crash_media(buf, &mut draw),
-        }
+        self.engine.crash_media(buf, &mut draw)
     }
 
     /// Returns a copy of the durable media contents (what a crash with
@@ -1487,19 +1241,10 @@ impl PmemPool {
         media
     }
 
-    /// Runs `f` on the durable media in place, holding the engine's
-    /// lock(s) (the global mutex, or every shard, ascending) meanwhile.
+    /// Runs `f` on the durable media in place, holding every shard's lock
+    /// (ascending) meanwhile.
     pub(crate) fn with_media_view<R>(&self, f: impl FnOnce(&MediaView<'_>) -> R) -> R {
-        match &self.engine {
-            Engine::Global(m) => {
-                let inner = m.lock();
-                f(&MediaView {
-                    pieces: &[&inner.mc.media],
-                    piece_bytes: self.capacity,
-                })
-            }
-            Engine::Sharded(s) => s.with_media_view(f),
-        }
+        self.engine.with_media_view(f)
     }
 
     /// Calls `f` on each contiguous piece of the durable media, ascending
@@ -1512,13 +1257,10 @@ impl PmemPool {
     }
 
     /// Consumes the pool and returns its durable media (the volatile cache
-    /// is discarded, as by a [`CrashConfig::drop_all`] crash) — no copy on
-    /// the single-lock engine, so a harness can recycle a pool-sized buffer.
+    /// is discarded, as by a [`CrashConfig::drop_all`] crash) — no copy at
+    /// one shard, so a harness can recycle a pool-sized buffer.
     pub fn into_media(self) -> Vec<u8> {
-        match self.engine {
-            Engine::Global(m) => m.into_inner().mc.media,
-            Engine::Sharded(s) => s.into_media(),
-        }
+        self.engine.into_media()
     }
 }
 

@@ -34,12 +34,14 @@
 //! [`ShardCounters`]: crate::stats::ShardCounters
 //! [`PmemStats::snapshot`]: crate::PmemStats::snapshot
 
+use std::sync::Arc;
+
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::{align_up, CACHE_LINE};
 use crate::alloc::ArenaMirror;
-use crate::pool::{CacheImpl, HeapGeometry, MediaCache, MediaView, PoolMode, RawPmem};
-use crate::stats::PmemStats;
+use crate::pool::{CacheImpl, HeapGeometry, MediaCache, MediaView, PoolMode};
+use crate::stats::ShardCounters;
 
 /// One address-range shard: a base offset plus its media/cache span.
 pub(crate) struct Shard {
@@ -81,7 +83,7 @@ impl Shard {
     }
 }
 
-/// The sharded engine: contiguous address-range shards plus one allocator
+/// The pool engine: contiguous address-range shards plus one allocator
 /// mirror lock per arena.
 ///
 /// Lock order, where multiple locks are held: one arena mirror → the shards
@@ -89,23 +91,25 @@ impl Shard {
 /// never held across a shard acquisition.
 pub(crate) struct ShardedPool {
     cells: Box<[Mutex<Shard>]>,
+    /// Shard `i`'s hot counters, written under `cells[i]`'s lock (fences
+    /// excepted, see [`ShardCounters`]); the pool's `PmemStats` handle
+    /// holds the same banks to sum them.
+    banks: Arc<[ShardCounters]>,
     /// Bytes per shard (multiple of [`CACHE_LINE`]); the last shard holds
     /// the remainder.
     shard_bytes: u64,
     capacity: u64,
     /// Volatile allocator mirrors, one per arena — allocator paths lock the
-    /// owning arena's mirror first, then the shards its span overlaps,
-    /// giving that arena's metadata updates global-lock atomicity.
+    /// owning arena's mirror first, then the shards its span overlaps, so
+    /// that arena's metadata updates are atomic.
     mirrors: Box<[Mutex<ArenaMirror>]>,
-    /// `[lo, hi)` byte span of each arena (metadata + heap).
-    arena_spans: Vec<(u64, u64)>,
 }
 
 impl ShardedPool {
     pub(crate) fn new(
         mut media: Vec<u8>,
         cache_impl: CacheImpl,
-        shards: usize,
+        shards: u32,
         geom: &HeapGeometry,
     ) -> ShardedPool {
         let capacity = media.len() as u64;
@@ -114,11 +118,11 @@ impl ShardedPool {
             .iter()
             .map(|&l| Mutex::new(ArenaMirror::rebuild(&media, l)))
             .collect();
-        let arena_spans = geom.arenas().iter().map(|l| l.span()).collect();
-        let want = shards.clamp(1, 4096) as u64;
+        let want = u64::from(shards.clamp(1, 4096));
         let shard_bytes = align_up(capacity.div_ceil(want).max(1), CACHE_LINE);
         // Shard 0 keeps the original buffer — and its capacity, which
         // `into_media` grows back into; the other shards copy their piece.
+        // At one shard nothing is copied.
         let tails: Vec<Vec<u8>> = media
             .chunks(shard_bytes as usize)
             .skip(1)
@@ -138,11 +142,11 @@ impl ShardedPool {
             })
             .collect();
         ShardedPool {
+            banks: cells.iter().map(|_| ShardCounters::default()).collect(),
             cells: cells.into_boxed_slice(),
             shard_bytes,
             capacity,
             mirrors: mirrors.into_boxed_slice(),
-            arena_spans,
         }
     }
 
@@ -150,15 +154,30 @@ impl ShardedPool {
         self.cells.len()
     }
 
-    /// Runs `f` with exclusive access to shard `idx`.
-    fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
-        f(&mut self.cells[idx].lock())
+    /// The per-shard hot-counter banks, for the pool's stats handle.
+    pub(crate) fn banks(&self) -> &Arc<[ShardCounters]> {
+        &self.banks
     }
 
     /// Shard index containing `offset`, clamped so a zero-length access at
-    /// `offset == capacity` still lands on the last shard.
+    /// `offset == capacity` still lands on the last shard. An offset inside
+    /// shard 0 — every offset of a one-shard pool — costs a compare, not a
+    /// division.
+    #[inline]
     fn shard_index(&self, offset: u64) -> usize {
+        if offset < self.shard_bytes {
+            return 0;
+        }
         ((offset / self.shard_bytes) as usize).min(self.cells.len() - 1)
+    }
+
+    /// The shard holding all of `[offset, offset+len)`, when one does: the
+    /// access then takes that shard's lock once and never splits. Chosen
+    /// from the byte range alone, at every shard count.
+    #[inline]
+    fn sole_shard(&self, offset: u64, len: u64) -> Option<usize> {
+        let idx = self.shard_index(offset);
+        (offset + len <= (idx as u64 + 1) * self.shard_bytes).then_some(idx)
     }
 
     /// Visits each `(shard_index, range_start, range_len)` piece of
@@ -174,81 +193,136 @@ impl ShardedPool {
         }
     }
 
-    pub(crate) fn read(&self, offset: u64, buf: &mut [u8], stats: &PmemStats) {
-        if buf.is_empty() {
-            let idx = self.shard_index(offset);
-            self.with_shard(idx, |_| {
-                let b = stats.bank(idx);
-                b.add(&b.reads, 1);
-            });
+    /// Counts one load of `len` bytes against shard `idx`, whose lock the
+    /// caller holds — `_held`, borrowed from its guard, is the witness.
+    #[inline]
+    fn add_load(&self, idx: usize, _held: &Shard, len: u64) {
+        let b = &self.banks[idx];
+        b.add(&b.reads, 1);
+        b.add(&b.read_bytes, len);
+    }
+
+    /// Counts one store of `len` bytes, under the same rule.
+    #[inline]
+    fn add_store(&self, idx: usize, _held: &Shard, len: u64) {
+        let b = &self.banks[idx];
+        b.add(&b.writes, 1);
+        b.add(&b.write_bytes, len);
+    }
+
+    /// Counts `lines` flushed lines, under the same rule.
+    #[inline]
+    fn add_flushes(&self, idx: usize, _held: &Shard, lines: u64) {
+        let b = &self.banks[idx];
+        b.add(&b.flushes, lines);
+    }
+
+    pub(crate) fn read(&self, offset: u64, buf: &mut [u8]) {
+        let len = buf.len() as u64;
+        if let Some(idx) = self.sole_shard(offset, len) {
+            let sh = self.cells[idx].lock();
+            self.add_load(idx, &sh, len);
+            sh.read(offset, buf);
             return;
         }
         let mut first = true;
-        self.for_each_range(offset, buf.len() as u64, |idx, at, len| {
-            self.with_shard(idx, |sh| {
-                if first {
-                    let b = stats.bank(idx);
-                    b.add(&b.reads, 1);
-                    b.add(&b.read_bytes, buf.len() as u64);
-                }
-                let s = (at - offset) as usize;
-                sh.read(at, &mut buf[s..s + len as usize]);
-            });
-            first = false;
+        self.for_each_range(offset, len, |idx, at, n| {
+            let sh = self.cells[idx].lock();
+            if first {
+                self.add_load(idx, &sh, len);
+                first = false;
+            }
+            let s = (at - offset) as usize;
+            sh.read(at, &mut buf[s..s + n as usize]);
         });
     }
 
-    pub(crate) fn write(&self, offset: u64, data: &[u8], mode: PoolMode, stats: &PmemStats) {
-        if data.is_empty() {
-            let idx = self.shard_index(offset);
-            self.with_shard(idx, |_| {
-                let b = stats.bank(idx);
-                b.add(&b.writes, 1);
-            });
+    /// [`read`](Self::read) of one little-endian word: a fixed-width load
+    /// unless the word straddles shards.
+    pub(crate) fn read_word(&self, offset: u64) -> u64 {
+        if let Some(idx) = self.sole_shard(offset, 8) {
+            let sh = self.cells[idx].lock();
+            self.add_load(idx, &sh, 8);
+            return sh.mc.read_word(offset - sh.base);
+        }
+        let mut buf = [0u8; 8];
+        self.read(offset, &mut buf);
+        u64::from_le_bytes(buf)
+    }
+
+    pub(crate) fn write(&self, offset: u64, data: &[u8], mode: PoolMode) {
+        let len = data.len() as u64;
+        if let Some(idx) = self.sole_shard(offset, len) {
+            let mut sh = self.cells[idx].lock();
+            self.add_store(idx, &sh, len);
+            sh.write(offset, data, mode);
             return;
         }
         let mut first = true;
-        self.for_each_range(offset, data.len() as u64, |idx, at, len| {
-            self.with_shard(idx, |sh| {
-                if first {
-                    let b = stats.bank(idx);
-                    b.add(&b.writes, 1);
-                    b.add(&b.write_bytes, data.len() as u64);
-                }
-                let s = (at - offset) as usize;
-                sh.write(at, &data[s..s + len as usize], mode);
-            });
-            first = false;
+        self.for_each_range(offset, len, |idx, at, n| {
+            let mut sh = self.cells[idx].lock();
+            if first {
+                self.add_store(idx, &sh, len);
+                first = false;
+            }
+            let s = (at - offset) as usize;
+            sh.write(at, &data[s..s + n as usize], mode);
         });
     }
 
-    pub(crate) fn flush(&self, offset: u64, len: u64, mode: PoolMode, stats: &PmemStats) {
+    /// [`write`](Self::write) of one little-endian word: a fixed-width
+    /// store unless the word straddles shards.
+    pub(crate) fn write_word(&self, offset: u64, value: u64, mode: PoolMode) {
+        if let Some(idx) = self.sole_shard(offset, 8) {
+            let mut sh = self.cells[idx].lock();
+            self.add_store(idx, &sh, 8);
+            let local = offset - sh.base;
+            sh.mc.write_word(local, value, mode);
+            return;
+        }
+        self.write(offset, &value.to_le_bytes(), mode);
+    }
+
+    pub(crate) fn flush(&self, offset: u64, len: u64, mode: PoolMode) {
+        if let Some(idx) = self.sole_shard(offset, len) {
+            let mut sh = self.cells[idx].lock();
+            let n = sh.flush(offset, len, mode);
+            self.add_flushes(idx, &sh, n);
+            return;
+        }
         self.for_each_range(offset, len, |idx, at, l| {
-            self.with_shard(idx, |sh| {
-                let n = sh.flush(at, l, mode);
-                let b = stats.bank(idx);
-                b.add(&b.flushes, n);
-            });
+            let mut sh = self.cells[idx].lock();
+            let n = sh.flush(at, l, mode);
+            self.add_flushes(idx, &sh, n);
         });
     }
 
-    pub(crate) fn fence(&self, mode: PoolMode, stats: &PmemStats) {
-        if mode != PoolMode::CrashSim {
-            // Nothing to write back; only the counter moves.
-            self.with_shard(0, |_| {
-                let b = stats.bank(0);
-                b.add(&b.fences, 1);
-            });
+    /// [`write`](Self::write) then [`flush`](Self::flush) of the same range
+    /// — under one round of its shard's lock when one shard holds it all,
+    /// the two calls when it straddles. Counters and cache state end up the
+    /// same either way.
+    pub(crate) fn store_flush(&self, offset: u64, data: &[u8], mode: PoolMode) {
+        let len = data.len() as u64;
+        let Some(idx) = self.sole_shard(offset, len) else {
+            self.write(offset, data, mode);
+            self.flush(offset, len, mode);
             return;
-        }
-        for idx in 0..self.cells.len() {
-            self.with_shard(idx, |sh| {
-                if idx == 0 {
-                    let b = stats.bank(0);
-                    b.add(&b.fences, 1);
-                }
-                sh.fence();
-            });
+        };
+        let mut sh = self.cells[idx].lock();
+        self.add_store(idx, &sh, len);
+        sh.write(offset, data, mode);
+        let n = sh.flush(offset, len, mode);
+        self.add_flushes(idx, &sh, n);
+    }
+
+    pub(crate) fn fence(&self, mode: PoolMode) {
+        // Counted in shard 0's bank without its lock: in performance mode
+        // there is nothing to write back, so a fence takes no lock at all.
+        self.banks[0].add_fences(1);
+        if mode == PoolMode::CrashSim {
+            for cell in self.cells.iter() {
+                cell.lock().fence();
+            }
         }
     }
 
@@ -256,21 +330,18 @@ impl ShardedPool {
     /// injection).
     pub(crate) fn media_write(&self, offset: u64, data: &[u8]) {
         self.for_each_range(offset, data.len() as u64, |idx, at, len| {
-            self.with_shard(idx, |sh| {
-                let local = (at - sh.base) as usize;
-                let s = (at - offset) as usize;
-                sh.mc.media[local..local + len as usize]
-                    .copy_from_slice(&data[s..s + len as usize]);
-            });
+            let mut sh = self.cells[idx].lock();
+            let local = (at - sh.base) as usize;
+            let s = (at - offset) as usize;
+            sh.mc.media[local..local + len as usize].copy_from_slice(&data[s..s + len as usize]);
         });
     }
 
     /// XORs one durable media byte (bit-corruption injection).
     pub(crate) fn media_xor(&self, byte: u64, mask: u8) {
-        let idx = self.shard_index(byte);
-        self.with_shard(idx, |sh| {
-            sh.mc.media[(byte - sh.base) as usize] ^= mask;
-        });
+        let mut sh = self.cells[self.shard_index(byte)].lock();
+        let local = (byte - sh.base) as usize;
+        sh.mc.media[local] ^= mask;
     }
 
     /// Runs `f` on the durable media of every shard, all shard locks held
@@ -287,7 +358,7 @@ impl ShardedPool {
     /// Concatenated durable media, consuming the engine. Shard 0 kept the
     /// original buffer's capacity when [`new`](Self::new) split it, so the
     /// other shards are appended back onto it without a pool-sized
-    /// allocation.
+    /// allocation (at one shard it *is* the buffer `new` was given).
     pub(crate) fn into_media(self) -> Vec<u8> {
         let mut shards = self.cells.into_vec().into_iter().map(Mutex::into_inner);
         let mut media = shards.next().map(|sh| sh.mc.media).unwrap_or_default();
@@ -298,9 +369,9 @@ impl ShardedPool {
     }
 
     /// Post-crash media image: durable bytes plus every modified line that
-    /// `draw` lets survive. Ascending shard order × ascending local line
-    /// order equals the global ascending line order, so `draw` sees the
-    /// same sequence the single-lock engine produces.
+    /// `draw` lets survive. Shard bases are line-aligned, so ascending
+    /// shard order × ascending local line order is the pool's ascending
+    /// line order: `draw` sees the same sequence at every shard count.
     pub(crate) fn crash_media(
         &self,
         mut media: Vec<u8>,
@@ -308,16 +379,15 @@ impl ShardedPool {
     ) -> Vec<u8> {
         media.clear();
         media.reserve_exact(self.capacity as usize);
-        for idx in 0..self.cells.len() {
-            self.with_shard(idx, |sh| {
-                let start = media.len();
-                media.extend_from_slice(&sh.mc.media);
-                sh.mc.cache.for_each_modified(|line, flush_pending, bytes| {
-                    if draw(flush_pending) {
-                        let s = start + (line * CACHE_LINE) as usize;
-                        media[s..s + CACHE_LINE as usize].copy_from_slice(bytes);
-                    }
-                });
+        for cell in self.cells.iter() {
+            let sh = cell.lock();
+            let start = media.len();
+            media.extend_from_slice(&sh.mc.media);
+            sh.mc.cache.for_each_modified(|line, flush_pending, bytes| {
+                if draw(flush_pending) {
+                    let s = start + (line * CACHE_LINE) as usize;
+                    media[s..s + CACHE_LINE as usize].copy_from_slice(bytes);
+                }
             });
         }
         media
@@ -333,78 +403,98 @@ impl ShardedPool {
     }
 
     /// Runs `f` with arena `idx`'s mirror plus the shards overlapping the
-    /// arena's byte span held (mirror first, then shards ascending),
-    /// exposing those shards as one [`RawPmem`] — the allocator path.
-    /// Allocator operations on arenas with disjoint shard coverage run
-    /// fully in parallel.
+    /// arena's byte span held (mirror first, then shards ascending — the
+    /// documented lock order: at most one arena mirror per thread, so
+    /// disjoint arenas never deadlock and mostly don't contend), exposing
+    /// those shards as one [`RawPmem`] — the allocator path. Allocator
+    /// operations on arenas with disjoint shard coverage run fully in
+    /// parallel.
     pub(crate) fn with_arena_raw<R>(
         &self,
         idx: usize,
-        stats: &PmemStats,
-        f: impl FnOnce(&mut ArenaMirror, &mut dyn RawPmem) -> R,
+        f: impl FnOnce(&mut ArenaMirror, &mut RawPmem<'_>) -> R,
     ) -> R {
         let mut mirror = self.mirrors[idx].lock();
-        let (lo, hi) = self.arena_spans[idx];
+        let (lo, hi) = mirror.layout.span();
         let first = self.shard_index(lo);
         let last = self.shard_index(hi - 1);
-        let guards = self.cells[first..=last].iter().map(Mutex::lock).collect();
-        let mut raw = ShardedRaw {
-            guards,
+        let mut raw = RawPmem {
+            head: self.cells[first].lock(),
+            // Empty — and so unallocated — when one shard covers the span.
+            rest: self.cells[first + 1..last + 1]
+                .iter()
+                .map(Mutex::lock)
+                .collect(),
             first_shard: first,
             span: (lo, hi),
             shard_bytes: self.shard_bytes,
-            stats,
+            bank: &self.banks[first],
         };
         f(&mut mirror, &mut raw)
     }
 }
 
-/// [`RawPmem`] over the shards covering one arena's span (those locks
-/// held). Offsets stay pool-global; `first_shard` translates them to guard
-/// indices. Hot-path credits go to the first covered shard's bank, which
-/// the held locks make safe to write.
-struct ShardedRaw<'a> {
-    guards: Vec<MutexGuard<'a, Shard>>,
-    /// Global index of `guards[0]`.
+/// Raw persist operations over pool-global offsets, with bounds already
+/// checked by the caller: the shards covering one arena's span, their locks
+/// held for the duration of an allocator operation, which is what makes
+/// that arena's metadata updates atomic. Fences are arena-scoped (see
+/// [`Cache::fence_range`](crate::cache::Cache::fence_range)) so the durable
+/// outcome never depends on the shard count.
+pub(crate) struct RawPmem<'a> {
+    /// The span's first shard; the only one when `rest` is empty.
+    head: MutexGuard<'a, Shard>,
+    /// The span's further shards, ascending.
+    rest: Vec<MutexGuard<'a, Shard>>,
+    /// Pool-wide index of `head`.
     first_shard: usize,
     /// The owning arena's `[lo, hi)` span — the fence scope.
     span: (u64, u64),
     shard_bytes: u64,
-    stats: &'a PmemStats,
+    /// `head`'s bank, which the held lock makes safe to write: the
+    /// operation's hot counts are credited here.
+    bank: &'a ShardCounters,
 }
 
-impl ShardedRaw<'_> {
+impl RawPmem<'_> {
     fn for_each_range(&mut self, offset: u64, len: u64, mut f: impl FnMut(&mut Shard, u64, u64)) {
         let end = offset + len;
         let mut at = offset;
         while at < end {
             let idx = (at / self.shard_bytes) as usize;
             let stop = ((idx as u64 + 1) * self.shard_bytes).min(end);
-            let sh = &mut *self.guards[idx - self.first_shard];
+            let sh = match idx - self.first_shard {
+                0 => &mut *self.head,
+                n => &mut *self.rest[n - 1],
+            };
             f(sh, at, stop - at);
             at = stop;
         }
     }
-}
 
-impl RawPmem for ShardedRaw<'_> {
-    fn read_raw(&mut self, offset: u64, buf: &mut [u8]) {
-        let start = offset;
+    pub(crate) fn read_raw(&mut self, offset: u64, buf: &mut [u8]) {
+        if self.rest.is_empty() {
+            return self.head.read(offset, buf);
+        }
         self.for_each_range(offset, buf.len() as u64, |sh, at, len| {
-            let s = (at - start) as usize;
+            let s = (at - offset) as usize;
             sh.read(at, &mut buf[s..s + len as usize]);
         });
     }
 
-    fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
-        let start = offset;
+    pub(crate) fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
+        if self.rest.is_empty() {
+            return self.head.write(offset, data, mode);
+        }
         self.for_each_range(offset, data.len() as u64, |sh, at, len| {
-            let s = (at - start) as usize;
+            let s = (at - offset) as usize;
             sh.write(at, &data[s..s + len as usize], mode);
         });
     }
 
-    fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
+    pub(crate) fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
+        if self.rest.is_empty() {
+            return self.head.flush(offset, len, mode);
+        }
         let mut n = 0;
         self.for_each_range(offset, len, |sh, at, l| {
             n += sh.flush(at, l, mode);
@@ -412,12 +502,11 @@ impl RawPmem for ShardedRaw<'_> {
         n
     }
 
-    /// Arena-scoped fence: orders pending flushes within the span, shard by
-    /// shard (each clipped to its own range). Identical durable effect to
-    /// the global engine's `fence_range` over the same span.
-    fn fence_raw(&mut self) {
+    /// Orders previously flushed lines within the owning arena's span,
+    /// shard by shard (each clipped to its own range).
+    pub(crate) fn fence_raw(&mut self) {
         let (lo, hi) = self.span;
-        for sh in &mut self.guards {
+        for sh in std::iter::once(&mut self.head).chain(&mut self.rest) {
             let clip_lo = lo.max(sh.base);
             let clip_hi = hi.min(sh.end());
             if clip_lo < clip_hi {
@@ -426,10 +515,11 @@ impl RawPmem for ShardedRaw<'_> {
         }
     }
 
-    fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
-        let b = self.stats.bank(self.first_shard);
+    /// Credits hot-path counters accumulated over an allocator operation.
+    pub(crate) fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
+        let b = self.bank;
         b.add(&b.flushes, flushes);
-        b.add(&b.fences, fences);
+        b.add_fences(fences);
         b.add(&b.write_bytes, write_bytes);
     }
 }
@@ -463,15 +553,14 @@ mod tests {
         let media = vec![0u8; 8192];
         let geom = HeapGeometry::single(media.len() as u64);
         let s = ShardedPool::new(media, CacheImpl::Dense, 2, &geom);
-        let stats = PmemStats::with_banks(s.shard_count());
         let boundary = s.shard_bytes - 32;
         let data: Vec<u8> = (0..64u8).collect();
-        s.write(boundary, &data, PoolMode::Performance, &stats);
+        s.write(boundary, &data, PoolMode::Performance);
         let mut back = vec![0u8; 64];
-        s.read(boundary, &mut back, &stats);
+        s.read(boundary, &mut back);
         assert_eq!(back, data);
         // Op attributed to the first shard only; bytes are the full store.
-        let shards = stats.shard_snapshots();
+        let shards: Vec<_> = s.banks.iter().map(ShardCounters::snapshot_hot).collect();
         assert_eq!(shards[0].writes, 1);
         assert_eq!(shards[0].write_bytes, 64);
         assert_eq!(shards[1].writes, 0);
@@ -487,10 +576,9 @@ mod tests {
         assert!(geom.arenas().len() > 1, "1 MiB plans side arenas");
         let media = vec![0u8; capacity as usize];
         let s = ShardedPool::new(media, CacheImpl::Dense, 8, &geom);
-        let stats = PmemStats::with_banks(s.shard_count());
         let last = geom.arenas().len() - 1;
         let (lo, hi) = geom.arenas()[last].span();
-        s.with_arena_raw(last, &stats, |_mirror, raw| {
+        s.with_arena_raw(last, |_mirror, raw| {
             raw.write_raw(lo + 8, &[0xAB; 16], PoolMode::CrashSim);
             raw.flush_raw(lo + 8, 16, PoolMode::CrashSim);
             raw.fence_raw();

@@ -7,33 +7,28 @@
 //! copy so callers can compute per-operation deltas.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Adds `by` to a counter that has exactly one writer at a time — whoever
-/// holds the lock that owns it — with a plain load+store instead of an
-/// atomic read-modify-write. Concurrent [`PmemStats::snapshot`] readers see
-/// a slightly stale value, never a torn one.
-#[inline]
-pub(crate) fn add_single_writer(counter: &AtomicU64, by: u64) {
-    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
-}
+use std::sync::Arc;
 
 /// One shard's bank of hot-path counters.
 ///
-/// Sharded pools route the six per-operation counters (stores, loads,
-/// flushes, fences and their byte counts) here instead of the shared
-/// [`PmemStats`] atomics, so the store path never touches a contended cache
-/// line. The bank's writer is whoever holds the owning shard's lock, which
-/// is why the increments can be plain load+store pairs instead of atomic read-modify-writes: there is
-/// exactly one writer at a time, and concurrent
-/// [`snapshot`](PmemStats::snapshot) readers only ever see a slightly stale
-/// value, never a torn one. Padded to two cache lines so neighbouring
-/// shards' banks never false-share.
+/// The six per-operation counters (stores, loads, flushes, fences and their
+/// byte counts) live here and nowhere else: one bank per shard of the pool,
+/// so the store path never touches a contended cache line. The bank's
+/// writer is whoever holds the owning shard's lock, which is why the
+/// increments can be plain load+store pairs instead of atomic
+/// read-modify-writes: there is exactly one writer at a time, and
+/// concurrent [`snapshot`](PmemStats::snapshot) readers only ever see a
+/// slightly stale value, never a torn one. `fences` is the exception — a
+/// performance-mode fence takes no lock, so every update of it is an atomic
+/// add. Padded to two cache lines so neighbouring shards' banks never
+/// false-share.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct ShardCounters {
     /// Cache-line flushes issued against this shard's lines.
     pub flushes: AtomicU64,
-    /// Ordering fences (attributed to shard 0, the fence-epoch owner).
+    /// Ordering fences (pool fences count in shard 0's bank, an allocator's
+    /// in the first shard of its arena's span).
     pub fences: AtomicU64,
     /// Store operations whose first byte fell in this shard.
     pub writes: AtomicU64,
@@ -48,11 +43,17 @@ pub struct ShardCounters {
 
 impl ShardCounters {
     /// Adds `by` with a plain load+store (no RMW). Callers must hold the
-    /// owning shard's lock (or be the claimed single thread) — see the type
-    /// docs for why that makes this exact.
+    /// owning shard's lock — see the type docs for why that makes this
+    /// exact — and `counter` must not be `fences`.
     #[inline]
     pub(crate) fn add(&self, counter: &AtomicU64, by: u64) {
-        add_single_writer(counter, by);
+        counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+    }
+
+    /// Counts `by` fences: an atomic add, since no lock orders the writers.
+    #[inline]
+    pub(crate) fn add_fences(&self, by: u64) {
+        self.fences.fetch_add(by, Ordering::Relaxed);
     }
 
     /// This bank's counters as a snapshot with only the hot fields set.
@@ -75,30 +76,12 @@ impl ShardCounters {
 /// `log_bytes`, `vlog_entries`, `vlog_bytes`) are bumped by the runtime crate
 /// rather than the pool itself.
 ///
-/// The hot per-access fields (`flushes`, `writes`, `write_bytes`, `reads`,
-/// `read_bytes`) of a single-lock pool are written only while the pool's
-/// engine lock is held, with plain load+store pairs (the single-writer rule
-/// of [`ShardCounters`]); `fences` stays an atomic add, because a
-/// performance-mode fence takes no lock. Sharded pools carry one
-/// [`ShardCounters`] bank per shard instead;
-/// [`snapshot`](Self::snapshot) folds the banks into the shared atomics so a
-/// snapshot means the same thing under every [`PoolConcurrency`] mode.
-///
-/// [`PoolConcurrency`]: crate::PoolConcurrency
+/// The hot per-access counts (`flushes`, `fences`, `writes`, `write_bytes`,
+/// `reads`, `read_bytes`) have no field here: they live in the pool's
+/// per-shard [`ShardCounters`] banks, and [`snapshot`](Self::snapshot)
+/// reports their sum.
 #[derive(Debug, Default)]
 pub struct PmemStats {
-    /// Cache-line flushes issued (`clwb`-equivalents).
-    pub flushes: AtomicU64,
-    /// Ordering fences issued (`sfence`-equivalents).
-    pub fences: AtomicU64,
-    /// Store operations issued to the pool.
-    pub writes: AtomicU64,
-    /// Bytes stored to the pool.
-    pub write_bytes: AtomicU64,
-    /// Load operations issued to the pool.
-    pub reads: AtomicU64,
-    /// Bytes loaded from the pool.
-    pub read_bytes: AtomicU64,
     /// Allocations served by the persistent heap.
     pub allocs: AtomicU64,
     /// Frees returned to the persistent heap.
@@ -218,49 +201,44 @@ pub struct PmemStats {
     /// `GET`s served off the volatile cache without entering a transaction,
     /// bumped by the service layer.
     pub net_snapshot_reads: AtomicU64,
-    /// Per-shard hot-counter banks. Empty for single-lock pools; sharded
-    /// pools route all hot-path counts here and leave the shared hot
-    /// atomics above at zero, so [`snapshot`](Self::snapshot) can always
-    /// report `shared + Σ banks`.
-    banks: Vec<ShardCounters>,
+    /// The pool's per-shard hot-counter banks, shared with its engine
+    /// (which writes them). `None` for counters no pool owns.
+    banks: Option<Arc<[ShardCounters]>>,
 }
 
 impl PmemStats {
-    /// Creates zeroed counters with no per-shard banks (single-lock pools).
+    /// Creates zeroed counters with no hot-counter banks: a bank of cold
+    /// counters for a layer above the pool (the schedule explorer's).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates zeroed counters with `shards` per-shard banks.
-    pub(crate) fn with_banks(shards: usize) -> Self {
+    /// Creates zeroed counters over a pool's hot-counter `banks`.
+    pub(crate) fn with_banks(banks: Arc<[ShardCounters]>) -> Self {
         Self {
-            banks: (0..shards).map(|_| ShardCounters::default()).collect(),
+            banks: Some(banks),
             ..Self::default()
         }
     }
 
-    /// The hot-counter bank for shard `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range (single-lock pools have no banks).
-    pub(crate) fn bank(&self, idx: usize) -> &ShardCounters {
-        &self.banks[idx]
+    fn banks(&self) -> &[ShardCounters] {
+        self.banks.as_deref().unwrap_or_default()
     }
 
     /// Point-in-time copies of each shard's hot counters, in shard order.
-    /// Empty for single-lock pools. Summing these equals the hot fields of
-    /// [`snapshot`](Self::snapshot) for a sharded pool.
+    /// Summing these equals the hot fields of [`snapshot`](Self::snapshot).
     pub fn shard_snapshots(&self) -> Vec<StatsSnapshot> {
-        self.banks.iter().map(ShardCounters::snapshot_hot).collect()
+        self.banks()
+            .iter()
+            .map(ShardCounters::snapshot_hot)
+            .collect()
     }
 
-    /// Captures a point-in-time copy of all counters. Hot fields fold the
-    /// per-shard banks into the shared atomics, so the snapshot means the
-    /// same thing under every concurrency mode.
+    /// Captures a point-in-time copy of all counters; the hot fields are
+    /// the sum over the per-shard banks.
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut hot = StatsSnapshot::default();
-        for bank in &self.banks {
+        for bank in self.banks() {
             let b = bank.snapshot_hot();
             hot.flushes += b.flushes;
             hot.fences += b.fences;
@@ -270,12 +248,6 @@ impl PmemStats {
             hot.read_bytes += b.read_bytes;
         }
         StatsSnapshot {
-            flushes: hot.flushes + self.flushes.load(Ordering::Relaxed),
-            fences: hot.fences + self.fences.load(Ordering::Relaxed),
-            writes: hot.writes + self.writes.load(Ordering::Relaxed),
-            write_bytes: hot.write_bytes + self.write_bytes.load(Ordering::Relaxed),
-            reads: hot.reads + self.reads.load(Ordering::Relaxed),
-            read_bytes: hot.read_bytes + self.read_bytes.load(Ordering::Relaxed),
             allocs: self.allocs.load(Ordering::Relaxed),
             frees: self.frees.load(Ordering::Relaxed),
             reserves: self.reserves.load(Ordering::Relaxed),
@@ -321,6 +293,7 @@ impl PmemStats {
             net_shed: self.net_shed.load(Ordering::Relaxed),
             net_batched: self.net_batched.load(Ordering::Relaxed),
             net_snapshot_reads: self.net_snapshot_reads.load(Ordering::Relaxed),
+            ..hot
         }
     }
 
@@ -537,48 +510,51 @@ mod tests {
     #[test]
     fn snapshot_reflects_bumps() {
         let s = PmemStats::new();
-        s.bump(&s.flushes, 3);
-        s.bump(&s.fences, 2);
-        s.bump(&s.write_bytes, 100);
+        s.bump(&s.allocs, 3);
+        s.bump(&s.frees, 2);
+        s.bump(&s.log_bytes, 100);
         let snap = s.snapshot();
-        assert_eq!(snap.flushes, 3);
-        assert_eq!(snap.fences, 2);
-        assert_eq!(snap.write_bytes, 100);
+        assert_eq!(snap.allocs, 3);
+        assert_eq!(snap.frees, 2);
+        assert_eq!(snap.log_bytes, 100);
         assert_eq!(snap.reads, 0);
     }
 
     #[test]
     fn delta_subtracts_fieldwise() {
         let s = PmemStats::new();
-        s.bump(&s.flushes, 5);
+        s.bump(&s.allocs, 5);
         let a = s.snapshot();
-        s.bump(&s.flushes, 7);
+        s.bump(&s.allocs, 7);
         s.bump(&s.log_bytes, 64);
         let b = s.snapshot();
         let d = b.delta(&a);
-        assert_eq!(d.flushes, 7);
+        assert_eq!(d.allocs, 7);
         assert_eq!(d.log_bytes, 64);
         assert_eq!(d.fences, 0);
     }
 
     #[test]
-    fn snapshot_folds_shard_banks_into_hot_fields() {
-        let s = PmemStats::with_banks(3);
-        s.bank(0).add(&s.bank(0).writes, 2);
-        s.bank(0).add(&s.bank(0).write_bytes, 128);
-        s.bank(2).add(&s.bank(2).writes, 1);
-        s.bank(2).add(&s.bank(2).flushes, 4);
-        s.bump(&s.writes, 10); // e.g. shared-path attribution
+    fn snapshot_sums_shard_banks_into_hot_fields() {
+        let banks: Arc<[ShardCounters]> = (0..3).map(|_| ShardCounters::default()).collect();
+        let s = PmemStats::with_banks(banks.clone());
+        banks[0].add(&banks[0].writes, 2);
+        banks[0].add(&banks[0].write_bytes, 128);
+        banks[2].add(&banks[2].writes, 1);
+        banks[2].add(&banks[2].flushes, 4);
+        banks[0].add_fences(1);
+        banks[1].add_fences(2);
         s.bump(&s.allocs, 1);
         let snap = s.snapshot();
-        assert_eq!(snap.writes, 13);
+        assert_eq!(snap.writes, 3);
         assert_eq!(snap.write_bytes, 128);
         assert_eq!(snap.flushes, 4);
+        assert_eq!(snap.fences, 3);
         assert_eq!(snap.allocs, 1);
         let shards = s.shard_snapshots();
         assert_eq!(shards.len(), 3);
         assert_eq!(shards[0].writes, 2);
-        assert_eq!(shards[1], StatsSnapshot::default());
+        assert_eq!(shards[1].fences, 2);
         assert_eq!(shards[2].flushes, 4);
     }
 

@@ -4,7 +4,7 @@
 //! The dense model replaced the original `HashMap<u64, CacheLine>` cache on
 //! the hot path; the reference implementation preserves the old semantics
 //! verbatim. Random store/flush/fence/crash sequences driven through a
-//! reference pool, a dense pool and a dense `Sharded{4}` pool must produce
+//! reference pool, a dense pool and a dense 4-shard pool must produce
 //! identical volatile reads, identical durable media after a seeded crash,
 //! and bit-identical stats counters — the counter-preservation contract the
 //! benchmarks rely on.
@@ -16,7 +16,7 @@
 //! bases are line-aligned, not page-aligned, so a shard's pages do not
 //! line up with the pool's).
 
-use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolConcurrency, PoolOptions};
+use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolOptions};
 use proptest::prelude::*;
 
 const PAGE: u64 = 4096;
@@ -100,10 +100,7 @@ proptest! {
             assert_eq!(b, base, "deterministic allocator diverged");
             pool
         });
-        prop_assert_eq!(
-            dense[1].concurrency(),
-            PoolConcurrency::Sharded { shards: SHARDS as u32 }
-        );
+        prop_assert_eq!(dense[1].shard_count() as u64, SHARDS);
         let shard_end = POOL_SIZE.div_ceil(SHARDS).next_multiple_of(64);
         prop_assert!(
             (base.offset()..base.offset() + BLOCK).contains(&shard_end)
@@ -121,9 +118,9 @@ proptest! {
                 let vd = pool.read_bytes(base, BLOCK).unwrap();
                 prop_assert!(
                     vd == vr,
-                    "volatile reads diverged after {:?} ({:?})",
+                    "volatile reads diverged after {:?} ({} shards)",
                     op,
-                    pool.concurrency()
+                    pool.shard_count()
                 );
             }
         }
@@ -140,8 +137,8 @@ proptest! {
             let cfg = CrashConfig::with_seed(final_seed);
             prop_assert!(
                 pool.crash_media(&cfg) == reference.crash_media(&cfg),
-                "durable media diverged after crash ({:?})",
-                pool.concurrency()
+                "durable media diverged after crash ({} shards)",
+                pool.shard_count()
             );
         }
     }

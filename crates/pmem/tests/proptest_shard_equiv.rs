@@ -1,35 +1,37 @@
-//! Lock-step equivalence of the sharded pool engines against the retained
-//! single-lock reference engine.
+//! Lock-step equivalence of the pool engine across shard counts, against
+//! its own degenerate configuration.
 //!
-//! PR 3's tentpole replaced the global pool mutex with address-range
-//! shards. The contract is that the change is *unobservable* through the pool API: random schedules of
-//! store/flush/fence/crash operations — including armed [`FaultPlan`]s that
-//! kill the pool mid-schedule and torn trip-point stores — must produce
-//! identical volatile reads, identical per-step error results, identical
-//! persist-event numbering and fault-trip points, bit-identical stats
-//! counters, and identical durable media after a seeded crash, at every
-//! shard count.
+//! The reference is a pool of one shard: every range routes to shard 0 and
+//! no access ever splits, so it is the engine with the routing taken out.
+//! The contract is that the shard count is *unobservable* through the pool
+//! API: random schedules of store/flush/fence/crash operations — including
+//! armed [`FaultPlan`]s that kill the pool mid-schedule and torn trip-point
+//! stores — must produce identical volatile reads, identical per-step error
+//! results, identical persist-event numbering and fault-trip points,
+//! bit-identical stats counters, and identical durable media after a seeded
+//! crash, at every shard count.
 //!
-//! PR 4 extends the schedules with the full allocator surface —
-//! `alloc`/`free`/`reserve`/`publish`/`cancel` — so the sharded-arena
-//! allocator is held to the same standard: identical addresses, identical
-//! error results (`OutOfMemory`, `InvalidFree`, `InjectedCrash`), identical
+//! The schedules include the full allocator surface —
+//! `alloc`/`free`/`reserve`/`publish`/`cancel` — so the per-arena allocator
+//! is held to the same standard: identical addresses, identical error
+//! results (`OutOfMemory`, `InvalidFree`, `InjectedCrash`), identical
 //! `heap_used`, identical `check_heap` reports, and bit-identical durable
-//! allocator metadata after a seeded crash, across every engine.
+//! allocator metadata after a seeded crash.
 //!
-//! PR 14 adds the lean access paths — the fused `store_flush` and the
-//! fixed-width `read_u64`/`write_u64` — plus tracer attach/detach to the
-//! schedules. Besides the engines, one more candidate runs the single-lock
-//! engine with every new primitive *spelled out* as the generic calls it
-//! stands for (`write_bytes` then `flush`; 8-byte `write_bytes`/`read_into`),
-//! so the primitives are held to their definition armed and disarmed,
-//! traced and untraced: same results, same recorded events with the same
-//! persist-event indices, same trip points, counters and media.
+//! They also include the lean access paths — the fused `store_flush` and
+//! the fixed-width `read_u64`/`write_u64` — plus tracer attach/detach. One
+//! more candidate runs one shard with every lean primitive *spelled out* as
+//! the generic calls it stands for (`write_bytes` then `flush`; 8-byte
+//! `write_bytes`/`read_into`), so the primitives are held to their
+//! definition armed and disarmed, traced and untraced: same results, same
+//! recorded events with the same persist-event indices, same trip points,
+//! counters and media. A deterministic case does the same where the random
+//! block cannot reach: across a shard boundary.
 
 use std::sync::Arc;
 
 use clobber_pmem::{
-    CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolConcurrency, PoolOptions, TraceEvent,
+    CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolOptions, StatsSnapshot, TraceEvent,
     Tracer,
 };
 use proptest::prelude::*;
@@ -46,14 +48,13 @@ enum Spelling {
     Generic,
 }
 
-/// The candidates checked against the `GlobalLock` reference (which runs
-/// the lean primitives).
-const CANDIDATES: &[(PoolConcurrency, Spelling)] = &[
-    (PoolConcurrency::GlobalLock, Spelling::Generic),
-    (PoolConcurrency::Sharded { shards: 1 }, Spelling::Lean),
-    (PoolConcurrency::Sharded { shards: 2 }, Spelling::Lean),
-    (PoolConcurrency::Sharded { shards: 4 }, Spelling::Lean),
-    (PoolConcurrency::Sharded { shards: 16 }, Spelling::Lean),
+/// The `(shards, spelling)` candidates checked against the one-shard
+/// reference (which runs the lean primitives).
+const CANDIDATES: &[(u32, Spelling)] = &[
+    (1, Spelling::Generic),
+    (2, Spelling::Lean),
+    (4, Spelling::Lean),
+    (7, Spelling::Lean),
 ];
 
 /// One step of the driver script. Offsets/lengths are pre-clipped to the
@@ -120,13 +121,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// The observable outcome of one op: `Ok` carries the returned address for
 /// allocator ops (0 when the op returns no address), so address equality
-/// across engines is part of the per-step comparison.
+/// across shard counts is part of the per-step comparison.
 type Outcome = Result<u64, PmemError>;
 
-/// Script-level allocator bookkeeping, driven by the *reference* engine's
+/// Script-level allocator bookkeeping, driven by the *reference* pool's
 /// results and shared by every candidate. Tracking may go stale after a
 /// crash (rolled-back reservations, dropped publishes) — that is deliberate:
-/// stale addresses exercise the `InvalidFree` paths, and every engine must
+/// stale addresses exercise the `InvalidFree` paths, and every pool must
 /// produce the same error for the same stale address.
 #[derive(Default)]
 struct Tracked {
@@ -290,9 +291,8 @@ fn drain_trace(pool: &PmemPool) -> Option<Vec<TraceEvent>> {
     pool.tracer().map(|t| t.take().events)
 }
 
-fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
-    let pool =
-        PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_concurrency(concurrency)).unwrap();
+fn create(shards: u32) -> (PmemPool, PAddr) {
+    let pool = PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_shards(shards)).unwrap();
     let base = pool.alloc(BLOCK).unwrap();
     (pool, base)
 }
@@ -300,16 +300,15 @@ fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The headline lock-step test: one schedule, every engine plus the
-    /// spelled-out single-lock pool, every observable compared after every
-    /// step.
+    /// The headline lock-step test: one schedule, every shard count plus
+    /// the spelled-out one-shard pool, every observable compared after
+    /// every step.
     #[test]
-    fn sharded_engines_match_global_lock_reference(
+    fn every_shard_count_matches_the_one_shard_reference(
         (ops, final_seed) in (proptest::collection::vec(op_strategy(), 1..60), 0u64..u64::MAX)
     ) {
-        let (mut reference, base_r) = create(PoolConcurrency::GlobalLock);
-        let mut candidates: Vec<((PoolConcurrency, Spelling), Option<PmemPool>, PAddr)> =
-            Vec::new();
+        let (mut reference, base_r) = create(1);
+        let mut candidates: Vec<((u32, Spelling), Option<PmemPool>, PAddr)> = Vec::new();
         for &c in CANDIDATES {
             let (p, b) = create(c.0);
             prop_assert_eq!(b, base_r, "deterministic allocator diverged for {:?}", c);
@@ -352,9 +351,9 @@ proptest! {
             track(&mut tracked, op, &res_r);
         }
 
-        // Counters are part of the contract. The sharded engines route hot
-        // counts through per-shard banks; `snapshot()` must fold them back
-        // into totals bit-identical to the single-lock engine's.
+        // Counters are part of the contract. Hot counts live in per-shard
+        // banks; `snapshot()` must sum them into totals bit-identical to
+        // the one bank of the reference.
         let snap_r = reference.stats().snapshot();
         for (c, slot, _) in &candidates {
             let pool = slot.as_ref().unwrap();
@@ -362,7 +361,7 @@ proptest! {
         }
 
         // The same crash seed must draw the same per-line survival decisions
-        // in every engine (ascending-shard × ascending-line = global
+        // at every shard count (ascending-shard × ascending-line = global
         // ascending line order) and therefore produce identical durable
         // media — even when the schedule left the pool dead (tripped).
         let crashed_r = reference.crash(&CrashConfig::with_seed(final_seed)).unwrap();
@@ -372,8 +371,8 @@ proptest! {
         for (c, slot, base) in candidates {
             let crashed = slot.unwrap().crash(&CrashConfig::with_seed(final_seed)).unwrap();
             prop_assert_eq!(
-                crashed.concurrency(), c.0,
-                "crash() must preserve the concurrency mode"
+                crashed.shard_count(), c.0 as usize,
+                "crash() must preserve the shard count"
             );
             let durable = crashed.read_bytes(base, BLOCK).unwrap();
             prop_assert_eq!(&durable, &durable_r, "durable media diverged for {:?}", c);
@@ -384,6 +383,85 @@ proptest! {
             if let (Ok(hc), Ok(hr)) = (crashed.check_heap(), heap_r.clone()) {
                 prop_assert_eq!(hc, hr, "heap report diverged for {:?}", c);
             }
+        }
+    }
+}
+
+/// What [`straddle_script`] lets one observe of a pool.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    results: Vec<Outcome>,
+    banks: Vec<StatsSnapshot>,
+    totals: StatsSnapshot,
+    events: u64,
+    volatile: Vec<u8>,
+    crashed: Vec<u8>,
+}
+
+/// Stores, fused store+flushes and word accesses laid across the pool
+/// offset `boundary`, spelled `spelling`, under a count-only plan or none.
+fn straddle_script(shards: u32, boundary: u64, spelling: Spelling, armed: bool) -> Observed {
+    let (mut pool, _) = create(shards);
+    if armed {
+        pool.arm_faults(FaultPlan::count_only());
+    }
+    // `apply` addresses a block: lay it with the boundary in its middle.
+    let base = PAddr::new(boundary - BLOCK / 2);
+    let before = |n: u64| BLOCK / 2 - n;
+    let script = [
+        Op::StoreFlush(before(100), 200, 0x5A),
+        Op::Fence,
+        // Re-dirties fenced lines on both sides, then an 8-byte store and
+        // load at `boundary - 4`: half the word on each side.
+        Op::StoreFlush(before(130), 260, 0xC3),
+        Op::WriteWord(before(4), 0x1122_3344_5566_7788),
+        Op::ReadWord(before(4)),
+        Op::Write(before(64), 128, 0x0F),
+    ];
+    let mut results = Vec::new();
+    for op in &script {
+        let (p, r) = apply(pool, base, &Tracked::default(), spelling, op);
+        pool = p;
+        results.push(r);
+    }
+    assert_eq!(results[4], Ok(0x1122_3344_5566_7788));
+    Observed {
+        results,
+        banks: pool.stats().shard_snapshots(),
+        totals: pool.stats().snapshot(),
+        events: pool.fault_events(),
+        volatile: pool.read_bytes(base, BLOCK).unwrap(),
+        crashed: pool.crash_media(&CrashConfig::with_seed(0xB0DA)),
+    }
+}
+
+/// The random block sits inside shard 0 at every shard count, so the
+/// straddling routes get a script of their own: a fused `store_flush` and
+/// the word accesses laid across the end of shard 0 are still the generic
+/// calls — per bank — and the pool still equals the one-shard pool, where
+/// the same bytes straddle nothing.
+#[test]
+fn lean_primitives_across_a_shard_boundary_equal_the_generic_calls() {
+    for shards in [2u32, 4, 7] {
+        let boundary = POOL_SIZE.div_ceil(u64::from(shards)).next_multiple_of(64);
+        for armed in [false, true] {
+            let lean = straddle_script(shards, boundary, Spelling::Lean, armed);
+            let generic = straddle_script(shards, boundary, Spelling::Generic, armed);
+            assert_eq!(lean, generic, "{shards} shards, armed {armed}");
+            assert!(
+                lean.banks[0].flushes > 0 && lean.banks[1].flushes > 0,
+                "both sides of the boundary were flushed: {:?}",
+                lean.banks
+            );
+            assert_eq!(lean.events > 0, armed);
+
+            let one = straddle_script(1, boundary, Spelling::Lean, armed);
+            assert_eq!(
+                (&lean.results, lean.totals, lean.events),
+                (&one.results, one.totals, one.events),
+                "{shards} shards, armed {armed}"
+            );
+            assert!(lean.volatile == one.volatile && lean.crashed == one.crashed);
         }
     }
 }

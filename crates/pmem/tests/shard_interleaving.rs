@@ -9,24 +9,16 @@
 //! fault-event stream, and the post-trip durable media all agree across
 //! shard counts 1, 4 and 16.
 
-use clobber_pmem::{
-    CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolOptions, CACHE_LINE,
-};
+use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolOptions, CACHE_LINE};
 
 const POOL_SIZE: u64 = 1 << 20;
 const BLOCK: u64 = 16 << 10;
 
-/// Concurrency modes under test; `GlobalLock` first as the reference.
-const MODES: &[PoolConcurrency] = &[
-    PoolConcurrency::GlobalLock,
-    PoolConcurrency::Sharded { shards: 1 },
-    PoolConcurrency::Sharded { shards: 4 },
-    PoolConcurrency::Sharded { shards: 16 },
-];
+/// Shard counts under test; one shard first as the reference.
+const SHARDS: &[u32] = &[1, 4, 16];
 
-fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
-    let pool =
-        PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_concurrency(concurrency)).unwrap();
+fn create(shards: u32) -> (PmemPool, PAddr) {
+    let pool = PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_shards(shards)).unwrap();
     let base = pool.alloc(BLOCK).unwrap();
     (pool, base)
 }
@@ -68,25 +60,25 @@ fn run_workload(pool: &PmemPool, base: PAddr) {
 #[test]
 fn event_count_is_shard_count_invariant() {
     let mut counts = Vec::new();
-    for &mode in MODES {
-        let (pool, base) = create(mode);
+    for &shards in SHARDS {
+        let (pool, base) = create(shards);
         pool.arm_faults(FaultPlan::count_only());
         run_workload(&pool, base);
-        counts.push((mode, pool.disarm_faults()));
+        counts.push((shards, pool.disarm_faults()));
     }
     let (_, reference) = counts[0];
     assert!(reference > 0, "workload must issue persist events");
-    for (mode, n) in counts {
-        assert_eq!(n, reference, "event count diverged for {mode:?}");
+    for (shards, n) in counts {
+        assert_eq!(n, reference, "event count diverged at {shards} shards");
     }
 }
 
-/// For every trip point `k`, every mode trips at exactly event `k`, having
-/// observed exactly `k + 1` events, and the post-trip `drop_all` media is
-/// byte-identical across modes.
+/// For every trip point `k`, every shard count trips at exactly event `k`,
+/// having observed exactly `k + 1` events, and the post-trip `drop_all`
+/// media is byte-identical across shard counts.
 #[test]
 fn trip_points_and_torn_media_are_shard_count_invariant() {
-    let (pool, base) = create(PoolConcurrency::GlobalLock);
+    let (pool, base) = create(1);
     pool.arm_faults(FaultPlan::count_only());
     run_workload(&pool, base);
     let events = pool.disarm_faults();
@@ -100,27 +92,30 @@ fn trip_points_and_torn_media_are_shard_count_invariant() {
     }
     for k in ks {
         // Torn trip-point stores exercise the seeded media prefix push —
-        // the draw must be engine-independent too.
+        // the draw must be shard-count-independent too.
         let plan = FaultPlan::torn_crash_at(k, 0xD00D ^ k);
         let mut reference: Option<Vec<u8>> = None;
-        for &mode in MODES {
-            let (pool, base) = create(mode);
+        for &shards in SHARDS {
+            let (pool, base) = create(shards);
             pool.arm_faults(plan);
             run_workload(&pool, base);
             assert_eq!(
                 pool.fault_tripped(),
                 Some(k),
-                "{mode:?}: event {k} must trip"
+                "{shards} shards: event {k} must trip"
             );
             assert_eq!(
                 pool.fault_events(),
                 k + 1,
-                "{mode:?}: events stop at the trip"
+                "{shards} shards: events stop at the trip"
             );
             let media = pool.crash_media(&CrashConfig::drop_all(0xFEED ^ k));
             match &reference {
                 None => reference = Some(media),
-                Some(r) => assert_eq!(&media, r, "{mode:?}: durable media diverged at k={k}"),
+                Some(r) => assert_eq!(
+                    &media, r,
+                    "{shards} shards: durable media diverged at k={k}"
+                ),
             }
         }
     }

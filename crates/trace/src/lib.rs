@@ -5,8 +5,8 @@
 //! stream stamped with the pool-wide persist-event sequence that the pmem
 //! substrate's single fault mutex already defines. Because every armed (or
 //! traced) store/flush/fence acquires that mutex before touching any shard,
-//! the recorded stream is bit-identical at every `PoolConcurrency` engine
-//! and shard count — the same contract the lock-step proptests enforce for
+//! the recorded stream is bit-identical at every pool shard count — the
+//! same contract the lock-step proptests enforce for
 //! counters, now extended to full event sequences.
 //!
 //! This crate is deliberately foundation-only: it knows nothing about pools
