@@ -51,16 +51,15 @@
 //! which per-thread arena routing now enforces by construction for
 //! transactional workloads.
 //!
-//! [`HeapGeometry`]: crate::pool::HeapGeometry
+//! [`HeapGeometry`]: crate::geometry::HeapGeometry
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::addr::{align_up, PAddr};
-use crate::pool::{
-    get_u64, put_u64, ArenaLayout, HeapGeometry, MediaView, PmemError, PmemPool, PoolMode,
-};
-use crate::shard::RawPmem;
+use crate::geometry::{ArenaLayout, HeapGeometry};
+use crate::pool::{get_u64, put_u64, PmemError, PmemPool, PoolMode};
+use crate::shard::{MediaView, RawPmem};
 
 /// Payload capacities of the small size classes.
 pub const CLASS_SIZES: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -939,7 +938,8 @@ fn zero_payload(ops: &mut Ops<'_, '_>, payload: u64, capacity: u64) {
 mod tests {
     use super::*;
     use crate::crash::CrashConfig;
-    use crate::pool::{layout, PoolOptions};
+    use crate::geometry::layout;
+    use crate::pool::PoolOptions;
 
     fn pool() -> PmemPool {
         PmemPool::create(PoolOptions::crash_sim(1 << 20)).expect("create")

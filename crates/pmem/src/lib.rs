@@ -56,6 +56,7 @@ pub mod alloc;
 pub(crate) mod cache;
 pub mod crash;
 pub mod fault;
+pub(crate) mod geometry;
 pub mod pool;
 pub(crate) mod shard;
 pub mod stats;

@@ -12,10 +12,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::addr::{PAddr, CACHE_LINE};
 use crate::alloc::ArenaMirror;
-use crate::cache::{line_count, Cache, LineCache, RefCache};
+use crate::cache::line_count;
 use crate::crash::CrashConfig;
 use crate::fault::{FaultPlan, FaultState};
-use crate::shard::{RawPmem, ShardedPool};
+use crate::geometry::{layout, HeapGeometry};
+use crate::shard::{MediaView, RawPmem, ShardedPool};
 use crate::stats::PmemStats;
 
 /// Magic value of the pool format (the only one ever written or opened).
@@ -24,181 +25,6 @@ const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0002;
 /// Monotonic id source distinguishing live pools for thread-local allocator
 /// state (arena routing and reservation magazines).
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Pool header layout (offsets within the pool).
-///
-/// The same relative layout serves every arena: arena 0's metadata *is* the
-/// pool header (`meta_base == 0`), and each side arena repeats the
-/// `FRONTIER`/`ALLOC_REDO`/`FREE_HEADS` block at its own `meta_base`, with a
-/// `HEAP_BASE`-sized metadata prefix before its heap.
-pub(crate) mod layout {
-    /// `u64` magic number.
-    pub const MAGIC: u64 = 0;
-    /// `u64` pool capacity in bytes.
-    pub const CAPACITY: u64 = 8;
-    /// `u64` root object address.
-    pub const ROOT: u64 = 16;
-    /// `u64` allocation frontier (relative to the arena's `meta_base`).
-    pub const FRONTIER: u64 = 24;
-    /// `u64` arena count.
-    pub const ARENAS: u64 = 32;
-    /// `u64` bytes spanned by each side arena (0 if none).
-    pub const ARENA_BYTES: u64 = 40;
-    /// 64-byte allocator redo record (relative to the arena's `meta_base`).
-    pub const ALLOC_REDO: u64 = 64;
-    /// Free-list heads: one `u64` per size class, then the huge-list head
-    /// (relative to the arena's `meta_base`).
-    pub const FREE_HEADS: u64 = 128;
-    /// First byte available to the heap (relative to the arena's
-    /// `meta_base`) — i.e. the per-arena metadata size.
-    pub const HEAP_BASE: u64 = 256;
-}
-
-/// Byte geometry of one allocator arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ArenaLayout {
-    /// Start of this arena's metadata block (0 for arena 0 — the pool
-    /// header doubles as its metadata).
-    pub(crate) meta_base: u64,
-    /// First heap byte (`meta_base + layout::HEAP_BASE`).
-    pub(crate) heap_lo: u64,
-    /// One past the last heap byte.
-    pub(crate) heap_hi: u64,
-}
-
-impl ArenaLayout {
-    pub(crate) fn frontier_off(&self) -> u64 {
-        self.meta_base + layout::FRONTIER
-    }
-    pub(crate) fn redo_off(&self) -> u64 {
-        self.meta_base + layout::ALLOC_REDO
-    }
-    pub(crate) fn head_off(&self, class: u32) -> u64 {
-        self.meta_base + layout::FREE_HEADS + class as u64 * 8
-    }
-    /// The whole byte span owned by this arena (metadata + heap): the lock
-    /// and fence scope of allocator operations on it.
-    pub(crate) fn span(&self) -> (u64, u64) {
-        (self.meta_base, self.heap_hi)
-    }
-}
-
-/// The pool's arena partition, derived from (and persisted in) the header.
-///
-/// Arena 0 keeps the single-arena shape — metadata at offset 0, heap from
-/// `HEAP_BASE` up to `main_hi` — so huge allocations keep the largest
-/// region. Side arenas are fixed-size spans carved from the top of the
-/// pool. Geometry is a property of the pool *format*, never of the shard
-/// count, so every pool computes identical block addresses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct HeapGeometry {
-    arenas: Vec<ArenaLayout>,
-    /// End of arena 0's heap (== capacity when there are no side arenas).
-    main_hi: u64,
-    /// Bytes per side arena (0 when there are none).
-    side_bytes: u64,
-}
-
-/// Smallest heap arena 0 must keep when carving side arenas.
-const MIN_MAIN_HEAP: u64 = 64 * 1024;
-/// Minimum span of one side arena (metadata + heap).
-const SIDE_ARENA_MIN: u64 = 64 * 1024;
-
-impl HeapGeometry {
-    /// Single-arena geometry (tiny pools, or one arena requested).
-    pub(crate) fn single(capacity: u64) -> HeapGeometry {
-        HeapGeometry {
-            arenas: vec![ArenaLayout {
-                meta_base: 0,
-                heap_lo: layout::HEAP_BASE,
-                heap_hi: capacity,
-            }],
-            main_hi: capacity,
-            side_bytes: 0,
-        }
-    }
-
-    fn with_sides(capacity: u64, sides: u64, side_bytes: u64) -> HeapGeometry {
-        let main_hi = capacity - sides * side_bytes;
-        let mut arenas = vec![ArenaLayout {
-            meta_base: 0,
-            heap_lo: layout::HEAP_BASE,
-            heap_hi: main_hi,
-        }];
-        for j in 0..sides {
-            let meta_base = main_hi + j * side_bytes;
-            arenas.push(ArenaLayout {
-                meta_base,
-                heap_lo: meta_base + layout::HEAP_BASE,
-                heap_hi: meta_base + side_bytes,
-            });
-        }
-        HeapGeometry {
-            arenas,
-            main_hi,
-            side_bytes,
-        }
-    }
-
-    /// Plans the arena partition for a fresh pool: up to `requested - 1`
-    /// side arenas of `max(64 KiB, capacity/16)` bytes each, carved from
-    /// the top, as long as arena 0 keeps a useful heap. Pools too small (or
-    /// with a capacity that is not cache-line aligned, which would let an
-    /// arena boundary split a line) stay single-arena.
-    pub(crate) fn plan(capacity: u64, requested: u32) -> HeapGeometry {
-        let wanted = requested.clamp(1, 64) as u64 - 1;
-        if wanted == 0 || !capacity.is_multiple_of(CACHE_LINE) {
-            return HeapGeometry::single(capacity);
-        }
-        let side_bytes = (capacity / 16).max(SIDE_ARENA_MIN);
-        let side_bytes = side_bytes - side_bytes % CACHE_LINE;
-        let spare = capacity.saturating_sub(layout::HEAP_BASE + MIN_MAIN_HEAP);
-        let sides = wanted.min(spare / side_bytes);
-        if sides == 0 {
-            return HeapGeometry::single(capacity);
-        }
-        HeapGeometry::with_sides(capacity, sides, side_bytes)
-    }
-
-    /// Reads (and validates) the geometry persisted in a pool header.
-    pub(crate) fn read(media: &[u8]) -> Result<HeapGeometry, PmemError> {
-        let capacity = media.len() as u64;
-        let count = get_u64(media, layout::ARENAS);
-        let side_bytes = get_u64(media, layout::ARENA_BYTES);
-        if count == 0 || count > 4096 {
-            return Err(PmemError::CorruptPool(format!(
-                "header arena count {count} invalid"
-            )));
-        }
-        if count == 1 {
-            return Ok(HeapGeometry::single(capacity));
-        }
-        let sides = count - 1;
-        if side_bytes < layout::HEAP_BASE + CACHE_LINE
-            || !side_bytes.is_multiple_of(CACHE_LINE)
-            || sides
-                .checked_mul(side_bytes)
-                .is_none_or(|total| total + layout::HEAP_BASE + CACHE_LINE > capacity)
-        {
-            return Err(PmemError::CorruptPool(format!(
-                "header arena span {side_bytes} invalid for {count} arenas"
-            )));
-        }
-        Ok(HeapGeometry::with_sides(capacity, sides, side_bytes))
-    }
-
-    pub(crate) fn arenas(&self) -> &[ArenaLayout] {
-        &self.arenas
-    }
-
-    /// Index of the arena owning byte `offset`.
-    pub(crate) fn arena_of(&self, offset: u64) -> usize {
-        if offset < self.main_hi || self.side_bytes == 0 {
-            return 0;
-        }
-        (1 + ((offset - self.main_hi) / self.side_bytes) as usize).min(self.arenas.len() - 1)
-    }
-}
 
 /// Whether the pool models the volatile cache or runs at full speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,134 +232,6 @@ impl fmt::Display for PmemError {
 }
 
 impl Error for PmemError {}
-
-/// One contiguous span of media plus its simulated cache — the unit the
-/// engine is built from: one per address-range shard.
-///
-/// All offsets are local to `media` (at one shard, local equals
-/// pool-global).
-pub(crate) struct MediaCache {
-    pub(crate) media: Vec<u8>,
-    /// Simulated cache. Stays clean (and unallocated) in performance mode.
-    pub(crate) cache: Cache,
-}
-
-impl MediaCache {
-    pub(crate) fn new(media: Vec<u8>, cache_impl: CacheImpl) -> MediaCache {
-        let cache = match cache_impl {
-            CacheImpl::Dense => Cache::Dense(LineCache::new()),
-            CacheImpl::Reference => Cache::Reference(RefCache::new()),
-        };
-        MediaCache { media, cache }
-    }
-
-    /// Reads `buf.len()` bytes at `offset`, overlaying cached lines on media.
-    pub(crate) fn read_raw(&self, offset: u64, buf: &mut [u8]) {
-        let len = buf.len() as u64;
-        buf.copy_from_slice(&self.media[offset as usize..(offset + len) as usize]);
-        if self.cache.is_clean() {
-            return;
-        }
-        self.cache.overlay(offset, buf);
-    }
-
-    /// [`read_raw`](Self::read_raw) of one little-endian word: a
-    /// fixed-width load, no variable-length copy.
-    pub(crate) fn read_word(&self, offset: u64) -> u64 {
-        let word = get_u64(&self.media, offset);
-        if self.cache.is_clean() {
-            return word;
-        }
-        let mut buf = word.to_le_bytes();
-        self.cache.overlay(offset, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Writes `data` at `offset` into the cache (crash-sim) or media
-    /// (performance).
-    pub(crate) fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
-        match mode {
-            PoolMode::Performance => {
-                self.media[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-            }
-            PoolMode::CrashSim => self.cache.write(offset, data, &self.media),
-        }
-    }
-
-    /// [`write_raw`](Self::write_raw) of one little-endian word: a
-    /// fixed-width store in performance mode.
-    pub(crate) fn write_word(&mut self, offset: u64, value: u64, mode: PoolMode) {
-        match mode {
-            PoolMode::Performance => put_u64(&mut self.media, offset, value),
-            PoolMode::CrashSim => self.cache.write(offset, &value.to_le_bytes(), &self.media),
-        }
-    }
-
-    /// Marks the lines covering `[offset, offset+len)` as write-back
-    /// initiated. Returns the number of lines touched (for flush accounting).
-    ///
-    /// The count is pure geometry — identical in both modes and independent
-    /// of cache state — so performance mode only does the arithmetic.
-    pub(crate) fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
-        if mode == PoolMode::CrashSim {
-            self.cache.flush_range(offset, len);
-        }
-        line_count(offset, len)
-    }
-
-    /// Orders all pending flushes: their lines become durable on media.
-    pub(crate) fn fence_raw(&mut self) {
-        self.cache.fence(&mut self.media);
-    }
-
-    /// Orders pending flushes whose lines start within `[lo, hi)` local
-    /// byte offsets (the allocator's arena-scoped fence).
-    pub(crate) fn fence_range_raw(&mut self, lo: u64, hi: u64) {
-        self.cache.fence_range(&mut self.media, lo, hi);
-    }
-}
-
-/// The durable media as the engine holds it, borrowed under its locks: one
-/// piece per shard, ascending. Every in-place inspection of durable bytes — the heap
-/// walk, [`PmemPool::visit_media`] — reads through this instead of copying
-/// the pool.
-pub(crate) struct MediaView<'a> {
-    /// The pieces, ascending and contiguous; all but the last hold
-    /// `piece_bytes` bytes.
-    pub(crate) pieces: &'a [&'a [u8]],
-    pub(crate) piece_bytes: u64,
-}
-
-impl MediaView<'_> {
-    /// Total bytes of media viewed.
-    pub(crate) fn len(&self) -> u64 {
-        self.pieces.iter().map(|p| p.len() as u64).sum()
-    }
-
-    /// The `N` durable bytes at `offset` (which may straddle pieces).
-    fn read<const N: usize>(&self, offset: u64) -> [u8; N] {
-        let mut buf = [0u8; N];
-        let mut at = offset;
-        let mut done = 0;
-        while done < N {
-            let piece = self.pieces[(at / self.piece_bytes) as usize];
-            let local = (at % self.piece_bytes) as usize;
-            let n = (piece.len() - local).min(N - done);
-            buf[done..done + n].copy_from_slice(&piece[local..local + n]);
-            done += n;
-            at += n as u64;
-        }
-        buf
-    }
-
-    pub(crate) fn get_u64(&self, offset: u64) -> u64 {
-        u64::from_le_bytes(self.read(offset))
-    }
-
-    pub(crate) fn get_u32(&self, offset: u64) -> u32 {
-        u32::from_le_bytes(self.read(offset))
-    }
-}
 
 /// A simulated persistent memory pool.
 ///

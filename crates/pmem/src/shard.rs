@@ -40,8 +40,138 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::{align_up, CACHE_LINE};
 use crate::alloc::ArenaMirror;
-use crate::pool::{CacheImpl, HeapGeometry, MediaCache, MediaView, PoolMode};
+use crate::cache::{line_count, Cache, LineCache, RefCache};
+use crate::geometry::HeapGeometry;
+use crate::pool::{get_u64, put_u64, CacheImpl, PoolMode};
 use crate::stats::ShardCounters;
+
+/// One contiguous span of media plus its simulated cache — the unit the
+/// engine is built from: one per address-range shard.
+///
+/// All offsets are local to `media` (at one shard, local equals
+/// pool-global).
+pub(crate) struct MediaCache {
+    pub(crate) media: Vec<u8>,
+    /// Simulated cache. Stays clean (and unallocated) in performance mode.
+    pub(crate) cache: Cache,
+}
+
+impl MediaCache {
+    pub(crate) fn new(media: Vec<u8>, cache_impl: CacheImpl) -> MediaCache {
+        let cache = match cache_impl {
+            CacheImpl::Dense => Cache::Dense(LineCache::new()),
+            CacheImpl::Reference => Cache::Reference(RefCache::new()),
+        };
+        MediaCache { media, cache }
+    }
+
+    /// Reads `buf.len()` bytes at `offset`, overlaying cached lines on media.
+    pub(crate) fn read_raw(&self, offset: u64, buf: &mut [u8]) {
+        let len = buf.len() as u64;
+        buf.copy_from_slice(&self.media[offset as usize..(offset + len) as usize]);
+        if self.cache.is_clean() {
+            return;
+        }
+        self.cache.overlay(offset, buf);
+    }
+
+    /// [`read_raw`](Self::read_raw) of one little-endian word: a
+    /// fixed-width load, no variable-length copy.
+    pub(crate) fn read_word(&self, offset: u64) -> u64 {
+        let word = get_u64(&self.media, offset);
+        if self.cache.is_clean() {
+            return word;
+        }
+        let mut buf = word.to_le_bytes();
+        self.cache.overlay(offset, &mut buf);
+        u64::from_le_bytes(buf)
+    }
+
+    /// Writes `data` at `offset` into the cache (crash-sim) or media
+    /// (performance).
+    pub(crate) fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
+        match mode {
+            PoolMode::Performance => {
+                self.media[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+            }
+            PoolMode::CrashSim => self.cache.write(offset, data, &self.media),
+        }
+    }
+
+    /// [`write_raw`](Self::write_raw) of one little-endian word: a
+    /// fixed-width store in performance mode.
+    pub(crate) fn write_word(&mut self, offset: u64, value: u64, mode: PoolMode) {
+        match mode {
+            PoolMode::Performance => put_u64(&mut self.media, offset, value),
+            PoolMode::CrashSim => self.cache.write(offset, &value.to_le_bytes(), &self.media),
+        }
+    }
+
+    /// Marks the lines covering `[offset, offset+len)` as write-back
+    /// initiated. Returns the number of lines touched (for flush accounting).
+    ///
+    /// The count is pure geometry — identical in both modes and independent
+    /// of cache state — so performance mode only does the arithmetic.
+    pub(crate) fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
+        if mode == PoolMode::CrashSim {
+            self.cache.flush_range(offset, len);
+        }
+        line_count(offset, len)
+    }
+
+    /// Orders all pending flushes: their lines become durable on media.
+    pub(crate) fn fence_raw(&mut self) {
+        self.cache.fence(&mut self.media);
+    }
+
+    /// Orders pending flushes whose lines start within `[lo, hi)` local
+    /// byte offsets (the allocator's arena-scoped fence).
+    pub(crate) fn fence_range_raw(&mut self, lo: u64, hi: u64) {
+        self.cache.fence_range(&mut self.media, lo, hi);
+    }
+}
+
+/// The durable media as the engine holds it, borrowed under its locks: one
+/// piece per shard, ascending. Every in-place inspection of durable bytes — the heap
+/// walk, [`PmemPool::visit_media`] — reads through this instead of copying
+/// the pool.
+pub(crate) struct MediaView<'a> {
+    /// The pieces, ascending and contiguous; all but the last hold
+    /// `piece_bytes` bytes.
+    pub(crate) pieces: &'a [&'a [u8]],
+    pub(crate) piece_bytes: u64,
+}
+
+impl MediaView<'_> {
+    /// Total bytes of media viewed.
+    pub(crate) fn len(&self) -> u64 {
+        self.pieces.iter().map(|p| p.len() as u64).sum()
+    }
+
+    /// The `N` durable bytes at `offset` (which may straddle pieces).
+    fn read<const N: usize>(&self, offset: u64) -> [u8; N] {
+        let mut buf = [0u8; N];
+        let mut at = offset;
+        let mut done = 0;
+        while done < N {
+            let piece = self.pieces[(at / self.piece_bytes) as usize];
+            let local = (at % self.piece_bytes) as usize;
+            let n = (piece.len() - local).min(N - done);
+            buf[done..done + n].copy_from_slice(&piece[local..local + n]);
+            done += n;
+            at += n as u64;
+        }
+        buf
+    }
+
+    pub(crate) fn get_u64(&self, offset: u64) -> u64 {
+        u64::from_le_bytes(self.read(offset))
+    }
+
+    pub(crate) fn get_u32(&self, offset: u64) -> u32 {
+        u32::from_le_bytes(self.read(offset))
+    }
+}
 
 /// One address-range shard: a base offset plus its media/cache span.
 pub(crate) struct Shard {
@@ -572,7 +702,7 @@ mod tests {
         // side arena must read/write its own span correctly even though the
         // guard slice does not start at shard 0.
         let capacity = 1u64 << 20;
-        let geom = crate::pool::HeapGeometry::plan(capacity, 4);
+        let geom = HeapGeometry::plan(capacity, 4);
         assert!(geom.arenas().len() > 1, "1 MiB plans side arenas");
         let media = vec![0u8; capacity as usize];
         let s = ShardedPool::new(media, CacheImpl::Dense, 8, &geom);
