@@ -128,8 +128,8 @@ fn steady_state_read_clobber_path_is_allocation_free() {
     );
 
     // A pool instance: geometry, one mirror per arena, the shard, its
-    // counter bank, the stats handle. 12 before the engines were collapsed
-    // into one (single-lock engine, same image).
+    // counter bank, the stats handle. The budget of 12 is what the
+    // benchmark's `kv_crash_recover` allocation bound was measured against.
     let image = PmemPool::create(PoolOptions::crash_sim(8 << 20))
         .unwrap()
         .into_media();

@@ -33,7 +33,7 @@
 //! arena 0, keeping single-threaded runs bit-identical to the single-arena
 //! layout); huge blocks always use arena 0, and exhaustion spills
 //! deterministically to the other arenas in index order. An allocator call
-//! locks only its arena's mirror plus the engine locks covering that
+//! locks only its arena's mirror plus the shard locks covering that
 //! arena's byte span, so calls on different arenas proceed in parallel.
 //!
 //! **Reservation magazines:** each thread keeps a small per-class magazine
@@ -417,7 +417,7 @@ impl PmemPool {
     /// The immediate (redo-protected) allocation path against one arena.
     fn alloc_in(&self, idx: usize, class: u32, capacity: u64) -> Result<(u64, Origin), PmemError> {
         let mode = self.mode();
-        self.with_arena_raw(idx, |am, raw| {
+        self.engine().with_arena_raw(idx, |am, raw| {
             let picked = pick_block(am, class, capacity)?;
             let l = am.layout;
             let mut ops = Ops::new(raw, mode);
@@ -472,7 +472,7 @@ impl PmemPool {
         if payload < l.heap_lo + HDR_LEN || payload >= l.heap_hi {
             return Err(PmemError::InvalidFree { addr: payload });
         }
-        self.with_arena_raw(idx, |am, raw| {
+        self.engine().with_arena_raw(idx, |am, raw| {
             let mut ops = Ops::new(raw, mode);
             let h = payload - HDR_LEN;
             let mut hdr = [0u8; 16];
@@ -570,7 +570,7 @@ impl PmemPool {
         refill: bool,
     ) -> Result<(u64, Origin, Vec<u64>), PmemError> {
         let mode = self.mode();
-        self.with_arena_raw(idx, |am, raw| {
+        self.engine().with_arena_raw(idx, |am, raw| {
             if refill && !am.free[class as usize].is_empty() {
                 let mut ops = Ops::new(raw, mode);
                 let take = (MAGAZINE_CAP + 1).min(am.free[class as usize].len());
@@ -650,7 +650,7 @@ impl PmemPool {
             {
                 continue;
             }
-            self.with_arena_raw(idx, |am, raw| {
+            self.engine().with_arena_raw(idx, |am, raw| {
                 let mut ops = Ops::new(raw, mode);
                 for &b in blocks
                     .iter()
@@ -714,7 +714,7 @@ impl PmemPool {
             {
                 continue;
             }
-            self.with_arena_mirror(idx, |am| {
+            self.engine().with_arena_mirror(idx, |am| {
                 for &b in blocks
                     .iter()
                     .rev()
@@ -755,7 +755,10 @@ impl PmemPool {
     /// Bytes of heap consumed by the allocation frontiers, over all arenas.
     pub fn heap_used(&self) -> u64 {
         (0..self.arena_count())
-            .map(|i| self.with_arena_mirror(i, |am| am.frontier - am.layout.heap_lo))
+            .map(|i| {
+                self.engine()
+                    .with_arena_mirror(i, |am| am.frontier - am.layout.heap_lo)
+            })
             .sum()
     }
 }
@@ -788,8 +791,8 @@ impl PmemPool {
     /// violation found.
     pub fn check_heap(&self) -> Result<HeapReport, PmemError> {
         // A diagnostic walk over the durable image, in place: the view
-        // keeps it engine-agnostic and holds the engine's lock(s) meanwhile.
-        self.with_media_view(|media| {
+        // hides how it is split into shards and holds their locks meanwhile.
+        self.engine().with_media_view(|media| {
             let mut report = HeapReport::default();
             for (idx, arena) in self.geom().arenas().iter().enumerate() {
                 check_arena(media, idx, arena, &mut report)?;

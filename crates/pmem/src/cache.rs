@@ -93,8 +93,8 @@ impl Cache {
     /// Completes pending write-backs for lines starting in `[lo, hi)` byte
     /// offsets; flushes pending outside the range stay pending. Used by the
     /// allocator so its internal fences order only the owning arena's
-    /// metadata — a semantics that is identical across engines and shard
-    /// counts because it depends only on the (engine-independent) arena
+    /// metadata — a semantics that is identical across shard counts
+    /// because it depends only on the (shard-count-independent) arena
     /// geometry.
     pub(crate) fn fence_range(&mut self, media: &mut [u8], lo: u64, hi: u64) {
         let lo_line = lo / CACHE_LINE;

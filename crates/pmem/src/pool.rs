@@ -11,12 +11,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::addr::{PAddr, CACHE_LINE};
-use crate::alloc::ArenaMirror;
 use crate::cache::line_count;
 use crate::crash::CrashConfig;
 use crate::fault::{FaultPlan, FaultState};
 use crate::geometry::{layout, HeapGeometry};
-use crate::shard::{MediaView, RawPmem, ShardedPool};
+use crate::shard::ShardedPool;
 use crate::stats::PmemStats;
 
 /// Magic value of the pool format (the only one ever written or opened).
@@ -431,23 +430,9 @@ impl PmemPool {
         self.capacity
     }
 
-    /// Runs `f` with arena `idx`'s mirror and raw persist ops, holding the
-    /// arena's mirror lock plus the shards overlapping the arena's span.
-    pub(crate) fn with_arena_raw<R>(
-        &self,
-        idx: usize,
-        f: impl FnOnce(&mut ArenaMirror, &mut RawPmem<'_>) -> R,
-    ) -> R {
-        self.engine.with_arena_raw(idx, f)
-    }
-
-    /// Runs `f` with just arena `idx`'s mirror locked.
-    pub(crate) fn with_arena_mirror<R>(
-        &self,
-        idx: usize,
-        f: impl FnOnce(&mut ArenaMirror) -> R,
-    ) -> R {
-        self.engine.with_arena_mirror(idx, f)
+    /// The engine: where the allocator takes its arena and shard locks.
+    pub(crate) fn engine(&self) -> &ShardedPool {
+        &self.engine
     }
 
     /// The pool's persistence-event counters.
@@ -939,19 +924,14 @@ impl PmemPool {
         media
     }
 
-    /// Runs `f` on the durable media in place, holding every shard's lock
-    /// (ascending) meanwhile.
-    pub(crate) fn with_media_view<R>(&self, f: impl FnOnce(&MediaView<'_>) -> R) -> R {
-        self.engine.with_media_view(f)
-    }
-
     /// Calls `f` on each contiguous piece of the durable media, ascending
     /// (the pieces concatenated are [`media_snapshot`](Self::media_snapshot)),
     /// without copying it: for hashing or comparing an image in place. The
     /// engine's locks are held while `f` runs, so `f` must not call back
     /// into this pool.
     pub fn visit_media(&self, mut f: impl FnMut(&[u8])) {
-        self.with_media_view(|view| view.pieces.iter().for_each(|piece| f(piece)));
+        self.engine
+            .with_media_view(|view| view.pieces.iter().for_each(|piece| f(piece)));
     }
 
     /// Consumes the pool and returns its durable media (the volatile cache

@@ -1,20 +1,23 @@
-//! The sharded pool engine: address-range shards, each behind its own lock.
+//! The pool engine: address-range shards, each behind its own lock.
 //!
 //! The pool's media and simulated cache are partitioned into contiguous,
-//! cache-line-aligned byte ranges. Operations touching one range take one
-//! shard lock; operations spanning a boundary visit the overlapping shards
-//! in ascending address order. Because shard bases are line-aligned, a line
-//! never spans shards, and the ascending-shard × ascending-local-line walk
-//! used by [`ShardedPool::crash_media`] reproduces exactly the global
-//! ascending line order of the single-lock engine — which is what keeps
-//! seeded crash outcomes bit-identical across engines and shard counts.
+//! cache-line-aligned byte ranges — one, covering the whole pool, by
+//! default. An access that one shard holds entirely (every access of a
+//! one-shard pool; nearly every access of any pool) takes that shard's lock
+//! once; one spanning a boundary visits the overlapping shards in ascending
+//! address order. The route is chosen from the byte range alone. Because
+//! shard bases are line-aligned, a line never spans shards, and the
+//! ascending-shard × ascending-local-line walk used by
+//! [`ShardedPool::crash_media`] is the pool's ascending line order — which
+//! is what keeps seeded crash outcomes bit-identical across shard counts.
 //!
-//! Ordering model (documented on [`PoolConcurrency`]): fault injection,
+//! Ordering model (documented on [`PmemPool`]): fault injection,
 //! persist-event numbering, and event tracing live *outside* the shards, on
 //! the pool's single fault mutex, consulted before any shard is touched.
 //! Shards therefore never need to agree on an event order among themselves —
 //! and a trace recorded under that mutex is the same pool-wide total order
-//! at every shard count, which is what makes golden traces engine-invariant.
+//! at every shard count, which is what makes golden traces
+//! shard-count-invariant.
 //!
 //! Allocator state is per-arena: each arena's volatile [`ArenaMirror`] sits
 //! behind its own mutex, and an allocator operation locks that mirror plus
@@ -23,14 +26,15 @@
 //! disjoint arenas never contend and the global acquisition order stays
 //! acyclic even when arena boundaries share a shard).
 //!
-//! Hot-path statistics go to per-shard [`ShardCounters`] banks owned by the
-//! shard lock holder; [`PmemStats::snapshot`] folds them back into pool
-//! totals. Operation counts attribute to the shard holding the first byte;
-//! flush line counts attribute per shard (they sum to the same geometry the
-//! global engine reports); fences attribute to shard 0, and allocator
-//! hot-path credits to the first shard of the owning arena's span.
+//! The hot-path counters live in per-shard [`ShardCounters`] banks written
+//! by the shard lock holder and nowhere else; [`PmemStats::snapshot`] sums
+//! them into pool totals. Operation counts attribute to the shard holding
+//! the first byte; flush line counts attribute per shard (pure geometry, so
+//! their sum does not depend on the shard count); fences attribute to
+//! shard 0, and allocator hot-path credits to the first shard of the owning
+//! arena's span.
 //!
-//! [`PoolConcurrency`]: crate::PoolConcurrency
+//! [`PmemPool`]: crate::PmemPool
 //! [`ShardCounters`]: crate::stats::ShardCounters
 //! [`PmemStats::snapshot`]: crate::PmemStats::snapshot
 
@@ -355,12 +359,10 @@ impl ShardedPool {
             sh.read(offset, buf);
             return;
         }
-        let mut first = true;
         self.for_each_range(offset, len, |idx, at, n| {
             let sh = self.cells[idx].lock();
-            if first {
+            if at == offset {
                 self.add_load(idx, &sh, len);
-                first = false;
             }
             let s = (at - offset) as usize;
             sh.read(at, &mut buf[s..s + n as usize]);
@@ -388,12 +390,10 @@ impl ShardedPool {
             sh.write(offset, data, mode);
             return;
         }
-        let mut first = true;
         self.for_each_range(offset, len, |idx, at, n| {
             let mut sh = self.cells[idx].lock();
-            if first {
+            if at == offset {
                 self.add_store(idx, &sh, len);
-                first = false;
             }
             let s = (at - offset) as usize;
             sh.write(at, &data[s..s + n as usize], mode);
