@@ -307,11 +307,17 @@ impl ShardedPool {
 
     /// The shard holding all of `[offset, offset+len)`, when one does: the
     /// access then takes that shard's lock once and never splits. Chosen
-    /// from the byte range alone, at every shard count.
+    /// from the byte range alone, at every shard count; a range ending
+    /// inside shard 0 — every range of a one-shard pool — is found by one
+    /// compare.
     #[inline]
     fn sole_shard(&self, offset: u64, len: u64) -> Option<usize> {
+        let end = offset + len;
+        if end <= self.shard_bytes {
+            return Some(0);
+        }
         let idx = self.shard_index(offset);
-        (offset + len <= (idx as u64 + 1) * self.shard_bytes).then_some(idx)
+        (end <= (idx as u64 + 1) * self.shard_bytes).then_some(idx)
     }
 
     /// Visits each `(shard_index, range_start, range_len)` piece of
@@ -351,14 +357,21 @@ impl ShardedPool {
         b.add(&b.flushes, lines);
     }
 
+    #[inline]
     pub(crate) fn read(&self, offset: u64, buf: &mut [u8]) {
         let len = buf.len() as u64;
-        if let Some(idx) = self.sole_shard(offset, len) {
-            let sh = self.cells[idx].lock();
-            self.add_load(idx, &sh, len);
-            sh.read(offset, buf);
-            return;
-        }
+        let Some(idx) = self.sole_shard(offset, len) else {
+            return self.read_split(offset, buf);
+        };
+        let sh = self.cells[idx].lock();
+        self.add_load(idx, &sh, len);
+        sh.read(offset, buf);
+    }
+
+    /// [`read`](Self::read) of a range that straddles shards.
+    #[cold]
+    fn read_split(&self, offset: u64, buf: &mut [u8]) {
+        let len = buf.len() as u64;
         self.for_each_range(offset, len, |idx, at, n| {
             let sh = self.cells[idx].lock();
             if at == offset {
@@ -371,25 +384,33 @@ impl ShardedPool {
 
     /// [`read`](Self::read) of one little-endian word: a fixed-width load
     /// unless the word straddles shards.
+    #[inline]
     pub(crate) fn read_word(&self, offset: u64) -> u64 {
-        if let Some(idx) = self.sole_shard(offset, 8) {
-            let sh = self.cells[idx].lock();
-            self.add_load(idx, &sh, 8);
-            return sh.mc.read_word(offset - sh.base);
-        }
-        let mut buf = [0u8; 8];
-        self.read(offset, &mut buf);
-        u64::from_le_bytes(buf)
+        let Some(idx) = self.sole_shard(offset, 8) else {
+            let mut buf = [0u8; 8];
+            self.read_split(offset, &mut buf);
+            return u64::from_le_bytes(buf);
+        };
+        let sh = self.cells[idx].lock();
+        self.add_load(idx, &sh, 8);
+        sh.mc.read_word(offset - sh.base)
     }
 
+    #[inline]
     pub(crate) fn write(&self, offset: u64, data: &[u8], mode: PoolMode) {
         let len = data.len() as u64;
-        if let Some(idx) = self.sole_shard(offset, len) {
-            let mut sh = self.cells[idx].lock();
-            self.add_store(idx, &sh, len);
-            sh.write(offset, data, mode);
-            return;
-        }
+        let Some(idx) = self.sole_shard(offset, len) else {
+            return self.write_split(offset, data, mode);
+        };
+        let mut sh = self.cells[idx].lock();
+        self.add_store(idx, &sh, len);
+        sh.write(offset, data, mode);
+    }
+
+    /// [`write`](Self::write) of a range that straddles shards.
+    #[cold]
+    fn write_split(&self, offset: u64, data: &[u8], mode: PoolMode) {
+        let len = data.len() as u64;
         self.for_each_range(offset, len, |idx, at, n| {
             let mut sh = self.cells[idx].lock();
             if at == offset {
@@ -402,24 +423,30 @@ impl ShardedPool {
 
     /// [`write`](Self::write) of one little-endian word: a fixed-width
     /// store unless the word straddles shards.
+    #[inline]
     pub(crate) fn write_word(&self, offset: u64, value: u64, mode: PoolMode) {
-        if let Some(idx) = self.sole_shard(offset, 8) {
-            let mut sh = self.cells[idx].lock();
-            self.add_store(idx, &sh, 8);
-            let local = offset - sh.base;
-            sh.mc.write_word(local, value, mode);
-            return;
-        }
-        self.write(offset, &value.to_le_bytes(), mode);
+        let Some(idx) = self.sole_shard(offset, 8) else {
+            return self.write_split(offset, &value.to_le_bytes(), mode);
+        };
+        let mut sh = self.cells[idx].lock();
+        self.add_store(idx, &sh, 8);
+        let local = offset - sh.base;
+        sh.mc.write_word(local, value, mode);
     }
 
+    #[inline]
     pub(crate) fn flush(&self, offset: u64, len: u64, mode: PoolMode) {
-        if let Some(idx) = self.sole_shard(offset, len) {
-            let mut sh = self.cells[idx].lock();
-            let n = sh.flush(offset, len, mode);
-            self.add_flushes(idx, &sh, n);
-            return;
-        }
+        let Some(idx) = self.sole_shard(offset, len) else {
+            return self.flush_split(offset, len, mode);
+        };
+        let mut sh = self.cells[idx].lock();
+        let n = sh.flush(offset, len, mode);
+        self.add_flushes(idx, &sh, n);
+    }
+
+    /// [`flush`](Self::flush) of a range that straddles shards.
+    #[cold]
+    fn flush_split(&self, offset: u64, len: u64, mode: PoolMode) {
         self.for_each_range(offset, len, |idx, at, l| {
             let mut sh = self.cells[idx].lock();
             let n = sh.flush(at, l, mode);
@@ -431,12 +458,12 @@ impl ShardedPool {
     /// — under one round of its shard's lock when one shard holds it all,
     /// the two calls when it straddles. Counters and cache state end up the
     /// same either way.
+    #[inline]
     pub(crate) fn store_flush(&self, offset: u64, data: &[u8], mode: PoolMode) {
         let len = data.len() as u64;
         let Some(idx) = self.sole_shard(offset, len) else {
-            self.write(offset, data, mode);
-            self.flush(offset, len, mode);
-            return;
+            self.write_split(offset, data, mode);
+            return self.flush_split(offset, len, mode);
         };
         let mut sh = self.cells[idx].lock();
         self.add_store(idx, &sh, len);
@@ -601,30 +628,48 @@ impl RawPmem<'_> {
         }
     }
 
+    #[inline]
     pub(crate) fn read_raw(&mut self, offset: u64, buf: &mut [u8]) {
         if self.rest.is_empty() {
             return self.head.read(offset, buf);
         }
+        self.read_split(offset, buf);
+    }
+
+    #[cold]
+    fn read_split(&mut self, offset: u64, buf: &mut [u8]) {
         self.for_each_range(offset, buf.len() as u64, |sh, at, len| {
             let s = (at - offset) as usize;
             sh.read(at, &mut buf[s..s + len as usize]);
         });
     }
 
+    #[inline]
     pub(crate) fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
         if self.rest.is_empty() {
             return self.head.write(offset, data, mode);
         }
+        self.write_split(offset, data, mode);
+    }
+
+    #[cold]
+    fn write_split(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
         self.for_each_range(offset, data.len() as u64, |sh, at, len| {
             let s = (at - offset) as usize;
             sh.write(at, &data[s..s + len as usize], mode);
         });
     }
 
+    #[inline]
     pub(crate) fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
         if self.rest.is_empty() {
             return self.head.flush(offset, len, mode);
         }
+        self.flush_split(offset, len, mode)
+    }
+
+    #[cold]
+    fn flush_split(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
         let mut n = 0;
         self.for_each_range(offset, len, |sh, at, l| {
             n += sh.flush(at, l, mode);
