@@ -127,9 +127,12 @@ fn steady_state_read_clobber_path_is_allocation_free() {
         "steady-state 16-SET batch transaction allocated {delta} time(s)"
     );
 
-    // A pool instance: geometry, one mirror per arena, the shard, its
-    // counter bank, the stats handle. The budget of 12 is what the
-    // benchmark's `kv_crash_recover` allocation bound was measured against.
+    // A pool instance: the geometry, the arena mirrors, the shard, its
+    // counter bank, the stats handle — one allocation each (free lists and
+    // reservation maps allocate on first use). The benchmark's
+    // `kv_crash_recover` reopens a pool inside every timed cycle and bounds
+    // `host_allocs_per_op` to 1.4 allocations, so one more here is a
+    // regression there.
     let image = PmemPool::create(PoolOptions::crash_sim(8 << 20))
         .unwrap()
         .into_media();
@@ -137,6 +140,6 @@ fn steady_state_read_clobber_path_is_allocation_free() {
     let reopened = PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap();
     let delta = ALLOCS.load(Ordering::Relaxed) - start;
     assert_eq!(reopened.arena_count(), 4);
-    assert!(delta <= 12, "open_from_media allocated {delta} time(s)");
+    assert!(delta <= 5, "open_from_media allocated {delta} time(s)");
     println!("open_from_media: {delta} allocations");
 }

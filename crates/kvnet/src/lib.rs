@@ -15,7 +15,8 @@
 //!   and service time are simulated events driven by the
 //!   [`CostModel`](clobber_sim::CostModel) latency oracle, so whole service
 //!   runs — including crashes injected mid-batch — are bit-deterministic
-//!   across pool engines and replayable through the trace/explorer stack.
+//!   across pool shard counts and replayable through the trace/explorer
+//!   stack.
 //! - [`TcpTransport`]: an optional real-socket mode over
 //!   `std::net::TcpListener` with a length-prefixed binary framing codec
 //!   (std only — no new dependencies).

@@ -4,7 +4,7 @@
 //! Clients, connections, and request arrival are simulated events in the
 //! spirit of `clobber-sim`'s discrete-event executor: every decision is a
 //! pure function of the configuration, so a service run — including a
-//! crash injected mid-batch — is bit-deterministic across pool engines and
+//! crash injected mid-batch — is bit-deterministic across pool shard counts and
 //! replayable through the trace/explorer stack. Service time comes from the
 //! serve loop's cost model (the per-batch persistence-counter delta priced
 //! in nanoseconds), which is what makes this the tail-latency oracle on a

@@ -110,7 +110,7 @@ pub(crate) struct ArenaMirror {
     pub(crate) layout: ArenaLayout,
     pub(crate) frontier: u64,
     /// Free payload addresses per head, top of stack last.
-    free: Vec<Vec<u64>>,
+    free: [Vec<u64>; NUM_HEADS],
     /// Payload capacity of each free huge block (huge blocks have exact
     /// sizes, unlike the fixed small classes).
     huge_sizes: HashMap<u64, u64>,
@@ -128,9 +128,8 @@ impl ArenaMirror {
     /// Rebuilds the mirror by walking the arena's persistent free lists.
     pub(crate) fn rebuild(media: &[u8], layout: ArenaLayout) -> ArenaMirror {
         let frontier = get_u64(media, layout.frontier_off());
-        let mut free = Vec::with_capacity(NUM_HEADS);
         let mut huge_sizes = HashMap::new();
-        for head_idx in 0..NUM_HEADS {
+        let free = std::array::from_fn(|head_idx| {
             let mut chain = Vec::new();
             let mut cur = get_u64(media, layout.head_off(head_idx as u32));
             // Walk head -> tail via header chain pointers, guarding against
@@ -149,8 +148,8 @@ impl ArenaMirror {
             }
             // Stack pop order must match list order: head is popped first.
             chain.reverse();
-            free.push(chain);
-        }
+            chain
+        });
         ArenaMirror {
             layout,
             frontier,

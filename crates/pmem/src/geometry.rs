@@ -99,11 +99,12 @@ impl HeapGeometry {
 
     fn with_sides(capacity: u64, sides: u64, side_bytes: u64) -> HeapGeometry {
         let main_hi = capacity - sides * side_bytes;
-        let mut arenas = vec![ArenaLayout {
+        let mut arenas = Vec::with_capacity(1 + sides as usize);
+        arenas.push(ArenaLayout {
             meta_base: 0,
             heap_lo: layout::HEAP_BASE,
             heap_hi: main_hi,
-        }];
+        });
         for j in 0..sides {
             let meta_base = main_hi + j * side_bytes;
             arenas.push(ArenaLayout {

@@ -931,7 +931,7 @@ impl PmemPool {
     /// into this pool.
     pub fn visit_media(&self, mut f: impl FnMut(&[u8])) {
         self.engine
-            .with_media_view(|view| view.pieces.iter().for_each(|piece| f(piece)));
+            .with_media_view(|view| view.pieces().for_each(&mut f));
     }
 
     /// Consumes the pool and returns its durable media (the volatile cache

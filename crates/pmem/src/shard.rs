@@ -140,16 +140,23 @@ impl MediaCache {
 /// walk, [`PmemPool::visit_media`] — reads through this instead of copying
 /// the pool.
 pub(crate) struct MediaView<'a> {
-    /// The pieces, ascending and contiguous; all but the last hold
-    /// `piece_bytes` bytes.
-    pub(crate) pieces: &'a [&'a [u8]],
-    pub(crate) piece_bytes: u64,
+    /// Shard 0's piece; the only one when `rest` is empty.
+    head: &'a [u8],
+    /// The further pieces, ascending. With `head` they are contiguous, and
+    /// all but the last hold `piece_bytes` bytes.
+    rest: &'a [&'a [u8]],
+    piece_bytes: u64,
 }
 
-impl MediaView<'_> {
+impl<'a> MediaView<'a> {
+    /// The pieces, ascending.
+    pub(crate) fn pieces(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
+        std::iter::once(self.head).chain(self.rest.iter().copied())
+    }
+
     /// Total bytes of media viewed.
     pub(crate) fn len(&self) -> u64 {
-        self.pieces.iter().map(|p| p.len() as u64).sum()
+        self.pieces().map(|p| p.len() as u64).sum()
     }
 
     /// The `N` durable bytes at `offset` (which may straddle pieces).
@@ -158,7 +165,10 @@ impl MediaView<'_> {
         let mut at = offset;
         let mut done = 0;
         while done < N {
-            let piece = self.pieces[(at / self.piece_bytes) as usize];
+            let piece = match (at / self.piece_bytes) as usize {
+                0 => self.head,
+                n => self.rest[n - 1],
+            };
             let local = (at % self.piece_bytes) as usize;
             let n = (piece.len() - local).min(N - done);
             buf[done..done + n].copy_from_slice(&piece[local..local + n]);
@@ -504,10 +514,13 @@ impl ShardedPool {
     /// Runs `f` on the durable media of every shard, all shard locks held
     /// (ascending).
     pub(crate) fn with_media_view<R>(&self, f: impl FnOnce(&MediaView<'_>) -> R) -> R {
-        let guards: Vec<_> = self.cells.iter().map(Mutex::lock).collect();
-        let pieces: Vec<&[u8]> = guards.iter().map(|sh| &sh.mc.media[..]).collect();
+        let head = self.cells[0].lock();
+        // Both empty — and so unallocated — at one shard.
+        let rest: Vec<_> = self.cells[1..].iter().map(Mutex::lock).collect();
+        let rest: Vec<&[u8]> = rest.iter().map(|sh| &sh.mc.media[..]).collect();
         f(&MediaView {
-            pieces: &pieces,
+            head: &head.mc.media,
+            rest: &rest,
             piece_bytes: self.shard_bytes,
         })
     }

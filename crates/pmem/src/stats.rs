@@ -21,9 +21,10 @@ use std::sync::Arc;
 /// slightly stale value, never a torn one. `fences` is the exception — a
 /// performance-mode fence takes no lock, so every update of it is an atomic
 /// add. Padded to two cache lines so neighbouring shards' banks never
-/// false-share.
+/// false-share — by size, not by alignment, so that a pool's banks are an
+/// ordinary allocation (an over-aligned one per pool instance fragments the
+/// heap a crash sweep churns pool-sized buffers through).
 #[derive(Debug, Default)]
-#[repr(align(128))]
 pub struct ShardCounters {
     /// Cache-line flushes issued against this shard's lines.
     pub flushes: AtomicU64,
@@ -39,6 +40,7 @@ pub struct ShardCounters {
     pub reads: AtomicU64,
     /// Bytes of those loads.
     pub read_bytes: AtomicU64,
+    _pad: [u64; 10],
 }
 
 impl ShardCounters {
