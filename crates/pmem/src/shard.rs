@@ -227,6 +227,19 @@ impl Shard {
     }
 }
 
+/// Cuts `[offset, offset+len)` at the multiples of `shard_bytes` and visits
+/// each `(shard_index, piece_start, piece_len)` in ascending address order.
+fn for_each_piece(shard_bytes: u64, offset: u64, len: u64, mut f: impl FnMut(usize, u64, u64)) {
+    let end = offset + len;
+    let mut at = offset;
+    while at < end {
+        let idx = (at / shard_bytes) as usize;
+        let stop = ((idx as u64 + 1) * shard_bytes).min(end);
+        f(idx, at, stop - at);
+        at = stop;
+    }
+}
+
 /// The pool engine: contiguous address-range shards plus one allocator
 /// mirror lock per arena.
 ///
@@ -330,19 +343,6 @@ impl ShardedPool {
         (end <= (idx as u64 + 1) * self.shard_bytes).then_some(idx)
     }
 
-    /// Visits each `(shard_index, range_start, range_len)` piece of
-    /// `[offset, offset+len)` in ascending address order.
-    fn for_each_range(&self, offset: u64, len: u64, mut f: impl FnMut(usize, u64, u64)) {
-        let end = offset + len;
-        let mut at = offset;
-        while at < end {
-            let idx = (at / self.shard_bytes) as usize;
-            let stop = ((idx as u64 + 1) * self.shard_bytes).min(end);
-            f(idx, at, stop - at);
-            at = stop;
-        }
-    }
-
     /// Counts one load of `len` bytes against shard `idx`, whose lock the
     /// caller holds — `_held`, borrowed from its guard, is the witness.
     #[inline]
@@ -382,7 +382,7 @@ impl ShardedPool {
     #[cold]
     fn read_split(&self, offset: u64, buf: &mut [u8]) {
         let len = buf.len() as u64;
-        self.for_each_range(offset, len, |idx, at, n| {
+        for_each_piece(self.shard_bytes, offset, len, |idx, at, n| {
             let sh = self.cells[idx].lock();
             if at == offset {
                 self.add_load(idx, &sh, len);
@@ -421,7 +421,7 @@ impl ShardedPool {
     #[cold]
     fn write_split(&self, offset: u64, data: &[u8], mode: PoolMode) {
         let len = data.len() as u64;
-        self.for_each_range(offset, len, |idx, at, n| {
+        for_each_piece(self.shard_bytes, offset, len, |idx, at, n| {
             let mut sh = self.cells[idx].lock();
             if at == offset {
                 self.add_store(idx, &sh, len);
@@ -457,7 +457,7 @@ impl ShardedPool {
     /// [`flush`](Self::flush) of a range that straddles shards.
     #[cold]
     fn flush_split(&self, offset: u64, len: u64, mode: PoolMode) {
-        self.for_each_range(offset, len, |idx, at, l| {
+        for_each_piece(self.shard_bytes, offset, len, |idx, at, l| {
             let mut sh = self.cells[idx].lock();
             let n = sh.flush(at, l, mode);
             self.add_flushes(idx, &sh, n);
@@ -496,12 +496,18 @@ impl ShardedPool {
     /// Writes straight to durable media, bypassing the cache (torn-store
     /// injection).
     pub(crate) fn media_write(&self, offset: u64, data: &[u8]) {
-        self.for_each_range(offset, data.len() as u64, |idx, at, len| {
-            let mut sh = self.cells[idx].lock();
-            let local = (at - sh.base) as usize;
-            let s = (at - offset) as usize;
-            sh.mc.media[local..local + len as usize].copy_from_slice(&data[s..s + len as usize]);
-        });
+        for_each_piece(
+            self.shard_bytes,
+            offset,
+            data.len() as u64,
+            |idx, at, len| {
+                let mut sh = self.cells[idx].lock();
+                let local = (at - sh.base) as usize;
+                let s = (at - offset) as usize;
+                sh.mc.media[local..local + len as usize]
+                    .copy_from_slice(&data[s..s + len as usize]);
+            },
+        );
     }
 
     /// XORs one durable media byte (bit-corruption injection).
@@ -627,18 +633,13 @@ pub(crate) struct RawPmem<'a> {
 
 impl RawPmem<'_> {
     fn for_each_range(&mut self, offset: u64, len: u64, mut f: impl FnMut(&mut Shard, u64, u64)) {
-        let end = offset + len;
-        let mut at = offset;
-        while at < end {
-            let idx = (at / self.shard_bytes) as usize;
-            let stop = ((idx as u64 + 1) * self.shard_bytes).min(end);
+        for_each_piece(self.shard_bytes, offset, len, |idx, at, n| {
             let sh = match idx - self.first_shard {
                 0 => &mut *self.head,
-                n => &mut *self.rest[n - 1],
+                k => &mut *self.rest[k - 1],
             };
-            f(sh, at, stop - at);
-            at = stop;
-        }
+            f(sh, at, n);
+        });
     }
 
     #[inline]

@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// slightly stale value, never a torn one. `fences` is the exception — a
 /// performance-mode fence takes no lock, so every update of it is an atomic
 /// add. Padded to two cache lines so neighbouring shards' banks never
-/// false-share — by size, not by alignment, so that a pool's banks are an
-/// ordinary allocation (an over-aligned one per pool instance fragments the
-/// heap a crash sweep churns pool-sized buffers through).
+/// false-share — by size, not by alignment: an over-aligned allocation per
+/// pool instance bypasses the allocator's size-class caches and fragments
+/// the heap a crash sweep churns pool-sized buffers through.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     /// Cache-line flushes issued against this shard's lines.
