@@ -215,10 +215,14 @@ impl KvServer {
     }
 }
 
-/// Collapses a 16-byte memslap key to the table's `u64` key id (the
-/// generator embeds the id in the first 8 bytes).
-fn key_id(key: &[u8]) -> u64 {
-    u64::from_le_bytes(key[..8].try_into().expect("memslap keys are 16 bytes"))
+/// Collapses a key's bytes to the table's `u64` key id (the workload
+/// generator embeds the id in the first 8 bytes; shorter keys are
+/// zero-extended so arbitrary client keys stay valid).
+pub fn key_id(key: &[u8]) -> u64 {
+    let mut id = [0u8; 8];
+    let n = key.len().min(8);
+    id[..n].copy_from_slice(&key[..n]);
+    u64::from_le_bytes(id)
 }
 
 /// Builds a [`clobber_sim::OpSource`] over per-thread memslap request
@@ -291,18 +295,27 @@ mod tests {
     #[test]
     fn set_then_get_round_trips() {
         let (_p, rt, srv) = setup(Backend::clobber());
-        let key = RequestStream::key_bytes(42);
-        let value = RequestStream::value_bytes(42);
-        srv.handle(
-            &rt,
-            &Request::Set {
-                key: key.clone(),
-                value: value.clone(),
-            },
-        )
-        .unwrap();
-        let got = srv.handle(&rt, &Request::Get { key }).unwrap();
-        assert_eq!(got, Some(value));
+        // A memslap key, and a client key shorter than a key id.
+        for key in [RequestStream::key_bytes(42), b"abc".to_vec()] {
+            let value = RequestStream::value_bytes(key_id(&key));
+            srv.handle(
+                &rt,
+                &Request::Set {
+                    key: key.clone(),
+                    value: value.clone(),
+                },
+            )
+            .unwrap();
+            let got = srv.handle(&rt, &Request::Get { key }).unwrap();
+            assert_eq!(got, Some(value));
+        }
+    }
+
+    #[test]
+    fn key_id_zero_extends_short_keys() {
+        assert_eq!(key_id(&[1]), 1);
+        assert_eq!(key_id(&[]), 0);
+        assert_eq!(key_id(&RequestStream::key_bytes(77)), 77);
     }
 
     #[test]

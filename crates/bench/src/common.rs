@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 
-use clobber_nvm::{Backend, Runtime, RuntimeOptions};
+use clobber_nvm::{Backend, Runtime, RuntimeOptions, TxError};
 use clobber_pds::{value::key32, BpTree, HashMap, RbTree, SkipList};
 use clobber_pmem::{PmemPool, PoolOptions, StatsSnapshot, Trace, Tracer};
 use clobber_sim::{CostModel, LockRequest, OpSource, SimOp};
@@ -205,31 +205,28 @@ impl DsHandle {
 
     /// Executes `op` on logical-thread `slot`.
     pub fn exec(&self, rt: &Runtime, slot: usize, op: &KvOp) {
+        self.try_exec(rt, slot, op).expect("structure op")
+    }
+
+    /// [`exec`](Self::exec) for the caller that crashes the pool under `op`.
+    pub(crate) fn try_exec(&self, rt: &Runtime, slot: usize, op: &KvOp) -> Result<(), TxError> {
         match (self, op) {
             (DsHandle::H(h), KvOp::Insert { key, value } | KvOp::Update { key, value }) => {
-                h.insert_on(rt, slot, *key, value).expect("insert")
+                h.insert_on(rt, slot, *key, value)
             }
-            (DsHandle::H(h), KvOp::Read { key }) => {
-                h.get_on(rt, slot, *key).map(|_| ()).expect("get")
-            }
+            (DsHandle::H(h), KvOp::Read { key }) => h.get_on(rt, slot, *key).map(drop),
             (DsHandle::S(s), KvOp::Insert { key, value } | KvOp::Update { key, value }) => {
-                s.insert_on(rt, slot, *key, value).expect("insert")
+                s.insert_on(rt, slot, *key, value)
             }
-            (DsHandle::S(s), KvOp::Read { key }) => {
-                s.get_on(rt, slot, *key).map(|_| ()).expect("get")
-            }
+            (DsHandle::S(s), KvOp::Read { key }) => s.get_on(rt, slot, *key).map(drop),
             (DsHandle::R(t), KvOp::Insert { key, value } | KvOp::Update { key, value }) => {
-                t.insert_on(rt, slot, *key, value).expect("insert")
+                t.insert_on(rt, slot, *key, value)
             }
-            (DsHandle::R(t), KvOp::Read { key }) => {
-                t.get_on(rt, slot, *key).map(|_| ()).expect("get")
-            }
+            (DsHandle::R(t), KvOp::Read { key }) => t.get_on(rt, slot, *key).map(drop),
             (DsHandle::B(t), KvOp::Insert { key, value } | KvOp::Update { key, value }) => {
-                t.insert_on(rt, slot, &key32(*key), value).expect("insert")
+                t.insert_on(rt, slot, &key32(*key), value)
             }
-            (DsHandle::B(t), KvOp::Read { key }) => {
-                t.get_u64_on(rt, slot, *key).map(|_| ()).expect("get")
-            }
+            (DsHandle::B(t), KvOp::Read { key }) => t.get_u64_on(rt, slot, *key).map(drop),
         }
     }
 

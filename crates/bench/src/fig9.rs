@@ -1,16 +1,16 @@
 //! Fig. 9: recovery overhead, Clobber-NVM vs PMDK.
 //!
-//! The benchmark crashes an insert stream at a random (seeded) point inside
-//! a transaction, reopens the pool and recovers. Recovery cost =
-//! pool-management cost (dominant, per the paper: "most of their recovery
-//! latency is spent on pool managements") + log application + (clobber
-//! only) re-execution, with the non-open components converted from counted
-//! events by the cost model.
+//! The benchmark crashes an insert stream at a persist event inside a
+//! seeded mid-stream transaction, reopens the pool and recovers. Recovery
+//! cost = pool-management cost (dominant, per the paper: "most of their
+//! recovery latency is spent on pool managements") + log application +
+//! (clobber only) re-execution, with the non-open components converted from
+//! counted events by the cost model.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, RecoveryOptions, Runtime, RuntimeOptions};
-use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions};
+use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions};
 use clobber_sim::CostModel;
 use clobber_workloads::{Workload, WorkloadKind};
 
@@ -58,41 +58,37 @@ impl Row {
 
 /// Crashes an insert stream mid-transaction and measures recovery.
 pub fn run_cell(kind: DsKind, backend: Backend, scale: Scale, seed: u64) -> Row {
-    let pool = Arc::new(
-        PmemPool::create(PoolOptions::crash_sim(scale.pool_bytes().min(256 << 20))).expect("pool"),
-    );
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).expect("runtime");
-    let handle = DsHandle::create(kind, &rt);
-    let root = match handle {
-        DsHandle::H(h) => h.root(),
-        DsHandle::S(s) => s.root(),
-        DsHandle::R(t) => t.root(),
-        DsHandle::B(t) => t.root(),
-    };
-    rt.set_app_root(root).expect("root");
-
-    // Arm a probe that captures a crash image at a pseudo-random write
-    // late in the stream.
+    // The insert the crash interrupts: a seeded one in the stream's second
+    // half.
     let n = (scale.ds_ops() / 8).max(32);
-    let crash_at = (seed % 37) + n * 2; // lands inside some mid-stream tx
-    let image: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let countdown = Arc::new(Mutex::new(Some(crash_at)));
-    let (img, cd) = (image.clone(), countdown.clone());
-    rt.set_write_probe(Some(Arc::new(move |pool| {
-        let mut c = cd.lock().unwrap();
-        match *c {
-            Some(0) => {
-                *img.lock().unwrap() = Some(pool.crash_media(&CrashConfig::drop_all(seed)));
-                *c = None; // disarm: crash capture is expensive
-            }
-            Some(n) => *c = Some(n - 1),
-            None => {}
+    let victim = n / 2 + seed % (n / 2);
+    // Loads a fresh pool armed with `plan` up to and including the victim;
+    // returns the pool and the victim's span of persist events.
+    let load = |plan: FaultPlan| {
+        let bytes = scale.pool_bytes().min(256 << 20);
+        let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(bytes)).expect("pool"));
+        let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).expect("runtime");
+        let handle = DsHandle::create(kind, &rt);
+        pool.arm_faults(plan);
+        let mut ops = Workload::new(WorkloadKind::Load, n, kind.value_size(), seed);
+        for op in ops.by_ref().take(victim as usize) {
+            handle.exec(&rt, 0, &op);
         }
-    })));
-    for op in Workload::new(WorkloadKind::Load, n, kind.value_size(), seed) {
-        handle.exec(&rt, 0, &op);
-    }
-    let media = image.lock().unwrap().take().expect("probe fired");
+        let before = pool.fault_events();
+        // The armed crash kills this insert: its error is the point.
+        let _ = handle.try_exec(&rt, 0, &ops.next().expect("the victim"));
+        let span = before..pool.fault_events();
+        (pool, span)
+    };
+    // A dry run learns the victim's events; the crash lands in their middle,
+    // past the durable begin record and short of the commit.
+    let (_, span) = load(FaultPlan::count_only());
+    let (pool, _) = load(FaultPlan::crash_at((span.start + span.end) / 2));
+    assert!(
+        pool.fault_tripped().is_some(),
+        "the crash is inside {span:?}"
+    );
+    let media = pool.crash_media(&CrashConfig::drop_all(seed));
 
     // Recover and meter the events it generates.
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).expect("open"));

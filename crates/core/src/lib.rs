@@ -94,5 +94,5 @@ pub use replay::{
     minimize_schedule, ReplayReport, Schedule, ScheduleError, ScheduleOp, ScheduleParseError,
 };
 pub use runtime::{IdoAggregate, Runtime, RuntimeOptions};
-pub use tx::{Tx, TxResult, WritePolicy, WriteProbe};
+pub use tx::{Tx, TxResult, WritePolicy};
 pub use vlog::{VlogCheckpoint, VlogSlot};

@@ -4,9 +4,11 @@
 //! strong-strict 2PL at per-node granularity: every transaction acquires
 //! its whole lock set at begin and releases it at commit (§2.2), with
 //! per-bucket / per-leaf reader-writer locks letting disjoint transactions
-//! overlap. [`LockManager`] is the real-thread implementation of exactly
-//! the lock model `clobber_sim::run_des` simulates, so the DES cost model
-//! can serve as the oracle for measured scaling shape:
+//! overlap. [`LockManager`] is the real-thread implementation of the lock
+//! model `clobber_sim::run_des` simulates, so the DES cost model can serve
+//! as the oracle for measured scaling shape — except in fairness: `run_des`
+//! grants any waiter whose set is free, so there a later compatible reader
+//! overtakes a queued writer, which the FIFO rule below forbids:
 //!
 //! * **Atomic whole-set acquisition.** [`acquire`](LockManager::acquire)
 //!   grants all of a request's locks at once or none — there is no

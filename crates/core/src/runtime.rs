@@ -41,12 +41,6 @@ pub struct RuntimeOptions {
     pub clobber_log_cap: u64,
     /// Per-slot redo log buffer capacity in bytes.
     pub redo_log_cap: u64,
-    /// Persist the begin record eagerly at transaction start instead of
-    /// lazily before the first store. The paper's model implies eager
-    /// begin; the lazy default matches its measured read-path behaviour
-    /// (searches involve no logging, §5.6). The `begin_ablation` bench
-    /// quantifies the difference.
-    pub eager_begin: bool,
     /// Group-commit epoch threshold: a shared ordering fence is issued once
     /// this many transactions have requested one. `1` (the default) makes
     /// every request its own epoch — a plain fence, no coalescing, no
@@ -64,15 +58,8 @@ impl RuntimeOptions {
             ido_shadow: false,
             clobber_log_cap: 256 << 10,
             redo_log_cap: 512 << 10,
-            eager_begin: false,
             group_commit_batch: 1,
         }
-    }
-
-    /// Builder form: persist begin records eagerly (ablation).
-    pub fn with_eager_begin(mut self) -> Self {
-        self.eager_begin = true;
-        self
     }
 
     /// Builder form: sets the group-commit epoch threshold.
@@ -197,7 +184,6 @@ pub struct Runtime {
     /// 2PL, §2.2); see [`run_locked`](Runtime::run_locked).
     lock_mgr: LockManager,
     ido: Mutex<IdoAggregate>,
-    write_probe: Mutex<Option<crate::tx::WriteProbe>>,
     /// Free-list of per-transaction scratch state. Recycling warmed-up
     /// scratches is what makes steady-state transactions allocation-free.
     scratch_pool: Mutex<Vec<TxScratch>>,
@@ -239,7 +225,6 @@ impl Runtime {
             ledger: Arc::new(Mutex::new(SlotLedger::default())),
             lock_mgr: LockManager::new(),
             ido: Mutex::new(IdoAggregate::default()),
-            write_probe: Mutex::new(None),
             scratch_pool: Mutex::new(Vec::new()),
             gc: GroupCommit::new(opts.group_commit_batch),
         })
@@ -276,7 +261,6 @@ impl Runtime {
             ledger: Arc::new(Mutex::new(SlotLedger::default())),
             lock_mgr: LockManager::new(),
             ido: Mutex::new(IdoAggregate::default()),
-            write_probe: Mutex::new(None),
             scratch_pool: Mutex::new(Vec::new()),
             gc: GroupCommit::new(opts.group_commit_batch),
         })
@@ -554,10 +538,6 @@ impl Runtime {
             Some(pending),
             self.take_scratch(),
         );
-        tx.set_write_probe(self.write_probe.lock().clone());
-        if self.opts.eager_begin {
-            tx.force_begin()?;
-        }
         match f(&mut tx, args) {
             Ok(out) => {
                 self.finish_commit(tx)?;
@@ -608,14 +588,5 @@ impl Runtime {
     /// v_log events between the pool's persist events.
     pub fn set_tracer(&self, tracer: Option<Arc<clobber_trace::Tracer>>) {
         self.pool.set_tracer(tracer);
-    }
-
-    /// Installs (or clears) a probe invoked after every transactional
-    /// store. Crash tests use it to capture a pool image at arbitrary
-    /// points inside any registered transaction without modifying the
-    /// transaction's code. Probes only fire during normal execution, never
-    /// during recovery re-execution.
-    pub fn set_write_probe(&self, probe: Option<crate::tx::WriteProbe>) {
-        *self.write_probe.lock() = probe;
     }
 }

@@ -20,8 +20,6 @@
 //! * **Redo**: stores are buffered volatilely; reads interpose on the write
 //!   set; nothing is persisted until commit.
 
-use std::sync::Arc;
-
 use clobber_pmem::ulog::V2_MAGIC;
 use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog};
 
@@ -34,10 +32,6 @@ use crate::vlog::{VlogCheckpoint, VlogSlot};
 
 /// Result type of a registered txfunc: an optional opaque return payload.
 pub type TxResult = Result<Option<Vec<u8>>, TxError>;
-
-/// Hook invoked after every transactional store (crash-test injection
-/// point); receives the pool so it can capture a crash image.
-pub type WriteProbe = Arc<dyn Fn(&PmemPool) + Send + Sync>;
 
 /// Per-store logging decision for statically compiled transactions.
 ///
@@ -73,7 +67,7 @@ pub(crate) struct Replay {
 /// the first un-skipped append lands precisely at the durable stream end.
 pub(crate) struct ResumeState {
     /// Stores with ordinal `< skip_stores` are durably applied: their pool
-    /// writes (and probes) are skipped on resume.
+    /// writes are skipped on resume.
     skip_stores: u64,
     /// Logical clobber-log appends `< skip_appends` are already durable in
     /// the log; resume bumps the counter without re-appending.
@@ -217,7 +211,6 @@ pub struct Tx<'rt> {
     pub(crate) ido: Option<IdoObserver>,
     wrote: bool,
     vlog_enabled: bool,
-    write_probe: Option<WriteProbe>,
     pending_begin: Option<PendingBegin<'rt>>,
     begun: bool,
 }
@@ -253,7 +246,6 @@ impl<'rt> Tx<'rt> {
             ido,
             wrote: false,
             vlog_enabled,
-            write_probe: None,
             pending_begin,
             begun,
         }
@@ -302,10 +294,6 @@ impl<'rt> Tx<'rt> {
         Ok(())
     }
 
-    pub(crate) fn set_write_probe(&mut self, probe: Option<WriteProbe>) {
-        self.write_probe = probe;
-    }
-
     /// Arms re-execution progress tracking for a recovery replay.
     /// `skip_stores`/`skip_appends` come from the slot's persisted
     /// [`VlogCheckpoint`] (zero for a fresh replay); `originals` are the
@@ -339,11 +327,6 @@ impl<'rt> Tx<'rt> {
     /// persisted (recovery reads this before committing the replay).
     pub(crate) fn checkpoints_written(&self) -> u64 {
         self.ckpt_writes
-    }
-
-    /// Persists the begin record immediately (eager-begin ablation).
-    pub(crate) fn force_begin(&mut self) -> Result<(), TxError> {
-        self.ensure_begun()
     }
 
     /// The pool this transaction operates on.
@@ -540,9 +523,6 @@ impl<'rt> Tx<'rt> {
             self.scratch.redo_data.extend_from_slice(data);
             self.scratch.redo_writes.push((s, ds, data.len()));
             self.wrote = true;
-            if let Some(probe) = &self.write_probe {
-                probe(self.pool);
-            }
             return Ok(());
         }
         // Clobber detection is set algebra over the scratch's access sets,
@@ -683,9 +663,6 @@ impl<'rt> Tx<'rt> {
         }
         if !skip_store {
             self.pool.store_flush(addr, data)?;
-            if let Some(probe) = &self.write_probe {
-                probe(self.pool);
-            }
         }
         Ok(())
     }

@@ -472,6 +472,25 @@ fn clobber_logs_exactly_the_clobbered_input() {
 }
 
 #[test]
+fn a_transaction_with_no_store_persists_nothing() {
+    // The begin record is persisted before the first store, not at begin:
+    // a lookup pays no v_log record and no fence (paper §5.6: searches
+    // involve no logging).
+    let (pool, rt, head) = new_runtime(Backend::clobber());
+    rt.register("peek", |tx, args| {
+        let word = tx.read_u64(PAddr::new(args.u64(0)?))?;
+        Ok(Some(word.to_le_bytes().to_vec()))
+    });
+    let args = ArgList::new().with_u64(head.offset());
+    rt.run("peek", &args).unwrap(); // creates the thread's v_log slot
+    let before = pool.stats().snapshot();
+    rt.run("peek", &args).unwrap();
+    let d = pool.stats().snapshot().delta(&before);
+    assert_eq!((d.fences, d.flushes, d.vlog_entries), (0, 0, 0));
+    assert_eq!(d.writes, 0, "nothing was stored either");
+}
+
+#[test]
 fn undo_logs_far_more_than_clobber() {
     let run_one = |backend: Backend| {
         let (pool, rt, head) = new_runtime(backend);

@@ -31,11 +31,12 @@ mod tcp;
 mod transport;
 
 pub use admission::{Admission, AdmissionConfig};
+pub use clobber_apps::kvserver::key_id;
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     KvRequest, KvResponse, MAX_FRAME,
 };
-pub use service::{key_id, KvService};
+pub use service::KvService;
 pub use sim_net::{SimNet, SimNetConfig, SimNetRun, SimReport};
 pub use tcp::{KvClient, TcpTransport};
 pub use transport::{serve, ConnId, Envelope, NetEvent, ServeConfig, Transport};

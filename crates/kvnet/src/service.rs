@@ -4,22 +4,13 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use clobber_apps::kvserver::key_id;
 use clobber_apps::KvServer;
 use clobber_nvm::{Runtime, TxError};
 use clobber_trace::EventKind;
 
 use crate::proto::{KvRequest, KvResponse};
 use crate::transport::{ConnId, Envelope};
-
-/// Collapses a key's bytes to the table's `u64` key id (the workload
-/// generator embeds the id in the first 8 bytes; shorter keys are
-/// zero-extended so arbitrary client keys stay valid).
-pub fn key_id(key: &[u8]) -> u64 {
-    let mut id = [0u8; 8];
-    let n = key.len().min(8);
-    id[..n].copy_from_slice(&key[..n]);
-    u64::from_le_bytes(id)
-}
 
 /// The KV service: a [`KvServer`] plus the batching and snapshot-read
 /// machinery the serve loop drives.
@@ -207,12 +198,5 @@ mod tests {
         let d = stats.snapshot().delta(&before);
         assert_eq!((d.fences, d.vlog_entries, d.log_entries), (0, 0, 0));
         assert_eq!(svc.batches(), 0, "no sets, no batch sequence consumed");
-    }
-
-    #[test]
-    fn key_id_zero_extends_short_keys() {
-        assert_eq!(key_id(&[1]), 1);
-        assert_eq!(key_id(&[]), 0);
-        assert_eq!(key_id(&clobber_workloads::RequestStream::key_bytes(77)), 77);
     }
 }

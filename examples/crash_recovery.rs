@@ -1,53 +1,47 @@
 //! Crash a key-value store in the middle of a transaction, then watch each
 //! logging strategy recover it.
 //!
-//! The write probe captures a power-failure image *inside* an insert; we
-//! then recover the image under the clobber backend (re-execution
-//! completes the interrupted insert) and under the PMDK-style undo backend
-//! (rollback erases it).
+//! An armed fault plan kills the pool at a persist event *inside* an
+//! insert; we then recover the power-failure image under the clobber
+//! backend (re-execution completes the interrupted insert) and under the
+//! PMDK-style undo and redo backends (rollback erases it).
 //!
 //! ```bash
 //! cargo run --example crash_recovery
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use clobber_nvm::{Backend, Runtime, RuntimeOptions};
 use clobber_pds::HashMap;
-use clobber_pmem::{CrashConfig, PmemPool, PoolMode, PoolOptions};
+use clobber_pmem::{CrashConfig, FaultPlan, PmemPool, PoolMode, PoolOptions};
 
 fn run_one(backend: Backend) -> Result<(), Box<dyn std::error::Error>> {
     println!("--- backend: {} ---", backend.label());
-    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(32 << 20))?);
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend))?;
-    HashMap::register(&rt);
-    let map = HashMap::create(&rt)?;
-    rt.set_app_root(map.root())?;
+    // A fresh store with `plan` armed, and the twelve inserts run on it.
+    let open = |plan| -> Result<_, Box<dyn std::error::Error>> {
+        let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(32 << 20))?);
+        let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend))?;
+        HashMap::register(&rt);
+        let map = HashMap::create(&rt)?;
+        rt.set_app_root(map.root())?;
+        pool.arm_faults(plan);
+        Ok((pool, rt, map))
+    };
+    let inserts = |rt: &Runtime, map: &HashMap| {
+        (0..12u64).try_for_each(|k| map.insert(rt, k, format!("value-{k}").as_bytes()))
+    };
 
-    // Capture a crash image after the 40th transactional store — inside
-    // one of the inserts below.
-    let image: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let countdown = Arc::new(Mutex::new(Some(40u32)));
-    let (img, cd) = (image.clone(), countdown.clone());
-    rt.set_write_probe(Some(Arc::new(move |pool| {
-        let mut c = cd.lock().unwrap();
-        match *c {
-            Some(0) => {
-                let crashed = pool.crash(&CrashConfig::drop_all(99)).expect("crash");
-                *img.lock().unwrap() = Some(crashed.media_snapshot());
-                *c = None; // disarm: crash capture is expensive
-            }
-            Some(n) => *c = Some(n - 1),
-            None => {}
-        }
-    })));
+    // A dry run counts the inserts' persist events; the real run dies
+    // halfway through them — inside one of the inserts.
+    let (pool, rt, map) = open(FaultPlan::count_only())?;
+    inserts(&rt, &map)?;
+    let events = pool.disarm_faults();
+    let (pool, rt, map) = open(FaultPlan::crash_at(events / 2))?;
+    let died = inserts(&rt, &map).expect_err("the pool dies mid-stream");
+    println!("persist event {} of {events}: {died}", events / 2);
 
-    for k in 0..12u64 {
-        map.insert(&rt, k, format!("value-{k}").as_bytes())?;
-    }
-    println!("before crash: {} keys committed", map.len(&pool)?);
-
-    let media = image.lock().unwrap().take().expect("probe fired");
+    let media = pool.crash_media(&CrashConfig::drop_all(99));
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim)?);
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::new(backend))?;
     HashMap::register(&rt2);

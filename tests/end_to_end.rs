@@ -2,37 +2,38 @@
 //! runtime, compiler, data structures and applications — exercised
 //! together through crashes and recovery.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use clobber_repro::apps::kvserver::{KvServer, LockScheme};
 use clobber_repro::apps::{TreeKind, Vacation, Yada};
-use clobber_repro::nvm::{ArgList, Backend, Runtime, RuntimeOptions};
+use clobber_repro::nvm::{
+    reopen_media, ArgList, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions,
+    SweepSummary, TxError,
+};
 use clobber_repro::pds::HashMap;
-use clobber_repro::pmem::{CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions};
+use clobber_repro::pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions};
 use clobber_repro::txir::pipeline::{compile, register_compiled, CompileOptions};
 use clobber_repro::txir::programs;
 use clobber_repro::workloads::vacation::ActionStream;
-use clobber_repro::workloads::{Mix, Request, RequestStream};
+use clobber_repro::workloads::{Mix, RequestStream};
 
-/// Captures a crash image after N transactional stores via the runtime's
-/// write probe.
-fn arm_trap(rt: &Runtime, after: u64, seed: u64) -> Arc<Mutex<Option<Vec<u8>>>> {
-    let image: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let countdown = Arc::new(Mutex::new(Some(after)));
-    let (img, cd) = (image.clone(), countdown);
-    rt.set_write_probe(Some(Arc::new(move |pool| {
-        let mut c = cd.lock().unwrap();
-        match *c {
-            Some(0) => {
-                let crashed = pool.crash(&CrashConfig::drop_all(seed)).expect("crash");
-                *img.lock().unwrap() = Some(crashed.media_snapshot());
-                *c = None; // disarm: crash capture is expensive
-            }
-            Some(n) => *c = Some(n - 1),
-            None => {}
-        }
-    })));
-    image
+/// Runs `workload` on `pool` armed to die at persist event `k` — it stops at
+/// its first error — and returns the image an adversarial power failure
+/// leaves behind.
+fn crash_at(
+    pool: &PmemPool,
+    k: u64,
+    seed: u64,
+    workload: impl FnOnce() -> Result<(), TxError>,
+) -> Vec<u8> {
+    pool.arm_faults(FaultPlan::crash_at(k));
+    // A trip on the workload's final fence can still let it return `Ok`.
+    let _ = workload();
+    assert!(
+        pool.fault_tripped().is_some(),
+        "event {k} lies inside the workload"
+    );
+    pool.crash_media(&CrashConfig::drop_all(seed))
 }
 
 #[test]
@@ -50,16 +51,16 @@ fn compiled_and_handwritten_transactions_share_a_pool() {
     pool.persist(head, 8).unwrap();
     rt.set_app_root(map.root()).unwrap();
 
-    let image = arm_trap(&rt, 55, 1);
-    for k in 0..8u64 {
-        map.insert(&rt, k, format!("v{k}").as_bytes()).unwrap();
-        rt.run(
-            "list_insert",
-            &ArgList::new().with_u64(head.offset()).with_u64(1000 + k),
-        )
-        .unwrap();
-    }
-    let media = image.lock().unwrap().take().expect("trap fired");
+    let media = crash_at(&pool, 272, 1, || {
+        for k in 0..8u64 {
+            map.insert(&rt, k, format!("v{k}").as_bytes())?;
+            rt.run(
+                "list_insert",
+                &ArgList::new().with_u64(head.offset()).with_u64(1000 + k),
+            )?;
+        }
+        Ok(())
+    });
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -90,15 +91,12 @@ fn kv_server_survives_a_mid_request_power_failure() {
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(64 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
     let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
-    let image = arm_trap(&rt, 120, 2);
-    let mut last = std::collections::HashMap::new();
-    for req in RequestStream::new(Mix::InsertIntensive, 60, 40, 3) {
-        if let Request::Set { key, value } = &req {
-            last.insert(key.clone(), value.clone());
+    let media = crash_at(&pool, 1_010, 2, || {
+        for req in RequestStream::new(Mix::InsertIntensive, 60, 40, 3) {
+            server.handle(&rt, &req)?;
         }
-        server.handle(&rt, &req).unwrap();
-    }
-    let media = image.lock().unwrap().take().expect("trap fired");
+        Ok(())
+    });
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -119,11 +117,12 @@ fn vacation_conservation_holds_through_crashes() {
     let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
     let v = Vacation::create(&rt, TreeKind::RedBlack, 40).unwrap();
     // Arm after setup so the crash lands inside a reservation transaction.
-    let image = arm_trap(&rt, 333, 4);
-    for action in ActionStream::new(120, 40, 15, 3, 8) {
-        v.run_action(&rt, 0, &action).unwrap();
-    }
-    let media = image.lock().unwrap().take().expect("trap fired");
+    let media = crash_at(&pool, 4_000, 4, || {
+        for action in ActionStream::new(120, 40, 15, 3, 8) {
+            v.run_action(&rt, 0, &action)?;
+        }
+        Ok(())
+    });
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -141,9 +140,7 @@ fn yada_mesh_survives_crash_and_converges() {
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(128 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
     let mesh = Yada::create(&rt, 50, 20.0, 31).unwrap();
-    let image = arm_trap(&rt, 200, 5);
-    let _ = mesh.refine_all(&rt, 0, 30).unwrap();
-    let media = image.lock().unwrap().take().expect("trap fired");
+    let media = crash_at(&pool, 3_000, 5, || mesh.refine_all(&rt, 0, 30).map(drop));
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -158,42 +155,58 @@ fn yada_mesh_survives_crash_and_converges() {
 
 #[test]
 fn repeated_crashes_during_recovery_still_converge() {
-    // Crash, start recovering, crash again mid-recovery, recover again:
-    // the final state must still be consistent (recovery is idempotent
-    // because re-execution restores inputs first).
-    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(64 << 20)).unwrap());
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-    HashMap::register(&rt);
-    let map = HashMap::create(&rt).unwrap();
-    rt.set_app_root(map.root()).unwrap();
-    let image = arm_trap(&rt, 33, 6);
-    for k in 0..10u64 {
-        map.insert(&rt, k, format!("v{k}").as_bytes()).unwrap();
-    }
-    let media = image.lock().unwrap().take().expect("trap fired");
-
-    // First recovery attempt, itself interrupted by a crash.
-    let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
-    let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
-    HashMap::register(&rt2);
-    let image2 = arm_trap(&rt2, 2, 7); // crash after 2 writes of the re-execution
-    rt2.recover().unwrap();
-    let media2 = image2.lock().unwrap().take();
-    if let Some(media2) = media2 {
-        let pool3 = Arc::new(PmemPool::open_from_media(media2, PoolMode::CrashSim).unwrap());
-        let rt3 = Runtime::open(pool3.clone(), RuntimeOptions::default()).unwrap();
-        HashMap::register(&rt3);
-        rt3.recover().unwrap();
-        let map3 = HashMap::open(rt3.app_root().unwrap());
-        for (k, v) in map3.dump(&pool3).unwrap() {
-            assert_eq!(v, format!("v{k}").into_bytes());
-        }
-    } else {
-        // The interrupted tx may have had no writes before the trap point;
-        // then the first recovery already converged.
-        let map2 = HashMap::open(rt2.app_root().unwrap());
-        map2.dump(&pool2).unwrap();
-    }
+    // Crash mid-insert, start recovering, crash again mid-recovery, recover
+    // again: the battery puts the re-crashed image through every check the
+    // first one passes (recovery is idempotent because re-execution
+    // restores inputs first), and a recovery that was never crashed fails
+    // the test.
+    let opts = RuntimeOptions::default();
+    let session = ExploreSession {
+        build: Box::new(move || {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(8 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), opts).unwrap();
+            HashMap::register(&rt);
+            let map = HashMap::create(&rt).unwrap();
+            rt.set_app_root(map.root()).unwrap();
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let (pool, rt) = reopen_media(media, 1, opts);
+            HashMap::register(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(|pool, rt| {
+            let map = HashMap::open(rt.app_root().map_err(|e| e.to_string())?);
+            let pairs = map.dump(pool).map_err(|e| e.to_string())?;
+            match pairs
+                .iter()
+                .find(|(k, v)| *v != format!("v{k}").into_bytes())
+            {
+                Some((k, _)) => Err(format!("torn value for {k}")),
+                None => Ok(()),
+            }
+        }),
+    };
+    let drive = |rt: &Arc<Runtime>| {
+        let map = HashMap::open(rt.app_root().unwrap());
+        // Stops at the insert the crash kills.
+        let _ = (0..10u64).try_for_each(|k| map.insert(rt, k, format!("v{k}").as_bytes()));
+    };
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive,
+        nested: Nested::Rotating,
+    };
+    let mut summary = SweepSummary::default();
+    // Event 230 of the stream's 380 is late inside the sixth insert.
+    battery
+        .crash_point(230, &mut summary, &mut |_| {})
+        .unwrap_or_else(|v| panic!("{v}"));
+    assert_eq!(summary.not_tripped, 0);
+    assert!(
+        summary.nested_points >= 1,
+        "no recovery was crashed: {summary:?}"
+    );
 }
 
 #[test]
