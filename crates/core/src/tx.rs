@@ -125,6 +125,9 @@ pub(crate) struct TxScratch {
     /// Backing bytes for [`Self::redo_writes`], in store order.
     redo_data: Vec<u8>,
     pub(crate) allocs: Vec<PAddr>,
+    /// Blocks this transaction allocated and then freed: still reserved,
+    /// ended as free at the commit or abort ordering point.
+    dead: Vec<PAddr>,
     pub(crate) frees: Vec<PAddr>,
 }
 
@@ -141,6 +144,7 @@ impl TxScratch {
         self.redo_writes.clear();
         self.redo_data.clear();
         self.allocs.clear();
+        self.dead.clear();
         self.frees.clear();
     }
 }
@@ -715,17 +719,20 @@ impl<'rt> Tx<'rt> {
         Ok(addr)
     }
 
-    /// Frees a persistent block, transactionally: blocks allocated by this
-    /// transaction are simply cancelled; pre-existing blocks are freed after
-    /// commit (so a crash before commit leaves them intact).
+    /// Frees a persistent block, transactionally. Nothing reaches the
+    /// allocator here — mid-transaction is not an ordering point: a block
+    /// this transaction allocated stays reserved and ends as free at commit
+    /// (or abort); a pre-existing block is freed after commit (so a crash
+    /// before commit leaves it intact).
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] if `addr` was not allocated.
+    /// None here: an `addr` that is not an allocated block surfaces as
+    /// [`TxError::Pmem`] when the deferred free runs after commit.
     pub fn pfree(&mut self, addr: PAddr) -> Result<(), TxError> {
         if let Some(pos) = self.scratch.allocs.iter().position(|&a| a == addr) {
             self.scratch.allocs.swap_remove(pos);
-            self.pool.cancel(&[addr])?;
+            self.scratch.dead.push(addr);
         } else {
             self.scratch.frees.push(addr);
         }
@@ -774,23 +781,34 @@ impl<'rt> Tx<'rt> {
         Ok(data.to_vec())
     }
 
+    /// Ends this transaction's reservations in front of its commit fence:
+    /// freed-again blocks as free, the rest as allocated. The dead go first
+    /// so each list head they share is written once.
+    fn settle_reservations(&self) -> Result<(), PmemError> {
+        if !self.scratch.dead.is_empty() {
+            self.pool.cancel(&self.scratch.dead)?;
+        }
+        self.pool.publish(&self.scratch.allocs)
+    }
+
     /// Commits the transaction: publishes allocations, persists the backend's
     /// commit record, clears the ongoing status, and returns the deferred
     /// frees plus any iDO shadow stats.
     pub(crate) fn commit(mut self) -> Result<CommitOutcome, TxError> {
         let pool = self.pool;
         let gc = self.gc;
-        let effects = self.wrote || !self.scratch.allocs.is_empty();
+        let reserved = !self.scratch.allocs.is_empty() || !self.scratch.dead.is_empty();
+        let effects = self.wrote || reserved;
         match self.backend {
             Backend::NoLog => {
                 if effects {
-                    pool.publish(&self.scratch.allocs)?;
+                    self.settle_reservations()?;
                     gc.fence(pool);
                 }
             }
             Backend::Clobber(cfg) => {
                 if effects {
-                    pool.publish(&self.scratch.allocs)?;
+                    self.settle_reservations()?;
                     gc.fence(pool);
                 }
                 if cfg.vlog && self.begun {
@@ -817,7 +835,7 @@ impl<'rt> Tx<'rt> {
                         .fetch_add(32, std::sync::atomic::Ordering::Relaxed);
                 }
                 if effects {
-                    pool.publish(&self.scratch.allocs)?;
+                    self.settle_reservations()?;
                     gc.fence(pool);
                 }
                 if self.begun {
@@ -827,8 +845,7 @@ impl<'rt> Tx<'rt> {
                     gc.fence(pool);
                 }
             }
-            Backend::Redo
-                if self.scratch.redo_writes.is_empty() && self.scratch.allocs.is_empty() => {}
+            Backend::Redo if self.scratch.redo_writes.is_empty() && !reserved => {}
             Backend::Redo => {
                 // Mnemosyne's raw-word log is word-granular: every 64-bit
                 // store becomes one log record (torn-bit encoded), so a
@@ -870,7 +887,7 @@ impl<'rt> Tx<'rt> {
                     rw.append(pool, *addr, data)?;
                 }
                 rw.sync_with(pool, |p| gc.fence(p))?;
-                pool.publish(&self.scratch.allocs)?;
+                self.settle_reservations()?;
                 // Commit point.
                 self.slot
                     .set_redo_committed_with_fence(pool, true, &|p| gc.fence(p))?;
@@ -914,9 +931,14 @@ impl<'rt> Tx<'rt> {
     /// recycle it.
     pub(crate) fn abort(mut self, why: String) -> (TxError, TxScratch) {
         let pool = self.pool;
-        let cancel_allocs = |allocs: &[PAddr]| {
-            // Cancel failures cannot occur for our own reservations.
-            let _ = pool.cancel(allocs);
+        self.scratch.dead.append(&mut self.scratch.allocs);
+        let dead = &self.scratch.dead;
+        let cancel_reservations = || {
+            if !dead.is_empty() {
+                // Cancel failures cannot occur for our own reservations.
+                let _ = pool.cancel(dead);
+                pool.fence();
+            }
         };
         // Abort fences stay private (no group-commit routing): an aborting
         // thread must never block on other committers making progress.
@@ -930,18 +952,18 @@ impl<'rt> Tx<'rt> {
                     let _ = self.clog.reset_unfenced(pool);
                     pool.fence();
                 }
-                cancel_allocs(&self.scratch.allocs);
+                cancel_reservations();
                 TxError::Aborted(why)
             }
             Backend::Redo => {
                 self.scratch.redo_writes.clear();
                 self.scratch.redo_data.clear();
-                cancel_allocs(&self.scratch.allocs);
+                cancel_reservations();
                 TxError::Aborted(why)
             }
             Backend::NoLog | Backend::Clobber(_) => {
                 if !self.wrote {
-                    cancel_allocs(&self.scratch.allocs);
+                    cancel_reservations();
                     if self.begun && matches!(self.backend, Backend::Clobber(cfg) if cfg.vlog) {
                         let _ = self.slot.clear_ongoing(pool);
                         pool.fence();

@@ -676,6 +676,57 @@ fn pfree_of_pre_existing_block_is_deferred_to_commit() {
     );
 }
 
+/// A transaction that allocates and fails, then one that allocates and
+/// commits: no `pfree`, no duplicate key. The six freed blocks make the first
+/// `pmalloc` refill the thread's magazine, so the aborted block is not the
+/// newest reservation outstanding in its arena when it is cancelled.
+#[test]
+fn abort_then_commit_leaves_a_walkable_heap() {
+    for backend in [Backend::clobber(), Backend::Undo, Backend::Redo] {
+        let (pool, rt, head_cell) = new_runtime(backend);
+        let freed: Vec<PAddr> = (0..6).map(|_| pool.alloc(64).unwrap()).collect();
+        for &b in &freed {
+            pool.free(b).unwrap();
+        }
+        let failed = Arc::new(Mutex::new(PAddr::NULL));
+        let seen = failed.clone();
+        rt.register("alloc_then_fail", move |tx, _args| {
+            *seen.lock().unwrap() = tx.pmalloc(64)?;
+            Err(TxError::Aborted("no".into()))
+        });
+        rt.register("alloc_and_link", |tx, args| {
+            let head_cell = PAddr::new(args.u64(0)?);
+            let node = tx.pmalloc(64)?;
+            let old_head = tx.read_u64(head_cell)?;
+            tx.write_u64(node, old_head)?;
+            tx.write_u64(head_cell, node.offset())?;
+            Ok(None)
+        });
+        let args = ArgList::new().with_u64(head_cell.offset());
+        let err = rt.run("alloc_then_fail", &args).unwrap_err();
+        assert!(matches!(err, TxError::Aborted(_)), "{backend:?}: {err}");
+        let before = pool
+            .check_heap()
+            .unwrap_or_else(|e| panic!("{backend:?}, abort: {e}"));
+        let mut linked = Vec::new();
+        for round in 0..freed.len() as u64 {
+            rt.run("alloc_and_link", &args).unwrap();
+            linked.push(PAddr::new(pool.read_u64(head_cell).unwrap()));
+            let heap = pool
+                .check_heap()
+                .unwrap_or_else(|e| panic!("{backend:?}, commit {round}: {e}"));
+            assert_eq!(heap.allocated_blocks, before.allocated_blocks + round + 1);
+        }
+        let failed = *failed.lock().unwrap();
+        assert!(
+            linked.contains(&failed),
+            "{backend:?}: the failed transaction's block {failed:?} is handed out again"
+        );
+        linked.sort_unstable();
+        assert_eq!(linked, freed, "{backend:?}: every freed block is reused");
+    }
+}
+
 /// Two *genuinely concurrent* transactions — both parked mid-txfunc, after
 /// their writes, in different v_log slots at the instant of the crash —
 /// recover independently in either slot assignment (the doc claim in

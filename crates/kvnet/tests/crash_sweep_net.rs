@@ -6,7 +6,9 @@
 //! replay the identical run, trip an injected crash at `k` (often
 //! mid-batch, between a batch's open and close frames), take a power
 //! failure, recover, run the battery's checks with the table invariant,
-//! and keep serving. Runs at shard counts {1, 4}.
+//! and keep serving. Runs at shard counts {1, 4}, on two populations: the
+//! wide key space, and two keys — where every drain SETs one key two to
+//! four times, so each batch frees blocks it allocated itself.
 
 use std::sync::Arc;
 
@@ -16,7 +18,8 @@ use clobber_kvnet::{
     SimNet, SimNetConfig,
 };
 use clobber_nvm::{
-    reopen_media, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions, TxError,
+    reopen_media, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions,
+    SweepSummary, TxError,
 };
 use clobber_pmem::{PmemPool, PoolOptions};
 use clobber_workloads::{Mix, RequestStream};
@@ -31,11 +34,11 @@ fn net_options() -> RuntimeOptions {
 
 /// A small multi-client population: enough clients that batches really
 /// coalesce, few enough requests that the sweep stays cheap.
-fn sim_cfg() -> SimNetConfig {
+fn sim_cfg(key_space: u64) -> SimNetConfig {
     SimNetConfig {
         clients: 4,
         requests_per_client: 5,
-        key_space: 64,
+        key_space,
         seed: 7,
         mix: Mix::InsertMost,
         zipf_theta: Some(0.9),
@@ -78,9 +81,9 @@ fn service(rt: &Arc<Runtime>) -> KvService {
 /// An injected crash surfaces as the `TxError` from the mid-batch
 /// transaction (a trip on a trailing fence can still complete `Ok`); an
 /// un-crashed run must not fail.
-fn run_batched_service(rt: &Arc<Runtime>) {
+fn run_batched_service(rt: &Arc<Runtime>, cfg: &SimNetConfig) {
     let mut adm = Admission::new(AdmissionConfig::default());
-    let mut net = SimNet::new(&sim_cfg()).with_window(1);
+    let mut net = SimNet::new(cfg).with_window(1);
     let outcome: Result<(), TxError> = serve(
         &mut service(rt),
         &mut adm,
@@ -111,26 +114,27 @@ fn check_table(pool: &PmemPool, server: &KvServer) -> Result<(), String> {
     }
 }
 
-/// Runs `f` with the battery over the batched service at `shards` shards.
-fn with_battery<R>(shards: u32, f: impl FnOnce(&CrashBattery<'_>) -> R) -> R {
+/// Runs `f` with the battery over the batched service of `cfg`'s
+/// population at `shards` shards.
+fn with_battery<R>(shards: u32, cfg: &SimNetConfig, f: impl FnOnce(&CrashBattery<'_>) -> R) -> R {
     f(&CrashBattery {
         session: &session(shards),
-        drive: &run_batched_service,
+        drive: &|rt| run_batched_service(rt, cfg),
         nested: Nested::Off,
     })
 }
 
 /// Counts the persist events one full service run issues.
-fn count_events(shards: u32) -> u64 {
-    let n = with_battery(shards, |b| b.count_events()).unwrap_or_else(|v| panic!("{v}"));
+fn count_events(shards: u32, cfg: &SimNetConfig) -> u64 {
+    let n = with_battery(shards, cfg, |b| b.count_events()).unwrap_or_else(|v| panic!("{v}"));
     assert!(n > 0, "service run must issue persist events");
     n
 }
 
 /// The sweep: a crash at every persist event of the run, and every
 /// recovered table keeps serving batched writes.
-fn sweep_net(shards: u32) {
-    let summary = with_battery(shards, |b| {
+fn sweep_net(shards: u32, cfg: &SimNetConfig) -> SweepSummary {
+    let summary = with_battery(shards, cfg, |b| {
         b.sweep(1, u64::MAX, |r| {
             let ctx = format!("{shards} shards k={}", r.crash_at);
             let mut svc = service(&r.rt);
@@ -158,16 +162,21 @@ fn sweep_net(shards: u32) {
     assert!(summary.events > 0, "the run issues persist events");
     assert_eq!(summary.crash_points, summary.events, "{shards} shards");
     assert_eq!(summary.not_tripped, 0, "{shards} shards: every event trips");
+    summary
 }
 
 #[test]
 fn batched_service_crash_sweep_one_shard() {
-    sweep_net(1);
+    sweep_net(1, &sim_cfg(64));
+    sweep_net(1, &sim_cfg(2));
 }
 
 #[test]
 fn batched_service_crash_sweep_sharded4() {
-    sweep_net(4);
+    for key_space in [64, 2] {
+        let cfg = sim_cfg(key_space);
+        assert_eq!(sweep_net(4, &cfg), sweep_net(1, &cfg), "{key_space} keys");
+    }
 }
 
 /// The ordering contract extends through the service layer: the whole
@@ -175,5 +184,8 @@ fn batched_service_crash_sweep_sharded4() {
 /// every shard count.
 #[test]
 fn service_event_count_is_shard_invariant() {
-    assert_eq!(count_events(1), count_events(4));
+    for key_space in [64, 2] {
+        let cfg = sim_cfg(key_space);
+        assert_eq!(count_events(1, &cfg), count_events(4, &cfg));
+    }
 }

@@ -10,13 +10,16 @@
 //!   transactions.
 //! * **Transactional path** ([`PmemPool::reserve`]/[`PmemPool::publish`]/
 //!   [`PmemPool::cancel`]): a reservation mutates only the volatile mirror
-//!   of the allocator metadata, costing zero fences. `publish` (called at
-//!   transaction commit) writes the updated free-list heads, frontier and
-//!   block headers to media with flushes; the caller's commit fence orders
-//!   them. If the transaction never commits, media metadata never changed,
-//!   so reserved blocks automatically roll back on crash — mirroring PMDK's
-//!   reserve/publish design. A crash *between* publish and the caller's
-//!   commit point can leak blocks but never corrupts the heap.
+//!   of the allocator metadata, costing zero fences, and ends at its
+//!   transaction's ordering point, as allocated (`publish`) or as free
+//!   (`cancel`). Both are one pass that writes each block's header plus the
+//!   free-list heads and frontier its arena moved, with flushes only — the
+//!   caller's fence orders them. Until that fence media metadata never
+//!   changed, so reserved blocks roll back on a crash — PMDK's
+//!   reserve/publish design. The invariant the pass keeps: *every block on
+//!   a mirror free stack has its on-media `next` equal to the block below
+//!   it, because every push writes it.* A crash *between* publish and the
+//!   caller's commit point can leak blocks but never corrupts the heap.
 //!
 //! Blocks are `[24-byte header][payload]`; small payloads use power-of-two
 //! size classes 16 B..4 KiB, larger payloads are "huge" blocks rounded to
@@ -49,7 +52,9 @@
 //! Crash testing assumes at most one uncommitted transaction holds
 //! unpublished reservations per size class *per arena* at the crash point —
 //! which per-thread arena routing now enforces by construction for
-//! transactional workloads.
+//! transactional workloads. Still outside it: two open transactions sharing
+//! an arena, where one's publish writes the frontier past the other's
+//! not yet formatted block.
 //!
 //! [`HeapGeometry`]: crate::geometry::HeapGeometry
 
@@ -84,7 +89,7 @@ const MAGAZINE_CAP: usize = 8;
 /// volatile leak until the pool is reopened).
 const TLS_POOL_CAP: usize = 8;
 
-/// Where a reservation's block came from, for cancel/publish bookkeeping.
+/// Where an allocation's block came from, for the stats split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Origin {
     FreeList,
@@ -96,10 +101,6 @@ struct Reservation {
     class: u32,
     /// Payload capacity in bytes.
     capacity: u64,
-    origin: Origin,
-    /// Frontier value before a [`Origin::Frontier`] reservation, so a
-    /// cancel rolls alignment padding back too.
-    prev_frontier: u64,
 }
 
 /// Volatile mirror of one arena's persistent allocator metadata.
@@ -118,10 +119,6 @@ pub(crate) struct ArenaMirror {
     /// Heads whose media copy is stale relative to the mirror.
     dirty_heads: [bool; NUM_HEADS],
     frontier_dirty: bool,
-    /// Frontier spans abandoned by out-of-order cancels: block end →
-    /// frontier value to roll back to once the frontier retreats to that
-    /// end (i.e. once the intervening blocks are cancelled too).
-    pending_rollback: HashMap<u64, u64>,
 }
 
 impl ArenaMirror {
@@ -158,7 +155,6 @@ impl ArenaMirror {
             reserved: HashMap::new(),
             dirty_heads: [false; NUM_HEADS],
             frontier_dirty: false,
-            pending_rollback: HashMap::new(),
         }
     }
 }
@@ -518,6 +514,9 @@ impl PmemPool {
         let (class, capacity) = classify(size.max(8));
         let stats = self.stats();
         let mut home = 0usize;
+        // The thread's drained magazine for this class, taken out of TLS on a
+        // miss so a refill fills it in place instead of allocating.
+        let mut mag = Vec::new();
         if class != HUGE_CLASS {
             // Magazine fast path: no lock at all.
             let hit = ALLOC_TLS.with(|t| {
@@ -525,7 +524,11 @@ impl PmemPool {
                 let i = t.slot(self);
                 let e = &mut t.pools[i];
                 home = e.arena as usize;
-                e.mags[class as usize].pop()
+                let hit = e.mags[class as usize].pop();
+                if hit.is_none() {
+                    mag = std::mem::take(&mut e.mags[class as usize]);
+                }
+                hit
             });
             if let Some(payload) = hit {
                 stats.bump(&stats.allocs, 1);
@@ -536,16 +539,18 @@ impl PmemPool {
                 return Ok(PAddr::new(payload));
             }
         }
-        let (payload, origin, refill) = self.spill(home, capacity, |idx| {
-            self.reserve_in(idx, class, capacity, idx == home && class != HUGE_CLASS)
-        })?;
-        if !refill.is_empty() {
+        let picked = self.spill(home, capacity, |idx| {
+            let refill = (idx == home && class != HUGE_CLASS).then_some(&mut mag);
+            self.reserve_in(idx, class, capacity, refill)
+        });
+        if class != HUGE_CLASS {
             ALLOC_TLS.with(|t| {
                 let mut t = t.borrow_mut();
                 let i = t.slot(self);
-                t.pools[i].mags[class as usize] = refill;
+                t.pools[i].mags[class as usize] = mag;
             });
         }
+        let (payload, origin) = picked?;
         stats.bump(&stats.allocs, 1);
         stats.bump(&stats.reserves, 1);
         match origin {
@@ -556,47 +561,37 @@ impl PmemPool {
         Ok(PAddr::new(payload))
     }
 
-    /// The locked reservation path against one arena. With `refill`, batch-
-    /// pops the free list: the first block is served and up to
-    /// [`MAGAZINE_CAP`] more are reserved+zeroed for the caller's magazine,
-    /// ordered so magazine pops yield the exact sequence unbatched pops
-    /// would have.
+    /// The locked reservation path against one arena. With a `refill`
+    /// magazine (empty), batch-pops the free list: the first block is served
+    /// and up to [`MAGAZINE_CAP`] more are reserved+zeroed into the
+    /// magazine, ordered so magazine pops yield the exact sequence unbatched
+    /// pops would have.
     fn reserve_in(
         &self,
         idx: usize,
         class: u32,
         capacity: u64,
-        refill: bool,
-    ) -> Result<(u64, Origin, Vec<u64>), PmemError> {
+        refill: Option<&mut Vec<u64>>,
+    ) -> Result<(u64, Origin), PmemError> {
         let mode = self.mode();
         self.engine().with_arena_raw(idx, |am, raw| {
-            if refill && !am.free[class as usize].is_empty() {
-                let mut ops = Ops::new(raw, mode);
-                let take = (MAGAZINE_CAP + 1).min(am.free[class as usize].len());
-                let mut popped = Vec::with_capacity(take);
-                for _ in 0..take {
-                    let payload = am.free[class as usize].pop().expect("length checked");
-                    am.reserved.insert(
-                        payload,
-                        Reservation {
-                            class,
-                            capacity,
-                            origin: Origin::FreeList,
-                            prev_frontier: am.frontier,
-                        },
-                    );
+            let mut ops = Ops::new(raw, mode);
+            let res = Reservation { class, capacity };
+            if let Some(mag) = refill.filter(|_| !am.free[class as usize].is_empty()) {
+                let list = &mut am.free[class as usize];
+                let served = list.pop().expect("non-empty checked above");
+                // `drain` yields bottom-to-top, so `Vec::pop` on the magazine
+                // yields original list order.
+                mag.extend(list.drain(list.len().saturating_sub(MAGAZINE_CAP)..));
+                for &payload in std::iter::once(&served).chain(mag.iter().rev()) {
+                    am.reserved.insert(payload, res);
                     zero_payload(&mut ops, payload, capacity);
-                    popped.push(payload);
                 }
                 am.dirty_heads[class as usize] = true;
                 ops.finish();
-                let served = popped.remove(0);
-                popped.reverse(); // Vec::pop then yields original list order
-                return Ok((served, Origin::FreeList, popped));
+                return Ok((served, Origin::FreeList));
             }
-            let picked = pick_block(am, class, capacity)?;
-            let prev_frontier = am.frontier;
-            let (payload, origin) = match picked {
+            let (payload, origin) = match pick_block(am, class, capacity)? {
                 Picked::Pop { payload, .. } => {
                     am.dirty_heads[class as usize] = true;
                     (payload, Origin::FreeList)
@@ -610,23 +605,14 @@ impl PmemPool {
                     (payload, Origin::Frontier)
                 }
             };
-            am.reserved.insert(
-                payload,
-                Reservation {
-                    class,
-                    capacity,
-                    origin,
-                    prev_frontier,
-                },
-            );
-            let mut ops = Ops::new(raw, mode);
+            am.reserved.insert(payload, res);
             zero_payload(&mut ops, payload, capacity);
             ops.finish();
-            Ok((payload, origin, Vec::new()))
+            Ok((payload, origin))
         })
     }
 
-    /// Persists the metadata for reserved blocks: block headers plus any
+    /// Ends reservations as allocated: persists their block headers plus any
     /// free-list heads and frontier the owning arenas moved. Issues flushes
     /// only — the caller's commit fence orders them. Arenas are visited in
     /// ascending index order; arenas with no blocks in `blocks` are left
@@ -637,34 +623,63 @@ impl PmemPool {
     /// Returns [`PmemError::InvalidFree`] if an address was not reserved.
     pub fn publish(&self, blocks: &[PAddr]) -> Result<(), PmemError> {
         self.fail_if_dead()?;
-        let mode = self.mode();
         let stats = self.stats();
         stats.bump(&stats.publishes, 1);
         self.trace_app_event(clobber_trace::EventKind::Publish, 0, blocks.len() as u64, 0);
-        let n = self.arena_count();
-        for idx in 0..n {
-            if !blocks
-                .iter()
-                .any(|b| self.geom().arena_of(b.offset()) == idx)
-            {
+        self.settle(blocks, STATE_ALLOC)
+    }
+
+    /// Ends reservations as free (clean abort, or a block its own
+    /// transaction freed): [`publish`](Self::publish) with the other header
+    /// state. Each block is pushed on its class's free list, chained to the
+    /// block below it. Flushes only, like `publish` — fence afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::InvalidFree`] if an address was not reserved.
+    pub fn cancel(&self, blocks: &[PAddr]) -> Result<(), PmemError> {
+        self.fail_if_dead()?;
+        let stats = self.stats();
+        stats.bump(&stats.cancels, 1);
+        self.trace_app_event(clobber_trace::EventKind::Cancel, 0, blocks.len() as u64, 0);
+        self.settle(blocks, STATE_FREE)
+    }
+
+    /// The one way a reservation ends: each owning arena, once, in ascending
+    /// index order, takes its blocks out of `reserved`, writes and flushes
+    /// their headers in `state`, then writes back every head and the
+    /// frontier its reservations moved.
+    fn settle(&self, blocks: &[PAddr], state: u32) -> Result<(), PmemError> {
+        let mode = self.mode();
+        let arena_of = |b: &PAddr| self.geom().arena_of(b.offset());
+        for idx in 0..self.arena_count() {
+            if !blocks.iter().any(|b| arena_of(b) == idx) {
                 continue;
             }
             self.engine().with_arena_raw(idx, |am, raw| {
                 let mut ops = Ops::new(raw, mode);
-                for &b in blocks
-                    .iter()
-                    .filter(|b| self.geom().arena_of(b.offset()) == idx)
-                {
+                for b in blocks.iter().filter(|&b| arena_of(b) == idx) {
+                    let payload = b.offset();
                     let res = am
                         .reserved
-                        .remove(&b.offset())
-                        .ok_or(PmemError::InvalidFree { addr: b.offset() })?;
-                    ops.write_header(b.offset(), STATE_ALLOC, res.class, res.capacity);
-                    ops.flush(b.offset() - HDR_LEN, HDR_LEN);
+                        .remove(&payload)
+                        .ok_or(PmemError::InvalidFree { addr: payload })?;
+                    ops.write_header(payload, state, res.class, res.capacity);
+                    if state == STATE_FREE {
+                        // The push that keeps the invariant: chain to the
+                        // mirror top, whatever media says the head is.
+                        let list = &mut am.free[res.class as usize];
+                        ops.write_u64(payload - HDR_LEN + HDR_NEXT, *list.last().unwrap_or(&0));
+                        list.push(payload);
+                        if res.class == HUGE_CLASS {
+                            am.huge_sizes.insert(payload, res.capacity);
+                        }
+                        am.dirty_heads[res.class as usize] = true;
+                    }
+                    ops.flush(payload - HDR_LEN, HDR_LEN);
                 }
-                // Write back every head/frontier this arena's reservations
-                // moved. Heads are written from the mirror top so the
-                // persistent chain stays intact.
+                // Heads are written from the mirror top so the persistent
+                // chain stays intact.
                 let l = am.layout;
                 for class in 0..NUM_HEADS {
                     if am.dirty_heads[class] {
@@ -681,70 +696,6 @@ impl PmemPool {
                     am.frontier_dirty = false;
                 }
                 ops.finish();
-                Ok(())
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Returns unpublished reservations to the volatile mirror (clean
-    /// abort).
-    ///
-    /// Free-list reservations are pushed back. A frontier reservation that
-    /// is still the newest block rolls the frontier straight back; one
-    /// cancelled out of order parks a pending rollback that is reclaimed as
-    /// soon as the intervening blocks are cancelled too, so any order of
-    /// cancels eventually returns the frontier to its pre-reservation
-    /// value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::InvalidFree`] if an address was not reserved.
-    pub fn cancel(&self, blocks: &[PAddr]) -> Result<(), PmemError> {
-        self.fail_if_dead()?;
-        let stats = self.stats();
-        stats.bump(&stats.cancels, 1);
-        self.trace_app_event(clobber_trace::EventKind::Cancel, 0, blocks.len() as u64, 0);
-        let n = self.arena_count();
-        for idx in 0..n {
-            if !blocks
-                .iter()
-                .any(|b| self.geom().arena_of(b.offset()) == idx)
-            {
-                continue;
-            }
-            self.engine().with_arena_mirror(idx, |am| {
-                for &b in blocks
-                    .iter()
-                    .rev()
-                    .filter(|b| self.geom().arena_of(b.offset()) == idx)
-                {
-                    let res = am
-                        .reserved
-                        .remove(&b.offset())
-                        .ok_or(PmemError::InvalidFree { addr: b.offset() })?;
-                    match res.origin {
-                        Origin::FreeList => {
-                            am.free[res.class as usize].push(b.offset());
-                            if res.class == HUGE_CLASS {
-                                am.huge_sizes.insert(b.offset(), res.capacity);
-                            }
-                        }
-                        Origin::Frontier => {
-                            let end = b.offset() + res.capacity;
-                            if am.frontier == end {
-                                am.frontier = res.prev_frontier;
-                                // Chain through spans whose cancel arrived
-                                // before ours.
-                                while let Some(back) = am.pending_rollback.remove(&am.frontier) {
-                                    am.frontier = back;
-                                }
-                            } else {
-                                am.pending_rollback.insert(end, res.prev_frontier);
-                            }
-                        }
-                    }
-                }
                 Ok(())
             })?;
         }
@@ -1110,47 +1061,6 @@ mod tests {
         p.cancel(&[r]).unwrap();
         let again = p.reserve(64).unwrap();
         assert_eq!(again, r);
-    }
-
-    #[test]
-    fn cancel_of_frontier_block_rolls_frontier_back() {
-        let p = pool();
-        let used_before = p.heap_used();
-        let r = p.reserve(64).unwrap();
-        p.cancel(&[r]).unwrap();
-        assert_eq!(p.heap_used(), used_before);
-    }
-
-    #[test]
-    fn out_of_order_frontier_cancels_reclaim_once_gap_closes() {
-        // Regression: cancelling the OLDEST frontier block first used to
-        // abandon its span forever. The pending-rollback chain reclaims it
-        // as soon as the intervening blocks are cancelled too.
-        let p = pool();
-        let used0 = p.heap_used();
-        let a = p.reserve(64).unwrap();
-        let b = p.reserve(64).unwrap();
-        let c = p.reserve(64).unwrap();
-        p.cancel(&[a]).unwrap(); // out of order: parks a pending span
-        assert!(p.heap_used() > used0, "not reclaimable yet");
-        p.cancel(&[c]).unwrap(); // newest: rolls back to b's end
-        p.cancel(&[b]).unwrap(); // closes the gap: chain reclaims a's span
-        assert_eq!(p.heap_used(), used0, "all frontier space reclaimed");
-        // And the next reservation reuses the space from the bottom.
-        let again = p.reserve(64).unwrap();
-        assert_eq!(again, a);
-        p.cancel(&[again]).unwrap();
-    }
-
-    #[test]
-    fn mixed_order_cancel_in_one_call_reclaims_everything() {
-        let p = pool();
-        let used0 = p.heap_used();
-        let a = p.reserve(48).unwrap();
-        let b = p.reserve(300).unwrap();
-        let c = p.reserve(17).unwrap();
-        p.cancel(&[a, c, b]).unwrap();
-        assert_eq!(p.heap_used(), used0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the persistent allocator and the crash model.
 
-use clobber_pmem::{CrashConfig, PmemPool, PoolMode, PoolOptions};
+use clobber_pmem::{CrashConfig, HeapReport, PAddr, PmemPool, PoolMode, PoolOptions};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -19,6 +19,115 @@ fn ops_strategy() -> impl Strategy<Value = Vec<AllocOp>> {
         ],
         1..60,
     )
+}
+
+/// Request sizes of the transaction scripts: four small classes (two of
+/// them short of their class capacity) and one huge block.
+const SIZES: [u64; 5] = [24, 64, 100, 200, 5000];
+
+/// One allocator-visible step of a transaction, as `Tx` drives the pool.
+#[derive(Debug, Clone)]
+enum TxOp {
+    /// `pmalloc` of `SIZES[i]` plus a first store: reserve, flush `size`
+    /// (not capacity), store one word.
+    Reserve(usize),
+    /// `pfree` of this transaction's i-th live reservation (modulo).
+    Kill(usize),
+    /// `pfree` of the i-th published block (modulo): freed after commit.
+    Free(usize),
+}
+
+/// Transactions, each a list of steps and whether it commits.
+type Script = Vec<(Vec<TxOp>, bool)>;
+
+fn script_strategy() -> impl Strategy<Value = Script> {
+    let op = prop_oneof![
+        4 => (0usize..SIZES.len()).prop_map(TxOp::Reserve),
+        2 => (0usize..64).prop_map(TxOp::Kill),
+        2 => (0usize..64).prop_map(TxOp::Free),
+    ];
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(op, 0..12),
+            (0u8..4).prop_map(|c| c != 0),
+        ),
+        1..16,
+    )
+}
+
+/// Runs `script` one transaction at a time on a fresh pool, walking the
+/// heap after each, then crashes and counts what survived. Returns every
+/// address handed out and every report, for comparison across shard counts.
+fn run_script(
+    shards: u32,
+    script: &Script,
+) -> Result<(Vec<PAddr>, Vec<HeapReport>), TestCaseError> {
+    let pool = PmemPool::create(PoolOptions::crash_sim(4 << 20).with_shards(shards)).unwrap();
+    let (mut handed_out, mut reports) = (Vec::new(), Vec::new());
+    let mut published: Vec<PAddr> = Vec::new();
+    for (t, (ops, commits)) in script.iter().enumerate() {
+        let (mut live, mut dead, mut frees) = (Vec::new(), Vec::new(), Vec::new());
+        for op in ops {
+            match *op {
+                TxOp::Reserve(i) => {
+                    let a = pool.reserve(SIZES[i]).unwrap();
+                    pool.flush(a, SIZES[i]).unwrap();
+                    pool.store_flush(a.add(SIZES[i] - 8), &[0xC5; 8]).unwrap();
+                    handed_out.push(a);
+                    live.push(a);
+                }
+                TxOp::Kill(i) if !live.is_empty() => dead.push(live.remove(i % live.len())),
+                TxOp::Free(i) if !published.is_empty() => {
+                    frees.push(published.remove(i % published.len()))
+                }
+                TxOp::Kill(_) | TxOp::Free(_) => {}
+            }
+        }
+        if *commits {
+            pool.publish(&live).unwrap();
+            pool.cancel(&dead).unwrap();
+            pool.fence();
+            for &f in &frees {
+                pool.free(f).unwrap();
+            }
+            published.extend(live);
+        } else {
+            dead.extend(live);
+            pool.cancel(&dead).unwrap();
+            pool.fence();
+            published.extend(frees);
+        }
+        match pool.check_heap() {
+            Ok(r) => reports.push(r),
+            Err(e) => prop_assert!(false, "{shards} shard(s), transaction {t}: {e}"),
+        }
+    }
+    let reopened = pool.crash(&CrashConfig::drop_all(1)).unwrap();
+    let survived = reopened.check_heap().unwrap();
+    prop_assert_eq!(
+        survived.allocated_blocks,
+        published.len() as u64,
+        "{} shard(s): exactly the published blocks survive a crash",
+        shards
+    );
+    Ok((handed_out, reports))
+}
+
+/// ROADMAP's two recipes as fixed scripts: the older of two reservations
+/// ends as free and the newer as allocated — from the frontier, then, with
+/// both blocks freed once, from the free list.
+#[test]
+fn out_of_order_cancel_recipes_keep_the_heap_walkable() {
+    let recipe = vec![TxOp::Reserve(1), TxOp::Reserve(1), TxOp::Kill(0)];
+    let free_survivor = vec![TxOp::Free(0)];
+    let script = vec![
+        (recipe.clone(), true),
+        (free_survivor, true),
+        (recipe, true),
+    ];
+    for shards in [1, 4] {
+        run_script(shards, &script).unwrap();
+    }
 }
 
 proptest! {
@@ -88,18 +197,39 @@ proptest! {
         }
     }
 
-    /// Reserve/cancel leaves the allocator exactly where it started.
+    /// The allocator as `Tx` drives it — reservations ended as allocated or
+    /// as free at each transaction's fence, in any order, with deferred
+    /// frees — keeps a walkable heap after every transaction, loses nothing
+    /// published in a crash, and behaves identically at 1 and 4 shards.
     #[test]
-    fn reserve_cancel_is_idempotent(sizes in proptest::collection::vec(1u64..300, 1..16)) {
-        let pool = PmemPool::create(PoolOptions::performance(4 << 20)).unwrap();
-        let used_before = pool.heap_used();
-        let reserved: Vec<_> = sizes.iter().map(|s| pool.reserve(*s).unwrap()).collect();
-        // Cancel in reverse order (LIFO), as a cleanly aborting transaction
-        // would.
-        for b in reserved.iter().rev() {
-            pool.cancel(&[*b]).unwrap();
-        }
-        prop_assert_eq!(pool.heap_used(), used_before);
+    fn transaction_scripts_keep_the_heap_walkable(script in script_strategy()) {
+        let one = run_script(1, &script)?;
+        let four = run_script(4, &script)?;
+        prop_assert_eq!(one, four, "addresses and heap reports agree across shard counts");
+    }
+
+    /// Cancelling is not a leak: after every reservation of a round is
+    /// cancelled, in any order, an identical round fits where the first did.
+    #[test]
+    fn cancelled_round_is_reused_by_an_identical_round(
+        picks in proptest::collection::vec(0usize..SIZES.len(), 1..24),
+        rot in 0usize..24,
+    ) {
+        let pool = PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap();
+        let round = |pool: &PmemPool| -> Vec<PAddr> {
+            picks.iter().map(|&i| pool.reserve(SIZES[i]).unwrap()).collect()
+        };
+        let mut first = round(&pool);
+        let used = pool.heap_used();
+        first.rotate_left(rot % picks.len());
+        pool.cancel(&first).unwrap();
+        pool.fence();
+        pool.check_heap().unwrap();
+        let second = round(&pool);
+        prop_assert_eq!(pool.heap_used(), used, "the second round bumped the frontier");
+        pool.publish(&second).unwrap();
+        pool.fence();
+        prop_assert_eq!(pool.check_heap().unwrap().allocated_blocks, picks.len() as u64);
     }
 
     /// The crash model is monotone: anything durable under `drop_all`
