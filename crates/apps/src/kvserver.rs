@@ -138,22 +138,6 @@ impl KvServer {
         }
     }
 
-    /// The runtime [`LockManager`] lock set for `req` under the configured
-    /// scheme — same lock ids as [`locks_for`](KvServer::locks_for), but as
-    /// the core lock type real OS threads (and the service front-end)
-    /// acquire.
-    ///
-    /// [`LockManager`]: clobber_nvm::LockManager
-    pub fn core_locks_for(&self, req: &Request) -> Vec<clobber_nvm::LockRequest> {
-        self.locks_for(req)
-            .into_iter()
-            .map(|l| match l.mode {
-                clobber_sim::LockMode::Exclusive => clobber_nvm::LockRequest::exclusive(l.lock),
-                clobber_sim::LockMode::Shared => clobber_nvm::LockRequest::shared(l.lock),
-            })
-            .collect()
-    }
-
     /// Handles one request on an explicit slot through the wait-die locked
     /// path, surfacing [`TxError::LockConflict`] as a typed
     /// [`KvOutcome::Retry`] response instead of an error. Every other
@@ -168,7 +152,7 @@ impl KvServer {
         slot: usize,
         req: &Request,
     ) -> Result<KvOutcome, TxError> {
-        let locks = self.core_locks_for(req);
+        let locks = self.locks_for(req);
         let root = self.table.root().offset();
         let result = match req {
             Request::Set { key, value } => rt.try_run_on_locked(
@@ -198,7 +182,9 @@ impl KvServer {
         }
     }
 
-    /// The simulated-lock set for `req` under the configured scheme.
+    /// The lock set for `req` under the configured scheme — what real
+    /// threads acquire from the runtime's `LockManager` and what the DES
+    /// requests from the same grant table.
     pub fn locks_for(&self, req: &Request) -> Vec<LockRequest> {
         let bucket_lock = self.table.lock_of(key_id(req.key()));
         let global = self.table.root().offset().wrapping_mul(97);

@@ -154,7 +154,7 @@ const MT_GLOBAL_LOCK: u64 = 0x61B0_CA11;
 
 /// Replays recorded lock sets at a fixed measured per-op cost.
 struct ReplaySource {
-    per_thread: Vec<std::collections::VecDeque<Vec<clobber_sim::LockRequest>>>,
+    per_thread: Vec<std::collections::VecDeque<Vec<LockRequest>>>,
     cost_ns: u64,
 }
 
@@ -287,7 +287,7 @@ pub fn run_mt_cell(
 
     // DES replay: measured average op cost, real lock sets.
     let cost_ns = (CostModel::optane().op_cost(&delta) / txs).max(1);
-    let lock_sets = |t: usize| -> std::collections::VecDeque<Vec<clobber_sim::LockRequest>> {
+    let lock_sets = |t: usize| -> std::collections::VecDeque<Vec<LockRequest>> {
         keys[t]
             .iter()
             .map(|&k| {
@@ -296,7 +296,7 @@ pub fn run_mt_cell(
                     (MtHandle::S(sl), "per-node") => sl.lock(),
                     _ => MT_GLOBAL_LOCK,
                 };
-                vec![clobber_sim::LockRequest::exclusive(lock)]
+                vec![LockRequest::exclusive(lock)]
             })
             .collect()
     };

@@ -85,7 +85,7 @@ pub use explore::{
     ExploreSession, Explorer, ReopenFn,
 };
 pub use group_commit::GroupCommit;
-pub use lock::{LockGuard, LockId, LockManager, LockMode, LockRequest};
+pub use lock::{Grant, GrantTable, LockGuard, LockId, LockManager, LockMode, LockRequest};
 pub use recovery::{
     NoopClock, RecoveryClock, RecoveryOptions, RecoveryPolicy, RecoveryReport, SlotQuarantine,
     SlotQuarantineKind, SystemClock,

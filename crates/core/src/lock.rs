@@ -4,11 +4,10 @@
 //! strong-strict 2PL at per-node granularity: every transaction acquires
 //! its whole lock set at begin and releases it at commit (§2.2), with
 //! per-bucket / per-leaf reader-writer locks letting disjoint transactions
-//! overlap. [`LockManager`] is the real-thread implementation of the lock
-//! model `clobber_sim::run_des` simulates, so the DES cost model can serve
-//! as the oracle for measured scaling shape — except in fairness: `run_des`
-//! grants any waiter whose set is free, so there a later compatible reader
-//! overtakes a queued writer, which the FIFO rule below forbids:
+//! overlap. The grant policy lives in one pure [`GrantTable`]:
+//! [`LockManager`] wraps it in a mutex and a condvar for real threads, and
+//! `clobber_sim::run_des` drives the same table with simulated time, so the
+//! DES is the oracle for measured scaling shape under the shipped policy:
 //!
 //! * **Atomic whole-set acquisition.** [`acquire`](LockManager::acquire)
 //!   grants all of a request's locks at once or none — there is no
@@ -147,42 +146,57 @@ struct Waiter {
     set: Vec<LockRequest>,
 }
 
+/// Outcome of [`GrantTable::request`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grant {
+    /// The whole set is held.
+    Now,
+    /// Queued in arrival order; the [`GrantTable::release`] that grants the
+    /// whole set returns `ticket`.
+    Queued {
+        /// Identifies the queued request.
+        ticket: u64,
+        /// The lock that refused it (see [`GrantTable::try_request`]).
+        behind: LockId,
+    },
+}
+
+/// The lock grant policy (see module docs): current holds plus the arrival
+/// queue of whole-set requests, with no mutex, condvar, pool or clock in
+/// it. Every set passed in must be [`normalize`](GrantTable::normalize)d.
 #[derive(Debug, Default)]
-struct Inner {
+pub struct GrantTable {
     holds: HashMap<LockId, Hold>,
     queue: VecDeque<Waiter>,
-    /// Tickets granted by a release-side grant pass, awaiting pickup by
-    /// their sleeping requester.
-    granted: HashSet<u64>,
     next_ticket: u64,
 }
 
-impl Inner {
-    /// `true` if every lock in `set` is compatible with the current holds.
-    fn set_compatible(&self, set: &[LockRequest]) -> bool {
-        set.iter()
-            .all(|r| self.holds.get(&r.lock).is_none_or(|h| h.compatible(r.mode)))
+impl GrantTable {
+    /// Normalizes a lock set: ascending lock-id order, duplicates collapsed
+    /// with exclusive mode winning. Deterministic acquisition order is part
+    /// of the deadlock-avoidance contract (and keeps trace event order
+    /// stable).
+    pub fn normalize(set: &[LockRequest]) -> Vec<LockRequest> {
+        let mut v: Vec<LockRequest> = set.to_vec();
+        v.sort_by_key(|r| (r.lock, r.mode == LockMode::Shared));
+        v.dedup_by(|later, first| {
+            // After the sort, an exclusive request for an id precedes a
+            // shared one, so keeping `first` keeps the stronger mode.
+            later.lock == first.lock
+        });
+        v
     }
 
-    /// The first lock in `set` some queued waiter also wants, if any —
-    /// granting such a set would barge past the FIFO queue.
-    fn first_queued(&self, set: &[LockRequest]) -> Option<LockId> {
-        set.iter().map(|r| r.lock).find(|id| {
-            self.queue
-                .iter()
-                .any(|w| w.set.iter().any(|r| r.lock == *id))
-        })
+    /// `true` if `r` is compatible with the current holds of its lock.
+    fn compatible(&self, r: &LockRequest) -> bool {
+        self.holds.get(&r.lock).is_none_or(|h| h.compatible(r.mode))
     }
 
-    /// The first lock in `set` that is incompatible with current holds.
-    fn first_incompatible(&self, set: &[LockRequest]) -> Option<LockId> {
-        set.iter()
-            .find(|r| {
-                self.holds
-                    .get(&r.lock)
-                    .is_some_and(|h| !h.compatible(r.mode))
-            })
-            .map(|r| r.lock)
+    /// `true` if some queued waiter wants `lock`.
+    fn wanted(&self, lock: LockId) -> bool {
+        self.queue
+            .iter()
+            .any(|w| w.set.iter().any(|r| r.lock == lock))
     }
 
     fn apply(&mut self, set: &[LockRequest]) {
@@ -191,7 +205,50 @@ impl Inner {
         }
     }
 
-    fn unapply(&mut self, set: &[LockRequest]) {
+    /// Grants the whole `set` at once, or refuses naming the first lock in
+    /// it that is incompatibly held, else the first a queued waiter wants
+    /// (granting that would barge past the FIFO queue).
+    ///
+    /// # Errors
+    ///
+    /// The refusing lock id; nothing was granted or queued.
+    pub fn try_request(&mut self, set: &[LockRequest]) -> Result<(), LockId> {
+        let refused = set
+            .iter()
+            .find(|r| !self.compatible(r))
+            .or_else(|| set.iter().find(|r| self.wanted(r.lock)));
+        match refused {
+            Some(r) => Err(r.lock),
+            None => {
+                self.apply(set);
+                Ok(())
+            }
+        }
+    }
+
+    /// [`try_request`](GrantTable::try_request), queueing a refused set
+    /// behind every earlier arrival.
+    pub fn request(&mut self, set: &[LockRequest]) -> Grant {
+        match self.try_request(set) {
+            Ok(()) => Grant::Now,
+            Err(behind) => {
+                let ticket = self.next_ticket;
+                self.next_ticket += 1;
+                self.queue.push_back(Waiter {
+                    ticket,
+                    set: set.to_vec(),
+                });
+                Grant::Queued { ticket, behind }
+            }
+        }
+    }
+
+    /// Releases a granted `set`, then walks the queue in arrival order,
+    /// granting every waiter whose whole set is available *and* not wanted
+    /// by any earlier still-blocked waiter (the `blocked` set is what makes
+    /// the queue FIFO-fair per lock while still letting disjoint sets
+    /// overtake). Returns the granted tickets in queue order.
+    pub fn release(&mut self, set: &[LockRequest]) -> Vec<u64> {
         for r in set {
             let hold = self.holds.get_mut(&r.lock).expect("released lock is held");
             hold.release(r.mode);
@@ -199,54 +256,63 @@ impl Inner {
                 self.holds.remove(&r.lock);
             }
         }
-    }
-
-    /// Walks the queue in ticket order, granting every waiter whose whole
-    /// set is available *and* not wanted by any earlier still-blocked
-    /// waiter (the `blocked` set is what makes the queue FIFO-fair per
-    /// lock while still letting disjoint sets overtake). Returns how many
-    /// waiters were granted.
-    fn grant_pass(&mut self) -> usize {
         let mut blocked: HashSet<LockId> = HashSet::new();
-        let mut granted = 0usize;
+        let mut granted = Vec::new();
         let mut remaining: VecDeque<Waiter> = VecDeque::with_capacity(self.queue.len());
         while let Some(w) = self.queue.pop_front() {
-            let ok =
-                w.set.iter().all(|r| !blocked.contains(&r.lock)) && self.set_compatible(&w.set);
+            let ok = w
+                .set
+                .iter()
+                .all(|r| !blocked.contains(&r.lock) && self.compatible(r));
             if ok {
                 self.apply(&w.set);
-                self.granted.insert(w.ticket);
-                granted += 1;
+                granted.push(w.ticket);
             } else {
-                for r in &w.set {
-                    blocked.insert(r.lock);
-                }
+                blocked.extend(w.set.iter().map(|r| r.lock));
                 remaining.push_back(w);
             }
         }
         self.queue = remaining;
         granted
     }
+
+    /// Converts the sole shared hold of `lock` to exclusive; `false` (and
+    /// no change) if it has other holders or a queued waiter wants it.
+    pub fn try_upgrade(&mut self, lock: LockId) -> bool {
+        let wanted = self.wanted(lock);
+        match self.holds.get_mut(&lock) {
+            Some(h) if h.readers == 1 && !h.writer && !wanted => {
+                h.release(LockMode::Shared);
+                h.acquire(LockMode::Exclusive);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// `true` while `ticket` waits in the queue; a ticket leaves it only by
+    /// being granted.
+    fn is_queued(&self, ticket: u64) -> bool {
+        self.queue.iter().any(|w| w.ticket == ticket)
+    }
+
+    /// Number of queued (not yet granted) whole-set requests.
+    fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// `true` if nothing is held and nobody waits.
+    fn is_idle(&self) -> bool {
+        self.holds.is_empty() && self.queue.is_empty()
+    }
 }
 
-/// Normalizes a lock set: ascending lock-id order, duplicates collapsed
-/// with exclusive mode winning. Deterministic acquisition order is part of
-/// the deadlock-avoidance contract (and keeps trace event order stable).
-fn normalize(set: &[LockRequest]) -> Vec<LockRequest> {
-    let mut v: Vec<LockRequest> = set.to_vec();
-    v.sort_by_key(|r| (r.lock, r.mode == LockMode::Shared));
-    v.dedup_by(|later, first| {
-        // After the sort, an exclusive request for an id precedes a shared
-        // one, so keeping `first` keeps the stronger mode.
-        later.lock == first.lock
-    });
-    v
-}
-
-/// Per-slot/per-node FIFO reader-writer lock manager (see module docs).
+/// Per-slot/per-node FIFO reader-writer lock manager (see module docs): a
+/// [`GrantTable`] behind a mutex, a condvar for its queued requesters, and
+/// the stats and trace events around it.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    inner: Mutex<Inner>,
+    table: Mutex<GrantTable>,
     cond: Condvar,
 }
 
@@ -260,43 +326,22 @@ impl LockManager {
     /// requesters, and returns a guard releasing it on drop. An empty set
     /// returns immediately.
     pub fn acquire<'a>(&'a self, pool: &'a PmemPool, set: &[LockRequest]) -> LockGuard<'a> {
-        let set = normalize(set);
-        let mut inner = self.inner.lock();
-        if inner.first_queued(&set).is_none() && inner.set_compatible(&set) {
-            inner.apply(&set);
-            drop(inner);
-            self.note_grant(pool, &set);
-            return LockGuard {
-                mgr: self,
-                pool,
-                set,
-            };
-        }
-        // Contended: queue in arrival order and sleep until a release-side
-        // grant pass hands us the whole set.
-        let blocking = inner
-            .first_incompatible(&set)
-            .or_else(|| inner.first_queued(&set))
-            .unwrap_or_default();
-        let ticket = inner.next_ticket;
-        inner.next_ticket += 1;
-        inner.queue.push_back(Waiter {
-            ticket,
-            set: set.clone(),
-        });
-        pool.stats().lock_waits.fetch_add(1, Ordering::Relaxed);
-        if pool.tracing_enabled() {
-            pool.trace_app_event(EventKind::LockConflict, 0, blocking, 0);
-        }
-        loop {
-            if inner.granted.remove(&ticket) {
-                break;
+        let set = GrantTable::normalize(set);
+        let mut table = self.table.lock();
+        if let Grant::Queued { ticket, behind } = table.request(&set) {
+            // Contended: sleep until a release-side grant pass hands us the
+            // whole set.
+            pool.stats().lock_waits.fetch_add(1, Ordering::Relaxed);
+            if pool.tracing_enabled() {
+                pool.trace_app_event(EventKind::LockConflict, 0, behind, 0);
             }
-            // The vendored `parking_lot` guard is a re-exported std guard,
-            // so std's `Condvar` pairs with it directly.
-            inner = self.cond.wait(inner).expect("lock-manager mutex poisoned");
+            while table.is_queued(ticket) {
+                // The vendored `parking_lot` guard is a re-exported std
+                // guard, so std's `Condvar` pairs with it directly.
+                table = self.cond.wait(table).expect("lock-manager mutex poisoned");
+            }
         }
-        drop(inner);
+        drop(table);
         self.note_grant(pool, &set);
         LockGuard {
             mgr: self,
@@ -320,21 +365,15 @@ impl LockManager {
         pool: &'a PmemPool,
         set: &[LockRequest],
     ) -> Result<LockGuard<'a>, TxError> {
-        let set = normalize(set);
-        let mut inner = self.inner.lock();
-        let conflict = inner
-            .first_incompatible(&set)
-            .or_else(|| inner.first_queued(&set));
-        if let Some(lock) = conflict {
-            drop(inner);
+        let set = GrantTable::normalize(set);
+        let refused = self.table.lock().try_request(&set);
+        if let Err(lock) = refused {
             pool.stats().lock_conflicts.fetch_add(1, Ordering::Relaxed);
             if pool.tracing_enabled() {
                 pool.trace_app_event(EventKind::LockConflict, 0, lock, 0);
             }
             return Err(TxError::LockConflict { lock });
         }
-        inner.apply(&set);
-        drop(inner);
         self.note_grant(pool, &set);
         Ok(LockGuard {
             mgr: self,
@@ -345,13 +384,12 @@ impl LockManager {
 
     /// `true` if nothing is held and nobody waits (test/debug aid).
     pub fn is_idle(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.holds.is_empty() && inner.queue.is_empty()
+        self.table.lock().is_idle()
     }
 
     /// Number of queued (not yet granted) whole-set requests.
     pub fn queued(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.table.lock().queued()
     }
 
     fn note_grant(&self, pool: &PmemPool, set: &[LockRequest]) {
@@ -374,11 +412,8 @@ impl LockManager {
     }
 
     fn release(&self, pool: &PmemPool, set: &[LockRequest]) {
-        let mut inner = self.inner.lock();
-        inner.unapply(set);
-        let granted = inner.grant_pass();
-        drop(inner);
-        if granted > 0 {
+        let granted = self.table.lock().release(set);
+        if !granted.is_empty() {
             self.cond.notify_all();
         }
         if pool.tracing_enabled() {
@@ -423,23 +458,10 @@ impl LockGuard<'_> {
         if self.set[pos].mode == LockMode::Exclusive {
             return Ok(());
         }
-        let mut inner = self.mgr.inner.lock();
-        let sole_reader = inner
-            .holds
-            .get(&lock)
-            .is_some_and(|h| h.readers == 1 && !h.writer);
-        let wanted = inner
-            .queue
-            .iter()
-            .any(|w| w.set.iter().any(|r| r.lock == lock));
-        if !sole_reader || wanted {
-            drop(inner);
+        let upgraded = self.mgr.table.lock().try_upgrade(lock);
+        if !upgraded {
             return self.deny_upgrade(lock);
         }
-        let hold = inner.holds.get_mut(&lock).expect("checked above");
-        hold.release(LockMode::Shared);
-        hold.acquire(LockMode::Exclusive);
-        drop(inner);
         self.set[pos].mode = LockMode::Exclusive;
         self.pool
             .stats()
@@ -484,7 +506,7 @@ mod tests {
 
     #[test]
     fn normalize_sorts_dedups_and_keeps_exclusive() {
-        let set = normalize(&[
+        let set = GrantTable::normalize(&[
             LockRequest::shared(9),
             LockRequest::exclusive(3),
             LockRequest::shared(3),
@@ -563,56 +585,45 @@ mod tests {
         assert!(mgr.is_idle());
     }
 
+    fn queued(ticket: u64, behind: LockId) -> Grant {
+        Grant::Queued { ticket, behind }
+    }
+
     #[test]
     fn fifo_readers_do_not_overtake_a_queued_writer() {
         // Reader holds; writer queues; a later reader must queue behind the
         // writer instead of sharing with the current reader.
-        let pool = pool();
-        let mgr = Arc::new(LockManager::new());
-        let writer_ran = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            let r1 = mgr.acquire(&pool, &[LockRequest::shared(3)]);
-            let (m, p, w) = (mgr.clone(), pool.clone(), writer_ran.clone());
-            let writer = s.spawn(move || {
-                let _g = m.acquire(&p, &[LockRequest::exclusive(3)]);
-                w.store(1, AOrd::SeqCst);
-            });
-            while mgr.queued() == 0 {
-                std::thread::yield_now();
-            }
-            // A late reader cannot barge: try_acquire refuses while the
-            // writer waits.
-            let err = mgr
-                .try_acquire(&pool, &[LockRequest::shared(3)])
-                .unwrap_err();
-            assert_eq!(err, TxError::LockConflict { lock: 3 });
-            assert_eq!(writer_ran.load(AOrd::SeqCst), 0);
-            drop(r1);
-            writer.join().unwrap();
-        });
-        assert_eq!(writer_ran.load(AOrd::SeqCst), 1);
+        let mut t = GrantTable::default();
+        let (r, w) = ([LockRequest::shared(3)], [LockRequest::exclusive(3)]);
+        assert_eq!(t.request(&r), Grant::Now);
+        assert_eq!(t.request(&w), queued(0, 3));
+        assert_eq!(t.try_request(&r), Err(3), "a late reader cannot barge");
+        assert_eq!(t.request(&r), queued(1, 3));
+        assert_eq!(t.release(&r), vec![0], "the writer goes first, alone");
+        assert!(t.is_queued(1));
+        assert_eq!(t.release(&w), vec![1]);
+        assert!(t.release(&r).is_empty() && t.is_idle());
     }
 
     #[test]
     fn disjoint_sets_overtake_blocked_waiters() {
-        // Waiter blocked on lock 1 must not block an independent lock-2
-        // request (the `blocked` set only covers the waiter's own ids).
-        let pool = pool();
-        let mgr = Arc::new(LockManager::new());
-        std::thread::scope(|s| {
-            let g1 = mgr.acquire(&pool, &[LockRequest::exclusive(1)]);
-            let (m, p) = (mgr.clone(), pool.clone());
-            let blocked = s.spawn(move || {
-                let _g = m.acquire(&p, &[LockRequest::exclusive(1)]);
-            });
-            while mgr.queued() == 0 {
-                std::thread::yield_now();
-            }
-            let g2 = mgr.try_acquire(&pool, &[LockRequest::exclusive(2)]);
-            assert!(g2.is_ok(), "disjoint set must not queue");
-            drop(g1);
-            blocked.join().unwrap();
-        });
+        // A waiter blocked on lock 1 must not block an independent lock-3
+        // request (the `blocked` set only covers the waiter's own ids), but
+        // its claim on lock 2 holds a later arrival back, at request time
+        // and in every grant pass.
+        let x = LockRequest::exclusive;
+        let mut t = GrantTable::default();
+        assert_eq!(t.request(&[x(1)]), Grant::Now);
+        assert_eq!(t.request(&[x(1), x(2)]), queued(0, 1));
+        assert_eq!(
+            t.try_request(&[x(3)]),
+            Ok(()),
+            "disjoint set must not queue"
+        );
+        assert_eq!(t.request(&[x(2)]), queued(1, 2));
+        assert!(t.release(&[x(3)]).is_empty(), "ticket 1 passed ticket 0");
+        assert_eq!(t.release(&[x(1)]), vec![0]);
+        assert_eq!(t.release(&[x(1), x(2)]), vec![1]);
     }
 
     #[test]

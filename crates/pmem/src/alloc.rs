@@ -284,12 +284,6 @@ impl<'a, 'b> Ops<'a, 'b> {
         self.write_bytes += data.len() as u64;
     }
 
-    fn read_u64(&mut self, offset: u64) -> u64 {
-        let mut buf = [0u8; 8];
-        self.raw.read_raw(offset, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
     fn flush(&mut self, offset: u64, len: u64) {
         self.flushes += self.raw.flush_raw(offset, len, self.mode);
     }
@@ -478,7 +472,9 @@ impl PmemPool {
             if state != STATE_ALLOC || class as usize >= NUM_HEADS {
                 return Err(PmemError::InvalidFree { addr: payload });
             }
-            let old_head = ops.read_u64(l.head_off(class));
+            // The mirror's top, not the media head: that one is stale while
+            // a reservation popped from this class is outstanding.
+            let old_head = *am.free[class as usize].last().unwrap_or(&0);
             ops.arm_redo(&l, OP_PUSH, class, payload, old_head, size);
             ops.write_header(payload, STATE_FREE, class, size);
             ops.write_u64(payload - HDR_LEN + HDR_NEXT, old_head);
@@ -1061,6 +1057,24 @@ mod tests {
         p.cancel(&[r]).unwrap();
         let again = p.reserve(64).unwrap();
         assert_eq!(again, r);
+    }
+
+    #[test]
+    fn free_while_a_reservation_is_outstanding_chains_onto_the_mirror_top() {
+        // The media head of the class still names the reserved block until
+        // its publish; a free in between must not chain onto it.
+        let p = pool();
+        let blocks: Vec<PAddr> = (0..4).map(|_| p.alloc(64).unwrap()).collect();
+        for &b in &blocks[..3] {
+            p.free(b).unwrap();
+        }
+        let r = p.reserve(64).unwrap();
+        p.free(blocks[3]).unwrap();
+        p.publish(&[r]).unwrap();
+        p.fence();
+        p.check_heap().unwrap();
+        let p2 = p.crash(&CrashConfig::drop_all(5)).unwrap();
+        p2.check_heap().unwrap();
     }
 
     #[test]

@@ -13,46 +13,9 @@
 //! locks overlap) and per-operation persistence cost.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
-/// Identifier of a simulated lock (e.g. a bucket index or leaf id).
-pub type LockId = u64;
-
-/// Lock acquisition mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockMode {
-    /// Reader-writer shared acquisition.
-    Shared,
-    /// Exclusive acquisition.
-    Exclusive,
-}
-
-/// One lock needed by an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockRequest {
-    /// Which lock.
-    pub lock: LockId,
-    /// How it is held.
-    pub mode: LockMode,
-}
-
-impl LockRequest {
-    /// Exclusive request.
-    pub fn exclusive(lock: LockId) -> LockRequest {
-        LockRequest {
-            lock,
-            mode: LockMode::Exclusive,
-        }
-    }
-
-    /// Shared request.
-    pub fn shared(lock: LockId) -> LockRequest {
-        LockRequest {
-            lock,
-            mode: LockMode::Shared,
-        }
-    }
-}
+use clobber_nvm::{Grant, GrantTable, LockRequest};
 
 /// One simulated operation: the locks it holds for its duration, and a
 /// closure that performs the real work and returns the simulated duration
@@ -99,151 +62,98 @@ impl DesResult {
     }
 }
 
-#[derive(Default)]
-struct LockState {
-    writer: Option<usize>,
-    readers: HashSet<usize>,
-}
-
-impl LockState {
-    fn compatible(&self, thread: usize, mode: LockMode) -> bool {
-        match mode {
-            LockMode::Shared => self.writer.is_none_or(|w| w == thread),
-            LockMode::Exclusive => {
-                self.writer.is_none_or(|w| w == thread) && self.readers.iter().all(|&r| r == thread)
-            }
-        }
-    }
-
-    fn acquire(&mut self, thread: usize, mode: LockMode) {
-        match mode {
-            LockMode::Shared => {
-                self.readers.insert(thread);
-            }
-            LockMode::Exclusive => self.writer = Some(thread),
-        }
-    }
-
-    fn release(&mut self, thread: usize) {
-        if self.writer == Some(thread) {
-            self.writer = None;
-        }
-        self.readers.remove(&thread);
-    }
-}
-
-struct Waiter {
-    seq: u64,
+/// An op between arrival and grant: who asked, when, and the work to do.
+struct Pending {
     thread: usize,
-    op: SimOp,
+    arrival: u64,
+    execute: Box<dyn FnOnce() -> u64>,
+}
+
+/// The product's [`GrantTable`] plus what simulated time adds to it.
+#[derive(Default)]
+struct Des {
+    table: GrantTable,
+    /// Completion events, earliest first: (time, op arrival number, thread).
+    events: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Ops queued in the table, by ticket.
+    waiting: HashMap<u64, Pending>,
+    /// Each thread's requested (then held) lock set, normalized.
+    sets: Vec<Vec<LockRequest>>,
+    arrivals: u64,
+}
+
+impl Des {
+    /// `thread`'s next op asks the table for its whole lock set at `now`.
+    fn arrive(&mut self, thread: usize, op: SimOp, now: u64) {
+        self.arrivals += 1;
+        let pending = Pending {
+            thread,
+            arrival: self.arrivals,
+            execute: op.execute,
+        };
+        self.sets[thread] = GrantTable::normalize(&op.locks);
+        match self.table.request(&self.sets[thread]) {
+            Grant::Now => self.start(pending, now),
+            Grant::Queued { ticket, .. } => {
+                self.waiting.insert(ticket, pending);
+            }
+        }
+    }
+
+    /// A granted op does its real work now and completes after its
+    /// simulated duration.
+    fn start(&mut self, op: Pending, now: u64) {
+        let duration = (op.execute)();
+        self.events
+            .push(Reverse((now + duration.max(1), op.arrival, op.thread)));
+    }
 }
 
 /// Runs `threads` logical threads to completion over `source`.
 ///
-/// Lock policy: an operation atomically acquires its whole lock set
-/// (deadlock-free conservative 2PL); contended operations wait in global
-/// FIFO arrival order and are granted as soon as their full set is
-/// available. Re-entrant requests by the same thread are allowed (an op may
-/// list the same lock twice).
+/// Lock policy: the product's [`GrantTable`], driven with simulated time —
+/// an operation atomically acquires its whole normalized lock set
+/// (deadlock-free conservative 2PL), contended operations queue in arrival
+/// order, and each completion's release grants waiters per-lock FIFO.
 pub fn run_des(threads: usize, source: &mut dyn OpSource) -> DesResult {
-    let mut locks: HashMap<LockId, LockState> = HashMap::new();
-    let mut waiters: VecDeque<Waiter> = VecDeque::new();
-    // Completion events: (time, tie-break seq, thread, lock set released).
-    let mut events: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut held: Vec<Vec<LockRequest>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut des = Des {
+        sets: vec![Vec::new(); threads],
+        ..Des::default()
+    };
     let mut per_thread_ops = vec![0u64; threads];
     let mut total_ops = 0u64;
     let mut makespan = 0u64;
-    let mut seq = 0u64;
-
-    // Attempts to start `op` on `thread` at `now`; returns false if it must
-    // wait.
-    fn try_start(
-        locks: &mut HashMap<LockId, LockState>,
-        events: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-        held: &mut [Vec<LockRequest>],
-        thread: usize,
-        op: SimOp,
-        now: u64,
-        seq: &mut u64,
-    ) -> Option<SimOp> {
-        let ok = op
-            .locks
-            .iter()
-            .all(|r| locks.entry(r.lock).or_default().compatible(thread, r.mode));
-        if !ok {
-            return Some(op);
-        }
-        for r in &op.locks {
-            locks
-                .get_mut(&r.lock)
-                .expect("entry created")
-                .acquire(thread, r.mode);
-        }
-        held[thread] = op.locks.clone();
-        let duration = (op.execute)();
-        *seq += 1;
-        events.push(Reverse((now + duration.max(1), *seq, thread)));
-        None
-    }
 
     // Kick off every thread at t=0.
     for t in 0..threads {
         if let Some(op) = source.next_op(t) {
-            seq += 1;
-            if let Some(blocked) = try_start(&mut locks, &mut events, &mut held, t, op, 0, &mut seq)
-            {
-                waiters.push_back(Waiter {
-                    seq,
-                    thread: t,
-                    op: blocked,
-                });
-            }
+            des.arrive(t, op, 0);
         }
     }
 
-    while let Some(Reverse((now, _, thread))) = events.pop() {
+    while let Some(Reverse((now, _, thread))) = des.events.pop() {
         makespan = makespan.max(now);
         total_ops += 1;
         per_thread_ops[thread] += 1;
-        // Release this op's locks.
-        for r in held[thread].drain(..) {
-            if let Some(st) = locks.get_mut(&r.lock) {
-                st.release(thread);
-            }
+        // The finishing thread's next op is drawn before the waiters this
+        // release grants do their work, and arrives behind them.
+        let next = source.next_op(thread);
+        for ticket in des.table.release(&des.sets[thread]) {
+            let granted = des
+                .waiting
+                .remove(&ticket)
+                .expect("granted ticket was queued");
+            des.start(granted, now);
         }
-        // The finishing thread's next op joins the wait list (FIFO fairness
-        // with already-waiting ops).
-        if let Some(op) = source.next_op(thread) {
-            seq += 1;
-            waiters.push_back(Waiter { seq, thread, op });
+        if let Some(op) = next {
+            des.arrive(thread, op, now);
         }
-        // Grant every waiter whose full lock set is now available, in
-        // arrival order.
-        let mut still_waiting: VecDeque<Waiter> = VecDeque::new();
-        while let Some(w) = waiters.pop_front() {
-            let mut s = w.seq;
-            match try_start(
-                &mut locks,
-                &mut events,
-                &mut held,
-                w.thread,
-                w.op,
-                now,
-                &mut s,
-            ) {
-                None => {}
-                Some(op) => still_waiting.push_back(Waiter {
-                    seq: w.seq,
-                    thread: w.thread,
-                    op,
-                }),
-            }
-        }
-        waiters = still_waiting;
     }
 
-    debug_assert!(waiters.is_empty(), "deadlock: waiters left with no events");
+    debug_assert!(
+        des.waiting.is_empty(),
+        "deadlock: waiters left with no events"
+    );
     DesResult {
         total_ops,
         makespan_ns: makespan,
@@ -254,6 +164,7 @@ pub fn run_des(threads: usize, source: &mut dyn OpSource) -> DesResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     /// Source handing each thread `n` ops of fixed duration and lock set.
     struct Fixed {
@@ -313,33 +224,16 @@ mod tests {
         assert_eq!(r.makespan_ns, 1000, "readers run concurrently");
     }
 
-    /// Alternating readers and one writer on a single rwlock.
-    struct Mixed {
-        remaining: Vec<u64>,
-    }
-
-    impl OpSource for Mixed {
-        fn next_op(&mut self, thread: usize) -> Option<SimOp> {
-            if self.remaining[thread] == 0 {
-                return None;
-            }
-            self.remaining[thread] -= 1;
-            let mode = if thread == 0 {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
-            Some(SimOp {
-                locks: vec![LockRequest { lock: 0, mode }],
-                execute: Box::new(|| 100),
-            })
-        }
-    }
-
     #[test]
     fn writer_excludes_readers() {
-        let mut src = Mixed {
-            remaining: vec![2, 2, 2],
+        // Thread 0 writes a single rwlock, threads 1 and 2 read it.
+        let mut src = Fixed {
+            remaining: vec![2; 3],
+            duration: 100,
+            lock_for: |t| match t {
+                0 => vec![LockRequest::exclusive(0)],
+                _ => vec![LockRequest::shared(0)],
+            },
         };
         let r = run_des(3, &mut src);
         assert_eq!(r.total_ops, 6);
@@ -352,37 +246,86 @@ mod tests {
     #[test]
     fn multi_lock_ops_acquire_atomically() {
         // Thread 0 takes locks {0,1}; threads 1 and 2 take {0} and {1}.
-        struct Multi {
-            remaining: Vec<u64>,
-        }
-        impl OpSource for Multi {
-            fn next_op(&mut self, thread: usize) -> Option<SimOp> {
-                if self.remaining[thread] == 0 {
-                    return None;
-                }
-                self.remaining[thread] -= 1;
-                let locks = match thread {
-                    0 => vec![LockRequest::exclusive(0), LockRequest::exclusive(1)],
-                    1 => vec![LockRequest::exclusive(0)],
-                    _ => vec![LockRequest::exclusive(1)],
-                };
-                Some(SimOp {
-                    locks,
-                    execute: Box::new(|| 100),
-                })
-            }
-        }
-        let r = run_des(
-            3,
-            &mut Multi {
-                remaining: vec![5, 5, 5],
+        let mut src = Fixed {
+            remaining: vec![5; 3],
+            duration: 100,
+            lock_for: |t| match t {
+                0 => vec![LockRequest::exclusive(0), LockRequest::exclusive(1)],
+                1 => vec![LockRequest::exclusive(0)],
+                _ => vec![LockRequest::exclusive(1)],
             },
-        );
+        };
+        let r = run_des(3, &mut src);
         assert_eq!(r.total_ops, 15);
         // Thread 0 conflicts with both: its 5 ops serialize against
         // everything; threads 1/2 overlap with each other.
         assert!(r.makespan_ns >= 1000);
         assert!(r.makespan_ns <= 1500);
+    }
+
+    /// Source handing each thread its scripted (lock set, duration) ops.
+    struct Script(Vec<VecDeque<(Vec<LockRequest>, u64)>>);
+
+    impl OpSource for Script {
+        fn next_op(&mut self, thread: usize) -> Option<SimOp> {
+            let (locks, duration) = self.0[thread].pop_front()?;
+            Some(SimOp {
+                locks,
+                execute: Box::new(move || duration),
+            })
+        }
+    }
+
+    /// One op per thread, arriving in thread order at t=0.
+    fn one_op_each(ops: Vec<(Vec<LockRequest>, u64)>) -> DesResult {
+        let threads = ops.len();
+        run_des(
+            threads,
+            &mut Script(ops.into_iter().map(|op| [op].into()).collect()),
+        )
+    }
+
+    #[test]
+    fn reader_behind_a_queued_writer_waits_for_it() {
+        let (r, w) = (LockRequest::shared(0), LockRequest::exclusive(0));
+        // Two readers hold (until 100 and 50); the writer queues; the late
+        // reader queues behind it — it joins the readers neither on arrival
+        // nor when the short reader's release runs a grant pass at 50.
+        let res = one_op_each(vec![
+            (vec![r], 100),
+            (vec![r], 50),
+            (vec![w], 10),
+            (vec![r], 100),
+        ]);
+        assert_eq!(
+            res.makespan_ns, 210,
+            "writer runs 100..110, then the late reader 110..210"
+        );
+    }
+
+    #[test]
+    fn op_behind_a_blocked_multi_lock_op_waits_for_it() {
+        let x = LockRequest::exclusive;
+        // {1} held until 100, {2} until 50; {1,2} queues on lock 1; the
+        // late {2} op queues behind it and stays there when lock 2 comes
+        // free at 50.
+        let res = one_op_each(vec![
+            (vec![x(1)], 100),
+            (vec![x(2)], 50),
+            (vec![x(1), x(2)], 10),
+            (vec![x(2)], 100),
+        ]);
+        assert_eq!(
+            res.makespan_ns, 210,
+            "{{1,2}} runs 100..110, then the late {{2}} op 110..210"
+        );
+    }
+
+    #[test]
+    fn a_set_listing_a_lock_twice_is_one_hold() {
+        let x = LockRequest::exclusive;
+        let res = one_op_each(vec![(vec![LockRequest::shared(7), x(7), x(7)], 5)]);
+        assert_eq!((res.total_ops, res.makespan_ns), (1, 5));
     }
 
     #[test]

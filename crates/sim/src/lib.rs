@@ -14,5 +14,6 @@
 pub mod cost;
 pub mod des;
 
+pub use clobber_nvm::{LockId, LockMode, LockRequest};
 pub use cost::CostModel;
-pub use des::{run_des, DesResult, LockId, LockMode, LockRequest, OpSource, SimOp};
+pub use des::{run_des, DesResult, OpSource, SimOp};

@@ -17,23 +17,48 @@ use clobber_repro::txir::programs;
 use clobber_repro::workloads::vacation::ActionStream;
 use clobber_repro::workloads::{Mix, RequestStream};
 
-/// Runs `workload` on `pool` armed to die at persist event `k` — it stops at
-/// its first error — and returns the image an adversarial power failure
-/// leaves behind.
-fn crash_at(
-    pool: &PmemPool,
-    k: u64,
+/// A workload as lazily run steps, one transaction each.
+type Steps<'w> = Box<dyn Iterator<Item = Result<(), TxError>> + 'w>;
+
+/// The crash point a count-only dry run of `steps` on a freshly built
+/// `pool` teaches: three fifths of the way through the counted persist
+/// events, moved to the middle of the transaction that event falls in —
+/// past its durable begin and short of its commit, whatever fences a later
+/// change adds or removes.
+fn learn_trip_point(pool: &PmemPool, steps: Steps<'_>) -> u64 {
+    pool.arm_faults(FaultPlan::count_only());
+    let mut bounds = vec![0];
+    for step in steps {
+        step.expect("the dry run is crash-free");
+        bounds.push(pool.fault_events());
+    }
+    let target = bounds[bounds.len() - 1] * 3 / 5;
+    let next = bounds.partition_point(|&b| b <= target);
+    (bounds[next - 1] + bounds[next]) / 2
+}
+
+/// Builds the world twice: a dry run learns the trip point, then the
+/// workload — it stops at its first error — runs armed to die there.
+/// Returns the image an adversarial power failure leaves behind, and the
+/// crashed world.
+fn crash_inside<W>(
     seed: u64,
-    workload: impl FnOnce() -> Result<(), TxError>,
-) -> Vec<u8> {
+    build: impl Fn() -> (Arc<PmemPool>, W),
+    steps: impl for<'w> Fn(&'w W) -> Steps<'w>,
+) -> (Vec<u8>, W) {
+    let k = {
+        let (pool, world) = build();
+        learn_trip_point(&pool, steps(&world))
+    };
+    let (pool, world) = build();
     pool.arm_faults(FaultPlan::crash_at(k));
     // A trip on the workload's final fence can still let it return `Ok`.
-    let _ = workload();
+    let _ = steps(&world).try_for_each(|step| step);
     assert!(
         pool.fault_tripped().is_some(),
         "event {k} lies inside the workload"
     );
-    pool.crash_media(&CrashConfig::drop_all(seed))
+    (pool.crash_media(&CrashConfig::drop_all(seed)), world)
 }
 
 #[test]
@@ -41,26 +66,34 @@ fn compiled_and_handwritten_transactions_share_a_pool() {
     // A statically compiled IR transaction (list insert) and a hand-written
     // hashmap run against the same pool; a crash interrupts one of them and
     // recovery completes both worlds.
-    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(64 << 20)).unwrap());
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-    HashMap::register(&rt);
-    let map = HashMap::create(&rt).unwrap();
     let compiled = Arc::new(compile(programs::list_insert(), CompileOptions::default()).unwrap());
-    register_compiled(&rt, compiled.clone());
-    let head = pool.alloc(8).unwrap();
-    pool.persist(head, 8).unwrap();
-    rt.set_app_root(map.root()).unwrap();
-
-    let media = crash_at(&pool, 272, 1, || {
-        for k in 0..8u64 {
-            map.insert(&rt, k, format!("v{k}").as_bytes())?;
-            rt.run(
-                "list_insert",
-                &ArgList::new().with_u64(head.offset()).with_u64(1000 + k),
-            )?;
-        }
-        Ok(())
-    });
+    let (media, (_, _, head)) = crash_inside(
+        1,
+        || {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(64 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+            HashMap::register(&rt);
+            let map = HashMap::create(&rt).unwrap();
+            register_compiled(&rt, compiled.clone());
+            let head = pool.alloc(8).unwrap();
+            pool.persist(head, 8).unwrap();
+            rt.set_app_root(map.root()).unwrap();
+            (pool, (rt, map, head))
+        },
+        |(rt, map, head)| {
+            Box::new((0..16u64).map(move |i| {
+                match (i / 2, i % 2) {
+                    (k, 0) => map.insert(rt, k, format!("v{k}").as_bytes()),
+                    (k, _) => rt
+                        .run(
+                            "list_insert",
+                            &ArgList::new().with_u64(head.offset()).with_u64(1000 + k),
+                        )
+                        .map(drop),
+                }
+            }))
+        },
+    );
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -88,15 +121,21 @@ fn compiled_and_handwritten_transactions_share_a_pool() {
 
 #[test]
 fn kv_server_survives_a_mid_request_power_failure() {
-    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(64 << 20)).unwrap());
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-    let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
-    let media = crash_at(&pool, 1_010, 2, || {
-        for req in RequestStream::new(Mix::InsertIntensive, 60, 40, 3) {
-            server.handle(&rt, &req)?;
-        }
-        Ok(())
-    });
+    let (media, _) = crash_inside(
+        2,
+        || {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(64 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+            let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
+            (pool, (rt, server))
+        },
+        |(rt, server)| {
+            Box::new(
+                RequestStream::new(Mix::InsertIntensive, 60, 40, 3)
+                    .map(move |req| server.handle(rt, &req).map(drop)),
+            )
+        },
+    );
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -113,16 +152,22 @@ fn kv_server_survives_a_mid_request_power_failure() {
 
 #[test]
 fn vacation_conservation_holds_through_crashes() {
-    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(128 << 20)).unwrap());
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-    let v = Vacation::create(&rt, TreeKind::RedBlack, 40).unwrap();
-    // Arm after setup so the crash lands inside a reservation transaction.
-    let media = crash_at(&pool, 4_000, 4, || {
-        for action in ActionStream::new(120, 40, 15, 3, 8) {
-            v.run_action(&rt, 0, &action)?;
-        }
-        Ok(())
-    });
+    // Armed after setup, so the crash lands inside a reservation transaction.
+    let (media, _) = crash_inside(
+        4,
+        || {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(128 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+            let v = Vacation::create(&rt, TreeKind::RedBlack, 40).unwrap();
+            (pool, (rt, v))
+        },
+        |(rt, v)| {
+            Box::new(
+                ActionStream::new(120, 40, 15, 3, 8)
+                    .map(move |action| v.run_action(rt, 0, &action).map(drop)),
+            )
+        },
+    );
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -137,10 +182,16 @@ fn vacation_conservation_holds_through_crashes() {
 
 #[test]
 fn yada_mesh_survives_crash_and_converges() {
-    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(128 << 20)).unwrap());
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-    let mesh = Yada::create(&rt, 50, 20.0, 31).unwrap();
-    let media = crash_at(&pool, 3_000, 5, || mesh.refine_all(&rt, 0, 30).map(drop));
+    let (media, _) = crash_inside(
+        5,
+        || {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(128 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+            let mesh = Yada::create(&rt, 50, 20.0, 31).unwrap();
+            (pool, (rt, mesh))
+        },
+        |(rt, mesh)| Box::new((0..30).map(move |_| mesh.refine_step(rt, 0).map(drop))),
+    );
 
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
@@ -187,20 +238,22 @@ fn repeated_crashes_during_recovery_still_converge() {
             }
         }),
     };
-    let drive = |rt: &Arc<Runtime>| {
+    fn inserts(rt: &Runtime) -> Steps<'_> {
         let map = HashMap::open(rt.app_root().unwrap());
-        // Stops at the insert the crash kills.
-        let _ = (0..10u64).try_for_each(|k| map.insert(rt, k, format!("v{k}").as_bytes()));
-    };
+        Box::new((0..10u64).map(move |k| map.insert(rt, k, format!("v{k}").as_bytes())))
+    }
+    // Stops at the insert the crash kills.
+    let drive = |rt: &Arc<Runtime>| drop(inserts(rt).try_for_each(|step| step));
     let battery = CrashBattery {
         session: &session,
         drive: &drive,
         nested: Nested::Rotating,
     };
     let mut summary = SweepSummary::default();
-    // Event 230 of the stream's 380 is late inside the sixth insert.
+    let (pool, rt) = (session.build)();
+    let k = learn_trip_point(&pool, inserts(&rt));
     battery
-        .crash_point(230, &mut summary, &mut |_| {})
+        .crash_point(k, &mut summary, &mut |_| {})
         .unwrap_or_else(|v| panic!("{v}"));
     assert_eq!(summary.not_tripped, 0);
     assert!(
