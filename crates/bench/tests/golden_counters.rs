@@ -516,13 +516,15 @@ fn net_counters_pin_across_shard_counts() {
 /// updates walking their chains, 4 fresh prepends). Clobber detection is
 /// set algebra over that read set, so any change to the access-set
 /// representation that altered a single to-log range would move these
-/// counts. Values taken on the sorted-`Vec` implementation (PR 11).
+/// counts. Values taken on the sorted-`Vec` implementation (PR 11); flushes
+/// and fences moved at PR 23, when the 12 deferred frees stopped costing a
+/// redo record each (4 flushes, 2 fences) and became one `free_many`.
 #[test]
 fn batch_set_counters_pin() {
     for (backend, expect) in [
-        (Backend::clobber(), (15, 120, 230, 43, 393)),
-        (Backend::clobber_conservative(), (16, 128, 231, 44, 394)),
-        (Backend::Undo, (59, 1368, 280, 86, 439)),
+        (Backend::clobber(), (15, 120, 195, 21, 393)),
+        (Backend::clobber_conservative(), (16, 128, 196, 22, 394)),
+        (Backend::Undo, (59, 1368, 245, 64, 439)),
     ] {
         let pool = pool(false);
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).unwrap();
@@ -557,6 +559,9 @@ fn batch_set_counters_pin() {
             "{}: {d:?}",
             backend.label()
         );
+        // Every fence but two is one of the transaction's own group-commit
+        // epochs: the 12 deferred frees end at one ordering point.
+        assert_eq!((d.frees, d.fences - d.gc_epochs), (12, 2));
         for (key, value) in &pairs {
             assert_eq!(map.get(&rt, *key).unwrap().as_ref(), Some(value));
         }

@@ -564,15 +564,14 @@ impl Runtime {
 
     pub(crate) fn finish_commit(&self, tx: Tx<'_>) -> Result<(), TxError> {
         let CommitOutcome { scratch, ido } = tx.commit()?;
-        for i in 0..scratch.frees.len() {
-            self.pool.free(scratch.frees[i])?;
-        }
+        let freed = self.pool.free_many(&scratch.frees);
+        self.recycle_scratch(scratch);
+        freed?;
         if let Some(stats) = ido {
             let mut agg = self.ido.lock();
             agg.total.accumulate(&stats);
             agg.transactions += 1;
         }
-        self.recycle_scratch(scratch);
         Ok(())
     }
 

@@ -12,7 +12,7 @@ mod common;
 use std::sync::{Arc, Mutex};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions};
+use clobber_pmem::{CrashConfig, PAddr, PmemError, PmemPool, PoolMode, PoolOptions};
 
 /// Captures a crash image after a configured number of tx writes.
 #[derive(Clone)]
@@ -674,6 +674,31 @@ fn pfree_of_pre_existing_block_is_deferred_to_commit() {
         again2, victim,
         "deferred free applied during recovery commit"
     );
+}
+
+/// A transaction's deferred frees are one batch: a double `pfree` fails the
+/// run after its commit with nothing freed, where the first free used to
+/// land before the second was refused.
+#[test]
+fn double_pfree_frees_nothing() {
+    let (pool, rt, _head) = new_runtime(Backend::clobber());
+    let (victim, other) = (pool.alloc(64).unwrap(), pool.alloc(64).unwrap());
+    rt.register("free_twice", move |tx, _| {
+        tx.pfree(victim)?;
+        tx.pfree(other)?;
+        tx.pfree(victim)?;
+        Ok(None)
+    });
+    rt.register("noop", |_, _| Ok(None));
+    rt.run("noop", &ArgList::new()).unwrap(); // the thread's log slot exists
+    let before = pool.check_heap().unwrap();
+    let err = rt.run("free_twice", &ArgList::new()).unwrap_err();
+    assert!(
+        matches!(err, TxError::Pmem(PmemError::InvalidFree { addr }) if addr == victim.offset()),
+        "{err}"
+    );
+    assert_eq!(pool.check_heap().unwrap(), before);
+    pool.free_many(&[victim, other]).unwrap();
 }
 
 /// A transaction that allocates and fails, then one that allocates and

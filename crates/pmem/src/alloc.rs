@@ -2,12 +2,13 @@
 //!
 //! Modeled on PMDK's allocator as the paper uses it (§4.2):
 //!
-//! * **Immediate path** ([`PmemPool::alloc`]/[`PmemPool::free`]): every
-//!   metadata update is protected by a 64-byte write-ahead *redo record*.
-//!   The record (which holds absolute new values, so replay is idempotent)
-//!   is persisted before the update is applied and cleared after; pool open
-//!   replays an in-flight record. Costs two fences — use outside
-//!   transactions.
+//! * **Immediate path**, outside transactions. [`PmemPool::alloc`] guards
+//!   its update with a 64-byte write-ahead *redo record* of absolute values,
+//!   persisted before and cleared after; pool open replays an in-flight one
+//!   (two fences). [`PmemPool::free_many`] — `free` is a batch of one —
+//!   needs no record: two fences per call per arena, headers before heads.
+//!   A crash between them leaks the batch (`HeapReport::free_blocks` above
+//!   `free_blocks_listed`).
 //! * **Transactional path** ([`PmemPool::reserve`]/[`PmemPool::publish`]/
 //!   [`PmemPool::cancel`]): a reservation mutates only the volatile mirror
 //!   of the allocator metadata, costing zero fences, and ends at its
@@ -80,7 +81,18 @@ const STATE_FREE: u32 = 0xF4EE_B10C;
 
 const OP_POP: u64 = 1;
 const OP_BUMP: u64 = 2;
-const OP_PUSH: u64 = 3;
+
+/// How far a [`PmemPool::free_in`] round runs: the product stops at the two
+/// ends, the unit tests cut the power at the stages between.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum FreeStage {
+    Validated,
+    HeadersFlushed,
+    HeadersFenced,
+    HeadsFlushed,
+    Done,
+}
 
 /// Blocks a thread-local magazine holds per size class.
 const MAGAZINE_CAP: usize = 8;
@@ -163,7 +175,7 @@ impl ArenaMirror {
 /// arena.
 ///
 /// Called on pool open; a record is only present if a crash interrupted an
-/// immediate alloc/free. All stored values are absolute, so replay is
+/// immediate alloc. All stored values are absolute, so replay is
 /// idempotent.
 pub(crate) fn replay_redo(media: &mut [u8], geom: &HeapGeometry) {
     for arena in geom.arenas() {
@@ -176,22 +188,14 @@ pub(crate) fn replay_redo(media: &mut [u8], geom: &HeapGeometry) {
         let block = get_u64(media, r + 24);
         let a = get_u64(media, r + 32);
         let size = get_u64(media, r + 40);
-        let head_off = arena.head_off(class);
-        match op {
-            OP_POP => {
-                put_u64(media, head_off, a);
-                write_header_media(media, block, STATE_ALLOC, class, size);
-            }
-            OP_BUMP => {
-                put_u64(media, arena.frontier_off(), a);
-                write_header_media(media, block, STATE_ALLOC, class, size);
-            }
-            OP_PUSH => {
-                write_header_media(media, block, STATE_FREE, class, size);
-                put_u64(media, block - HDR_LEN + HDR_NEXT, a); // header chain pointer
-                put_u64(media, head_off, block);
-            }
-            _ => {} // unknown op: ignore rather than corrupt further
+        let word = match op {
+            OP_POP => Some(arena.head_off(class)),
+            OP_BUMP => Some(arena.frontier_off()),
+            _ => None, // unknown op: ignore rather than corrupt further
+        };
+        if let Some(word) = word {
+            put_u64(media, word, a);
+            write_header_media(media, block, STATE_ALLOC, class, size);
         }
         put_u64(media, r, 0);
     }
@@ -311,32 +315,34 @@ impl<'a, 'b> Ops<'a, 'b> {
         self.write(h, &hdr);
     }
 
-    /// Persists a full redo record in one flush+fence.
-    fn arm_redo(
-        &mut self,
-        arena: &ArenaLayout,
-        op: u64,
-        class: u32,
-        block: u64,
-        a: u64,
-        size: u64,
-    ) {
-        let r = arena.redo_off();
-        self.write_u64(r + 8, op);
-        self.write_u64(r + 16, class as u64);
-        self.write_u64(r + 24, block);
-        self.write_u64(r + 32, a);
-        self.write_u64(r + 40, size);
-        self.write_u64(r, 1);
-        self.flush(r, 48);
-        self.fence();
+    /// `(state, class, capacity)` of the block at `payload`.
+    fn read_header(&mut self, payload: u64) -> (u32, u32, u64) {
+        let mut hdr = [0u8; 16];
+        self.raw.read_raw(payload - HDR_LEN, &mut hdr);
+        let tag = get_u64(&hdr, 0);
+        (tag as u32, (tag >> 32) as u32, get_u64(&hdr, 8))
     }
 
-    fn disarm_redo(&mut self, arena: &ArenaLayout) {
-        let r = arena.redo_off();
-        self.write_u64(r, 0);
-        self.flush(r, 8);
-        self.fence();
+    /// The one push, keeping the module's invariant: the header as
+    /// `STATE_FREE`, chained onto the mirror top — whatever media says the
+    /// head is — and flushed. The caller writes the head afterwards.
+    fn push_free(&mut self, am: &mut ArenaMirror, payload: u64, class: u32, size: u64) {
+        let list = &mut am.free[class as usize];
+        self.write_header(payload, STATE_FREE, class, size);
+        self.write_u64(payload - HDR_LEN + HDR_NEXT, *list.last().unwrap_or(&0));
+        self.flush(payload - HDR_LEN, HDR_LEN);
+        list.push(payload);
+        if class == HUGE_CLASS {
+            am.huge_sizes.insert(payload, size);
+        }
+    }
+
+    /// Writes and flushes `class`'s list head from the mirror top, so the
+    /// persistent chain stays intact.
+    fn write_head(&mut self, am: &ArenaMirror, class: usize) {
+        let head = am.layout.head_off(class as u32);
+        self.write_u64(head, *am.free[class].last().unwrap_or(&0));
+        self.flush(head, 8);
     }
 }
 
@@ -403,37 +409,44 @@ impl PmemPool {
         Ok(PAddr::new(payload))
     }
 
-    /// The immediate (redo-protected) allocation path against one arena.
+    /// The immediate allocation path against one arena, under the arena's
+    /// redo record: absolute values, durable before the update is applied
+    /// and cleared after it.
     fn alloc_in(&self, idx: usize, class: u32, capacity: u64) -> Result<(u64, Origin), PmemError> {
         let mode = self.mode();
         self.engine().with_arena_raw(idx, |am, raw| {
-            let picked = pick_block(am, class, capacity)?;
             let l = am.layout;
-            let mut ops = Ops::new(raw, mode);
-            let (payload, origin) = match picked {
+            // The metadata word the block comes off, and that word's new value.
+            let (payload, origin, op, word, value) = match pick_block(am, class, capacity)? {
                 Picked::Pop { payload, next } => {
-                    ops.arm_redo(&l, OP_POP, class, payload, next, capacity);
-                    ops.write_u64(l.head_off(class), next);
-                    ops.write_header(payload, STATE_ALLOC, class, capacity);
-                    ops.flush(l.head_off(class), 8);
-                    ops.flush(payload - HDR_LEN, HDR_LEN);
-                    ops.disarm_redo(&l);
-                    (payload, Origin::FreeList)
+                    (payload, Origin::FreeList, OP_POP, l.head_off(class), next)
                 }
                 Picked::Bump {
                     payload,
                     new_frontier,
                 } => {
                     am.frontier = new_frontier;
-                    ops.arm_redo(&l, OP_BUMP, class, payload, new_frontier, capacity);
-                    ops.write_u64(l.frontier_off(), new_frontier);
-                    ops.write_header(payload, STATE_ALLOC, class, capacity);
-                    ops.flush(l.frontier_off(), 8);
-                    ops.flush(payload - HDR_LEN, HDR_LEN);
-                    ops.disarm_redo(&l);
-                    (payload, Origin::Frontier)
+                    let word = l.frontier_off();
+                    (payload, Origin::Frontier, OP_BUMP, word, new_frontier)
                 }
             };
+            let mut ops = Ops::new(raw, mode);
+            let r = l.redo_off();
+            ops.write_u64(r + 8, op);
+            ops.write_u64(r + 16, class as u64);
+            ops.write_u64(r + 24, payload);
+            ops.write_u64(r + 32, value);
+            ops.write_u64(r + 40, capacity);
+            ops.write_u64(r, 1);
+            ops.flush(r, 48);
+            ops.fence();
+            ops.write_u64(word, value);
+            ops.write_header(payload, STATE_ALLOC, class, capacity);
+            ops.flush(word, 8);
+            ops.flush(payload - HDR_LEN, HDR_LEN);
+            ops.write_u64(r, 0);
+            ops.flush(r, 8);
+            ops.fence();
             zero_payload(&mut ops, payload, capacity);
             ops.finish();
             Ok((payload, origin))
@@ -441,58 +454,98 @@ impl PmemPool {
     }
 
     /// Returns `addr` (from [`alloc`](Self::alloc) or a published
-    /// reservation) to the heap, immediately and crash-consistently. The
-    /// block goes back to its owning arena's free list, whichever thread
-    /// frees it.
+    /// reservation) to the heap: [`free_many`](Self::free_many) of one block.
     ///
     /// # Errors
     ///
     /// Returns [`PmemError::InvalidFree`] if `addr` does not point at an
     /// allocated block.
     pub fn free(&self, addr: PAddr) -> Result<(), PmemError> {
+        self.free_many(&[addr])
+    }
+
+    /// Returns `blocks` to their owning arenas' free lists, whichever thread
+    /// frees them, at two fences per owning arena: every header `STATE_FREE`
+    /// and chained, fence, every touched list head, fence. A head is one
+    /// 8-byte store onto a chain already durable, so no redo record guards
+    /// it; a crash between the fences leaks the batch, never corrupts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::InvalidFree`], before anything is written, if an
+    /// address is not an allocated block or appears twice.
+    pub fn free_many(&self, blocks: &[PAddr]) -> Result<(), PmemError> {
         self.fail_if_dead()?;
+        if blocks.is_empty() {
+            return Ok(()); // most commits: not even the shared counter is touched
+        }
+        let owns = |idx: usize, b: &PAddr| self.geom().arena_of(b.offset()) == idx;
+        let owners = || (0..self.arena_count()).filter(|&idx| blocks.iter().any(|b| owns(idx, b)));
+        // One arena checks and writes under one lock round. A batch spanning
+        // arenas has them all checked first: no thread holds two mirrors.
+        if owners().nth(1).is_some() {
+            for idx in owners() {
+                self.free_in(idx, blocks, FreeStage::Validated)?;
+            }
+        }
+        for idx in owners() {
+            self.free_in(idx, blocks, FreeStage::Done)?;
+        }
+        let stats = self.stats();
+        stats.bump(&stats.frees, blocks.len() as u64);
+        for b in blocks {
+            self.trace_app_event(clobber_trace::EventKind::Free, 0, b.offset(), 0);
+        }
+        Ok(())
+    }
+
+    /// Arena `idx`'s share of a [`free_many`](Self::free_many), one lock
+    /// round, run as far as `stop`.
+    fn free_in(&self, idx: usize, blocks: &[PAddr], stop: FreeStage) -> Result<(), PmemError> {
         let mode = self.mode();
-        let payload = addr.offset();
-        if payload >= self.capacity() {
-            return Err(PmemError::InvalidFree { addr: payload });
-        }
-        let idx = self.geom().arena_of(payload);
-        let l = self.geom().arenas()[idx];
-        if payload < l.heap_lo + HDR_LEN || payload >= l.heap_hi {
-            return Err(PmemError::InvalidFree { addr: payload });
-        }
+        let mine = || {
+            let all = blocks.iter().map(|b| b.offset()).enumerate();
+            all.filter(|&(_, p)| self.geom().arena_of(p) == idx)
+        };
         self.engine().with_arena_raw(idx, |am, raw| {
             let mut ops = Ops::new(raw, mode);
-            let h = payload - HDR_LEN;
-            let mut hdr = [0u8; 16];
-            ops.raw.read_raw(h, &mut hdr);
-            let state = u32::from_le_bytes(hdr[0..4].try_into().expect("4 bytes"));
-            let class = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes"));
-            let size = u64::from_le_bytes(hdr[8..16].try_into().expect("8 bytes"));
-            if state != STATE_ALLOC || class as usize >= NUM_HEADS {
-                return Err(PmemError::InvalidFree { addr: payload });
+            let l = am.layout;
+            for (i, payload) in mine() {
+                // In the heap, not named twice (a scan quadratic in the
+                // batch: a transaction's handful of frees), and allocated.
+                let in_heap = l.heap_lo + HDR_LEN <= payload && payload < l.heap_hi;
+                let valid = in_heap && !blocks[..i].contains(&blocks[i]) && {
+                    let (state, class, _) = ops.read_header(payload);
+                    state == STATE_ALLOC && (class as usize) < NUM_HEADS
+                };
+                if !valid {
+                    return Err(PmemError::InvalidFree { addr: payload });
+                }
             }
-            // The mirror's top, not the media head: that one is stale while
-            // a reservation popped from this class is outstanding.
-            let old_head = *am.free[class as usize].last().unwrap_or(&0);
-            ops.arm_redo(&l, OP_PUSH, class, payload, old_head, size);
-            ops.write_header(payload, STATE_FREE, class, size);
-            ops.write_u64(payload - HDR_LEN + HDR_NEXT, old_head);
-            ops.write_u64(l.head_off(class), payload);
-            ops.flush(payload - HDR_LEN, HDR_LEN);
-            ops.flush(l.head_off(class), 8);
-            ops.disarm_redo(&l);
+            if stop == FreeStage::Validated {
+                return Ok(());
+            }
+            let mut touched = [false; NUM_HEADS];
+            for (_, payload) in mine() {
+                let (_, class, size) = ops.read_header(payload);
+                ops.push_free(am, payload, class, size);
+                touched[class as usize] = true;
+            }
+            // The header a head will name is durable before the head is.
+            if stop >= FreeStage::HeadersFenced {
+                ops.fence();
+            }
+            if stop >= FreeStage::HeadsFlushed {
+                for class in (0..NUM_HEADS).filter(|&c| touched[c]) {
+                    ops.write_head(am, class);
+                }
+            }
+            if stop == FreeStage::Done {
+                ops.fence();
+            }
             ops.finish();
-            am.free[class as usize].push(payload);
-            if class == HUGE_CLASS {
-                am.huge_sizes.insert(payload, size);
-            }
             Ok(())
-        })?;
-        let stats = self.stats();
-        stats.bump(&stats.frees, 1);
-        self.trace_app_event(clobber_trace::EventKind::Free, 0, payload, 0);
-        Ok(())
+        })
     }
 
     /// Reserves `size` bytes without touching persistent metadata (zero
@@ -660,28 +713,18 @@ impl PmemPool {
                         .reserved
                         .remove(&payload)
                         .ok_or(PmemError::InvalidFree { addr: payload })?;
-                    ops.write_header(payload, state, res.class, res.capacity);
                     if state == STATE_FREE {
-                        // The push that keeps the invariant: chain to the
-                        // mirror top, whatever media says the head is.
-                        let list = &mut am.free[res.class as usize];
-                        ops.write_u64(payload - HDR_LEN + HDR_NEXT, *list.last().unwrap_or(&0));
-                        list.push(payload);
-                        if res.class == HUGE_CLASS {
-                            am.huge_sizes.insert(payload, res.capacity);
-                        }
+                        ops.push_free(am, payload, res.class, res.capacity);
                         am.dirty_heads[res.class as usize] = true;
+                    } else {
+                        ops.write_header(payload, state, res.class, res.capacity);
+                        ops.flush(payload - HDR_LEN, HDR_LEN);
                     }
-                    ops.flush(payload - HDR_LEN, HDR_LEN);
                 }
-                // Heads are written from the mirror top so the persistent
-                // chain stays intact.
                 let l = am.layout;
                 for class in 0..NUM_HEADS {
                     if am.dirty_heads[class] {
-                        let top = *am.free[class].last().unwrap_or(&0);
-                        ops.write_u64(l.head_off(class as u32), top);
-                        ops.flush(l.head_off(class as u32), 8);
+                        ops.write_head(am, class);
                         am.dirty_heads[class] = false;
                     }
                 }
@@ -1075,6 +1118,102 @@ mod tests {
         p.check_heap().unwrap();
         let p2 = p.crash(&CrashConfig::drop_all(5)).unwrap();
         p2.check_heap().unwrap();
+    }
+
+    #[test]
+    fn free_many_rejects_a_bad_batch_before_writing_anything() {
+        let p = std::sync::Arc::new(pool());
+        let a = p.alloc(64).unwrap();
+        let b = p.alloc(256).unwrap();
+        // A block of another arena, already freed: a batch naming it spans
+        // two arenas, and the bad address sits in the second.
+        let side = {
+            let p = p.clone();
+            std::thread::spawn(move || p.alloc(64).unwrap())
+                .join()
+                .unwrap()
+        };
+        assert_ne!(p.geom().arena_of(side.offset()), 0);
+        p.free(side).unwrap();
+        let before = (p.check_heap().unwrap(), p.stats().snapshot().frees);
+        for bad in [
+            vec![a, a],
+            vec![a, b, PAddr::new(999_999_999)],
+            vec![a, PAddr::new(a.offset() + 8)],
+            vec![b, a, side],
+        ] {
+            assert!(
+                matches!(p.free_many(&bad), Err(PmemError::InvalidFree { .. })),
+                "{bad:?}"
+            );
+            assert_eq!(
+                (p.check_heap().unwrap(), p.stats().snapshot().frees),
+                before
+            );
+            // Not even an unflushed store: every line survives this crash.
+            let lucky = p.crash(&CrashConfig::keep_all(1)).unwrap();
+            assert_eq!(lucky.check_heap().unwrap(), before.0, "{bad:?}");
+        }
+        p.free_many(&[b, a]).unwrap();
+        p.free_many(&[]).unwrap();
+        assert_eq!(p.stats().snapshot().frees, before.1 + 2);
+    }
+
+    /// No trip point lands inside an allocator call (`fail_if_dead`), so the
+    /// batched free's two windows are cut here: a five-block, two-class
+    /// batch stopped after each of its four stages, under power failures in
+    /// which each flushed, unfenced line survives with p = 1/2.
+    #[test]
+    fn free_many_cut_at_every_stage_leaves_a_walkable_heap() {
+        use FreeStage::*;
+        let draws = (0..32)
+            .map(|seed| CrashConfig::new(0.5, 0.0, seed))
+            .chain([CrashConfig::drop_all(0), CrashConfig::keep_all(0)]);
+        for stop in [HeadersFlushed, HeadersFenced, HeadsFlushed, Done] {
+            for cfg in draws.clone() {
+                let ctx = format!("stopped at {stop:?}, {cfg:?}");
+                let p = pool();
+                let small: Vec<PAddr> = (0..5).map(|_| p.alloc(64).unwrap()).collect();
+                let large: Vec<PAddr> = (0..4).map(|_| p.alloc(256).unwrap()).collect();
+                // Both lists start non-empty, and a block of each class
+                // stays allocated next to the batch.
+                p.free_many(&[small[0], large[0]]).unwrap();
+                let batch = [small[1], large[1], small[2], large[2], small[3]];
+                p.free_in(0, &batch, stop).unwrap();
+
+                let p2 = p.crash(&cfg).unwrap();
+                let rep = p2.check_heap().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_eq!(rep.allocated_blocks + rep.free_blocks, 9, "{ctx}");
+                let leaked = rep.free_blocks - rep.free_blocks_listed;
+                assert!(leaked <= 5, "{ctx}: {leaked} blocks leaked");
+                if stop == Done {
+                    assert_eq!((rep.free_blocks, leaked), (7, 0), "{ctx}");
+                }
+                let state =
+                    |payload: u64| p2.read_u64(PAddr::new(payload - HDR_LEN)).unwrap() as u32;
+                for idx in 0..p2.arena_count() {
+                    let listed = p2.engine().with_arena_mirror(idx, |am| am.free.concat());
+                    for payload in listed {
+                        assert_eq!(
+                            state(payload),
+                            STATE_FREE,
+                            "{ctx}: the rebuilt mirror lists {payload:#x}, which is not free"
+                        );
+                    }
+                }
+                for b in batch {
+                    let s = state(b.offset());
+                    assert!(s == STATE_ALLOC || s == STATE_FREE, "{ctx}: {b:?} {s:#x}");
+                }
+                // The reopened allocator works in both classes.
+                let again = [p2.alloc(64).unwrap(), p2.alloc(256).unwrap()];
+                p2.free_many(&again).unwrap();
+                let rep = p2
+                    .check_heap()
+                    .unwrap_or_else(|e| panic!("{ctx}, reuse: {e}"));
+                assert_eq!(rep.free_blocks - rep.free_blocks_listed, leaked, "{ctx}");
+            }
+        }
     }
 
     #[test]

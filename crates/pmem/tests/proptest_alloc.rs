@@ -35,6 +35,10 @@ enum TxOp {
     Kill(usize),
     /// `pfree` of the i-th published block (modulo): freed after commit.
     Free(usize),
+    /// An immediate `free_many` of published blocks (each index modulo),
+    /// while this transaction's reservations and the thread's magazine are
+    /// outstanding — the mirror top is not the media head.
+    FreeMany(Vec<usize>),
 }
 
 /// Transactions, each a list of steps and whether it commits.
@@ -45,6 +49,7 @@ fn script_strategy() -> impl Strategy<Value = Script> {
         4 => (0usize..SIZES.len()).prop_map(TxOp::Reserve),
         2 => (0usize..64).prop_map(TxOp::Kill),
         2 => (0usize..64).prop_map(TxOp::Free),
+        1 => proptest::collection::vec(0usize..64, 0..8).prop_map(TxOp::FreeMany),
     ];
     proptest::collection::vec(
         (
@@ -55,41 +60,75 @@ fn script_strategy() -> impl Strategy<Value = Script> {
     )
 }
 
+/// What a script run leaves behind, for comparison across shard counts and
+/// between batched and one-by-one frees.
+struct Outcome {
+    /// Every address handed out, then what a drain of each class's free
+    /// stack yields: the mirrors' order made visible.
+    handed_out: Vec<PAddr>,
+    reports: Vec<HeapReport>,
+    /// The media after a final fence.
+    media: Vec<u8>,
+}
+
 /// Runs `script` one transaction at a time on a fresh pool, walking the
-/// heap after each, then crashes and counts what survived. Returns every
-/// address handed out and every report, for comparison across shard counts.
+/// heap after each, then crashes and counts what survived. `batched` frees
+/// every batch with one `free_many`, otherwise block by block.
 fn run_script(
     shards: u32,
+    arenas: u32,
+    batched: bool,
     script: &Script,
-) -> Result<(Vec<PAddr>, Vec<HeapReport>), TestCaseError> {
-    let pool = PmemPool::create(PoolOptions::crash_sim(4 << 20).with_shards(shards)).unwrap();
+) -> Result<Outcome, TestCaseError> {
+    let opts = PoolOptions::crash_sim(4 << 20)
+        .with_shards(shards)
+        .with_arenas(arenas);
+    let pool = std::sync::Arc::new(PmemPool::create(opts).unwrap());
+    let free_all = |v: &[PAddr]| {
+        if batched {
+            pool.free_many(v).unwrap()
+        } else {
+            v.iter().for_each(|&b| pool.free(b).unwrap())
+        }
+    };
     let (mut handed_out, mut reports) = (Vec::new(), Vec::new());
-    let mut published: Vec<PAddr> = Vec::new();
+    // This thread claims arena 0; a second thread's blocks live in arena 1
+    // (when there is one), so batches span arenas.
+    let mut published = vec![pool.alloc(8).unwrap()];
+    let side = pool.clone();
+    let side = std::thread::spawn(move || SIZES.map(|size| side.alloc(size).unwrap()));
+    published.extend(side.join().unwrap());
     for (t, (ops, commits)) in script.iter().enumerate() {
         let (mut live, mut dead, mut frees) = (Vec::new(), Vec::new(), Vec::new());
         for op in ops {
-            match *op {
-                TxOp::Reserve(i) => {
+            match op {
+                &TxOp::Reserve(i) => {
                     let a = pool.reserve(SIZES[i]).unwrap();
                     pool.flush(a, SIZES[i]).unwrap();
                     pool.store_flush(a.add(SIZES[i] - 8), &[0xC5; 8]).unwrap();
                     handed_out.push(a);
                     live.push(a);
                 }
-                TxOp::Kill(i) if !live.is_empty() => dead.push(live.remove(i % live.len())),
-                TxOp::Free(i) if !published.is_empty() => {
+                &TxOp::Kill(i) if !live.is_empty() => dead.push(live.remove(i % live.len())),
+                &TxOp::Free(i) if !published.is_empty() => {
                     frees.push(published.remove(i % published.len()))
                 }
                 TxOp::Kill(_) | TxOp::Free(_) => {}
+                TxOp::FreeMany(picks) => {
+                    let n = picks.len().min(published.len());
+                    let batch: Vec<PAddr> = picks[..n]
+                        .iter()
+                        .map(|&i| published.remove(i % published.len()))
+                        .collect();
+                    free_all(&batch);
+                }
             }
         }
         if *commits {
             pool.publish(&live).unwrap();
             pool.cancel(&dead).unwrap();
             pool.fence();
-            for &f in &frees {
-                pool.free(f).unwrap();
-            }
+            free_all(&frees);
             published.extend(live);
         } else {
             dead.extend(live);
@@ -99,9 +138,21 @@ fn run_script(
         }
         match pool.check_heap() {
             Ok(r) => reports.push(r),
-            Err(e) => prop_assert!(false, "{shards} shard(s), transaction {t}: {e}"),
+            Err(e) => prop_assert!(
+                false,
+                "{shards} shard(s), {arenas} arena(s), transaction {t}: {e}"
+            ),
         }
     }
+    let drained: Vec<PAddr> = SIZES
+        .iter()
+        .flat_map(|&size| (0..12).map(move |_| size))
+        .map(|size| pool.reserve(size).unwrap())
+        .collect();
+    pool.cancel(&drained).unwrap();
+    handed_out.extend(drained);
+    pool.fence();
+    let media = pool.media_snapshot();
     let reopened = pool.crash(&CrashConfig::drop_all(1)).unwrap();
     let survived = reopened.check_heap().unwrap();
     prop_assert_eq!(
@@ -110,7 +161,11 @@ fn run_script(
         "{} shard(s): exactly the published blocks survive a crash",
         shards
     );
-    Ok((handed_out, reports))
+    Ok(Outcome {
+        handed_out,
+        reports,
+        media,
+    })
 }
 
 /// ROADMAP's two recipes as fixed scripts: the older of two reservations
@@ -126,7 +181,7 @@ fn out_of_order_cancel_recipes_keep_the_heap_walkable() {
         (recipe, true),
     ];
     for shards in [1, 4] {
-        run_script(shards, &script).unwrap();
+        run_script(shards, 4, true, &script).unwrap();
     }
 }
 
@@ -199,13 +254,23 @@ proptest! {
 
     /// The allocator as `Tx` drives it — reservations ended as allocated or
     /// as free at each transaction's fence, in any order, with deferred
-    /// frees — keeps a walkable heap after every transaction, loses nothing
-    /// published in a crash, and behaves identically at 1 and 4 shards.
+    /// frees and batched frees across arenas — keeps a walkable heap after
+    /// every transaction, loses nothing published in a crash, behaves
+    /// identically at 1 and 4 shards, and cannot tell `free_many(&v)` from
+    /// `v` freed one by one: same addresses, same mirrors, same media.
     #[test]
     fn transaction_scripts_keep_the_heap_walkable(script in script_strategy()) {
-        let one = run_script(1, &script)?;
-        let four = run_script(4, &script)?;
-        prop_assert_eq!(one, four, "addresses and heap reports agree across shard counts");
+        for arenas in [1, 4] {
+            let one = run_script(1, arenas, true, &script)?;
+            for (what, other) in [
+                ("4 shards", run_script(4, arenas, true, &script)?),
+                ("one-by-one frees", run_script(1, arenas, false, &script)?),
+            ] {
+                prop_assert_eq!(&one.handed_out, &other.handed_out, "{} arena(s), {}", arenas, what);
+                prop_assert_eq!(&one.reports, &other.reports, "{} arena(s), {}", arenas, what);
+                prop_assert!(one.media == other.media, "{arenas} arena(s), {what}: media differ");
+            }
+        }
     }
 
     /// Cancelling is not a leak: after every reservation of a round is
