@@ -522,9 +522,9 @@ fn net_counters_pin_across_shard_counts() {
 #[test]
 fn batch_set_counters_pin() {
     for (backend, expect) in [
-        (Backend::clobber(), (15, 120, 195, 21, 393)),
-        (Backend::clobber_conservative(), (16, 128, 196, 22, 394)),
-        (Backend::Undo, (59, 1368, 245, 64, 439)),
+        (Backend::clobber(), (15, 120, 130, 21, 382)),
+        (Backend::clobber_conservative(), (16, 128, 132, 22, 383)),
+        (Backend::Undo, (59, 1368, 240, 64, 426)),
     ] {
         let pool = pool(false);
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).unwrap();

@@ -445,6 +445,7 @@ impl Runtime {
         let pool = self.pool().clone();
         let clock = &opts.clock;
         let t0 = clock.now();
+        self.drop_mirrors();
         let slot_count = self.slot_count();
         // The deterministic serial fallback: tracing and fault plans rely
         // on the fault mutex's acquisition order being schedule-free, so

@@ -7,7 +7,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use clobber_pmem::{LogWriter, PAddr, PmemPool};
+use clobber_pmem::{LogWriter, PAddr, PmemPool, Ulog};
 use parking_lot::{Mutex, RwLock};
 
 use crate::args::ArgList;
@@ -132,6 +132,18 @@ thread_local! {
     static THREAD_SLOTS: RefCell<HashMap<u64, SlotLease>> = RefCell::new(HashMap::new());
 }
 
+/// One entry of the slot table.
+struct SlotEntry {
+    slot: VlogSlot,
+    /// Volatile mirror of the slot's log state — its clobber-log writer
+    /// (descriptor, generation, cursor) and redo-log descriptor — exactly
+    /// as this runtime's last commit on the slot left them. `None` whenever
+    /// the pool may say otherwise: until the first commit, while a
+    /// transaction is in flight, and after a recovery scan, an abort or an
+    /// error; the next transaction then adopts the logs by probing them.
+    mirror: Option<(LogWriter, Ulog)>,
+}
+
 /// Aggregated iDO shadow statistics across all committed transactions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdoAggregate {
@@ -175,7 +187,7 @@ pub struct Runtime {
     opts: RuntimeOptions,
     header: PAddr,
     registry: RwLock<HashMap<String, TxFn>>,
-    slots: Mutex<Vec<VlogSlot>>,
+    slots: Mutex<Vec<SlotEntry>>,
     /// Identity for the thread-local slot cache.
     runtime_id: u64,
     /// Slot-index free list shared with every thread's [`SlotLease`].
@@ -247,10 +259,10 @@ impl Runtime {
         let mut cur = PAddr::new(pool.read_u64(header.add(hdr::VLOG_HEAD))?);
         while !cur.is_null() {
             let slot = VlogSlot::new(cur);
-            slots.push(slot);
+            slots.push(SlotEntry { slot, mirror: None });
             cur = slot.next(&pool)?;
         }
-        slots.sort_by_key(|s| s.id(&pool).unwrap_or(u64::MAX));
+        slots.sort_by_key(|e| e.slot.id(&pool).unwrap_or(u64::MAX));
         Ok(Runtime {
             pool,
             opts,
@@ -330,6 +342,19 @@ impl Runtime {
 
     /// Returns slot `idx`, creating slots up to it on demand.
     pub(crate) fn slot(&self, idx: usize) -> Result<VlogSlot, TxError> {
+        self.with_slot(idx, |e| e.slot)
+    }
+
+    /// Forgets every slot's mirror: recovery rewrites logs behind it.
+    pub(crate) fn drop_mirrors(&self) {
+        for e in self.slots.lock().iter_mut() {
+            e.mirror = None;
+        }
+    }
+
+    /// Runs `f` on slot `idx`'s table entry, creating slots up to it on
+    /// demand.
+    fn with_slot<R>(&self, idx: usize, f: impl FnOnce(&mut SlotEntry) -> R) -> Result<R, TxError> {
         let mut slots = self.slots.lock();
         while slots.len() <= idx {
             let id = slots.len() as u64;
@@ -344,9 +369,9 @@ impl Runtime {
             self.pool
                 .write_u64(self.header.add(hdr::VLOG_HEAD), slot.base().offset())?;
             self.pool.persist(self.header.add(hdr::VLOG_HEAD), 8)?;
-            slots.push(slot);
+            slots.push(SlotEntry { slot, mirror: None });
         }
-        Ok(slots[idx])
+        Ok(f(&mut slots[idx]))
     }
 
     /// Number of v_log slots created so far.
@@ -485,7 +510,7 @@ impl Runtime {
     /// Same as [`run`](Runtime::run).
     pub fn run_on(&self, slot_idx: usize, name: &str, args: &ArgList) -> TxResult {
         let f = self.lookup(name)?;
-        let slot = self.slot(slot_idx)?;
+        let (slot, mirror) = self.with_slot(slot_idx, |e| (e.slot, e.mirror.take()))?;
         // TxBegin is recorded at dispatch, not at the durable begin record:
         // read-only transactions never persist a begin, but they must still
         // appear in recorded schedules — replay re-drives exactly the ops
@@ -502,19 +527,33 @@ impl Runtime {
                 );
             }
         }
-        let mut clog = LogWriter::new(slot.clobber_log(&self.pool)?);
-        let rlog = slot.redo_log(&self.pool)?;
-
         // Stale log tails from the previous transaction must be durable as
         // empty before this transaction is marked ongoing; the begin fence
-        // orders these unfenced writes. `ensure_empty_unfenced` also adopts
-        // the log with a header probe instead of a stream scan, leaving the
-        // writer's cached cursor at the start — appends never re-read
-        // persistent log state afterwards.
-        clog.ensure_empty_unfenced(&self.pool)?;
-        if !rlog.is_empty(&self.pool)? {
-            rlog.reset_unfenced(&self.pool)?;
-        }
+        // orders these unfenced writes.
+        let (clog, rlog) = match mirror {
+            // The slot's last commit was this runtime's: its cursor says
+            // whether the clobber log holds entries (the redo log never
+            // does after a commit), and only truncating reads the pool —
+            // the header, so one corrupted meanwhile is still refused.
+            Some((mut clog, rlog)) => {
+                if !clog.is_empty(&self.pool)? {
+                    clog.reset_unfenced(&self.pool)?;
+                }
+                (clog, rlog)
+            }
+            // Adoption: descriptors from the slot, then a header probe of
+            // each log instead of a stream scan, leaving the writer's
+            // cursor at the start — appends never re-read log state.
+            None => {
+                let mut clog = LogWriter::new(slot.clobber_log(&self.pool)?);
+                let rlog = slot.redo_log(&self.pool)?;
+                clog.ensure_empty_unfenced(&self.pool)?;
+                if !rlog.is_empty(&self.pool)? {
+                    rlog.reset_unfenced(&self.pool)?;
+                }
+                (clog, rlog)
+            }
+        };
 
         let vlog_enabled = matches!(self.opts.backend, Backend::Clobber(cfg) if cfg.vlog);
         // The begin record is deferred until the first persistent store
@@ -540,7 +579,8 @@ impl Runtime {
         );
         match f(&mut tx, args) {
             Ok(out) => {
-                self.finish_commit(tx)?;
+                let mirror = self.finish_commit(tx)?;
+                self.slots.lock()[slot_idx].mirror = Some(mirror);
                 Ok(out)
             }
             Err(e) => {
@@ -562,8 +602,15 @@ impl Runtime {
         self.scratch_pool.lock().push(scratch);
     }
 
-    pub(crate) fn finish_commit(&self, tx: Tx<'_>) -> Result<(), TxError> {
-        let CommitOutcome { scratch, ido } = tx.commit()?;
+    /// Commits `tx`, runs its deferred frees and returns the slot's log
+    /// handles as the commit left them.
+    pub(crate) fn finish_commit(&self, tx: Tx<'_>) -> Result<(LogWriter, Ulog), TxError> {
+        let CommitOutcome {
+            scratch,
+            ido,
+            clog,
+            rlog,
+        } = tx.commit()?;
         let freed = self.pool.free_many(&scratch.frees);
         self.recycle_scratch(scratch);
         freed?;
@@ -572,7 +619,7 @@ impl Runtime {
             agg.total.accumulate(&stats);
             agg.transactions += 1;
         }
-        Ok(())
+        Ok((clog, rlog))
     }
 
     /// Aggregated iDO shadow statistics (empty unless

@@ -20,8 +20,7 @@
 //! * **Redo**: stores are buffered volatilely; reads interpose on the write
 //!   set; nothing is persisted until commit.
 
-use clobber_pmem::ulog::V2_MAGIC;
-use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog};
+use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
 
 use crate::backend::Backend;
 use crate::error::TxError;
@@ -91,6 +90,9 @@ pub(crate) struct ResumeState {
     shadow_data: Vec<u8>,
 }
 
+/// Hulls the inline dirty set holds before it drains early.
+const DIRTY_CAP: usize = 32;
+
 /// Reusable per-transaction state: the range sets driving clobber
 /// detection, the scratch buffers the set algebra writes into, the
 /// old-value staging buffer, the (flattened) redo write set, and the
@@ -129,6 +131,11 @@ pub(crate) struct TxScratch {
     /// ended as free at the commit or abort ordering point.
     dead: Vec<PAddr>,
     pub(crate) frees: Vec<PAddr>,
+    /// Stored (or zero-filled) bytes no write-back covers yet, as
+    /// `dirty[..dirty_len]` byte hulls `[start, end)`, no two sharing a
+    /// cache line. Inline: a fresh scratch allocates nothing for it.
+    dirty: [(u64, u64); DIRTY_CAP],
+    dirty_len: usize,
 }
 
 impl TxScratch {
@@ -146,6 +153,7 @@ impl TxScratch {
         self.allocs.clear();
         self.dead.clear();
         self.frees.clear();
+        self.dirty_len = 0;
     }
 }
 
@@ -618,7 +626,8 @@ impl<'rt> Tx<'rt> {
             // clobbering store can reach media (an unflushed store can
             // still leak to media at a crash). This is the log's deferred
             // ordering point — one fence covering every line flush since
-            // the last sync.
+            // the last sync, this transaction's earlier stores included.
+            self.drain_dirty()?;
             let gc = self.gc;
             self.clog.sync_with(self.pool, |p| gc.fence(p))?;
             // Recovery replays persist a progress checkpoint at each sync:
@@ -666,8 +675,53 @@ impl<'rt> Tx<'rt> {
             r.shadow_writes.push((s, ds, data.len()));
         }
         if !skip_store {
-            self.pool.store_flush(addr, data)?;
+            self.pool.write_bytes(addr, data)?;
+            self.mark_dirty(s, e)?;
         }
+        Ok(())
+    }
+
+    /// Records that `[s, e)` awaits write-back. A hull sharing a cache line
+    /// with the range is absorbed into it, so each line is flushed once per
+    /// ordering point however many stores hit it.
+    fn mark_dirty(&mut self, mut s: u64, mut e: u64) -> Result<(), PmemError> {
+        let line = |byte: u64| byte / CACHE_LINE;
+        let sc = &mut self.scratch;
+        // Newest first: consecutive stores mostly land in the same object.
+        let mut i = sc.dirty_len;
+        while i > 0 {
+            i -= 1;
+            let (a, b) = sc.dirty[i];
+            if line(a) <= line(e - 1) && line(s) <= line(b - 1) {
+                (s, e) = (s.min(a), e.max(b));
+                sc.dirty_len -= 1;
+                sc.dirty[i] = sc.dirty[sc.dirty_len];
+                // The grown range may now reach a hull already passed.
+                i = sc.dirty_len;
+            }
+        }
+        if sc.dirty_len == DIRTY_CAP {
+            // Flushing early is always allowed; it only forgoes merging.
+            self.drain_dirty()?;
+        }
+        let sc = &mut self.scratch;
+        sc.dirty[sc.dirty_len] = (s, e);
+        sc.dirty_len += 1;
+        Ok(())
+    }
+
+    /// Writes back everything stored since the last drain; runs right
+    /// before each ordering point, so every flush still precedes the fence
+    /// that needs it. Ranges stay byte-exact — `[min start, max end)` of
+    /// stores that share a line, never rounded out to line bounds: the
+    /// conflict analysis in `trace/conflict.rs` reads a flush's range as
+    /// bytes its lane touched, and a rounded one claims a neighbour's.
+    fn drain_dirty(&mut self) -> Result<(), PmemError> {
+        let sc = &mut self.scratch;
+        for &(s, e) in &sc.dirty[..sc.dirty_len] {
+            self.pool.flush(PAddr::new(s), e - s)?;
+        }
+        sc.dirty_len = 0;
         Ok(())
     }
 
@@ -702,9 +756,11 @@ impl<'rt> Tx<'rt> {
     /// Returns [`TxError::Pmem`] if the heap is exhausted.
     pub fn pmalloc(&mut self, size: u64) -> Result<PAddr, TxError> {
         let addr = self.pool.reserve(size)?;
-        // Zero-fill must be durable with the commit: flush it now, the
-        // commit fence orders it.
-        self.pool.flush(addr, size)?;
+        // Zero-fill must be durable with the commit: it is written back
+        // with the stores that follow, and the commit fence orders it.
+        if size > 0 {
+            self.mark_dirty(addr.offset(), addr.offset() + size)?;
+        }
         self.scratch.allocs.push(addr);
         // Under clobber logging the allocation initializes its payload: it
         // joins the write set so reads of it are not inputs. PMDK-style undo
@@ -781,10 +837,12 @@ impl<'rt> Tx<'rt> {
         Ok(data.to_vec())
     }
 
-    /// Ends this transaction's reservations in front of its commit fence:
-    /// freed-again blocks as free, the rest as allocated. The dead go first
-    /// so each list head they share is written once.
-    fn settle_reservations(&self) -> Result<(), PmemError> {
+    /// Everything the commit fence must order: the write-back of this
+    /// transaction's stores, then its reservations ended — freed-again
+    /// blocks as free, the rest as allocated. The dead go first so each
+    /// list head they share is written once.
+    fn settle_reservations(&mut self) -> Result<(), PmemError> {
+        self.drain_dirty()?;
         if !self.scratch.dead.is_empty() {
             self.pool.cancel(&self.scratch.dead)?;
         }
@@ -824,6 +882,7 @@ impl<'rt> Tx<'rt> {
                     // FASE's position in the dependence graph for its log
                     // pruner (one extra entry + fence per FASE).
                     let dep = [0u8; 32];
+                    self.drain_dirty()?;
                     self.clog.append(pool, self.slot.base(), &dep)?;
                     self.clog.sync_with(pool, |p| gc.fence(p))?;
                     let stats = pool.stats();
@@ -871,15 +930,6 @@ impl<'rt> Tx<'rt> {
                     items.iter().map(|(_, d)| d.len() as u64).sum::<u64>(),
                     std::sync::atomic::Ordering::Relaxed,
                 );
-                // A header probe ahead of the writer's own. It validates
-                // nothing `attach` would not, but reads are priced by the
-                // cost model, so dropping it is a measured change of its own.
-                if pool.read_u64(self.rlog.base())? != V2_MAGIC {
-                    return Err(PmemError::CorruptPool(
-                        "redo log header does not hold the log magic".into(),
-                    )
-                    .into());
-                }
                 // Stream the batch through a line-buffered writer and route
                 // its single ordering point through group commit.
                 let mut rw = LogWriter::attach(pool, self.rlog)?;
@@ -913,8 +963,10 @@ impl<'rt> Tx<'rt> {
             );
         }
         Ok(CommitOutcome {
-            scratch: std::mem::take(&mut self.scratch),
+            scratch: self.scratch,
             ido,
+            clog: self.clog,
+            rlog: self.rlog,
         })
     }
 
@@ -992,4 +1044,8 @@ impl<'rt> Tx<'rt> {
 pub(crate) struct CommitOutcome {
     pub scratch: TxScratch,
     pub ido: Option<IdoTxStats>,
+    /// The slot's log handles as the commit left them: the runtime keeps
+    /// them so the slot's next transaction re-reads nothing from the pool.
+    pub clog: LogWriter,
+    pub rlog: Ulog,
 }

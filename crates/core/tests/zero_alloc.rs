@@ -11,9 +11,9 @@
 //! head — whose ~500-line read set is what the access sets must hold
 //! without growing once warmed up (they keep their tables across `clear`).
 //!
-//! Last, the allocation budget of a pool instance: reopening a 4-arena
-//! 8 MiB image — what every restart pays before recovery starts — is held
-//! to a fixed count.
+//! Last, the allocation budgets of a restart: reopening a 4-arena 8 MiB
+//! image, and the first transaction of a fresh runtime, are each held to a
+//! fixed count.
 //!
 //! This file intentionally holds a single test: the counter is global, so
 //! a concurrently running test in the same binary would pollute the delta.
@@ -49,6 +49,10 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTER: Counting = Counting;
+
+/// Allocations of a fresh runtime's first transaction before its slots
+/// carried a log mirror and its scratch a dirty set.
+const FIRST_TX: u64 = 17;
 
 #[test]
 fn steady_state_read_clobber_path_is_allocation_free() {
@@ -146,4 +150,27 @@ fn steady_state_read_clobber_path_is_allocation_free() {
     assert_eq!(reopened.arena_count(), 4);
     assert!(delta <= 5, "open_from_media allocated {delta} time(s)");
     println!("open_from_media: {delta} allocations");
+
+    // A fresh runtime's first transaction — `kv_crash_recover` opens two
+    // runtimes per cycle. The slot's log mirror lives in its slot-table
+    // entry and the dirty set inside the scratch, so neither adds to what
+    // creating the slot, leasing it and warming the scratch cost before.
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap());
+    let rt = Runtime::create(pool, RuntimeOptions::default()).unwrap();
+    let cell = rt.pool().alloc(8).unwrap();
+    rt.register("first", |tx, args| {
+        let cell = PAddr::new(args.u64(0)?);
+        let v = tx.read_u64(cell)?;
+        tx.write_u64(cell, v + 1)?;
+        Ok(None)
+    });
+    let args = ArgList::new().with_u64(cell.offset());
+    let start = ALLOCS.load(Ordering::Relaxed);
+    rt.run("first", &args).unwrap();
+    let delta = ALLOCS.load(Ordering::Relaxed) - start;
+    println!("first transaction of a fresh runtime: {delta} allocations");
+    assert!(
+        delta <= FIRST_TX,
+        "first transaction allocated {delta} time(s)"
+    );
 }

@@ -802,7 +802,7 @@ impl PmemPool {
     /// Stores `data` at `addr` and issues the write-back for the lines it
     /// covers: exactly [`write_bytes`](Self::write_bytes) followed by
     /// [`flush`](Self::flush) of the same range — the shape of every
-    /// transactional store and log-line write — as one operation.
+    /// log-line and status-word write — as one operation.
     ///
     /// With no [`FaultPlan`] armed and no tracer attached, both halves of a
     /// range that one shard holds run under one round of that shard's lock.

@@ -32,7 +32,7 @@
 //! discarded.
 
 use crate::addr::PAddr;
-use crate::pool::{PmemError, PmemPool};
+use crate::pool::{get_u64, PmemError, PmemPool};
 
 /// Per-entry metadata: the header word and the address word.
 const V2_ENTRY_OVERHEAD: u64 = 16;
@@ -141,22 +141,19 @@ impl Ulog {
         self.kind
     }
 
-    /// Reads the header word and rejects anything but [`V2_MAGIC`].
-    fn check_magic(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        let w0 = pool.read_u64(self.base)?;
+    /// Reads the header (magic + generation, one 16-byte pool read), rejects
+    /// anything but [`V2_MAGIC`] and returns the current generation.
+    fn generation(&self, pool: &PmemPool) -> Result<u64, PmemError> {
+        let mut hdr = [0u8; 16];
+        pool.read_into(self.base, &mut hdr)?;
+        let w0 = get_u64(&hdr, 0);
         if w0 != V2_MAGIC {
             return Err(PmemError::CorruptPool(format!(
                 "log header at {:#x} holds {w0:#018x}, not the log magic",
                 self.base.offset()
             )));
         }
-        Ok(())
-    }
-
-    /// Validates the header word and reads the current generation.
-    fn generation(&self, pool: &PmemPool) -> Result<u64, PmemError> {
-        self.check_magic(pool)?;
-        pool.read_u64(self.base.add(8))
+        Ok(get_u64(&hdr, 8))
     }
 
     /// Reads data line `line_idx` as its eight words (one pool read).
@@ -355,11 +352,10 @@ impl Ulog {
     /// Returns [`PmemError::CorruptPool`] if the header is not a log header
     /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn is_empty(&self, pool: &PmemPool) -> Result<bool, PmemError> {
-        self.check_magic(pool)?;
+        let gen = self.generation(pool)?;
         if self.v2_line_count() == 0 {
             return Ok(true);
         }
-        let gen = pool.read_u64(self.base.add(8))?;
         let w = self.read_line(pool, 0)?;
         Ok(w[7] != v2_marker(gen, &w) || w[0] & 1 == 0)
     }
