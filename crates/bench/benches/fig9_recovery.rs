@@ -18,15 +18,13 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Scaling: fixed live data across a 16x pool-size spread (recovery must
-    // stay O(live data)), serial vs parallel scan.
+    // stay O(live data)).
     let mut group = c.benchmark_group("fig9_recovery_scaling");
     group.sample_size(10);
     for pool_mib in [1u64, 16] {
-        for workers in [1usize, 4] {
-            group.bench_function(format!("pool{pool_mib}mib_workers{workers}"), |b| {
-                b.iter(|| fig9::run_scaling_cell(pool_mib, 4, workers, 11));
-            });
-        }
+        group.bench_function(format!("pool{pool_mib}mib"), |b| {
+            b.iter(|| fig9::run_scaling_cell(pool_mib, 4, 11));
+        });
     }
     group.finish();
 }

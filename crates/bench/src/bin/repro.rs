@@ -213,10 +213,9 @@ fn run_one(fig: &str, scale: Scale, out: &std::path::Path, zipf: f64, seed: u64)
             );
             for r in &scaling {
                 println!(
-                    "    pool {:>2} MiB slots {} workers {}: apply {:.3} ms, wall {:.3} ms, {} entries",
+                    "    pool {:>2} MiB slots {}: apply {:.3} ms, wall {:.3} ms, {} entries",
                     r.pool_mib,
                     r.slots,
-                    r.workers,
                     r.apply_ns as f64 / 1e6,
                     r.wall_ns as f64 / 1e6,
                     r.entries_applied

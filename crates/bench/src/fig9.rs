@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use clobber_nvm::{ArgList, Backend, RecoveryOptions, Runtime, RuntimeOptions};
+use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions};
 use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions};
 use clobber_sim::CostModel;
 use clobber_workloads::{Workload, WorkloadKind};
@@ -129,15 +129,13 @@ impl DsHandle {
 const SCALING_CELLS: u64 = 8;
 
 /// One recovery-scaling measurement: `slots` interrupted transactions in a
-/// `pool_mib`-MiB pool, recovered by `workers` scan threads.
+/// `pool_mib`-MiB pool.
 #[derive(Debug, Clone)]
 pub struct ScalingRow {
     /// Pool size in MiB (the *dead* dimension — recovery must not scan it).
     pub pool_mib: u64,
     /// Interrupted transactions (the live dimension).
     pub slots: usize,
-    /// Scan threads requested.
-    pub workers: usize,
     /// Modeled log-application + re-execution nanoseconds.
     pub apply_ns: u64,
     /// Measured wall-clock nanoseconds of the scan itself.
@@ -150,16 +148,15 @@ pub struct ScalingRow {
 
 /// CSV header for the scaling table.
 pub const SCALING_HEADER: &str =
-    "pool_mib,slots,workers,open_ns,apply_ns,total_ns,wall_ns,entries_applied,reexecuted";
+    "pool_mib,slots,open_ns,apply_ns,total_ns,wall_ns,entries_applied,reexecuted";
 
 impl ScalingRow {
     /// One CSV line.
     pub fn csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{}",
             self.pool_mib,
             self.slots,
-            self.workers,
             POOL_OPEN_NS,
             self.apply_ns,
             POOL_OPEN_NS + self.apply_ns,
@@ -182,10 +179,10 @@ fn scaling_rt_opts() -> RuntimeOptions {
 
 /// Parks `slots` concurrent chain transactions (one per v_log slot, each
 /// mid-flight after `SCALING_CELLS` logged read-modify-writes), crashes the
-/// pool adversarially, and measures the recovery scan with `workers`
-/// threads. Live data scales with `slots`; the pool size scales with
-/// `pool_mib`; recovery cost must track the former.
-pub fn run_scaling_cell(pool_mib: u64, slots: usize, workers: usize, seed: u64) -> ScalingRow {
+/// pool adversarially, and measures the recovery scan. Live data scales
+/// with `slots`; the pool size scales with `pool_mib`; recovery cost must
+/// track the former.
+pub fn run_scaling_cell(pool_mib: u64, slots: usize, seed: u64) -> ScalingRow {
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(pool_mib << 20)).expect("pool"));
     let rt = Runtime::create(pool.clone(), scaling_rt_opts()).expect("runtime");
     let cells = SCALING_CELLS * slots as u64;
@@ -241,14 +238,11 @@ pub fn run_scaling_cell(pool_mib: u64, slots: usize, workers: usize, seed: u64) 
         Ok(None)
     });
     let before = pool2.stats().snapshot();
-    let report = rt2
-        .recover_with(&RecoveryOptions::default().with_workers(workers))
-        .expect("recover");
+    let report = rt2.recover().expect("recover");
     let delta = pool2.stats().snapshot().delta(&before);
     ScalingRow {
         pool_mib,
         slots,
-        workers,
         apply_ns: CostModel::optane().op_cost(&delta),
         wall_ns: report.wall_time.as_nanos() as u64,
         entries_applied: report.clobber_entries_applied,
@@ -256,14 +250,12 @@ pub fn run_scaling_cell(pool_mib: u64, slots: usize, workers: usize, seed: u64) 
     }
 }
 
-/// Runs the scaling table: pool size × interrupted slots × scan workers.
+/// Runs the scaling table: pool size × interrupted slots.
 pub fn run_scaling() -> Vec<ScalingRow> {
     let mut rows = Vec::new();
     for pool_mib in [1u64, 4, 16] {
         for slots in [1usize, 4] {
-            for workers in [1usize, 4] {
-                rows.push(run_scaling_cell(pool_mib, slots, workers, 53));
-            }
+            rows.push(run_scaling_cell(pool_mib, slots, 53));
         }
     }
     rows
@@ -311,8 +303,8 @@ mod tests {
     fn recovery_cost_is_live_data_bound_not_pool_bound() {
         // Fixed live data, 16x pool growth: the modeled scan cost must not
         // grow with the pool — recovery walks the slot list, not the heap.
-        let small = run_scaling_cell(1, 2, 1, 53);
-        let large = run_scaling_cell(16, 2, 1, 53);
+        let small = run_scaling_cell(1, 2, 53);
+        let large = run_scaling_cell(16, 2, 53);
         assert_eq!(small.reexecuted, 2);
         assert_eq!(large.reexecuted, 2);
         assert!(
@@ -322,22 +314,13 @@ mod tests {
             large.apply_ns
         );
         // 4x the live data in the same pool must cost measurably more.
-        let loaded = run_scaling_cell(1, 4, 1, 53);
+        let loaded = run_scaling_cell(1, 4, 53);
         assert!(
             loaded.apply_ns > small.apply_ns,
             "live-data growth invisible: {} vs {}",
             loaded.apply_ns,
             small.apply_ns
         );
-    }
-
-    #[test]
-    fn parallel_scaling_scan_matches_serial_outcome() {
-        let serial = run_scaling_cell(4, 4, 1, 53);
-        let parallel = run_scaling_cell(4, 4, 4, 53);
-        assert_eq!(serial.reexecuted, 4);
-        assert_eq!(parallel.reexecuted, 4);
-        assert_eq!(serial.entries_applied, parallel.entries_applied);
     }
 
     #[test]

@@ -10,27 +10,12 @@
 //!    volatile blobs read back from the v_log, committing normally.
 //!
 //! Because the locking discipline guarantees ongoing transactions have
-//! disjoint lock sets, slots recover independently in any order.
+//! disjoint lock sets, slots recover independently; the scan visits them
+//! one after another in ascending slot order.
 //!
 //! The baseline backends recover per their own disciplines: undo/Atlas roll
 //! uncommitted transactions back; redo replays transactions whose commit
 //! marker is set and discards the rest.
-//!
-//! # Parallel scan
-//!
-//! Slot independence makes the scan parallelizable: with
-//! [`RecoveryOptions::workers`] above one, a planning pass reads each
-//! slot's logged write set from its clobber/redo log, unions slots whose
-//! ranges overlap into conflict groups (belt-and-braces — the locking
-//! discipline already implies disjointness), orders the groups
-//! deterministically by allocator arena and lowest slot id, and deals them
-//! round-robin to scoped worker threads. Slots inside one group run on one
-//! worker in ascending id, so conflicting slots serialize in a fixed
-//! order. The scan falls back to the serial path whenever a tracer or a
-//! fault plan is attached (the fault-mutex contract numbers persist events
-//! in acquisition order — only a single worker keeps sweeps and traces
-//! bit-identical), and the parity tests prove the two paths produce
-//! bit-identical durable state, counters, and reports.
 //!
 //! # Bounded time
 //!
@@ -97,7 +82,7 @@
 
 use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clobber_pmem::{PmemError, PmemPool};
@@ -115,7 +100,7 @@ use crate::tx::Tx;
 pub trait RecoveryClock: fmt::Debug + Send + Sync {
     /// Monotonic elapsed time since an arbitrary per-clock anchor.
     fn now(&self) -> Duration;
-    /// Blocks the calling worker for `d` (backoff between retries).
+    /// Blocks the caller for `d` (backoff between retries).
     fn sleep(&self, d: Duration);
 }
 
@@ -186,12 +171,6 @@ pub struct RecoveryOptions {
     /// Base backoff between retries, doubled each attempt and slept on
     /// [`Self::clock`].
     pub retry_backoff: Duration,
-    /// Worker threads for the slot scan. `1` (the default) is the serial
-    /// scan; higher values partition conflict-free slots across scoped
-    /// threads. The scan silently falls back to serial while a tracer or
-    /// fault plan is attached, preserving the fault-mutex determinism
-    /// contract.
-    pub workers: usize,
     /// Per-slot time limit, checked cooperatively before the slot's first
     /// attempt and at its retry boundaries. `None` (default) never
     /// expires.
@@ -212,7 +191,6 @@ impl Default for RecoveryOptions {
             policy: RecoveryPolicy::Strict,
             max_retries: 3,
             retry_backoff: Duration::from_micros(100),
-            workers: 1,
             slot_deadline: None,
             total_budget: None,
             clock: Arc::new(SystemClock::new()),
@@ -227,12 +205,6 @@ impl RecoveryOptions {
             policy: RecoveryPolicy::BestEffort,
             ..Self::default()
         }
-    }
-
-    /// Sets the worker-thread count for the slot scan.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Substitutes the time source (e.g. [`NoopClock`] in tests).
@@ -320,8 +292,6 @@ pub struct RecoveryReport {
     pub watermark_advances: u64,
     /// Slots that ran out of deadline or budget.
     pub budget_expired: usize,
-    /// Worker threads the scan actually used (1 = serial).
-    pub workers_used: usize,
     /// Wall time of the whole scan on the options' clock ([`NoopClock`]
     /// reports zero, keeping sweep reports bit-identical).
     pub wall_time: Duration,
@@ -368,7 +338,7 @@ impl SlotDelta {
     }
 }
 
-/// How one slot's scan ended; produced by a worker, merged in slot order.
+/// How one slot's scan ended.
 #[derive(Debug)]
 enum SlotResult {
     Done(SlotDelta),
@@ -410,7 +380,7 @@ fn quarantine_kind(e: &TxError) -> SlotQuarantineKind {
 
 impl Runtime {
     /// Recovers all interrupted transactions with [`RecoveryOptions`]'
-    /// defaults (strict policy, serial scan, bounded transient retry).
+    /// defaults (strict policy, bounded transient retry).
     /// Must be called after [`Runtime::open`] and after re-registering
     /// every txfunc; the application may resume use of the pool afterwards.
     ///
@@ -436,72 +406,23 @@ impl Runtime {
     /// returned, and time-limit expiries surface as
     /// [`TxError::RecoveryBudgetExceeded`] under strict policy.
     /// [`TxError::Unregistered`] always propagates — a missing txfunc is a
-    /// configuration error, not media damage. Under a strict parallel
-    /// scan, workers finish their assigned slots before the error (from
-    /// the lowest-indexed failing slot) is returned; the extra recovered
-    /// slots are always safe — slot recovery is idempotent and
-    /// order-independent.
+    /// configuration error, not media damage.
     pub fn recover_with(&self, opts: &RecoveryOptions) -> Result<RecoveryReport, TxError> {
         let pool = self.pool().clone();
         let clock = &opts.clock;
         let t0 = clock.now();
         self.drop_mirrors();
         let slot_count = self.slot_count();
-        // The deterministic serial fallback: tracing and fault plans rely
-        // on the fault mutex's acquisition order being schedule-free, so
-        // sweeps and golden traces always take the one-worker path.
-        let serial =
-            opts.workers <= 1 || slot_count <= 1 || pool.tracing_enabled() || pool.faults_armed();
-        let workers = if serial {
-            1
-        } else {
-            opts.workers.min(slot_count)
-        };
-
-        let mut outcomes: Vec<Option<SlotOutcome>> = Vec::new();
-        outcomes.resize_with(slot_count, || None);
-        if workers == 1 {
-            // Serial contract: stop at the first failing slot, leaving
-            // later slots untouched so a follow-up (best-effort) scan can
-            // still recover them.
-            for (idx, out) in outcomes.iter_mut().enumerate() {
-                let outcome = self.run_slot(idx, &pool, opts, t0);
-                let failed = matches!(outcome.result, SlotResult::Failed(_));
-                *out = Some(outcome);
-                if failed {
-                    break;
-                }
-            }
-        } else {
-            let assignments = self.plan_assignments(&pool, slot_count, workers);
-            let shared = Mutex::new(&mut outcomes);
-            std::thread::scope(|s| {
-                for work in &assignments {
-                    let pool = &pool;
-                    let shared = &shared;
-                    s.spawn(move || {
-                        for &idx in work {
-                            let out = self.run_slot(idx, pool, opts, t0);
-                            shared.lock().unwrap()[idx] = Some(out);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Merge in ascending slot order, so reports (and the strict-mode
-        // error: lowest failing slot) are identical however the scan was
-        // scheduled.
         let mut report = RecoveryReport {
-            workers_used: workers,
             slot_durations: vec![Duration::ZERO; slot_count],
             ..RecoveryReport::default()
         };
+        // Slots in ascending order; the first failing slot stops the scan,
+        // leaving later slots untouched so a follow-up (best-effort) scan
+        // can still recover them.
         let mut first_err: Option<TxError> = None;
-        for (idx, out) in outcomes.iter_mut().enumerate() {
-            // A serial strict scan stops at the first failure; slots after
-            // it were never visited (and stay recoverable).
-            let Some(out) = out.take() else { continue };
+        for idx in 0..slot_count {
+            let out = self.run_slot(idx, &pool, opts, t0);
             report.slots_scanned += 1;
             report.transient_retries += out.retries;
             report.slot_durations[idx] = out.duration;
@@ -517,9 +438,8 @@ impl Runtime {
                     if matches!(e, TxError::RecoveryBudgetExceeded { .. }) {
                         report.budget_expired += 1;
                     }
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err = Some(e);
+                    break;
                 }
             }
         }
@@ -538,9 +458,6 @@ impl Runtime {
         stats
             .rec_budget_expired
             .fetch_add(report.budget_expired as u64, Ordering::Relaxed);
-        stats
-            .rec_workers
-            .fetch_max(workers as u64, Ordering::Relaxed);
 
         match first_err {
             Some(e) => Err(e),
@@ -549,7 +466,7 @@ impl Runtime {
     }
 
     /// Runs one slot's bounded-retry recovery loop, producing its outcome
-    /// without touching the shared report (workers call this concurrently).
+    /// for the caller to merge into the report.
     fn run_slot(
         &self,
         idx: usize,
@@ -635,136 +552,6 @@ impl Runtime {
         }
     }
 
-    /// Plans the parallel scan: per-slot logged write sets, conflict
-    /// groups, and a deterministic round-robin deal to `workers` threads.
-    ///
-    /// Planning is advisory and infallible — a slot whose metadata cannot
-    /// be read contributes an empty write set and fails (or quarantines)
-    /// later inside its own `recover_slot`, exactly as the serial scan
-    /// would.
-    fn plan_assignments(
-        &self,
-        pool: &PmemPool,
-        slot_count: usize,
-        workers: usize,
-    ) -> Vec<Vec<usize>> {
-        let mut ranges: Vec<Vec<(u64, u64)>> = Vec::new();
-        let mut bases: Vec<u64> = Vec::new();
-        // Clobber slots whose re-execution write set cannot be bounded
-        // from metadata: they conflict with every slot that has work.
-        let mut unknown = vec![false; slot_count];
-        let mut has_work = vec![false; slot_count];
-        for idx in 0..slot_count {
-            let mut rs = Vec::new();
-            let mut base = u64::MAX;
-            if let Ok(slot) = self.slot(idx) {
-                base = slot.base().offset();
-                let log_ranges = |log: Result<clobber_pmem::Ulog, PmemError>| {
-                    log.and_then(|l| l.entries(pool)).map(|entries| {
-                        entries
-                            .iter()
-                            .map(|(a, d)| (a.offset(), a.offset() + d.len() as u64))
-                            .collect::<Vec<_>>()
-                    })
-                };
-                match self.backend() {
-                    Backend::Clobber(cfg)
-                        if cfg.vlog
-                            && cfg.clobber_log
-                            && slot.is_ongoing(pool).unwrap_or(false) =>
-                    {
-                        has_work[idx] = true;
-                        // A slot an interrupted recovery already
-                        // touched (log cleared, or a resume
-                        // checkpoint persisted) no longer carries its
-                        // full write set in the clobber log; its
-                        // re-execution writes are unknowable from
-                        // metadata, so it serializes with everything.
-                        let resumed = matches!(slot.checkpoint(pool), Ok(Some(_)));
-                        match log_ranges(slot.clobber_log(pool)) {
-                            Ok(logged) if !logged.is_empty() && !resumed => rs = logged,
-                            _ => unknown[idx] = true,
-                        }
-                    }
-                    Backend::Undo | Backend::Atlas if slot.is_ongoing(pool).unwrap_or(false) => {
-                        // Write-ahead pre-images: the log covers every
-                        // write performed, and rollback touches only
-                        // logged addresses — always a complete set.
-                        has_work[idx] = true;
-                        rs = log_ranges(slot.clobber_log(pool)).unwrap_or_default();
-                    }
-                    Backend::Redo if slot.is_redo_committed(pool).unwrap_or(false) => {
-                        // A committed redo log is complete by the commit
-                        // contract; uncommitted ones are discarded with
-                        // only slot-local writes.
-                        has_work[idx] = true;
-                        rs = log_ranges(slot.redo_log(pool)).unwrap_or_default();
-                    }
-                    _ => {}
-                }
-            }
-            ranges.push(rs);
-            bases.push(base);
-        }
-
-        // Union-find over slots whose logged ranges overlap. The locking
-        // discipline already guarantees disjointness for concurrently
-        // ongoing transactions (module docs), so groups are almost always
-        // singletons — this is the belt-and-braces disjointness proof.
-        let mut parent: Vec<usize> = (0..slot_count).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let overlap = |a: &[(u64, u64)], b: &[(u64, u64)]| {
-            a.iter()
-                .any(|&(s1, e1)| b.iter().any(|&(s2, e2)| s1 < e2 && s2 < e1))
-        };
-        for i in 0..slot_count {
-            for j in (i + 1)..slot_count {
-                let conflict = overlap(&ranges[i], &ranges[j])
-                    || ((unknown[i] || unknown[j]) && has_work[i] && has_work[j]);
-                if conflict {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[rj] = ri;
-                    }
-                }
-            }
-        }
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut root_group: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        for idx in 0..slot_count {
-            let root = find(&mut parent, idx);
-            let gi = *root_group.entry(root).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(idx); // ascending: idx iterates in order
-        }
-        // Deterministic deal: groups ordered by (arena of the lowest
-        // slot's base, lowest slot id) — the partition follows the
-        // allocator arenas the sharded engine already locks independently.
-        groups.sort_by_key(|g| {
-            let lead = g[0];
-            let arena = if bases[lead] == u64::MAX {
-                usize::MAX
-            } else {
-                pool.arena_of_offset(bases[lead])
-            };
-            (arena, lead)
-        });
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (gi, group) in groups.into_iter().enumerate() {
-            assignments[gi % workers].extend(group);
-        }
-        assignments
-    }
-
     /// Recovers one slot, returning what it did.
     ///
     /// Idempotent with respect to pool state: a partial run (ended by a
@@ -841,23 +628,6 @@ impl Runtime {
                         clog.apply_backwards(pool)?;
                         pool.fence();
                         clog.clear(pool)?;
-                        // Persist a zero-watermark checkpoint before any
-                        // re-appended entry can land. From here on the log
-                        // no longer carries the crashed execution's write
-                        // set, and the checkpoint is how a later scan (or a
-                        // parallel planner) can tell: without it, a crash
-                        // after the first re-append but before the first
-                        // progress checkpoint would leave a non-empty,
-                        // checkpoint-free log that under-states the write
-                        // set.
-                        slot.write_checkpoint(
-                            pool,
-                            crate::vlog::VlogCheckpoint {
-                                stores: 0,
-                                entries: 0,
-                                preserves: 0,
-                            },
-                        )?;
                         step(
                             clobber_trace::recovery_steps::RESTORE,
                             "",
@@ -894,12 +664,13 @@ impl Runtime {
                     Err(TxError::MissingPreserve { .. }) => {
                         delta.watermark_advances += tx.checkpoints_written();
                         if resumed {
-                            // A checkpoint proves the crashed run executed
-                            // at least one store, and every preserve must
-                            // precede the first store — a missing preserve
-                            // past a checkpoint can only mean the record
-                            // lies. Abandoning (which assumes no writes
-                            // happened) would corrupt state.
+                            // A checkpoint is only written at a re-execution
+                            // log sync, inside a store, and every
+                            // preserve must precede the first store — a
+                            // missing preserve past a checkpoint can only
+                            // mean the record lies. Abandoning (which
+                            // assumes no writes happened) would corrupt
+                            // state.
                             return Err(TxError::CorruptVlog(
                                 "missing preserve after checkpointed re-execution progress".into(),
                             ));

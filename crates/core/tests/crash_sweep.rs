@@ -11,13 +11,19 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{
-    register_parked_plain, reopen, sweep, sweep_regrow, sweep_with, total, transfer_args,
-    two_parked_transfers, ACCOUNTS, INITIAL,
+    explore_check, register_parked_plain, reopen, reopen_with, setup_with, sweep, sweep_clean,
+    sweep_regrow, sweep_with, total, transfer_args, two_parked_transfers, unless_crashed, ACCOUNTS,
+    INITIAL, SCRIPT,
 };
 
-use clobber_nvm::{Backend, Nested, RecoveryOptions, SlotQuarantineKind, SweepSummary, TxError};
-use clobber_pmem::{FaultPlan, PmemError};
+use clobber_nvm::{
+    Backend, CrashBattery, ExploreSession, Nested, RecoveryOptions, Runtime, SlotQuarantineKind,
+    SweepSummary, TxError,
+};
+use clobber_pmem::{FaultPlan, PAddr, PmemError};
 
 /// Stride between swept crash points. Release builds (and
 /// `CLOBBER_FULL_SWEEP=1`) visit every event; plain debug-mode
@@ -237,6 +243,65 @@ fn sweep_regrow_undo() {
         s.rolled_back > 0,
         "undo regrow sweep should roll back: {s:?}"
     );
+}
+
+/// Registers `preserved_transfer`: the amount is volatile input, recorded
+/// with `vlog_preserve` before the first store.
+fn register_preserved_transfer(rt: &Runtime) {
+    rt.register("preserved_transfer", |tx, args| {
+        let base = PAddr::new(args.u64(0)?);
+        let (from, to) = (args.u64(1)?, args.u64(2)?);
+        let blob = tx.vlog_preserve(&args.u64(3)?.to_le_bytes())?;
+        let amount = u64::from_le_bytes(blob.as_slice().try_into().expect("an 8-byte blob"));
+        let from_bal = tx.read_u64(base.add(from * 8))?;
+        tx.write_u64(base.add(from * 8), from_bal - amount)?;
+        let to_bal = tx.read_u64(base.add(to * 8))?;
+        tx.write_u64(base.add(to * 8), to_bal + amount)?;
+        Ok(None)
+    });
+}
+
+/// A transaction crashed before its preserve is durable is abandoned by
+/// recovery; a crash inside that abandon must leave the slot recoverable,
+/// not stuck on a checkpoint that no store ever earned. Every outer point
+/// × every nested recovery event.
+#[test]
+fn abandoned_preserve_survives_a_crash_inside_recovery() {
+    let backend = Backend::clobber();
+    let session = ExploreSession {
+        build: Box::new(move || {
+            let (pool, rt, _) = setup_with(backend, 1);
+            register_preserved_transfer(&rt);
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let (pool, rt) = reopen_with(media, backend, 1);
+            register_preserved_transfer(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(explore_check),
+    };
+    let drive = |rt: &Arc<Runtime>| {
+        let base = rt.app_root().unwrap();
+        let run = SCRIPT.iter().try_for_each(|&step| {
+            rt.run("preserved_transfer", &transfer_args(base, step))
+                .map(drop)
+        });
+        unless_crashed(rt, run);
+    };
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive,
+        nested: Nested::Exhaustive,
+    };
+    let s = sweep_clean(&battery, 1, |r| {
+        let base = r.rt.app_root().unwrap();
+        r.rt.run("preserved_transfer", &transfer_args(base, (0, 1, 5)))
+            .unwrap();
+        assert_eq!(total(&r.pool, base), ACCOUNTS * INITIAL, "k={}", r.crash_at);
+    });
+    assert!(s.abandoned > 0, "no crash landed before a preserve: {s:?}");
+    assert!(s.nested_points > 0, "{s:?}");
 }
 
 /// The full acceptance sweep: stride 1 on every backend with a nested

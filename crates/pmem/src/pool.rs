@@ -408,13 +408,6 @@ impl PmemPool {
         self.geom.arenas().len()
     }
 
-    /// The allocator arena whose span contains `offset`. Recovery uses
-    /// this to partition slot work along the same boundaries the allocator
-    /// already locks independently.
-    pub fn arena_of_offset(&self, offset: u64) -> usize {
-        self.geom.arena_of(offset)
-    }
-
     /// The pool's cache-modeling mode.
     pub fn mode(&self) -> PoolMode {
         self.mode
@@ -475,14 +468,6 @@ impl PmemPool {
     /// The persist event at which the armed plan tripped, if it has.
     pub fn fault_tripped(&self) -> Option<u64> {
         self.faults.lock().tripped_at
-    }
-
-    /// Whether a fault plan is currently armed. Recovery consults this to
-    /// fall back to the deterministic serial scan: the fault-mutex contract
-    /// numbers persist events in acquisition order, so sweeps only stay
-    /// schedule-independent when one worker drives them.
-    pub fn faults_armed(&self) -> bool {
-        self.faults_armed.load(Ordering::Relaxed)
     }
 
     /// Whether the persist path must take the fault mutex: a plan is armed

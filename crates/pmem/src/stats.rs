@@ -159,9 +159,6 @@ pub struct PmemStats {
     /// Re-execution progress checkpoints persisted (watermark advances),
     /// bumped by the runtime.
     pub rec_watermark_advances: AtomicU64,
-    /// High-water mark of worker threads a recovery scan used (set with
-    /// `fetch_max`, so it stays monotone like every other counter).
-    pub rec_workers: AtomicU64,
     /// Slots whose recovery budget (per-slot deadline or global budget)
     /// expired, bumped by the runtime.
     pub rec_budget_expired: AtomicU64,
@@ -280,7 +277,6 @@ impl PmemStats {
             rec_reexecuted: self.rec_reexecuted.load(Ordering::Relaxed),
             rec_resumed: self.rec_resumed.load(Ordering::Relaxed),
             rec_watermark_advances: self.rec_watermark_advances.load(Ordering::Relaxed),
-            rec_workers: self.rec_workers.load(Ordering::Relaxed),
             rec_budget_expired: self.rec_budget_expired.load(Ordering::Relaxed),
             exp_schedules: self.exp_schedules.load(Ordering::Relaxed),
             exp_pruned: self.exp_pruned.load(Ordering::Relaxed),
@@ -399,8 +395,6 @@ pub struct StatsSnapshot {
     pub rec_resumed: u64,
     /// Re-execution progress checkpoints persisted (watermark advances).
     pub rec_watermark_advances: u64,
-    /// High-water mark of recovery worker threads used.
-    pub rec_workers: u64,
     /// Slots whose recovery budget expired.
     pub rec_budget_expired: u64,
     /// Candidate schedules the explorer executed.
@@ -476,7 +470,6 @@ impl StatsSnapshot {
             rec_reexecuted: self.rec_reexecuted - earlier.rec_reexecuted,
             rec_resumed: self.rec_resumed - earlier.rec_resumed,
             rec_watermark_advances: self.rec_watermark_advances - earlier.rec_watermark_advances,
-            rec_workers: self.rec_workers - earlier.rec_workers,
             rec_budget_expired: self.rec_budget_expired - earlier.rec_budget_expired,
             exp_schedules: self.exp_schedules - earlier.exp_schedules,
             exp_pruned: self.exp_pruned - earlier.exp_pruned,
