@@ -63,10 +63,10 @@ pub enum Backend {
     /// and must be able to roll back even *completed* FASEs, so it persists
     /// a lock-acquisition record at begin and a dependency record at
     /// commit, and keeps logs for its (helper-thread) pruner. That
-    /// bookkeeping — one extra fence at begin, one extra log entry + fence
-    /// at commit — is the modeled cost the paper attributes Atlas's
-    /// slowdown to (§5.1: "this dependency tracking incurs significant
-    /// runtime cost").
+    /// bookkeeping — one extra fence at begin, one extra log entry (in the
+    /// v_log slot) + fence at commit — is the modeled cost the paper
+    /// attributes Atlas's slowdown to (§5.1: "this dependency tracking
+    /// incurs significant runtime cost").
     Atlas,
 }
 

@@ -12,8 +12,9 @@
 //!    intact state is checked and the point counted — the caller judges
 //!    whether that is acceptable: never for a deterministic replay,
 //!    routinely for racing threads);
-//! 2. takes an adversarial [`CrashConfig::drop_all`] power failure (no
-//!    un-fenced line survives, so the crash seed cannot matter);
+//! 2. takes a power failure keeping each flushed, un-fenced line with p =
+//!    1/2, seeded by `k`: any subset of a window can persist, as on x86
+//!    ([`CrashConfig::drop_all`], the weakest draw, never splits one);
 //! 3. reopens the image, recovers it on the deterministic no-wait clock,
 //!    and requires, in order: **heap walk** ([`PmemPool::check_heap`] —
 //!    the allocator's durable structures are sound), the session's
@@ -383,10 +384,10 @@ struct Point<'a> {
 }
 
 impl Point<'_> {
-    /// The adversarial power failure: the durable media of `pool` with
-    /// every un-fenced line dropped, written into the spare buffer.
+    /// The power failure of step 2, written into the spare buffer (no
+    /// dirty line survives it).
     fn power_failure(&mut self, pool: &PmemPool, k: u64) -> Vec<u8> {
-        pool.crash_media_into(&CrashConfig::drop_all(k), std::mem::take(self.spare))
+        pool.crash_media_into(&CrashConfig::new(0.5, 0.0, k), std::mem::take(self.spare))
     }
 
     /// A copy of `image` in the spare buffer.

@@ -76,9 +76,9 @@
 //! ones, which leak but never dangle). An undo commit interrupted between
 //! its publish fence and log invalidation rolls back an *empty* log — a
 //! no-op, so the committed state stands. Deferred frees that a crash
-//! separates from their committed transaction — or catches between the two
-//! fences of their `free_many` (headers free, lists not yet naming them) —
-//! are lost (a bounded leak), never double-applied.
+//! separates from their committed transaction — or catches before a fence
+//! orders the list heads their `free_many` wrote — are lost (a bounded
+//! leak), never double-applied.
 
 use std::fmt;
 use std::sync::atomic::Ordering;

@@ -881,17 +881,8 @@ impl<'rt> Tx<'rt> {
                     // FASE dependency record: Atlas persists the completed
                     // FASE's position in the dependence graph for its log
                     // pruner (one extra entry + fence per FASE).
-                    let dep = [0u8; 32];
                     self.drain_dirty()?;
-                    self.clog.append(pool, self.slot.base(), &dep)?;
-                    self.clog.sync_with(pool, |p| gc.fence(p))?;
-                    let stats = pool.stats();
-                    stats
-                        .log_entries
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    stats
-                        .log_bytes
-                        .fetch_add(32, std::sync::atomic::Ordering::Relaxed);
+                    self.slot.fase_record_with_fence(pool, &|p| gc.fence(p))?;
                 }
                 if effects {
                     self.settle_reservations()?;
@@ -931,13 +922,14 @@ impl<'rt> Tx<'rt> {
                     std::sync::atomic::Ordering::Relaxed,
                 );
                 // Stream the batch through a line-buffered writer and route
-                // its single ordering point through group commit.
+                // its single ordering point — which also orders the settled
+                // headers before the commit marker — through group commit.
                 let mut rw = LogWriter::attach(pool, self.rlog)?;
                 for (addr, data) in &items {
                     rw.append(pool, *addr, data)?;
                 }
-                rw.sync_with(pool, |p| gc.fence(p))?;
                 self.settle_reservations()?;
+                rw.sync_with(pool, |p| gc.fence(p))?;
                 // Commit point.
                 self.slot
                     .set_redo_committed_with_fence(pool, true, &|p| gc.fence(p))?;

@@ -19,7 +19,9 @@
 //! bit must not become durable before the record, otherwise recovery could
 //! re-execute garbage arguments.
 
-use clobber_pmem::{LogKind, PAddr, PmemError, PmemPool, Ulog};
+use std::sync::atomic::Ordering::Relaxed;
+
+use clobber_pmem::{LogKind, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
 
 use crate::args::ArgList;
 use crate::error::TxError;
@@ -28,7 +30,6 @@ use crate::error::TxError;
 /// `flushes` flush calls and `fences` fence *requests* (a request satisfied
 /// by a shared group-commit epoch still counts).
 fn bump_vlog(pool: &PmemPool, flushes: u64, fences: u64) {
-    use std::sync::atomic::Ordering::Relaxed;
     let s = pool.stats();
     s.vlog_flushes.fetch_add(flushes, Relaxed);
     s.vlog_fences.fetch_add(fences, Relaxed);
@@ -87,8 +88,12 @@ fn ckpt_checksum(stores: u64, entries: u64, preserves: u64) -> u64 {
     h
 }
 
+/// Atlas's FASE record: the first whole line from here (a slot's 8 KiB
+/// allocation has the room).
+const FASE_AREA: u64 = PRESERVE_DATA + PRESERVE_CAP;
+
 /// Total persistent size of one slot.
-pub const SLOT_SIZE: u64 = PRESERVE_DATA + PRESERVE_CAP;
+pub const SLOT_SIZE: u64 = FASE_AREA + 2 * CACHE_LINE;
 
 /// A persisted re-execution progress checkpoint: recovery re-running an
 /// interrupted txfunc records how far the replay's durable effects reach,
@@ -177,7 +182,7 @@ impl VlogSlot {
     /// bytes are the name-length word that [`record`](Self::record)
     /// validates.
     pub fn record_region(&self) -> (PAddr, u64) {
-        (self.base.add(NAME_LEN), SLOT_SIZE - NAME_LEN)
+        (self.base.add(NAME_LEN), FASE_AREA - NAME_LEN)
     }
 
     /// The slot's creation id (list position).
@@ -329,6 +334,24 @@ impl VlogSlot {
         pool.store_flush(self.base.add(STATUS), &1u64.to_le_bytes())?;
         fence(pool);
         bump_vlog(pool, 1, 1);
+        Ok(())
+    }
+
+    /// Persists Atlas's 32-byte FASE dependency record in a line of its
+    /// own, ordered by `fence`, and counts it as one 32-byte log entry. It
+    /// is no undo-log entry, so no rollback ever writes over the slot.
+    pub fn fase_record_with_fence(
+        &self,
+        pool: &PmemPool,
+        fence: &dyn Fn(&PmemPool),
+    ) -> Result<(), PmemError> {
+        let line = (self.base.offset() + FASE_AREA).next_multiple_of(CACHE_LINE);
+        pool.store_flush(PAddr::new(line), &[0; 32])?;
+        fence(pool);
+        bump_vlog(pool, 1, 1);
+        let stats = pool.stats();
+        stats.log_entries.fetch_add(1, Relaxed);
+        stats.log_bytes.fetch_add(32, Relaxed);
         Ok(())
     }
 

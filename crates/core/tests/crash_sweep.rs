@@ -245,6 +245,16 @@ fn sweep_regrow_undo() {
     );
 }
 
+/// And under redo logging, whose commit marker may persist only with the
+/// headers of the blocks its replay writes into: a marker kept without them
+/// leaves the live list in a block the heap calls free.
+#[test]
+fn sweep_regrow_redo() {
+    let s = sweep_regrow(Backend::Redo, smoke_stride(), 1);
+    assert!(s.events > 0 && s.crash_points > 0);
+    assert!(s.redo_applied > 0, "redo regrow sweep should replay: {s:?}");
+}
+
 /// Registers `preserved_transfer`: the amount is volatile input, recorded
 /// with `vlog_preserve` before the first store.
 fn register_preserved_transfer(rt: &Runtime) {

@@ -1,6 +1,7 @@
 //! Property-based crash testing: a bank of accounts with transfer
 //! transactions. The invariant — the total balance is conserved — must hold
-//! after an adversarial crash at *any* persist event of a generated
+//! after a crash (a seeded subset of the un-fenced lines kept) at *any*
+//! persist event of a generated
 //! transfer script, under every failure-atomic backend, regardless of
 //! whether recovery completes the interrupted transfer (clobber) or rolls
 //! it back (undo/redo/atlas). Each case is one `CrashBattery` crash point,

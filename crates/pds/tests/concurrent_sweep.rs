@@ -5,8 +5,8 @@
 //! * **Racing sweeps** — 2 (exhaustively 4) OS threads drive
 //!   `insert_sync`/`remove_sync` on the hash map (per-bucket locks) and
 //!   the skiplist (global lock) while a [`FaultPlan`] crash trips at a
-//!   swept persist event; after an adversarial power failure and
-//!   recovery, the structure must pass its full structural check with
+//!   swept persist event; after a power failure (a seeded subset of the
+//!   un-fenced lines kept) and recovery, the structure must pass its full structural check with
 //!   every surviving key holding exactly its canonical value — at shards
 //!   1 and 4.
 //! * **Deterministic 2-lane sweep** — a fixed interleaved schedule over

@@ -8,8 +8,10 @@ use crate::pool::{get_u64, PmemError};
 ///
 /// The same relative layout serves every arena: arena 0's metadata *is* the
 /// pool header (`meta_base == 0`), and each side arena repeats the
-/// `FRONTIER`/`ALLOC_REDO`/`FREE_HEADS` block at its own `meta_base`, with a
-/// `HEAP_BASE`-sized metadata prefix before its heap.
+/// `FRONTIER`/`FREE_HEADS` words at its own `meta_base`, with a
+/// `HEAP_BASE`-sized metadata prefix before its heap. Bytes 64..128 are
+/// reserved: they held the allocator redo record, and `HEAP_BASE` — hence
+/// every block address — stays where it was.
 pub(crate) mod layout {
     /// `u64` magic number.
     pub const MAGIC: u64 = 0;
@@ -17,16 +19,15 @@ pub(crate) mod layout {
     pub const CAPACITY: u64 = 8;
     /// `u64` root object address.
     pub const ROOT: u64 = 16;
-    /// `u64` allocation frontier (relative to the arena's `meta_base`).
+    /// `u64` allocation frontier hint (relative to the arena's
+    /// `meta_base`).
     pub const FRONTIER: u64 = 24;
     /// `u64` arena count.
     pub const ARENAS: u64 = 32;
     /// `u64` bytes spanned by each side arena (0 if none).
     pub const ARENA_BYTES: u64 = 40;
-    /// 64-byte allocator redo record (relative to the arena's `meta_base`).
-    pub const ALLOC_REDO: u64 = 64;
-    /// Free-list heads: one `u64` per size class, then the huge-list head
-    /// (relative to the arena's `meta_base`).
+    /// Free-list head hints: one `u64` per size class, then the huge-list
+    /// head (relative to the arena's `meta_base`).
     pub const FREE_HEADS: u64 = 128;
     /// First byte available to the heap (relative to the arena's
     /// `meta_base`) — i.e. the per-arena metadata size.
@@ -48,9 +49,6 @@ pub(crate) struct ArenaLayout {
 impl ArenaLayout {
     pub(crate) fn frontier_off(&self) -> u64 {
         self.meta_base + layout::FRONTIER
-    }
-    pub(crate) fn redo_off(&self) -> u64 {
-        self.meta_base + layout::ALLOC_REDO
     }
     pub(crate) fn head_off(&self, class: u32) -> u64 {
         self.meta_base + layout::FREE_HEADS + class as u64 * 8

@@ -14,10 +14,10 @@
 //! * [`PmemPool::crash`] simulates a power failure: flushed-but-unfenced and
 //!   dirty-unflushed lines survive only with a configurable (seeded)
 //!   probability, everything else is dropped — reproducing torn states.
-//! * [`alloc`] provides a crash-consistent persistent heap allocator with a
-//!   micro write-ahead redo record, in the spirit of PMDK's allocator —
-//!   sharded into per-thread arenas with thread-local reservation
-//!   magazines so transactions scale past a single allocator lock.
+//! * [`alloc`] provides a crash-consistent persistent heap allocator in the
+//!   spirit of PMDK's (list heads and frontier are hints an open repairs),
+//!   sharded into per-thread arenas with thread-local reservation magazines
+//!   so transactions scale past a single allocator lock.
 //! * [`ulog`] provides a PMDK-style undo-log buffer, the primitive on which
 //!   Clobber-NVM's `clobber_log` is built (paper §4.2).
 //! * [`stats::PmemStats`] counts every persistence event (flushes, fences,

@@ -309,7 +309,7 @@ impl PmemPool {
         for arena in geom.arenas() {
             put_u64(&mut media, arena.frontier_off(), arena.heap_lo);
         }
-        // Free-list heads and the redo records are already zero.
+        // The free-list heads are already zero.
         Ok(Self::assemble(
             media,
             opts.mode,
@@ -321,8 +321,8 @@ impl PmemPool {
 
     /// Reopens a pool from raw media contents, e.g. after a crash.
     ///
-    /// Replays any in-flight allocator redo record and rebuilds the volatile
-    /// allocator mirror, mirroring what a PMDK pool open does.
+    /// Rebuilds the volatile allocator mirror, repairing the allocator hints
+    /// a crash left lagging, as a PMDK pool open rebuilds its free lists.
     ///
     /// # Errors
     ///
@@ -339,7 +339,7 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::CorruptPool`] if the header fails validation.
     pub fn open_from_media_with(
-        mut media: Vec<u8>,
+        media: Vec<u8>,
         mode: PoolMode,
         cache_impl: CacheImpl,
         shards: u32,
@@ -358,7 +358,6 @@ impl PmemPool {
             )));
         }
         let geom = HeapGeometry::read(&media)?;
-        crate::alloc::replay_redo(&mut media, &geom);
         Ok(Self::assemble(media, mode, cache_impl, shards, geom))
     }
 
@@ -861,8 +860,8 @@ impl PmemPool {
     /// Each flushed-but-unfenced line survives with probability
     /// `cfg.p_flushed_unfenced`; each dirty unflushed line with probability
     /// `cfg.p_dirty`; fenced data always survives. Returns the pool as a
-    /// freshly opened instance (volatile state discarded, allocator redo
-    /// replayed, mirror rebuilt). In performance mode all writes are already
+    /// freshly opened instance (volatile state discarded, allocator hints
+    /// repaired, mirror rebuilt). In performance mode all writes are already
     /// on media, so the result is simply a clean reopen.
     ///
     /// # Errors
@@ -877,8 +876,8 @@ impl PmemPool {
     /// The media image the power failure of [`crash`](Self::crash) leaves
     /// behind — durable bytes plus every modified line whose survival draw
     /// succeeds — as one copy, not reopened: `crash` is this image opened,
-    /// and since an open replays the allocator redo record, this is the
-    /// image before that replay. For a harness that reopens it itself.
+    /// and since an open repairs the allocator hints, this is the image
+    /// before that repair. For a harness that reopens it itself.
     pub fn crash_media(&self, cfg: &CrashConfig) -> Vec<u8> {
         self.crash_media_into(cfg, Vec::new())
     }
@@ -902,7 +901,7 @@ impl PmemPool {
     }
 
     /// Returns a copy of the durable media contents (what a crash with
-    /// [`CrashConfig::drop_all`] would preserve, before redo replay).
+    /// [`CrashConfig::drop_all`] would preserve, before an open's repairs).
     pub fn media_snapshot(&self) -> Vec<u8> {
         let mut media = Vec::with_capacity(self.capacity as usize);
         self.visit_media(|piece| media.extend_from_slice(piece));

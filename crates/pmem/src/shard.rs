@@ -38,6 +38,7 @@
 //! [`ShardCounters`]: crate::stats::ShardCounters
 //! [`PmemStats::snapshot`]: crate::PmemStats::snapshot
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -154,11 +155,6 @@ impl<'a> MediaView<'a> {
         std::iter::once(self.head).chain(self.rest.iter().copied())
     }
 
-    /// Total bytes of media viewed.
-    pub(crate) fn len(&self) -> u64 {
-        self.pieces().map(|p| p.len() as u64).sum()
-    }
-
     /// The `N` durable bytes at `offset` (which may straddle pieces).
     fn read<const N: usize>(&self, offset: u64) -> [u8; N] {
         let mut buf = [0u8; N];
@@ -180,10 +176,6 @@ impl<'a> MediaView<'a> {
 
     pub(crate) fn get_u64(&self, offset: u64) -> u64 {
         u64::from_le_bytes(self.read(offset))
-    }
-
-    pub(crate) fn get_u32(&self, offset: u64) -> u32 {
-        u32::from_le_bytes(self.read(offset))
     }
 }
 
@@ -260,6 +252,10 @@ pub(crate) struct ShardedPool {
     /// owning arena's mirror first, then the shards its span overlaps, so
     /// that arena's metadata updates are atomic.
     mirrors: Box<[Mutex<ArenaMirror>]>,
+    /// Pool-wide fences as tickets, taken when one begins and retired when
+    /// it ends ([`fence_tickets`](Self::fence_tickets)).
+    fences_begun: AtomicU64,
+    fences_done: AtomicU64,
 }
 
 impl ShardedPool {
@@ -273,7 +269,7 @@ impl ShardedPool {
         let mirrors: Vec<Mutex<ArenaMirror>> = geom
             .arenas()
             .iter()
-            .map(|&l| Mutex::new(ArenaMirror::rebuild(&media, l)))
+            .map(|&l| Mutex::new(ArenaMirror::rebuild(&mut media, l)))
             .collect();
         let want = u64::from(shards.clamp(1, 4096));
         let shard_bytes = align_up(capacity.div_ceil(want).max(1), CACHE_LINE);
@@ -304,6 +300,8 @@ impl ShardedPool {
             shard_bytes,
             capacity,
             mirrors: mirrors.into_boxed_slice(),
+            fences_begun: AtomicU64::new(0),
+            fences_done: AtomicU64::new(0),
         }
     }
 
@@ -486,11 +484,20 @@ impl ShardedPool {
         // Counted in shard 0's bank without its lock: in performance mode
         // there is nothing to write back, so a fence takes no lock at all.
         self.banks[0].add_fences(1);
+        let ticket = self.fences_begun.fetch_add(1, Ordering::SeqCst);
         if mode == PoolMode::CrashSim {
             for cell in self.cells.iter() {
                 cell.lock().fence();
             }
         }
+        self.fences_done.fetch_max(ticket + 1, Ordering::SeqCst);
+    }
+
+    /// `(begun, done)`: flushes made under a shard lock held while `begun`
+    /// is read are ordered once `done` exceeds it.
+    pub(crate) fn fence_tickets(&self) -> (u64, u64) {
+        let begun = self.fences_begun.load(Ordering::SeqCst);
+        (begun, self.fences_done.load(Ordering::SeqCst))
     }
 
     /// Writes straight to durable media, bypassing the cache (torn-store
@@ -724,7 +731,8 @@ mod tests {
         let s = ShardedPool::new(media, CacheImpl::Dense, 4, &geom);
         assert_eq!(s.shard_count(), 4);
         assert_eq!(s.shard_bytes % CACHE_LINE, 0);
-        assert_eq!(s.with_media_view(|v| v.len()), 1 << 20);
+        let len = s.with_media_view(|v| v.pieces().map(<[u8]>::len).sum::<usize>());
+        assert_eq!(len, 1 << 20);
     }
 
     #[test]
