@@ -10,7 +10,9 @@
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions};
-use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions};
+use clobber_pmem::{
+    CrashConfig, EventKind, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, Tracer,
+};
 use clobber_sim::CostModel;
 use clobber_workloads::{Workload, WorkloadKind};
 
@@ -62,9 +64,9 @@ pub fn run_cell(kind: DsKind, backend: Backend, scale: Scale, seed: u64) -> Row 
     // half.
     let n = (scale.ds_ops() / 8).max(32);
     let victim = n / 2 + seed % (n / 2);
-    // Loads a fresh pool armed with `plan` up to and including the victim;
-    // returns the pool and the victim's span of persist events.
-    let load = |plan: FaultPlan| {
+    // Loads a fresh pool armed with `plan` up to and including the victim,
+    // traced by `tracer`; returns the pool and the victim's persist events.
+    let load = |plan: FaultPlan, tracer: Option<Arc<Tracer>>| {
         let bytes = scale.pool_bytes().min(256 << 20);
         let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(bytes)).expect("pool"));
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).expect("runtime");
@@ -75,15 +77,26 @@ pub fn run_cell(kind: DsKind, backend: Backend, scale: Scale, seed: u64) -> Row 
             handle.exec(&rt, 0, &op);
         }
         let before = pool.fault_events();
+        pool.set_tracer(tracer);
         // The armed crash kills this insert: its error is the point.
         let _ = handle.try_exec(&rt, 0, &ops.next().expect("the victim"));
         let span = before..pool.fault_events();
         (pool, span)
     };
-    // A dry run learns the victim's events; the crash lands in their middle,
-    // past the durable begin record and short of the commit.
-    let (_, span) = load(FaultPlan::count_only());
-    let (pool, _) = load(FaultPlan::crash_at((span.start + span.end) / 2));
+    // A dry run learns the victim's events (an armed plan stamps each traced
+    // one with its index); the crash lands in the middle of those after its
+    // first fence — past the durable begin and short of the commit.
+    let tracer = Arc::new(Tracer::new());
+    let (_, span) = load(FaultPlan::count_only(), Some(tracer.clone()));
+    let begun = tracer
+        .take()
+        .events
+        .iter()
+        .find(|e| e.kind == EventKind::Fence)
+        .expect("the victim fences")
+        .seq
+        + 1;
+    let (pool, _) = load(FaultPlan::crash_at((begun + span.end) / 2), None);
     assert!(
         pool.fault_tripped().is_some(),
         "the crash is inside {span:?}"

@@ -5,7 +5,8 @@
 //!
 //! 1. restoring its clobbered inputs from the `clobber_log`
 //!    (most-recent-first, so the original pre-transaction value wins),
-//! 2. clearing the `clobber_log` (the re-execution will refill it), and
+//! 2. clearing the `clobber_log` (the re-execution will refill it) past
+//!    the begin number, and
 //! 3. re-executing the registered txfunc with the arguments and preserved
 //!    volatile blobs read back from the v_log, committing normally.
 //!
@@ -70,7 +71,7 @@
 //!
 //! Commit-window edge cases (all verified by the crash sweeps in
 //! `tests/`): a crash after the clobber commit's publish fence but before
-//! the status bit clears re-executes an already-complete transaction —
+//! the status word clears re-executes an already-complete transaction —
 //! harmless, since its clobbered inputs are restored first and re-execution
 //! regenerates identical outputs (fresh allocations replace the published
 //! ones, which leak but never dangle). An undo commit interrupted between
@@ -79,6 +80,16 @@
 //! separates from their committed transaction — or catches before a fence
 //! orders the list heads their `free_many` wrote — are lost (a bounded
 //! leak), never double-applied.
+//!
+//! Begin-window edge cases (`tests/recovery.rs`, `tests/writeback.rs`): a
+//! clobber begin is flushed but not fenced until the transaction's first
+//! ordering point, so a crash before it keeps any subset of its lines. A
+//! record whose seal does not match the status word — torn, or the previous
+//! transaction's — is abandoned: no store reached media. A clobber log whose
+//! generation is below the begin number missed the begin's truncation and
+//! counts as empty; a preserve/checkpoint line naming another begin counts
+//! as holding nothing. A begin whose status word was lost leaves nothing to
+//! recover, and no later begin reuses its number (see `Runtime::run_on`).
 
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -579,12 +590,27 @@ impl Runtime {
                 if !(cfg.vlog && cfg.clobber_log) {
                     return Ok(delta); // breakdown variants are not failure-atomic
                 }
-                if !slot.is_ongoing(pool)? {
+                let begin = slot.status(pool)?;
+                if begin == 0 {
                     return Ok(delta);
                 }
-                let rec = slot.record(pool)?;
+                let Some(rec) = slot.record(pool, begin)? else {
+                    // The seal does not match: the begin never reached an
+                    // ordering point, so none of the transaction's stores
+                    // reached media either.
+                    slot.clear_ongoing(pool)?;
+                    pool.fence();
+                    delta.abandoned += 1;
+                    step(clobber_trace::recovery_steps::ABANDON, "", 0);
+                    return Ok(delta);
+                };
                 let clog = slot.clobber_log(pool)?;
-                let entries = clog.entries(pool)?;
+                // A log still at an earlier generation missed this begin's
+                // truncation: its entries are a committed transaction's.
+                let mut entries = clog.entries(pool)?;
+                if clog.generation(pool)? < begin {
+                    entries.clear();
+                }
                 // A valid progress checkpoint from an interrupted recovery
                 // lets this scan resume the re-execution past its durable
                 // prefix. The checkpoint is fenced after the entries it
@@ -592,20 +618,22 @@ impl Runtime {
                 // if it somehow does, fall back to a fresh restart (always
                 // sound).
                 let ck = slot
-                    .checkpoint(pool)?
+                    .checkpoint(pool, begin)?
                     .filter(|c| c.entries as usize <= entries.len());
-                let (writer, skip_stores, skip_appends, cursor) = match ck {
+                let cursor = ck.map_or(0, |c| c.entries as usize);
+                // Restore clobbered inputs past the cursor, most recent
+                // first so the true input wins. A resume keeps the
+                // checkpointed prefix applied and its entries for the read
+                // overlay and a later crash's rollback.
+                let undone = &entries[cursor..];
+                delta.clobber_entries_applied += undone.len() as u64;
+                delta.clobber_bytes_applied +=
+                    undone.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
+                for (addr, data) in undone.iter().rev() {
+                    pool.store_flush(*addr, data)?;
+                }
+                let (writer, skip_stores, skip_appends) = match ck {
                     Some(c) => {
-                        let cursor = c.entries as usize;
-                        let undone = &entries[cursor..];
-                        delta.clobber_entries_applied += undone.len() as u64;
-                        delta.clobber_bytes_applied +=
-                            undone.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
-                        // Undo only the stores past the watermark; the
-                        // checkpointed prefix stays applied and its log
-                        // entries stay put — they feed the resume read
-                        // overlay and a later crash's rollback.
-                        clog.apply_backwards_from(pool, cursor)?;
                         pool.fence();
                         step(
                             clobber_trace::recovery_steps::RESTORE,
@@ -617,23 +645,21 @@ impl Runtime {
                         // Resume appending exactly at the durable stream
                         // end; skipped appends regenerate the prefix.
                         let writer = clobber_pmem::LogWriter::attach(pool, clog)?;
-                        (writer, c.stores, entries.len() as u64, cursor)
+                        (writer, c.stores, entries.len() as u64)
                     }
                     None => {
-                        // Restore clobbered inputs (most recent entry first
-                        // so the oldest value — the true input — wins).
-                        delta.clobber_entries_applied += entries.len() as u64;
-                        delta.clobber_bytes_applied +=
-                            entries.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
-                        clog.apply_backwards(pool)?;
+                        // Checkpoints of the re-execution land in a line
+                        // naming this begin with the preserves it replays.
+                        let tail = rec.preserves.iter().map(|p| 8 + p.len() as u64).sum();
+                        slot.bind_preserves(pool, begin, rec.preserves.len() as u64, tail)?;
                         pool.fence();
-                        clog.clear(pool)?;
+                        clog.clear_above(pool, begin)?;
                         step(
                             clobber_trace::recovery_steps::RESTORE,
                             "",
                             entries.len() as u64,
                         );
-                        (clobber_pmem::LogWriter::new(clog), 0, 0, 0)
+                        (clobber_pmem::LogWriter::new(clog), 0, 0)
                     }
                 };
                 let resumed = delta.resumed > 0;

@@ -19,7 +19,8 @@ use crate::lock::{LockManager, LockRequest};
 use crate::tx::{CommitOutcome, Tx, TxResult, TxScratch};
 use crate::vlog::VlogSlot;
 
-const RUNTIME_MAGIC: u64 = 0xC10B_BE12_0000_0002;
+/// Names the runtime header and slot layout (v3: sealed begin record).
+const RUNTIME_MAGIC: u64 = 0xC10B_BE12_0000_0003;
 
 /// Persistent runtime header layout (allocated block, pointed to by the pool
 /// root).
@@ -527,27 +528,37 @@ impl Runtime {
                 );
             }
         }
+        let vlog_enabled = matches!(self.opts.backend, Backend::Clobber(cfg) if cfg.vlog);
         // Stale log tails from the previous transaction must be durable as
         // empty before this transaction is marked ongoing; the begin fence
-        // orders these unfenced writes.
+        // orders these unfenced writes (a clobber begin truncates its own
+        // log: the new generation numbers it).
         let (clog, rlog) = match mirror {
             // The slot's last commit was this runtime's: its cursor says
             // whether the clobber log holds entries (the redo log never
             // does after a commit), and only truncating reads the pool —
             // the header, so one corrupted meanwhile is still refused.
             Some((mut clog, rlog)) => {
-                if !clog.is_empty(&self.pool)? {
+                if !vlog_enabled && !clog.is_empty(&self.pool)? {
                     clog.reset_unfenced(&self.pool)?;
                 }
                 (clog, rlog)
             }
             // Adoption: descriptors from the slot, then a header probe of
             // each log instead of a stream scan, leaving the writer's
-            // cursor at the start — appends never re-read log state.
+            // cursor at the start — appends never re-read log state. A
+            // v_log's clobber log is truncated with a fence: a begin lost to
+            // a crash took the next generation, and sealed lines with it
+            // that must never validate again.
             None => {
                 let mut clog = LogWriter::new(slot.clobber_log(&self.pool)?);
                 let rlog = slot.redo_log(&self.pool)?;
-                clog.ensure_empty_unfenced(&self.pool)?;
+                if vlog_enabled {
+                    clog.reset_unfenced(&self.pool)?;
+                    self.pool.fence();
+                } else {
+                    clog.ensure_empty_unfenced(&self.pool)?;
+                }
                 if !rlog.is_empty(&self.pool)? {
                     rlog.reset_unfenced(&self.pool)?;
                 }
@@ -555,7 +566,6 @@ impl Runtime {
             }
         };
 
-        let vlog_enabled = matches!(self.opts.backend, Backend::Clobber(cfg) if cfg.vlog);
         // The begin record is deferred until the first persistent store
         // (see Tx::ensure_begun): read-only transactions never fence.
         let pending = crate::tx::PendingBegin { name, args };

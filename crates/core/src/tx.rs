@@ -27,7 +27,7 @@ use crate::error::TxError;
 use crate::group_commit::GroupCommit;
 use crate::ido::{IdoObserver, IdoTxStats};
 use crate::rangeset::RangeSet;
-use crate::vlog::{VlogCheckpoint, VlogSlot};
+use crate::vlog::{bump_vlog, VlogCheckpoint, VlogSlot};
 
 /// Result type of a registered txfunc: an optional opaque return payload.
 pub type TxResult = Result<Option<Vec<u8>>, TxError>;
@@ -225,6 +225,8 @@ pub struct Tx<'rt> {
     vlog_enabled: bool,
     pending_begin: Option<PendingBegin<'rt>>,
     begun: bool,
+    /// A clobber begin no fence has ordered yet.
+    begin_unordered: bool,
 }
 
 impl<'rt> Tx<'rt> {
@@ -260,12 +262,13 @@ impl<'rt> Tx<'rt> {
             vlog_enabled,
             pending_begin,
             begun,
+            begin_unordered: false,
         }
     }
 
-    /// Persists the begin record (v_log entry and/or status bit) if it is
-    /// still pending. Must run before the first store's logging so that
-    /// recovery sees a durable status before any durable log entry or data.
+    /// Writes the begin record (v_log entry and/or status word) if it is
+    /// still pending. Must run before the first store's logging: the fence
+    /// that makes a log entry or a store durable orders the begin first.
     fn ensure_begun(&mut self) -> Result<(), TxError> {
         let pending = match self.pending_begin.take() {
             Some(p) => p,
@@ -274,11 +277,13 @@ impl<'rt> Tx<'rt> {
         let gc = self.gc;
         match self.backend {
             Backend::Clobber(cfg) if cfg.vlog => {
-                let n =
-                    self.slot
-                        .begin_with_fence(self.pool, pending.name, pending.args, &|p| {
-                            gc.fence(p)
-                        })?;
+                // The truncated log's generation numbers the begin; the
+                // transaction's next ordering point makes it durable.
+                let begin = self.clog.reset_unfenced(self.pool)?;
+                let n = self
+                    .slot
+                    .begin(self.pool, begin, pending.name, pending.args)?;
+                self.begin_unordered = true;
                 let stats = self.pool.stats();
                 stats
                     .vlog_entries
@@ -626,10 +631,12 @@ impl<'rt> Tx<'rt> {
             // clobbering store can reach media (an unflushed store can
             // still leak to media at a crash). This is the log's deferred
             // ordering point — one fence covering every line flush since
-            // the last sync, this transaction's earlier stores included.
+            // the last sync, this transaction's earlier stores and its
+            // begin included.
             self.drain_dirty()?;
             let gc = self.gc;
             self.clog.sync_with(self.pool, |p| gc.fence(p))?;
+            self.begin_unordered = false;
             // Recovery replays persist a progress checkpoint at each sync:
             // the fence just made stores `0..ordinal` and every append so
             // far durable, so a crash from here on resumes past them.
@@ -662,6 +669,13 @@ impl<'rt> Tx<'rt> {
                     );
                 }
             }
+        } else if self.begin_unordered && !self.scratch.written.contains(s, e) {
+            // A store to older data that logs nothing orders the begin
+            // first; until then `written` holds only the transaction's
+            // reservations, which a crash discards.
+            self.gc.fence(self.pool);
+            bump_vlog(self.pool, 0, 1);
+            self.begin_unordered = false;
         }
         if matches!(self.tracking, Tracking::Inputs | Tracking::Written) {
             self.scratch.written.insert(s, e);
@@ -763,11 +777,12 @@ impl<'rt> Tx<'rt> {
         }
         self.scratch.allocs.push(addr);
         // Under clobber logging the allocation initializes its payload: it
-        // joins the write set so reads of it are not inputs. PMDK-style undo
-        // deliberately does *not* get this: its transactions `TX_ADD` the
-        // fields of freshly allocated objects too (paper Fig. 2b), so their
-        // first stores are snapshot-logged like any other.
-        if self.tracking == Tracking::Inputs {
+        // joins the write set so reads of it are not inputs and stores into
+        // it need no begin fence. PMDK-style undo deliberately does *not* get
+        // this: its transactions `TX_ADD` the fields of freshly allocated
+        // objects too (paper Fig. 2b), so their first stores are
+        // snapshot-logged like any other.
+        if self.vlog_enabled || self.tracking == Tracking::Inputs {
             self.scratch
                 .written
                 .insert(addr.offset(), addr.offset() + size);
@@ -829,6 +844,7 @@ impl<'rt> Tx<'rt> {
             let n = self
                 .slot
                 .preserve_with_fence(self.pool, data, &|p| gc.fence(p))?;
+            self.begin_unordered = false;
             let stats = self.pool.stats();
             stats
                 .vlog_bytes
@@ -870,7 +886,7 @@ impl<'rt> Tx<'rt> {
                     gc.fence(pool);
                 }
                 if cfg.vlog && self.begun {
-                    // The status bit is the commit marker; stale logs are
+                    // The status word is the commit marker; stale logs are
                     // cleared lazily at the next begin.
                     self.slot.clear_ongoing(pool)?;
                     gc.fence(pool);

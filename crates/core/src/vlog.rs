@@ -5,19 +5,39 @@
 //! on thread creation. The thread will use this log to manage its (at most
 //! one) active transaction"). A slot records:
 //!
-//! * the transaction **status bit** — set at begin, cleared at commit;
-//!   recovery re-executes every slot whose bit is still set,
-//! * the txfunc **name and serialized arguments**,
+//! * the transaction **status word** — the in-flight transaction's *begin
+//!   number*, zero once it commits; recovery re-executes every slot whose
+//!   word is set (the undo and Atlas baselines set it to 1),
+//! * the txfunc **name and serialized arguments**, sealed with the begin
+//!   number,
 //! * **preserved volatile blobs** ([`vlog_preserve`](crate::Tx::vlog_preserve)),
+//!   counted in a cache line that names its begin,
 //! * descriptors of the slot's clobber/undo log and redo log buffers, and
 //!   the redo commit marker.
 //!
-//! [`VlogSlot::begin`] costs exactly two fences — first the record
-//! (name + args) is persisted, then the status bit — matching the paper's
-//! observation that "the v_log entry count is always one for the whole
-//! transaction, resulting in only two necessary fences" (§5.3). The status
-//! bit must not become durable before the record, otherwise recovery could
-//! re-execute garbage arguments.
+//! # A begin with no fence of its own
+//!
+//! The paper counts two v_log fences per transaction — the record, then the
+//! status bit (§5.3). [`VlogSlot::begin`] issues none: it writes the record,
+//! its seal, a fresh preserve/checkpoint line and the status word with
+//! flushes only, and the transaction's next ordering point — in most
+//! transactions the log sync before the first clobbering store — makes them
+//! durable together. No store to data older than the transaction may reach
+//! media before that point (`Tx` fences ahead of one that logs nothing), so
+//! a crash inside the window leaves an arbitrary subset of these lines, and
+//! recovery accepts a slot as begun only if they agree:
+//!
+//! * the begin number `s` is the clobber log's generation once the begin has
+//!   truncated it, so a slot never reuses one (a runtime adopting a slot
+//!   truncates its log with a fence, using up a lost begin's number);
+//! * the seal binds `s`, the name and the arguments: a torn record, or the
+//!   previous transaction's under a new `s`, never validates, and recovery
+//!   abandons the slot — the begin never reached an ordering point, so none
+//!   of the transaction's stores did either;
+//! * the clobber log's entries count only once its generation has reached
+//!   `s` (an older one is a truncation that did not persist);
+//! * the preserve count and the checkpoint count only if their line names
+//!   `s`.
 
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -29,7 +49,7 @@ use crate::error::TxError;
 /// Attributes v_log persist costs in [`clobber_pmem::StatsSnapshot`]:
 /// `flushes` flush calls and `fences` fence *requests* (a request satisfied
 /// by a shared group-commit epoch still counts).
-fn bump_vlog(pool: &PmemPool, flushes: u64, fences: u64) {
+pub(crate) fn bump_vlog(pool: &PmemPool, flushes: u64, fences: u64) {
     let s = pool.stats();
     s.vlog_flushes.fetch_add(flushes, Relaxed);
     s.vlog_fences.fetch_add(fences, Relaxed);
@@ -51,41 +71,63 @@ const CLOBBER_CAP: u64 = 40;
 const REDO_BASE: u64 = 48;
 const REDO_CAP: u64 = 56;
 const NAME_LEN: u64 = 64;
-const NAME: u64 = 72;
+const SEAL: u64 = 72;
+const NAME: u64 = 80;
 const ARGS_LEN: u64 = NAME + NAME_CAP;
 const ARGS: u64 = ARGS_LEN + 8;
-const PRESERVE_COUNT: u64 = ARGS + ARGS_CAP;
-const PRESERVE_TAIL: u64 = PRESERVE_COUNT + 8;
-// Re-execution progress checkpoint (recovery forward progress). The magic
-// word sits at the end of the cache line holding PRESERVE_COUNT/TAIL so
-// begin's existing flush also invalidates it; the payload words start at
-// the next 64-byte boundary (2240) and fit one line, so a single-line
-// store persists them failure-atomically.
-const CKPT_MAGIC_OFF: u64 = PRESERVE_TAIL + 8;
-const CKPT_STORES: u64 = CKPT_MAGIC_OFF + 8;
-const CKPT_ENTRIES: u64 = CKPT_STORES + 8;
-const CKPT_PRESERVES: u64 = CKPT_ENTRIES + 8;
-const CKPT_CHECK: u64 = CKPT_PRESERVES + 8;
-const PRESERVE_DATA: u64 = CKPT_CHECK + 8;
+/// The preserve/checkpoint line is the first whole cache line from here, so
+/// a crash keeps or drops its eight words together (a slot is only 16-byte
+/// aligned).
+const META_AREA: u64 = ARGS + ARGS_CAP;
+const PRESERVE_DATA: u64 = META_AREA + 2 * CACHE_LINE;
+
+// The preserve/checkpoint line's words: the begin it belongs to, the
+// preserve count and tail, then the checkpoint — magic, stores, entries,
+// preserves, check word — from this offset.
+const CKPT_OFF: u64 = 24;
 
 /// Versioned magic marking a valid re-execution checkpoint (v1). Zero means
 /// "no checkpoint"; an unrecognized value is treated the same, so the
 /// format can evolve.
 const CKPT_MAGIC: u64 = 0xC10B_BC29_0000_0001;
 
-/// FNV-1a over the checkpoint payload words. A torn or corrupted payload
-/// (e.g. the magic line survived a crash but the payload line did not)
-/// fails this check and the checkpoint is ignored — restarting re-execution
-/// from zero is always sound; skipping stores that never ran is not.
-fn ckpt_checksum(stores: u64, entries: u64, preserves: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in [stores, entries, preserves] {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// Folds one word into a running hash.
+fn mix(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 31)
+}
+
+/// Folds `bytes` — its length, then its contents a little-endian word at a
+/// time, the last word zero-padded — into a running hash.
+fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    h = mix(h, bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        h = mix(h, u64::from_le_bytes(w));
     }
     h
+}
+
+/// The seal of a begin record: binds the begin number, the name and the
+/// serialized arguments. A record whose seal does not match under the slot's
+/// status word is torn or belongs to another begin.
+fn seal(begin: u64, name: &[u8], args: &[u8]) -> u64 {
+    mix_bytes(mix_bytes(begin, name), args)
+}
+
+/// Check word over the checkpoint payload. A corrupted payload fails it and
+/// the checkpoint is ignored — restarting re-execution from zero is always
+/// sound; skipping stores that never ran is not.
+fn ckpt_checksum(stores: u64, entries: u64, preserves: u64) -> u64 {
+    mix(mix(mix(CKPT_MAGIC, stores), entries), preserves)
+}
+
+/// Serializes `words` little-endian into the front of `buf`.
+fn put_words(buf: &mut [u8], words: &[u64]) {
+    for (b, w) in buf.chunks_exact_mut(8).zip(words) {
+        b.copy_from_slice(&w.to_le_bytes());
+    }
 }
 
 /// Atlas's FASE record: the first whole line from here (a slot's 8 KiB
@@ -163,7 +205,7 @@ impl VlogSlot {
         pool.write_u64(base.add(CLOBBER_CAP), clobber_cap)?;
         pool.write_u64(base.add(REDO_BASE), redo.offset())?;
         pool.write_u64(base.add(REDO_CAP), redo_cap)?;
-        pool.write_u64(base.add(CKPT_MAGIC_OFF), 0)?;
+        pool.write_bytes(s.preserve_line(), &[0; CACHE_LINE as usize])?;
         pool.persist(base, PRESERVE_DATA)?;
         Ok(s)
     }
@@ -183,6 +225,22 @@ impl VlogSlot {
     /// validates.
     pub fn record_region(&self) -> (PAddr, u64) {
         (self.base.add(NAME_LEN), FASE_AREA - NAME_LEN)
+    }
+
+    /// The line holding the begin number, preserve count and tail, and the
+    /// checkpoint; exposed, like [`record_region`](Self::record_region), for
+    /// fault-injection harnesses.
+    pub fn preserve_line(&self) -> PAddr {
+        PAddr::new((self.base.offset() + META_AREA).next_multiple_of(CACHE_LINE))
+    }
+
+    /// Reads the preserve/checkpoint line as its eight words (one read).
+    fn read_meta(&self, pool: &PmemPool) -> Result<[u64; 8], PmemError> {
+        let mut raw = [0u8; CACHE_LINE as usize];
+        pool.read_into(self.preserve_line(), &mut raw)?;
+        Ok(std::array::from_fn(|i| {
+            u64::from_le_bytes(raw[8 * i..][..8].try_into().unwrap())
+        }))
     }
 
     /// The slot's creation id (list position).
@@ -211,9 +269,15 @@ impl VlogSlot {
         Ok(Ulog::new(PAddr::new(base), cap).with_kind(LogKind::Redo))
     }
 
+    /// The status word: the in-flight transaction's begin number, or 0 when
+    /// the slot is idle.
+    pub fn status(&self, pool: &PmemPool) -> Result<u64, PmemError> {
+        pool.read_u64(self.base.add(STATUS))
+    }
+
     /// Whether the slot has an in-flight (uncommitted) transaction.
     pub fn is_ongoing(&self, pool: &PmemPool) -> Result<bool, PmemError> {
-        Ok(pool.read_u64(self.base.add(STATUS))? == 1)
+        Ok(self.status(pool)? != 0)
     }
 
     /// The redo commit marker (set between redo-log persistence and
@@ -248,28 +312,23 @@ impl VlogSlot {
         Ok(())
     }
 
-    /// Records the begin record (name + args) and sets the status bit, with
-    /// exactly two fences. Returns the number of v_log bytes recorded.
+    /// Writes the begin record of begin number `begin` — name, arguments,
+    /// their seal, and a preserve/checkpoint line naming `begin` with no
+    /// preserves and no checkpoint — and sets the status word to `begin`,
+    /// with flushes only: the caller's next fence makes the begin durable
+    /// (see the module docs). `begin` must be nonzero and never reused on
+    /// this slot. Returns the number of v_log bytes recorded.
     ///
     /// # Errors
     ///
     /// Returns [`TxError::VlogCapacity`] if the name or arguments exceed the
     /// slot's fixed buffers.
-    pub fn begin(&self, pool: &PmemPool, name: &str, args: &ArgList) -> Result<u64, TxError> {
-        self.begin_with_fence(pool, name, args, &|p| p.fence())
-    }
-
-    /// [`begin`](Self::begin) with both ordering fences delegated to `fence`
-    /// (group-commit routing). `fence` must guarantee a pool fence has been
-    /// issued after it was called — the record→status and status→store
-    /// orderings are preserved because a shared epoch fence orders *all*
-    /// pending flushes, not just the leader's.
-    pub fn begin_with_fence(
+    pub fn begin(
         &self,
         pool: &PmemPool,
+        begin: u64,
         name: &str,
         args: &ArgList,
-        fence: &dyn Fn(&PmemPool),
     ) -> Result<u64, TxError> {
         let name_bytes = name.as_bytes();
         if name_bytes.len() as u64 > NAME_CAP {
@@ -287,27 +346,22 @@ impl VlogSlot {
                 capacity: ARGS_CAP,
             });
         }
-        pool.write_u64(self.base.add(NAME_LEN), name_bytes.len() as u64)?;
-        pool.write_bytes(self.base.add(NAME), name_bytes)?;
+        // Name length, seal and name are one store.
+        let mut head = [0u8; (NAME - NAME_LEN + NAME_CAP) as usize];
+        let sealed = seal(begin, name_bytes, &arg_bytes);
+        put_words(&mut head, &[name_bytes.len() as u64, sealed]);
+        let head = &mut head[..(NAME - NAME_LEN) as usize + name_bytes.len()];
+        head[(NAME - NAME_LEN) as usize..].copy_from_slice(name_bytes);
+        pool.write_bytes(self.base.add(NAME_LEN), head)?;
         pool.write_u64(self.base.add(ARGS_LEN), arg_bytes.len() as u64)?;
         pool.write_bytes(self.base.add(ARGS), &arg_bytes)?;
-        pool.write_u64(self.base.add(PRESERVE_COUNT), 0)?;
-        pool.write_u64(self.base.add(PRESERVE_TAIL), 0)?;
-        // A stale re-execution checkpoint from a previous recovery must not
-        // survive into this transaction: invalidate it under fence 1, so
-        // whenever the status bit is durable the invalidation is too.
-        pool.write_u64(self.base.add(CKPT_MAGIC_OFF), 0)?;
-        // Fence 1: the record must be durable before the status bit.
         pool.flush(
             self.base.add(NAME_LEN),
             ARGS - NAME_LEN + arg_bytes.len() as u64,
         )?;
-        pool.flush(self.base.add(PRESERVE_COUNT), 24)?;
-        fence(pool);
-        // Fence 2: the status bit marks the transaction ongoing.
-        pool.store_flush(self.base.add(STATUS), &1u64.to_le_bytes())?;
-        fence(pool);
-        bump_vlog(pool, 3, 2);
+        self.bind_preserves(pool, begin, 0, 0)?;
+        pool.store_flush(self.base.add(STATUS), &begin.to_le_bytes())?;
+        bump_vlog(pool, 2, 0);
         let bytes = 16 + name_bytes.len() as u64 + arg_bytes.len() as u64;
         pool.trace_app_event(
             clobber_pmem::EventKind::VlogAppend,
@@ -318,8 +372,9 @@ impl VlogSlot {
         Ok(bytes)
     }
 
-    /// Sets the status bit without recording a new record (used when the
-    /// status must be marked ongoing for backends without a v_log record).
+    /// Sets the status word to 1 without recording a new record (used when
+    /// the status must be marked ongoing for backends without a v_log
+    /// record).
     pub fn mark_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
         self.mark_ongoing_with_fence(pool, &|p| p.fence())
     }
@@ -355,7 +410,7 @@ impl VlogSlot {
         Ok(())
     }
 
-    /// Clears the status bit; the caller decides when to fence (commit
+    /// Clears the status word; the caller decides when to fence (commit
     /// bundles this flush with its final fence).
     pub fn clear_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
         pool.store_flush(self.base.add(STATUS), &0u64.to_le_bytes())?;
@@ -374,14 +429,14 @@ impl VlogSlot {
     }
 
     /// [`preserve`](Self::preserve) with the ordering fence delegated to
-    /// `fence` (group-commit routing).
+    /// `fence` (group-commit routing). The fence also orders the begin.
     pub fn preserve_with_fence(
         &self,
         pool: &PmemPool,
         data: &[u8],
         fence: &dyn Fn(&PmemPool),
     ) -> Result<u64, TxError> {
-        let tail = pool.read_u64(self.base.add(PRESERVE_TAIL))?;
+        let [begin, count, tail, ..] = self.read_meta(pool)?;
         let need = 8 + data.len() as u64;
         if tail + need > PRESERVE_CAP {
             return Err(TxError::VlogCapacity {
@@ -394,12 +449,9 @@ impl VlogSlot {
         pool.write_u64(at, data.len() as u64)?;
         pool.write_bytes(at.add(8), data)?;
         pool.flush(at, need)?;
-        let count = pool.read_u64(self.base.add(PRESERVE_COUNT))?;
-        pool.write_u64(self.base.add(PRESERVE_COUNT), count + 1)?;
-        pool.write_u64(self.base.add(PRESERVE_TAIL), tail + need)?;
-        pool.flush(self.base.add(PRESERVE_COUNT), 16)?;
+        self.bind_preserves(pool, begin, count + 1, tail + need)?;
         fence(pool);
-        bump_vlog(pool, 2, 1);
+        bump_vlog(pool, 1, 1);
         pool.trace_app_event(
             clobber_pmem::EventKind::VlogAppend,
             0,
@@ -409,30 +461,39 @@ impl VlogSlot {
         Ok(need)
     }
 
-    /// Reads back the begin record of an in-flight transaction.
+    /// Reads back the begin record of the transaction whose status word is
+    /// `begin`. Returns `None` if the record's seal does not match: the
+    /// record is torn or another begin's, so this begin never reached an
+    /// ordering point. Preserves count only if their line names `begin`.
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::CorruptVlog`] if the record fails validation
-    /// (which cannot happen for a record persisted by [`begin`](Self::begin)
-    /// thanks to its fence ordering).
-    pub fn record(&self, pool: &PmemPool) -> Result<VlogRecord, TxError> {
-        let name_len = pool.read_u64(self.base.add(NAME_LEN))?;
+    /// Returns [`TxError::CorruptVlog`] if a length is out of range or a
+    /// sealed record fails to decode.
+    pub fn record(&self, pool: &PmemPool, begin: u64) -> Result<Option<VlogRecord>, TxError> {
+        let mut head = [0u8; (NAME - NAME_LEN) as usize];
+        pool.read_into(self.base.add(NAME_LEN), &mut head)?;
+        let name_len = u64::from_le_bytes(head[..8].try_into().unwrap());
         if name_len > NAME_CAP {
             return Err(TxError::CorruptVlog("name length out of range".into()));
         }
         let name_bytes = pool.read_bytes(self.base.add(NAME), name_len)?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| TxError::CorruptVlog("name is not UTF-8".into()))?;
         let args_len = pool.read_u64(self.base.add(ARGS_LEN))?;
         if args_len > ARGS_CAP {
             return Err(TxError::CorruptVlog("args length out of range".into()));
         }
         let arg_bytes = pool.read_bytes(self.base.add(ARGS), args_len)?;
+        let sealed = u64::from_le_bytes(head[(SEAL - NAME_LEN) as usize..].try_into().unwrap());
+        if sealed != seal(begin, &name_bytes, &arg_bytes) {
+            return Ok(None);
+        }
+        let name = String::from_utf8(name_bytes)
+            .map_err(|_| TxError::CorruptVlog("name is not UTF-8".into()))?;
         let args = ArgList::from_bytes(&arg_bytes)
             .map_err(|_| TxError::CorruptVlog("argument encoding invalid".into()))?;
-        let count = pool.read_u64(self.base.add(PRESERVE_COUNT))?;
-        let tail = pool.read_u64(self.base.add(PRESERVE_TAIL))?;
+        let [tag, count, tail, ..] = self.read_meta(pool)?;
+        // A line naming another begin holds none of this one's preserves.
+        let (count, tail) = if tag == begin { (count, tail) } else { (0, 0) };
         if tail > PRESERVE_CAP {
             return Err(TxError::CorruptVlog("preserve tail out of range".into()));
         }
@@ -443,32 +504,51 @@ impl VlogSlot {
                 return Err(TxError::CorruptVlog("preserve record truncated".into()));
             }
             let len = pool.read_u64(self.base.add(PRESERVE_DATA + off))?;
-            if off + 8 + len > tail {
+            if len > tail - off - 8 {
                 return Err(TxError::CorruptVlog("preserve payload truncated".into()));
             }
             preserves.push(pool.read_bytes(self.base.add(PRESERVE_DATA + off + 8), len)?);
             off += 8 + len;
         }
-        Ok(VlogRecord {
+        Ok(Some(VlogRecord {
             name,
             args,
             preserves,
-        })
+        }))
     }
 
-    /// Reads back the slot's re-execution progress checkpoint, if a valid
-    /// one is present. Returns `None` for a slot that never checkpointed,
-    /// whose checkpoint was invalidated at the last `begin`, or whose
-    /// payload fails its checksum (torn or corrupted — ignored, because
-    /// restarting re-execution from zero is always sound).
-    pub fn checkpoint(&self, pool: &PmemPool) -> Result<Option<VlogCheckpoint>, PmemError> {
-        if pool.read_u64(self.base.add(CKPT_MAGIC_OFF))? != CKPT_MAGIC {
-            return Ok(None);
-        }
-        let stores = pool.read_u64(self.base.add(CKPT_STORES))?;
-        let entries = pool.read_u64(self.base.add(CKPT_ENTRIES))?;
-        let preserves = pool.read_u64(self.base.add(CKPT_PRESERVES))?;
-        if pool.read_u64(self.base.add(CKPT_CHECK))? != ckpt_checksum(stores, entries, preserves) {
+    /// Binds the preserve/checkpoint line to begin `begin`, holding `count`
+    /// preserves up to `tail` and no checkpoint; the caller fences. Recovery
+    /// does this before a fresh re-execution — with the preserves
+    /// [`record`](Self::record) returned — so the checkpoints it writes land
+    /// in a line that names their begin.
+    pub fn bind_preserves(
+        &self,
+        pool: &PmemPool,
+        begin: u64,
+        count: u64,
+        tail: u64,
+    ) -> Result<(), PmemError> {
+        let mut words = [0u8; CKPT_OFF as usize + 8];
+        put_words(&mut words, &[begin, count, tail]);
+        pool.store_flush(self.preserve_line(), &words)?;
+        bump_vlog(pool, 1, 0);
+        Ok(())
+    }
+
+    /// Reads back begin `begin`'s re-execution progress checkpoint, if a
+    /// valid one is present. Returns `None` for a begin that never
+    /// checkpointed, when the line names another begin, or when the payload
+    /// fails its check (corrupted — ignored, because restarting
+    /// re-execution from zero is always sound).
+    pub fn checkpoint(
+        &self,
+        pool: &PmemPool,
+        begin: u64,
+    ) -> Result<Option<VlogCheckpoint>, PmemError> {
+        let [tag, _, _, magic, stores, entries, preserves, check] = self.read_meta(pool)?;
+        if tag != begin || magic != CKPT_MAGIC || check != ckpt_checksum(stores, entries, preserves)
+        {
             return Ok(None);
         }
         Ok(Some(VlogCheckpoint {
@@ -478,21 +558,19 @@ impl VlogSlot {
         }))
     }
 
-    /// Durably persists a re-execution progress checkpoint (one fence —
-    /// a real pool fence, not a group-commit epoch: the whole point is that
-    /// the watermark survives an immediately following crash). Only the
-    /// recovery re-execution path writes these; forward-path transactions
-    /// never pay this cost.
+    /// Durably persists a re-execution progress checkpoint in the line of
+    /// the begin being re-executed (one fence — a real pool fence, not a
+    /// group-commit epoch: the whole point is that the watermark survives
+    /// an immediately following crash). Only the recovery re-execution path
+    /// writes these; forward-path transactions never pay this cost.
     pub fn write_checkpoint(&self, pool: &PmemPool, ck: VlogCheckpoint) -> Result<(), PmemError> {
-        pool.write_u64(self.base.add(CKPT_STORES), ck.stores)?;
-        pool.write_u64(self.base.add(CKPT_ENTRIES), ck.entries)?;
-        pool.write_u64(self.base.add(CKPT_PRESERVES), ck.preserves)?;
-        pool.write_u64(
-            self.base.add(CKPT_CHECK),
-            ckpt_checksum(ck.stores, ck.entries, ck.preserves),
-        )?;
-        pool.write_u64(self.base.add(CKPT_MAGIC_OFF), CKPT_MAGIC)?;
-        pool.flush(self.base.add(CKPT_MAGIC_OFF), 40)?;
+        let check = ckpt_checksum(ck.stores, ck.entries, ck.preserves);
+        let mut payload = [0u8; 40];
+        put_words(
+            &mut payload,
+            &[CKPT_MAGIC, ck.stores, ck.entries, ck.preserves, check],
+        );
+        pool.store_flush(self.preserve_line().add(CKPT_OFF), &payload)?;
         pool.fence();
         bump_vlog(pool, 1, 1);
         Ok(())
@@ -520,34 +598,32 @@ mod tests {
     }
 
     #[test]
-    fn begin_records_name_and_args_durably() {
+    fn begin_records_name_and_args_durably_at_the_next_fence() {
         let (pool, slot) = setup();
         let args = ArgList::new().with_u64(5).with_bytes(b"vvv");
-        slot.begin(&pool, "list_insert", &args).unwrap();
+        let name = "n".repeat(NAME_CAP as usize);
+        slot.begin(&pool, 2, &name, &args).unwrap();
+        pool.fence();
         let p2 = pool.crash(&CrashConfig::drop_all(1)).unwrap();
-        assert!(slot.is_ongoing(&p2).unwrap());
-        let rec = slot.record(&p2).unwrap();
-        assert_eq!(rec.name, "list_insert");
+        assert_eq!(slot.status(&p2).unwrap(), 2);
+        let rec = slot.record(&p2, 2).unwrap().unwrap();
+        assert_eq!(rec.name, name);
         assert_eq!(rec.args, args);
         assert!(rec.preserves.is_empty());
-    }
-
-    #[test]
-    fn begin_uses_exactly_two_fences() {
-        let (pool, slot) = setup();
-        let before = pool.stats().snapshot();
-        slot.begin(&pool, "f", &ArgList::new().with_u64(1)).unwrap();
-        let d = pool.stats().snapshot().delta(&before);
-        assert_eq!(d.fences, 2, "paper §5.3: only two necessary fences");
+        assert_eq!(
+            slot.record(&p2, 3).unwrap(),
+            None,
+            "the seal binds the begin"
+        );
     }
 
     #[test]
     fn preserve_blobs_replay_in_order() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "f", &ArgList::new()).unwrap();
+        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
         slot.preserve(&pool, b"first").unwrap();
         slot.preserve(&pool, b"second-blob").unwrap();
-        let rec = slot.record(&pool).unwrap();
+        let rec = slot.record(&pool, 2).unwrap().unwrap();
         assert_eq!(
             rec.preserves,
             vec![b"first".to_vec(), b"second-blob".to_vec()]
@@ -555,12 +631,12 @@ mod tests {
     }
 
     #[test]
-    fn preserve_survives_crash() {
+    fn preserve_orders_the_begin_and_survives_crash() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "f", &ArgList::new()).unwrap();
+        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
         slot.preserve(&pool, b"volatile-input").unwrap();
         let p2 = pool.crash(&CrashConfig::drop_all(2)).unwrap();
-        let rec = slot.record(&p2).unwrap();
+        let rec = slot.record(&p2, 2).unwrap().unwrap();
         assert_eq!(rec.preserves, vec![b"volatile-input".to_vec()]);
     }
 
@@ -569,12 +645,12 @@ mod tests {
         let (pool, slot) = setup();
         let long_name = "x".repeat(200);
         assert!(matches!(
-            slot.begin(&pool, &long_name, &ArgList::new()),
+            slot.begin(&pool, 2, &long_name, &ArgList::new()),
             Err(TxError::VlogCapacity { .. })
         ));
         let big = ArgList::new().with_bytes(&vec![0u8; 3000]);
         assert!(matches!(
-            slot.begin(&pool, "f", &big),
+            slot.begin(&pool, 2, "f", &big),
             Err(TxError::VlogCapacity { .. })
         ));
     }
@@ -582,7 +658,7 @@ mod tests {
     #[test]
     fn preserve_capacity_is_enforced() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "f", &ArgList::new()).unwrap();
+        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
         let blob = vec![0u8; 2040];
         slot.preserve(&pool, &blob).unwrap();
         slot.preserve(&pool, &blob).unwrap();
@@ -595,7 +671,7 @@ mod tests {
     #[test]
     fn clear_ongoing_plus_fence_is_durable() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "f", &ArgList::new()).unwrap();
+        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
         slot.clear_ongoing(&pool).unwrap();
         pool.fence();
         let p2 = pool.crash(&CrashConfig::drop_all(3)).unwrap();
@@ -605,14 +681,14 @@ mod tests {
     #[test]
     fn begin_overwrites_previous_record() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "first", &ArgList::new().with_u64(1))
+        slot.begin(&pool, 2, "first", &ArgList::new().with_u64(1))
             .unwrap();
         slot.preserve(&pool, b"blob").unwrap();
         slot.clear_ongoing(&pool).unwrap();
         pool.fence();
-        slot.begin(&pool, "second", &ArgList::new().with_u64(2))
+        slot.begin(&pool, 3, "second", &ArgList::new().with_u64(2))
             .unwrap();
-        let rec = slot.record(&pool).unwrap();
+        let rec = slot.record(&pool, 3).unwrap().unwrap();
         assert_eq!(rec.name, "second");
         assert_eq!(rec.args.u64(0).unwrap(), 2);
         assert!(rec.preserves.is_empty(), "preserve state resets at begin");
@@ -631,24 +707,25 @@ mod tests {
     #[test]
     fn checkpoint_roundtrips_and_survives_crash() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "f", &ArgList::new()).unwrap();
-        assert_eq!(slot.checkpoint(&pool).unwrap(), None);
+        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
+        assert_eq!(slot.checkpoint(&pool, 2).unwrap(), None);
         let ck = VlogCheckpoint {
             stores: 3,
             entries: 7,
             preserves: 1,
         };
         slot.write_checkpoint(&pool, ck).unwrap();
-        assert_eq!(slot.checkpoint(&pool).unwrap(), Some(ck));
+        assert_eq!(slot.checkpoint(&pool, 2).unwrap(), Some(ck));
         // write_checkpoint fences, so an immediate crash keeps it.
         let p2 = pool.crash(&CrashConfig::drop_all(9)).unwrap();
-        assert_eq!(slot.checkpoint(&p2).unwrap(), Some(ck));
+        assert_eq!(slot.checkpoint(&p2, 2).unwrap(), Some(ck));
+        assert_eq!(slot.checkpoint(&p2, 3).unwrap(), None);
     }
 
     #[test]
     fn begin_invalidates_a_stale_checkpoint() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "f", &ArgList::new()).unwrap();
+        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
         slot.write_checkpoint(
             &pool,
             VlogCheckpoint {
@@ -660,19 +737,16 @@ mod tests {
         .unwrap();
         slot.clear_ongoing(&pool).unwrap();
         pool.fence();
-        slot.begin(&pool, "g", &ArgList::new()).unwrap();
+        slot.begin(&pool, 3, "g", &ArgList::new()).unwrap();
+        pool.fence();
         let p2 = pool.crash(&CrashConfig::drop_all(10)).unwrap();
-        assert_eq!(
-            slot.checkpoint(&p2).unwrap(),
-            None,
-            "a durable status bit implies a durable invalidation"
-        );
+        assert_eq!(slot.checkpoint(&p2, 3).unwrap(), None);
     }
 
     #[test]
     fn corrupted_checkpoint_payload_reads_as_absent() {
         let (pool, slot) = setup();
-        slot.begin(&pool, "f", &ArgList::new()).unwrap();
+        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
         slot.write_checkpoint(
             &pool,
             VlogCheckpoint {
@@ -682,10 +756,10 @@ mod tests {
             },
         )
         .unwrap();
-        // Flip bits in the payload words; the checksum must reject them.
-        pool.inject_bit_corruption(slot.base().add(CKPT_STORES), 24, 0xBEEF, 4)
-            .unwrap();
-        assert_eq!(slot.checkpoint(&pool).unwrap(), None);
+        // Flip bits in the payload words; the check word must reject them.
+        let payload = slot.preserve_line().add(CKPT_OFF + 8);
+        pool.inject_bit_corruption(payload, 24, 0xBEEF, 4).unwrap();
+        assert_eq!(slot.checkpoint(&pool, 2).unwrap(), None);
     }
 
     #[test]

@@ -11,8 +11,11 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{CrashConfig, PAddr, PmemError, PmemPool, PoolMode, PoolOptions};
+use clobber_nvm::{
+    ArgList, Backend, RecoveryOptions, RecoveryReport, Runtime, RuntimeOptions, TxError,
+    VlogCheckpoint, VlogSlot,
+};
+use clobber_pmem::{CrashConfig, PAddr, PmemError, PmemPool, PoolMode, PoolOptions, Ulog};
 
 /// Captures a crash image after a configured number of tx writes.
 #[derive(Clone)]
@@ -163,6 +166,9 @@ fn committed_pushes_survive_adversarial_crash() {
 #[test]
 fn clobber_reexecutes_interrupted_push_at_every_crash_point() {
     // Crash after each of the 4 persistent writes of the interrupted push.
+    // The first three go to the new node, so no fence has ordered the begin
+    // yet and the push never happened; the fourth clobbers the head after
+    // the log sync that made the begin durable, and recovery completes it.
     for crash_at in 0..4u32 {
         let (_pool, rt, head) = new_runtime(Backend::clobber());
         let trap = CrashTrap::disarmed(1000 + crash_at as u64);
@@ -185,16 +191,20 @@ fn clobber_reexecutes_interrupted_push_at_every_crash_point() {
         let image = trap.take_image().expect("trap fired");
         let (pool2, rt2, head2) = reopen(image, Backend::clobber());
         let report = rt2.recover().unwrap();
+        let begun = crash_at == 3;
         assert_eq!(
             report.reexecuted,
-            vec!["push".to_string()],
+            Vec::from_iter(begun.then(|| "push".to_string())),
             "crash point {crash_at}"
         );
-        let vals = stack_contents(&pool2, head2);
+        let mut expected = vec![b"committed".to_vec()];
+        if begun {
+            expected.insert(0, b"interrupted".to_vec());
+        }
         assert_eq!(
-            vals,
-            vec![b"interrupted".to_vec(), b"committed".to_vec()],
-            "re-execution completed the interrupted push (crash point {crash_at})"
+            stack_contents(&pool2, head2),
+            expected,
+            "the interrupted push happened whole or not at all (crash point {crash_at})"
         );
     }
 }
@@ -389,7 +399,8 @@ fn vlog_preserve_replays_during_recovery() {
 #[test]
 fn recovery_requires_registered_txfunc() {
     let (pool, rt, head) = new_runtime(Backend::clobber());
-    let trap = CrashTrap::armed(0, 7000);
+    // After the head store: the log sync before it made the begin durable.
+    let trap = CrashTrap::armed(3, 7000);
     register_stack(&rt, Some(trap.clone()));
     rt.run(
         "push",
@@ -808,5 +819,301 @@ fn run_returns_txfunc_payload() {
     assert!(matches!(
         rt.run("missing", &ArgList::new()),
         Err(TxError::Unregistered(_))
+    ));
+}
+
+/// The begin writes its record, seal, preserve line and status word with
+/// flushes only. In a transaction it rides on the first ordering point:
+/// the log sync before a clobbering store, or a fence of its own before a
+/// blind store to older data. Stores into the transaction's own
+/// reservations need neither.
+#[test]
+fn begin_issues_no_fence_and_the_first_clobbering_store_pays_one() {
+    let (pool, rt, cell) = new_runtime(Backend::clobber());
+    let slot = rt.slot_handle(1).unwrap();
+    let before = pool.stats().snapshot();
+    slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
+    let d = pool.stats().snapshot().delta(&before);
+    assert_eq!((d.fences, d.vlog_flushes), (0, 3), "flushes only");
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = seen.clone();
+    fn fences(tx: &clobber_nvm::Tx<'_>) -> u64 {
+        tx.pool().stats().snapshot().fences
+    }
+    rt.register("steps", move |tx, args| {
+        let f0 = fences(tx);
+        let r = tx.pmalloc(8)?;
+        tx.write_u64(r, 1)?;
+        let f1 = fences(tx);
+        if args.u64(0)? == 0 {
+            let v = tx.read_u64(cell)?;
+            tx.write_u64(cell, v + 1)?;
+        } else {
+            tx.write_u64(cell, 9)?;
+        }
+        let f2 = fences(tx);
+        tx.write_u64(cell, 7)?;
+        log.lock()
+            .unwrap()
+            .push([f1 - f0, f2 - f1, fences(tx) - f2]);
+        Ok(None)
+    });
+    for blind in [0, 1, 0] {
+        rt.run_on(0, "steps", &ArgList::new().with_u64(blind))
+            .unwrap();
+    }
+    assert_eq!(
+        *seen.lock().unwrap(),
+        vec![[0, 1, 0]; 3],
+        "reservation store, first store to older data, a later store"
+    );
+}
+
+// Begin-window hazards: a power failure between a fenceless begin and the
+// transaction's first ordering point keeps an arbitrary subset of the lines
+// the begin wrote. Each case keeps all of them but the named ones.
+
+/// The image a crash leaves when every line written since the last fence
+/// persists except those covering `dropped`.
+fn crash_dropping(pool: &PmemPool, dropped: &[(PAddr, u64)]) -> Vec<u8> {
+    let durable = pool.crash_media(&CrashConfig::drop_all(0));
+    splice_lines(
+        pool.crash_media(&CrashConfig::keep_all(0)),
+        &durable,
+        dropped,
+    )
+}
+
+/// The image a crash leaves when, of the lines written since the last
+/// fence, only those covering `kept` persist.
+fn crash_keeping(pool: &PmemPool, kept: &[(PAddr, u64)]) -> Vec<u8> {
+    let written = pool.crash_media(&CrashConfig::keep_all(0));
+    splice_lines(pool.crash_media(&CrashConfig::drop_all(0)), &written, kept)
+}
+
+/// `image` with the lines covering `ranges` taken from `from`.
+fn splice_lines(mut image: Vec<u8>, from: &[u8], ranges: &[(PAddr, u64)]) -> Vec<u8> {
+    for &(at, len) in ranges {
+        let lo = (at.offset() / 64 * 64) as usize;
+        let hi = (at.offset() + len).next_multiple_of(64) as usize;
+        image[lo..hi].copy_from_slice(&from[lo..hi]);
+    }
+    image
+}
+
+fn fresh_slot() -> (PmemPool, VlogSlot) {
+    let pool = PmemPool::create(PoolOptions::crash_sim(1 << 22)).unwrap();
+    let slot = VlogSlot::create(&pool, 0, PAddr::NULL, 4096, 4096).unwrap();
+    (pool, slot)
+}
+
+#[test]
+fn a_preserve_length_past_the_tail_is_typed_corruption() {
+    let (pool, slot) = fresh_slot();
+    slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
+    let blob = b"find-this-blob";
+    slot.preserve(&pool, blob).unwrap();
+    // The blob's length word, found by content, set so that `off + 8 + len`
+    // would wrap.
+    let (start, len) = slot.record_region();
+    let region = pool.read_bytes(start, len).unwrap();
+    let stored = [&(blob.len() as u64).to_le_bytes()[..], blob].concat();
+    let at = region.windows(stored.len()).position(|w| w == stored);
+    pool.write_u64(start.add(at.unwrap() as u64), u64::MAX - 4)
+        .unwrap();
+    assert!(matches!(
+        slot.record(&pool, 2),
+        Err(TxError::CorruptVlog(_))
+    ));
+}
+
+/// Begin 2 (preserving a blob and checkpointed) committed, then begin 3
+/// written and not yet ordered; the crash drops its preserve line.
+fn stale_preserve_line() -> (PmemPool, VlogSlot, VlogCheckpoint) {
+    let (pool, slot) = fresh_slot();
+    let ck = VlogCheckpoint {
+        stores: 4,
+        entries: 2,
+        preserves: 1,
+    };
+    slot.begin(&pool, 2, "first", &ArgList::new()).unwrap();
+    slot.preserve(&pool, b"stale-blob").unwrap();
+    slot.write_checkpoint(&pool, ck).unwrap();
+    slot.clear_ongoing(&pool).unwrap();
+    pool.fence();
+    slot.begin(&pool, 3, "second", &ArgList::new()).unwrap();
+    let image = crash_dropping(&pool, &[(slot.preserve_line(), 8)]);
+    let pool = PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap();
+    assert_eq!(slot.status(&pool).unwrap(), 3);
+    (pool, slot, ck)
+}
+
+#[test]
+fn a_stale_preserve_count_is_not_the_new_begins() {
+    let (pool, slot, _) = stale_preserve_line();
+    let rec = slot
+        .record(&pool, 3)
+        .unwrap()
+        .expect("the record is sealed");
+    assert_eq!((rec.name.as_str(), rec.preserves.len()), ("second", 0));
+}
+
+#[test]
+fn a_stale_checkpoint_is_not_the_new_begins() {
+    let (pool, slot, ck) = stale_preserve_line();
+    assert_eq!(slot.checkpoint(&pool, 2).unwrap(), Some(ck));
+    assert_eq!(slot.checkpoint(&pool, 3).unwrap(), None);
+}
+
+/// Slot 0 committed `add(cell, 5)`, then began `add(cell, 7)`
+/// — record, seal, preserve line, status and log truncation written,
+/// nothing fenced — when power failed, keeping every line but those
+/// `dropped` names. Returns what recovering that image did and left.
+fn recover_window(dropped: fn(&VlogSlot, &Ulog) -> Vec<(PAddr, u64)>) -> (RecoveryReport, u64) {
+    let (pool, rt, cell) = new_runtime(Backend::clobber());
+    let slot = rt.slot_handle(0).unwrap();
+    let clog = slot.clobber_log(&pool).unwrap();
+    let image = Arc::new(Mutex::new(None));
+    let register = |rt: &Runtime, image: Option<Arc<Mutex<Option<Vec<u8>>>>>| {
+        rt.register("add", move |tx, args| {
+            let cell = PAddr::new(args.u64(0)?);
+            // A store into its own reservation leaves the begin unordered.
+            let r = tx.pmalloc(8)?;
+            tx.write_u64(r, 1)?;
+            if let Some(image) = image.as_ref().filter(|_| args.u64(1) == Ok(7)) {
+                *image.lock().unwrap() = Some(crash_dropping(tx.pool(), &dropped(&slot, &clog)));
+            }
+            let v = tx.read_u64(cell)?;
+            tx.write_u64(cell, v + args.u64(1)?)?;
+            Ok(None)
+        });
+    };
+    register(&rt, Some(image.clone()));
+    // 300 padding bytes spread the arguments over several lines.
+    for (d, pad) in [(5, 0xAA), (7, 0xBB)] {
+        let args = ArgList::new()
+            .with_u64(cell.offset())
+            .with_u64(d)
+            .with_bytes(&[pad; 300]);
+        rt.run("add", &args).unwrap();
+    }
+    let image = image.lock().unwrap().take().unwrap();
+    let pool = Arc::new(PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap());
+    let rt = Runtime::open(pool.clone(), RuntimeOptions::default()).unwrap();
+    register(&rt, None);
+    let report = rt
+        .recover_with(&RecoveryOptions::default().no_wait())
+        .unwrap();
+    (report, pool.read_u64(cell).unwrap())
+}
+
+#[test]
+fn the_whole_begin_window_kept_re_executes() {
+    let (report, v) = recover_window(|_, _| Vec::new());
+    assert_eq!((report.reexecuted.len(), report.abandoned, v), (1, 0, 12));
+}
+
+#[test]
+fn a_torn_record_was_never_begun() {
+    // 256 bytes into the region lies inside the 323 bytes of arguments:
+    // that line keeps the committed begin's bytes.
+    let (report, v) = recover_window(|slot, _| vec![(slot.record_region().0.add(256), 1)]);
+    assert_eq!((report.reexecuted.len(), report.abandoned, v), (0, 1, 5));
+}
+
+#[test]
+fn the_previous_record_under_a_new_begin_was_never_begun() {
+    // Status word, preserve line and truncation persisted; the record lines
+    // are the committed begin's, self-consistent but sealed under its
+    // number.
+    let (report, v) = recover_window(|slot, _| {
+        let (start, _) = slot.record_region();
+        vec![(start, slot.preserve_line().offset() - start.offset())]
+    });
+    assert_eq!((report.reexecuted.len(), report.abandoned, v), (0, 1, 5));
+}
+
+#[test]
+fn a_truncation_that_did_not_persist_hides_the_previous_log() {
+    // The log header still holds the committed begin's generation, so its
+    // entry — the cell's value before that begin — is not this
+    // transaction's to restore.
+    let (report, v) = recover_window(|_, clog| vec![(clog.base(), 16)]);
+    assert_eq!((report.reexecuted.len(), report.abandoned, v), (1, 0, 12));
+}
+
+/// Two power failures in a row, each inside a begin window on slot 0. The
+/// first keeps begin A's record but drops its status word and log
+/// truncation, so recovery finds nothing to do. The slot's next begin B
+/// must not reuse A's number: a second failure keeping only B's status word
+/// would then find A's record sealed under it and re-execute a transaction
+/// the first recovery discarded.
+#[test]
+fn a_begin_lost_to_one_crash_is_not_revived_by_the_next() {
+    let (pool, rt, cell) = new_runtime(Backend::clobber());
+    let slot = rt.slot_handle(0).unwrap();
+    let status = (slot.base(), 8);
+    let header = (slot.clobber_log(&pool).unwrap().base(), 16);
+    let image = Arc::new(Mutex::new(None));
+    // `set(cell, v, crash)` stores into its own reservation, leaving its
+    // begin unordered, takes the crash image `crash` names, then stores `v`
+    // into the cell blind: its commit logs nothing.
+    let register = |rt: &Runtime| {
+        let image = image.clone();
+        rt.register("set", move |tx, args| {
+            let r = tx.pmalloc(8)?;
+            tx.write_u64(r, 1)?;
+            let crashed = match args.u64(2)? {
+                1 => Some(crash_dropping(tx.pool(), &[status, header])),
+                2 => Some(crash_keeping(tx.pool(), &[status])),
+                _ => None,
+            };
+            if crashed.is_some() {
+                *image.lock().unwrap() = crashed;
+            }
+            tx.write_u64(PAddr::new(args.u64(0)?), args.u64(1)?)?;
+            Ok(None)
+        });
+    };
+    let set = |v: u64, crash: u64| {
+        ArgList::new()
+            .with_u64(cell.offset())
+            .with_u64(v)
+            .with_u64(crash)
+    };
+    let restart = || {
+        let image = image.lock().unwrap().take().expect("a crash image");
+        let pool = Arc::new(PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap());
+        let rt = Runtime::open(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
+        register(&rt);
+        let report = rt.recover().unwrap();
+        (pool, rt, report)
+    };
+    register(&rt);
+    rt.run_on(0, "set", &set(1, 0)).unwrap();
+    rt.run_on(0, "set", &set(2, 1)).unwrap(); // A
+    let (_, rt1, report) = restart();
+    assert!(
+        report.is_clean(),
+        "A never reached an ordering point: {report:?}"
+    );
+    rt1.run_on(0, "set", &set(3, 2)).unwrap(); // B
+    let (pool2, _, report) = restart();
+    assert!(report.reexecuted.is_empty(), "{report:?}");
+    assert_eq!(report.abandoned, 1, "B's status word names no record");
+    assert_eq!(pool2.read_u64(cell).unwrap(), 1);
+}
+
+#[test]
+fn an_image_of_the_previous_slot_layout_is_refused() {
+    let (pool, rt, _) = new_runtime(Backend::clobber());
+    drop(rt);
+    let header = pool.root().unwrap();
+    pool.write_u64(header, 0xC10B_BE12_0000_0002).unwrap();
+    pool.persist(header, 8).unwrap();
+    assert!(matches!(
+        Runtime::open(pool, RuntimeOptions::new(Backend::clobber())),
+        Err(TxError::CorruptVlog(_))
     ));
 }

@@ -106,11 +106,13 @@ fn opts() -> RecoveryOptions {
     RecoveryOptions::default().no_wait()
 }
 
-/// Reads the persisted watermark (checkpointed store count) of slot 0.
+/// Reads the persisted watermark (checkpointed store count) of slot 0's
+/// in-flight begin.
 fn watermark(image: &[u8]) -> Option<u64> {
     let (pool, rt) = reopen(image.to_vec());
     let slot = rt.slot_handle(0).unwrap();
-    slot.checkpoint(&pool).unwrap().map(|c| c.stores)
+    let begin = slot.status(&pool).unwrap();
+    slot.checkpoint(&pool, begin).unwrap().map(|c| c.stores)
 }
 
 fn check_final_state(pool: &PmemPool, rt: &Runtime) {
@@ -156,6 +158,8 @@ fn crashed_recovery_leaves_a_resumable_watermark() {
 
     // The next recovery resumes past the watermark and completes.
     let (pool2, rt2) = reopen(media);
+    let slot = rt2.slot_handle(0).unwrap();
+    let begin = slot.status(&pool2).unwrap();
     let report = rt2.recover_with(&opts()).unwrap();
     assert_eq!(report.reexecuted, vec!["chain".to_string()]);
     assert_eq!(report.resumed, 1, "{report:?}");
@@ -167,11 +171,10 @@ fn crashed_recovery_leaves_a_resumable_watermark() {
     let base = rt2.app_root().unwrap();
     rt2.run("chain", &ArgList::new().with_u64(base.offset()))
         .unwrap();
-    let slot = rt2.slot_handle(0).unwrap();
     assert_eq!(
-        slot.checkpoint(&pool2).unwrap(),
+        slot.checkpoint(&pool2, begin).unwrap(),
         None,
-        "a fresh begin must invalidate the stale checkpoint"
+        "a fresh begin must rebind the checkpoint's line"
     );
 }
 

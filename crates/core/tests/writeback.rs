@@ -5,20 +5,24 @@
 //!   fences of one transaction — for each of the five pds structures under
 //!   clobber, undo and nolog.
 //! * A slot's first transaction on a runtime adopts its logs by probing
-//!   them ([`ADOPT_READS`] pool reads); the next one reads nothing before
+//!   them ([`adopt_reads`] pool reads); the next one reads nothing before
 //!   its first store. A live `recover()`, and an abort past a store, each
 //!   send exactly one transaction back through the probe.
-//! * Transactional stores sit *dirty* until the ordering point, which
-//!   `drop_all` never lets reach media early: seeded draws that keep half
-//!   the dirty and half the flushed-unfenced lines, at every trip point of
-//!   the transfer script.
+//! * Transactional stores sit *dirty* until the ordering point, and a
+//!   begin is flushed but unfenced until the transaction's first one;
+//!   `drop_all` never lets either reach media early. Seeded draws that keep
+//!   half the dirty and half the flushed-unfenced lines, at every trip
+//!   point of the transfer script, of a transaction whose first store to
+//!   older data logs nothing, and of one insert into each pds structure.
 
 mod common;
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
+use clobber_nvm::{
+    reopen_media, ArgList, Backend, ExploreSession, Runtime, RuntimeOptions, TxError,
+};
 use clobber_pds::{AvlTree, BpTree, HashMap, RbTree, SkipList};
 use clobber_pmem::addr::lines_for_range;
 use clobber_pmem::{
@@ -28,8 +32,14 @@ use common::*;
 
 /// `(reads, bytes)` of the probing path: four descriptor words, then per
 /// log the 16-byte header and the first data line, then the clobber log's
-/// header once more for its writer's generation.
-const ADOPT_READS: (u64, u64) = (9, 4 * 8 + 2 * (16 + 64) + 16);
+/// header once more for its writer's generation. Under a v_log the clobber
+/// log is truncated instead, whatever it holds: its header alone.
+fn adopt_reads(backend: Backend) -> (u64, u64) {
+    match backend {
+        Backend::Clobber(_) => (7, 4 * 8 + 16 + (16 + 64)),
+        _ => (9, 4 * 8 + 2 * (16 + 64) + 16),
+    }
+}
 
 /// Runs `inserts` traced on a fresh structure and checks every
 /// `TxBegin..TxCommit` window: between two fences no line is written back
@@ -158,18 +168,17 @@ fn a_slot_is_probed_once_and_then_served_from_its_mirror() {
     for backend in [Backend::clobber(), Backend::Undo, Backend::NoLog] {
         let label = backend.label();
         let p = Probe::new(backend);
-        assert_eq!(p.reads_before_body("store"), ADOPT_READS, "{label}: first");
+        assert_eq!(
+            p.reads_before_body("store"),
+            adopt_reads(backend),
+            "{label}: first"
+        );
         assert_eq!(p.reads_before_body("store"), (0, 0), "{label}: second");
         assert_eq!(p.reads_before_body("bump"), (0, 0), "{label}: third");
-        // A clobber transaction that logged leaves its log to be truncated
-        // ahead of the next begin, and truncating re-reads the 16-byte
-        // header; an undo commit truncates its log itself.
-        let header = if matches!(backend, Backend::Clobber(_)) {
-            (1, 16)
-        } else {
-            (0, 0)
-        };
-        assert_eq!(p.reads_before_body("store"), header, "{label}: after a log");
+        // An undo commit truncates its log itself; a clobber begin
+        // truncates its log inside the body, where the new generation
+        // numbers the begin.
+        assert_eq!(p.reads_before_body("store"), (0, 0), "{label}: after a log");
         assert_eq!(p.reads_before_body("store"), (0, 0), "{label}: truncated");
     }
 }
@@ -184,7 +193,11 @@ fn recovery_and_an_abort_past_a_store_each_cost_one_probe() {
 
         // A live scan may rewrite any log: every mirror is dropped.
         assert!(p.rt.recover().unwrap().is_clean(), "{label}");
-        assert_eq!(p.reads_before_body("store"), ADOPT_READS, "{label}: scan");
+        assert_eq!(
+            p.reads_before_body("store"),
+            adopt_reads(backend),
+            "{label}: scan"
+        );
         assert_eq!(
             p.reads_before_body("store"),
             (0, 0),
@@ -200,7 +213,11 @@ fn recovery_and_an_abort_past_a_store_each_cost_one_probe() {
         } else {
             assert!(matches!(err, TxError::Aborted(_)), "{label}: {err}");
         }
-        assert_eq!(p.reads_before_body("store"), ADOPT_READS, "{label}: abort");
+        assert_eq!(
+            p.reads_before_body("store"),
+            adopt_reads(backend),
+            "{label}: abort"
+        );
         assert_eq!(
             p.reads_before_body("store"),
             (0, 0),
@@ -212,30 +229,173 @@ fn recovery_and_an_abort_past_a_store_each_cost_one_probe() {
 /// Draws per trip point.
 const DRAWS: u64 = 32;
 
-/// Crashes the transfer script at every persist event and takes [`DRAWS`]
-/// power failures from each dead pool, each keeping a seeded half of the
-/// dirty lines and half of the flushed-but-unfenced ones.
+/// Crashes `drive` at every persist event past `session.build` and takes
+/// [`DRAWS`] power failures from each dead pool, each keeping a seeded half
+/// of the dirty lines and half of the flushed-but-unfenced ones. Every
+/// recovered pool must pass the session check, a heap walk and a clean
+/// second recovery.
+fn draws_at_every_event(label: &str, session: &ExploreSession<'_>, drive: &dyn Fn(&Runtime)) {
+    let events = {
+        let (pool, rt) = (session.build)();
+        pool.arm_faults(FaultPlan::count_only());
+        drive(&rt);
+        pool.disarm_faults()
+    };
+    assert!(events > 0, "{label}: the workload persists nothing");
+    for k in 0..events {
+        let (pool, rt) = (session.build)();
+        pool.arm_faults(FaultPlan::crash_at(k));
+        drive(&rt);
+        assert_eq!(pool.fault_tripped(), Some(k), "{label}: event {k}");
+        for seed in 0..DRAWS {
+            let cfg = CrashConfig::new(0.5, 0.5, k * DRAWS + seed);
+            let at = format!("{label} crash_at({k}) {cfg:?}");
+            let (pool2, rt2) = (session.reopen)(pool.crash_media(&cfg));
+            rt2.recover().unwrap_or_else(|e| panic!("{at}: {e}"));
+            (session.check)(&pool2, &rt2).unwrap_or_else(|e| panic!("{at}: {e}"));
+            pool2
+                .check_heap()
+                .unwrap_or_else(|e| panic!("{at}: heap check failed: {e}"));
+            assert!(rt2.recover().unwrap().is_clean(), "{at}: second recovery");
+        }
+    }
+}
+
+/// Small logs keep each drawn image cheap to copy.
+fn small_logs(backend: Backend) -> RuntimeOptions {
+    let mut opts = RuntimeOptions::new(backend);
+    opts.clobber_log_cap = 32 << 10;
+    opts.redo_log_cap = 32 << 10;
+    opts
+}
+
+/// The transfer script.
 #[test]
 fn seeded_draws_over_dirty_and_flushed_lines_recover_the_bank() {
     for backend in [Backend::clobber(), Backend::Undo] {
-        let label = backend.label();
-        let events = count_script_events(backend);
-        for k in 0..events {
-            let (pool, rt, base) = setup(backend);
-            pool.arm_faults(FaultPlan::crash_at(k));
-            let _ = run_script(&rt, base);
-            assert_eq!(pool.fault_tripped(), Some(k), "{label}: event {k}");
-            for seed in 0..DRAWS {
-                let cfg = CrashConfig::new(0.5, 0.5, k * DRAWS + seed);
-                let at = format!("{label} crash_at({k}) {cfg:?}");
-                let (pool2, rt2) = reopen(pool.crash_media(&cfg), backend);
-                rt2.recover().unwrap_or_else(|e| panic!("{at}: {e}"));
-                assert_eq!(total(&pool2, base), ACCOUNTS * INITIAL, "{at}");
-                pool2
-                    .check_heap()
-                    .unwrap_or_else(|e| panic!("{at}: heap check failed: {e}"));
-                assert!(rt2.recover().unwrap().is_clean(), "{at}: second recovery");
+        draws_at_every_event(backend.label(), &bank_session(backend, 1), &|rt| {
+            let _ = run_script(rt, rt.app_root().unwrap());
+        });
+    }
+}
+
+/// `stamp(v)` fills a fresh node with `v`, stores its address into the
+/// root's first word without reading it — a blind store to data older than
+/// the transaction, and its first — and then sets the second word, read
+/// first, to `v`. A store that reached media before the begin was ordered
+/// would leave the first word naming a node the second word disagrees with.
+#[test]
+fn seeded_draws_cover_a_blind_first_store_to_older_data() {
+    let register = |rt: &Runtime| {
+        rt.register("stamp", |tx, args| {
+            let root = PAddr::new(args.u64(0)?);
+            let v = args.u64(1)?;
+            let node = tx.pmalloc(8)?;
+            tx.write_u64(node, v)?;
+            tx.write_paddr(root, node)?;
+            let old = tx.read_u64(root.add(8))?;
+            tx.write_u64(root.add(8), old.max(v))?;
+            Ok(None)
+        });
+    };
+    let session = ExploreSession {
+        build: Box::new(|| {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), small_logs(Backend::clobber())).unwrap();
+            register(&rt);
+            let root = pool.alloc(16).unwrap();
+            pool.persist(root, 16).unwrap();
+            rt.set_app_root(root).unwrap();
+            rt.slot_handle(0).unwrap();
+            (pool, rt)
+        }),
+        reopen: Box::new(|media| {
+            let (pool, rt) = reopen_media(media, 1, small_logs(Backend::clobber()));
+            register(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(|pool, rt| {
+            let root = rt.app_root().map_err(|e| e.to_string())?;
+            let node = pool.read_u64(root).map_err(|e| e.to_string())?;
+            let stamped = pool.read_u64(root.add(8)).map_err(|e| e.to_string())?;
+            let named = match node {
+                0 => 0,
+                at => pool.read_u64(PAddr::new(at)).map_err(|e| e.to_string())?,
+            };
+            match named == stamped {
+                true => Ok(()),
+                false => Err(format!("node {node:#x} holds {named}, stamp is {stamped}")),
+            }
+        }),
+    };
+    draws_at_every_event("stamp", &session, &|rt| {
+        let root = rt.app_root().unwrap();
+        for v in 1..=3 {
+            if rt
+                .run("stamp", &ArgList::new().with_u64(root.offset()).with_u64(v))
+                .is_err()
+            {
+                break;
             }
         }
+    });
+}
+
+fn pds_value(k: u64) -> Vec<u8> {
+    vec![k as u8 ^ 0x3C; 48]
+}
+
+/// One insert into each pds structure holding eight keys — the B+Tree's
+/// splits a full leaf — crashed at every event under the same draws; the
+/// contents must be the first eight or nine keys, every value intact.
+#[test]
+fn seeded_draws_cover_the_pds_inserts() {
+    macro_rules! structure {
+        ($ty:ident, $insert:ident, $key_of:expr) => {{
+            let register = $ty::register;
+            let contents = |pool: &PmemPool, rt: &Runtime| -> Result<Vec<(u64, Vec<u8>)>, String> {
+                let root = rt.app_root().map_err(|e| e.to_string())?;
+                let pairs = $ty::open(root).dump(pool).map_err(|e| e.to_string())?;
+                Ok(pairs.into_iter().map(|(k, v)| ($key_of(k), v)).collect())
+            };
+            let session = ExploreSession {
+                build: Box::new(move || {
+                    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
+                    let rt = Runtime::create(pool.clone(), small_logs(Backend::clobber())).unwrap();
+                    register(&rt);
+                    let s = $ty::create(&rt).unwrap();
+                    rt.set_app_root(s.root()).unwrap();
+                    for k in 0..8 {
+                        s.$insert(&rt, k, &pds_value(k)).unwrap();
+                    }
+                    (pool, rt)
+                }),
+                reopen: Box::new(move |media| {
+                    let (pool, rt) = reopen_media(media, 1, small_logs(Backend::clobber()));
+                    register(&rt);
+                    (pool, rt)
+                }),
+                check: Box::new(move |pool, rt| {
+                    let mut pairs = contents(pool, rt)?;
+                    pairs.sort();
+                    let n = pairs.len() as u64;
+                    let prefix = (0..n).map(|k| (k, pds_value(k))).collect::<Vec<_>>();
+                    match (8..=9).contains(&n) && pairs == prefix {
+                        true => Ok(()),
+                        false => Err(format!("{} keys, not an intact prefix", n)),
+                    }
+                }),
+            };
+            draws_at_every_event(stringify!($ty), &session, &|rt| {
+                let _ = $ty::open(rt.app_root().unwrap()).$insert(rt, 8, &pds_value(8));
+            });
+        }};
     }
+    structure!(HashMap, insert, std::convert::identity);
+    structure!(RbTree, insert, std::convert::identity);
+    structure!(SkipList, insert, std::convert::identity);
+    structure!(AvlTree, insert, std::convert::identity);
+    structure!(BpTree, insert_u64, |k: Vec<u8>| u64::from_be_bytes(
+        k[24..32].try_into().unwrap()
+    ));
 }

@@ -8,8 +8,8 @@
 //!   grows by a page the first time a line of that entry is stored to. A
 //!   pool instance therefore costs what its run stores to, not its
 //!   capacity (beyond four table bytes per 4 KiB); the table and the
-//!   slab's first pages are allocated by the first store and no hashing
-//!   ever happens.
+//!   slab's first chunk of pages are allocated by the first store and no
+//!   hashing ever happens.
 //! * [`RefCache`] — the original `HashMap<line, CacheLine>` model, kept as
 //!   the executable specification for equivalence tests and A/B benchmarks
 //!   (select it with [`PoolOptions::with_reference_cache`]).
@@ -128,9 +128,10 @@ impl Cache {
 const WORD_LINES: u64 = 64;
 /// Bytes of line data in one [`Page`]: the span of one word.
 const PAGE: usize = WORD_LINES as usize * LINE;
-/// Pages reserved by the first store, so a short run (a crash-sweep point,
-/// a benchmark cycle) never regrows the slab.
-const RESERVED_PAGES: usize = 16;
+/// Pages per slab chunk. The slab grows a chunk at a time and never moves a
+/// page, so it copies nothing and its blocks are all 64 KiB: a doubling slab
+/// freed 128 KiB … 1 MiB holes that later pool-sized buffers landed around.
+const CHUNK_PAGES: usize = 16;
 
 /// The cached state of one word — 64 consecutive lines, 4 KiB of the span.
 struct Page {
@@ -158,18 +159,19 @@ struct Page {
 ///   stored to.
 ///
 /// Nothing is allocated until the first store, which allocates the table
-/// (zeroed, four bytes per 4 KiB of the span) and reserves the slab; after
-/// that stores, flushes and fences are allocation-free until a run dirties
-/// more than the reserved pages (the slab then grows geometrically, and the
-/// pending-flush list retains its capacity across fences).
+/// (zeroed, four bytes per 4 KiB of the span) and the slab's first chunk;
+/// after that stores, flushes and fences are allocation-free until a run
+/// stores to more pages than its chunks hold (the slab then gains a chunk,
+/// and the pending-flush list retains its capacity across fences).
 #[derive(Default)]
 pub(crate) struct LineCache {
     /// Per word of the span: the slot of its page in `pages` plus one, 0
     /// while no line of the word was ever stored to. Sized by the first
     /// store.
     slots: Vec<u32>,
-    /// The slab: the pages stored to, in first-touch order.
-    pages: Vec<Page>,
+    /// The slab: the pages stored to, in first-touch order, in chunks of
+    /// [`CHUNK_PAGES`] (slot `s` is page `s - 1` of the concatenation).
+    pages: Vec<Vec<Page>>,
     /// Lines pushed by flushes, drained by the next fence.
     pending_flushes: Vec<u64>,
     /// Number of pages with a dirty line: 0 means reads need no overlay.
@@ -217,10 +219,8 @@ impl LineCache {
     /// The page of word `w`, if one of its lines was ever stored to.
     #[inline]
     fn page(&self, w: usize) -> Option<&Page> {
-        match self.slots[w] {
-            0 => None,
-            slot => Some(&self.pages[slot as usize - 1]),
-        }
+        let i = (self.slots[w] as usize).checked_sub(1)?;
+        Some(&self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES])
     }
 
     /// Appends word `w`'s page to the slab and returns its table entry. Out
@@ -229,26 +229,31 @@ impl LineCache {
     #[cold]
     #[inline(never)]
     fn add_page(&mut self, w: usize) -> u32 {
-        self.pages.push(Page {
+        if self.pages.last().is_none_or(|c| c.len() == CHUNK_PAGES) {
+            self.pages.push(Vec::with_capacity(CHUNK_PAGES));
+        }
+        let full_chunks = self.pages.len() - 1;
+        let chunk = self.pages.last_mut().expect("a chunk with room");
+        chunk.push(Page {
             dirty: 0,
             flush_pending: 0,
             bytes: [0; PAGE],
         });
-        self.slots[w] = self.pages.len() as u32;
+        self.slots[w] = (full_chunks * CHUNK_PAGES + chunk.len()) as u32;
         self.slots[w]
     }
 
     fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
         if self.slots.is_empty() {
             self.slots = vec![0; media.len().div_ceil(PAGE)];
-            self.pages.reserve_exact(RESERVED_PAGES);
         }
         for_each_word(offset, data.len() as u64, |w, at, stop, mask| {
             let slot = match self.slots[w] {
                 0 => self.add_page(w),
                 slot => slot,
             };
-            let page = &mut self.pages[slot as usize - 1];
+            let i = slot as usize - 1;
+            let page = &mut self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES];
             let fresh = mask & !page.dirty;
             self.dirty_pages += usize::from(page.dirty == 0);
             page.dirty |= mask;
@@ -285,10 +290,10 @@ impl LineCache {
             return;
         }
         for_each_word(offset, len, |w, _, _, mask| {
-            let Some(index) = self.slots[w].checked_sub(1) else {
+            let Some(i) = (self.slots[w] as usize).checked_sub(1) else {
                 return;
             };
-            let page = &mut self.pages[index as usize];
+            let page = &mut self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES];
             let newly = mask & page.dirty & !page.flush_pending;
             page.flush_pending |= newly;
             for_each_bit(newly, |bit| {
@@ -303,7 +308,8 @@ impl LineCache {
         let (w, bit) = ((line / WORD_LINES) as usize, line % WORD_LINES);
         // A line is only ever pushed by a flush that found it dirty, so
         // its word has a page.
-        let page = &mut self.pages[self.slots[w] as usize - 1];
+        let i = self.slots[w] as usize - 1;
+        let page = &mut self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES];
         if page.flush_pending & (1 << bit) != 0 {
             let (s, d) = ((line * CACHE_LINE) as usize, bit as usize * LINE);
             media[s..s + LINE].copy_from_slice(&page.bytes[d..d + LINE]);
@@ -427,16 +433,7 @@ impl RefCache {
     }
 
     fn fence(&mut self, media: &mut [u8]) {
-        for line in self.pending_flushes.drain(..) {
-            if let Some(cl) = self.lines.get_mut(&line) {
-                if cl.flush_pending {
-                    let s = (line * CACHE_LINE) as usize;
-                    media[s..s + LINE].copy_from_slice(&cl.data);
-                    cl.dirty = false;
-                    cl.flush_pending = false;
-                }
-            }
-        }
+        self.fence_lines(media, 0, u64::MAX);
     }
 
     fn fence_lines(&mut self, media: &mut [u8], lo_line: u64, hi_line: u64) {
@@ -632,7 +629,8 @@ mod tests {
         let (mut m1, mut cache, mut m2, mut reference) = both((1 << 20) + 5 * LINE);
         // (offset, len): scattered, two of them straddling a page boundary,
         // one three pages long (over four), one in the partial last page,
-        // one back on a page already stored to.
+        // one back on a page already stored to, one over 41 pages (into the
+        // slab's fourth chunk).
         let script = [
             (7 * PAGE + 100, 8),
             (200 * PAGE - 3, 6),
@@ -640,6 +638,7 @@ mod tests {
             (90 * PAGE + 17, 3 * PAGE),
             ((1 << 20) + 2 * LINE, 2 * LINE),
             (7 * PAGE + 3000, 64),
+            (120 * PAGE + 9, 40 * PAGE),
         ];
         let mut touched = std::collections::BTreeSet::new();
         for (i, &(off, len)) in script.iter().enumerate() {
@@ -648,8 +647,9 @@ mod tests {
             reference.write(off as u64, &data, &m2);
             touched.extend(off / PAGE..=(off + len - 1) / PAGE);
         }
-        assert_eq!(touched.len(), 10);
-        assert_eq!(dense(&cache).pages.len(), touched.len());
+        assert_eq!(touched.len(), 51);
+        let chunks: Vec<usize> = dense(&cache).pages.iter().map(Vec::len).collect();
+        assert_eq!(chunks, [16, 16, 16, 3]);
         assert_eq!(
             read(&m1, &cache, 0, m1.len()),
             read(&m2, &reference, 0, m2.len())
@@ -675,7 +675,7 @@ mod tests {
             }
             cache.fence(&mut media);
             assert!(cache.is_clean());
-            assert_eq!(dense(&cache).pages.len(), 2, "round {round}");
+            assert_eq!(dense(&cache).pages[0].len(), 2, "round {round}");
         }
         assert_eq!(&media[PAGE + 128..PAGE + 136], &[3; 8]);
         assert_eq!(&media[5 * PAGE + 8..5 * PAGE + 16], &[3; 8]);

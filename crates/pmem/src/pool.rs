@@ -729,6 +729,7 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn read_bytes(&self, addr: PAddr, len: u64) -> Result<Vec<u8>, PmemError> {
+        self.check(addr, len)?; // before a corrupt length sizes the buffer
         let mut buf = vec![0u8; len as usize];
         self.read_into(addr, &mut buf)?;
         Ok(buf)
@@ -972,6 +973,11 @@ mod tests {
         ));
         // Overflowing offsets must not panic.
         assert!(p.read_u64(PAddr::new(u64::MAX - 2)).is_err());
+        // Nor may a length from a corrupt image size an allocation.
+        assert!(matches!(
+            p.read_bytes(PAddr::new(64), 1 << 40),
+            Err(PmemError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

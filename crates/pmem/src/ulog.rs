@@ -142,8 +142,14 @@ impl Ulog {
     }
 
     /// Reads the header (magic + generation, one 16-byte pool read), rejects
-    /// anything but [`V2_MAGIC`] and returns the current generation.
-    fn generation(&self, pool: &PmemPool) -> Result<u64, PmemError> {
+    /// anything but [`V2_MAGIC`] and returns the current generation: only
+    /// lines sealed with it hold entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::CorruptPool`] if the header is not a log header
+    /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
+    pub fn generation(&self, pool: &PmemPool) -> Result<u64, PmemError> {
         let mut hdr = [0u8; 16];
         pool.read_into(self.base, &mut hdr)?;
         let w0 = get_u64(&hdr, 0);
@@ -314,21 +320,7 @@ impl Ulog {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn apply_backwards(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        self.apply_backwards_from(pool, 0)
-    }
-
-    /// [`apply_backwards`](Self::apply_backwards) restricted to the entries
-    /// at index `skip` and beyond: the first `skip` entries are left
-    /// unapplied. Recovery's checkpointed resume path uses this to undo only
-    /// the stores *past* the persisted watermark — entries below it belong
-    /// to stores whose effects are already durably applied and must stand.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
-    pub fn apply_backwards_from(&self, pool: &PmemPool, skip: usize) -> Result<(), PmemError> {
-        let entries = self.entries(pool)?;
-        for (addr, data) in entries.iter().skip(skip).rev() {
+        for (addr, data) in self.entries(pool)?.iter().rev() {
             pool.store_flush(*addr, data)?;
         }
         Ok(())
@@ -369,14 +361,22 @@ impl Ulog {
     /// Returns [`PmemError::CorruptPool`] if the header is not a log header
     /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn clear(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        self.reset_unfenced(pool)?;
+        self.clear_above(pool, 0)
+    }
+
+    /// [`clear`](Self::clear) to a generation above `floor` as well as above
+    /// the current one, so no line sealed with either validates. Fails as
+    /// [`clear`](Self::clear) does.
+    pub fn clear_above(&self, pool: &PmemPool, floor: u64) -> Result<(), PmemError> {
+        let gen = self.generation(pool)?.max(floor) + 1;
+        pool.store_flush(self.base.add(8), &gen.to_le_bytes())?;
         pool.fence();
         Ok(())
     }
 
     /// Truncates the log without fencing — the caller's next fence orders
-    /// the truncation (the runtime bundles it with the begin fence when
-    /// lazily clearing a previous transaction's stale log). Returns the new
+    /// the truncation (a clobber begin truncates its slot's log this way,
+    /// and the new generation numbers the begin). Returns the new
     /// generation.
     ///
     /// # Errors
@@ -637,15 +637,17 @@ impl LogWriter {
     }
 
     /// Truncates the log without fencing and resets the cursor to the
-    /// start; the caller's next fence orders the truncation.
+    /// start; the caller's next fence orders the truncation. Returns the
+    /// new generation.
     ///
     /// # Errors
     ///
     /// Returns [`PmemError::CorruptPool`] if the header is not a log header
     /// and [`PmemError::OutOfBounds`] on a corrupt descriptor.
-    pub fn reset_unfenced(&mut self, pool: &PmemPool) -> Result<(), PmemError> {
-        self.pos = Some(V2Pos::empty(self.log.reset_unfenced(pool)?));
-        Ok(())
+    pub fn reset_unfenced(&mut self, pool: &PmemPool) -> Result<u64, PmemError> {
+        let gen = self.log.reset_unfenced(pool)?;
+        self.pos = Some(V2Pos::empty(gen));
+        Ok(gen)
     }
 
     /// Adopts the log and, if it holds stale entries, truncates it without
@@ -662,7 +664,7 @@ impl LogWriter {
             self.pos = Some(V2Pos::empty(self.log.generation(pool)?));
             Ok(())
         } else {
-            self.reset_unfenced(pool)
+            self.reset_unfenced(pool).map(drop)
         }
     }
 }
@@ -924,7 +926,7 @@ mod tests {
         assert!(corrupt(log.append(&pool, PAddr::new(8), b"x")));
         assert!(corrupt(LogWriter::attach(&pool, log).map(drop)));
         assert!(corrupt(LogWriter::new(log).ensure_empty_unfenced(&pool)));
-        assert!(corrupt(LogWriter::new(log).reset_unfenced(&pool)));
+        assert!(corrupt(LogWriter::new(log).reset_unfenced(&pool).map(drop)));
         // Nothing above touched the image: restoring the bit restores the log.
         pool.write_u64(log.base(), V2_MAGIC).unwrap();
         assert_eq!(log.len(&pool).unwrap(), 1);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use clobber_nvm::{Backend, Runtime, RuntimeOptions};
 use clobber_pds::HashMap;
-use clobber_pmem::{CrashConfig, FaultPlan, PmemPool, PoolMode, PoolOptions};
+use clobber_pmem::{CrashConfig, EventKind, FaultPlan, PmemPool, PoolMode, PoolOptions, Tracer};
 
 fn run_one(backend: Backend) -> Result<(), Box<dyn std::error::Error>> {
     println!("--- backend: {} ---", backend.label());
@@ -32,14 +32,23 @@ fn run_one(backend: Backend) -> Result<(), Box<dyn std::error::Error>> {
         (0..12u64).try_for_each(|k| map.insert(rt, k, format!("value-{k}").as_bytes()))
     };
 
-    // A dry run counts the inserts' persist events; the real run dies
-    // halfway through them — inside one of the inserts.
+    // A dry run counts the inserts' persist events (an armed plan stamps
+    // each traced one with its index); the real run dies just past the
+    // first fence from halfway on — inside an insert whose begin is durable.
     let (pool, rt, map) = open(FaultPlan::count_only())?;
+    let tracer = Arc::new(Tracer::new());
+    pool.set_tracer(Some(tracer.clone()));
     inserts(&rt, &map)?;
     let events = pool.disarm_faults();
-    let (pool, rt, map) = open(FaultPlan::crash_at(events / 2))?;
+    let trace = tracer.take();
+    let fence = trace
+        .events
+        .iter()
+        .find(|e| e.kind == EventKind::Fence && e.seq >= events / 2);
+    let trip = fence.expect("the inserts fence").seq + 1;
+    let (pool, rt, map) = open(FaultPlan::crash_at(trip))?;
     let died = inserts(&rt, &map).expect_err("the pool dies mid-stream");
-    println!("persist event {} of {events}: {died}", events / 2);
+    println!("persist event {trip} of {events}: {died}");
 
     let media = pool.crash_media(&CrashConfig::drop_all(99));
     let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim)?);

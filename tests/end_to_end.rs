@@ -11,7 +11,9 @@ use clobber_repro::nvm::{
     SweepSummary, TxError,
 };
 use clobber_repro::pds::HashMap;
-use clobber_repro::pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions};
+use clobber_repro::pmem::{
+    CrashConfig, EventKind, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, Tracer,
+};
 use clobber_repro::txir::pipeline::{compile, register_compiled, CompileOptions};
 use clobber_repro::txir::programs;
 use clobber_repro::workloads::vacation::ActionStream;
@@ -22,19 +24,32 @@ type Steps<'w> = Box<dyn Iterator<Item = Result<(), TxError>> + 'w>;
 
 /// The crash point a count-only dry run of `steps` on a freshly built
 /// `pool` teaches: three fifths of the way through the counted persist
-/// events, moved to the middle of the transaction that event falls in —
-/// past its durable begin and short of its commit, whatever fences a later
-/// change adds or removes.
+/// events, moved into the transaction that event falls in — to the middle
+/// of its events after its first fence, where its begin is durable, and
+/// short of its commit, whatever fences a later change adds or removes.
 fn learn_trip_point(pool: &PmemPool, steps: Steps<'_>) -> u64 {
+    let tracer = Arc::new(Tracer::new());
+    pool.set_tracer(Some(tracer.clone()));
     pool.arm_faults(FaultPlan::count_only());
     let mut bounds = vec![0];
     for step in steps {
         step.expect("the dry run is crash-free");
         bounds.push(pool.fault_events());
     }
+    pool.set_tracer(None);
     let target = bounds[bounds.len() - 1] * 3 / 5;
     let next = bounds.partition_point(|&b| b <= target);
-    (bounds[next - 1] + bounds[next]) / 2
+    let (start, end) = (bounds[next - 1], bounds[next]);
+    // An armed plan stamps each traced persist event with its index.
+    let begun = tracer
+        .take()
+        .events
+        .iter()
+        .find(|e| e.kind == EventKind::Fence && (start..end).contains(&e.seq))
+        .expect("the transaction fences")
+        .seq
+        + 1;
+    (begun + end) / 2
 }
 
 /// Builds the world twice: a dry run learns the trip point, then the
