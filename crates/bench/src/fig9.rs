@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions};
+use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, Tx, TxError};
 use clobber_pmem::{
     CrashConfig, EventKind, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, Tracer,
 };
@@ -140,6 +140,22 @@ impl DsHandle {
 /// Cells each parked scaling transaction mutates (its share of the live
 /// data recovery must repair).
 const SCALING_CELLS: u64 = 8;
+/// Passes over its cells a scaling transaction makes before it parks: more
+/// stores than the deferred buffer holds, so its early sync has run.
+const SCALING_PASSES: u64 = 9;
+
+/// `SCALING_PASSES` read-modify-writes of cells `lo..lo + SCALING_CELLS`.
+fn scaling_chain(tx: &mut Tx<'_>, args: &ArgList) -> Result<(), TxError> {
+    let base = PAddr::new(args.u64(0)?);
+    let lo = args.u64(1)?;
+    for _ in 0..SCALING_PASSES {
+        for i in lo..lo + SCALING_CELLS {
+            let v = tx.read_u64(base.add(8 * i))?;
+            tx.write_u64(base.add(8 * i), v + i + 1)?;
+        }
+    }
+    Ok(())
+}
 
 /// One recovery-scaling measurement: `slots` interrupted transactions in a
 /// `pool_mib`-MiB pool.
@@ -191,7 +207,7 @@ fn scaling_rt_opts() -> RuntimeOptions {
 }
 
 /// Parks `slots` concurrent chain transactions (one per v_log slot, each
-/// mid-flight after `SCALING_CELLS` logged read-modify-writes), crashes the
+/// mid-flight with its `SCALING_CELLS` pre-images durable), crashes the
 /// pool adversarially, and measures the recovery scan. Live data scales
 /// with `slots`; the pool size scales with `pool_mib`; recovery cost must
 /// track the former.
@@ -211,12 +227,7 @@ pub fn run_scaling_cell(pool_mib: u64, slots: usize, seed: u64) -> ScalingRow {
     {
         let (rendezvous, release) = (rendezvous.clone(), release.clone());
         rt.register("scaling_chain", move |tx, args| {
-            let base = PAddr::new(args.u64(0)?);
-            let lo = args.u64(1)?;
-            for i in lo..lo + SCALING_CELLS {
-                let v = tx.read_u64(base.add(8 * i))?;
-                tx.write_u64(base.add(8 * i), v + i + 1)?;
-            }
+            scaling_chain(tx, args)?;
             rendezvous.wait(); // all writes logged and in flight
             release.wait(); // hold until the snapshot is taken
             Ok(None)
@@ -242,13 +253,7 @@ pub fn run_scaling_cell(pool_mib: u64, slots: usize, seed: u64) -> ScalingRow {
         Arc::new(PmemPool::open_from_media(media.unwrap(), PoolMode::CrashSim).expect("open"));
     let rt2 = Runtime::open(pool2.clone(), scaling_rt_opts()).expect("runtime");
     rt2.register("scaling_chain", |tx, args| {
-        let base = PAddr::new(args.u64(0)?);
-        let lo = args.u64(1)?;
-        for i in lo..lo + SCALING_CELLS {
-            let v = tx.read_u64(base.add(8 * i))?;
-            tx.write_u64(base.add(8 * i), v + i + 1)?;
-        }
-        Ok(None)
+        scaling_chain(tx, args).map(|()| None)
     });
     let before = pool2.stats().snapshot();
     let report = rt2.recover().expect("recover");

@@ -8,7 +8,7 @@
 //! assertions fail, the substrate's behaviour (not just its speed) changed
 //! and every recorded experiment in EXPERIMENTS.md is invalidated.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use clobber_apps::{KvServer, LockScheme};
 use clobber_kvnet::{
@@ -263,47 +263,40 @@ fn allocator_counters_pin_across_shard_counts() {
 /// Cells mutated by the `rec_chain` txfunc in the recovery pins below.
 const REC_CELLS: u64 = 3;
 
-/// The pool to crash and the slot its first crash image lands in.
-type CrashTrap = (Arc<PmemPool>, Arc<Mutex<Option<Vec<u8>>>>);
-
-fn register_rec_chain(rt: &Runtime, trap: Option<CrashTrap>) {
+fn register_rec_chain(rt: &Runtime) {
     rt.register("rec_chain", move |tx, args| {
         let base = PAddr::new(args.u64(0)?);
         for i in 0..REC_CELLS {
             let cell = base.add(8 * i);
             let v = tx.read_u64(cell)?;
             tx.write_u64(cell, v + i + 1)?;
-            if i + 1 == REC_CELLS {
-                if let Some((pool, image)) = &trap {
-                    let mut img = image.lock().unwrap();
-                    if img.is_none() {
-                        *img = Some(pool.crash_media(&CrashConfig::drop_all(9)));
-                    }
-                }
-            }
         }
         Ok(None)
     });
 }
 
-/// A `rec_chain` run interrupted after its last store (status bit still
-/// ongoing), as an adversarial crash image.
+/// A `rec_chain` run crashed at its last persist event — the fence that
+/// would clear its status word — as an adversarial crash image.
 fn interrupted_chain_image(shards: u32) -> Vec<u8> {
-    let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-    let base = pool.alloc(8 * REC_CELLS).unwrap();
-    for i in 0..REC_CELLS {
-        pool.write_u64(base.add(8 * i), 100 + i).unwrap();
-    }
-    pool.persist(base, 8 * REC_CELLS).unwrap();
-    rt.set_app_root(base).unwrap();
-    let image = Arc::new(Mutex::new(None));
-    register_rec_chain(&rt, Some((pool.clone(), image.clone())));
-    rt.run("rec_chain", &ArgList::new().with_u64(base.offset()))
-        .unwrap();
-    let img = image.lock().unwrap().take().unwrap();
-    img
+    let run = |plan: FaultPlan| {
+        let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
+        let pool = Arc::new(PmemPool::create(opts).unwrap());
+        let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+        let base = pool.alloc(8 * REC_CELLS).unwrap();
+        for i in 0..REC_CELLS {
+            pool.write_u64(base.add(8 * i), 100 + i).unwrap();
+        }
+        pool.persist(base, 8 * REC_CELLS).unwrap();
+        rt.set_app_root(base).unwrap();
+        register_rec_chain(&rt);
+        pool.arm_faults(plan);
+        let _ = rt.run("rec_chain", &ArgList::new().with_u64(base.offset()));
+        pool
+    };
+    let events = run(FaultPlan::count_only()).disarm_faults();
+    let pool = run(FaultPlan::crash_at(events - 1));
+    assert_eq!(pool.fault_tripped(), Some(events - 1));
+    pool.crash_media(&CrashConfig::drop_all(9))
 }
 
 fn reopen_rec(image: Vec<u8>, shards: u32) -> (Arc<PmemPool>, Runtime) {
@@ -312,7 +305,7 @@ fn reopen_rec(image: Vec<u8>, shards: u32) -> (Arc<PmemPool>, Runtime) {
             .unwrap(),
     );
     let rt = Runtime::open(pool.clone(), RuntimeOptions::default()).unwrap();
-    register_rec_chain(&rt, None);
+    register_rec_chain(&rt);
     (pool, rt)
 }
 
@@ -522,13 +515,16 @@ fn net_counters_pin_across_shard_counts() {
 /// record each (4 flushes, 2 fences) and became one `free_many`, and again
 /// when its second fence went: its unfenced hints now carry the frontier
 /// the settle before it left (one flush more, one fence less). The clobber
-/// rows lost two fences more when the begin stopped paying its own: the
-/// log sync before the batch's first clobbering store orders it.
+/// rows lost two fences more when the begin stopped paying its own, and
+/// then one per entry but one when the clobbering stores started waiting
+/// for the commit: its one log sync orders the begin and every entry, and
+/// the stores reach the pool after it — four fences (sync, settle, clear,
+/// `free_many`), and each line the stores share written back once.
 #[test]
 fn batch_set_counters_pin() {
     for (backend, expect) in [
-        (Backend::clobber(), (15, 120, 131, 18, 382)),
-        (Backend::clobber_conservative(), (16, 128, 133, 19, 383)),
+        (Backend::clobber(), (15, 120, 112, 4, 382)),
+        (Backend::clobber_conservative(), (16, 128, 112, 4, 383)),
         (Backend::Undo, (59, 1368, 241, 63, 426)),
     ] {
         let pool = pool(false);

@@ -1,7 +1,7 @@
 //! Cross-transaction group commit: epoch/leader-based fence coalescing.
 //!
 //! Every ordering fence a transaction issues (begin-record persistence,
-//! log sync before a clobbering store, commit publication) only needs *an*
+//! the log sync before the deferred stores, commit publication) only needs *an*
 //! `sfence` to have been executed after its flushes — not its own private
 //! one. When several transactions request ordering concurrently, a single
 //! fence satisfies all of them, which is where log-based runtimes win under

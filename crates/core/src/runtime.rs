@@ -596,7 +596,9 @@ impl Runtime {
             Err(e) => {
                 let (abort_err, scratch) = tx.abort(e.to_string());
                 self.recycle_scratch(scratch);
-                Err(abort_err)
+                // A clean abort reports the txfunc's own error.
+                let clean = matches!(abort_err, TxError::Aborted(_));
+                Err(if clean { e } else { abort_err })
             }
         }
     }

@@ -19,6 +19,19 @@
 //!   transaction (PMDK's `TX_ADD` discipline — fresh allocations included).
 //! * **Redo**: stores are buffered volatilely; reads interpose on the write
 //!   set; nothing is persisted until commit.
+//!
+//! # One log sync per transaction
+//!
+//! The paper pays a fence per clobber-log entry (§5.3). Here a clobber
+//! store that logs a pre-image, overlaps a deferred byte, or reaches data
+//! older than the transaction before the begin is ordered is *deferred*:
+//! its entry is appended unfenced and the store waits in an inline buffer
+//! that reads overlay. The next ordering point (the commit, or a full
+//! buffer) syncs the log once, ordering the begin and every entry, then
+//! applies the stores in order. Undo snapshots and recovery replays sync
+//! before each such store and write it straight to the pool (PMDK's
+//! `TX_ADD` persists its snapshot before returning; a replay checkpoints
+//! its progress at every sync).
 
 use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
 
@@ -27,7 +40,7 @@ use crate::error::TxError;
 use crate::group_commit::GroupCommit;
 use crate::ido::{IdoObserver, IdoTxStats};
 use crate::rangeset::RangeSet;
-use crate::vlog::{bump_vlog, VlogCheckpoint, VlogSlot};
+use crate::vlog::{VlogCheckpoint, VlogSlot};
 
 /// Result type of a registered txfunc: an optional opaque return payload.
 pub type TxResult = Result<Option<Vec<u8>>, TxError>;
@@ -92,6 +105,106 @@ pub(crate) struct ResumeState {
 
 /// Hulls the inline dirty set holds before it drains early.
 const DIRTY_CAP: usize = 32;
+/// Stores, and their bytes, the deferred buffer holds before an early sync.
+const DEFER_CAP: usize = 64;
+const DEFER_BYTES: usize = 1024;
+
+/// Cache lines folded onto 1024 bits, never missing one added since reset:
+/// the dirty set and the deferred buffer (every read probes) scan on a hit.
+#[derive(Default, Clone, Copy)]
+struct Lines([u64; 16]);
+
+impl Lines {
+    fn bits(s: u64, e: u64) -> impl Iterator<Item = (usize, u64)> {
+        let lines = (s / CACHE_LINE..=(e - 1) / CACHE_LINE).take(1024);
+        lines.map(|l| ((l as usize >> 6) & 15, 1 << (l & 63)))
+    }
+
+    fn add(&mut self, s: u64, e: u64) {
+        Self::bits(s, e).for_each(|(w, b)| self.0[w] |= b);
+    }
+
+    fn may_hold(&self, s: u64, e: u64) -> bool {
+        Self::bits(s, e).any(|(w, b)| self.0[w] & b != 0)
+    }
+}
+
+/// Copies the part of `src`, stored at pool offset `ws`, that overlaps
+/// `buf`, loaded from offset `s`, into `buf`. Returns whether any did.
+fn overlay_range(buf: &mut [u8], s: u64, ws: u64, src: &[u8]) -> bool {
+    let (e, we) = (s + buf.len() as u64, ws + src.len() as u64);
+    if ws >= e || we <= s {
+        return false;
+    }
+    let (lo, hi) = (s.max(ws), e.min(we));
+    buf[(lo - s) as usize..(hi - s) as usize]
+        .copy_from_slice(&src[(lo - ws) as usize..(hi - ws) as usize]);
+    true
+}
+
+/// Stores waiting for the clobber log's next sync, in store order, as
+/// `ranges[..len]` byte ranges `[start, end)` whose data lies back to back
+/// in `data[..used]`. Inline, like the dirty set.
+struct Deferred {
+    ranges: [(u64, u64); DEFER_CAP],
+    len: usize,
+    data: [u8; DEFER_BYTES],
+    used: usize,
+    lines: Lines,
+}
+
+impl Default for Deferred {
+    fn default() -> Self {
+        Deferred {
+            ranges: [(0, 0); DEFER_CAP],
+            len: 0,
+            data: [0; DEFER_BYTES],
+            used: 0,
+            lines: Lines::default(),
+        }
+    }
+}
+
+impl Deferred {
+    fn clear(&mut self) {
+        self.len = 0;
+        self.used = 0;
+        self.lines = Lines::default();
+    }
+
+    fn push(&mut self, s: u64, data: &[u8]) {
+        self.ranges[self.len] = (s, s + data.len() as u64);
+        self.lines.add(s, s + data.len() as u64);
+        self.len += 1;
+        self.data[self.used..self.used + data.len()].copy_from_slice(data);
+        self.used += data.len();
+    }
+
+    fn overlaps(&self, s: u64, e: u64) -> bool {
+        self.lines.may_hold(s, e) && self.ranges[..self.len].iter().any(|&(a, b)| a < e && b > s)
+    }
+
+    /// Overlays the buffered bytes on `buf`, loaded from offset `s`, later
+    /// stores over earlier ones. A read served in whole or in part is
+    /// interposed, priced like Redo's.
+    fn overlay(&self, pool: &PmemPool, s: u64, buf: &mut [u8]) {
+        if self.len == 0 || !self.lines.may_hold(s, s + buf.len() as u64) {
+            return;
+        }
+        let mut off = 0;
+        let mut served = false;
+        for &(ws, we) in &self.ranges[..self.len] {
+            let n = (we - ws) as usize;
+            served |= overlay_range(buf, s, ws, &self.data[off..off + n]);
+            off += n;
+        }
+        if served {
+            pool.stats()
+                .interposed_reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+}
 
 /// Reusable per-transaction state: the range sets driving clobber
 /// detection, the scratch buffers the set algebra writes into, the
@@ -136,11 +249,15 @@ pub(crate) struct TxScratch {
     /// cache line. Inline: a fresh scratch allocates nothing for it.
     dirty: [(u64, u64); DIRTY_CAP],
     dirty_len: usize,
+    dirty_lines: Lines,
+    /// Stores waiting for the transaction's next log sync.
+    deferred: Deferred,
 }
 
 impl TxScratch {
     /// Empties every container while keeping its allocation.
     pub(crate) fn reset(&mut self) {
+        self.deferred.clear();
         self.inputs.clear();
         self.raw_reads.clear();
         self.written.clear();
@@ -154,6 +271,7 @@ impl TxScratch {
         self.dead.clear();
         self.frees.clear();
         self.dirty_len = 0;
+        self.dirty_lines = Lines::default();
     }
 }
 
@@ -390,9 +508,9 @@ impl<'rt> Tx<'rt> {
     }
 
     /// Overlays the transaction's own view on `buf`, just loaded from the
-    /// pool at offset `s`: the redo write set, then the resume state.
+    /// pool at offset `s`: the redo write set, the deferred stores, then
+    /// the resume state.
     fn overlay_own_view(&self, s: u64, buf: &mut [u8]) {
-        let e = s + buf.len() as u64;
         if self.backend == Backend::Redo {
             // Read interposition: overlay the volatile write set, in store
             // order, so the transaction sees its own writes — the "longer
@@ -402,16 +520,10 @@ impl<'rt> Tx<'rt> {
                 .interposed_reads
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             for &(ws, ds, dl) in &self.scratch.redo_writes {
-                let we = ws + dl as u64;
-                if ws < e && we > s {
-                    let lo = s.max(ws);
-                    let hi = e.min(we);
-                    buf[(lo - s) as usize..(hi - s) as usize].copy_from_slice(
-                        &self.scratch.redo_data[ds + (lo - ws) as usize..ds + (hi - ws) as usize],
-                    );
-                }
+                overlay_range(buf, s, ws, &self.scratch.redo_data[ds..ds + dl]);
             }
         }
+        self.scratch.deferred.overlay(self.pool, s, buf);
         if let Some(r) = &self.resume {
             // Resume read overlay. The pool may hold values clobbered by
             // durably-applied (skipped) stores; the replay must observe the
@@ -421,24 +533,10 @@ impl<'rt> Tx<'rt> {
             // shadow of replayed stores in store order, so read-own-write
             // sees the latest replayed value on top.
             for &(ws, ds, dl) in r.originals.iter().rev() {
-                let we = ws + dl as u64;
-                if ws < e && we > s {
-                    let lo = s.max(ws);
-                    let hi = e.min(we);
-                    buf[(lo - s) as usize..(hi - s) as usize].copy_from_slice(
-                        &r.orig_data[ds + (lo - ws) as usize..ds + (hi - ws) as usize],
-                    );
-                }
+                overlay_range(buf, s, ws, &r.orig_data[ds..ds + dl]);
             }
             for &(ws, ds, dl) in &r.shadow_writes {
-                let we = ws + dl as u64;
-                if ws < e && we > s {
-                    let lo = s.max(ws);
-                    let hi = e.min(we);
-                    buf[(lo - s) as usize..(hi - s) as usize].copy_from_slice(
-                        &r.shadow_data[ds + (lo - ws) as usize..ds + (hi - ws) as usize],
-                    );
-                }
+                overlay_range(buf, s, ws, &r.shadow_data[ds..ds + dl]);
             }
         }
     }
@@ -472,6 +570,7 @@ impl<'rt> Tx<'rt> {
     ///
     /// Propagates pool bounds errors as [`TxError::Pmem`].
     pub fn read_bytes(&mut self, addr: PAddr, len: u64) -> Result<Vec<u8>, TxError> {
+        self.pool.check_range(addr, len)?; // before a corrupt length sizes the buffer
         let mut buf = vec![0u8; len as usize];
         self.read_into(addr, &mut buf)?;
         Ok(buf)
@@ -580,17 +679,13 @@ impl<'rt> Tx<'rt> {
             }
             (Tracking::Off, _) => {}
         }
-        // Resume bookkeeping: this store's ordinal, and whether its durable
-        // effects are already on media (checkpointed prefix of a recovery
-        // replay — skip the pool write, keep the range-set evolution).
-        let (ordinal, skip_store) = match &mut self.resume {
-            Some(r) => {
-                let ord = r.store_index;
-                r.store_index += 1;
-                (ord, ord < r.skip_stores)
-            }
-            None => (0, false),
-        };
+        // Resume bookkeeping: count this store, and skip its pool write if
+        // its durable effects are already on media (checkpointed prefix of
+        // a recovery replay — keep the range-set evolution).
+        let skip_store = self.resume.as_mut().is_some_and(|r| {
+            r.store_index += 1;
+            r.store_index <= r.skip_stores
+        });
         let stats = self.pool.stats();
         let mut appended = false;
         for i in 0..self.scratch.to_log.len() {
@@ -612,6 +707,9 @@ impl<'rt> Tx<'rt> {
                 self.scratch.log_buf.resize((b - a) as usize, 0);
                 self.pool
                     .read_into(PAddr::new(a), &mut self.scratch.log_buf)?;
+                // A re-clobbered byte's pre-image is its deferred value.
+                let sc = &mut self.scratch;
+                sc.deferred.overlay(self.pool, a, &mut sc.log_buf);
                 self.clog
                     .append(self.pool, PAddr::new(a), &self.scratch.log_buf)?;
                 stats
@@ -626,57 +724,15 @@ impl<'rt> Tx<'rt> {
                 self.scratch.clobber_logged.insert(a, b);
             }
         }
-        if appended {
-            // The undo invariant: the old values must be durable before the
-            // clobbering store can reach media (an unflushed store can
-            // still leak to media at a crash). This is the log's deferred
-            // ordering point — one fence covering every line flush since
-            // the last sync, this transaction's earlier stores and its
-            // begin included.
-            self.drain_dirty()?;
-            let gc = self.gc;
-            self.clog.sync_with(self.pool, |p| gc.fence(p))?;
-            self.begin_unordered = false;
-            // Recovery replays persist a progress checkpoint at each sync:
-            // the fence just made stores `0..ordinal` and every append so
-            // far durable, so a crash from here on resumes past them.
-            // Fresh allocations are excluded (the watermark must only
-            // cover stores to pre-existing data — a replayed reservation
-            // may land elsewhere), so checkpoints pause while an
-            // uncommitted allocation is live.
-            let resume_entries = self
-                .resume
-                .as_ref()
-                .filter(|_| self.scratch.allocs.is_empty())
-                .map(|r| r.append_index);
-            if let Some(entries) = resume_entries {
-                let ck = VlogCheckpoint {
-                    stores: ordinal,
-                    entries,
-                    preserves: self.replay.as_ref().map_or(0, |rp| rp.next as u64),
-                };
-                self.slot.write_checkpoint(self.pool, ck)?;
-                self.ckpt_writes += 1;
-                stats
-                    .rec_watermark_advances
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if self.pool.tracing_enabled() {
-                    self.pool.trace_app_event(
-                        clobber_trace::EventKind::RecoveryStep,
-                        0,
-                        clobber_trace::recovery_steps::CHECKPOINT,
-                        ck.stores,
-                    );
-                }
-            }
-        } else if self.begin_unordered && !self.scratch.written.contains(s, e) {
-            // A store to older data that logs nothing orders the begin
-            // first; until then `written` holds only the transaction's
-            // reservations, which a crash discards.
-            self.gc.fence(self.pool);
-            bump_vlog(self.pool, 0, 1);
-            self.begin_unordered = false;
-        }
+        // The undo invariant: a clobbering store may reach media (even
+        // unflushed) only once its pre-image is durable, and one to data
+        // older than the transaction — not in `written`, which until then
+        // holds only reservations — only once the begin is. Such a store
+        // waits in the deferred buffer, as does one to a byte waiting there.
+        let defer = !skip_store
+            && (appended
+                || self.scratch.deferred.overlaps(s, e)
+                || (self.begin_unordered && !self.scratch.written.contains(s, e)));
         if matches!(self.tracking, Tracking::Inputs | Tracking::Written) {
             self.scratch.written.insert(s, e);
         }
@@ -688,10 +744,75 @@ impl<'rt> Tx<'rt> {
             r.shadow_data.extend_from_slice(data);
             r.shadow_writes.push((s, ds, data.len()));
         }
-        if !skip_store {
-            self.pool.write_bytes(addr, data)?;
-            self.mark_dirty(s, e)?;
+        if skip_store {
+            return Ok(());
         }
+        if defer {
+            let d = &self.scratch.deferred;
+            let room = d.len < DEFER_CAP && d.used + data.len() <= DEFER_BYTES;
+            if room && self.tracking != Tracking::Written && self.resume.is_none() {
+                self.scratch.deferred.push(s, data);
+                return Ok(());
+            }
+            // An undo snapshot, a replayed store and a full buffer are
+            // ordering points: the sync makes this pre-image durable too.
+            self.order_deferred()?;
+        }
+        self.pool.write_bytes(addr, data)?;
+        self.mark_dirty(s, e)?;
+        Ok(())
+    }
+
+    /// The deferred stores' ordering point: one write-back of every store so
+    /// far and one log sync make the begin and every appended pre-image
+    /// durable; then the deferred stores reach the pool in store order.
+    fn order_deferred(&mut self) -> Result<(), TxError> {
+        self.drain_dirty()?;
+        let (pool, gc) = (self.pool, self.gc);
+        // The begin truncated the log, so its sync fences even when
+        // nothing was logged: that orders a begin before a blind store.
+        self.clog.sync_with(pool, |p| gc.fence(p))?;
+        self.begin_unordered = false;
+        // Recovery replays persist a progress checkpoint at each sync: the
+        // fence just made every append durable, and every store before the
+        // one in progress (a replay defers none), so a crash from here on
+        // resumes past them. The watermark must cover only stores to
+        // pre-existing data (a replayed reservation may land elsewhere), so
+        // checkpoints pause while an allocation is live.
+        let resume = self
+            .resume
+            .as_ref()
+            .filter(|_| self.scratch.allocs.is_empty())
+            .map(|r| (r.store_index - 1, r.append_index));
+        if let Some((stores, entries)) = resume {
+            let ck = VlogCheckpoint {
+                stores,
+                entries,
+                preserves: self.replay.as_ref().map_or(0, |rp| rp.next as u64),
+            };
+            self.slot.write_checkpoint(pool, ck)?;
+            self.ckpt_writes += 1;
+            pool.stats()
+                .rec_watermark_advances
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if pool.tracing_enabled() {
+                pool.trace_app_event(
+                    clobber_trace::EventKind::RecoveryStep,
+                    0,
+                    clobber_trace::recovery_steps::CHECKPOINT,
+                    ck.stores,
+                );
+            }
+        }
+        let mut off = 0;
+        for i in 0..self.scratch.deferred.len {
+            let (s, e) = self.scratch.deferred.ranges[i];
+            let n = (e - s) as usize;
+            pool.write_bytes(PAddr::new(s), &self.scratch.deferred.data[off..off + n])?;
+            self.mark_dirty(s, e)?;
+            off += n;
+        }
+        self.scratch.deferred.clear();
         Ok(())
     }
 
@@ -702,7 +823,11 @@ impl<'rt> Tx<'rt> {
         let line = |byte: u64| byte / CACHE_LINE;
         let sc = &mut self.scratch;
         // Newest first: consecutive stores mostly land in the same object.
-        let mut i = sc.dirty_len;
+        let mut i = if sc.dirty_lines.may_hold(s, e) {
+            sc.dirty_len
+        } else {
+            0
+        };
         while i > 0 {
             i -= 1;
             let (a, b) = sc.dirty[i];
@@ -721,21 +846,23 @@ impl<'rt> Tx<'rt> {
         let sc = &mut self.scratch;
         sc.dirty[sc.dirty_len] = (s, e);
         sc.dirty_len += 1;
+        sc.dirty_lines.add(s, e);
         Ok(())
     }
 
     /// Writes back everything stored since the last drain; runs right
     /// before each ordering point, so every flush still precedes the fence
-    /// that needs it. Ranges stay byte-exact — `[min start, max end)` of
-    /// stores that share a line, never rounded out to line bounds: the
-    /// conflict analysis in `trace/conflict.rs` reads a flush's range as
-    /// bytes its lane touched, and a rounded one claims a neighbour's.
+    /// that needs it. A hull is `[min start, max end)` of stores that share
+    /// a line, so it may span bytes none of them wrote: the conflict
+    /// analysis in `trace/conflict.rs` reads footprints off stores, not
+    /// flushes.
     fn drain_dirty(&mut self) -> Result<(), PmemError> {
         let sc = &mut self.scratch;
         for &(s, e) in &sc.dirty[..sc.dirty_len] {
             self.pool.flush(PAddr::new(s), e - s)?;
         }
         sc.dirty_len = 0;
+        sc.dirty_lines = Lines::default();
         Ok(())
     }
 
@@ -882,6 +1009,9 @@ impl<'rt> Tx<'rt> {
             }
             Backend::Clobber(cfg) => {
                 if effects {
+                    if self.scratch.deferred.len > 0 {
+                        self.order_deferred()?;
+                    }
                     self.settle_reservations()?;
                     gc.fence(pool);
                 }
@@ -985,7 +1115,7 @@ impl<'rt> Tx<'rt> {
     /// Returns [`TxError::AbortedAfterWrite`] for re-execution backends
     /// (Clobber, NoLog) once a persistent store happened — they cannot roll
     /// back. In that case the slot is left *ongoing* so that recovery
-    /// completes the transaction by re-execution.
+    /// completes the transaction by re-execution; its deferred stores drop.
     ///
     /// Also returns the transaction's scratch state so the runtime can
     /// recycle it.

@@ -21,11 +21,11 @@
 //! status bit (§5.3). [`VlogSlot::begin`] issues none: it writes the record,
 //! its seal, a fresh preserve/checkpoint line and the status word with
 //! flushes only, and the transaction's next ordering point — in most
-//! transactions the log sync before the first clobbering store — makes them
-//! durable together. No store to data older than the transaction may reach
-//! media before that point (`Tx` fences ahead of one that logs nothing), so
-//! a crash inside the window leaves an arbitrary subset of these lines, and
-//! recovery accepts a slot as begun only if they agree:
+//! transactions its commit's log sync — makes them durable together. No
+//! store to data older than the transaction may reach media before that
+//! point (`Tx` defers every such store to it), so a crash inside the window
+//! leaves an arbitrary subset of these lines, and recovery accepts a slot
+//! as begun only if they agree:
 //!
 //! * the begin number `s` is the clobber log's generation once the begin has
 //!   truncated it, so a slot never reuses one (a runtime adopting a slot
@@ -49,7 +49,7 @@ use crate::error::TxError;
 /// Attributes v_log persist costs in [`clobber_pmem::StatsSnapshot`]:
 /// `flushes` flush calls and `fences` fence *requests* (a request satisfied
 /// by a shared group-commit epoch still counts).
-pub(crate) fn bump_vlog(pool: &PmemPool, flushes: u64, fences: u64) {
+fn bump_vlog(pool: &PmemPool, flushes: u64, fences: u64) {
     let s = pool.stats();
     s.vlog_flushes.fetch_add(flushes, Relaxed);
     s.vlog_fences.fetch_add(fences, Relaxed);

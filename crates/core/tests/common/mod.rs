@@ -330,9 +330,13 @@ pub fn register_parked_plain(rt: &Runtime) {
     });
 }
 
+/// Rounds of a parked transfer: the first pays, the rest store the same
+/// balances again, 2 × 40 stores against the deferred buffer's 64.
+pub const PARKED_ROUNDS: u64 = 40;
+
 /// Captures crashed media holding **two** genuinely concurrent interrupted
 /// transfers, one per v_log slot: `assignments[i] = (from, to, amount)` runs
-/// on slot `i`. Each worker parks inside its txfunc after both writes; the
+/// on slot `i`. Each worker parks inside its txfunc after its writes; the
 /// main thread then takes an adversarial crash snapshot and releases them.
 pub fn two_parked_transfers(backend: Backend, assignments: [(u64, u64, u64); 2]) -> Vec<u8> {
     parked_transfers(backend, &assignments)
@@ -341,14 +345,15 @@ pub fn two_parked_transfers(backend: Backend, assignments: [(u64, u64, u64); 2])
 /// Generalization of [`two_parked_transfers`] to any number of slots: one
 /// parked transfer per assignment, crashed while all of them are mid-flight.
 ///
-/// The workers pass through a turnstile in slot order: worker *i* enters
-/// its transaction only after worker *i − 1* has issued both stores. All
-/// accounts share one cache line and fences are pool-global, so a store is
-/// durable in the `drop_all` image exactly when some fence followed it —
-/// left to race, whichever worker happened to run last kept its first
-/// store and lost its second, and the image depended on the scheduler.
-/// With the turnstile it is a function of `assignments` alone: every slot
-/// but the last has both stores durable, the last only its first.
+/// A parked transfer stores both balances [`PARKED_ROUNDS`] times — more
+/// stores than the deferred-store buffer holds, so the buffer's early log
+/// sync has made the begin and both pre-images durable by the time the
+/// worker parks, while the stores after it are in flight. The workers pass
+/// through a
+/// turnstile in slot order — worker *i* enters its transaction only after
+/// worker *i − 1* has issued its stores — so the image is a function of
+/// `assignments` alone: every slot holds its begin and both pre-images, and
+/// no account store is durable.
 pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Vec<u8> {
     let (pool, rt, base) = setup(backend);
     let rendezvous = Arc::new(Barrier::new(assignments.len() + 1));
@@ -363,11 +368,15 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
             let from = args.u64(1)?;
             let to = args.u64(2)?;
             let amount = args.u64(3)?;
-            let from_bal = tx.read_u64(base.add(from * 8))?;
-            tx.write_u64(base.add(from * 8), from_bal - amount)?;
-            let to_bal = tx.read_u64(base.add(to * 8))?;
-            tx.write_u64(base.add(to * 8), to_bal + amount)?;
-            // Both writes logged and in flight: let the next slot in.
+            for round in 0..PARKED_ROUNDS {
+                let pay = if round == 0 { amount } else { 0 };
+                let from_bal = tx.read_u64(base.add(from * 8))?;
+                tx.write_u64(base.add(from * 8), from_bal - pay)?;
+                let to_bal = tx.read_u64(base.add(to * 8))?;
+                tx.write_u64(base.add(to * 8), to_bal + pay)?;
+            }
+            // Both pre-images durable, the stores in flight: let the next
+            // slot in.
             *turnstile.0.lock().unwrap() += 1;
             turnstile.1.notify_all();
             rendezvous.wait();

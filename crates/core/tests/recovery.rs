@@ -5,7 +5,9 @@
 //! adversarial policy — after its k-th persistent write. The image is then
 //! reopened with a fresh runtime, txfuncs are re-registered, and
 //! `Runtime::recover` runs. This simulates a power failure at every
-//! interesting instant of the transaction.
+//! interesting instant of the transaction. A clobber transaction's stores
+//! wait for its commit's log sync, so such an image never holds a clobber
+//! begin; tests that need one crash at a persist event of the commit.
 
 mod common;
 
@@ -15,7 +17,9 @@ use clobber_nvm::{
     ArgList, Backend, RecoveryOptions, RecoveryReport, Runtime, RuntimeOptions, TxError,
     VlogCheckpoint, VlogSlot,
 };
-use clobber_pmem::{CrashConfig, PAddr, PmemError, PmemPool, PoolMode, PoolOptions, Ulog};
+use clobber_pmem::{
+    CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolMode, PoolOptions, Ulog,
+};
 
 /// Captures a crash image after a configured number of tx writes.
 #[derive(Clone)]
@@ -132,6 +136,41 @@ fn reopen(image: Vec<u8>, backend: Backend) -> (Arc<PmemPool>, Runtime, PAddr) {
     (pool, rt, head_cell)
 }
 
+fn push_args(head: PAddr, payload: &[u8]) -> ArgList {
+    ArgList::new().with_u64(head.offset()).with_bytes(payload)
+}
+
+/// A clobber runtime whose stack holds one committed push; `run` pushes
+/// `b"interrupted"` on it.
+fn stack_with_one_push() -> (Arc<PmemPool>, (Runtime, PAddr)) {
+    let (pool, rt, head) = new_runtime(Backend::clobber());
+    register_stack(&rt, None);
+    rt.run("push", &push_args(head, b"committed")).unwrap();
+    (pool, (rt, head))
+}
+
+fn push_interrupted((rt, head): &(Runtime, PAddr)) {
+    let _ = rt.run("push", &push_args(*head, b"interrupted"));
+}
+
+/// Persist events `run` issues on a world `build` makes fresh.
+fn count_events<W>(build: &impl Fn() -> (Arc<PmemPool>, W), run: &impl Fn(&W)) -> u64 {
+    let (pool, world) = build();
+    pool.arm_faults(FaultPlan::count_only());
+    run(&world);
+    pool.disarm_faults()
+}
+
+/// The image an adversarial power failure at persist event `k` of `run`
+/// leaves, on a world `build` makes fresh.
+fn crash_image<W>(build: &impl Fn() -> (Arc<PmemPool>, W), run: &impl Fn(&W), k: u64) -> Vec<u8> {
+    let (pool, world) = build();
+    pool.arm_faults(FaultPlan::crash_at(k));
+    run(&world);
+    assert_eq!(pool.fault_tripped(), Some(k));
+    pool.crash_media(&CrashConfig::drop_all(k))
+}
+
 #[test]
 fn committed_pushes_survive_adversarial_crash() {
     for backend in [
@@ -165,38 +204,21 @@ fn committed_pushes_survive_adversarial_crash() {
 
 #[test]
 fn clobber_reexecutes_interrupted_push_at_every_crash_point() {
-    // Crash after each of the 4 persistent writes of the interrupted push.
-    // The first three go to the new node, so no fence has ordered the begin
-    // yet and the push never happened; the fourth clobbers the head after
-    // the log sync that made the begin durable, and recovery completes it.
-    for crash_at in 0..4u32 {
-        let (_pool, rt, head) = new_runtime(Backend::clobber());
-        let trap = CrashTrap::disarmed(1000 + crash_at as u64);
-        register_stack(&rt, Some(trap.clone()));
-        rt.run(
-            "push",
-            &ArgList::new()
-                .with_u64(head.offset())
-                .with_bytes(b"committed"),
-        )
-        .unwrap();
-        trap.arm(crash_at);
-        rt.run(
-            "push",
-            &ArgList::new()
-                .with_u64(head.offset())
-                .with_bytes(b"interrupted"),
-        )
-        .unwrap();
-        let image = trap.take_image().expect("trap fired");
+    // A crash at each persist event of the interrupted push. Until its
+    // commit's log sync nothing it did is durable and the push never
+    // happened; from then on its begin and the head's pre-image are, and
+    // recovery completes it, through the fence that clears the status word.
+    let events = count_events(&stack_with_one_push, &push_interrupted);
+    let mut begun = false;
+    for k in 0..events {
+        let image = crash_image(&stack_with_one_push, &push_interrupted, k);
         let (pool2, rt2, head2) = reopen(image, Backend::clobber());
         let report = rt2.recover().unwrap();
-        let begun = crash_at == 3;
-        assert_eq!(
-            report.reexecuted,
-            Vec::from_iter(begun.then(|| "push".to_string())),
-            "crash point {crash_at}"
+        assert!(
+            report.reexecuted.len() == 1 || !begun,
+            "crash point {k}/{events}: expected a re-execution"
         );
+        begun = report.reexecuted == ["push"];
         let mut expected = vec![b"committed".to_vec()];
         if begun {
             expected.insert(0, b"interrupted".to_vec());
@@ -204,9 +226,10 @@ fn clobber_reexecutes_interrupted_push_at_every_crash_point() {
         assert_eq!(
             stack_contents(&pool2, head2),
             expected,
-            "the interrupted push happened whole or not at all (crash point {crash_at})"
+            "the interrupted push happened whole or not at all (crash point {k}/{events})"
         );
     }
+    assert!(begun, "the last crash point re-executes");
 }
 
 #[test]
@@ -344,7 +367,11 @@ fn paired_cells_stay_equal_across_crashes() {
                 backend.label()
             );
             if matches!(backend, Backend::Clobber(_)) {
-                assert_eq!(a, 2, "clobber recovery completes the transaction");
+                // Both stores wait for the commit's log sync.
+                assert_eq!(
+                    a, 1,
+                    "a clobber transaction crashed in its body never began"
+                );
             }
         }
     }
@@ -398,17 +425,10 @@ fn vlog_preserve_replays_during_recovery() {
 
 #[test]
 fn recovery_requires_registered_txfunc() {
-    let (pool, rt, head) = new_runtime(Backend::clobber());
-    // After the head store: the log sync before it made the begin durable.
-    let trap = CrashTrap::armed(3, 7000);
-    register_stack(&rt, Some(trap.clone()));
-    rt.run(
-        "push",
-        &ArgList::new().with_u64(head.offset()).with_bytes(b"x"),
-    )
-    .unwrap();
-    let image = trap.take_image().unwrap();
-    drop(pool);
+    // At the push's last persist event, the fence that would clear its
+    // status word: everything else is durable.
+    let events = count_events(&stack_with_one_push, &push_interrupted);
+    let image = crash_image(&stack_with_one_push, &push_interrupted, events - 1);
     let pool2 = Arc::new(PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2, RuntimeOptions::default()).unwrap();
     // "push" deliberately not re-registered.
@@ -559,7 +579,10 @@ fn conservative_clobber_logs_at_least_as_much() {
     let (conservative, pool, cell) = run_loop(Backend::clobber_conservative());
     assert_eq!(refined.log_entries, 1, "shadowed loop clobbers removed");
     assert_eq!(conservative.log_entries, 10, "one log per loop iteration");
-    assert!(conservative.fences > refined.fences);
+    // Refinement saves entries, bytes and log-line flushes; either way the
+    // entries share the commit's one log sync.
+    assert!(conservative.flushes > refined.flushes);
+    assert_eq!(conservative.fences, refined.fences);
     assert_eq!(pool.read_u64(cell).unwrap(), 10);
 }
 
@@ -649,6 +672,9 @@ fn pfree_of_pre_existing_block_is_deferred_to_commit() {
     let trap = CrashTrap::armed(0, 7777);
     let trap2 = trap.clone();
     rt.register("free_it", move |tx, args| {
+        // The preserve's fence orders the begin: the body's store alone
+        // would wait for the commit.
+        tx.vlog_preserve(b"begun")?;
         let victim = PAddr::new(args.u64(0)?);
         tx.pfree(victim)?;
         tx.write_u64(PAddr::new(args.u64(1)?), 1)?;
@@ -672,6 +698,7 @@ fn pfree_of_pre_existing_block_is_deferred_to_commit() {
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
     let p2 = pool2.clone();
     rt2.register("free_it", move |tx, args| {
+        tx.vlog_preserve(b"begun")?;
         let victim = PAddr::new(args.u64(0)?);
         tx.pfree(victim)?;
         tx.write_u64(PAddr::new(args.u64(1)?), 1)?;
@@ -823,12 +850,12 @@ fn run_returns_txfunc_payload() {
 }
 
 /// The begin writes its record, seal, preserve line and status word with
-/// flushes only. In a transaction it rides on the first ordering point:
-/// the log sync before a clobbering store, or a fence of its own before a
-/// blind store to older data. Stores into the transaction's own
-/// reservations need neither.
+/// flushes only, and no store in the body fences: a clobbering store and a
+/// blind store to older data alike wait for the commit, whose log sync — or
+/// a fence of its own when nothing was logged — orders the begin before
+/// they reach the pool. Settling and clearing pay the commit's other two.
 #[test]
-fn begin_issues_no_fence_and_the_first_clobbering_store_pays_one() {
+fn begin_and_body_issue_no_fence_and_the_commit_pays_three() {
     let (pool, rt, cell) = new_runtime(Backend::clobber());
     let slot = rt.slot_handle(1).unwrap();
     let before = pool.stats().snapshot();
@@ -859,15 +886,20 @@ fn begin_issues_no_fence_and_the_first_clobbering_store_pays_one() {
             .push([f1 - f0, f2 - f1, fences(tx) - f2]);
         Ok(None)
     });
+    let mut per_tx = Vec::new();
     for blind in [0, 1, 0] {
+        let f0 = pool.stats().snapshot().fences;
         rt.run_on(0, "steps", &ArgList::new().with_u64(blind))
             .unwrap();
+        per_tx.push(pool.stats().snapshot().fences - f0);
     }
     assert_eq!(
         *seen.lock().unwrap(),
-        vec![[0, 1, 0]; 3],
+        vec![[0, 0, 0]; 3],
         "reservation store, first store to older data, a later store"
     );
+    // The first run also creates and adopts slot 0.
+    assert_eq!(per_tx[1..], [3, 3], "ordering point, settle, clear");
 }
 
 // Begin-window hazards: a power failure between a fenceless begin and the

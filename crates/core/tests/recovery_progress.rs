@@ -3,14 +3,15 @@
 //! persisted watermark instead of restarting from scratch, so an
 //! adversary that keeps crashing recovery cannot starve it forever.
 //!
-//! The workload is a `chain` txfunc issuing `CELLS` read-modify-writes
-//! (each one a clobber-logged store, i.e. one persisted watermark
-//! opportunity at its log sync). The initial crash interrupts the chain
-//! mid-flight; each recovery cycle is then crashed at a chosen persist
-//! event with the adversarial `drop_all` policy, and the checkpoint
-//! watermark in the v_log slot is read back between cycles.
+//! The workload is a `chain` txfunc issuing `CELLS` read-modify-writes,
+//! each a clobber-logged store. A forward run syncs their entries once, at
+//! its commit; a recovery replay orders each deferred store at once, so
+//! every one is a persisted watermark opportunity. The initial crash
+//! interrupts the chain's commit; each recovery cycle is then crashed at a
+//! chosen persist event with the adversarial `drop_all` policy, and the
+//! checkpoint watermark in the v_log slot is read back between cycles.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use clobber_nvm::{ArgList, Backend, RecoveryOptions, Runtime, RuntimeOptions};
 use clobber_pmem::{
@@ -23,63 +24,46 @@ const CELLS: u64 = 10;
 fn seed_value(i: u64) -> u64 {
     1_000 + 7 * i
 }
-/// Expected value of cell `i` after one committed `chain` run.
-fn final_value(i: u64) -> u64 {
-    seed_value(i) + i + 1
-}
-
-/// Writes left before the trap fires, and the image it captured.
-type TrapState = (Option<u32>, Option<Vec<u8>>);
-
-/// Captures a crash image after a configured number of tx writes.
-#[derive(Clone)]
-struct CrashTrap {
-    inner: Arc<Mutex<TrapState>>,
-}
-
-impl CrashTrap {
-    fn armed(after_writes: u32) -> CrashTrap {
-        CrashTrap {
-            inner: Arc::new(Mutex::new((Some(after_writes), None))),
-        }
-    }
-
-    fn tick(&self, pool: &PmemPool) {
-        let mut st = self.inner.lock().unwrap();
-        match st.0 {
-            Some(0) => {
-                st.1 = Some(pool.crash_media(&CrashConfig::drop_all(0xCAFE)));
-                st.0 = None;
-            }
-            Some(n) => st.0 = Some(n - 1),
-            None => {}
-        }
-    }
-
-    fn take_image(&self) -> Vec<u8> {
-        self.inner.lock().unwrap().1.take().expect("trap fired")
+/// Expected value of cell `i` after one committed run of `txfunc`.
+fn final_value(txfunc: &str, i: u64) -> u64 {
+    match (txfunc, i) {
+        ("chain", _) => seed_value(i) + i + 1,
+        (_, 0) => seed_value(0) + 1,
+        (_, i) if i + 1 == CELLS => 2 * seed_value(i - 1),
+        (_, i) => seed_value(i - 1),
     }
 }
 
-fn register_chain(rt: &Runtime, trap: Option<CrashTrap>) {
-    let pool = rt.pool().clone();
+/// `chain` read-modify-writes each cell in turn. `shift` clobbers several
+/// inputs with one store — cells `0..CELLS - 1` move up a slot — then
+/// clobbers the first cell again, and doubles the last, which reads back
+/// the bulk store's deferred value and overwrites part of it.
+fn register_txfuncs(rt: &Runtime) {
     rt.register("chain", move |tx, args| {
         let base = PAddr::new(args.u64(0)?);
         for i in 0..CELLS {
             let cell = base.add(8 * i);
             let v = tx.read_u64(cell)?;
             tx.write_u64(cell, v + i + 1)?;
-            if let Some(t) = &trap {
-                t.tick(&pool);
-            }
         }
+        Ok(None)
+    });
+    rt.register("shift", move |tx, args| {
+        let base = PAddr::new(args.u64(0)?);
+        let mut cells = [0u8; 8 * (CELLS as usize - 1)];
+        tx.read_into(base, &mut cells)?;
+        tx.write_bytes(base.add(8), &cells)?;
+        let head = tx.read_u64(base)?;
+        tx.write_u64(base, head + 1)?;
+        let last = base.add(8 * (CELLS - 1));
+        let v = tx.read_u64(last)?;
+        tx.write_u64(last, 2 * v)?;
         Ok(None)
     });
 }
 
-/// Crashes a `chain` run after `crash_after` of its `CELLS` writes and
-/// returns the adversarial media image.
-fn interrupted_chain_media(crash_after: u32) -> Vec<u8> {
+/// A fresh pool holding the seeded cells, with the txfuncs registered.
+fn world() -> (Arc<PmemPool>, Runtime, PAddr) {
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
     let base = pool.alloc(8 * CELLS).unwrap();
@@ -88,17 +72,45 @@ fn interrupted_chain_media(crash_after: u32) -> Vec<u8> {
     }
     pool.persist(base, 8 * CELLS).unwrap();
     rt.set_app_root(base).unwrap();
-    let trap = CrashTrap::armed(crash_after);
-    register_chain(&rt, Some(trap.clone()));
-    rt.run("chain", &ArgList::new().with_u64(base.offset()))
-        .unwrap();
-    trap.take_image()
+    register_txfuncs(&rt);
+    (pool, rt, base)
+}
+
+/// Crashes a `txfunc` run inside its commit, once its log sync has made
+/// the begin and every pre-image durable and `applied` of its deferred
+/// stores have reached the pool, and returns the adversarial media image.
+fn interrupted_media(txfunc: &str, applied: u64) -> Vec<u8> {
+    let run = |rt: &Runtime, base: PAddr| rt.run(txfunc, &ArgList::new().with_u64(base.offset()));
+    // A traced dry run finds the commit's first store to a cell (an armed
+    // plan stamps each traced persist event with its index).
+    let first_store = {
+        let (pool, rt, base) = world();
+        pool.arm_faults(FaultPlan::count_only());
+        let tracer = Arc::new(Tracer::new());
+        pool.set_tracer(Some(tracer.clone()));
+        run(&rt, base).unwrap();
+        let cells = base.offset()..base.offset() + 8 * CELLS;
+        let trace = tracer.take();
+        let store = trace
+            .events
+            .iter()
+            .find(|e| e.kind == EventKind::Store && cells.contains(&e.a));
+        store.expect("the commit applies the deferred stores").seq
+    };
+    let (pool, rt, base) = world();
+    pool.arm_faults(FaultPlan::crash_at(first_store + applied));
+    assert!(run(&rt, base).is_err(), "the crash lands inside the commit");
+    pool.crash_media(&CrashConfig::drop_all(0xCAFE))
+}
+
+fn interrupted_chain_media(applied: u64) -> Vec<u8> {
+    interrupted_media("chain", applied)
 }
 
 fn reopen(image: Vec<u8>) -> (Arc<PmemPool>, Runtime) {
     let pool = Arc::new(PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap());
     let rt = Runtime::open(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
-    register_chain(&rt, None);
+    register_txfuncs(&rt);
     (pool, rt)
 }
 
@@ -115,13 +127,13 @@ fn watermark(image: &[u8]) -> Option<u64> {
     slot.checkpoint(&pool, begin).unwrap().map(|c| c.stores)
 }
 
-fn check_final_state(pool: &PmemPool, rt: &Runtime) {
+fn check_final_state(txfunc: &str, pool: &PmemPool, rt: &Runtime) {
     let base = rt.app_root().unwrap();
     for i in 0..CELLS {
         assert_eq!(
             pool.read_u64(base.add(8 * i)).unwrap(),
-            final_value(i),
-            "cell {i} after recovery"
+            final_value(txfunc, i),
+            "{txfunc}: cell {i} after recovery"
         );
     }
 }
@@ -164,7 +176,7 @@ fn crashed_recovery_leaves_a_resumable_watermark() {
     assert_eq!(report.reexecuted, vec!["chain".to_string()]);
     assert_eq!(report.resumed, 1, "{report:?}");
     assert!(report.watermark_advances >= 1, "{report:?}");
-    check_final_state(&pool2, &rt2);
+    check_final_state("chain", &pool2, &rt2);
 
     // Idempotence, and the next transaction's begin retires the checkpoint.
     assert!(rt2.recover_with(&opts()).unwrap().is_clean());
@@ -181,55 +193,59 @@ fn crashed_recovery_leaves_a_resumable_watermark() {
 /// The acceptance sweep: recovery cycle `c` is crashed at persist event
 /// `c` (covering every event index as cycles accumulate). The persisted
 /// watermark never regresses, advances strictly across the sweep, and the
-/// chain completes within a bounded number of cycles.
+/// transaction completes within a bounded number of cycles — the chain, and
+/// the shift, whose bulk store clobbers many inputs at once.
 #[test]
 fn every_event_crash_schedule_makes_bounded_progress() {
-    let image = interrupted_chain_media(2);
-    let m0 = recovery_event_count(image.clone());
+    // The shift's replay checkpoints twice, the chain's `CELLS` times.
+    for (txfunc, applied, min_advances) in [("chain", 2, 2), ("shift", 1, 1)] {
+        let image = interrupted_media(txfunc, applied);
+        let m0 = recovery_event_count(image.clone());
 
-    let mut media = image;
-    let mut last_w: Option<u64> = None;
-    let mut advances = 0u64;
-    let mut cycles = 0u64;
-    let (pool, rt) = loop {
-        assert!(
-            cycles <= m0 + 2,
-            "no forward progress after {cycles} cycles (initial event count {m0})"
-        );
-        let (pool, rt) = reopen(media.clone());
-        pool.arm_faults(FaultPlan::crash_at(cycles));
-        let res = rt.recover_with(&opts());
-        match pool.fault_tripped() {
-            Some(j) => {
-                assert_eq!(j, cycles);
-                media = pool.crash_media(&CrashConfig::drop_all(0xBAD5EED ^ (cycles << 8)));
-                let w = watermark(&media);
-                match (last_w, w) {
-                    (Some(old), Some(new)) => {
-                        assert!(new >= old, "watermark regressed: {old} -> {new}");
-                        if new > old {
-                            advances += 1;
+        let mut media = image;
+        let mut last_w: Option<u64> = None;
+        let mut advances = 0u64;
+        let mut cycles = 0u64;
+        let (pool, rt) = loop {
+            assert!(
+                cycles <= m0 + 2,
+                "{txfunc}: no forward progress after {cycles} cycles (initial event count {m0})"
+            );
+            let (pool, rt) = reopen(media.clone());
+            pool.arm_faults(FaultPlan::crash_at(cycles));
+            let res = rt.recover_with(&opts());
+            match pool.fault_tripped() {
+                Some(j) => {
+                    assert_eq!(j, cycles);
+                    media = pool.crash_media(&CrashConfig::drop_all(0xBAD5EED ^ (cycles << 8)));
+                    let w = watermark(&media);
+                    match (last_w, w) {
+                        (Some(old), Some(new)) => {
+                            assert!(new >= old, "{txfunc}: watermark regressed: {old} -> {new}");
+                            if new > old {
+                                advances += 1;
+                            }
                         }
+                        (Some(old), None) => panic!("{txfunc}: persisted watermark {old} vanished"),
+                        (None, Some(_)) => advances += 1,
+                        (None, None) => {}
                     }
-                    (Some(old), None) => panic!("persisted watermark {old} vanished"),
-                    (None, Some(_)) => advances += 1,
-                    (None, None) => {}
+                    last_w = w;
+                    cycles += 1;
                 }
-                last_w = w;
-                cycles += 1;
+                None => {
+                    res.unwrap();
+                    break (pool, rt);
+                }
             }
-            None => {
-                res.unwrap();
-                break (pool, rt);
-            }
-        }
-    };
-    assert!(
-        advances >= 2,
-        "the watermark should advance across the sweep (advances={advances}, cycles={cycles})"
-    );
-    check_final_state(&pool, &rt);
-    assert!(rt.recover_with(&opts()).unwrap().is_clean());
+        };
+        assert!(
+            advances >= min_advances,
+            "{txfunc}: the watermark should advance across the sweep (advances={advances}, cycles={cycles})"
+        );
+        check_final_state(txfunc, &pool, &rt);
+        assert!(rt.recover_with(&opts()).unwrap().is_clean());
+    }
 }
 
 /// An adversary pinned to one early event index cannot make recovery
@@ -262,7 +278,7 @@ fn fixed_event_adversary_never_regresses_the_watermark() {
     let (pool, rt) = reopen(media);
     let report = rt.recover_with(&opts()).unwrap();
     assert_eq!(report.reexecuted, vec!["chain".to_string()]);
-    check_final_state(&pool, &rt);
+    check_final_state("chain", &pool, &rt);
 }
 
 /// A traced resumed recovery narrates its progress: a `resume` step

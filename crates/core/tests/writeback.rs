@@ -13,7 +13,12 @@
 //!   `drop_all` never lets either reach media early. Seeded draws that keep
 //!   half the dirty and half the flushed-unfenced lines, at every trip
 //!   point of the transfer script, of a transaction whose first store to
-//!   older data logs nothing, and of one insert into each pds structure.
+//!   older data logs nothing, of one insert into each pds structure, and of
+//!   the deferred-store buffer's cases: a batch reading its own deferred
+//!   stores, a conservative second clobber of one word, and stores that
+//!   overflow the buffer.
+//! * A read the deferred buffer serves is interposed and priced; one it
+//!   does not serve costs nothing extra.
 
 mod common;
 
@@ -231,14 +236,15 @@ const DRAWS: u64 = 32;
 
 /// Crashes `drive` at every persist event past `session.build` and takes
 /// [`DRAWS`] power failures from each dead pool, each keeping a seeded half
-/// of the dirty lines and half of the flushed-but-unfenced ones. Every
-/// recovered pool must pass the session check, a heap walk and a clean
-/// second recovery.
+/// of the dirty lines and half of the flushed-but-unfenced ones. The
+/// uncrashed run must pass the session check, and every recovered pool
+/// the check, a heap walk and a clean second recovery.
 fn draws_at_every_event(label: &str, session: &ExploreSession<'_>, drive: &dyn Fn(&Runtime)) {
     let events = {
         let (pool, rt) = (session.build)();
         pool.arm_faults(FaultPlan::count_only());
         drive(&rt);
+        (session.check)(&pool, &rt).unwrap_or_else(|e| panic!("{label} uncrashed: {e}"));
         pool.disarm_faults()
     };
     assert!(events > 0, "{label}: the workload persists nothing");
@@ -281,9 +287,11 @@ fn seeded_draws_over_dirty_and_flushed_lines_recover_the_bank() {
 
 /// `stamp(v)` fills a fresh node with `v`, stores its address into the
 /// root's first word without reading it — a blind store to data older than
-/// the transaction, and its first — and then sets the second word, read
-/// first, to `v`. A store that reached media before the begin was ordered
-/// would leave the first word naming a node the second word disagrees with.
+/// the transaction, and its first — and then sets the second word to `v`,
+/// reading it first for even `v`: an odd one logs nothing, so only its
+/// log's sync at the commit orders its begin. A store that reached media
+/// before the begin was ordered would leave the first word naming a node
+/// the second word disagrees with.
 #[test]
 fn seeded_draws_cover_a_blind_first_store_to_older_data() {
     let register = |rt: &Runtime| {
@@ -293,7 +301,10 @@ fn seeded_draws_cover_a_blind_first_store_to_older_data() {
             let node = tx.pmalloc(8)?;
             tx.write_u64(node, v)?;
             tx.write_paddr(root, node)?;
-            let old = tx.read_u64(root.add(8))?;
+            let old = match v % 2 {
+                0 => tx.read_u64(root.add(8))?,
+                _ => 0,
+            };
             tx.write_u64(root.add(8), old.max(v))?;
             Ok(None)
         });
@@ -398,4 +409,207 @@ fn seeded_draws_cover_the_pds_inserts() {
     structure!(BpTree, insert_u64, |k: Vec<u8>| u64::from_be_bytes(
         k[24..32].try_into().unwrap()
     ));
+}
+
+/// A session over a region seeded with `init` as the app root, slot 0
+/// created and `register` run on every runtime; `check` reads the region.
+fn region_session<'a>(
+    backend: Backend,
+    init: &'a [u8],
+    register: &'a dyn Fn(&Runtime),
+    check: &'a dyn Fn(&[u8]) -> Result<(), String>,
+) -> ExploreSession<'a> {
+    ExploreSession {
+        build: Box::new(move || {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), small_logs(backend)).unwrap();
+            register(&rt);
+            let root = pool.alloc(init.len() as u64).unwrap();
+            pool.write_bytes(root, init).unwrap();
+            pool.persist(root, init.len() as u64).unwrap();
+            rt.set_app_root(root).unwrap();
+            rt.slot_handle(0).unwrap();
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let (pool, rt) = reopen_media(media, 1, small_logs(backend));
+            register(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(move |pool, rt| {
+            let root = rt.app_root().map_err(|e| e.to_string())?;
+            check(
+                &pool
+                    .read_bytes(root, init.len() as u64)
+                    .map_err(|e| e.to_string())?,
+            )
+        }),
+    }
+}
+
+/// Runs `name` on slot 0 over the app root with `args` appended, `runs`
+/// times or until the pool dies.
+fn drive_region(rt: &Runtime, name: &str, runs: &[u64]) {
+    let root = rt.app_root().unwrap();
+    for &v in runs {
+        let args = ArgList::new().with_u64(root.offset()).with_u64(v);
+        if rt.run_on(0, name, &args).is_err() {
+            break;
+        }
+    }
+}
+
+/// One `TX_BATCH_SET` of 16 keys over a map of eight: updates, a key set
+/// twice and two fresh keys sharing a bucket, so later inserts walk heads
+/// and nodes that earlier ones left in the deferred buffer. After any draw
+/// the map holds the batch whole or not at all.
+#[test]
+fn seeded_draws_cover_a_batch_that_reads_its_own_deferred_stores() {
+    let value = |k: u64, round: u8| vec![k as u8 ^ round; 24];
+    let before: Vec<(u64, Vec<u8>)> = (0..8).map(|k| (k, value(k, 0x11))).collect();
+    // Equal locks of one map are equal buckets.
+    let buckets = HashMap::open(PAddr::NULL);
+    let twin = (101..)
+        .find(|&k| buckets.lock_of(k) == buckets.lock_of(100))
+        .unwrap();
+    let keys = [
+        0, 1, 2, 100, 3, 4, twin, 5, 2, 6, 7, 200, 201, 202, 203, 204,
+    ];
+    let pairs: Vec<(u64, Vec<u8>)> = (0..16)
+        .map(|i| (keys[i], value(keys[i], 0xA0 | i as u8)))
+        .collect();
+    let mut after = std::collections::BTreeMap::from_iter(before.clone());
+    after.extend(pairs.iter().cloned());
+    let after: Vec<(u64, Vec<u8>)> = after.into_iter().collect();
+    let session = ExploreSession {
+        build: Box::new(|| {
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
+            let rt = Runtime::create(pool.clone(), small_logs(Backend::clobber())).unwrap();
+            HashMap::register(&rt);
+            let map = HashMap::create(&rt).unwrap();
+            rt.set_app_root(map.root()).unwrap();
+            map.insert_batch_on(&rt, 0, &before).unwrap();
+            (pool, rt)
+        }),
+        reopen: Box::new(|media| {
+            let (pool, rt) = reopen_media(media, 1, small_logs(Backend::clobber()));
+            HashMap::register(&rt);
+            (pool, rt)
+        }),
+        check: Box::new(|pool, rt| {
+            let root = rt.app_root().map_err(|e| e.to_string())?;
+            let mut pairs = HashMap::open(root).dump(pool).map_err(|e| e.to_string())?;
+            pairs.sort();
+            match pairs == before || pairs == after {
+                true => Ok(()),
+                false => Err(format!(
+                    "{} keys, neither before nor after the batch",
+                    pairs.len()
+                )),
+            }
+        }),
+    };
+    draws_at_every_event("batch", &session, &|rt| {
+        let _ = HashMap::open(rt.app_root().unwrap()).insert_batch_on(rt, 0, &pairs);
+    });
+}
+
+/// Under the conservative variant `twice` clobbers one word twice, reading
+/// it back in between: its second pre-image is the first store's deferred
+/// value, and the log holds exactly what a store-by-store run would have.
+#[test]
+fn seeded_draws_cover_a_conservative_second_clobber() {
+    let register = |rt: &Runtime| {
+        rt.register("twice", |tx, args| {
+            let cell = PAddr::new(args.u64(0)?);
+            let v = tx.read_u64(cell)?;
+            tx.write_u64(cell, v + 1)?;
+            let w = tx.read_u64(cell)?;
+            tx.write_u64(cell, 3 * w)?;
+            Ok(None)
+        });
+    };
+    let check = |cell: &[u8]| match u64::from_le_bytes(cell.try_into().unwrap()) {
+        5 | 18 | 57 => Ok(()),
+        v => Err(format!("cell holds {v}, not 5, 18 or 57")),
+    };
+    let init = 5u64.to_le_bytes();
+    let session = region_session(Backend::clobber_conservative(), &init, &register, &check);
+
+    let (pool, rt) = (session.build)();
+    drive_region(&rt, "twice", &[0]);
+    let cell = rt.app_root().unwrap();
+    let log = rt.slot_handle(0).unwrap().clobber_log(&pool).unwrap();
+    let pre_images = [5u64, 6].map(|v| (cell, v.to_le_bytes().to_vec()));
+    assert_eq!(log.entries(&pool).unwrap(), pre_images, "second pre-image");
+
+    draws_at_every_event("twice", &session, &|rt| drive_region(rt, "twice", &[0, 0]));
+}
+
+/// `fill` rewrites four 400-byte blocks it read first. The third does not
+/// fit the deferred-store buffer beside the first two, so the log syncs
+/// mid-transaction; the fourth waits for the commit. After any draw every
+/// byte holds one run's value.
+#[test]
+fn seeded_draws_cover_deferred_stores_that_overflow_the_buffer() {
+    const BLOCK: usize = 400;
+    let register = |rt: &Runtime| {
+        rt.register("fill", |tx, args| {
+            let root = PAddr::new(args.u64(0)?);
+            let v = args.u64(1)? as u8;
+            let mut block = [0u8; BLOCK];
+            for b in 0..4 {
+                let at = root.add((b * BLOCK) as u64);
+                tx.read_into(at, &mut block)?;
+                tx.write_bytes(at, &[v ^ block[0]; BLOCK])?;
+            }
+            Ok(None)
+        });
+    };
+    let check = |region: &[u8]| match region.iter().all(|&b| b == region[0]) {
+        true => Ok(()),
+        false => Err("the blocks disagree".to_string()),
+    };
+    let init = [0u8; 4 * BLOCK];
+    let session = region_session(Backend::clobber(), &init, &register, &check);
+    draws_at_every_event("fill", &session, &|rt| drive_region(rt, "fill", &[1, 2]));
+}
+
+/// A read the deferred buffer serves, in whole or in part, counts one
+/// interposed read, priced like Redo's; a read it does not serve counts
+/// none.
+#[test]
+fn reads_the_deferred_buffer_serves_are_interposed() {
+    for backend in [Backend::clobber(), Backend::clobber_conservative()] {
+        let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap());
+        let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).unwrap();
+        let cells = pool.alloc(24).unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        rt.register("probe", move |tx, args| {
+            let interposed =
+                |tx: &clobber_nvm::Tx<'_>| tx.pool().stats().snapshot().interposed_reads;
+            let base = PAddr::new(args.u64(0)?);
+            let v = tx.read_u64(base)?;
+            tx.write_u64(base, v + 7)?; // clobbers an input: deferred
+            let mut counts = Vec::new();
+            let mut pair = [0u8; 16];
+            for read in 0..3 {
+                let before = interposed(tx);
+                match read {
+                    0 => assert_eq!(tx.read_u64(base)?, v + 7, "whole"),
+                    1 => tx.read_into(base, &mut pair)?, // in part
+                    _ => assert_eq!(tx.read_u64(base.add(16))?, 0, "none"),
+                }
+                counts.push(interposed(tx) - before);
+            }
+            assert_eq!(pair[..8], (v + 7).to_le_bytes());
+            log.lock().unwrap().push(counts);
+            Ok(None)
+        });
+        rt.run("probe", &ArgList::new().with_u64(cells.offset()))
+            .unwrap();
+        assert_eq!(*seen.lock().unwrap(), [[1, 1, 0]], "{}", backend.label());
+        assert_eq!(pool.read_u64(cells).unwrap(), 7);
+    }
 }

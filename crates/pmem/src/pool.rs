@@ -652,7 +652,7 @@ impl PmemPool {
         seed: u64,
         flips: u32,
     ) -> Result<(), PmemError> {
-        self.check(addr, len)?;
+        self.check_range(addr, len)?;
         let bits = len * 8;
         if u64::from(flips) > bits {
             return Err(PmemError::CorruptPool(format!(
@@ -675,7 +675,13 @@ impl PmemPool {
         Ok(())
     }
 
-    fn check(&self, addr: PAddr, len: u64) -> Result<(), PmemError> {
+    /// Checks that `len` bytes at `addr` lie inside the pool, without
+    /// touching them or counting an access.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
+    pub fn check_range(&self, addr: PAddr, len: u64) -> Result<(), PmemError> {
         let off = addr.offset();
         if off.checked_add(len).is_none_or(|end| end > self.capacity) {
             return Err(PmemError::OutOfBounds {
@@ -690,7 +696,7 @@ impl PmemPool {
     /// Bounds check plus the armed-plan read hook every load passes.
     #[inline]
     fn admit_read(&self, addr: PAddr, len: u64) -> Result<(), PmemError> {
-        self.check(addr, len)?;
+        self.check_range(addr, len)?;
         if self.faults_armed.load(Ordering::Relaxed) {
             self.fault_read_event(addr.offset())?;
         }
@@ -700,7 +706,7 @@ impl PmemPool {
     /// Bounds check plus the `Store` persist event every store passes.
     #[inline]
     fn admit_store(&self, addr: PAddr, data: &[u8]) -> Result<(), PmemError> {
-        self.check(addr, data.len() as u64)?;
+        self.check_range(addr, data.len() as u64)?;
         if self.hooks_engaged() {
             self.fault_persist_event(
                 EventKind::Store,
@@ -729,7 +735,7 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn read_bytes(&self, addr: PAddr, len: u64) -> Result<Vec<u8>, PmemError> {
-        self.check(addr, len)?; // before a corrupt length sizes the buffer
+        self.check_range(addr, len)?; // before a corrupt length sizes the buffer
         let mut buf = vec![0u8; len as usize];
         self.read_into(addr, &mut buf)?;
         Ok(buf)
@@ -776,7 +782,7 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds the pool.
     pub fn flush(&self, addr: PAddr, len: u64) -> Result<(), PmemError> {
-        self.check(addr, len)?;
+        self.check_range(addr, len)?;
         if self.hooks_engaged() {
             self.fault_persist_event(EventKind::Flush, addr.offset(), len, None)?;
         }
@@ -804,7 +810,7 @@ impl PmemPool {
             self.write_bytes(addr, data)?;
             return self.flush(addr, len);
         }
-        self.check(addr, len)?;
+        self.check_range(addr, len)?;
         self.engine.store_flush(addr.offset(), data, self.mode);
         Ok(())
     }

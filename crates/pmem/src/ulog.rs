@@ -637,8 +637,8 @@ impl LogWriter {
     }
 
     /// Truncates the log without fencing and resets the cursor to the
-    /// start; the caller's next fence orders the truncation. Returns the
-    /// new generation.
+    /// start; the caller's next fence — or this writer's next sync — orders
+    /// the truncation. Returns the new generation.
     ///
     /// # Errors
     ///
@@ -646,7 +646,9 @@ impl LogWriter {
     /// and [`PmemError::OutOfBounds`] on a corrupt descriptor.
     pub fn reset_unfenced(&mut self, pool: &PmemPool) -> Result<u64, PmemError> {
         let gen = self.log.reset_unfenced(pool)?;
-        self.pos = Some(V2Pos::empty(gen));
+        let mut pos = V2Pos::empty(gen);
+        pos.unfenced = true; // the truncation awaits a fence
+        self.pos = Some(pos);
         Ok(gen)
     }
 

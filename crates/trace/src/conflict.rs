@@ -152,11 +152,13 @@ pub struct TxFootprint {
 ///
 /// Events preceding the first `TxBegin` (pool setup, slot creation) belong
 /// to no transaction and are ignored. Range sources per event kind:
-/// `Store`/`Flush` cover `[a, a + b)`; `UlogAppend` covers its target
+/// `Store` covers `[a, a + b)`; `UlogAppend` covers its target
 /// `[a, a + b)`; `Alloc`/`Reserve` cover the served payload `[a, a + b)`
 /// and mark the allocator; `Free`/`Cancel` mark the allocator, as does
 /// `Publish` with a non-zero block count (commit paths emit an empty
-/// publish even for allocation-free transactions).
+/// publish even for allocation-free transactions). A `Flush` adds nothing:
+/// its bytes counted at their store, and the hull of two stores sharing a
+/// line also spans bytes neither wrote.
 pub fn tx_footprints(trace: &Trace) -> Vec<TxFootprint> {
     let mut out: Vec<TxFootprint> = Vec::new();
     for e in &trace.events {
@@ -167,7 +169,7 @@ pub fn tx_footprints(trace: &Trace) -> Vec<TxFootprint> {
                 name: e.name,
                 footprint: Footprint::default(),
             }),
-            EventKind::Store | EventKind::Flush | EventKind::UlogAppend => {
+            EventKind::Store | EventKind::UlogAppend => {
                 if let Some(cur) = out.last_mut() {
                     cur.footprint.add(e.a, e.b);
                 }
@@ -193,7 +195,8 @@ pub fn tx_footprints(trace: &Trace) -> Vec<TxFootprint> {
                     cur.footprint.uses_allocator = true;
                 }
             }
-            EventKind::Fence
+            EventKind::Flush
+            | EventKind::Fence
             | EventKind::TxCommit
             | EventKind::TxAbort
             | EventKind::VlogAppend
@@ -277,6 +280,8 @@ mod tests {
                 },
                 ev(EventKind::Store, 100, 8),
                 ev(EventKind::UlogAppend, 100, 8),
+                ev(EventKind::Store, 140, 8),
+                ev(EventKind::Flush, 100, 48), // hull of both: adds nothing
                 ev(EventKind::Fence, 0, 0),
                 ev(EventKind::TxBegin, 1, 2),
                 ev(EventKind::Store, 200, 16),
@@ -289,7 +294,7 @@ mod tests {
         let fps = tx_footprints(&trace);
         assert_eq!(fps.len(), 2);
         assert_eq!(fps[0].slot, 0);
-        assert_eq!(fps[0].footprint.ranges, vec![(100, 108)]);
+        assert_eq!(fps[0].footprint.ranges, vec![(100, 108), (140, 148)]);
         assert!(!fps[0].footprint.uses_allocator);
         assert_eq!(fps[1].slot, 1);
         assert_eq!(fps[1].footprint.ranges, vec![(200, 216), (4096, 4128)]);

@@ -6,15 +6,15 @@
 //!    (compiler-decided logging sites) leaves persistent state identical to
 //!    executing it under the runtime's exact dynamic clobber detection.
 //! 2. **Crash soundness**: crashing the statically instrumented execution
-//!    after *every* store and recovering (restore clobber log, re-execute)
-//!    converges to the same state as an uninterrupted run — i.e. the
-//!    refined analysis logs *enough*.
+//!    at *every* persist event and recovering (restore clobber log,
+//!    re-execute) converges to the same state as an uninterrupted run or
+//!    leaves the untouched one — i.e. the refined analysis logs *enough*.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use clobber_nvm::{ArgList, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions};
-use clobber_txir::interp::{interpret, InterpError, TxAdapter, TxMemory};
+use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions};
+use clobber_txir::interp::{interpret, InterpError, TxAdapter};
 use clobber_txir::pipeline::{compile, register_compiled, CompileOptions, TX_STEP_LIMIT};
 use clobber_txir::programs;
 use clobber_txir::Function;
@@ -248,37 +248,52 @@ fn static_and_dynamic_instrumentation_agree() {
     }
 }
 
-/// A `TxMemory` wrapper that captures a crash image after each store.
-struct Trapped<'a, 'rt> {
-    inner: TxAdapter<'a, 'rt>,
-    pool: Arc<PmemPool>,
-    store_count: u64,
-    crash_after: u64,
-    image: Arc<Mutex<Option<Vec<u8>>>>,
-}
-
-impl TxMemory for Trapped<'_, '_> {
-    fn load(&mut self, addr: u64) -> Result<u64, TxError> {
-        self.inner.load(addr)
+/// Crashes scenario `i`, compiled under `opts`, at every persist event of
+/// its run — the body, whose stores wait for the commit, and the commit —
+/// and recovers each adversarial image with the plain compiled txfunc.
+/// Until the commit's log sync orders the begin nothing is durable and the
+/// transaction never happened (`untouched`); from then on, through the
+/// fence that clears its status word, recovery re-executes it
+/// (`expected`). So the re-executing events are a non-empty suffix.
+fn recover_at_every_event(i: usize, opts: CompileOptions, untouched: &[u64], expected: &[u64]) {
+    let world = |plan: FaultPlan| {
+        let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20)).unwrap());
+        let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+        let scen = scenarios(&pool).remove(i);
+        let compiled = Arc::new(compile(scen.function.clone(), opts).unwrap());
+        register_compiled(&rt, compiled.clone());
+        pool.arm_faults(plan);
+        let _ = rt.run(&scen.function.name, &scen.args);
+        (pool, compiled)
+    };
+    let events = world(FaultPlan::count_only()).0.disarm_faults();
+    let fingerprint = scenario_fingerprint(i).fingerprint;
+    let mut begun = false;
+    for k in 0..events {
+        let (pool, compiled) = world(FaultPlan::crash_at(k));
+        assert_eq!(pool.fault_tripped(), Some(k), "scenario {i}");
+        let media = pool.crash_media(&CrashConfig::drop_all(42 + k));
+        let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
+        let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
+        register_compiled(&rt2, compiled.clone());
+        let report = rt2.recover().unwrap();
+        assert!(
+            report.reexecuted.len() == 1 || !begun,
+            "scenario {i} crash at event {k}/{events}: expected a re-execution"
+        );
+        begun = report.reexecuted.len() == 1;
+        assert_eq!(
+            fingerprint(&pool2),
+            if begun { expected } else { untouched },
+            "scenario {i} ({}) crash at event {k}/{events}",
+            compiled.function.name
+        );
     }
-
-    fn store(&mut self, addr: u64, value: u64, clobber_site: bool) -> Result<(), TxError> {
-        self.inner.store(addr, value, clobber_site)?;
-        self.store_count += 1;
-        if self.store_count == self.crash_after {
-            let crashed = CrashConfig::drop_all(42 + self.crash_after);
-            *self.image.lock().unwrap() = Some(self.pool.crash_media(&crashed));
-        }
-        Ok(())
-    }
-
-    fn alloc(&mut self, size: u64) -> Result<u64, TxError> {
-        self.inner.alloc(size)
-    }
+    assert!(begun, "scenario {i}: the last event re-executes");
 }
 
 #[test]
-fn crash_at_every_store_recovers_to_the_uninterrupted_state() {
+fn crash_at_every_event_recovers_to_the_uninterrupted_state() {
     let n = {
         let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20)).unwrap());
         scenarios(&pool).len()
@@ -290,119 +305,7 @@ fn crash_at_every_store_recovers_to_the_uninterrupted_state() {
             let _rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
             (scenarios(&pool).remove(i).fingerprint)(&pool)
         };
-        let mut begun = false;
-        // Count the stores this program performs on this input.
-        let total_stores = {
-            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20)).unwrap());
-            let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-            let scen = scenarios(&pool).remove(i);
-            let compiled =
-                Arc::new(compile(scen.function.clone(), CompileOptions::default()).unwrap());
-            let counter = Arc::new(Mutex::new(0u64));
-            let (c2, cnt) = (compiled.clone(), counter.clone());
-            rt.register(&scen.function.name, move |tx, args| {
-                let mut argv = Vec::new();
-                for k in 0..c2.function.n_params {
-                    argv.push(args.u64(k as usize)?);
-                }
-                struct Count<'a, 'rt> {
-                    inner: TxAdapter<'a, 'rt>,
-                    n: Arc<Mutex<u64>>,
-                }
-                impl TxMemory for Count<'_, '_> {
-                    fn load(&mut self, a: u64) -> Result<u64, TxError> {
-                        self.inner.load(a)
-                    }
-                    fn store(&mut self, a: u64, v: u64, c: bool) -> Result<(), TxError> {
-                        *self.n.lock().unwrap() += 1;
-                        self.inner.store(a, v, c)
-                    }
-                    fn alloc(&mut self, s: u64) -> Result<u64, TxError> {
-                        self.inner.alloc(s)
-                    }
-                }
-                let mut mem = Count {
-                    inner: TxAdapter::new_static(tx),
-                    n: cnt.clone(),
-                };
-                match interpret(
-                    &c2.function,
-                    &c2.clobber_sites,
-                    &mut mem,
-                    &argv,
-                    TX_STEP_LIMIT,
-                ) {
-                    Ok(r) => Ok(r.map(|v| v.to_le_bytes().to_vec())),
-                    Err(InterpError::Tx(e)) => Err(e),
-                    Err(e) => Err(TxError::Aborted(e.to_string())),
-                }
-            });
-            rt.run(&scen.function.name, &scen.args).unwrap();
-            let n = *counter.lock().unwrap();
-            n
-        };
-
-        for crash_after in 1..=total_stores {
-            // Fresh pool; run the tx with a trap at the k-th store.
-            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20)).unwrap());
-            let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-            let scen = scenarios(&pool).remove(i);
-            let compiled =
-                Arc::new(compile(scen.function.clone(), CompileOptions::default()).unwrap());
-            let image: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-            let (c2, img, pl) = (compiled.clone(), image.clone(), pool.clone());
-            rt.register(&scen.function.name, move |tx, args| {
-                let mut argv = Vec::new();
-                for k in 0..c2.function.n_params {
-                    argv.push(args.u64(k as usize)?);
-                }
-                let mut mem = Trapped {
-                    inner: TxAdapter::new_static(tx),
-                    pool: pl.clone(),
-                    store_count: 0,
-                    crash_after,
-                    image: img.clone(),
-                };
-                match interpret(
-                    &c2.function,
-                    &c2.clobber_sites,
-                    &mut mem,
-                    &argv,
-                    TX_STEP_LIMIT,
-                ) {
-                    Ok(r) => Ok(r.map(|v| v.to_le_bytes().to_vec())),
-                    Err(InterpError::Tx(e)) => Err(e),
-                    Err(e) => Err(TxError::Aborted(e.to_string())),
-                }
-            });
-            rt.run(&scen.function.name, &scen.args).unwrap();
-            let media = image.lock().unwrap().take().expect("trap fired");
-
-            // Recover on the crash image with the plain (trapless) txfunc.
-            let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
-            let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
-            register_compiled(&rt2, compiled.clone());
-            let report = rt2.recover().unwrap();
-            // Until a fence orders the begin — only stores into the
-            // transaction's own allocations precede it — a crash leaves no
-            // begin and the transaction never happened; from then on
-            // recovery re-executes it.
-            assert!(
-                report.reexecuted.len() == 1 || !begun,
-                "scenario {i} crash {crash_after}: expected a re-execution"
-            );
-            begun = report.reexecuted.len() == 1;
-            // Fingerprint against the recovered pool.
-            let scen2 = scenario_fingerprint(i);
-            let got = (scen2.fingerprint)(&pool2);
-            assert_eq!(
-                &got,
-                if begun { &expected } else { &untouched },
-                "scenario {i} ({}) crash after store {crash_after}/{total_stores}",
-                compiled.function.name
-            );
-        }
-        assert!(begun, "scenario {i}: the last store re-executes");
+        recover_at_every_event(i, CompileOptions::default(), &untouched, &expected);
     }
 }
 
@@ -419,41 +322,9 @@ fn scenario_fingerprint(i: usize) -> Scenario {
 fn conservative_instrumentation_is_also_crash_sound() {
     // The unrefined analysis logs a superset: it must recover correctly too.
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20)).unwrap());
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
     let scen = scenarios(&pool).remove(9); // loop_update
-    let compiled =
-        Arc::new(compile(scen.function.clone(), CompileOptions { refine: false }).unwrap());
+    let compiled = compile(scen.function, CompileOptions { refine: false }).unwrap();
     assert!(compiled.clobber_sites.len() > 1);
-    let image: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let (c2, img, pl) = (compiled.clone(), image.clone(), pool.clone());
-    rt.register(&scen.function.name, move |tx, args| {
-        let argv = vec![args.u64(0)?];
-        let mut mem = Trapped {
-            inner: TxAdapter::new_static(tx),
-            pool: pl.clone(),
-            store_count: 0,
-            crash_after: 5,
-            image: img.clone(),
-        };
-        match interpret(
-            &c2.function,
-            &c2.clobber_sites,
-            &mut mem,
-            &argv,
-            TX_STEP_LIMIT,
-        ) {
-            Ok(r) => Ok(r.map(|v| v.to_le_bytes().to_vec())),
-            Err(InterpError::Tx(e)) => Err(e),
-            Err(e) => Err(TxError::Aborted(e.to_string())),
-        }
-    });
-    rt.run(&scen.function.name, &scen.args).unwrap();
-    let media = image.lock().unwrap().take().expect("trap fired");
-    let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
-    let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::default()).unwrap();
-    register_compiled(&rt2, compiled);
-    rt2.recover().unwrap();
-    let scen2 = scenario_fingerprint(9);
-    // loop_update: 40 + 1 (pre-loop) + 9 (loop) = 50.
-    assert_eq!((scen2.fingerprint)(&pool2), vec![50]);
+    // loop_update: 40, then 40 + 1 (pre-loop) + 9 (loop) = 50.
+    recover_at_every_event(9, CompileOptions { refine: false }, &[40], &[50]);
 }
