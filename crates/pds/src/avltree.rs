@@ -286,8 +286,7 @@ impl AvlTree {
         rt.register(TX_INSERT, |tx, args| {
             let root_block = PAddr::new(args.u64(0)?);
             let key = args.u64(1)?;
-            let value = args.bytes(2)?.to_vec();
-            tx_insert(tx, root_block, key, &value)?;
+            tx_insert(tx, root_block, key, args.bytes(2)?)?;
             Ok(None)
         });
         rt.register(TX_GET, |tx, args| {

@@ -10,22 +10,29 @@
 //!
 //! ```text
 //! root:  [magic][n_buckets][head_0]...[head_255]
-//! node:  [key][val_ptr][val_len][next]
+//! node:  [key][next][val_ptr][val_len]
 //! ```
+//!
+//! `key` and `next` lead the node so that a hop along a chain is one
+//! 16-byte load. A match reads the value words separately: the update reads
+//! only `val_ptr`, so `val_len` is never an input and the update's clobber
+//! log stays one 8-byte entry.
 
 use clobber_nvm::{ArgList, LockRequest, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
-use crate::value::store_value;
+use crate::value::{store_value, value_at, Load};
 
 const MAGIC: u64 = 0xC10B_0001;
 /// Number of buckets (one rwlock each), as in the paper.
 pub const BUCKETS: u64 = 256;
 
 pub(crate) const NODE_KEY: u64 = 0;
-pub(crate) const NODE_VPTR: u64 = 8;
-pub(crate) const NODE_VLEN: u64 = 16;
-pub(crate) const NODE_NEXT: u64 = 24;
+/// Node offset of the next pointer, loaded with the key.
+pub const NODE_NEXT: u64 = 8;
+pub(crate) const NODE_VPTR: u64 = 16;
+/// Node offset of the value's length, which an update writes unread.
+pub const NODE_VLEN: u64 = 24;
 pub(crate) const NODE_SIZE: u64 = 32;
 
 /// Handle to a persistent hash map (all state lives in the pool).
@@ -52,25 +59,63 @@ pub(crate) fn head_addr(root: PAddr, bucket: u64) -> PAddr {
     root.add(16 + bucket * 8)
 }
 
+/// The one walk over a bucket's chain: one 16-byte `(key, next)` load per
+/// node, until `stop(l, node, key)` holds. Returns `[link, node, next]` of
+/// the node it stopped at, `link` being the word that points at it. A
+/// chain longer than the pool has room for nodes is a cycle:
+/// [`PmemError::CorruptPool`].
+fn walk<L: Load>(
+    l: &mut L,
+    root: PAddr,
+    bucket: u64,
+    mut stop: impl FnMut(&mut L, PAddr, u64) -> Result<bool, TxError>,
+) -> Result<Option<[PAddr; 3]>, TxError> {
+    let mut link = head_addr(root, bucket);
+    let [mut node] = l.words(link)?;
+    for _ in 0..=l.pool().capacity() / NODE_SIZE {
+        let at = PAddr::new(node);
+        if at.is_null() {
+            return Ok(None);
+        }
+        let [key, next] = l.words(at.add(NODE_KEY))?;
+        if stop(l, at, key)? {
+            return Ok(Some([link, at, PAddr::new(next)]));
+        }
+        (link, node) = (at.add(NODE_NEXT), next);
+    }
+    Err(PmemError::CorruptPool("cycle in a hashmap chain".into()).into())
+}
+
+/// `[link, node, next]` of the node holding `key`, if its chain has one.
+fn find(l: &mut impl Load, root: PAddr, key: u64) -> Result<Option<[PAddr; 3]>, TxError> {
+    walk(l, root, bucket_of(key), |_, _, k| Ok(k == key))
+}
+
+/// [`TX_GET`] and [`HashMap::snapshot_get`].
+fn lookup(l: &mut impl Load, root: PAddr, key: u64) -> Result<Option<Vec<u8>>, TxError> {
+    let hit = find(l, root, key)?;
+    hit.map(|[_, node, _]| value_at(l, node.add(NODE_VPTR)))
+        .transpose()
+}
+
 /// One insert-or-update, shared by [`TX_INSERT`] and [`TX_BATCH_SET`].
 fn insert_one(tx: &mut Tx<'_>, root: PAddr, key: u64, value: &[u8]) -> Result<(), TxError> {
+    let Some([_, node, _]) = find(tx, root, key)? else {
+        return prepend(tx, root, key, value);
+    };
+    // Update in place: fresh value buffer, swap ptr+len, free the old
+    // buffer at commit. Only the pointer was read, so only it clobbers.
+    let old_ptr = tx.read_paddr(node.add(NODE_VPTR))?;
+    let vbuf = store_value(tx, value)?;
+    tx.write_paddr(node.add(NODE_VPTR), vbuf)?;
+    tx.write_u64(node.add(NODE_VLEN), value.len() as u64)?;
+    tx.pfree(old_ptr)?;
+    Ok(())
+}
+
+/// Prepends a fresh node for `key`; the bucket head is the clobbered input.
+pub(crate) fn prepend(tx: &mut Tx<'_>, root: PAddr, key: u64, value: &[u8]) -> Result<(), TxError> {
     let head = head_addr(root, bucket_of(key));
-    // Walk the chain looking for the key.
-    let mut cur = tx.read_paddr(head)?;
-    while !cur.is_null() {
-        if tx.read_u64(cur.add(NODE_KEY))? == key {
-            // Update in place: fresh value buffer, swap ptr+len
-            // (clobbers 16 bytes), free the old buffer at commit.
-            let old_ptr = tx.read_paddr(cur.add(NODE_VPTR))?;
-            let vbuf = store_value(tx, value)?;
-            tx.write_paddr(cur.add(NODE_VPTR), vbuf)?;
-            tx.write_u64(cur.add(NODE_VLEN), value.len() as u64)?;
-            tx.pfree(old_ptr)?;
-            return Ok(());
-        }
-        cur = tx.read_paddr(cur.add(NODE_NEXT))?;
-    }
-    // Prepend a fresh node; the bucket head is the clobbered input.
     let vbuf = store_value(tx, value)?;
     let node = tx.pmalloc(NODE_SIZE)?;
     tx.write_u64(node.add(NODE_KEY), key)?;
@@ -131,39 +176,17 @@ impl HashMap {
             Ok(None)
         });
         rt.register(TX_GET, |tx, args| {
-            let root = PAddr::new(args.u64(0)?);
-            let key = args.u64(1)?;
-            let head = head_addr(root, bucket_of(key));
-            let mut cur = tx.read_paddr(head)?;
-            while !cur.is_null() {
-                if tx.read_u64(cur.add(NODE_KEY))? == key {
-                    let ptr = tx.read_paddr(cur.add(NODE_VPTR))?;
-                    let len = tx.read_u64(cur.add(NODE_VLEN))?;
-                    return Ok(Some(tx.read_bytes(ptr, len)?));
-                }
-                cur = tx.read_paddr(cur.add(NODE_NEXT))?;
-            }
-            Ok(None)
+            lookup(tx, PAddr::new(args.u64(0)?), args.u64(1)?)
         });
         rt.register(TX_REMOVE, |tx, args| {
-            let root = PAddr::new(args.u64(0)?);
-            let key = args.u64(1)?;
-            let head = head_addr(root, bucket_of(key));
-            let mut prev = head;
-            let mut cur = tx.read_paddr(head)?;
-            while !cur.is_null() {
-                if tx.read_u64(cur.add(NODE_KEY))? == key {
-                    let next = tx.read_paddr(cur.add(NODE_NEXT))?;
-                    tx.write_paddr(prev, next)?; // clobber: prev link
-                    let vptr = tx.read_paddr(cur.add(NODE_VPTR))?;
-                    tx.pfree(vptr)?;
-                    tx.pfree(cur)?;
-                    return Ok(Some(vec![1]));
-                }
-                prev = cur.add(NODE_NEXT);
-                cur = tx.read_paddr(prev)?;
-            }
-            Ok(Some(vec![0]))
+            let Some([link, node, next]) = find(tx, PAddr::new(args.u64(0)?), args.u64(1)?)? else {
+                return Ok(Some(vec![0]));
+            };
+            tx.write_paddr(link, next)?; // clobber: the link to it
+            let vptr = tx.read_paddr(node.add(NODE_VPTR))?;
+            tx.pfree(vptr)?;
+            tx.pfree(node)?;
+            Ok(Some(vec![1]))
         });
     }
 
@@ -308,19 +331,7 @@ impl HashMap {
     ///
     /// Returns [`TxError::Pmem`] on a corrupt chain.
     pub fn snapshot_get(&self, pool: &PmemPool, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        let mut cur = PAddr::new(pool.read_u64(head_addr(self.root, bucket_of(key)))?);
-        let mut hops = 0;
-        while !cur.is_null() {
-            if pool.read_u64(cur.add(NODE_KEY))? == key {
-                let ptr = PAddr::new(pool.read_u64(cur.add(NODE_VPTR))?);
-                let len = pool.read_u64(cur.add(NODE_VLEN))?;
-                return Ok(Some(pool.read_bytes(ptr, len)?));
-            }
-            cur = PAddr::new(pool.read_u64(cur.add(NODE_NEXT))?);
-            hops += 1;
-            assert!(hops < 1_000_000, "cycle in bucket {}", bucket_of(key));
-        }
-        Ok(None)
+        lookup(&mut { pool }, self.root, key)
     }
 
     /// Thread-safe [`get`](HashMap::get): shared bucket lock, so readers
@@ -362,18 +373,14 @@ impl HashMap {
         }
         let mut out = Vec::new();
         for b in 0..BUCKETS {
-            let mut cur = PAddr::new(pool.read_u64(head_addr(self.root, b))?);
-            let mut hops = 0;
-            while !cur.is_null() {
-                let key = pool.read_u64(cur.add(NODE_KEY))?;
-                assert_eq!(bucket_of(key), b, "node in the wrong bucket");
-                let ptr = PAddr::new(pool.read_u64(cur.add(NODE_VPTR))?);
-                let len = pool.read_u64(cur.add(NODE_VLEN))?;
-                out.push((key, pool.read_bytes(ptr, len)?));
-                cur = PAddr::new(pool.read_u64(cur.add(NODE_NEXT))?);
-                hops += 1;
-                assert!(hops < 1_000_000, "cycle in bucket {b}");
-            }
+            walk(&mut { pool }, self.root, b, |l, node, key| {
+                if bucket_of(key) != b {
+                    let msg = format!("key {key} in bucket {b}");
+                    return Err(PmemError::CorruptPool(msg).into());
+                }
+                out.push((key, value_at(l, node.add(NODE_VPTR))?));
+                Ok(false)
+            })?;
         }
         Ok(out)
     }

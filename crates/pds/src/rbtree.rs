@@ -9,6 +9,10 @@
 //! root block: [magic][root_ptr][nil_ptr]
 //! node:       [key][val_ptr][val_len][color][left][right][parent]
 //! ```
+//!
+//! A descent reads `key`, then the child it takes: with `(key, left, right)`
+//! in one load the other child is an input too, and `rotate_left`'s blind
+//! write of `xp.right` would start to log.
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
 use clobber_pmem::{PAddr, PmemPool};
@@ -292,8 +296,7 @@ impl RbTree {
         rt.register(TX_INSERT, |tx, args| {
             let root_block = PAddr::new(args.u64(0)?);
             let key = args.u64(1)?;
-            let value = args.bytes(2)?.to_vec();
-            tx_insert(tx, root_block, key, &value)?;
+            tx_insert(tx, root_block, key, args.bytes(2)?)?;
             Ok(None)
         });
         rt.register(TX_GET, |tx, args| {
@@ -324,7 +327,6 @@ pub fn tx_insert(
 ) -> Result<(), TxError> {
     {
         {
-            let value = value.to_vec();
             let ctx = Ctx::load(tx, root_block)?;
             // BST descent.
             let mut parent = ctx.nil;
@@ -334,7 +336,7 @@ pub fn tx_insert(
                 let k = tx.read_u64(cur.add(KEY))?;
                 if key == k {
                     let old_ptr = tx.read_paddr(cur.add(VPTR))?;
-                    let vbuf = store_value(tx, &value)?;
+                    let vbuf = store_value(tx, value)?;
                     tx.write_paddr(cur.add(VPTR), vbuf)?;
                     tx.write_u64(cur.add(VLEN), value.len() as u64)?;
                     tx.pfree(old_ptr)?;
@@ -346,7 +348,7 @@ pub fn tx_insert(
                     tx.read_paddr(cur.add(RIGHT))?
                 };
             }
-            let vbuf = store_value(tx, &value)?;
+            let vbuf = store_value(tx, value)?;
             let z = tx.pmalloc(NODE_SIZE)?;
             tx.write_u64(z.add(KEY), key)?;
             tx.write_paddr(z.add(VPTR), vbuf)?;

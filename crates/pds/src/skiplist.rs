@@ -14,9 +14,9 @@
 //! ```
 
 use clobber_nvm::{ArgList, LockRequest, Runtime, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
-use crate::value::store_value;
+use crate::value::{store_value, value_at, Load};
 
 const MAGIC: u64 = 0xC10B_0002;
 /// Maximum node height, as in the paper.
@@ -26,7 +26,8 @@ const NODE_KEY: u64 = 0;
 const NODE_VPTR: u64 = 8;
 const NODE_VLEN: u64 = 16;
 const NODE_LEVEL: u64 = 24;
-const NODE_NEXT0: u64 = 32;
+/// Node offset of `next_0`, the level-0 link.
+pub const NODE_NEXT0: u64 = 32;
 const NODE_SIZE: u64 = NODE_NEXT0 + MAX_LEVEL * 8;
 
 /// Handle to a persistent skiplist.
@@ -53,6 +54,67 @@ pub fn level_of(key: u64) -> u64 {
 
 fn next_addr(node: PAddr, level: u64) -> PAddr {
     node.add(NODE_NEXT0 + level * 8)
+}
+
+/// Where a search for a key ends: at each level `l`, the last node below
+/// the key (`preds[l]`, the head if none) and its `next[l]` (`succs[l]`);
+/// `hit` is `succs[0]` when that holds the key.
+struct Seek {
+    preds: [PAddr; MAX_LEVEL as usize],
+    succs: [PAddr; MAX_LEVEL as usize],
+    hit: Option<PAddr>,
+}
+
+/// The one level walk, shared by insert, get, remove and `range`. It loads
+/// the head's 32 next pointers in one read and, on advancing to a node at
+/// level `l`, that node's `next[0..=l]` in one read; it keeps the key of the
+/// node it stopped at, so a level stopping there again reads nothing.
+///
+/// The read set grows only by pointers a transaction never writes: the
+/// head's and an advanced node's `next` below the level where the walk
+/// left it. Keys only grow along the walk, so a node stops being a
+/// predecessor once the walk advances past it, and insert and remove write
+/// only `preds[l].next[l]` and `hit`'s value words. The clobber log is the
+/// one a word-at-a-time walk leaves. A walk of more advances than the pool
+/// has room for nodes is a cycle: [`PmemError::CorruptPool`].
+fn seek(l: &mut impl Load, root: PAddr, key: u64) -> Result<Seek, TxError> {
+    let [head] = l.words(root.add(16))?;
+    let mut cur = PAddr::new(head);
+    let mut nexts = [[0u8; 8]; MAX_LEVEL as usize];
+    l.load(next_addr(cur, 0), nexts.as_flattened_mut())?;
+    let mut left = l.pool().capacity() / NODE_SIZE;
+    let (mut stop, mut stop_key) = (PAddr::NULL, 0);
+    let mut s = Seek {
+        preds: [PAddr::NULL; MAX_LEVEL as usize],
+        succs: [PAddr::NULL; MAX_LEVEL as usize],
+        hit: None,
+    };
+    for lv in (0..MAX_LEVEL as usize).rev() {
+        loop {
+            let nxt = PAddr::new(u64::from_le_bytes(nexts[lv]));
+            if nxt.is_null() {
+                break;
+            }
+            if nxt != stop {
+                let [k] = l.words(nxt.add(NODE_KEY))?;
+                (stop, stop_key) = (nxt, k);
+            }
+            if stop_key >= key {
+                break;
+            }
+            if left == 0 {
+                return Err(PmemError::CorruptPool(format!("cycle at level {lv}")).into());
+            }
+            left -= 1;
+            cur = nxt;
+            l.load(next_addr(cur, 0), nexts[..=lv].as_flattened_mut())?;
+        }
+        s.preds[lv] = cur;
+        s.succs[lv] = PAddr::new(u64::from_le_bytes(nexts[lv]));
+    }
+    // A non-null `succs[0]` is the node level 0 stopped at.
+    s.hit = (!s.succs[0].is_null() && stop_key == key).then_some(s.succs[0]);
+    Ok(s)
 }
 
 impl SkipList {
@@ -89,100 +151,48 @@ impl SkipList {
         rt.register(TX_INSERT, |tx, args| {
             let root = PAddr::new(args.u64(0)?);
             let key = args.u64(1)?;
-            let value = args.bytes(2)?.to_vec();
-            let head = PAddr::new(tx.read_u64(root.add(16))?);
-            // Find predecessors at every level.
-            let mut preds = [PAddr::NULL; MAX_LEVEL as usize];
-            let mut cur = head;
-            for l in (0..MAX_LEVEL).rev() {
-                loop {
-                    let nxt = tx.read_paddr(next_addr(cur, l))?;
-                    if nxt.is_null() || tx.read_u64(nxt.add(NODE_KEY))? >= key {
-                        break;
-                    }
-                    cur = nxt;
-                }
-                preds[l as usize] = cur;
-            }
+            let value = args.bytes(2)?;
+            let s = seek(tx, root, key)?;
             // Existing key: update value in place.
-            let candidate = tx.read_paddr(next_addr(preds[0], 0))?;
-            if !candidate.is_null() && tx.read_u64(candidate.add(NODE_KEY))? == key {
-                let old_ptr = tx.read_paddr(candidate.add(NODE_VPTR))?;
-                let vbuf = store_value(tx, &value)?;
-                tx.write_paddr(candidate.add(NODE_VPTR), vbuf)?;
-                tx.write_u64(candidate.add(NODE_VLEN), value.len() as u64)?;
+            if let Some(node) = s.hit {
+                let old_ptr = tx.read_paddr(node.add(NODE_VPTR))?;
+                let vbuf = store_value(tx, value)?;
+                tx.write_paddr(node.add(NODE_VPTR), vbuf)?;
+                tx.write_u64(node.add(NODE_VLEN), value.len() as u64)?;
                 tx.pfree(old_ptr)?;
                 return Ok(None);
             }
             // Fresh node, linked on `level_of(key)` levels; each pred's
             // next pointer is a clobbered input.
             let level = level_of(key);
-            let vbuf = store_value(tx, &value)?;
+            let vbuf = store_value(tx, value)?;
             let node = tx.pmalloc(NODE_SIZE)?;
             tx.write_u64(node.add(NODE_KEY), key)?;
             tx.write_paddr(node.add(NODE_VPTR), vbuf)?;
             tx.write_u64(node.add(NODE_VLEN), value.len() as u64)?;
             tx.write_u64(node.add(NODE_LEVEL), level)?;
-            for l in 0..level {
-                let succ = tx.read_paddr(next_addr(preds[l as usize], l))?;
-                tx.write_paddr(next_addr(node, l), succ)?;
-                tx.write_paddr(next_addr(preds[l as usize], l), node)?;
+            for l in 0..level as usize {
+                tx.write_paddr(next_addr(node, l as u64), s.succs[l])?;
+                tx.write_paddr(next_addr(s.preds[l], l as u64), node)?;
             }
             Ok(None)
         });
         rt.register(TX_GET, |tx, args| {
-            let root = PAddr::new(args.u64(0)?);
-            let key = args.u64(1)?;
-            let head = PAddr::new(tx.read_u64(root.add(16))?);
-            let mut cur = head;
-            for l in (0..MAX_LEVEL).rev() {
-                loop {
-                    let nxt = tx.read_paddr(next_addr(cur, l))?;
-                    if nxt.is_null() {
-                        break;
-                    }
-                    let k = tx.read_u64(nxt.add(NODE_KEY))?;
-                    if k < key {
-                        cur = nxt;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            let cand = tx.read_paddr(next_addr(cur, 0))?;
-            if !cand.is_null() && tx.read_u64(cand.add(NODE_KEY))? == key {
-                let ptr = tx.read_paddr(cand.add(NODE_VPTR))?;
-                let len = tx.read_u64(cand.add(NODE_VLEN))?;
-                return Ok(Some(tx.read_bytes(ptr, len)?));
-            }
-            Ok(None)
+            let Some(node) = seek(tx, PAddr::new(args.u64(0)?), args.u64(1)?)?.hit else {
+                return Ok(None);
+            };
+            value_at(tx, node.add(NODE_VPTR)).map(Some)
         });
         rt.register(TX_REMOVE, |tx, args| {
-            let root = PAddr::new(args.u64(0)?);
-            let key = args.u64(1)?;
-            let head = PAddr::new(tx.read_u64(root.add(16))?);
-            let mut preds = [PAddr::NULL; MAX_LEVEL as usize];
-            let mut cur = head;
-            for l in (0..MAX_LEVEL).rev() {
-                loop {
-                    let nxt = tx.read_paddr(next_addr(cur, l))?;
-                    if nxt.is_null() || tx.read_u64(nxt.add(NODE_KEY))? >= key {
-                        break;
-                    }
-                    cur = nxt;
-                }
-                preds[l as usize] = cur;
-            }
-            let victim = tx.read_paddr(next_addr(preds[0], 0))?;
-            if victim.is_null() || tx.read_u64(victim.add(NODE_KEY))? != key {
+            let s = seek(tx, PAddr::new(args.u64(0)?), args.u64(1)?)?;
+            let Some(victim) = s.hit else {
                 return Ok(Some(vec![0]));
-            }
+            };
             let level = tx.read_u64(victim.add(NODE_LEVEL))?;
-            for l in 0..level {
-                let pred_slot = next_addr(preds[l as usize], l);
-                if tx.read_paddr(pred_slot)? == victim {
-                    let succ = tx.read_paddr(next_addr(victim, l))?;
-                    tx.write_paddr(pred_slot, succ)?;
+            for l in 0..level.min(MAX_LEVEL) as usize {
+                if s.succs[l] == victim {
+                    let succ = tx.read_paddr(next_addr(victim, l as u64))?;
+                    tx.write_paddr(next_addr(s.preds[l], l as u64), succ)?;
                 }
             }
             let vptr = tx.read_paddr(victim.add(NODE_VPTR))?;
@@ -309,25 +319,11 @@ impl SkipList {
         start: u64,
         count: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
-        let head = PAddr::new(pool.read_u64(self.root.add(16))?);
-        // Descend to the last node with key < start.
-        let mut cur = head;
-        for l in (0..MAX_LEVEL).rev() {
-            loop {
-                let nxt = PAddr::new(pool.read_u64(next_addr(cur, l))?);
-                if nxt.is_null() || pool.read_u64(nxt.add(NODE_KEY))? >= start {
-                    break;
-                }
-                cur = nxt;
-            }
-        }
         let mut out = Vec::new();
-        let mut node = PAddr::new(pool.read_u64(next_addr(cur, 0))?);
+        let mut node = seek(&mut { pool }, self.root, start)?.succs[0];
         while !node.is_null() && out.len() < count {
             let key = pool.read_u64(node.add(NODE_KEY))?;
-            let ptr = PAddr::new(pool.read_u64(node.add(NODE_VPTR))?);
-            let len = pool.read_u64(node.add(NODE_VLEN))?;
-            out.push((key, pool.read_bytes(ptr, len)?));
+            out.push((key, value_at(&mut { pool }, node.add(NODE_VPTR))?));
             node = PAddr::new(pool.read_u64(next_addr(node, 0))?);
         }
         Ok(out)
@@ -358,9 +354,7 @@ impl SkipList {
             let level = pool.read_u64(cur.add(NODE_LEVEL))?;
             assert!((1..=MAX_LEVEL).contains(&level), "level out of range");
             assert_eq!(level, level_of(key), "height must match the key hash");
-            let ptr = PAddr::new(pool.read_u64(cur.add(NODE_VPTR))?);
-            let len = pool.read_u64(cur.add(NODE_VLEN))?;
-            out.push((key, pool.read_bytes(ptr, len)?));
+            out.push((key, value_at(&mut { pool }, cur.add(NODE_VPTR))?));
             cur = PAddr::new(pool.read_u64(next_addr(cur, 0))?);
             assert!(out.len() < 10_000_000, "cycle at level 0");
         }

@@ -1,7 +1,7 @@
 //! Shared helpers for storing variable-length values and fixed-width keys.
 
 use clobber_nvm::{Tx, TxError};
-use clobber_pmem::{PAddr, PmemError, PmemPool};
+use clobber_pmem::{PAddr, PmemPool};
 
 /// Writes `bytes` into a freshly allocated persistent buffer inside `tx`,
 /// returning its address. The buffer is an output of the transaction (fresh
@@ -16,13 +16,50 @@ pub fn store_value(tx: &mut Tx<'_>, bytes: &[u8]) -> Result<PAddr, TxError> {
     Ok(buf)
 }
 
-/// Reads a value buffer outside any transaction (for verification walks).
-///
-/// # Errors
-///
-/// Returns [`PmemError::OutOfBounds`] on a corrupt pointer.
-pub fn load_value(pool: &PmemPool, ptr: PAddr, len: u64) -> Result<Vec<u8>, PmemError> {
-    pool.read_bytes(ptr, len)
+/// Where a walk loads from: a transaction (tracked reads) or the pool
+/// directly (snapshot and verification walks).
+pub(crate) trait Load {
+    /// Reads `buf.len()` bytes at `at` as one load.
+    fn load(&mut self, at: PAddr, buf: &mut [u8]) -> Result<(), TxError>;
+    /// The pool loaded from.
+    fn pool(&self) -> &PmemPool;
+
+    /// `N` consecutive little-endian words at `at` as one load, without
+    /// touching the heap.
+    fn words<const N: usize>(&mut self, at: PAddr) -> Result<[u64; N], TxError> {
+        let mut buf = [[0u8; 8]; N];
+        self.load(at, buf.as_flattened_mut())?;
+        Ok(buf.map(u64::from_le_bytes))
+    }
+}
+
+impl Load for Tx<'_> {
+    fn load(&mut self, at: PAddr, buf: &mut [u8]) -> Result<(), TxError> {
+        self.read_into(at, buf)
+    }
+    fn pool(&self) -> &PmemPool {
+        Tx::pool(self)
+    }
+}
+
+impl Load for &PmemPool {
+    fn load(&mut self, at: PAddr, buf: &mut [u8]) -> Result<(), TxError> {
+        Ok(self.read_into(at, buf)?)
+    }
+    fn pool(&self) -> &PmemPool {
+        self
+    }
+}
+
+/// The value whose `(ptr, len)` words are at `at`: both words in one load,
+/// then the bytes.
+pub(crate) fn value_at(l: &mut impl Load, at: PAddr) -> Result<Vec<u8>, TxError> {
+    let [ptr, len] = l.words(at)?;
+    let ptr = PAddr::new(ptr);
+    l.pool().check_range(ptr, len)?; // before a corrupt length sizes the buffer
+    let mut buf = vec![0; len as usize];
+    l.load(ptr, &mut buf)?;
+    Ok(buf)
 }
 
 /// Fixed 32-byte key encoding for the B+Tree (paper §5.2: "on B+ Tree, the

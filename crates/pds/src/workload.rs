@@ -39,10 +39,7 @@ use clobber_nvm::{
 };
 use clobber_pmem::{PAddr, PmemPool, PoolOptions};
 
-use crate::hashmap::{
-    bucket_of, head_addr, HashMap, NODE_KEY, NODE_NEXT, NODE_SIZE, NODE_VLEN, NODE_VPTR, TX_INSERT,
-};
-use crate::value::store_value;
+use crate::hashmap::{prepend, HashMap, TX_INSERT};
 
 /// Test-only txfunc: increments the shared marker cell (args: `[marker]`).
 pub const TX_MARK: &str = "wl_mark";
@@ -234,26 +231,17 @@ fn register_buggy(rt: &Runtime) {
         let cell = PAddr::new(args.u64(0)?);
         let root = PAddr::new(args.u64(1)?);
         let key = args.u64(2)?;
-        let good = args.bytes(3)?.to_vec();
         // The racy dependence: branch on the marker, and clobber it so
         // the dependence is visible to the trace-footprint analysis.
         let seen = tx.read_u64(cell)?;
         tx.write_u64(cell, seen.wrapping_add(100))?;
-        let value = if seen == 0 {
-            good
+        let value: &[u8] = if seen == 0 {
+            args.bytes(3)?
         } else {
             // The bug: a mark landed first, publish corrupted bytes.
-            vec![0xBA; 16]
+            &[0xBA; 16]
         };
-        let vbuf = store_value(tx, &value)?;
-        let node = tx.pmalloc(NODE_SIZE)?;
-        tx.write_u64(node.add(NODE_KEY), key)?;
-        tx.write_paddr(node.add(NODE_VPTR), vbuf)?;
-        tx.write_u64(node.add(NODE_VLEN), value.len() as u64)?;
-        let head = head_addr(root, bucket_of(key));
-        let old_head = tx.read_paddr(head)?;
-        tx.write_paddr(node.add(NODE_NEXT), old_head)?;
-        tx.write_paddr(head, node)?;
+        prepend(tx, root, key, value)?;
         Ok(None)
     });
 }

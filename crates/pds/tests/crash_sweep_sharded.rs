@@ -1,12 +1,14 @@
 //! Persist-event crash-point sweep over the five pds structures, under
 //! every failure-atomic backend, at multiple shard counts.
 //!
-//! The product's `CrashBattery` over an insert stream: strided crash
-//! points (every point in the `--ignored` tier), each crashed, recovered
-//! and put through the battery's checks with "the contents are an intact
-//! prefix of the inserted keys" as the workload invariant — clobber
-//! recovery completes the interrupted insert, undo rolls it back, redo
-//! discards it, none may tear it. Because persist-event numbering is
+//! The product's `CrashBattery` over an insert stream followed by an
+//! update pass (a prefix of the keys set again to new values, where a
+//! walk's read set meets a clobbering write): strided crash points (every
+//! point in the `--ignored` tier), each crashed, recovered and put through
+//! the battery's checks with "the contents are an intact point of the
+//! stream" as the workload invariant — clobber recovery completes the
+//! interrupted transaction, undo rolls it back, redo discards it, none may
+//! tear it. Because persist-event numbering is
 //! shard-count-invariant, the sweep summary — and the recorded event
 //! trace — must be identical at every shard count.
 
@@ -26,7 +28,8 @@ type Pairs = Vec<(u64, Vec<u8>)>;
 /// One structure behind its root block: what the sweep needs of it.
 struct Structure {
     name: &'static str,
-    /// Keys `0..keys` are inserted, key `i` by the `i`-th transaction.
+    /// Keys `0..keys` are inserted, key `i` by the `i`-th transaction;
+    /// then keys `0..UPDATES` are set again.
     keys: u64,
     register: fn(&Runtime),
     create: fn(&Runtime) -> Result<PAddr, TxError>,
@@ -64,11 +67,19 @@ static BPTREE: Structure = structure!(BpTree, 24, insert_u64, bp_key);
 
 static ALL: [&Structure; 5] = [&HASHMAP, &RBTREE, &SKIPLIST, &AVLTREE, &BPTREE];
 
+/// Keys the update pass sets again, in order, after every key is in.
+const UPDATES: u64 = 4;
+
 fn value_of(k: u64) -> Vec<u8> {
     let mut v = vec![0u8; 64];
     v[..8].copy_from_slice(&k.to_le_bytes());
     v[63] = k as u8 ^ 0x5A;
     v
+}
+
+/// The update pass's value for `k`: same length, every byte different.
+fn update_of(k: u64) -> Vec<u8> {
+    value_of(k).iter().map(|b| !b).collect()
 }
 
 /// Fresh pool + runtime with the structure created and set as app root.
@@ -81,21 +92,25 @@ fn setup(s: &Structure, backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtim
     (pool, rt)
 }
 
-/// Inserts keys `0..s.keys`, stopping at the first failure (a dead pool
-/// fails every later transaction anyway).
-fn run_inserts(s: &Structure, rt: &Runtime) {
-    let root = rt.app_root().unwrap();
-    for k in 0..s.keys {
-        if (s.insert)(rt, root, k, &value_of(k)).is_err() {
-            break;
-        }
+/// Runs the stream on from `len` keys inserted and `updated` keys set
+/// again, stopping at the first failure (a dead pool fails every later
+/// transaction anyway).
+fn run_from(s: &Structure, rt: &Runtime, (len, updated): (u64, u64)) -> Result<(), TxError> {
+    let root = rt.app_root()?;
+    for k in len..s.keys {
+        (s.insert)(rt, root, k, &value_of(k))?;
     }
+    for k in updated..UPDATES {
+        (s.insert)(rt, root, k, &update_of(k))?;
+    }
+    Ok(())
 }
 
-/// Contents are exactly the prefix `0..len` with every value intact: no
-/// backend's recovery may tear the interrupted insert or lose a committed
-/// one.
-fn check_prefix(s: &Structure, pool: &PmemPool, rt: &Runtime) -> Result<u64, String> {
+/// Contents are a point of the stream, `(len, updated)`: keys `0..len`,
+/// the first `updated` of them with their new values and the rest with
+/// their first, and no update before every key is in. No backend's
+/// recovery may tear the interrupted transaction or lose a committed one.
+fn check_stream(s: &Structure, pool: &PmemPool, rt: &Runtime) -> Result<(u64, u64), String> {
     let root = rt.app_root().map_err(|e| format!("app root: {e}"))?;
     let pairs: BTreeMap<u64, Vec<u8>> = (s.dump)(pool, root)
         .map_err(|e| format!("dump: {e}"))?
@@ -105,15 +120,28 @@ fn check_prefix(s: &Structure, pool: &PmemPool, rt: &Runtime) -> Result<u64, Str
     if len > s.keys {
         return Err(format!("{name}: {len} keys, only {} inserted", s.keys));
     }
-    match (0..len).find(|key| pairs.get(key) != Some(&value_of(*key))) {
+    let updated = (0..UPDATES)
+        .take_while(|k| pairs.get(k) == Some(&update_of(*k)))
+        .count() as u64;
+    if updated > 0 && len < s.keys {
+        return Err(format!("{name}: an update before key {len} was in"));
+    }
+    let expect = |k: u64| {
+        if k < updated {
+            update_of(k)
+        } else {
+            value_of(k)
+        }
+    };
+    match (0..len).find(|&k| pairs.get(&k) != Some(&expect(k))) {
         Some(key) => Err(format!("{name}: key {key} missing or torn")),
-        None => Ok(len),
+        None => Ok((len, updated)),
     }
 }
 
 /// Sweeps about `points` evenly strided crash points (every persist event
 /// once `points` exceeds their number); returns the battery's summary and
-/// the keys found across all recovered pools.
+/// the keys and updates found across all recovered pools.
 fn sweep(s: &'static Structure, backend: Backend, shards: u32, points: u64) -> (SweepSummary, u64) {
     let session = ExploreSession {
         build: Box::new(move || setup(s, backend, shards)),
@@ -122,9 +150,9 @@ fn sweep(s: &'static Structure, backend: Backend, shards: u32, points: u64) -> (
             (s.register)(&rt);
             (pool, rt)
         }),
-        check: Box::new(move |pool, rt| check_prefix(s, pool, rt).map(drop)),
+        check: Box::new(move |pool, rt| check_stream(s, pool, rt).map(drop)),
     };
-    let drive = |rt: &Arc<Runtime>| run_inserts(s, rt);
+    let drive = |rt: &Arc<Runtime>| drop(run_from(s, rt, (0, 0)));
     let battery = CrashBattery {
         session: &session,
         drive: &drive,
@@ -141,16 +169,13 @@ fn sweep(s: &'static Structure, backend: Backend, shards: u32, points: u64) -> (
             } else {
                 assert!(r.report.reexecuted.is_empty(), "{}", at(r.crash_at));
             }
-            let len = check_prefix(s, &r.pool, &r.rt).unwrap();
-            keys_recovered += len;
+            let point = check_stream(s, &r.pool, &r.rt).unwrap();
+            keys_recovered += point.0 + point.1;
             // It keeps serving: the rest of the stream lands beside what
             // recovery left.
-            let root = r.rt.app_root().unwrap();
-            for k in len..s.keys {
-                (s.insert)(&r.rt, root, k, &value_of(k)).unwrap();
-            }
-            let all = check_prefix(s, &r.pool, &r.rt);
-            assert_eq!(all, Ok(s.keys), "{}", at(r.crash_at));
+            run_from(s, &r.rt, point).unwrap();
+            let all = check_stream(s, &r.pool, &r.rt);
+            assert_eq!(all, Ok((s.keys, UPDATES)), "{}", at(r.crash_at));
         })
         .unwrap_or_else(|v| panic!("{} under {}: {v}", s.name, backend.label()));
     assert!(summary.crash_points > 0);
@@ -198,7 +223,7 @@ fn sharded_sweep_every_event() {
     }
 }
 
-/// The insert stream's recorded trace is identical at shards 1 and 4 —
+/// The stream's recorded trace is identical at shards 1 and 4 —
 /// the pds workloads obey the same golden-trace contract as the core
 /// script.
 #[test]
@@ -209,7 +234,7 @@ fn insert_trace_is_shard_invariant() {
             let (pool, rt) = setup(s, Backend::clobber(), shards);
             let tracer = Arc::new(Tracer::new());
             pool.set_tracer(Some(tracer.clone()));
-            run_inserts(s, &rt);
+            run_from(s, &rt, (0, 0)).unwrap();
             pool.set_tracer(None);
             traces.push(tracer.take());
         }

@@ -1,33 +1,82 @@
-//! A length read from corrupt media is checked against the pool before it
-//! sizes a buffer: the lookup fails with a typed error, and the process
-//! does not abort on an allocation the length asked for.
+//! Corrupt media gives typed errors: a length read from it is checked
+//! against the pool before it sizes a buffer, and a chain that loops is
+//! reported, not walked forever.
 
 use std::sync::Arc;
 
 use clobber_nvm::{Runtime, RuntimeOptions, TxError};
-use clobber_pds::hashmap::BUCKETS;
-use clobber_pds::HashMap;
+use clobber_pds::hashmap::{BUCKETS, NODE_NEXT, NODE_VLEN};
+use clobber_pds::skiplist::NODE_NEXT0;
+use clobber_pds::{HashMap, SkipList};
 use clobber_pmem::{PAddr, PmemError, PmemPool, PoolOptions};
 
-#[test]
-fn a_corrupt_value_length_is_out_of_bounds() {
+/// A map holding key 7, and the address of key 7's node: the one node
+/// hangs off the one non-null bucket head (the root is
+/// `[magic][n_buckets][head_0]...`).
+fn one_key_map() -> (Arc<PmemPool>, Runtime, HashMap, PAddr) {
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
     HashMap::register(&rt);
     let map = HashMap::create(&rt).unwrap();
     map.insert(&rt, 7, b"value").unwrap();
-    // The one node hangs off the one non-null bucket head (the root is
-    // `[magic][n_buckets][head_0]...`); a node is `[key][val_ptr][val_len][next]`.
     let node = (0..BUCKETS)
         .map(|b| pool.read_u64(map.root().add(16 + 8 * b)).unwrap())
         .find(|&head| head != 0)
         .unwrap();
+    (pool, rt, map, PAddr::new(node))
+}
+
+#[test]
+fn a_corrupt_value_length_is_out_of_bounds() {
+    let (pool, rt, map, node) = one_key_map();
     for corrupt in [1 << 40, u64::MAX] {
-        pool.write_u64(PAddr::new(node + 16), corrupt).unwrap();
+        pool.write_u64(node.add(NODE_VLEN), corrupt).unwrap();
         let err = map.get_sync(&rt, 7).unwrap_err();
         assert!(
-            matches!(err, TxError::Pmem(PmemError::OutOfBounds { .. })),
+            matches!(err, TxError::Pmem(PmemError::OutOfBounds { len, .. }) if len == corrupt),
             "length {corrupt:#x}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_self_looped_node_is_a_corrupt_pool_not_a_hang() {
+    let (pool, rt, map, node) = one_key_map();
+    // The key after 7 in 7's bucket: its walk must pass 7's node.
+    let other = (8..).find(|&k| map.lock_of(k) == map.lock_of(7)).unwrap();
+    pool.write_u64(node.add(NODE_NEXT), node.offset()).unwrap();
+    let corrupt = |r: Result<(), TxError>, what: &str| {
+        let err = r.unwrap_err();
+        assert!(
+            matches!(err, TxError::Pmem(PmemError::CorruptPool(_))),
+            "{what}: {err}"
+        );
+    };
+    corrupt(map.snapshot_get(&pool, other).map(drop), "snapshot_get");
+    corrupt(map.get_sync(&rt, other).map(drop), "get_sync");
+    corrupt(map.insert_sync(&rt, other, b"x"), "insert_sync");
+    corrupt(map.dump(&pool).map(drop), "dump");
+}
+
+#[test]
+fn a_self_looped_skiplist_node_is_a_corrupt_pool_not_a_hang() {
+    let (pool, rt, _, _) = one_key_map();
+    SkipList::register(&rt);
+    let list = SkipList::create(&rt).unwrap();
+    list.insert(&rt, 1, b"one").unwrap();
+    // The root is `[magic][max_level][head]`; the one node follows the
+    // head at level 0. Its level-0 link now points at itself.
+    let head = PAddr::new(pool.read_u64(list.root().add(16)).unwrap());
+    let node = pool.read_u64(head.add(NODE_NEXT0)).unwrap();
+    pool.write_u64(PAddr::new(node).add(NODE_NEXT0), node)
+        .unwrap();
+    for err in [
+        list.get_sync(&rt, 5).unwrap_err(),
+        list.insert_sync(&rt, 5, b"x").unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, TxError::Pmem(PmemError::CorruptPool(_))),
+            "{err}"
         );
     }
 }

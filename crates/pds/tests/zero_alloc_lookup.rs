@@ -1,5 +1,6 @@
-//! Proves the B+Tree read-only descent is allocation-free, with a counting
-//! global allocator.
+//! Proves the read-only descents and chain walks are allocation-free, with
+//! a counting global allocator: the B+Tree descent, the hashmap chain walk
+//! and the skiplist seek.
 //!
 //! PR 1 moved the pool's read hot path onto `read_into` (zero-copy), but
 //! two `pds` loops kept the allocating `read_bytes` compat wrapper: the
@@ -15,7 +16,7 @@ use std::sync::Arc;
 
 use clobber_nvm::{Runtime, RuntimeOptions};
 use clobber_pds::value::key32;
-use clobber_pds::BpTree;
+use clobber_pds::{BpTree, HashMap, SkipList};
 use clobber_pmem::{PmemPool, PoolOptions};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -44,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTER: Counting = Counting;
 
 #[test]
-fn bptree_descent_and_range_filter_do_not_allocate() {
+fn descents_and_chain_walks_do_not_allocate() {
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
     BpTree::register(&rt);
@@ -87,4 +88,26 @@ fn bptree_descent_and_range_filter_do_not_allocate() {
     );
     // 4 key copies + 4 value reads + output vec growth.
     assert!(near <= 12, "range(4) allocated {near} times");
+
+    // A hashmap miss walks a whole chain (16 nodes on average here), and
+    // a skiplist `range` of nothing is its seek alone: neither allocates.
+    HashMap::register(&rt);
+    SkipList::register(&rt);
+    let (map, list) = (
+        HashMap::create(&rt).unwrap(),
+        SkipList::create(&rt).unwrap(),
+    );
+    for k in 0..4096u64 {
+        map.insert(&rt, k, &k.to_le_bytes()).unwrap();
+    }
+    for k in 0..256u64 {
+        list.insert(&rt, k * 2, &k.to_le_bytes()).unwrap();
+    }
+    let start = ALLOCS.load(Ordering::Relaxed);
+    for k in 4096..4352u64 {
+        assert_eq!(map.snapshot_get(&pool, k).unwrap(), None);
+        assert!(list.range(&pool, k - 4096, 0).unwrap().is_empty());
+    }
+    let delta = ALLOCS.load(Ordering::Relaxed) - start;
+    assert_eq!(delta, 0, "chain walks and seeks allocated {delta} time(s)");
 }
