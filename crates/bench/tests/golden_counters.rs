@@ -262,6 +262,8 @@ fn allocator_counters_pin_across_shard_counts() {
 
 /// Cells mutated by the `rec_chain` txfunc in the recovery pins below.
 const REC_CELLS: u64 = 3;
+/// The persist event of a clean `rec_chain` recovery a crash interrupts.
+const REC_RESTART_AT: u64 = 18;
 
 fn register_rec_chain(rt: &Runtime) {
     rt.register("rec_chain", move |tx, args| {
@@ -310,55 +312,61 @@ fn reopen_rec(image: Vec<u8>, shards: u32) -> (Arc<PmemPool>, Runtime) {
 }
 
 /// Golden recovery-observability pins: the same fixed interrupted
-/// transaction — recovered cleanly, resumed after a crash *inside*
+/// transaction — recovered cleanly, restarted after a crash *inside*
 /// recovery, and starved by a zero budget — must attribute exactly these
-/// `rec_*` counts, identically at every shard count.
+/// `rec_*` counts and fences, identically at every shard count.
 #[test]
 fn recovery_counters_pin_across_shard_counts() {
     let no_wait = RecoveryOptions::default().no_wait();
+    let rec_cells = |pool: &PmemPool, rt: &Runtime| {
+        let base = rt.app_root().unwrap();
+        (0..REC_CELLS)
+            .map(|i| pool.read_u64(base.add(8 * i)).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let committed: Vec<u64> = (0..REC_CELLS).map(|i| 100 + 2 * i + 1).collect();
     for shards in [1, 4] {
         let image = interrupted_chain_image(shards);
 
-        // A clean scan: one slot, one re-execution, nothing resumed.
+        // A clean scan: one slot, one re-execution. Its fences: the
+        // rollback's, the truncation's, the replay's one log sync, its
+        // commit's and the status clear's.
         let (pool, rt) = reopen_rec(image.clone(), shards);
+        let before = pool.stats().snapshot();
         rt.recover_with(&no_wait).unwrap();
-        let s = pool.stats().snapshot();
+        let s = pool.stats().snapshot().delta(&before);
         assert_eq!(
             (
                 s.rec_slots_scanned,
                 s.rec_reexecuted,
-                s.rec_resumed,
-                s.rec_watermark_advances,
                 s.rec_budget_expired,
+                s.fences,
+                s.clog_fences,
+                s.vlog_fences,
             ),
-            (1, 1, 0, REC_CELLS, 0),
+            (1, 1, 0, 5, 1, 0),
             "clean scan under {shards} shards: {s:?}"
         );
+        assert_eq!(rec_cells(&pool, &rt), committed);
 
-        // Crash that scan mid-re-execution at a fixed persist event; the
-        // resuming scan reports the resume and only the remaining
-        // watermark advances. Event 30 falls after the second re-appended
-        // entry is durable but before its checkpoint: the resume skips
-        // that append, so only the third store's sync advances.
+        // Crash that scan at a fixed persist event, after the replay's log
+        // sync and its first deferred store: the next scan rolls back and
+        // re-runs the chain from the top, once.
         let (pool_c, rt_c) = reopen_rec(image.clone(), shards);
-        pool_c.arm_faults(FaultPlan::crash_at(30));
+        pool_c.arm_faults(FaultPlan::crash_at(REC_RESTART_AT));
         let _ = rt_c.recover_with(&no_wait);
-        assert_eq!(pool_c.fault_tripped(), Some(30));
+        assert_eq!(pool_c.fault_tripped(), Some(REC_RESTART_AT));
         let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xEC));
         let (pool_r, rt_r) = reopen_rec(crashed, shards);
-        rt_r.recover_with(&no_wait).unwrap();
+        let report = rt_r.recover_with(&no_wait).unwrap();
         let r = pool_r.stats().snapshot();
         assert_eq!(
-            (
-                r.rec_slots_scanned,
-                r.rec_reexecuted,
-                r.rec_resumed,
-                r.rec_watermark_advances,
-                r.rec_budget_expired,
-            ),
-            (1, 1, 1, 1, 0),
-            "resumed scan under {shards} shards: {r:?}"
+            (r.rec_slots_scanned, r.rec_reexecuted, r.rec_budget_expired),
+            (1, 1, 0),
+            "restarted scan under {shards} shards: {r:?}"
         );
+        assert_eq!(report.clobber_entries_applied, REC_CELLS, "{report:?}");
+        assert_eq!(rec_cells(&pool_r, &rt_r), committed);
 
         // A zero budget quarantines the slot instead of re-executing.
         let (pool_b, rt_b) = reopen_rec(image, shards);
@@ -370,13 +378,8 @@ fn recovery_counters_pin_across_shard_counts() {
         .unwrap();
         let b = pool_b.stats().snapshot();
         assert_eq!(
-            (
-                b.rec_slots_scanned,
-                b.rec_reexecuted,
-                b.rec_resumed,
-                b.rec_budget_expired,
-            ),
-            (1, 0, 0, 1),
+            (b.rec_slots_scanned, b.rec_reexecuted, b.rec_budget_expired),
+            (1, 0, 1),
             "starved scan under {shards} shards: {b:?}"
         );
     }

@@ -117,10 +117,6 @@ pub struct SweepSummary {
     pub redo_applied: u64,
     /// Transactions abandoned before any persistent write.
     pub abandoned: u64,
-    /// Re-executions resumed from a persisted checkpoint.
-    pub resumed: u64,
-    /// Checkpoint watermark advances persisted during recovery.
-    pub watermark_advances: u64,
 }
 
 impl SweepSummary {
@@ -129,8 +125,6 @@ impl SweepSummary {
         self.rolled_back += report.rolled_back as u64;
         self.redo_applied += report.redo_applied as u64;
         self.abandoned += report.abandoned as u64;
-        self.resumed += report.resumed as u64;
-        self.watermark_advances += report.watermark_advances;
     }
 }
 
@@ -426,8 +420,7 @@ fn media_hash(pool: &PmemPool) -> u64 {
     h
 }
 
-/// FNV-1a (the same pocket hash the recovery checkpoints use) of `bytes`,
-/// continuing from state `h`.
+/// FNV-1a of `bytes`, continuing from state `h`.
 fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);

@@ -95,4 +95,4 @@ pub use replay::{
 };
 pub use runtime::{IdoAggregate, Runtime, RuntimeOptions};
 pub use tx::{Tx, TxResult, WritePolicy};
-pub use vlog::{VlogCheckpoint, VlogSlot};
+pub use vlog::VlogSlot;

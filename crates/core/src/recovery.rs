@@ -4,11 +4,13 @@
 //! For the clobber backend, an ongoing transaction is recovered by:
 //!
 //! 1. restoring its clobbered inputs from the `clobber_log`
-//!    (most-recent-first, so the original pre-transaction value wins),
+//!    (most-recent-first, so the original pre-transaction value wins) and
+//!    fencing,
 //! 2. clearing the `clobber_log` (the re-execution will refill it) past
 //!    the begin number, and
-//! 3. re-executing the registered txfunc with the arguments and preserved
-//!    volatile blobs read back from the v_log, committing normally.
+//! 3. re-executing the registered txfunc from the top with the arguments
+//!    and preserved volatile blobs read back from the v_log, as an ordinary
+//!    transaction on the slot's existing begin, committing normally.
 //!
 //! Because the locking discipline guarantees ongoing transactions have
 //! disjoint lock sets, slots recover independently; the scan visits them
@@ -30,18 +32,27 @@
 //! [`TxError::RecoveryBudgetExceeded`] under strict policy — recovery
 //! never hangs the pool open.
 //!
-//! # Persistent re-execution progress
+//! # Restart from the top
 //!
-//! Re-execution persists a [`VlogCheckpoint`](crate::VlogCheckpoint)
-//! (store watermark + log-entry and preserve cursors) into the slot at
-//! each clobber-log sync. A crash *during* recovery then resumes past the
-//! watermark instead of restarting: the next scan rolls back only log
-//! entries past the checkpointed cursor, keeps the earlier entries as a
-//! read overlay of pre-transaction values, and replays the txfunc with the
-//! checkpointed prefix of stores skipped. Every re-executed store thereby
-//! lands on media at most once per completed recovery, and a transaction
-//! interrupted K times completes within O(K) recovery cycles — each cycle
-//! advances the watermark (see `DESIGN.md` item 12).
+//! A crash *during* recovery needs nothing new: the next scan rolls back
+//! and re-runs the txfunc again. That is sound because, for the in-flight
+//! begin, rolling back the clobber log only ever restores the originals:
+//!
+//! * the replay is a plain [`Tx`], so a clobbering store waits in its
+//!   deferred buffer and reaches media only after a sync of the replay's
+//!   log — at its commit, or mid-replay when the buffer fills;
+//! * so the first entry the replay appends for an input byte holds that
+//!   byte's value in restored state: its original. Under refined clobber
+//!   logging it is the only one; the conservative variant may log a byte
+//!   again, and a rollback, most recent first, still ends on the original.
+//!
+//! So a rollback after any nested crash — before the replay's first sync,
+//! between two syncs of an overflowing replay, or inside its commit —
+//! restores the same inputs, and the re-run reads what the first one did.
+//! The price is the bound: a slot crashed more often than its replay can
+//! finish never completes. [`RecoveryOptions::slot_deadline`] and
+//! [`RecoveryOptions::total_budget`] remain the time bound (see `DESIGN.md`
+//! item 12).
 //!
 //! # Fault tolerance
 //!
@@ -66,8 +77,7 @@
 //! The same idempotence argument covers a *crash during recovery*: if
 //! `recover` dies mid-re-execution (e.g. an injected trip point), reopening
 //! the pool and calling `recover` again completes the transaction — the
-//! crash-sweep tests exercise every persist event inside recovery too, now
-//! including the checkpointed-resume events.
+//! crash-sweep tests exercise every persist event inside recovery too.
 //!
 //! Commit-window edge cases (all verified by the crash sweeps in
 //! `tests/`): a crash after the clobber commit's publish fence but before
@@ -87,8 +97,8 @@
 //! record whose seal does not match the status word — torn, or the previous
 //! transaction's — is abandoned: no store reached media. A clobber log whose
 //! generation is below the begin number missed the begin's truncation and
-//! counts as empty; a preserve/checkpoint line naming another begin counts
-//! as holding nothing. A begin whose status word was lost leaves nothing to
+//! counts as empty; a preserve line naming another begin counts as holding
+//! nothing. A begin whose status word was lost leaves nothing to
 //! recover, and no later begin reuses its number (see `Runtime::run_on`).
 
 use std::fmt;
@@ -284,8 +294,10 @@ pub struct RecoveryReport {
     pub rolled_back: usize,
     /// Committed redo logs replayed to completion.
     pub redo_applied: usize,
-    /// Ongoing transactions abandoned because they crashed before
-    /// recording a needed preserve (no persistent write can have happened).
+    /// Ongoing transactions abandoned because no store of theirs can have
+    /// reached media: the begin record's seal does not match the status
+    /// word (the begin never reached an ordering point), or the replay asked
+    /// for a preserve the crashed run never recorded.
     pub abandoned: usize,
     /// clobber_log entries applied while restoring inputs.
     pub clobber_entries_applied: u64,
@@ -295,12 +307,6 @@ pub struct RecoveryReport {
     pub quarantined: Vec<SlotQuarantine>,
     /// Slot-recovery attempts repeated after a transient fault.
     pub transient_retries: u64,
-    /// Re-executions that resumed from a persisted progress checkpoint
-    /// instead of restarting from zero.
-    pub resumed: usize,
-    /// Progress checkpoints persisted during re-execution (watermark
-    /// advances a subsequent crash would resume past).
-    pub watermark_advances: u64,
     /// Slots that ran out of deadline or budget.
     pub budget_expired: usize,
     /// Wall time of the whole scan on the options' clock ([`NoopClock`]
@@ -332,8 +338,6 @@ struct SlotDelta {
     abandoned: usize,
     clobber_entries_applied: u64,
     clobber_bytes_applied: u64,
-    resumed: usize,
-    watermark_advances: u64,
 }
 
 impl SlotDelta {
@@ -344,8 +348,6 @@ impl SlotDelta {
         report.abandoned += self.abandoned;
         report.clobber_entries_applied += self.clobber_entries_applied;
         report.clobber_bytes_applied += self.clobber_bytes_applied;
-        report.resumed += self.resumed;
-        report.watermark_advances += self.watermark_advances;
     }
 }
 
@@ -396,7 +398,7 @@ impl Runtime {
     /// every txfunc; the application may resume use of the pool afterwards.
     ///
     /// Safe to call again (on a reopened pool) if a crash interrupts it —
-    /// see the module docs on idempotence and checkpointed resume.
+    /// see the module docs on idempotence and restarting from the top.
     ///
     /// # Errors
     ///
@@ -463,9 +465,6 @@ impl Runtime {
         stats
             .rec_reexecuted
             .fetch_add(report.reexecuted.len() as u64, Ordering::Relaxed);
-        stats
-            .rec_resumed
-            .fetch_add(report.resumed as u64, Ordering::Relaxed);
         stats
             .rec_budget_expired
             .fetch_add(report.budget_expired as u64, Ordering::Relaxed);
@@ -567,10 +566,9 @@ impl Runtime {
     ///
     /// Idempotent with respect to pool state: a partial run (ended by a
     /// crash or transient fault) leaves the slot recoverable by simply
-    /// calling this again — and, for the clobber backend, a persisted
-    /// progress checkpoint lets the next call *resume* the re-execution
-    /// past the watermark. Counters for the attempt live in the returned
-    /// [`SlotDelta`], so a discarded attempt never skews the report.
+    /// calling this again, which rolls back and re-runs the txfunc from the
+    /// top. Counters for the attempt live in the returned [`SlotDelta`], so
+    /// a discarded attempt never skews the report.
     fn recover_slot(&self, idx: usize, pool: &PmemPool) -> Result<SlotDelta, TxError> {
         let mut delta = SlotDelta::default();
         let slot = self.slot(idx)?;
@@ -594,15 +592,20 @@ impl Runtime {
                 if begin == 0 {
                     return Ok(delta);
                 }
-                let Some(rec) = slot.record(pool, begin)? else {
-                    // The seal does not match: the begin never reached an
-                    // ordering point, so none of the transaction's stores
-                    // reached media either.
+                // No store of the transaction reached media: the slot goes
+                // idle.
+                let abandon = |mut delta: SlotDelta| -> Result<SlotDelta, TxError> {
                     slot.clear_ongoing(pool)?;
                     pool.fence();
                     delta.abandoned += 1;
                     step(clobber_trace::recovery_steps::ABANDON, "", 0);
-                    return Ok(delta);
+                    Ok(delta)
+                };
+                let Some(rec) = slot.record(pool, begin)? else {
+                    // The seal does not match: the begin never reached an
+                    // ordering point, so none of the transaction's stores
+                    // did either.
+                    return abandon(delta);
                 };
                 let clog = slot.clobber_log(pool)?;
                 // A log still at an earlier generation missed this begin's
@@ -611,59 +614,22 @@ impl Runtime {
                 if clog.generation(pool)? < begin {
                     entries.clear();
                 }
-                // A valid progress checkpoint from an interrupted recovery
-                // lets this scan resume the re-execution past its durable
-                // prefix. The checkpoint is fenced after the entries it
-                // cites, so its cursor can never exceed the durable count;
-                // if it somehow does, fall back to a fresh restart (always
-                // sound).
-                let ck = slot
-                    .checkpoint(pool, begin)?
-                    .filter(|c| c.entries as usize <= entries.len());
-                let cursor = ck.map_or(0, |c| c.entries as usize);
-                // Restore clobbered inputs past the cursor, most recent
-                // first so the true input wins. A resume keeps the
-                // checkpointed prefix applied and its entries for the read
-                // overlay and a later crash's rollback.
-                let undone = &entries[cursor..];
-                delta.clobber_entries_applied += undone.len() as u64;
+                // Restore clobbered inputs, most recent first so the true
+                // input wins, durably before the log that holds them goes.
+                delta.clobber_entries_applied += entries.len() as u64;
                 delta.clobber_bytes_applied +=
-                    undone.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
-                for (addr, data) in undone.iter().rev() {
+                    entries.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
+                for (addr, data) in entries.iter().rev() {
                     pool.store_flush(*addr, data)?;
                 }
-                let (writer, skip_stores, skip_appends) = match ck {
-                    Some(c) => {
-                        pool.fence();
-                        step(
-                            clobber_trace::recovery_steps::RESTORE,
-                            "",
-                            undone.len() as u64,
-                        );
-                        step(clobber_trace::recovery_steps::RESUME, "", c.stores);
-                        delta.resumed += 1;
-                        // Resume appending exactly at the durable stream
-                        // end; skipped appends regenerate the prefix.
-                        let writer = clobber_pmem::LogWriter::attach(pool, clog)?;
-                        (writer, c.stores, entries.len() as u64)
-                    }
-                    None => {
-                        // Checkpoints of the re-execution land in a line
-                        // naming this begin with the preserves it replays.
-                        let tail = rec.preserves.iter().map(|p| 8 + p.len() as u64).sum();
-                        slot.bind_preserves(pool, begin, rec.preserves.len() as u64, tail)?;
-                        pool.fence();
-                        clog.clear_above(pool, begin)?;
-                        step(
-                            clobber_trace::recovery_steps::RESTORE,
-                            "",
-                            entries.len() as u64,
-                        );
-                        (clobber_pmem::LogWriter::new(clog), 0, 0)
-                    }
-                };
-                let resumed = delta.resumed > 0;
-                // Re-execute with restored inputs.
+                pool.fence();
+                clog.clear_above(pool, begin)?;
+                step(
+                    clobber_trace::recovery_steps::RESTORE,
+                    "",
+                    entries.len() as u64,
+                );
+                // Re-execute from the top with restored inputs.
                 let f = self.lookup(&rec.name)?;
                 step(clobber_trace::recovery_steps::REEXECUTE, &rec.name, 0);
                 let rlog = slot.redo_log(pool)?;
@@ -671,7 +637,7 @@ impl Runtime {
                     pool,
                     self.backend(),
                     slot,
-                    writer,
+                    clobber_pmem::LogWriter::new(clog),
                     rlog,
                     self.group_commit(),
                     true,
@@ -680,37 +646,24 @@ impl Runtime {
                     None,
                     self.take_scratch(),
                 );
-                tx.set_resume(skip_stores, skip_appends, &entries[..cursor]);
                 match f(&mut tx, &rec.args) {
                     Ok(_) => {
-                        delta.watermark_advances += tx.checkpoints_written();
                         self.finish_commit(tx)?;
                         delta.reexecuted.push(rec.name);
                     }
-                    Err(TxError::MissingPreserve { .. }) => {
-                        delta.watermark_advances += tx.checkpoints_written();
-                        if resumed {
-                            // A checkpoint is only written at a re-execution
-                            // log sync, inside a store, and every
-                            // preserve must precede the first store — a
-                            // missing preserve past a checkpoint can only
-                            // mean the record lies. Abandoning (which
-                            // assumes no writes happened) would corrupt
-                            // state.
-                            return Err(TxError::CorruptVlog(
-                                "missing preserve after checkpointed re-execution progress".into(),
-                            ));
+                    Err(e) => {
+                        // The slot stays in flight for a retry, or for the
+                        // abandon below: its status is not the replay's to
+                        // clear.
+                        self.recycle_scratch(tx.discard());
+                        if !matches!(e, TxError::MissingPreserve { .. }) {
+                            return Err(e);
                         }
                         // The crashed run never recorded this volatile
                         // input, so it cannot have written anything yet
-                        // (preserves precede all writes): abandon.
-                        drop(tx);
-                        slot.clear_ongoing(pool)?;
-                        pool.fence();
-                        delta.abandoned += 1;
-                        step(clobber_trace::recovery_steps::ABANDON, "", 0);
+                        // (preserves precede all writes).
+                        return abandon(delta);
                     }
-                    Err(e) => return Err(e),
                 }
             }
             Backend::Undo | Backend::Atlas => {

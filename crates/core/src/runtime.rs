@@ -19,8 +19,9 @@ use crate::lock::{LockManager, LockRequest};
 use crate::tx::{CommitOutcome, Tx, TxResult, TxScratch};
 use crate::vlog::VlogSlot;
 
-/// Names the runtime header and slot layout (v3: sealed begin record).
-const RUNTIME_MAGIC: u64 = 0xC10B_BE12_0000_0003;
+/// Names the runtime header and slot layout (v4: sealed begin record, a
+/// preserve line with no re-execution checkpoint).
+const RUNTIME_MAGIC: u64 = 0xC10B_BE12_0000_0004;
 
 /// Persistent runtime header layout (allocated block, pointed to by the pool
 /// root).

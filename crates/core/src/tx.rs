@@ -28,10 +28,10 @@
 //! its entry is appended unfenced and the store waits in an inline buffer
 //! that reads overlay. The next ordering point (the commit, or a full
 //! buffer) syncs the log once, ordering the begin and every entry, then
-//! applies the stores in order. Undo snapshots and recovery replays sync
-//! before each such store and write it straight to the pool (PMDK's
-//! `TX_ADD` persists its snapshot before returning; a replay checkpoints
-//! its progress at every sync).
+//! applies the stores in order. Undo snapshots sync before each such store
+//! and write it straight to the pool (PMDK's `TX_ADD` persists its snapshot
+//! before returning). A recovery replay is an ordinary transaction on the
+//! slot's existing begin and defers like any other.
 
 use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
 
@@ -40,7 +40,7 @@ use crate::error::TxError;
 use crate::group_commit::GroupCommit;
 use crate::ido::{IdoObserver, IdoTxStats};
 use crate::rangeset::RangeSet;
-use crate::vlog::{VlogCheckpoint, VlogSlot};
+use crate::vlog::VlogSlot;
 
 /// Result type of a registered txfunc: an optional opaque return payload.
 pub type TxResult = Result<Option<Vec<u8>>, TxError>;
@@ -65,42 +65,6 @@ pub enum WritePolicy {
 pub(crate) struct Replay {
     blobs: Vec<Vec<u8>>,
     next: usize,
-}
-
-/// Re-execution progress state threaded through a recovery replay (clobber
-/// backend only; see `DESIGN.md` item 12).
-///
-/// Recovery sets this on every re-execution — with zero watermarks for a
-/// fresh replay — so the transaction persists a [`VlogCheckpoint`] at each
-/// log sync and, when resuming past a prior checkpoint, skips the stores
-/// and log appends whose effects are already durable. Replay is
-/// deterministic (paper §2.3), so skipped work regenerates byte-identical
-/// bookkeeping: the range sets evolve exactly as in the crashed attempt and
-/// the first un-skipped append lands precisely at the durable stream end.
-pub(crate) struct ResumeState {
-    /// Stores with ordinal `< skip_stores` are durably applied: their pool
-    /// writes are skipped on resume.
-    skip_stores: u64,
-    /// Logical clobber-log appends `< skip_appends` are already durable in
-    /// the log; resume bumps the counter without re-appending.
-    skip_appends: u64,
-    /// Ordinal of the next transactional store.
-    store_index: u64,
-    /// Logical index of the next clobber-log append.
-    append_index: u64,
-    /// Checkpointed log entries (`entries[..C]`) flattened as
-    /// `(pool offset, start, len)` into [`Self::orig_data`], in append
-    /// order. These hold pre-store values of input bytes the durable
-    /// stores clobbered; reads overlay them (oldest entry winning) so the
-    /// replay observes pre-transaction state, not clobbered state.
-    originals: Vec<(u64, usize, usize)>,
-    orig_data: Vec<u8>,
-    /// Every replayed store (skipped or real) as `(pool offset, start,
-    /// len)` into [`Self::shadow_data`], in store order. Overlaid on reads
-    /// *after* the originals so read-own-write sees the replay's latest
-    /// value even when the pool write was skipped.
-    shadow_writes: Vec<(u64, usize, usize)>,
-    shadow_data: Vec<u8>,
 }
 
 /// Hulls the inline dirty set holds before it drains early.
@@ -336,8 +300,6 @@ pub struct Tx<'rt> {
     gc: &'rt GroupCommit,
     scratch: TxScratch,
     replay: Option<Replay>,
-    resume: Option<Box<ResumeState>>,
-    ckpt_writes: u64,
     pub(crate) ido: Option<IdoObserver>,
     wrote: bool,
     vlog_enabled: bool,
@@ -373,8 +335,6 @@ impl<'rt> Tx<'rt> {
             gc,
             scratch,
             replay: replay.map(|blobs| Replay { blobs, next: 0 }),
-            resume: None,
-            ckpt_writes: 0,
             ido,
             wrote: false,
             vlog_enabled,
@@ -429,41 +389,6 @@ impl<'rt> Tx<'rt> {
         Ok(())
     }
 
-    /// Arms re-execution progress tracking for a recovery replay.
-    /// `skip_stores`/`skip_appends` come from the slot's persisted
-    /// [`VlogCheckpoint`] (zero for a fresh replay); `originals` are the
-    /// checkpointed clobber-log entries (`entries[..C]`), whose pre-store
-    /// values feed the resume read overlay.
-    pub(crate) fn set_resume(
-        &mut self,
-        skip_stores: u64,
-        skip_appends: u64,
-        originals: &[(PAddr, Vec<u8>)],
-    ) {
-        let mut st = ResumeState {
-            skip_stores,
-            skip_appends,
-            store_index: 0,
-            append_index: 0,
-            originals: Vec::with_capacity(originals.len()),
-            orig_data: Vec::new(),
-            shadow_writes: Vec::new(),
-            shadow_data: Vec::new(),
-        };
-        for (addr, data) in originals {
-            let ds = st.orig_data.len();
-            st.orig_data.extend_from_slice(data);
-            st.originals.push((addr.offset(), ds, data.len()));
-        }
-        self.resume = Some(Box::new(st));
-    }
-
-    /// How many re-execution progress checkpoints this transaction
-    /// persisted (recovery reads this before committing the replay).
-    pub(crate) fn checkpoints_written(&self) -> u64 {
-        self.ckpt_writes
-    }
-
     /// The pool this transaction operates on.
     pub fn pool(&self) -> &PmemPool {
         self.pool
@@ -508,8 +433,7 @@ impl<'rt> Tx<'rt> {
     }
 
     /// Overlays the transaction's own view on `buf`, just loaded from the
-    /// pool at offset `s`: the redo write set, the deferred stores, then
-    /// the resume state.
+    /// pool at offset `s`: the redo write set, then the deferred stores.
     fn overlay_own_view(&self, s: u64, buf: &mut [u8]) {
         if self.backend == Backend::Redo {
             // Read interposition: overlay the volatile write set, in store
@@ -524,21 +448,6 @@ impl<'rt> Tx<'rt> {
             }
         }
         self.scratch.deferred.overlay(self.pool, s, buf);
-        if let Some(r) = &self.resume {
-            // Resume read overlay. The pool may hold values clobbered by
-            // durably-applied (skipped) stores; the replay must observe the
-            // same bytes the crashed attempt did. First the checkpointed
-            // originals, iterated newest-first so the *oldest* logged value
-            // for a byte — its pre-transaction value — lands last; then the
-            // shadow of replayed stores in store order, so read-own-write
-            // sees the latest replayed value on top.
-            for &(ws, ds, dl) in r.originals.iter().rev() {
-                overlay_range(buf, s, ws, &r.orig_data[ds..ds + dl]);
-            }
-            for &(ws, ds, dl) in &r.shadow_writes {
-                overlay_range(buf, s, ws, &r.shadow_data[ds..ds + dl]);
-            }
-        }
     }
 
     /// Reads `buf.len()` bytes at `addr` within the transaction into a
@@ -679,47 +588,24 @@ impl<'rt> Tx<'rt> {
             }
             (Tracking::Off, _) => {}
         }
-        // Resume bookkeeping: count this store, and skip its pool write if
-        // its durable effects are already on media (checkpointed prefix of
-        // a recovery replay — keep the range-set evolution).
-        let skip_store = self.resume.as_mut().is_some_and(|r| {
-            r.store_index += 1;
-            r.store_index <= r.skip_stores
-        });
         let stats = self.pool.stats();
-        let mut appended = false;
+        let appended = !self.scratch.to_log.is_empty();
         for i in 0..self.scratch.to_log.len() {
             let (a, b) = self.scratch.to_log[i];
-            // Appends already durable in the log (logical index below the
-            // resume watermark) are counted but not re-issued: determinism
-            // regenerates them byte-identically, so the first real append
-            // lands exactly at the durable stream end the writer attached
-            // to.
-            let skip_append = match &mut self.resume {
-                Some(r) => {
-                    let idx = r.append_index;
-                    r.append_index += 1;
-                    idx < r.skip_appends
-                }
-                None => false,
-            };
-            if !skip_append {
-                self.scratch.log_buf.resize((b - a) as usize, 0);
-                self.pool
-                    .read_into(PAddr::new(a), &mut self.scratch.log_buf)?;
-                // A re-clobbered byte's pre-image is its deferred value.
-                let sc = &mut self.scratch;
-                sc.deferred.overlay(self.pool, a, &mut sc.log_buf);
-                self.clog
-                    .append(self.pool, PAddr::new(a), &self.scratch.log_buf)?;
-                stats
-                    .log_entries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                stats
-                    .log_bytes
-                    .fetch_add(b - a, std::sync::atomic::Ordering::Relaxed);
-                appended = true;
-            }
+            self.scratch.log_buf.resize((b - a) as usize, 0);
+            self.pool
+                .read_into(PAddr::new(a), &mut self.scratch.log_buf)?;
+            // A re-clobbered byte's pre-image is its deferred value.
+            let sc = &mut self.scratch;
+            sc.deferred.overlay(self.pool, a, &mut sc.log_buf);
+            self.clog
+                .append(self.pool, PAddr::new(a), &self.scratch.log_buf)?;
+            stats
+                .log_entries
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            stats
+                .log_bytes
+                .fetch_add(b - a, std::sync::atomic::Ordering::Relaxed);
             if self.tracking == Tracking::Inputs {
                 self.scratch.clobber_logged.insert(a, b);
             }
@@ -729,33 +615,22 @@ impl<'rt> Tx<'rt> {
         // older than the transaction — not in `written`, which until then
         // holds only reservations — only once the begin is. Such a store
         // waits in the deferred buffer, as does one to a byte waiting there.
-        let defer = !skip_store
-            && (appended
-                || self.scratch.deferred.overlaps(s, e)
-                || (self.begin_unordered && !self.scratch.written.contains(s, e)));
+        let defer = appended
+            || self.scratch.deferred.overlaps(s, e)
+            || (self.begin_unordered && !self.scratch.written.contains(s, e));
         if matches!(self.tracking, Tracking::Inputs | Tracking::Written) {
             self.scratch.written.insert(s, e);
         }
         self.wrote = true;
-        if let Some(r) = &mut self.resume {
-            // Shadow every replayed store — skipped or real — so the
-            // resume read overlay serves read-own-write correctly.
-            let ds = r.shadow_data.len();
-            r.shadow_data.extend_from_slice(data);
-            r.shadow_writes.push((s, ds, data.len()));
-        }
-        if skip_store {
-            return Ok(());
-        }
         if defer {
             let d = &self.scratch.deferred;
             let room = d.len < DEFER_CAP && d.used + data.len() <= DEFER_BYTES;
-            if room && self.tracking != Tracking::Written && self.resume.is_none() {
+            if room && self.tracking != Tracking::Written {
                 self.scratch.deferred.push(s, data);
                 return Ok(());
             }
-            // An undo snapshot, a replayed store and a full buffer are
-            // ordering points: the sync makes this pre-image durable too.
+            // An undo snapshot and a full buffer are ordering points: the
+            // sync makes this pre-image durable too.
             self.order_deferred()?;
         }
         self.pool.write_bytes(addr, data)?;
@@ -773,37 +648,6 @@ impl<'rt> Tx<'rt> {
         // nothing was logged: that orders a begin before a blind store.
         self.clog.sync_with(pool, |p| gc.fence(p))?;
         self.begin_unordered = false;
-        // Recovery replays persist a progress checkpoint at each sync: the
-        // fence just made every append durable, and every store before the
-        // one in progress (a replay defers none), so a crash from here on
-        // resumes past them. The watermark must cover only stores to
-        // pre-existing data (a replayed reservation may land elsewhere), so
-        // checkpoints pause while an allocation is live.
-        let resume = self
-            .resume
-            .as_ref()
-            .filter(|_| self.scratch.allocs.is_empty())
-            .map(|r| (r.store_index - 1, r.append_index));
-        if let Some((stores, entries)) = resume {
-            let ck = VlogCheckpoint {
-                stores,
-                entries,
-                preserves: self.replay.as_ref().map_or(0, |rp| rp.next as u64),
-            };
-            self.slot.write_checkpoint(pool, ck)?;
-            self.ckpt_writes += 1;
-            pool.stats()
-                .rec_watermark_advances
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if pool.tracing_enabled() {
-                pool.trace_app_event(
-                    clobber_trace::EventKind::RecoveryStep,
-                    0,
-                    clobber_trace::recovery_steps::CHECKPOINT,
-                    ck.stores,
-                );
-            }
-        }
         let mut off = 0;
         for i in 0..self.scratch.deferred.len {
             let (s, e) = self.scratch.deferred.ranges[i];
@@ -1121,15 +965,6 @@ impl<'rt> Tx<'rt> {
     /// recycle it.
     pub(crate) fn abort(mut self, why: String) -> (TxError, TxScratch) {
         let pool = self.pool;
-        self.scratch.dead.append(&mut self.scratch.allocs);
-        let dead = &self.scratch.dead;
-        let cancel_reservations = || {
-            if !dead.is_empty() {
-                // Cancel failures cannot occur for our own reservations.
-                let _ = pool.cancel(dead);
-                pool.fence();
-            }
-        };
         // Abort fences stay private (no group-commit routing): an aborting
         // thread must never block on other committers making progress.
         let err = match self.backend {
@@ -1142,18 +977,24 @@ impl<'rt> Tx<'rt> {
                     let _ = self.clog.reset_unfenced(pool);
                     pool.fence();
                 }
-                cancel_reservations();
+                if self.cancel_reservations() {
+                    pool.fence();
+                }
                 TxError::Aborted(why)
             }
             Backend::Redo => {
                 self.scratch.redo_writes.clear();
                 self.scratch.redo_data.clear();
-                cancel_reservations();
+                if self.cancel_reservations() {
+                    pool.fence();
+                }
                 TxError::Aborted(why)
             }
             Backend::NoLog | Backend::Clobber(_) => {
                 if !self.wrote {
-                    cancel_reservations();
+                    if self.cancel_reservations() {
+                        pool.fence();
+                    }
                     if self.begun && matches!(self.backend, Backend::Clobber(cfg) if cfg.vlog) {
                         let _ = self.slot.clear_ongoing(pool);
                         pool.fence();
@@ -1173,6 +1014,27 @@ impl<'rt> Tx<'rt> {
             );
         }
         (err, std::mem::take(&mut self.scratch))
+    }
+
+    /// Drops a recovery replay that did not commit: its reservations end
+    /// as free, flushed but unfenced, and its deferred stores never reach
+    /// the pool. Unlike [`abort`](Self::abort) it leaves the status word
+    /// set, so a retry re-runs the slot. Returns the scratch for recycling.
+    pub(crate) fn discard(mut self) -> TxScratch {
+        self.cancel_reservations();
+        std::mem::take(&mut self.scratch)
+    }
+
+    /// Ends every reservation of this transaction as free, with flushes
+    /// only. Returns whether it held any. Cancelling its own reservations
+    /// fails only on a dead pool, whose reservations die with it.
+    fn cancel_reservations(&mut self) -> bool {
+        self.scratch.dead.append(&mut self.scratch.allocs);
+        let any = !self.scratch.dead.is_empty();
+        if any {
+            let _ = self.pool.cancel(&self.scratch.dead);
+        }
+        any
     }
 }
 

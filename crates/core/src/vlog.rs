@@ -19,13 +19,13 @@
 //!
 //! The paper counts two v_log fences per transaction — the record, then the
 //! status bit (§5.3). [`VlogSlot::begin`] issues none: it writes the record,
-//! its seal, a fresh preserve/checkpoint line and the status word with
-//! flushes only, and the transaction's next ordering point — in most
-//! transactions its commit's log sync — makes them durable together. No
-//! store to data older than the transaction may reach media before that
-//! point (`Tx` defers every such store to it), so a crash inside the window
-//! leaves an arbitrary subset of these lines, and recovery accepts a slot
-//! as begun only if they agree:
+//! its seal, a fresh preserve line and the status word with flushes only,
+//! and the transaction's next ordering point — in most transactions its
+//! commit's log sync — makes them durable together. No store to data
+//! older than the transaction may reach media before that point (`Tx`
+//! defers every such store to it), so a crash inside the window leaves an
+//! arbitrary subset of these lines, and recovery accepts a slot as begun
+//! only if they agree:
 //!
 //! * the begin number `s` is the clobber log's generation once the begin has
 //!   truncated it, so a slot never reuses one (a runtime adopting a slot
@@ -36,8 +36,7 @@
 //!   of the transaction's stores did either;
 //! * the clobber log's entries count only once its generation has reached
 //!   `s` (an older one is a truncation that did not persist);
-//! * the preserve count and the checkpoint count only if their line names
-//!   `s`.
+//! * the preserve count counts only if its line names `s`.
 
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -75,21 +74,14 @@ const SEAL: u64 = 72;
 const NAME: u64 = 80;
 const ARGS_LEN: u64 = NAME + NAME_CAP;
 const ARGS: u64 = ARGS_LEN + 8;
-/// The preserve/checkpoint line is the first whole cache line from here, so
-/// a crash keeps or drops its eight words together (a slot is only 16-byte
-/// aligned).
+/// The preserve line is the first whole cache line from here, so a crash
+/// keeps or drops its words together (a slot is only 16-byte aligned).
 const META_AREA: u64 = ARGS + ARGS_CAP;
 const PRESERVE_DATA: u64 = META_AREA + 2 * CACHE_LINE;
 
-// The preserve/checkpoint line's words: the begin it belongs to, the
-// preserve count and tail, then the checkpoint — magic, stores, entries,
-// preserves, check word — from this offset.
-const CKPT_OFF: u64 = 24;
-
-/// Versioned magic marking a valid re-execution checkpoint (v1). Zero means
-/// "no checkpoint"; an unrecognized value is treated the same, so the
-/// format can evolve.
-const CKPT_MAGIC: u64 = 0xC10B_BC29_0000_0001;
+/// The preserve line's words, written as one store: the begin it belongs
+/// to, the preserve count and tail, and a word kept zero.
+const META_STORE: usize = 32;
 
 /// Folds one word into a running hash.
 fn mix(h: u64, w: u64) -> u64 {
@@ -116,13 +108,6 @@ fn seal(begin: u64, name: &[u8], args: &[u8]) -> u64 {
     mix_bytes(mix_bytes(begin, name), args)
 }
 
-/// Check word over the checkpoint payload. A corrupted payload fails it and
-/// the checkpoint is ignored — restarting re-execution from zero is always
-/// sound; skipping stores that never ran is not.
-fn ckpt_checksum(stores: u64, entries: u64, preserves: u64) -> u64 {
-    mix(mix(mix(CKPT_MAGIC, stores), entries), preserves)
-}
-
 /// Serializes `words` little-endian into the front of `buf`.
 fn put_words(buf: &mut [u8], words: &[u64]) {
     for (b, w) in buf.chunks_exact_mut(8).zip(words) {
@@ -136,24 +121,6 @@ const FASE_AREA: u64 = PRESERVE_DATA + PRESERVE_CAP;
 
 /// Total persistent size of one slot.
 pub const SLOT_SIZE: u64 = FASE_AREA + 2 * CACHE_LINE;
-
-/// A persisted re-execution progress checkpoint: recovery re-running an
-/// interrupted txfunc records how far the replay's durable effects reach,
-/// so a crash *during* recovery resumes past this watermark instead of
-/// restarting from zero (see `DESIGN.md` item 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VlogCheckpoint {
-    /// Number of leading transactional stores whose pool writes are durable
-    /// (the store watermark): replay skips re-issuing these.
-    pub stores: u64,
-    /// Number of leading clobber-log entries whose *original* values were
-    /// captured before the checkpointed stores clobbered them. Resume must
-    /// only roll back entries past this count and must source pre-store
-    /// values for reads from these entries, not the pool.
-    pub entries: u64,
-    /// Number of preserve blobs consumed by the checkpointed prefix.
-    pub preserves: u64,
-}
 
 /// Handle to one thread's persistent v_log slot.
 ///
@@ -227,14 +194,14 @@ impl VlogSlot {
         (self.base.add(NAME_LEN), FASE_AREA - NAME_LEN)
     }
 
-    /// The line holding the begin number, preserve count and tail, and the
-    /// checkpoint; exposed, like [`record_region`](Self::record_region), for
+    /// The line holding the begin number and the preserve count and tail;
+    /// exposed, like [`record_region`](Self::record_region), for
     /// fault-injection harnesses.
     pub fn preserve_line(&self) -> PAddr {
         PAddr::new((self.base.offset() + META_AREA).next_multiple_of(CACHE_LINE))
     }
 
-    /// Reads the preserve/checkpoint line as its eight words (one read).
+    /// Reads the preserve line as its eight words (one read).
     fn read_meta(&self, pool: &PmemPool) -> Result<[u64; 8], PmemError> {
         let mut raw = [0u8; CACHE_LINE as usize];
         pool.read_into(self.preserve_line(), &mut raw)?;
@@ -313,10 +280,9 @@ impl VlogSlot {
     }
 
     /// Writes the begin record of begin number `begin` — name, arguments,
-    /// their seal, and a preserve/checkpoint line naming `begin` with no
-    /// preserves and no checkpoint — and sets the status word to `begin`,
-    /// with flushes only: the caller's next fence makes the begin durable
-    /// (see the module docs). `begin` must be nonzero and never reused on
+    /// their seal, and a preserve line naming `begin` with no preserves —
+    /// and sets the status word to `begin`, with flushes only: the caller's
+    /// next fence makes the begin durable (see the module docs). `begin` must be nonzero and never reused on
     /// this slot. Returns the number of v_log bytes recorded.
     ///
     /// # Errors
@@ -517,62 +483,19 @@ impl VlogSlot {
         }))
     }
 
-    /// Binds the preserve/checkpoint line to begin `begin`, holding `count`
-    /// preserves up to `tail` and no checkpoint; the caller fences. Recovery
-    /// does this before a fresh re-execution — with the preserves
-    /// [`record`](Self::record) returned — so the checkpoints it writes land
-    /// in a line that names their begin.
-    pub fn bind_preserves(
+    /// Binds the preserve line to begin `begin`, holding `count` preserves
+    /// up to `tail`; the caller fences.
+    fn bind_preserves(
         &self,
         pool: &PmemPool,
         begin: u64,
         count: u64,
         tail: u64,
     ) -> Result<(), PmemError> {
-        let mut words = [0u8; CKPT_OFF as usize + 8];
+        let mut words = [0u8; META_STORE];
         put_words(&mut words, &[begin, count, tail]);
         pool.store_flush(self.preserve_line(), &words)?;
         bump_vlog(pool, 1, 0);
-        Ok(())
-    }
-
-    /// Reads back begin `begin`'s re-execution progress checkpoint, if a
-    /// valid one is present. Returns `None` for a begin that never
-    /// checkpointed, when the line names another begin, or when the payload
-    /// fails its check (corrupted — ignored, because restarting
-    /// re-execution from zero is always sound).
-    pub fn checkpoint(
-        &self,
-        pool: &PmemPool,
-        begin: u64,
-    ) -> Result<Option<VlogCheckpoint>, PmemError> {
-        let [tag, _, _, magic, stores, entries, preserves, check] = self.read_meta(pool)?;
-        if tag != begin || magic != CKPT_MAGIC || check != ckpt_checksum(stores, entries, preserves)
-        {
-            return Ok(None);
-        }
-        Ok(Some(VlogCheckpoint {
-            stores,
-            entries,
-            preserves,
-        }))
-    }
-
-    /// Durably persists a re-execution progress checkpoint in the line of
-    /// the begin being re-executed (one fence — a real pool fence, not a
-    /// group-commit epoch: the whole point is that the watermark survives
-    /// an immediately following crash). Only the recovery re-execution path
-    /// writes these; forward-path transactions never pay this cost.
-    pub fn write_checkpoint(&self, pool: &PmemPool, ck: VlogCheckpoint) -> Result<(), PmemError> {
-        let check = ckpt_checksum(ck.stores, ck.entries, ck.preserves);
-        let mut payload = [0u8; 40];
-        put_words(
-            &mut payload,
-            &[CKPT_MAGIC, ck.stores, ck.entries, ck.preserves, check],
-        );
-        pool.store_flush(self.preserve_line().add(CKPT_OFF), &payload)?;
-        pool.fence();
-        bump_vlog(pool, 1, 1);
         Ok(())
     }
 }
@@ -702,64 +625,6 @@ mod tests {
         assert_eq!(clog.len(&pool).unwrap(), 1);
         let rlog = slot.redo_log(&pool).unwrap();
         assert!(rlog.is_empty(&pool).unwrap());
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_and_survives_crash() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-        assert_eq!(slot.checkpoint(&pool, 2).unwrap(), None);
-        let ck = VlogCheckpoint {
-            stores: 3,
-            entries: 7,
-            preserves: 1,
-        };
-        slot.write_checkpoint(&pool, ck).unwrap();
-        assert_eq!(slot.checkpoint(&pool, 2).unwrap(), Some(ck));
-        // write_checkpoint fences, so an immediate crash keeps it.
-        let p2 = pool.crash(&CrashConfig::drop_all(9)).unwrap();
-        assert_eq!(slot.checkpoint(&p2, 2).unwrap(), Some(ck));
-        assert_eq!(slot.checkpoint(&p2, 3).unwrap(), None);
-    }
-
-    #[test]
-    fn begin_invalidates_a_stale_checkpoint() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-        slot.write_checkpoint(
-            &pool,
-            VlogCheckpoint {
-                stores: 2,
-                entries: 2,
-                preserves: 0,
-            },
-        )
-        .unwrap();
-        slot.clear_ongoing(&pool).unwrap();
-        pool.fence();
-        slot.begin(&pool, 3, "g", &ArgList::new()).unwrap();
-        pool.fence();
-        let p2 = pool.crash(&CrashConfig::drop_all(10)).unwrap();
-        assert_eq!(slot.checkpoint(&p2, 3).unwrap(), None);
-    }
-
-    #[test]
-    fn corrupted_checkpoint_payload_reads_as_absent() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-        slot.write_checkpoint(
-            &pool,
-            VlogCheckpoint {
-                stores: 5,
-                entries: 9,
-                preserves: 2,
-            },
-        )
-        .unwrap();
-        // Flip bits in the payload words; the check word must reject them.
-        let payload = slot.preserve_line().add(CKPT_OFF + 8);
-        pool.inject_bit_corruption(payload, 24, 0xBEEF, 4).unwrap();
-        assert_eq!(slot.checkpoint(&pool, 2).unwrap(), None);
     }
 
     #[test]

@@ -329,15 +329,13 @@ fn full_sweep_exhaustive_nested() {
     ] {
         let s = sweep(backend, 1, Nested::Exhaustive);
         println!(
-            "{}: {} outer, {} nested, {} reexec, {} rolled back, {} redo, {} resumed, {} advances",
+            "{}: {} outer, {} nested, {} reexec, {} rolled back, {} redo",
             backend.label(),
             s.crash_points,
             s.nested_points,
             s.reexecuted,
             s.rolled_back,
-            s.redo_applied,
-            s.resumed,
-            s.watermark_advances
+            s.redo_applied
         );
         assert_covered(&s, backend.label());
         assert_eq!(

@@ -14,8 +14,7 @@ mod common;
 use std::sync::{Arc, Mutex};
 
 use clobber_nvm::{
-    ArgList, Backend, RecoveryOptions, RecoveryReport, Runtime, RuntimeOptions, TxError,
-    VlogCheckpoint, VlogSlot,
+    ArgList, Backend, RecoveryOptions, RecoveryReport, Runtime, RuntimeOptions, TxError, VlogSlot,
 };
 use clobber_pmem::{
     CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolMode, PoolOptions, Ulog,
@@ -647,6 +646,80 @@ fn clobber_abort_after_write_is_rejected() {
     assert!(matches!(err, TxError::AbortedAfterWrite(_)));
 }
 
+/// `reserve` reserves a block before each of its two preserves and records
+/// every address in `seen`. When `fault_once` is set, a replay arms one
+/// transient read fault after its first reservation.
+fn register_reserving(rt: &Runtime, seen: Arc<Mutex<Vec<PAddr>>>, fault_once: Arc<Mutex<bool>>) {
+    rt.register("reserve", move |tx, args| {
+        let cell = PAddr::new(args.u64(0)?);
+        let a = tx.pmalloc(64)?;
+        seen.lock().unwrap().push(a);
+        if tx.is_recovery() && std::mem::take(&mut *fault_once.lock().unwrap()) {
+            tx.pool().arm_faults(FaultPlan::transient_reads(1));
+        }
+        tx.vlog_preserve(b"one")?;
+        let b = tx.pmalloc(64)?;
+        seen.lock().unwrap().push(b);
+        tx.vlog_preserve(b"two")?;
+        let v = tx.read_u64(cell)?;
+        tx.write_u64(cell, v + 1)?;
+        tx.write_paddr(a, b)?;
+        Ok(None)
+    });
+}
+
+/// Recovers `image` with `reserve` registered, and checks that no block
+/// the replays reserved is still reserved afterwards: each was published
+/// by a commit or cancelled with its replay. Returns the report.
+fn recover_leaves_no_reservation(image: Vec<u8>, fault_once: bool, at: &str) -> RecoveryReport {
+    let pool = Arc::new(PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap());
+    let rt = Runtime::open(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    register_reserving(&rt, seen.clone(), Arc::new(Mutex::new(fault_once)));
+    let report = rt
+        .recover_with(&RecoveryOptions::default().no_wait())
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
+    pool.disarm_faults();
+    for &a in seen.lock().unwrap().iter() {
+        assert!(
+            matches!(pool.cancel(&[a]), Err(PmemError::InvalidFree { .. })),
+            "{at}: the replay's block {a:?} is still reserved: {report:?}"
+        );
+    }
+    report
+}
+
+/// A replay that does not commit cancels its reservations: one that asks
+/// for a preserve the crash lost (abandoned), and one a transient read
+/// fault ends (retried).
+#[test]
+fn a_failed_replay_cancels_its_reservations() {
+    let build = || {
+        let (pool, rt, cell) = new_runtime(Backend::clobber());
+        register_reserving(&rt, Default::default(), Default::default());
+        (pool, (rt, cell))
+    };
+    let run = |(rt, cell): &(Runtime, PAddr)| {
+        let _ = rt.run("reserve", &ArgList::new().with_u64(cell.offset()));
+    };
+    let events = count_events(&build, &run);
+    let mut abandoned = 0;
+    for k in 0..events {
+        let image = crash_image(&build, &run, k);
+        let report = recover_leaves_no_reservation(image, false, &format!("crash_at({k})"));
+        abandoned += report.abandoned;
+    }
+    assert!(abandoned > 0, "no crash lost the second preserve");
+
+    let image = crash_image(&build, &run, events - 1);
+    let report = recover_leaves_no_reservation(image, true, "transient read");
+    assert_eq!(
+        (report.transient_retries, report.reexecuted.len()),
+        (1, 1),
+        "{report:?}"
+    );
+}
+
 #[test]
 fn preserve_after_write_is_rejected() {
     let (pool, rt, _head) = new_runtime(Backend::clobber());
@@ -960,42 +1033,29 @@ fn a_preserve_length_past_the_tail_is_typed_corruption() {
     ));
 }
 
-/// Begin 2 (preserving a blob and checkpointed) committed, then begin 3
-/// written and not yet ordered; the crash drops its preserve line.
-fn stale_preserve_line() -> (PmemPool, VlogSlot, VlogCheckpoint) {
+/// Begin 2 (preserving a blob) committed, then begin 3 written and not yet
+/// ordered; the crash drops its preserve line.
+fn stale_preserve_line() -> (PmemPool, VlogSlot) {
     let (pool, slot) = fresh_slot();
-    let ck = VlogCheckpoint {
-        stores: 4,
-        entries: 2,
-        preserves: 1,
-    };
     slot.begin(&pool, 2, "first", &ArgList::new()).unwrap();
     slot.preserve(&pool, b"stale-blob").unwrap();
-    slot.write_checkpoint(&pool, ck).unwrap();
     slot.clear_ongoing(&pool).unwrap();
     pool.fence();
     slot.begin(&pool, 3, "second", &ArgList::new()).unwrap();
     let image = crash_dropping(&pool, &[(slot.preserve_line(), 8)]);
     let pool = PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap();
     assert_eq!(slot.status(&pool).unwrap(), 3);
-    (pool, slot, ck)
+    (pool, slot)
 }
 
 #[test]
 fn a_stale_preserve_count_is_not_the_new_begins() {
-    let (pool, slot, _) = stale_preserve_line();
+    let (pool, slot) = stale_preserve_line();
     let rec = slot
         .record(&pool, 3)
         .unwrap()
         .expect("the record is sealed");
     assert_eq!((rec.name.as_str(), rec.preserves.len()), ("second", 0));
-}
-
-#[test]
-fn a_stale_checkpoint_is_not_the_new_begins() {
-    let (pool, slot, ck) = stale_preserve_line();
-    assert_eq!(slot.checkpoint(&pool, 2).unwrap(), Some(ck));
-    assert_eq!(slot.checkpoint(&pool, 3).unwrap(), None);
 }
 
 /// Slot 0 committed `add(cell, 5)`, then began `add(cell, 7)`

@@ -1,15 +1,17 @@
-//! Persistent re-execution progress: a txfunc interrupted repeatedly —
-//! including crashes *during recovery itself* — resumes past its last
-//! persisted watermark instead of restarting from scratch, so an
-//! adversary that keeps crashing recovery cannot starve it forever.
+//! Recovery restarts from the top: it rolls back every durable entry of the
+//! in-flight begin, truncates the log and re-runs the txfunc as an ordinary
+//! transaction. A crash *inside* recovery is then harmless because, for the
+//! in-flight begin, the clobber log only ever holds the originals — the
+//! replay's clobbering stores wait in its deferred buffer for a sync of its
+//! log — so the next scan rolls back to the same inputs.
 //!
-//! The workload is a `chain` txfunc issuing `CELLS` read-modify-writes,
-//! each a clobber-logged store. A forward run syncs their entries once, at
-//! its commit; a recovery replay orders each deferred store at once, so
-//! every one is a persisted watermark opportunity. The initial crash
-//! interrupts the chain's commit; each recovery cycle is then crashed at a
-//! chosen persist event with the adversarial `drop_all` policy, and the
-//! checkpoint watermark in the v_log slot is read back between cycles.
+//! The workloads: `chain` read-modify-writes `CELLS` cells, each store a
+//! clobber-logged one, and `shift` clobbers several inputs with one store.
+//! The initial crash interrupts the txfunc's commit after its log sync and
+//! keeps every store, so some cells hold clobbered values on media.
+//! Recovery is then crashed at each of its own persist events, under
+//! `drop_all` and under seeded draws that keep half the dirty and half the
+//! flushed-unfenced lines.
 
 use std::sync::Arc;
 
@@ -18,12 +20,16 @@ use clobber_pmem::{
     CrashConfig, EventKind, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, Tracer,
 };
 
-/// Read-modify-write cells in the chain (== max watermark value).
+/// Read-modify-write cells in the chain.
 const CELLS: u64 = 10;
+/// Seeded draws per nested crash point, besides `drop_all`.
+const DRAWS: u64 = 4;
+
 /// Initial value seeded into cell `i`.
 fn seed_value(i: u64) -> u64 {
     1_000 + 7 * i
 }
+
 /// Expected value of cell `i` after one committed run of `txfunc`.
 fn final_value(txfunc: &str, i: u64) -> u64 {
     match (txfunc, i) {
@@ -78,7 +84,8 @@ fn world() -> (Arc<PmemPool>, Runtime, PAddr) {
 
 /// Crashes a `txfunc` run inside its commit, once its log sync has made
 /// the begin and every pre-image durable and `applied` of its deferred
-/// stores have reached the pool, and returns the adversarial media image.
+/// stores have reached the pool, and returns the media with every store
+/// kept: the applied stores' inputs are clobbered on media.
 fn interrupted_media(txfunc: &str, applied: u64) -> Vec<u8> {
     let run = |rt: &Runtime, base: PAddr| rt.run(txfunc, &ArgList::new().with_u64(base.offset()));
     // A traced dry run finds the commit's first store to a cell (an armed
@@ -100,11 +107,7 @@ fn interrupted_media(txfunc: &str, applied: u64) -> Vec<u8> {
     let (pool, rt, base) = world();
     pool.arm_faults(FaultPlan::crash_at(first_store + applied));
     assert!(run(&rt, base).is_err(), "the crash lands inside the commit");
-    pool.crash_media(&CrashConfig::drop_all(0xCAFE))
-}
-
-fn interrupted_chain_media(applied: u64) -> Vec<u8> {
-    interrupted_media("chain", applied)
+    pool.crash_media(&CrashConfig::keep_all(0xCAFE))
 }
 
 fn reopen(image: Vec<u8>) -> (Arc<PmemPool>, Runtime) {
@@ -118,22 +121,44 @@ fn opts() -> RecoveryOptions {
     RecoveryOptions::default().no_wait()
 }
 
-/// Reads the persisted watermark (checkpointed store count) of slot 0's
-/// in-flight begin.
-fn watermark(image: &[u8]) -> Option<u64> {
-    let (pool, rt) = reopen(image.to_vec());
+/// Checks that every clobber-log entry counting for slot 0's in-flight
+/// begin holds exactly the seed bytes at its address, and returns how
+/// many there are (none when the slot is idle).
+fn assert_log_holds_originals(pool: &PmemPool, rt: &Runtime, at: &str) -> usize {
     let slot = rt.slot_handle(0).unwrap();
-    let begin = slot.status(&pool).unwrap();
-    slot.checkpoint(&pool, begin).unwrap().map(|c| c.stores)
+    let begin = slot.status(pool).unwrap();
+    let clog = slot.clobber_log(pool).unwrap();
+    if begin == 0 || clog.generation(pool).unwrap() < begin {
+        return 0;
+    }
+    let base = rt.app_root().unwrap().offset();
+    let seed: Vec<u8> = (0..CELLS)
+        .flat_map(|i| seed_value(i).to_le_bytes())
+        .collect();
+    let entries = clog.entries(pool).unwrap();
+    for (addr, data) in &entries {
+        let off = addr
+            .offset()
+            .checked_sub(base)
+            .filter(|o| o + data.len() as u64 <= 8 * CELLS)
+            .unwrap_or_else(|| panic!("{at}: an entry at {addr:?} outside the cells"));
+        let off = off as usize;
+        assert_eq!(
+            data[..],
+            seed[off..off + data.len()],
+            "{at}: the entry at cell byte {off} is not an original"
+        );
+    }
+    entries.len()
 }
 
-fn check_final_state(txfunc: &str, pool: &PmemPool, rt: &Runtime) {
+fn check_final_state(txfunc: &str, pool: &PmemPool, rt: &Runtime, at: &str) {
     let base = rt.app_root().unwrap();
     for i in 0..CELLS {
         assert_eq!(
             pool.read_u64(base.add(8 * i)).unwrap(),
             final_value(txfunc, i),
-            "{txfunc}: cell {i} after recovery"
+            "{at}: cell {i} after recovery"
         );
     }
 }
@@ -146,188 +171,72 @@ fn recovery_event_count(image: Vec<u8>) -> u64 {
     pool.disarm_faults()
 }
 
-/// A single crash inside recovery leaves a valid checkpoint behind, and
-/// the next recovery resumes from it rather than restarting: the report
-/// says so, and the re-executed chain commits the right values.
+/// The invariant itself: crashed at any one of its persist events, under
+/// `drop_all` and under seeded draws, recovery leaves a log whose entries
+/// for the in-flight begin are all originals. A clean recovery of that
+/// image then commits the txfunc's values, and a second one finds nothing.
 #[test]
-fn crashed_recovery_leaves_a_resumable_watermark() {
-    let image = interrupted_chain_media(5);
-    let m0 = recovery_event_count(image.clone());
-    assert!(
-        m0 > 10,
-        "recovery should have a rich event stream, got {m0}"
-    );
-
-    // Crash recovery mid-re-execution.
-    let (pool, rt) = reopen(image);
-    pool.arm_faults(FaultPlan::crash_at(m0 / 2));
-    let _ = rt.recover_with(&opts());
-    assert_eq!(pool.fault_tripped(), Some(m0 / 2));
-    let media = pool.crash_media(&CrashConfig::drop_all(0x5EED));
-
-    let w = watermark(&media).expect("mid-re-execution crash persisted a checkpoint");
-    assert!(w > 0 && w <= CELLS, "watermark in range: {w}");
-
-    // The next recovery resumes past the watermark and completes.
-    let (pool2, rt2) = reopen(media);
-    let slot = rt2.slot_handle(0).unwrap();
-    let begin = slot.status(&pool2).unwrap();
-    let report = rt2.recover_with(&opts()).unwrap();
-    assert_eq!(report.reexecuted, vec!["chain".to_string()]);
-    assert_eq!(report.resumed, 1, "{report:?}");
-    assert!(report.watermark_advances >= 1, "{report:?}");
-    check_final_state("chain", &pool2, &rt2);
-
-    // Idempotence, and the next transaction's begin retires the checkpoint.
-    assert!(rt2.recover_with(&opts()).unwrap().is_clean());
-    let base = rt2.app_root().unwrap();
-    rt2.run("chain", &ArgList::new().with_u64(base.offset()))
-        .unwrap();
-    assert_eq!(
-        slot.checkpoint(&pool2, begin).unwrap(),
-        None,
-        "a fresh begin must rebind the checkpoint's line"
-    );
+fn a_crash_at_any_recovery_event_leaves_only_originals_in_the_log() {
+    for (txfunc, applied) in [("chain", 5), ("shift", 1)] {
+        let image = interrupted_media(txfunc, applied);
+        {
+            let (pool, rt) = reopen(image.clone());
+            let n = assert_log_holds_originals(&pool, &rt, txfunc);
+            assert!(n > 0, "{txfunc}: the forward run logs its inputs");
+        }
+        let m0 = recovery_event_count(image.clone());
+        let mut logged = 0;
+        for j in 0..m0 {
+            let (pool, rt) = reopen(image.clone());
+            pool.arm_faults(FaultPlan::crash_at(j));
+            let _ = rt.recover_with(&opts());
+            assert_eq!(pool.fault_tripped(), Some(j), "{txfunc}: event {j}");
+            let draws = (0..DRAWS).map(|d| CrashConfig::new(0.5, 0.5, j * DRAWS + d));
+            for cfg in std::iter::once(CrashConfig::drop_all(j)).chain(draws) {
+                let at = format!("{txfunc} recovery crash_at({j}) {cfg:?}");
+                let (pool2, rt2) = reopen(pool.crash_media(&cfg));
+                logged += assert_log_holds_originals(&pool2, &rt2, &at);
+                let report = rt2
+                    .recover_with(&opts())
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert!(report.abandoned == 0, "{at}: {report:?}");
+                check_final_state(txfunc, &pool2, &rt2, &at);
+                assert!(
+                    rt2.recover_with(&opts()).unwrap().is_clean(),
+                    "{at}: second recovery"
+                );
+            }
+        }
+        assert!(logged > 0, "{txfunc}: no crashed image held a replay's log");
+    }
 }
 
-/// The acceptance sweep: recovery cycle `c` is crashed at persist event
-/// `c` (covering every event index as cycles accumulate). The persisted
-/// watermark never regresses, advances strictly across the sweep, and the
-/// transaction completes within a bounded number of cycles — the chain, and
-/// the shift, whose bulk store clobbers many inputs at once.
+/// The adversary's schedule: recovery cycle `c` is crashed at persist
+/// event `c`. Every cycle restarts from the top and no recovery issues
+/// more events than the first, so cycle `m0` at the latest runs to the end.
 #[test]
-fn every_event_crash_schedule_makes_bounded_progress() {
-    // The shift's replay checkpoints twice, the chain's `CELLS` times.
-    for (txfunc, applied, min_advances) in [("chain", 2, 2), ("shift", 1, 1)] {
+fn every_event_crash_schedule_completes_within_m0_plus_one_cycles() {
+    for (txfunc, applied) in [("chain", 2), ("shift", 1)] {
         let image = interrupted_media(txfunc, applied);
         let m0 = recovery_event_count(image.clone());
-
         let mut media = image;
-        let mut last_w: Option<u64> = None;
-        let mut advances = 0u64;
         let mut cycles = 0u64;
         let (pool, rt) = loop {
             assert!(
-                cycles <= m0 + 2,
-                "{txfunc}: no forward progress after {cycles} cycles (initial event count {m0})"
+                cycles <= m0,
+                "{txfunc}: not done after {cycles} cycles (a clean recovery has {m0} events)"
             );
-            let (pool, rt) = reopen(media.clone());
+            let (pool, rt) = reopen(media);
             pool.arm_faults(FaultPlan::crash_at(cycles));
             let res = rt.recover_with(&opts());
-            match pool.fault_tripped() {
-                Some(j) => {
-                    assert_eq!(j, cycles);
-                    media = pool.crash_media(&CrashConfig::drop_all(0xBAD5EED ^ (cycles << 8)));
-                    let w = watermark(&media);
-                    match (last_w, w) {
-                        (Some(old), Some(new)) => {
-                            assert!(new >= old, "{txfunc}: watermark regressed: {old} -> {new}");
-                            if new > old {
-                                advances += 1;
-                            }
-                        }
-                        (Some(old), None) => panic!("{txfunc}: persisted watermark {old} vanished"),
-                        (None, Some(_)) => advances += 1,
-                        (None, None) => {}
-                    }
-                    last_w = w;
-                    cycles += 1;
-                }
-                None => {
-                    res.unwrap();
-                    break (pool, rt);
-                }
+            if pool.fault_tripped().is_none() {
+                res.unwrap();
+                break (pool, rt);
             }
+            media = pool.crash_media(&CrashConfig::drop_all(0xBAD5EED ^ (cycles << 8)));
+            cycles += 1;
         };
-        assert!(
-            advances >= min_advances,
-            "{txfunc}: the watermark should advance across the sweep (advances={advances}, cycles={cycles})"
-        );
-        check_final_state(txfunc, &pool, &rt);
+        check_final_state(txfunc, &pool, &rt, txfunc);
         assert!(rt.recover_with(&opts()).unwrap().is_clean());
     }
-}
-
-/// An adversary pinned to one early event index cannot make recovery
-/// regress: the watermark stays monotone across stalled cycles and a
-/// clean recovery still completes the chain afterwards.
-#[test]
-fn fixed_event_adversary_never_regresses_the_watermark() {
-    let image = interrupted_chain_media(4);
-    let mut media = image;
-    let mut last_w: Option<u64> = None;
-    for cycle in 0..5u64 {
-        let (pool, rt) = reopen(media.clone());
-        pool.arm_faults(FaultPlan::crash_at(10));
-        let _ = rt.recover_with(&opts());
-        assert_eq!(pool.fault_tripped(), Some(10), "cycle {cycle}");
-        media = pool.crash_media(&CrashConfig::drop_all(0xF1D0 ^ cycle));
-        let w = watermark(&media);
-        if let (Some(old), Some(new)) = (last_w, w) {
-            assert!(
-                new >= old,
-                "cycle {cycle}: watermark regressed {old} -> {new}"
-            );
-        }
-        assert!(
-            !(last_w.is_some() && w.is_none()),
-            "cycle {cycle}: watermark vanished"
-        );
-        last_w = w;
-    }
-    let (pool, rt) = reopen(media);
-    let report = rt.recover_with(&opts()).unwrap();
-    assert_eq!(report.reexecuted, vec!["chain".to_string()]);
-    check_final_state("chain", &pool, &rt);
-}
-
-/// A traced resumed recovery narrates its progress: a `resume` step
-/// carrying the watermark it starts from, and `checkpoint` steps with
-/// strictly increasing watermarks.
-#[test]
-fn resumed_recovery_trace_carries_watermark_steps() {
-    let image = interrupted_chain_media(5);
-    let m0 = recovery_event_count(image.clone());
-    let (pool, rt) = reopen(image);
-    pool.arm_faults(FaultPlan::crash_at(m0 / 2));
-    let _ = rt.recover_with(&opts());
-    let media = pool.crash_media(&CrashConfig::drop_all(0x7ACE));
-    let w = watermark(&media).expect("checkpoint persisted");
-
-    let (pool2, rt2) = reopen(media);
-    let tracer = Arc::new(Tracer::new());
-    pool2.set_tracer(Some(tracer.clone()));
-    rt2.recover_with(&opts()).unwrap();
-    pool2.set_tracer(None);
-    let trace = tracer.take();
-
-    let steps: Vec<(u64, u64)> = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::RecoveryStep)
-        .map(|e| (e.a, e.b))
-        .collect();
-    let resumes: Vec<u64> = steps
-        .iter()
-        .filter(|(a, _)| *a == clobber_trace::recovery_steps::RESUME)
-        .map(|(_, b)| *b)
-        .collect();
-    assert_eq!(resumes, vec![w], "one resume step at the watermark");
-    let checkpoints: Vec<u64> = steps
-        .iter()
-        .filter(|(a, _)| *a == clobber_trace::recovery_steps::CHECKPOINT)
-        .map(|(_, b)| *b)
-        .collect();
-    assert!(
-        !checkpoints.is_empty(),
-        "resumed re-execution persists further checkpoints"
-    );
-    assert!(
-        checkpoints.windows(2).all(|p| p[0] < p[1]),
-        "checkpoint watermarks strictly increase: {checkpoints:?}"
-    );
-    assert!(
-        checkpoints.iter().all(|c| *c >= w),
-        "checkpoints never fall behind the resume watermark {w}: {checkpoints:?}"
-    );
 }

@@ -16,7 +16,10 @@
 //!   older data logs nothing, of one insert into each pds structure, and of
 //!   the deferred-store buffer's cases: a batch reading its own deferred
 //!   stores, a conservative second clobber of one word, and stores that
-//!   overflow the buffer.
+//!   overflow the buffer. The last also goes through the crash battery
+//!   with a nested crash at every recovery event, at 1 and 4 shards (every
+//!   other outer event; all of them under `--ignored`): its replay
+//!   overflows the buffer too.
 //! * A read the deferred buffer serves is interposed and priced; one it
 //!   does not serve costs nothing extra.
 
@@ -26,7 +29,8 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use clobber_nvm::{
-    reopen_media, ArgList, Backend, ExploreSession, Runtime, RuntimeOptions, TxError,
+    reopen_media, ArgList, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions,
+    TxError,
 };
 use clobber_pds::{AvlTree, BpTree, HashMap, RbTree, SkipList};
 use clobber_pmem::addr::lines_for_range;
@@ -412,16 +416,19 @@ fn seeded_draws_cover_the_pds_inserts() {
 }
 
 /// A session over a region seeded with `init` as the app root, slot 0
-/// created and `register` run on every runtime; `check` reads the region.
+/// created and `register` run on every runtime of `shards` shards; `check`
+/// reads the region.
 fn region_session<'a>(
     backend: Backend,
+    shards: u32,
     init: &'a [u8],
     register: &'a dyn Fn(&Runtime),
     check: &'a dyn Fn(&[u8]) -> Result<(), String>,
 ) -> ExploreSession<'a> {
     ExploreSession {
         build: Box::new(move || {
-            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
+            let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
+            let pool = Arc::new(PmemPool::create(opts).unwrap());
             let rt = Runtime::create(pool.clone(), small_logs(backend)).unwrap();
             register(&rt);
             let root = pool.alloc(init.len() as u64).unwrap();
@@ -432,7 +439,7 @@ fn region_session<'a>(
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, 1, small_logs(backend));
+            let (pool, rt) = reopen_media(media, shards, small_logs(backend));
             register(&rt);
             (pool, rt)
         }),
@@ -534,7 +541,7 @@ fn seeded_draws_cover_a_conservative_second_clobber() {
         v => Err(format!("cell holds {v}, not 5, 18 or 57")),
     };
     let init = 5u64.to_le_bytes();
-    let session = region_session(Backend::clobber_conservative(), &init, &register, &check);
+    let session = region_session(Backend::clobber_conservative(), 1, &init, &register, &check);
 
     let (pool, rt) = (session.build)();
     drive_region(&rt, "twice", &[0]);
@@ -546,33 +553,84 @@ fn seeded_draws_cover_a_conservative_second_clobber() {
     draws_at_every_event("twice", &session, &|rt| drive_region(rt, "twice", &[0, 0]));
 }
 
+const BLOCK: usize = 400;
+const FILL_INIT: [u8; 4 * BLOCK] = [0; 4 * BLOCK];
+
 /// `fill` rewrites four 400-byte blocks it read first. The third does not
 /// fit the deferred-store buffer beside the first two, so the log syncs
-/// mid-transaction; the fourth waits for the commit. After any draw every
-/// byte holds one run's value.
-#[test]
-fn seeded_draws_cover_deferred_stores_that_overflow_the_buffer() {
-    const BLOCK: usize = 400;
-    let register = |rt: &Runtime| {
-        rt.register("fill", |tx, args| {
-            let root = PAddr::new(args.u64(0)?);
-            let v = args.u64(1)? as u8;
-            let mut block = [0u8; BLOCK];
-            for b in 0..4 {
-                let at = root.add((b * BLOCK) as u64);
-                tx.read_into(at, &mut block)?;
-                tx.write_bytes(at, &[v ^ block[0]; BLOCK])?;
-            }
-            Ok(None)
-        });
-    };
-    let check = |region: &[u8]| match region.iter().all(|&b| b == region[0]) {
+/// mid-transaction; the fourth waits for the commit.
+fn register_fill(rt: &Runtime) {
+    rt.register("fill", |tx, args| {
+        let root = PAddr::new(args.u64(0)?);
+        let v = args.u64(1)? as u8;
+        let mut block = [0u8; BLOCK];
+        for b in 0..4 {
+            let at = root.add((b * BLOCK) as u64);
+            tx.read_into(at, &mut block)?;
+            tx.write_bytes(at, &[v ^ block[0]; BLOCK])?;
+        }
+        Ok(None)
+    });
+}
+
+/// Every byte holds one run's value.
+fn check_fill(region: &[u8]) -> Result<(), String> {
+    match region.iter().all(|&b| b == region[0]) {
         true => Ok(()),
         false => Err("the blocks disagree".to_string()),
-    };
-    let init = [0u8; 4 * BLOCK];
-    let session = region_session(Backend::clobber(), &init, &register, &check);
+    }
+}
+
+/// `fill`, crashed at every event with seeded draws.
+#[test]
+fn seeded_draws_cover_deferred_stores_that_overflow_the_buffer() {
+    let session = region_session(
+        Backend::clobber(),
+        1,
+        &FILL_INIT,
+        &register_fill,
+        &check_fill,
+    );
     draws_at_every_event("fill", &session, &|rt| drive_region(rt, "fill", &[1, 2]));
+}
+
+/// `fill` through the crash battery at every `stride`-th event, with a
+/// nested crash at every recovery event: its replay overflows the buffer
+/// too and syncs mid-replay, so a nested crash lands before, between and
+/// after the replay's two syncs. The summaries agree at 1 and 4 shards.
+fn sweep_overflowing_replay(stride: u64) {
+    let summaries = [1, 4].map(|shards| {
+        let session = region_session(
+            Backend::clobber(),
+            shards,
+            &FILL_INIT,
+            &register_fill,
+            &check_fill,
+        );
+        let battery = CrashBattery {
+            session: &session,
+            drive: &|rt| drive_region(rt, "fill", &[1, 2]),
+            nested: Nested::Exhaustive,
+        };
+        battery
+            .sweep(stride, u64::MAX, |_| {})
+            .unwrap_or_else(|v| panic!("{shards} shards: {v}"))
+    });
+    let s = summaries[0];
+    assert!(s.reexecuted > 0 && s.nested_points > 0, "{s:?}");
+    assert_eq!(s.not_tripped, 0, "{s:?}");
+    assert_eq!(summaries[1], s, "4 shards against 1");
+}
+
+#[test]
+fn nested_crashes_inside_an_overflowing_replay() {
+    sweep_overflowing_replay(2);
+}
+
+#[test]
+#[ignore = "every outer event; run with --ignored"]
+fn nested_crashes_inside_an_overflowing_replay_at_every_event() {
+    sweep_overflowing_replay(1);
 }
 
 /// A read the deferred buffer serves, in whole or in part, counts one

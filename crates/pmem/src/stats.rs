@@ -153,12 +153,6 @@ pub struct PmemStats {
     /// Interrupted transactions completed by recovery re-execution, bumped
     /// by the runtime.
     pub rec_reexecuted: AtomicU64,
-    /// Re-executions that resumed from a persisted progress checkpoint
-    /// instead of restarting, bumped by the runtime.
-    pub rec_resumed: AtomicU64,
-    /// Re-execution progress checkpoints persisted (watermark advances),
-    /// bumped by the runtime.
-    pub rec_watermark_advances: AtomicU64,
     /// Slots whose recovery budget (per-slot deadline or global budget)
     /// expired, bumped by the runtime.
     pub rec_budget_expired: AtomicU64,
@@ -275,8 +269,6 @@ impl PmemStats {
             gc_fences_saved: self.gc_fences_saved.load(Ordering::Relaxed),
             rec_slots_scanned: self.rec_slots_scanned.load(Ordering::Relaxed),
             rec_reexecuted: self.rec_reexecuted.load(Ordering::Relaxed),
-            rec_resumed: self.rec_resumed.load(Ordering::Relaxed),
-            rec_watermark_advances: self.rec_watermark_advances.load(Ordering::Relaxed),
             rec_budget_expired: self.rec_budget_expired.load(Ordering::Relaxed),
             exp_schedules: self.exp_schedules.load(Ordering::Relaxed),
             exp_pruned: self.exp_pruned.load(Ordering::Relaxed),
@@ -391,10 +383,6 @@ pub struct StatsSnapshot {
     pub rec_slots_scanned: u64,
     /// Interrupted transactions completed by recovery re-execution.
     pub rec_reexecuted: u64,
-    /// Re-executions resumed from a persisted progress checkpoint.
-    pub rec_resumed: u64,
-    /// Re-execution progress checkpoints persisted (watermark advances).
-    pub rec_watermark_advances: u64,
     /// Slots whose recovery budget expired.
     pub rec_budget_expired: u64,
     /// Candidate schedules the explorer executed.
@@ -468,8 +456,6 @@ impl StatsSnapshot {
             gc_fences_saved: self.gc_fences_saved - earlier.gc_fences_saved,
             rec_slots_scanned: self.rec_slots_scanned - earlier.rec_slots_scanned,
             rec_reexecuted: self.rec_reexecuted - earlier.rec_reexecuted,
-            rec_resumed: self.rec_resumed - earlier.rec_resumed,
-            rec_watermark_advances: self.rec_watermark_advances - earlier.rec_watermark_advances,
             rec_budget_expired: self.rec_budget_expired - earlier.rec_budget_expired,
             exp_schedules: self.exp_schedules - earlier.exp_schedules,
             exp_pruned: self.exp_pruned - earlier.exp_pruned,

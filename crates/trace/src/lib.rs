@@ -55,14 +55,12 @@ pub mod recovery_steps {
     pub const ROLLBACK: u64 = 3;
     /// A committed redo log was replayed to completion.
     pub const REDO_APPLY: u64 = 4;
-    /// An interrupted transaction was abandoned (missing preserve).
+    /// An interrupted transaction was abandoned: its begin record's seal
+    /// does not match the status word (the begin never reached an ordering
+    /// point), or its replay asked for a preserve the crashed run never
+    /// recorded. Either way no store of it reached media. Codes 6 and 7
+    /// are retired.
     pub const ABANDON: u64 = 5;
-    /// Re-execution resumed from a persisted checkpoint instead of
-    /// restarting (`b` = the checkpoint's store watermark).
-    pub const RESUME: u64 = 6;
-    /// A re-execution progress checkpoint was persisted (`b` = the new
-    /// store watermark).
-    pub const CHECKPOINT: u64 = 7;
     /// Best-effort recovery quarantined a slot (`b` = slot index).
     pub const QUARANTINE: u64 = 8;
 
@@ -75,8 +73,6 @@ pub mod recovery_steps {
             ROLLBACK => "rollback",
             REDO_APPLY => "redo_apply",
             ABANDON => "abandon",
-            RESUME => "resume",
-            CHECKPOINT => "checkpoint",
             QUARANTINE => "quarantine",
             _ => "unknown",
         }
