@@ -209,15 +209,16 @@ fn log_append(c: &mut Criterion) {
     group.finish();
 }
 
-/// The access-set traffic of one batched transaction: 8-byte loads at
+/// The access-table traffic of one batched transaction: 8-byte loads at
 /// scattered heap addresses (chain walks over nodes the allocator handed
-/// out in no particular order), then the `overlaps` → `intersect_into` →
-/// `subtract_into` sequence one store runs against that read set. Insert
-/// cost is reported per `N` inserts at three set sizes — EXPERIMENTS.md
-/// divides by `N` — because what matters is whether the per-access cost
-/// depends on how many ranges the transaction already holds.
+/// out in no particular order), then the refined to-log probe one store
+/// runs against that read set. Load cost is reported per `N` loads at three
+/// table sizes — EXPERIMENTS.md divides by `N` — because what matters is
+/// whether the per-access cost depends on how many ranges the transaction
+/// already holds. (The group and bench names predate the table, so older
+/// rows still map.)
 fn rangeset_scattered(c: &mut Criterion) {
-    use clobber_nvm::rangeset::RangeSet;
+    use clobber_nvm::access::{AccessTable, Kind, ToLog};
     // Seeded splitmix64: 8-byte fields of 32-byte nodes spread over a
     // 16 MiB heap, in a fixed pseudo-random order.
     let addrs = |n: usize| -> Vec<u64> {
@@ -238,41 +239,35 @@ fn rangeset_scattered(c: &mut Criterion) {
     for n in [32usize, 512, 4096] {
         let addrs = addrs(n);
         group.bench_function(format!("insert_8b_scattered_x{n}"), |b| {
-            let mut set = RangeSet::new();
+            let mut table = AccessTable::new();
             b.iter(|| {
-                set.clear();
+                table.clear();
                 for &a in &addrs {
-                    set.insert(a, a + 8);
+                    table.load(a, a + 8, true);
                 }
-                criterion::black_box(set.is_empty())
+                criterion::black_box(&table);
             });
         });
     }
     group.bench_function("store_sequence_over_512", |b| {
         let addrs = addrs(512);
-        let (mut inputs, mut logged) = (RangeSet::new(), RangeSet::new());
+        let mut table = AccessTable::new();
         for (i, &a) in addrs.iter().enumerate() {
-            inputs.insert(a, a + 8);
+            table.load(a, a + 8, true);
             if i % 2 == 0 {
-                logged.insert(a, a + 8);
+                table.insert(Kind::Logged, a, a + 8);
             }
         }
-        let mut isect = Vec::new();
         let mut to_log = Vec::new();
         let mut i = 0usize;
         b.iter(|| {
             // Alternate a store that hits a read-set entry with one to a
-            // neighbouring field that hits nothing.
+            // neighbouring field that hits nothing; unmarked, so every
+            // iteration probes the same table.
             i = (i + 1) % (2 * addrs.len());
             let s = addrs[i / 2] + (i as u64 % 2) * 32;
-            isect.clear();
             to_log.clear();
-            if inputs.overlaps(s, s + 8) {
-                inputs.intersect_into(s, s + 8, &mut isect);
-                for &(a, b) in &isect {
-                    logged.subtract_into(a, b, &mut to_log);
-                }
-            }
+            table.store(s, s + 8, ToLog::ReadUnlogged, false, &mut to_log);
             criterion::black_box(to_log.len())
         });
     });

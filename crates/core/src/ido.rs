@@ -15,7 +15,7 @@
 //! the boundary costs. This yields per-transaction iDO log bytes and log
 //! points to compare against Clobber-NVM's (Fig. 8).
 
-use crate::rangeset::RangeSet;
+use crate::access::{AccessTable, Kind, ToLog};
 
 /// Bytes of register state iDO snapshots at each boundary: 15 general
 /// purpose registers plus the program counter, 8 bytes each.
@@ -38,10 +38,10 @@ pub const REGISTER_SNAPSHOT_BYTES: u64 = 16 * 8;
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdoObserver {
-    region_inputs: RangeSet,
-    region_written: RangeSet,
-    /// Reused output buffer of `on_read`'s set subtraction.
-    unwritten: Vec<(u64, u64)>,
+    /// The current region's inputs (read) and stores (written).
+    region: AccessTable,
+    /// Reused output buffer of `on_write`'s probe for clobbered inputs.
+    clobbered: Vec<(u64, u64)>,
     /// Live stack bytes persisted at each boundary (the transaction's
     /// arguments approximate the live locals).
     stack_live_bytes: u64,
@@ -81,9 +81,8 @@ impl IdoObserver {
     /// bytes, since iDO keeps the stack in NVM).
     pub fn new(stack_live_bytes: u64) -> IdoObserver {
         IdoObserver {
-            region_inputs: RangeSet::new(),
-            region_written: RangeSet::new(),
-            unwritten: Vec::new(),
+            region: AccessTable::new(),
+            clobbered: Vec::new(),
             stack_live_bytes,
             boundaries: 0,
             flushed_store_bytes: 0,
@@ -94,10 +93,7 @@ impl IdoObserver {
     /// Records a transaction load of `[start, end)`.
     pub fn on_read(&mut self, start: u64, end: u64) {
         // A location first written within the region is not a region input.
-        self.unwritten.clear();
-        self.region_written
-            .subtract_into(start, end, &mut self.unwritten);
-        self.region_inputs.extend(self.unwritten.iter().copied());
+        self.region.load(start, end, true);
     }
 
     /// Records a transaction store of `[start, end)`. A store that
@@ -108,14 +104,16 @@ impl IdoObserver {
     /// long before memory does, and the paper observes that "almost all
     /// idempotent regions contain fewer than 4 writes" (§6).
     pub fn on_write(&mut self, start: u64, end: u64) {
-        if self.region_inputs.overlaps(start, end) || self.region_stores >= 4 {
+        self.clobbered.clear();
+        self.region
+            .store(start, end, ToLog::Read, false, &mut self.clobbered);
+        if !self.clobbered.is_empty() || self.region_stores >= 4 {
             self.boundaries += 1;
-            self.flushed_store_bytes += self.region_written.covered_bytes();
-            self.region_inputs.clear();
-            self.region_written.clear();
+            self.flushed_store_bytes += self.region.covered_bytes(Kind::Written);
+            self.region.clear();
             self.region_stores = 0;
         }
-        self.region_written.insert(start, end);
+        self.region.insert(Kind::Written, start, end);
         self.region_stores += 1;
     }
 

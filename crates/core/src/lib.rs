@@ -61,6 +61,7 @@
 
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod args;
 pub mod backend;
 pub mod battery;
@@ -69,7 +70,6 @@ pub mod explore;
 pub mod group_commit;
 pub mod ido;
 pub mod lock;
-pub mod rangeset;
 pub mod recovery;
 pub mod replay;
 pub mod runtime;

@@ -2,8 +2,8 @@
 //!
 //! A [`Tx`] is handed to a registered txfunc and interposes on every
 //! persistent memory access — the role the paper's compiler-inserted
-//! callbacks play (§4.2, §4.4). It tracks the transaction's read set, write
-//! set and already-logged set as byte ranges, and applies the active
+//! callbacks play (§4.2, §4.4). It records the transaction's read, written
+//! and logged bytes in one line-keyed [`AccessTable`], and applies the active
 //! [`Backend`]'s logging discipline on each store:
 //!
 //! * **Clobber** (refined): a store's old value is logged only for the byte
@@ -17,29 +17,30 @@
 //!   that the paper's refinement pass removes (§4.4, Fig. 5).
 //! * **Undo**: the old value is logged for every byte not yet written this
 //!   transaction (PMDK's `TX_ADD` discipline — fresh allocations included).
-//! * **Redo**: stores are buffered volatilely; reads interpose on the write
-//!   set; nothing is persisted until commit.
+//! * **Redo**: every store waits in the store buffer, reads interpose on
+//!   it, and the commit streams it into the redo log; nothing is persisted
+//!   until commit.
 //!
 //! # One log sync per transaction
 //!
 //! The paper pays a fence per clobber-log entry (§5.3). Here a clobber
-//! store that logs a pre-image, overlaps a deferred byte, or reaches data
+//! store that logs a pre-image, overlaps a buffered byte, or reaches data
 //! older than the transaction before the begin is ordered is *deferred*:
-//! its entry is appended unfenced and the store waits in an inline buffer
-//! that reads overlay. The next ordering point (the commit, or a full
-//! buffer) syncs the log once, ordering the begin and every entry, then
-//! applies the stores in order. Undo snapshots sync before each such store
-//! and write it straight to the pool (PMDK's `TX_ADD` persists its snapshot
-//! before returning). A recovery replay is an ordinary transaction on the
-//! slot's existing begin and defers like any other.
+//! its entry is appended unfenced and the store waits in the same store
+//! buffer Redo uses, bounded here. The next ordering point (the commit, or
+//! a full buffer) syncs the log once, ordering the begin and every entry,
+//! then applies the stores in order. Undo snapshots sync before each such
+//! store and write it straight to the pool (PMDK's `TX_ADD` persists its
+//! snapshot before returning). A recovery replay is an ordinary transaction
+//! on the slot's existing begin and defers like any other.
 
 use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
 
+use crate::access::{AccessTable, Kind, ToLog};
 use crate::backend::Backend;
 use crate::error::TxError;
 use crate::group_commit::GroupCommit;
 use crate::ido::{IdoObserver, IdoTxStats};
-use crate::rangeset::RangeSet;
 use crate::vlog::VlogSlot;
 
 /// Result type of a registered txfunc: an optional opaque return payload.
@@ -62,6 +63,17 @@ pub enum WritePolicy {
     NoLog,
 }
 
+impl WritePolicy {
+    /// The store's to-log rule: the discipline's own under `Auto`.
+    fn to_log(self, auto: ToLog) -> ToLog {
+        match self {
+            WritePolicy::Auto => auto,
+            WritePolicy::ForceLog => ToLog::All,
+            WritePolicy::NoLog => ToLog::Nothing,
+        }
+    }
+}
+
 pub(crate) struct Replay {
     blobs: Vec<Vec<u8>>,
     next: usize,
@@ -69,12 +81,13 @@ pub(crate) struct Replay {
 
 /// Hulls the inline dirty set holds before it drains early.
 const DIRTY_CAP: usize = 32;
-/// Stores, and their bytes, the deferred buffer holds before an early sync.
+/// Stores, and their bytes, Clobber's store buffer holds before an early
+/// sync. Redo's is unbounded.
 const DEFER_CAP: usize = 64;
 const DEFER_BYTES: usize = 1024;
 
 /// Cache lines folded onto 1024 bits, never missing one added since reset:
-/// the dirty set and the deferred buffer (every read probes) scan on a hit.
+/// the dirty set and the store buffer (every read probes) scan on a hit.
 #[derive(Default, Clone, Copy)]
 struct Lines([u64; 16]);
 
@@ -93,116 +106,98 @@ impl Lines {
     }
 }
 
-/// Copies the part of `src`, stored at pool offset `ws`, that overlaps
-/// `buf`, loaded from offset `s`, into `buf`. Returns whether any did.
-fn overlay_range(buf: &mut [u8], s: u64, ws: u64, src: &[u8]) -> bool {
-    let (e, we) = (s + buf.len() as u64, ws + src.len() as u64);
-    if ws >= e || we <= s {
-        return false;
-    }
-    let (lo, hi) = (s.max(ws), e.min(we));
-    buf[(lo - s) as usize..(hi - s) as usize]
-        .copy_from_slice(&src[(lo - ws) as usize..(hi - ws) as usize]);
-    true
-}
-
-/// Stores waiting for the clobber log's next sync, in store order, as
-/// `ranges[..len]` byte ranges `[start, end)` whose data lies back to back
-/// in `data[..used]`. Inline, like the dirty set.
-struct Deferred {
-    ranges: [(u64, u64); DEFER_CAP],
-    len: usize,
-    data: [u8; DEFER_BYTES],
-    used: usize,
+/// Stores waiting for a log sync — Clobber's deferred stores, Redo's whole
+/// write set — in store order, as byte ranges `[start, end)` whose data lies
+/// back to back in `data`.
+#[derive(Default)]
+struct StoreBuffer {
+    ranges: Vec<(u64, u64)>,
+    data: Vec<u8>,
     lines: Lines,
 }
 
-impl Default for Deferred {
-    fn default() -> Self {
-        Deferred {
-            ranges: [(0, 0); DEFER_CAP],
-            len: 0,
-            data: [0; DEFER_BYTES],
-            used: 0,
-            lines: Lines::default(),
-        }
-    }
-}
-
-impl Deferred {
+impl StoreBuffer {
     fn clear(&mut self) {
-        self.len = 0;
-        self.used = 0;
+        self.ranges.clear();
+        self.data.clear();
         self.lines = Lines::default();
     }
 
+    fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// Whether Clobber's bound leaves room for `len` more bytes.
+    fn has_room(&self, len: usize) -> bool {
+        self.ranges.len() < DEFER_CAP && self.data.len() + len <= DEFER_BYTES
+    }
+
     fn push(&mut self, s: u64, data: &[u8]) {
-        self.ranges[self.len] = (s, s + data.len() as u64);
+        if self.ranges.capacity() == 0 {
+            // Clobber's whole bound at once: a fresh scratch's first
+            // transaction reallocates nothing below it.
+            self.ranges.reserve_exact(DEFER_CAP);
+            self.data.reserve_exact(DEFER_BYTES);
+        }
+        self.ranges.push((s, s + data.len() as u64));
         self.lines.add(s, s + data.len() as u64);
-        self.len += 1;
-        self.data[self.used..self.used + data.len()].copy_from_slice(data);
-        self.used += data.len();
+        self.data.extend_from_slice(data);
     }
 
     fn overlaps(&self, s: u64, e: u64) -> bool {
-        self.lines.may_hold(s, e) && self.ranges[..self.len].iter().any(|&(a, b)| a < e && b > s)
+        self.lines.may_hold(s, e) && self.ranges.iter().any(|&(a, b)| a < e && b > s)
+    }
+
+    /// The buffered stores in store order, each with its bytes.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let mut off = 0;
+        self.ranges.iter().map(move |&(s, e)| {
+            let n = (e - s) as usize;
+            off += n;
+            (s, &self.data[off - n..off])
+        })
     }
 
     /// Overlays the buffered bytes on `buf`, loaded from offset `s`, later
-    /// stores over earlier ones. A read served in whole or in part is
-    /// interposed, priced like Redo's.
-    fn overlay(&self, pool: &PmemPool, s: u64, buf: &mut [u8]) {
-        if self.len == 0 || !self.lines.may_hold(s, s + buf.len() as u64) {
-            return;
+    /// stores over earlier ones. Returns whether any byte came from here.
+    fn overlay(&self, s: u64, buf: &mut [u8]) -> bool {
+        let e = s + buf.len() as u64;
+        if self.is_empty() || !self.lines.may_hold(s, e) {
+            return false;
         }
-        let mut off = 0;
         let mut served = false;
-        for &(ws, we) in &self.ranges[..self.len] {
-            let n = (we - ws) as usize;
-            served |= overlay_range(buf, s, ws, &self.data[off..off + n]);
-            off += n;
+        for (ws, src) in self.iter() {
+            let we = ws + src.len() as u64;
+            if ws < e && we > s {
+                let (lo, hi) = (s.max(ws), e.min(we));
+                buf[(lo - s) as usize..(hi - s) as usize]
+                    .copy_from_slice(&src[(lo - ws) as usize..(hi - ws) as usize]);
+                served = true;
+            }
         }
-        if served {
-            pool.stats()
-                .interposed_reads
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        served
     }
 }
 
-/// Reusable per-transaction state: the range sets driving clobber
-/// detection, the scratch buffers the set algebra writes into, the
-/// old-value staging buffer, the (flattened) redo write set, and the
-/// allocation ledgers.
+/// Reusable per-transaction state: the access table driving clobber
+/// detection, the to-log ranges and old-value staging buffer of the current
+/// store, the store buffer, the allocation ledgers and the dirty set.
 ///
 /// The runtime keeps a free-list of these and threads one through each
 /// transaction, so a warmed-up scratch makes the steady-state
 /// read + clobber-detect + log path allocation-free: every container
 /// below is `clear()`ed between transactions, which retains capacity.
 ///
-/// Each access set is maintained only under the logging discipline that
-/// consults it (see [`Tracking`]); the others stay empty.
+/// The access table holds only the kinds the backend's discipline consults
+/// (see [`Tracking`]).
 #[derive(Default)]
 pub(crate) struct TxScratch {
-    /// True inputs: bytes read before first being written.
-    inputs: RangeSet,
-    /// Every byte read, regardless of prior writes (conservative variant).
-    raw_reads: RangeSet,
-    /// Bytes stored by this transaction.
-    written: RangeSet,
-    /// Input bytes whose old value is already in the clobber log.
-    clobber_logged: RangeSet,
-    /// Intermediate `inputs ∩ store` ranges for the current store.
-    isect: Vec<(u64, u64)>,
+    /// Bytes read, written and logged by this transaction.
+    access: AccessTable,
     /// Final to-log ranges for the current store.
     to_log: Vec<(u64, u64)>,
     /// Old-value bytes staged for the current log entry.
     log_buf: Vec<u8>,
-    /// Redo write set: `(pool offset, start, len)` into [`Self::redo_data`].
-    /// Flattened so buffering a store never allocates per entry.
-    redo_writes: Vec<(u64, usize, usize)>,
-    /// Backing bytes for [`Self::redo_writes`], in store order.
-    redo_data: Vec<u8>,
     pub(crate) allocs: Vec<PAddr>,
     /// Blocks this transaction allocated and then freed: still reserved,
     /// ended as free at the commit or abort ordering point.
@@ -215,22 +210,16 @@ pub(crate) struct TxScratch {
     dirty_len: usize,
     dirty_lines: Lines,
     /// Stores waiting for the transaction's next log sync.
-    deferred: Deferred,
+    stores: StoreBuffer,
 }
 
 impl TxScratch {
     /// Empties every container while keeping its allocation.
     pub(crate) fn reset(&mut self) {
-        self.deferred.clear();
-        self.inputs.clear();
-        self.raw_reads.clear();
-        self.written.clear();
-        self.clobber_logged.clear();
-        self.isect.clear();
+        self.stores.clear();
+        self.access.clear();
         self.to_log.clear();
         self.log_buf.clear();
-        self.redo_writes.clear();
-        self.redo_data.clear();
         self.allocs.clear();
         self.dead.clear();
         self.frees.clear();
@@ -239,19 +228,20 @@ impl TxScratch {
     }
 }
 
-/// Which access sets a transaction maintains — decided once from the
-/// backend, because every load and store pays for each set it updates and
-/// each discipline reads only some of them.
+/// Which kinds of the access table a transaction's loads and stores update
+/// — decided once from the backend, because each discipline reads only
+/// some of them.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Tracking {
-    /// No store consults a set: NoLog, Redo (its write set is the redo
+    /// No store consults the table: NoLog, Redo (its write set is the store
     /// buffer itself) and clobber variants without a clobber log.
     Off,
-    /// Refined clobber logging: `inputs`, `written`, `clobber_logged`.
+    /// Refined clobber logging: read (before written), written, logged.
     Inputs,
-    /// Conservative clobber logging: `raw_reads` alone.
+    /// Conservative clobber logging: every read byte; written holds only
+    /// `pmalloc` payloads, for the defer decision.
     RawReads,
-    /// Undo and Atlas: `written` alone.
+    /// Undo and Atlas: written alone.
     Written,
 }
 
@@ -404,50 +394,30 @@ impl<'rt> Tx<'rt> {
         self.wrote
     }
 
-    /// Read-set tracking for a load of `[s, e)`: every transactional read
-    /// passes here before it touches the pool.
+    /// Read-set tracking for a load of `[s, e)` the pool just served.
     fn track_read(&mut self, s: u64, e: u64) {
         if let Some(obs) = &mut self.ido {
             obs.on_read(s, e);
         }
-        let scratch = &mut self.scratch;
         match self.tracking {
-            // Bytes not yet written by this transaction become inputs. The
-            // common cases — the range is entirely unwritten (fresh read)
-            // or entirely written (read-own-write) — skip the subtraction.
-            Tracking::Inputs => {
-                if !scratch.written.overlaps(s, e) {
-                    scratch.inputs.insert(s, e);
-                } else if !scratch.written.contains(s, e) {
-                    scratch.isect.clear();
-                    scratch.written.subtract_into(s, e, &mut scratch.isect);
-                    for i in 0..scratch.isect.len() {
-                        let (a, b) = scratch.isect[i];
-                        scratch.inputs.insert(a, b);
-                    }
-                }
-            }
-            Tracking::RawReads => scratch.raw_reads.insert(s, e),
+            Tracking::Inputs => self.scratch.access.load(s, e, true),
+            Tracking::RawReads => self.scratch.access.load(s, e, false),
             Tracking::Written | Tracking::Off => {}
         }
     }
 
-    /// Overlays the transaction's own view on `buf`, just loaded from the
-    /// pool at offset `s`: the redo write set, then the deferred stores.
+    /// Overlays the transaction's buffered stores on `buf`, just loaded from
+    /// the pool at offset `s`, and prices the read: Redo interposes on every
+    /// read — the "longer read path" the paper attributes Mnemosyne's
+    /// read-side cost to — Clobber only on one the buffer serves.
     fn overlay_own_view(&self, s: u64, buf: &mut [u8]) {
-        if self.backend == Backend::Redo {
-            // Read interposition: overlay the volatile write set, in store
-            // order, so the transaction sees its own writes — the "longer
-            // read path" the paper attributes Mnemosyne's read-side cost to.
-            let stats = self.pool.stats();
-            stats
+        let served = self.scratch.stores.overlay(s, buf);
+        if served || self.backend == Backend::Redo {
+            self.pool
+                .stats()
                 .interposed_reads
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            for &(ws, ds, dl) in &self.scratch.redo_writes {
-                overlay_range(buf, s, ws, &self.scratch.redo_data[ds..ds + dl]);
-            }
         }
-        self.scratch.deferred.overlay(self.pool, s, buf);
     }
 
     /// Reads `buf.len()` bytes at `addr` within the transaction into a
@@ -464,8 +434,8 @@ impl<'rt> Tx<'rt> {
             return Ok(());
         }
         let s = addr.offset();
-        self.track_read(s, s + buf.len() as u64);
         self.pool.read_into(addr, buf)?;
+        self.track_read(s, s + buf.len() as u64);
         self.overlay_own_view(s, buf);
         Ok(())
     }
@@ -493,8 +463,8 @@ impl<'rt> Tx<'rt> {
     /// Propagates pool bounds errors as [`TxError::Pmem`].
     pub fn read_u64(&mut self, addr: PAddr) -> Result<u64, TxError> {
         let s = addr.offset();
-        self.track_read(s, s + 8);
         let mut buf = self.pool.read_u64(addr)?.to_le_bytes();
+        self.track_read(s, s + 8);
         self.overlay_own_view(s, &mut buf);
         Ok(u64::from_le_bytes(buf))
     }
@@ -538,95 +508,61 @@ impl<'rt> Tx<'rt> {
         if data.is_empty() {
             return Ok(());
         }
+        // Before anything is buffered or begun: a store outside the pool
+        // fails here, not at the commit that would apply it.
+        self.pool.check_range(addr, data.len() as u64)?;
         let (s, e) = (addr.offset(), addr.offset() + data.len() as u64);
         if let Some(obs) = &mut self.ido {
             obs.on_write(s, e);
         }
         self.ensure_begun()?;
         if self.backend == Backend::Redo {
-            let ds = self.scratch.redo_data.len();
-            self.scratch.redo_data.extend_from_slice(data);
-            self.scratch.redo_writes.push((s, ds, data.len()));
+            self.scratch.stores.push(s, data);
             self.wrote = true;
             return Ok(());
         }
-        // Clobber detection is set algebra over the scratch's access sets,
-        // written into its reusable buffers: nothing here allocates once
-        // the scratch has warmed up. The `overlaps` probes are the inline
-        // fast path for the dominant case of a store that touches no
-        // read-set byte at all.
-        let scratch = &mut self.scratch;
-        scratch.to_log.clear();
-        match (self.tracking, policy) {
-            (Tracking::Inputs, WritePolicy::Auto) => {
-                if scratch.inputs.overlaps(s, e) {
-                    scratch.isect.clear();
-                    scratch.inputs.intersect_into(s, e, &mut scratch.isect);
-                    for &(a, b) in &scratch.isect {
-                        scratch
-                            .clobber_logged
-                            .subtract_into(a, b, &mut scratch.to_log);
-                    }
-                }
-            }
-            (Tracking::RawReads, WritePolicy::Auto) => {
-                if scratch.raw_reads.overlaps(s, e) {
-                    scratch.raw_reads.intersect_into(s, e, &mut scratch.to_log);
-                }
-            }
-            (Tracking::Inputs | Tracking::RawReads, WritePolicy::ForceLog) => {
-                scratch.to_log.push((s, e));
-            }
-            (Tracking::Inputs | Tracking::RawReads, WritePolicy::NoLog) => {}
+        // Clobber detection is one access-table probe per line, into the
+        // scratch's reusable buffer: nothing here allocates once warm.
+        let (to_log, mark) = match self.tracking {
+            Tracking::Inputs => (policy.to_log(ToLog::ReadUnlogged), true),
+            Tracking::RawReads => (policy.to_log(ToLog::Read), false),
             // Undo logging does not depend on clobber analysis.
-            (Tracking::Written, _) => {
-                if !scratch.written.overlaps(s, e) {
-                    scratch.to_log.push((s, e));
-                } else {
-                    scratch.written.subtract_into(s, e, &mut scratch.to_log);
-                }
-            }
-            (Tracking::Off, _) => {}
-        }
+            Tracking::Written => (ToLog::Unwritten, true),
+            Tracking::Off => (ToLog::Nothing, false),
+        };
+        let sc = &mut self.scratch;
+        sc.to_log.clear();
+        let was_written = sc.access.store(s, e, to_log, mark, &mut sc.to_log);
         let stats = self.pool.stats();
         let appended = !self.scratch.to_log.is_empty();
         for i in 0..self.scratch.to_log.len() {
             let (a, b) = self.scratch.to_log[i];
-            self.scratch.log_buf.resize((b - a) as usize, 0);
-            self.pool
-                .read_into(PAddr::new(a), &mut self.scratch.log_buf)?;
-            // A re-clobbered byte's pre-image is its deferred value.
-            let sc = &mut self.scratch;
-            sc.deferred.overlay(self.pool, a, &mut sc.log_buf);
-            self.clog
-                .append(self.pool, PAddr::new(a), &self.scratch.log_buf)?;
+            let mut old = std::mem::take(&mut self.scratch.log_buf);
+            old.resize((b - a) as usize, 0);
+            self.pool.read_into(PAddr::new(a), &mut old)?;
+            // A re-clobbered byte's pre-image is its buffered value.
+            self.overlay_own_view(a, &mut old);
+            self.clog.append(self.pool, PAddr::new(a), &old)?;
+            self.scratch.log_buf = old;
             stats
                 .log_entries
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             stats
                 .log_bytes
                 .fetch_add(b - a, std::sync::atomic::Ordering::Relaxed);
-            if self.tracking == Tracking::Inputs {
-                self.scratch.clobber_logged.insert(a, b);
-            }
         }
         // The undo invariant: a clobbering store may reach media (even
         // unflushed) only once its pre-image is durable, and one to data
-        // older than the transaction — not in `written`, which until then
-        // holds only reservations — only once the begin is. Such a store
-        // waits in the deferred buffer, as does one to a byte waiting there.
+        // older than the transaction — not written, which until then holds
+        // only reservations — only once the begin is. Such a store waits in
+        // the store buffer, as does one to a byte waiting there.
         let defer = appended
-            || self.scratch.deferred.overlaps(s, e)
-            || (self.begin_unordered && !self.scratch.written.contains(s, e));
-        if matches!(self.tracking, Tracking::Inputs | Tracking::Written) {
-            self.scratch.written.insert(s, e);
-        }
+            || self.scratch.stores.overlaps(s, e)
+            || (self.begin_unordered && !was_written);
         self.wrote = true;
         if defer {
-            let d = &self.scratch.deferred;
-            let room = d.len < DEFER_CAP && d.used + data.len() <= DEFER_BYTES;
-            if room && self.tracking != Tracking::Written {
-                self.scratch.deferred.push(s, data);
+            if self.tracking != Tracking::Written && self.scratch.stores.has_room(data.len()) {
+                self.scratch.stores.push(s, data);
                 return Ok(());
             }
             // An undo snapshot and a full buffer are ordering points: the
@@ -638,9 +574,9 @@ impl<'rt> Tx<'rt> {
         Ok(())
     }
 
-    /// The deferred stores' ordering point: one write-back of every store so
+    /// The buffered stores' ordering point: one write-back of every store so
     /// far and one log sync make the begin and every appended pre-image
-    /// durable; then the deferred stores reach the pool in store order.
+    /// durable; then the buffered stores reach the pool in store order.
     fn order_deferred(&mut self) -> Result<(), TxError> {
         self.drain_dirty()?;
         let (pool, gc) = (self.pool, self.gc);
@@ -648,15 +584,13 @@ impl<'rt> Tx<'rt> {
         // nothing was logged: that orders a begin before a blind store.
         self.clog.sync_with(pool, |p| gc.fence(p))?;
         self.begin_unordered = false;
-        let mut off = 0;
-        for i in 0..self.scratch.deferred.len {
-            let (s, e) = self.scratch.deferred.ranges[i];
-            let n = (e - s) as usize;
-            pool.write_bytes(PAddr::new(s), &self.scratch.deferred.data[off..off + n])?;
-            self.mark_dirty(s, e)?;
-            off += n;
+        let mut stores = std::mem::take(&mut self.scratch.stores);
+        for (s, data) in stores.iter() {
+            pool.write_bytes(PAddr::new(s), data)?;
+            self.mark_dirty(s, s + data.len() as u64)?;
         }
-        self.scratch.deferred.clear();
+        stores.clear();
+        self.scratch.stores = stores;
         Ok(())
     }
 
@@ -754,9 +688,8 @@ impl<'rt> Tx<'rt> {
         // objects too (paper Fig. 2b), so their first stores are
         // snapshot-logged like any other.
         if self.vlog_enabled || self.tracking == Tracking::Inputs {
-            self.scratch
-                .written
-                .insert(addr.offset(), addr.offset() + size);
+            let (s, e) = (addr.offset(), addr.offset() + size);
+            self.scratch.access.insert(Kind::Written, s, e);
         }
         Ok(addr)
     }
@@ -853,7 +786,7 @@ impl<'rt> Tx<'rt> {
             }
             Backend::Clobber(cfg) => {
                 if effects {
-                    if self.scratch.deferred.len > 0 {
+                    if !self.scratch.stores.is_empty() {
                         self.order_deferred()?;
                     }
                     self.settle_reservations()?;
@@ -885,38 +818,31 @@ impl<'rt> Tx<'rt> {
                     gc.fence(pool);
                 }
             }
-            Backend::Redo if self.scratch.redo_writes.is_empty() && !reserved => {}
+            Backend::Redo if self.scratch.stores.is_empty() && !reserved => {}
             Backend::Redo => {
                 // Mnemosyne's raw-word log is word-granular: every 64-bit
                 // store becomes one log record (torn-bit encoded), so a
                 // buffered range is split into 8-byte entries. This is what
                 // makes redo logging byte-hungry on large values while
                 // staying fence-cheap (one ordering point for the batch).
-                let items: Vec<(PAddr, &[u8])> = self
-                    .scratch
-                    .redo_writes
-                    .iter()
-                    .flat_map(|&(a, ds, dl)| {
-                        self.scratch.redo_data[ds..ds + dl]
-                            .chunks(8)
-                            .enumerate()
-                            .map(move |(i, c)| (PAddr::new(a + i as u64 * 8), c))
-                    })
-                    .collect();
+                let stores = &self.scratch.stores;
+                let entries = stores.ranges.iter().map(|&(s, e)| (e - s).div_ceil(8));
                 let stats = pool.stats();
                 stats
                     .log_entries
-                    .fetch_add(items.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                    .fetch_add(entries.sum(), std::sync::atomic::Ordering::Relaxed);
                 stats.log_bytes.fetch_add(
-                    items.iter().map(|(_, d)| d.len() as u64).sum::<u64>(),
+                    stores.data.len() as u64,
                     std::sync::atomic::Ordering::Relaxed,
                 );
-                // Stream the batch through a line-buffered writer and route
+                // Stream the buffer through a line-buffered writer and route
                 // its single ordering point — which also orders the settled
                 // headers before the commit marker — through group commit.
                 let mut rw = LogWriter::attach(pool, self.rlog)?;
-                for (addr, data) in &items {
-                    rw.append(pool, *addr, data)?;
+                for (a, data) in stores.iter() {
+                    for (i, word) in data.chunks(8).enumerate() {
+                        rw.append(pool, PAddr::new(a + i as u64 * 8), word)?;
+                    }
                 }
                 self.settle_reservations()?;
                 rw.sync_with(pool, |p| gc.fence(p))?;
@@ -983,8 +909,6 @@ impl<'rt> Tx<'rt> {
                 TxError::Aborted(why)
             }
             Backend::Redo => {
-                self.scratch.redo_writes.clear();
-                self.scratch.redo_data.clear();
                 if self.cancel_reservations() {
                     pool.fence();
                 }

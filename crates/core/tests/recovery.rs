@@ -646,6 +646,70 @@ fn clobber_abort_after_write_is_rejected() {
     assert!(matches!(err, TxError::AbortedAfterWrite(_)));
 }
 
+/// A load or store outside the pool fails at the call itself, with the
+/// typed bounds error, on every failure-atomic discipline — before anything
+/// is buffered or begun, and before its end offset is computed (one past
+/// `u64::MAX - 3` overflows) — so the transaction aborts cleanly and leaves
+/// nothing to recover. A buffered store that failed only when its commit
+/// applied it left Clobber's slot ongoing and Redo's commit marker durable
+/// over a log entry no replay could apply.
+#[test]
+fn an_access_outside_the_pool_fails_at_the_call_and_recovers_clean() {
+    let backends = [
+        Backend::clobber(),
+        Backend::clobber_conservative(),
+        Backend::Undo,
+        Backend::Redo,
+    ];
+    for backend in backends {
+        for past_end in [false, true] {
+            for store in [true, false] {
+                let (pool, rt, _) = new_runtime(backend);
+                let bad = if past_end {
+                    pool.capacity() + 64
+                } else {
+                    u64::MAX - 3
+                };
+                let case = format!(
+                    "{} {} at {bad:#x}",
+                    backend.label(),
+                    ["load", "store"][usize::from(store)]
+                );
+                let cell = pool.alloc(8).unwrap();
+                pool.write_u64(cell, 5).unwrap();
+                pool.persist(cell, 8).unwrap();
+                let seen: Arc<Mutex<Option<Result<(), TxError>>>> = Arc::default();
+                let seen_in = seen.clone();
+                rt.register("stray", move |tx, args| {
+                    let cell = PAddr::new(args.u64(0)?);
+                    let v = tx.read_u64(cell)?;
+                    let r = if store {
+                        tx.write_u64(PAddr::new(bad), 1)
+                    } else {
+                        tx.read_u64(PAddr::new(bad)).map(drop)
+                    };
+                    *seen_in.lock().unwrap() = Some(r.clone());
+                    r?;
+                    tx.write_u64(cell, v + 1)?;
+                    Ok(None)
+                });
+                let out = rt
+                    .run("stray", &ArgList::new().with_u64(cell.offset()))
+                    .map(drop);
+                let oob = |r: &Result<(), TxError>| {
+                    matches!(r, Err(TxError::Pmem(PmemError::OutOfBounds { .. })))
+                };
+                let at_call = seen.lock().unwrap().clone().unwrap();
+                assert!(oob(&at_call), "{case}: the call returned {at_call:?}");
+                assert!(oob(&out), "{case}: run returned {out:?}");
+                let report = rt.recover().unwrap();
+                assert!(report.is_clean(), "{case}: {report:?}");
+                assert_eq!(pool.read_u64(cell).unwrap(), 5, "{case}");
+            }
+        }
+    }
+}
+
 /// `reserve` reserves a block before each of its two preserves and records
 /// every address in `seen`. When `fault_once` is set, a replay arms one
 /// transient read fault after its first reservation.

@@ -11,6 +11,9 @@
 //! head — whose ~500-line read set is what the access sets must hold
 //! without growing once warmed up (they keep their tables across `clear`).
 //!
+//! The batch then runs under Redo, whose whole warmed `run` is held to the
+//! one allocation of its return payload.
+//!
 //! Last, the allocation budgets of a restart: reopening a 4-arena 8 MiB
 //! image, and the first transaction of a fresh runtime, are each held to a
 //! fixed count.
@@ -22,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use clobber_nvm::{ArgList, Runtime, RuntimeOptions};
+use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, Tx, TxResult};
 use clobber_pmem::{PAddr, PmemPool, PoolMode, PoolOptions};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -54,8 +57,45 @@ static COUNTER: Counting = Counting;
 /// carried a log mirror and its scratch a dirty set (17), plus ten since the
 /// cache's page slab grows by 64 KiB chunks: creating the slot stages its
 /// zeroed logs, about 200 pages, in twelve chunks and two regrowths of the
-/// chunk list where a doubling slab took four reallocations.
-const FIRST_TX: u64 = 27;
+/// chunk list where a doubling slab took four reallocations (27), less one
+/// since one access table and a store buffer (two `Vec`s, sized once)
+/// replaced three range sets and a set-algebra buffer.
+const FIRST_TX: u64 = 26;
+
+/// Allocations of a warmed Redo run of the 16-SET batch, whole `run`
+/// counted. The commit streams its 160 store-buffer words into the redo log
+/// (collecting them into a `Vec` first cost 7 more: 184); what remains is
+/// the txfunc's return payload and `Ulog::apply_forwards` reading the log
+/// back: a buffer per entry, and the growth of its word and entry lists.
+const REDO_BATCH: u64 = 177;
+
+/// A 16-SET batch transaction — the shape of one KV-service drain — that
+/// returns how often its body allocated after its first store.
+fn batch(tx: &mut Tx<'_>, args: &ArgList) -> TxResult {
+    let heap = PAddr::new(args.u64(0)?);
+    // Scattered 8-byte cells of 32-byte nodes, as a chain walk sees them.
+    let cell = |set: u64, hop: u64| {
+        let node = (set * 31 + hop).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 49; // 0..32768
+        heap.add(node * 32 + (hop % 4) * 8)
+    };
+    tx.write_u64(heap, 1)?; // begin record, outside the window
+    let start = ALLOCS.load(Ordering::Relaxed);
+    let value = [0xABu8; 64];
+    for set in 0..16u64 {
+        for hop in 0..30 {
+            tx.read_u64(cell(set, hop))?;
+        }
+        // Update in place: fresh value buffer, clobber pointer and head.
+        let vbuf = tx.pmalloc(64)?;
+        tx.write_bytes(vbuf, &value)?;
+        tx.write_u64(cell(set, 29), vbuf.offset())?;
+        let head = tx.read_u64(cell(set, 0))?;
+        tx.write_u64(cell(set, 0), head + 1)?;
+        tx.pfree(vbuf)?;
+    }
+    let delta = ALLOCS.load(Ordering::Relaxed) - start;
+    Ok(Some(delta.to_le_bytes().to_vec()))
+}
 
 #[test]
 fn steady_state_read_clobber_path_is_allocation_free() {
@@ -100,31 +140,7 @@ fn steady_state_read_clobber_path_is_allocation_free() {
 
     // A warmed-up 16-SET batch: the shape of one KV-service drain.
     let heap = rt.pool().alloc(1 << 20).unwrap();
-    rt.register("batch", |tx, args| {
-        let heap = PAddr::new(args.u64(0)?);
-        // Scattered 8-byte cells of 32-byte nodes, as a chain walk sees them.
-        let cell = |set: u64, hop: u64| {
-            let node = (set * 31 + hop).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 49; // 0..32768
-            heap.add(node * 32 + (hop % 4) * 8)
-        };
-        tx.write_u64(heap, 1)?; // begin record, outside the window
-        let start = ALLOCS.load(Ordering::Relaxed);
-        let value = [0xABu8; 64];
-        for set in 0..16u64 {
-            for hop in 0..30 {
-                tx.read_u64(cell(set, hop))?;
-            }
-            // Update in place: fresh value buffer, clobber pointer and head.
-            let vbuf = tx.pmalloc(64)?;
-            tx.write_bytes(vbuf, &value)?;
-            tx.write_u64(cell(set, 29), vbuf.offset())?;
-            let head = tx.read_u64(cell(set, 0))?;
-            tx.write_u64(cell(set, 0), head + 1)?;
-            tx.pfree(vbuf)?;
-        }
-        let delta = ALLOCS.load(Ordering::Relaxed) - start;
-        Ok(Some(delta.to_le_bytes().to_vec()))
-    });
+    rt.register("batch", batch);
     let args = ArgList::new().with_u64(heap.offset());
     // Two warm-ups: the first bumps the frontier sixteen times and its freed
     // blocks reach the free list only at commit, so the thread's magazine
@@ -136,6 +152,23 @@ fn steady_state_read_clobber_path_is_allocation_free() {
     assert_eq!(
         delta, 0,
         "steady-state 16-SET batch transaction allocated {delta} time(s)"
+    );
+
+    // The same batch under Redo, warmed the same way, counted around `run`.
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap());
+    let rt = Runtime::create(pool, RuntimeOptions::new(Backend::Redo)).unwrap();
+    let heap = rt.pool().alloc(1 << 20).unwrap();
+    rt.register("batch", batch);
+    let args = ArgList::new().with_u64(heap.offset());
+    rt.run("batch", &args).unwrap();
+    rt.run("batch", &args).unwrap();
+    let start = ALLOCS.load(Ordering::Relaxed);
+    rt.run("batch", &args).unwrap();
+    let delta = ALLOCS.load(Ordering::Relaxed) - start;
+    println!("warmed Redo 16-SET batch run: {delta} allocations");
+    assert_eq!(
+        delta, REDO_BATCH,
+        "warmed Redo 16-SET batch run allocated {delta} time(s)"
     );
 
     // A pool instance: the geometry, the arena mirrors, the shard, its

@@ -201,7 +201,7 @@ impl fmt::Display for PmemError {
             } => write!(
                 f,
                 "access [{addr:#x}, {:#x}) out of bounds for pool of {capacity} bytes",
-                addr + len
+                addr.saturating_add(*len)
             ),
             PmemError::OutOfMemory { requested } => {
                 write!(f, "persistent heap exhausted allocating {requested} bytes")
