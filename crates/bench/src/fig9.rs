@@ -8,6 +8,7 @@
 //! counted events by the cost model.
 
 use std::sync::{Arc, Barrier};
+use std::time::Instant;
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, Tx, TxError};
 use clobber_pmem::{
@@ -256,13 +257,15 @@ pub fn run_scaling_cell(pool_mib: u64, slots: usize, seed: u64) -> ScalingRow {
         scaling_chain(tx, args).map(|()| None)
     });
     let before = pool2.stats().snapshot();
+    let t0 = Instant::now();
     let report = rt2.recover().expect("recover");
+    let wall_ns = t0.elapsed().as_nanos() as u64;
     let delta = pool2.stats().snapshot().delta(&before);
     ScalingRow {
         pool_mib,
         slots,
         apply_ns: CostModel::optane().op_cost(&delta),
-        wall_ns: report.wall_time.as_nanos() as u64,
+        wall_ns,
         entries_applied: report.clobber_entries_applied,
         reexecuted: report.reexecuted.len(),
     }

@@ -46,13 +46,6 @@ pub enum TxError {
         /// Index of the missing blob.
         index: usize,
     },
-    /// A slot exhausted its per-slot deadline or the scan's global budget
-    /// under [`RecoveryPolicy::Strict`](crate::RecoveryPolicy::Strict)
-    /// (best-effort recovery quarantines instead).
-    RecoveryBudgetExceeded {
-        /// Index of the slot that ran out of time.
-        slot: usize,
-    },
     /// A lock-manager request could not be granted without waiting: a
     /// `try_acquire` found the lock held (or an earlier queued waiter
     /// wanting it), or a reader→writer upgrade was denied. Returned
@@ -99,9 +92,6 @@ impl fmt::Display for TxError {
             TxError::CorruptVlog(why) => write!(f, "corrupt v_log record: {why}"),
             TxError::MissingPreserve { index } => {
                 write!(f, "recovery requested unrecorded preserve #{index}")
-            }
-            TxError::RecoveryBudgetExceeded { slot } => {
-                write!(f, "recovery of slot {slot} exceeded its time budget")
             }
             TxError::LockConflict { lock } => {
                 write!(f, "lock {lock:#x} is contended; retry the transaction")

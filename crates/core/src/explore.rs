@@ -53,24 +53,24 @@
 //! order), the power failure drops every un-fenced line (no random draw),
 //! and every candidate runs on a fresh pool with slots pre-created in
 //! canonical order — so the same seed schedule + budget yields the
-//! identical explored list, outcome hashes, and `exp_*` counters on every
-//! shard count. A run that exhausts [`ExploreOptions::max_schedules`] (or
-//! stops at [`ExploreOptions::max_failures`]) reports the decision-vector
+//! identical [`ExploreReport`] (explored list, outcome hashes and counts)
+//! on every shard count. A run that exhausts
+//! [`ExploreOptions::max_schedules`] (or stops at
+//! [`ExploreOptions::max_failures`]) reports the decision-vector
 //! [`ExploreReport::frontier`] of its last executed candidate; passing it
 //! back via [`ExploreOptions::resume_after`] seeks the DFS past every
 //! already-explored subtree — replaying sleep-set bookkeeping along the
 //! seek path without re-executing or re-counting — so a split run's
-//! combined counters equal an uninterrupted run's exactly.
+//! summed report counts equal an uninterrupted run's exactly.
 //!
 //! [`FaultPlan::crash_at`]: clobber_pmem::FaultPlan::crash_at
 //! [`tx_footprints`]: clobber_trace::tx_footprints
 //! [`ConflictPolicy`]: clobber_trace::ConflictPolicy
 //! [`ConflictPolicy::no_pruning`]: clobber_trace::ConflictPolicy::no_pruning
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use clobber_pmem::{CacheImpl, PmemPool, PmemStats, PoolMode, Tracer};
+use clobber_pmem::{CacheImpl, PmemPool, PoolMode, Tracer};
 use clobber_trace::{tx_footprints, ConflictPolicy};
 
 use crate::battery::{CrashBattery, Nested, SweepSummary, Violation};
@@ -233,7 +233,8 @@ pub struct ExploreFailure {
     pub minimized: Schedule,
 }
 
-/// What one [`Explorer::run`] did.
+/// What one [`Explorer::run`] did: the explorer's one record of its work
+/// (no pool counter mirrors it).
 #[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
     /// Candidate schedules executed under the invariant battery.
@@ -266,7 +267,6 @@ pub struct Explorer<'a> {
     session: ExploreSession<'a>,
     seed_schedule: Schedule,
     opts: ExploreOptions,
-    stats: Arc<PmemStats>,
     /// Highest slot index any seed op touches.
     max_slot: Option<usize>,
 }
@@ -300,16 +300,8 @@ impl<'a> Explorer<'a> {
             },
             seed_schedule: seed,
             opts,
-            stats: Arc::new(PmemStats::new()),
             max_slot,
         }
-    }
-
-    /// The explorer's own counter bank: `exp_schedules`, `exp_pruned`,
-    /// `exp_crashes_planted`, `exp_failures_minimized` accumulate here
-    /// (snapshot via [`PmemStats::snapshot`]).
-    pub fn stats(&self) -> &Arc<PmemStats> {
-        &self.stats
     }
 
     /// Runs the exploration to completion, budget exhaustion, or the
@@ -411,8 +403,8 @@ impl<'a> Explorer<'a> {
 
     /// Puts one candidate through the [`CrashBattery`]: the checked clean
     /// run, then a crash trip at every `crash_stride`-th persist event.
-    /// Does not touch the explorer's counters (so minimization probes stay
-    /// invisible to the golden-pinned `exp_*` values).
+    /// Does not touch the report (so minimization probes stay invisible to
+    /// its golden-pinned counts).
     fn run_candidate(&self, sched: &Schedule) -> Result<SweepSummary, Box<Violation>> {
         let drive = |rt: &Arc<Runtime>| {
             sched.replay(rt);
@@ -512,7 +504,6 @@ impl Dfs<'_, '_> {
                 // Covered by an earlier branch: skip the whole subtree.
                 if !pre_frontier {
                     self.report.schedules_pruned += 1;
-                    self.ex.stats.exp_pruned.fetch_add(1, Ordering::Relaxed);
                 }
                 continue;
             }
@@ -526,7 +517,6 @@ impl Dfs<'_, '_> {
             if p > self.ex.opts.preemption_bound {
                 if !pre_frontier {
                     self.report.schedules_pruned += 1;
-                    self.ex.stats.exp_pruned.fetch_add(1, Ordering::Relaxed);
                 }
                 continue;
             }
@@ -566,7 +556,7 @@ impl Dfs<'_, '_> {
     /// The budget stop is *eager* — the run halts the moment its
     /// budget-th candidate finishes, before any further node is visited —
     /// so every prune event is counted by exactly one run of a
-    /// stop/resume chain and split-run counter sums equal an
+    /// stop/resume chain and split-run report counts sum to an
     /// uninterrupted run's.
     fn leaf(&mut self, chosen: &[usize], decisions: &[u8], seek: bool) {
         if seek {
@@ -585,7 +575,6 @@ impl Dfs<'_, '_> {
                 .collect(),
         };
         self.report.schedules_run += 1;
-        self.ex.stats.exp_schedules.fetch_add(1, Ordering::Relaxed);
         self.last_executed = Some(decisions.to_vec());
         let outcome = self.ex.run_candidate(&sched);
         let visited = match &outcome {
@@ -593,18 +582,10 @@ impl Dfs<'_, '_> {
             Err(v) => v.visited,
         };
         self.report.crashes_planted += visited.crash_points;
-        self.ex
-            .stats
-            .exp_crashes_planted
-            .fetch_add(visited.crash_points, Ordering::Relaxed);
         self.report.explored.push(sched.clone());
         self.report.outcomes.push(visited.clean_outcome);
         if let Err(v) = outcome {
             let minimized = minimize_schedule(&sched, |cand| self.ex.run_candidate(cand).is_err());
-            self.ex
-                .stats
-                .exp_failures_minimized
-                .fetch_add(1, Ordering::Relaxed);
             self.report.failures.push(ExploreFailure {
                 schedule: sched,
                 crash_at: v.crash_at,

@@ -87,8 +87,7 @@ pub use explore::{
 pub use group_commit::GroupCommit;
 pub use lock::{Grant, GrantTable, LockGuard, LockId, LockManager, LockMode, LockRequest};
 pub use recovery::{
-    NoopClock, RecoveryClock, RecoveryOptions, RecoveryPolicy, RecoveryReport, SlotQuarantine,
-    SlotQuarantineKind, SystemClock,
+    RecoveryOptions, RecoveryPolicy, RecoveryReport, SlotQuarantine, SlotQuarantineKind,
 };
 pub use replay::{
     minimize_schedule, ReplayReport, Schedule, ScheduleError, ScheduleOp, ScheduleParseError,

@@ -20,17 +20,13 @@
 //! uncommitted transactions back; redo replays transactions whose commit
 //! marker is set and discards the rest.
 //!
-//! # Bounded time
+//! # Bounded work
 //!
-//! [`RecoveryOptions::slot_deadline`] and
-//! [`RecoveryOptions::total_budget`] bound how long the scan may spend,
-//! measured on the injectable [`RecoveryClock`]. The checks are
-//! cooperative (slot start and retry boundaries), so they bound retry
-//! storms and let the remaining slots degrade gracefully: an over-budget
-//! slot is quarantined with [`SlotQuarantineKind::BudgetExceeded`] under
-//! [`RecoveryPolicy::BestEffort`], or reported as
-//! [`TxError::RecoveryBudgetExceeded`] under strict policy — recovery
-//! never hangs the pool open.
+//! Recovery is bounded by count, not by a clock: each slot gets at most
+//! [`RecoveryOptions::max_retries`]` + 1` attempts, the backoff between
+//! them doubling from [`RecoveryOptions::retry_backoff`]. A slot that
+//! still fails is quarantined under [`RecoveryPolicy::BestEffort`] or
+//! fails the scan under strict policy.
 //!
 //! # Restart from the top
 //!
@@ -49,10 +45,8 @@
 //! So a rollback after any nested crash — before the replay's first sync,
 //! between two syncs of an overflowing replay, or inside its commit —
 //! restores the same inputs, and the re-run reads what the first one did.
-//! The price is the bound: a slot crashed more often than its replay can
-//! finish never completes. [`RecoveryOptions::slot_deadline`] and
-//! [`RecoveryOptions::total_budget`] remain the time bound (see `DESIGN.md`
-//! item 12).
+//! The price is progress: a slot crashed more often than its replay can
+//! finish never completes (see `DESIGN.md` item 12).
 //!
 //! # Fault tolerance
 //!
@@ -67,12 +61,11 @@
 //!   the rest of the pool hostage.
 //! * **Retry.** Transient substrate faults
 //!   ([`TxError::is_transient`]) retry the slot with bounded exponential
-//!   backoff, slept on the options' [`RecoveryClock`] (tests inject
-//!   [`NoopClock`] so retry paths pay no wall-clock time). Re-running a
-//!   slot's recovery is safe at any point: restoring clobbered inputs is
-//!   most-recent-first (the oldest value wins no matter how often it is
-//!   replayed) and a partial re-execution merely re-logs the same restored
-//!   inputs.
+//!   backoff ([`RecoveryOptions::no_wait`] makes it zero, so retry paths
+//!   in tests pay no wall-clock time). Re-running a slot's recovery is
+//!   safe at any point: restoring clobbered inputs is most-recent-first
+//!   (the oldest value wins no matter how often it is replayed) and a
+//!   partial re-execution merely re-logs the same restored inputs.
 //!
 //! The same idempotence argument covers a *crash during recovery*: if
 //! `recover` dies mid-re-execution (e.g. an injected trip point), reopening
@@ -101,73 +94,15 @@
 //! nothing. A begin whose status word was lost leaves nothing to
 //! recover, and no later begin reuses its number (see `Runtime::run_on`).
 
-use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use clobber_pmem::{PmemError, PmemPool};
+use clobber_pmem::{LogScan, PmemError, PmemPool};
 
 use crate::backend::Backend;
 use crate::error::TxError;
 use crate::runtime::Runtime;
 use crate::tx::Tx;
-
-/// Time source and sleeper for recovery's bounded-retry and budget logic.
-///
-/// Injectable so tests and exhaustive sweeps substitute [`NoopClock`] —
-/// retry backoff then costs no wall-clock time and reports stay
-/// bit-identical across runs. [`SystemClock`] is the production default.
-pub trait RecoveryClock: fmt::Debug + Send + Sync {
-    /// Monotonic elapsed time since an arbitrary per-clock anchor.
-    fn now(&self) -> Duration;
-    /// Blocks the caller for `d` (backoff between retries).
-    fn sleep(&self, d: Duration);
-}
-
-/// Wall-clock [`RecoveryClock`] backed by [`Instant`] and
-/// [`std::thread::sleep`].
-#[derive(Debug)]
-pub struct SystemClock {
-    anchor: Instant,
-}
-
-impl SystemClock {
-    /// A clock anchored at creation time.
-    pub fn new() -> Self {
-        SystemClock {
-            anchor: Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RecoveryClock for SystemClock {
-    fn now(&self) -> Duration {
-        self.anchor.elapsed()
-    }
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-/// A [`RecoveryClock`] that never advances and never sleeps. Deadlines and
-/// budgets only trip when set to zero, and retry backoff is free — the
-/// deterministic choice for tests and sweeps.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopClock;
-
-impl RecoveryClock for NoopClock {
-    fn now(&self) -> Duration {
-        Duration::ZERO
-    }
-    fn sleep(&self, _d: Duration) {}
-}
 
 /// How [`Runtime::recover_with`] responds to a slot that fails validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -189,21 +124,8 @@ pub struct RecoveryOptions {
     /// Retries per slot for transient faults before giving up (Strict:
     /// propagate; BestEffort: quarantine).
     pub max_retries: u32,
-    /// Base backoff between retries, doubled each attempt and slept on
-    /// [`Self::clock`].
+    /// Base backoff between retries, doubled each attempt.
     pub retry_backoff: Duration,
-    /// Per-slot time limit, checked cooperatively before the slot's first
-    /// attempt and at its retry boundaries. `None` (default) never
-    /// expires.
-    pub slot_deadline: Option<Duration>,
-    /// Whole-scan time limit, measured from `recover_with` entry and
-    /// checked before each slot starts and at retry boundaries. Slots
-    /// reached after expiry are quarantined (BestEffort) or fail with
-    /// [`TxError::RecoveryBudgetExceeded`] (Strict) without being
-    /// attempted. `None` (default) never expires.
-    pub total_budget: Option<Duration>,
-    /// Time source for deadlines, budgets, durations, and retry backoff.
-    pub clock: Arc<dyn RecoveryClock>,
 }
 
 impl Default for RecoveryOptions {
@@ -212,9 +134,6 @@ impl Default for RecoveryOptions {
             policy: RecoveryPolicy::Strict,
             max_retries: 3,
             retry_backoff: Duration::from_micros(100),
-            slot_deadline: None,
-            total_budget: None,
-            clock: Arc::new(SystemClock::new()),
         }
     }
 }
@@ -228,29 +147,13 @@ impl RecoveryOptions {
         }
     }
 
-    /// Substitutes the time source (e.g. [`NoopClock`] in tests).
-    pub fn with_clock(mut self, clock: Arc<dyn RecoveryClock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Replaces the clock with [`NoopClock`]: retry backoff costs nothing
-    /// and time-based limits only trip at zero. The deterministic choice
-    /// for tests and exhaustive sweeps.
+    /// Zero backoff: a retry follows its transient fault at once. The
+    /// choice for tests and exhaustive sweeps.
     pub fn no_wait(self) -> Self {
-        self.with_clock(Arc::new(NoopClock))
-    }
-
-    /// Sets the per-slot deadline.
-    pub fn with_slot_deadline(mut self, deadline: Duration) -> Self {
-        self.slot_deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the whole-scan budget.
-    pub fn with_total_budget(mut self, budget: Duration) -> Self {
-        self.total_budget = Some(budget);
-        self
+        RecoveryOptions {
+            retry_backoff: Duration::ZERO,
+            ..self
+        }
     }
 }
 
@@ -261,13 +164,13 @@ impl RecoveryOptions {
 pub enum SlotQuarantineKind {
     /// The slot's v_log begin record failed validation.
     CorruptVlog,
-    /// The slot's clobber/redo log image failed validation.
+    /// The slot's clobber/redo log image failed validation while it was
+    /// restored, rolled back or applied.
     CorruptClobberLog,
     /// A permanent substrate fault (e.g. out-of-bounds descriptor) while
-    /// recovering the slot.
+    /// recovering the slot, or any permanent error of its replayed txfunc
+    /// or that replay's commit (such as a corrupt structure it walked).
     MediaFault,
-    /// The slot exhausted its deadline or the scan's global budget.
-    BudgetExceeded,
     /// A transient fault persisted through every allowed retry.
     RetriesExhausted,
 }
@@ -307,13 +210,6 @@ pub struct RecoveryReport {
     pub quarantined: Vec<SlotQuarantine>,
     /// Slot-recovery attempts repeated after a transient fault.
     pub transient_retries: u64,
-    /// Slots that ran out of deadline or budget.
-    pub budget_expired: usize,
-    /// Wall time of the whole scan on the options' clock ([`NoopClock`]
-    /// reports zero, keeping sweep reports bit-identical).
-    pub wall_time: Duration,
-    /// Per-slot recovery time on the options' clock, indexed by slot.
-    pub slot_durations: Vec<Duration>,
 }
 
 impl RecoveryReport {
@@ -359,11 +255,36 @@ enum SlotResult {
     Failed(TxError),
 }
 
+/// A failed slot attempt, and whether the replayed txfunc or its commit
+/// raised it rather than the log validation and rollback before it.
 #[derive(Debug)]
-struct SlotOutcome {
-    result: SlotResult,
-    retries: u64,
-    duration: Duration,
+struct SlotError {
+    error: TxError,
+    replay: bool,
+}
+
+impl SlotError {
+    fn replay(error: TxError) -> SlotError {
+        SlotError {
+            error,
+            replay: true,
+        }
+    }
+}
+
+impl From<TxError> for SlotError {
+    fn from(error: TxError) -> SlotError {
+        SlotError {
+            error,
+            replay: false,
+        }
+    }
+}
+
+impl From<PmemError> for SlotError {
+    fn from(e: PmemError) -> SlotError {
+        TxError::from(e).into()
+    }
 }
 
 /// `true` for failures that condemn one slot rather than the whole pool:
@@ -379,14 +300,17 @@ fn quarantinable(e: &TxError) -> bool {
     )
 }
 
-/// Categorizes a quarantinable error.
-fn quarantine_kind(e: &TxError) -> SlotQuarantineKind {
-    match e {
-        TxError::CorruptVlog(_) => SlotQuarantineKind::CorruptVlog,
-        TxError::Pmem(PmemError::CorruptPool(_)) => SlotQuarantineKind::CorruptClobberLog,
+/// Categorizes a quarantinable error by the phase that raised it: a
+/// corrupt structure the replay walks into is damaged media, not a corrupt
+/// log — the log validated before the replay began.
+fn quarantine_kind(e: &SlotError) -> SlotQuarantineKind {
+    match e.error {
         TxError::Pmem(PmemError::TransientMediaFault { .. }) => {
             SlotQuarantineKind::RetriesExhausted
         }
+        _ if e.replay => SlotQuarantineKind::MediaFault,
+        TxError::CorruptVlog(_) => SlotQuarantineKind::CorruptVlog,
+        TxError::Pmem(PmemError::CorruptPool(_)) => SlotQuarantineKind::CorruptClobberLog,
         _ => SlotQuarantineKind::MediaFault,
     }
 }
@@ -416,47 +340,29 @@ impl Runtime {
     /// As [`Runtime::recover`], except that under
     /// [`RecoveryPolicy::BestEffort`] validation failures confined to one
     /// slot are quarantined (see [`RecoveryReport::quarantined`]) instead of
-    /// returned, and time-limit expiries surface as
-    /// [`TxError::RecoveryBudgetExceeded`] under strict policy.
-    /// [`TxError::Unregistered`] always propagates — a missing txfunc is a
-    /// configuration error, not media damage.
+    /// returned. [`TxError::Unregistered`] always propagates — a missing
+    /// txfunc is a configuration error, not media damage.
     pub fn recover_with(&self, opts: &RecoveryOptions) -> Result<RecoveryReport, TxError> {
         let pool = self.pool().clone();
-        let clock = &opts.clock;
-        let t0 = clock.now();
         self.drop_mirrors();
-        let slot_count = self.slot_count();
-        let mut report = RecoveryReport {
-            slot_durations: vec![Duration::ZERO; slot_count],
-            ..RecoveryReport::default()
-        };
+        let mut report = RecoveryReport::default();
         // Slots in ascending order; the first failing slot stops the scan,
         // leaving later slots untouched so a follow-up (best-effort) scan
         // can still recover them.
         let mut first_err: Option<TxError> = None;
-        for idx in 0..slot_count {
-            let out = self.run_slot(idx, &pool, opts, t0);
+        for idx in 0..self.slot_count() {
+            let (result, retries) = self.run_slot(idx, &pool, opts);
             report.slots_scanned += 1;
-            report.transient_retries += out.retries;
-            report.slot_durations[idx] = out.duration;
-            match out.result {
+            report.transient_retries += retries;
+            match result {
                 SlotResult::Done(delta) => delta.merge_into(&mut report),
-                SlotResult::Quarantined(q) => {
-                    if q.kind == SlotQuarantineKind::BudgetExceeded {
-                        report.budget_expired += 1;
-                    }
-                    report.quarantined.push(q);
-                }
+                SlotResult::Quarantined(q) => report.quarantined.push(q),
                 SlotResult::Failed(e) => {
-                    if matches!(e, TxError::RecoveryBudgetExceeded { .. }) {
-                        report.budget_expired += 1;
-                    }
                     first_err = Some(e);
                     break;
                 }
             }
         }
-        report.wall_time = clock.now().saturating_sub(t0);
 
         let stats = pool.stats();
         stats
@@ -465,9 +371,6 @@ impl Runtime {
         stats
             .rec_reexecuted
             .fetch_add(report.reexecuted.len() as u64, Ordering::Relaxed);
-        stats
-            .rec_budget_expired
-            .fetch_add(report.budget_expired as u64, Ordering::Relaxed);
 
         match first_err {
             Some(e) => Err(e),
@@ -475,75 +378,33 @@ impl Runtime {
         }
     }
 
-    /// Runs one slot's bounded-retry recovery loop, producing its outcome
-    /// for the caller to merge into the report.
-    fn run_slot(
-        &self,
-        idx: usize,
-        pool: &PmemPool,
-        opts: &RecoveryOptions,
-        t0: Duration,
-    ) -> SlotOutcome {
-        let clock = &opts.clock;
-        let slot_start = clock.now();
+    /// Runs one slot's bounded-retry recovery loop — at most
+    /// `max_retries + 1` attempts — returning how it ended and how many
+    /// times it retried.
+    fn run_slot(&self, idx: usize, pool: &PmemPool, opts: &RecoveryOptions) -> (SlotResult, u64) {
         let mut retries = 0u64;
-        let over_budget = |now: Duration| {
-            opts.total_budget
-                .is_some_and(|b| now.saturating_sub(t0) >= b)
-        };
-        let over_deadline = |now: Duration| {
-            opts.slot_deadline
-                .is_some_and(|d| now.saturating_sub(slot_start) >= d)
-        };
-        let budget_result = |kind_src: &str| {
-            let e = TxError::RecoveryBudgetExceeded { slot: idx };
-            if opts.policy == RecoveryPolicy::BestEffort {
-                SlotResult::Quarantined(SlotQuarantine {
-                    slot: idx,
-                    kind: SlotQuarantineKind::BudgetExceeded,
-                    reason: format!("{e} ({kind_src})"),
-                })
-            } else {
-                SlotResult::Failed(e)
-            }
-        };
-        let mut attempt = 0u32;
-        let result = if over_budget(slot_start) {
-            budget_result("global budget exhausted before the slot started")
-        } else if over_deadline(slot_start) {
-            budget_result("slot deadline expired before the slot started")
-        } else {
-            loop {
-                match self.recover_slot(idx, pool) {
-                    Ok(delta) => break SlotResult::Done(delta),
-                    Err(e) if e.is_transient() && attempt < opts.max_retries => {
-                        let now = clock.now();
-                        if over_deadline(now) {
-                            break budget_result("slot deadline expired");
-                        }
-                        if over_budget(now) {
-                            break budget_result("global budget expired");
-                        }
-                        attempt += 1;
-                        retries += 1;
-                        pool.stats().fault_retries.fetch_add(1, Ordering::Relaxed);
-                        let backoff = opts
-                            .retry_backoff
-                            .saturating_mul(1u32 << (attempt - 1).min(10));
-                        if !backoff.is_zero() {
-                            clock.sleep(backoff);
-                        }
+        let result = loop {
+            match self.recover_slot(idx, pool) {
+                Ok(delta) => break SlotResult::Done(delta),
+                Err(e) if e.error.is_transient() && retries < u64::from(opts.max_retries) => {
+                    retries += 1;
+                    pool.stats().fault_retries.fetch_add(1, Ordering::Relaxed);
+                    let backoff = opts
+                        .retry_backoff
+                        .saturating_mul(1u32 << (retries - 1).min(10));
+                    if !backoff.is_zero() {
+                        std::thread::sleep(backoff);
                     }
-                    Err(e) => {
-                        if opts.policy == RecoveryPolicy::BestEffort && quarantinable(&e) {
-                            break SlotResult::Quarantined(SlotQuarantine {
-                                slot: idx,
-                                kind: quarantine_kind(&e),
-                                reason: e.to_string(),
-                            });
-                        }
-                        break SlotResult::Failed(e);
+                }
+                Err(e) => {
+                    if opts.policy == RecoveryPolicy::BestEffort && quarantinable(&e.error) {
+                        break SlotResult::Quarantined(SlotQuarantine {
+                            slot: idx,
+                            kind: quarantine_kind(&e),
+                            reason: e.error.to_string(),
+                        });
                     }
+                    break SlotResult::Failed(e.error);
                 }
             }
         };
@@ -555,11 +416,7 @@ impl Runtime {
                 idx as u64,
             );
         }
-        SlotOutcome {
-            result,
-            retries,
-            duration: clock.now().saturating_sub(slot_start),
-        }
+        (result, retries)
     }
 
     /// Recovers one slot, returning what it did.
@@ -569,7 +426,7 @@ impl Runtime {
     /// calling this again, which rolls back and re-runs the txfunc from the
     /// top. Counters for the attempt live in the returned [`SlotDelta`], so
     /// a discarded attempt never skews the report.
-    fn recover_slot(&self, idx: usize, pool: &PmemPool) -> Result<SlotDelta, TxError> {
+    fn recover_slot(&self, idx: usize, pool: &PmemPool) -> Result<SlotDelta, SlotError> {
         let mut delta = SlotDelta::default();
         let slot = self.slot(idx)?;
         let step = |code: u64, name: &str, b: u64| {
@@ -594,7 +451,7 @@ impl Runtime {
                 }
                 // No store of the transaction reached media: the slot goes
                 // idle.
-                let abandon = |mut delta: SlotDelta| -> Result<SlotDelta, TxError> {
+                let abandon = |mut delta: SlotDelta| -> Result<SlotDelta, SlotError> {
                     slot.clear_ongoing(pool)?;
                     pool.fence();
                     delta.abandoned += 1;
@@ -610,17 +467,16 @@ impl Runtime {
                 let clog = slot.clobber_log(pool)?;
                 // A log still at an earlier generation missed this begin's
                 // truncation: its entries are a committed transaction's.
-                let mut entries = clog.entries(pool)?;
+                let mut entries = clog.scan(pool)?;
                 if clog.generation(pool)? < begin {
-                    entries.clear();
+                    entries = LogScan::default();
                 }
                 // Restore clobbered inputs, most recent first so the true
                 // input wins, durably before the log that holds them goes.
                 delta.clobber_entries_applied += entries.len() as u64;
-                delta.clobber_bytes_applied +=
-                    entries.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
                 for (addr, data) in entries.iter().rev() {
-                    pool.store_flush(*addr, data)?;
+                    delta.clobber_bytes_applied += data.len() as u64;
+                    pool.store_flush(addr, data)?;
                 }
                 pool.fence();
                 clog.clear_above(pool, begin)?;
@@ -648,7 +504,7 @@ impl Runtime {
                 );
                 match f(&mut tx, &rec.args) {
                     Ok(_) => {
-                        self.finish_commit(tx)?;
+                        self.finish_commit(tx).map_err(SlotError::replay)?;
                         delta.reexecuted.push(rec.name);
                     }
                     Err(e) => {
@@ -657,7 +513,7 @@ impl Runtime {
                         // clear.
                         self.recycle_scratch(tx.discard());
                         if !matches!(e, TxError::MissingPreserve { .. }) {
-                            return Err(e);
+                            return Err(SlotError::replay(e));
                         }
                         // The crashed run never recorded this volatile
                         // input, so it cannot have written anything yet

@@ -12,7 +12,6 @@
 mod common;
 
 use clobber_nvm::{ExploreOptions, ExploreReport, Explorer, Schedule};
-use clobber_pmem::StatsSnapshot;
 use clobber_trace::ConflictPolicy;
 use common::{
     explore_base, explore_buggy_seed, explore_seed, explore_session, transfer_op, ACCOUNTS, INITIAL,
@@ -20,16 +19,10 @@ use common::{
 
 const SHARDS: u32 = 1;
 
-fn explore(
-    shards: u32,
-    buggy: bool,
-    seed: Schedule,
-    opts: ExploreOptions,
-) -> (ExploreReport, StatsSnapshot) {
-    let explorer = Explorer::new(explore_session(shards, buggy), seed, opts);
-    let report = explorer.run().expect("exploration baseline");
-    let snap = explorer.stats().snapshot();
-    (report, snap)
+fn explore(shards: u32, buggy: bool, seed: Schedule, opts: ExploreOptions) -> ExploreReport {
+    Explorer::new(explore_session(shards, buggy), seed, opts)
+        .run()
+        .expect("exploration baseline")
 }
 
 /// Cheap smoke options: a few crash points per candidate is plenty for
@@ -60,13 +53,11 @@ fn sleep_set_pruning_counts_are_golden() {
     // Disjoint slot-1 op: every reordering commutes, so exactly one
     // interleaving runs and the other two merge orders are pruned.
     let seed = explore_seed(explore_base(SHARDS));
-    let (report, snap) = explore(SHARDS, false, seed, smoke_opts());
+    let report = explore(SHARDS, false, seed, smoke_opts());
     assert!(report.complete);
     assert_eq!(report.schedules_run, 1, "one representative per class");
     assert_eq!(report.schedules_pruned, 2, "two commutative twins pruned");
     assert!(report.failures.is_empty(), "{:?}", report.failures);
-    assert_eq!(snap.exp_schedules, 1);
-    assert_eq!(snap.exp_pruned, 2);
 }
 
 #[test]
@@ -75,8 +66,8 @@ fn pruning_is_sound_every_pruned_order_has_the_same_outcome() {
     // media hashes must all equal the single representative's hash that
     // the sound policy kept — the commutativity fact pruning relies on.
     let seed = explore_seed(explore_base(SHARDS));
-    let (sound, _) = explore(SHARDS, false, seed.clone(), smoke_opts());
-    let (full, _) = explore(
+    let sound = explore(SHARDS, false, seed.clone(), smoke_opts());
+    let full = explore(
         SHARDS,
         false,
         seed,
@@ -101,29 +92,23 @@ fn exploration_is_deterministic_across_reruns_and_shard_counts() {
     for shards in [1, 1, 4] {
         runs.push(explore(shards, false, mixed_seed(shards), smoke_opts()));
     }
-    let (base_report, base_snap) = &runs[0];
+    let base_report = &runs[0];
     assert_eq!(base_report.schedules_run, 2, "mixed seed: two real classes");
     assert_eq!(base_report.schedules_pruned, 1);
-    for (report, snap) in &runs[1..] {
+    for report in &runs[1..] {
         assert_eq!(report.schedules_run, base_report.schedules_run);
         assert_eq!(report.schedules_pruned, base_report.schedules_pruned);
         assert_eq!(report.crashes_planted, base_report.crashes_planted);
         assert_eq!(report.explored, base_report.explored);
         assert_eq!(report.outcomes, base_report.outcomes);
-        assert_eq!(snap.exp_schedules, base_snap.exp_schedules);
-        assert_eq!(snap.exp_pruned, base_snap.exp_pruned);
-        assert_eq!(snap.exp_crashes_planted, base_snap.exp_crashes_planted);
-        assert_eq!(
-            snap.exp_failures_minimized,
-            base_snap.exp_failures_minimized
-        );
+        assert_eq!(report.failures.len(), base_report.failures.len());
     }
 }
 
 #[test]
 fn budget_frontier_resume_matches_uninterrupted_run() {
     let opts = smoke_opts().with_policy(ConflictPolicy::no_pruning());
-    let (full, _) = explore(SHARDS, false, mixed_seed(SHARDS), opts.clone());
+    let full = explore(SHARDS, false, mixed_seed(SHARDS), opts.clone());
     assert!(full.complete);
     assert_eq!(full.schedules_run, 3);
 
@@ -137,7 +122,7 @@ fn budget_frontier_resume_matches_uninterrupted_run() {
         if let Some(f) = frontier.take() {
             step_opts = step_opts.resume_after(f);
         }
-        let (step, _) = explore(SHARDS, false, mixed_seed(SHARDS), step_opts);
+        let step = explore(SHARDS, false, mixed_seed(SHARDS), step_opts);
         explored.extend(step.explored);
         outcomes.extend(step.outcomes);
         run += step.schedules_run;
@@ -159,16 +144,16 @@ fn budget_frontier_resume_matches_uninterrupted_run() {
 fn split_resume_with_pruning_counts_each_prune_once() {
     // Same as above but under the sound policy, where prune events
     // interleave with executions: 2 executed, 1 pruned in total.
-    let (full, _) = explore(SHARDS, false, mixed_seed(SHARDS), smoke_opts());
+    let full = explore(SHARDS, false, mixed_seed(SHARDS), smoke_opts());
     assert_eq!((full.schedules_run, full.schedules_pruned), (2, 1));
-    let (step1, _) = explore(
+    let step1 = explore(
         SHARDS,
         false,
         mixed_seed(SHARDS),
         smoke_opts().with_budget(1),
     );
     assert!(!step1.complete);
-    let (step2, _) = explore(
+    let step2 = explore(
         SHARDS,
         false,
         mixed_seed(SHARDS),
@@ -197,7 +182,7 @@ fn preemption_bound_zero_keeps_run_to_completion_orders() {
     // Bound 0 forbids switching away from a lane with runnable ops:
     // only the two run-to-completion merges survive; the third order
     // (preempting slot 0 mid-stream) is rejected by the bound.
-    let (report, _) = explore(
+    let report = explore(
         SHARDS,
         false,
         mixed_seed(SHARDS),
@@ -220,7 +205,7 @@ fn preemption_bound_zero_keeps_run_to_completion_orders() {
 #[test]
 fn injected_conservation_bug_is_found_and_minimized() {
     let seed = explore_buggy_seed(explore_base(SHARDS));
-    let (report, snap) = explore(SHARDS, true, seed, smoke_opts());
+    let report = explore(SHARDS, true, seed, smoke_opts());
     assert_eq!(report.failures.len(), 1, "the reordering bug is found");
     let failure = &report.failures[0];
     assert_eq!(failure.crash_at, None, "the clean run already leaks 60");
@@ -239,7 +224,6 @@ fn injected_conservation_bug_is_found_and_minimized() {
         vec!["reserve", "take_if_reserved"],
         "ddmin keeps exactly the two racing ops, in racing order"
     );
-    assert_eq!(snap.exp_failures_minimized, 1);
     assert!(!report.complete, "stops at the failure cap");
     assert!(report.frontier.is_some());
     // Sanity: the workload's conserved total is what the check pins.

@@ -66,8 +66,10 @@ const FIRST_TX: u64 = 26;
 /// counted. The commit streams its 160 store-buffer words into the redo log
 /// (collecting them into a `Vec` first cost 7 more: 184); what remains is
 /// the txfunc's return payload and `Ulog::apply_forwards` reading the log
-/// back: a buffer per entry, and the growth of its word and entry lists.
-const REDO_BATCH: u64 = 177;
+/// back: the growth of its one stream buffer and its span list (a buffer
+/// per entry cost 160 more: 177, and growing the stream a word at a time 2
+/// more).
+const REDO_BATCH: u64 = 16;
 
 /// A 16-SET batch transaction — the shape of one KV-service drain — that
 /// returns how often its body allocated after its first store.

@@ -7,8 +7,8 @@
 //!   lanes), plants a crash at every strided persist prefix of each, and
 //!   finds zero invariant violations.
 //! * The exploration is deterministic and shard-count-invariant:
-//!   identical `exp_*` counters, explored-schedule lists, and media
-//!   outcome hashes at 1 and 4 shards.
+//!   identical report counts, explored-schedule lists, and media outcome
+//!   hashes at 1 and 4 shards.
 //! * A seeded known-bad schedule (the injected ordering bug behind the
 //!   workload's test-only flag) is found and ddmin-minimized to its two
 //!   culprit ops.
@@ -18,17 +18,11 @@
 use clobber_nvm::{ArgList, ExploreOptions, ExploreReport, Explorer, Schedule, ScheduleOp};
 use clobber_pds::hashmap::TX_INSERT;
 use clobber_pds::workload::{value_of, ExploreWorkload, TX_MARK, TX_RACY_INSERT};
-use clobber_pmem::StatsSnapshot;
 
-fn explore(
-    wl: &ExploreWorkload,
-    seed: Schedule,
-    opts: ExploreOptions,
-) -> (ExploreReport, StatsSnapshot) {
-    let explorer = Explorer::new(wl.session(), seed, opts);
-    let report = explorer.run().expect("exploration baseline");
-    let snap = explorer.stats().snapshot();
-    (report, snap)
+fn explore(wl: &ExploreWorkload, seed: Schedule, opts: ExploreOptions) -> ExploreReport {
+    Explorer::new(wl.session(), seed, opts)
+        .run()
+        .expect("exploration baseline")
 }
 
 fn smoke_opts() -> ExploreOptions {
@@ -40,7 +34,7 @@ fn smoke_opts() -> ExploreOptions {
 #[test]
 fn bounded_exploration_enumerates_every_interleaving_cleanly() {
     let wl = ExploreWorkload::new(1);
-    let (report, snap) = explore(&wl, wl.seed_schedule(), smoke_opts());
+    let report = explore(&wl, wl.seed_schedule(), smoke_opts());
     assert!(report.complete, "budget 64 covers the whole space");
     // (2,1) lanes of all-conflicting inserts: 3 merges, nothing pruned.
     assert_eq!(report.schedules_run, 3);
@@ -59,11 +53,6 @@ fn bounded_exploration_enumerates_every_interleaving_cleanly() {
         report.failures
     );
     assert_eq!(report.frontier, None);
-    // Counters mirror the report.
-    assert_eq!(snap.exp_schedules, report.schedules_run);
-    assert_eq!(snap.exp_pruned, report.schedules_pruned);
-    assert_eq!(snap.exp_crashes_planted, report.crashes_planted);
-    assert_eq!(snap.exp_failures_minimized, 0);
 }
 
 #[test]
@@ -77,8 +66,8 @@ fn exploration_is_identical_across_shard_counts() {
         let wl = ExploreWorkload::new(shards);
         runs.push(explore(&wl, wl.seed_schedule(), opts.clone()));
     }
-    let (base_report, base_snap) = &runs[0];
-    for (report, snap) in &runs[1..] {
+    let base_report = &runs[0];
+    for report in &runs[1..] {
         assert_eq!(report.schedules_run, base_report.schedules_run);
         assert_eq!(report.schedules_pruned, base_report.schedules_pruned);
         assert_eq!(report.crashes_planted, base_report.crashes_planted);
@@ -88,20 +77,14 @@ fn exploration_is_identical_across_shard_counts() {
             "durable media outcome of every candidate is shard-count-invariant"
         );
         assert_eq!(report.complete, base_report.complete);
-        assert_eq!(snap.exp_schedules, base_snap.exp_schedules);
-        assert_eq!(snap.exp_pruned, base_snap.exp_pruned);
-        assert_eq!(snap.exp_crashes_planted, base_snap.exp_crashes_planted);
-        assert_eq!(
-            snap.exp_failures_minimized,
-            base_snap.exp_failures_minimized
-        );
+        assert_eq!(report.failures.len(), base_report.failures.len());
     }
 }
 
 #[test]
 fn injected_ordering_bug_is_found_and_minimized() {
     let wl = ExploreWorkload::with_bug(1);
-    let (report, snap) = explore(&wl, wl.buggy_schedule(), smoke_opts());
+    let report = explore(&wl, wl.buggy_schedule(), smoke_opts());
     assert_eq!(report.failures.len(), 1, "the bug is found");
     let failure = &report.failures[0];
     assert_eq!(
@@ -118,7 +101,6 @@ fn injected_ordering_bug_is_found_and_minimized() {
     assert_eq!(failure.minimized.ops.len(), 2, "{:?}", failure.minimized);
     assert_eq!(failure.minimized.ops[0].name, TX_MARK);
     assert_eq!(failure.minimized.ops[1].name, TX_RACY_INSERT);
-    assert_eq!(snap.exp_failures_minimized, 1);
     // Stopping at the failure cap leaves a resumable frontier.
     assert!(!report.complete);
     assert!(report.frontier.is_some());
@@ -145,7 +127,7 @@ fn exhaustive_two_thread_exploration_full_stride() {
     let opts = ExploreOptions::default()
         .with_budget(1 << 20)
         .with_crash_stride(1);
-    let (report, _) = explore(&wl, seed, opts);
+    let report = explore(&wl, seed, opts);
     assert!(report.complete);
     assert_eq!(report.schedules_run, 6, "C(4,2) merges of the (2,2) lanes");
     assert_eq!(report.schedules_pruned, 0);

@@ -68,7 +68,7 @@ pub use crash::CrashConfig;
 pub use fault::FaultPlan;
 pub use pool::{CacheImpl, PmemError, PmemPool, PoolMode, PoolOptions, DEFAULT_ARENAS};
 pub use stats::{PmemStats, ShardCounters, StatsSnapshot};
-pub use ulog::{LogKind, LogWriter, Ulog};
+pub use ulog::{LogKind, LogScan, LogWriter, Ulog};
 
 // Re-exported so pool users can attach tracers and decode traces without a
 // separate `clobber-trace` dependency.

@@ -153,21 +153,6 @@ pub struct PmemStats {
     /// Interrupted transactions completed by recovery re-execution, bumped
     /// by the runtime.
     pub rec_reexecuted: AtomicU64,
-    /// Slots whose recovery budget (per-slot deadline or global budget)
-    /// expired, bumped by the runtime.
-    pub rec_budget_expired: AtomicU64,
-    /// Candidate schedules the explorer executed (clean run + crash sweep),
-    /// bumped by the runtime's schedule explorer.
-    pub exp_schedules: AtomicU64,
-    /// Interleaving subtrees the explorer pruned (sleep-set commutativity
-    /// skips plus preemption-bound rejections), bumped by the runtime.
-    pub exp_pruned: AtomicU64,
-    /// Crash trip points the explorer planted (one per explored
-    /// schedule-prefix crash), bumped by the runtime.
-    pub exp_crashes_planted: AtomicU64,
-    /// Invariant failures the explorer found and ddmin-minimized, bumped by
-    /// the runtime.
-    pub exp_failures_minimized: AtomicU64,
     /// Lock-set grants by the runtime's lock manager (one per granted
     /// acquire/try_acquire, however many locks the set contains), bumped by
     /// the runtime.
@@ -269,11 +254,6 @@ impl PmemStats {
             gc_fences_saved: self.gc_fences_saved.load(Ordering::Relaxed),
             rec_slots_scanned: self.rec_slots_scanned.load(Ordering::Relaxed),
             rec_reexecuted: self.rec_reexecuted.load(Ordering::Relaxed),
-            rec_budget_expired: self.rec_budget_expired.load(Ordering::Relaxed),
-            exp_schedules: self.exp_schedules.load(Ordering::Relaxed),
-            exp_pruned: self.exp_pruned.load(Ordering::Relaxed),
-            exp_crashes_planted: self.exp_crashes_planted.load(Ordering::Relaxed),
-            exp_failures_minimized: self.exp_failures_minimized.load(Ordering::Relaxed),
             lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
             lock_read_holds: self.lock_read_holds.load(Ordering::Relaxed),
             lock_write_holds: self.lock_write_holds.load(Ordering::Relaxed),
@@ -383,16 +363,6 @@ pub struct StatsSnapshot {
     pub rec_slots_scanned: u64,
     /// Interrupted transactions completed by recovery re-execution.
     pub rec_reexecuted: u64,
-    /// Slots whose recovery budget expired.
-    pub rec_budget_expired: u64,
-    /// Candidate schedules the explorer executed.
-    pub exp_schedules: u64,
-    /// Interleaving subtrees the explorer pruned.
-    pub exp_pruned: u64,
-    /// Crash trip points the explorer planted.
-    pub exp_crashes_planted: u64,
-    /// Invariant failures the explorer found and minimized.
-    pub exp_failures_minimized: u64,
     /// Lock-set grants by the runtime's lock manager.
     pub lock_acquisitions: u64,
     /// Individual shared (read) locks granted.
@@ -456,11 +426,6 @@ impl StatsSnapshot {
             gc_fences_saved: self.gc_fences_saved - earlier.gc_fences_saved,
             rec_slots_scanned: self.rec_slots_scanned - earlier.rec_slots_scanned,
             rec_reexecuted: self.rec_reexecuted - earlier.rec_reexecuted,
-            rec_budget_expired: self.rec_budget_expired - earlier.rec_budget_expired,
-            exp_schedules: self.exp_schedules - earlier.exp_schedules,
-            exp_pruned: self.exp_pruned - earlier.exp_pruned,
-            exp_crashes_planted: self.exp_crashes_planted - earlier.exp_crashes_planted,
-            exp_failures_minimized: self.exp_failures_minimized - earlier.exp_failures_minimized,
             lock_acquisitions: self.lock_acquisitions - earlier.lock_acquisitions,
             lock_read_holds: self.lock_read_holds - earlier.lock_read_holds,
             lock_write_holds: self.lock_write_holds - earlier.lock_write_holds,

@@ -31,6 +31,8 @@
 //! an empty log, because the pre-images behind it would be silently
 //! discarded.
 
+use std::ops::Range;
+
 use crate::addr::PAddr;
 use crate::pool::{get_u64, PmemError, PmemPool};
 
@@ -247,13 +249,27 @@ impl Ulog {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn apply_forwards(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        for (addr, data) in self.entries(pool)? {
-            pool.store_flush(addr, &data)?;
+        for (addr, data) in self.scan(pool)?.iter() {
+            pool.store_flush(addr, data)?;
         }
         Ok(())
     }
 
-    /// Returns all valid entries in append order as `(addr, old_data)`.
+    /// Returns all valid entries in append order as `(addr, old_data)`, one
+    /// buffer each — [`scan`](Self::scan) without the copies is what
+    /// recovery uses.
+    ///
+    /// # Errors
+    ///
+    /// As [`scan`](Self::scan).
+    pub fn entries(&self, pool: &PmemPool) -> Result<Vec<(PAddr, Vec<u8>)>, PmemError> {
+        let scan = self.scan(pool)?;
+        Ok(scan.iter().map(|(a, d)| (a, d.to_vec())).collect())
+    }
+
+    /// Validates the header and scans the line region: keeps the valid
+    /// word stream (stopping at the first marker mismatch) and parses the
+    /// entries out of it as spans.
     ///
     /// Line scanning stops at the first line whose marker does not validate
     /// against the current generation, and a final entry that runs past the
@@ -264,28 +280,25 @@ impl Ulog {
     ///
     /// Returns [`PmemError::CorruptPool`] if the header is not a log header
     /// and [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
-    pub fn entries(&self, pool: &PmemPool) -> Result<Vec<(PAddr, Vec<u8>)>, PmemError> {
-        Ok(self.v2_scan(pool)?.entries)
-    }
-
-    /// Validates the header and scans the line region: collects the valid
-    /// word stream (stopping at the first marker mismatch), parses entries
-    /// out of it, and reports the word position one past the last complete
-    /// entry — which is where a [`LogWriter`] resumes appending.
-    fn v2_scan(&self, pool: &PmemPool) -> Result<V2Scan, PmemError> {
+    pub fn scan(&self, pool: &PmemPool) -> Result<LogScan, PmemError> {
         let gen = self.generation(pool)?;
-        let mut words: Vec<u64> = Vec::new();
+        let mut stream: Vec<u8> = Vec::new();
         for li in 0..self.v2_line_count() {
             let w = self.read_line(pool, li)?;
             if w[7] != v2_marker(gen, &w) {
                 break;
             }
-            words.extend_from_slice(&w[..PAYLOAD_WORDS]);
+            stream.reserve(PAYLOAD_WORDS * 8); // one growth step per line, not per word
+            for word in &w[..PAYLOAD_WORDS] {
+                stream.extend_from_slice(&word.to_le_bytes());
+            }
         }
-        let mut entries = Vec::new();
+        let words = stream.len() / 8;
+        let word = |i: usize| get_u64(&stream, i as u64 * 8);
+        let mut spans = Vec::new();
         let mut i = 0usize;
-        while i < words.len() {
-            let h = words[i];
+        while i < words {
+            let h = word(i);
             if h & 1 == 0 {
                 break; // zero terminator (or malformed header): end of stream
             }
@@ -294,21 +307,17 @@ impl Ulog {
                 break; // garbage header: cannot be a real entry
             }
             let dw = (len.div_ceil(8)) as usize;
-            if i + 2 + dw > words.len() {
+            if i + 2 + dw > words {
                 break; // entry spans into a torn/invalid line: dropped
             }
-            let addr = words[i + 1];
-            let mut bytes = Vec::with_capacity(dw * 8);
-            for k in 0..dw {
-                bytes.extend_from_slice(&words[i + 2 + k].to_le_bytes());
-            }
-            bytes.truncate(len as usize);
-            entries.push((PAddr::new(addr), bytes));
+            let start = (i + 2) * 8;
+            spans.push((PAddr::new(word(i + 1)), start..start + len as usize));
             i += 2 + dw;
         }
-        Ok(V2Scan {
+        Ok(LogScan {
             gen,
-            entries,
+            stream,
+            spans,
             stream_end: i as u64,
         })
     }
@@ -320,8 +329,8 @@ impl Ulog {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn apply_backwards(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        for (addr, data) in self.entries(pool)?.iter().rev() {
-            pool.store_flush(*addr, data)?;
+        for (addr, data) in self.scan(pool)?.iter().rev() {
+            pool.store_flush(addr, data)?;
         }
         Ok(())
     }
@@ -332,7 +341,7 @@ impl Ulog {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the log descriptor is corrupt.
     pub fn len(&self, pool: &PmemPool) -> Result<usize, PmemError> {
-        Ok(self.entries(pool)?.len())
+        Ok(self.scan(pool)?.len())
     }
 
     /// Returns `true` if the log holds no entries: probes the first data
@@ -390,12 +399,38 @@ impl Ulog {
     }
 }
 
-/// Result of a line-region scan.
-struct V2Scan {
+/// The valid entries of a log, as one [`Ulog::scan`] found them: the
+/// payload words of every valid line in one buffer, each entry a span of it.
+#[derive(Debug, Default)]
+pub struct LogScan {
+    /// Generation the lines were validated against.
     gen: u64,
-    entries: Vec<(PAddr, Vec<u8>)>,
+    /// Payload words of the valid lines, little-endian.
+    stream: Vec<u8>,
+    /// Each entry's address and the range of its bytes in `stream`.
+    spans: Vec<(PAddr, Range<usize>)>,
     /// Word-stream position one past the last complete entry.
     stream_end: u64,
+}
+
+impl LogScan {
+    /// Number of valid entries.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// `true` if the log holds no valid entry.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The entries in append order as `(addr, old_data)`; `.rev()` gives
+    /// rollback order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (PAddr, &[u8])> + '_ {
+        self.spans
+            .iter()
+            .map(|(addr, r)| (*addr, &self.stream[r.clone()]))
+    }
 }
 
 /// Line marker: binds the log generation to the popcount of the payload
@@ -519,7 +554,7 @@ impl LogWriter {
 
     fn ensure_attached(&mut self, pool: &PmemPool) -> Result<&mut V2Pos, PmemError> {
         if self.pos.is_none() {
-            let scan = self.log.v2_scan(pool)?;
+            let scan = self.log.scan(pool)?;
             let mut pos = V2Pos::empty(scan.gen);
             pos.line_idx = scan.stream_end / PAYLOAD_WORDS as u64;
             pos.word_idx = (scan.stream_end % PAYLOAD_WORDS as u64) as usize;
