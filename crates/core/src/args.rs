@@ -197,6 +197,13 @@ impl ArgList {
     /// Serializes to the v_log wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the v_log wire format to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         for item in &self.items {
             match item {
                 ArgValue::U64(v) => {
@@ -218,8 +225,7 @@ impl ArgList {
                 }
             }
         }
-        debug_assert_eq!(out.len(), self.encoded_len());
-        out
+        debug_assert_eq!(out.len() - start, self.encoded_len());
     }
 
     /// Decodes the v_log wire format.

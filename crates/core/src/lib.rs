@@ -94,4 +94,4 @@ pub use replay::{
 };
 pub use runtime::{IdoAggregate, Runtime, RuntimeOptions};
 pub use tx::{Tx, TxResult, WritePolicy};
-pub use vlog::VlogSlot;
+pub use vlog::{SlotLogs, VlogSlot, VLOG_CAP};

@@ -20,14 +20,6 @@
 //! uncommitted transactions back; redo replays transactions whose commit
 //! marker is set and discards the rest.
 //!
-//! # Bounded work
-//!
-//! Recovery is bounded by count, not by a clock: each slot gets at most
-//! [`RecoveryOptions::max_retries`]` + 1` attempts, the backoff between
-//! them doubling from [`RecoveryOptions::retry_backoff`]. A slot that
-//! still fails is quarantined under [`RecoveryPolicy::BestEffort`] or
-//! fails the scan under strict policy.
-//!
 //! # Restart from the top
 //!
 //! A crash *during* recovery needs nothing new: the next scan rolls back
@@ -50,8 +42,7 @@
 //!
 //! # Fault tolerance
 //!
-//! Recovery itself runs on possibly-faulty media, so it is hardened two
-//! ways:
+//! Recovery runs on possibly-faulty media, so it is hardened two ways:
 //!
 //! * **Policy.** [`RecoveryPolicy::Strict`] (the default) fails the whole
 //!   scan on the first slot whose v_log or clobber_log fails validation.
@@ -59,18 +50,13 @@
 //!   records it in [`RecoveryReport::quarantined`] with a typed
 //!   [`SlotQuarantineKind`] and moves on, so one decayed slot cannot hold
 //!   the rest of the pool hostage.
-//! * **Retry.** Transient substrate faults
-//!   ([`TxError::is_transient`]) retry the slot with bounded exponential
-//!   backoff ([`RecoveryOptions::no_wait`] makes it zero, so retry paths
-//!   in tests pay no wall-clock time). Re-running a slot's recovery is
-//!   safe at any point: restoring clobbered inputs is most-recent-first
-//!   (the oldest value wins no matter how often it is replayed) and a
-//!   partial re-execution merely re-logs the same restored inputs.
-//!
-//! The same idempotence argument covers a *crash during recovery*: if
-//! `recover` dies mid-re-execution (e.g. an injected trip point), reopening
-//! the pool and calling `recover` again completes the transaction — the
-//! crash-sweep tests exercise every persist event inside recovery too.
+//! * **Retry.** Transient substrate faults ([`TxError::is_transient`])
+//!   retry the slot — bounded by count, not by a clock: at most
+//!   [`RecoveryOptions::max_retries`]` + 1` attempts, the backoff between
+//!   them doubling from [`RecoveryOptions::retry_backoff`]
+//!   ([`RecoveryOptions::no_wait`] makes it zero). A slot that still fails
+//!   is quarantined or fails the scan, per policy. A retry is safe for the
+//!   reason a restart from the top is.
 //!
 //! Commit-window edge cases (all verified by the crash sweeps in
 //! `tests/`): a crash after the clobber commit's publish fence but before
@@ -87,11 +73,10 @@
 //! Begin-window edge cases (`tests/recovery.rs`, `tests/writeback.rs`): a
 //! clobber begin is flushed but not fenced until the transaction's first
 //! ordering point, so a crash before it keeps any subset of its lines. A
-//! record whose seal does not match the status word — torn, or the previous
-//! transaction's — is abandoned: no store reached media. A clobber log whose
+//! v_log whose generation is not the status word, or whose first entry is
+//! torn, is abandoned: no store reached media. A clobber log whose
 //! generation is below the begin number missed the begin's truncation and
-//! counts as empty; a preserve line naming another begin counts as holding
-//! nothing. A begin whose status word was lost leaves nothing to
+//! counts as empty. A begin whose status word was lost leaves nothing to
 //! recover, and no later begin reuses its number (see `Runtime::run_on`).
 
 use std::sync::atomic::Ordering;
@@ -198,7 +183,7 @@ pub struct RecoveryReport {
     /// Committed redo logs replayed to completion.
     pub redo_applied: usize,
     /// Ongoing transactions abandoned because no store of theirs can have
-    /// reached media: the begin record's seal does not match the status
+    /// reached media: the v_log holds no whole begin record under the status
     /// word (the begin never reached an ordering point), or the replay asked
     /// for a preserve the crashed run never recorded.
     pub abandoned: usize,
@@ -459,16 +444,16 @@ impl Runtime {
                     Ok(delta)
                 };
                 let Some(rec) = slot.record(pool, begin)? else {
-                    // The seal does not match: the begin never reached an
-                    // ordering point, so none of the transaction's stores
-                    // did either.
+                    // The begin never reached an ordering point, so none of
+                    // the transaction's stores did either.
                     return abandon(delta);
                 };
-                let clog = slot.clobber_log(pool)?;
+                let logs = slot.logs(pool)?;
+                let clog = logs.clog.log();
                 // A log still at an earlier generation missed this begin's
                 // truncation: its entries are a committed transaction's.
                 let mut entries = clog.scan(pool)?;
-                if clog.generation(pool)? < begin {
+                if entries.generation() < begin {
                     entries = LogScan::default();
                 }
                 // Restore clobbered inputs, most recent first so the true
@@ -488,13 +473,11 @@ impl Runtime {
                 // Re-execute from the top with restored inputs.
                 let f = self.lookup(&rec.name)?;
                 step(clobber_trace::recovery_steps::REEXECUTE, &rec.name, 0);
-                let rlog = slot.redo_log(pool)?;
                 let mut tx = Tx::new(
                     pool,
                     self.backend(),
                     slot,
-                    clobber_pmem::LogWriter::new(clog),
-                    rlog,
+                    logs,
                     self.group_commit(),
                     true,
                     Some(rec.preserves),
@@ -523,7 +506,7 @@ impl Runtime {
                 }
             }
             Backend::Undo | Backend::Atlas => {
-                if !slot.is_ongoing(pool)? {
+                if slot.status(pool)? == 0 {
                     return Ok(delta);
                 }
                 let clog = slot.clobber_log(pool)?;
@@ -545,7 +528,7 @@ impl Runtime {
                     rlog.clear(pool)?;
                     delta.redo_applied += 1;
                     step(clobber_trace::recovery_steps::REDO_APPLY, "", 0);
-                } else if slot.is_ongoing(pool)? {
+                } else if slot.status(pool)? != 0 {
                     slot.clear_ongoing(pool)?;
                     rlog.clear(pool)?;
                     delta.rolled_back += 1;

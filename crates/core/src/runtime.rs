@@ -7,7 +7,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use clobber_pmem::{LogWriter, PAddr, PmemPool, Ulog};
+use clobber_pmem::{PAddr, PmemPool};
 use parking_lot::{Mutex, RwLock};
 
 use crate::args::ArgList;
@@ -17,11 +17,11 @@ use crate::group_commit::GroupCommit;
 use crate::ido::{IdoObserver, IdoTxStats};
 use crate::lock::{LockManager, LockRequest};
 use crate::tx::{CommitOutcome, Tx, TxResult, TxScratch};
-use crate::vlog::VlogSlot;
+use crate::vlog::{SlotLogs, VlogSlot};
 
-/// Names the runtime header and slot layout (v4: sealed begin record, a
-/// preserve line with no re-execution checkpoint).
-const RUNTIME_MAGIC: u64 = 0xC10B_BE12_0000_0004;
+/// Names the runtime header and slot layout (v5: the begin record and the
+/// preserves are entries of a v_log `Ulog`).
+const RUNTIME_MAGIC: u64 = 0xC10B_BE12_0000_0005;
 
 /// Persistent runtime header layout (allocated block, pointed to by the pool
 /// root).
@@ -137,13 +137,13 @@ thread_local! {
 /// One entry of the slot table.
 struct SlotEntry {
     slot: VlogSlot,
-    /// Volatile mirror of the slot's log state — its clobber-log writer
-    /// (descriptor, generation, cursor) and redo-log descriptor — exactly
-    /// as this runtime's last commit on the slot left them. `None` whenever
-    /// the pool may say otherwise: until the first commit, while a
+    /// Volatile mirror of the slot's log state — its clobber-log and v_log
+    /// writers (descriptor, generation, cursor) and redo-log descriptor —
+    /// exactly as this runtime's last commit on the slot left them. `None`
+    /// whenever the pool may say otherwise: until the first commit, while a
     /// transaction is in flight, and after a recovery scan, an abort or an
     /// error; the next transaction then adopts the logs by probing them.
-    mirror: Option<(LogWriter, Ulog)>,
+    mirror: Option<SlotLogs>,
 }
 
 /// Aggregated iDO shadow statistics across all committed transactions.
@@ -384,8 +384,8 @@ impl Runtime {
     /// Returns a handle to slot `idx`, creating slots up to it on demand.
     ///
     /// Intended for fault-injection harnesses that need a slot's on-media
-    /// layout (e.g. [`VlogSlot::record_region`]) to corrupt it
-    /// deliberately; normal transaction code never needs slot handles.
+    /// layout (e.g. [`VlogSlot::vlog`]) to corrupt it deliberately; normal
+    /// transaction code never needs slot handles.
     ///
     /// # Errors
     ///
@@ -534,16 +534,16 @@ impl Runtime {
         // empty before this transaction is marked ongoing; the begin fence
         // orders these unfenced writes (a clobber begin truncates its own
         // log: the new generation numbers it).
-        let (clog, rlog) = match mirror {
+        let logs = match mirror {
             // The slot's last commit was this runtime's: its cursor says
             // whether the clobber log holds entries (the redo log never
             // does after a commit), and only truncating reads the pool —
             // the header, so one corrupted meanwhile is still refused.
-            Some((mut clog, rlog)) => {
-                if !vlog_enabled && !clog.is_empty(&self.pool)? {
-                    clog.reset_unfenced(&self.pool)?;
+            Some(mut logs) => {
+                if !vlog_enabled && !logs.clog.is_empty(&self.pool)? {
+                    logs.clog.reset_unfenced(&self.pool)?;
                 }
-                (clog, rlog)
+                logs
             }
             // Adoption: descriptors from the slot, then a header probe of
             // each log instead of a stream scan, leaving the writer's
@@ -552,18 +552,17 @@ impl Runtime {
             // a crash took the next generation, and sealed lines with it
             // that must never validate again.
             None => {
-                let mut clog = LogWriter::new(slot.clobber_log(&self.pool)?);
-                let rlog = slot.redo_log(&self.pool)?;
+                let mut logs = slot.logs(&self.pool)?;
                 if vlog_enabled {
-                    clog.reset_unfenced(&self.pool)?;
+                    logs.clog.reset_unfenced(&self.pool)?;
                     self.pool.fence();
                 } else {
-                    clog.ensure_empty_unfenced(&self.pool)?;
+                    logs.clog.ensure_empty_unfenced(&self.pool)?;
                 }
-                if !rlog.is_empty(&self.pool)? {
-                    rlog.reset_unfenced(&self.pool)?;
+                if !logs.rlog.is_empty(&self.pool)? {
+                    logs.rlog.reset_unfenced(&self.pool)?;
                 }
-                (clog, rlog)
+                logs
             }
         };
 
@@ -579,8 +578,7 @@ impl Runtime {
             &self.pool,
             self.opts.backend,
             slot,
-            clog,
-            rlog,
+            logs,
             &self.gc,
             vlog_enabled,
             None,
@@ -617,13 +615,8 @@ impl Runtime {
 
     /// Commits `tx`, runs its deferred frees and returns the slot's log
     /// handles as the commit left them.
-    pub(crate) fn finish_commit(&self, tx: Tx<'_>) -> Result<(LogWriter, Ulog), TxError> {
-        let CommitOutcome {
-            scratch,
-            ido,
-            clog,
-            rlog,
-        } = tx.commit()?;
+    pub(crate) fn finish_commit(&self, tx: Tx<'_>) -> Result<SlotLogs, TxError> {
+        let CommitOutcome { scratch, ido, logs } = tx.commit()?;
         let freed = self.pool.free_many(&scratch.frees);
         self.recycle_scratch(scratch);
         freed?;
@@ -632,7 +625,7 @@ impl Runtime {
             agg.total.accumulate(&stats);
             agg.transactions += 1;
         }
-        Ok((clog, rlog))
+        Ok(logs)
     }
 
     /// Aggregated iDO shadow statistics (empty unless

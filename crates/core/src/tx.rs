@@ -34,14 +34,14 @@
 //! snapshot before returning). A recovery replay is an ordinary transaction
 //! on the slot's existing begin and defers like any other.
 
-use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
+use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, CACHE_LINE};
 
 use crate::access::{AccessTable, Kind, ToLog};
 use crate::backend::Backend;
 use crate::error::TxError;
 use crate::group_commit::GroupCommit;
 use crate::ido::{IdoObserver, IdoTxStats};
-use crate::vlog::VlogSlot;
+use crate::vlog::{SlotLogs, VlogSlot};
 
 /// Result type of a registered txfunc: an optional opaque return payload.
 pub type TxResult = Result<Option<Vec<u8>>, TxError>;
@@ -280,11 +280,9 @@ pub struct Tx<'rt> {
     backend: Backend,
     tracking: Tracking,
     pub(crate) slot: VlogSlot,
-    /// Volatile append cursor over the slot's clobber/undo log: caches the
-    /// log position (satellite: no per-append tail re-read) and, on v2
-    /// logs, stages entries in its line buffer.
-    pub(crate) clog: LogWriter,
-    pub(crate) rlog: Ulog,
+    /// The slot's log handles: append cursors over its clobber/undo log and
+    /// v_log cache their positions, so no append re-reads the log.
+    logs: SlotLogs,
     /// All of this transaction's ordering fences route through the
     /// runtime's group-commit coalescer (a plain fence at `min_batch` 1).
     gc: &'rt GroupCommit,
@@ -305,8 +303,7 @@ impl<'rt> Tx<'rt> {
         pool: &'rt PmemPool,
         backend: Backend,
         slot: VlogSlot,
-        clog: LogWriter,
-        rlog: Ulog,
+        logs: SlotLogs,
         gc: &'rt GroupCommit,
         vlog_enabled: bool,
         replay: Option<Vec<Vec<u8>>>,
@@ -320,8 +317,7 @@ impl<'rt> Tx<'rt> {
             backend,
             tracking: Tracking::of(backend),
             slot,
-            clog,
-            rlog,
+            logs,
             gc,
             scratch,
             replay: replay.map(|blobs| Replay { blobs, next: 0 }),
@@ -345,29 +341,18 @@ impl<'rt> Tx<'rt> {
         let gc = self.gc;
         match self.backend {
             Backend::Clobber(cfg) if cfg.vlog => {
-                // The truncated log's generation numbers the begin; the
-                // transaction's next ordering point makes it durable.
-                let begin = self.clog.reset_unfenced(self.pool)?;
-                let n = self
-                    .slot
-                    .begin(self.pool, begin, pending.name, pending.args)?;
+                // The transaction's next ordering point makes it durable.
+                let buf = &mut self.scratch.log_buf;
+                self.slot
+                    .begin(self.pool, &mut self.logs, pending.name, pending.args, buf)?;
                 self.begin_unordered = true;
-                let stats = self.pool.stats();
-                stats
-                    .vlog_entries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                stats
-                    .vlog_bytes
-                    .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
             }
             Backend::Undo => {
-                self.slot
-                    .mark_ongoing_with_fence(self.pool, &|p| gc.fence(p))?;
+                self.slot.mark_ongoing(self.pool, &|p| gc.fence(p))?;
             }
             Backend::Atlas => {
                 // Lock-acquisition record (see Backend::Atlas docs).
-                self.slot
-                    .mark_ongoing_with_fence(self.pool, &|p| gc.fence(p))?;
+                self.slot.mark_ongoing(self.pool, &|p| gc.fence(p))?;
                 self.pool.flush(self.slot.base(), 8)?;
                 gc.fence(self.pool);
             }
@@ -542,7 +527,7 @@ impl<'rt> Tx<'rt> {
             self.pool.read_into(PAddr::new(a), &mut old)?;
             // A re-clobbered byte's pre-image is its buffered value.
             self.overlay_own_view(a, &mut old);
-            self.clog.append(self.pool, PAddr::new(a), &old)?;
+            self.logs.clog.append(self.pool, PAddr::new(a), &old)?;
             self.scratch.log_buf = old;
             stats
                 .log_entries
@@ -582,7 +567,7 @@ impl<'rt> Tx<'rt> {
         let (pool, gc) = (self.pool, self.gc);
         // The begin truncated the log, so its sync fences even when
         // nothing was logged: that orders a begin before a blind store.
-        self.clog.sync_with(pool, |p| gc.fence(p))?;
+        self.logs.clog.sync_with(pool, |p| gc.fence(p))?;
         self.begin_unordered = false;
         let mut stores = std::mem::take(&mut self.scratch.stores);
         for (s, data) in stores.iter() {
@@ -725,7 +710,7 @@ impl<'rt> Tx<'rt> {
     /// # Errors
     ///
     /// Returns [`TxError::PreserveAfterWrite`] if a persistent store already
-    /// happened, [`TxError::VlogCapacity`] if the preserve buffer is full,
+    /// happened, [`TxError::VlogCapacity`] if the v_log is full,
     /// and [`TxError::MissingPreserve`] during recovery if the crashed run
     /// never recorded this blob (the runtime abandons the transaction: no
     /// write can have preceded an unrecorded preserve).
@@ -745,14 +730,9 @@ impl<'rt> Tx<'rt> {
         if self.vlog_enabled {
             self.ensure_begun()?;
             let gc = self.gc;
-            let n = self
-                .slot
-                .preserve_with_fence(self.pool, data, &|p| gc.fence(p))?;
+            self.slot
+                .preserve(self.pool, &mut self.logs.vlog, data, &|p| gc.fence(p))?;
             self.begin_unordered = false;
-            let stats = self.pool.stats();
-            stats
-                .vlog_bytes
-                .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
         }
         Ok(data.to_vec())
     }
@@ -814,7 +794,7 @@ impl<'rt> Tx<'rt> {
                 if self.begun {
                     // Invalidating the undo log commits the transaction.
                     self.slot.clear_ongoing(pool)?;
-                    self.clog.reset_unfenced(pool)?;
+                    self.logs.clog.reset_unfenced(pool)?;
                     gc.fence(pool);
                 }
             }
@@ -838,7 +818,7 @@ impl<'rt> Tx<'rt> {
                 // Stream the buffer through a line-buffered writer and route
                 // its single ordering point — which also orders the settled
                 // headers before the commit marker — through group commit.
-                let mut rw = LogWriter::attach(pool, self.rlog)?;
+                let mut rw = LogWriter::attach(pool, self.logs.rlog)?;
                 for (a, data) in stores.iter() {
                     for (i, word) in data.chunks(8).enumerate() {
                         rw.append(pool, PAddr::new(a + i as u64 * 8), word)?;
@@ -847,14 +827,13 @@ impl<'rt> Tx<'rt> {
                 self.settle_reservations()?;
                 rw.sync_with(pool, |p| gc.fence(p))?;
                 // Commit point.
-                self.slot
-                    .set_redo_committed_with_fence(pool, true, &|p| gc.fence(p))?;
-                self.rlog.apply_forwards(pool)?;
+                self.slot.set_redo_committed(pool, &|p| gc.fence(p))?;
+                self.logs.rlog.apply_forwards(pool)?;
                 gc.fence(pool);
                 // Clear marker, status and log tail together.
                 self.slot.clear_redo_committed_unfenced(pool)?;
                 self.slot.clear_ongoing(pool)?;
-                self.rlog.reset_unfenced(pool)?;
+                self.logs.rlog.reset_unfenced(pool)?;
                 gc.fence(pool);
             }
         }
@@ -873,8 +852,7 @@ impl<'rt> Tx<'rt> {
         Ok(CommitOutcome {
             scratch: self.scratch,
             ido,
-            clog: self.clog,
-            rlog: self.rlog,
+            logs: self.logs,
         })
     }
 
@@ -896,11 +874,11 @@ impl<'rt> Tx<'rt> {
         let err = match self.backend {
             Backend::Undo | Backend::Atlas => {
                 if self.begun {
-                    if self.clog.log().apply_backwards(pool).is_ok() {
+                    if self.logs.clog.log().apply_backwards(pool).is_ok() {
                         pool.fence();
                     }
                     let _ = self.slot.clear_ongoing(pool);
-                    let _ = self.clog.reset_unfenced(pool);
+                    let _ = self.logs.clog.reset_unfenced(pool);
                     pool.fence();
                 }
                 if self.cancel_reservations() {
@@ -970,6 +948,5 @@ pub(crate) struct CommitOutcome {
     pub ido: Option<IdoTxStats>,
     /// The slot's log handles as the commit left them: the runtime keeps
     /// them so the slot's next transaction re-reads nothing from the pool.
-    pub clog: LogWriter,
-    pub rlog: Ulog,
+    pub logs: SlotLogs,
 }

@@ -3,63 +3,58 @@
 //! Each thread owns one slot (paper §4.2: "we manage the per-thread v_log
 //! using a global linked list resident in persistent memory, and allocate it
 //! on thread creation. The thread will use this log to manage its (at most
-//! one) active transaction"). A slot records:
+//! one) active transaction"). A slot holds:
 //!
 //! * the transaction **status word** — the in-flight transaction's *begin
 //!   number*, zero once it commits; recovery re-executes every slot whose
 //!   word is set (the undo and Atlas baselines set it to 1),
-//! * the txfunc **name and serialized arguments**, sealed with the begin
-//!   number,
-//! * **preserved volatile blobs** ([`vlog_preserve`](crate::Tx::vlog_preserve)),
-//!   counted in a cache line that names its begin,
-//! * descriptors of the slot's clobber/undo log and redo log buffers, and
-//!   the redo commit marker.
+//! * the **v_log**: a [`Ulog`] whose first entry is the begin record — the
+//!   txfunc name (its length in the address word), then the serialized
+//!   arguments — and each later entry a preserved volatile blob,
+//! * descriptors of the slot's clobber/undo and redo logs, and the redo
+//!   commit marker.
+//!
+//! The v_log is not the head of the clobber log because recovery truncates
+//! that log before every replay, and the replay, and any recovery after a
+//! crash inside it, still need the record.
 //!
 //! # A begin with no fence of its own
 //!
 //! The paper counts two v_log fences per transaction — the record, then the
-//! status bit (§5.3). [`VlogSlot::begin`] issues none: it writes the record,
-//! its seal, a fresh preserve line and the status word with flushes only,
-//! and the transaction's next ordering point — in most transactions its
-//! commit's log sync — makes them durable together. No store to data
-//! older than the transaction may reach media before that point (`Tx`
-//! defers every such store to it), so a crash inside the window leaves an
-//! arbitrary subset of these lines, and recovery accepts a slot as begun
-//! only if they agree:
+//! status bit (§5.3). [`VlogSlot::begin`] issues none: it writes the v_log
+//! and the status word with flushes only, and the transaction's next
+//! ordering point (usually its commit's log sync) makes them durable
+//! together. No store to data older than the transaction reaches media
+//! before that point (`Tx` defers each such store to it), so a crash inside
+//! the window leaves any subset of these lines. Recovery accepts begin `s`
+//! only if the status word is `s` and the v_log's generation is `s`, and
+//! reads the entries by the line-marker rule alone:
 //!
-//! * the begin number `s` is the clobber log's generation once the begin has
-//!   truncated it, so a slot never reuses one (a runtime adopting a slot
-//!   truncates its log with a fence, using up a lost begin's number);
-//! * the seal binds `s`, the name and the arguments: a torn record, or the
-//!   previous transaction's under a new `s`, never validates, and recovery
-//!   abandons the slot — the begin never reached an ordering point, so none
-//!   of the transaction's stores did either;
+//! * `s` is the clobber log's generation once the begin has truncated it,
+//!   so a slot never reuses one (a runtime adopting a slot truncates its
+//!   log with a fence, using up a lost begin's number);
+//! * a v_log at another generation, or whose first entry is torn, was never
+//!   ordered: recovery abandons the slot, since none of the transaction's
+//!   stores reached media either. A line of an earlier begin never
+//!   validates under `s`;
 //! * the clobber log's entries count only once its generation has reached
-//!   `s` (an older one is a truncation that did not persist);
-//! * the preserve count counts only if its line names `s`.
+//!   `s` (an older one is a truncation that did not persist).
 
 use std::sync::atomic::Ordering::Relaxed;
 
-use clobber_pmem::{LogKind, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
+use clobber_pmem::{EventKind, LogKind, LogWriter, PAddr, PmemError, PmemPool, Ulog, CACHE_LINE};
 
 use crate::args::ArgList;
 use crate::error::TxError;
 
-/// Attributes v_log persist costs in [`clobber_pmem::StatsSnapshot`]:
-/// `flushes` flush calls and `fences` fence *requests* (a request satisfied
-/// by a shared group-commit epoch still counts).
-fn bump_vlog(pool: &PmemPool, flushes: u64, fences: u64) {
+/// Attributes one written-back slot line, and `fences` fence *requests* (a
+/// request satisfied by a shared group-commit epoch still counts), to the
+/// v_log in [`clobber_pmem::StatsSnapshot`].
+fn bump_vlog(pool: &PmemPool, fences: u64) {
     let s = pool.stats();
-    s.vlog_flushes.fetch_add(flushes, Relaxed);
+    s.vlog_flushes.fetch_add(1, Relaxed);
     s.vlog_fences.fetch_add(fences, Relaxed);
 }
-
-/// Maximum txfunc name length in bytes.
-pub const NAME_CAP: u64 = 88;
-/// Maximum serialized argument bytes.
-pub const ARGS_CAP: u64 = 2048;
-/// Maximum total preserved volatile bytes (including 8-byte length headers).
-pub const PRESERVE_CAP: u64 = 4096;
 
 const STATUS: u64 = 0;
 const NEXT: u64 = 8;
@@ -69,58 +64,17 @@ const CLOBBER_BASE: u64 = 32;
 const CLOBBER_CAP: u64 = 40;
 const REDO_BASE: u64 = 48;
 const REDO_CAP: u64 = 56;
-const NAME_LEN: u64 = 64;
-const SEAL: u64 = 72;
-const NAME: u64 = 80;
-const ARGS_LEN: u64 = NAME + NAME_CAP;
-const ARGS: u64 = ARGS_LEN + 8;
-/// The preserve line is the first whole cache line from here, so a crash
-/// keeps or drops its words together (a slot is only 16-byte aligned).
-const META_AREA: u64 = ARGS + ARGS_CAP;
-const PRESERVE_DATA: u64 = META_AREA + 2 * CACHE_LINE;
+/// Atlas's FASE record: the first whole line from here.
+const FASE_AREA: u64 = 64;
 
-/// The preserve line's words, written as one store: the begin it belongs
-/// to, the preserve count and tail, and a word kept zero.
-const META_STORE: usize = 32;
-
-/// Folds one word into a running hash.
-fn mix(h: u64, w: u64) -> u64 {
-    let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^ (x >> 31)
-}
-
-/// Folds `bytes` — its length, then its contents a little-endian word at a
-/// time, the last word zero-padded — into a running hash.
-fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    h = mix(h, bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h, u64::from_le_bytes(w));
-    }
-    h
-}
-
-/// The seal of a begin record: binds the begin number, the name and the
-/// serialized arguments. A record whose seal does not match under the slot's
-/// status word is torn or belongs to another begin.
-fn seal(begin: u64, name: &[u8], args: &[u8]) -> u64 {
-    mix_bytes(mix_bytes(begin, name), args)
-}
-
-/// Serializes `words` little-endian into the front of `buf`.
-fn put_words(buf: &mut [u8], words: &[u64]) {
-    for (b, w) in buf.chunks_exact_mut(8).zip(words) {
-        b.copy_from_slice(&w.to_le_bytes());
-    }
-}
-
-/// Atlas's FASE record: the first whole line from here (a slot's 8 KiB
-/// allocation has the room).
-const FASE_AREA: u64 = PRESERVE_DATA + PRESERVE_CAP;
-
-/// Total persistent size of one slot.
-pub const SLOT_SIZE: u64 = FASE_AREA + 2 * CACHE_LINE;
+/// Persistent size of a slot's words and its FASE line; the slot's v_log
+/// follows them in the same allocation.
+const SLOT_SIZE: u64 = FASE_AREA + 2 * CACHE_LINE;
+/// A slot's allocation: its words, then its v_log.
+const SLOT_ALLOC: u64 = 8 << 10;
+/// Bytes of a slot's v_log, which the txfunc name, the arguments and the
+/// preserved volatile data share: the rest of the slot's 8 KiB.
+pub const VLOG_CAP: u64 = SLOT_ALLOC - SLOT_SIZE;
 
 /// Handle to one thread's persistent v_log slot.
 ///
@@ -128,6 +82,18 @@ pub const SLOT_SIZE: u64 = FASE_AREA + 2 * CACHE_LINE;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VlogSlot {
     base: PAddr,
+}
+
+/// A slot's log handles: the clobber/undo-log and v_log append cursors and
+/// the redo-log descriptor.
+#[derive(Debug)]
+pub struct SlotLogs {
+    /// Cursor over the clobber/undo log.
+    pub clog: LogWriter,
+    /// The redo log.
+    pub rlog: Ulog,
+    /// Cursor over the v_log.
+    pub vlog: LogWriter,
 }
 
 /// The durable begin-record of an in-flight transaction, read back during
@@ -158,7 +124,7 @@ impl VlogSlot {
         clobber_cap: u64,
         redo_cap: u64,
     ) -> Result<VlogSlot, TxError> {
-        let base = pool.alloc(SLOT_SIZE)?;
+        let base = pool.alloc(SLOT_ALLOC)?;
         let clobber = pool.alloc(clobber_cap)?;
         let redo = pool.alloc(redo_cap)?;
         Ulog::format_v2(pool, clobber, clobber_cap)?;
@@ -172,42 +138,15 @@ impl VlogSlot {
         pool.write_u64(base.add(CLOBBER_CAP), clobber_cap)?;
         pool.write_u64(base.add(REDO_BASE), redo.offset())?;
         pool.write_u64(base.add(REDO_CAP), redo_cap)?;
-        pool.write_bytes(s.preserve_line(), &[0; CACHE_LINE as usize])?;
-        pool.persist(base, PRESERVE_DATA)?;
+        // Generation 0 names no begin.
+        LogWriter::new(s.vlog()).reset_to(pool, 0)?;
+        pool.persist(base, FASE_AREA)?;
         Ok(s)
     }
 
     /// The slot's base address.
     pub fn base(&self) -> PAddr {
         self.base
-    }
-
-    /// The region holding the begin record (name length through preserves),
-    /// as `(start, len)`.
-    ///
-    /// Fault-injection tests corrupt this region in place (e.g. with
-    /// `PmemPool::inject_bit_corruption`) to exercise the
-    /// [`CorruptVlog`](TxError::CorruptVlog) quarantine path; the first 8
-    /// bytes are the name-length word that [`record`](Self::record)
-    /// validates.
-    pub fn record_region(&self) -> (PAddr, u64) {
-        (self.base.add(NAME_LEN), FASE_AREA - NAME_LEN)
-    }
-
-    /// The line holding the begin number and the preserve count and tail;
-    /// exposed, like [`record_region`](Self::record_region), for
-    /// fault-injection harnesses.
-    pub fn preserve_line(&self) -> PAddr {
-        PAddr::new((self.base.offset() + META_AREA).next_multiple_of(CACHE_LINE))
-    }
-
-    /// Reads the preserve line as its eight words (one read).
-    fn read_meta(&self, pool: &PmemPool) -> Result<[u64; 8], PmemError> {
-        let mut raw = [0u8; CACHE_LINE as usize];
-        pool.read_into(self.preserve_line(), &mut raw)?;
-        Ok(std::array::from_fn(|i| {
-            u64::from_le_bytes(raw[8 * i..][..8].try_into().unwrap())
-        }))
     }
 
     /// The slot's creation id (list position).
@@ -236,15 +175,26 @@ impl VlogSlot {
         Ok(Ulog::new(PAddr::new(base), cap).with_kind(LogKind::Redo))
     }
 
+    /// The slot's v_log, which follows its words (tagged for `vlog_*`
+    /// counter attribution).
+    pub fn vlog(&self) -> Ulog {
+        Ulog::new(self.base.add(SLOT_SIZE), VLOG_CAP).with_kind(LogKind::Vlog)
+    }
+
+    /// Fresh cursors over the slot's logs, positioned by nothing yet: the
+    /// caller adopts each before use.
+    pub fn logs(&self, pool: &PmemPool) -> Result<SlotLogs, PmemError> {
+        Ok(SlotLogs {
+            clog: LogWriter::new(self.clobber_log(pool)?),
+            rlog: self.redo_log(pool)?,
+            vlog: LogWriter::new(self.vlog()),
+        })
+    }
+
     /// The status word: the in-flight transaction's begin number, or 0 when
     /// the slot is idle.
     pub fn status(&self, pool: &PmemPool) -> Result<u64, PmemError> {
         pool.read_u64(self.base.add(STATUS))
-    }
-
-    /// Whether the slot has an in-flight (uncommitted) transaction.
-    pub fn is_ongoing(&self, pool: &PmemPool) -> Result<bool, PmemError> {
-        Ok(self.status(pool)? != 0)
     }
 
     /// The redo commit marker (set between redo-log persistence and
@@ -253,109 +203,98 @@ impl VlogSlot {
         Ok(pool.read_u64(self.base.add(COMMITTED))? == 1)
     }
 
-    /// Sets the redo commit marker durably (one fence).
-    pub fn set_redo_committed(&self, pool: &PmemPool, on: bool) -> Result<(), PmemError> {
-        self.set_redo_committed_with_fence(pool, on, &|p| p.fence())
-    }
-
-    /// [`set_redo_committed`](Self::set_redo_committed) with the ordering
-    /// fence delegated to `fence` (group-commit routing).
-    pub fn set_redo_committed_with_fence(
+    /// Stores `value` in the slot word at `at` and writes it back, ordered
+    /// by `fence` if one is given.
+    fn put_word(
         &self,
         pool: &PmemPool,
-        on: bool,
+        at: u64,
+        value: u64,
+        fence: Option<&dyn Fn(&PmemPool)>,
+    ) -> Result<(), PmemError> {
+        pool.store_flush(self.base.add(at), &value.to_le_bytes())?;
+        if let Some(fence) = fence {
+            fence(pool);
+        }
+        bump_vlog(pool, fence.is_some() as u64);
+        Ok(())
+    }
+
+    /// Sets the redo commit marker durably, ordered by `fence` (a plain
+    /// fence, or the group-commit coalescer's).
+    pub fn set_redo_committed(
+        &self,
+        pool: &PmemPool,
         fence: &dyn Fn(&PmemPool),
     ) -> Result<(), PmemError> {
-        pool.store_flush(self.base.add(COMMITTED), &(on as u64).to_le_bytes())?;
-        fence(pool);
-        bump_vlog(pool, 1, 1);
-        Ok(())
+        self.put_word(pool, COMMITTED, 1, Some(fence))
     }
 
     /// Clears the redo commit marker; the caller fences.
     pub fn clear_redo_committed_unfenced(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        pool.store_flush(self.base.add(COMMITTED), &0u64.to_le_bytes())?;
-        bump_vlog(pool, 1, 0);
-        Ok(())
+        self.put_word(pool, COMMITTED, 0, None)
     }
 
-    /// Writes the begin record of begin number `begin` — name, arguments,
-    /// their seal, and a preserve line naming `begin` with no preserves —
-    /// and sets the status word to `begin`, with flushes only: the caller's
-    /// next fence makes the begin durable (see the module docs). `begin` must be nonzero and never reused on
-    /// this slot. Returns the number of v_log bytes recorded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::VlogCapacity`] if the name or arguments exceed the
-    /// slot's fixed buffers.
-    pub fn begin(
-        &self,
-        pool: &PmemPool,
-        begin: u64,
-        name: &str,
-        args: &ArgList,
-    ) -> Result<u64, TxError> {
-        let name_bytes = name.as_bytes();
-        if name_bytes.len() as u64 > NAME_CAP {
-            return Err(TxError::VlogCapacity {
-                what: "txfunc name",
-                needed: name_bytes.len() as u64,
-                capacity: NAME_CAP,
-            });
-        }
-        let arg_bytes = args.to_bytes();
-        if arg_bytes.len() as u64 > ARGS_CAP {
-            return Err(TxError::VlogCapacity {
-                what: "arguments",
-                needed: arg_bytes.len() as u64,
-                capacity: ARGS_CAP,
-            });
-        }
-        // Name length, seal and name are one store.
-        let mut head = [0u8; (NAME - NAME_LEN + NAME_CAP) as usize];
-        let sealed = seal(begin, name_bytes, &arg_bytes);
-        put_words(&mut head, &[name_bytes.len() as u64, sealed]);
-        let head = &mut head[..(NAME - NAME_LEN) as usize + name_bytes.len()];
-        head[(NAME - NAME_LEN) as usize..].copy_from_slice(name_bytes);
-        pool.write_bytes(self.base.add(NAME_LEN), head)?;
-        pool.write_u64(self.base.add(ARGS_LEN), arg_bytes.len() as u64)?;
-        pool.write_bytes(self.base.add(ARGS), &arg_bytes)?;
-        pool.flush(
-            self.base.add(NAME_LEN),
-            ARGS - NAME_LEN + arg_bytes.len() as u64,
-        )?;
-        self.bind_preserves(pool, begin, 0, 0)?;
-        pool.store_flush(self.base.add(STATUS), &begin.to_le_bytes())?;
-        bump_vlog(pool, 2, 0);
-        let bytes = 16 + name_bytes.len() as u64 + arg_bytes.len() as u64;
-        pool.trace_app_event(
-            clobber_pmem::EventKind::VlogAppend,
-            0,
-            self.base.offset(),
-            bytes,
-        );
-        Ok(bytes)
-    }
-
-    /// Sets the status word to 1 without recording a new record (used when
-    /// the status must be marked ongoing for backends without a v_log
-    /// record).
-    pub fn mark_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        self.mark_ongoing_with_fence(pool, &|p| p.fence())
-    }
-
-    /// [`mark_ongoing`](Self::mark_ongoing) with the ordering fence
-    /// delegated to `fence` (group-commit routing).
-    pub fn mark_ongoing_with_fence(
+    /// Sets the status word to 1, ordered by `fence`: the undo and Atlas
+    /// baselines' begin, which records no v_log.
+    pub fn mark_ongoing(
         &self,
         pool: &PmemPool,
         fence: &dyn Fn(&PmemPool),
     ) -> Result<(), PmemError> {
-        pool.store_flush(self.base.add(STATUS), &1u64.to_le_bytes())?;
-        fence(pool);
-        bump_vlog(pool, 1, 1);
+        self.put_word(pool, STATUS, 1, Some(fence))
+    }
+
+    /// Clears the status word; the caller decides when to fence (commit
+    /// bundles this flush with its final fence).
+    pub fn clear_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
+        self.put_word(pool, STATUS, 0, None)
+    }
+
+    /// Begins a transaction on this slot with flushes only — the caller's
+    /// next fence makes the begin durable (see the module docs): truncates
+    /// the clobber log, whose new generation `s` numbers the begin, starts
+    /// the v_log over at `s`, appends the begin record {`name`, `args`}
+    /// serialized in `buf`, and sets the status word to `s`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxError::VlogCapacity`], before any store, if the record
+    /// does not fit the v_log.
+    pub fn begin(
+        &self,
+        pool: &PmemPool,
+        logs: &mut SlotLogs,
+        name: &str,
+        args: &ArgList,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), TxError> {
+        buf.clear();
+        buf.reserve(name.len() + args.encoded_len());
+        buf.extend_from_slice(name.as_bytes());
+        args.encode_into(buf);
+        let capacity = logs.vlog.log().entry_capacity();
+        if buf.len() as u64 > capacity {
+            return Err(TxError::VlogCapacity {
+                what: "begin record",
+                needed: buf.len() as u64,
+                capacity,
+            });
+        }
+        let begin = logs.clog.reset_unfenced(pool)?;
+        logs.vlog.reset_to(pool, begin)?;
+        logs.vlog.append(pool, PAddr::new(name.len() as u64), buf)?;
+        logs.vlog.write_back(pool)?;
+        self.put_word(pool, STATUS, begin, None)?;
+        pool.stats().vlog_entries.fetch_add(1, Relaxed);
+        self.count_vlog_bytes(pool, 16 + buf.len() as u64);
         Ok(())
+    }
+
+    /// Counts `bytes` recorded in the v_log, and traces them.
+    fn count_vlog_bytes(&self, pool: &PmemPool, bytes: u64) {
+        pool.stats().vlog_bytes.fetch_add(bytes, Relaxed);
+        pool.trace_app_event(EventKind::VlogAppend, 0, self.base.offset(), bytes);
     }
 
     /// Persists Atlas's 32-byte FASE dependency record in a line of its
@@ -369,134 +308,70 @@ impl VlogSlot {
         let line = (self.base.offset() + FASE_AREA).next_multiple_of(CACHE_LINE);
         pool.store_flush(PAddr::new(line), &[0; 32])?;
         fence(pool);
-        bump_vlog(pool, 1, 1);
+        bump_vlog(pool, 1);
         let stats = pool.stats();
         stats.log_entries.fetch_add(1, Relaxed);
         stats.log_bytes.fetch_add(32, Relaxed);
         Ok(())
     }
 
-    /// Clears the status word; the caller decides when to fence (commit
-    /// bundles this flush with its final fence).
-    pub fn clear_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        pool.store_flush(self.base.add(STATUS), &0u64.to_le_bytes())?;
-        bump_vlog(pool, 1, 0);
-        Ok(())
-    }
-
-    /// Appends one preserved volatile blob (one fence). Returns the bytes
-    /// recorded (payload + header).
+    /// Appends one preserved volatile blob to the v_log and syncs it with
+    /// `fence`, which also orders the begin. Counts the payload and an
+    /// 8-byte length as v_log bytes.
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::VlogCapacity`] if the preserve buffer is full.
-    pub fn preserve(&self, pool: &PmemPool, data: &[u8]) -> Result<u64, TxError> {
-        self.preserve_with_fence(pool, data, &|p| p.fence())
-    }
-
-    /// [`preserve`](Self::preserve) with the ordering fence delegated to
-    /// `fence` (group-commit routing). The fence also orders the begin.
-    pub fn preserve_with_fence(
+    /// Returns [`TxError::VlogCapacity`], before any store, if the v_log is
+    /// full.
+    pub fn preserve(
         &self,
         pool: &PmemPool,
+        vlog: &mut LogWriter,
         data: &[u8],
         fence: &dyn Fn(&PmemPool),
-    ) -> Result<u64, TxError> {
-        let [begin, count, tail, ..] = self.read_meta(pool)?;
-        let need = 8 + data.len() as u64;
-        if tail + need > PRESERVE_CAP {
-            return Err(TxError::VlogCapacity {
+    ) -> Result<(), TxError> {
+        vlog.append(pool, PAddr::NULL, data).map_err(|e| match e {
+            PmemError::LogFull { needed, capacity } => TxError::VlogCapacity {
                 what: "preserved volatile data",
-                needed: need,
-                capacity: PRESERVE_CAP,
-            });
-        }
-        let at = self.base.add(PRESERVE_DATA + tail);
-        pool.write_u64(at, data.len() as u64)?;
-        pool.write_bytes(at.add(8), data)?;
-        pool.flush(at, need)?;
-        self.bind_preserves(pool, begin, count + 1, tail + need)?;
-        fence(pool);
-        bump_vlog(pool, 1, 1);
-        pool.trace_app_event(
-            clobber_pmem::EventKind::VlogAppend,
-            0,
-            self.base.offset(),
-            need,
-        );
-        Ok(need)
+                needed,
+                capacity,
+            },
+            e => e.into(),
+        })?;
+        vlog.sync_with(pool, fence)?;
+        self.count_vlog_bytes(pool, 8 + data.len() as u64);
+        Ok(())
     }
 
     /// Reads back the begin record of the transaction whose status word is
-    /// `begin`. Returns `None` if the record's seal does not match: the
-    /// record is torn or another begin's, so this begin never reached an
-    /// ordering point. Preserves count only if their line names `begin`.
+    /// `begin`. Returns `None` unless the v_log is at generation `begin` and
+    /// its first entry is whole: otherwise this begin never reached an
+    /// ordering point. Every later whole entry is a preserve.
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::CorruptVlog`] if a length is out of range or a
-    /// sealed record fails to decode.
+    /// Returns [`TxError::CorruptVlog`] if the v_log header is not a log
+    /// header or a whole begin entry fails to decode.
     pub fn record(&self, pool: &PmemPool, begin: u64) -> Result<Option<VlogRecord>, TxError> {
-        let mut head = [0u8; (NAME - NAME_LEN) as usize];
-        pool.read_into(self.base.add(NAME_LEN), &mut head)?;
-        let name_len = u64::from_le_bytes(head[..8].try_into().unwrap());
-        if name_len > NAME_CAP {
-            return Err(TxError::CorruptVlog("name length out of range".into()));
-        }
-        let name_bytes = pool.read_bytes(self.base.add(NAME), name_len)?;
-        let args_len = pool.read_u64(self.base.add(ARGS_LEN))?;
-        if args_len > ARGS_CAP {
-            return Err(TxError::CorruptVlog("args length out of range".into()));
-        }
-        let arg_bytes = pool.read_bytes(self.base.add(ARGS), args_len)?;
-        let sealed = u64::from_le_bytes(head[(SEAL - NAME_LEN) as usize..].try_into().unwrap());
-        if sealed != seal(begin, &name_bytes, &arg_bytes) {
+        let corrupt = |why: &str| TxError::CorruptVlog(why.into());
+        let scan = self.vlog().scan(pool).map_err(|e| match e {
+            PmemError::CorruptPool(why) => TxError::CorruptVlog(why),
+            e => e.into(),
+        })?;
+        let mut entries = scan.iter();
+        let Some((name_len, record)) = entries.next().filter(|_| scan.generation() == begin) else {
             return Ok(None);
-        }
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| TxError::CorruptVlog("name is not UTF-8".into()))?;
-        let args = ArgList::from_bytes(&arg_bytes)
-            .map_err(|_| TxError::CorruptVlog("argument encoding invalid".into()))?;
-        let [tag, count, tail, ..] = self.read_meta(pool)?;
-        // A line naming another begin holds none of this one's preserves.
-        let (count, tail) = if tag == begin { (count, tail) } else { (0, 0) };
-        if tail > PRESERVE_CAP {
-            return Err(TxError::CorruptVlog("preserve tail out of range".into()));
-        }
-        let mut preserves = Vec::new();
-        let mut off = 0u64;
-        for _ in 0..count {
-            if off + 8 > tail {
-                return Err(TxError::CorruptVlog("preserve record truncated".into()));
-            }
-            let len = pool.read_u64(self.base.add(PRESERVE_DATA + off))?;
-            if len > tail - off - 8 {
-                return Err(TxError::CorruptVlog("preserve payload truncated".into()));
-            }
-            preserves.push(pool.read_bytes(self.base.add(PRESERVE_DATA + off + 8), len)?);
-            off += 8 + len;
-        }
+        };
+        let (name, args) = record
+            .split_at_checked(name_len.offset() as usize)
+            .ok_or_else(|| corrupt("name length out of range"))?;
+        let name = std::str::from_utf8(name).map_err(|_| corrupt("name is not UTF-8"))?;
+        let args = ArgList::from_bytes(args).map_err(|_| corrupt("argument encoding invalid"))?;
         Ok(Some(VlogRecord {
-            name,
+            name: name.to_owned(),
             args,
-            preserves,
+            preserves: entries.map(|(_, blob)| blob.to_vec()).collect(),
         }))
-    }
-
-    /// Binds the preserve line to begin `begin`, holding `count` preserves
-    /// up to `tail`; the caller fences.
-    fn bind_preserves(
-        &self,
-        pool: &PmemPool,
-        begin: u64,
-        count: u64,
-        tail: u64,
-    ) -> Result<(), PmemError> {
-        let mut words = [0u8; META_STORE];
-        put_words(&mut words, &[begin, count, tail]);
-        pool.store_flush(self.preserve_line(), &words)?;
-        bump_vlog(pool, 1, 0);
-        Ok(())
     }
 }
 
@@ -505,126 +380,118 @@ mod tests {
     use super::*;
     use clobber_pmem::{CrashConfig, PoolOptions};
 
-    fn setup() -> (PmemPool, VlogSlot) {
+    fn setup() -> (PmemPool, VlogSlot, SlotLogs) {
         let pool = PmemPool::create(PoolOptions::crash_sim(1 << 22)).unwrap();
         let slot = VlogSlot::create(&pool, 0, PAddr::NULL, 4096, 4096).unwrap();
-        (pool, slot)
+        let logs = slot.logs(&pool).unwrap();
+        (pool, slot, logs)
+    }
+
+    /// Begins `name(args)` on `slot`, returning its begin number.
+    fn begin(
+        pool: &PmemPool,
+        slot: &VlogSlot,
+        logs: &mut SlotLogs,
+        name: &str,
+        args: &ArgList,
+    ) -> u64 {
+        slot.begin(pool, logs, name, args, &mut Vec::new()).unwrap();
+        slot.status(pool).unwrap()
+    }
+
+    fn preserve(
+        pool: &PmemPool,
+        slot: &VlogSlot,
+        logs: &mut SlotLogs,
+        data: &[u8],
+    ) -> Result<(), TxError> {
+        slot.preserve(pool, &mut logs.vlog, data, &|p| p.fence())
     }
 
     #[test]
-    fn fresh_slot_is_idle() {
-        let (pool, slot) = setup();
-        assert!(!slot.is_ongoing(&pool).unwrap());
+    fn a_fresh_slot_is_idle_and_its_logs_usable() {
+        let (pool, slot, _) = setup();
+        assert_eq!(slot.status(&pool).unwrap(), 0);
         assert!(!slot.is_redo_committed(&pool).unwrap());
-        assert_eq!(slot.id(&pool).unwrap(), 0);
-        assert!(slot.next(&pool).unwrap().is_null());
+        assert_eq!(
+            (slot.id(&pool).unwrap(), slot.next(&pool).unwrap()),
+            (0, PAddr::NULL)
+        );
+        assert_eq!(slot.record(&pool, 1).unwrap(), None);
+        let clog = slot.clobber_log(&pool).unwrap();
+        clog.append(&pool, PAddr::new(512), b"old").unwrap();
+        assert_eq!(clog.len(&pool).unwrap(), 1);
+        assert!(slot.redo_log(&pool).unwrap().is_empty(&pool).unwrap());
     }
 
     #[test]
     fn begin_records_name_and_args_durably_at_the_next_fence() {
-        let (pool, slot) = setup();
-        let args = ArgList::new().with_u64(5).with_bytes(b"vvv");
-        let name = "n".repeat(NAME_CAP as usize);
-        slot.begin(&pool, 2, &name, &args).unwrap();
+        let (pool, slot, mut logs) = setup();
+        let args = ArgList::new().with_u64(5).with_bytes(&[7; 500]);
+        let name = "n".repeat(200);
+        let before = pool.stats().snapshot();
+        let s = begin(&pool, &slot, &mut logs, &name, &args);
+        let d = pool.stats().snapshot().delta(&before);
+        // Log truncation, v_log header, the record's lines, status word.
+        assert_eq!((d.writes, d.fences), (4, 0), "one store per part, no fence");
         pool.fence();
         let p2 = pool.crash(&CrashConfig::drop_all(1)).unwrap();
-        assert_eq!(slot.status(&p2).unwrap(), 2);
-        let rec = slot.record(&p2, 2).unwrap().unwrap();
-        assert_eq!(rec.name, name);
-        assert_eq!(rec.args, args);
+        assert_eq!(slot.status(&p2).unwrap(), s);
+        let rec = slot.record(&p2, s).unwrap().unwrap();
+        assert_eq!((rec.name, rec.args), (name, args));
         assert!(rec.preserves.is_empty());
         assert_eq!(
-            slot.record(&p2, 3).unwrap(),
+            slot.record(&p2, s + 1).unwrap(),
             None,
-            "the seal binds the begin"
+            "the v_log's generation names the begin"
         );
     }
 
     #[test]
-    fn preserve_blobs_replay_in_order() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-        slot.preserve(&pool, b"first").unwrap();
-        slot.preserve(&pool, b"second-blob").unwrap();
-        let rec = slot.record(&pool, 2).unwrap().unwrap();
-        assert_eq!(
-            rec.preserves,
-            vec![b"first".to_vec(), b"second-blob".to_vec()]
-        );
-    }
-
-    #[test]
-    fn preserve_orders_the_begin_and_survives_crash() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-        slot.preserve(&pool, b"volatile-input").unwrap();
+    fn preserves_order_the_begin_and_replay_in_order() {
+        let (pool, slot, mut logs) = setup();
+        let s = begin(&pool, &slot, &mut logs, "f", &ArgList::new());
+        preserve(&pool, &slot, &mut logs, b"first").unwrap();
+        preserve(&pool, &slot, &mut logs, b"second-blob").unwrap();
         let p2 = pool.crash(&CrashConfig::drop_all(2)).unwrap();
-        let rec = slot.record(&p2, 2).unwrap().unwrap();
-        assert_eq!(rec.preserves, vec![b"volatile-input".to_vec()]);
+        let rec = slot.record(&p2, s).unwrap().unwrap();
+        assert_eq!(rec.preserves, [&b"first"[..], b"second-blob"]);
+        slot.clear_ongoing(&p2).unwrap();
+        p2.fence();
+        let p3 = p2.crash(&CrashConfig::drop_all(3)).unwrap();
+        assert_eq!(slot.status(&p3).unwrap(), 0);
     }
 
     #[test]
-    fn oversized_name_and_args_are_rejected() {
-        let (pool, slot) = setup();
-        let long_name = "x".repeat(200);
+    fn a_record_past_the_vlog_is_refused_before_any_store() {
+        let (pool, slot, mut logs) = setup();
+        let cap = logs.vlog.log().entry_capacity() as usize;
+        let args = ArgList::new().with_bytes(&vec![0u8; cap - 5]);
+        let before = pool.stats().snapshot();
         assert!(matches!(
-            slot.begin(&pool, 2, &long_name, &ArgList::new()),
+            slot.begin(&pool, &mut logs, "f", &args, &mut Vec::new()),
+            Err(TxError::VlogCapacity { needed, capacity, .. })
+                if needed == cap as u64 + 1 && capacity == cap as u64
+        ));
+        assert_eq!(pool.stats().snapshot().delta(&before).writes, 0);
+        let fits = ArgList::new().with_bytes(&vec![0u8; cap - 6]);
+        let s = begin(&pool, &slot, &mut logs, "f", &fits);
+        assert_eq!(slot.record(&pool, s).unwrap().unwrap().args, fits);
+    }
+
+    #[test]
+    fn preserves_share_the_vlog_with_the_record() {
+        let (pool, slot, mut logs) = setup();
+        begin(&pool, &slot, &mut logs, "f", &ArgList::new());
+        let blob = vec![0u8; 3000];
+        preserve(&pool, &slot, &mut logs, &blob).unwrap();
+        preserve(&pool, &slot, &mut logs, &blob).unwrap();
+        let before = pool.stats().snapshot();
+        assert!(matches!(
+            preserve(&pool, &slot, &mut logs, &blob),
             Err(TxError::VlogCapacity { .. })
         ));
-        let big = ArgList::new().with_bytes(&vec![0u8; 3000]);
-        assert!(matches!(
-            slot.begin(&pool, 2, "f", &big),
-            Err(TxError::VlogCapacity { .. })
-        ));
-    }
-
-    #[test]
-    fn preserve_capacity_is_enforced() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-        let blob = vec![0u8; 2040];
-        slot.preserve(&pool, &blob).unwrap();
-        slot.preserve(&pool, &blob).unwrap();
-        assert!(matches!(
-            slot.preserve(&pool, &blob),
-            Err(TxError::VlogCapacity { .. })
-        ));
-    }
-
-    #[test]
-    fn clear_ongoing_plus_fence_is_durable() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-        slot.clear_ongoing(&pool).unwrap();
-        pool.fence();
-        let p2 = pool.crash(&CrashConfig::drop_all(3)).unwrap();
-        assert!(!slot.is_ongoing(&p2).unwrap());
-    }
-
-    #[test]
-    fn begin_overwrites_previous_record() {
-        let (pool, slot) = setup();
-        slot.begin(&pool, 2, "first", &ArgList::new().with_u64(1))
-            .unwrap();
-        slot.preserve(&pool, b"blob").unwrap();
-        slot.clear_ongoing(&pool).unwrap();
-        pool.fence();
-        slot.begin(&pool, 3, "second", &ArgList::new().with_u64(2))
-            .unwrap();
-        let rec = slot.record(&pool, 3).unwrap().unwrap();
-        assert_eq!(rec.name, "second");
-        assert_eq!(rec.args.u64(0).unwrap(), 2);
-        assert!(rec.preserves.is_empty(), "preserve state resets at begin");
-    }
-
-    #[test]
-    fn slot_log_buffers_are_usable() {
-        let (pool, slot) = setup();
-        let clog = slot.clobber_log(&pool).unwrap();
-        clog.append(&pool, PAddr::new(512), b"old").unwrap();
-        assert_eq!(clog.len(&pool).unwrap(), 1);
-        let rlog = slot.redo_log(&pool).unwrap();
-        assert!(rlog.is_empty(&pool).unwrap());
+        assert_eq!(pool.stats().snapshot().delta(&before).writes, 0);
     }
 
     #[test]

@@ -164,13 +164,14 @@ fn each_check_reports_the_fault_injected_for_it_where_it_is_live() {
 fn idempotence_check_reports_work_left_for_a_second_recovery() {
     // The injected fault: an invariant "check" that is not read-only — it
     // sets slot 0's status word again, as a recovery that forgot to retire
-    // the slot would leave it. The word names no sealed begin, so the
+    // the slot would leave it. The word names no v_log begin, so the
     // second recovery has a slot to abandon.
     let bank = session(Box::new(|pool, rt| {
         explore_check(pool, rt)?;
         if rt.slot_count() > 0 {
             let slot = rt.slot_handle(0).map_err(|e| e.to_string())?;
-            slot.mark_ongoing(pool).map_err(|e| e.to_string())?;
+            slot.mark_ongoing(pool, &|p| p.fence())
+                .map_err(|e| e.to_string())?;
         }
         Ok(())
     }));

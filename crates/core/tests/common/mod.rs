@@ -11,9 +11,9 @@ use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use clobber_nvm::{
     reopen_media, ArgList, Backend, CrashBattery, ExploreSession, Nested, Recovered, Runtime,
-    RuntimeOptions, SweepSummary, TxError,
+    RuntimeOptions, SweepSummary, TxError, VlogSlot,
 };
-use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolOptions};
+use clobber_pmem::{CrashConfig, LogWriter, PAddr, PmemPool, PoolOptions};
 
 /// Number of bank accounts in the sweep workload.
 pub const ACCOUNTS: u64 = 8;
@@ -400,6 +400,17 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
         release.wait();
     });
     media.unwrap()
+}
+
+/// Rewrites `slot`'s v_log, durably, as a whole begin entry for its status
+/// word whose name is not UTF-8: lines that validate holding a record that
+/// does not decode, the v_log's one corrupt state.
+pub fn write_undecodable_begin(pool: &PmemPool, slot: &VlogSlot) {
+    let mut vlog = LogWriter::new(slot.vlog());
+    vlog.reset_to(pool, slot.status(pool).unwrap()).unwrap();
+    // The address word of a begin entry is the name's length.
+    vlog.append(pool, PAddr::new(2), &[0xFF, 0xFE]).unwrap();
+    vlog.sync(pool).unwrap();
 }
 
 /// Runs the full script with a tracer attached (no faults armed) and

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use common::{
     explore_check, register_parked_plain, reopen, reopen_with, setup_with, sweep, sweep_clean,
-    sweep_regrow, sweep_with, total, transfer_args, two_parked_transfers, unless_crashed, ACCOUNTS,
-    INITIAL, SCRIPT,
+    sweep_regrow, sweep_with, total, transfer_args, two_parked_transfers, unless_crashed,
+    write_undecodable_begin, ACCOUNTS, INITIAL, SCRIPT,
 };
 
 use clobber_nvm::{
@@ -156,7 +156,7 @@ fn corrupt_log_header_is_typed_corruption_not_an_empty_log() {
                     rlog.append(&pool, base.add(account * 8), &balance.to_le_bytes())
                         .unwrap();
                 }
-                slot.set_redo_committed(&pool, true).unwrap();
+                slot.set_redo_committed(&pool, &|p| p.fence()).unwrap();
             }
             slots[0].redo_log(&pool).unwrap()
         } else {
@@ -363,13 +363,10 @@ fn best_effort_quarantines_corrupted_slot() {
     let backend = Backend::clobber();
     let media = two_parked_transfers(backend, [(0, 1, 30), (2, 3, 45)]);
 
-    // Corrupt slot 0's begin record in place: 16 seeded bit flips inside
-    // the 8-byte name-length word force it far past NAME_CAP.
+    // Slot 0's begin record is whole but names no UTF-8 txfunc.
     let (pool, rt) = reopen(media, backend);
     register_parked_plain(&rt);
-    let slot0 = rt.slot_handle(0).unwrap();
-    let (rec_start, _) = slot0.record_region();
-    pool.inject_bit_corruption(rec_start, 8, 1234, 16).unwrap();
+    write_undecodable_begin(&pool, &rt.slot_handle(0).unwrap());
 
     // Strict: the scan dies on the corrupt slot.
     match rt.recover() {
@@ -386,7 +383,7 @@ fn best_effort_quarantines_corrupted_slot() {
     assert_eq!(report.quarantined[0].slot, 0);
     assert_eq!(report.quarantined[0].kind, SlotQuarantineKind::CorruptVlog);
     assert!(
-        report.quarantined[0].reason.contains("name length"),
+        report.quarantined[0].reason.contains("not UTF-8"),
         "reason should name the validation failure: {:?}",
         report.quarantined[0]
     );

@@ -986,8 +986,8 @@ fn run_returns_txfunc_payload() {
     ));
 }
 
-/// The begin writes its record, seal, preserve line and status word with
-/// flushes only, and no store in the body fences: a clobbering store and a
+/// The begin writes its v_log header, record and status word with flushes
+/// only, and no store in the body fences: a clobbering store and a
 /// blind store to older data alike wait for the commit, whose log sync — or
 /// a fence of its own when nothing was logged — orders the begin before
 /// they reach the pool. Settling and clearing pay the commit's other two.
@@ -995,9 +995,12 @@ fn run_returns_txfunc_payload() {
 fn begin_and_body_issue_no_fence_and_the_commit_pays_three() {
     let (pool, rt, cell) = new_runtime(Backend::clobber());
     let slot = rt.slot_handle(1).unwrap();
+    let mut logs = slot.logs(&pool).unwrap();
     let before = pool.stats().snapshot();
-    slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
+    slot.begin(&pool, &mut logs, "f", &ArgList::new(), &mut Vec::new())
+        .unwrap();
     let d = pool.stats().snapshot().delta(&before);
+    // Header, the record's one line, status word.
     assert_eq!((d.fences, d.vlog_flushes), (0, 3), "flushes only");
 
     let seen = Arc::new(Mutex::new(Vec::new()));
@@ -1071,65 +1074,43 @@ fn splice_lines(mut image: Vec<u8>, from: &[u8], ranges: &[(PAddr, u64)]) -> Vec
     image
 }
 
-fn fresh_slot() -> (PmemPool, VlogSlot) {
+/// Begin A (`first`, then a preserved blob) committed, then begin B
+/// (`second`) written and not yet ordered, when power failed keeping every
+/// line. Each record fills exactly two v_log lines, so B's lines end where
+/// A's preserve entry begins: only its line's generation keeps it out.
+#[test]
+fn a_stale_preserve_is_not_the_new_begins() {
     let pool = PmemPool::create(PoolOptions::crash_sim(1 << 22)).unwrap();
     let slot = VlogSlot::create(&pool, 0, PAddr::NULL, 4096, 4096).unwrap();
-    (pool, slot)
-}
-
-#[test]
-fn a_preserve_length_past_the_tail_is_typed_corruption() {
-    let (pool, slot) = fresh_slot();
-    slot.begin(&pool, 2, "f", &ArgList::new()).unwrap();
-    let blob = b"find-this-blob";
-    slot.preserve(&pool, blob).unwrap();
-    // The blob's length word, found by content, set so that `off + 8 + len`
-    // would wrap.
-    let (start, len) = slot.record_region();
-    let region = pool.read_bytes(start, len).unwrap();
-    let stored = [&(blob.len() as u64).to_le_bytes()[..], blob].concat();
-    let at = region.windows(stored.len()).position(|w| w == stored);
-    pool.write_u64(start.add(at.unwrap() as u64), u64::MAX - 4)
+    let mut logs = slot.logs(&pool).unwrap();
+    let mut buf = Vec::new();
+    // Name + encoded bytes argument = 96 bytes: 14 words with the header.
+    let args = |name: &str| ArgList::new().with_bytes(&vec![0; 91 - name.len()]);
+    slot.begin(&pool, &mut logs, "first", &args("first"), &mut buf)
         .unwrap();
-    assert!(matches!(
-        slot.record(&pool, 2),
-        Err(TxError::CorruptVlog(_))
-    ));
-}
-
-/// Begin 2 (preserving a blob) committed, then begin 3 written and not yet
-/// ordered; the crash drops its preserve line.
-fn stale_preserve_line() -> (PmemPool, VlogSlot) {
-    let (pool, slot) = fresh_slot();
-    slot.begin(&pool, 2, "first", &ArgList::new()).unwrap();
-    slot.preserve(&pool, b"stale-blob").unwrap();
+    slot.preserve(&pool, &mut logs.vlog, &[0x5A; 300], &|p| p.fence())
+        .unwrap();
     slot.clear_ongoing(&pool).unwrap();
     pool.fence();
-    slot.begin(&pool, 3, "second", &ArgList::new()).unwrap();
-    let image = crash_dropping(&pool, &[(slot.preserve_line(), 8)]);
+    slot.begin(&pool, &mut logs, "second", &args("second"), &mut buf)
+        .unwrap();
+    let image = crash_dropping(&pool, &[]);
     let pool = PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap();
-    assert_eq!(slot.status(&pool).unwrap(), 3);
-    (pool, slot)
-}
-
-#[test]
-fn a_stale_preserve_count_is_not_the_new_begins() {
-    let (pool, slot) = stale_preserve_line();
     let rec = slot
-        .record(&pool, 3)
+        .record(&pool, slot.status(&pool).unwrap())
         .unwrap()
-        .expect("the record is sealed");
+        .expect("B's record is whole");
     assert_eq!((rec.name.as_str(), rec.preserves.len()), ("second", 0));
 }
 
 /// Slot 0 committed `add(cell, 5)`, then began `add(cell, 7)`
-/// — record, seal, preserve line, status and log truncation written,
-/// nothing fenced — when power failed, keeping every line but those
-/// `dropped` names. Returns what recovering that image did and left.
-fn recover_window(dropped: fn(&VlogSlot, &Ulog) -> Vec<(PAddr, u64)>) -> (RecoveryReport, u64) {
+/// — v_log header, record, status and log truncation written, nothing
+/// fenced — when power failed, keeping every line but those `dropped`
+/// names. Returns what recovering that image did and left.
+fn recover_window(dropped: fn(&Ulog, &Ulog) -> Vec<(PAddr, u64)>) -> (RecoveryReport, u64) {
     let (pool, rt, cell) = new_runtime(Backend::clobber());
     let slot = rt.slot_handle(0).unwrap();
-    let clog = slot.clobber_log(&pool).unwrap();
+    let (vlog, clog) = (slot.vlog(), slot.clobber_log(&pool).unwrap());
     let image = Arc::new(Mutex::new(None));
     let register = |rt: &Runtime, image: Option<Arc<Mutex<Option<Vec<u8>>>>>| {
         rt.register("add", move |tx, args| {
@@ -1138,7 +1119,7 @@ fn recover_window(dropped: fn(&VlogSlot, &Ulog) -> Vec<(PAddr, u64)>) -> (Recove
             let r = tx.pmalloc(8)?;
             tx.write_u64(r, 1)?;
             if let Some(image) = image.as_ref().filter(|_| args.u64(1) == Ok(7)) {
-                *image.lock().unwrap() = Some(crash_dropping(tx.pool(), &dropped(&slot, &clog)));
+                *image.lock().unwrap() = Some(crash_dropping(tx.pool(), &dropped(&vlog, &clog)));
             }
             let v = tx.read_u64(cell)?;
             tx.write_u64(cell, v + args.u64(1)?)?;
@@ -1146,7 +1127,7 @@ fn recover_window(dropped: fn(&VlogSlot, &Ulog) -> Vec<(PAddr, u64)>) -> (Recove
         });
     };
     register(&rt, Some(image.clone()));
-    // 300 padding bytes spread the arguments over several lines.
+    // 300 padding bytes spread the record over seven v_log lines.
     for (d, pad) in [(5, 0xAA), (7, 0xBB)] {
         let args = ArgList::new()
             .with_u64(cell.offset())
@@ -1171,22 +1152,25 @@ fn the_whole_begin_window_kept_re_executes() {
 }
 
 #[test]
-fn a_torn_record_was_never_begun() {
-    // 256 bytes into the region lies inside the 323 bytes of arguments:
-    // that line keeps the committed begin's bytes.
-    let (report, v) = recover_window(|slot, _| vec![(slot.record_region().0.add(256), 1)]);
+fn a_torn_begin_entry_was_never_begun() {
+    // Line 3 of the record's seven keeps the committed begin's bytes.
+    let (report, v) = recover_window(|vlog, _| vec![(vlog.v2_marker_addr(3), 8)]);
     assert_eq!((report.reexecuted.len(), report.abandoned, v), (0, 1, 5));
 }
 
 #[test]
-fn the_previous_record_under_a_new_begin_was_never_begun() {
-    // Status word, preserve line and truncation persisted; the record lines
-    // are the committed begin's, self-consistent but sealed under its
-    // number.
-    let (report, v) = recover_window(|slot, _| {
-        let (start, _) = slot.record_region();
-        vec![(start, slot.preserve_line().offset() - start.offset())]
-    });
+fn a_lost_vlog_header_was_never_begun() {
+    // The record's lines persisted, sealed under a generation the header
+    // does not name.
+    let (report, v) = recover_window(|vlog, _| vec![(vlog.base(), 16)]);
+    assert_eq!((report.reexecuted.len(), report.abandoned, v), (0, 1, 5));
+}
+
+#[test]
+fn the_previous_begins_lines_under_a_new_status_were_never_begun() {
+    // Status word and truncation persisted; the v_log is the committed
+    // begin's, header and record, whole but at that begin's generation.
+    let (report, v) = recover_window(|vlog, _| vec![(vlog.base(), 16 + 8 * 64)]);
     assert_eq!((report.reexecuted.len(), report.abandoned, v), (0, 1, 5));
 }
 
@@ -1199,12 +1183,14 @@ fn a_truncation_that_did_not_persist_hides_the_previous_log() {
     assert_eq!((report.reexecuted.len(), report.abandoned, v), (1, 0, 12));
 }
 
-/// Two power failures in a row, each inside a begin window on slot 0. The
-/// first keeps begin A's record but drops its status word and log
-/// truncation, so recovery finds nothing to do. The slot's next begin B
-/// must not reuse A's number: a second failure keeping only B's status word
-/// would then find A's record sealed under it and re-execute a transaction
-/// the first recovery discarded.
+/// Three power failures in a row, each inside a begin window on slot 0.
+/// The first two each keep a begin's v_log (A's, then B's) but drop its
+/// status word and log truncation, so recovery finds nothing to do. No
+/// later begin may reuse a lost begin's number: a third failure keeping
+/// only begin C's status word would then find a lost begin's v_log at it
+/// and re-execute a transaction an earlier recovery discarded. Two losses
+/// in a row catch an adoption whose truncation was not fenced, and so was
+/// lost with B.
 #[test]
 fn a_begin_lost_to_one_crash_is_not_revived_by_the_next() {
     let (pool, rt, cell) = new_runtime(Backend::clobber());
@@ -1254,11 +1240,14 @@ fn a_begin_lost_to_one_crash_is_not_revived_by_the_next() {
         report.is_clean(),
         "A never reached an ordering point: {report:?}"
     );
-    rt1.run_on(0, "set", &set(3, 2)).unwrap(); // B
-    let (pool2, _, report) = restart();
+    rt1.run_on(0, "set", &set(3, 1)).unwrap(); // B
+    let (_, rt2, report) = restart();
+    assert!(report.is_clean(), "nor did B: {report:?}");
+    rt2.run_on(0, "set", &set(4, 2)).unwrap(); // C
+    let (pool3, _, report) = restart();
     assert!(report.reexecuted.is_empty(), "{report:?}");
-    assert_eq!(report.abandoned, 1, "B's status word names no record");
-    assert_eq!(pool2.read_u64(cell).unwrap(), 1);
+    assert_eq!(report.abandoned, 1, "C's status word names no v_log");
+    assert_eq!(pool3.read_u64(cell).unwrap(), 1);
 }
 
 #[test]
@@ -1266,7 +1255,7 @@ fn an_image_of_the_previous_slot_layout_is_refused() {
     let (pool, rt, _) = new_runtime(Backend::clobber());
     drop(rt);
     let header = pool.root().unwrap();
-    pool.write_u64(header, 0xC10B_BE12_0000_0002).unwrap();
+    pool.write_u64(header, 0xC10B_BE12_0000_0004).unwrap();
     pool.persist(header, 8).unwrap();
     assert!(matches!(
         Runtime::open(pool, RuntimeOptions::new(Backend::clobber())),

@@ -9,7 +9,8 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    parked_transfers, register_parked_plain, reopen, total, two_parked_transfers, ACCOUNTS, INITIAL,
+    parked_transfers, register_parked_plain, reopen, total, two_parked_transfers,
+    write_undecodable_begin, ACCOUNTS, INITIAL,
 };
 
 use clobber_nvm::{Backend, RecoveryOptions, Runtime, SlotQuarantineKind, TxError};
@@ -34,11 +35,8 @@ fn multi_slot_quarantine_reports_distinct_kinds() {
     let (pool, rt) = reopen(media, backend);
     register_parked_plain(&rt);
 
-    // Slot 0: corrupt the v_log begin record (name length driven far past
-    // NAME_CAP by seeded bit flips).
-    let slot0 = rt.slot_handle(0).unwrap();
-    let (rec_start, _) = slot0.record_region();
-    pool.inject_bit_corruption(rec_start, 8, 1234, 16).unwrap();
+    // Slot 0: a whole v_log begin record that does not decode.
+    write_undecodable_begin(&pool, &rt.slot_handle(0).unwrap());
 
     // Slot 1: point its clobber-log descriptor outside the pool, so the
     // log read dies with a media-level addressing fault.
@@ -144,9 +142,7 @@ fn quarantine_is_traced() {
     let media = two_parked_transfers(backend, [(0, 1, 30), (2, 3, 45)]);
     let (pool, rt) = reopen(media, backend);
     register_parked_plain(&rt);
-    let slot0 = rt.slot_handle(0).unwrap();
-    let (rec_start, _) = slot0.record_region();
-    pool.inject_bit_corruption(rec_start, 8, 1234, 16).unwrap();
+    write_undecodable_begin(&pool, &rt.slot_handle(0).unwrap());
 
     let tracer = Arc::new(Tracer::new());
     pool.set_tracer(Some(tracer.clone()));

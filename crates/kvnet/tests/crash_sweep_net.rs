@@ -8,20 +8,22 @@
 //! failure, recover, run the battery's checks with the table invariant,
 //! and keep serving. Runs at shard counts {1, 4}, on two populations: the
 //! wide key space, and two keys — where every drain SETs one key two to
-//! four times, so each batch frees blocks it allocated itself.
+//! four times, so each batch frees blocks it allocated itself. A last case
+//! sweeps one batch whose begin record spans the v_log's lines by the
+//! dozen, and one too large for the v_log.
 
 use std::sync::Arc;
 
 use clobber_apps::{KvServer, LockScheme};
 use clobber_kvnet::{
-    serve, Admission, AdmissionConfig, Envelope, KvRequest, KvResponse, KvService, ServeConfig,
-    SimNet, SimNetConfig,
+    key_id, serve, Admission, AdmissionConfig, Envelope, KvRequest, KvResponse, KvService,
+    ServeConfig, SimNet, SimNetConfig,
 };
 use clobber_nvm::{
     reopen_media, Backend, CrashBattery, ExploreSession, Nested, Runtime, RuntimeOptions,
-    SweepSummary, TxError,
+    SweepSummary, TxError, VLOG_CAP,
 };
-use clobber_pmem::{PmemPool, PoolOptions};
+use clobber_pmem::{CrashConfig, PmemPool, PoolOptions};
 use clobber_workloads::{Mix, RequestStream};
 
 /// Small log capacities keep each replayed pool cheap to create.
@@ -48,9 +50,12 @@ fn sim_cfg(key_space: u64) -> SimNetConfig {
     }
 }
 
+/// A table invariant the battery checks after each recovery.
+type TableCheck = fn(&PmemPool, &KvServer) -> Result<(), String>;
+
 /// The service as a battery workload: a fresh pool with the server state
 /// created, reopen with its txfuncs registered, and the table invariant.
-fn session(shards: u32) -> ExploreSession<'static> {
+fn session(shards: u32, check: TableCheck) -> ExploreSession<'static> {
     ExploreSession {
         build: Box::new(move || {
             let opts = PoolOptions::crash_sim(2 << 20).with_shards(shards);
@@ -64,8 +69,8 @@ fn session(shards: u32) -> ExploreSession<'static> {
             KvServer::register(&rt);
             (pool, rt)
         }),
-        check: Box::new(|pool, rt| {
-            check_table(pool, &KvServer::open(rt, LockScheme::BucketRw).unwrap())
+        check: Box::new(move |pool, rt| {
+            check(pool, &KvServer::open(rt, LockScheme::BucketRw).unwrap())
         }),
     }
 }
@@ -118,7 +123,7 @@ fn check_table(pool: &PmemPool, server: &KvServer) -> Result<(), String> {
 /// population at `shards` shards.
 fn with_battery<R>(shards: u32, cfg: &SimNetConfig, f: impl FnOnce(&CrashBattery<'_>) -> R) -> R {
     f(&CrashBattery {
-        session: &session(shards),
+        session: &session(shards, check_table),
         drive: &|rt| run_batched_service(rt, cfg),
         nested: Nested::Off,
     })
@@ -188,4 +193,132 @@ fn service_event_count_is_shard_invariant() {
         let cfg = sim_cfg(key_space);
         assert_eq!(count_events(1, &cfg), count_events(4, &cfg));
     }
+}
+
+/// SETs in the large batch: 16 values of 128 bytes, ≈ 2.3 KB of arguments
+/// in one begin record, past the 2 KiB a record's arguments were once
+/// capped at.
+const BIG: u64 = 16;
+
+/// The large batch's value for key `id`.
+fn big_value(id: u64) -> Vec<u8> {
+    (0..128u64).map(|i| (id * 31 + i) as u8).collect()
+}
+
+/// One batch of `n` SETs of 128-byte values, keys `0..n`.
+fn big_batch(n: u64) -> Vec<Envelope> {
+    (0..n)
+        .map(|k| {
+            let key = RequestStream::key_bytes(k);
+            Envelope {
+                conn: 0,
+                opaque: k,
+                req: KvRequest::Set {
+                    value: big_value(key_id(&key)),
+                    key,
+                },
+            }
+        })
+        .collect()
+}
+
+/// The large batch is one transaction: all of its keys hold their values,
+/// or none is in the table.
+fn check_big_batch(pool: &PmemPool, server: &KvServer) -> Result<(), String> {
+    let pairs = server
+        .table()
+        .dump(pool)
+        .map_err(|e| format!("dump: {e}"))?;
+    let whole = pairs.len() == BIG as usize && pairs.iter().all(|(k, v)| *v == big_value(*k));
+    match pairs.is_empty() || whole {
+        true => Ok(()),
+        false => Err(format!("{} of {BIG} keys survived", pairs.len())),
+    }
+}
+
+/// Serves `batch` as one drain; an injected crash may end it early.
+fn serve_batch(rt: &Arc<Runtime>, batch: &[Envelope]) {
+    match service(rt).process_batch_on(0, batch) {
+        Ok(responses) => assert!(responses.iter().all(|r| r.2 == KvResponse::Stored)),
+        Err(e) => assert!(rt.pool().fault_tripped().is_some(), "{e}"),
+    }
+}
+
+#[test]
+fn a_batch_past_the_old_args_cap_commits_and_recovers_at_every_event() {
+    let batch = big_batch(BIG);
+    let mut summaries = Vec::new();
+    for shards in [1, 4] {
+        let session = session(shards, check_big_batch);
+        let (pool, rt) = (session.build)();
+        let rt = Arc::new(rt);
+        serve_batch(&rt, &batch);
+        let gets: Vec<Envelope> = batch
+            .iter()
+            .map(|e| match &e.req {
+                KvRequest::Set { key, .. } => Envelope {
+                    req: KvRequest::Get { key: key.clone() },
+                    ..*e
+                },
+                KvRequest::Get { .. } => unreachable!(),
+            })
+            .collect();
+        let read = service(&rt).process_batch_on(0, &gets).unwrap();
+        for (e, (_, _, resp)) in batch.iter().zip(read) {
+            let KvRequest::Set { value, .. } = &e.req else {
+                unreachable!()
+            };
+            assert_eq!(resp, KvResponse::Value(value.clone()), "{shards} shards");
+        }
+
+        // A record past the v_log is refused before the begin stores
+        // anything: the slot's words and v_log, its clobber log and the
+        // table stay byte for byte as they were. (The pool does not: the
+        // txfunc reserved a block before its first store, and the abort
+        // cancels it.)
+        let slot = rt.slot_handle(0).unwrap();
+        let clog = slot.clobber_log(&pool).unwrap();
+        let begin_bytes = |pool: &PmemPool| {
+            let image = pool.crash_media(&CrashConfig::keep_all(0));
+            let at = |base: clobber_pmem::PAddr, len: u64| {
+                image[base.offset() as usize..][..len as usize].to_vec()
+            };
+            let table = KvServer::open(&rt, LockScheme::BucketRw)
+                .unwrap()
+                .table()
+                .dump(pool)
+                .unwrap();
+            (at(slot.base(), 8 << 10), at(clog.base(), 16), table)
+        };
+        let before = begin_bytes(&pool);
+        match service(&rt).process_batch_on(0, &big_batch(VLOG_CAP / 128)) {
+            Err(TxError::VlogCapacity { needed, .. }) => assert!(needed > VLOG_CAP),
+            other => panic!("{shards} shards: {other:?}"),
+        }
+        assert!(begin_bytes(&pool) == before, "{shards} shards");
+        drop((rt, pool));
+
+        let summary = CrashBattery {
+            session: &session,
+            drive: &|rt| serve_batch(rt, &batch),
+            nested: Nested::Off,
+        }
+        .sweep(1, u64::MAX, |r| {
+            serve_batch(&r.rt, &batch);
+            check_big_batch(
+                &r.pool,
+                &KvServer::open(&r.rt, LockScheme::BucketRw).unwrap(),
+            )
+            .and_then(|()| match r.pool.check_heap() {
+                Ok(_) => Ok(()),
+                Err(e) => Err(format!("heap: {e}")),
+            })
+            .unwrap_or_else(|e| panic!("{shards} shards k={}: {e}", r.crash_at));
+        })
+        .unwrap_or_else(|v| panic!("{shards} shards: {v}"));
+        assert_eq!(summary.crash_points, summary.events, "{shards} shards");
+        assert_eq!(summary.not_tripped, 0, "{shards} shards");
+        summaries.push(summary);
+    }
+    assert_eq!(summaries[0], summaries[1], "1 and 4 shards agree");
 }

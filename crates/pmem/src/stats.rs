@@ -126,17 +126,18 @@ pub struct PmemStats {
     pub trace_events: AtomicU64,
     /// Trace events lost to full per-thread rings.
     pub trace_dropped: AtomicU64,
-    /// Flush calls attributed to the clobber/undo log (`LogKind::Clobber`).
+    /// Lines written back for the clobber/undo log (`LogKind::Clobber`).
     pub clog_flushes: AtomicU64,
     /// Fence *requests* attributed to the clobber/undo log. Requests, not
     /// issued fences: a request satisfied by a shared group-commit epoch
     /// still counts here, with the saving recorded in `gc_fences_saved`.
     pub clog_fences: AtomicU64,
-    /// Flush calls attributed to the redo log (`LogKind::Redo`).
+    /// Lines written back for the redo log (`LogKind::Redo`).
     pub rlog_flushes: AtomicU64,
     /// Fence requests attributed to the redo log.
     pub rlog_fences: AtomicU64,
-    /// Flush calls attributed to v_log slot records, bumped by the runtime.
+    /// Lines written back for the v_log (`LogKind::Vlog`) and the slot's
+    /// status word and markers.
     pub vlog_flushes: AtomicU64,
     /// Fence requests attributed to v_log slot records, bumped by the
     /// runtime.

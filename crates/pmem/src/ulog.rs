@@ -20,10 +20,10 @@
 //! tail+checksum persist is needed. [`Ulog::clear`] simply bumps the
 //! generation (one flush + one fence), invalidating every line at once.
 //! Appends go through a [`LogWriter`], which stages words in a volatile
-//! line buffer and issues **one streaming flush per full line**, deferring
-//! the ordering fence to [`LogWriter::sync`] — the pmembench
-//! `LogWriterZeroCached` discipline: amortized ~1 flush per *line* plus one
-//! fence per ordering point.
+//! line buffer, stores every line an append touches with **one store** and
+//! writes back the lines it filled with one flush, deferring the ordering
+//! fence to [`LogWriter::sync`] — the pmembench `LogWriterZeroCached`
+//! discipline: ~1 line flushed per *line* plus one fence per ordering point.
 //!
 //! The first word is [`V2_MAGIC`] in every log this crate formats. Each
 //! entry point reads it before trusting the rest of the image, and anything
@@ -31,10 +31,11 @@
 //! an empty log, because the pre-images behind it would be silently
 //! discarded.
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use crate::addr::PAddr;
-use crate::pool::{get_u64, PmemError, PmemPool};
+use crate::pool::{get_u64, put_u64, PmemError, PmemPool};
 
 /// Per-entry metadata: the header word and the address word.
 const V2_ENTRY_OVERHEAD: u64 = 16;
@@ -45,9 +46,18 @@ pub const V2_MAGIC: u64 = 0xC10B_B002_0000_0001;
 const LINE: u64 = crate::addr::CACHE_LINE;
 /// Payload words per line (word 7 is the marker).
 const PAYLOAD_WORDS: usize = 7;
+/// Lines one append stages before storing them.
+const RUN_LINES: usize = 32;
+
+thread_local! {
+    /// The lines an append stages, reused: an append neither allocates nor
+    /// clears a buffer.
+    static RUN: RefCell<[u8; RUN_LINES * LINE as usize]> =
+        const { RefCell::new([0; RUN_LINES * LINE as usize]) };
+}
 
 /// Which log a handle feeds — used to attribute flush/fence costs to the
-/// clobber/undo log vs the redo log in [`StatsSnapshot`].
+/// clobber/undo log, the redo log or the v_log in [`StatsSnapshot`].
 ///
 /// [`StatsSnapshot`]: crate::stats::StatsSnapshot
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,6 +66,10 @@ pub enum LogKind {
     Clobber,
     /// Redo log (buffered new values, batch-persisted at commit).
     Redo,
+    /// A transaction slot's v_log (txfunc name, arguments and preserved
+    /// volatile data). Its entries name no pool address, so appends to it
+    /// record no `UlogAppend` footprint.
+    Vlog,
     /// Unattributed (tests, ad-hoc buffers).
     #[default]
     Other,
@@ -204,12 +218,18 @@ impl Ulog {
         }
     }
 
-    pub(crate) fn bump_kind_flush(&self, pool: &PmemPool) {
+    /// Payload bytes the largest entry an empty log holds can carry.
+    pub fn entry_capacity(&self) -> u64 {
+        (self.v2_line_count() * PAYLOAD_WORDS as u64).saturating_sub(2) * 8
+    }
+
+    pub(crate) fn bump_kind_flush(&self, pool: &PmemPool, lines: u64) {
         use std::sync::atomic::Ordering::Relaxed;
         let s = pool.stats();
         match self.kind {
-            LogKind::Clobber => s.clog_flushes.fetch_add(1, Relaxed),
-            LogKind::Redo => s.rlog_flushes.fetch_add(1, Relaxed),
+            LogKind::Clobber => s.clog_flushes.fetch_add(lines, Relaxed),
+            LogKind::Redo => s.rlog_flushes.fetch_add(lines, Relaxed),
+            LogKind::Vlog => s.vlog_flushes.fetch_add(lines, Relaxed),
             LogKind::Other => return,
         };
     }
@@ -220,6 +240,7 @@ impl Ulog {
         match self.kind {
             LogKind::Clobber => s.clog_fences.fetch_add(1, Relaxed),
             LogKind::Redo => s.rlog_fences.fetch_add(1, Relaxed),
+            LogKind::Vlog => s.vlog_fences.fetch_add(1, Relaxed),
             LogKind::Other => return,
         };
     }
@@ -414,6 +435,11 @@ pub struct LogScan {
 }
 
 impl LogScan {
+    /// The generation the log's lines were validated against.
+    pub fn generation(&self) -> u64 {
+        self.gen
+    }
+
     /// Number of valid entries.
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -478,32 +504,29 @@ impl V2Pos {
         log.line_addr(self.line_idx)
     }
 
-    /// Seals the staged line with its marker and serializes it.
-    fn staged_bytes(&mut self) -> [u8; LINE as usize] {
+    /// Seals the staged line with its marker and serializes it into `out`.
+    fn serialize_into(&mut self, out: &mut [u8]) {
         self.line[7] = v2_marker(self.generation, &self.line);
-        let mut bytes = [0u8; LINE as usize];
-        for (i, w) in self.line.iter().enumerate() {
-            bytes[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
+        for (b, w) in out.chunks_exact_mut(8).zip(&self.line) {
+            b.copy_from_slice(&w.to_le_bytes());
         }
-        bytes
     }
 
-    fn push_word(&mut self, pool: &PmemPool, log: &Ulog, w: u64) -> Result<(), PmemError> {
-        self.line[self.word_idx] = w;
-        self.word_idx += 1;
-        if self.word_idx == PAYLOAD_WORDS {
-            // Line full: store it with its marker and issue the one
-            // streaming flush this line will ever need.
-            let bytes = self.staged_bytes();
-            pool.store_flush(self.line_addr(log), &bytes)?;
-            log.bump_kind_flush(pool);
+    /// Stores the staged `run` of lines from line `first` with one store
+    /// and writes back the first `full` of them, the lines it filled.
+    fn store_run(
+        &mut self,
+        pool: &PmemPool,
+        log: &Ulog,
+        first: u64,
+        run: &[u8],
+        full: u64,
+    ) -> Result<(), PmemError> {
+        pool.write_bytes(log.line_addr(first), run)?;
+        if full > 0 {
+            pool.flush(log.line_addr(first), full * LINE)?;
+            log.bump_kind_flush(pool, full);
             self.unfenced = true;
-            self.dirty = false;
-            self.line = [0; 8];
-            self.line_idx += 1;
-            self.word_idx = 0;
-        } else {
-            self.dirty = true;
         }
         Ok(())
     }
@@ -586,9 +609,10 @@ impl LogWriter {
 
     /// Appends an entry recording that `addr` held `old`.
     ///
-    /// Words are staged in the line buffer; full lines get one streaming
-    /// flush each; **no fence is issued** — the entry is guaranteed durable
-    /// only after [`sync`](Self::sync) returns.
+    /// Every line the entry touches is stored with one store (an entry
+    /// spanning more than 32 lines, with one per 32) and the lines it fills
+    /// are written back with one flush; **no fence is issued** — the entry
+    /// is guaranteed durable only after [`sync`](Self::sync) returns.
     ///
     /// # Errors
     ///
@@ -608,25 +632,47 @@ impl LogWriter {
                 capacity: total_words * 8,
             });
         }
-        p.push_word(pool, &log, (len << 1) | 1)?;
-        p.push_word(pool, &log, addr.offset())?;
-        for chunk in old.chunks(8) {
+        let data = old.chunks(8).map(|chunk| {
             let mut b = [0u8; 8];
             b[..chunk.len()].copy_from_slice(chunk);
-            p.push_word(pool, &log, u64::from_le_bytes(b))?;
+            u64::from_le_bytes(b)
+        });
+        RUN.with_borrow_mut(|run| {
+            let (mut first, mut full) = (p.line_idx, 0);
+            for w in [(len << 1) | 1, addr.offset()].into_iter().chain(data) {
+                p.line[p.word_idx] = w;
+                p.word_idx += 1;
+                if p.word_idx < PAYLOAD_WORDS {
+                    continue;
+                }
+                p.serialize_into(&mut run[full * LINE as usize..][..LINE as usize]);
+                (p.line, p.line_idx, p.word_idx) = ([0; 8], p.line_idx + 1, 0);
+                full += 1;
+                if full == RUN_LINES {
+                    p.store_run(pool, &log, first, &run[..], full as u64)?;
+                    (first, full) = (p.line_idx, 0);
+                }
+            }
+            // The partial line is stored too, so readers (and the crash
+            // model) see the current state; its flush is deferred.
+            p.dirty = p.word_idx > 0;
+            if p.dirty {
+                p.serialize_into(&mut run[full * LINE as usize..][..LINE as usize]);
+            }
+            let staged = (full + p.dirty as usize) * LINE as usize;
+            match staged {
+                0 => Ok(()),
+                _ => p.store_run(pool, &log, first, &run[..staged], full as u64),
+            }
+        })?;
+        if log.kind != LogKind::Vlog {
+            pool.trace_app_event(
+                clobber_trace::EventKind::UlogAppend,
+                0,
+                addr.offset(),
+                old.len() as u64,
+            );
         }
-        if p.dirty {
-            // Store the partial line so readers (and the crash model) see
-            // the current state; its flush is deferred.
-            let bytes = p.staged_bytes();
-            pool.write_bytes(p.line_addr(&log), &bytes)?;
-        }
-        pool.trace_app_event(
-            clobber_trace::EventKind::UlogAppend,
-            0,
-            addr.offset(),
-            old.len() as u64,
-        );
         Ok(())
     }
 
@@ -654,20 +700,49 @@ impl LogWriter {
         pool: &PmemPool,
         fence: impl FnOnce(&PmemPool),
     ) -> Result<(), PmemError> {
-        let log = self.log;
-        if let Some(p) = self.pos.as_mut() {
-            if p.dirty {
-                pool.flush(p.line_addr(&log), LINE)?;
-                log.bump_kind_flush(pool);
-                p.dirty = false;
-                p.unfenced = true;
-            }
-            if p.unfenced {
-                fence(pool);
-                log.bump_kind_fence(pool);
-                p.unfenced = false;
-            }
+        self.write_back(pool)?;
+        if let Some(p) = self.pos.as_mut().filter(|p| p.unfenced) {
+            fence(pool);
+            self.log.bump_kind_fence(pool);
+            p.unfenced = false;
         }
+        Ok(())
+    }
+
+    /// Writes back the staged partial line, if any, without fencing: the
+    /// caller's next fence, or this writer's next sync, makes every entry
+    /// appended so far durable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] on a corrupt descriptor.
+    pub fn write_back(&mut self, pool: &PmemPool) -> Result<(), PmemError> {
+        let log = self.log;
+        if let Some(p) = self.pos.as_mut().filter(|p| p.dirty) {
+            pool.flush(p.line_addr(&log), LINE)?;
+            log.bump_kind_flush(pool, 1);
+            p.dirty = false;
+            p.unfenced = true;
+        }
+        Ok(())
+    }
+
+    /// Starts the log over at generation `gen` without reading it: one
+    /// store of the header (magic, `gen`), written back but not fenced, and
+    /// an empty cursor. A v_log begin numbers its log this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] on a corrupt descriptor.
+    pub fn reset_to(&mut self, pool: &PmemPool, gen: u64) -> Result<(), PmemError> {
+        let mut hdr = [0u8; 16];
+        put_u64(&mut hdr, 0, V2_MAGIC);
+        put_u64(&mut hdr, 8, gen);
+        pool.store_flush(self.log.base, &hdr)?;
+        self.log.bump_kind_flush(pool, 1);
+        let mut pos = V2Pos::empty(gen);
+        pos.unfenced = true; // the header awaits a fence
+        self.pos = Some(pos);
         Ok(())
     }
 
@@ -985,6 +1060,61 @@ mod tests {
         assert_eq!(d.clog_fences, 1);
         assert_eq!(d.rlog_flushes, 0);
         assert_eq!((d.flushes, d.fences), (9, 1), "attribution matches totals");
+    }
+
+    #[test]
+    fn an_append_stores_its_lines_once_and_flushes_the_full_ones_once() {
+        let pool = PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap();
+        let base = pool.alloc(8192).unwrap();
+        let log = Ulog::format_v2(&pool, base, 8192).unwrap();
+        let mut w = LogWriter::attach(&pool, log).unwrap();
+        // Three words, then 300 bytes: 40 words from word 3, lines 0..=6,
+        // the last partial.
+        w.append(&pool, PAddr::new(8), b"x").unwrap();
+        let long: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        let before = pool.stats().snapshot();
+        w.append(&pool, PAddr::new(16), &long).unwrap();
+        let d = pool.stats().snapshot().delta(&before);
+        assert_eq!((d.writes, d.write_bytes), (1, 7 * 64), "one store");
+        assert_eq!(d.flushes, 6, "one flush, of the six full lines");
+        // 3,000 bytes: 377 words from word 1 of line 6, two runs of lines.
+        let longer = vec![0x5Au8; 3000];
+        let before = pool.stats().snapshot();
+        w.append(&pool, PAddr::new(24), &longer).unwrap();
+        let d = pool.stats().snapshot().delta(&before);
+        assert_eq!((d.writes, d.flushes), (2, 54));
+        w.sync(&pool).unwrap();
+        let p2 = pool.crash(&CrashConfig::drop_all(5)).unwrap();
+        assert_eq!(
+            log.entries(&p2).unwrap(),
+            vec![
+                (PAddr::new(8), b"x".to_vec()),
+                (PAddr::new(16), long),
+                (PAddr::new(24), longer)
+            ],
+            "every line of a synced multi-line entry is durable"
+        );
+    }
+
+    #[test]
+    fn reset_to_starts_over_at_a_chosen_generation_without_reading() {
+        let (pool, log) = setup();
+        log.append(&pool, PAddr::new(8), b"stale").unwrap();
+        let mut w = LogWriter::new(log);
+        let before = pool.stats().snapshot();
+        w.reset_to(&pool, 9).unwrap();
+        let d = pool.stats().snapshot().delta(&before);
+        assert_eq!((d.reads, d.writes, d.flushes, d.fences), (0, 1, 1, 0));
+        assert!(log.is_empty(&pool).unwrap());
+        w.append(&pool, PAddr::new(16), b"fresh").unwrap();
+        w.sync(&pool).unwrap();
+        let p2 = pool.crash(&CrashConfig::drop_all(6)).unwrap();
+        let scan = log.scan(&p2).unwrap();
+        assert_eq!(scan.generation(), 9);
+        assert_eq!(
+            scan.iter().collect::<Vec<_>>(),
+            vec![(PAddr::new(16), &b"fresh"[..])]
+        );
     }
 
     #[test]

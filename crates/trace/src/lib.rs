@@ -55,11 +55,11 @@ pub mod recovery_steps {
     pub const ROLLBACK: u64 = 3;
     /// A committed redo log was replayed to completion.
     pub const REDO_APPLY: u64 = 4;
-    /// An interrupted transaction was abandoned: its begin record's seal
-    /// does not match the status word (the begin never reached an ordering
-    /// point), or its replay asked for a preserve the crashed run never
-    /// recorded. Either way no store of it reached media. Codes 6 and 7
-    /// are retired.
+    /// An interrupted transaction was abandoned: its v_log holds no whole
+    /// begin record under the status word (the begin never reached an
+    /// ordering point), or its replay asked for a preserve the crashed run
+    /// never recorded. Either way no store of it reached media. Codes 6
+    /// and 7 are retired.
     pub const ABANDON: u64 = 5;
     /// Best-effort recovery quarantined a slot (`b` = slot index).
     pub const QUARANTINE: u64 = 8;
