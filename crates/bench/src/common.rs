@@ -15,7 +15,8 @@ use clobber_pmem::{PmemPool, PoolOptions, StatsSnapshot, Trace, Tracer};
 use clobber_sim::{CostModel, LockRequest, OpSource, SimOp};
 use clobber_workloads::{KvOp, Workload, WorkloadKind};
 
-/// Experiment scale: quick (CI/Criterion) or full (the `repro` binary).
+/// Experiment scale: quick (`repro --quick` and the unit tests) or full
+/// (`repro`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small op counts for fast iteration.

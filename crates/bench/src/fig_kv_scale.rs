@@ -148,8 +148,8 @@ mod tests {
 
     #[test]
     fn batching_amortizes_fences_at_four_plus_clients() {
-        // The PR's acceptance criterion: batched group commit spends fewer
-        // fences per request than per-request commit at >= 4 clients.
+        // Batched group commit spends fewer fences per request than
+        // per-request commit at >= 4 clients.
         let rows = cached_rows();
         for clients in [4, 8] {
             let b = get(rows, clients, "batched");

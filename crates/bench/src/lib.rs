@@ -2,8 +2,8 @@
 //!
 //! One module per evaluation figure (paper §5); each exposes `run(scale)`
 //! returning typed rows plus a CSV shape matching the original artifact's
-//! `fig*.csv` outputs. The `repro` binary sweeps everything at full scale;
-//! the Criterion benches exercise each figure at quick scale.
+//! `fig*.csv` outputs. The `repro` binary sweeps everything at full scale,
+//! or at quick scale with `--quick`.
 //!
 //! | Module | Paper figure |
 //! |---|---|

@@ -370,12 +370,11 @@ fn recovery_counters_pin_across_shard_counts() {
 }
 
 /// Golden lock-manager pins: a fixed single-threaded sequence of locked
-/// transactions, multi-lock sets, shared holds, upgrades (one denied, one
-/// granted) and a refused `try_acquire` must attribute exactly these
-/// `lock_*` counts — identically at every shard count. Counter contract:
-/// `lock_acquisitions` is per granted *set*, `lock_read_holds` /
-/// `lock_write_holds` per individual lock by mode (a granted upgrade adds
-/// one write hold), `lock_conflicts` per refused try/upgrade, and
+/// transactions, multi-lock sets, shared holds and a refused `try_acquire`
+/// must attribute exactly these `lock_*` counts — identically at every
+/// shard count. Counter contract: `lock_acquisitions` is per granted *set*,
+/// `lock_read_holds` / `lock_write_holds` per individual lock by mode,
+/// `lock_conflicts` per refused try, and
 /// `lock_waits` per blocking acquire that actually queued (zero here —
 /// everything is single-threaded).
 #[test]
@@ -394,15 +393,12 @@ fn lock_counters_pin_across_shard_counts() {
             &pool,
             &[LockRequest::exclusive(100), LockRequest::exclusive(101)],
         ));
-        // Two shared holders; the upgrade is denied while a co-reader
-        // exists (conflict 1), granted once sole (wh 4).
-        let mut a = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 3, rh 1
+        // Two shared holders of one lock.
+        let a = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 3, rh 1
         let b = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 4, rh 2
-        assert!(a.try_upgrade(7).is_err());
         drop(b);
-        a.try_upgrade(7).unwrap();
         drop(a);
-        // A refused wait-die probe (acq 5, wh 5, conflict 2).
+        // A refused wait-die probe (acq 5, wh 4, conflict 1).
         let h = rt.locks().acquire(&pool, &[LockRequest::exclusive(9)]);
         assert!(rt
             .locks()
@@ -419,7 +415,7 @@ fn lock_counters_pin_across_shard_counts() {
                 d.lock_conflicts,
                 d.lock_waits,
             ),
-            (5, 2, 5, 2, 0),
+            (5, 2, 4, 1, 0),
             "{shards} shards: {d:?}"
         );
         assert!(rt.locks().is_idle(), "{shards} shards: guards all released");

@@ -48,10 +48,10 @@ pub enum TxError {
     },
     /// A lock-manager request could not be granted without waiting: a
     /// `try_acquire` found the lock held (or an earlier queued waiter
-    /// wanting it), or a reader→writer upgrade was denied. Returned
-    /// *before* the transaction body runs, so retrying is always safe —
-    /// no begin record was persisted and no state changed (wait-die
-    /// style: the younger request dies and may retry).
+    /// wanting it). Returned *before* the transaction body runs, so
+    /// retrying is always safe — no begin record was persisted and no
+    /// state changed (wait-die style: the younger request dies and may
+    /// retry).
     LockConflict {
         /// The first conflicting lock id.
         lock: u64,

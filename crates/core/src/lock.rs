@@ -23,12 +23,6 @@
 //!   first contended lock id; since refusal happens before the transaction
 //!   body runs, the caller can retry arbitrarily often with no persistent
 //!   side effects.
-//! * **Upgrade denial.** [`LockGuard::try_upgrade`] converts a shared hold
-//!   to exclusive only when the guard is the lock's sole holder and no
-//!   queued waiter wants it (equivalent to having acquired exclusive at
-//!   begin, so 2PL is preserved); every other upgrade is denied with
-//!   [`TxError::LockConflict`] — concurrent readers must release and
-//!   re-acquire, never upgrade in place.
 //!
 //! Lock traffic is observable: grants, releases, and conflicts emit
 //! [`EventKind::LockAcquire`] / [`LockRelease`] / [`LockConflict`] trace
@@ -276,20 +270,6 @@ impl GrantTable {
         granted
     }
 
-    /// Converts the sole shared hold of `lock` to exclusive; `false` (and
-    /// no change) if it has other holders or a queued waiter wants it.
-    pub fn try_upgrade(&mut self, lock: LockId) -> bool {
-        let wanted = self.wanted(lock);
-        match self.holds.get_mut(&lock) {
-            Some(h) if h.readers == 1 && !h.writer && !wanted => {
-                h.release(LockMode::Shared);
-                h.acquire(LockMode::Exclusive);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// `true` while `ticket` waits in the queue; a ticket leaves it only by
     /// being granted.
     fn is_queued(&self, ticket: u64) -> bool {
@@ -438,53 +418,6 @@ impl LockGuard<'_> {
     pub fn set(&self) -> &[LockRequest] {
         &self.set
     }
-
-    /// Attempts a shared→exclusive upgrade of `lock`. Granted only when
-    /// this guard holds `lock` shared as its *sole* holder and no queued
-    /// waiter wants it — the one case indistinguishable from having
-    /// acquired exclusive at begin, so conservative 2PL is preserved.
-    /// Holding it exclusive already is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::LockConflict`] if the lock is not held by this
-    /// guard, is shared with other readers, or is wanted by a queued
-    /// waiter (upgrade denial: concurrent readers must release and
-    /// re-acquire).
-    pub fn try_upgrade(&mut self, lock: LockId) -> Result<(), TxError> {
-        let Some(pos) = self.set.iter().position(|r| r.lock == lock) else {
-            return self.deny_upgrade(lock);
-        };
-        if self.set[pos].mode == LockMode::Exclusive {
-            return Ok(());
-        }
-        let upgraded = self.mgr.table.lock().try_upgrade(lock);
-        if !upgraded {
-            return self.deny_upgrade(lock);
-        }
-        self.set[pos].mode = LockMode::Exclusive;
-        self.pool
-            .stats()
-            .lock_write_holds
-            .fetch_add(1, Ordering::Relaxed);
-        if self.pool.tracing_enabled() {
-            self.pool
-                .trace_app_event(EventKind::LockAcquire, 0, lock, LockMode::Exclusive.word());
-        }
-        Ok(())
-    }
-
-    fn deny_upgrade(&self, lock: LockId) -> Result<(), TxError> {
-        self.pool
-            .stats()
-            .lock_conflicts
-            .fetch_add(1, Ordering::Relaxed);
-        if self.pool.tracing_enabled() {
-            self.pool
-                .trace_app_event(EventKind::LockConflict, 0, lock, 1);
-        }
-        Err(TxError::LockConflict { lock })
-    }
 }
 
 impl Drop for LockGuard<'_> {
@@ -624,27 +557,6 @@ mod tests {
         assert!(t.release(&[x(3)]).is_empty(), "ticket 1 passed ticket 0");
         assert_eq!(t.release(&[x(1)]), vec![0]);
         assert_eq!(t.release(&[x(1), x(2)]), vec![1]);
-    }
-
-    #[test]
-    fn sole_reader_upgrades_others_are_denied() {
-        let pool = pool();
-        let mgr = LockManager::new();
-        {
-            let mut g = mgr.acquire(&pool, &[LockRequest::shared(8)]);
-            g.try_upgrade(8).expect("sole reader upgrades");
-            assert_eq!(g.set()[0].mode, LockMode::Exclusive);
-            g.try_upgrade(8).expect("idempotent once exclusive");
-            // While upgraded, nobody else gets in.
-            assert!(mgr.try_acquire(&pool, &[LockRequest::shared(8)]).is_err());
-        }
-        // Two concurrent readers: both upgrades must be denied.
-        let mut a = mgr.acquire(&pool, &[LockRequest::shared(8)]);
-        let mut b = mgr.acquire(&pool, &[LockRequest::shared(8)]);
-        assert_eq!(a.try_upgrade(8), Err(TxError::LockConflict { lock: 8 }));
-        assert_eq!(b.try_upgrade(8), Err(TxError::LockConflict { lock: 8 }));
-        // Upgrading a lock the guard never took is a conflict too.
-        assert_eq!(a.try_upgrade(99), Err(TxError::LockConflict { lock: 99 }));
     }
 
     #[test]

@@ -329,11 +329,6 @@ impl Runtime {
         self.registry.write().insert(name.to_string(), Arc::new(f));
     }
 
-    /// Returns `true` if `name` is registered.
-    pub fn is_registered(&self, name: &str) -> bool {
-        self.registry.read().contains_key(name)
-    }
-
     pub(crate) fn lookup(&self, name: &str) -> Result<TxFn, TxError> {
         self.registry
             .read()
@@ -432,8 +427,8 @@ impl Runtime {
     }
 
     /// The runtime's lock manager. Most callers want the `*_locked` run
-    /// methods; structure code uses this directly when it needs custom
-    /// guard scopes (e.g. upgrades).
+    /// methods; callers use this directly when they need a guard scope of
+    /// their own (e.g. a rival holding a lock across a transaction).
     pub fn locks(&self) -> &LockManager {
         &self.lock_mgr
     }

@@ -374,11 +374,6 @@ impl<'rt> Tx<'rt> {
         self.replay.is_some()
     }
 
-    /// Returns `true` once the transaction has issued a persistent store.
-    pub fn has_written(&self) -> bool {
-        self.wrote
-    }
-
     /// Read-set tracking for a load of `[s, e)` the pool just served.
     fn track_read(&mut self, s: u64, e: u64) {
         if let Some(obs) = &mut self.ido {

@@ -70,9 +70,9 @@ fn base_cfg() -> SimNetConfig {
     }
 }
 
-/// The tentpole determinism criterion: the same simulated client
-/// population against the same service must produce bit-identical traces,
-/// counters, latencies, and table contents at 1 and 4 pool shards.
+/// Determinism: the same simulated client population against the same
+/// service must produce bit-identical traces, counters, latencies, and table
+/// contents at 1 and 4 pool shards.
 #[test]
 fn des_service_runs_are_bit_deterministic_across_shard_counts() {
     let cfg = base_cfg();
@@ -102,9 +102,9 @@ fn des_service_runs_are_bit_deterministic_across_shard_counts() {
     assert_eq!(s.net_accepted, golden.report.completed);
 }
 
-/// The tentpole amortization criterion: with ≥4 concurrent clients,
-/// batched group commit spends fewer fences per request than per-request
-/// commit on the identical workload.
+/// Amortization: with ≥4 concurrent clients, batched group commit spends
+/// fewer fences per request than per-request commit on the identical
+/// workload.
 #[test]
 fn batched_commit_amortizes_fences_across_clients() {
     let cfg = base_cfg();

@@ -67,6 +67,11 @@ fn exploration_is_identical_across_shard_counts() {
         runs.push(explore(&wl, wl.seed_schedule(), opts.clone()));
     }
     let base_report = &runs[0];
+    assert!(
+        base_report.failures.is_empty(),
+        "{:?}",
+        base_report.failures
+    );
     for report in &runs[1..] {
         assert_eq!(report.schedules_run, base_report.schedules_run);
         assert_eq!(report.schedules_pruned, base_report.schedules_pruned);

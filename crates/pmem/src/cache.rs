@@ -11,8 +11,8 @@
 //!   slab's first chunk of pages are allocated by the first store and no
 //!   hashing ever happens.
 //! * [`RefCache`] — the original `HashMap<line, CacheLine>` model, kept as
-//!   the executable specification for equivalence tests and A/B benchmarks
-//!   (select it with [`PoolOptions::with_reference_cache`]).
+//!   the executable specification for equivalence tests (select it with
+//!   [`PoolOptions::with_reference_cache`]).
 //!
 //! Shared semantics (the durability contract both must implement):
 //!

@@ -43,8 +43,7 @@ pub enum PoolMode {
 /// Both implementations obey the same durability contract and produce
 /// bit-identical durable media, reads, stats and seeded crash outcomes (see
 /// [`crate::cache`]); the dense model is simply faster. The reference model
-/// is retained as the executable specification for equivalence tests and
-/// A/B benchmarks.
+/// is retained as the executable specification for equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheImpl {
     /// Dense line-indexed model: per-line state bits + a slab of the
@@ -119,8 +118,7 @@ impl PoolOptions {
         self
     }
 
-    /// Selects the reference (hash-map) cache model, for equivalence tests
-    /// and before/after benchmarks.
+    /// Selects the reference (hash-map) cache model, for equivalence tests.
     pub fn with_reference_cache(mut self) -> Self {
         self.cache_impl = CacheImpl::Reference;
         self

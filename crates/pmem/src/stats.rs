@@ -162,8 +162,7 @@ pub struct PmemStats {
     pub lock_read_holds: AtomicU64,
     /// Individual exclusive (write) locks granted, bumped by the runtime.
     pub lock_write_holds: AtomicU64,
-    /// Lock conflicts: refused `try_acquire`s and denied upgrades, bumped
-    /// by the runtime.
+    /// Lock conflicts (refused `try_acquire`s), bumped by the runtime.
     pub lock_conflicts: AtomicU64,
     /// Blocking acquires that could not be granted immediately and had to
     /// queue, bumped by the runtime.
@@ -370,7 +369,7 @@ pub struct StatsSnapshot {
     pub lock_read_holds: u64,
     /// Individual exclusive (write) locks granted.
     pub lock_write_holds: u64,
-    /// Lock conflicts (refused `try_acquire`s and denied upgrades).
+    /// Lock conflicts (refused `try_acquire`s).
     pub lock_conflicts: u64,
     /// Blocking acquires that had to queue.
     pub lock_waits: u64,

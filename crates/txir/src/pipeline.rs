@@ -44,16 +44,6 @@ pub struct CompileTiming {
     pub passes_ns: u64,
 }
 
-impl CompileTiming {
-    /// Relative overhead of the added passes over the front end.
-    pub fn overhead_ratio(&self) -> f64 {
-        if self.frontend_ns == 0 {
-            return 0.0;
-        }
-        self.passes_ns as f64 / self.frontend_ns as f64
-    }
-}
-
 /// A compiled, instrumented transaction.
 #[derive(Debug, Clone)]
 pub struct Compiled {
