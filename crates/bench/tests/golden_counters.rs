@@ -507,13 +507,19 @@ fn net_counters_pin_across_shard_counts() {
 /// and a match one `(val_ptr, val_len)` load; the bytes read as inputs, and
 /// so every log, flush and fence count, did not move. The clobber rows'
 /// flushes rose by two when the begin record became v_log entry lines:
-/// seven payload words a line instead of eight, and the v_log header.
+/// seven payload words a line instead of eight, and the v_log header. Then
+/// the 12 updates, all of the preloaded length, began overwriting their
+/// values in place: no reservation, no free, no clobbered `val_ptr`. The
+/// clobber rows log only the prepends' bucket heads, every row lost the
+/// `free_many` fence and its 12 header reads. Undo, which snapshots a fresh
+/// buffer's bytes too, snapshots the old bytes instead and no longer the
+/// two value words.
 #[test]
 fn batch_set_counters_pin() {
     for (backend, expect) in [
-        (Backend::clobber(), (15, 120, 114, 4, 221)),
-        (Backend::clobber_conservative(), (16, 128, 114, 4, 222)),
-        (Backend::Undo, (59, 1368, 241, 63, 265)),
+        (Backend::clobber(), (3, 24, 77, 3, 209)),
+        (Backend::clobber_conservative(), (4, 32, 77, 3, 210)),
+        (Backend::Undo, (35, 1176, 137, 38, 241)),
     ] {
         let pool = pool(false);
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).unwrap();
@@ -548,9 +554,43 @@ fn batch_set_counters_pin() {
             "{}: {d:?}",
             backend.label()
         );
-        // Every fence but one is one of the transaction's own group-commit
-        // epochs: the 12 deferred frees end at one ordering point.
-        assert_eq!((d.frees, d.fences - d.gc_epochs), (12, 1));
+        // Every fence is one of the transaction's own group-commit epochs:
+        // the 12 updates keep their value buffers, so no deferred free
+        // follows the commit with a fence of its own.
+        assert_eq!((d.frees, d.fences - d.gc_epochs), (0, 0));
+        for (key, value) in &pairs {
+            assert_eq!(map.get(&rt, *key).unwrap().as_ref(), Some(value));
+        }
+    }
+}
+
+/// One `TX_BATCH_SET` of 16 same-length updates, at a value size whose 16
+/// in-place stores fill the transaction's store buffer exactly (64 B × 16
+/// = 1 024 B) and at two that overflow it. An overflow moves the one log
+/// sync earlier and the stores after it go straight to the pool, so every
+/// size costs the same three fences (sync, settle, clear) and logs,
+/// reserves and frees nothing; only the write-back grows with the bytes.
+#[test]
+fn batch_set_store_buffer_overflow_pin() {
+    for (size, flushes) in [(64usize, 60), (72, 62), (128, 94)] {
+        let pool = pool(false);
+        let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+        HashMap::register(&rt);
+        let map = HashMap::create(&rt).unwrap();
+        for key in 0..4096u64 {
+            map.insert(&rt, key, &vec![key as u8; size]).unwrap();
+        }
+        let pairs: Vec<(u64, Vec<u8>)> = (0..16u64)
+            .map(|i| ((i * 257) % 4096, vec![0xB0 | i as u8; size]))
+            .collect();
+        let before = pool.stats().snapshot();
+        map.insert_batch_on(&rt, 0, &pairs).unwrap();
+        let d = pool.stats().snapshot().delta(&before);
+        assert_eq!(
+            (d.fences, d.log_bytes, d.reserves, d.frees, d.flushes),
+            (3, 0, 0, 0, flushes),
+            "{size}-byte values: {d:?}"
+        );
         for (key, value) in &pairs {
             assert_eq!(map.get(&rt, *key).unwrap().as_ref(), Some(value));
         }

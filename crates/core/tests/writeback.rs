@@ -15,8 +15,9 @@
 //!   point of the transfer script, of a transaction whose first store to
 //!   older data logs nothing, of one insert into each pds structure, and of
 //!   the deferred-store buffer's cases: a batch reading its own deferred
-//!   stores, a conservative second clobber of one word, and stores that
-//!   overflow the buffer. The last also goes through the crash battery
+//!   stores, one whose values grow, shrink and keep their length, a
+//!   conservative second clobber of one word, and stores that overflow
+//!   the buffer. The last also goes through the crash battery
 //!   with a nested crash at every recovery event, at 1 and 4 shards (every
 //!   other outer event; all of them under `--ignored`): its replay
 //!   overflows the buffer too.
@@ -466,26 +467,10 @@ fn drive_region(rt: &Runtime, name: &str, runs: &[u64]) {
     }
 }
 
-/// One `TX_BATCH_SET` of 16 keys over a map of eight: updates, a key set
-/// twice and two fresh keys sharing a bucket, so later inserts walk heads
-/// and nodes that earlier ones left in the deferred buffer. After any draw
-/// the map holds the batch whole or not at all.
-#[test]
-fn seeded_draws_cover_a_batch_that_reads_its_own_deferred_stores() {
-    let value = |k: u64, round: u8| vec![k as u8 ^ round; 24];
-    let before: Vec<(u64, Vec<u8>)> = (0..8).map(|k| (k, value(k, 0x11))).collect();
-    // Equal locks of one map are equal buckets.
-    let buckets = HashMap::open(PAddr::NULL);
-    let twin = (101..)
-        .find(|&k| buckets.lock_of(k) == buckets.lock_of(100))
-        .unwrap();
-    let keys = [
-        0, 1, 2, 100, 3, 4, twin, 5, 2, 6, 7, 200, 201, 202, 203, 204,
-    ];
-    let pairs: Vec<(u64, Vec<u8>)> = (0..16)
-        .map(|i| (keys[i], value(keys[i], 0xA0 | i as u8)))
-        .collect();
-    let mut after = std::collections::BTreeMap::from_iter(before.clone());
+/// Crash draws over one `TX_BATCH_SET` of `pairs` into a map holding
+/// `before`: after any draw the map holds the batch whole or not at all.
+fn batch_draws(label: &str, before: &[(u64, Vec<u8>)], pairs: &[(u64, Vec<u8>)]) {
+    let mut after = std::collections::BTreeMap::from_iter(before.iter().cloned());
     after.extend(pairs.iter().cloned());
     let after: Vec<(u64, Vec<u8>)> = after.into_iter().collect();
     let session = ExploreSession {
@@ -495,7 +480,7 @@ fn seeded_draws_cover_a_batch_that_reads_its_own_deferred_stores() {
             HashMap::register(&rt);
             let map = HashMap::create(&rt).unwrap();
             rt.set_app_root(map.root()).unwrap();
-            map.insert_batch_on(&rt, 0, &before).unwrap();
+            map.insert_batch_on(&rt, 0, before).unwrap();
             (pool, rt)
         }),
         reopen: Box::new(|media| {
@@ -516,9 +501,47 @@ fn seeded_draws_cover_a_batch_that_reads_its_own_deferred_stores() {
             }
         }),
     };
-    draws_at_every_event("batch", &session, &|rt| {
-        let _ = HashMap::open(rt.app_root().unwrap()).insert_batch_on(rt, 0, &pairs);
+    draws_at_every_event(label, &session, &|rt| {
+        let _ = HashMap::open(rt.app_root().unwrap()).insert_batch_on(rt, 0, pairs);
     });
+}
+
+/// One `TX_BATCH_SET` of 16 keys over a map of eight: same-length updates
+/// overwriting their values in place, a key set twice and two fresh keys
+/// sharing a bucket, so later inserts walk heads and nodes that earlier
+/// ones left in the deferred buffer.
+#[test]
+fn seeded_draws_cover_a_batch_that_reads_its_own_deferred_stores() {
+    let value = |k: u64, round: u8| vec![k as u8 ^ round; 24];
+    let before: Vec<(u64, Vec<u8>)> = (0..8).map(|k| (k, value(k, 0x11))).collect();
+    // Equal locks of one map are equal buckets.
+    let buckets = HashMap::open(PAddr::NULL);
+    let twin = (101..)
+        .find(|&k| buckets.lock_of(k) == buckets.lock_of(100))
+        .unwrap();
+    let keys = [
+        0, 1, 2, 100, 3, 4, twin, 5, 2, 6, 7, 200, 201, 202, 203, 204,
+    ];
+    let pairs: Vec<(u64, Vec<u8>)> = (0..16)
+        .map(|i| (keys[i], value(keys[i], 0xA0 | i as u8)))
+        .collect();
+    batch_draws("batch", &before, &pairs);
+}
+
+/// Length changes mixed with in-place updates in one batch: key 0 grows
+/// into a fresh buffer, is overwritten there at its new length and then
+/// shrinks into another; key 1 is overwritten in place and then grows.
+/// Each branch is taken on a `val_len` the crashed run either left alone
+/// or logged, so a replay takes the same branches.
+#[test]
+fn seeded_draws_cover_a_batch_that_resizes_values() {
+    let before: Vec<(u64, Vec<u8>)> = (0..4).map(|k| (k, vec![k as u8; 24])).collect();
+    let pairs: Vec<(u64, Vec<u8>)> = [(0, 40), (1, 24), (2, 24), (0, 40), (3, 8), (1, 48), (0, 8)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(k, len))| (k, vec![0xA0 | i as u8; len]))
+        .collect();
+    batch_draws("resize", &before, &pairs);
 }
 
 /// Under the conservative variant `twice` clobbers one word twice, reading

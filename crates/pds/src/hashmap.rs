@@ -14,9 +14,11 @@
 //! ```
 //!
 //! `key` and `next` lead the node so that a hop along a chain is one
-//! 16-byte load. A match reads the value words separately: the update reads
-//! only `val_ptr`, so `val_len` is never an input and the update's clobber
-//! log stays one 8-byte entry.
+//! 16-byte load, and a match reads `(val_ptr, val_len)` as another. An
+//! update of the same length overwrites the value bytes in place: they are
+//! written unread and `val_len` is read unwritten, so it logs nothing. A
+//! resize swaps in a fresh buffer and logs the one 16-byte `(val_ptr,
+//! val_len)` entry it read and then wrote.
 
 use clobber_nvm::{ArgList, LockRequest, Runtime, Tx, TxError};
 use clobber_pmem::{PAddr, PmemError, PmemPool};
@@ -31,7 +33,7 @@ pub(crate) const NODE_KEY: u64 = 0;
 /// Node offset of the next pointer, loaded with the key.
 pub const NODE_NEXT: u64 = 8;
 pub(crate) const NODE_VPTR: u64 = 16;
-/// Node offset of the value's length, which an update writes unread.
+/// Node offset of the value's length.
 pub const NODE_VLEN: u64 = 24;
 pub(crate) const NODE_SIZE: u64 = 32;
 
@@ -103,13 +105,20 @@ fn insert_one(tx: &mut Tx<'_>, root: PAddr, key: u64, value: &[u8]) -> Result<()
     let Some([_, node, _]) = find(tx, root, key)? else {
         return prepend(tx, root, key, value);
     };
-    // Update in place: fresh value buffer, swap ptr+len, free the old
-    // buffer at commit. Only the pointer was read, so only it clobbers.
-    let old_ptr = tx.read_paddr(node.add(NODE_VPTR))?;
+    let [old_ptr, old_len] = tx.words(node.add(NODE_VPTR))?;
+    if old_len == value.len() as u64 {
+        // Same length: overwrite the old bytes unread. They are outputs,
+        // and `val_len` is read but not written, so nothing clobbers.
+        return tx.write_bytes(PAddr::new(old_ptr), value);
+    }
+    // A resize: fresh value buffer, one `(ptr, len)` store, the old buffer
+    // freed at commit. Both words were read, so both clobber.
     let vbuf = store_value(tx, value)?;
-    tx.write_paddr(node.add(NODE_VPTR), vbuf)?;
-    tx.write_u64(node.add(NODE_VLEN), value.len() as u64)?;
-    tx.pfree(old_ptr)?;
+    let mut words = [0u8; 16];
+    words[..8].copy_from_slice(&vbuf.offset().to_le_bytes());
+    words[8..].copy_from_slice(&(value.len() as u64).to_le_bytes());
+    tx.write_bytes(node.add(NODE_VPTR), &words)?;
+    tx.pfree(PAddr::new(old_ptr))?;
     Ok(())
 }
 
@@ -323,8 +332,10 @@ impl HashMap {
 
     /// Reads `key` directly off the pool without entering a transaction —
     /// the KV service's snapshot `GET` path. The walk sees whatever the
-    /// volatile cache holds at the instant of each read; callers who need
-    /// read-your-writes against in-flight writers must use
+    /// volatile cache holds at the instant of each read, so call it only
+    /// while no write to the map is in flight: a same-length update
+    /// overwrites the value bytes in place, and a read racing it can see
+    /// them torn. Callers that overlap writers use
     /// [`get_sync`](HashMap::get_sync) instead.
     ///
     /// # Errors

@@ -1,7 +1,7 @@
 //! Pricing and log-identity pins for the hashmap chain walk and the
 //! skiplist seek: a node visit is one tracked read, and a walk that reads
 //! more than it needs cannot hide, because an update must still log exactly
-//! the value pointer it read and then wrote.
+//! the value words it read and then wrote.
 
 use std::sync::Arc;
 
@@ -64,17 +64,36 @@ fn a_hashmap_lookup_reads_once_per_hop() {
 }
 
 #[test]
-fn a_hashmap_update_logs_exactly_the_value_pointer() {
+fn a_hashmap_resize_logs_the_value_pointer_and_length() {
     let (pool, rt) = runtime();
     let map = HashMap::create(&rt).unwrap();
     let keys = same_bucket(&map, 4);
     for &k in &keys {
         map.insert(&rt, k, b"old").unwrap();
     }
-    // The walk passes three nodes and stops at the fourth: only the value
-    // pointer it read and then wrote is logged, not `val_len`.
+    // The walk passes three nodes and stops at the fourth: only the
+    // `(val_ptr, val_len)` pair it read and then wrote is logged, as one
+    // 16-byte entry.
     let log = logged(&pool, || map.insert(&rt, keys[0], b"new value").unwrap());
-    assert_eq!(log, (1, 8));
+    assert_eq!(log, (1, 16));
+    assert_eq!(map.get(&rt, keys[0]).unwrap(), Some(b"new value".to_vec()));
+}
+
+#[test]
+fn a_same_length_hashmap_update_logs_and_allocates_nothing() {
+    let (pool, rt) = runtime();
+    let map = HashMap::create(&rt).unwrap();
+    let keys = same_bucket(&map, 4);
+    for &k in &keys {
+        map.insert(&rt, k, b"old value").unwrap();
+    }
+    // The old bytes are overwritten unread and `val_len` is read unwritten:
+    // no input is clobbered, no buffer reserved, none freed.
+    let before = pool.stats().snapshot();
+    map.insert(&rt, keys[0], b"new value").unwrap();
+    let d = pool.stats().snapshot().delta(&before);
+    assert_eq!((d.log_entries, d.log_bytes), (0, 0));
+    assert_eq!((d.reserves, d.frees), (0, 0));
     assert_eq!(map.get(&rt, keys[0]).unwrap(), Some(b"new value".to_vec()));
 }
 
