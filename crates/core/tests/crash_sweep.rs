@@ -217,8 +217,7 @@ fn corrupt_log_header_is_typed_corruption_not_an_empty_log() {
 /// crashed at every swept persist event, with the list invariant *and* a
 /// full `check_heap` walk asserted after every recovery. Run at shard
 /// counts 1 and 4, which must agree point-for-point — allocator arenas
-/// and reservation magazines sit entirely inside the
-/// shard-count-invariance contract.
+/// sit entirely inside the shard-count-invariance contract.
 #[test]
 fn sweep_regrow_alloc_heavy_across_shard_counts() {
     let stride = smoke_stride();

@@ -876,10 +876,10 @@ fn double_pfree_frees_nothing() {
     pool.free_many(&[victim, other]).unwrap();
 }
 
-/// A transaction that allocates and fails, then one that allocates and
-/// commits: no `pfree`, no duplicate key. The six freed blocks make the first
-/// `pmalloc` refill the thread's magazine, so the aborted block is not the
-/// newest reservation outstanding in its arena when it is cancelled.
+/// A transaction that allocates twice and fails, then ones that allocate
+/// and commit: no `pfree`, no duplicate key. The abort cancels both blocks,
+/// so the first it pushes back is not the newest reservation outstanding in
+/// its arena.
 #[test]
 fn abort_then_commit_leaves_a_walkable_heap() {
     for backend in [Backend::clobber(), Backend::Undo, Backend::Redo] {
@@ -888,10 +888,10 @@ fn abort_then_commit_leaves_a_walkable_heap() {
         for &b in &freed {
             pool.free(b).unwrap();
         }
-        let failed = Arc::new(Mutex::new(PAddr::NULL));
+        let failed = Arc::new(Mutex::new(Vec::new()));
         let seen = failed.clone();
         rt.register("alloc_then_fail", move |tx, _args| {
-            *seen.lock().unwrap() = tx.pmalloc(64)?;
+            *seen.lock().unwrap() = vec![tx.pmalloc(64)?, tx.pmalloc(64)?];
             Err(TxError::Aborted("no".into()))
         });
         rt.register("alloc_and_link", |tx, args| {
@@ -917,10 +917,10 @@ fn abort_then_commit_leaves_a_walkable_heap() {
                 .unwrap_or_else(|e| panic!("{backend:?}, commit {round}: {e}"));
             assert_eq!(heap.allocated_blocks, before.allocated_blocks + round + 1);
         }
-        let failed = *failed.lock().unwrap();
+        let failed = failed.lock().unwrap().clone();
         assert!(
-            linked.contains(&failed),
-            "{backend:?}: the failed transaction's block {failed:?} is handed out again"
+            failed.iter().all(|b| linked.contains(b)),
+            "{backend:?}: the failed transaction's blocks {failed:?} are handed out again"
         );
         linked.sort_unstable();
         assert_eq!(linked, freed, "{backend:?}: every freed block is reused");

@@ -86,16 +86,10 @@ fn replay_is_shard_count_portable() {
     );
 }
 
-/// The compact binary format round-trips a real (tripped) trace exactly,
-/// and the Chrome export of the same trace is non-trivial.
+/// The Chrome export of a real (tripped) trace is non-trivial.
 #[test]
-fn trace_exports_round_trip() {
+fn trace_exports_to_chrome_json() {
     let recorded = traced_crash_at(Backend::clobber(), 1, mid_crash_point());
-    let bytes = recorded.to_bytes();
-    let back = Trace::from_bytes(&bytes).unwrap();
-    assert_eq!(recorded, back, "binary round-trip must be exact");
-    assert!(back.diff(&recorded).is_none());
-
     let json = recorded.to_chrome_json();
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"transfer\""), "txfunc names are exported");

@@ -148,8 +148,8 @@ fn steady_state_read_clobber_path_is_allocation_free() {
     rt.register("batch", batch);
     let args = ArgList::new().with_u64(heap.offset());
     // Two warm-ups: the first bumps the frontier sixteen times and its freed
-    // blocks reach the free list only at commit, so the thread's magazine
-    // takes its first refill (and sizes its `Vec`) in the second.
+    // blocks reach the free list only at commit, so the second is the first
+    // to pop them, as every later batch does.
     rt.run("batch", &args).unwrap();
     rt.run("batch", &args).unwrap();
     let out = rt.run("batch", &args).unwrap().unwrap();

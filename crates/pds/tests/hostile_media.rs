@@ -39,6 +39,31 @@ fn a_corrupt_value_length_is_out_of_bounds() {
     }
 }
 
+/// A same-length update writes through `val_ptr` without reading the block
+/// header: a pointer outside the pool is refused at the call, by every path
+/// that follows it. (One inside the pool is written through; DESIGN says
+/// why that is accepted.)
+#[test]
+fn a_value_pointer_outside_the_pool_is_out_of_bounds() {
+    let (pool, rt, map, node) = one_key_map();
+    // The value pointer is the word before the value's length.
+    let val_ptr = node.add(NODE_VLEN - 8);
+    for corrupt in [4 << 20, 1 << 40, u64::MAX - 2] {
+        pool.write_u64(val_ptr, corrupt).unwrap();
+        for (what, r) in [
+            ("insert_sync", map.insert_sync(&rt, 7, b"VALUE").map(drop)),
+            ("get_sync", map.get_sync(&rt, 7).map(drop)),
+            ("snapshot_get", map.snapshot_get(&pool, 7).map(drop)),
+        ] {
+            let err = r.unwrap_err();
+            assert!(
+                matches!(err, TxError::Pmem(PmemError::OutOfBounds { .. })),
+                "{what}, pointer {corrupt:#x}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn a_self_looped_node_is_a_corrupt_pool_not_a_hang() {
     let (pool, rt, map, node) = one_key_map();

@@ -32,17 +32,14 @@
 //! blocks — a push whose head never persisted, a publish whose transaction
 //! never committed — but every block a list names is free.
 //!
-//! **Arenas and magazines:** the heap is partitioned into arenas (see
-//! [`HeapGeometry`]), each with its own hints and volatile [`ArenaMirror`].
-//! Threads claim arenas round-robin at their first allocator call (the
-//! first gets arena 0, so single-threaded runs match a one-arena pool);
-//! huge blocks always use arena 0, and exhaustion spills to the other
-//! arenas in index order. A call locks its arena's mirror plus the shards
-//! covering that arena's span. Each thread also keeps a per-class magazine
-//! of pre-reserved, pre-zeroed blocks, refilled by batch-popping its arena's
-//! list; a hit makes `reserve` lock-free. A crash rolls magazine blocks
-//! back like any reservation, or leaks them if a later settle persisted a
-//! deeper head.
+//! **Arenas:** the heap is partitioned into arenas (see [`HeapGeometry`]),
+//! each with its own hints and volatile [`ArenaMirror`]. Threads claim
+//! arenas round-robin at their first allocator call (the first gets arena
+//! 0, so single-threaded runs match a one-arena pool); huge blocks always
+//! use arena 0, and exhaustion spills to the other arenas in index order.
+//! A call locks its arena's mirror plus the shards covering that arena's
+//! span; a reservation is one pop under that lock. A crash rolls an open
+//! reservation back, or leaks it if a later call persisted a head below it.
 //!
 //! Crash testing assumes one uncommitted transaction with reservations per
 //! arena, which per-thread routing gives transactional workloads. Outside
@@ -53,6 +50,8 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+
+use clobber_trace::EventKind;
 
 use crate::addr::{align_up, PAddr};
 use crate::geometry::ArenaLayout;
@@ -88,11 +87,8 @@ enum Stage {
     Done,
 }
 
-/// Blocks a thread-local magazine holds per size class.
-const MAGAZINE_CAP: usize = 8;
-/// Pools a thread keeps routing/magazine state for (oldest evicted; an
-/// evicted magazine's blocks stay reserved in the mirror — a bounded
-/// volatile leak until the pool is reopened).
+/// Pools a thread keeps its arena routing for (oldest evicted; a pool
+/// touched again after eviction claims a fresh arena).
 const TLS_POOL_CAP: usize = 8;
 
 /// Where an allocation's block came from, for the stats split.
@@ -284,43 +280,9 @@ fn classify(size: u64) -> (u32, u64) {
     }
 }
 
-/// Thread-local allocator state for one pool: the arena this thread routes
-/// to plus its per-class reservation magazines.
-struct PoolTls {
-    pool_id: u64,
-    arena: u32,
-    /// Pre-reserved, pre-zeroed blocks per small size class; popping one is
-    /// a lock-free `reserve`.
-    mags: [Vec<u64>; CLASS_SIZES.len()],
-}
-
-#[derive(Default)]
-struct AllocTls {
-    pools: Vec<PoolTls>,
-}
-
-impl AllocTls {
-    /// Index of (creating if absent) this pool's state. Creation claims an
-    /// arena from the pool's round-robin counter and may evict the oldest
-    /// entry.
-    fn slot(&mut self, pool: &PmemPool) -> usize {
-        if let Some(i) = self.pools.iter().position(|p| p.pool_id == pool.pool_id()) {
-            return i;
-        }
-        if self.pools.len() >= TLS_POOL_CAP {
-            self.pools.remove(0);
-        }
-        self.pools.push(PoolTls {
-            pool_id: pool.pool_id(),
-            arena: pool.claim_arena(),
-            mags: Default::default(),
-        });
-        self.pools.len() - 1
-    }
-}
-
 thread_local! {
-    static ALLOC_TLS: RefCell<AllocTls> = RefCell::new(AllocTls::default());
+    /// This thread's arena per pool, as `(pool_id, arena)`, oldest first.
+    static ROUTES: RefCell<Vec<(u64, u32)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Cache-aware persistent write helpers used while the engine's locks are
@@ -431,10 +393,17 @@ impl PmemPool {
         if self.arena_count() == 1 {
             return 0;
         }
-        ALLOC_TLS.with(|t| {
-            let mut t = t.borrow_mut();
-            let i = t.slot(self);
-            t.pools[i].arena as usize
+        ROUTES.with(|r| {
+            let mut r = r.borrow_mut();
+            if let Some(&(_, arena)) = r.iter().find(|&&(id, _)| id == self.pool_id()) {
+                return arena as usize;
+            }
+            if r.len() >= TLS_POOL_CAP {
+                r.remove(0);
+            }
+            let arena = self.claim_arena();
+            r.push((self.pool_id(), arena));
+            arena as usize
         })
     }
 
@@ -468,6 +437,20 @@ impl PmemPool {
     /// Returns [`PmemError::OutOfMemory`] if the heap is exhausted and
     /// [`PmemError::OutOfBounds`] for zero-size requests beyond capacity.
     pub fn alloc(&self, size: u64) -> Result<PAddr, PmemError> {
+        self.take_block(size, EventKind::Alloc, |idx, class, capacity| {
+            self.alloc_in(idx, class, capacity, Stage::Done)
+        })
+    }
+
+    /// The front end `alloc` and `reserve` share: the size class, the home
+    /// arena (arena 0 for huge blocks), the spill, then the stats and the
+    /// trace event. `in_arena` takes the block from one arena.
+    fn take_block(
+        &self,
+        size: u64,
+        kind: EventKind,
+        in_arena: impl Fn(usize, u32, u64) -> Result<(u64, Origin), PmemError>,
+    ) -> Result<PAddr, PmemError> {
         self.fail_if_dead()?;
         let (class, capacity) = classify(size.max(8));
         let home = if class == HUGE_CLASS {
@@ -475,16 +458,14 @@ impl PmemPool {
         } else {
             self.routed_arena()
         };
-        let (payload, origin) = self.spill(home, capacity, |idx| {
-            self.alloc_in(idx, class, capacity, Stage::Done)
-        })?;
+        let (payload, origin) = self.spill(home, capacity, |idx| in_arena(idx, class, capacity))?;
         let stats = self.stats();
         stats.bump(&stats.allocs, 1);
         match origin {
             Origin::FreeList => stats.bump(&stats.alloc_freelist, 1),
             Origin::Frontier => stats.bump(&stats.alloc_frontier, 1),
         }
-        self.trace_app_event(clobber_trace::EventKind::Alloc, 0, payload, capacity);
+        self.trace_app_event(kind, 0, payload, capacity);
         Ok(PAddr::new(payload))
     }
 
@@ -556,7 +537,7 @@ impl PmemPool {
         let stats = self.stats();
         stats.bump(&stats.frees, blocks.len() as u64);
         for b in blocks {
-            self.trace_app_event(clobber_trace::EventKind::Free, 0, b.offset(), 0);
+            self.trace_app_event(EventKind::Free, 0, b.offset(), 0);
         }
         Ok(())
     }
@@ -605,9 +586,9 @@ impl PmemPool {
     }
 
     /// Reserves `size` bytes without touching persistent metadata (zero
-    /// fences — and zero locks when the thread's magazine has a block). The
-    /// block becomes durable only when [`publish`](Self::publish)ed; until
-    /// then a crash rolls it back automatically.
+    /// fences). The block becomes durable only when
+    /// [`publish`](Self::publish)ed; until then a crash rolls it back
+    /// automatically.
     ///
     /// The payload is zeroed (volatile until flushed by the caller).
     ///
@@ -615,88 +596,27 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfMemory`] if the heap is exhausted.
     pub fn reserve(&self, size: u64) -> Result<PAddr, PmemError> {
-        self.fail_if_dead()?;
-        let (class, capacity) = classify(size.max(8));
+        let payload = self.take_block(size, EventKind::Reserve, |idx, class, capacity| {
+            self.reserve_in(idx, class, capacity)
+        })?;
         let stats = self.stats();
-        let mut home = 0usize;
-        // The thread's drained magazine for this class, taken out of TLS on a
-        // miss so a refill fills it in place instead of allocating.
-        let mut mag = Vec::new();
-        if class != HUGE_CLASS {
-            // Magazine fast path: no lock at all.
-            let hit = ALLOC_TLS.with(|t| {
-                let mut t = t.borrow_mut();
-                let i = t.slot(self);
-                let e = &mut t.pools[i];
-                home = e.arena as usize;
-                let hit = e.mags[class as usize].pop();
-                if hit.is_none() {
-                    mag = std::mem::take(&mut e.mags[class as usize]);
-                }
-                hit
-            });
-            if let Some(payload) = hit {
-                stats.bump(&stats.allocs, 1);
-                stats.bump(&stats.reserves, 1);
-                stats.bump(&stats.alloc_freelist, 1);
-                stats.bump(&stats.magazine_hits, 1);
-                self.trace_app_event(clobber_trace::EventKind::Reserve, 0, payload, capacity);
-                return Ok(PAddr::new(payload));
-            }
-        }
-        let picked = self.spill(home, capacity, |idx| {
-            let refill = (idx == home && class != HUGE_CLASS).then_some(&mut mag);
-            self.reserve_in(idx, class, capacity, refill)
-        });
-        if class != HUGE_CLASS {
-            ALLOC_TLS.with(|t| {
-                let mut t = t.borrow_mut();
-                let i = t.slot(self);
-                t.pools[i].mags[class as usize] = mag;
-            });
-        }
-        let (payload, origin) = picked?;
-        stats.bump(&stats.allocs, 1);
         stats.bump(&stats.reserves, 1);
-        match origin {
-            Origin::FreeList => stats.bump(&stats.alloc_freelist, 1),
-            Origin::Frontier => stats.bump(&stats.alloc_frontier, 1),
-        }
-        self.trace_app_event(clobber_trace::EventKind::Reserve, 0, payload, capacity);
-        Ok(PAddr::new(payload))
+        Ok(payload)
     }
 
-    /// The locked reservation path against one arena. With a `refill`
-    /// magazine (empty), batch-pops the free list: the first block is served
-    /// and up to [`MAGAZINE_CAP`] more are reserved+zeroed into the
-    /// magazine, ordered so magazine pops yield the exact sequence unbatched
-    /// pops would have.
+    /// The locked reservation path against one arena: a block off the
+    /// mirror, recorded as reserved and zeroed.
     fn reserve_in(
         &self,
         idx: usize,
         class: u32,
         capacity: u64,
-        refill: Option<&mut Vec<u64>>,
     ) -> Result<(u64, Origin), PmemError> {
         let mode = self.mode();
         self.engine().with_arena_raw(idx, |am, raw| {
-            let mut ops = Ops::new(raw, mode);
-            let res = Reservation { class, capacity };
-            if let Some(mag) = refill.filter(|_| !am.free[class as usize].is_empty()) {
-                let list = &mut am.free[class as usize];
-                let served = list.pop().expect("non-empty checked above");
-                // `drain` yields bottom-to-top, so `Vec::pop` on the magazine
-                // yields original list order.
-                mag.extend(list.drain(list.len().saturating_sub(MAGAZINE_CAP)..));
-                for &payload in std::iter::once(&served).chain(mag.iter().rev()) {
-                    am.reserved.insert(payload, res);
-                    zero_payload(&mut ops, payload, capacity);
-                }
-                ops.finish();
-                return Ok((served, Origin::FreeList));
-            }
             let (payload, origin) = pick_block(am, class, capacity)?;
-            am.reserved.insert(payload, res);
+            am.reserved.insert(payload, Reservation { class, capacity });
+            let mut ops = Ops::new(raw, mode);
             zero_payload(&mut ops, payload, capacity);
             ops.finish();
             Ok((payload, origin))
@@ -714,7 +634,7 @@ impl PmemPool {
         self.fail_if_dead()?;
         let stats = self.stats();
         stats.bump(&stats.publishes, 1);
-        self.trace_app_event(clobber_trace::EventKind::Publish, 0, blocks.len() as u64, 0);
+        self.trace_app_event(EventKind::Publish, 0, blocks.len() as u64, 0);
         self.settle(blocks, STATE_ALLOC, Stage::Done)
     }
 
@@ -729,7 +649,7 @@ impl PmemPool {
         self.fail_if_dead()?;
         let stats = self.stats();
         stats.bump(&stats.cancels, 1);
-        self.trace_app_event(clobber_trace::EventKind::Cancel, 0, blocks.len() as u64, 0);
+        self.trace_app_event(EventKind::Cancel, 0, blocks.len() as u64, 0);
         self.settle(blocks, STATE_FREE, Stage::Done)
     }
 
@@ -1028,18 +948,24 @@ mod tests {
 
     #[test]
     fn reserve_from_free_list_then_crash_restores_list() {
-        let p = pool();
-        let a = p.alloc(64).unwrap();
-        p.free(a).unwrap();
-        p.fence(); // orders the head the free wrote
-        let r = p.reserve(64).unwrap();
-        assert_eq!(r, a, "reservation pops the freed block");
-        let _bumped = p.reserve(5000).unwrap();
-        let p2 = p.crash(&CrashConfig::drop_all(4)).unwrap();
-        let rep = p2.check_heap().unwrap();
-        assert_eq!((rep.free_blocks, rep.free_blocks_listed), (1, 1));
-        let again = p2.alloc(64).unwrap();
-        assert_eq!(again, a, "free list head restored after crash");
+        for n in [1, 4] {
+            let p = pool();
+            let blocks: Vec<PAddr> = (0..n).map(|_| p.alloc(64).unwrap()).collect();
+            p.free_many(&blocks).unwrap();
+            p.fence(); // orders the head the free wrote
+            let r = p.reserve(64).unwrap();
+            assert_eq!(r, blocks[n - 1], "reservation pops the last freed block");
+            let _bumped = p.reserve(5000).unwrap();
+            let p2 = p.crash(&CrashConfig::drop_all(4)).unwrap();
+            // Nothing was published: the whole free list is intact on media.
+            let rep = p2.check_heap().unwrap();
+            assert_eq!(
+                (rep.free_blocks, rep.free_blocks_listed),
+                (n as u64, n as u64)
+            );
+            let again = p2.alloc(64).unwrap();
+            assert_eq!(again, r, "free list head restored after crash");
+        }
     }
 
     #[test]
@@ -1134,7 +1060,7 @@ mod tests {
         let earlier = p.reserve(64).unwrap();
         p.publish(&[earlier]).unwrap();
         p.fence();
-        // Reservations off the lists, the magazines and the frontier.
+        // Reservations off the lists and the frontier.
         let res = || [64, 64, 256, 256, 256].map(|size| p.reserve(size).unwrap());
         match call {
             "free" => {
@@ -1180,11 +1106,16 @@ mod tests {
         assert!([small[4], large[3]]
             .iter()
             .all(|b| state(b.offset()) == STATE_ALLOC));
-        // Fenced, only blocks reserved off the lists leak, rolled back
-        // unlisted: the earlier magazine block, plus two for the free.
+        // Fenced, the leaks are exact. The free's heads name its own
+        // pushes, above lists its open reservations emptied: the three
+        // blocks they popped are lost. The cancel persists the heads the
+        // earlier publish left, the list bottoms: the three blocks it
+        // pushed above them are lost. An alloc's heads name the lists as
+        // they are: nothing is lost.
         let exact = match (fenced, call) {
             (true, "free") => Some(3),
-            (true, "alloc pop" | "alloc bump") => Some(1),
+            (true, "cancel") => Some(3),
+            (true, "alloc pop" | "alloc bump") => Some(0),
             _ => None,
         };
         assert!(
@@ -1198,60 +1129,6 @@ mod tests {
         p2.fence();
         let (_, listed) = check();
         assert!(again.iter().all(|b| listed.contains(&b.offset())), "{ctx}");
-    }
-
-    #[test]
-    fn magazine_serves_repeat_reservations_without_locks() {
-        let p = pool();
-        // Stock the free list with several blocks of one class.
-        let mut blocks = Vec::new();
-        for _ in 0..6 {
-            blocks.push(p.alloc(64).unwrap());
-        }
-        for &b in &blocks {
-            p.free(b).unwrap();
-        }
-        let before = p.stats().snapshot();
-        // First reserve refills the magazine; the rest hit it.
-        let mut got = Vec::new();
-        for _ in 0..6 {
-            got.push(p.reserve(64).unwrap());
-        }
-        let d = p.stats().snapshot().delta(&before);
-        assert_eq!(d.reserves, 6);
-        assert_eq!(d.alloc_freelist, 6);
-        assert_eq!(d.magazine_hits, 5, "all but the refill pop are hits");
-        assert_eq!(d.fences, 0);
-        assert_eq!(d.flushes, 0);
-        // Magazine pops preserve the exact unbatched LIFO order.
-        let mut expect = blocks.clone();
-        expect.reverse();
-        assert_eq!(got, expect);
-        // Magazine blocks are real reservations: they publish fine.
-        p.publish(&got).unwrap();
-        p.fence();
-        for &g in &got {
-            p.free(g).unwrap();
-        }
-    }
-
-    #[test]
-    fn magazine_blocks_roll_back_on_crash_like_any_reservation() {
-        let p = pool();
-        let mut blocks = Vec::new();
-        for _ in 0..4 {
-            blocks.push(p.alloc(32).unwrap());
-        }
-        for &b in &blocks {
-            p.free(b).unwrap();
-        }
-        p.fence(); // orders the last free's head
-        let _r = p.reserve(32).unwrap(); // refills the magazine
-        let p2 = p.crash(&CrashConfig::drop_all(12)).unwrap();
-        // Nothing was published: the whole free list is intact on media.
-        let rep = p2.check_heap().unwrap();
-        assert_eq!(rep.free_blocks, 4);
-        assert_eq!(rep.free_blocks_listed, 4);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   probability, everything else is dropped — reproducing torn states.
 //! * [`alloc`] provides a crash-consistent persistent heap allocator in the
 //!   spirit of PMDK's (list heads and frontier are hints an open repairs),
-//!   sharded into per-thread arenas with thread-local reservation magazines
-//!   so transactions scale past a single allocator lock.
+//!   sharded into per-thread arenas so transactions scale past a single
+//!   allocator lock.
 //! * [`ulog`] provides a PMDK-style undo-log buffer, the primitive on which
 //!   Clobber-NVM's `clobber_log` is built (paper §4.2).
 //! * [`stats::PmemStats`] counts every persistence event (flushes, fences,

@@ -21,8 +21,8 @@ use crate::stats::PmemStats;
 /// Magic value of the pool format (the only one ever written or opened).
 const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0002;
 
-/// Monotonic id source distinguishing live pools for thread-local allocator
-/// state (arena routing and reservation magazines).
+/// Monotonic id source distinguishing live pools for thread-local arena
+/// routing.
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Whether the pool models the volatile cache or runs at full speed.
@@ -253,8 +253,8 @@ pub struct PmemPool {
     capacity: u64,
     /// Arena partition, read from the (versioned) pool header.
     geom: HeapGeometry,
-    /// Identity for thread-local allocator state (routing + magazines):
-    /// unique per live pool instance, so a reopened pool starts fresh.
+    /// Identity for thread-local arena routing: unique per live pool
+    /// instance, so a reopened pool starts fresh.
     pool_id: u64,
     /// Round-robin source for thread→arena assignment. The first thread to
     /// allocate always claims arena 0, which keeps single-threaded

@@ -98,9 +98,9 @@ pub struct PmemStats {
     pub alloc_freelist: AtomicU64,
     /// Blocks handed out by bumping an arena frontier.
     pub alloc_frontier: AtomicU64,
-    /// Reservations served from a thread-local magazine without taking any
-    /// lock (a subset of `alloc_freelist`: magazines refill from free
-    /// lists).
+    /// Nothing writes this count: every reservation is one locked pop.
+    /// Kept for `StatsSnapshot::magazine_hits`, whose readers still report
+    /// it.
     pub magazine_hits: AtomicU64,
     /// Log entries appended (undo/clobber/redo), bumped by the runtime.
     pub log_entries: AtomicU64,
@@ -321,7 +321,8 @@ pub struct StatsSnapshot {
     pub alloc_freelist: u64,
     /// Blocks served by bumping an arena frontier.
     pub alloc_frontier: u64,
-    /// Reservations served lock-free from a thread-local magazine.
+    /// Always 0: every reservation is one locked pop, and nothing writes
+    /// this count. Kept for readers that still report it.
     pub magazine_hits: u64,
     /// Log entries appended (undo/clobber/redo).
     pub log_entries: u64,

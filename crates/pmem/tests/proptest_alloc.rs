@@ -36,8 +36,8 @@ enum TxOp {
     /// `pfree` of the i-th published block (modulo): freed after commit.
     Free(usize),
     /// An immediate `free_many` of published blocks (each index modulo),
-    /// while this transaction's reservations and the thread's magazine are
-    /// outstanding — the mirror top is not the media head.
+    /// while this transaction's reservations are outstanding — the mirror
+    /// top is not the media head.
     FreeMany(Vec<usize>),
 }
 

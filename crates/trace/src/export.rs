@@ -1,6 +1,6 @@
-//! A drained capture ([`Trace`]) and its exporters.
+//! A drained capture ([`Trace`]), its diff and its exporter.
 //!
-//! Three consumers, three formats:
+//! Two consumers:
 //!
 //! * **Diffing** ([`Trace::diff`]) — the golden-trace and replay tests
 //!   compare traces event-for-event, resolving interned names and argument
@@ -10,17 +10,8 @@
 //!   Perfetto / `chrome://tracing`; the persist-event sequence number is
 //!   used as the timestamp axis, which is exactly the deterministic
 //!   ordering axis, so two runs of the same schedule render identically.
-//! * **Compact binary** ([`Trace::to_bytes`] / [`Trace::from_bytes`]) — the
-//!   `CTRC` format: a header, the interning tables, then 32 bytes per
-//!   event. Round-trips exactly; used by the crash-sweep replay smoke and
-//!   the bench `--trace-out` option.
 
 use crate::event::{EventKind, TraceEvent};
-
-/// Magic prefix of the binary format.
-const MAGIC: &[u8; 4] = b"CTRC";
-/// Current binary format version.
-const VERSION: u32 = 1;
 
 /// A merged, drained capture: events in the pool-wide total order plus the
 /// resolved interning tables.
@@ -58,35 +49,6 @@ impl std::fmt::Display for TraceDivergence {
         )
     }
 }
-
-/// Why a binary trace failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceDecodeError {
-    /// Input shorter than its header/tables/events claim.
-    Truncated,
-    /// The `CTRC` magic was missing.
-    BadMagic,
-    /// A version this build doesn't understand.
-    BadVersion(u32),
-    /// An event word carried an unknown kind discriminant.
-    BadEvent(usize),
-    /// An interned name was not valid UTF-8.
-    BadUtf8,
-}
-
-impl std::fmt::Display for TraceDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceDecodeError::Truncated => write!(f, "trace truncated"),
-            TraceDecodeError::BadMagic => write!(f, "not a CTRC trace"),
-            TraceDecodeError::BadVersion(v) => write!(f, "unsupported CTRC version {v}"),
-            TraceDecodeError::BadEvent(i) => write!(f, "undecodable event at index {i}"),
-            TraceDecodeError::BadUtf8 => write!(f, "interned name is not UTF-8"),
-        }
-    }
-}
-
-impl std::error::Error for TraceDecodeError {}
 
 /// A payload word with interning resolved, for resolve-aware diffing.
 #[derive(PartialEq, Eq, Debug)]
@@ -194,92 +156,6 @@ impl Trace {
         out.push_str("]}");
         out
     }
-
-    /// Serializes to the compact `CTRC` binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.events.len() * 32);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
-        for name in &self.names {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-        }
-        out.extend_from_slice(&(self.blobs.len() as u32).to_le_bytes());
-        for blob in &self.blobs {
-            out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-            out.extend_from_slice(blob);
-        }
-        out.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
-        for e in &self.events {
-            for w in e.pack() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decodes the `CTRC` binary format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        let mut r = Reader { bytes, at: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(TraceDecodeError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(TraceDecodeError::BadVersion(version));
-        }
-        let dropped = r.u64()?;
-        let mut names = Vec::new();
-        for _ in 0..r.u32()? {
-            let len = r.u32()? as usize;
-            let s = std::str::from_utf8(r.take(len)?).map_err(|_| TraceDecodeError::BadUtf8)?;
-            names.push(s.to_string());
-        }
-        let mut blobs = Vec::new();
-        for _ in 0..r.u32()? {
-            let len = r.u32()? as usize;
-            blobs.push(r.take(len)?.to_vec());
-        }
-        let count = r.u64()? as usize;
-        let mut events = Vec::with_capacity(count.min(1 << 20));
-        for i in 0..count {
-            let w = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-            events.push(TraceEvent::unpack(w).ok_or(TraceDecodeError::BadEvent(i))?);
-        }
-        Ok(Trace {
-            events,
-            names,
-            blobs,
-            dropped,
-        })
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceDecodeError> {
-        let end = self.at.checked_add(n).ok_or(TraceDecodeError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(TraceDecodeError::Truncated);
-        }
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceDecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceDecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 fn escape_json_into(s: &str, out: &mut String) {
@@ -331,28 +207,6 @@ mod tests {
             blobs: vec![vec![1, 2, 3]],
             dropped: 0,
         }
-    }
-
-    #[test]
-    fn binary_round_trips() {
-        let t = sample();
-        let decoded = Trace::from_bytes(&t.to_bytes()).unwrap();
-        assert_eq!(decoded, t);
-        assert_eq!(t.diff(&decoded), None);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(Trace::from_bytes(b"nope"), Err(TraceDecodeError::BadMagic));
-        let mut bytes = sample().to_bytes();
-        bytes.truncate(bytes.len() - 1);
-        assert_eq!(Trace::from_bytes(&bytes), Err(TraceDecodeError::Truncated));
-        let mut versioned = sample().to_bytes();
-        versioned[4] = 0xEE;
-        assert!(matches!(
-            Trace::from_bytes(&versioned),
-            Err(TraceDecodeError::BadVersion(_))
-        ));
     }
 
     #[test]

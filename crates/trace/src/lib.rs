@@ -21,8 +21,8 @@
 //!   rings of packed events, plus interning tables for transaction names
 //!   and argument blobs (module [`ring`]).
 //! * [`Trace`] — a drained capture: merged events + resolved tables, with
-//!   exporters to Chrome trace-event JSON (Perfetto-loadable) and a compact
-//!   binary format (module [`export`]).
+//!   an exporter to Chrome trace-event JSON (Perfetto-loadable) (module
+//!   [`export`]).
 //! * [`ddmin`] — a generic delta-debugging minimizer that shrinks a failing
 //!   schedule to a locally minimal repro (module [`minimize`]).
 //! * [`tx_footprints`] / [`ConflictPolicy`] — per-transaction persist
@@ -37,7 +37,7 @@ pub mod ring;
 
 pub use conflict::{tx_footprints, ConflictPolicy, Footprint, TxFootprint};
 pub use event::{EventKind, TraceEvent};
-pub use export::{Trace, TraceDecodeError, TraceDivergence};
+pub use export::{Trace, TraceDivergence};
 pub use minimize::ddmin;
 pub use ring::{ThreadRing, Tracer};
 
