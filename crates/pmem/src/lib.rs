@@ -67,7 +67,7 @@ pub use alloc::HeapReport;
 pub use crash::CrashConfig;
 pub use fault::FaultPlan;
 pub use pool::{CacheImpl, PmemError, PmemPool, PoolMode, PoolOptions, DEFAULT_ARENAS};
-pub use stats::{PmemStats, ShardCounters, StatsSnapshot};
+pub use stats::{PmemStats, StatsSnapshot};
 pub use ulog::{LogKind, LogScan, LogWriter, Ulog};
 
 // Re-exported so pool users can attach tracers and decode traces without a

@@ -26,7 +26,7 @@
 //! disjoint arenas never contend and the global acquisition order stays
 //! acyclic even when arena boundaries share a shard).
 //!
-//! The hot-path counters live in per-shard [`ShardCounters`] banks written
+//! The per-access counters live in per-shard [`PmemStats`] banks written
 //! by the shard lock holder and nowhere else; [`PmemStats::snapshot`] sums
 //! them into pool totals. Operation counts attribute to the shard holding
 //! the first byte; flush line counts attribute per shard (pure geometry, so
@@ -35,7 +35,7 @@
 //! arena's span.
 //!
 //! [`PmemPool`]: crate::PmemPool
-//! [`ShardCounters`]: crate::stats::ShardCounters
+//! [`PmemStats`]: crate::PmemStats
 //! [`PmemStats::snapshot`]: crate::PmemStats::snapshot
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +48,7 @@ use crate::alloc::ArenaMirror;
 use crate::cache::{line_count, Cache, LineCache, RefCache};
 use crate::geometry::HeapGeometry;
 use crate::pool::{get_u64, put_u64, CacheImpl, PoolMode};
-use crate::stats::ShardCounters;
+use crate::stats::PmemStats;
 
 /// One contiguous span of media plus its simulated cache — the unit the
 /// engine is built from: one per address-range shard.
@@ -240,10 +240,10 @@ fn for_each_piece(shard_bytes: u64, offset: u64, len: u64, mut f: impl FnMut(usi
 /// never held across a shard acquisition.
 pub(crate) struct ShardedPool {
     cells: Box<[Mutex<Shard>]>,
-    /// Shard `i`'s hot counters, written under `cells[i]`'s lock (fences
-    /// excepted, see [`ShardCounters`]); the pool's `PmemStats` handle
-    /// holds the same banks to sum them.
-    banks: Arc<[ShardCounters]>,
+    /// Shard `i`'s per-access counters, written under `cells[i]`'s lock
+    /// (fences excepted, see [`PmemStats`]); the pool's shared bank holds
+    /// the same banks to sum them.
+    banks: Arc<[PmemStats]>,
     /// Bytes per shard (multiple of [`CACHE_LINE`]); the last shard holds
     /// the remainder.
     shard_bytes: u64,
@@ -295,7 +295,7 @@ impl ShardedPool {
             })
             .collect();
         ShardedPool {
-            banks: cells.iter().map(|_| ShardCounters::default()).collect(),
+            banks: cells.iter().map(|_| PmemStats::default()).collect(),
             cells: cells.into_boxed_slice(),
             shard_bytes,
             capacity,
@@ -309,8 +309,8 @@ impl ShardedPool {
         self.cells.len()
     }
 
-    /// The per-shard hot-counter banks, for the pool's stats handle.
-    pub(crate) fn banks(&self) -> &Arc<[ShardCounters]> {
+    /// The per-shard counter banks, for the pool's shared bank.
+    pub(crate) fn banks(&self) -> &Arc<[PmemStats]> {
         &self.banks
     }
 
@@ -483,7 +483,8 @@ impl ShardedPool {
     pub(crate) fn fence(&self, mode: PoolMode) {
         // Counted in shard 0's bank without its lock: in performance mode
         // there is nothing to write back, so a fence takes no lock at all.
-        self.banks[0].add_fences(1);
+        let b = &self.banks[0];
+        b.bump(&b.fences, 1);
         let ticket = self.fences_begun.fetch_add(1, Ordering::SeqCst);
         if mode == PoolMode::CrashSim {
             for cell in self.cells.iter() {
@@ -635,7 +636,7 @@ pub(crate) struct RawPmem<'a> {
     shard_bytes: u64,
     /// `head`'s bank, which the held lock makes safe to write: the
     /// operation's hot counts are credited here.
-    bank: &'a ShardCounters,
+    bank: &'a PmemStats,
 }
 
 impl RawPmem<'_> {
@@ -715,7 +716,7 @@ impl RawPmem<'_> {
     pub(crate) fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
         let b = self.bank;
         b.add(&b.flushes, flushes);
-        b.add_fences(fences);
+        b.bump(&b.fences, fences);
         b.add(&b.write_bytes, write_bytes);
     }
 }
@@ -757,7 +758,7 @@ mod tests {
         s.read(boundary, &mut back);
         assert_eq!(back, data);
         // Op attributed to the first shard only; bytes are the full store.
-        let shards: Vec<_> = s.banks.iter().map(ShardCounters::snapshot_hot).collect();
+        let shards = PmemStats::with_banks(s.banks.clone()).shard_snapshots();
         assert_eq!(shards[0].writes, 1);
         assert_eq!(shards[0].write_bytes, 64);
         assert_eq!(shards[1].writes, 0);
