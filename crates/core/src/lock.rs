@@ -31,7 +31,7 @@
 //! [`StatsSnapshot`](clobber_pmem::StatsSnapshot).
 //!
 //! Lock ordering with the rest of the runtime: lock manager first, then
-//! allocator arena mirror, then pool shards in ascending order — never
+//! the allocator mirror, then pool shards in ascending order — never
 //! inverted (DESIGN.md item 14). The manager itself takes no pool or
 //! allocator lock while holding its own mutex; trace/stat emission happens
 //! on lock-free paths.

@@ -216,8 +216,8 @@ fn corrupt_log_header_is_typed_corruption_not_an_empty_log() {
 /// (pmalloc bigger / copy / swap root / pfree old, every transaction)
 /// crashed at every swept persist event, with the list invariant *and* a
 /// full `check_heap` walk asserted after every recovery. Run at shard
-/// counts 1 and 4, which must agree point-for-point — allocator arenas
-/// sit entirely inside the shard-count-invariance contract.
+/// counts 1 and 4, which must agree point-for-point — the allocator
+/// sits entirely inside the shard-count-invariance contract.
 #[test]
 fn sweep_regrow_alloc_heavy_across_shard_counts() {
     let stride = smoke_stride();

@@ -879,7 +879,7 @@ fn double_pfree_frees_nothing() {
 /// A transaction that allocates twice and fails, then ones that allocate
 /// and commit: no `pfree`, no duplicate key. The abort cancels both blocks,
 /// so the first it pushes back is not the newest reservation outstanding in
-/// its arena.
+/// the heap.
 #[test]
 fn abort_then_commit_leaves_a_walkable_heap() {
     for backend in [Backend::clobber(), Backend::Undo, Backend::Redo] {

@@ -9,52 +9,50 @@
 //! (possibly durable) payload bytes must not be able to corrupt the chain a
 //! crash recovery walks.
 //!
+//! **One heap.** The heap runs from `HEAP_BASE` to the pool's end, with one
+//! volatile `ArenaMirror` behind one mutex. A call locks the mirror, then
+//! every shard, ascending; a reservation is one pop under that lock. A
+//! crash rolls an open reservation back, or leaks it if a later call
+//! persisted a head below it.
+//!
 //! **One ordering rule.** Block headers are the only allocator state whose
-//! persist order matters. Each arena's free-list heads and frontier are
-//! *hints*, written only after a fence that already orders every header
-//! they name, so on media they may lag the heap but never lead it:
+//! persist order matters. The free-list heads and frontier are *hints*,
+//! written only after a fence that already orders every header they name,
+//! so on media they may lag the heap but never lead it:
 //!
 //! * [`PmemPool::publish`] and [`PmemPool::cancel`] end reservations at the
 //!   caller's fence (PMDK's reserve/publish: a reservation changes only the
 //!   volatile mirror, so a crash before that fence rolls it back). They
-//!   write and flush the block headers, plus the hints the arena had at its
+//!   write and flush the block headers, plus the hints the heap had at its
 //!   previous settle once a pool fence has followed it: zero fences.
 //! * [`PmemPool::free_many`] (`free` is a batch of one) and the immediate
 //!   [`PmemPool::alloc`] fence their headers once, then write the current
 //!   hints unfenced.
 //!
+//! **Open reservations.** Any number of transactions may hold reservations
+//! at once. A block carved from the frontier has no header on media until
+//! it settles, so its reservation records the frontier it was carved at,
+//! and no hint names a frontier above the lowest such record still
+//! outstanding. A block published or allocated above one would sit past a
+//! hole that a reopen cannot walk, so that call first formats the open
+//! block's header as free (and unlisted: a crash leaks it), which ends its
+//! record.
+//!
 //! Pool open repairs the hints in time proportional to one window
-//! ([`ArenaMirror::rebuild`]). The frontier walks on from its durable value
+//! (`ArenaMirror::rebuild`). The frontier walks on from its durable value
 //! while headers are valid. Each list is followed from its durable head,
 //! skipping blocks now allocated (pops are LIFO, so a lagging head names
 //! the popped blocks first), up to an invalid or repeated block. The
 //! repaired heads, links and frontier are written back. A crash can leak
 //! blocks — a push whose head never persisted, a publish whose transaction
 //! never committed — but every block a list names is free.
-//!
-//! **Arenas:** the heap is partitioned into arenas (see [`HeapGeometry`]),
-//! each with its own hints and volatile [`ArenaMirror`]. Threads claim
-//! arenas round-robin at their first allocator call (the first gets arena
-//! 0, so single-threaded runs match a one-arena pool); huge blocks always
-//! use arena 0, and exhaustion spills to the other arenas in index order.
-//! A call locks its arena's mirror plus the shards covering that arena's
-//! span; a reservation is one pop under that lock. A crash rolls an open
-//! reservation back, or leaks it if a later call persisted a head below it.
-//!
-//! Crash testing assumes one uncommitted transaction with reservations per
-//! arena, which per-thread routing gives transactional workloads. Outside
-//! it: two open transactions sharing an arena, where one's settle hints a
-//! frontier past the other's not yet formatted block.
-//!
-//! [`HeapGeometry`]: crate::geometry::HeapGeometry
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use clobber_trace::EventKind;
 
 use crate::addr::{align_up, PAddr};
-use crate::geometry::ArenaLayout;
+use crate::geometry::layout::{FREE_HEADS, FRONTIER as FRONTIER_OFF, HEAP_BASE};
 use crate::pool::{get_u64, put_u64, PmemError, PmemPool, PoolMode};
 use crate::shard::{MediaView, RawPmem};
 
@@ -70,26 +68,29 @@ const HDR_NEXT: u64 = 16;
 const STATE_ALLOC: u32 = 0xA11C_0C8D;
 const STATE_FREE: u32 = 0xF4EE_B10C;
 
-/// An arena's hints in one array: the list heads by class, then the
+/// The heap's hints in one array: the list heads by class, then the
 /// frontier at index [`FRONTIER`].
 type Hints = [u64; NUM_HEADS + 1];
 const FRONTIER: usize = NUM_HEADS;
 
+/// Media offset of hint `i`.
+fn hint_off(i: usize) -> u64 {
+    match i {
+        FRONTIER => FRONTIER_OFF,
+        class => FREE_HEADS + class as u64 * 8,
+    }
+}
+
 /// How far an allocator call runs: the product runs every call to `Done`
 /// (hints written), the unit tests cut the power at the stages between. A
-/// settle has no fence of its own; only `free_many` stops at `Validated`.
+/// settle has no fence of its own.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 #[cfg_attr(not(test), allow(dead_code))]
 enum Stage {
-    Validated,
     HeadersFlushed,
     HeadersFenced,
     Done,
 }
-
-/// Pools a thread keeps its arena routing for (oldest evicted; a pool
-/// touched again after eviction claims a fresh arena).
-const TLS_POOL_CAP: usize = 8;
 
 /// Where an allocation's block came from, for the stats split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,44 +104,48 @@ struct Reservation {
     class: u32,
     /// Payload capacity in bytes.
     capacity: u64,
+    /// The frontier the block was carved at, while its header is not on
+    /// media: `None` for a list pop, or once formatted.
+    carved_at: Option<u64>,
 }
 
-/// Volatile mirror of one arena's persistent allocator metadata.
+/// Volatile mirror of the heap's persistent allocator metadata.
 ///
 /// Rebuilt from media on pool open; reservations live only here until
 /// settled.
 pub(crate) struct ArenaMirror {
-    pub(crate) layout: ArenaLayout,
-    pub(crate) frontier: u64,
+    /// One past the last heap byte: the pool's capacity.
+    heap_hi: u64,
+    frontier: u64,
     /// Free payload addresses per head, top of stack last.
     free: [Vec<u64>; NUM_HEADS],
     /// Payload capacity of each free huge block (huge blocks have exact
     /// sizes, unlike the fixed small classes).
     huge_sizes: HashMap<u64, u64>,
     reserved: HashMap<u64, Reservation>,
-    /// The hints as last written to the arena's metadata.
+    /// The hints as last written to the header.
     written: Hints,
-    /// The hints at the arena's last settle, and the fence ticket begun
-    /// after its flushes: safe to write once a fence past it is done.
+    /// The hints at the last settle, and the fence ticket begun after its
+    /// flushes: safe to write once a fence past it is done.
     settled: (Hints, u64),
 }
 
 impl ArenaMirror {
-    /// Rebuilds the mirror at pool open from the arena's durable metadata,
+    /// Rebuilds the mirror at pool open from the heap's durable metadata,
     /// repairing lagging hints in `media` by the module doc's rule.
-    pub(crate) fn rebuild(media: &mut [u8], layout: ArenaLayout) -> ArenaMirror {
-        let l = layout;
+    pub(crate) fn rebuild(media: &mut [u8]) -> ArenaMirror {
+        let heap_hi = media.len() as u64;
         let word = |off| get_u64(media, off);
-        let durable = word(l.frontier_off());
+        let durable = word(FRONTIER_OFF);
         // A frontier outside the heap is corruption, left for `check_heap`.
-        let frontier = match (l.heap_lo..=l.heap_hi).contains(&durable) {
-            true => blocks_from(durable, l.heap_hi, &word).fold(durable, |_, (p, _, n)| p + n),
+        let frontier = match (HEAP_BASE..=heap_hi).contains(&durable) {
+            true => blocks_from(durable, heap_hi, &word).fold(durable, |_, (p, _, n)| p + n),
             false => durable,
         };
         let mut huge_sizes = HashMap::new();
         let free: [Vec<u64>; NUM_HEADS] = std::array::from_fn(|class| {
             let mut list = Vec::new();
-            for (payload, state, size) in list_walk(&l, class, frontier, &word) {
+            for (payload, state, size) in list_walk(class, frontier, &word) {
                 if state == STATE_FREE {
                     list.push(payload);
                     if class == HUGE_CLASS as usize {
@@ -151,35 +156,41 @@ impl ArenaMirror {
             list.reverse(); // the head is popped first
             list
         });
-        put_u64(media, l.frontier_off(), frontier);
-        for (class, list) in free.iter().enumerate() {
-            // Each block links to the one below it; the head names the top.
-            let top = list.iter().fold(0, |below, &payload| {
-                put_u64(media, payload - HDR_LEN + HDR_NEXT, below);
-                payload
-            });
-            put_u64(media, l.head_off(class as u32), top);
-        }
-        let hints = hints(&free, frontier);
-        ArenaMirror {
-            layout,
+        let mut am = ArenaMirror {
+            heap_hi,
             frontier,
             free,
             huge_sizes,
             reserved: HashMap::new(),
-            written: hints,
-            settled: (hints, 0),
+            written: [0; NUM_HEADS + 1],
+            settled: ([0; NUM_HEADS + 1], 0),
+        };
+        for list in &am.free {
+            // Each block links to the one below it; the head names the top.
+            list.iter().fold(0, |below, &payload| {
+                put_u64(media, payload - HDR_LEN + HDR_NEXT, below);
+                payload
+            });
         }
+        am.written = am.hints();
+        am.settled.0 = am.written;
+        for (i, &hint) in am.written.iter().enumerate() {
+            put_u64(media, hint_off(i), hint);
+        }
+        am
     }
-}
 
-/// The heads of `free`'s lists, with `frontier` as the frontier hint.
-fn hints(free: &[Vec<u64>; NUM_HEADS], frontier: u64) -> Hints {
-    let mut h = [frontier; NUM_HEADS + 1];
-    for (head, list) in h.iter_mut().zip(free) {
-        *head = list.last().copied().unwrap_or(0);
+    /// The heads of the free lists, and the frontier capped at the lowest
+    /// frontier an outstanding reservation was carved at: the hints a call
+    /// may name.
+    fn hints(&self) -> Hints {
+        let carved = self.reserved.values().filter_map(|r| r.carved_at).min();
+        let mut h = [carved.unwrap_or(self.frontier); NUM_HEADS + 1];
+        for (head, list) in h.iter_mut().zip(&self.free) {
+            *head = list.last().copied().unwrap_or(0);
+        }
+        h
     }
-    h
 }
 
 /// The block whose payload starts at `payload`, decoded from its header's
@@ -222,27 +233,24 @@ fn blocks_from<'a>(
 /// names anything else or a block already passed. Allocated blocks are the
 /// caller's to skip.
 fn list_walk<'a>(
-    l: &ArenaLayout,
     class: usize,
     end: u64,
     word: &'a impl Fn(u64) -> u64,
 ) -> impl Iterator<Item = (u64, u32, u64)> + 'a {
-    let lo = l.heap_lo + HDR_LEN;
     // `(state, capacity, next link)` of a block the list may hold.
     let member = move |p: u64| {
-        if p < lo || !(p - HDR_LEN).is_multiple_of(16) {
+        if p < HEAP_BASE + HDR_LEN || !(p - HDR_LEN).is_multiple_of(16) {
             return None;
         }
         let (state, c, size) = block(p, end, word)?;
         (c as usize == class).then(|| (state, size, word(p - HDR_LEN + HDR_NEXT)))
     };
-    let head = word(l.head_off(class as u32));
+    let head = word(hint_off(class));
     let len = list_len(head, |p| member(p).map(|m| m.2));
     std::iter::successors(Some(head), move |&p| member(p).map(|m| m.2))
         .take(len)
         .filter_map(move |p| member(p).map(|(state, size, _)| (p, state, size)))
 }
-
 /// How many nodes the chain `head, next(head), …` has before its first
 /// invalid node (`next` is `None` there) or first repeat — a crash can tear
 /// the links of a window's pushes into a loop — by Brent's cycle search, in
@@ -280,13 +288,8 @@ fn classify(size: u64) -> (u32, u64) {
     }
 }
 
-thread_local! {
-    /// This thread's arena per pool, as `(pool_id, arena)`, oldest first.
-    static ROUTES: RefCell<Vec<(u64, u32)>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Cache-aware persistent write helpers used while the engine's locks are
-/// held (one arena mirror + the shards covering the arena's span).
+/// held (the mirror + every shard).
 struct Ops<'a, 'b> {
     raw: &'a mut RawPmem<'b>,
     mode: PoolMode,
@@ -361,71 +364,39 @@ impl<'a, 'b> Ops<'a, 'b> {
         }
     }
 
-    /// Writes and flushes each hint that differs from the arena's metadata.
+    /// Before a block at `payload` is allocated on media: formats each
+    /// outstanding reservation carved below it as free (unlisted) and
+    /// flushes its header, so no hole sits under an allocated block.
+    fn format_below(&mut self, am: &mut ArenaMirror, payload: u64) {
+        for (&p, r) in am.reserved.iter_mut() {
+            if p < payload && r.carved_at.take().is_some() {
+                self.write_header(p, STATE_FREE, r.class, r.capacity);
+                self.flush(p - HDR_LEN, HDR_LEN);
+            }
+        }
+    }
+
+    /// Writes and flushes each hint that differs from the header's.
     fn write_hints(&mut self, am: &mut ArenaMirror, hints: Hints) {
-        let l = am.layout;
         for (i, (&new, old)) in hints.iter().zip(am.written.iter_mut()).enumerate() {
             if new != *old {
-                let off = match i {
-                    FRONTIER => l.frontier_off(),
-                    class => l.head_off(class as u32),
-                };
-                self.write_u64(off, new);
-                self.flush(off, 8);
+                self.write_u64(hint_off(i), new);
+                self.flush(hint_off(i), 8);
                 *old = new;
             }
         }
     }
 
     /// The end of `free_many` and `alloc`, after their fence: the current
-    /// heads and `frontier`, written and already ordered.
-    fn fenced_hints(&mut self, am: &mut ArenaMirror, frontier: u64) {
-        let hints = hints(&am.free, frontier);
+    /// hints, written and already ordered.
+    fn fenced_hints(&mut self, am: &mut ArenaMirror) {
+        let hints = am.hints();
         self.write_hints(am, hints);
         am.settled.0 = hints;
     }
 }
 
 impl PmemPool {
-    /// The arena this thread's allocations route to (claiming one on the
-    /// thread's first allocator call against this pool).
-    fn routed_arena(&self) -> usize {
-        if self.arena_count() == 1 {
-            return 0;
-        }
-        ROUTES.with(|r| {
-            let mut r = r.borrow_mut();
-            if let Some(&(_, arena)) = r.iter().find(|&&(id, _)| id == self.pool_id()) {
-                return arena as usize;
-            }
-            if r.len() >= TLS_POOL_CAP {
-                r.remove(0);
-            }
-            let arena = self.claim_arena();
-            r.push((self.pool_id(), arena));
-            arena as usize
-        })
-    }
-
-    /// Visits `home` first, then every other arena ascending, applying `f`
-    /// until it returns something other than `OutOfMemory` — the
-    /// deterministic spill order.
-    fn spill<R>(
-        &self,
-        home: usize,
-        requested: u64,
-        mut f: impl FnMut(usize) -> Result<R, PmemError>,
-    ) -> Result<R, PmemError> {
-        let n = self.arena_count();
-        for idx in std::iter::once(home).chain((0..n).filter(|&i| i != home)) {
-            match f(idx) {
-                Err(PmemError::OutOfMemory { .. }) => continue,
-                r => return r,
-            }
-        }
-        Err(PmemError::OutOfMemory { requested })
-    }
-
     /// Allocates `size` bytes from the persistent heap, immediately and
     /// crash-consistently (one fence). For allocation inside a transaction
     /// use [`reserve`](Self::reserve) via the runtime's `pmalloc`.
@@ -437,28 +408,22 @@ impl PmemPool {
     /// Returns [`PmemError::OutOfMemory`] if the heap is exhausted and
     /// [`PmemError::OutOfBounds`] for zero-size requests beyond capacity.
     pub fn alloc(&self, size: u64) -> Result<PAddr, PmemError> {
-        self.take_block(size, EventKind::Alloc, |idx, class, capacity| {
-            self.alloc_in(idx, class, capacity, Stage::Done)
+        self.take_block(size, EventKind::Alloc, |class, capacity| {
+            self.alloc_in(class, capacity, Stage::Done)
         })
     }
 
-    /// The front end `alloc` and `reserve` share: the size class, the home
-    /// arena (arena 0 for huge blocks), the spill, then the stats and the
-    /// trace event. `in_arena` takes the block from one arena.
+    /// The front end `alloc` and `reserve` share: the size class, then the
+    /// stats and the trace event. `in_heap` takes the block.
     fn take_block(
         &self,
         size: u64,
         kind: EventKind,
-        in_arena: impl Fn(usize, u32, u64) -> Result<(u64, Origin), PmemError>,
+        in_heap: impl FnOnce(u32, u64) -> Result<(u64, Origin), PmemError>,
     ) -> Result<PAddr, PmemError> {
         self.fail_if_dead()?;
         let (class, capacity) = classify(size.max(8));
-        let home = if class == HUGE_CLASS {
-            0
-        } else {
-            self.routed_arena()
-        };
-        let (payload, origin) = self.spill(home, capacity, |idx| in_arena(idx, class, capacity))?;
+        let (payload, origin) = in_heap(class, capacity)?;
         let stats = self.stats();
         stats.bump(&stats.allocs, 1);
         match origin {
@@ -469,26 +434,21 @@ impl PmemPool {
         Ok(PAddr::new(payload))
     }
 
-    /// The immediate allocation path against one arena, run as far as
-    /// `stop`: the header, one fence, then the current hints.
-    fn alloc_in(
-        &self,
-        idx: usize,
-        class: u32,
-        capacity: u64,
-        stop: Stage,
-    ) -> Result<(u64, Origin), PmemError> {
+    /// The immediate allocation path, run as far as `stop`: the header,
+    /// one fence, then the current hints.
+    fn alloc_in(&self, class: u32, capacity: u64, stop: Stage) -> Result<(u64, Origin), PmemError> {
         let mode = self.mode();
-        self.engine().with_arena_raw(idx, |am, raw| {
+        self.engine().with_heap_raw(|am, raw| {
             let (payload, origin) = pick_block(am, class, capacity)?;
             let mut ops = Ops::new(raw, mode);
+            ops.format_below(am, payload);
             ops.write_header(payload, STATE_ALLOC, class, capacity);
             ops.flush(payload - HDR_LEN, HDR_LEN);
             if stop >= Stage::HeadersFenced {
                 ops.fence();
             }
             if stop == Stage::Done {
-                ops.fenced_hints(am, am.frontier);
+                ops.fenced_hints(am);
                 zero_payload(&mut ops, payload, capacity);
             }
             ops.finish();
@@ -507,11 +467,10 @@ impl PmemPool {
         self.free_many(&[addr])
     }
 
-    /// Returns `blocks` to their owning arenas' free lists, whichever thread
-    /// frees them, at one fence per owning arena: every header `STATE_FREE`
-    /// and chained, fence, then the touched list heads, unfenced. The next
-    /// fence orders the heads; a crash before it leaks the batch, never
-    /// corrupts.
+    /// Returns `blocks` to the heap's free lists, whichever thread frees
+    /// them, at one fence: every header `STATE_FREE` and chained, fence,
+    /// then the touched list heads, unfenced. The next fence orders the
+    /// heads; a crash before it leaks the batch, never corrupts.
     ///
     /// # Errors
     ///
@@ -522,18 +481,7 @@ impl PmemPool {
         if blocks.is_empty() {
             return Ok(()); // most commits: not even the shared counter is touched
         }
-        let owns = |idx: usize, b: &PAddr| self.geom().arena_of(b.offset()) == idx;
-        let owners = || (0..self.arena_count()).filter(|&idx| blocks.iter().any(|b| owns(idx, b)));
-        // One arena checks and writes under one lock round. A batch spanning
-        // arenas has them all checked first: no thread holds two mirrors.
-        if owners().nth(1).is_some() {
-            for idx in owners() {
-                self.free_in(idx, blocks, Stage::Validated)?;
-            }
-        }
-        for idx in owners() {
-            self.free_in(idx, blocks, Stage::Done)?;
-        }
+        self.free_in(blocks, Stage::Done)?;
         let stats = self.stats();
         stats.bump(&stats.frees, blocks.len() as u64);
         for b in blocks {
@@ -542,22 +490,18 @@ impl PmemPool {
         Ok(())
     }
 
-    /// Arena `idx`'s share of a [`free_many`](Self::free_many), one lock
-    /// round, run as far as `stop`.
-    fn free_in(&self, idx: usize, blocks: &[PAddr], stop: Stage) -> Result<(), PmemError> {
+    /// A [`free_many`](Self::free_many) in one lock round, run as far as
+    /// `stop`.
+    fn free_in(&self, blocks: &[PAddr], stop: Stage) -> Result<(), PmemError> {
         let mode = self.mode();
-        let mine = || {
-            let all = blocks.iter().map(|b| b.offset()).enumerate();
-            all.filter(|&(_, p)| self.geom().arena_of(p) == idx)
-        };
-        self.engine().with_arena_raw(idx, |am, raw| {
+        self.engine().with_heap_raw(|am, raw| {
             let mut ops = Ops::new(raw, mode);
-            let l = am.layout;
-            for (i, payload) in mine() {
+            for (i, b) in blocks.iter().enumerate() {
                 // In the heap, not named twice (a scan quadratic in the
                 // batch: a transaction's handful of frees), and allocated.
-                let in_heap = l.heap_lo + HDR_LEN <= payload && payload < l.heap_hi;
-                let valid = in_heap && !blocks[..i].contains(&blocks[i]) && {
+                let payload = b.offset();
+                let in_heap = HEAP_BASE + HDR_LEN <= payload && payload < am.heap_hi;
+                let valid = in_heap && !blocks[..i].contains(b) && {
                     let (state, class, _) = ops.read_header(payload);
                     state == STATE_ALLOC && (class as usize) < NUM_HEADS
                 };
@@ -565,20 +509,15 @@ impl PmemPool {
                     return Err(PmemError::InvalidFree { addr: payload });
                 }
             }
-            if stop == Stage::Validated {
-                return Ok(());
-            }
-            for (_, payload) in mine() {
-                let (_, class, size) = ops.read_header(payload);
-                ops.push_free(am, payload, class, size);
+            for b in blocks {
+                let (_, class, size) = ops.read_header(b.offset());
+                ops.push_free(am, b.offset(), class, size);
             }
             if stop >= Stage::HeadersFenced {
                 ops.fence();
             }
             if stop == Stage::Done {
-                // Freeing moves no frontier; the current one may cover an
-                // open transaction's reservations.
-                ops.fenced_hints(am, am.settled.0[FRONTIER]);
+                ops.fenced_hints(am);
             }
             ops.finish();
             Ok(())
@@ -596,26 +535,28 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::OutOfMemory`] if the heap is exhausted.
     pub fn reserve(&self, size: u64) -> Result<PAddr, PmemError> {
-        let payload = self.take_block(size, EventKind::Reserve, |idx, class, capacity| {
-            self.reserve_in(idx, class, capacity)
+        let payload = self.take_block(size, EventKind::Reserve, |class, capacity| {
+            self.reserve_in(class, capacity)
         })?;
         let stats = self.stats();
         stats.bump(&stats.reserves, 1);
         Ok(payload)
     }
 
-    /// The locked reservation path against one arena: a block off the
-    /// mirror, recorded as reserved and zeroed.
-    fn reserve_in(
-        &self,
-        idx: usize,
-        class: u32,
-        capacity: u64,
-    ) -> Result<(u64, Origin), PmemError> {
+    /// The locked reservation path: a block off the mirror, recorded as
+    /// reserved (with the frontier it was carved at) and zeroed.
+    fn reserve_in(&self, class: u32, capacity: u64) -> Result<(u64, Origin), PmemError> {
         let mode = self.mode();
-        self.engine().with_arena_raw(idx, |am, raw| {
+        self.engine().with_heap_raw(|am, raw| {
+            let at = am.frontier;
             let (payload, origin) = pick_block(am, class, capacity)?;
-            am.reserved.insert(payload, Reservation { class, capacity });
+            let carved_at = (origin == Origin::Frontier).then_some(at);
+            let res = Reservation {
+                class,
+                capacity,
+                carved_at,
+            };
+            am.reserved.insert(payload, res);
             let mut ops = Ops::new(raw, mode);
             zero_payload(&mut ops, payload, capacity);
             ops.finish();
@@ -624,8 +565,8 @@ impl PmemPool {
     }
 
     /// Ends reservations as allocated: writes their block headers, plus the
-    /// owning arenas' hints from their previous settle once a fence ordered
-    /// it, with flushes only — the caller's commit fence orders them.
+    /// hints from the previous settle once a fence ordered it, with flushes
+    /// only — the caller's commit fence orders them.
     ///
     /// # Errors
     ///
@@ -653,61 +594,56 @@ impl PmemPool {
         self.settle(blocks, STATE_FREE, Stage::Done)
     }
 
-    /// The one way a reservation ends, run as far as `stop`: each owning
-    /// arena, once, in ascending index order, takes its blocks out of
-    /// `reserved` and writes and flushes their headers in `state`. Then, if
-    /// a pool fence has passed the arena's previous settle, it writes the
-    /// hints that settle left; this settle's own wait for the next one.
+    /// The one way a reservation ends, run as far as `stop`: takes the
+    /// blocks (if any) out of `reserved` and writes and flushes their headers in
+    /// `state`. Then, if a pool fence has passed the previous settle, it
+    /// writes the hints that settle left; this settle's own wait for the
+    /// next one.
     fn settle(&self, blocks: &[PAddr], state: u32, stop: Stage) -> Result<(), PmemError> {
+        if blocks.is_empty() {
+            return Ok(()); // a transaction that allocated nothing
+        }
         let mode = self.mode();
         let engine = self.engine();
-        let arena_of = |b: &PAddr| self.geom().arena_of(b.offset());
-        for idx in 0..self.arena_count() {
-            if !blocks.iter().any(|b| arena_of(b) == idx) {
-                continue;
+        engine.with_heap_raw(|am, raw| {
+            let mut ops = Ops::new(raw, mode);
+            for b in blocks {
+                let payload = b.offset();
+                let res = am
+                    .reserved
+                    .remove(&payload)
+                    .ok_or(PmemError::InvalidFree { addr: payload })?;
+                if state == STATE_FREE {
+                    ops.push_free(am, payload, res.class, res.capacity);
+                } else {
+                    ops.write_header(payload, state, res.class, res.capacity);
+                    ops.flush(payload - HDR_LEN, HDR_LEN);
+                }
             }
-            engine.with_arena_raw(idx, |am, raw| {
-                let mut ops = Ops::new(raw, mode);
-                for b in blocks.iter().filter(|&b| arena_of(b) == idx) {
-                    let payload = b.offset();
-                    let res = am
-                        .reserved
-                        .remove(&payload)
-                        .ok_or(PmemError::InvalidFree { addr: payload })?;
-                    if state == STATE_FREE {
-                        ops.push_free(am, payload, res.class, res.capacity);
-                    } else {
-                        ops.write_header(payload, state, res.class, res.capacity);
-                        ops.flush(payload - HDR_LEN, HDR_LEN);
-                    }
+            if state == STATE_ALLOC {
+                let top = blocks.iter().map(|b| b.offset()).max().unwrap_or(0);
+                ops.format_below(am, top);
+            }
+            if stop == Stage::Done {
+                let (begun, done) = engine.fence_tickets();
+                if done > am.settled.1 {
+                    ops.write_hints(am, am.settled.0);
                 }
-                if stop == Stage::Done {
-                    let (begun, done) = engine.fence_tickets();
-                    if done > am.settled.1 {
-                        ops.write_hints(am, am.settled.0);
-                    }
-                    am.settled = (hints(&am.free, am.frontier), begun);
-                }
-                ops.finish();
-                Ok(())
-            })?;
-        }
-        Ok(())
+                am.settled = (am.hints(), begun);
+            }
+            ops.finish();
+            Ok(())
+        })
     }
 
-    /// Bytes of heap consumed by the allocation frontiers, over all arenas.
+    /// Bytes of heap consumed by the allocation frontier.
     pub fn heap_used(&self) -> u64 {
-        (0..self.arena_count())
-            .map(|i| {
-                self.engine()
-                    .with_arena_mirror(i, |am| am.frontier - am.layout.heap_lo)
-            })
-            .sum()
+        self.engine().with_mirror(|am| am.frontier - HEAP_BASE)
     }
 }
 
 /// Result of [`PmemPool::check_heap`]: a media-level walk of every block of
-/// each arena.
+/// the heap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapReport {
     /// Blocks in the allocated state.
@@ -723,45 +659,36 @@ pub struct HeapReport {
 }
 
 impl PmemPool {
-    /// Walks every arena's durable heap — each block header from the heap
-    /// base through the durable frontier, and on while headers stay valid —
-    /// then follows each free list by the rule a reopen applies. Call on a
+    /// Walks the durable heap — each block header from the heap base
+    /// through the durable frontier, and on while headers stay valid — then
+    /// follows each free list by the rule a reopen applies. Call on a
     /// quiescent or freshly-recovered pool: volatile reservations are
     /// invisible to this media-level view.
     ///
     /// # Errors
     ///
     /// Returns [`PmemError::CorruptPool`] describing the first structural
-    /// violation found: a frontier outside its heap, or a block below the
+    /// violation found: a frontier outside the heap, or a block below the
     /// durable frontier with an invalid header.
     pub fn check_heap(&self) -> Result<HeapReport, PmemError> {
         // A diagnostic walk over the durable image, in place: the view
         // hides how it is split into shards and holds their locks meanwhile.
-        self.engine().with_media_view(|media| {
-            let mut report = HeapReport::default();
-            for (idx, arena) in self.geom().arenas().iter().enumerate() {
-                check_arena(media, idx, arena, &mut report)?;
-            }
-            Ok(report)
-        })
+        self.engine()
+            .with_media_view(|media| check_media(media, self.capacity()))
     }
 }
 
-fn check_arena(
-    media: &MediaView<'_>,
-    idx: usize,
-    arena: &ArenaLayout,
-    report: &mut HeapReport,
-) -> Result<(), PmemError> {
+fn check_media(media: &MediaView<'_>, heap_hi: u64) -> Result<HeapReport, PmemError> {
     let word = |off| media.get_u64(off);
-    let durable = word(arena.frontier_off());
-    if durable < arena.heap_lo || durable > arena.heap_hi {
+    let durable = word(FRONTIER_OFF);
+    if durable < HEAP_BASE || durable > heap_hi {
         return Err(PmemError::CorruptPool(format!(
-            "arena {idx} frontier {durable:#x} outside its heap"
+            "frontier {durable:#x} outside the heap"
         )));
     }
-    let (mut free, mut end) = (Vec::new(), arena.heap_lo);
-    for (payload, state, size) in blocks_from(arena.heap_lo, arena.heap_hi, &word) {
+    let mut report = HeapReport::default();
+    let (mut free, mut end) = (Vec::new(), HEAP_BASE);
+    for (payload, state, size) in blocks_from(HEAP_BASE, heap_hi, &word) {
         if state == STATE_ALLOC {
             report.allocated_blocks += 1;
             report.allocated_bytes += size;
@@ -773,21 +700,20 @@ fn check_arena(
     if end < durable {
         let payload = align_up(end, 16) + HDR_LEN;
         return Err(PmemError::CorruptPool(format!(
-            "block {payload:#x} below arena {idx}'s durable frontier {durable:#x} \
-             has an invalid header"
+            "block {payload:#x} below the durable frontier {durable:#x} has an invalid header"
         )));
     }
     let listed: HashSet<u64> = (0..NUM_HEADS)
-        .flat_map(|class| list_walk(arena, class, end, &word))
+        .flat_map(|class| list_walk(class, end, &word))
         .filter_map(|(payload, state, _)| (state == STATE_FREE).then_some(payload))
         .collect();
-    report.free_blocks += free.len() as u64;
-    report.free_blocks_listed += free.iter().filter(|p| listed.contains(p)).count() as u64;
-    Ok(())
+    report.free_blocks = free.len() as u64;
+    report.free_blocks_listed = free.iter().filter(|p| listed.contains(p)).count() as u64;
+    Ok(report)
 }
 
-/// Takes a block of `class` off the arena's mirror: its list's top, or a
-/// fresh one past the frontier, which moves.
+/// Takes a block of `class` off the mirror: its list's top, or a fresh one
+/// past the frontier, which moves.
 fn pick_block(am: &mut ArenaMirror, class: u32, capacity: u64) -> Result<(u64, Origin), PmemError> {
     let list = &mut am.free[class as usize];
     // Huge blocks have exact capacities. Only the list top can be popped
@@ -806,7 +732,7 @@ fn pick_block(am: &mut ArenaMirror, class: u32, capacity: u64) -> Result<(u64, O
     }
     let payload = align_up(am.frontier, 16) + HDR_LEN;
     let new_frontier = payload + capacity;
-    if new_frontier > am.layout.heap_hi {
+    if new_frontier > am.heap_hi {
         return Err(PmemError::OutOfMemory {
             requested: capacity,
         });
@@ -981,26 +907,15 @@ mod tests {
 
     #[test]
     fn free_many_rejects_a_bad_batch_before_writing_anything() {
-        let p = std::sync::Arc::new(pool());
+        let p = pool();
         let a = p.alloc(64).unwrap();
         let b = p.alloc(256).unwrap();
-        // A block of another arena, already freed: a batch naming it spans
-        // two arenas, and the bad address sits in the second.
-        let side = {
-            let p = p.clone();
-            std::thread::spawn(move || p.alloc(64).unwrap())
-                .join()
-                .unwrap()
-        };
-        assert_ne!(p.geom().arena_of(side.offset()), 0);
-        p.free(side).unwrap();
         p.fence(); // every line durable, so keep_all adds nothing below
         let before = (p.check_heap().unwrap(), p.stats().snapshot().frees);
         for bad in [
             vec![a, a],
             vec![a, b, PAddr::new(999_999_999)],
             vec![a, PAddr::new(a.offset() + 8)],
-            vec![b, a, side],
         ] {
             assert!(
                 matches!(p.free_many(&bad), Err(PmemError::InvalidFree { .. })),
@@ -1065,7 +980,7 @@ mod tests {
         match call {
             "free" => {
                 res(); // still open while the free runs
-                p.free_in(0, &[small[2], large[2], small[3]], stop).unwrap()
+                p.free_in(&[small[2], large[2], small[3]], stop).unwrap()
             }
             "publish" => {
                 let r = res();
@@ -1073,8 +988,8 @@ mod tests {
                 p.settle(&[r[0], r[2], r[4]], STATE_ALLOC, stop).unwrap()
             }
             "cancel" => p.settle(&res(), STATE_FREE, stop).unwrap(),
-            "alloc pop" => drop(p.alloc_in(0, 4, 256, stop).unwrap()),
-            _ => drop(p.alloc_in(0, 5, 512, stop).unwrap()),
+            "alloc pop" => drop(p.alloc_in(4, 256, stop).unwrap()),
+            _ => drop(p.alloc_in(5, 512, stop).unwrap()),
         }
         if fenced {
             p.fence();
@@ -1085,9 +1000,7 @@ mod tests {
         // just as the walk counts them. Returns the leak and the listed.
         let check = || {
             let rep = p2.check_heap().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            let mut listed: Vec<u64> = (0..p2.arena_count())
-                .flat_map(|i| p2.engine().with_arena_mirror(i, |am| am.free.concat()))
-                .collect();
+            let mut listed = p2.engine().with_mirror(|am| am.free.concat());
             assert!(
                 listed.iter().all(|&b| state(b) == STATE_FREE),
                 "{ctx}: {listed:x?}"
@@ -1208,87 +1121,82 @@ mod tests {
     }
 
     #[test]
-    fn allocation_spills_into_side_arenas_when_the_main_arena_fills() {
-        let p = PmemPool::create(PoolOptions::performance(1 << 20)).unwrap();
-        assert!(p.arena_count() > 1, "1 MiB pool gets side arenas");
-        let mut addrs = Vec::new();
-        loop {
-            match p.alloc(60_000) {
-                Ok(a) => addrs.push(a),
-                Err(PmemError::OutOfMemory { .. }) => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-            assert!(addrs.len() < 64, "1 MiB cannot hold this many");
-        }
-        assert!(
-            addrs.iter().any(|a| p.geom().arena_of(a.offset()) != 0),
-            "exhausting arena 0 spills into side arenas"
-        );
-        // Spilled blocks are real blocks: disjoint, writable, freeable.
-        for (i, &a) in addrs.iter().enumerate() {
-            p.write_u64(a, i as u64 + 1).unwrap();
-        }
-        for (i, &a) in addrs.iter().enumerate() {
-            assert_eq!(p.read_u64(a).unwrap(), i as u64 + 1);
-        }
-        p.check_heap().unwrap();
-        for &a in &addrs {
-            p.free(a).unwrap();
-        }
-    }
-
-    #[test]
-    fn threads_route_to_distinct_arenas() {
+    fn threads_sharing_the_heap_survive_crash_and_check() {
         let p = std::sync::Arc::new(
             PmemPool::create(PoolOptions::crash_sim(1 << 20).with_shards(4)).unwrap(),
         );
-        assert!(p.arena_count() >= 3);
-        // This thread claims arena 0 first (single-thread determinism).
-        let mine = p.alloc(64).unwrap();
-        assert_eq!(p.geom().arena_of(mine.offset()), 0);
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let p = p.clone();
-            handles.push(std::thread::spawn(move || {
-                let a = p.reserve(64).unwrap();
-                p.publish(&[a]).unwrap();
-                p.fence();
-                p.geom().arena_of(a.offset())
-            }));
-        }
-        let mut arenas: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        arenas.sort_unstable();
-        arenas.dedup();
-        assert_eq!(arenas.len(), 2, "two threads claimed two distinct arenas");
-        assert!(!arenas.contains(&0), "arena 0 stays with the first thread");
-        p.check_heap().unwrap();
-    }
-
-    #[test]
-    fn multi_arena_heap_survives_crash_and_check() {
-        let p = pool();
-        assert!(p.arena_count() > 1);
-        // Fill arena 0 enough that small allocations spill is not needed,
-        // then force activity in a side arena from another thread.
         let a = p.alloc(128).unwrap();
-        let p = std::sync::Arc::new(p);
-        {
-            let p = p.clone();
-            std::thread::spawn(move || {
-                let r = p.reserve(256).unwrap();
-                p.write_u64(r, 7).unwrap();
-                p.flush(r, 8).unwrap();
-                p.publish(&[r]).unwrap();
-                p.fence();
+        // Two threads, each a transaction that reserves, publishes and
+        // fences, against the one heap this thread allocated from.
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let p = p.clone();
+                std::thread::spawn(move || {
+                    let r = p.reserve(256).unwrap();
+                    p.write_u64(r, 7).unwrap();
+                    p.flush(r, 8).unwrap();
+                    p.publish(&[r]).unwrap();
+                    p.fence();
+                    r
+                })
             })
-            .join()
-            .unwrap();
-        }
+            .collect();
+        let published: Vec<PAddr> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_ne!(published[0], published[1]);
         p.free(a).unwrap();
         let p2 = p.crash(&CrashConfig::drop_all(9)).unwrap();
         let rep = p2.check_heap().unwrap();
-        assert_eq!(rep.allocated_blocks, 1, "published side-arena block");
+        assert_eq!(rep.allocated_blocks, 2, "both threads' published blocks");
         assert_eq!(rep.free_blocks, 1);
+        for r in published {
+            assert_eq!(p2.read_u64(r).unwrap(), 7);
+        }
+    }
+
+    /// Reservations held open while other calls persist headers and hints
+    /// above them: however many are open at the crash, the durable heap
+    /// walks, and every block allocated or published before it stays
+    /// allocated (a reopen must not hand it out again).
+    #[test]
+    fn open_reservations_leave_no_hole_under_a_crash() {
+        type Case = fn(&PmemPool) -> Vec<PAddr>;
+        let cases: [(&str, Case); 3] = [
+            ("an immediate alloc above an open reservation", |p| {
+                let _open = p.reserve(64).unwrap();
+                let b = p.alloc(64).unwrap();
+                p.fence();
+                vec![b]
+            }),
+            (
+                "two transactions published above an open reservation",
+                |p| {
+                    let _open = p.reserve(64).unwrap();
+                    let y = p.reserve(64).unwrap();
+                    p.publish(&[y]).unwrap();
+                    p.fence();
+                    let w = p.reserve(64).unwrap();
+                    p.publish(&[w]).unwrap();
+                    p.fence();
+                    vec![y, w]
+                },
+            ),
+            ("a free's hints while a reservation is open", |p| {
+                let x = p.alloc(64).unwrap();
+                let _open = p.reserve(64).unwrap();
+                p.free(x).unwrap();
+                p.fence();
+                vec![]
+            }),
+        ];
+        for (what, case) in cases {
+            let p = pool();
+            let kept = case(&p);
+            let p2 = p.crash(&CrashConfig::drop_all(5)).unwrap();
+            let rep = p2.check_heap().unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(rep.allocated_blocks, kept.len() as u64, "{what}");
+            let fresh = p2.alloc(64).unwrap();
+            assert!(!kept.contains(&fresh), "{what}: {fresh:?} handed out twice");
+        }
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //!
 //! Shared semantics (the durability contract both must implement):
 //!
-//! * A store marks its lines dirty and voids any pending flush on them (a
-//!   flush only guarantees the bytes present when it was issued).
+//! * A store marks its lines dirty and voids a pending flush on them that
+//!   only the storing thread issued (a flush only guarantees the bytes
+//!   present when it was issued). A flush another thread issued stays
+//!   pending — on hardware that thread's write-back still completes at its
+//!   fence — and the fence writes the line back as it then is, which an
+//!   eviction may do at any time. One thread's run is never affected.
 //! * A flush marks dirty lines write-back-initiated (`flush_pending`);
 //!   durability still requires a fence.
 //! * A fence writes back exactly the lines whose flush is still pending and
@@ -31,11 +35,41 @@
 //! [`PoolMode::CrashSim`]: crate::PoolMode::CrashSim
 //! [`PoolOptions::with_reference_cache`]: crate::PoolOptions::with_reference_cache
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::addr::{lines_for_range, CACHE_LINE};
 
 const LINE: usize = CACHE_LINE as usize;
+
+/// The flusher tag of a cache with no flush pending.
+const NO_FLUSH: u32 = 0;
+/// The flusher tag of a flush that more than one thread issued.
+const MIXED: u32 = u32::MAX;
+
+/// The calling thread's flusher tag: nonzero, drawn once per thread.
+fn thread_tag() -> u32 {
+    static NEXT: AtomicU32 = AtomicU32::new(1);
+    thread_local! {
+        static TAG: Cell<u32> = const { Cell::new(NO_FLUSH) };
+    }
+    TAG.with(|tag| {
+        if tag.get() == NO_FLUSH {
+            tag.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        tag.get()
+    })
+}
+
+/// A flush of a line already pending under tag `owner`, issued by `me`.
+fn joined(owner: u32, me: u32) -> u32 {
+    match owner {
+        NO_FLUSH => me,
+        o if o == me => me,
+        _ => MIXED,
+    }
+}
 
 /// Number of cache lines covered by `[offset, offset+len)` without
 /// materializing the range (same geometry as [`lines_for_range`]).
@@ -90,21 +124,6 @@ impl Cache {
         }
     }
 
-    /// Completes pending write-backs for lines starting in `[lo, hi)` byte
-    /// offsets; flushes pending outside the range stay pending. Used by the
-    /// allocator so its internal fences order only the owning arena's
-    /// metadata — a semantics that is identical across shard counts
-    /// because it depends only on the (shard-count-independent) arena
-    /// geometry.
-    pub(crate) fn fence_range(&mut self, media: &mut [u8], lo: u64, hi: u64) {
-        let lo_line = lo / CACHE_LINE;
-        let hi_line = hi.div_ceil(CACHE_LINE);
-        match self {
-            Cache::Dense(c) => c.fence_lines(media, lo_line, hi_line),
-            Cache::Reference(c) => c.fence_lines(media, lo_line, hi_line),
-        }
-    }
-
     /// Overlays cached line contents onto `buf` (already filled from media).
     pub(crate) fn overlay(&self, offset: u64, buf: &mut [u8]) {
         match self {
@@ -153,6 +172,8 @@ struct Page {
 /// * `flush_pending ⊆ dirty` (a line's flush is voided by a later store and
 ///   cleared by the fence that writes it back, so it can never outlive
 ///   dirtiness).
+/// * The newest entry of a pending line in `pending_flushes` carries its
+///   flusher tag, and `flusher` is the tag every pending line carries.
 /// * `dirty_pages` equals the number of pages with a dirty line.
 /// * A page stays with its word for good: one fenced clean is reused when
 ///   the word is dirtied again, so the slab never exceeds the pages ever
@@ -172,8 +193,12 @@ pub(crate) struct LineCache {
     /// The slab: the pages stored to, in first-touch order, in chunks of
     /// [`CHUNK_PAGES`] (slot `s` is page `s - 1` of the concatenation).
     pages: Vec<Vec<Page>>,
-    /// Lines pushed by flushes, drained by the next fence.
-    pending_flushes: Vec<u64>,
+    /// Lines pushed by flushes, each with its flusher tag, drained by the
+    /// next fence.
+    pending_flushes: Vec<(u64, u32)>,
+    /// The tag of every pending flush: `NO_FLUSH` when none is pending,
+    /// `MIXED` once they differ (or one line's does).
+    flusher: u32,
     /// Number of pages with a dirty line: 0 means reads need no overlay.
     dirty_pages: usize,
 }
@@ -258,8 +283,12 @@ impl LineCache {
             self.dirty_pages += usize::from(page.dirty == 0);
             page.dirty |= mask;
             // A store after a flush re-dirties the line; the earlier flush
-            // no longer guarantees this data's durability.
-            page.flush_pending &= !mask;
+            // no longer guarantees this data's durability, unless another
+            // thread issued it.
+            let pending = mask & page.flush_pending;
+            if pending != 0 {
+                page.flush_pending &= !voided(&self.pending_flushes, self.flusher, w, pending);
+            }
             let base = w * PAGE;
             if fresh != 0 {
                 // Seed partially covered boundary lines from media; fully
@@ -289,16 +318,29 @@ impl LineCache {
         if self.dirty_pages == 0 {
             return;
         }
+        let me = thread_tag();
         for_each_word(offset, len, |w, _, _, mask| {
             let Some(i) = (self.slots[w] as usize).checked_sub(1) else {
                 return;
             };
             let page = &mut self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES];
             let newly = mask & page.dirty & !page.flush_pending;
+            let again = mask & page.flush_pending;
             page.flush_pending |= newly;
+            if again != 0 && self.flusher != me {
+                for_each_bit(again, |bit| {
+                    let line = w as u64 * WORD_LINES + bit;
+                    let entry = self.pending_flushes.iter_mut().rev().find(|e| e.0 == line);
+                    let entry = entry.expect("a pending line has an entry");
+                    entry.1 = joined(entry.1, me);
+                });
+            }
             for_each_bit(newly, |bit| {
-                self.pending_flushes.push(w as u64 * WORD_LINES + bit);
+                self.pending_flushes.push((w as u64 * WORD_LINES + bit, me));
             });
+            if newly | again != 0 {
+                self.flusher = joined(self.flusher, me);
+            }
         });
     }
 
@@ -321,23 +363,12 @@ impl LineCache {
 
     fn fence(&mut self, media: &mut [u8]) {
         let mut pending = std::mem::take(&mut self.pending_flushes);
-        for line in pending.drain(..) {
+        for (line, _) in pending.drain(..) {
             self.write_back(media, line);
         }
         // Hand the drained (empty) vector back so its capacity is reused.
         self.pending_flushes = pending;
-    }
-
-    fn fence_lines(&mut self, media: &mut [u8], lo_line: u64, hi_line: u64) {
-        let mut pending = std::mem::take(&mut self.pending_flushes);
-        pending.retain(|&line| {
-            if line < lo_line || line >= hi_line {
-                return true; // outside the fence's range: stays pending
-            }
-            self.write_back(media, line);
-            false
-        });
-        self.pending_flushes = pending;
+        self.flusher = NO_FLUSH;
     }
 
     fn overlay(&self, offset: u64, buf: &mut [u8]) {
@@ -373,6 +404,27 @@ impl LineCache {
     }
 }
 
+/// The bits of `pending` (word `w`'s flush-pending lines a store hits)
+/// whose flush only the storing thread issued: the flushes it voids.
+fn voided(pending_flushes: &[(u64, u32)], flusher: u32, w: usize, pending: u64) -> u64 {
+    let me = thread_tag();
+    match flusher {
+        f if f == me => pending,
+        MIXED => {
+            let mut voided = 0;
+            for_each_bit(pending, |bit| {
+                let line = w as u64 * WORD_LINES + bit;
+                let entry = pending_flushes.iter().rev().find(|e| e.0 == line);
+                if entry.is_some_and(|e| e.1 == me) {
+                    voided |= 1 << bit;
+                }
+            });
+            voided
+        }
+        _ => 0,
+    }
+}
+
 /// State of one simulated cache line in the reference model.
 struct RefLine {
     data: Vec<u8>,
@@ -380,6 +432,8 @@ struct RefLine {
     dirty: bool,
     /// A flush was issued but no fence has ordered it yet.
     flush_pending: bool,
+    /// The flusher tag of the pending flush.
+    flusher: u32,
 }
 
 /// The original hash-map cache model, preserved as the executable
@@ -400,6 +454,7 @@ impl RefCache {
 
     fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
         let len = data.len() as u64;
+        let me = thread_tag();
         for line in lines_for_range(offset, len) {
             let line_start = line * CACHE_LINE;
             let cl = self.lines.entry(line).or_insert_with(|| {
@@ -408,6 +463,7 @@ impl RefCache {
                     data: media[s..s + LINE].to_vec(),
                     dirty: false,
                     flush_pending: false,
+                    flusher: NO_FLUSH,
                 }
             });
             let copy_start = line_start.max(offset);
@@ -417,15 +473,19 @@ impl RefCache {
                     &data[(copy_start - offset) as usize..(copy_end - offset) as usize],
                 );
             cl.dirty = true;
-            cl.flush_pending = false;
+            cl.flush_pending &= cl.flusher != me;
         }
     }
 
     fn flush_range(&mut self, offset: u64, len: u64) {
+        let me = thread_tag();
         for line in lines_for_range(offset, len) {
             if let Some(cl) = self.lines.get_mut(&line) {
-                if cl.dirty && !cl.flush_pending {
+                if cl.flush_pending {
+                    cl.flusher = joined(cl.flusher, me);
+                } else if cl.dirty {
                     cl.flush_pending = true;
+                    cl.flusher = me;
                     self.pending_flushes.push(line);
                 }
             }
@@ -433,15 +493,7 @@ impl RefCache {
     }
 
     fn fence(&mut self, media: &mut [u8]) {
-        self.fence_lines(media, 0, u64::MAX);
-    }
-
-    fn fence_lines(&mut self, media: &mut [u8], lo_line: u64, hi_line: u64) {
-        let mut pending = std::mem::take(&mut self.pending_flushes);
-        pending.retain(|&line| {
-            if line < lo_line || line >= hi_line {
-                return true;
-            }
+        for line in self.pending_flushes.drain(..) {
             if let Some(cl) = self.lines.get_mut(&line) {
                 if cl.flush_pending {
                     let s = (line * CACHE_LINE) as usize;
@@ -450,9 +502,7 @@ impl RefCache {
                     cl.flush_pending = false;
                 }
             }
-            false
-        });
-        self.pending_flushes = pending;
+        }
     }
 
     fn overlay(&self, offset: u64, buf: &mut [u8]) {
@@ -574,29 +624,42 @@ mod tests {
         assert_eq!(read(&media, &dense, 0, 8), vec![0xBB; 8]);
     }
 
+    /// A store voids only the flushes its own thread issued: another
+    /// thread's store to the line keeps them pending, so their fence still
+    /// writes the line back — with the other thread's bytes, as an eviction
+    /// could. A line both threads flushed stays pending under either's
+    /// store.
     #[test]
-    fn fence_range_leaves_out_of_range_flushes_pending() {
-        let (mut m1, mut dense, mut m2, mut reference) = both(64 * 8);
-        for cache_media in [(&mut dense, &mut m1), (&mut reference, &mut m2)] {
-            let (cache, media) = cache_media;
-            cache.write(0, &[0x11; 8], media);
-            cache.write(256, &[0x22; 8], media);
+    fn only_the_flushing_threads_store_voids_its_flush() {
+        let (mut m1, mut dense, mut m2, mut reference) = both(64 * 4);
+        for (cache, media) in [(&mut dense, &mut m1), (&mut reference, &mut m2)] {
+            let other =
+                |cache: &mut Cache, media: &[u8], f: &(dyn Fn(&mut Cache, &[u8]) + Sync)| {
+                    std::thread::scope(|s| s.spawn(|| f(cache, media)).join().unwrap())
+                };
+            // Line 0: flushed here, stored to by another thread.
+            cache.write(0, &[0xAA; 8], media);
             cache.flush_range(0, 8);
-            cache.flush_range(256, 8);
-            // Fence only the first line's range.
-            cache.fence_range(media, 0, 64);
-            assert_eq!(&media[0..8], &[0x11; 8], "in-range flush persisted");
-            let untouched: Vec<u8> = (0u8..8).collect();
-            assert_eq!(
-                &media[256..264],
-                &untouched[..],
-                "out-of-range stays pending"
-            );
-            // A later full fence completes the survivor.
+            other(cache, media, &|c, m| c.write(8, &[0xBB; 8], m));
+            // Line 1: flushed by both threads, then stored to here.
+            cache.write(64, &[0xCC; 8], media);
+            cache.flush_range(64, 8);
+            other(cache, media, &|c, _| c.flush_range(64, 8));
+            cache.write(72, &[0xDD; 8], media);
+            // Line 2: flushed and stored to here: voided.
+            cache.write(128, &[0xEE; 8], media);
+            cache.flush_range(128, 8);
+            cache.write(136, &[0xFF; 8], media);
             cache.fence(media);
-            assert_eq!(&media[256..264], &[0x22; 8]);
+            assert_eq!(&media[..16], &[[0xAA; 8], [0xBB; 8]].concat()[..]);
+            assert_eq!(&media[64..80], &[[0xCC; 8], [0xDD; 8]].concat()[..]);
+            assert_ne!(
+                &media[128..136],
+                &[0xEE; 8],
+                "voided flush must not persist"
+            );
         }
-        assert_eq!(m1, m2, "models agree on range-fence semantics");
+        assert_eq!(m1, m2, "models agree across threads");
     }
 
     fn dense(cache: &Cache) -> &LineCache {

@@ -15,9 +15,9 @@
 //!   dirty-unflushed lines survive only with a configurable (seeded)
 //!   probability, everything else is dropped — reproducing torn states.
 //! * [`alloc`] provides a crash-consistent persistent heap allocator in the
-//!   spirit of PMDK's (list heads and frontier are hints an open repairs),
-//!   sharded into per-thread arenas so transactions scale past a single
-//!   allocator lock.
+//!   spirit of PMDK's (list heads and frontier are hints an open repairs):
+//!   one heap behind one lock, safe to crash with any number of
+//!   reservations open.
 //! * [`ulog`] provides a PMDK-style undo-log buffer, the primitive on which
 //!   Clobber-NVM's `clobber_log` is built (paper §4.2).
 //! * [`stats::PmemStats`] counts every persistence event (flushes, fences,
@@ -66,7 +66,7 @@ pub use addr::{PAddr, CACHE_LINE};
 pub use alloc::HeapReport;
 pub use crash::CrashConfig;
 pub use fault::FaultPlan;
-pub use pool::{CacheImpl, PmemError, PmemPool, PoolMode, PoolOptions, DEFAULT_ARENAS};
+pub use pool::{CacheImpl, PmemError, PmemPool, PoolMode, PoolOptions};
 pub use stats::{PmemStats, StatsSnapshot};
 pub use ulog::{LogKind, LogScan, LogWriter, Ulog};
 

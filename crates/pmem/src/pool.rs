@@ -2,7 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use clobber_trace::{EventKind, Tracer};
@@ -14,16 +14,12 @@ use crate::addr::{PAddr, CACHE_LINE};
 use crate::cache::line_count;
 use crate::crash::CrashConfig;
 use crate::fault::{FaultPlan, FaultState};
-use crate::geometry::{layout, HeapGeometry};
+use crate::geometry::layout;
 use crate::shard::ShardedPool;
 use crate::stats::PmemStats;
 
 /// Magic value of the pool format (the only one ever written or opened).
-const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0002;
-
-/// Monotonic id source distinguishing live pools for thread-local arena
-/// routing.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
+const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0003;
 
 /// Whether the pool models the volatile cache or runs at full speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,9 +37,10 @@ pub enum PoolMode {
 /// Which data structure backs the simulated cache in crash-sim mode.
 ///
 /// Both implementations obey the same durability contract and produce
-/// bit-identical durable media, reads, stats and seeded crash outcomes (see
-/// [`crate::cache`]); the dense model is simply faster. The reference model
-/// is retained as the executable specification for equivalence tests.
+/// bit-identical durable media, reads, stats and seeded crash outcomes (the
+/// crate's `cache` module holds both); the dense model is simply faster.
+/// The reference model is retained as the executable specification for
+/// equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheImpl {
     /// Dense line-indexed model: per-line state bits + a slab of the
@@ -77,16 +74,7 @@ pub struct PoolOptions {
     /// partitioned into, each behind its own lock (see
     /// [`with_shards`](Self::with_shards)). 1 — one lock — by default.
     pub shards: u32,
-    /// Requested allocator arena count (clamped to what the capacity can
-    /// hold; tiny pools stay single-arena). Arenas partition the heap so
-    /// concurrent allocator calls from different threads take disjoint
-    /// locks; the partition is persisted in the pool header and independent
-    /// of the shard count.
-    pub arenas: u32,
 }
-
-/// Default allocator arena count for fresh pools.
-pub const DEFAULT_ARENAS: u32 = 4;
 
 impl PoolOptions {
     /// Options for a performance-mode pool of `capacity` bytes.
@@ -96,7 +84,6 @@ impl PoolOptions {
             mode: PoolMode::Performance,
             cache_impl: CacheImpl::Dense,
             shards: 1,
-            arenas: DEFAULT_ARENAS,
         }
     }
 
@@ -107,15 +94,7 @@ impl PoolOptions {
             mode: PoolMode::CrashSim,
             cache_impl: CacheImpl::Dense,
             shards: 1,
-            arenas: DEFAULT_ARENAS,
         }
-    }
-
-    /// Requests `arenas` allocator arenas (clamped to the capacity's room;
-    /// 1 disables side arenas).
-    pub fn with_arenas(mut self, arenas: u32) -> Self {
-        self.arenas = arenas;
-        self
     }
 
     /// Selects the reference (hash-map) cache model, for equivalence tests.
@@ -251,15 +230,6 @@ pub struct PmemPool {
     /// [`crash`](Self::crash) reopens with it.
     shards: u32,
     capacity: u64,
-    /// Arena partition, read from the (versioned) pool header.
-    geom: HeapGeometry,
-    /// Identity for thread-local arena routing: unique per live pool
-    /// instance, so a reopened pool starts fresh.
-    pool_id: u64,
-    /// Round-robin source for thread→arena assignment. The first thread to
-    /// allocate always claims arena 0, which keeps single-threaded
-    /// workloads bit-identical to the single-arena layout.
-    next_arena: AtomicU32,
     stats: Arc<PmemStats>,
     /// Fast-path flag: true while a [`FaultPlan`] is armed. Lets the
     /// disarmed hot path skip the fault mutex entirely.
@@ -297,23 +267,17 @@ impl PmemPool {
                 minimum: layout::HEAP_BASE + 4096,
             });
         }
-        let geom = HeapGeometry::plan(opts.capacity, opts.arenas);
         let mut media = vec![0u8; opts.capacity as usize];
         put_u64(&mut media, layout::MAGIC, POOL_MAGIC);
         put_u64(&mut media, layout::CAPACITY, opts.capacity);
         put_u64(&mut media, layout::ROOT, 0);
-        put_u64(&mut media, layout::ARENAS, geom.arenas().len() as u64);
-        put_u64(&mut media, layout::ARENA_BYTES, geom.side_bytes);
-        for arena in geom.arenas() {
-            put_u64(&mut media, arena.frontier_off(), arena.heap_lo);
-        }
+        put_u64(&mut media, layout::FRONTIER, layout::HEAP_BASE);
         // The free-list heads are already zero.
         Ok(Self::assemble(
             media,
             opts.mode,
             opts.cache_impl,
             opts.shards,
-            geom,
         ))
     }
 
@@ -355,54 +319,24 @@ impl PmemPool {
                 media.len()
             )));
         }
-        let geom = HeapGeometry::read(&media)?;
-        Ok(Self::assemble(media, mode, cache_impl, shards, geom))
+        Ok(Self::assemble(media, mode, cache_impl, shards))
     }
 
     /// Builds the engine and stats for validated media.
-    fn assemble(
-        media: Vec<u8>,
-        mode: PoolMode,
-        cache_impl: CacheImpl,
-        shards: u32,
-        geom: HeapGeometry,
-    ) -> PmemPool {
+    fn assemble(media: Vec<u8>, mode: PoolMode, cache_impl: CacheImpl, shards: u32) -> PmemPool {
         let capacity = media.len() as u64;
-        let engine = ShardedPool::new(media, cache_impl, shards, &geom);
+        let engine = ShardedPool::new(media, cache_impl, shards);
         PmemPool {
             mode,
             cache_impl,
             shards,
             capacity,
-            geom,
-            pool_id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            next_arena: AtomicU32::new(0),
             stats: Arc::new(PmemStats::with_banks(engine.banks().clone())),
             faults_armed: AtomicBool::new(false),
             trace_on: AtomicBool::new(false),
             faults: Mutex::new(FaultState::default()),
             engine,
         }
-    }
-
-    /// The pool's arena partition.
-    pub(crate) fn geom(&self) -> &HeapGeometry {
-        &self.geom
-    }
-
-    /// This pool instance's identity for thread-local allocator state.
-    pub(crate) fn pool_id(&self) -> u64 {
-        self.pool_id
-    }
-
-    /// Claims the next arena for a newly routed thread (round-robin).
-    pub(crate) fn claim_arena(&self) -> u32 {
-        self.next_arena.fetch_add(1, Ordering::Relaxed) % self.geom.arenas().len() as u32
-    }
-
-    /// The number of allocator arenas the heap is partitioned into.
-    pub fn arena_count(&self) -> usize {
-        self.geom.arenas().len()
     }
 
     /// The pool's cache-modeling mode.
@@ -420,7 +354,7 @@ impl PmemPool {
         self.capacity
     }
 
-    /// The engine: where the allocator takes its arena and shard locks.
+    /// The engine: where the allocator takes its mirror and shard locks.
     pub(crate) fn engine(&self) -> &ShardedPool {
         &self.engine
     }
@@ -1095,11 +1029,16 @@ mod tests {
 
     #[test]
     fn open_rejects_bad_magic() {
-        // Blank media, and an otherwise valid image restamped with the
-        // retired single-arena magic that no `create` ever wrote.
+        // Blank media; an otherwise valid image restamped with the retired
+        // single-arena magic that no `create` ever wrote; and one restamped
+        // as a 4-arena image, whose side-arena metadata would sit inside
+        // this format's heap (arena count at header word 32).
         let mut restamped = crash_pool().media_snapshot();
         put_u64(&mut restamped, layout::MAGIC, 0xC10B_BE12_0000_0001);
-        for media in [vec![0u8; 1 << 20], restamped] {
+        let mut four_arenas = crash_pool().media_snapshot();
+        put_u64(&mut four_arenas, layout::MAGIC, 0xC10B_BE12_0000_0002);
+        put_u64(&mut four_arenas, 32, 4);
+        for media in [vec![0u8; 1 << 20], restamped, four_arenas] {
             match PmemPool::open_from_media(media, PoolMode::CrashSim) {
                 Err(PmemError::CorruptPool(why)) => assert_eq!(why, "bad magic"),
                 other => panic!("expected a bad-magic error, got {other:?}"),

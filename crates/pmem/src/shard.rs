@@ -19,20 +19,16 @@
 //! at every shard count, which is what makes golden traces
 //! shard-count-invariant.
 //!
-//! Allocator state is per-arena: each arena's volatile [`ArenaMirror`] sits
-//! behind its own mutex, and an allocator operation locks that mirror plus
-//! only the shards overlapping the arena's byte span (mirror first, then
-//! shards ascending — at most one mirror per thread, so threads working
-//! disjoint arenas never contend and the global acquisition order stays
-//! acyclic even when arena boundaries share a shard).
+//! The allocator's volatile [`ArenaMirror`] sits behind one mutex, and an
+//! allocator operation locks it and then every shard, ascending: the heap
+//! spans the pool, so its fence is a fence of every shard.
 //!
 //! The per-access counters live in per-shard [`PmemStats`] banks written
 //! by the shard lock holder and nowhere else; [`PmemStats::snapshot`] sums
 //! them into pool totals. Operation counts attribute to the shard holding
 //! the first byte; flush line counts attribute per shard (pure geometry, so
-//! their sum does not depend on the shard count); fences attribute to
-//! shard 0, and allocator hot-path credits to the first shard of the owning
-//! arena's span.
+//! their sum does not depend on the shard count); fences and allocator
+//! hot-path credits attribute to shard 0.
 //!
 //! [`PmemPool`]: crate::PmemPool
 //! [`PmemStats`]: crate::PmemStats
@@ -46,7 +42,6 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::addr::{align_up, CACHE_LINE};
 use crate::alloc::ArenaMirror;
 use crate::cache::{line_count, Cache, LineCache, RefCache};
-use crate::geometry::HeapGeometry;
 use crate::pool::{get_u64, put_u64, CacheImpl, PoolMode};
 use crate::stats::PmemStats;
 
@@ -128,12 +123,6 @@ impl MediaCache {
     pub(crate) fn fence_raw(&mut self) {
         self.cache.fence(&mut self.media);
     }
-
-    /// Orders pending flushes whose lines start within `[lo, hi)` local
-    /// byte offsets (the allocator's arena-scoped fence).
-    pub(crate) fn fence_range_raw(&mut self, lo: u64, hi: u64) {
-        self.cache.fence_range(&mut self.media, lo, hi);
-    }
 }
 
 /// The durable media as the engine holds it, borrowed under its locks: one
@@ -188,11 +177,6 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// One past this shard's last pool-global byte.
-    fn end(&self) -> u64 {
-        self.base + self.mc.media.len() as u64
-    }
-
     /// Reads from pool-global `offset` (caller guarantees containment).
     fn read(&self, offset: u64, buf: &mut [u8]) {
         self.mc.read_raw(offset - self.base, buf);
@@ -211,12 +195,6 @@ impl Shard {
     fn fence(&mut self) {
         self.mc.fence_raw();
     }
-
-    /// Orders pending flushes within pool-global `[lo, hi)` (clipped to
-    /// this shard by the caller).
-    fn fence_range(&mut self, lo: u64, hi: u64) {
-        self.mc.fence_range_raw(lo - self.base, hi - self.base);
-    }
 }
 
 /// Cuts `[offset, offset+len)` at the multiples of `shard_bytes` and visits
@@ -232,12 +210,12 @@ fn for_each_piece(shard_bytes: u64, offset: u64, len: u64, mut f: impl FnMut(usi
     }
 }
 
-/// The pool engine: contiguous address-range shards plus one allocator
-/// mirror lock per arena.
+/// The pool engine: contiguous address-range shards plus the allocator
+/// mirror's lock.
 ///
-/// Lock order, where multiple locks are held: one arena mirror → the shards
-/// overlapping that arena's span, ascending. The pool-level fault mutex is
-/// never held across a shard acquisition.
+/// Lock order, where multiple locks are held: the allocator mirror → the
+/// shards, ascending. The pool-level fault mutex is never held across a
+/// shard acquisition.
 pub(crate) struct ShardedPool {
     cells: Box<[Mutex<Shard>]>,
     /// Shard `i`'s per-access counters, written under `cells[i]`'s lock
@@ -248,10 +226,9 @@ pub(crate) struct ShardedPool {
     /// the remainder.
     shard_bytes: u64,
     capacity: u64,
-    /// Volatile allocator mirrors, one per arena — allocator paths lock the
-    /// owning arena's mirror first, then the shards its span overlaps, so
-    /// that arena's metadata updates are atomic.
-    mirrors: Box<[Mutex<ArenaMirror>]>,
+    /// The volatile allocator mirror — allocator paths lock it first, then
+    /// every shard, so the heap's metadata updates are atomic.
+    mirror: Mutex<ArenaMirror>,
     /// Pool-wide fences as tickets, taken when one begins and retired when
     /// it ends ([`fence_tickets`](Self::fence_tickets)).
     fences_begun: AtomicU64,
@@ -259,18 +236,9 @@ pub(crate) struct ShardedPool {
 }
 
 impl ShardedPool {
-    pub(crate) fn new(
-        mut media: Vec<u8>,
-        cache_impl: CacheImpl,
-        shards: u32,
-        geom: &HeapGeometry,
-    ) -> ShardedPool {
+    pub(crate) fn new(mut media: Vec<u8>, cache_impl: CacheImpl, shards: u32) -> ShardedPool {
         let capacity = media.len() as u64;
-        let mirrors: Vec<Mutex<ArenaMirror>> = geom
-            .arenas()
-            .iter()
-            .map(|&l| Mutex::new(ArenaMirror::rebuild(&mut media, l)))
-            .collect();
+        let mirror = Mutex::new(ArenaMirror::rebuild(&mut media));
         let want = u64::from(shards.clamp(1, 4096));
         let shard_bytes = align_up(capacity.div_ceil(want).max(1), CACHE_LINE);
         // Shard 0 keeps the original buffer — and its capacity, which
@@ -299,7 +267,7 @@ impl ShardedPool {
             cells: cells.into_boxed_slice(),
             shard_bytes,
             capacity,
-            mirrors: mirrors.into_boxed_slice(),
+            mirror,
             fences_begun: AtomicU64::new(0),
             fences_done: AtomicU64::new(0),
         }
@@ -577,64 +545,41 @@ impl ShardedPool {
         media
     }
 
-    /// Runs `f` with arena `idx`'s mirror locked (no shards).
-    pub(crate) fn with_arena_mirror<R>(
-        &self,
-        idx: usize,
-        f: impl FnOnce(&mut ArenaMirror) -> R,
-    ) -> R {
-        f(&mut self.mirrors[idx].lock())
+    /// Runs `f` with the allocator mirror locked (no shards).
+    pub(crate) fn with_mirror<R>(&self, f: impl FnOnce(&mut ArenaMirror) -> R) -> R {
+        f(&mut self.mirror.lock())
     }
 
-    /// Runs `f` with arena `idx`'s mirror plus the shards overlapping the
-    /// arena's byte span held (mirror first, then shards ascending — the
-    /// documented lock order: at most one arena mirror per thread, so
-    /// disjoint arenas never deadlock and mostly don't contend), exposing
-    /// those shards as one [`RawPmem`] — the allocator path. Allocator
-    /// operations on arenas with disjoint shard coverage run fully in
-    /// parallel.
-    pub(crate) fn with_arena_raw<R>(
+    /// Runs `f` with the allocator mirror plus every shard held (mirror
+    /// first, then shards ascending — the documented lock order), exposing
+    /// the shards as one [`RawPmem`]: the allocator path.
+    pub(crate) fn with_heap_raw<R>(
         &self,
-        idx: usize,
         f: impl FnOnce(&mut ArenaMirror, &mut RawPmem<'_>) -> R,
     ) -> R {
-        let mut mirror = self.mirrors[idx].lock();
-        let (lo, hi) = mirror.layout.span();
-        let first = self.shard_index(lo);
-        let last = self.shard_index(hi - 1);
+        let mut mirror = self.mirror.lock();
         let mut raw = RawPmem {
-            head: self.cells[first].lock(),
-            // Empty — and so unallocated — when one shard covers the span.
-            rest: self.cells[first + 1..last + 1]
-                .iter()
-                .map(Mutex::lock)
-                .collect(),
-            first_shard: first,
-            span: (lo, hi),
+            head: self.cells[0].lock(),
+            // Empty — and so unallocated — at one shard.
+            rest: self.cells[1..].iter().map(Mutex::lock).collect(),
             shard_bytes: self.shard_bytes,
-            bank: &self.banks[first],
+            bank: &self.banks[0],
         };
         f(&mut mirror, &mut raw)
     }
 }
 
 /// Raw persist operations over pool-global offsets, with bounds already
-/// checked by the caller: the shards covering one arena's span, their locks
-/// held for the duration of an allocator operation, which is what makes
-/// that arena's metadata updates atomic. Fences are arena-scoped (see
-/// [`Cache::fence_range`](crate::cache::Cache::fence_range)) so the durable
-/// outcome never depends on the shard count.
+/// checked by the caller: every shard, their locks held for the duration of
+/// an allocator operation, which is what makes the heap's metadata updates
+/// atomic.
 pub(crate) struct RawPmem<'a> {
-    /// The span's first shard; the only one when `rest` is empty.
+    /// Shard 0; the only one when `rest` is empty.
     head: MutexGuard<'a, Shard>,
-    /// The span's further shards, ascending.
+    /// The further shards, ascending.
     rest: Vec<MutexGuard<'a, Shard>>,
-    /// Pool-wide index of `head`.
-    first_shard: usize,
-    /// The owning arena's `[lo, hi)` span — the fence scope.
-    span: (u64, u64),
     shard_bytes: u64,
-    /// `head`'s bank, which the held lock makes safe to write: the
+    /// Shard 0's bank, which the held lock makes safe to write: the
     /// operation's hot counts are credited here.
     bank: &'a PmemStats,
 }
@@ -642,7 +587,7 @@ pub(crate) struct RawPmem<'a> {
 impl RawPmem<'_> {
     fn for_each_range(&mut self, offset: u64, len: u64, mut f: impl FnMut(&mut Shard, u64, u64)) {
         for_each_piece(self.shard_bytes, offset, len, |idx, at, n| {
-            let sh = match idx - self.first_shard {
+            let sh = match idx {
                 0 => &mut *self.head,
                 k => &mut *self.rest[k - 1],
             };
@@ -699,16 +644,10 @@ impl RawPmem<'_> {
         n
     }
 
-    /// Orders previously flushed lines within the owning arena's span,
-    /// shard by shard (each clipped to its own range).
+    /// Orders every previously flushed line, shard by shard.
     pub(crate) fn fence_raw(&mut self) {
-        let (lo, hi) = self.span;
         for sh in std::iter::once(&mut self.head).chain(&mut self.rest) {
-            let clip_lo = lo.max(sh.base);
-            let clip_hi = hi.min(sh.end());
-            if clip_lo < clip_hi {
-                sh.fence_range(clip_lo, clip_hi);
-            }
+            sh.fence();
         }
     }
 
@@ -727,9 +666,7 @@ mod tests {
 
     #[test]
     fn shard_geometry_is_line_aligned_and_covers_capacity() {
-        let media = vec![0u8; 1 << 20];
-        let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 4, &geom);
+        let s = ShardedPool::new(vec![0u8; 1 << 20], CacheImpl::Dense, 4);
         assert_eq!(s.shard_count(), 4);
         assert_eq!(s.shard_bytes % CACHE_LINE, 0);
         let len = s.with_media_view(|v| v.pieces().map(<[u8]>::len).sum::<usize>());
@@ -739,18 +676,14 @@ mod tests {
     #[test]
     fn tiny_pool_gets_fewer_shards_than_requested() {
         // 8 KiB across 4096 requested shards: at least one line per shard.
-        let media = vec![0u8; 8192];
-        let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 4096, &geom);
+        let s = ShardedPool::new(vec![0u8; 8192], CacheImpl::Dense, 4096);
         assert_eq!(s.shard_count(), 8192 / CACHE_LINE as usize);
         assert_eq!(s.shard_bytes, CACHE_LINE);
     }
 
     #[test]
     fn cross_shard_write_and_read_round_trip() {
-        let media = vec![0u8; 8192];
-        let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 2, &geom);
+        let s = ShardedPool::new(vec![0u8; 8192], CacheImpl::Dense, 2);
         let boundary = s.shard_bytes - 32;
         let data: Vec<u8> = (0..64u8).collect();
         s.write(boundary, &data, PoolMode::Performance);
@@ -762,31 +695,5 @@ mod tests {
         assert_eq!(shards[0].writes, 1);
         assert_eq!(shards[0].write_bytes, 64);
         assert_eq!(shards[1].writes, 0);
-    }
-
-    #[test]
-    fn arena_raw_covers_only_the_arena_span() {
-        // A multi-arena geometry over a sharded pool: the raw handle for a
-        // side arena must read/write its own span correctly even though the
-        // guard slice does not start at shard 0.
-        let capacity = 1u64 << 20;
-        let geom = HeapGeometry::plan(capacity, 4);
-        assert!(geom.arenas().len() > 1, "1 MiB plans side arenas");
-        let media = vec![0u8; capacity as usize];
-        let s = ShardedPool::new(media, CacheImpl::Dense, 8, &geom);
-        let last = geom.arenas().len() - 1;
-        let (lo, hi) = geom.arenas()[last].span();
-        s.with_arena_raw(last, |_mirror, raw| {
-            raw.write_raw(lo + 8, &[0xAB; 16], PoolMode::CrashSim);
-            raw.flush_raw(lo + 8, 16, PoolMode::CrashSim);
-            raw.fence_raw();
-            let mut back = [0u8; 16];
-            raw.read_raw(lo + 8, &mut back);
-            assert_eq!(back, [0xAB; 16]);
-        });
-        // The write is durable on media after the arena-scoped fence.
-        let snap = s.into_media();
-        assert_eq!(&snap[(lo + 8) as usize..(lo + 24) as usize], &[0xAB; 16]);
-        assert!(hi <= capacity);
     }
 }

@@ -112,8 +112,8 @@ macro_rules! counters {
 counters! {
     /// Cache-line flushes issued, counted per shard holding the lines.
     flushes,
-    /// Ordering fences issued (pool fences count in shard 0's bank, an
-    /// allocator's in the first shard of its arena's span).
+    /// Ordering fences issued (pool and allocator fences count in shard
+    /// 0's bank).
     fences,
     /// Store operations, counted in the shard holding the first byte.
     writes,
@@ -136,7 +136,7 @@ counters! {
     cancels,
     /// Blocks handed out from a free list (immediate or transactional).
     alloc_freelist,
-    /// Blocks handed out by bumping an arena frontier.
+    /// Blocks handed out by bumping the heap frontier.
     alloc_frontier,
     /// Always 0: every reservation is one locked pop, and nothing writes
     /// this count. Kept for readers that still report it.

@@ -39,6 +39,10 @@ enum TxOp {
     /// while this transaction's reservations are outstanding — the mirror
     /// top is not the media head.
     FreeMany(Vec<usize>),
+    /// Another transaction's reservation, held open across the settles of
+    /// later transactions: reserve `SIZES[i]` if none is held, otherwise
+    /// commit the held one (publish, fence).
+    Hold(usize),
 }
 
 /// Transactions, each a list of steps and whether it commits.
@@ -50,6 +54,7 @@ fn script_strategy() -> impl Strategy<Value = Script> {
         2 => (0usize..64).prop_map(TxOp::Kill),
         2 => (0usize..64).prop_map(TxOp::Free),
         1 => proptest::collection::vec(0usize..64, 0..8).prop_map(TxOp::FreeMany),
+        1 => (0usize..SIZES.len()).prop_map(TxOp::Hold),
     ];
     proptest::collection::vec(
         (
@@ -72,18 +77,13 @@ struct Outcome {
 }
 
 /// Runs `script` one transaction at a time on a fresh pool, walking the
-/// heap after each, then crashes and counts what survived. `batched` frees
-/// every batch with one `free_many`, otherwise block by block.
-fn run_script(
-    shards: u32,
-    arenas: u32,
-    batched: bool,
-    script: &Script,
-) -> Result<Outcome, TestCaseError> {
-    let opts = PoolOptions::crash_sim(4 << 20)
-        .with_shards(shards)
-        .with_arenas(arenas);
-    let pool = std::sync::Arc::new(PmemPool::create(opts).unwrap());
+/// heap after each — live, and reopened from a `drop_all` crash image, in
+/// which every published block must still be allocated — then crashes and
+/// counts what survived. `batched` frees every batch with one `free_many`,
+/// otherwise block by block.
+fn run_script(shards: u32, batched: bool, script: &Script) -> Result<Outcome, TestCaseError> {
+    let opts = PoolOptions::crash_sim(4 << 20).with_shards(shards);
+    let pool = PmemPool::create(opts).unwrap();
     let free_all = |v: &[PAddr]| {
         if batched {
             pool.free_many(v).unwrap()
@@ -92,12 +92,9 @@ fn run_script(
         }
     };
     let (mut handed_out, mut reports) = (Vec::new(), Vec::new());
-    // This thread claims arena 0; a second thread's blocks live in arena 1
-    // (when there is one), so batches span arenas.
     let mut published = vec![pool.alloc(8).unwrap()];
-    let side = pool.clone();
-    let side = std::thread::spawn(move || SIZES.map(|size| side.alloc(size).unwrap()));
-    published.extend(side.join().unwrap());
+    published.extend(SIZES.map(|size| pool.alloc(size).unwrap()));
+    let (mut held, mut image) = (None, Vec::new());
     for (t, (ops, commits)) in script.iter().enumerate() {
         let (mut live, mut dead, mut frees) = (Vec::new(), Vec::new(), Vec::new());
         for op in ops {
@@ -122,6 +119,18 @@ fn run_script(
                         .collect();
                     free_all(&batch);
                 }
+                &TxOp::Hold(i) => match held.take() {
+                    None => {
+                        let a = pool.reserve(SIZES[i]).unwrap();
+                        handed_out.push(a);
+                        held = Some(a);
+                    }
+                    Some(a) => {
+                        pool.publish(&[a]).unwrap();
+                        pool.fence();
+                        published.push(a);
+                    }
+                },
             }
         }
         if *commits {
@@ -140,13 +149,23 @@ fn run_script(
         // fence orders the previous free's heads. From the next fence on the
         // two are indistinguishable.
         pool.fence();
+        let ctx = format!("{shards} shard(s), transaction {t}");
         match pool.check_heap() {
             Ok(r) => reports.push(r),
-            Err(e) => prop_assert!(
-                false,
-                "{shards} shard(s), {arenas} arena(s), transaction {t}: {e}"
-            ),
+            Err(e) => prop_assert!(false, "{ctx}: {e}"),
         }
+        image = pool.crash_media_into(&CrashConfig::drop_all(t as u64), image);
+        let reopened = PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap();
+        match reopened.check_heap() {
+            Ok(r) => prop_assert_eq!(
+                r.allocated_blocks,
+                published.len() as u64,
+                "{}, crashed: every published block stays allocated",
+                ctx
+            ),
+            Err(e) => prop_assert!(false, "{ctx}, crashed: {e}"),
+        }
+        image = reopened.into_media();
     }
     let drained: Vec<PAddr> = SIZES
         .iter()
@@ -185,7 +204,23 @@ fn out_of_order_cancel_recipes_keep_the_heap_walkable() {
         (recipe, true),
     ];
     for shards in [1, 4] {
-        run_script(shards, 4, true, &script).unwrap();
+        run_script(shards, true, &script).unwrap();
+    }
+}
+
+/// A reservation held open across two commits, each pinning one half of
+/// the open-reservation rule: the first frees a block, so its list heads
+/// are written while the held block has no header on media; the second
+/// publishes a block above the held one, which a crash image must not
+/// lose behind the held block's missing header.
+#[test]
+fn a_reservation_held_across_two_commits_keeps_the_heap_walkable() {
+    let script = vec![
+        (vec![TxOp::Hold(0), TxOp::Free(0)], true),
+        (vec![TxOp::Reserve(0)], true),
+    ];
+    for shards in [1, 4] {
+        run_script(shards, true, &script).unwrap();
     }
 }
 
@@ -258,23 +293,22 @@ proptest! {
     }
 
     /// The allocator as `Tx` drives it — reservations ended as allocated or
-    /// as free at each transaction's fence, in any order, with deferred
-    /// frees and batched frees across arenas — keeps a walkable heap after
-    /// every transaction, loses nothing published in a crash, behaves
-    /// identically at 1 and 4 shards, and cannot tell `free_many(&v)` from
-    /// `v` freed one by one: same addresses, same mirrors, same media.
+    /// as free at each transaction's fence, in any order, with deferred and
+    /// batched frees, while another transaction's reservation stays open —
+    /// keeps a walkable heap after every transaction, live and crashed,
+    /// loses nothing published in a crash, behaves identically at 1 and 4
+    /// shards, and cannot tell `free_many(&v)` from `v` freed one by one:
+    /// same addresses, same mirrors, same media.
     #[test]
     fn transaction_scripts_keep_the_heap_walkable(script in script_strategy()) {
-        for arenas in [1, 4] {
-            let one = run_script(1, arenas, true, &script)?;
-            for (what, other) in [
-                ("4 shards", run_script(4, arenas, true, &script)?),
-                ("one-by-one frees", run_script(1, arenas, false, &script)?),
-            ] {
-                prop_assert_eq!(&one.handed_out, &other.handed_out, "{} arena(s), {}", arenas, what);
-                prop_assert_eq!(&one.reports, &other.reports, "{} arena(s), {}", arenas, what);
-                prop_assert!(one.media == other.media, "{arenas} arena(s), {what}: media differ");
-            }
+        let one = run_script(1, true, &script)?;
+        for (what, other) in [
+            ("4 shards", run_script(4, true, &script)?),
+            ("one-by-one frees", run_script(1, false, &script)?),
+        ] {
+            prop_assert_eq!(&one.handed_out, &other.handed_out, "{}", what);
+            prop_assert_eq!(&one.reports, &other.reports, "{}", what);
+            prop_assert!(one.media == other.media, "{what}: media differ");
         }
     }
 

@@ -12,7 +12,7 @@
 //! crash, at every shard count.
 //!
 //! The schedules include the full allocator surface —
-//! `alloc`/`free`/`reserve`/`publish`/`cancel` — so the per-arena allocator
+//! `alloc`/`free`/`reserve`/`publish`/`cancel` — so the allocator
 //! is held to the same standard: identical addresses, identical error
 //! results (`OutOfMemory`, `InvalidFree`, `InjectedCrash`), identical
 //! `heap_used`, identical `check_heap` reports, and bit-identical durable

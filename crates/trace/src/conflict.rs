@@ -13,7 +13,7 @@
 //! Soundness caveats, encoded in [`ConflictPolicy`]:
 //!
 //! * **Allocator coupling.** Two transactions that both call into the
-//!   persistent allocator race on shared arena state: reordering them can
+//!   persistent allocator race on shared heap state: reordering them can
 //!   swap the blocks they receive, which changes durable bytes even though
 //!   their *own* store ranges were disjoint. By default any two
 //!   allocator-using transactions conflict ([`ConflictPolicy::alloc_conflicts`]).
@@ -93,7 +93,7 @@ impl Footprint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConflictPolicy {
     /// Any two allocator-using transactions conflict (sound default: they
-    /// race on shared arena state, so reordering changes block placement).
+    /// race on shared heap state, so reordering changes block placement).
     pub alloc_conflicts: bool,
     /// Every pair conflicts — disables commutativity pruning entirely.
     /// The escape hatch for workloads with pure-read control dependences.

@@ -25,8 +25,8 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 /// One thread's append-only event buffer.
 ///
 /// Safe to share (`&self` methods over atomics), but the push contract is
-/// single-writer: only the thread the ring was registered for may
-/// [`push`](Self::push). The [`Tracer`] enforces this by handing each
+/// single-writer: only the thread the ring was registered for may push to
+/// it. The [`Tracer`] enforces this by handing each
 /// thread its own ring through thread-local storage.
 pub struct ThreadRing {
     /// This ring's thread registration index within its tracer.
