@@ -1,12 +1,12 @@
 //! Counter-preservation regression: fixed-seed fig6/fig9-style runs must
-//! produce bit-identical `StatsSnapshot`s under the dense line cache and
-//! the reference (map-based) model, for every backend.
+//! produce bit-identical `StatsSnapshot`s at every shard count and with a
+//! count-only fault plan armed, and the pinned counts must hold exactly.
 //!
-//! The dense cache is a pure performance refactor of the CrashSim
-//! substrate; every flush/fence/log accounting decision — and the seeded
-//! crash's per-line survival draws — are part of its contract. If these
-//! assertions fail, the substrate's behaviour (not just its speed) changed
-//! and every recorded experiment in EXPERIMENTS.md is invalidated.
+//! Every flush/fence/log accounting decision of the CrashSim substrate —
+//! and the seeded crash's per-line survival draws — is part of its
+//! contract. If these assertions fail, the substrate's behaviour (not just
+//! its speed) changed and every recorded experiment in EXPERIMENTS.md is
+//! invalidated.
 
 use std::sync::Arc;
 
@@ -15,10 +15,9 @@ use clobber_kvnet::{
     serve, Admission, AdmissionConfig, KvService, ServeConfig, SimNet, SimNetConfig,
 };
 use clobber_nvm::{ArgList, Backend, LockRequest, RecoveryOptions, Runtime, RuntimeOptions};
-use clobber_pds::{BpTree, HashMap};
+use clobber_pds::HashMap;
 use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot,
-    CACHE_LINE,
+    CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot, CACHE_LINE,
 };
 use clobber_workloads::{KvOp, Mix, Workload, WorkloadKind};
 
@@ -27,38 +26,16 @@ const VALUE_SIZE: usize = 256;
 const WORKLOAD_SEED: u64 = 42;
 const CRASH_SEED: u64 = 7;
 
-fn pool(reference: bool) -> Arc<PmemPool> {
-    let mut opts = PoolOptions::crash_sim(64 << 20);
-    if reference {
-        opts = opts.with_reference_cache();
-    }
-    Arc::new(PmemPool::create(opts).unwrap())
-}
-
 fn pool_with(shards: u32) -> Arc<PmemPool> {
     let opts = PoolOptions::crash_sim(64 << 20).with_shards(shards);
     Arc::new(PmemPool::create(opts).unwrap())
 }
 
-/// YCSB-Load into the hashmap, then a seeded crash, recovery, and a full
-/// dump: returns the pre-crash counters and the recovered contents.
-fn hashmap_load(reference: bool, backend: Backend) -> (StatsSnapshot, Vec<(u64, Vec<u8>)>) {
-    hashmap_load_faulted(reference, backend, false)
-}
-
-/// As [`hashmap_load`], optionally with a count-only fault plan armed for
-/// the whole load — the injector must observe without perturbing.
-fn hashmap_load_faulted(
-    reference: bool,
-    backend: Backend,
-    armed: bool,
-) -> (StatsSnapshot, Vec<(u64, Vec<u8>)>) {
-    hashmap_load_on(pool(reference), backend, armed)
-}
-
-/// The [`hashmap_load`] pipeline on an explicit pool — the shard-count
-/// pins reuse the exact workload the cache-model pins run.
-fn hashmap_load_on(
+/// YCSB-Load into the hashmap on `pool`, optionally with a count-only
+/// fault plan armed for the whole load (the injector must observe without
+/// perturbing), then a seeded crash, recovery, and a full dump: returns the
+/// pre-crash counters and the recovered contents.
+fn hashmap_load(
     pool: Arc<PmemPool>,
     backend: Backend,
     armed: bool,
@@ -84,61 +61,13 @@ fn hashmap_load_on(
     (snap, pairs)
 }
 
-/// YCSB-Load (32-byte keys) into the B+Tree under the clobber backend.
-#[allow(clippy::type_complexity)]
-fn bptree_load(reference: bool) -> (StatsSnapshot, Vec<(Vec<u8>, Vec<u8>)>) {
-    let pool = pool(reference);
-    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-    BpTree::register(&rt);
-    let tree = BpTree::create(&rt).unwrap();
-    for op in Workload::new(WorkloadKind::Load, OPS, VALUE_SIZE, WORKLOAD_SEED) {
-        if let KvOp::Insert { key, value } = op {
-            tree.insert_u64(&rt, key, &value).unwrap();
-        }
-    }
-    let snap = pool.stats().snapshot();
-    let dump = tree.dump(&pool).unwrap();
-    (snap, dump)
-}
-
-#[test]
-fn hashmap_load_counters_identical_across_cache_models() {
-    for backend in [
-        Backend::clobber(),
-        Backend::clobber_conservative(),
-        Backend::Undo,
-        Backend::Redo,
-        Backend::Atlas,
-    ] {
-        let (dense, dense_pairs) = hashmap_load(false, backend);
-        let (refr, ref_pairs) = hashmap_load(true, backend);
-        assert_eq!(dense, refr, "counters diverged under {}", backend.label());
-        assert_eq!(
-            (
-                dense.faults_armed,
-                dense.faults_tripped,
-                dense.fault_retries
-            ),
-            (0, 0, 0),
-            "no fault activity in a plain run under {}",
-            backend.label()
-        );
-        assert_eq!(
-            dense_pairs,
-            ref_pairs,
-            "recovered contents diverged under {}",
-            backend.label()
-        );
-    }
-}
-
 /// A count-only fault plan armed for the whole run must not perturb a
 /// single persistence counter: the injector observes, never interferes.
 #[test]
 fn armed_count_only_plan_leaves_counters_untouched() {
     let backend = Backend::clobber();
-    let (plain, plain_pairs) = hashmap_load(false, backend);
-    let (armed, armed_pairs) = hashmap_load_faulted(false, backend, true);
+    let (plain, plain_pairs) = hashmap_load(pool_with(1), backend, false);
+    let (armed, armed_pairs) = hashmap_load(pool_with(1), backend, true);
     let mut masked = armed;
     assert_eq!(masked.faults_armed, 1);
     assert_eq!(masked.faults_tripped, 0);
@@ -148,23 +77,20 @@ fn armed_count_only_plan_leaves_counters_untouched() {
     assert_eq!(armed_pairs, plain_pairs);
 }
 
-#[test]
-fn bptree_load_counters_identical_across_cache_models() {
-    let (dense, dense_dump) = bptree_load(false);
-    let (refr, ref_dump) = bptree_load(true);
-    assert_eq!(dense, refr, "B+Tree load counters diverged");
-    assert_eq!(dense_dump, ref_dump, "B+Tree contents diverged");
-}
-
 /// A pool of 4 or 16 shards must reproduce the one-shard pool's counters
-/// and recovered contents bit-for-bit on the same fixed workload — the
-/// shard-count analogue of the cache-model pins above.
+/// and recovered contents bit-for-bit on the same fixed workload.
 #[test]
 fn hashmap_load_counters_identical_across_shard_counts() {
     for backend in [Backend::clobber(), Backend::Undo, Backend::Redo] {
-        let (one, one_pairs) = hashmap_load_on(pool_with(1), backend, false);
+        let (one, one_pairs) = hashmap_load(pool_with(1), backend, false);
+        assert_eq!(
+            (one.faults_armed, one.faults_tripped, one.fault_retries),
+            (0, 0, 0),
+            "no fault activity in a plain run under {}",
+            backend.label()
+        );
         for shards in [4, 16] {
-            let (snap, pairs) = hashmap_load_on(pool_with(shards), backend, false);
+            let (snap, pairs) = hashmap_load(pool_with(shards), backend, false);
             assert_eq!(
                 snap,
                 one,
@@ -190,7 +116,7 @@ fn hashmap_load_counters_identical_across_shard_counts() {
 #[test]
 fn per_kind_log_counters_attribute_by_backend() {
     for shards in [1, 4] {
-        let (clobber, _) = hashmap_load_on(pool_with(shards), Backend::clobber(), false);
+        let (clobber, _) = hashmap_load(pool_with(shards), Backend::clobber(), false);
         assert!(
             clobber.clog_flushes > 0 && clobber.clog_fences > 0,
             "{shards} shards: clobber load must sync the clobber log: {clobber:?}"
@@ -210,7 +136,7 @@ fn per_kind_log_counters_attribute_by_backend() {
         assert_eq!(clobber.gc_fences_saved, 0);
         assert!(clobber.gc_epochs <= clobber.fences);
 
-        let (redo, _) = hashmap_load_on(pool_with(shards), Backend::Redo, false);
+        let (redo, _) = hashmap_load(pool_with(shards), Backend::Redo, false);
         assert!(
             redo.rlog_flushes > 0 && redo.rlog_fences > 0,
             "{shards} shards: redo load must sync the redo log: {redo:?}"
@@ -302,10 +228,7 @@ fn interrupted_chain_image(shards: u32) -> Vec<u8> {
 }
 
 fn reopen_rec(image: Vec<u8>, shards: u32) -> (Arc<PmemPool>, Runtime) {
-    let pool = Arc::new(
-        PmemPool::open_from_media_with(image, PoolMode::CrashSim, CacheImpl::Dense, shards)
-            .unwrap(),
-    );
+    let pool = Arc::new(PmemPool::open_from_media_with(image, PoolMode::CrashSim, shards).unwrap());
     let rt = Runtime::open(pool.clone(), RuntimeOptions::default()).unwrap();
     register_rec_chain(&rt);
     (pool, rt)
@@ -521,7 +444,7 @@ fn batch_set_counters_pin() {
         (Backend::clobber_conservative(), (4, 32, 77, 3, 210)),
         (Backend::Undo, (35, 1176, 137, 38, 241)),
     ] {
-        let pool = pool(false);
+        let pool = pool_with(1);
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).unwrap();
         HashMap::register(&rt);
         let map = HashMap::create(&rt).unwrap();
@@ -573,7 +496,7 @@ fn batch_set_counters_pin() {
 #[test]
 fn batch_set_store_buffer_overflow_pin() {
     for (size, flushes) in [(64usize, 60), (72, 62), (128, 94)] {
-        let pool = pool(false);
+        let pool = pool_with(1);
         let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
         HashMap::register(&rt);
         let map = HashMap::create(&rt).unwrap();

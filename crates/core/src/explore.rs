@@ -70,7 +70,7 @@
 
 use std::sync::Arc;
 
-use clobber_pmem::{CacheImpl, PmemPool, PoolMode, Tracer};
+use clobber_pmem::{PmemPool, PoolMode, Tracer};
 use clobber_trace::{tx_footprints, ConflictPolicy};
 
 use crate::battery::{CrashBattery, Nested, SweepSummary, Violation};
@@ -177,7 +177,7 @@ pub type ReopenFn<'a> = Box<dyn Fn(Vec<u8>) -> (Arc<PmemPool>, Runtime) + 'a>;
 ///
 /// If the image does not open — it is one a pool of this workload left.
 pub fn reopen_media(media: Vec<u8>, shards: u32, opts: RuntimeOptions) -> (Arc<PmemPool>, Runtime) {
-    let pool = PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards);
+    let pool = PmemPool::open_from_media_with(media, PoolMode::CrashSim, shards);
     let pool = Arc::new(pool.expect("a crashed image reopens"));
     let rt = Runtime::open(pool.clone(), opts).expect("a runtime reopens on its own pool");
     (pool, rt)

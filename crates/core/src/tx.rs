@@ -369,11 +369,6 @@ impl<'rt> Tx<'rt> {
         self.pool
     }
 
-    /// Returns `true` when this execution is a recovery re-execution.
-    pub fn is_recovery(&self) -> bool {
-        self.replay.is_some()
-    }
-
     /// Read-set tracking for a load of `[s, e)` the pool just served.
     fn track_read(&mut self, s: u64, e: u64) {
         if let Some(obs) = &mut self.ido {

@@ -22,7 +22,7 @@
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Runtime, RuntimeOptions};
-use clobber_pmem::{CacheImpl, CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot};
+use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -157,10 +157,8 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
     // Power failure with seeded line survival, then recovery on a pool
     // reopened at the same shard count.
     let media = pool.crash_media(&CrashConfig::with_seed(seed));
-    let pool2 = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, SHARDS)
-            .unwrap(),
-    );
+    let pool2 =
+        Arc::new(PmemPool::open_from_media_with(media, PoolMode::CrashSim, SHARDS).unwrap());
     let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
     register_transfer(&rt2);
     rt2.recover().unwrap();

@@ -711,14 +711,15 @@ fn an_access_outside_the_pool_fails_at_the_call_and_recovers_clean() {
 }
 
 /// `reserve` reserves a block before each of its two preserves and records
-/// every address in `seen`. When `fault_once` is set, a replay arms one
-/// transient read fault after its first reservation.
+/// every address in `seen`. When `fault_once` is set, the next execution
+/// arms one transient read fault after its first reservation: only a
+/// runtime that just replays sets it.
 fn register_reserving(rt: &Runtime, seen: Arc<Mutex<Vec<PAddr>>>, fault_once: Arc<Mutex<bool>>) {
     rt.register("reserve", move |tx, args| {
         let cell = PAddr::new(args.u64(0)?);
         let a = tx.pmalloc(64)?;
         seen.lock().unwrap().push(a);
-        if tx.is_recovery() && std::mem::take(&mut *fault_once.lock().unwrap()) {
+        if std::mem::take(&mut *fault_once.lock().unwrap()) {
             tx.pool().arm_faults(FaultPlan::transient_reads(1));
         }
         tx.vlog_preserve(b"one")?;

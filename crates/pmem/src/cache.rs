@@ -1,20 +1,16 @@
-//! Simulated volatile cache models for [`PoolMode::CrashSim`].
+//! The simulated volatile cache of [`PoolMode::CrashSim`].
 //!
-//! Two implementations share the same observable behavior:
+//! [`LineCache`] is a dense table with one entry per 64 lines (the slot of
+//! their page) over a slab of pages — 4 KiB of line data with its 64 dirty
+//! bits and 64 flush-pending bits — that grows by a page the first time a
+//! line of that entry is stored to. A pool instance therefore costs what
+//! its run stores to, not its capacity (beyond four table bytes per 4 KiB);
+//! the table and the slab's first chunk of pages are allocated by the first
+//! store and no hashing ever happens. The unit tests hold it in lock step
+//! with `RefCache`, the original `HashMap<line, CacheLine>` model, kept
+//! under `#[cfg(test)]` as the executable specification.
 //!
-//! * [`LineCache`] — the production model: a dense table with one entry
-//!   per 64 lines (the slot of their page) over a slab of pages — 4 KiB of
-//!   line data with its 64 dirty bits and 64 flush-pending bits — that
-//!   grows by a page the first time a line of that entry is stored to. A
-//!   pool instance therefore costs what its run stores to, not its
-//!   capacity (beyond four table bytes per 4 KiB); the table and the
-//!   slab's first chunk of pages are allocated by the first store and no
-//!   hashing ever happens.
-//! * [`RefCache`] — the original `HashMap<line, CacheLine>` model, kept as
-//!   the executable specification for equivalence tests (select it with
-//!   [`PoolOptions::with_reference_cache`]).
-//!
-//! Shared semantics (the durability contract both must implement):
+//! The durability contract:
 //!
 //! * A store marks its lines dirty and voids a pending flush on them that
 //!   only the storing thread issued (a flush only guarantees the bytes
@@ -28,18 +24,15 @@
 //!   marks them clean.
 //! * On a crash, every modified line draws one survival decision, in
 //!   ascending line order: `p_flushed_unfenced` if its flush was pending,
-//!   else `p_dirty`. Clean lines equal media and draw nothing. Keeping the
-//!   draw order and count identical across implementations is what makes
-//!   seeded crashes reproducible regardless of the model in use.
+//!   else `p_dirty`. Clean lines equal media and draw nothing. The draw
+//!   order and count are what make seeded crashes reproducible.
 //!
 //! [`PoolMode::CrashSim`]: crate::PoolMode::CrashSim
-//! [`PoolOptions::with_reference_cache`]: crate::PoolOptions::with_reference_cache
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::addr::{lines_for_range, CACHE_LINE};
+use crate::addr::CACHE_LINE;
 
 const LINE: usize = CACHE_LINE as usize;
 
@@ -72,73 +65,14 @@ fn joined(owner: u32, me: u32) -> u32 {
 }
 
 /// Number of cache lines covered by `[offset, offset+len)` without
-/// materializing the range (same geometry as [`lines_for_range`]).
+/// materializing the range (same geometry as
+/// [`lines_for_range`](crate::addr::lines_for_range)).
 #[inline]
 pub(crate) fn line_count(offset: u64, len: u64) -> u64 {
     if len == 0 {
         0
     } else {
         (offset + len - 1) / CACHE_LINE - offset / CACHE_LINE + 1
-    }
-}
-
-/// The cache implementation selected for a pool.
-pub(crate) enum Cache {
-    /// Dense paged model (default).
-    Dense(LineCache),
-    /// Original hash-map model (reference/testing).
-    Reference(RefCache),
-}
-
-impl Cache {
-    /// `true` when an overlay pass cannot change any read (fast-path check).
-    #[inline]
-    pub(crate) fn is_clean(&self) -> bool {
-        match self {
-            Cache::Dense(c) => c.dirty_pages == 0,
-            Cache::Reference(c) => c.lines.is_empty(),
-        }
-    }
-
-    /// Applies a store to the cached image of `[offset, offset+len)`.
-    pub(crate) fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
-        match self {
-            Cache::Dense(c) => c.write(offset, data, media),
-            Cache::Reference(c) => c.write(offset, data, media),
-        }
-    }
-
-    /// Marks dirty lines in the range as write-back initiated.
-    pub(crate) fn flush_range(&mut self, offset: u64, len: u64) {
-        match self {
-            Cache::Dense(c) => c.flush_range(offset, len),
-            Cache::Reference(c) => c.flush_range(offset, len),
-        }
-    }
-
-    /// Completes all pending write-backs into `media`.
-    pub(crate) fn fence(&mut self, media: &mut [u8]) {
-        match self {
-            Cache::Dense(c) => c.fence(media),
-            Cache::Reference(c) => c.fence(media),
-        }
-    }
-
-    /// Overlays cached line contents onto `buf` (already filled from media).
-    pub(crate) fn overlay(&self, offset: u64, buf: &mut [u8]) {
-        match self {
-            Cache::Dense(c) => c.overlay(offset, buf),
-            Cache::Reference(c) => c.overlay(offset, buf),
-        }
-    }
-
-    /// Visits every modified line in ascending order as
-    /// `(line, flush_pending, line_bytes)` — the crash-survival draw order.
-    pub(crate) fn for_each_modified(&self, f: impl FnMut(u64, bool, &[u8])) {
-        match self {
-            Cache::Dense(c) => c.for_each_modified(f),
-            Cache::Reference(c) => c.for_each_modified(f),
-        }
     }
 }
 
@@ -268,7 +202,15 @@ impl LineCache {
         self.slots[w]
     }
 
-    fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
+    /// `true` when an overlay cannot change any read.
+    #[inline]
+    pub(crate) fn is_clean(&self) -> bool {
+        self.dirty_pages == 0
+    }
+
+    /// Applies a store to the cached image of `[offset, offset+len)`,
+    /// seeding the lines it only partly covers from `media`.
+    pub(crate) fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
         if self.slots.is_empty() {
             self.slots = vec![0; media.len().div_ceil(PAGE)];
         }
@@ -314,7 +256,8 @@ impl LineCache {
         });
     }
 
-    fn flush_range(&mut self, offset: u64, len: u64) {
+    /// Marks the dirty lines in the range as write-back initiated.
+    pub(crate) fn flush_range(&mut self, offset: u64, len: u64) {
         if self.dirty_pages == 0 {
             return;
         }
@@ -361,7 +304,8 @@ impl LineCache {
         }
     }
 
-    fn fence(&mut self, media: &mut [u8]) {
+    /// Completes all pending write-backs into `media`.
+    pub(crate) fn fence(&mut self, media: &mut [u8]) {
         let mut pending = std::mem::take(&mut self.pending_flushes);
         for (line, _) in pending.drain(..) {
             self.write_back(media, line);
@@ -371,7 +315,9 @@ impl LineCache {
         self.flusher = NO_FLUSH;
     }
 
-    fn overlay(&self, offset: u64, buf: &mut [u8]) {
+    /// Overlays the dirty lines' bytes onto `buf`, which holds media at
+    /// `offset`.
+    pub(crate) fn overlay(&self, offset: u64, buf: &mut [u8]) {
         if self.dirty_pages == 0 {
             return;
         }
@@ -389,7 +335,9 @@ impl LineCache {
         });
     }
 
-    fn for_each_modified(&self, mut f: impl FnMut(u64, bool, &[u8])) {
+    /// Visits every modified line in ascending order as
+    /// `(line, flush_pending, line_bytes)` — the crash-survival draw order.
+    pub(crate) fn for_each_modified(&self, mut f: impl FnMut(u64, bool, &[u8])) {
         for w in 0..self.slots.len() {
             let Some(page) = self.page(w) else { continue };
             for_each_bit(page.dirty, |bit| {
@@ -425,109 +373,114 @@ fn voided(pending_flushes: &[(u64, u32)], flusher: u32, w: usize, pending: u64) 
     }
 }
 
-/// State of one simulated cache line in the reference model.
-struct RefLine {
-    data: Vec<u8>,
-    /// Modified since last write-back.
-    dirty: bool,
-    /// A flush was issued but no fence has ordered it yet.
-    flush_pending: bool,
-    /// The flusher tag of the pending flush.
-    flusher: u32,
-}
+/// The original hash-map cache model, the executable specification that
+/// [`LineCache`] is held to.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
 
-/// The original hash-map cache model, preserved as the executable
-/// specification for [`LineCache`]. Lines written back by a fence stay in
-/// the map as clean entries whose bytes equal media (they overlay reads as
-/// no-ops and draw nothing on crash), exactly as the seed implementation
-/// behaved.
-#[derive(Default)]
-pub(crate) struct RefCache {
-    lines: HashMap<u64, RefLine>,
-    pending_flushes: Vec<u64>,
-}
+    use super::{joined, thread_tag, LINE, NO_FLUSH};
+    use crate::addr::{lines_for_range, CACHE_LINE};
 
-impl RefCache {
-    pub(crate) fn new() -> RefCache {
-        RefCache::default()
+    /// State of one simulated cache line.
+    struct RefLine {
+        data: Vec<u8>,
+        /// Modified since last write-back.
+        dirty: bool,
+        /// A flush was issued but no fence has ordered it yet.
+        flush_pending: bool,
+        /// The flusher tag of the pending flush.
+        flusher: u32,
     }
 
-    fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
-        let len = data.len() as u64;
-        let me = thread_tag();
-        for line in lines_for_range(offset, len) {
-            let line_start = line * CACHE_LINE;
-            let cl = self.lines.entry(line).or_insert_with(|| {
-                let s = line_start as usize;
-                RefLine {
-                    data: media[s..s + LINE].to_vec(),
-                    dirty: false,
-                    flush_pending: false,
-                    flusher: NO_FLUSH,
-                }
-            });
-            let copy_start = line_start.max(offset);
-            let copy_end = (line_start + CACHE_LINE).min(offset + len);
-            cl.data[(copy_start - line_start) as usize..(copy_end - line_start) as usize]
-                .copy_from_slice(
-                    &data[(copy_start - offset) as usize..(copy_end - offset) as usize],
-                );
-            cl.dirty = true;
-            cl.flush_pending &= cl.flusher != me;
-        }
+    /// Lines written back by a fence stay in the map as clean entries whose
+    /// bytes equal media (they overlay reads as no-ops and draw nothing on
+    /// crash), exactly as the seed implementation behaved.
+    #[derive(Default)]
+    pub(super) struct RefCache {
+        lines: HashMap<u64, RefLine>,
+        pending_flushes: Vec<u64>,
     }
 
-    fn flush_range(&mut self, offset: u64, len: u64) {
-        let me = thread_tag();
-        for line in lines_for_range(offset, len) {
-            if let Some(cl) = self.lines.get_mut(&line) {
-                if cl.flush_pending {
-                    cl.flusher = joined(cl.flusher, me);
-                } else if cl.dirty {
-                    cl.flush_pending = true;
-                    cl.flusher = me;
-                    self.pending_flushes.push(line);
-                }
-            }
-        }
-    }
-
-    fn fence(&mut self, media: &mut [u8]) {
-        for line in self.pending_flushes.drain(..) {
-            if let Some(cl) = self.lines.get_mut(&line) {
-                if cl.flush_pending {
-                    let s = (line * CACHE_LINE) as usize;
-                    media[s..s + LINE].copy_from_slice(&cl.data);
-                    cl.dirty = false;
-                    cl.flush_pending = false;
-                }
-            }
-        }
-    }
-
-    fn overlay(&self, offset: u64, buf: &mut [u8]) {
-        let len = buf.len() as u64;
-        for line in lines_for_range(offset, len) {
-            if let Some(cl) = self.lines.get(&line) {
+    impl RefCache {
+        pub(super) fn write(&mut self, offset: u64, data: &[u8], media: &[u8]) {
+            let len = data.len() as u64;
+            let me = thread_tag();
+            for line in lines_for_range(offset, len) {
                 let line_start = line * CACHE_LINE;
+                let cl = self.lines.entry(line).or_insert_with(|| {
+                    let s = line_start as usize;
+                    RefLine {
+                        data: media[s..s + LINE].to_vec(),
+                        dirty: false,
+                        flush_pending: false,
+                        flusher: NO_FLUSH,
+                    }
+                });
                 let copy_start = line_start.max(offset);
                 let copy_end = (line_start + CACHE_LINE).min(offset + len);
-                let src =
-                    &cl.data[(copy_start - line_start) as usize..(copy_end - line_start) as usize];
-                buf[(copy_start - offset) as usize..(copy_end - offset) as usize]
-                    .copy_from_slice(src);
+                cl.data[(copy_start - line_start) as usize..(copy_end - line_start) as usize]
+                    .copy_from_slice(
+                        &data[(copy_start - offset) as usize..(copy_end - offset) as usize],
+                    );
+                cl.dirty = true;
+                cl.flush_pending &= cl.flusher != me;
             }
         }
-    }
 
-    fn for_each_modified(&self, mut f: impl FnMut(u64, bool, &[u8])) {
-        // Deterministic iteration order: sort lines. Clean entries draw
-        // nothing, matching the dense model where they simply don't exist.
-        let mut lines: Vec<_> = self.lines.iter().collect();
-        lines.sort_by_key(|(line, _)| **line);
-        for (line, cl) in lines {
-            if cl.flush_pending || cl.dirty {
-                f(*line, cl.flush_pending, &cl.data);
+        pub(super) fn flush_range(&mut self, offset: u64, len: u64) {
+            let me = thread_tag();
+            for line in lines_for_range(offset, len) {
+                if let Some(cl) = self.lines.get_mut(&line) {
+                    if cl.flush_pending {
+                        cl.flusher = joined(cl.flusher, me);
+                    } else if cl.dirty {
+                        cl.flush_pending = true;
+                        cl.flusher = me;
+                        self.pending_flushes.push(line);
+                    }
+                }
+            }
+        }
+
+        pub(super) fn fence(&mut self, media: &mut [u8]) {
+            for line in self.pending_flushes.drain(..) {
+                if let Some(cl) = self.lines.get_mut(&line) {
+                    if cl.flush_pending {
+                        let s = (line * CACHE_LINE) as usize;
+                        media[s..s + LINE].copy_from_slice(&cl.data);
+                        cl.dirty = false;
+                        cl.flush_pending = false;
+                    }
+                }
+            }
+        }
+
+        pub(super) fn overlay(&self, offset: u64, buf: &mut [u8]) {
+            let len = buf.len() as u64;
+            for line in lines_for_range(offset, len) {
+                if let Some(cl) = self.lines.get(&line) {
+                    let line_start = line * CACHE_LINE;
+                    let copy_start = line_start.max(offset);
+                    let copy_end = (line_start + CACHE_LINE).min(offset + len);
+                    let src = &cl.data
+                        [(copy_start - line_start) as usize..(copy_end - line_start) as usize];
+                    buf[(copy_start - offset) as usize..(copy_end - offset) as usize]
+                        .copy_from_slice(src);
+                }
+            }
+        }
+
+        pub(super) fn for_each_modified(&self, mut f: impl FnMut(u64, bool, &[u8])) {
+            // Deterministic iteration order: sort lines. Clean entries draw
+            // nothing, matching the dense model where they simply don't
+            // exist.
+            let mut lines: Vec<_> = self.lines.iter().collect();
+            lines.sort_by_key(|(line, _)| **line);
+            for (line, cl) in lines {
+                if cl.flush_pending || cl.dirty {
+                    f(*line, cl.flush_pending, &cl.data);
+                }
             }
         }
     }
@@ -535,22 +488,81 @@ impl RefCache {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use proptest::prelude::*;
 
-    fn both(media_len: usize) -> (Vec<u8>, Cache, Vec<u8>, Cache) {
-        let media: Vec<u8> = (0..media_len).map(|i| i as u8).collect();
-        (
-            media.clone(),
-            Cache::Dense(LineCache::new()),
-            media,
-            Cache::Reference(RefCache::new()),
-        )
+    use super::reference::RefCache;
+    use super::*;
+    use crate::addr::lines_for_range;
+
+    /// The two models driven in lock step, each over its own copy of the
+    /// media.
+    struct Pair {
+        dense: LineCache,
+        dense_media: Vec<u8>,
+        reference: RefCache,
+        ref_media: Vec<u8>,
     }
 
-    fn read(media: &[u8], cache: &Cache, offset: u64, len: usize) -> Vec<u8> {
-        let mut buf = media[offset as usize..offset as usize + len].to_vec();
-        cache.overlay(offset, &mut buf);
-        buf
+    impl Pair {
+        fn new(media_len: usize) -> Pair {
+            let media: Vec<u8> = (0..media_len).map(|i| i as u8).collect();
+            Pair {
+                dense: LineCache::new(),
+                dense_media: media.clone(),
+                reference: RefCache::default(),
+                ref_media: media,
+            }
+        }
+
+        fn write(&mut self, offset: u64, data: &[u8]) {
+            self.dense.write(offset, data, &self.dense_media);
+            self.reference.write(offset, data, &self.ref_media);
+        }
+
+        fn flush(&mut self, offset: u64, len: u64) {
+            self.dense.flush_range(offset, len);
+            self.reference.flush_range(offset, len);
+        }
+
+        fn fence(&mut self) {
+            self.dense.fence(&mut self.dense_media);
+            self.reference.fence(&mut self.ref_media);
+        }
+
+        /// The first of the outputs a pool reads of its cache model — the
+        /// bytes a read sees, the durable media, and the modified lines as
+        /// the crash draws consume them — on which the models differ.
+        fn diverged(&self) -> Option<&'static str> {
+            let mut dense_view = self.dense_media.clone();
+            // A pool skips the overlay of a clean cache.
+            if !self.dense.is_clean() {
+                self.dense.overlay(0, &mut dense_view);
+            }
+            let mut ref_view = self.ref_media.clone();
+            self.reference.overlay(0, &mut ref_view);
+            let (mut dense_lines, mut ref_lines) = (Vec::new(), Vec::new());
+            self.dense
+                .for_each_modified(|l, fp, bytes| dense_lines.push((l, fp, bytes.to_vec())));
+            self.reference
+                .for_each_modified(|l, fp, bytes| ref_lines.push((l, fp, bytes.to_vec())));
+            if dense_view != ref_view {
+                Some("visible bytes")
+            } else if self.dense_media != self.ref_media {
+                Some("durable media")
+            } else if dense_lines != ref_lines {
+                Some("modified lines (crash draws)")
+            } else if self.dense.is_clean() != dense_lines.is_empty() {
+                Some("the clean fast path")
+            } else {
+                None
+            }
+        }
+    }
+
+    /// Runs `f` on another thread — one flusher tag for both models — and
+    /// waits for it.
+    fn on_other_thread(pair: &mut Pair, f: impl FnOnce(&mut Pair) + Send) {
+        std::thread::scope(|s| s.spawn(|| f(pair)).join().unwrap());
     }
 
     #[test]
@@ -568,7 +580,7 @@ mod tests {
 
     #[test]
     fn models_agree_on_write_flush_fence_sequences() {
-        let (mut m1, mut dense, mut m2, mut reference) = both(64 * 64);
+        let mut pair = Pair::new(64 * 64);
         let script: &[(&str, u64, u64)] = &[
             ("w", 10, 30),
             ("w", 60, 10),
@@ -583,45 +595,27 @@ mod tests {
         ];
         for &(op, a, b) in script {
             match op {
-                "w" => {
-                    let data: Vec<u8> = (0..b).map(|i| (a + i) as u8).collect();
-                    dense.write(a, &data, &m1);
-                    reference.write(a, &data, &m2);
-                }
-                "f" => {
-                    dense.flush_range(a, b);
-                    reference.flush_range(a, b);
-                }
-                "s" => {
-                    dense.fence(&mut m1);
-                    reference.fence(&mut m2);
-                }
+                "w" => pair.write(a, &(0..b).map(|i| (a + i) as u8).collect::<Vec<u8>>()),
+                "f" => pair.flush(a, b),
+                "s" => pair.fence(),
                 _ => unreachable!(),
             }
-            assert_eq!(m1, m2, "durable media diverged after {op}({a},{b})");
-            assert_eq!(
-                read(&m1, &dense, 0, m1.len()),
-                read(&m2, &reference, 0, m2.len()),
-                "visible bytes diverged after {op}({a},{b})"
-            );
+            assert_eq!(pair.diverged(), None, "after {op}({a},{b})");
         }
-        // Crash draw order and flags must agree too.
-        let mut d: Vec<(u64, bool, Vec<u8>)> = Vec::new();
-        let mut r: Vec<(u64, bool, Vec<u8>)> = Vec::new();
-        dense.for_each_modified(|l, fp, bytes| d.push((l, fp, bytes.to_vec())));
-        reference.for_each_modified(|l, fp, bytes| r.push((l, fp, bytes.to_vec())));
-        assert_eq!(d, r);
     }
 
     #[test]
     fn fence_only_writes_back_still_pending_lines() {
-        let (mut media, mut dense, ..) = both(64 * 4);
-        dense.write(0, &[0xAA; 8], &media);
-        dense.flush_range(0, 8);
-        dense.write(0, &[0xBB; 8], &media); // voids the pending flush
-        dense.fence(&mut media);
+        let mut media = vec![0u8; 64 * 4];
+        let mut cache = LineCache::new();
+        cache.write(0, &[0xAA; 8], &media);
+        cache.flush_range(0, 8);
+        cache.write(0, &[0xBB; 8], &media); // voids the pending flush
+        cache.fence(&mut media);
         assert_ne!(&media[0..8], &[0xBB; 8], "voided flush must not persist");
-        assert_eq!(read(&media, &dense, 0, 8), vec![0xBB; 8]);
+        let mut read = media[0..8].to_vec();
+        cache.overlay(0, &mut read);
+        assert_eq!(read, vec![0xBB; 8]);
     }
 
     /// A store voids only the flushes its own thread issued: another
@@ -631,56 +625,46 @@ mod tests {
     /// store.
     #[test]
     fn only_the_flushing_threads_store_voids_its_flush() {
-        let (mut m1, mut dense, mut m2, mut reference) = both(64 * 4);
-        for (cache, media) in [(&mut dense, &mut m1), (&mut reference, &mut m2)] {
-            let other =
-                |cache: &mut Cache, media: &[u8], f: &(dyn Fn(&mut Cache, &[u8]) + Sync)| {
-                    std::thread::scope(|s| s.spawn(|| f(cache, media)).join().unwrap())
-                };
-            // Line 0: flushed here, stored to by another thread.
-            cache.write(0, &[0xAA; 8], media);
-            cache.flush_range(0, 8);
-            other(cache, media, &|c, m| c.write(8, &[0xBB; 8], m));
-            // Line 1: flushed by both threads, then stored to here.
-            cache.write(64, &[0xCC; 8], media);
-            cache.flush_range(64, 8);
-            other(cache, media, &|c, _| c.flush_range(64, 8));
-            cache.write(72, &[0xDD; 8], media);
-            // Line 2: flushed and stored to here: voided.
-            cache.write(128, &[0xEE; 8], media);
-            cache.flush_range(128, 8);
-            cache.write(136, &[0xFF; 8], media);
-            cache.fence(media);
-            assert_eq!(&media[..16], &[[0xAA; 8], [0xBB; 8]].concat()[..]);
-            assert_eq!(&media[64..80], &[[0xCC; 8], [0xDD; 8]].concat()[..]);
-            assert_ne!(
-                &media[128..136],
-                &[0xEE; 8],
-                "voided flush must not persist"
-            );
-        }
-        assert_eq!(m1, m2, "models agree across threads");
-    }
-
-    fn dense(cache: &Cache) -> &LineCache {
-        match cache {
-            Cache::Dense(c) => c,
-            Cache::Reference(_) => unreachable!("the dense half of `both`"),
-        }
+        let mut pair = Pair::new(64 * 4);
+        // Line 0: flushed here, stored to by another thread.
+        pair.write(0, &[0xAA; 8]);
+        pair.flush(0, 8);
+        on_other_thread(&mut pair, |p| p.write(8, &[0xBB; 8]));
+        // Line 1: flushed by both threads, then stored to here.
+        pair.write(64, &[0xCC; 8]);
+        pair.flush(64, 8);
+        on_other_thread(&mut pair, |p| p.flush(64, 8));
+        pair.write(72, &[0xDD; 8]);
+        // Line 2: flushed and stored to here: voided.
+        pair.write(128, &[0xEE; 8]);
+        pair.flush(128, 8);
+        pair.write(136, &[0xFF; 8]);
+        pair.fence();
+        let media = &pair.dense_media;
+        assert_eq!(&media[..16], &[[0xAA; 8], [0xBB; 8]].concat()[..]);
+        assert_eq!(&media[64..80], &[[0xCC; 8], [0xDD; 8]].concat()[..]);
+        assert_ne!(
+            &media[128..136],
+            &[0xEE; 8],
+            "voided flush must not persist"
+        );
+        assert_eq!(pair.diverged(), None, "models agree across threads");
     }
 
     #[test]
     fn a_fresh_cache_allocates_nothing_before_its_first_store() {
-        let (mut media, mut cache, ..) = both(PAGE * 8);
+        let mut media: Vec<u8> = (0..PAGE * 8).map(|i| i as u8).collect();
+        let mut cache = LineCache::new();
         cache.flush_range(0, 4096);
         cache.fence(&mut media);
-        assert_eq!(read(&media, &cache, 100, 200), media[100..300]);
-        let c = dense(&cache);
+        let mut read = media[100..300].to_vec();
+        cache.overlay(100, &mut read);
+        assert_eq!(read, media[100..300]);
         assert_eq!(
             (
-                c.slots.capacity(),
-                c.pages.capacity(),
-                c.pending_flushes.capacity()
+                cache.slots.capacity(),
+                cache.pages.capacity(),
+                cache.pending_flushes.capacity()
             ),
             (0, 0, 0)
         );
@@ -689,7 +673,7 @@ mod tests {
     #[test]
     fn the_slab_holds_only_the_pages_stored_to() {
         // 1 MiB + 5 lines of media: the last word covers a partial page.
-        let (mut m1, mut cache, mut m2, mut reference) = both((1 << 20) + 5 * LINE);
+        let mut pair = Pair::new((1 << 20) + 5 * LINE);
         // (offset, len): scattered, two of them straddling a page boundary,
         // one three pages long (over four), one in the partial last page,
         // one back on a page already stored to, one over 41 pages (into the
@@ -705,31 +689,25 @@ mod tests {
         ];
         let mut touched = std::collections::BTreeSet::new();
         for (i, &(off, len)) in script.iter().enumerate() {
-            let data = vec![i as u8 + 1; len];
-            cache.write(off as u64, &data, &m1);
-            reference.write(off as u64, &data, &m2);
+            pair.write(off as u64, &vec![i as u8 + 1; len]);
             touched.extend(off / PAGE..=(off + len - 1) / PAGE);
         }
         assert_eq!(touched.len(), 51);
-        let chunks: Vec<usize> = dense(&cache).pages.iter().map(Vec::len).collect();
+        let chunks: Vec<usize> = pair.dense.pages.iter().map(Vec::len).collect();
         assert_eq!(chunks, [16, 16, 16, 3]);
-        assert_eq!(
-            read(&m1, &cache, 0, m1.len()),
-            read(&m2, &reference, 0, m2.len())
-        );
+        assert_eq!(pair.diverged(), None);
         for (off, len) in script {
-            cache.flush_range(off as u64, len as u64);
-            reference.flush_range(off as u64, len as u64);
+            pair.flush(off as u64, len as u64);
         }
-        cache.fence(&mut m1);
-        reference.fence(&mut m2);
-        assert!(cache.is_clean());
-        assert_eq!(m1, m2);
+        pair.fence();
+        assert!(pair.dense.is_clean());
+        assert_eq!(pair.diverged(), None);
     }
 
     #[test]
     fn a_page_fenced_clean_is_reused_when_its_word_is_dirtied_again() {
-        let (mut media, mut cache, ..) = both(PAGE * 8);
+        let mut media = vec![0u8; PAGE * 8];
+        let mut cache = LineCache::new();
         for round in 0..3u8 {
             // A different line of the same two words every round.
             for off in [PAGE as u64 + 64 * round as u64, 5 * PAGE as u64 + 8] {
@@ -738,7 +716,7 @@ mod tests {
             }
             cache.fence(&mut media);
             assert!(cache.is_clean());
-            assert_eq!(dense(&cache).pages[0].len(), 2, "round {round}");
+            assert_eq!(cache.pages[0].len(), 2, "round {round}");
         }
         assert_eq!(&media[PAGE + 128..PAGE + 136], &[3; 8]);
         assert_eq!(&media[5 * PAGE + 8..5 * PAGE + 16], &[3; 8]);
@@ -746,10 +724,93 @@ mod tests {
 
     #[test]
     fn dense_clean_lines_are_dropped_from_membership() {
-        let (mut media, mut dense, ..) = both(64 * 4);
-        dense.write(64, &[1; 64], &media);
-        dense.flush_range(64, 64);
-        dense.fence(&mut media);
-        assert!(dense.is_clean(), "fenced line must leave the cache");
+        let mut media = vec![0u8; 64 * 4];
+        let mut cache = LineCache::new();
+        cache.write(64, &[1; 64], &media);
+        cache.flush_range(64, 64);
+        cache.fence(&mut media);
+        assert!(cache.is_clean(), "fenced line must leave the cache");
+    }
+
+    /// Pages of the lock-step media: more than one slab chunk.
+    const PAGES: u64 = 20;
+    /// Line-aligned, not page-aligned: the last word is a partial page.
+    const MEDIA: u64 = PAGES * PAGE as u64 + 37 * CACHE_LINE;
+
+    /// One step of a lock-step script; `other` runs it on a spawned thread,
+    /// a new flusher tag each time.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Write {
+            at: u64,
+            len: u64,
+            fill: u8,
+            other: bool,
+        },
+        Flush {
+            at: u64,
+            len: u64,
+            other: bool,
+        },
+        Fence,
+    }
+
+    /// A start offset: anywhere, or `before` bytes ahead of the `n`-th
+    /// 4 KiB boundary.
+    fn at_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            1 => 0..MEDIA,
+            2 => (1..=PAGES, 0u64..130).prop_map(|(n, before)| n * PAGE as u64 - before),
+        ]
+    }
+
+    /// A length: a few lines, or up to three pages.
+    fn len_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![3 => 1u64..256, 1 => 1..=3 * PAGE as u64]
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let other = || (0u8..10).prop_map(|d| d < 3);
+        prop_oneof![
+            4 => (at_strategy(), len_strategy(), any::<u8>(), other())
+                .prop_map(|(at, len, fill, other)| Op::Write { at, len, fill, other }),
+            3 => (at_strategy(), len_strategy(), other())
+                .prop_map(|(at, len, other)| Op::Flush { at, len, other }),
+            1 => Just(Op::Fence),
+        ]
+    }
+
+    fn apply(pair: &mut Pair, op: &Op) {
+        match *op {
+            Op::Write { at, len, fill, .. } => {
+                pair.write(at, &vec![fill; len.min(MEDIA - at) as usize]);
+            }
+            Op::Flush { at, len, .. } => pair.flush(at, len.min(MEDIA - at)),
+            Op::Fence => pair.fence(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The contract: after every step of a random write/flush/fence
+        /// script, some of its stores and flushes issued on a spawned
+        /// thread, the dense model shows the reference's visible bytes,
+        /// durable media and crash-draw sequence.
+        #[test]
+        fn line_cache_matches_the_reference_model(
+            ops in proptest::collection::vec(op_strategy(), 1..60)
+        ) {
+            let mut pair = Pair::new(MEDIA as usize);
+            for op in &ops {
+                match op {
+                    Op::Write { other: true, .. } | Op::Flush { other: true, .. } => {
+                        on_other_thread(&mut pair, |p| apply(p, op));
+                    }
+                    _ => apply(&mut pair, op),
+                }
+                prop_assert_eq!(pair.diverged(), None, "after {:?}", op);
+            }
+        }
     }
 }

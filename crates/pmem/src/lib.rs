@@ -66,7 +66,7 @@ pub use addr::{PAddr, CACHE_LINE};
 pub use alloc::HeapReport;
 pub use crash::CrashConfig;
 pub use fault::FaultPlan;
-pub use pool::{CacheImpl, PmemError, PmemPool, PoolMode, PoolOptions};
+pub use pool::{PmemError, PmemPool, PoolMode, PoolOptions};
 pub use stats::{PmemStats, StatsSnapshot};
 pub use ulog::{LogKind, LogScan, LogWriter, Ulog};
 

@@ -34,23 +34,6 @@ pub enum PoolMode {
     CrashSim,
 }
 
-/// Which data structure backs the simulated cache in crash-sim mode.
-///
-/// Both implementations obey the same durability contract and produce
-/// bit-identical durable media, reads, stats and seeded crash outcomes (the
-/// crate's `cache` module holds both); the dense model is simply faster.
-/// The reference model is retained as the executable specification for
-/// equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheImpl {
-    /// Dense line-indexed model: per-line state bits + a slab of the
-    /// 4 KiB pages stored to.
-    #[default]
-    Dense,
-    /// Original `HashMap`-per-line model (slower; testing only).
-    Reference,
-}
-
 /// Configuration for [`PmemPool::create`].
 ///
 /// # Example
@@ -68,8 +51,6 @@ pub struct PoolOptions {
     pub capacity: u64,
     /// Cache-modeling mode.
     pub mode: PoolMode,
-    /// Cache implementation (crash-sim mode only).
-    pub cache_impl: CacheImpl,
     /// Requested number of address-range shards the pool's state is
     /// partitioned into, each behind its own lock (see
     /// [`with_shards`](Self::with_shards)). 1 — one lock — by default.
@@ -82,7 +63,6 @@ impl PoolOptions {
         PoolOptions {
             capacity,
             mode: PoolMode::Performance,
-            cache_impl: CacheImpl::Dense,
             shards: 1,
         }
     }
@@ -92,15 +72,8 @@ impl PoolOptions {
         PoolOptions {
             capacity,
             mode: PoolMode::CrashSim,
-            cache_impl: CacheImpl::Dense,
             shards: 1,
         }
-    }
-
-    /// Selects the reference (hash-map) cache model, for equivalence tests.
-    pub fn with_reference_cache(mut self) -> Self {
-        self.cache_impl = CacheImpl::Reference;
-        self
     }
 
     /// Partitions pool state into `shards` contiguous, line-aligned
@@ -225,7 +198,6 @@ impl Error for PmemError {}
 /// the same event index regardless of shard count.
 pub struct PmemPool {
     mode: PoolMode,
-    cache_impl: CacheImpl,
     /// Shard count as requested (the engine may have clamped it); a
     /// [`crash`](Self::crash) reopens with it.
     shards: u32,
@@ -273,12 +245,7 @@ impl PmemPool {
         put_u64(&mut media, layout::ROOT, 0);
         put_u64(&mut media, layout::FRONTIER, layout::HEAP_BASE);
         // The free-list heads are already zero.
-        Ok(Self::assemble(
-            media,
-            opts.mode,
-            opts.cache_impl,
-            opts.shards,
-        ))
+        Ok(Self::assemble(media, opts.mode, opts.shards))
     }
 
     /// Reopens a pool from raw media contents, e.g. after a crash.
@@ -290,12 +257,12 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::CorruptPool`] if the header fails validation.
     pub fn open_from_media(media: Vec<u8>, mode: PoolMode) -> Result<PmemPool, PmemError> {
-        Self::open_from_media_with(media, mode, CacheImpl::Dense, 1)
+        Self::open_from_media_with(media, mode, 1)
     }
 
-    /// As [`open_from_media`](Self::open_from_media), with an explicit cache
-    /// model and shard count (the crash-sweep harness reopens crashed
-    /// media under the same configuration it ran with).
+    /// As [`open_from_media`](Self::open_from_media), with an explicit shard
+    /// count (the crash-sweep harness reopens crashed media under the same
+    /// configuration it ran with).
     ///
     /// # Errors
     ///
@@ -303,7 +270,6 @@ impl PmemPool {
     pub fn open_from_media_with(
         media: Vec<u8>,
         mode: PoolMode,
-        cache_impl: CacheImpl,
         shards: u32,
     ) -> Result<PmemPool, PmemError> {
         if media.len() < (layout::HEAP_BASE + 4096) as usize {
@@ -319,16 +285,15 @@ impl PmemPool {
                 media.len()
             )));
         }
-        Ok(Self::assemble(media, mode, cache_impl, shards))
+        Ok(Self::assemble(media, mode, shards))
     }
 
     /// Builds the engine and stats for validated media.
-    fn assemble(media: Vec<u8>, mode: PoolMode, cache_impl: CacheImpl, shards: u32) -> PmemPool {
+    fn assemble(media: Vec<u8>, mode: PoolMode, shards: u32) -> PmemPool {
         let capacity = media.len() as u64;
-        let engine = ShardedPool::new(media, cache_impl, shards);
+        let engine = ShardedPool::new(media, shards);
         PmemPool {
             mode,
-            cache_impl,
             shards,
             capacity,
             stats: Arc::new(PmemStats::with_banks(engine.banks().clone())),
@@ -809,7 +774,7 @@ impl PmemPool {
     /// validation (which would indicate a bug in this crate, not the caller).
     pub fn crash(&self, cfg: &CrashConfig) -> Result<PmemPool, PmemError> {
         let media = self.crash_media(cfg);
-        PmemPool::open_from_media_with(media, self.mode, self.cache_impl, self.shards)
+        PmemPool::open_from_media_with(media, self.mode, self.shards)
     }
 
     /// The media image the power failure of [`crash`](Self::crash) leaves
@@ -827,8 +792,8 @@ impl PmemPool {
     pub fn crash_media_into(&self, cfg: &CrashConfig, buf: Vec<u8>) -> Vec<u8> {
         let cfg = &cfg.clamped();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        // One survival draw per modified line, in ascending line order —
-        // both cache models visit identically, at every shard count.
+        // One survival draw per modified line, in ascending line order — the
+        // same sequence at every shard count.
         let mut draw = |flush_pending: bool| {
             if flush_pending {
                 rng.gen_bool(cfg.p_flushed_unfenced)

@@ -41,89 +41,9 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::{align_up, CACHE_LINE};
 use crate::alloc::ArenaMirror;
-use crate::cache::{line_count, Cache, LineCache, RefCache};
-use crate::pool::{get_u64, put_u64, CacheImpl, PoolMode};
+use crate::cache::{line_count, LineCache};
+use crate::pool::{get_u64, put_u64, PoolMode};
 use crate::stats::PmemStats;
-
-/// One contiguous span of media plus its simulated cache — the unit the
-/// engine is built from: one per address-range shard.
-///
-/// All offsets are local to `media` (at one shard, local equals
-/// pool-global).
-pub(crate) struct MediaCache {
-    pub(crate) media: Vec<u8>,
-    /// Simulated cache. Stays clean (and unallocated) in performance mode.
-    pub(crate) cache: Cache,
-}
-
-impl MediaCache {
-    pub(crate) fn new(media: Vec<u8>, cache_impl: CacheImpl) -> MediaCache {
-        let cache = match cache_impl {
-            CacheImpl::Dense => Cache::Dense(LineCache::new()),
-            CacheImpl::Reference => Cache::Reference(RefCache::new()),
-        };
-        MediaCache { media, cache }
-    }
-
-    /// Reads `buf.len()` bytes at `offset`, overlaying cached lines on media.
-    pub(crate) fn read_raw(&self, offset: u64, buf: &mut [u8]) {
-        let len = buf.len() as u64;
-        buf.copy_from_slice(&self.media[offset as usize..(offset + len) as usize]);
-        if self.cache.is_clean() {
-            return;
-        }
-        self.cache.overlay(offset, buf);
-    }
-
-    /// [`read_raw`](Self::read_raw) of one little-endian word: a
-    /// fixed-width load, no variable-length copy.
-    pub(crate) fn read_word(&self, offset: u64) -> u64 {
-        let word = get_u64(&self.media, offset);
-        if self.cache.is_clean() {
-            return word;
-        }
-        let mut buf = word.to_le_bytes();
-        self.cache.overlay(offset, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Writes `data` at `offset` into the cache (crash-sim) or media
-    /// (performance).
-    pub(crate) fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
-        match mode {
-            PoolMode::Performance => {
-                self.media[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-            }
-            PoolMode::CrashSim => self.cache.write(offset, data, &self.media),
-        }
-    }
-
-    /// [`write_raw`](Self::write_raw) of one little-endian word: a
-    /// fixed-width store in performance mode.
-    pub(crate) fn write_word(&mut self, offset: u64, value: u64, mode: PoolMode) {
-        match mode {
-            PoolMode::Performance => put_u64(&mut self.media, offset, value),
-            PoolMode::CrashSim => self.cache.write(offset, &value.to_le_bytes(), &self.media),
-        }
-    }
-
-    /// Marks the lines covering `[offset, offset+len)` as write-back
-    /// initiated. Returns the number of lines touched (for flush accounting).
-    ///
-    /// The count is pure geometry — identical in both modes and independent
-    /// of cache state — so performance mode only does the arithmetic.
-    pub(crate) fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
-        if mode == PoolMode::CrashSim {
-            self.cache.flush_range(offset, len);
-        }
-        line_count(offset, len)
-    }
-
-    /// Orders all pending flushes: their lines become durable on media.
-    pub(crate) fn fence_raw(&mut self) {
-        self.cache.fence(&mut self.media);
-    }
-}
 
 /// The durable media as the engine holds it, borrowed under its locks: one
 /// piece per shard, ascending. Every in-place inspection of durable bytes — the heap
@@ -168,32 +88,78 @@ impl<'a> MediaView<'a> {
     }
 }
 
-/// One address-range shard: a base offset plus its media/cache span.
+/// One address-range shard: a contiguous span of media plus its simulated
+/// cache. Its methods take pool-global offsets (the caller guarantees
+/// containment); the cache and media are indexed locally.
 pub(crate) struct Shard {
     /// Pool-global byte offset where this shard's range starts (multiple of
     /// [`CACHE_LINE`]).
     base: u64,
-    mc: MediaCache,
+    media: Vec<u8>,
+    /// Simulated cache. Stays clean (and unallocated) in performance mode.
+    cache: LineCache,
 }
 
 impl Shard {
-    /// Reads from pool-global `offset` (caller guarantees containment).
+    /// Reads `buf.len()` bytes at `offset`, overlaying cached lines on media.
     fn read(&self, offset: u64, buf: &mut [u8]) {
-        self.mc.read_raw(offset - self.base, buf);
+        let local = offset - self.base;
+        buf.copy_from_slice(&self.media[local as usize..local as usize + buf.len()]);
+        if !self.cache.is_clean() {
+            self.cache.overlay(local, buf);
+        }
     }
 
+    /// [`read`](Self::read) of one little-endian word: a fixed-width load,
+    /// no variable-length copy.
+    fn read_word(&self, offset: u64) -> u64 {
+        let local = offset - self.base;
+        let word = get_u64(&self.media, local);
+        if self.cache.is_clean() {
+            return word;
+        }
+        let mut buf = word.to_le_bytes();
+        self.cache.overlay(local, &mut buf);
+        u64::from_le_bytes(buf)
+    }
+
+    /// Writes `data` at `offset` into the cache (crash-sim) or media
+    /// (performance).
     fn write(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
-        self.mc.write_raw(offset - self.base, data, mode);
+        let local = offset - self.base;
+        match mode {
+            PoolMode::Performance => {
+                self.media[local as usize..local as usize + data.len()].copy_from_slice(data);
+            }
+            PoolMode::CrashSim => self.cache.write(local, data, &self.media),
+        }
     }
 
-    /// Flush line accounting is translation-invariant because `base` is
-    /// line-aligned, so the local count equals the global geometry.
+    /// [`write`](Self::write) of one little-endian word: a fixed-width
+    /// store in performance mode.
+    fn write_word(&mut self, offset: u64, value: u64, mode: PoolMode) {
+        let local = offset - self.base;
+        match mode {
+            PoolMode::Performance => put_u64(&mut self.media, local, value),
+            PoolMode::CrashSim => self.cache.write(local, &value.to_le_bytes(), &self.media),
+        }
+    }
+
+    /// Marks the lines covering `[offset, offset+len)` as write-back
+    /// initiated. Returns the number of lines touched (for flush
+    /// accounting): pure geometry — identical in both modes, independent of
+    /// cache state, and translation-invariant because `base` is
+    /// line-aligned — so performance mode only does the arithmetic.
     fn flush(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
-        self.mc.flush_raw(offset - self.base, len, mode)
+        if mode == PoolMode::CrashSim {
+            self.cache.flush_range(offset - self.base, len);
+        }
+        line_count(offset, len)
     }
 
+    /// Orders all pending flushes: their lines become durable on media.
     fn fence(&mut self) {
-        self.mc.fence_raw();
+        self.cache.fence(&mut self.media);
     }
 }
 
@@ -236,7 +202,7 @@ pub(crate) struct ShardedPool {
 }
 
 impl ShardedPool {
-    pub(crate) fn new(mut media: Vec<u8>, cache_impl: CacheImpl, shards: u32) -> ShardedPool {
+    pub(crate) fn new(mut media: Vec<u8>, shards: u32) -> ShardedPool {
         let capacity = media.len() as u64;
         let mirror = Mutex::new(ArenaMirror::rebuild(&mut media));
         let want = u64::from(shards.clamp(1, 4096));
@@ -258,7 +224,8 @@ impl ShardedPool {
                 base += piece.len() as u64;
                 Mutex::new(Shard {
                     base: shard_base,
-                    mc: MediaCache::new(piece, cache_impl),
+                    media: piece,
+                    cache: LineCache::new(),
                 })
             })
             .collect();
@@ -369,7 +336,7 @@ impl ShardedPool {
         };
         let sh = self.cells[idx].lock();
         self.add_load(idx, &sh, 8);
-        sh.mc.read_word(offset - sh.base)
+        sh.read_word(offset)
     }
 
     #[inline]
@@ -406,8 +373,7 @@ impl ShardedPool {
         };
         let mut sh = self.cells[idx].lock();
         self.add_store(idx, &sh, 8);
-        let local = offset - sh.base;
-        sh.mc.write_word(local, value, mode);
+        sh.write_word(offset, value, mode);
     }
 
     #[inline]
@@ -480,8 +446,7 @@ impl ShardedPool {
                 let mut sh = self.cells[idx].lock();
                 let local = (at - sh.base) as usize;
                 let s = (at - offset) as usize;
-                sh.mc.media[local..local + len as usize]
-                    .copy_from_slice(&data[s..s + len as usize]);
+                sh.media[local..local + len as usize].copy_from_slice(&data[s..s + len as usize]);
             },
         );
     }
@@ -490,7 +455,7 @@ impl ShardedPool {
     pub(crate) fn media_xor(&self, byte: u64, mask: u8) {
         let mut sh = self.cells[self.shard_index(byte)].lock();
         let local = (byte - sh.base) as usize;
-        sh.mc.media[local] ^= mask;
+        sh.media[local] ^= mask;
     }
 
     /// Runs `f` on the durable media of every shard, all shard locks held
@@ -499,9 +464,9 @@ impl ShardedPool {
         let head = self.cells[0].lock();
         // Both empty — and so unallocated — at one shard.
         let rest: Vec<_> = self.cells[1..].iter().map(Mutex::lock).collect();
-        let rest: Vec<&[u8]> = rest.iter().map(|sh| &sh.mc.media[..]).collect();
+        let rest: Vec<&[u8]> = rest.iter().map(|sh| &sh.media[..]).collect();
         f(&MediaView {
-            head: &head.mc.media,
+            head: &head.media,
             rest: &rest,
             piece_bytes: self.shard_bytes,
         })
@@ -513,9 +478,9 @@ impl ShardedPool {
     /// allocation (at one shard it *is* the buffer `new` was given).
     pub(crate) fn into_media(self) -> Vec<u8> {
         let mut shards = self.cells.into_vec().into_iter().map(Mutex::into_inner);
-        let mut media = shards.next().map(|sh| sh.mc.media).unwrap_or_default();
+        let mut media = shards.next().map(|sh| sh.media).unwrap_or_default();
         for sh in shards {
-            media.extend_from_slice(&sh.mc.media);
+            media.extend_from_slice(&sh.media);
         }
         media
     }
@@ -534,8 +499,8 @@ impl ShardedPool {
         for cell in self.cells.iter() {
             let sh = cell.lock();
             let start = media.len();
-            media.extend_from_slice(&sh.mc.media);
-            sh.mc.cache.for_each_modified(|line, flush_pending, bytes| {
+            media.extend_from_slice(&sh.media);
+            sh.cache.for_each_modified(|line, flush_pending, bytes| {
                 if draw(flush_pending) {
                     let s = start + (line * CACHE_LINE) as usize;
                     media[s..s + CACHE_LINE as usize].copy_from_slice(bytes);
@@ -666,7 +631,7 @@ mod tests {
 
     #[test]
     fn shard_geometry_is_line_aligned_and_covers_capacity() {
-        let s = ShardedPool::new(vec![0u8; 1 << 20], CacheImpl::Dense, 4);
+        let s = ShardedPool::new(vec![0u8; 1 << 20], 4);
         assert_eq!(s.shard_count(), 4);
         assert_eq!(s.shard_bytes % CACHE_LINE, 0);
         let len = s.with_media_view(|v| v.pieces().map(<[u8]>::len).sum::<usize>());
@@ -676,14 +641,14 @@ mod tests {
     #[test]
     fn tiny_pool_gets_fewer_shards_than_requested() {
         // 8 KiB across 4096 requested shards: at least one line per shard.
-        let s = ShardedPool::new(vec![0u8; 8192], CacheImpl::Dense, 4096);
+        let s = ShardedPool::new(vec![0u8; 8192], 4096);
         assert_eq!(s.shard_count(), 8192 / CACHE_LINE as usize);
         assert_eq!(s.shard_bytes, CACHE_LINE);
     }
 
     #[test]
     fn cross_shard_write_and_read_round_trip() {
-        let s = ShardedPool::new(vec![0u8; 8192], CacheImpl::Dense, 2);
+        let s = ShardedPool::new(vec![0u8; 8192], 2);
         let boundary = s.shard_bytes - 32;
         let data: Vec<u8> = (0..64u8).collect();
         s.write(boundary, &data, PoolMode::Performance);

@@ -25,8 +25,14 @@
 //! `write_bytes`/`read_into`), so the primitives are held to their
 //! definition armed and disarmed, traced and untraced: same results, same
 //! recorded events with the same persist-event indices, same trip points,
-//! counters and media. A deterministic case does the same where the random
-//! block cannot reach: across a shard boundary.
+//! counters and media. A deterministic case does the same for the fused and
+//! word primitives laid across a shard boundary.
+//!
+//! The cache keeps its lines in 4 KiB pages, so the schedules lean on that
+//! geometry: stores up to three pages long, stores placed around 4 KiB
+//! boundaries, a pool whose capacity is not a multiple of 4 KiB, and a
+//! block that straddles shard boundaries (shard bases are line-aligned, not
+//! page-aligned, so a shard's pages do not line up with the pool's).
 
 use std::sync::Arc;
 
@@ -36,8 +42,13 @@ use clobber_pmem::{
 };
 use proptest::prelude::*;
 
-const POOL_SIZE: u64 = 1 << 20;
-const BLOCK: u64 = 16 << 10;
+const PAGE: u64 = 4096;
+/// 1 MiB and 37 lines: line-aligned, not page-aligned.
+const POOL_SIZE: u64 = (1 << 20) + 37 * 64;
+const BLOCK: u64 = 64 << 10;
+/// Allocated first, so the block under test straddles the end of shard 0
+/// at 4 shards and the end of shard 1 at 7.
+const PAD: u64 = 240 << 10;
 
 /// How a pool executes the lean primitives of a schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,6 +74,9 @@ const CANDIDATES: &[(u32, Spelling)] = &[
 #[derive(Clone, Debug)]
 enum Op {
     Write(u64, u64, u8),
+    /// A store placed relative to the `n`-th 4 KiB boundary of the pool
+    /// inside the block: `(n, bytes before the boundary, len, fill)`.
+    WriteAt(u64, u64, u64, u8),
     /// Fused store + write-back of the same range.
     StoreFlush(u64, u64, u8),
     /// Fixed-width word store / load (the load's value is the outcome).
@@ -101,10 +115,16 @@ fn size_strategy() -> impl Strategy<Value = u64> {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u64..BLOCK, 1u64..256, 0u8..=255).prop_map(|(o, l, b)| Op::Write(o, l, b)),
+        1 => (0u64..BLOCK, 1u64..=3 * PAGE, 0u8..=255).prop_map(|(o, l, b)| Op::Write(o, l, b)),
+        2 => (0u64..BLOCK / PAGE - 1, 0u64..130, 1u64..300, 0u8..=255)
+            .prop_map(|(n, before, l, b)| Op::WriteAt(n, before, l, b)),
         4 => (0u64..BLOCK, 0u64..256, 0u8..=255).prop_map(|(o, l, b)| Op::StoreFlush(o, l, b)),
+        1 => (0u64..BLOCK, 0u64..=3 * PAGE, 0u8..=255)
+            .prop_map(|(o, l, b)| Op::StoreFlush(o, l, b)),
         2 => (0u64..BLOCK - 8, 0u64..u64::MAX).prop_map(|(o, v)| Op::WriteWord(o, v)),
         2 => (0u64..BLOCK - 8).prop_map(Op::ReadWord),
         2 => (0u64..BLOCK, 1u64..512).prop_map(|(o, l)| Op::Flush(o, l)),
+        1 => (0u64..BLOCK, 1u64..=3 * PAGE).prop_map(|(o, l)| Op::Flush(o, l)),
         2 => (0u64..4u64).prop_map(|_| Op::Fence),
         1 => (0u64..u64::MAX).prop_map(Op::Crash),
         1 => (0u64..12, 0u64..2, 0u64..u64::MAX)
@@ -197,6 +217,11 @@ fn apply(
             let data = vec![fill; len as usize];
             let r = pool.write_bytes(base.add(off), &data).map(|_| 0);
             (pool, r)
+        }
+        Op::WriteAt(n, before, len, fill) => {
+            let boundary = base.offset().next_multiple_of(PAGE) + n * PAGE;
+            let off = (boundary - base.offset()).saturating_sub(before);
+            apply(pool, base, tracked, spelling, &Op::Write(off, len, fill))
         }
         Op::Flush(off, len) => {
             let len = len.min(BLOCK - off);
@@ -293,8 +318,14 @@ fn drain_trace(pool: &PmemPool) -> Option<Vec<TraceEvent>> {
 
 fn create(shards: u32) -> (PmemPool, PAddr) {
     let pool = PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_shards(shards)).unwrap();
+    pool.alloc(PAD).unwrap();
     let base = pool.alloc(BLOCK).unwrap();
     (pool, base)
+}
+
+/// The pool offset where shard `k` ends in a pool of `shards` shards.
+fn shard_end(shards: u64, k: u64) -> u64 {
+    POOL_SIZE.div_ceil(shards).next_multiple_of(64) * (k + 1)
 }
 
 proptest! {
@@ -313,6 +344,14 @@ proptest! {
             let (p, b) = create(c.0);
             prop_assert_eq!(b, base_r, "deterministic allocator diverged for {:?}", c);
             candidates.push((c, Some(p), b));
+        }
+        for (shards, k) in [(4, 0), (7, 1)] {
+            let end = shard_end(shards, k);
+            prop_assert!(
+                (base_r.offset()..base_r.offset() + BLOCK).contains(&end)
+                    && !end.is_multiple_of(PAGE),
+                "the block straddles the end of shard {} of {}, off the page grid", k, shards
+            );
         }
         let mut tracked = Tracked::default();
 
@@ -435,15 +474,15 @@ fn straddle_script(shards: u32, boundary: u64, spelling: Spelling, armed: bool) 
     }
 }
 
-/// The random block sits inside shard 0 at every shard count, so the
-/// straddling routes get a script of their own: a fused `store_flush` and
-/// the word accesses laid across the end of shard 0 are still the generic
-/// calls — per bank — and the pool still equals the one-shard pool, where
-/// the same bytes straddle nothing.
+/// A random op straddles a shard boundary only where it happens to land,
+/// so the straddling routes get a script of their own: a fused
+/// `store_flush` and the word accesses laid across the end of shard 0 are
+/// still the generic calls — per bank — and the pool still equals the
+/// one-shard pool, where the same bytes straddle nothing.
 #[test]
 fn lean_primitives_across_a_shard_boundary_equal_the_generic_calls() {
     for shards in [2u32, 4, 7] {
-        let boundary = POOL_SIZE.div_ceil(u64::from(shards)).next_multiple_of(64);
+        let boundary = shard_end(u64::from(shards), 0);
         for armed in [false, true] {
             let lean = straddle_script(shards, boundary, Spelling::Lean, armed);
             let generic = straddle_script(shards, boundary, Spelling::Generic, armed);
