@@ -2,8 +2,9 @@
 //!
 //! The paper ports memcached v1.2.5 to Clobber-NVM and PMDK and drives it
 //! with memslap (§5.6). This server reproduces the persistent data path:
-//! the item table is the 256-bucket persistent hash map, each request is
-//! one failure-atomic transaction, and — like the paper's modified
+//! the item table is the persistent hash map sized by memcached's load
+//! factor ([`TABLE_BUCKETS`]), each request is one failure-atomic
+//! transaction, and — like the paper's modified
 //! memcached — the coarse original lock can be swapped for a spinlock or
 //! reader-writer lock scheme ("spinlock works better for insert-intensive
 //! workloads, and reader-writer lock provides better scalability for
@@ -60,6 +61,13 @@ pub enum KvOutcome {
     },
 }
 
+/// Buckets of the server's table: the fewest that hold the service's
+/// 4,096-key working set (the key space its workloads preload) under
+/// memcached's `assoc.c` rule, which doubles the table once items exceed
+/// 1.5 per bucket. (memcached starts at 2^16, a 512 KiB root; this one is
+/// 32 KiB.) The 256 bucket locks stay the paper's.
+pub const TABLE_BUCKETS: u64 = 4096;
+
 /// The persistent KV server.
 #[derive(Debug, Clone, Copy)]
 pub struct KvServer {
@@ -75,7 +83,7 @@ impl KvServer {
     /// Returns [`TxError::Pmem`] if the pool is exhausted.
     pub fn create(rt: &Runtime, scheme: LockScheme) -> Result<KvServer, TxError> {
         HashMap::register(rt);
-        let table = HashMap::create(rt)?;
+        let table = HashMap::with_buckets(rt, TABLE_BUCKETS)?;
         rt.set_app_root(table.root())?;
         Ok(KvServer { table, scheme })
     }
@@ -85,10 +93,11 @@ impl KvServer {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] if the app root is unreadable.
+    /// Returns [`TxError::Pmem`] if the app root is unreadable or holds
+    /// no valid table.
     pub fn open(rt: &Runtime, scheme: LockScheme) -> Result<KvServer, TxError> {
         Ok(KvServer {
-            table: HashMap::open(rt.app_root()?),
+            table: HashMap::open(rt.pool(), rt.app_root()?)?,
             scheme,
         })
     }
@@ -153,14 +162,14 @@ impl KvServer {
         req: &Request,
     ) -> Result<KvOutcome, TxError> {
         let locks = self.locks_for(req);
-        let root = self.table.root().offset();
+        let map = self.table.arg();
         let result = match req {
             Request::Set { key, value } => rt.try_run_on_locked(
                 slot,
                 &locks,
                 hashmap::TX_INSERT,
                 &clobber_nvm::ArgList::new()
-                    .with_u64(root)
+                    .with_u64(map)
                     .with_u64(key_id(key))
                     .with_bytes(value),
             ),
@@ -169,7 +178,7 @@ impl KvServer {
                 &locks,
                 hashmap::TX_GET,
                 &clobber_nvm::ArgList::new()
-                    .with_u64(root)
+                    .with_u64(map)
                     .with_u64(key_id(key)),
             ),
         };
@@ -358,9 +367,19 @@ mod tests {
         );
     }
 
+    /// The map keeps the PMDK example's 256 buckets (§5.2, Fig. 6); the
+    /// server sizes its table by memcached's rule (§5.6): the working set
+    /// fits at a load factor of at most 1.5, and would not in half as many.
     #[test]
     fn bucket_count_matches_the_paper() {
-        assert_eq!(hashmap::BUCKETS, 256);
+        let (_p, rt, srv) = setup(Backend::clobber());
+        assert_eq!(HashMap::create(&rt).unwrap().buckets(), 256);
+        assert_eq!(srv.table().buckets(), TABLE_BUCKETS);
+        assert_eq!(TABLE_BUCKETS, 4096);
+        let load = |buckets: u64| 4096.0 / buckets as f64;
+        assert!(load(TABLE_BUCKETS) <= 1.5 && load(TABLE_BUCKETS / 2) > 1.5);
+        let reopened = KvServer::open(&rt, LockScheme::BucketRw).unwrap();
+        assert_eq!(reopened.table(), srv.table());
     }
 
     #[test]

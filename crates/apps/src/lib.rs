@@ -1,8 +1,8 @@
 //! Recoverable applications on Clobber-NVM — the paper's three
 //! application-level workloads (§5.6–5.8):
 //!
-//! * [`kvserver`] — a memcached-like persistent key-value server over the
-//!   256-bucket hash map, driven by memslap-style request mixes;
+//! * [`kvserver`] — a memcached-like persistent key-value server over a
+//!   4,096-bucket hash map, driven by memslap-style request mixes;
 //! * [`vacation`] — the STAMP travel-agency database over red-black or AVL
 //!   tables, with multi-table reservation transactions;
 //! * [`yada`] — Ruppert's Delaunay mesh refinement over a fully persistent

@@ -251,7 +251,7 @@ pub fn run_mt_cell(
                         }
                         (MtHandle::H(map), _) => {
                             let args = ArgList::new()
-                                .with_u64(map.root().offset())
+                                .with_u64(map.arg())
                                 .with_u64(k)
                                 .with_bytes(value);
                             rt.run_locked(

@@ -56,7 +56,10 @@ fn hashmap_load(
     let rt2 = Runtime::open(crashed.clone(), RuntimeOptions::new(backend)).unwrap();
     HashMap::register(&rt2);
     rt2.recover().unwrap();
-    let mut pairs = HashMap::open(map.root()).dump(&crashed).unwrap();
+    let mut pairs = HashMap::open(&crashed, map.root())
+        .unwrap()
+        .dump(&crashed)
+        .unwrap();
     pairs.sort();
     (snap, pairs)
 }

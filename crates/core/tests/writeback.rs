@@ -367,11 +367,14 @@ fn pds_value(k: u64) -> Vec<u8> {
 #[test]
 fn seeded_draws_cover_the_pds_inserts() {
     macro_rules! structure {
-        ($ty:ident, $insert:ident, $key_of:expr) => {{
+        ($ty:ident, $insert:ident, $key_of:expr) => {
+            structure!($ty, $insert, $key_of, |_: &PmemPool, root| $ty::open(root))
+        };
+        ($ty:ident, $insert:ident, $key_of:expr, $open:expr) => {{
             let register = $ty::register;
             let contents = |pool: &PmemPool, rt: &Runtime| -> Result<Vec<(u64, Vec<u8>)>, String> {
                 let root = rt.app_root().map_err(|e| e.to_string())?;
-                let pairs = $ty::open(root).dump(pool).map_err(|e| e.to_string())?;
+                let pairs = $open(pool, root).dump(pool).map_err(|e| e.to_string())?;
                 Ok(pairs.into_iter().map(|(k, v)| ($key_of(k), v)).collect())
             };
             let session = ExploreSession {
@@ -403,11 +406,13 @@ fn seeded_draws_cover_the_pds_inserts() {
                 }),
             };
             draws_at_every_event(stringify!($ty), &session, &|rt| {
-                let _ = $ty::open(rt.app_root().unwrap()).$insert(rt, 8, &pds_value(8));
+                let _ = $open(rt.pool(), rt.app_root().unwrap()).$insert(rt, 8, &pds_value(8));
             });
         }};
     }
-    structure!(HashMap, insert, std::convert::identity);
+    structure!(HashMap, insert, std::convert::identity, |pool, root| {
+        HashMap::open(pool, root).unwrap()
+    });
     structure!(RbTree, insert, std::convert::identity);
     structure!(SkipList, insert, std::convert::identity);
     structure!(AvlTree, insert, std::convert::identity);
@@ -490,7 +495,8 @@ fn batch_draws(label: &str, before: &[(u64, Vec<u8>)], pairs: &[(u64, Vec<u8>)])
         }),
         check: Box::new(|pool, rt| {
             let root = rt.app_root().map_err(|e| e.to_string())?;
-            let mut pairs = HashMap::open(root).dump(pool).map_err(|e| e.to_string())?;
+            let map = HashMap::open(pool, root).map_err(|e| e.to_string())?;
+            let mut pairs = map.dump(pool).map_err(|e| e.to_string())?;
             pairs.sort();
             match pairs == before || pairs == after {
                 true => Ok(()),
@@ -502,7 +508,8 @@ fn batch_draws(label: &str, before: &[(u64, Vec<u8>)], pairs: &[(u64, Vec<u8>)])
         }),
     };
     draws_at_every_event(label, &session, &|rt| {
-        let _ = HashMap::open(rt.app_root().unwrap()).insert_batch_on(rt, 0, pairs);
+        let map = HashMap::open(rt.pool(), rt.app_root().unwrap()).unwrap();
+        let _ = map.insert_batch_on(rt, 0, pairs);
     });
 }
 
@@ -514,8 +521,10 @@ fn batch_draws(label: &str, before: &[(u64, Vec<u8>)], pairs: &[(u64, Vec<u8>)])
 fn seeded_draws_cover_a_batch_that_reads_its_own_deferred_stores() {
     let value = |k: u64, round: u8| vec![k as u8 ^ round; 24];
     let before: Vec<(u64, Vec<u8>)> = (0..8).map(|k| (k, value(k, 0x11))).collect();
-    // Equal locks of one map are equal buckets.
-    let buckets = HashMap::open(PAddr::NULL);
+    // Equal locks of a 256-bucket map are equal buckets.
+    let pool = Arc::new(PmemPool::create(PoolOptions::performance(4 << 20)).unwrap());
+    let rt = Runtime::create(pool, small_logs(Backend::clobber())).unwrap();
+    let buckets = HashMap::create(&rt).unwrap();
     let twin = (101..)
         .find(|&k| buckets.lock_of(k) == buckets.lock_of(100))
         .unwrap();

@@ -1,4 +1,4 @@
-//! Persistent chained hash map with 256 reader-writer-locked buckets.
+//! Persistent chained hash map with reader-writer-locked buckets.
 //!
 //! Adapted from the PMDK `libpmemobj` hashmap example the paper uses
 //! (§5.2): 256 instances treated as buckets, each protected by its own
@@ -6,10 +6,15 @@
 //! clobbered input the paper reports for this structure ("its clobber_log
 //! log count is one, and its log size is 8 bytes", §5.3).
 //!
+//! The bucket count is fixed when a map is created: a power of two from
+//! [`LOCKS`] (the paper's 256, and [`HashMap::create`]'s) to
+//! [`MAX_BUCKETS`]. A larger map keeps the 256 locks — bucket `b` is
+//! guarded by lock `b % 256` — so only its chains get shorter.
+//!
 //! Layout:
 //!
 //! ```text
-//! root:  [magic][n_buckets][head_0]...[head_255]
+//! root:  [magic][n_buckets][head_0]...[head_{n_buckets-1}]
 //! node:  [key][next][val_ptr][val_len]
 //! ```
 //!
@@ -19,6 +24,11 @@
 //! written unread and `val_len` is read unwritten, so it logs nothing. A
 //! resize swaps in a fresh buffer and logs the one 16-byte `(val_ptr,
 //! val_len)` entry it read and then wrote.
+//!
+//! Every txfunc takes the map as its first argument, [`HashMap::arg`]:
+//! the root's pool offset in the low 48 bits and `log2(n_buckets / 256)`
+//! above them, so a transaction learns the count without a pool load, and
+//! a 256-bucket map's argument is its bare root offset.
 
 use clobber_nvm::{ArgList, LockRequest, Runtime, Tx, TxError};
 use clobber_pmem::{PAddr, PmemError, PmemPool};
@@ -26,8 +36,13 @@ use clobber_pmem::{PAddr, PmemError, PmemPool};
 use crate::value::{store_value, value_at, Load};
 
 const MAGIC: u64 = 0xC10B_0001;
-/// Number of buckets (one rwlock each), as in the paper.
-pub const BUCKETS: u64 = 256;
+/// Number of bucket rwlocks of every map, and the paper's bucket count: the
+/// fewest buckets a map has, and [`HashMap::create`]'s.
+pub const LOCKS: u64 = 256;
+/// The most buckets a map has (memcached's initial table, `hashpower = 16`).
+pub const MAX_BUCKETS: u64 = 1 << 16;
+/// Bits of [`HashMap::arg`] that hold the root's pool offset.
+const ROOT_BITS: u32 = 48;
 
 pub(crate) const NODE_KEY: u64 = 0;
 /// Node offset of the next pointer, loaded with the key.
@@ -41,6 +56,8 @@ pub(crate) const NODE_SIZE: u64 = 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashMap {
     root: PAddr,
+    /// `n_buckets - 1`: a hash's bucket is its low bits.
+    mask: u64,
 }
 
 /// The txfunc names this structure registers.
@@ -53,12 +70,17 @@ pub const TX_REMOVE: &str = "hashmap_remove";
 /// path — N sets, one failure-atomic transaction, one commit fence).
 pub const TX_BATCH_SET: &str = "hashmap_batch_set";
 
-pub(crate) fn bucket_of(key: u64) -> u64 {
-    key.wrapping_mul(0xFF51_AFD7_ED55_8CCD) % BUCKETS
+fn hash(key: u64) -> u64 {
+    key.wrapping_mul(0xFF51_AFD7_ED55_8CCD)
 }
 
-pub(crate) fn head_addr(root: PAddr, bucket: u64) -> PAddr {
-    root.add(16 + bucket * 8)
+/// `true` for a bucket count a map may have.
+fn valid_buckets(n: u64) -> bool {
+    n.is_power_of_two() && (LOCKS..=MAX_BUCKETS).contains(&n)
+}
+
+fn corrupt(why: String) -> TxError {
+    PmemError::CorruptPool(why).into()
 }
 
 /// The one walk over a bucket's chain: one 16-byte `(key, next)` load per
@@ -68,11 +90,11 @@ pub(crate) fn head_addr(root: PAddr, bucket: u64) -> PAddr {
 /// [`PmemError::CorruptPool`].
 fn walk<L: Load>(
     l: &mut L,
-    root: PAddr,
+    map: HashMap,
     bucket: u64,
     mut stop: impl FnMut(&mut L, PAddr, u64) -> Result<bool, TxError>,
 ) -> Result<Option<[PAddr; 3]>, TxError> {
-    let mut link = head_addr(root, bucket);
+    let mut link = map.head(bucket);
     let [mut node] = l.words(link)?;
     for _ in 0..=l.pool().capacity() / NODE_SIZE {
         let at = PAddr::new(node);
@@ -85,25 +107,25 @@ fn walk<L: Load>(
         }
         (link, node) = (at.add(NODE_NEXT), next);
     }
-    Err(PmemError::CorruptPool("cycle in a hashmap chain".into()).into())
+    Err(corrupt("cycle in a hashmap chain".into()))
 }
 
 /// `[link, node, next]` of the node holding `key`, if its chain has one.
-fn find(l: &mut impl Load, root: PAddr, key: u64) -> Result<Option<[PAddr; 3]>, TxError> {
-    walk(l, root, bucket_of(key), |_, _, k| Ok(k == key))
+fn find(l: &mut impl Load, map: HashMap, key: u64) -> Result<Option<[PAddr; 3]>, TxError> {
+    walk(l, map, map.bucket_of(key), |_, _, k| Ok(k == key))
 }
 
 /// [`TX_GET`] and [`HashMap::snapshot_get`].
-fn lookup(l: &mut impl Load, root: PAddr, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-    let hit = find(l, root, key)?;
+fn lookup(l: &mut impl Load, map: HashMap, key: u64) -> Result<Option<Vec<u8>>, TxError> {
+    let hit = find(l, map, key)?;
     hit.map(|[_, node, _]| value_at(l, node.add(NODE_VPTR)))
         .transpose()
 }
 
 /// One insert-or-update, shared by [`TX_INSERT`] and [`TX_BATCH_SET`].
-fn insert_one(tx: &mut Tx<'_>, root: PAddr, key: u64, value: &[u8]) -> Result<(), TxError> {
-    let Some([_, node, _]) = find(tx, root, key)? else {
-        return prepend(tx, root, key, value);
+fn insert_one(tx: &mut Tx<'_>, map: HashMap, key: u64, value: &[u8]) -> Result<(), TxError> {
+    let Some([_, node, _]) = find(tx, map, key)? else {
+        return prepend(tx, map, key, value);
     };
     let [old_ptr, old_len] = tx.words(node.add(NODE_VPTR))?;
     if old_len == value.len() as u64 {
@@ -123,8 +145,13 @@ fn insert_one(tx: &mut Tx<'_>, root: PAddr, key: u64, value: &[u8]) -> Result<()
 }
 
 /// Prepends a fresh node for `key`; the bucket head is the clobbered input.
-pub(crate) fn prepend(tx: &mut Tx<'_>, root: PAddr, key: u64, value: &[u8]) -> Result<(), TxError> {
-    let head = head_addr(root, bucket_of(key));
+pub(crate) fn prepend(
+    tx: &mut Tx<'_>,
+    map: HashMap,
+    key: u64,
+    value: &[u8],
+) -> Result<(), TxError> {
+    let head = map.head(map.bucket_of(key));
     let vbuf = store_value(tx, value)?;
     let node = tx.pmalloc(NODE_SIZE)?;
     tx.write_u64(node.add(NODE_KEY), key)?;
@@ -137,23 +164,59 @@ pub(crate) fn prepend(tx: &mut Tx<'_>, root: PAddr, key: u64, value: &[u8]) -> R
 }
 
 impl HashMap {
-    /// Allocates and formats an empty map.
+    /// Allocates and formats an empty map of the paper's [`LOCKS`] buckets.
     ///
     /// # Errors
     ///
     /// Returns [`TxError::Pmem`] if the pool is exhausted.
     pub fn create(rt: &Runtime) -> Result<HashMap, TxError> {
-        let pool = rt.pool();
-        let root = pool.alloc(16 + BUCKETS * 8)?;
-        pool.write_u64(root, MAGIC)?;
-        pool.write_u64(root.add(8), BUCKETS)?;
-        pool.persist(root, 16 + BUCKETS * 8)?;
-        Ok(HashMap { root })
+        HashMap::with_buckets(rt, LOCKS)
     }
 
-    /// Adopts an existing map at `root`.
-    pub fn open(root: PAddr) -> HashMap {
-        HashMap { root }
+    /// Allocates and formats an empty map of `buckets` buckets.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxError::Pmem`] if the pool is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// If `buckets` is not a power of two in [`LOCKS`]`..=`[`MAX_BUCKETS`].
+    pub fn with_buckets(rt: &Runtime, buckets: u64) -> Result<HashMap, TxError> {
+        assert!(valid_buckets(buckets), "{buckets} buckets");
+        let pool = rt.pool();
+        let root = pool.alloc(16 + buckets * 8)?;
+        pool.write_u64(root, MAGIC)?;
+        pool.write_u64(root.add(8), buckets)?;
+        pool.persist(root, 16 + buckets * 8)?;
+        Ok(HashMap {
+            root,
+            mask: buckets - 1,
+        })
+    }
+
+    /// Adopts the map at `root`, reading its bucket count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::CorruptPool`] if `root` holds no map header, an
+    /// invalid bucket count, or bucket heads that run past the pool.
+    pub fn open(pool: &PmemPool, root: PAddr) -> Result<HashMap, TxError> {
+        let [magic, buckets] = (&mut { pool }).words(root)?;
+        if magic != MAGIC {
+            return Err(corrupt(format!("no hashmap at {:#x}", root.offset())));
+        }
+        if !valid_buckets(buckets) {
+            return Err(corrupt(format!("hashmap of {buckets} buckets")));
+        }
+        // The header load succeeded, so `root` is below the capacity.
+        if root.offset() + 16 + buckets * 8 > pool.capacity() {
+            return Err(corrupt(format!("{buckets} bucket heads run past the pool")));
+        }
+        Ok(HashMap {
+            root,
+            mask: buckets - 1,
+        })
     }
 
     /// The map's root address (store it in the app root to reopen).
@@ -161,34 +224,67 @@ impl HashMap {
         self.root
     }
 
+    /// The map's bucket count.
+    pub fn buckets(&self) -> u64 {
+        self.mask + 1
+    }
+
+    /// The map as its txfuncs take it, in one word: the root's offset and,
+    /// above bit 48, `log2` of the bucket count over [`LOCKS`].
+    pub fn arg(&self) -> u64 {
+        let shift = (self.buckets() / LOCKS).trailing_zeros() as u64;
+        self.root.offset() | shift << ROOT_BITS
+    }
+
+    /// Decodes [`arg`](HashMap::arg) — the one place a txfunc learns its map.
+    pub(crate) fn from_arg(arg: u64) -> Result<HashMap, TxError> {
+        let buckets = LOCKS.checked_shl((arg >> ROOT_BITS) as u32).unwrap_or(0);
+        if !valid_buckets(buckets) {
+            return Err(corrupt(format!("hashmap argument {arg:#x}")));
+        }
+        Ok(HashMap {
+            root: PAddr::new(arg & ((1 << ROOT_BITS) - 1)),
+            mask: buckets - 1,
+        })
+    }
+
+    fn bucket_of(&self, key: u64) -> u64 {
+        hash(key) & self.mask
+    }
+
+    fn head(&self, bucket: u64) -> PAddr {
+        self.root.add(16 + bucket * 8)
+    }
+
     /// Registers the map's txfuncs; call once per runtime (and before
     /// recovery).
     pub fn register(rt: &Runtime) {
         rt.register(TX_INSERT, |tx, args| {
-            let root = PAddr::new(args.u64(0)?);
+            let map = HashMap::from_arg(args.u64(0)?)?;
             let key = args.u64(1)?;
             let value = args.bytes(2)?;
-            insert_one(tx, root, key, value)?;
+            insert_one(tx, map, key, value)?;
             Ok(None)
         });
         rt.register(TX_BATCH_SET, |tx, args| {
-            // args: root, n, then n × (key, value). All inputs ride in the
+            // args: map, n, then n × (key, value). All inputs ride in the
             // v_log by value, so a crash anywhere inside the batch re-executes
             // the whole coalesced transaction deterministically.
-            let root = PAddr::new(args.u64(0)?);
+            let map = HashMap::from_arg(args.u64(0)?)?;
             let n = args.u64(1)?;
             for i in 0..n {
                 let key = args.u64(2 + 2 * i as usize)?;
                 let value = args.bytes(3 + 2 * i as usize)?;
-                insert_one(tx, root, key, value)?;
+                insert_one(tx, map, key, value)?;
             }
             Ok(None)
         });
         rt.register(TX_GET, |tx, args| {
-            lookup(tx, PAddr::new(args.u64(0)?), args.u64(1)?)
+            lookup(tx, HashMap::from_arg(args.u64(0)?)?, args.u64(1)?)
         });
         rt.register(TX_REMOVE, |tx, args| {
-            let Some([link, node, next]) = find(tx, PAddr::new(args.u64(0)?), args.u64(1)?)? else {
+            let map = HashMap::from_arg(args.u64(0)?)?;
+            let Some([link, node, next]) = find(tx, map, args.u64(1)?)? else {
                 return Ok(Some(vec![0]));
             };
             tx.write_paddr(link, next)?; // clobber: the link to it
@@ -200,7 +296,7 @@ impl HashMap {
     }
 
     fn args(&self, key: u64) -> ArgList {
-        ArgList::new().with_u64(self.root.offset()).with_u64(key)
+        ArgList::new().with_u64(self.arg()).with_u64(key)
     }
 
     /// Inserts or updates `key` on the calling thread's slot.
@@ -257,9 +353,11 @@ impl HashMap {
     }
 
     /// The rwlock protecting `key`'s bucket (for the discrete-event
-    /// executor); lock ids are namespaced by the root address.
+    /// executor); lock ids are namespaced by the root address. Bucket `b`
+    /// has lock `b % LOCKS`, so keys with equal locks share a bucket only
+    /// in a map of [`LOCKS`] buckets.
     pub fn lock_of(&self, key: u64) -> u64 {
-        self.root.offset().wrapping_mul(31) + bucket_of(key)
+        self.root.offset().wrapping_mul(31) + hash(key) % LOCKS
     }
 
     /// Thread-safe [`insert`](HashMap::insert): takes `key`'s bucket lock
@@ -321,7 +419,7 @@ impl HashMap {
     ) -> Result<(), TxError> {
         let locks = self.lock_set(pairs.iter().map(|(k, _)| *k));
         let mut args = ArgList::with_capacity(2 + 2 * pairs.len())
-            .with_u64(self.root.offset())
+            .with_u64(self.arg())
             .with_u64(pairs.len() as u64);
         for (k, v) in pairs {
             args = args.with_u64(*k).with_bytes(v.as_ref());
@@ -342,7 +440,7 @@ impl HashMap {
     ///
     /// Returns [`TxError::Pmem`] on a corrupt chain.
     pub fn snapshot_get(&self, pool: &PmemPool, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        lookup(&mut { pool }, self.root, key)
+        lookup(&mut { pool }, *self, key)
     }
 
     /// Thread-safe [`get`](HashMap::get): shared bucket lock, so readers
@@ -383,9 +481,9 @@ impl HashMap {
             return Err(TxError::CorruptVlog("hashmap magic mismatch".into()));
         }
         let mut out = Vec::new();
-        for b in 0..BUCKETS {
-            walk(&mut { pool }, self.root, b, |l, node, key| {
-                if bucket_of(key) != b {
+        for b in 0..self.buckets() {
+            walk(&mut { pool }, *self, b, |l, node, key| {
+                if self.bucket_of(key) != b {
                     let msg = format!("key {key} in bucket {b}");
                     return Err(PmemError::CorruptPool(msg).into());
                 }
@@ -561,11 +659,11 @@ mod tests {
         let mut seen = std::collections::HashMap::new();
         let (mut a, mut b) = (0, 0);
         for k in 0..10_000u64 {
-            if let Some(&prev) = seen.get(&bucket_of(k)) {
+            if let Some(&prev) = seen.get(&map.bucket_of(k)) {
                 (a, b) = (prev, k);
                 break;
             }
-            seen.insert(bucket_of(k), k);
+            seen.insert(map.bucket_of(k), k);
         }
         assert_ne!(a, b);
         assert_eq!(map.batch_locks(&[a, b]).len(), 1, "same bucket, one lock");
@@ -591,12 +689,39 @@ mod tests {
     }
 
     #[test]
+    fn a_sized_map_reopens_with_its_count_and_keeps_256_locks() {
+        let (pool, rt, small) = setup(Backend::clobber());
+        let big = HashMap::with_buckets(&rt, 4096).unwrap();
+        assert_eq!(
+            small.arg(),
+            small.root().offset(),
+            "the paper's map passes its root"
+        );
+        for map in [small, big] {
+            assert_eq!(HashMap::open(&pool, map.root()).unwrap(), map);
+            assert_eq!(HashMap::from_arg(map.arg()).unwrap(), map);
+        }
+        assert_eq!(big.buckets(), 4096);
+        assert!(HashMap::from_arg(big.root().offset() | 9 << ROOT_BITS).is_err());
+        for k in 0..1000u64 {
+            big.insert(&rt, k, &k.to_le_bytes()).unwrap();
+        }
+        assert_eq!(
+            big.get(&rt, 999).unwrap(),
+            Some(999u64.to_le_bytes().to_vec())
+        );
+        assert_eq!(big.len(&pool).unwrap(), 1000);
+        let locks: std::collections::HashSet<u64> = (0..1000).map(|k| big.lock_of(k)).collect();
+        assert_eq!(locks.len(), LOCKS as usize);
+    }
+
+    #[test]
     fn buckets_have_distinct_locks() {
         let (_p, _rt, map) = setup(Backend::clobber());
         // Two keys in different buckets must have different lock ids.
         let (mut a, mut b) = (None, None);
         for k in 0..1000u64 {
-            match bucket_of(k) {
+            match map.bucket_of(k) {
                 0 => a = Some(k),
                 1 => b = Some(k),
                 _ => {}

@@ -138,7 +138,7 @@ impl ExploreWorkload {
     /// keys, every present key `k` holding exactly [`value_of`]`(k)`.
     pub fn check(&self, pool: &PmemPool, rt: &Runtime) -> Result<(), String> {
         let root = rt.app_root().map_err(|e| format!("app root: {e}"))?;
-        let map = HashMap::open(root);
+        let map = HashMap::open(pool, root).map_err(|e| format!("open: {e}"))?;
         let pairs = map.dump(pool).map_err(|e| format!("dump: {e}"))?;
         let mut seen = std::collections::BTreeSet::new();
         for (k, v) in pairs {
@@ -229,7 +229,7 @@ fn register_buggy(rt: &Runtime) {
     });
     rt.register(TX_RACY_INSERT, |tx, args| {
         let cell = PAddr::new(args.u64(0)?);
-        let root = PAddr::new(args.u64(1)?);
+        let map = HashMap::from_arg(args.u64(1)?)?;
         let key = args.u64(2)?;
         // The racy dependence: branch on the marker, and clobber it so
         // the dependence is visible to the trace-footprint analysis.
@@ -241,7 +241,7 @@ fn register_buggy(rt: &Runtime) {
             // The bug: a mark landed first, publish corrupted bytes.
             &[0xBA; 16]
         };
-        prepend(tx, root, key, value)?;
+        prepend(tx, map, key, value)?;
         Ok(None)
     });
 }

@@ -59,9 +59,10 @@ impl Handle {
         }
     }
 
-    fn open(structure: &str, root: PAddr) -> Handle {
+    fn open(structure: &str, rt: &Runtime) -> Handle {
+        let root = rt.app_root().unwrap();
         match structure {
-            "hashmap" => Handle::H(HashMap::open(root)),
+            "hashmap" => Handle::H(HashMap::open(rt.pool(), root).unwrap()),
             "skiplist" => Handle::S(SkipList::open(root)),
             _ => unreachable!(),
         }
@@ -159,17 +160,9 @@ fn racing_sweep(structure: &'static str, threads: usize, stride_div: u64) {
                 }
                 (pool, rt)
             }),
-            check: Box::new(move |pool, rt| {
-                check_contents(pool, &Handle::open(structure, rt.app_root().unwrap()))
-            }),
+            check: Box::new(move |pool, rt| check_contents(pool, &Handle::open(structure, rt))),
         };
-        let drive = |rt: &Arc<Runtime>| {
-            run_racing(
-                rt,
-                &Handle::open(structure, rt.app_root().unwrap()),
-                threads,
-            )
-        };
+        let drive = |rt: &Arc<Runtime>| run_racing(rt, &Handle::open(structure, rt), threads);
         let battery = CrashBattery {
             session: &session,
             drive: &drive,
@@ -182,7 +175,7 @@ fn racing_sweep(structure: &'static str, threads: usize, stride_div: u64) {
         assert!(events > 0, "{structure}: racing run issues persist events");
         battery
             .sweep((events / stride_div).max(1), u64::MAX, |r| {
-                let h = Handle::open(structure, r.rt.app_root().unwrap());
+                let h = Handle::open(structure, &r.rt);
                 match &h {
                     Handle::H(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
                     Handle::S(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
@@ -237,7 +230,7 @@ fn setup_two(shards: u32) -> (Arc<PmemPool>, Runtime, HashMap, SkipList) {
 fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxError> {
     let hm_args = |k: u64| {
         ArgList::new()
-            .with_u64(map.root().offset())
+            .with_u64(map.arg())
             .with_u64(k)
             .with_bytes(&value_of(k))
     };
@@ -247,8 +240,6 @@ fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxErro
             .with_u64(k)
             .with_bytes(&value_of(k))
     };
-    let key_args =
-        |root: clobber_pmem::PAddr, k: u64| ArgList::new().with_u64(root.offset()).with_u64(k);
     for k in [1u64, 2, 3] {
         rt.run_on_locked(
             0,
@@ -267,13 +258,13 @@ fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxErro
         0,
         &[LockRequest::exclusive(map.lock_of(1))],
         hashmap::TX_REMOVE,
-        &key_args(map.root(), 1),
+        &ArgList::new().with_u64(map.arg()).with_u64(1),
     )?;
     rt.run_on_locked(
         1,
         &[LockRequest::exclusive(sl.lock())],
         skiplist::TX_REMOVE,
-        &key_args(sl.root(), 10),
+        &ArgList::new().with_u64(sl.root().offset()).with_u64(10),
     )?;
     Ok(())
 }
@@ -296,12 +287,19 @@ fn two_lane_sweep(shards: u32, mut served: impl FnMut(usize, Vec<u8>)) -> SweepS
             (pool, rt)
         }),
         check: Box::new(move |pool, rt| {
-            check_contents(pool, &Handle::H(HashMap::open(rt.app_root().unwrap())))?;
+            check_contents(
+                pool,
+                &Handle::H(HashMap::open(rt.pool(), rt.app_root().unwrap()).unwrap()),
+            )?;
             check_contents(pool, &Handle::S(sl))
         }),
     };
     let drive = |rt: &Arc<Runtime>| {
-        let _ = run_two_lane(rt, &HashMap::open(rt.app_root().unwrap()), &sl);
+        let _ = run_two_lane(
+            rt,
+            &HashMap::open(rt.pool(), rt.app_root().unwrap()).unwrap(),
+            &sl,
+        );
     };
     let battery = CrashBattery {
         session: &session,
@@ -352,7 +350,7 @@ fn two_lane_sweep_recovers_byte_identically_across_shard_counts() {
 fn explorer_clears_schedule_recorded_from_racing_hashmap_threads() {
     let wl = ExploreWorkload::new(1);
     let (pool, rt) = wl.build();
-    let map = HashMap::open(rt.app_root().unwrap());
+    let map = HashMap::open(rt.pool(), rt.app_root().unwrap()).unwrap();
 
     // Two real threads race through the locked path: one inserts keys 1
     // and 2, the other key 3 (the acceptance workload's shape, but with

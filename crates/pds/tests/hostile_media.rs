@@ -1,11 +1,11 @@
 //! Corrupt media gives typed errors: a length read from it is checked
-//! against the pool before it sizes a buffer, and a chain that loops is
-//! reported, not walked forever.
+//! against the pool before it sizes a buffer, a map root is checked before
+//! it is walked, and a chain that loops is reported, not walked forever.
 
 use std::sync::Arc;
 
 use clobber_nvm::{Runtime, RuntimeOptions, TxError};
-use clobber_pds::hashmap::{BUCKETS, NODE_NEXT, NODE_VLEN};
+use clobber_pds::hashmap::{NODE_NEXT, NODE_VLEN};
 use clobber_pds::skiplist::NODE_NEXT0;
 use clobber_pds::{HashMap, SkipList};
 use clobber_pmem::{PAddr, PmemError, PmemPool, PoolOptions};
@@ -19,11 +19,41 @@ fn one_key_map() -> (Arc<PmemPool>, Runtime, HashMap, PAddr) {
     HashMap::register(&rt);
     let map = HashMap::create(&rt).unwrap();
     map.insert(&rt, 7, b"value").unwrap();
-    let node = (0..BUCKETS)
+    let node = (0..map.buckets())
         .map(|b| pool.read_u64(map.root().add(16 + 8 * b)).unwrap())
         .find(|&head| head != 0)
         .unwrap();
     (pool, rt, map, PAddr::new(node))
+}
+
+/// A root that is not a map's — a wrong magic, a bucket count that is not a
+/// power of two in `[256, 2^16]`, or bucket heads that run past the pool —
+/// is refused when the map is opened, before anything walks it.
+#[test]
+fn a_corrupt_map_root_is_refused_at_open() {
+    let (pool, _rt, map, _) = one_key_map();
+    let root = map.root();
+    assert_eq!(HashMap::open(&pool, root).unwrap(), map);
+    let refused = |root: PAddr, what: &str| {
+        let err = HashMap::open(&pool, root).expect_err(what);
+        assert!(
+            matches!(err, TxError::Pmem(PmemError::CorruptPool(_))),
+            "{what}: {err}"
+        );
+    };
+    for corrupt in [0, 3, 1 << 40, 128, 1 << 17] {
+        pool.write_u64(root.add(8), corrupt).unwrap();
+        refused(root, &format!("n_buckets {corrupt:#x}"));
+    }
+    pool.write_u64(root.add(8), 256).unwrap();
+    let magic = pool.read_u64(root).unwrap();
+    pool.write_u64(root, magic ^ 1).unwrap();
+    refused(root, "magic");
+    // A whole header, whose 256 heads end 8 bytes past the pool.
+    let last = PAddr::new(pool.capacity() - 16 - 255 * 8);
+    pool.write_u64(last, magic).unwrap();
+    pool.write_u64(last.add(8), 256).unwrap();
+    refused(last, "heads past the pool");
 }
 
 #[test]

@@ -2,11 +2,12 @@
 //!
 //! [`LineCache`] is a dense table with one entry per 64 lines (the slot of
 //! their page) over a slab of pages — 4 KiB of line data with its 64 dirty
-//! bits and 64 flush-pending bits — that grows by a page the first time a
-//! line of that entry is stored to. A pool instance therefore costs what
-//! its run stores to, not its capacity (beyond four table bytes per 4 KiB);
-//! the table and the slab's first chunk of pages are allocated by the first
-//! store and no hashing ever happens. The unit tests hold it in lock step
+//! bits and 64 flush-pending bits. An entry takes a page when one of its
+//! lines is dirtied and gives it back to a free list when a fence cleans
+//! the last, so a pool instance costs the pages its run keeps dirty at
+//! once, not its capacity (beyond four table bytes per 4 KiB); the table
+//! and the slab's first chunk of pages are allocated by the first store
+//! and no hashing ever happens. The unit tests hold it in lock step
 //! with `RefCache`, the original `HashMap<line, CacheLine>` model, kept
 //! under `#[cfg(test)]` as the executable specification.
 //!
@@ -90,7 +91,9 @@ const CHUNK_PAGES: usize = 16;
 struct Page {
     /// One bit per line: modified since last write-back.
     dirty: u64,
-    /// One bit per line: write-back initiated, not yet fenced.
+    /// One bit per line: write-back initiated, not yet fenced. On a free
+    /// page, which no word reaches, the slot of the next free page (0 ends
+    /// the list).
     flush_pending: u64,
     /// The volatile contents of the dirty lines, laid out like the span;
     /// the bytes of clean lines are meaningless and never read.
@@ -98,9 +101,9 @@ struct Page {
 }
 
 /// Dense paged cache: a table with one entry per 64-line word over a slab
-/// of [`Page`]s that grows by one page the first time a word is stored to,
-/// so the cache costs memory and time in proportion to the pages a run
-/// stores to, not to the pool.
+/// of [`Page`]s, a word holding one while a line of it is dirty, so the
+/// cache costs memory and time in proportion to the pages a run keeps
+/// dirty, not to the pool.
 ///
 /// Invariants:
 /// * `flush_pending ⊆ dirty` (a line's flush is voided by a later store and
@@ -109,24 +112,25 @@ struct Page {
 /// * The newest entry of a pending line in `pending_flushes` carries its
 ///   flusher tag, and `flusher` is the tag every pending line carries.
 /// * `dirty_pages` equals the number of pages with a dirty line.
-/// * A page stays with its word for good: one fenced clean is reused when
-///   the word is dirtied again, so the slab never exceeds the pages ever
-///   stored to.
+/// * A word holds a page only while a line is dirty: the fence cleaning
+///   its last frees it, so the slab never exceeds the peak dirty pages.
 ///
 /// Nothing is allocated until the first store, which allocates the table
 /// (zeroed, four bytes per 4 KiB of the span) and the slab's first chunk;
 /// after that stores, flushes and fences are allocation-free until a run
-/// stores to more pages than its chunks hold (the slab then gains a chunk,
-/// and the pending-flush list retains its capacity across fences).
+/// keeps more pages dirty than its chunks hold (the slab then gains a
+/// chunk, and the pending-flush list retains its capacity across fences).
 #[derive(Default)]
 pub(crate) struct LineCache {
     /// Per word of the span: the slot of its page in `pages` plus one, 0
-    /// while no line of the word was ever stored to. Sized by the first
-    /// store.
+    /// while no line of the word is dirty. Sized by the first store.
     slots: Vec<u32>,
-    /// The slab: the pages stored to, in first-touch order, in chunks of
-    /// [`CHUNK_PAGES`] (slot `s` is page `s - 1` of the concatenation).
+    /// The slab, in chunks of [`CHUNK_PAGES`] (slot `s` is page `s - 1` of
+    /// the concatenation): the pages of dirty words and the free pages.
     pages: Vec<Vec<Page>>,
+    /// The slot of the first free page, 0 when none is; the list is linked
+    /// through the free pages' `flush_pending`.
+    free: u32,
     /// Lines pushed by flushes, each with its flusher tag, drained by the
     /// next fence.
     pending_flushes: Vec<(u64, u32)>,
@@ -175,19 +179,27 @@ impl LineCache {
         LineCache::default()
     }
 
-    /// The page of word `w`, if one of its lines was ever stored to.
+    /// The page of word `w`, if one of its lines is dirty.
     #[inline]
     fn page(&self, w: usize) -> Option<&Page> {
         let i = (self.slots[w] as usize).checked_sub(1)?;
         Some(&self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES])
     }
 
-    /// Appends word `w`'s page to the slab and returns its table entry. Out
-    /// of line: a `Page` built on the stack would put a 4 KiB frame (and
-    /// its stack probe) on every store.
+    /// Gives word `w` a clean page — the first free one, else a new one at
+    /// the slab's end — and returns its table entry. Out of line: a `Page`
+    /// built on the stack would put a 4 KiB frame (and its stack probe) on
+    /// every store.
     #[cold]
     #[inline(never)]
     fn add_page(&mut self, w: usize) -> u32 {
+        if let Some(i) = (self.free as usize).checked_sub(1) {
+            let page = &mut self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES];
+            self.slots[w] = self.free;
+            self.free = page.flush_pending as u32;
+            page.flush_pending = 0;
+            return self.slots[w];
+        }
         if self.pages.last().is_none_or(|c| c.len() == CHUNK_PAGES) {
             self.pages.push(Vec::with_capacity(CHUNK_PAGES));
         }
@@ -287,20 +299,28 @@ impl LineCache {
         });
     }
 
-    /// Writes `line` back to `media` if its flush is still pending.
+    /// Writes `line` back to `media` if its flush is still pending, and
+    /// frees its page if that was the page's last dirty line.
     #[inline]
     fn write_back(&mut self, media: &mut [u8], line: u64) {
         let (w, bit) = ((line / WORD_LINES) as usize, line % WORD_LINES);
-        // A line is only ever pushed by a flush that found it dirty, so
-        // its word has a page.
-        let i = self.slots[w] as usize - 1;
+        // A line is only ever pushed by a flush that found it dirty, so its
+        // word had a page; none if an earlier line of this fence freed it.
+        let Some(i) = (self.slots[w] as usize).checked_sub(1) else {
+            return;
+        };
         let page = &mut self.pages[i / CHUNK_PAGES][i % CHUNK_PAGES];
         if page.flush_pending & (1 << bit) != 0 {
             let (s, d) = ((line * CACHE_LINE) as usize, bit as usize * LINE);
             media[s..s + LINE].copy_from_slice(&page.bytes[d..d + LINE]);
             page.flush_pending &= !(1 << bit);
             page.dirty &= !(1 << bit);
-            self.dirty_pages -= usize::from(page.dirty == 0);
+            if page.dirty == 0 {
+                self.dirty_pages -= 1;
+                page.flush_pending = u64::from(self.free);
+                self.free = self.slots[w];
+                self.slots[w] = 0;
+            }
         }
     }
 
@@ -722,6 +742,31 @@ mod tests {
         assert_eq!(&media[5 * PAGE + 8..5 * PAGE + 16], &[3; 8]);
     }
 
+    /// A run that keeps one page dirty at a time holds one chunk, however
+    /// many pages it stores to.
+    #[test]
+    fn the_slab_holds_only_the_pages_dirty_at_once() {
+        let mut media = vec![0u8; PAGE * 1000];
+        let mut cache = LineCache::new();
+        for page in 0..1000 {
+            let at = (page * PAGE + 100) as u64;
+            cache.write(at, &[page as u8 | 1; 8], &media);
+            cache.flush_range(at, 8);
+            cache.fence(&mut media);
+        }
+        assert!(cache.is_clean());
+        let chunks: Vec<(usize, usize)> = cache
+            .pages
+            .iter()
+            .map(|c| (c.len(), c.capacity()))
+            .collect();
+        assert_eq!(chunks, [(1, CHUNK_PAGES)], "one 16-page chunk");
+        assert_eq!(
+            &media[999 * PAGE + 100..999 * PAGE + 108],
+            &[999u16 as u8 | 1; 8]
+        );
+    }
+
     #[test]
     fn dense_clean_lines_are_dropped_from_membership() {
         let mut media = vec![0u8; 64 * 4];
@@ -790,16 +835,48 @@ mod tests {
         }
     }
 
+    /// Rounds of write → flush → fence, each on one of the `PAGES` pages
+    /// and some left unflushed, so that more than a chunk's pages are freed
+    /// and handed to other words, whose partly written lines are seeded
+    /// from media over the previous word's bytes.
+    fn cycle_strategy() -> impl Strategy<Value = Vec<Op>> {
+        let round = (0..PAGES, 0..PAGE as u64, 1u64..200, any::<u8>(), 0u8..4).prop_map(
+            |(page, off, len, fill, flushed)| {
+                let at = page * PAGE as u64 + off;
+                let mut ops = vec![Op::Write {
+                    at,
+                    len,
+                    fill,
+                    other: false,
+                }];
+                if flushed != 0 {
+                    ops.push(Op::Flush {
+                        at,
+                        len,
+                        other: false,
+                    });
+                }
+                ops.push(Op::Fence);
+                ops
+            },
+        );
+        proptest::collection::vec(round, 17..48).prop_map(|rounds| rounds.concat())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
         /// The contract: after every step of a random write/flush/fence
         /// script, some of its stores and flushes issued on a spawned
-        /// thread, the dense model shows the reference's visible bytes,
-        /// durable media and crash-draw sequence.
+        /// thread, or of a script cycling pages through the free list, the
+        /// dense model shows the reference's visible bytes, durable media
+        /// and crash-draw sequence.
         #[test]
         fn line_cache_matches_the_reference_model(
-            ops in proptest::collection::vec(op_strategy(), 1..60)
+            ops in prop_oneof![
+                proptest::collection::vec(op_strategy(), 1..60),
+                cycle_strategy(),
+            ]
         ) {
             let mut pair = Pair::new(MEDIA as usize);
             for op in &ops {

@@ -55,7 +55,7 @@ fn run_one(backend: Backend) -> Result<(), Box<dyn std::error::Error>> {
     let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::new(backend))?;
     HashMap::register(&rt2);
     let report = rt2.recover()?;
-    let map2 = HashMap::open(rt2.app_root()?);
+    let map2 = HashMap::open(&pool2, rt2.app_root()?)?;
     println!(
         "recovered: {} keys (re-executed: {}, rolled back: {})",
         map2.len(&pool2)?,

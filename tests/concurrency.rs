@@ -26,26 +26,21 @@ fn hashmap_under_bucket_locks_from_many_threads() {
         HashMap::register(&rt);
         let map = HashMap::create(&rt).unwrap();
         // One rwlock per bucket, as the paper's hashmap uses.
-        let locks: Arc<Vec<RwLock<()>>> = Arc::new(
-            (0..clobber_repro::pds::hashmap::BUCKETS)
-                .map(|_| RwLock::new(()))
-                .collect(),
-        );
+        let buckets = map.buckets();
+        let locks: Arc<Vec<RwLock<()>>> = Arc::new((0..buckets).map(|_| RwLock::new(())).collect());
         crossbeam::scope(|s| {
             for t in 0..THREADS {
                 let (rt, map, locks) = (rt.clone(), map, locks.clone());
                 s.spawn(move |_| {
                     for i in 0..OPS_PER_THREAD {
                         let key = (t as u64) * OPS_PER_THREAD + i;
-                        let bucket =
-                            (map.lock_of(key) % clobber_repro::pds::hashmap::BUCKETS) as usize;
+                        let bucket = (map.lock_of(key) % buckets) as usize;
                         let _guard = locks[bucket].write();
                         map.insert(&rt, key, &key.to_le_bytes()).unwrap();
                     }
                     for i in 0..OPS_PER_THREAD {
                         let key = (t as u64) * OPS_PER_THREAD + i;
-                        let bucket =
-                            (map.lock_of(key) % clobber_repro::pds::hashmap::BUCKETS) as usize;
+                        let bucket = (map.lock_of(key) % buckets) as usize;
                         let _guard = locks[bucket].read();
                         assert_eq!(map.get(&rt, key).unwrap(), Some(key.to_le_bytes().to_vec()));
                     }

@@ -118,7 +118,7 @@ fn compiled_and_handwritten_transactions_share_a_pool() {
     assert!(report.reexecuted.len() <= 1);
 
     // Hashmap contents are a verified prefix.
-    let map2 = HashMap::open(rt2.app_root().unwrap());
+    let map2 = HashMap::open(&pool2, rt2.app_root().unwrap()).unwrap();
     for (k, v) in map2.dump(&pool2).unwrap() {
         assert_eq!(v, format!("v{k}").into_bytes());
     }
@@ -242,7 +242,8 @@ fn repeated_crashes_during_recovery_still_converge() {
             (pool, rt)
         }),
         check: Box::new(|pool, rt| {
-            let map = HashMap::open(rt.app_root().map_err(|e| e.to_string())?);
+            let root = rt.app_root().map_err(|e| e.to_string())?;
+            let map = HashMap::open(pool, root).map_err(|e| e.to_string())?;
             let pairs = map.dump(pool).map_err(|e| e.to_string())?;
             match pairs
                 .iter()
@@ -254,7 +255,7 @@ fn repeated_crashes_during_recovery_still_converge() {
         }),
     };
     fn inserts(rt: &Runtime) -> Steps<'_> {
-        let map = HashMap::open(rt.app_root().unwrap());
+        let map = HashMap::open(rt.pool(), rt.app_root().unwrap()).unwrap();
         Box::new((0..10u64).map(move |k| map.insert(rt, k, format!("v{k}").as_bytes())))
     }
     // Stops at the insert the crash kills.
