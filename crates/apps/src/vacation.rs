@@ -11,7 +11,7 @@
 //! count followed by `(kind, item, price)` triples.
 
 use clobber_nvm::{ArgList, ArgValue, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 use clobber_sim::LockRequest;
 use clobber_workloads::vacation::{Action, ResKind};
 
@@ -161,12 +161,14 @@ impl Vacation {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::CorruptVlog`] if the root fails validation.
+    /// Returns [`PmemError::CorruptPool`] if the app root holds no vacation
+    /// database header.
     pub fn open(rt: &Runtime) -> Result<Vacation, TxError> {
         let root = rt.app_root()?;
         let pool = rt.pool();
         if pool.read_u64(root)? != MAGIC {
-            return Err(TxError::CorruptVlog("vacation magic mismatch".into()));
+            let why = format!("no vacation database at {:#x}", root.offset());
+            return Err(PmemError::CorruptPool(why).into());
         }
         let kind = if pool.read_u64(root.add(T_KIND))? == 0 {
             TreeKind::RedBlack
@@ -556,5 +558,15 @@ mod tests {
         let v2 = Vacation::open(&rt2).unwrap();
         assert_eq!(v2.kind(), TreeKind::Avl);
         assert_eq!(v2.verify(&pool).unwrap(), 1);
+    }
+
+    #[test]
+    fn open_reports_a_wrong_root_magic_as_a_corrupt_pool() {
+        let (pool, rt, _v) = setup(TreeKind::RedBlack, Backend::clobber());
+        pool.write_u64(rt.app_root().unwrap(), 0).unwrap();
+        assert!(matches!(
+            Vacation::open(&rt),
+            Err(TxError::Pmem(PmemError::CorruptPool(_)))
+        ));
     }
 }

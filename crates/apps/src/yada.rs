@@ -20,7 +20,7 @@
 //! paper's 15°–30° sweep.
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
 use crate::geom::{
     self, circumcenter, encroaches, in_circumcircle, min_angle_deg, orient2d, Point,
@@ -248,11 +248,13 @@ impl Yada {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::CorruptVlog`] if the root fails validation.
+    /// Returns [`PmemError::CorruptPool`] if the app root holds no mesh
+    /// header.
     pub fn open(rt: &Runtime) -> Result<Yada, TxError> {
         let root = rt.app_root()?;
         if rt.pool().read_u64(root)? != MAGIC {
-            return Err(TxError::CorruptVlog("yada magic mismatch".into()));
+            let why = format!("no yada mesh at {:#x}", root.offset());
+            return Err(PmemError::CorruptPool(why).into());
         }
         Ok(Yada { root })
     }
@@ -818,5 +820,15 @@ mod tests {
         assert!(!stats.capped);
         y2.verify(&pool, true).unwrap();
         let _ = stats;
+    }
+
+    #[test]
+    fn open_reports_a_wrong_root_magic_as_a_corrupt_pool() {
+        let (pool, rt, _y) = setup(Backend::clobber(), 60, 20.0);
+        pool.write_u64(rt.app_root().unwrap(), 0).unwrap();
+        assert!(matches!(
+            Yada::open(&rt),
+            Err(TxError::Pmem(PmemError::CorruptPool(_)))
+        ));
     }
 }

@@ -197,9 +197,7 @@ pub fn run_mt_cell(
     threads: usize,
     ops_per_thread: usize,
 ) -> MtRow {
-    let pool = Arc::new(
-        PmemPool::create(PoolOptions::performance(64 << 20).with_shards(4)).expect("pool"),
-    );
+    let pool = Arc::new(PmemPool::create(PoolOptions::performance(64 << 20)).expect("pool"));
     // Group commit only helps when transactions overlap: the per-node
     // hashmap series commits in `threads`-wide epochs; everything behind a
     // single lock (the baseline, and the skiplist's native global lock)

@@ -1,5 +1,5 @@
 //! Counter-preservation regression: fixed-seed fig6/fig9-style runs must
-//! produce bit-identical `StatsSnapshot`s at every shard count and with a
+//! produce bit-identical `StatsSnapshot`s on every run and with a
 //! count-only fault plan armed, and the pinned counts must hold exactly.
 //!
 //! Every flush/fence/log accounting decision of the CrashSim substrate —
@@ -16,9 +16,7 @@ use clobber_kvnet::{
 };
 use clobber_nvm::{ArgList, Backend, LockRequest, RecoveryOptions, Runtime, RuntimeOptions};
 use clobber_pds::HashMap;
-use clobber_pmem::{
-    CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot, CACHE_LINE,
-};
+use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot};
 use clobber_workloads::{KvOp, Mix, Workload, WorkloadKind};
 
 const OPS: u64 = 400;
@@ -26,9 +24,8 @@ const VALUE_SIZE: usize = 256;
 const WORKLOAD_SEED: u64 = 42;
 const CRASH_SEED: u64 = 7;
 
-fn pool_with(shards: u32) -> Arc<PmemPool> {
-    let opts = PoolOptions::crash_sim(64 << 20).with_shards(shards);
-    Arc::new(PmemPool::create(opts).unwrap())
+fn pool() -> Arc<PmemPool> {
+    Arc::new(PmemPool::create(PoolOptions::crash_sim(64 << 20)).unwrap())
 }
 
 /// YCSB-Load into the hashmap on `pool`, optionally with a count-only
@@ -69,8 +66,8 @@ fn hashmap_load(
 #[test]
 fn armed_count_only_plan_leaves_counters_untouched() {
     let backend = Backend::clobber();
-    let (plain, plain_pairs) = hashmap_load(pool_with(1), backend, false);
-    let (armed, armed_pairs) = hashmap_load(pool_with(1), backend, true);
+    let (plain, plain_pairs) = hashmap_load(pool(), backend, false);
+    let (armed, armed_pairs) = hashmap_load(pool(), backend, true);
     let mut masked = armed;
     assert_eq!(masked.faults_armed, 1);
     assert_eq!(masked.faults_tripped, 0);
@@ -80,113 +77,101 @@ fn armed_count_only_plan_leaves_counters_untouched() {
     assert_eq!(armed_pairs, plain_pairs);
 }
 
-/// A pool of 4 or 16 shards must reproduce the one-shard pool's counters
-/// and recovered contents bit-for-bit on the same fixed workload.
+/// A second run must reproduce the first run's counters and recovered
+/// contents bit-for-bit on the same fixed workload.
 #[test]
-fn hashmap_load_counters_identical_across_shard_counts() {
+fn hashmap_load_counters_identical_across_runs() {
     for backend in [Backend::clobber(), Backend::Undo, Backend::Redo] {
-        let (one, one_pairs) = hashmap_load(pool_with(1), backend, false);
+        let (one, one_pairs) = hashmap_load(pool(), backend, false);
         assert_eq!(
             (one.faults_armed, one.faults_tripped, one.fault_retries),
             (0, 0, 0),
             "no fault activity in a plain run under {}",
             backend.label()
         );
-        for shards in [4, 16] {
-            let (snap, pairs) = hashmap_load(pool_with(shards), backend, false);
-            assert_eq!(
-                snap,
-                one,
-                "counters diverged under {} / {shards} shards",
-                backend.label()
-            );
-            assert_eq!(
-                pairs,
-                one_pairs,
-                "recovered contents diverged under {} / {shards} shards",
-                backend.label()
-            );
-        }
+        let (snap, pairs) = hashmap_load(pool(), backend, false);
+        assert_eq!(snap, one, "counters diverged under {}", backend.label());
+        assert_eq!(
+            pairs,
+            one_pairs,
+            "recovered contents diverged under {}",
+            backend.label()
+        );
     }
 }
 
 /// Per-log-kind attribution pins: the same fixed load must attribute
 /// clobber-log, redo-log, and v_log persistence traffic to the right
-/// counters — identically at every shard count (the bit-identical
-/// `StatsSnapshot` equality above already guarantees that agreement; this pins the
-/// *shape* those counters must have so a silent mis-attribution can't hide
-/// inside an equality that holds vacuously).
+/// counters (the bit-identical `StatsSnapshot` equality above already
+/// guarantees reruns agree; this pins the *shape* those counters must have
+/// so a silent mis-attribution can't hide inside an equality that holds
+/// vacuously).
 #[test]
 fn per_kind_log_counters_attribute_by_backend() {
-    for shards in [1, 4] {
-        let (clobber, _) = hashmap_load(pool_with(shards), Backend::clobber(), false);
-        assert!(
-            clobber.clog_flushes > 0 && clobber.clog_fences > 0,
-            "{shards} shards: clobber load must sync the clobber log: {clobber:?}"
-        );
-        assert_eq!(
-            (clobber.rlog_flushes, clobber.rlog_fences),
-            (0, 0),
-            "{shards} shards: clobber backend must not touch the redo log"
-        );
-        assert!(
-            clobber.vlog_flushes > 0 && clobber.vlog_fences == 0,
-            "{shards} shards: begin records are v_log traffic, ordered by the \
-             clobber log's syncs: {clobber:?}"
-        );
-        // Single-threaded load: every ordering request is its own epoch.
-        assert!(clobber.gc_epochs > 0);
-        assert_eq!(clobber.gc_fences_saved, 0);
-        assert!(clobber.gc_epochs <= clobber.fences);
+    let (clobber, _) = hashmap_load(pool(), Backend::clobber(), false);
+    assert!(
+        clobber.clog_flushes > 0 && clobber.clog_fences > 0,
+        "clobber load must sync the clobber log: {clobber:?}"
+    );
+    assert_eq!(
+        (clobber.rlog_flushes, clobber.rlog_fences),
+        (0, 0),
+        "clobber backend must not touch the redo log"
+    );
+    assert!(
+        clobber.vlog_flushes > 0 && clobber.vlog_fences == 0,
+        "begin records are v_log traffic, ordered by the \
+         clobber log's syncs: {clobber:?}"
+    );
+    // Single-threaded load: every ordering request is its own epoch.
+    assert!(clobber.gc_epochs > 0);
+    assert_eq!(clobber.gc_fences_saved, 0);
+    assert!(clobber.gc_epochs <= clobber.fences);
 
-        let (redo, _) = hashmap_load(pool_with(shards), Backend::Redo, false);
-        assert!(
-            redo.rlog_flushes > 0 && redo.rlog_fences > 0,
-            "{shards} shards: redo load must sync the redo log: {redo:?}"
-        );
-        assert_eq!(
-            (redo.clog_flushes, redo.clog_fences),
-            (0, 0),
-            "{shards} shards: redo backend must not touch the clobber log"
-        );
-    }
+    let (redo, _) = hashmap_load(pool(), Backend::Redo, false);
+    assert!(
+        redo.rlog_flushes > 0 && redo.rlog_fences > 0,
+        "redo load must sync the redo log: {redo:?}"
+    );
+    assert_eq!(
+        (redo.clog_flushes, redo.clog_fences),
+        (0, 0),
+        "redo backend must not touch the clobber log"
+    );
 }
 
 /// Golden allocator-counter pins: a fixed alloc/free/reserve/publish/cancel
-/// sequence must attribute exactly these counts — and identically at every
-/// shard count. `alloc_freelist`/`alloc_frontier` split where each block
+/// sequence must attribute exactly these counts. `alloc_freelist`/`alloc_frontier` split where each block
 /// came from; every reserve is one locked pop, so `magazine_hits` has no
 /// writer and stays 0.
 #[test]
-fn allocator_counters_pin_across_shard_counts() {
-    for shards in [1, 4, 16] {
-        let pool = pool_with(shards);
-        let before = pool.stats().snapshot();
-        let a = pool.alloc(64).unwrap(); // frontier
-        let b = pool.alloc(64).unwrap(); // frontier
-        pool.free(a).unwrap();
-        pool.free(b).unwrap();
-        let r1 = pool.reserve(64).unwrap(); // free list
-        let r2 = pool.reserve(64).unwrap(); // free list
-        let r3 = pool.reserve(64).unwrap(); // frontier (lists drained)
-        pool.publish(&[r1, r2]).unwrap();
-        pool.fence();
-        pool.cancel(&[r3]).unwrap();
-        let d = pool.stats().snapshot().delta(&before);
-        assert_eq!(
-            (d.allocs, d.frees, d.reserves, d.publishes, d.cancels),
-            (5, 2, 3, 1, 1),
-            "{shards} shards: {d:?}"
-        );
-        assert_eq!(
-            (d.alloc_freelist, d.alloc_frontier, d.magazine_hits),
-            (2, 3, 0),
-            "{shards} shards: {d:?}"
-        );
-        // Every shard count must hand out identical addresses too.
-        assert_eq!(r1, b, "LIFO pop order");
-        assert_eq!(r2, a, "LIFO pop order");
-    }
+fn allocator_counters_pin() {
+    let pool = pool();
+    let before = pool.stats().snapshot();
+    let a = pool.alloc(64).unwrap(); // frontier
+    let b = pool.alloc(64).unwrap(); // frontier
+    pool.free(a).unwrap();
+    pool.free(b).unwrap();
+    let r1 = pool.reserve(64).unwrap(); // free list
+    let r2 = pool.reserve(64).unwrap(); // free list
+    let r3 = pool.reserve(64).unwrap(); // frontier (lists drained)
+    pool.publish(&[r1, r2]).unwrap();
+    pool.fence();
+    pool.cancel(&[r3]).unwrap();
+    let d = pool.stats().snapshot().delta(&before);
+    assert_eq!(
+        (d.allocs, d.frees, d.reserves, d.publishes, d.cancels),
+        (5, 2, 3, 1, 1),
+        "{d:?}"
+    );
+    assert_eq!(
+        (d.alloc_freelist, d.alloc_frontier, d.magazine_hits),
+        (2, 3, 0),
+        "{d:?}"
+    );
+    // Pops hand out the freed blocks, newest first.
+    assert_eq!(r1, b, "LIFO pop order");
+    assert_eq!(r2, a, "LIFO pop order");
 }
 
 /// Cells mutated by the `rec_chain` txfunc in the recovery pins below.
@@ -208,10 +193,9 @@ fn register_rec_chain(rt: &Runtime) {
 
 /// A `rec_chain` run crashed at its last persist event — the fence that
 /// would clear its status word — as an adversarial crash image.
-fn interrupted_chain_image(shards: u32) -> Vec<u8> {
+fn interrupted_chain_image() -> Vec<u8> {
     let run = |plan: FaultPlan| {
-        let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
-        let pool = Arc::new(PmemPool::create(opts).unwrap());
+        let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
         let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
         let base = pool.alloc(8 * REC_CELLS).unwrap();
         for i in 0..REC_CELLS {
@@ -230,8 +214,8 @@ fn interrupted_chain_image(shards: u32) -> Vec<u8> {
     pool.crash_media(&CrashConfig::drop_all(9))
 }
 
-fn reopen_rec(image: Vec<u8>, shards: u32) -> (Arc<PmemPool>, Runtime) {
-    let pool = Arc::new(PmemPool::open_from_media_with(image, PoolMode::CrashSim, shards).unwrap());
+fn reopen_rec(image: Vec<u8>) -> (Arc<PmemPool>, Runtime) {
+    let pool = Arc::new(PmemPool::open_from_media(image, PoolMode::CrashSim).unwrap());
     let rt = Runtime::open(pool.clone(), RuntimeOptions::default()).unwrap();
     register_rec_chain(&rt);
     (pool, rt)
@@ -239,10 +223,9 @@ fn reopen_rec(image: Vec<u8>, shards: u32) -> (Arc<PmemPool>, Runtime) {
 
 /// Golden recovery-observability pins: the same fixed interrupted
 /// transaction — recovered cleanly, and restarted after a crash *inside*
-/// recovery — must attribute exactly these `rec_*` counts and fences,
-/// identically at every shard count.
+/// recovery — must attribute exactly these `rec_*` counts and fences.
 #[test]
-fn recovery_counters_pin_across_shard_counts() {
+fn recovery_counters_pin() {
     let no_wait = RecoveryOptions::default().no_wait();
     let rec_cells = |pool: &PmemPool, rt: &Runtime| {
         let base = rt.app_root().unwrap();
@@ -251,106 +234,101 @@ fn recovery_counters_pin_across_shard_counts() {
             .collect::<Vec<_>>()
     };
     let committed: Vec<u64> = (0..REC_CELLS).map(|i| 100 + 2 * i + 1).collect();
-    for shards in [1, 4] {
-        let image = interrupted_chain_image(shards);
+    let image = interrupted_chain_image();
 
-        // A clean scan: one slot, one re-execution. Its fences: the
-        // rollback's, the truncation's, the replay's one log sync, its
-        // commit's and the status clear's.
-        let (pool, rt) = reopen_rec(image.clone(), shards);
-        let before = pool.stats().snapshot();
-        rt.recover_with(&no_wait).unwrap();
-        let s = pool.stats().snapshot().delta(&before);
-        assert_eq!(
-            (
-                s.rec_slots_scanned,
-                s.rec_reexecuted,
-                s.fences,
-                s.clog_fences,
-                s.vlog_fences,
-            ),
-            (1, 1, 5, 1, 0),
-            "clean scan under {shards} shards: {s:?}"
-        );
-        assert_eq!(rec_cells(&pool, &rt), committed);
+    // A clean scan: one slot, one re-execution. Its fences: the
+    // rollback's, the truncation's, the replay's one log sync, its
+    // commit's and the status clear's.
+    let (pool, rt) = reopen_rec(image.clone());
+    let before = pool.stats().snapshot();
+    rt.recover_with(&no_wait).unwrap();
+    let s = pool.stats().snapshot().delta(&before);
+    assert_eq!(
+        (
+            s.rec_slots_scanned,
+            s.rec_reexecuted,
+            s.fences,
+            s.clog_fences,
+            s.vlog_fences,
+        ),
+        (1, 1, 5, 1, 0),
+        "clean scan: {s:?}"
+    );
+    assert_eq!(rec_cells(&pool, &rt), committed);
 
-        // Crash that scan at a fixed persist event, after the replay's log
-        // sync and its first deferred store: the next scan rolls back and
-        // re-runs the chain from the top, once.
-        let (pool_c, rt_c) = reopen_rec(image, shards);
-        pool_c.arm_faults(FaultPlan::crash_at(REC_RESTART_AT));
-        let _ = rt_c.recover_with(&no_wait);
-        assert_eq!(pool_c.fault_tripped(), Some(REC_RESTART_AT));
-        let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xEC));
-        let (pool_r, rt_r) = reopen_rec(crashed, shards);
-        let report = rt_r.recover_with(&no_wait).unwrap();
-        let r = pool_r.stats().snapshot();
-        assert_eq!(
-            (r.rec_slots_scanned, r.rec_reexecuted),
-            (1, 1),
-            "restarted scan under {shards} shards: {r:?}"
-        );
-        assert_eq!(report.clobber_entries_applied, REC_CELLS, "{report:?}");
-        assert_eq!(rec_cells(&pool_r, &rt_r), committed);
-    }
+    // Crash that scan at a fixed persist event, after the replay's log
+    // sync and its first deferred store: the next scan rolls back and
+    // re-runs the chain from the top, once.
+    let (pool_c, rt_c) = reopen_rec(image);
+    pool_c.arm_faults(FaultPlan::crash_at(REC_RESTART_AT));
+    let _ = rt_c.recover_with(&no_wait);
+    assert_eq!(pool_c.fault_tripped(), Some(REC_RESTART_AT));
+    let crashed = pool_c.crash_media(&CrashConfig::drop_all(0xEC));
+    let (pool_r, rt_r) = reopen_rec(crashed);
+    let report = rt_r.recover_with(&no_wait).unwrap();
+    let r = pool_r.stats().snapshot();
+    assert_eq!(
+        (r.rec_slots_scanned, r.rec_reexecuted),
+        (1, 1),
+        "restarted scan: {r:?}"
+    );
+    assert_eq!(report.clobber_entries_applied, REC_CELLS, "{report:?}");
+    assert_eq!(rec_cells(&pool_r, &rt_r), committed);
 }
 
 /// Golden lock-manager pins: a fixed single-threaded sequence of locked
 /// transactions, multi-lock sets, shared holds and a refused `try_acquire`
-/// must attribute exactly these `lock_*` counts — identically at every
-/// shard count. Counter contract: `lock_acquisitions` is per granted *set*,
+/// must attribute exactly these `lock_*` counts. Counter contract: `lock_acquisitions` is per granted *set*,
 /// `lock_read_holds` / `lock_write_holds` per individual lock by mode,
 /// `lock_conflicts` per refused try, and
 /// `lock_waits` per blocking acquire that actually queued (zero here —
 /// everything is single-threaded).
 #[test]
-fn lock_counters_pin_across_shard_counts() {
-    for shards in [1, 4] {
-        let pool = pool_with(shards);
-        let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
-        HashMap::register(&rt);
-        let map = HashMap::create(&rt).unwrap();
-        let before = pool.stats().snapshot();
+fn lock_counters_pin() {
+    let pool = pool();
+    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+    HashMap::register(&rt);
+    let map = HashMap::create(&rt).unwrap();
+    let before = pool.stats().snapshot();
 
-        // One locked transaction through the runtime (acq 1, wh 1).
-        map.insert_sync(&rt, 1, b"pinned").unwrap();
-        // A multi-lock exclusive set (acq 2, wh 3).
-        drop(rt.locks().acquire(
-            &pool,
-            &[LockRequest::exclusive(100), LockRequest::exclusive(101)],
-        ));
-        // Two shared holders of one lock.
-        let a = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 3, rh 1
-        let b = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 4, rh 2
-        drop(b);
-        drop(a);
-        // A refused wait-die probe (acq 5, wh 4, conflict 1).
-        let h = rt.locks().acquire(&pool, &[LockRequest::exclusive(9)]);
-        assert!(rt
-            .locks()
-            .try_acquire(&pool, &[LockRequest::exclusive(9)])
-            .is_err());
-        drop(h);
+    // One locked transaction through the runtime (acq 1, wh 1).
+    map.insert_sync(&rt, 1, b"pinned").unwrap();
+    // A multi-lock exclusive set (acq 2, wh 3).
+    drop(rt.locks().acquire(
+        &pool,
+        &[LockRequest::exclusive(100), LockRequest::exclusive(101)],
+    ));
+    // Two shared holders of one lock.
+    let a = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 3, rh 1
+    let b = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 4, rh 2
+    drop(b);
+    drop(a);
+    // A refused wait-die probe (acq 5, wh 4, conflict 1).
+    let h = rt.locks().acquire(&pool, &[LockRequest::exclusive(9)]);
+    assert!(rt
+        .locks()
+        .try_acquire(&pool, &[LockRequest::exclusive(9)])
+        .is_err());
+    drop(h);
 
-        let d = pool.stats().snapshot().delta(&before);
-        assert_eq!(
-            (
-                d.lock_acquisitions,
-                d.lock_read_holds,
-                d.lock_write_holds,
-                d.lock_conflicts,
-                d.lock_waits,
-            ),
-            (5, 2, 4, 1, 0),
-            "{shards} shards: {d:?}"
-        );
-        assert!(rt.locks().is_idle(), "{shards} shards: guards all released");
-    }
+    let d = pool.stats().snapshot().delta(&before);
+    assert_eq!(
+        (
+            d.lock_acquisitions,
+            d.lock_read_holds,
+            d.lock_write_holds,
+            d.lock_conflicts,
+            d.lock_waits,
+        ),
+        (5, 2, 4, 1, 0),
+        "{d:?}"
+    );
+    assert!(rt.locks().is_idle(), "guards all released");
 }
 
 /// Golden service-counter pins: a fixed simulated client population under
 /// deliberately tight admission caps must attribute exactly these `net_*`
-/// counts — identically at every shard count. Counter contract: `net_accepted`
+/// counts. Counter contract: `net_accepted`
 /// is per admitted request (a shed request re-admits when its resubmission
 /// succeeds, so accepted > completed is impossible but accepted ==
 /// completed + still-inflight is), `net_shed` per typed `Overloaded`
@@ -358,60 +336,54 @@ fn lock_counters_pin_across_shard_counts() {
 /// `net_batched` (writes, batched into ONE locked transaction per drain)
 /// or `net_snapshot_reads` (reads off the volatile cache, no transaction).
 #[test]
-fn net_counters_pin_across_shard_counts() {
-    for shards in [1, 4] {
-        let pool = pool_with(shards);
-        let rt = Arc::new(Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap());
-        let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
-        let mut svc = KvService::new(rt, server);
-        let mut adm = Admission::new(AdmissionConfig {
-            per_conn_window: 1,
-            global_cap: 2,
-        });
-        let cfg = SimNetConfig {
-            clients: 4,
-            requests_per_client: 4,
-            key_space: 32,
-            seed: 5,
-            mix: Mix::InsertMost,
-            zipf_theta: Some(0.9),
-            window: 1,
-            think_ns: 500,
-            shed_backoff_ns: 20_000,
-        };
-        let before = pool.stats().snapshot();
-        let mut net = SimNet::new(&cfg).with_window(1);
-        serve(
-            &mut svc,
-            &mut adm,
-            &mut net,
-            &ServeConfig {
-                max_batch: 8,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let d = pool.stats().snapshot().delta(&before);
-        assert_eq!(
-            (
-                d.net_accepted,
-                d.net_shed,
-                d.net_batched,
-                d.net_snapshot_reads
-            ),
-            (16, 1, 9, 7),
-            "{shards} shards: {d:?}"
-        );
-        // Accounting closes: accepted requests split exactly between the
-        // batched-write and snapshot-read paths, and all 16 completed.
-        assert_eq!(d.net_accepted, d.net_batched + d.net_snapshot_reads);
-        let report = net.report();
-        assert_eq!(
-            (report.completed, report.shed),
-            (16, 1),
-            "{shards} shards: {report:?}"
-        );
-    }
+fn net_counters_pin() {
+    let pool = pool();
+    let rt = Arc::new(Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap());
+    let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
+    let mut svc = KvService::new(rt, server);
+    let mut adm = Admission::new(AdmissionConfig {
+        per_conn_window: 1,
+        global_cap: 2,
+    });
+    let cfg = SimNetConfig {
+        clients: 4,
+        requests_per_client: 4,
+        key_space: 32,
+        seed: 5,
+        mix: Mix::InsertMost,
+        zipf_theta: Some(0.9),
+        window: 1,
+        think_ns: 500,
+        shed_backoff_ns: 20_000,
+    };
+    let before = pool.stats().snapshot();
+    let mut net = SimNet::new(&cfg).with_window(1);
+    serve(
+        &mut svc,
+        &mut adm,
+        &mut net,
+        &ServeConfig {
+            max_batch: 8,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let d = pool.stats().snapshot().delta(&before);
+    assert_eq!(
+        (
+            d.net_accepted,
+            d.net_shed,
+            d.net_batched,
+            d.net_snapshot_reads
+        ),
+        (16, 1, 9, 7),
+        "{d:?}"
+    );
+    // Accounting closes: accepted requests split exactly between the
+    // batched-write and snapshot-read paths, and all 16 completed.
+    assert_eq!(d.net_accepted, d.net_batched + d.net_snapshot_reads);
+    let report = net.report();
+    assert_eq!((report.completed, report.shed), (16, 1), "{report:?}");
 }
 
 /// One `TX_BATCH_SET` of 16 keys over 4 096 preloaded keys — the
@@ -447,7 +419,7 @@ fn batch_set_counters_pin() {
         (Backend::clobber_conservative(), (4, 32, 77, 3, 210)),
         (Backend::Undo, (35, 1176, 137, 38, 241)),
     ] {
-        let pool = pool_with(1);
+        let pool = pool();
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(backend)).unwrap();
         HashMap::register(&rt);
         let map = HashMap::create(&rt).unwrap();
@@ -499,7 +471,7 @@ fn batch_set_counters_pin() {
 #[test]
 fn batch_set_store_buffer_overflow_pin() {
     for (size, flushes) in [(64usize, 60), (72, 62), (128, 94)] {
-        let pool = pool_with(1);
+        let pool = pool();
         let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
         HashMap::register(&rt);
         let map = HashMap::create(&rt).unwrap();
@@ -521,109 +493,4 @@ fn batch_set_store_buffer_overflow_pin() {
             assert_eq!(map.get(&rt, *key).unwrap().as_ref(), Some(value));
         }
     }
-}
-
-/// Golden per-shard pins: a fixed raw store/flush/fence pattern on a
-/// 4-shard pool must attribute exactly these counts to each shard bank, and
-/// the banks must sum to the aggregated snapshot. Shard geometry: 1 MiB /
-/// 4 = 256 KiB per shard, line-aligned, so the offsets below land where the
-/// comments say.
-#[test]
-fn sharded_per_shard_counters_pin() {
-    let opts = PoolOptions::crash_sim(1 << 20).with_shards(4);
-    let pool = PmemPool::create(opts).unwrap();
-    let shard_bytes: u64 = (1 << 20) / 4;
-    assert_eq!(pool.shard_count(), 4);
-    let base = pool.alloc(768 << 10).unwrap();
-    let before: Vec<StatsSnapshot> = pool.stats().shard_snapshots();
-    let agg_before = pool.stats().snapshot();
-
-    // Offsets are pool-global; `base` is inside shard 0 (the allocator
-    // serves from the pool head), so aim each op by absolute shard.
-    let in_shard = |s: u64, off: u64| {
-        let abs = s * shard_bytes + off;
-        assert!(abs >= base.offset(), "workload must stay inside the block");
-        clobber_pmem::PAddr::new(abs)
-    };
-    let line = [0x11u8; CACHE_LINE as usize];
-
-    // Shard 1: two single-line stores, one flushed (1 line).
-    pool.write_bytes(in_shard(1, 0), &line).unwrap();
-    pool.write_bytes(in_shard(1, CACHE_LINE), &line).unwrap();
-    pool.flush(in_shard(1, 0), CACHE_LINE).unwrap();
-    // Shard 2: one 3-line store, all flushed (3 lines).
-    let big = [0x22u8; 3 * CACHE_LINE as usize];
-    pool.write_bytes(in_shard(2, 0), &big).unwrap();
-    pool.flush(in_shard(2, 0), 3 * CACHE_LINE).unwrap();
-    // Boundary store straddling shards 2→3: attributed to shard 2 (first
-    // byte), its flush splits 1 line to shard 2 and 1 line to shard 3.
-    pool.write_bytes(in_shard(2, shard_bytes - CACHE_LINE), &[0x33u8; 128])
-        .unwrap();
-    pool.flush(in_shard(2, shard_bytes - CACHE_LINE), 128)
-        .unwrap();
-    // One fence: attributed to shard 0.
-    pool.fence();
-    // Shard 3: a read (one op, CACHE_LINE bytes).
-    pool.read_bytes(in_shard(3, 0), CACHE_LINE).unwrap();
-
-    let after: Vec<StatsSnapshot> = pool.stats().shard_snapshots();
-    let delta: Vec<StatsSnapshot> = after.iter().zip(&before).map(|(a, b)| a.delta(b)).collect();
-
-    // Shard 0: only the fence.
-    assert_eq!(
-        (
-            delta[0].writes,
-            delta[0].flushes,
-            delta[0].fences,
-            delta[0].reads
-        ),
-        (0, 0, 1, 0),
-        "shard 0: {:?}",
-        delta[0]
-    );
-    // Shard 1: 2 stores of 64 B, 1 flushed line.
-    assert_eq!(
-        (delta[1].writes, delta[1].write_bytes, delta[1].flushes),
-        (2, 128, 1),
-        "shard 1: {:?}",
-        delta[1]
-    );
-    // Shard 2: 3-line store + boundary store (full 128 B attributed here),
-    // 3 + 1 flushed lines.
-    assert_eq!(
-        (delta[2].writes, delta[2].write_bytes, delta[2].flushes),
-        (2, 192 + 128, 4),
-        "shard 2: {:?}",
-        delta[2]
-    );
-    // Shard 3: the spilled flush line and the read.
-    assert_eq!(
-        (
-            delta[3].writes,
-            delta[3].flushes,
-            delta[3].reads,
-            delta[3].read_bytes
-        ),
-        (0, 1, 1, CACHE_LINE),
-        "shard 3: {:?}",
-        delta[3]
-    );
-
-    // Aggregation: summed banks equal the snapshot's hot fields.
-    let agg = pool.stats().snapshot().delta(&agg_before);
-    let sums = delta.iter().fold(StatsSnapshot::default(), |mut acc, d| {
-        acc.flushes += d.flushes;
-        acc.fences += d.fences;
-        acc.writes += d.writes;
-        acc.write_bytes += d.write_bytes;
-        acc.reads += d.reads;
-        acc.read_bytes += d.read_bytes;
-        acc
-    });
-    assert_eq!(agg.flushes, sums.flushes);
-    assert_eq!(agg.fences, sums.fences);
-    assert_eq!(agg.writes, sums.writes);
-    assert_eq!(agg.write_bytes, sums.write_bytes);
-    assert_eq!(agg.reads, sums.reads);
-    assert_eq!(agg.read_bytes, sums.read_bytes);
 }

@@ -26,9 +26,9 @@
 //!   group-commit-epoch boundaries (each commit closes an epoch), so this
 //!   is reordering at epoch granularity.
 //! * **Crash-prefix planting.** Within one interleaving, every persist
-//!   event — i.e. every acquisition of the pool's fault mutex, which is
-//!   taken under the shard locks' canonical order — is a preemption point
-//!   for the crash adversary: `crash_at(k)` for each explored prefix `k`.
+//!   event — i.e. every acquisition of the pool's fault mutex, taken
+//!   before the pool's engine lock — is a preemption point for the crash
+//!   adversary: `crash_at(k)` for each explored prefix `k`.
 //! * **Bounded preemption.** [`ExploreOptions::preemption_bound`] caps
 //!   how many times the enumeration may switch away from a slot that
 //!   still has ops to run (CHESS-style iterative context bounding):
@@ -54,7 +54,7 @@
 //! and every candidate runs on a fresh pool with slots pre-created in
 //! canonical order — so the same seed schedule + budget yields the
 //! identical [`ExploreReport`] (explored list, outcome hashes and counts)
-//! on every shard count. A run that exhausts
+//! on every run. A run that exhausts
 //! [`ExploreOptions::max_schedules`] (or stops at
 //! [`ExploreOptions::max_failures`]) reports the decision-vector
 //! [`ExploreReport::frontier`] of its last executed candidate; passing it
@@ -170,14 +170,14 @@ pub type BuildFn<'a> = Box<dyn Fn() -> (Arc<PmemPool>, Runtime) + 'a>;
 /// `recover_with` (txfuncs registered, nothing else run).
 pub type ReopenFn<'a> = Box<dyn Fn(Vec<u8>) -> (Arc<PmemPool>, Runtime) + 'a>;
 
-/// The usual first half of a [`ReopenFn`]: `media` as a crash-sim pool at
-/// `shards` shards with a runtime on `opts`; the caller registers txfuncs.
+/// The usual first half of a [`ReopenFn`]: `media` as a crash-sim pool
+/// with a runtime on `opts`; the caller registers txfuncs.
 ///
 /// # Panics
 ///
 /// If the image does not open — it is one a pool of this workload left.
-pub fn reopen_media(media: Vec<u8>, shards: u32, opts: RuntimeOptions) -> (Arc<PmemPool>, Runtime) {
-    let pool = PmemPool::open_from_media_with(media, PoolMode::CrashSim, shards);
+pub fn reopen_media(media: Vec<u8>, opts: RuntimeOptions) -> (Arc<PmemPool>, Runtime) {
+    let pool = PmemPool::open_from_media(media, PoolMode::CrashSim);
     let pool = Arc::new(pool.expect("a crashed image reopens"));
     let rt = Runtime::open(pool.clone(), opts).expect("a runtime reopens on its own pool");
     (pool, rt)

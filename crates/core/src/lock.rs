@@ -31,8 +31,7 @@
 //! [`StatsSnapshot`](clobber_pmem::StatsSnapshot).
 //!
 //! Lock ordering with the rest of the runtime: lock manager first, then
-//! the allocator mirror, then pool shards in ascending order — never
-//! inverted (DESIGN.md item 14). The manager itself takes no pool or
+//! the allocator mirror, then the pool engine — never inverted (DESIGN.md item 14). The manager itself takes no pool or
 //! allocator lock while holding its own mutex; trace/stat emission happens
 //! on lock-free paths.
 //!

@@ -18,8 +18,6 @@ use common::{
     explore_base, explore_check, explore_reopen, explore_setup, transfer_op, FLAG_OFFSET,
 };
 
-const SHARDS: u32 = 1;
-
 /// Two more injected faults beside `common`'s conservation bug. `underflow`
 /// stores 24 bytes *before* the account array, onto its allocator block
 /// header: balances still add up, only the heap walk sees the unknown
@@ -44,12 +42,12 @@ fn register_faults(rt: &Runtime) {
 fn session(check: CheckFn<'static>) -> ExploreSession<'static> {
     ExploreSession {
         build: Box::new(|| {
-            let (pool, rt, _) = explore_setup(SHARDS, true);
+            let (pool, rt, _) = explore_setup(true);
             register_faults(&rt);
             (pool, rt)
         }),
         reopen: Box::new(|media| {
-            let (pool, rt) = explore_reopen(media, SHARDS, true);
+            let (pool, rt) = explore_reopen(media, true);
             register_faults(&rt);
             (pool, rt)
         }),
@@ -62,12 +60,12 @@ fn op(name: &str) -> ScheduleOp {
     ScheduleOp {
         slot: 0,
         name: name.to_string(),
-        args: ArgList::new().with_u64(explore_base(SHARDS).offset()),
+        args: ArgList::new().with_u64(explore_base().offset()),
     }
 }
 
 fn transfer(slot: usize, step: (u64, u64, u64)) -> ScheduleOp {
-    transfer_op(explore_base(SHARDS), slot, step)
+    transfer_op(explore_base(), slot, step)
 }
 
 /// Runs `f` with a battery that replays `ops` over `session`.
@@ -257,7 +255,7 @@ fn a_block_freed_by_its_own_transaction_never_reaches_the_heap_walk() {
     // Slot 0 exists before the run, so the allocated-block count moves with
     // the transaction alone.
     let build = || {
-        let (pool, rt, _) = explore_setup(SHARDS, false);
+        let (pool, rt, _) = explore_setup(false);
         register_keep_second(&rt);
         rt.slot_handle(0).unwrap();
         (pool, rt)
@@ -266,7 +264,7 @@ fn a_block_freed_by_its_own_transaction_never_reaches_the_heap_walk() {
     let bank = ExploreSession {
         build: Box::new(build),
         reopen: Box::new(|media| {
-            let (pool, rt) = explore_reopen(media, SHARDS, false);
+            let (pool, rt) = explore_reopen(media, false);
             register_keep_second(&rt);
             (pool, rt)
         }),

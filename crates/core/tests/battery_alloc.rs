@@ -60,7 +60,7 @@ const CAPACITY: u64 = 1 << 20;
 /// moment its recovered pool is served to the same moment of the next, and
 /// the first two (which size the recycled buffers) are left out.
 fn worst_point(nested: Nested) -> f64 {
-    let session = common::bank_session(Backend::clobber(), 1);
+    let session = common::bank_session(Backend::clobber());
     let battery = CrashBattery {
         session: &session,
         drive: &common::drive_script,

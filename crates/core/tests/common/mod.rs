@@ -61,15 +61,7 @@ fn sweep_options(backend: Backend) -> RuntimeOptions {
 /// Creates a fresh pool + runtime with the bank initialized and durable.
 /// Identical across calls, so persist-event streams replay exactly.
 pub fn setup(backend: Backend) -> (Arc<PmemPool>, Runtime, PAddr) {
-    setup_with(backend, 1)
-}
-
-/// [`setup`] on a pool of `shards` shards. The persist-event stream is
-/// identical at every shard count (the ordering contract), so sweeps
-/// parameterized this way must agree event-for-event.
-pub fn setup_with(backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtime, PAddr) {
-    let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), sweep_options(backend)).unwrap();
     register_transfer(&rt);
     let base = pool.alloc(ACCOUNTS * 8).unwrap();
@@ -83,12 +75,7 @@ pub fn setup_with(backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtime, PAd
 
 /// Reopens crashed media with a runtime ready to recover.
 pub fn reopen(media: Vec<u8>, backend: Backend) -> (Arc<PmemPool>, Runtime) {
-    reopen_with(media, backend, 1)
-}
-
-/// [`reopen`] on a pool of `shards` shards.
-pub fn reopen_with(media: Vec<u8>, backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtime) {
-    let (pool, rt) = reopen_media(media, shards, sweep_options(backend));
+    let (pool, rt) = reopen_media(media, sweep_options(backend));
     register_transfer(&rt);
     (pool, rt)
 }
@@ -114,13 +101,13 @@ pub fn run_script(rt: &Runtime, base: PAddr) -> Result<(), TxError> {
 
 /// The transfer-script bank as a battery workload: fresh bank, reopen with
 /// `transfer` registered, conservation as the invariant.
-pub fn bank_session(backend: Backend, shards: u32) -> ExploreSession<'static> {
+pub fn bank_session(backend: Backend) -> ExploreSession<'static> {
     ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _) = setup_with(backend, shards);
+            let (pool, rt, _) = setup(backend);
             (pool, rt)
         }),
-        reopen: Box::new(move |media| reopen_with(media, backend, shards)),
+        reopen: Box::new(move |media| reopen(media, backend)),
         check: Box::new(explore_check),
     }
 }
@@ -142,7 +129,7 @@ pub fn drive_script(rt: &Arc<Runtime>) {
 
 /// Counts the persist events the script issues under `backend`.
 pub fn count_script_events(backend: Backend) -> u64 {
-    let session = bank_session(backend, 1);
+    let session = bank_session(backend);
     let battery = CrashBattery {
         session: &session,
         drive: &drive_script,
@@ -171,16 +158,7 @@ pub fn sweep_clean(
 /// `stride`-th persist event of the script, with `nested` deciding whether
 /// recovery itself is crashed too. Each recovered bank keeps serving.
 pub fn sweep(backend: Backend, stride: u64, nested: Nested) -> SweepSummary {
-    sweep_with(backend, stride, nested, 1)
-}
-
-/// [`sweep`] with every pool in the pipeline (workload, recovery, nested
-/// recovery) running at `shards` shards. Persist-event numbering is
-/// shard-count-invariant, so the returned summary must be identical
-/// across shard counts for the same `(backend, stride, nested)` — callers
-/// assert exactly that.
-pub fn sweep_with(backend: Backend, stride: u64, nested: Nested, shards: u32) -> SweepSummary {
-    let session = bank_session(backend, shards);
+    let session = bank_session(backend);
     let battery = CrashBattery {
         session: &session,
         drive: &drive_script,
@@ -235,9 +213,8 @@ pub fn register_regrow(rt: &Runtime) {
 
 /// Fresh pool + runtime with the regrow root (`[ptr, cells]`) and initial
 /// list durable. Deterministic, so persist-event streams replay exactly.
-pub fn setup_regrow(backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtime, PAddr) {
-    let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+pub fn setup_regrow(backend: Backend) -> (Arc<PmemPool>, Runtime, PAddr) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), sweep_options(backend)).unwrap();
     register_regrow(&rt);
     let base = pool.alloc(16).unwrap();
@@ -282,14 +259,14 @@ fn check_regrow_list(pool: &PmemPool, rt: &Runtime) -> Result<(), String> {
 /// the battery at every `stride`-th persist event (so allocator metadata
 /// is heap-walked at every crash point, not just on the happy path), and
 /// the recovered heap keeps serving growing reallocations.
-pub fn sweep_regrow(backend: Backend, stride: u64, shards: u32) -> SweepSummary {
+pub fn sweep_regrow(backend: Backend, stride: u64) -> SweepSummary {
     let session = ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _) = setup_regrow(backend, shards);
+            let (pool, rt, _) = setup_regrow(backend);
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, shards, sweep_options(backend));
+            let (pool, rt) = reopen_media(media, sweep_options(backend));
             register_regrow(&rt);
             (pool, rt)
         }),
@@ -414,10 +391,9 @@ pub fn write_undecodable_begin(pool: &PmemPool, slot: &VlogSlot) {
 }
 
 /// Runs the full script with a tracer attached (no faults armed) and
-/// returns the captured trace. Under the persist-event ordering contract
-/// the result is bit-identical at every shard count.
-pub fn traced_script_run(backend: Backend, shards: u32) -> clobber_pmem::Trace {
-    let (pool, rt, base) = setup_with(backend, shards);
+/// returns the captured trace.
+pub fn traced_script_run(backend: Backend) -> clobber_pmem::Trace {
+    let (pool, rt, base) = setup(backend);
     let tracer = Arc::new(clobber_pmem::Tracer::new());
     pool.set_tracer(Some(tracer.clone()));
     run_script(&rt, base).expect("traced run must not fail");
@@ -428,8 +404,8 @@ pub fn traced_script_run(backend: Backend, shards: u32) -> clobber_pmem::Trace {
 /// Runs the script with a crash armed at event `k` and a tracer attached
 /// *after* arming (so trace sequence numbers match untraced trip indices);
 /// returns the trace recorded up to the trip.
-pub fn traced_crash_at(backend: Backend, shards: u32, k: u64) -> clobber_pmem::Trace {
-    let (pool, rt, base) = setup_with(backend, shards);
+pub fn traced_crash_at(backend: Backend, k: u64) -> clobber_pmem::Trace {
+    let (pool, rt, base) = setup(backend);
     pool.arm_faults(clobber_pmem::FaultPlan::crash_at(k));
     let tracer = Arc::new(clobber_pmem::Tracer::new());
     pool.set_tracer(Some(tracer.clone()));
@@ -482,9 +458,8 @@ pub fn register_explore_extras(rt: &Runtime) {
 /// cell, `buggy` additionally registering the ordering-bug txfuncs. The
 /// pool is bigger than the sweep pool because explored schedules span two
 /// v_log slots.
-pub fn explore_setup(shards: u32, buggy: bool) -> (Arc<PmemPool>, Runtime, PAddr) {
-    let opts = PoolOptions::crash_sim(2 << 20).with_shards(shards);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+pub fn explore_setup(buggy: bool) -> (Arc<PmemPool>, Runtime, PAddr) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(2 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), sweep_options(Backend::clobber())).unwrap();
     register_transfer(&rt);
     if buggy {
@@ -501,8 +476,8 @@ pub fn explore_setup(shards: u32, buggy: bool) -> (Arc<PmemPool>, Runtime, PAddr
 }
 
 /// Reopens crashed explore media ready for recovery.
-pub fn explore_reopen(media: Vec<u8>, shards: u32, buggy: bool) -> (Arc<PmemPool>, Runtime) {
-    let (pool, rt) = reopen_with(media, Backend::clobber(), shards);
+pub fn explore_reopen(media: Vec<u8>, buggy: bool) -> (Arc<PmemPool>, Runtime) {
+    let (pool, rt) = reopen(media, Backend::clobber());
     if buggy {
         register_explore_extras(&rt);
     }
@@ -526,20 +501,20 @@ pub fn explore_check(pool: &PmemPool, rt: &Runtime) -> Result<(), String> {
 }
 
 /// Packages the explore harness as an [`ExploreSession`].
-pub fn explore_session(shards: u32, buggy: bool) -> ExploreSession<'static> {
+pub fn explore_session(buggy: bool) -> ExploreSession<'static> {
     ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _) = explore_setup(shards, buggy);
+            let (pool, rt, _) = explore_setup(buggy);
             (pool, rt)
         }),
-        reopen: Box::new(move |media| explore_reopen(media, shards, buggy)),
+        reopen: Box::new(move |media| explore_reopen(media, buggy)),
         check: Box::new(explore_check),
     }
 }
 
 /// The deterministic base address every [`explore_setup`] produces.
-pub fn explore_base(shards: u32) -> PAddr {
-    let (_pool, _rt, base) = explore_setup(shards, false);
+pub fn explore_base() -> PAddr {
+    let (_pool, _rt, base) = explore_setup(false);
     base
 }
 

@@ -1,28 +1,20 @@
-//! Multi-thread stress test for the sharded pool: N threads run
-//! transactions on disjoint account regions and disjoint v_log slots of one
-//! sharded pool, the pool takes a seeded power failure, and recovery must
-//! restore conservation. Along the way the per-shard statistics banks must
-//! aggregate exactly: summing [`shard_snapshots`] reproduces the hot fields
-//! of [`snapshot`] — the invariant that makes per-shard counters free of
-//! double counting and loss under real concurrency.
+//! Multi-thread stress test for the pool: N threads run transactions on
+//! disjoint account regions and disjoint v_log slots of one pool, the pool
+//! takes a seeded power failure, and recovery must restore conservation.
 //!
-//! A pool keeps its hot counters with plain load+store pairs under the
-//! owning shard's lock (fences excepted: a performance-mode fence takes no
-//! lock, so they are atomic adds); a second case hammers pools of 1 and 4
-//! shards from racing threads and requires the totals to be exact, so a
-//! counter updated outside that rule loses increments here rather than
-//! skewing a figure.
+//! A pool keeps its hot counters with plain load+store pairs under its
+//! engine lock (fences excepted: a performance-mode fence takes no lock, so
+//! they are atomic adds); a second case hammers a pool from racing threads
+//! and requires the totals to be exact, so a counter updated outside that
+//! rule loses increments here rather than skewing a figure.
 //!
 //! The seed comes from `CLOBBER_STRESS_SEED` (default 42) so CI can run a
 //! seed matrix without recompiling.
-//!
-//! [`shard_snapshots`]: clobber_pmem::PmemStats::shard_snapshots
-//! [`snapshot`]: clobber_pmem::PmemStats::snapshot
 
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Runtime, RuntimeOptions};
-use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot};
+use clobber_pmem::{CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +22,6 @@ const THREADS: usize = 4;
 const ACCTS_PER_THREAD: u64 = 8;
 const INITIAL: u64 = 1000;
 const TRANSFERS_PER_THREAD: u64 = 40;
-const SHARDS: u32 = 8;
 
 /// Small per-slot log capacities so four slots fit the test pool.
 fn rt_options() -> RuntimeOptions {
@@ -71,39 +62,10 @@ fn grand_total(pool: &PmemPool, base: PAddr) -> u64 {
         .sum()
 }
 
-/// Field-wise sum of the hot counters over all shard banks.
-fn sum_hot(shards: &[StatsSnapshot]) -> StatsSnapshot {
-    let mut sum = StatsSnapshot::default();
-    for s in shards {
-        sum.flushes += s.flushes;
-        sum.fences += s.fences;
-        sum.writes += s.writes;
-        sum.write_bytes += s.write_bytes;
-        sum.reads += s.reads;
-        sum.read_bytes += s.read_bytes;
-    }
-    sum
-}
-
-/// Asserts `Σ shard_snapshots == snapshot` on the hot fields.
-fn assert_banks_aggregate(pool: &PmemPool) {
-    let shards = pool.stats().shard_snapshots();
-    assert_eq!(shards.len(), pool.shard_count(), "one stats bank per shard");
-    let sum = sum_hot(&shards);
-    let snap = pool.stats().snapshot();
-    assert_eq!(sum.flushes, snap.flushes, "flushes lost or double-counted");
-    assert_eq!(sum.fences, snap.fences, "fences lost or double-counted");
-    assert_eq!(sum.writes, snap.writes, "writes lost or double-counted");
-    assert_eq!(sum.write_bytes, snap.write_bytes, "write_bytes mismatch");
-    assert_eq!(sum.reads, snap.reads, "reads lost or double-counted");
-    assert_eq!(sum.read_bytes, snap.read_bytes, "read_bytes mismatch");
-}
-
 #[test]
 fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
     let seed = seed_from_env();
-    let opts = PoolOptions::crash_sim(2 << 20).with_shards(SHARDS);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(2 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
     register_transfer(&rt);
 
@@ -139,7 +101,7 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
     });
 
     // All transactions committed: conservation holds region-by-region and
-    // globally, and the per-shard banks must aggregate exactly.
+    // globally.
     assert_eq!(grand_total(&pool, base), accounts * INITIAL);
     for t in 0..THREADS as u64 {
         let region = base.add(t * ACCTS_PER_THREAD * 8);
@@ -152,13 +114,11 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
             "thread {t}: transfers leaked across regions"
         );
     }
-    assert_banks_aggregate(&pool);
 
-    // Power failure with seeded line survival, then recovery on a pool
-    // reopened at the same shard count.
+    // Power failure with seeded line survival, then recovery on the
+    // reopened pool.
     let media = pool.crash_media(&CrashConfig::with_seed(seed));
-    let pool2 =
-        Arc::new(PmemPool::open_from_media_with(media, PoolMode::CrashSim, SHARDS).unwrap());
+    let pool2 = Arc::new(PmemPool::open_from_media(media, PoolMode::CrashSim).unwrap());
     let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
     register_transfer(&rt2);
     rt2.recover().unwrap();
@@ -168,12 +128,10 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
         accounts * INITIAL,
         "conservation violated after crash + recovery"
     );
-    assert_banks_aggregate(&pool2);
 }
 
 /// `THREADS` racing threads issue a fixed mix of loads, stores, flushes,
-/// fused store+flushes and fences against one pool, at 1 and 4 shards, in
-/// both pool modes. Every hot counter must come out at exactly the issued
+/// fused store+flushes and fences against one pool, in both pool modes. Every hot counter must come out at exactly the issued
 /// total.
 #[test]
 fn global_lock_hot_counters_are_exact_under_racing_threads() {
@@ -181,11 +139,8 @@ fn global_lock_hot_counters_are_exact_under_racing_threads() {
     for opts in [
         PoolOptions::performance(1 << 20),
         PoolOptions::crash_sim(1 << 20),
-        PoolOptions::performance(1 << 20).with_shards(4),
-        PoolOptions::crash_sim(1 << 20).with_shards(4),
     ] {
         let pool = PmemPool::create(opts).unwrap();
-        assert_eq!(pool.shard_count(), opts.shards as usize);
         // One line-aligned 256-byte region per thread.
         let raw = pool.alloc(THREADS as u64 * 256 + 64).unwrap();
         let base = PAddr::new((raw.offset() + 63) & !63);

@@ -14,9 +14,9 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    explore_check, register_parked_plain, reopen, reopen_with, setup_with, sweep, sweep_clean,
-    sweep_regrow, sweep_with, total, transfer_args, two_parked_transfers, unless_crashed,
-    write_undecodable_begin, ACCOUNTS, INITIAL, SCRIPT,
+    explore_check, register_parked_plain, reopen, setup, sweep, sweep_clean, sweep_regrow, total,
+    transfer_args, two_parked_transfers, unless_crashed, write_undecodable_begin, ACCOUNTS,
+    INITIAL, SCRIPT,
 };
 
 use clobber_nvm::{
@@ -75,20 +75,6 @@ fn sweep_atlas() {
     let s = sweep(Backend::Atlas, smoke_stride(), Nested::Rotating);
     assert_covered(&s, "atlas");
     assert!(s.rolled_back > 0, "atlas sweep should roll back: {s:?}");
-}
-
-/// The sweep at 4 shards must agree point-for-point with the one-shard
-/// sweep: same event count, same crash/nested points visited, same
-/// recovery actions — zero lock-step divergence. This is the
-/// shard-count-invariance contract of the persist-event order applied to
-/// the full workload → crash → recover pipeline.
-#[test]
-fn sweep_clobber_at_4_shards_matches_one_shard() {
-    let stride = smoke_stride();
-    let reference = sweep(Backend::clobber(), stride, Nested::Rotating);
-    assert_covered(&reference, "clobber/1 shard");
-    let s = sweep_with(Backend::clobber(), stride, Nested::Rotating, 4);
-    assert_eq!(s, reference, "4-shard sweep diverged");
 }
 
 /// Satellite 3 (torn line): a v2 line whose marker word is torn must be
@@ -215,28 +201,23 @@ fn corrupt_log_header_is_typed_corruption_not_an_empty_log() {
 /// Alloc-heavy sweep: the vacation-style growing-reallocation script
 /// (pmalloc bigger / copy / swap root / pfree old, every transaction)
 /// crashed at every swept persist event, with the list invariant *and* a
-/// full `check_heap` walk asserted after every recovery. Run at shard
-/// counts 1 and 4, which must agree point-for-point — the allocator
-/// sits entirely inside the shard-count-invariance contract.
+/// full `check_heap` walk asserted after every recovery.
 #[test]
-fn sweep_regrow_alloc_heavy_across_shard_counts() {
-    let stride = smoke_stride();
-    let reference = sweep_regrow(Backend::clobber(), stride, 1);
-    assert!(reference.events > 0, "regrow script must issue events");
-    assert!(reference.crash_points > 0);
+fn sweep_regrow_alloc_heavy() {
+    let s = sweep_regrow(Backend::clobber(), smoke_stride());
+    assert!(s.events > 0, "regrow script must issue events");
+    assert!(s.crash_points > 0);
     assert!(
-        reference.reexecuted + reference.abandoned > 0,
-        "clobber regrow sweep should recover by re-execution: {reference:?}"
+        s.reexecuted + s.abandoned > 0,
+        "clobber regrow sweep should recover by re-execution: {s:?}"
     );
-    let s = sweep_regrow(Backend::clobber(), stride, 4);
-    assert_eq!(s, reference, "regrow 4-shard sweep diverged");
 }
 
 /// The regrow sweep holds under undo logging too (PMDK-style transactional
 /// allocation with snapshot logging instead of re-execution).
 #[test]
 fn sweep_regrow_undo() {
-    let s = sweep_regrow(Backend::Undo, smoke_stride(), 1);
+    let s = sweep_regrow(Backend::Undo, smoke_stride());
     assert!(s.events > 0 && s.crash_points > 0);
     assert!(
         s.rolled_back > 0,
@@ -249,7 +230,7 @@ fn sweep_regrow_undo() {
 /// leaves the live list in a block the heap calls free.
 #[test]
 fn sweep_regrow_redo() {
-    let s = sweep_regrow(Backend::Redo, smoke_stride(), 1);
+    let s = sweep_regrow(Backend::Redo, smoke_stride());
     assert!(s.events > 0 && s.crash_points > 0);
     assert!(s.redo_applied > 0, "redo regrow sweep should replay: {s:?}");
 }
@@ -279,12 +260,12 @@ fn abandoned_preserve_survives_a_crash_inside_recovery() {
     let backend = Backend::clobber();
     let session = ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _) = setup_with(backend, 1);
+            let (pool, rt, _) = setup(backend);
             register_preserved_transfer(&rt);
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_with(media, backend, 1);
+            let (pool, rt) = reopen(media, backend);
             register_preserved_transfer(&rt);
             (pool, rt)
         }),
@@ -341,15 +322,6 @@ fn full_sweep_exhaustive_nested() {
             s.crash_points,
             s.events,
             "{}: every event visited",
-            backend.label()
-        );
-        // The exhaustive sweep must hold — point-for-point — at 4 shards
-        // too.
-        let sharded = sweep_with(backend, 1, Nested::Exhaustive, 4);
-        assert_eq!(
-            sharded,
-            s,
-            "{}: 4-shard exhaustive sweep diverged",
             backend.label()
         );
     }

@@ -1,7 +1,7 @@
 //! Explorer mechanics on the bank-transfer harness: golden-pinned
 //! pruning counts, pruning soundness via outcome hashes, determinism,
-//! budget/frontier resume, preemption bounding, shard-count invariance, and
-//! the injected conservation bug.
+//! budget/frontier resume, preemption bounding, and the injected
+//! conservation bug.
 //!
 //! The workload (see `common::explore_setup`) transfers money between
 //! eight accounts on two logical slots; transfers never allocate, so the
@@ -17,10 +17,8 @@ use common::{
     explore_base, explore_buggy_seed, explore_seed, explore_session, transfer_op, ACCOUNTS, INITIAL,
 };
 
-const SHARDS: u32 = 1;
-
-fn explore(shards: u32, buggy: bool, seed: Schedule, opts: ExploreOptions) -> ExploreReport {
-    Explorer::new(explore_session(shards, buggy), seed, opts)
+fn explore(buggy: bool, seed: Schedule, opts: ExploreOptions) -> ExploreReport {
+    Explorer::new(explore_session(buggy), seed, opts)
         .run()
         .expect("exploration baseline")
 }
@@ -37,8 +35,8 @@ fn smoke_opts() -> ExploreOptions {
 /// A seed whose slot-1 op conflicts with the first slot-0 op (shares
 /// account 1) but commutes with the second (accounts 2–3 disjoint from
 /// 1 and 4): the tree has both real branches and a pruned one.
-fn mixed_seed(shards: u32) -> Schedule {
-    let base = explore_base(shards);
+fn mixed_seed() -> Schedule {
+    let base = explore_base();
     Schedule {
         ops: vec![
             transfer_op(base, 0, (0, 1, 30)),
@@ -52,8 +50,8 @@ fn mixed_seed(shards: u32) -> Schedule {
 fn sleep_set_pruning_counts_are_golden() {
     // Disjoint slot-1 op: every reordering commutes, so exactly one
     // interleaving runs and the other two merge orders are pruned.
-    let seed = explore_seed(explore_base(SHARDS));
-    let report = explore(SHARDS, false, seed, smoke_opts());
+    let seed = explore_seed(explore_base());
+    let report = explore(false, seed, smoke_opts());
     assert!(report.complete);
     assert_eq!(report.schedules_run, 1, "one representative per class");
     assert_eq!(report.schedules_pruned, 2, "two commutative twins pruned");
@@ -65,10 +63,9 @@ fn pruning_is_sound_every_pruned_order_has_the_same_outcome() {
     // Under no_pruning all three interleavings execute; their clean-run
     // media hashes must all equal the single representative's hash that
     // the sound policy kept — the commutativity fact pruning relies on.
-    let seed = explore_seed(explore_base(SHARDS));
-    let sound = explore(SHARDS, false, seed.clone(), smoke_opts());
+    let seed = explore_seed(explore_base());
+    let sound = explore(false, seed.clone(), smoke_opts());
     let full = explore(
-        SHARDS,
         false,
         seed,
         smoke_opts().with_policy(ConflictPolicy::no_pruning()),
@@ -86,29 +83,24 @@ fn pruning_is_sound_every_pruned_order_has_the_same_outcome() {
 }
 
 #[test]
-fn exploration_is_deterministic_across_reruns_and_shard_counts() {
-    let mut runs = Vec::new();
-    // The second 1 is a re-run: same seed + budget, same result.
-    for shards in [1, 1, 4] {
-        runs.push(explore(shards, false, mixed_seed(shards), smoke_opts()));
-    }
-    let base_report = &runs[0];
+fn exploration_is_deterministic_across_reruns() {
+    // Same seed + budget, same result.
+    let base_report = explore(false, mixed_seed(), smoke_opts());
     assert_eq!(base_report.schedules_run, 2, "mixed seed: two real classes");
     assert_eq!(base_report.schedules_pruned, 1);
-    for report in &runs[1..] {
-        assert_eq!(report.schedules_run, base_report.schedules_run);
-        assert_eq!(report.schedules_pruned, base_report.schedules_pruned);
-        assert_eq!(report.crashes_planted, base_report.crashes_planted);
-        assert_eq!(report.explored, base_report.explored);
-        assert_eq!(report.outcomes, base_report.outcomes);
-        assert_eq!(report.failures.len(), base_report.failures.len());
-    }
+    let report = explore(false, mixed_seed(), smoke_opts());
+    assert_eq!(report.schedules_run, base_report.schedules_run);
+    assert_eq!(report.schedules_pruned, base_report.schedules_pruned);
+    assert_eq!(report.crashes_planted, base_report.crashes_planted);
+    assert_eq!(report.explored, base_report.explored);
+    assert_eq!(report.outcomes, base_report.outcomes);
+    assert_eq!(report.failures.len(), base_report.failures.len());
 }
 
 #[test]
 fn budget_frontier_resume_matches_uninterrupted_run() {
     let opts = smoke_opts().with_policy(ConflictPolicy::no_pruning());
-    let full = explore(SHARDS, false, mixed_seed(SHARDS), opts.clone());
+    let full = explore(false, mixed_seed(), opts.clone());
     assert!(full.complete);
     assert_eq!(full.schedules_run, 3);
 
@@ -122,7 +114,7 @@ fn budget_frontier_resume_matches_uninterrupted_run() {
         if let Some(f) = frontier.take() {
             step_opts = step_opts.resume_after(f);
         }
-        let step = explore(SHARDS, false, mixed_seed(SHARDS), step_opts);
+        let step = explore(false, mixed_seed(), step_opts);
         explored.extend(step.explored);
         outcomes.extend(step.outcomes);
         run += step.schedules_run;
@@ -144,19 +136,13 @@ fn budget_frontier_resume_matches_uninterrupted_run() {
 fn split_resume_with_pruning_counts_each_prune_once() {
     // Same as above but under the sound policy, where prune events
     // interleave with executions: 2 executed, 1 pruned in total.
-    let full = explore(SHARDS, false, mixed_seed(SHARDS), smoke_opts());
+    let full = explore(false, mixed_seed(), smoke_opts());
     assert_eq!((full.schedules_run, full.schedules_pruned), (2, 1));
-    let step1 = explore(
-        SHARDS,
-        false,
-        mixed_seed(SHARDS),
-        smoke_opts().with_budget(1),
-    );
+    let step1 = explore(false, mixed_seed(), smoke_opts().with_budget(1));
     assert!(!step1.complete);
     let step2 = explore(
-        SHARDS,
         false,
-        mixed_seed(SHARDS),
+        mixed_seed(),
         smoke_opts().resume_after(step1.frontier.clone().expect("frontier")),
     );
     assert!(step2.complete);
@@ -183,9 +169,8 @@ fn preemption_bound_zero_keeps_run_to_completion_orders() {
     // only the two run-to-completion merges survive; the third order
     // (preempting slot 0 mid-stream) is rejected by the bound.
     let report = explore(
-        SHARDS,
         false,
-        mixed_seed(SHARDS),
+        mixed_seed(),
         smoke_opts()
             .with_policy(ConflictPolicy::no_pruning())
             .with_preemption_bound(0),
@@ -204,8 +189,8 @@ fn preemption_bound_zero_keeps_run_to_completion_orders() {
 
 #[test]
 fn injected_conservation_bug_is_found_and_minimized() {
-    let seed = explore_buggy_seed(explore_base(SHARDS));
-    let report = explore(SHARDS, true, seed, smoke_opts());
+    let seed = explore_buggy_seed(explore_base());
+    let report = explore(true, seed, smoke_opts());
     assert_eq!(report.failures.len(), 1, "the reordering bug is found");
     let failure = &report.failures[0];
     assert_eq!(failure.crash_at, None, "the clean run already leaks 60");

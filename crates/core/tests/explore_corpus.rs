@@ -14,8 +14,6 @@ use clobber_nvm::{ArgList, ExploreOptions, Explorer, Schedule};
 use clobber_pmem::PAddr;
 use common::{explore_base, explore_session};
 
-const SHARDS: u32 = 1;
-
 /// name, text, expected (schedules_run, schedules_pruned). A pruned
 /// count is per *branch*, not per leaf: one sleep-set skip removes a whole
 /// subtree of interleavings and counts once, so run + pruned equals the
@@ -66,7 +64,7 @@ fn load(text: &str, base: PAddr) -> Schedule {
 
 #[test]
 fn corpus_explores_cleanly_within_budget() {
-    let base = explore_base(SHARDS);
+    let base = explore_base();
     for &(name, text, (want_run, want_pruned)) in CORPUS {
         let seed = load(text, base);
         // The text format round-trips every corpus entry exactly.
@@ -79,7 +77,7 @@ fn corpus_explores_cleanly_within_budget() {
             .with_budget(64)
             .with_crash_stride(7)
             .with_max_crash_points(4);
-        let explorer = Explorer::new(explore_session(SHARDS, false), seed, opts);
+        let explorer = Explorer::new(explore_session(false), seed, opts);
         let report = explorer.run().expect("corpus baseline must replay");
         assert!(report.complete, "{name}: budget 64 must cover the space");
         assert!(

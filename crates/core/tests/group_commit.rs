@@ -40,7 +40,7 @@ fn register_plain_transfer(rt: &Runtime) {
 }
 
 /// `THREADS` committers, each committing `ROUNDS` transfers on its own
-/// v_log slot and its own disjoint account pair, on a 4-shard pool. At
+/// v_log slot and its own disjoint account pair. At
 /// `batch > 1` they are racing OS threads; at `batch == 1` — the solo
 /// baseline — they take turns on the calling thread, because racing
 /// threads coalesce even at `min_batch` 1 (a follower may join an epoch
@@ -48,8 +48,7 @@ fn register_plain_transfer(rt: &Runtime) {
 /// at all. Both arms issue the same ordering requests on the same slots.
 /// Returns the stats delta over the commit phase only (setup excluded).
 fn run_committers(batch: usize) -> StatsSnapshot {
-    let opts = PoolOptions::crash_sim(1 << 20).with_shards(THREADS as u32);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
     let mut ropts = RuntimeOptions::new(Backend::clobber()).with_group_commit_batch(batch);
     ropts.clobber_log_cap = 32 << 10;
     ropts.redo_log_cap = 32 << 10;

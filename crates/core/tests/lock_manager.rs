@@ -6,10 +6,9 @@
 //! thread slots are leased and reused so slot usage is bounded by peak
 //! concurrency, racing locked transfers over *shared* accounts conserve
 //! through adversarial crashes and recovery, locked committers push the
-//! group-commit fence saving past the PR's solo baseline of 2.64×, and
-//! locked schedules keep the persist-event stream bit-identical across
-//! pool shard counts (the determinism contract now covers lock traffic
-//! too).
+//! group-commit fence saving past the solo baseline of 2.64×, and
+//! locked schedules record a bit-identical persist-event stream on every
+//! run (the determinism contract covers lock traffic too).
 
 mod common;
 
@@ -22,9 +21,6 @@ use clobber_nvm::{
 use clobber_pmem::{PAddr, PmemPool, PoolOptions, StatsSnapshot};
 use common::{bank_session, register_transfer, total, ACCOUNTS, INITIAL};
 use proptest::prelude::*;
-
-/// Shard counts the lock-step determinism pins cover.
-const SHARDS: [u32; 2] = [1, 4];
 
 fn transfer_args(base: PAddr, (f, t, a): (u64, u64, u64)) -> ArgList {
     ArgList::new()
@@ -112,7 +108,7 @@ fn wait_die_retry_is_idempotent() {
 /// recoverable image, and conservation holds before and after recovery.
 #[test]
 fn racing_locked_transfers_conserve_through_crash_and_recovery() {
-    let session = bank_session(Backend::clobber(), 4);
+    let session = bank_session(Backend::clobber());
     for threads in [2usize, 4] {
         let drive = |rt: &Arc<Runtime>| racing_transfers(rt, threads);
         let battery = CrashBattery {
@@ -179,8 +175,7 @@ const GC_ROUNDS: u64 = 32;
 /// Four OS threads committing through `run_locked` on disjoint exclusive
 /// locks (lock-step-safe: disjoint sets never wait), batch vs solo.
 fn run_locked_committers(batch: usize) -> StatsSnapshot {
-    let opts = PoolOptions::crash_sim(1 << 20).with_shards(GC_THREADS as u32);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
     let mut ropts = RuntimeOptions::new(Backend::clobber()).with_group_commit_batch(batch);
     ropts.clobber_log_cap = 32 << 10;
     ropts.redo_log_cap = 32 << 10;
@@ -281,8 +276,8 @@ fn locked_committers_beat_the_group_commit_baseline() {
 
 /// Runs `script` single-threaded through `run_on_locked` (slot 0, both
 /// account locks per transfer) under a tracer and returns the trace.
-fn traced_locked_run(shards: u32, script: &[(u64, u64, u64)]) -> clobber_pmem::Trace {
-    let (pool, rt, base) = common::setup_with(Backend::clobber(), shards);
+fn traced_locked_run(script: &[(u64, u64, u64)]) -> clobber_pmem::Trace {
+    let (pool, rt, base) = common::setup(Backend::clobber());
     let tracer = Arc::new(clobber_pmem::Tracer::new());
     pool.set_tracer(Some(tracer.clone()));
     for &(f, t, a) in script {
@@ -298,11 +293,11 @@ fn traced_locked_run(shards: u32, script: &[(u64, u64, u64)]) -> clobber_pmem::T
 }
 
 /// Lock-step determinism: a locked schedule records a bit-identical trace
-/// — persist events *and* lock events — at every shard count.
+/// — persist events *and* lock events — on every run.
 #[test]
-fn locked_script_trace_is_shard_count_invariant() {
+fn locked_script_trace_is_deterministic() {
     let script = common::SCRIPT;
-    let golden = traced_locked_run(SHARDS[0], script);
+    let golden = traced_locked_run(script);
     assert!(!golden.events.is_empty());
     assert!(
         golden
@@ -311,34 +306,30 @@ fn locked_script_trace_is_shard_count_invariant() {
             .any(|e| e.kind == clobber_pmem::EventKind::LockAcquire),
         "lock traffic must appear in the trace"
     );
-    for &shards in &SHARDS[1..] {
-        let other = traced_locked_run(shards, script);
-        assert!(
-            golden.diff(&other).is_none(),
-            "locked trace diverged at {shards} shards: {}",
-            golden.diff(&other).unwrap()
-        );
-    }
+    let other = traced_locked_run(script);
+    assert!(
+        golden.diff(&other).is_none(),
+        "locked trace diverged between runs: {}",
+        golden.diff(&other).unwrap()
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Determinism proptest extension: random locked transfer scripts
-    /// stay bit-identical across shard counts, persist events and lock events
+    /// stay bit-identical between runs, persist events and lock events
     /// alike.
     #[test]
-    fn locked_random_scripts_are_shard_count_invariant(
+    fn locked_random_scripts_are_deterministic(
         script in proptest::collection::vec((0u64..8, 0u64..8, 0u64..50), 1..12),
     ) {
-        let golden = traced_locked_run(SHARDS[0], &script);
-        for &shards in &SHARDS[1..] {
-            let other = traced_locked_run(shards, &script);
-            prop_assert!(
-                golden.diff(&other).is_none(),
-                "locked trace diverged at {shards} shards: {}",
-                golden.diff(&other).unwrap()
-            );
-        }
+        let golden = traced_locked_run(&script);
+        let other = traced_locked_run(&script);
+        prop_assert!(
+            golden.diff(&other).is_none(),
+            "locked trace diverged between runs: {}",
+            golden.diff(&other).unwrap()
+        );
     }
 }

@@ -26,7 +26,7 @@ proptest! {
         backend_idx in 0usize..4,
     ) {
         let backend = [Backend::clobber(), Backend::Undo, Backend::Redo, Backend::Atlas][backend_idx];
-        let session = bank_session(backend, 1);
+        let session = bank_session(backend);
         let drive = |rt: &Arc<Runtime>| {
             let base = rt.app_root().unwrap();
             let script = |&t| rt.run("transfer", &transfer_args(base, t)).map(drop);

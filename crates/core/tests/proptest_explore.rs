@@ -2,7 +2,7 @@
 //! explorer emits, replayed twice on identically built fresh pools,
 //! produces bit-identical persist-event traces and bit-identical
 //! `StatsSnapshot`s. This is the property every other explorer guarantee
-//! (shard-count-invariant outcome hashes, resumable counters, reproducible
+//! (rerun-invariant outcome hashes, resumable counters, reproducible
 //! failures) bottoms out in.
 
 mod common;
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 /// Replays `sched` on a fresh, identically prepared pool under a tracer
 /// and returns the trace plus the pool's counter snapshot.
 fn traced_replay(sched: &Schedule) -> (Trace, StatsSnapshot) {
-    let (pool, rt, _base) = explore_setup(1, false);
+    let (pool, rt, _base) = explore_setup(false);
     let max_slot = sched.ops.iter().map(|op| op.slot).max().unwrap_or(0);
     rt.slot_handle(max_slot).expect("pre-create slots");
     let tracer = Arc::new(Tracer::new());
@@ -36,7 +36,7 @@ proptest! {
         script in proptest::collection::vec(
             (0usize..2, 0u64..8, 0u64..8, 1u64..50), 1..5),
     ) {
-        let base = explore_base(1);
+        let base = explore_base();
         let seed_schedule = Schedule {
             ops: script
                 .iter()
@@ -50,7 +50,7 @@ proptest! {
             .with_max_crash_points(0)
             .with_policy(ConflictPolicy::no_pruning());
         let explorer = Explorer::new(
-            explore_session(1, false),
+            explore_session(false),
             seed_schedule,
             opts,
         );

@@ -1,7 +1,7 @@
 //! Golden-trace pins: the recorded event sequence is a pool-wide total
-//! order defined by fault-mutex acquisition, so it must be bit-identical
-//! at every pool shard count — and tracing must
-//! be invisible (no stats drift) when disabled.
+//! order defined by fault-mutex acquisition, so a fixed workload records it
+//! bit-identically on every run — and tracing must be invisible (no stats
+//! drift) when disabled.
 
 mod common;
 
@@ -11,34 +11,28 @@ use clobber_nvm::Backend;
 use clobber_pmem::{EventKind, Tracer};
 use common::*;
 
-/// Every shard count the golden pins cover; the first is the reference.
-const SHARDS: [u32; 3] = [1, 4, 16];
-
-/// Satellite 2: the same workload records the same trace at every shard
-/// count.
+/// The same workload records the same trace on every run.
 #[test]
-fn golden_trace_is_shard_count_invariant() {
+fn golden_trace_is_deterministic() {
     for backend in [
         Backend::clobber(),
         Backend::Undo,
         Backend::Redo,
         Backend::Atlas,
     ] {
-        let golden = traced_script_run(backend, SHARDS[0]);
+        let golden = traced_script_run(backend);
         assert!(
             !golden.events.is_empty(),
             "{}: golden trace must not be empty",
             backend.label()
         );
-        for &shards in &SHARDS[1..] {
-            let other = traced_script_run(backend, shards);
-            assert!(
-                golden.diff(&other).is_none(),
-                "{}: trace diverged at {shards} shards: {}",
-                backend.label(),
-                golden.diff(&other).unwrap()
-            );
-        }
+        let other = traced_script_run(backend);
+        assert!(
+            golden.diff(&other).is_none(),
+            "{}: trace diverged between runs: {}",
+            backend.label(),
+            golden.diff(&other).unwrap()
+        );
     }
 }
 
@@ -46,7 +40,7 @@ fn golden_trace_is_shard_count_invariant() {
 /// script entry, no aborts, and a persist-event stream underneath.
 #[test]
 fn golden_trace_shape_matches_script() {
-    let trace = traced_script_run(Backend::clobber(), 1);
+    let trace = traced_script_run(Backend::clobber());
     let counts = trace.kind_counts();
     assert_eq!(counts[EventKind::TxBegin as usize], SCRIPT.len() as u64);
     assert_eq!(counts[EventKind::TxCommit as usize], SCRIPT.len() as u64);

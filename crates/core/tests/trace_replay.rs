@@ -27,7 +27,7 @@ fn mid_crash_point() -> u64 {
 fn replay_reproduces_crash_event_for_event() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
-    let recorded = traced_crash_at(backend, 1, k);
+    let recorded = traced_crash_at(backend, k);
     assert_eq!(
         recorded.events.last().map(|e| e.kind),
         Some(clobber_pmem::EventKind::FaultTrip),
@@ -63,33 +63,10 @@ fn replay_reproduces_crash_event_for_event() {
     );
 }
 
-/// Replay reproduces the crash at a shard count other than the one that
-/// recorded it — the CI crash-sweep smoke relies on this.
-#[test]
-fn replay_is_shard_count_portable() {
-    let backend = Backend::clobber();
-    let k = mid_crash_point();
-    let recorded = traced_crash_at(backend, 1, k);
-    let schedule = Schedule::from_trace(&recorded).unwrap();
-
-    let (pool, rt, _base) = setup_with(backend, 4);
-    pool.arm_faults(FaultPlan::crash_at(k));
-    let tracer = Arc::new(Tracer::new());
-    pool.set_tracer(Some(tracer.clone()));
-    let report = schedule.replay(&rt);
-    assert_eq!(report.tripped_at, Some(k));
-    let replayed = tracer.take();
-    assert!(
-        recorded.diff(&replayed).is_none(),
-        "{}",
-        recorded.diff(&replayed).unwrap()
-    );
-}
-
 /// The Chrome export of a real (tripped) trace is non-trivial.
 #[test]
 fn trace_exports_to_chrome_json() {
-    let recorded = traced_crash_at(Backend::clobber(), 1, mid_crash_point());
+    let recorded = traced_crash_at(Backend::clobber(), mid_crash_point());
     let json = recorded.to_chrome_json();
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"transfer\""), "txfunc names are exported");
@@ -100,7 +77,7 @@ fn trace_exports_to_chrome_json() {
 #[test]
 fn schedule_replays_clean_without_faults() {
     let backend = Backend::clobber();
-    let trace = traced_script_run(backend, 1);
+    let trace = traced_script_run(backend);
     let schedule = Schedule::from_trace(&trace).unwrap();
     assert_eq!(schedule.len(), SCRIPT.len());
 
@@ -237,8 +214,8 @@ fn diff_reports_first_divergent_dispatch_exactly() {
 fn diff_pinpoints_the_fault_trip_against_the_clean_run() {
     let backend = Backend::clobber();
     let k = mid_crash_point();
-    let clean = traced_script_run(backend, 1);
-    let tripped = traced_crash_at(backend, 1, k);
+    let clean = traced_script_run(backend);
+    let tripped = traced_crash_at(backend, k);
 
     let d = clean.diff(&tripped).expect("tripped run must diverge");
     assert_eq!(

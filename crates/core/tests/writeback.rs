@@ -18,9 +18,8 @@
 //!   stores, one whose values grow, shrink and keep their length, a
 //!   conservative second clobber of one word, and stores that overflow
 //!   the buffer. The last also goes through the crash battery
-//!   with a nested crash at every recovery event, at 1 and 4 shards (every
-//!   other outer event; all of them under `--ignored`): its replay
-//!   overflows the buffer too.
+//!   with a nested crash at every recovery event (every other outer event;
+//!   all of them under `--ignored`): its replay overflows the buffer too.
 //! * A read the deferred buffer serves is interposed and priced; one it
 //!   does not serve costs nothing extra.
 
@@ -284,7 +283,7 @@ fn small_logs(backend: Backend) -> RuntimeOptions {
 #[test]
 fn seeded_draws_over_dirty_and_flushed_lines_recover_the_bank() {
     for backend in [Backend::clobber(), Backend::Undo] {
-        draws_at_every_event(backend.label(), &bank_session(backend, 1), &|rt| {
+        draws_at_every_event(backend.label(), &bank_session(backend), &|rt| {
             let _ = run_script(rt, rt.app_root().unwrap());
         });
     }
@@ -326,7 +325,7 @@ fn seeded_draws_cover_a_blind_first_store_to_older_data() {
             (pool, rt)
         }),
         reopen: Box::new(|media| {
-            let (pool, rt) = reopen_media(media, 1, small_logs(Backend::clobber()));
+            let (pool, rt) = reopen_media(media, small_logs(Backend::clobber()));
             register(&rt);
             (pool, rt)
         }),
@@ -390,7 +389,7 @@ fn seeded_draws_cover_the_pds_inserts() {
                     (pool, rt)
                 }),
                 reopen: Box::new(move |media| {
-                    let (pool, rt) = reopen_media(media, 1, small_logs(Backend::clobber()));
+                    let (pool, rt) = reopen_media(media, small_logs(Backend::clobber()));
                     register(&rt);
                     (pool, rt)
                 }),
@@ -422,19 +421,16 @@ fn seeded_draws_cover_the_pds_inserts() {
 }
 
 /// A session over a region seeded with `init` as the app root, slot 0
-/// created and `register` run on every runtime of `shards` shards; `check`
-/// reads the region.
+/// created and `register` run on every runtime; `check` reads the region.
 fn region_session<'a>(
     backend: Backend,
-    shards: u32,
     init: &'a [u8],
     register: &'a dyn Fn(&Runtime),
     check: &'a dyn Fn(&[u8]) -> Result<(), String>,
 ) -> ExploreSession<'a> {
     ExploreSession {
         build: Box::new(move || {
-            let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
-            let pool = Arc::new(PmemPool::create(opts).unwrap());
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
             let rt = Runtime::create(pool.clone(), small_logs(backend)).unwrap();
             register(&rt);
             let root = pool.alloc(init.len() as u64).unwrap();
@@ -445,7 +441,7 @@ fn region_session<'a>(
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, shards, small_logs(backend));
+            let (pool, rt) = reopen_media(media, small_logs(backend));
             register(&rt);
             (pool, rt)
         }),
@@ -489,7 +485,7 @@ fn batch_draws(label: &str, before: &[(u64, Vec<u8>)], pairs: &[(u64, Vec<u8>)])
             (pool, rt)
         }),
         reopen: Box::new(|media| {
-            let (pool, rt) = reopen_media(media, 1, small_logs(Backend::clobber()));
+            let (pool, rt) = reopen_media(media, small_logs(Backend::clobber()));
             HashMap::register(&rt);
             (pool, rt)
         }),
@@ -573,7 +569,7 @@ fn seeded_draws_cover_a_conservative_second_clobber() {
         v => Err(format!("cell holds {v}, not 5, 18 or 57")),
     };
     let init = 5u64.to_le_bytes();
-    let session = region_session(Backend::clobber_conservative(), 1, &init, &register, &check);
+    let session = region_session(Backend::clobber_conservative(), &init, &register, &check);
 
     let (pool, rt) = (session.build)();
     drive_region(&rt, "twice", &[0]);
@@ -616,42 +612,26 @@ fn check_fill(region: &[u8]) -> Result<(), String> {
 /// `fill`, crashed at every event with seeded draws.
 #[test]
 fn seeded_draws_cover_deferred_stores_that_overflow_the_buffer() {
-    let session = region_session(
-        Backend::clobber(),
-        1,
-        &FILL_INIT,
-        &register_fill,
-        &check_fill,
-    );
+    let session = region_session(Backend::clobber(), &FILL_INIT, &register_fill, &check_fill);
     draws_at_every_event("fill", &session, &|rt| drive_region(rt, "fill", &[1, 2]));
 }
 
 /// `fill` through the crash battery at every `stride`-th event, with a
 /// nested crash at every recovery event: its replay overflows the buffer
 /// too and syncs mid-replay, so a nested crash lands before, between and
-/// after the replay's two syncs. The summaries agree at 1 and 4 shards.
+/// after the replay's two syncs.
 fn sweep_overflowing_replay(stride: u64) {
-    let summaries = [1, 4].map(|shards| {
-        let session = region_session(
-            Backend::clobber(),
-            shards,
-            &FILL_INIT,
-            &register_fill,
-            &check_fill,
-        );
-        let battery = CrashBattery {
-            session: &session,
-            drive: &|rt| drive_region(rt, "fill", &[1, 2]),
-            nested: Nested::Exhaustive,
-        };
-        battery
-            .sweep(stride, u64::MAX, |_| {})
-            .unwrap_or_else(|v| panic!("{shards} shards: {v}"))
-    });
-    let s = summaries[0];
+    let session = region_session(Backend::clobber(), &FILL_INIT, &register_fill, &check_fill);
+    let battery = CrashBattery {
+        session: &session,
+        drive: &|rt| drive_region(rt, "fill", &[1, 2]),
+        nested: Nested::Exhaustive,
+    };
+    let s = battery
+        .sweep(stride, u64::MAX, |_| {})
+        .unwrap_or_else(|v| panic!("{v}"));
     assert!(s.reexecuted > 0 && s.nested_points > 0, "{s:?}");
     assert_eq!(s.not_tripped, 0, "{s:?}");
-    assert_eq!(summaries[1], s, "4 shards against 1");
 }
 
 #[test]

@@ -8,18 +8,13 @@
 //! a transaction, and admission control that sheds load with a typed
 //! [`KvResponse::Overloaded`] instead of queueing unboundedly.
 //!
-//! Two transports implement the trait:
-//!
-//! - [`SimNet`]: a deterministic simulated transport in the spirit of the
-//!   discrete-event executor in `clobber-sim`. Clients, request arrival,
-//!   and service time are simulated events driven by the
-//!   [`CostModel`](clobber_sim::CostModel) latency oracle, so whole service
-//!   runs — including crashes injected mid-batch — are bit-deterministic
-//!   across pool shard counts and replayable through the trace/explorer
-//!   stack.
-//! - [`TcpTransport`]: an optional real-socket mode over
-//!   `std::net::TcpListener` with a length-prefixed binary framing codec
-//!   (std only — no new dependencies).
+//! [`SimNet`] implements the trait: a deterministic simulated transport in
+//! the spirit of the discrete-event executor in `clobber-sim`. Clients,
+//! request arrival, and service time are simulated events driven by the
+//! [`CostModel`](clobber_sim::CostModel) latency oracle, so whole service
+//! runs — including crashes injected mid-batch — are bit-deterministic and
+//! replayable through the trace/explorer stack. Frames on a byte stream
+//! use the length-prefixed binary codec of [`read_frame`]/[`write_frame`].
 
 #![warn(missing_docs)]
 
@@ -27,7 +22,6 @@ mod admission;
 mod proto;
 mod service;
 mod sim_net;
-mod tcp;
 mod transport;
 
 pub use admission::{Admission, AdmissionConfig};
@@ -38,5 +32,4 @@ pub use proto::{
 };
 pub use service::KvService;
 pub use sim_net::{SimNet, SimNetConfig, SimNetRun, SimReport};
-pub use tcp::{KvClient, TcpTransport};
 pub use transport::{serve, ConnId, Envelope, NetEvent, ServeConfig, Transport};

@@ -1,5 +1,5 @@
 //! Wire protocol: typed requests/responses and the length-prefixed binary
-//! framing codec shared by both transports.
+//! framing codec for a transport over a byte stream.
 //!
 //! A frame is a `u32` little-endian payload length followed by the payload.
 //! Every payload starts with a `u64` little-endian *opaque* token the server

@@ -4,12 +4,11 @@
 //! Clients, connections, and request arrival are simulated events in the
 //! spirit of `clobber-sim`'s discrete-event executor: every decision is a
 //! pure function of the configuration, so a service run — including a
-//! crash injected mid-batch — is bit-deterministic across pool shard counts and
-//! replayable through the trace/explorer stack. Service time comes from the
-//! serve loop's cost model (the per-batch persistence-counter delta priced
-//! in nanoseconds), which is what makes this the tail-latency oracle on a
-//! 1-CPU host: the simulated clock measures fences and log traffic, not
-//! wall time.
+//! crash injected mid-batch — is bit-deterministic and replayable through
+//! the trace/explorer stack. Service time comes from the serve loop's cost
+//! model (the per-batch persistence-counter delta priced in nanoseconds),
+//! which is what makes this the tail-latency oracle on a 1-CPU host: the
+//! simulated clock measures fences and log traffic, not wall time.
 
 use std::collections::{HashMap, VecDeque};
 

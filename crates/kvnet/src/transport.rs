@@ -43,7 +43,8 @@ pub enum NetEvent {
 /// available, delivering at most `max`; `None` means every connection is
 /// done and the service should stop. `send` delivers responses and charges
 /// `cost_ns` of service time — the simulated transport advances its clock
-/// by it, the socket transport ignores it (real time passed already).
+/// by it; a transport on real time may ignore it (real time passed
+/// already).
 pub trait Transport {
     /// Waits for the next burst of events (at most `max`).
     fn recv(&mut self, max: usize) -> Option<Vec<NetEvent>>;

@@ -6,8 +6,7 @@
 //! replay the identical run, trip an injected crash at `k` (often
 //! mid-batch, between a batch's open and close frames), take a power
 //! failure, recover, run the battery's checks with the table invariant,
-//! and keep serving. Runs at shard counts {1, 4}, on two populations: the
-//! wide key space, and two keys — where every drain SETs one key two to
+//! and keep serving. Runs on two populations: the wide key space, and two keys — where every drain SETs one key two to
 //! four times, so each batch frees blocks it allocated itself. A last case
 //! sweeps one batch whose begin record spans the v_log's lines by the
 //! dozen, and one too large for the v_log.
@@ -55,17 +54,16 @@ type TableCheck = fn(&PmemPool, &KvServer) -> Result<(), String>;
 
 /// The service as a battery workload: a fresh pool with the server state
 /// created, reopen with its txfuncs registered, and the table invariant.
-fn session(shards: u32, check: TableCheck) -> ExploreSession<'static> {
+fn session(check: TableCheck) -> ExploreSession<'static> {
     ExploreSession {
         build: Box::new(move || {
-            let opts = PoolOptions::crash_sim(2 << 20).with_shards(shards);
-            let pool = Arc::new(PmemPool::create(opts).unwrap());
+            let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(2 << 20)).unwrap());
             let rt = Runtime::create(pool.clone(), net_options()).unwrap();
             KvServer::create(&rt, LockScheme::BucketRw).unwrap();
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, shards, net_options());
+            let (pool, rt) = reopen_media(media, net_options());
             KvServer::register(&rt);
             (pool, rt)
         }),
@@ -119,80 +117,48 @@ fn check_table(pool: &PmemPool, server: &KvServer) -> Result<(), String> {
     }
 }
 
-/// Runs `f` with the battery over the batched service of `cfg`'s
-/// population at `shards` shards.
-fn with_battery<R>(shards: u32, cfg: &SimNetConfig, f: impl FnOnce(&CrashBattery<'_>) -> R) -> R {
-    f(&CrashBattery {
-        session: &session(shards, check_table),
+/// The sweep: a crash at every persist event of the batched service run of
+/// `cfg`'s population, and every recovered table keeps serving batched
+/// writes.
+fn sweep_net(cfg: &SimNetConfig) -> SweepSummary {
+    let summary = CrashBattery {
+        session: &session(check_table),
         drive: &|rt| run_batched_service(rt, cfg),
         nested: Nested::Off,
+    }
+    .sweep(1, u64::MAX, |r| {
+        let ctx = format!("k={}", r.crash_at);
+        let mut svc = service(&r.rt);
+        let responses = svc
+            .process_batch_on(
+                0,
+                &[Envelope {
+                    conn: 0,
+                    opaque: 0,
+                    req: KvRequest::Set {
+                        key: RequestStream::key_bytes(999),
+                        value: RequestStream::value_bytes(999),
+                    },
+                }],
+            )
+            .unwrap_or_else(|e| panic!("{ctx}: post-recovery batch failed: {e}"));
+        assert_eq!(responses[0].2, KvResponse::Stored, "{ctx}");
+        check_table(&r.pool, svc.server()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        r.pool
+            .check_heap()
+            .unwrap_or_else(|e| panic!("{ctx}: heap check failed: {e}"));
     })
-}
-
-/// Counts the persist events one full service run issues.
-fn count_events(shards: u32, cfg: &SimNetConfig) -> u64 {
-    let n = with_battery(shards, cfg, |b| b.count_events()).unwrap_or_else(|v| panic!("{v}"));
-    assert!(n > 0, "service run must issue persist events");
-    n
-}
-
-/// The sweep: a crash at every persist event of the run, and every
-/// recovered table keeps serving batched writes.
-fn sweep_net(shards: u32, cfg: &SimNetConfig) -> SweepSummary {
-    let summary = with_battery(shards, cfg, |b| {
-        b.sweep(1, u64::MAX, |r| {
-            let ctx = format!("{shards} shards k={}", r.crash_at);
-            let mut svc = service(&r.rt);
-            let responses = svc
-                .process_batch_on(
-                    0,
-                    &[Envelope {
-                        conn: 0,
-                        opaque: 0,
-                        req: KvRequest::Set {
-                            key: RequestStream::key_bytes(999),
-                            value: RequestStream::value_bytes(999),
-                        },
-                    }],
-                )
-                .unwrap_or_else(|e| panic!("{ctx}: post-recovery batch failed: {e}"));
-            assert_eq!(responses[0].2, KvResponse::Stored, "{ctx}");
-            check_table(&r.pool, svc.server()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            r.pool
-                .check_heap()
-                .unwrap_or_else(|e| panic!("{ctx}: heap check failed: {e}"));
-        })
-    })
-    .unwrap_or_else(|v| panic!("{shards} shards: {v}"));
+    .unwrap_or_else(|v| panic!("{v}"));
     assert!(summary.events > 0, "the run issues persist events");
-    assert_eq!(summary.crash_points, summary.events, "{shards} shards");
-    assert_eq!(summary.not_tripped, 0, "{shards} shards: every event trips");
+    assert_eq!(summary.crash_points, summary.events);
+    assert_eq!(summary.not_tripped, 0, "every event trips");
     summary
 }
 
 #[test]
-fn batched_service_crash_sweep_one_shard() {
-    sweep_net(1, &sim_cfg(64));
-    sweep_net(1, &sim_cfg(2));
-}
-
-#[test]
-fn batched_service_crash_sweep_sharded4() {
-    for key_space in [64, 2] {
-        let cfg = sim_cfg(key_space);
-        assert_eq!(sweep_net(4, &cfg), sweep_net(1, &cfg), "{key_space} keys");
-    }
-}
-
-/// The ordering contract extends through the service layer: the whole
-/// multi-client batched run issues the same number of persist events at
-/// every shard count.
-#[test]
-fn service_event_count_is_shard_invariant() {
-    for key_space in [64, 2] {
-        let cfg = sim_cfg(key_space);
-        assert_eq!(count_events(1, &cfg), count_events(4, &cfg));
-    }
+fn batched_service_crash_sweep() {
+    sweep_net(&sim_cfg(64));
+    sweep_net(&sim_cfg(2));
 }
 
 /// SETs in the large batch: 16 values of 128 bytes, ≈ 2.3 KB of arguments
@@ -247,78 +213,73 @@ fn serve_batch(rt: &Arc<Runtime>, batch: &[Envelope]) {
 #[test]
 fn a_batch_past_the_old_args_cap_commits_and_recovers_at_every_event() {
     let batch = big_batch(BIG);
-    let mut summaries = Vec::new();
-    for shards in [1, 4] {
-        let session = session(shards, check_big_batch);
-        let (pool, rt) = (session.build)();
-        let rt = Arc::new(rt);
-        serve_batch(&rt, &batch);
-        let gets: Vec<Envelope> = batch
-            .iter()
-            .map(|e| match &e.req {
-                KvRequest::Set { key, .. } => Envelope {
-                    req: KvRequest::Get { key: key.clone() },
-                    ..*e
-                },
-                KvRequest::Get { .. } => unreachable!(),
-            })
-            .collect();
-        let read = service(&rt).process_batch_on(0, &gets).unwrap();
-        for (e, (_, _, resp)) in batch.iter().zip(read) {
-            let KvRequest::Set { value, .. } = &e.req else {
-                unreachable!()
-            };
-            assert_eq!(resp, KvResponse::Value(value.clone()), "{shards} shards");
-        }
-
-        // A record past the v_log is refused before the begin stores
-        // anything: the slot's words and v_log, its clobber log and the
-        // table stay byte for byte as they were. (The pool does not: the
-        // txfunc reserved a block before its first store, and the abort
-        // cancels it.)
-        let slot = rt.slot_handle(0).unwrap();
-        let clog = slot.clobber_log(&pool).unwrap();
-        let begin_bytes = |pool: &PmemPool| {
-            let image = pool.crash_media(&CrashConfig::keep_all(0));
-            let at = |base: clobber_pmem::PAddr, len: u64| {
-                image[base.offset() as usize..][..len as usize].to_vec()
-            };
-            let table = KvServer::open(&rt, LockScheme::BucketRw)
-                .unwrap()
-                .table()
-                .dump(pool)
-                .unwrap();
-            (at(slot.base(), 8 << 10), at(clog.base(), 16), table)
-        };
-        let before = begin_bytes(&pool);
-        match service(&rt).process_batch_on(0, &big_batch(VLOG_CAP / 128)) {
-            Err(TxError::VlogCapacity { needed, .. }) => assert!(needed > VLOG_CAP),
-            other => panic!("{shards} shards: {other:?}"),
-        }
-        assert!(begin_bytes(&pool) == before, "{shards} shards");
-        drop((rt, pool));
-
-        let summary = CrashBattery {
-            session: &session,
-            drive: &|rt| serve_batch(rt, &batch),
-            nested: Nested::Off,
-        }
-        .sweep(1, u64::MAX, |r| {
-            serve_batch(&r.rt, &batch);
-            check_big_batch(
-                &r.pool,
-                &KvServer::open(&r.rt, LockScheme::BucketRw).unwrap(),
-            )
-            .and_then(|()| match r.pool.check_heap() {
-                Ok(_) => Ok(()),
-                Err(e) => Err(format!("heap: {e}")),
-            })
-            .unwrap_or_else(|e| panic!("{shards} shards k={}: {e}", r.crash_at));
+    let session = session(check_big_batch);
+    let (pool, rt) = (session.build)();
+    let rt = Arc::new(rt);
+    serve_batch(&rt, &batch);
+    let gets: Vec<Envelope> = batch
+        .iter()
+        .map(|e| match &e.req {
+            KvRequest::Set { key, .. } => Envelope {
+                req: KvRequest::Get { key: key.clone() },
+                ..*e
+            },
+            KvRequest::Get { .. } => unreachable!(),
         })
-        .unwrap_or_else(|v| panic!("{shards} shards: {v}"));
-        assert_eq!(summary.crash_points, summary.events, "{shards} shards");
-        assert_eq!(summary.not_tripped, 0, "{shards} shards");
-        summaries.push(summary);
+        .collect();
+    let read = service(&rt).process_batch_on(0, &gets).unwrap();
+    for (e, (_, _, resp)) in batch.iter().zip(read) {
+        let KvRequest::Set { value, .. } = &e.req else {
+            unreachable!()
+        };
+        assert_eq!(resp, KvResponse::Value(value.clone()));
     }
-    assert_eq!(summaries[0], summaries[1], "1 and 4 shards agree");
+
+    // A record past the v_log is refused before the begin stores
+    // anything: the slot's words and v_log, its clobber log and the
+    // table stay byte for byte as they were. (The pool does not: the
+    // txfunc reserved a block before its first store, and the abort
+    // cancels it.)
+    let slot = rt.slot_handle(0).unwrap();
+    let clog = slot.clobber_log(&pool).unwrap();
+    let begin_bytes = |pool: &PmemPool| {
+        let image = pool.crash_media(&CrashConfig::keep_all(0));
+        let at = |base: clobber_pmem::PAddr, len: u64| {
+            image[base.offset() as usize..][..len as usize].to_vec()
+        };
+        let table = KvServer::open(&rt, LockScheme::BucketRw)
+            .unwrap()
+            .table()
+            .dump(pool)
+            .unwrap();
+        (at(slot.base(), 8 << 10), at(clog.base(), 16), table)
+    };
+    let before = begin_bytes(&pool);
+    match service(&rt).process_batch_on(0, &big_batch(VLOG_CAP / 128)) {
+        Err(TxError::VlogCapacity { needed, .. }) => assert!(needed > VLOG_CAP),
+        other => panic!("{other:?}"),
+    }
+    assert!(begin_bytes(&pool) == before);
+    drop((rt, pool));
+
+    let summary = CrashBattery {
+        session: &session,
+        drive: &|rt| serve_batch(rt, &batch),
+        nested: Nested::Off,
+    }
+    .sweep(1, u64::MAX, |r| {
+        serve_batch(&r.rt, &batch);
+        check_big_batch(
+            &r.pool,
+            &KvServer::open(&r.rt, LockScheme::BucketRw).unwrap(),
+        )
+        .and_then(|()| match r.pool.check_heap() {
+            Ok(_) => Ok(()),
+            Err(e) => Err(format!("heap: {e}")),
+        })
+        .unwrap_or_else(|e| panic!("k={}: {e}", r.crash_at));
+    })
+    .unwrap_or_else(|v| panic!("{v}"));
+    assert_eq!(summary.crash_points, summary.events);
+    assert_eq!(summary.not_tripped, 0);
 }

@@ -1,4 +1,4 @@
-//! DES-transport service runs: bit-determinism across pool shard counts, fence
+//! DES-transport service runs: bit-determinism across reruns, fence
 //! amortization from batching, admission shedding, and snapshot reads.
 
 use std::sync::Arc;
@@ -19,14 +19,8 @@ struct RunOutput {
     pairs: Vec<(u64, Vec<u8>)>,
 }
 
-fn run_service(
-    shards: u32,
-    cfg: &SimNetConfig,
-    max_batch: usize,
-    adm: AdmissionConfig,
-) -> RunOutput {
-    let pool =
-        Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20).with_shards(shards)).unwrap());
+fn run_service(cfg: &SimNetConfig, max_batch: usize, adm: AdmissionConfig) -> RunOutput {
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(16 << 20)).unwrap());
     let rt =
         Arc::new(Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap());
     let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
@@ -72,24 +66,18 @@ fn base_cfg() -> SimNetConfig {
 
 /// Determinism: the same simulated client population against the same
 /// service must produce bit-identical traces, counters, latencies, and table
-/// contents at 1 and 4 pool shards.
+/// contents on every run.
 #[test]
-fn des_service_runs_are_bit_deterministic_across_shard_counts() {
+fn des_service_runs_are_bit_deterministic_across_reruns() {
     let cfg = base_cfg();
     let adm = AdmissionConfig::default();
-    let golden = run_service(1, &cfg, 16, adm);
+    let golden = run_service(&cfg, 16, adm);
     assert!(golden.report.completed == 6 * 32, "{:?}", golden.report);
-    let other = run_service(4, &cfg, 16, adm);
-    assert_eq!(other.trace, golden.trace, "trace diverged at 4 shards");
-    assert_eq!(other.stats, golden.stats, "counters diverged at 4 shards");
-    assert_eq!(
-        other.report, golden.report,
-        "latency report diverged at 4 shards"
-    );
-    assert_eq!(
-        other.pairs, golden.pairs,
-        "table contents diverged at 4 shards"
-    );
+    let other = run_service(&cfg, 16, adm);
+    assert_eq!(other.trace, golden.trace, "trace diverged");
+    assert_eq!(other.stats, golden.stats, "counters diverged");
+    assert_eq!(other.report, golden.report, "latency report diverged");
+    assert_eq!(other.pairs, golden.pairs, "table contents diverged");
     // The table holds exactly the deterministic workload values.
     assert!(!golden.pairs.is_empty());
     for (key, value) in &golden.pairs {
@@ -109,8 +97,8 @@ fn des_service_runs_are_bit_deterministic_across_shard_counts() {
 fn batched_commit_amortizes_fences_across_clients() {
     let cfg = base_cfg();
     let adm = AdmissionConfig::default();
-    let batched = run_service(1, &cfg, 16, adm);
-    let per_request = run_service(1, &cfg, 1, adm);
+    let batched = run_service(&cfg, 16, adm);
+    let per_request = run_service(&cfg, 1, adm);
     assert_eq!(batched.report.completed, per_request.report.completed);
     assert_eq!(
         batched.pairs, per_request.pairs,
@@ -174,7 +162,7 @@ fn overload_sheds_typed_responses_and_work_still_completes() {
         per_conn_window: 1,
         global_cap: 3,
     };
-    let out = run_service(1, &cfg, 16, tight);
+    let out = run_service(&cfg, 16, tight);
     assert!(
         out.report.shed > 0,
         "tight caps must shed: {:?}",
@@ -187,7 +175,7 @@ fn overload_sheds_typed_responses_and_work_still_completes() {
     assert!(out.report.p999_ns >= out.report.p99_ns);
 
     // An uncontended run with the same population sheds nothing.
-    let roomy = run_service(1, &cfg, 16, AdmissionConfig::default());
+    let roomy = run_service(&cfg, 16, AdmissionConfig::default());
     assert_eq!(roomy.report.shed, 0);
     assert_eq!(roomy.stats.net_shed, 0);
 }
@@ -200,13 +188,13 @@ fn snapshot_gets_bypass_transactions() {
         mix: Mix::SearchIntensive,
         ..base_cfg()
     };
-    let out = run_service(1, &cfg, 16, AdmissionConfig::default());
+    let out = run_service(&cfg, 16, AdmissionConfig::default());
     assert!(out.stats.net_snapshot_reads > out.stats.net_batched);
     assert_eq!(
         out.stats.net_accepted,
         out.stats.net_batched + out.stats.net_snapshot_reads
     );
     // The insert-heavy mix from the same population pays far more fences.
-    let writey = run_service(1, &base_cfg(), 16, AdmissionConfig::default());
+    let writey = run_service(&base_cfg(), 16, AdmissionConfig::default());
     assert!(out.stats.fences < writey.stats.fences / 2);
 }

@@ -12,7 +12,7 @@
 //! ```
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
 use crate::value::store_value;
 
@@ -343,14 +343,16 @@ impl AvlTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] on a corrupt tree.
+    /// Returns [`PmemError::CorruptPool`] if the root holds no AVL tree
+    /// header, and [`TxError::Pmem`] on a failed read.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated (this is a checker).
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
         if pool.read_u64(self.root)? != MAGIC {
-            return Err(TxError::CorruptVlog("avltree magic mismatch".into()));
+            let why = format!("no AVL tree at {:#x}", self.root.offset());
+            return Err(PmemError::CorruptPool(why).into());
         }
         fn walk(
             pool: &PmemPool,
@@ -486,6 +488,18 @@ mod tests {
                 t.insert(&rt, (k * 17) % 50, &k.to_le_bytes()).unwrap();
             }
             assert_eq!(t.len(&pool).unwrap(), 50, "backend {}", backend.label());
+        }
+    }
+
+    #[test]
+    fn dump_reports_a_wrong_root_magic_as_a_corrupt_pool() {
+        {
+            let (pool, _rt, t) = setup(Backend::clobber());
+            pool.write_u64(t.root, 0).unwrap();
+            assert!(matches!(
+                t.dump(&pool),
+                Err(TxError::Pmem(PmemError::CorruptPool(_)))
+            ));
         }
     }
 }

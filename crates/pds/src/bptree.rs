@@ -22,7 +22,7 @@
 use std::cmp::Ordering;
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
 use crate::value::{cmp_key32, key32, store_value};
 
@@ -547,14 +547,16 @@ impl BpTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] on a corrupt tree.
+    /// Returns [`PmemError::CorruptPool`] if the root holds no B+-tree
+    /// header, and [`TxError::Pmem`] on a failed read.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated (this is a checker).
     pub fn dump(&self, pool: &PmemPool) -> Result<KvPairs, TxError> {
         if pool.read_u64(self.root)? != MAGIC {
-            return Err(TxError::CorruptVlog("bptree magic mismatch".into()));
+            let why = format!("no B+-tree at {:#x}", self.root.offset());
+            return Err(PmemError::CorruptPool(why).into());
         }
         let root = PAddr::new(pool.read_u64(self.root.add(8))?);
         let mut out = Vec::new();
@@ -786,5 +788,17 @@ mod tests {
         let (l2, _) = t.locate_leaf(&pool, &key32(99)).unwrap();
         assert_ne!(l1, l2);
         assert_ne!(t.leaf_lock(l1), t.leaf_lock(l2));
+    }
+
+    #[test]
+    fn dump_reports_a_wrong_root_magic_as_a_corrupt_pool() {
+        {
+            let (pool, _rt, t) = setup(Backend::clobber());
+            pool.write_u64(t.root, 0).unwrap();
+            assert!(matches!(
+                t.dump(&pool),
+                Err(TxError::Pmem(PmemError::CorruptPool(_)))
+            ));
+        }
     }
 }

@@ -475,10 +475,12 @@ impl HashMap {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] on a corrupt chain.
+    /// Returns [`PmemError::CorruptPool`] if the root holds no map header
+    /// or a chain is corrupt, and [`TxError::Pmem`] on a failed read.
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
         if pool.read_u64(self.root)? != MAGIC {
-            return Err(TxError::CorruptVlog("hashmap magic mismatch".into()));
+            let why = format!("no hashmap at {:#x}", self.root.offset());
+            return Err(PmemError::CorruptPool(why).into());
         }
         let mut out = Vec::new();
         for b in 0..self.buckets() {
@@ -729,5 +731,17 @@ mod tests {
         }
         let (a, b) = (a.unwrap(), b.unwrap());
         assert_ne!(map.lock_of(a), map.lock_of(b));
+    }
+
+    #[test]
+    fn dump_reports_a_wrong_root_magic_as_a_corrupt_pool() {
+        {
+            let (pool, _rt, t) = setup(Backend::clobber());
+            pool.write_u64(t.root, 0).unwrap();
+            assert!(matches!(
+                t.dump(&pool),
+                Err(TxError::Pmem(PmemError::CorruptPool(_)))
+            ));
+        }
     }
 }

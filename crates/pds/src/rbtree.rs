@@ -15,7 +15,7 @@
 //! write of `xp.right` would start to log.
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
 use crate::value::store_value;
 
@@ -534,14 +534,16 @@ impl RbTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] on a corrupt tree.
+    /// Returns [`PmemError::CorruptPool`] if the root holds no red-black
+    /// tree header, and [`TxError::Pmem`] on a failed read.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated (this is a checker).
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
         if pool.read_u64(self.root)? != MAGIC {
-            return Err(TxError::CorruptVlog("rbtree magic mismatch".into()));
+            let why = format!("no red-black tree at {:#x}", self.root.offset());
+            return Err(PmemError::CorruptPool(why).into());
         }
         let nil = PAddr::new(pool.read_u64(self.root.add(16))?);
         let root = PAddr::new(pool.read_u64(self.root.add(8))?);
@@ -728,6 +730,18 @@ mod tests {
                 t.insert(&rt, (k * 37) % 80, &k.to_le_bytes()).unwrap();
             }
             assert_eq!(t.len(&pool).unwrap(), 80, "backend {}", backend.label());
+        }
+    }
+
+    #[test]
+    fn dump_reports_a_wrong_root_magic_as_a_corrupt_pool() {
+        {
+            let (pool, _rt, t) = setup(Backend::clobber());
+            pool.write_u64(t.root, 0).unwrap();
+            assert!(matches!(
+                t.dump(&pool),
+                Err(TxError::Pmem(PmemError::CorruptPool(_)))
+            ));
         }
     }
 }

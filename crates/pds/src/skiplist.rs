@@ -335,10 +335,12 @@ impl SkipList {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] on a corrupt list.
+    /// Returns [`PmemError::CorruptPool`] if the root holds no skiplist
+    /// header, and [`TxError::Pmem`] on a failed read.
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
         if pool.read_u64(self.root)? != MAGIC {
-            return Err(TxError::CorruptVlog("skiplist magic mismatch".into()));
+            let why = format!("no skiplist at {:#x}", self.root.offset());
+            return Err(PmemError::CorruptPool(why).into());
         }
         let head = PAddr::new(pool.read_u64(self.root.add(16))?);
         // Level-0 walk.
@@ -534,5 +536,17 @@ mod tests {
             "one clobbered pred->next per linked level"
         );
         assert_eq!(d.log_bytes, 24);
+    }
+
+    #[test]
+    fn dump_reports_a_wrong_root_magic_as_a_corrupt_pool() {
+        {
+            let (pool, _rt, t) = setup(Backend::clobber());
+            pool.write_u64(t.root, 0).unwrap();
+            assert!(matches!(
+                t.dump(&pool),
+                Err(TxError::Pmem(PmemError::CorruptPool(_)))
+            ));
+        }
     }
 }

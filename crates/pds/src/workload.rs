@@ -59,9 +59,8 @@ pub fn value_of(k: u64) -> Vec<u8> {
 /// A 2-thread hash-map exploration target: fresh-pool factory, crashed
 /// media reopener, invariant check, and seed schedules, shaped for
 /// [`clobber_nvm::ExploreSession`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExploreWorkload {
-    shards: u32,
     buggy: bool,
 }
 
@@ -70,21 +69,15 @@ impl ExploreWorkload {
     /// big enough for two v_log slots (256 KiB each) plus the heap.
     pub const POOL_BYTES: u64 = 4 << 20;
 
-    /// The correct workload (no injected bug) on pools of `shards` shards.
-    pub fn new(shards: u32) -> ExploreWorkload {
-        ExploreWorkload {
-            shards,
-            buggy: false,
-        }
+    /// The correct workload (no injected bug).
+    pub fn new() -> ExploreWorkload {
+        ExploreWorkload { buggy: false }
     }
 
     /// The workload with the injected ordering bug registered
     /// (test-only: nothing outside tests should construct this).
-    pub fn with_bug(shards: u32) -> ExploreWorkload {
-        ExploreWorkload {
-            shards,
-            buggy: true,
-        }
+    pub fn with_bug() -> ExploreWorkload {
+        ExploreWorkload { buggy: true }
     }
 
     fn register_all(&self, rt: &Runtime) {
@@ -98,7 +91,7 @@ impl ExploreWorkload {
     /// allocation sequence is fixed, so the addresses are identical on
     /// every call — [`layout`](Self::layout) relies on that.
     fn build_inner(&self) -> (Arc<PmemPool>, Runtime, PAddr, PAddr) {
-        let opts = PoolOptions::crash_sim(Self::POOL_BYTES).with_shards(self.shards);
+        let opts = PoolOptions::crash_sim(Self::POOL_BYTES);
         let pool = Arc::new(PmemPool::create(opts).expect("create pool"));
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber()))
             .expect("create runtime");
@@ -129,7 +122,7 @@ impl ExploreWorkload {
     /// `recover_with`.
     pub fn reopen(&self, media: Vec<u8>) -> (Arc<PmemPool>, Runtime) {
         let opts = RuntimeOptions::new(Backend::clobber());
-        let (pool, rt) = reopen_media(media, self.shards, opts);
+        let (pool, rt) = reopen_media(media, opts);
         self.register_all(&rt);
         (pool, rt)
     }
@@ -252,13 +245,13 @@ mod tests {
 
     #[test]
     fn layout_is_deterministic() {
-        let wl = ExploreWorkload::new(1);
+        let wl = ExploreWorkload::new();
         assert_eq!(wl.layout(), wl.layout());
     }
 
     #[test]
     fn seed_schedule_replays_clean() {
-        let wl = ExploreWorkload::new(1);
+        let wl = ExploreWorkload::new();
         let (pool, rt) = wl.build();
         let report = wl.seed_schedule().replay(&rt);
         assert_eq!(report.ops_run, 3);
@@ -269,7 +262,7 @@ mod tests {
 
     #[test]
     fn buggy_seed_order_passes_but_marked_first_fails() {
-        let wl = ExploreWorkload::with_bug(1);
+        let wl = ExploreWorkload::with_bug();
         let seed = wl.buggy_schedule();
         let (pool, rt) = wl.build();
         seed.replay(&rt);

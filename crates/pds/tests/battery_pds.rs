@@ -28,7 +28,7 @@ fn with_battery<R>(
 
 #[test]
 fn injected_ordering_bug_is_reported_with_reason_and_crash_point() {
-    let wl = ExploreWorkload::with_bug(1);
+    let wl = ExploreWorkload::with_bug();
     let session = wl.session();
     // Seed order (racy insert before the mark) survives every crash point.
     let seed = wl.buggy_schedule();
@@ -80,7 +80,7 @@ fn injected_ordering_bug_is_reported_with_reason_and_crash_point() {
 
 #[test]
 fn exhaustive_nesting_visits_every_recovery_event_of_an_insert() {
-    let wl = ExploreWorkload::new(4);
+    let wl = ExploreWorkload::new();
     let session = wl.session();
     let schedule = wl.seed_schedule();
     // Inside the last insert, so recovery re-executes an allocating txfunc.

@@ -6,13 +6,13 @@
 //!   `insert_sync`/`remove_sync` on the hash map (per-bucket locks) and
 //!   the skiplist (global lock) while a [`FaultPlan`] crash trips at a
 //!   swept persist event; after a power failure (a seeded subset of the
-//!   un-fenced lines kept) and recovery, the structure must pass its full structural check with
-//!   every surviving key holding exactly its canonical value — at shards
-//!   1 and 4.
+//!   un-fenced lines kept) and recovery, the structure must pass its full
+//!   structural check with every surviving key holding exactly its
+//!   canonical value.
 //! * **Deterministic 2-lane sweep** — a fixed interleaved schedule over
 //!   *both* structures through `run_on_locked`, crashed at every strided
-//!   persist event; the recovered media must be byte-identical at shards
-//!   1 and 4 (the determinism contract extended to locked transactions).
+//!   persist event; the recovered media must be byte-identical between
+//!   runs (the determinism contract extended to locked transactions).
 //!
 //!   Both tiers run the product's `CrashBattery`, so every visited crash
 //!   point also gets the heap walk, recovery idempotence and byte parity.
@@ -69,9 +69,8 @@ impl Handle {
     }
 }
 
-fn setup(structure: &str, shards: u32) -> (Arc<PmemPool>, Runtime, Handle) {
-    let opts = PoolOptions::crash_sim(8 << 20).with_shards(shards);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+fn setup(structure: &str) -> (Arc<PmemPool>, Runtime, Handle) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(8 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
     let h = match structure {
         "hashmap" => {
@@ -145,56 +144,54 @@ fn check_contents(pool: &PmemPool, h: &Handle) -> Result<(), String> {
 /// a consistent structure). Each recovered structure keeps serving through
 /// the locked paths.
 fn racing_sweep(structure: &'static str, threads: usize, stride_div: u64) {
-    for shards in [1u32, 4] {
-        let session = ExploreSession {
-            build: Box::new(move || {
-                let (pool, rt, _) = setup(structure, shards);
-                (pool, rt)
-            }),
-            reopen: Box::new(move |media| {
-                let (pool, rt) = reopen_media(media, shards, rt_options());
-                match structure {
-                    "hashmap" => HashMap::register(&rt),
-                    "skiplist" => SkipList::register(&rt),
-                    _ => unreachable!(),
-                }
-                (pool, rt)
-            }),
-            check: Box::new(move |pool, rt| check_contents(pool, &Handle::open(structure, rt))),
-        };
-        let drive = |rt: &Arc<Runtime>| run_racing(rt, &Handle::open(structure, rt), threads);
-        let battery = CrashBattery {
-            session: &session,
-            drive: &drive,
-            nested: Nested::Off,
-        };
-        let ctx = format!("{structure} shards={shards} threads={threads}");
-        let events = battery
-            .count_events()
-            .unwrap_or_else(|v| panic!("{ctx}: {v}"));
-        assert!(events > 0, "{structure}: racing run issues persist events");
-        battery
-            .sweep((events / stride_div).max(1), u64::MAX, |r| {
-                let h = Handle::open(structure, &r.rt);
-                match &h {
-                    Handle::H(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
-                    Handle::S(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
-                }
-                check_contents(&r.pool, &h).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            })
-            .unwrap_or_else(|v| panic!("{ctx}: {v}"));
-    }
+    let session = ExploreSession {
+        build: Box::new(move || {
+            let (pool, rt, _) = setup(structure);
+            (pool, rt)
+        }),
+        reopen: Box::new(move |media| {
+            let (pool, rt) = reopen_media(media, rt_options());
+            match structure {
+                "hashmap" => HashMap::register(&rt),
+                "skiplist" => SkipList::register(&rt),
+                _ => unreachable!(),
+            }
+            (pool, rt)
+        }),
+        check: Box::new(move |pool, rt| check_contents(pool, &Handle::open(structure, rt))),
+    };
+    let drive = |rt: &Arc<Runtime>| run_racing(rt, &Handle::open(structure, rt), threads);
+    let battery = CrashBattery {
+        session: &session,
+        drive: &drive,
+        nested: Nested::Off,
+    };
+    let ctx = format!("{structure} threads={threads}");
+    let events = battery
+        .count_events()
+        .unwrap_or_else(|v| panic!("{ctx}: {v}"));
+    assert!(events > 0, "{structure}: racing run issues persist events");
+    battery
+        .sweep((events / stride_div).max(1), u64::MAX, |r| {
+            let h = Handle::open(structure, &r.rt);
+            match &h {
+                Handle::H(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
+                Handle::S(x) => x.insert_sync(&r.rt, 777_777, &value_of(777_777)).unwrap(),
+            }
+            check_contents(&r.pool, &h).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        })
+        .unwrap_or_else(|v| panic!("{ctx}: {v}"));
 }
 
-/// Tier-1 racing sweep: 2 threads, strided crash points, shards {1, 4}.
+/// Tier-1 racing sweep: 2 threads, strided crash points.
 #[test]
-fn racing_hashmap_sweep_recovers_at_shards_1_and_4() {
+fn racing_hashmap_sweep_recovers() {
     racing_sweep("hashmap", 2, 8);
 }
 
 /// Tier-1 racing sweep over the skiplist (one structure lock).
 #[test]
-fn racing_skiplist_sweep_recovers_at_shards_1_and_4() {
+fn racing_skiplist_sweep_recovers() {
     racing_sweep("skiplist", 2, 8);
 }
 
@@ -208,13 +205,12 @@ fn racing_sweep_exhaustive() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic 2-lane sweep: byte-identical recovery across shard counts.
+// Deterministic 2-lane sweep: byte-identical recovery between runs.
 
 /// Both structures in one pool, built in a fixed order so the layout is
-/// identical at every shard count.
-fn setup_two(shards: u32) -> (Arc<PmemPool>, Runtime, HashMap, SkipList) {
-    let opts = PoolOptions::crash_sim(4 << 20).with_shards(shards);
-    let pool = Arc::new(PmemPool::create(opts).unwrap());
+/// identical in every build.
+fn setup_two() -> (Arc<PmemPool>, Runtime, HashMap, SkipList) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap());
     let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
     HashMap::register(&rt);
     SkipList::register(&rt);
@@ -269,19 +265,19 @@ fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxErro
     Ok(())
 }
 
-/// The battery over the fixed 2-lane schedule at ~12 strided crash points
-/// on `shards` shards; `served` gets each recovered pool's media, in order.
-fn two_lane_sweep(shards: u32, mut served: impl FnMut(usize, Vec<u8>)) -> SweepSummary {
+/// The battery over the fixed 2-lane schedule at ~12 strided crash points;
+/// `served` gets each recovered pool's media, in order.
+fn two_lane_sweep(mut served: impl FnMut(usize, Vec<u8>)) -> SweepSummary {
     // The build order is fixed, so the skiplist root (the map's is the app
     // root) is the same address in every build.
-    let sl = setup_two(shards).3;
+    let sl = setup_two().3;
     let session = ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _, _) = setup_two(shards);
+            let (pool, rt, _, _) = setup_two();
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, shards, rt_options());
+            let (pool, rt) = reopen_media(media, rt_options());
             HashMap::register(&rt);
             SkipList::register(&rt);
             (pool, rt)
@@ -313,30 +309,29 @@ fn two_lane_sweep(shards: u32, mut served: impl FnMut(usize, Vec<u8>)) -> SweepS
             served(point, r.pool.media_snapshot());
             point += 1;
         })
-        .unwrap_or_else(|v| panic!("{shards} shards: {v}"));
-    assert_eq!(summary.not_tripped, 0, "{shards} shards: every event trips");
+        .unwrap_or_else(|v| panic!("{v}"));
+    assert_eq!(summary.not_tripped, 0, "every event trips");
     summary
 }
 
 /// The determinism contract, extended to locked transactions: crash the
 /// fixed 2-lane schedule at every strided persist event and recover —
-/// the sweep summary and the recovered media are identical at 1 and 4
-/// shards.
+/// the sweep summary and the recovered media are identical between runs.
 #[test]
-fn two_lane_sweep_recovers_byte_identically_across_shard_counts() {
+fn two_lane_sweep_recovers_byte_identically_across_runs() {
     let mut golden = Vec::new();
-    let reference = two_lane_sweep(1, |_, media| golden.push(media));
+    let reference = two_lane_sweep(|_, media| golden.push(media));
     assert!(
         reference.crash_points >= 8,
         "sweep must cover a real spread of crash points"
     );
-    let summary = two_lane_sweep(4, |point, media| {
+    let summary = two_lane_sweep(|point, media| {
         assert!(
             golden[point] == media,
-            "crash point #{point}: recovered media diverged at 4 shards"
+            "crash point #{point}: recovered media diverged between runs"
         );
     });
-    assert_eq!(summary, reference, "4 shards: sweep summary diverged");
+    assert_eq!(summary, reference, "sweep summary diverged between runs");
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +343,7 @@ fn two_lane_sweep_recovers_byte_identically_across_shard_counts() {
 /// zero violations.
 #[test]
 fn explorer_clears_schedule_recorded_from_racing_hashmap_threads() {
-    let wl = ExploreWorkload::new(1);
+    let wl = ExploreWorkload::new();
     let (pool, rt) = wl.build();
     let map = HashMap::open(rt.pool(), rt.app_root().unwrap()).unwrap();
 

@@ -6,9 +6,8 @@
 //!   sound conflict policy nothing is pruned: 3 merges of the (2,1)
 //!   lanes), plants a crash at every strided persist prefix of each, and
 //!   finds zero invariant violations.
-//! * The exploration is deterministic and shard-count-invariant:
-//!   identical report counts, explored-schedule lists, and media outcome
-//!   hashes at 1 and 4 shards.
+//! * The exploration is deterministic: identical report counts,
+//!   explored-schedule lists, and media outcome hashes on every run.
 //! * A seeded known-bad schedule (the injected ordering bug behind the
 //!   workload's test-only flag) is found and ddmin-minimized to its two
 //!   culprit ops.
@@ -33,7 +32,7 @@ fn smoke_opts() -> ExploreOptions {
 
 #[test]
 fn bounded_exploration_enumerates_every_interleaving_cleanly() {
-    let wl = ExploreWorkload::new(1);
+    let wl = ExploreWorkload::new();
     let report = explore(&wl, wl.seed_schedule(), smoke_opts());
     assert!(report.complete, "budget 64 covers the whole space");
     // (2,1) lanes of all-conflicting inserts: 3 merges, nothing pruned.
@@ -56,39 +55,34 @@ fn bounded_exploration_enumerates_every_interleaving_cleanly() {
 }
 
 #[test]
-fn exploration_is_identical_across_shard_counts() {
+fn exploration_is_identical_across_runs() {
     // Identity needs every candidate and *some* crash points per
     // candidate, not the full sweep depth — cap points to keep the
     // debug-mode tier fast (the stride-1 tier runs behind --ignored).
     let opts = smoke_opts().with_crash_stride(7).with_max_crash_points(8);
-    let mut runs = Vec::new();
-    for shards in [1, 4] {
-        let wl = ExploreWorkload::new(shards);
-        runs.push(explore(&wl, wl.seed_schedule(), opts.clone()));
-    }
-    let base_report = &runs[0];
+    let wl = ExploreWorkload::new();
+    let base_report = explore(&wl, wl.seed_schedule(), opts.clone());
     assert!(
         base_report.failures.is_empty(),
         "{:?}",
         base_report.failures
     );
-    for report in &runs[1..] {
-        assert_eq!(report.schedules_run, base_report.schedules_run);
-        assert_eq!(report.schedules_pruned, base_report.schedules_pruned);
-        assert_eq!(report.crashes_planted, base_report.crashes_planted);
-        assert_eq!(report.explored, base_report.explored);
-        assert_eq!(
-            report.outcomes, base_report.outcomes,
-            "durable media outcome of every candidate is shard-count-invariant"
-        );
-        assert_eq!(report.complete, base_report.complete);
-        assert_eq!(report.failures.len(), base_report.failures.len());
-    }
+    let report = explore(&wl, wl.seed_schedule(), opts);
+    assert_eq!(report.schedules_run, base_report.schedules_run);
+    assert_eq!(report.schedules_pruned, base_report.schedules_pruned);
+    assert_eq!(report.crashes_planted, base_report.crashes_planted);
+    assert_eq!(report.explored, base_report.explored);
+    assert_eq!(
+        report.outcomes, base_report.outcomes,
+        "durable media outcome of every candidate is the same every run"
+    );
+    assert_eq!(report.complete, base_report.complete);
+    assert_eq!(report.failures.len(), base_report.failures.len());
 }
 
 #[test]
 fn injected_ordering_bug_is_found_and_minimized() {
-    let wl = ExploreWorkload::with_bug(1);
+    let wl = ExploreWorkload::with_bug();
     let report = explore(&wl, wl.buggy_schedule(), smoke_opts());
     assert_eq!(report.failures.len(), 1, "the bug is found");
     let failure = &report.failures[0];
@@ -116,7 +110,7 @@ fn injected_ordering_bug_is_found_and_minimized() {
 #[test]
 #[ignore = "exhaustive; run with --ignored (CI full_sweep)"]
 fn exhaustive_two_thread_exploration_full_stride() {
-    let wl = ExploreWorkload::new(4);
+    let wl = ExploreWorkload::new();
     let (root, _) = wl.layout();
     let insert = |slot: usize, key: u64| ScheduleOp {
         slot,

@@ -11,7 +11,7 @@
 //!
 //! **One heap.** The heap runs from `HEAP_BASE` to the pool's end, with one
 //! volatile `ArenaMirror` behind one mutex. A call locks the mirror, then
-//! every shard, ascending; a reservation is one pop under that lock. A
+//! the pool engine; a reservation is one pop under that lock. A
 //! crash rolls an open reservation back, or leaks it if a later call
 //! persisted a head below it.
 //!
@@ -52,9 +52,9 @@ use std::collections::{HashMap, HashSet};
 use clobber_trace::EventKind;
 
 use crate::addr::{align_up, PAddr};
+use crate::engine::RawPmem;
 use crate::geometry::layout::{FREE_HEADS, FRONTIER as FRONTIER_OFF, HEAP_BASE};
 use crate::pool::{get_u64, put_u64, PmemError, PmemPool, PoolMode};
-use crate::shard::{MediaView, RawPmem};
 
 /// Payload capacities of the small size classes.
 pub const CLASS_SIZES: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -289,7 +289,7 @@ fn classify(size: u64) -> (u32, u64) {
 }
 
 /// Cache-aware persistent write helpers used while the engine's locks are
-/// held (the mirror + every shard).
+/// held (the mirror, then the engine).
 struct Ops<'a, 'b> {
     raw: &'a mut RawPmem<'b>,
     mode: PoolMode,
@@ -671,15 +671,15 @@ impl PmemPool {
     /// violation found: a frontier outside the heap, or a block below the
     /// durable frontier with an invalid header.
     pub fn check_heap(&self) -> Result<HeapReport, PmemError> {
-        // A diagnostic walk over the durable image, in place: the view
-        // hides how it is split into shards and holds their locks meanwhile.
+        // A diagnostic walk over the durable image, in place, the engine
+        // lock held meanwhile.
         self.engine()
-            .with_media_view(|media| check_media(media, self.capacity()))
+            .with_media(|media| check_media(media, self.capacity()))
     }
 }
 
-fn check_media(media: &MediaView<'_>, heap_hi: u64) -> Result<HeapReport, PmemError> {
-    let word = |off| media.get_u64(off);
+fn check_media(media: &[u8], heap_hi: u64) -> Result<HeapReport, PmemError> {
+    let word = |off| get_u64(media, off);
     let durable = word(FRONTIER_OFF);
     if durable < HEAP_BASE || durable > heap_hi {
         return Err(PmemError::CorruptPool(format!(
@@ -1122,9 +1122,7 @@ mod tests {
 
     #[test]
     fn threads_sharing_the_heap_survive_crash_and_check() {
-        let p = std::sync::Arc::new(
-            PmemPool::create(PoolOptions::crash_sim(1 << 20).with_shards(4)).unwrap(),
-        );
+        let p = std::sync::Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
         let a = p.alloc(128).unwrap();
         // Two threads, each a transaction that reserves, publishes and
         // fences, against the one heap this thread allocated from.

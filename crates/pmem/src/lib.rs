@@ -30,8 +30,7 @@
 //! * [`PmemPool::set_tracer`] attaches a [`Tracer`] (from `clobber-trace`):
 //!   every store/flush/fence is recorded as a typed event stamped with its
 //!   persist-event sequence number, under the same fault-mutex acquisition
-//!   that assigns it — so the recorded stream is the pool-wide total order,
-//!   identical at every shard count.
+//!   that assigns it — so the recorded stream is the pool-wide total order.
 //!
 //! # Example
 //!
@@ -55,10 +54,10 @@ pub mod addr;
 pub mod alloc;
 pub(crate) mod cache;
 pub mod crash;
+pub(crate) mod engine;
 pub mod fault;
 pub(crate) mod geometry;
 pub mod pool;
-pub(crate) mod shard;
 pub mod stats;
 pub mod ulog;
 

@@ -13,9 +13,9 @@ use rand::{Rng, SeedableRng};
 use crate::addr::{PAddr, CACHE_LINE};
 use crate::cache::line_count;
 use crate::crash::CrashConfig;
+use crate::engine::Engine;
 use crate::fault::{FaultPlan, FaultState};
 use crate::geometry::layout;
-use crate::shard::ShardedPool;
 use crate::stats::PmemStats;
 
 /// Magic value of the pool format (the only one ever written or opened).
@@ -51,10 +51,6 @@ pub struct PoolOptions {
     pub capacity: u64,
     /// Cache-modeling mode.
     pub mode: PoolMode,
-    /// Requested number of address-range shards the pool's state is
-    /// partitioned into, each behind its own lock (see
-    /// [`with_shards`](Self::with_shards)). 1 — one lock — by default.
-    pub shards: u32,
 }
 
 impl PoolOptions {
@@ -63,7 +59,6 @@ impl PoolOptions {
         PoolOptions {
             capacity,
             mode: PoolMode::Performance,
-            shards: 1,
         }
     }
 
@@ -72,20 +67,7 @@ impl PoolOptions {
         PoolOptions {
             capacity,
             mode: PoolMode::CrashSim,
-            shards: 1,
         }
-    }
-
-    /// Partitions pool state into `shards` contiguous, line-aligned
-    /// address ranges, each behind its own lock, so operations on disjoint
-    /// ranges proceed in parallel. Clamped to at least one line per shard
-    /// (and to ≥ 1), so the effective count may be lower for tiny pools.
-    /// Durable media, counters (in aggregate), persist-event order and
-    /// seeded crash outcomes are identical at every count — the lock-step
-    /// property test (`tests/proptest_shard_equiv.rs`) holds them to that.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
-        self
     }
 }
 
@@ -184,23 +166,18 @@ impl Error for PmemError {}
 
 /// A simulated persistent memory pool.
 ///
-/// All methods take `&self`; internal state is protected by per-shard
-/// locks, so a pool can be shared across threads via [`Arc`]. See the
+/// All methods take `&self`; internal state is protected by one engine
+/// lock, so a pool can be shared across threads via [`Arc`]. See the
 /// [crate documentation](crate) for the durability contract.
 ///
-/// **Persist-event ordering across shards:** fault injection needs one
-/// coherent total order of persist events no matter how many shards exist.
-/// That order is defined by acquisition order on the pool's single fault
-/// mutex, which every armed store/flush/fence acquires *before* touching
-/// any shard. Disarmed pools skip the mutex entirely (one relaxed atomic
-/// load), so the ordering authority costs nothing unless a [`FaultPlan`]
-/// is armed — and while armed, a fixed single-threaded workload trips at
-/// the same event index regardless of shard count.
+/// **Persist-event ordering:** fault injection needs one coherent total
+/// order of persist events. That order is defined by acquisition order on
+/// the pool's single fault mutex, which every armed store/flush/fence
+/// acquires *before* taking the engine lock. Disarmed pools skip the mutex
+/// entirely (one relaxed atomic load), so the ordering authority costs
+/// nothing unless a [`FaultPlan`] is armed.
 pub struct PmemPool {
     mode: PoolMode,
-    /// Shard count as requested (the engine may have clamped it); a
-    /// [`crash`](Self::crash) reopens with it.
-    shards: u32,
     capacity: u64,
     stats: Arc<PmemStats>,
     /// Fast-path flag: true while a [`FaultPlan`] is armed. Lets the
@@ -211,9 +188,9 @@ pub struct PmemPool {
     trace_on: AtomicBool,
     /// The single fault injector and event tracer. While armed (or traced),
     /// acquisition order on this mutex defines the pool-wide total order of
-    /// persist events — the shard-ordering model documented on the type.
+    /// persist events — the ordering model documented on the type.
     faults: Mutex<FaultState>,
-    engine: ShardedPool,
+    engine: Engine,
 }
 
 impl fmt::Debug for PmemPool {
@@ -245,7 +222,7 @@ impl PmemPool {
         put_u64(&mut media, layout::ROOT, 0);
         put_u64(&mut media, layout::FRONTIER, layout::HEAP_BASE);
         // The free-list heads are already zero.
-        Ok(Self::assemble(media, opts.mode, opts.shards))
+        Ok(Self::assemble(media, opts.mode))
     }
 
     /// Reopens a pool from raw media contents, e.g. after a crash.
@@ -257,21 +234,6 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::CorruptPool`] if the header fails validation.
     pub fn open_from_media(media: Vec<u8>, mode: PoolMode) -> Result<PmemPool, PmemError> {
-        Self::open_from_media_with(media, mode, 1)
-    }
-
-    /// As [`open_from_media`](Self::open_from_media), with an explicit shard
-    /// count (the crash-sweep harness reopens crashed media under the same
-    /// configuration it ran with).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::CorruptPool`] if the header fails validation.
-    pub fn open_from_media_with(
-        media: Vec<u8>,
-        mode: PoolMode,
-        shards: u32,
-    ) -> Result<PmemPool, PmemError> {
         if media.len() < (layout::HEAP_BASE + 4096) as usize {
             return Err(PmemError::CorruptPool("media shorter than metadata".into()));
         }
@@ -285,18 +247,17 @@ impl PmemPool {
                 media.len()
             )));
         }
-        Ok(Self::assemble(media, mode, shards))
+        Ok(Self::assemble(media, mode))
     }
 
     /// Builds the engine and stats for validated media.
-    fn assemble(media: Vec<u8>, mode: PoolMode, shards: u32) -> PmemPool {
+    fn assemble(media: Vec<u8>, mode: PoolMode) -> PmemPool {
         let capacity = media.len() as u64;
-        let engine = ShardedPool::new(media, shards);
+        let engine = Engine::new(media);
         PmemPool {
             mode,
-            shards,
             capacity,
-            stats: Arc::new(PmemStats::with_banks(engine.banks().clone())),
+            stats: Arc::new(PmemStats::with_engine(engine.bank().clone())),
             faults_armed: AtomicBool::new(false),
             trace_on: AtomicBool::new(false),
             faults: Mutex::new(FaultState::default()),
@@ -309,18 +270,13 @@ impl PmemPool {
         self.mode
     }
 
-    /// The number of address-range shards (as clamped by the engine).
-    pub fn shard_count(&self) -> usize {
-        self.engine.shard_count()
-    }
-
     /// The pool capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity
     }
 
-    /// The engine: where the allocator takes its mirror and shard locks.
-    pub(crate) fn engine(&self) -> &ShardedPool {
+    /// The engine: where the allocator takes its mirror and engine locks.
+    pub(crate) fn engine(&self) -> &Engine {
         &self.engine
     }
 
@@ -692,8 +648,8 @@ impl PmemPool {
     /// [`flush`](Self::flush) of the same range — the shape of every
     /// log-line and status-word write — as one operation.
     ///
-    /// With no [`FaultPlan`] armed and no tracer attached, both halves of a
-    /// range that one shard holds run under one round of that shard's lock.
+    /// With no [`FaultPlan`] armed and no tracer attached, both halves run
+    /// under one round of the engine lock.
     /// With a hook engaged it *is* the two calls, so the `Store` and `Flush`
     /// persist events, their indices and the trip semantics (a plan may trip
     /// between them, leaving the store unflushed) are those of the sequence.
@@ -774,7 +730,7 @@ impl PmemPool {
     /// validation (which would indicate a bug in this crate, not the caller).
     pub fn crash(&self, cfg: &CrashConfig) -> Result<PmemPool, PmemError> {
         let media = self.crash_media(cfg);
-        PmemPool::open_from_media_with(media, self.mode, self.shards)
+        PmemPool::open_from_media(media, self.mode)
     }
 
     /// The media image the power failure of [`crash`](Self::crash) leaves
@@ -792,8 +748,7 @@ impl PmemPool {
     pub fn crash_media_into(&self, cfg: &CrashConfig, buf: Vec<u8>) -> Vec<u8> {
         let cfg = &cfg.clamped();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        // One survival draw per modified line, in ascending line order — the
-        // same sequence at every shard count.
+        // One survival draw per modified line, in ascending line order.
         let mut draw = |flush_pending: bool| {
             if flush_pending {
                 rng.gen_bool(cfg.p_flushed_unfenced)
@@ -807,24 +762,20 @@ impl PmemPool {
     /// Returns a copy of the durable media contents (what a crash with
     /// [`CrashConfig::drop_all`] would preserve, before an open's repairs).
     pub fn media_snapshot(&self) -> Vec<u8> {
-        let mut media = Vec::with_capacity(self.capacity as usize);
-        self.visit_media(|piece| media.extend_from_slice(piece));
-        media
+        self.engine.with_media(<[u8]>::to_vec)
     }
 
-    /// Calls `f` on each contiguous piece of the durable media, ascending
-    /// (the pieces concatenated are [`media_snapshot`](Self::media_snapshot)),
-    /// without copying it: for hashing or comparing an image in place. The
-    /// engine's locks are held while `f` runs, so `f` must not call back
-    /// into this pool.
-    pub fn visit_media(&self, mut f: impl FnMut(&[u8])) {
-        self.engine
-            .with_media_view(|view| view.pieces().for_each(&mut f));
+    /// Calls `f` on the durable media (what
+    /// [`media_snapshot`](Self::media_snapshot) copies) without copying it:
+    /// for hashing or comparing an image in place. The engine lock is held
+    /// while `f` runs, so `f` must not call back into this pool.
+    pub fn visit_media(&self, f: impl FnOnce(&[u8])) {
+        self.engine.with_media(f);
     }
 
     /// Consumes the pool and returns its durable media (the volatile cache
-    /// is discarded, as by a [`CrashConfig::drop_all`] crash) — no copy at
-    /// one shard, so a harness can recycle a pool-sized buffer.
+    /// is discarded, as by a [`CrashConfig::drop_all`] crash) — no copy, so
+    /// a harness can recycle a pool-sized buffer.
     pub fn into_media(self) -> Vec<u8> {
         self.engine.into_media()
     }
@@ -1039,32 +990,29 @@ mod tests {
 
     #[test]
     fn media_is_visited_crashed_and_taken_in_place() {
-        let opts = PoolOptions::crash_sim(1 << 20);
-        for opts in [opts, opts.with_shards(4)] {
-            let p = PmemPool::create(opts).unwrap();
-            // Durable bytes across the end of shard 0, and an unfenced store.
-            let a = PAddr::new((1 << 18) - 100);
-            p.write_bytes(a, &[7; 200]).unwrap();
-            p.persist(a, 200).unwrap();
-            p.write_u64(PAddr::new(8192), 9).unwrap();
-            let snap = p.media_snapshot();
-            assert_eq!(&snap[a.offset() as usize..][..200], &[7; 200]);
+        let p = crash_pool();
+        // Durable bytes across a page boundary, and an unfenced store.
+        let a = PAddr::new((1 << 18) - 100);
+        p.write_bytes(a, &[7; 200]).unwrap();
+        p.persist(a, 200).unwrap();
+        p.write_u64(PAddr::new(8192), 9).unwrap();
+        let snap = p.media_snapshot();
+        assert_eq!(&snap[a.offset() as usize..][..200], &[7; 200]);
 
-            let mut visited = Vec::new();
-            p.visit_media(|piece| visited.extend_from_slice(piece));
-            assert_eq!(visited, snap, "the pieces are the media, ascending");
+        let mut visited = Vec::new();
+        p.visit_media(|media| visited.extend_from_slice(media));
+        assert_eq!(visited, snap, "the visit sees the durable media");
 
-            assert_eq!(p.crash_media(&CrashConfig::drop_all(1)), snap);
-            let kept = p.crash_media(&CrashConfig::keep_all(1));
-            assert_eq!(get_u64(&kept, 8192), 9, "the unfenced store survived");
-            let buf = Vec::with_capacity(1 << 20);
-            let at = buf.as_ptr();
-            let image = p.crash_media_into(&CrashConfig::drop_all(1), buf);
-            assert_eq!(image.as_ptr(), at, "written into the buffer handed in");
-            assert_eq!(image, snap);
+        assert_eq!(p.crash_media(&CrashConfig::drop_all(1)), snap);
+        let kept = p.crash_media(&CrashConfig::keep_all(1));
+        assert_eq!(get_u64(&kept, 8192), 9, "the unfenced store survived");
+        let buf = Vec::with_capacity(1 << 20);
+        let at = buf.as_ptr();
+        let image = p.crash_media_into(&CrashConfig::drop_all(1), buf);
+        assert_eq!(image.as_ptr(), at, "written into the buffer handed in");
+        assert_eq!(image, snap);
 
-            assert_eq!(p.into_media(), snap);
-        }
+        assert_eq!(p.into_media(), snap);
     }
 
     #[test]

@@ -19,23 +19,24 @@ const BANK_ALIGN: usize = 128;
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Persistence counters: one bank per shard of a pool, plus the
-        /// pool's shared bank.
+        /// Persistence counters: the pool engine's bank, or the pool's
+        /// shared bank.
         ///
-        /// All counters are monotone. A pool has one bank per shard, written
-        /// by the engine, and one shared bank — the handle
+        /// All counters are monotone. A pool has two banks: the engine's,
+        /// and a shared one — the handle
         /// [`PmemPool::stats`](crate::PmemPool::stats) returns — that every
         /// layer bumps. The engine writes only the six per-access counters
-        /// (the first six fields), in the bank of the shard whose lock it
-        /// holds: one writer at a time, so its increments are plain
-        /// load+store pairs rather than atomic read-modify-writes, and a
-        /// concurrent [`snapshot`](Self::snapshot) reader only ever sees a
-        /// slightly stale value, never a torn one. The ordering-fence count
-        /// is the exception — a performance-mode fence takes no lock, so it
-        /// is an atomic add into shard 0's bank. Every other counter lives
-        /// in the shared bank and is bumped atomically, by the pool or by
-        /// the layers above it. [`snapshot`](Self::snapshot) is the sum over
-        /// all banks.
+        /// (the first six fields), in its own bank under its lock: one
+        /// writer at a time, so its increments are plain load+store pairs
+        /// rather than atomic read-modify-writes, and a concurrent
+        /// [`snapshot`](Self::snapshot) reader only ever sees a slightly
+        /// stale value, never a torn one. The ordering-fence count is the
+        /// exception — a performance-mode fence takes no lock, so it is an
+        /// atomic add into the engine's bank. Every other counter lives in
+        /// the shared bank and is bumped atomically, by the pool or by the
+        /// layers above it. Keeping the hot per-access counters in a bank of
+        /// their own keeps them off the lines the atomic bumps contend on.
+        /// [`snapshot`](Self::snapshot) is the sum of both banks.
         ///
         /// A bank is padded to a multiple of 128 B by size, not by
         /// alignment: an over-aligned allocation per pool instance bypasses
@@ -44,9 +45,9 @@ macro_rules! counters {
         #[derive(Debug, Default)]
         pub struct PmemStats {
             $($(#[$doc])* pub $name: AtomicU64,)*
-            /// The pool's per-shard banks, shared with its engine (which
-            /// writes them). `None` in a shard's own bank.
-            banks: Option<Arc<[PmemStats]>>,
+            /// The engine's bank, which the engine writes. `None` in the
+            /// engine's own bank.
+            engine: Option<Arc<PmemStats>>,
             _pad: [u64; PAD_WORDS],
         }
 
@@ -76,10 +77,10 @@ macro_rules! counters {
         }
 
         /// Words of padding that round a bank up to [`BANK_ALIGN`] bytes:
-        /// one word per counter plus the `banks` handle.
+        /// one word per counter plus the `engine` handle.
         const PAD_WORDS: usize = {
             let used = [$(stringify!($name)),*].len() * 8
-                + std::mem::size_of::<Option<Arc<[PmemStats]>>>();
+                + std::mem::size_of::<Option<Arc<PmemStats>>>();
             (BANK_ALIGN - used % BANK_ALIGN) % BANK_ALIGN / 8
         };
 
@@ -110,17 +111,15 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Cache-line flushes issued, counted per shard holding the lines.
+    /// Cache-line flushes issued.
     flushes,
-    /// Ordering fences issued (pool and allocator fences count in shard
-    /// 0's bank).
+    /// Ordering fences issued (pool and allocator fences alike).
     fences,
-    /// Store operations, counted in the shard holding the first byte.
+    /// Store operations.
     writes,
-    /// Bytes stored (the full store, even if it spilled into the next
-    /// shard — operation counts attribute to the first shard).
+    /// Bytes stored.
     write_bytes,
-    /// Load operations, counted in the shard holding the first byte.
+    /// Load operations.
     reads,
     /// Bytes loaded.
     read_bytes,
@@ -221,30 +220,22 @@ counters! {
 }
 
 impl PmemStats {
-    /// Creates the pool's shared bank over its per-shard `banks`.
-    pub(crate) fn with_banks(banks: Arc<[PmemStats]>) -> Self {
+    /// Creates the pool's shared bank over its `engine`'s bank.
+    pub(crate) fn with_engine(engine: Arc<PmemStats>) -> Self {
         Self {
-            banks: Some(banks),
+            engine: Some(engine),
             ..Self::default()
         }
     }
 
-    fn banks(&self) -> &[PmemStats] {
-        self.banks.as_deref().unwrap_or_default()
-    }
-
-    /// Point-in-time copies of each shard's bank, in shard order. Summing
-    /// these equals the per-access fields of [`snapshot`](Self::snapshot).
-    pub fn shard_snapshots(&self) -> Vec<StatsSnapshot> {
-        self.banks().iter().map(PmemStats::load).collect()
-    }
-
     /// Captures a point-in-time copy of all counters: the sum of this bank
-    /// and every per-shard bank.
+    /// and the engine's.
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.banks()
-            .iter()
-            .fold(self.load(), |sum, bank| sum.plus(&bank.load()))
+        let own = self.load();
+        match &self.engine {
+            Some(engine) => own.plus(&engine.load()),
+            None => own,
+        }
     }
 
     /// Adds `by` atomically: for counters whose writers no lock orders.
@@ -254,7 +245,7 @@ impl PmemStats {
     }
 
     /// Adds `by` with a plain load+store (no RMW). Callers must hold the
-    /// lock of the shard owning this bank — see the type docs for why that
+    /// engine lock of the pool owning this bank — see the type docs for why that
     /// makes this exact.
     #[inline]
     pub(crate) fn add(&self, counter: &AtomicU64, by: u64) {
@@ -296,47 +287,6 @@ mod tests {
     #[test]
     fn bank_size_is_a_multiple_of_128_bytes() {
         assert_eq!(std::mem::size_of::<PmemStats>() % BANK_ALIGN, 0);
-    }
-
-    #[test]
-    fn snapshot_sums_shard_banks_into_hot_fields() {
-        let banks: Arc<[PmemStats]> = (0..3).map(|_| PmemStats::default()).collect();
-        let s = PmemStats::with_banks(banks.clone());
-        banks[0].add(&banks[0].writes, 2);
-        banks[0].add(&banks[0].write_bytes, 128);
-        banks[2].add(&banks[2].writes, 1);
-        banks[2].add(&banks[2].flushes, 4);
-        banks[2].add(&banks[2].reads, 5);
-        banks[1].add(&banks[1].read_bytes, 40);
-        banks[0].bump(&banks[0].fences, 1);
-        banks[1].bump(&banks[1].fences, 2);
-        s.bump(&s.allocs, 1);
-        s.bump(&s.net_snapshot_reads, 6);
-        let snap = s.snapshot();
-        assert_eq!(snap.writes, 3);
-        assert_eq!(snap.write_bytes, 128);
-        assert_eq!(snap.flushes, 4);
-        assert_eq!(snap.fences, 3);
-        assert_eq!(snap.reads, 5);
-        assert_eq!(snap.read_bytes, 40);
-        assert_eq!(snap.allocs, 1);
-        assert_eq!(snap.net_snapshot_reads, 6);
-        let shards = s.shard_snapshots();
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards[0].writes, 2);
-        assert_eq!(shards[1].fences, 2);
-        assert_eq!(shards[2].flushes, 4);
-        let total = shards
-            .iter()
-            .fold(StatsSnapshot::default(), |a, b| a.plus(b));
-        assert_eq!(
-            total,
-            StatsSnapshot {
-                allocs: 0,
-                net_snapshot_reads: 0,
-                ..snap
-            }
-        );
     }
 
     #[test]

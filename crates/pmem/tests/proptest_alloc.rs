@@ -65,8 +65,8 @@ fn script_strategy() -> impl Strategy<Value = Script> {
     )
 }
 
-/// What a script run leaves behind, for comparison across shard counts and
-/// between batched and one-by-one frees.
+/// What a script run leaves behind, for comparison between batched and
+/// one-by-one frees.
 struct Outcome {
     /// Every address handed out, then what a drain of each class's free
     /// stack yields: the mirrors' order made visible.
@@ -81,9 +81,8 @@ struct Outcome {
 /// which every published block must still be allocated — then crashes and
 /// counts what survived. `batched` frees every batch with one `free_many`,
 /// otherwise block by block.
-fn run_script(shards: u32, batched: bool, script: &Script) -> Result<Outcome, TestCaseError> {
-    let opts = PoolOptions::crash_sim(4 << 20).with_shards(shards);
-    let pool = PmemPool::create(opts).unwrap();
+fn run_script(batched: bool, script: &Script) -> Result<Outcome, TestCaseError> {
+    let pool = PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap();
     let free_all = |v: &[PAddr]| {
         if batched {
             pool.free_many(v).unwrap()
@@ -149,7 +148,7 @@ fn run_script(shards: u32, batched: bool, script: &Script) -> Result<Outcome, Te
         // fence orders the previous free's heads. From the next fence on the
         // two are indistinguishable.
         pool.fence();
-        let ctx = format!("{shards} shard(s), transaction {t}");
+        let ctx = format!("batched {batched}, transaction {t}");
         match pool.check_heap() {
             Ok(r) => reports.push(r),
             Err(e) => prop_assert!(false, "{ctx}: {e}"),
@@ -181,8 +180,8 @@ fn run_script(shards: u32, batched: bool, script: &Script) -> Result<Outcome, Te
     prop_assert_eq!(
         survived.allocated_blocks,
         published.len() as u64,
-        "{} shard(s): exactly the published blocks survive a crash",
-        shards
+        "batched {}: exactly the published blocks survive a crash",
+        batched
     );
     Ok(Outcome {
         handed_out,
@@ -203,9 +202,7 @@ fn out_of_order_cancel_recipes_keep_the_heap_walkable() {
         (free_survivor, true),
         (recipe, true),
     ];
-    for shards in [1, 4] {
-        run_script(shards, true, &script).unwrap();
-    }
+    run_script(true, &script).unwrap();
 }
 
 /// A reservation held open across two commits, each pinning one half of
@@ -219,9 +216,7 @@ fn a_reservation_held_across_two_commits_keeps_the_heap_walkable() {
         (vec![TxOp::Hold(0), TxOp::Free(0)], true),
         (vec![TxOp::Reserve(0)], true),
     ];
-    for shards in [1, 4] {
-        run_script(shards, true, &script).unwrap();
-    }
+    run_script(true, &script).unwrap();
 }
 
 proptest! {
@@ -296,20 +291,15 @@ proptest! {
     /// as free at each transaction's fence, in any order, with deferred and
     /// batched frees, while another transaction's reservation stays open —
     /// keeps a walkable heap after every transaction, live and crashed,
-    /// loses nothing published in a crash, behaves identically at 1 and 4
-    /// shards, and cannot tell `free_many(&v)` from `v` freed one by one:
-    /// same addresses, same mirrors, same media.
+    /// loses nothing published in a crash, and cannot tell `free_many(&v)`
+    /// from `v` freed one by one: same addresses, same mirrors, same media.
     #[test]
     fn transaction_scripts_keep_the_heap_walkable(script in script_strategy()) {
-        let one = run_script(1, true, &script)?;
-        for (what, other) in [
-            ("4 shards", run_script(4, true, &script)?),
-            ("one-by-one frees", run_script(1, false, &script)?),
-        ] {
-            prop_assert_eq!(&one.handed_out, &other.handed_out, "{}", what);
-            prop_assert_eq!(&one.reports, &other.reports, "{}", what);
-            prop_assert!(one.media == other.media, "{what}: media differ");
-        }
+        let batched = run_script(true, &script)?;
+        let one_by_one = run_script(false, &script)?;
+        prop_assert_eq!(&batched.handed_out, &one_by_one.handed_out);
+        prop_assert_eq!(&batched.reports, &one_by_one.reports);
+        prop_assert!(batched.media == one_by_one.media, "media differ");
     }
 
     /// Cancelling is not a leak: after every reservation of a round is

@@ -4,10 +4,9 @@
 //! flushes, and logged bytes; this crate records the *order*: a typed event
 //! stream stamped with the pool-wide persist-event sequence that the pmem
 //! substrate's single fault mutex already defines. Because every armed (or
-//! traced) store/flush/fence acquires that mutex before touching any shard,
-//! the recorded stream is bit-identical at every pool shard count — the
-//! same contract the lock-step proptests enforce for
-//! counters, now extended to full event sequences.
+//! traced) store/flush/fence acquires that mutex before taking the pool's
+//! engine lock, the recorded stream is the pool-wide event order, and a
+//! fixed single-threaded run records it bit-identically every time.
 //!
 //! This crate is deliberately foundation-only: it knows nothing about pools
 //! or transactions. `clobber-pmem` depends on it and calls

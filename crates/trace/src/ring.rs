@@ -126,7 +126,7 @@ thread_local! {
 /// Threads register lazily on their first [`record`](Self::record); their
 /// registration order defines the `thread` index stamped into events, so a
 /// single-threaded run always records as thread 0 — which is what makes
-/// golden traces comparable across runs and shard counts.
+/// golden traces comparable across runs.
 pub struct Tracer {
     id: u64,
     capacity: usize,

@@ -237,7 +237,7 @@ fn repeated_crashes_during_recovery_still_converge() {
             (pool, rt)
         }),
         reopen: Box::new(move |media| {
-            let (pool, rt) = reopen_media(media, 1, opts);
+            let (pool, rt) = reopen_media(media, opts);
             HashMap::register(&rt);
             (pool, rt)
         }),
