@@ -404,8 +404,8 @@ impl Vacation {
         let dump_table = |idx: u64| -> Result<Vec<(u64, Vec<u8>)>, TxError> {
             let table = PAddr::new(pool.read_u64(self.root.add(T_TABLES + idx * 8))?);
             match self.kind {
-                TreeKind::RedBlack => RbTree::open(table).dump(pool),
-                TreeKind::Avl => AvlTree::open(table).dump(pool),
+                TreeKind::RedBlack => RbTree::open(pool, table)?.dump(pool),
+                TreeKind::Avl => AvlTree::open(pool, table)?.dump(pool),
             }
         };
         // Outstanding per (table, item) from the item side.

@@ -64,12 +64,13 @@ const CLOBBER_BASE: u64 = 32;
 const CLOBBER_CAP: u64 = 40;
 const REDO_BASE: u64 = 48;
 const REDO_CAP: u64 = 56;
-/// Atlas's FASE record: the first whole line from here.
+/// Atlas's FASE record: the slot's second line (a heap payload starts on a
+/// line).
 const FASE_AREA: u64 = 64;
 
 /// Persistent size of a slot's words and its FASE line; the slot's v_log
 /// follows them in the same allocation.
-const SLOT_SIZE: u64 = FASE_AREA + 2 * CACHE_LINE;
+const SLOT_SIZE: u64 = FASE_AREA + CACHE_LINE;
 /// A slot's allocation: its words, then its v_log.
 const SLOT_ALLOC: u64 = 8 << 10;
 /// Bytes of a slot's v_log, which the txfunc name, the arguments and the
@@ -305,8 +306,7 @@ impl VlogSlot {
         pool: &PmemPool,
         fence: &dyn Fn(&PmemPool),
     ) -> Result<(), PmemError> {
-        let line = (self.base.offset() + FASE_AREA).next_multiple_of(CACHE_LINE);
-        pool.store_flush(PAddr::new(line), &[0; 32])?;
+        pool.store_flush(self.base.add(FASE_AREA), &[0; 32])?;
         fence(pool);
         bump_vlog(pool, 1);
         let stats = pool.stats();

@@ -366,14 +366,12 @@ fn pds_value(k: u64) -> Vec<u8> {
 #[test]
 fn seeded_draws_cover_the_pds_inserts() {
     macro_rules! structure {
-        ($ty:ident, $insert:ident, $key_of:expr) => {
-            structure!($ty, $insert, $key_of, |_: &PmemPool, root| $ty::open(root))
-        };
-        ($ty:ident, $insert:ident, $key_of:expr, $open:expr) => {{
+        ($ty:ident, $insert:ident, $key_of:expr) => {{
             let register = $ty::register;
             let contents = |pool: &PmemPool, rt: &Runtime| -> Result<Vec<(u64, Vec<u8>)>, String> {
                 let root = rt.app_root().map_err(|e| e.to_string())?;
-                let pairs = $open(pool, root).dump(pool).map_err(|e| e.to_string())?;
+                let tree = $ty::open(pool, root).map_err(|e| e.to_string())?;
+                let pairs = tree.dump(pool).map_err(|e| e.to_string())?;
                 Ok(pairs.into_iter().map(|(k, v)| ($key_of(k), v)).collect())
             };
             let session = ExploreSession {
@@ -405,13 +403,12 @@ fn seeded_draws_cover_the_pds_inserts() {
                 }),
             };
             draws_at_every_event(stringify!($ty), &session, &|rt| {
-                let _ = $open(rt.pool(), rt.app_root().unwrap()).$insert(rt, 8, &pds_value(8));
+                let s = $ty::open(rt.pool(), rt.app_root().unwrap()).unwrap();
+                let _ = s.$insert(rt, 8, &pds_value(8));
             });
         }};
     }
-    structure!(HashMap, insert, std::convert::identity, |pool, root| {
-        HashMap::open(pool, root).unwrap()
-    });
+    structure!(HashMap, insert, std::convert::identity);
     structure!(RbTree, insert, std::convert::identity);
     structure!(SkipList, insert, std::convert::identity);
     structure!(AvlTree, insert, std::convert::identity);

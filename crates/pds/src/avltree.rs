@@ -12,11 +12,13 @@
 //! ```
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemError, PmemPool};
+use clobber_pmem::{PAddr, PmemPool};
 
-use crate::value::store_value;
+use crate::value::{check_root, store_value};
 
 const MAGIC: u64 = 0xC10B_0004;
+/// Bytes of the root block.
+const ROOT_LEN: u64 = 16;
 
 const KEY: u64 = 0;
 const VPTR: u64 = 8;
@@ -264,16 +266,22 @@ impl AvlTree {
     /// Returns [`TxError::Pmem`] if the pool is exhausted.
     pub fn create(rt: &Runtime) -> Result<AvlTree, TxError> {
         let pool = rt.pool();
-        let root = pool.alloc(16)?;
+        let root = pool.alloc(ROOT_LEN)?;
         pool.write_u64(root, MAGIC)?;
         pool.write_u64(root.add(8), 0)?;
-        pool.persist(root, 16)?;
+        pool.persist(root, ROOT_LEN)?;
         Ok(AvlTree { root })
     }
 
-    /// Adopts an existing tree at `root`.
-    pub fn open(root: PAddr) -> AvlTree {
-        AvlTree { root }
+    /// Adopts the tree at `root`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `CorruptPool` error if `root` holds no AVL tree header or
+    /// its root block runs past the pool.
+    pub fn open(pool: &PmemPool, root: PAddr) -> Result<AvlTree, TxError> {
+        check_root(pool, root, ROOT_LEN, MAGIC, "AVL tree")?;
+        Ok(AvlTree { root })
     }
 
     /// The tree's root-block address.
@@ -343,17 +351,14 @@ impl AvlTree {
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::CorruptPool`] if the root holds no AVL tree
+    /// Returns a `CorruptPool` error if the root holds no AVL tree
     /// header, and [`TxError::Pmem`] on a failed read.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated (this is a checker).
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
-        if pool.read_u64(self.root)? != MAGIC {
-            let why = format!("no AVL tree at {:#x}", self.root.offset());
-            return Err(PmemError::CorruptPool(why).into());
-        }
+        check_root(pool, self.root, ROOT_LEN, MAGIC, "AVL tree")?;
         fn walk(
             pool: &PmemPool,
             n: PAddr,
@@ -414,7 +419,7 @@ impl AvlTree {
 mod tests {
     use super::*;
     use clobber_nvm::{Backend, RuntimeOptions};
-    use clobber_pmem::{PmemPool, PoolOptions};
+    use clobber_pmem::{PmemError, PmemPool, PoolOptions};
     use std::sync::Arc;
 
     fn setup(backend: Backend) -> (Arc<PmemPool>, Runtime, AvlTree) {

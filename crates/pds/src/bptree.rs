@@ -22,11 +22,13 @@
 use std::cmp::Ordering;
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemError, PmemPool};
+use clobber_pmem::{PAddr, PmemPool};
 
-use crate::value::{cmp_key32, key32, store_value};
+use crate::value::{check_root, cmp_key32, key32, store_value};
 
 const MAGIC: u64 = 0xC10B_0005;
+/// Bytes of the root block.
+const ROOT_LEN: u64 = 16;
 
 const TAG: u64 = 0;
 const NKEYS: u64 = 8;
@@ -267,19 +269,25 @@ impl BpTree {
     /// Returns [`TxError::Pmem`] if the pool is exhausted.
     pub fn create(rt: &Runtime) -> Result<BpTree, TxError> {
         let pool = rt.pool();
-        let root = pool.alloc(16)?;
+        let root = pool.alloc(ROOT_LEN)?;
         let leaf = pool.alloc(NODE_SIZE)?;
         pool.write_u64(leaf.add(TAG), TAG_LEAF)?;
         pool.persist(leaf, NODE_SIZE)?;
         pool.write_u64(root, MAGIC)?;
         pool.write_u64(root.add(8), leaf.offset())?;
-        pool.persist(root, 16)?;
+        pool.persist(root, ROOT_LEN)?;
         Ok(BpTree { root })
     }
 
-    /// Adopts an existing tree at `root`.
-    pub fn open(root: PAddr) -> BpTree {
-        BpTree { root }
+    /// Adopts the tree at `root`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `CorruptPool` error if `root` holds no B+-tree header or
+    /// its root block runs past the pool.
+    pub fn open(pool: &PmemPool, root: PAddr) -> Result<BpTree, TxError> {
+        check_root(pool, root, ROOT_LEN, MAGIC, "B+-tree")?;
+        Ok(BpTree { root })
     }
 
     /// The tree's root-block address.
@@ -547,17 +555,14 @@ impl BpTree {
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::CorruptPool`] if the root holds no B+-tree
+    /// Returns a `CorruptPool` error if the root holds no B+-tree
     /// header, and [`TxError::Pmem`] on a failed read.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated (this is a checker).
     pub fn dump(&self, pool: &PmemPool) -> Result<KvPairs, TxError> {
-        if pool.read_u64(self.root)? != MAGIC {
-            let why = format!("no B+-tree at {:#x}", self.root.offset());
-            return Err(PmemError::CorruptPool(why).into());
-        }
+        check_root(pool, self.root, ROOT_LEN, MAGIC, "B+-tree")?;
         let root = PAddr::new(pool.read_u64(self.root.add(8))?);
         let mut out = Vec::new();
         let mut leaves = Vec::new();
@@ -645,7 +650,7 @@ impl BpTree {
 mod tests {
     use super::*;
     use clobber_nvm::{Backend, RuntimeOptions};
-    use clobber_pmem::{PmemPool, PoolOptions};
+    use clobber_pmem::{PmemError, PmemPool, PoolOptions};
     use std::sync::Arc;
 
     fn setup(backend: Backend) -> (Arc<PmemPool>, Runtime, BpTree) {

@@ -15,11 +15,13 @@
 //! write of `xp.right` would start to log.
 
 use clobber_nvm::{ArgList, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemError, PmemPool};
+use clobber_pmem::{PAddr, PmemPool};
 
-use crate::value::store_value;
+use crate::value::{check_root, store_value};
 
 const MAGIC: u64 = 0xC10B_0003;
+/// Bytes of the root block.
+const ROOT_LEN: u64 = 24;
 
 const KEY: u64 = 0;
 const VPTR: u64 = 8;
@@ -270,20 +272,26 @@ impl RbTree {
     /// Returns [`TxError::Pmem`] if the pool is exhausted.
     pub fn create(rt: &Runtime) -> Result<RbTree, TxError> {
         let pool = rt.pool();
-        let root = pool.alloc(24)?;
+        let root = pool.alloc(ROOT_LEN)?;
         let nil = pool.alloc(NODE_SIZE)?;
         pool.write_u64(nil.add(COLOR), BLACK)?;
         pool.persist(nil, NODE_SIZE)?;
         pool.write_u64(root, MAGIC)?;
         pool.write_u64(root.add(8), nil.offset())?; // empty tree: root = nil
         pool.write_u64(root.add(16), nil.offset())?;
-        pool.persist(root, 24)?;
+        pool.persist(root, ROOT_LEN)?;
         Ok(RbTree { root })
     }
 
-    /// Adopts an existing tree at `root`.
-    pub fn open(root: PAddr) -> RbTree {
-        RbTree { root }
+    /// Adopts the tree at `root`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `CorruptPool` error if `root` holds no red-black tree
+    /// header or its root block runs past the pool.
+    pub fn open(pool: &PmemPool, root: PAddr) -> Result<RbTree, TxError> {
+        check_root(pool, root, ROOT_LEN, MAGIC, "red-black tree")?;
+        Ok(RbTree { root })
     }
 
     /// The tree's root-block address.
@@ -534,17 +542,14 @@ impl RbTree {
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::CorruptPool`] if the root holds no red-black
-    /// tree header, and [`TxError::Pmem`] on a failed read.
+    /// Returns a `CorruptPool` error if the root holds no red-black tree
+    /// header, and [`TxError::Pmem`] on a failed read.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated (this is a checker).
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
-        if pool.read_u64(self.root)? != MAGIC {
-            let why = format!("no red-black tree at {:#x}", self.root.offset());
-            return Err(PmemError::CorruptPool(why).into());
-        }
+        check_root(pool, self.root, ROOT_LEN, MAGIC, "red-black tree")?;
         let nil = PAddr::new(pool.read_u64(self.root.add(16))?);
         let root = PAddr::new(pool.read_u64(self.root.add(8))?);
         let mut out = Vec::new();
@@ -633,7 +638,7 @@ impl RbTree {
 mod tests {
     use super::*;
     use clobber_nvm::{Backend, RuntimeOptions};
-    use clobber_pmem::{PmemPool, PoolOptions};
+    use clobber_pmem::{PmemError, PmemPool, PoolOptions};
     use std::sync::Arc;
 
     fn setup(backend: Backend) -> (Arc<PmemPool>, Runtime, RbTree) {

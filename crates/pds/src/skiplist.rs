@@ -16,9 +16,11 @@
 use clobber_nvm::{ArgList, LockRequest, Runtime, TxError};
 use clobber_pmem::{PAddr, PmemError, PmemPool};
 
-use crate::value::{store_value, value_at, Load};
+use crate::value::{check_root, store_value, value_at, Load};
 
 const MAGIC: u64 = 0xC10B_0002;
+/// Bytes of the root block.
+const ROOT_LEN: u64 = 24;
 /// Maximum node height, as in the paper.
 pub const MAX_LEVEL: u64 = 32;
 
@@ -125,20 +127,26 @@ impl SkipList {
     /// Returns [`TxError::Pmem`] if the pool is exhausted.
     pub fn create(rt: &Runtime) -> Result<SkipList, TxError> {
         let pool = rt.pool();
-        let root = pool.alloc(24)?;
+        let root = pool.alloc(ROOT_LEN)?;
         let head = pool.alloc(NODE_SIZE)?;
         pool.write_u64(head.add(NODE_LEVEL), MAX_LEVEL)?;
         pool.persist(head, NODE_SIZE)?;
         pool.write_u64(root, MAGIC)?;
         pool.write_u64(root.add(8), MAX_LEVEL)?;
         pool.write_u64(root.add(16), head.offset())?;
-        pool.persist(root, 24)?;
+        pool.persist(root, ROOT_LEN)?;
         Ok(SkipList { root })
     }
 
-    /// Adopts an existing skiplist at `root`.
-    pub fn open(root: PAddr) -> SkipList {
-        SkipList { root }
+    /// Adopts the skiplist at `root`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::CorruptPool`] if `root` holds no skiplist header
+    /// or its root block runs past the pool.
+    pub fn open(pool: &PmemPool, root: PAddr) -> Result<SkipList, TxError> {
+        check_root(pool, root, ROOT_LEN, MAGIC, "skiplist")?;
+        Ok(SkipList { root })
     }
 
     /// The skiplist's root address.
@@ -338,10 +346,7 @@ impl SkipList {
     /// Returns [`PmemError::CorruptPool`] if the root holds no skiplist
     /// header, and [`TxError::Pmem`] on a failed read.
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
-        if pool.read_u64(self.root)? != MAGIC {
-            let why = format!("no skiplist at {:#x}", self.root.offset());
-            return Err(PmemError::CorruptPool(why).into());
-        }
+        check_root(pool, self.root, ROOT_LEN, MAGIC, "skiplist")?;
         let head = PAddr::new(pool.read_u64(self.root.add(16))?);
         // Level-0 walk.
         let mut out = Vec::new();

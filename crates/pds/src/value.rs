@@ -1,7 +1,7 @@
 //! Shared helpers for storing variable-length values and fixed-width keys.
 
 use clobber_nvm::{Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
 /// Writes `bytes` into a freshly allocated persistent buffer inside `tx`,
 /// returning its address. The buffer is an output of the transaction (fresh
@@ -14,6 +14,31 @@ pub fn store_value(tx: &mut Tx<'_>, bytes: &[u8]) -> Result<PAddr, TxError> {
     let buf = tx.pmalloc(bytes.len().max(1) as u64)?;
     tx.write_bytes(buf, bytes)?;
     Ok(buf)
+}
+
+/// Checks that a `len`-byte root block headed by `magic` sits at `root`,
+/// inside the pool, before anything walks it.
+///
+/// # Errors
+///
+/// Returns [`PmemError::CorruptPool`] naming `what` if the block runs past
+/// the pool or its first word is not `magic`.
+pub(crate) fn check_root(
+    pool: &PmemPool,
+    root: PAddr,
+    len: u64,
+    magic: u64,
+    what: &str,
+) -> Result<(), TxError> {
+    let fits = root
+        .offset()
+        .checked_add(len)
+        .is_some_and(|end| end <= pool.capacity());
+    if !fits || pool.read_u64(root)? != magic {
+        let why = format!("no {what} at {:#x}", root.offset());
+        return Err(PmemError::CorruptPool(why).into());
+    }
+    Ok(())
 }
 
 /// Where a walk loads from: a transaction (tracked reads) or the pool

@@ -63,7 +63,7 @@ impl Handle {
         let root = rt.app_root().unwrap();
         match structure {
             "hashmap" => Handle::H(HashMap::open(rt.pool(), root).unwrap()),
-            "skiplist" => Handle::S(SkipList::open(root)),
+            "skiplist" => Handle::S(SkipList::open(rt.pool(), root).unwrap()),
             _ => unreachable!(),
         }
     }

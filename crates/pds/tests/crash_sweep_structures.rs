@@ -38,19 +38,14 @@ struct Structure {
 
 macro_rules! structure {
     ($ty:ident, $keys:expr, $insert:ident, $key_of:expr) => {
-        structure!($ty, $keys, $insert, $key_of, |_: &PmemPool, root| {
-            Ok::<_, TxError>($ty::open(root))
-        })
-    };
-    ($ty:ident, $keys:expr, $insert:ident, $key_of:expr, $open:expr) => {
         Structure {
             name: stringify!($ty),
             keys: $keys,
             register: $ty::register,
             create: |rt| $ty::create(rt).map(|s| s.root()),
-            insert: |rt, root, k, v| $open(rt.pool(), root)?.$insert(rt, k, v),
+            insert: |rt, root, k, v| $ty::open(rt.pool(), root)?.$insert(rt, k, v),
             dump: |pool, root| {
-                let pairs = $open(pool, root)?.dump(pool)?;
+                let pairs = $ty::open(pool, root)?.dump(pool)?;
                 Ok(pairs.into_iter().map(|(k, v)| ($key_of(k), v)).collect())
             },
         }
@@ -62,7 +57,7 @@ fn bp_key(k: Vec<u8>) -> u64 {
     u64::from_be_bytes(k[24..32].try_into().unwrap())
 }
 
-static HASHMAP: Structure = structure!(HashMap, 12, insert, identity, HashMap::open);
+static HASHMAP: Structure = structure!(HashMap, 12, insert, identity);
 static RBTREE: Structure = structure!(RbTree, 12, insert, identity);
 static SKIPLIST: Structure = structure!(SkipList, 12, insert, identity);
 static AVLTREE: Structure = structure!(AvlTree, 12, insert, identity);

@@ -1,13 +1,14 @@
 //! Corrupt media gives typed errors: a length read from it is checked
-//! against the pool before it sizes a buffer, a map root is checked before
-//! it is walked, and a chain that loops is reported, not walked forever.
+//! against the pool before it sizes a buffer, every structure's root is
+//! checked before it is walked, and a chain that loops is reported, not
+//! walked forever.
 
 use std::sync::Arc;
 
 use clobber_nvm::{Runtime, RuntimeOptions, TxError};
 use clobber_pds::hashmap::{NODE_NEXT, NODE_VLEN};
 use clobber_pds::skiplist::NODE_NEXT0;
-use clobber_pds::{HashMap, SkipList};
+use clobber_pds::{AvlTree, BpTree, HashMap, RbTree, SkipList};
 use clobber_pmem::{PAddr, PmemError, PmemPool, PoolOptions};
 
 /// A map holding key 7, and the address of key 7's node: the one node
@@ -54,6 +55,66 @@ fn a_corrupt_map_root_is_refused_at_open() {
     pool.write_u64(last, magic).unwrap();
     pool.write_u64(last.add(8), 256).unwrap();
     refused(last, "heads past the pool");
+}
+
+/// The root `create` made opens; a root with a wrong magic, a header whose
+/// root block runs past the pool's end, and a root past the pool are each
+/// refused at open as a corrupt pool.
+fn corrupt_roots_are_refused(
+    create: impl Fn(&Runtime) -> PAddr,
+    open: impl Fn(&PmemPool, PAddr) -> Result<(), TxError>,
+) {
+    let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(4 << 20)).unwrap());
+    let rt = Runtime::create(pool.clone(), RuntimeOptions::default()).unwrap();
+    let root = create(&rt);
+    open(&pool, root).unwrap();
+    let magic = pool.read_u64(root).unwrap();
+    let last = PAddr::new(pool.capacity() - 8);
+    pool.write_u64(last, magic).unwrap();
+    pool.write_u64(root, magic ^ 1).unwrap();
+    for (at, what) in [
+        (root, "magic"),
+        (last, "root block past the pool's end"),
+        (PAddr::new(1 << 40), "root past the pool"),
+    ] {
+        let err = open(&pool, at).expect_err(what);
+        assert!(
+            matches!(err, TxError::Pmem(PmemError::CorruptPool(_))),
+            "{what}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_corrupt_bptree_root_is_refused_at_open() {
+    corrupt_roots_are_refused(
+        |rt| BpTree::create(rt).unwrap().root(),
+        |pool, root| BpTree::open(pool, root).map(drop),
+    );
+}
+
+#[test]
+fn a_corrupt_skiplist_root_is_refused_at_open() {
+    corrupt_roots_are_refused(
+        |rt| SkipList::create(rt).unwrap().root(),
+        |pool, root| SkipList::open(pool, root).map(drop),
+    );
+}
+
+#[test]
+fn a_corrupt_rbtree_root_is_refused_at_open() {
+    corrupt_roots_are_refused(
+        |rt| RbTree::create(rt).unwrap().root(),
+        |pool, root| RbTree::open(pool, root).map(drop),
+    );
+}
+
+#[test]
+fn a_corrupt_avltree_root_is_refused_at_open() {
+    corrupt_roots_are_refused(
+        |rt| AvlTree::create(rt).unwrap().root(),
+        |pool, root| AvlTree::open(pool, root).map(drop),
+    );
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Crash-consistent persistent heap allocator.
 //!
-//! Modeled on PMDK's allocator as the paper uses it (§4.2). Blocks are
-//! `[24-byte header][payload]`; small payloads use power-of-two size
-//! classes 16 B..4 KiB, larger payloads are "huge" blocks rounded to 4 KiB
-//! with their exact capacity stored in the header. Free-list chain pointers
+//! Modeled on PMDK's allocator as the paper uses it (§4.2). Every payload
+//! starts on a cache line, and its 24-byte header fills the last 24 bytes
+//! of the line before (`payload_after`), so a 64-byte value is one line
+//! to flush, not two. Small payloads use power-of-two size classes
+//! 16 B..4 KiB, larger payloads are "huge" blocks rounded to 4 KiB with
+//! their exact capacity stored in the header. Free-list chain pointers
 //! live in the *header*, never the payload: a transaction may reserve a
 //! freed block and overwrite its payload before publishing, and those
 //! (possibly durable) payload bytes must not be able to corrupt the chain a
@@ -51,7 +53,7 @@ use std::collections::{HashMap, HashSet};
 
 use clobber_trace::EventKind;
 
-use crate::addr::{align_up, PAddr};
+use crate::addr::{align_up, PAddr, CACHE_LINE};
 use crate::engine::RawPmem;
 use crate::geometry::layout::{FREE_HEADS, FRONTIER as FRONTIER_OFF, HEAP_BASE};
 use crate::pool::{get_u64, put_u64, PmemError, PmemPool, PoolMode};
@@ -193,6 +195,18 @@ impl ArenaMirror {
     }
 }
 
+/// Where the payload of a block laid out from `end` on starts: the first
+/// cache line with room for the header before it.
+fn payload_after(end: u64) -> u64 {
+    align_up(end + HDR_LEN, CACHE_LINE)
+}
+
+/// Whether `payload` is where a block's payload may start: in the heap, on
+/// a line. A list link or a free naming anything else names no block.
+fn is_payload(payload: u64) -> bool {
+    payload >= HEAP_BASE + HDR_LEN && payload.is_multiple_of(CACHE_LINE)
+}
+
 /// The block whose payload starts at `payload`, decoded from its header's
 /// words as `word` reads them: `(state, class, capacity)` when they
 /// describe a block that ends by `limit`.
@@ -221,7 +235,7 @@ fn blocks_from<'a>(
     word: &'a impl Fn(u64) -> u64,
 ) -> impl Iterator<Item = (u64, u32, u64)> + 'a {
     let after = move |end: u64| {
-        let payload = align_up(end, 16) + HDR_LEN;
+        let payload = payload_after(end);
         block(payload, heap_hi, word).map(|(state, _, size)| (payload, state, size))
     };
     std::iter::successors(after(at), move |&(payload, _, size)| after(payload + size))
@@ -239,7 +253,7 @@ fn list_walk<'a>(
 ) -> impl Iterator<Item = (u64, u32, u64)> + 'a {
     // `(state, capacity, next link)` of a block the list may hold.
     let member = move |p: u64| {
-        if p < HEAP_BASE + HDR_LEN || !(p - HDR_LEN).is_multiple_of(16) {
+        if !is_payload(p) {
             return None;
         }
         let (state, c, size) = block(p, end, word)?;
@@ -500,7 +514,7 @@ impl PmemPool {
                 // In the heap, not named twice (a scan quadratic in the
                 // batch: a transaction's handful of frees), and allocated.
                 let payload = b.offset();
-                let in_heap = HEAP_BASE + HDR_LEN <= payload && payload < am.heap_hi;
+                let in_heap = is_payload(payload) && payload < am.heap_hi;
                 let valid = in_heap && !blocks[..i].contains(b) && {
                     let (state, class, _) = ops.read_header(payload);
                     state == STATE_ALLOC && (class as usize) < NUM_HEADS
@@ -698,7 +712,7 @@ fn check_media(media: &[u8], heap_hi: u64) -> Result<HeapReport, PmemError> {
         end = payload + size;
     }
     if end < durable {
-        let payload = align_up(end, 16) + HDR_LEN;
+        let payload = payload_after(end);
         return Err(PmemError::CorruptPool(format!(
             "block {payload:#x} below the durable frontier {durable:#x} has an invalid header"
         )));
@@ -730,7 +744,7 @@ fn pick_block(am: &mut ArenaMirror, class: u32, capacity: u64) -> Result<(u64, O
         }
         return Ok((payload, Origin::FreeList));
     }
-    let payload = align_up(am.frontier, 16) + HDR_LEN;
+    let payload = payload_after(am.frontier);
     let new_frontier = payload + capacity;
     if new_frontier > am.heap_hi {
         return Err(PmemError::OutOfMemory {
@@ -1194,6 +1208,70 @@ mod tests {
             assert_eq!(rep.allocated_blocks, kept.len() as u64, "{what}");
             let fresh = p2.alloc(64).unwrap();
             assert!(!kept.contains(&fresh), "{what}: {fresh:?} handed out twice");
+        }
+    }
+
+    /// Payload bytes that forge block headers off a line, where the
+    /// 16-byte-aligned layout put payloads, never enter the heap: a reopen
+    /// follows no list head or link naming one, and writes back repaired
+    /// hints; a free naming one is refused; a frontier hint at that
+    /// layout's first block end walks on, by the line rule, to the frontier.
+    #[test]
+    fn payloads_off_a_line_are_never_followed() {
+        let p = pool();
+        let holder = p.alloc(256).unwrap();
+        let small = [p.alloc(16).unwrap(), p.alloc(16).unwrap()];
+        let mid = [p.alloc(32).unwrap(), p.alloc(32).unwrap()];
+        p.free_many(&[small[0], small[1], mid[0], mid[1]]).unwrap();
+        p.fence();
+        let used = p.heap_used();
+        // Inside `holder`: a free class-0 and a free class-1 block, each
+        // ending its chain, and an allocated class-0 block.
+        let forge = |at, state: u32, class: u32| {
+            let hdr = PAddr::new(holder.offset() + at - HDR_LEN);
+            let tag = u64::from(class) << 32 | u64::from(state);
+            p.write_u64(hdr, tag).unwrap();
+            p.write_u64(hdr.add(8), CLASS_SIZES[class as usize])
+                .unwrap();
+            p.write_u64(hdr.add(HDR_NEXT), 0).unwrap();
+            holder.offset() + at
+        };
+        let forged = [
+            forge(40, STATE_FREE, 0),
+            forge(136, STATE_FREE, 1),
+            forge(200, STATE_ALLOC, 0),
+        ];
+        p.write_u64(PAddr::new(hint_off(0)), forged[0]).unwrap();
+        let link = mid[1].offset() - HDR_LEN + HDR_NEXT;
+        p.write_u64(PAddr::new(link), forged[1]).unwrap();
+        p.write_u64(PAddr::new(FRONTIER_OFF), HEAP_BASE + HDR_LEN + 16)
+            .unwrap();
+        let p2 = p.crash(&CrashConfig::keep_all(0)).unwrap();
+        let listed = p2.engine().with_mirror(|am| am.free.concat());
+        assert!(
+            listed.iter().all(|b| b.is_multiple_of(CACHE_LINE)),
+            "a list followed a payload off a line: {listed:x?}"
+        );
+        assert_eq!(listed, [mid[1].offset()], "class 1 keeps its top");
+        let hints = [0, 1].map(|class| p2.read_u64(PAddr::new(hint_off(class))).unwrap());
+        assert_eq!(hints, [0, mid[1].offset()], "repaired heads on media");
+        assert_eq!(p2.heap_used(), used, "the frontier walked on");
+        let rep = p2.check_heap().unwrap();
+        let counts = (
+            rep.allocated_blocks,
+            rep.free_blocks,
+            rep.free_blocks_listed,
+        );
+        assert_eq!(counts, (1, 4, 1), "two 16s and one 32 leak");
+        assert!(matches!(
+            p2.free(PAddr::new(forged[2])),
+            Err(PmemError::InvalidFree { .. })
+        ));
+        for fresh in [p2.alloc(16).unwrap(), p2.alloc(32).unwrap()] {
+            assert!(
+                fresh.offset() >= holder.offset() + 256,
+                "{fresh:?} inside {holder:?}"
+            );
         }
     }
 

@@ -4,8 +4,9 @@
 ///
 /// The header is also the allocator's metadata: its frontier and free-list
 /// head hints. Bytes 32..48 (which held an arena count and stride) and
-/// 64..128 (which held the allocator redo record) are reserved, and
-/// `HEAP_BASE` — hence every block address — stays where it was.
+/// 64..128 (which held the allocator redo record) are reserved. The first
+/// block's header ends at the first line past `HEAP_BASE` that has room for
+/// it, where its payload starts.
 pub(crate) mod layout {
     /// `u64` magic number.
     pub const MAGIC: u64 = 0;

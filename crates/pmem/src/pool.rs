@@ -19,7 +19,7 @@ use crate::geometry::layout;
 use crate::stats::PmemStats;
 
 /// Magic value of the pool format (the only one ever written or opened).
-const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0003;
+const POOL_MAGIC: u64 = 0xC10B_BE12_0000_0004;
 
 /// Whether the pool models the volatile cache or runs at full speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -948,13 +948,18 @@ mod tests {
         // Blank media; an otherwise valid image restamped with the retired
         // single-arena magic that no `create` ever wrote; and one restamped
         // as a 4-arena image, whose side-arena metadata would sit inside
-        // this format's heap (arena count at header word 32).
-        let mut restamped = crash_pool().media_snapshot();
-        put_u64(&mut restamped, layout::MAGIC, 0xC10B_BE12_0000_0001);
-        let mut four_arenas = crash_pool().media_snapshot();
-        put_u64(&mut four_arenas, layout::MAGIC, 0xC10B_BE12_0000_0002);
+        // this format's heap (arena count at header word 32); and one
+        // restamped with the one-heap magic of the layout whose payloads
+        // started at 8 mod 16, which this layout's walks cannot follow.
+        let restamp = |magic| {
+            let mut media = crash_pool().media_snapshot();
+            put_u64(&mut media, layout::MAGIC, magic);
+            media
+        };
+        let mut four_arenas = restamp(0xC10B_BE12_0000_0002);
         put_u64(&mut four_arenas, 32, 4);
-        for media in [vec![0u8; 1 << 20], restamped, four_arenas] {
+        let [single_arena, unaligned] = [0xC10B_BE12_0000_0001, 0xC10B_BE12_0000_0003].map(restamp);
+        for media in [vec![0u8; 1 << 20], single_arena, four_arenas, unaligned] {
             match PmemPool::open_from_media(media, PoolMode::CrashSim) {
                 Err(PmemError::CorruptPool(why)) => assert_eq!(why, "bad magic"),
                 other => panic!("expected a bad-magic error, got {other:?}"),

@@ -128,8 +128,8 @@ impl Ulog {
     /// the header (magic + generation 1).
     ///
     /// The data region starts at the first 64-byte pool line boundary past
-    /// the header, so line stores never straddle cache lines regardless of
-    /// the allocator's 16-byte alignment.
+    /// the header, so line stores never straddle cache lines wherever
+    /// `base` sits.
     ///
     /// # Errors
     ///

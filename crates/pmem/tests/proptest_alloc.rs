@@ -1,6 +1,7 @@
 //! Property-based tests of the persistent allocator and the crash model.
 
-use clobber_pmem::{CrashConfig, HeapReport, PAddr, PmemPool, PoolMode, PoolOptions};
+use clobber_pmem::alloc::CLASS_SIZES;
+use clobber_pmem::{CrashConfig, HeapReport, PAddr, PmemPool, PoolMode, PoolOptions, CACHE_LINE};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -18,6 +19,42 @@ fn ops_strategy() -> impl Strategy<Value = Vec<AllocOp>> {
             2 => (0usize..64).prop_map(AllocOp::Free),
         ],
         1..60,
+    )
+}
+
+/// Bytes of the block header that sits before each payload.
+const HDR_LEN: u64 = 24;
+
+/// One step of the layout property: an immediate `alloc`, a `reserve`
+/// ended at once as allocated or free, or a `free` of the i-th live block
+/// (modulo). A size is `(class, pick)`: a request in class `class`
+/// (`CLASS_SIZES`, then huge up to 16 KiB).
+#[derive(Debug, Clone)]
+enum LayoutOp {
+    Alloc(usize, u64),
+    Reserve(usize, u64, bool),
+    Free(usize),
+}
+
+/// A request of `pick` bytes folded into class `class`'s range, and the
+/// capacity the allocator gives it.
+fn sized(class: usize, pick: u64) -> (u64, u64) {
+    let lo = class.checked_sub(1).map_or(1, |c| CLASS_SIZES[c] + 1);
+    let hi = CLASS_SIZES.get(class).copied().unwrap_or(16 << 10);
+    let size = lo + pick % (hi - lo + 1);
+    let huge = size.next_multiple_of(4096);
+    (size, CLASS_SIZES.get(class).copied().unwrap_or(huge))
+}
+
+fn layout_strategy() -> impl Strategy<Value = Vec<LayoutOp>> {
+    let class = 0..=CLASS_SIZES.len();
+    proptest::collection::vec(
+        prop_oneof![
+            3 => (class.clone(), any::<u64>()).prop_map(|(c, p)| LayoutOp::Alloc(c, p)),
+            3 => (class, any::<u64>(), any::<bool>()).prop_map(|(c, p, k)| LayoutOp::Reserve(c, p, k)),
+            2 => (0usize..64).prop_map(LayoutOp::Free),
+        ],
+        1..48,
     )
 }
 
@@ -257,6 +294,52 @@ proptest! {
                 prop_assert!(data.iter().all(|b| b == s), "payload of {a:?} torn");
             }
         }
+    }
+
+    /// Every payload `alloc` or `reserve` hands out starts on a cache line,
+    /// from the frontier and from a free list, in every small class and
+    /// for huge blocks, and no block's header overlaps another block: the
+    /// extents `[payload - header, payload + capacity)` of the live blocks
+    /// are disjoint. Each case first takes one block of every class.
+    #[test]
+    fn payloads_start_on_a_line_and_headers_overlap_nothing(ops in layout_strategy()) {
+        let pool = PmemPool::create(PoolOptions::performance(4 << 20)).unwrap();
+        let first = (0..=CLASS_SIZES.len()).map(|c| LayoutOp::Alloc(c, 0));
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        for op in first.chain(ops) {
+            let (class, pick, kept) = match op {
+                LayoutOp::Alloc(c, p) => (c, p, None),
+                LayoutOp::Reserve(c, p, k) => (c, p, Some(k)),
+                LayoutOp::Free(i) => {
+                    if !live.is_empty() {
+                        let (p, _) = live.remove(i % live.len());
+                        pool.free(PAddr::new(p)).unwrap();
+                    }
+                    continue;
+                }
+            };
+            let (size, capacity) = sized(class, pick);
+            let a = match kept {
+                None => pool.alloc(size).unwrap(),
+                Some(_) => pool.reserve(size).unwrap(),
+            };
+            let p = a.offset();
+            prop_assert!(p % CACHE_LINE == 0, "{size}-byte payload at {p:#x}");
+            for &(q, qcap) in &live {
+                let disjoint = p + capacity <= q - HDR_LEN || q + qcap <= p - HDR_LEN;
+                prop_assert!(disjoint, "block {p:#x}+{capacity} meets block {q:#x}+{qcap}");
+            }
+            match kept {
+                Some(false) => pool.cancel(&[a]).unwrap(),
+                Some(true) => pool.publish(&[a]).unwrap(),
+                None => {}
+            }
+            if kept != Some(false) {
+                live.push((p, capacity));
+            }
+        }
+        pool.fence();
+        prop_assert_eq!(pool.check_heap().unwrap().allocated_blocks, live.len() as u64);
     }
 
     /// Persisted data survives crashes regardless of allocator traffic —
