@@ -103,11 +103,11 @@ pub fn run(scale: Scale) -> Vec<Row> {
 // LockManager, timed by the DES cost model.
 
 /// One real-multithread measurement: racing OS threads execute locked
-/// transactions for real (per-bucket locks + group commit vs a single
-/// serializing lock); persistence costs are *measured* from the stats
-/// delta, and the makespan comes from replaying the measured average op
-/// cost and the real lock sets through [`run_des`] — the container has
-/// one CPU, so the cost model is the wall clock (see EXPERIMENTS.md).
+/// transactions for real (per-bucket locks vs a single serializing lock);
+/// persistence costs are *measured* from the stats delta, and the makespan
+/// comes from replaying the measured average op cost and the real lock
+/// sets through [`run_des`] — the container has one CPU, so the cost model
+/// is the wall clock (see EXPERIMENTS.md).
 #[derive(Debug, Clone)]
 pub struct MtRow {
     /// Structure label (hashmap/skiplist).
@@ -119,8 +119,7 @@ pub struct MtRow {
     pub threads: usize,
     /// Transactions committed across all threads.
     pub txs: u64,
-    /// Measured ordering fences per transaction (group commit shrinks
-    /// this in the per-node series).
+    /// Measured ordering fences per transaction.
     pub fences_per_tx: f64,
     /// Lock-manager waits observed during the racing run.
     pub lock_waits: u64,
@@ -175,8 +174,7 @@ enum MtHandle {
 }
 
 /// Keys for thread `t`: disjoint *lock* sets across threads (a lock id is
-/// owned by `lock mod threads`), so the per-node series never contends and
-/// group commit can run at `batch == threads` without stalling an epoch.
+/// owned by `lock mod threads`), so the per-node series never contends.
 fn mt_keys(map: &HashMap, threads: usize, ops_per_thread: usize) -> Vec<Vec<u64>> {
     let mut keys: Vec<Vec<u64>> = vec![Vec::new(); threads];
     let mut k = 1u64;
@@ -198,19 +196,8 @@ pub fn run_mt_cell(
     ops_per_thread: usize,
 ) -> MtRow {
     let pool = Arc::new(PmemPool::create(PoolOptions::performance(64 << 20)).expect("pool"));
-    // Group commit only helps when transactions overlap: the per-node
-    // hashmap series commits in `threads`-wide epochs; everything behind a
-    // single lock (the baseline, and the skiplist's native global lock)
-    // must run at batch 1 or the lone in-flight committer would wait for
-    // epoch peers that can never start.
-    let overlapping = series == "per-node" && kind == DsKind::Hashmap;
-    let batch = if overlapping { threads } else { 1 };
     let rt = Arc::new(
-        Runtime::create(
-            pool.clone(),
-            RuntimeOptions::new(Backend::clobber()).with_group_commit_batch(batch),
-        )
-        .expect("runtime"),
+        Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber())).expect("runtime"),
     );
     let (handle, keys) = match kind {
         DsKind::Hashmap => {
@@ -486,19 +473,10 @@ mod tests {
         assert!(sl4 < sl1 * 2.0, "skiplist: {sl1:.0} -> {sl4:.0}");
     }
 
-    /// Group commit shrinks fences/tx for real overlapped committers, and
-    /// disjoint per-bucket lock sets never wait while the serializing
-    /// baseline piles up lock-manager queueing.
+    /// Disjoint per-bucket lock sets never wait.
     #[test]
-    fn mt_group_commit_and_lock_counters_behave() {
+    fn mt_lock_counters_behave() {
         let pn = mt_row("hashmap", "per-node", 4);
-        let gl = mt_row("hashmap", "global-lock", 4);
-        assert!(
-            pn.fences_per_tx < gl.fences_per_tx,
-            "group commit must save fences: {:.2} vs {:.2}",
-            pn.fences_per_tx,
-            gl.fences_per_tx
-        );
         assert_eq!(pn.lock_waits, 0, "disjoint buckets never queue");
         // No assertion on the serializing series' lock_waits: on a 1-CPU
         // host a thread often runs its whole loop before a peer is even

@@ -123,10 +123,8 @@ fn per_kind_log_counters_attribute_by_backend() {
         "begin records are v_log traffic, ordered by the \
          clobber log's syncs: {clobber:?}"
     );
-    // Single-threaded load: every ordering request is its own epoch.
-    assert!(clobber.gc_epochs > 0);
-    assert_eq!(clobber.gc_fences_saved, 0);
-    assert!(clobber.gc_epochs <= clobber.fences);
+    // No fence coalescer: the group-commit counters are always 0.
+    assert_eq!((clobber.gc_epochs, clobber.gc_fences_saved), (0, 0));
 
     let (redo, _) = hashmap_load(pool(), Backend::Redo, false);
     assert!(
@@ -454,10 +452,9 @@ fn batch_set_counters_pin() {
             "{}: {d:?}",
             backend.label()
         );
-        // Every fence is one of the transaction's own group-commit epochs:
-        // the 12 updates keep their value buffers, so no deferred free
+        // The 12 updates keep their value buffers, so no deferred free
         // follows the commit with a fence of its own.
-        assert_eq!((d.frees, d.fences - d.gc_epochs), (0, 0));
+        assert_eq!(d.frees, 0);
         for (key, value) in &pairs {
             assert_eq!(map.get(&rt, *key).unwrap().as_ref(), Some(value));
         }

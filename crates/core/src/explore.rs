@@ -22,9 +22,7 @@
 //! # Mutation operators and their boundaries
 //!
 //! * **Commutable-op reordering.** The interleaving enumeration reorders
-//!   whole transactions across slots. Transaction boundaries *are* the
-//!   group-commit-epoch boundaries (each commit closes an epoch), so this
-//!   is reordering at epoch granularity.
+//!   whole transactions across slots, at commit granularity.
 //! * **Crash-prefix planting.** Within one interleaving, every persist
 //!   event — i.e. every acquisition of the pool's fault mutex, taken
 //!   before the pool's engine lock — is a preemption point for the crash

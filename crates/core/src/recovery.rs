@@ -478,7 +478,6 @@ impl Runtime {
                     self.backend(),
                     slot,
                     logs,
-                    self.group_commit(),
                     true,
                     Some(rec.preserves),
                     None,

@@ -43,13 +43,6 @@ pub struct RuntimeOptions {
     pub clobber_log_cap: u64,
     /// Per-slot redo log buffer capacity in bytes.
     pub redo_log_cap: u64,
-    /// Group-commit epoch threshold: a shared ordering fence is issued once
-    /// this many transactions have requested one. `1` (the default) makes
-    /// every request its own epoch — a plain fence, no coalescing, no
-    /// waiting. Values above 1 coalesce deterministically but require that
-    /// many concurrently committing threads to make progress (a
-    /// measurement/test knob — see [`GroupCommit`]).
-    pub group_commit_batch: usize,
 }
 
 impl RuntimeOptions {
@@ -60,14 +53,7 @@ impl RuntimeOptions {
             ido_shadow: false,
             clobber_log_cap: 256 << 10,
             redo_log_cap: 512 << 10,
-            group_commit_batch: 1,
         }
-    }
-
-    /// Builder form: sets the group-commit epoch threshold.
-    pub fn with_group_commit_batch(mut self, batch: usize) -> Self {
-        self.group_commit_batch = batch;
-        self
     }
 
     /// Builder form: enables the iDO shadow observer.
@@ -201,9 +187,6 @@ pub struct Runtime {
     /// Free-list of per-transaction scratch state. Recycling warmed-up
     /// scratches is what makes steady-state transactions allocation-free.
     scratch_pool: Mutex<Vec<TxScratch>>,
-    /// The fence coalescer every transaction's ordering fences route
-    /// through (degenerates to a plain fence at `group_commit_batch` 1).
-    gc: GroupCommit,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -240,7 +223,6 @@ impl Runtime {
             lock_mgr: LockManager::new(),
             ido: Mutex::new(IdoAggregate::default()),
             scratch_pool: Mutex::new(Vec::new()),
-            gc: GroupCommit::new(opts.group_commit_batch),
         })
     }
 
@@ -276,13 +258,12 @@ impl Runtime {
             lock_mgr: LockManager::new(),
             ido: Mutex::new(IdoAggregate::default()),
             scratch_pool: Mutex::new(Vec::new()),
-            gc: GroupCommit::new(opts.group_commit_batch),
         })
     }
 
-    /// The runtime's group-commit fence coalescer.
+    /// The runtime's commit fence: a plain pool fence (see [`GroupCommit`]).
     pub fn group_commit(&self) -> &GroupCommit {
-        &self.gc
+        &GroupCommit
     }
 
     /// The underlying pool.
@@ -574,7 +555,6 @@ impl Runtime {
             self.opts.backend,
             slot,
             logs,
-            &self.gc,
             vlog_enabled,
             None,
             ido,

@@ -39,7 +39,6 @@ use clobber_pmem::{LogWriter, PAddr, PmemError, PmemPool, CACHE_LINE};
 use crate::access::{AccessTable, Kind, ToLog};
 use crate::backend::Backend;
 use crate::error::TxError;
-use crate::group_commit::GroupCommit;
 use crate::ido::{IdoObserver, IdoTxStats};
 use crate::vlog::{SlotLogs, VlogSlot};
 
@@ -283,9 +282,6 @@ pub struct Tx<'rt> {
     /// The slot's log handles: append cursors over its clobber/undo log and
     /// v_log cache their positions, so no append re-reads the log.
     logs: SlotLogs,
-    /// All of this transaction's ordering fences route through the
-    /// runtime's group-commit coalescer (a plain fence at `min_batch` 1).
-    gc: &'rt GroupCommit,
     scratch: TxScratch,
     replay: Option<Replay>,
     pub(crate) ido: Option<IdoObserver>,
@@ -304,7 +300,6 @@ impl<'rt> Tx<'rt> {
         backend: Backend,
         slot: VlogSlot,
         logs: SlotLogs,
-        gc: &'rt GroupCommit,
         vlog_enabled: bool,
         replay: Option<Vec<Vec<u8>>>,
         ido: Option<IdoObserver>,
@@ -318,7 +313,6 @@ impl<'rt> Tx<'rt> {
             tracking: Tracking::of(backend),
             slot,
             logs,
-            gc,
             scratch,
             replay: replay.map(|blobs| Replay { blobs, next: 0 }),
             ido,
@@ -338,7 +332,6 @@ impl<'rt> Tx<'rt> {
             Some(p) => p,
             None => return Ok(()),
         };
-        let gc = self.gc;
         match self.backend {
             Backend::Clobber(cfg) if cfg.vlog => {
                 // The transaction's next ordering point makes it durable.
@@ -348,13 +341,13 @@ impl<'rt> Tx<'rt> {
                 self.begin_unordered = true;
             }
             Backend::Undo => {
-                self.slot.mark_ongoing(self.pool, &|p| gc.fence(p))?;
+                self.slot.mark_ongoing(self.pool)?;
             }
             Backend::Atlas => {
                 // Lock-acquisition record (see Backend::Atlas docs).
-                self.slot.mark_ongoing(self.pool, &|p| gc.fence(p))?;
+                self.slot.mark_ongoing(self.pool)?;
                 self.pool.flush(self.slot.base(), 8)?;
-                gc.fence(self.pool);
+                self.pool.fence();
             }
             // Redo persists nothing until commit; NoLog and the partial
             // clobber variants have no begin record.
@@ -554,10 +547,10 @@ impl<'rt> Tx<'rt> {
     /// durable; then the buffered stores reach the pool in store order.
     fn order_deferred(&mut self) -> Result<(), TxError> {
         self.drain_dirty()?;
-        let (pool, gc) = (self.pool, self.gc);
+        let pool = self.pool;
         // The begin truncated the log, so its sync fences even when
         // nothing was logged: that orders a begin before a blind store.
-        self.logs.clog.sync_with(pool, |p| gc.fence(p))?;
+        self.logs.clog.sync(pool)?;
         self.begin_unordered = false;
         let mut stores = std::mem::take(&mut self.scratch.stores);
         for (s, data) in stores.iter() {
@@ -719,9 +712,7 @@ impl<'rt> Tx<'rt> {
         }
         if self.vlog_enabled {
             self.ensure_begun()?;
-            let gc = self.gc;
-            self.slot
-                .preserve(self.pool, &mut self.logs.vlog, data, &|p| gc.fence(p))?;
+            self.slot.preserve(self.pool, &mut self.logs.vlog, data)?;
             self.begin_unordered = false;
         }
         Ok(data.to_vec())
@@ -744,14 +735,13 @@ impl<'rt> Tx<'rt> {
     /// frees plus any iDO shadow stats.
     pub(crate) fn commit(mut self) -> Result<CommitOutcome, TxError> {
         let pool = self.pool;
-        let gc = self.gc;
         let reserved = !self.scratch.allocs.is_empty() || !self.scratch.dead.is_empty();
         let effects = self.wrote || reserved;
         match self.backend {
             Backend::NoLog => {
                 if effects {
                     self.settle_reservations()?;
-                    gc.fence(pool);
+                    pool.fence();
                 }
             }
             Backend::Clobber(cfg) => {
@@ -760,13 +750,13 @@ impl<'rt> Tx<'rt> {
                         self.order_deferred()?;
                     }
                     self.settle_reservations()?;
-                    gc.fence(pool);
+                    pool.fence();
                 }
                 if cfg.vlog && self.begun {
                     // The status word is the commit marker; stale logs are
                     // cleared lazily at the next begin.
                     self.slot.clear_ongoing(pool)?;
-                    gc.fence(pool);
+                    pool.fence();
                 }
             }
             Backend::Undo | Backend::Atlas => {
@@ -775,17 +765,17 @@ impl<'rt> Tx<'rt> {
                     // FASE's position in the dependence graph for its log
                     // pruner (one extra entry + fence per FASE).
                     self.drain_dirty()?;
-                    self.slot.fase_record_with_fence(pool, &|p| gc.fence(p))?;
+                    self.slot.fase_record_with_fence(pool)?;
                 }
                 if effects {
                     self.settle_reservations()?;
-                    gc.fence(pool);
+                    pool.fence();
                 }
                 if self.begun {
                     // Invalidating the undo log commits the transaction.
                     self.slot.clear_ongoing(pool)?;
                     self.logs.clog.reset_unfenced(pool)?;
-                    gc.fence(pool);
+                    pool.fence();
                 }
             }
             Backend::Redo if self.scratch.stores.is_empty() && !reserved => {}
@@ -805,9 +795,9 @@ impl<'rt> Tx<'rt> {
                     stores.data.len() as u64,
                     std::sync::atomic::Ordering::Relaxed,
                 );
-                // Stream the buffer through a line-buffered writer and route
-                // its single ordering point — which also orders the settled
-                // headers before the commit marker — through group commit.
+                // Stream the buffer through a line-buffered writer; its
+                // single ordering point also orders the settled headers
+                // before the commit marker.
                 let mut rw = LogWriter::attach(pool, self.logs.rlog)?;
                 for (a, data) in stores.iter() {
                     for (i, word) in data.chunks(8).enumerate() {
@@ -815,16 +805,16 @@ impl<'rt> Tx<'rt> {
                     }
                 }
                 self.settle_reservations()?;
-                rw.sync_with(pool, |p| gc.fence(p))?;
+                rw.sync(pool)?;
                 // Commit point.
-                self.slot.set_redo_committed(pool, &|p| gc.fence(p))?;
+                self.slot.set_redo_committed(pool)?;
                 self.logs.rlog.apply_forwards(pool)?;
-                gc.fence(pool);
+                pool.fence();
                 // Clear marker, status and log tail together.
                 self.slot.clear_redo_committed_unfenced(pool)?;
                 self.slot.clear_ongoing(pool)?;
                 self.logs.rlog.reset_unfenced(pool)?;
-                gc.fence(pool);
+                pool.fence();
             }
         }
         let ido = self.ido.take().map(IdoObserver::finish);
@@ -859,8 +849,6 @@ impl<'rt> Tx<'rt> {
     /// recycle it.
     pub(crate) fn abort(mut self, why: String) -> (TxError, TxScratch) {
         let pool = self.pool;
-        // Abort fences stay private (no group-commit routing): an aborting
-        // thread must never block on other committers making progress.
         let err = match self.backend {
             Backend::Undo | Backend::Atlas => {
                 if self.begun {

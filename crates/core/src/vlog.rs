@@ -47,9 +47,8 @@ use clobber_pmem::{EventKind, LogKind, LogWriter, PAddr, PmemError, PmemPool, Ul
 use crate::args::ArgList;
 use crate::error::TxError;
 
-/// Attributes one written-back slot line, and `fences` fence *requests* (a
-/// request satisfied by a shared group-commit epoch still counts), to the
-/// v_log in [`clobber_pmem::StatsSnapshot`].
+/// Attributes one written-back slot line, and `fences` fences, to the v_log
+/// in [`clobber_pmem::StatsSnapshot`].
 fn bump_vlog(pool: &PmemPool, fences: u64) {
     let s = pool.stats();
     s.vlog_flushes.fetch_add(1, Relaxed);
@@ -204,52 +203,37 @@ impl VlogSlot {
         Ok(pool.read_u64(self.base.add(COMMITTED))? == 1)
     }
 
-    /// Stores `value` in the slot word at `at` and writes it back, ordered
-    /// by `fence` if one is given.
-    fn put_word(
-        &self,
-        pool: &PmemPool,
-        at: u64,
-        value: u64,
-        fence: Option<&dyn Fn(&PmemPool)>,
-    ) -> Result<(), PmemError> {
+    /// Stores `value` in the slot word at `at` and writes it back, then
+    /// fences if `fence` is set.
+    fn put_word(&self, pool: &PmemPool, at: u64, value: u64, fence: bool) -> Result<(), PmemError> {
         pool.store_flush(self.base.add(at), &value.to_le_bytes())?;
-        if let Some(fence) = fence {
-            fence(pool);
+        if fence {
+            pool.fence();
         }
-        bump_vlog(pool, fence.is_some() as u64);
+        bump_vlog(pool, fence as u64);
         Ok(())
     }
 
-    /// Sets the redo commit marker durably, ordered by `fence` (a plain
-    /// fence, or the group-commit coalescer's).
-    pub fn set_redo_committed(
-        &self,
-        pool: &PmemPool,
-        fence: &dyn Fn(&PmemPool),
-    ) -> Result<(), PmemError> {
-        self.put_word(pool, COMMITTED, 1, Some(fence))
+    /// Sets the redo commit marker durably.
+    pub fn set_redo_committed(&self, pool: &PmemPool) -> Result<(), PmemError> {
+        self.put_word(pool, COMMITTED, 1, true)
     }
 
     /// Clears the redo commit marker; the caller fences.
     pub fn clear_redo_committed_unfenced(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        self.put_word(pool, COMMITTED, 0, None)
+        self.put_word(pool, COMMITTED, 0, false)
     }
 
-    /// Sets the status word to 1, ordered by `fence`: the undo and Atlas
-    /// baselines' begin, which records no v_log.
-    pub fn mark_ongoing(
-        &self,
-        pool: &PmemPool,
-        fence: &dyn Fn(&PmemPool),
-    ) -> Result<(), PmemError> {
-        self.put_word(pool, STATUS, 1, Some(fence))
+    /// Sets the status word to 1 durably: the undo and Atlas baselines'
+    /// begin, which records no v_log.
+    pub fn mark_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
+        self.put_word(pool, STATUS, 1, true)
     }
 
     /// Clears the status word; the caller decides when to fence (commit
     /// bundles this flush with its final fence).
     pub fn clear_ongoing(&self, pool: &PmemPool) -> Result<(), PmemError> {
-        self.put_word(pool, STATUS, 0, None)
+        self.put_word(pool, STATUS, 0, false)
     }
 
     /// Begins a transaction on this slot with flushes only — the caller's
@@ -286,7 +270,7 @@ impl VlogSlot {
         logs.vlog.reset_to(pool, begin)?;
         logs.vlog.append(pool, PAddr::new(name.len() as u64), buf)?;
         logs.vlog.write_back(pool)?;
-        self.put_word(pool, STATUS, begin, None)?;
+        self.put_word(pool, STATUS, begin, false)?;
         pool.stats().vlog_entries.fetch_add(1, Relaxed);
         self.count_vlog_bytes(pool, 16 + buf.len() as u64);
         Ok(())
@@ -299,15 +283,11 @@ impl VlogSlot {
     }
 
     /// Persists Atlas's 32-byte FASE dependency record in a line of its
-    /// own, ordered by `fence`, and counts it as one 32-byte log entry. It
-    /// is no undo-log entry, so no rollback ever writes over the slot.
-    pub fn fase_record_with_fence(
-        &self,
-        pool: &PmemPool,
-        fence: &dyn Fn(&PmemPool),
-    ) -> Result<(), PmemError> {
+    /// own, fenced, and counts it as one 32-byte log entry. It is no
+    /// undo-log entry, so no rollback ever writes over the slot.
+    pub fn fase_record_with_fence(&self, pool: &PmemPool) -> Result<(), PmemError> {
         pool.store_flush(self.base.add(FASE_AREA), &[0; 32])?;
-        fence(pool);
+        pool.fence();
         bump_vlog(pool, 1);
         let stats = pool.stats();
         stats.log_entries.fetch_add(1, Relaxed);
@@ -315,9 +295,9 @@ impl VlogSlot {
         Ok(())
     }
 
-    /// Appends one preserved volatile blob to the v_log and syncs it with
-    /// `fence`, which also orders the begin. Counts the payload and an
-    /// 8-byte length as v_log bytes.
+    /// Appends one preserved volatile blob to the v_log and syncs it; the
+    /// sync's fence also orders the begin. Counts the payload and an 8-byte
+    /// length as v_log bytes.
     ///
     /// # Errors
     ///
@@ -328,7 +308,6 @@ impl VlogSlot {
         pool: &PmemPool,
         vlog: &mut LogWriter,
         data: &[u8],
-        fence: &dyn Fn(&PmemPool),
     ) -> Result<(), TxError> {
         vlog.append(pool, PAddr::NULL, data).map_err(|e| match e {
             PmemError::LogFull { needed, capacity } => TxError::VlogCapacity {
@@ -338,7 +317,7 @@ impl VlogSlot {
             },
             e => e.into(),
         })?;
-        vlog.sync_with(pool, fence)?;
+        vlog.sync(pool)?;
         self.count_vlog_bytes(pool, 8 + data.len() as u64);
         Ok(())
     }
@@ -399,15 +378,6 @@ mod tests {
         slot.status(pool).unwrap()
     }
 
-    fn preserve(
-        pool: &PmemPool,
-        slot: &VlogSlot,
-        logs: &mut SlotLogs,
-        data: &[u8],
-    ) -> Result<(), TxError> {
-        slot.preserve(pool, &mut logs.vlog, data, &|p| p.fence())
-    }
-
     #[test]
     fn a_fresh_slot_is_idle_and_its_logs_usable() {
         let (pool, slot, _) = setup();
@@ -451,8 +421,9 @@ mod tests {
     fn preserves_order_the_begin_and_replay_in_order() {
         let (pool, slot, mut logs) = setup();
         let s = begin(&pool, &slot, &mut logs, "f", &ArgList::new());
-        preserve(&pool, &slot, &mut logs, b"first").unwrap();
-        preserve(&pool, &slot, &mut logs, b"second-blob").unwrap();
+        slot.preserve(&pool, &mut logs.vlog, b"first").unwrap();
+        slot.preserve(&pool, &mut logs.vlog, b"second-blob")
+            .unwrap();
         let p2 = pool.crash(&CrashConfig::drop_all(2)).unwrap();
         let rec = slot.record(&p2, s).unwrap().unwrap();
         assert_eq!(rec.preserves, [&b"first"[..], b"second-blob"]);
@@ -484,11 +455,11 @@ mod tests {
         let (pool, slot, mut logs) = setup();
         begin(&pool, &slot, &mut logs, "f", &ArgList::new());
         let blob = vec![0u8; 3000];
-        preserve(&pool, &slot, &mut logs, &blob).unwrap();
-        preserve(&pool, &slot, &mut logs, &blob).unwrap();
+        slot.preserve(&pool, &mut logs.vlog, &blob).unwrap();
+        slot.preserve(&pool, &mut logs.vlog, &blob).unwrap();
         let before = pool.stats().snapshot();
         assert!(matches!(
-            preserve(&pool, &slot, &mut logs, &blob),
+            slot.preserve(&pool, &mut logs.vlog, &blob),
             Err(TxError::VlogCapacity { .. })
         ));
         assert_eq!(pool.stats().snapshot().delta(&before).writes, 0);

@@ -168,8 +168,7 @@ fn idempotence_check_reports_work_left_for_a_second_recovery() {
         explore_check(pool, rt)?;
         if rt.slot_count() > 0 {
             let slot = rt.slot_handle(0).map_err(|e| e.to_string())?;
-            slot.mark_ongoing(pool, &|p| p.fence())
-                .map_err(|e| e.to_string())?;
+            slot.mark_ongoing(pool).map_err(|e| e.to_string())?;
         }
         Ok(())
     }));

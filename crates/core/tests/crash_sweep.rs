@@ -142,7 +142,7 @@ fn corrupt_log_header_is_typed_corruption_not_an_empty_log() {
                     rlog.append(&pool, base.add(account * 8), &balance.to_le_bytes())
                         .unwrap();
                 }
-                slot.set_redo_committed(&pool, &|p| p.fence()).unwrap();
+                slot.set_redo_committed(&pool).unwrap();
             }
             slots[0].redo_log(&pool).unwrap()
         } else {

@@ -5,9 +5,8 @@
 //! idempotent (a refused `try_run_locked` leaves zero persistent trace),
 //! thread slots are leased and reused so slot usage is bounded by peak
 //! concurrency, racing locked transfers over *shared* accounts conserve
-//! through adversarial crashes and recovery, locked committers push the
-//! group-commit fence saving past the solo baseline of 2.64×, and
-//! locked schedules record a bit-identical persist-event stream on every
+//! through adversarial crashes and recovery, racing locked committers on
+//! disjoint sets never queue, and locked schedules record a bit-identical persist-event stream on every
 //! run (the determinism contract covers lock traffic too).
 
 mod common;
@@ -18,7 +17,7 @@ use clobber_nvm::{
     ArgList, Backend, CrashBattery, LockRequest, Nested, Runtime, RuntimeOptions, SweepSummary,
     TxError,
 };
-use clobber_pmem::{PAddr, PmemPool, PoolOptions, StatsSnapshot};
+use clobber_pmem::{PAddr, PmemPool, PoolOptions};
 use common::{bank_session, register_transfer, total, ACCOUNTS, INITIAL};
 use proptest::prelude::*;
 
@@ -169,14 +168,17 @@ fn racing_transfers(rt: &Runtime, threads: usize) {
     });
 }
 
-const GC_THREADS: u64 = 4;
-const GC_ROUNDS: u64 = 32;
+const LOCKED_THREADS: u64 = 4;
+const LOCKED_ROUNDS: u64 = 32;
 
 /// Four OS threads committing through `run_locked` on disjoint exclusive
-/// locks (lock-step-safe: disjoint sets never wait), batch vs solo.
-fn run_locked_committers(batch: usize) -> StatsSnapshot {
+/// locks: every transfer lands once, each takes its lock set once, and
+/// nobody queues. (The name is kept from the group-commit A/B this test
+/// ran before the fence coalescer was deleted.)
+#[test]
+fn locked_committers_beat_the_group_commit_baseline() {
     let pool = Arc::new(PmemPool::create(PoolOptions::crash_sim(1 << 20)).unwrap());
-    let mut ropts = RuntimeOptions::new(Backend::clobber()).with_group_commit_batch(batch);
+    let mut ropts = RuntimeOptions::new(Backend::clobber());
     ropts.clobber_log_cap = 32 << 10;
     ropts.redo_log_cap = 32 << 10;
     let rt = Runtime::create(pool.clone(), ropts).unwrap();
@@ -188,9 +190,9 @@ fn run_locked_committers(batch: usize) -> StatsSnapshot {
     pool.persist(base, ACCOUNTS * 8).unwrap();
 
     let before = pool.stats().snapshot();
-    let start = Barrier::new(GC_THREADS as usize);
+    let start = Barrier::new(LOCKED_THREADS as usize);
     std::thread::scope(|s| {
-        for i in 0..GC_THREADS {
+        for i in 0..LOCKED_THREADS {
             let (rt, start) = (&rt, &start);
             s.spawn(move || {
                 start.wait();
@@ -198,7 +200,7 @@ fn run_locked_committers(batch: usize) -> StatsSnapshot {
                     LockRequest::exclusive(2 * i),
                     LockRequest::exclusive(2 * i + 1),
                 ];
-                for _ in 0..GC_ROUNDS {
+                for _ in 0..LOCKED_ROUNDS {
                     rt.run_locked(
                         &locks,
                         "transfer",
@@ -209,69 +211,23 @@ fn run_locked_committers(batch: usize) -> StatsSnapshot {
             });
         }
     });
-    let delta = pool.stats().snapshot().delta(&before);
-    for i in 0..GC_THREADS {
+    let d = pool.stats().snapshot().delta(&before);
+    for i in 0..LOCKED_THREADS {
         assert_eq!(
             pool.read_u64(base.add(2 * i * 8)).unwrap(),
-            INITIAL - GC_ROUNDS
+            INITIAL - LOCKED_ROUNDS
         );
         assert_eq!(
             pool.read_u64(base.add((2 * i + 1) * 8)).unwrap(),
-            INITIAL + GC_ROUNDS
+            INITIAL + LOCKED_ROUNDS
         );
     }
     assert!(rt.locks().is_idle());
-    delta
-}
-
-/// Tentpole acceptance: real locked committers through group commit beat
-/// the PR 6 measured baseline of 2.64× fences/tx. The longer run
-/// amortizes slot-creation fences, so the coalesced share dominates.
-#[test]
-fn locked_committers_beat_the_group_commit_baseline() {
-    let solo = run_locked_committers(1);
-    let batched = run_locked_committers(GC_THREADS as usize);
-
-    assert_eq!(
-        batched.gc_fences_saved,
-        (GC_THREADS - 1) * batched.gc_epochs,
-        "{batched:?}"
-    );
-    // Both runs issue the same fence requests; each request either opens
-    // an epoch or piggybacks on one. With min_batch=1 a racing committer
-    // can still occasionally join a leader's open epoch, so bound the
-    // solo run's coalescing as rare rather than pinning it to zero.
-    assert_eq!(
-        solo.gc_epochs + solo.gc_fences_saved,
-        GC_THREADS * batched.gc_epochs
-    );
-    assert!(
-        solo.gc_fences_saved * 8 < solo.gc_epochs,
-        "min_batch=1 coalescing must stay incidental: {solo:?}"
-    );
-
-    // Strictly beat 2.64×: solo/batched > 2.64 in integer math.
-    assert!(
-        solo.fences * 100 > batched.fences * 264,
-        "locked committers must beat the 2.64x baseline: solo {} vs batched {}",
-        solo.fences,
-        batched.fences
-    );
     // Locking showed up in the stats, and nobody ever waited (disjoint).
-    let txs = GC_THREADS * GC_ROUNDS;
-    assert_eq!(batched.lock_acquisitions, txs);
-    assert_eq!(batched.lock_write_holds, 2 * txs);
-    assert_eq!(batched.lock_waits, 0, "disjoint sets must never queue");
-
-    println!(
-        "locked group-commit A/B over {txs} txs: solo fences={} ({:.2}/tx), \
-         batched fences={} ({:.2}/tx) -> {:.2}x",
-        solo.fences,
-        solo.fences as f64 / txs as f64,
-        batched.fences,
-        batched.fences as f64 / txs as f64,
-        solo.fences as f64 / batched.fences as f64
-    );
+    let txs = LOCKED_THREADS * LOCKED_ROUNDS;
+    assert_eq!(d.lock_acquisitions, txs);
+    assert_eq!(d.lock_write_holds, 2 * txs);
+    assert_eq!(d.lock_waits, 0, "disjoint sets must never queue");
 }
 
 /// Runs `script` single-threaded through `run_on_locked` (slot 0, both

@@ -1089,8 +1089,7 @@ fn a_stale_preserve_is_not_the_new_begins() {
     let args = |name: &str| ArgList::new().with_bytes(&vec![0; 91 - name.len()]);
     slot.begin(&pool, &mut logs, "first", &args("first"), &mut buf)
         .unwrap();
-    slot.preserve(&pool, &mut logs.vlog, &[0x5A; 300], &|p| p.fence())
-        .unwrap();
+    slot.preserve(&pool, &mut logs.vlog, &[0x5A; 300]).unwrap();
     slot.clear_ongoing(&pool).unwrap();
     pool.fence();
     slot.begin(&pool, &mut logs, "second", &args("second"), &mut buf)

@@ -2,10 +2,10 @@
 //!
 //! The paper's memcached port (§5.6) is a library loop; this crate gives it
 //! a service layer: typed requests over a [`Transport`] trait, a batcher
-//! that coalesces concurrent client writes into ONE group-committed locked
-//! transaction (so the commit fence amortizes across *clients*, not just
-//! threads), snapshot `GET`s served off the volatile cache without entering
-//! a transaction, and admission control that sheds load with a typed
+//! that coalesces concurrent client writes into ONE locked transaction
+//! (so the commit fence amortizes across *clients*, not just threads),
+//! snapshot `GET`s served off the volatile cache without entering a
+//! transaction, and admission control that sheds load with a typed
 //! [`KvResponse::Overloaded`] instead of queueing unboundedly.
 //!
 //! [`SimNet`] implements the trait: a deterministic simulated transport in

@@ -50,8 +50,7 @@ impl KvService {
     ///
     /// All `Set`s in the batch run as ONE failure-atomic transaction under
     /// the union of their exclusive bucket locks — one commit fence
-    /// (coalesced further by group commit) shared by every client in the
-    /// batch. The batch is framed by [`EventKind::NetBatchOpen`] /
+    /// shared by every client in the batch. The batch is framed by [`EventKind::NetBatchOpen`] /
     /// [`EventKind::NetBatchClose`] trace events recorded under the fault
     /// mutex, so a crash injected mid-batch replays at the same point.
     /// `Get`s are answered *after* the writes commit, directly off the

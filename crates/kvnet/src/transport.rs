@@ -77,7 +77,7 @@ impl Default for ServeConfig {
 /// decision per request (shed requests get an immediate
 /// [`KvResponse::Overloaded`] at zero service cost), executes the admitted
 /// requests as one coalesced batch — writes inside ONE locked
-/// group-committed transaction, reads off the volatile cache — and sends
+/// transaction, reads off the volatile cache — and sends
 /// the responses back priced by the cost model over the batch's real
 /// persistence counter delta.
 ///

@@ -403,9 +403,8 @@ impl HashMap {
     /// Inserts or updates every `(key, value)` pair as ONE failure-atomic
     /// locked transaction on an explicit slot — the KV service's batched
     /// write path. All touched bucket locks are held for the duration, and
-    /// the single commit fence (coalesced further by group commit) is
-    /// shared by the whole batch, so fence cost amortizes across the
-    /// clients whose requests were coalesced.
+    /// the single commit fence is shared by the whole batch, so fence cost
+    /// amortizes across the clients whose requests were coalesced.
     ///
     /// # Errors
     ///

@@ -702,6 +702,8 @@ fn check_media(media: &[u8], heap_hi: u64) -> Result<HeapReport, PmemError> {
     }
     let mut report = HeapReport::default();
     let (mut free, mut end) = (Vec::new(), HEAP_BASE);
+    // A lagging hint is a former frontier, so it ends a block.
+    let mut hint_ends_a_block = durable == HEAP_BASE;
     for (payload, state, size) in blocks_from(HEAP_BASE, heap_hi, &word) {
         if state == STATE_ALLOC {
             report.allocated_blocks += 1;
@@ -710,11 +712,17 @@ fn check_media(media: &[u8], heap_hi: u64) -> Result<HeapReport, PmemError> {
             free.push(payload);
         }
         end = payload + size;
+        hint_ends_a_block |= end == durable;
     }
     if end < durable {
         let payload = payload_after(end);
         return Err(PmemError::CorruptPool(format!(
             "block {payload:#x} below the durable frontier {durable:#x} has an invalid header"
+        )));
+    }
+    if !hint_ends_a_block {
+        return Err(PmemError::CorruptPool(format!(
+            "durable frontier {durable:#x} is inside a block"
         )));
     }
     let listed: HashSet<u64> = (0..NUM_HEADS)
@@ -1273,6 +1281,20 @@ mod tests {
                 "{fresh:?} inside {holder:?}"
             );
         }
+    }
+
+    #[test]
+    fn check_heap_refuses_a_frontier_inside_a_block() {
+        let p = pool();
+        let block = p.alloc(256).unwrap();
+        assert_eq!(block.offset(), 0x140);
+        p.write_u64(PAddr::new(FRONTIER_OFF), 0x148).unwrap();
+        let p2 = p.crash(&CrashConfig::keep_all(0)).unwrap();
+        let err = p2.check_heap().unwrap_err();
+        assert!(
+            matches!(&err, PmemError::CorruptPool(m) if m.contains("inside a block")),
+            "{err:?}"
+        );
     }
 
     #[test]

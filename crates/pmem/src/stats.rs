@@ -166,26 +166,21 @@ counters! {
     trace_dropped,
     /// Lines written back for the clobber/undo log (`LogKind::Clobber`).
     clog_flushes,
-    /// Fence *requests* attributed to the clobber/undo log. Requests, not
-    /// issued fences: a request satisfied by a shared group-commit epoch
-    /// still counts here, with the saving recorded as a saved fence.
+    /// Fences attributed to the clobber/undo log.
     clog_fences,
     /// Lines written back for the redo log (`LogKind::Redo`).
     rlog_flushes,
-    /// Fence requests attributed to the redo log.
+    /// Fences attributed to the redo log.
     rlog_fences,
     /// Lines written back for the v_log (`LogKind::Vlog`) and the slot's
     /// status word and markers.
     vlog_flushes,
-    /// Fence requests attributed to v_log slot records, bumped by the
-    /// runtime.
+    /// Fences attributed to v_log slot records, bumped by the runtime.
     vlog_fences,
-    /// Group-commit epochs closed (= ordering fences the coalescer actually
-    /// issued), bumped by the runtime.
+    /// Always 0: every ordering point issues its own pool fence, and
+    /// nothing writes this count. Kept for readers that still report it.
     gc_epochs,
-    /// Fence requests absorbed by sharing an epoch's fence (for an epoch of
-    /// `n` coalesced committers this grows by `n - 1`), bumped by the
-    /// runtime.
+    /// Always 0, like `gc_epochs`. Kept for readers that still report it.
     gc_fences_saved,
     /// v_log slots examined by recovery scans, bumped by the runtime.
     rec_slots_scanned,

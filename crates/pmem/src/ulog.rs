@@ -677,32 +677,16 @@ impl LogWriter {
     }
 
     /// Makes every appended entry durable: flushes the staged partial line
-    /// (if any) and issues one fence covering all line flushes since the
-    /// last sync. No-op if nothing is pending.
+    /// (if any) and issues one pool fence covering all line flushes since
+    /// the last sync. No-op if nothing is pending.
     ///
     /// # Errors
     ///
     /// Returns [`PmemError::OutOfBounds`] on a corrupt descriptor.
     pub fn sync(&mut self, pool: &PmemPool) -> Result<(), PmemError> {
-        self.sync_with(pool, |p| p.fence())
-    }
-
-    /// [`sync`](Self::sync) with the ordering fence delegated to `fence` —
-    /// the hook the runtime uses to route log fences through its
-    /// group-commit coalescer. `fence` must guarantee an `sfence` has been
-    /// issued (possibly by another thread) after it was called.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::OutOfBounds`] on a corrupt descriptor.
-    pub fn sync_with(
-        &mut self,
-        pool: &PmemPool,
-        fence: impl FnOnce(&PmemPool),
-    ) -> Result<(), PmemError> {
         self.write_back(pool)?;
         if let Some(p) = self.pos.as_mut().filter(|p| p.unfenced) {
-            fence(pool);
+            pool.fence();
             self.log.bump_kind_fence(pool);
             p.unfenced = false;
         }

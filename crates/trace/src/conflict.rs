@@ -202,7 +202,6 @@ pub fn tx_footprints(trace: &Trace) -> Vec<TxFootprint> {
             | EventKind::VlogAppend
             | EventKind::FaultTrip
             | EventKind::RecoveryStep
-            | EventKind::GroupCommitEpoch
             // Lock events are scheduling evidence, not data accesses: the
             // data conflict they guard already shows up as Store/UlogAppend
             // footprints, so counting them would only widen footprints.

@@ -6,8 +6,8 @@
 //! payload words. Events pack into exactly four `u64` words so a ring slot
 //! is four atomic stores — see [`ThreadRing`](crate::ring::ThreadRing).
 
-/// What happened. The discriminant is part of the binary format — append
-/// new kinds at the end, never renumber.
+/// What happened. The discriminant is the kind byte of an in-memory ring
+/// slot and the kind's index in [`EventKind::ALL`].
 #[repr(u8)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
@@ -48,31 +48,28 @@ pub enum EventKind {
     /// Recovery progress (`a` = step code from
     /// [`recovery_steps`](crate::recovery_steps), `b` = step-specific).
     RecoveryStep = 14,
-    /// A group-commit epoch closed: its leader issued the shared ordering
-    /// fence (`a` = epoch number, `b` = committers coalesced into it).
-    GroupCommitEpoch = 15,
     /// A lock-manager lock was granted (`a` = lock id, `b` = mode:
     /// 0 shared, 1 exclusive).
-    LockAcquire = 16,
+    LockAcquire = 15,
     /// A lock-manager lock was released (`a` = lock id, `b` = mode).
-    LockRelease = 17,
+    LockRelease = 16,
     /// A lock request conflicted — a `try_acquire` was refused or a
     /// blocking acquire had to wait (`a` = lock id, `b` = mode).
-    LockConflict = 18,
+    LockConflict = 17,
     /// A KV service batch opened: the batcher is about to run a coalesced
     /// set of client requests as one locked transaction (`a` = batch
     /// sequence number, `b` = requests in the batch). Emitted under the
     /// fault mutex like every app event, so mid-batch crashes replay
     /// deterministically.
-    NetBatchOpen = 19,
+    NetBatchOpen = 18,
     /// A KV service batch closed after its transaction committed
     /// (`a` = batch sequence number, `b` = requests in the batch).
-    NetBatchClose = 20,
+    NetBatchClose = 19,
 }
 
 impl EventKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [EventKind; 21] = [
+    pub const ALL: [EventKind; 20] = [
         EventKind::Store,
         EventKind::Flush,
         EventKind::Fence,
@@ -88,7 +85,6 @@ impl EventKind {
         EventKind::Cancel,
         EventKind::FaultTrip,
         EventKind::RecoveryStep,
-        EventKind::GroupCommitEpoch,
         EventKind::LockAcquire,
         EventKind::LockRelease,
         EventKind::LockConflict,
@@ -119,7 +115,6 @@ impl EventKind {
             EventKind::Cancel => "cancel",
             EventKind::FaultTrip => "fault_trip",
             EventKind::RecoveryStep => "recovery_step",
-            EventKind::GroupCommitEpoch => "group_commit_epoch",
             EventKind::LockAcquire => "lock_acquire",
             EventKind::LockRelease => "lock_release",
             EventKind::LockConflict => "lock_conflict",
