@@ -14,7 +14,6 @@ use clobber_nvm::{Runtime, TxError};
 use clobber_sim::{LockRequest, SimOp};
 use clobber_workloads::{Mix, Request, RequestStream};
 
-use clobber_pds::hashmap;
 use clobber_pds::hashmap::HashMap;
 
 /// Lock scheme for the request path (paper §5.6's scalability fix).
@@ -38,27 +37,6 @@ impl LockScheme {
             LockScheme::BucketRw => "rwlock",
         }
     }
-}
-
-/// Typed result of a request handled through the locked path — the wire
-/// shape a service front-end can serialize directly. Lock refusal is a
-/// *response*, not an error: under wait-die the conflict is raised before
-/// the transaction body runs, so the client (or the service's batcher) can
-/// simply resubmit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvOutcome {
-    /// The `set` committed.
-    Stored,
-    /// The `get` found this value.
-    Value(Vec<u8>),
-    /// The `get` found nothing.
-    NotFound,
-    /// Wait-die refused the lock set; retrying is always safe — nothing
-    /// was logged and no state changed.
-    Retry {
-        /// The contended lock id.
-        lock: u64,
-    },
 }
 
 /// Buckets of the server's table: the fewest that hold the service's
@@ -144,50 +122,6 @@ impl KvServer {
                 Ok(None)
             }
             Request::Get { key } => self.table.get_on(rt, slot, key_id(key)),
-        }
-    }
-
-    /// Handles one request on an explicit slot through the wait-die locked
-    /// path, surfacing [`TxError::LockConflict`] as a typed
-    /// [`KvOutcome::Retry`] response instead of an error. Every other
-    /// substrate failure still propagates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError`] on substrate failure other than lock refusal.
-    pub fn try_handle_on(
-        &self,
-        rt: &Runtime,
-        slot: usize,
-        req: &Request,
-    ) -> Result<KvOutcome, TxError> {
-        let locks = self.locks_for(req);
-        let map = self.table.arg();
-        let result = match req {
-            Request::Set { key, value } => rt.try_run_on_locked(
-                slot,
-                &locks,
-                hashmap::TX_INSERT,
-                &clobber_nvm::ArgList::new()
-                    .with_u64(map)
-                    .with_u64(key_id(key))
-                    .with_bytes(value),
-            ),
-            Request::Get { key } => rt.try_run_on_locked(
-                slot,
-                &locks,
-                hashmap::TX_GET,
-                &clobber_nvm::ArgList::new()
-                    .with_u64(map)
-                    .with_u64(key_id(key)),
-            ),
-        };
-        match (req, result) {
-            (_, Err(TxError::LockConflict { lock })) => Ok(KvOutcome::Retry { lock }),
-            (_, Err(e)) => Err(e),
-            (Request::Set { .. }, Ok(_)) => Ok(KvOutcome::Stored),
-            (Request::Get { .. }, Ok(Some(v))) => Ok(KvOutcome::Value(v)),
-            (Request::Get { .. }, Ok(None)) => Ok(KvOutcome::NotFound),
         }
     }
 
@@ -380,60 +314,5 @@ mod tests {
         assert!(load(TABLE_BUCKETS) <= 1.5 && load(TABLE_BUCKETS / 2) > 1.5);
         let reopened = KvServer::open(&rt, LockScheme::BucketRw).unwrap();
         assert_eq!(reopened.table(), srv.table());
-    }
-
-    #[test]
-    fn wait_die_refusal_surfaces_as_typed_retry_under_bucket_rw() {
-        let (_p, rt, srv) = setup(Backend::clobber());
-        let set = Request::Set {
-            key: RequestStream::key_bytes(5),
-            value: RequestStream::value_bytes(5),
-        };
-        let get = Request::Get {
-            key: RequestStream::key_bytes(5),
-        };
-        let bucket = srv.table().lock_of(5);
-
-        // A rival holds the bucket exclusively: both set and get die with a
-        // typed Retry naming the contended lock, not a panic or an Err.
-        {
-            let _rival = rt
-                .locks()
-                .acquire(rt.pool(), &[clobber_nvm::LockRequest::exclusive(bucket)]);
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &set).unwrap(),
-                KvOutcome::Retry { lock: bucket }
-            );
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &get).unwrap(),
-                KvOutcome::Retry { lock: bucket }
-            );
-        }
-
-        // Guard dropped: the retry succeeds — nothing was logged by the
-        // refused attempts, so state is exactly one committed set.
-        assert_eq!(srv.try_handle_on(&rt, 0, &set).unwrap(), KvOutcome::Stored);
-        assert_eq!(
-            srv.try_handle_on(&rt, 0, &get).unwrap(),
-            KvOutcome::Value(RequestStream::value_bytes(5))
-        );
-        assert_eq!(srv.table().len(rt.pool()).unwrap(), 1);
-
-        // BucketRw shared mode: a rival *reader* lets gets through but
-        // refuses sets.
-        {
-            let _reader = rt
-                .locks()
-                .acquire(rt.pool(), &[clobber_nvm::LockRequest::shared(bucket)]);
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &get).unwrap(),
-                KvOutcome::Value(RequestStream::value_bytes(5))
-            );
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &set).unwrap(),
-                KvOutcome::Retry { lock: bucket }
-            );
-        }
-        assert!(rt.locks().is_idle());
     }
 }

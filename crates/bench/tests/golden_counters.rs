@@ -274,13 +274,13 @@ fn recovery_counters_pin() {
     assert_eq!(rec_cells(&pool_r, &rt_r), committed);
 }
 
-/// Golden lock-manager pins: a fixed single-threaded sequence of locked
-/// transactions, multi-lock sets, shared holds and a refused `try_acquire`
-/// must attribute exactly these `lock_*` counts. Counter contract: `lock_acquisitions` is per granted *set*,
-/// `lock_read_holds` / `lock_write_holds` per individual lock by mode,
-/// `lock_conflicts` per refused try, and
-/// `lock_waits` per blocking acquire that actually queued (zero here —
-/// everything is single-threaded).
+/// Golden lock-manager pins: a fixed sequence of locked transactions,
+/// multi-lock sets, shared holds and one contended acquire must attribute
+/// exactly these `lock_*` counts. Counter contract:
+/// `lock_acquisitions` is per granted *set*, `lock_read_holds` /
+/// `lock_write_holds` per individual lock by mode, and `lock_waits` per
+/// acquire that actually queued (one here: a second thread waits for a
+/// lock the main thread holds).
 #[test]
 fn lock_counters_pin() {
     let pool = pool();
@@ -301,13 +301,16 @@ fn lock_counters_pin() {
     let b = rt.locks().acquire(&pool, &[LockRequest::shared(7)]); // acq 4, rh 2
     drop(b);
     drop(a);
-    // A refused wait-die probe (acq 5, wh 4, conflict 1).
+    // A contended acquire: a second thread queues for a held lock and is
+    // granted by its release (acq 5, wh 4; then acq 6, wh 5, wait 1).
     let h = rt.locks().acquire(&pool, &[LockRequest::exclusive(9)]);
-    assert!(rt
-        .locks()
-        .try_acquire(&pool, &[LockRequest::exclusive(9)])
-        .is_err());
-    drop(h);
+    std::thread::scope(|s| {
+        s.spawn(|| drop(rt.locks().acquire(&pool, &[LockRequest::exclusive(9)])));
+        while rt.locks().queued() != 1 {
+            std::thread::yield_now();
+        }
+        drop(h);
+    });
 
     let d = pool.stats().snapshot().delta(&before);
     assert_eq!(
@@ -315,10 +318,9 @@ fn lock_counters_pin() {
             d.lock_acquisitions,
             d.lock_read_holds,
             d.lock_write_holds,
-            d.lock_conflicts,
             d.lock_waits,
         ),
-        (5, 2, 4, 1, 0),
+        (6, 2, 5, 1),
         "{d:?}"
     );
     assert!(rt.locks().is_idle(), "guards all released");

@@ -13,17 +13,11 @@ use std::fmt;
 pub enum ArgValue {
     /// An unsigned integer (keys, sizes, handles).
     U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A floating-point value (e.g. mesh coordinates in yada).
-    F64(f64),
     /// An owned byte payload (e.g. a value to insert).
     Bytes(Vec<u8>),
 }
 
 const TAG_U64: u8 = 1;
-const TAG_I64: u8 = 2;
-const TAG_F64: u8 = 3;
 const TAG_BYTES: u8 = 4;
 
 /// Errors from decoding a serialized argument list.
@@ -105,18 +99,6 @@ impl ArgList {
         self
     }
 
-    /// Builder form: appends an `i64`.
-    pub fn with_i64(mut self, v: i64) -> Self {
-        self.items.push(ArgValue::I64(v));
-        self
-    }
-
-    /// Builder form: appends an `f64`.
-    pub fn with_f64(mut self, v: f64) -> Self {
-        self.items.push(ArgValue::F64(v));
-        self
-    }
-
     /// Builder form: appends a byte payload.
     pub fn with_bytes(mut self, v: &[u8]) -> Self {
         self.items.push(ArgValue::Bytes(v.to_vec()));
@@ -134,36 +116,6 @@ impl ArgList {
             _ => Err(ArgError::TypeMismatch {
                 index: i,
                 expected: "u64",
-            }),
-        }
-    }
-
-    /// Returns argument `i` as `i64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError::TypeMismatch`] if missing or not an `I64`.
-    pub fn i64(&self, i: usize) -> Result<i64, ArgError> {
-        match self.items.get(i) {
-            Some(ArgValue::I64(v)) => Ok(*v),
-            _ => Err(ArgError::TypeMismatch {
-                index: i,
-                expected: "i64",
-            }),
-        }
-    }
-
-    /// Returns argument `i` as `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError::TypeMismatch`] if missing or not an `F64`.
-    pub fn f64(&self, i: usize) -> Result<f64, ArgError> {
-        match self.items.get(i) {
-            Some(ArgValue::F64(v)) => Ok(*v),
-            _ => Err(ArgError::TypeMismatch {
-                index: i,
-                expected: "f64",
             }),
         }
     }
@@ -188,7 +140,7 @@ impl ArgList {
         self.items
             .iter()
             .map(|item| match item {
-                ArgValue::U64(_) | ArgValue::I64(_) | ArgValue::F64(_) => 1 + 8,
+                ArgValue::U64(_) => 1 + 8,
                 ArgValue::Bytes(v) => 1 + 4 + v.len(),
             })
             .sum()
@@ -209,14 +161,6 @@ impl ArgList {
                 ArgValue::U64(v) => {
                     out.push(TAG_U64);
                     out.extend_from_slice(&v.to_le_bytes());
-                }
-                ArgValue::I64(v) => {
-                    out.push(TAG_I64);
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                ArgValue::F64(v) => {
-                    out.push(TAG_F64);
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
                 ArgValue::Bytes(v) => {
                     out.push(TAG_BYTES);
@@ -239,17 +183,13 @@ impl ArgList {
             let tag = data[0];
             data = &data[1..];
             match tag {
-                TAG_U64 | TAG_I64 | TAG_F64 => {
+                TAG_U64 => {
                     if data.len() < 8 {
                         return Err(ArgError::Malformed);
                     }
                     let raw = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
                     data = &data[8..];
-                    items.push(match tag {
-                        TAG_U64 => ArgValue::U64(raw),
-                        TAG_I64 => ArgValue::I64(raw as i64),
-                        _ => ArgValue::F64(f64::from_bits(raw)),
-                    });
+                    items.push(ArgValue::U64(raw));
                 }
                 TAG_BYTES => {
                     if data.len() < 4 {
@@ -284,17 +224,11 @@ mod tests {
 
     #[test]
     fn round_trip_all_types() {
-        let args = ArgList::new()
-            .with_u64(7)
-            .with_i64(-9)
-            .with_f64(2.5)
-            .with_bytes(b"abc");
+        let args = ArgList::new().with_u64(7).with_bytes(b"abc");
         let back = ArgList::from_bytes(&args.to_bytes()).unwrap();
         assert_eq!(back, args);
         assert_eq!(back.u64(0).unwrap(), 7);
-        assert_eq!(back.i64(1).unwrap(), -9);
-        assert_eq!(back.f64(2).unwrap(), 2.5);
-        assert_eq!(back.bytes(3).unwrap(), b"abc");
+        assert_eq!(back.bytes(1).unwrap(), b"abc");
     }
 
     #[test]
@@ -310,13 +244,6 @@ mod tests {
         let args = ArgList::new().with_bytes(b"");
         let back = ArgList::from_bytes(&args.to_bytes()).unwrap();
         assert_eq!(back.bytes(0).unwrap(), b"");
-    }
-
-    #[test]
-    fn nan_round_trips_bit_exact() {
-        let args = ArgList::new().with_f64(f64::NAN);
-        let back = ArgList::from_bytes(&args.to_bytes()).unwrap();
-        assert!(back.f64(0).unwrap().is_nan());
     }
 
     #[test]
@@ -342,6 +269,13 @@ mod tests {
             ArgList::from_bytes(&[TAG_U64, 1, 2]),
             Err(ArgError::Malformed)
         );
+        // Tags 2 and 3 (retired i64/f64) are unknown, even with a whole
+        // 8-byte word behind them.
+        for retired in [2u8, 3] {
+            let mut stream = vec![retired];
+            stream.extend_from_slice(&7u64.to_le_bytes());
+            assert_eq!(ArgList::from_bytes(&stream), Err(ArgError::Malformed));
+        }
     }
 
     #[test]

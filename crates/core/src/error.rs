@@ -46,16 +46,6 @@ pub enum TxError {
         /// Index of the missing blob.
         index: usize,
     },
-    /// A lock-manager request could not be granted without waiting: a
-    /// `try_acquire` found the lock held (or an earlier queued waiter
-    /// wanting it). Returned *before* the transaction body runs, so
-    /// retrying is always safe — no begin record was persisted and no
-    /// state changed (wait-die style: the younger request dies and may
-    /// retry).
-    LockConflict {
-        /// The first conflicting lock id.
-        lock: u64,
-    },
 }
 
 impl TxError {
@@ -92,9 +82,6 @@ impl fmt::Display for TxError {
             TxError::CorruptVlog(why) => write!(f, "corrupt v_log record: {why}"),
             TxError::MissingPreserve { index } => {
                 write!(f, "recovery requested unrecorded preserve #{index}")
-            }
-            TxError::LockConflict { lock } => {
-                write!(f, "lock {lock:#x} is contended; retry the transaction")
             }
         }
     }

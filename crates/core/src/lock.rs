@@ -18,13 +18,11 @@
 //!   arrival is never granted a lock that an earlier queued waiter wants
 //!   (even a compatible shared grant queues behind a waiting writer), so
 //!   writers cannot starve behind a reader stream.
-//! * **Wait-die retry.** [`try_acquire`](LockManager::try_acquire) refuses
-//!   instead of waiting, returning [`TxError::LockConflict`] with the
-//!   first contended lock id; since refusal happens before the transaction
-//!   body runs, the caller can retry arbitrarily often with no persistent
-//!   side effects.
 //!
-//! Lock traffic is observable: grants, releases, and conflicts emit
+//! A lock set is only ever waited for: there is no refusal path, so a
+//! transaction's body never starts before its whole set is held.
+//!
+//! Lock traffic is observable: grants, releases, and queued waits emit
 //! [`EventKind::LockAcquire`] / [`LockRelease`] / [`LockConflict`] trace
 //! events (stamped under the pool's fault mutex like all app events, so
 //! interleavings stay replayable) and count into the `lock_*` fields of
@@ -45,8 +43,6 @@ use std::sync::Condvar;
 use clobber_pmem::PmemPool;
 use clobber_trace::EventKind;
 use parking_lot::Mutex;
-
-use crate::error::TxError;
 
 /// Identifier of a lock (e.g. a bucket index namespaced by the structure's
 /// root address). The same id space `clobber_sim` models.
@@ -149,7 +145,8 @@ pub enum Grant {
     Queued {
         /// Identifies the queued request.
         ticket: u64,
-        /// The lock that refused it (see [`GrantTable::try_request`]).
+        /// The first lock in the set that is incompatibly held, else the
+        /// first an earlier queued waiter wants.
         behind: LockId,
     },
 }
@@ -198,33 +195,20 @@ impl GrantTable {
         }
     }
 
-    /// Grants the whole `set` at once, or refuses naming the first lock in
-    /// it that is incompatibly held, else the first a queued waiter wants
-    /// (granting that would barge past the FIFO queue).
-    ///
-    /// # Errors
-    ///
-    /// The refusing lock id; nothing was granted or queued.
-    pub fn try_request(&mut self, set: &[LockRequest]) -> Result<(), LockId> {
+    /// Grants the whole `set` at once, or queues it behind every earlier
+    /// arrival if any lock in it is incompatibly held or wanted by a queued
+    /// waiter (granting that would barge past the FIFO queue).
+    pub fn request(&mut self, set: &[LockRequest]) -> Grant {
         let refused = set
             .iter()
             .find(|r| !self.compatible(r))
             .or_else(|| set.iter().find(|r| self.wanted(r.lock)));
         match refused {
-            Some(r) => Err(r.lock),
             None => {
                 self.apply(set);
-                Ok(())
+                Grant::Now
             }
-        }
-    }
-
-    /// [`try_request`](GrantTable::try_request), queueing a refused set
-    /// behind every earlier arrival.
-    pub fn request(&mut self, set: &[LockRequest]) -> Grant {
-        match self.try_request(set) {
-            Ok(()) => Grant::Now,
-            Err(behind) => {
+            Some(&LockRequest { lock: behind, .. }) => {
                 let ticket = self.next_ticket;
                 self.next_ticket += 1;
                 self.queue.push_back(Waiter {
@@ -329,38 +313,6 @@ impl LockManager {
         }
     }
 
-    /// Grants the whole `set` immediately or refuses with
-    /// [`TxError::LockConflict`] naming the first contended lock — never
-    /// waits, never barges past queued waiters. The wait-die building
-    /// block: refusal precedes any transaction work, so retry is always
-    /// safe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError::LockConflict`] if any lock in the set is
-    /// incompatibly held or wanted by an earlier queued waiter.
-    pub fn try_acquire<'a>(
-        &'a self,
-        pool: &'a PmemPool,
-        set: &[LockRequest],
-    ) -> Result<LockGuard<'a>, TxError> {
-        let set = GrantTable::normalize(set);
-        let refused = self.table.lock().try_request(&set);
-        if let Err(lock) = refused {
-            pool.stats().lock_conflicts.fetch_add(1, Ordering::Relaxed);
-            if pool.tracing_enabled() {
-                pool.trace_app_event(EventKind::LockConflict, 0, lock, 0);
-            }
-            return Err(TxError::LockConflict { lock });
-        }
-        self.note_grant(pool, &set);
-        Ok(LockGuard {
-            mgr: self,
-            pool,
-            set,
-        })
-    }
-
     /// `true` if nothing is held and nobody waits (test/debug aid).
     pub fn is_idle(&self) -> bool {
         self.table.lock().is_idle()
@@ -462,34 +414,21 @@ mod tests {
         assert_eq!(d.lock_acquisitions, 1);
         assert_eq!(d.lock_read_holds, 1);
         assert_eq!(d.lock_write_holds, 1);
-        assert_eq!((d.lock_conflicts, d.lock_waits), (0, 0));
+        assert_eq!(d.lock_waits, 0);
     }
 
     #[test]
     fn readers_share_writers_exclude() {
-        let pool = pool();
-        let mgr = LockManager::new();
-        let r1 = mgr.acquire(&pool, &[LockRequest::shared(7)]);
-        let _r2 = mgr.acquire(&pool, &[LockRequest::shared(7)]);
-        assert!(mgr
-            .try_acquire(&pool, &[LockRequest::exclusive(7)])
-            .is_err());
-        drop(r1);
-        assert!(mgr
-            .try_acquire(&pool, &[LockRequest::exclusive(7)])
-            .is_err());
-    }
-
-    #[test]
-    fn try_acquire_reports_the_conflicting_lock() {
-        let pool = pool();
-        let mgr = LockManager::new();
-        let _g = mgr.acquire(&pool, &[LockRequest::exclusive(5)]);
-        let err = mgr
-            .try_acquire(&pool, &[LockRequest::shared(4), LockRequest::shared(5)])
-            .unwrap_err();
-        assert_eq!(err, TxError::LockConflict { lock: 5 });
-        assert_eq!(pool.stats().snapshot().lock_conflicts, 1);
+        // Two readers share; a writer queues behind both and is granted by
+        // the second reader's release, not the first.
+        let mut t = GrantTable::default();
+        let (r, w) = ([LockRequest::shared(7)], [LockRequest::exclusive(7)]);
+        assert_eq!(t.request(&r), Grant::Now);
+        assert_eq!(t.request(&r), Grant::Now);
+        assert_eq!(t.request(&w), queued(0, 7));
+        assert!(t.release(&r).is_empty(), "one reader still holds");
+        assert_eq!(t.release(&r), vec![0]);
+        assert!(t.release(&w).is_empty() && t.is_idle());
     }
 
     #[test]
@@ -529,8 +468,7 @@ mod tests {
         let (r, w) = ([LockRequest::shared(3)], [LockRequest::exclusive(3)]);
         assert_eq!(t.request(&r), Grant::Now);
         assert_eq!(t.request(&w), queued(0, 3));
-        assert_eq!(t.try_request(&r), Err(3), "a late reader cannot barge");
-        assert_eq!(t.request(&r), queued(1, 3));
+        assert_eq!(t.request(&r), queued(1, 3), "a late reader cannot barge");
         assert_eq!(t.release(&r), vec![0], "the writer goes first, alone");
         assert!(t.is_queued(1));
         assert_eq!(t.release(&w), vec![1]);
@@ -548,8 +486,8 @@ mod tests {
         assert_eq!(t.request(&[x(1)]), Grant::Now);
         assert_eq!(t.request(&[x(1), x(2)]), queued(0, 1));
         assert_eq!(
-            t.try_request(&[x(3)]),
-            Ok(()),
+            t.request(&[x(3)]),
+            Grant::Now,
             "disjoint set must not queue"
         );
         assert_eq!(t.request(&[x(2)]), queued(1, 2));

@@ -422,8 +422,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Same as [`run`](Runtime::run); never [`TxError::LockConflict`]
-    /// (this form waits).
+    /// Same as [`run`](Runtime::run).
     pub fn run_locked(&self, locks: &[LockRequest], name: &str, args: &ArgList) -> TxResult {
         let _guard = self.lock_mgr.acquire(&self.pool, locks);
         self.run(name, args)
@@ -443,39 +442,6 @@ impl Runtime {
         args: &ArgList,
     ) -> TxResult {
         let _guard = self.lock_mgr.acquire(&self.pool, locks);
-        self.run_on(slot_idx, name, args)
-    }
-
-    /// Wait-die variant of [`run_locked`](Runtime::run_locked): if any
-    /// lock in the set is contended the request dies immediately with
-    /// [`TxError::LockConflict`] instead of waiting. The conflict is
-    /// raised before the transaction body runs — nothing was logged and
-    /// no state changed — so retrying is always safe and idempotent.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::LockConflict`] on contention, else same as
-    /// [`run`](Runtime::run).
-    pub fn try_run_locked(&self, locks: &[LockRequest], name: &str, args: &ArgList) -> TxResult {
-        let _guard = self.lock_mgr.try_acquire(&self.pool, locks)?;
-        self.run(name, args)
-    }
-
-    /// [`try_run_locked`](Runtime::try_run_locked) on an explicit
-    /// logical-thread slot (the discrete-event executor's form): wait-die
-    /// refusal raises [`TxError::LockConflict`] before the body runs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_run_locked`](Runtime::try_run_locked).
-    pub fn try_run_on_locked(
-        &self,
-        slot_idx: usize,
-        locks: &[LockRequest],
-        name: &str,
-        args: &ArgList,
-    ) -> TxResult {
-        let _guard = self.lock_mgr.try_acquire(&self.pool, locks)?;
         self.run_on(slot_idx, name, args)
     }
 

@@ -1,10 +1,8 @@
 //! Tentpole: true parallel transactions through the per-node FIFO
 //! rw-lock manager.
 //!
-//! These tests pin the runtime-level contracts: wait-die retry is
-//! idempotent (a refused `try_run_locked` leaves zero persistent trace),
-//! thread slots are leased and reused so slot usage is bounded by peak
-//! concurrency, racing locked transfers over *shared* accounts conserve
+//! These tests pin the runtime-level contracts: thread slots are leased
+//! and reused so slot usage is bounded by peak concurrency, racing locked transfers over *shared* accounts conserve
 //! through adversarial crashes and recovery, racing locked committers on
 //! disjoint sets never queue, and locked schedules record a bit-identical persist-event stream on every
 //! run (the determinism contract covers lock traffic too).
@@ -15,7 +13,6 @@ use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{
     ArgList, Backend, CrashBattery, LockRequest, Nested, Runtime, RuntimeOptions, SweepSummary,
-    TxError,
 };
 use clobber_pmem::{PAddr, PmemPool, PoolOptions};
 use common::{bank_session, register_transfer, total, ACCOUNTS, INITIAL};
@@ -67,38 +64,6 @@ fn thread_slots_are_reused_after_thread_exit() {
         }
     });
     assert_eq!(rt.slot_count(), 2, "overlapping threads need two slots");
-}
-
-/// Wait-die is idempotent: while the lock set is contended,
-/// `try_run_locked` dies with `LockConflict` *before* any persistent
-/// effect — no begin record, no log entries, no balance change — so the
-/// retry after release commits exactly once.
-#[test]
-fn wait_die_retry_is_idempotent() {
-    let (pool, rt, base) = common::setup(Backend::clobber());
-    let locks = [LockRequest::exclusive(0), LockRequest::exclusive(1)];
-    let args = transfer_args(base, (0, 1, 30));
-
-    let holder = rt.locks().acquire(&pool, &[LockRequest::exclusive(1)]);
-    let before = pool.stats().snapshot();
-    for attempt in 0..3 {
-        let err = rt.try_run_locked(&locks, "transfer", &args).unwrap_err();
-        assert_eq!(err, TxError::LockConflict { lock: 1 }, "attempt {attempt}");
-    }
-    let d = pool.stats().snapshot().delta(&before);
-    assert_eq!(d.log_entries, 0, "a dead request must log nothing");
-    assert_eq!(d.log_bytes, 0);
-    assert_eq!(d.writes, 0, "a dead request must write nothing");
-    assert_eq!(d.lock_conflicts, 3, "each refusal counts once");
-    assert_eq!(pool.read_u64(base).unwrap(), INITIAL, "balance untouched");
-    drop(holder);
-
-    // The retry is an ordinary first run: exactly one transfer commits.
-    rt.try_run_locked(&locks, "transfer", &args).unwrap();
-    assert_eq!(pool.read_u64(base).unwrap(), INITIAL - 30);
-    assert_eq!(pool.read_u64(base.add(8)).unwrap(), INITIAL + 30);
-    assert_eq!(total(&pool, base), ACCOUNTS * INITIAL);
-    assert!(rt.locks().is_idle());
 }
 
 /// Racing locked transfers over **shared** accounts: every transaction

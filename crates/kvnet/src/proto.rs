@@ -20,7 +20,6 @@ const RESP_STORED: u8 = 0;
 const RESP_VALUE: u8 = 1;
 const RESP_NOT_FOUND: u8 = 2;
 const RESP_OVERLOADED: u8 = 3;
-const RESP_RETRY: u8 = 4;
 
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,11 +58,6 @@ pub enum KvResponse {
     NotFound,
     /// Admission control shed the request; resubmit after backoff.
     Overloaded,
-    /// Wait-die refused a lock; resubmitting is always safe.
-    Retry {
-        /// The contended lock id.
-        lock: u64,
-    },
 }
 
 /// Encodes `(opaque, req)` into a frame payload.
@@ -122,10 +116,6 @@ pub fn encode_response(opaque: u64, resp: &KvResponse) -> Vec<u8> {
         }
         KvResponse::NotFound => out.push(RESP_NOT_FOUND),
         KvResponse::Overloaded => out.push(RESP_OVERLOADED),
-        KvResponse::Retry { lock } => {
-            out.push(RESP_RETRY);
-            out.extend_from_slice(&lock.to_le_bytes());
-        }
     }
     out
 }
@@ -142,7 +132,6 @@ pub fn decode_response(buf: &[u8]) -> Option<(u64, KvResponse)> {
         }
         RESP_NOT_FOUND => KvResponse::NotFound,
         RESP_OVERLOADED => KvResponse::Overloaded,
-        RESP_RETRY => KvResponse::Retry { lock: c.u64()? },
         _ => return None,
     };
     c.done()?;
@@ -263,7 +252,6 @@ mod tests {
             KvResponse::Value(vec![3; 64]),
             KvResponse::NotFound,
             KvResponse::Overloaded,
-            KvResponse::Retry { lock: 42 },
         ] {
             let frame = encode_response(99, &resp);
             assert_eq!(decode_response(&frame), Some((99, resp)));
@@ -280,6 +268,11 @@ mod tests {
         let mut ok = encode_response(1, &KvResponse::Stored);
         ok.push(0); // trailing garbage
         assert_eq!(decode_response(&ok), None);
+        // Tag 4 (a retired lock-refusal response) with its old lock word.
+        let mut retired = encode_response(1, &KvResponse::Overloaded);
+        retired[8] = 4;
+        retired.extend_from_slice(&42u64.to_le_bytes());
+        assert_eq!(decode_response(&retired), None);
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl Transport for SimNetRun {
             let cl = &mut self.net.clients[conn];
             cl.outstanding -= 1;
             match resp {
-                KvResponse::Overloaded | KvResponse::Retry { .. } => {
+                KvResponse::Overloaded => {
                     // Resubmit later; latency keeps accruing from the
                     // ORIGINAL arrival, so shedding shows up in the tail.
                     self.net.shed += 1;

@@ -408,8 +408,8 @@ impl HashMap {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::LockConflict`] (before the body runs — safe to
-    /// retry) under wait-die refusal, or any substrate error.
+    /// Returns [`TxError`] on substrate failure; the lock set is waited
+    /// for, never refused.
     pub fn insert_batch_on<V: AsRef<[u8]>>(
         &self,
         rt: &Runtime,

@@ -188,15 +188,12 @@ counters! {
     /// by the runtime.
     rec_reexecuted,
     /// Lock-set grants by the runtime's lock manager (one per granted
-    /// acquire/try_acquire, however many locks the set contains), bumped by
-    /// the runtime.
+    /// acquire, however many locks the set contains), bumped by the runtime.
     lock_acquisitions,
     /// Individual shared (read) locks granted, bumped by the runtime.
     lock_read_holds,
     /// Individual exclusive (write) locks granted, bumped by the runtime.
     lock_write_holds,
-    /// Lock conflicts (refused `try_acquire`s), bumped by the runtime.
-    lock_conflicts,
     /// Blocking acquires that could not be granted immediately and had to
     /// queue, bumped by the runtime.
     lock_waits,

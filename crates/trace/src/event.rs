@@ -53,8 +53,8 @@ pub enum EventKind {
     LockAcquire = 15,
     /// A lock-manager lock was released (`a` = lock id, `b` = mode).
     LockRelease = 16,
-    /// A lock request conflicted — a `try_acquire` was refused or a
-    /// blocking acquire had to wait (`a` = lock id, `b` = mode).
+    /// A blocking acquire queued behind `lock` (`a` = lock id, `b` =
+    /// mode).
     LockConflict = 17,
     /// A KV service batch opened: the batcher is about to run a coalesced
     /// set of client requests as one locked transaction (`a` = batch
